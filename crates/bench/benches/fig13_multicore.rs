@@ -25,8 +25,9 @@ fn main() {
         let seq = run_scheduled(&g, &sched, &machine, 2).expect("profile");
         for cores in [2usize, 4] {
             let part = Partition::lpt(&g, &sched, &seq.node_cycles, cores);
+            let placement = macross_runtime::Placement::whole_stage(part.assignment);
             time_case(&format!("fig13/{name}/{cores}_cores_threaded"), 10, || {
-                macross_runtime::run_threaded(&g, &sched, &machine, &part.assignment, 2)
+                macross_runtime::run_threaded_placed(&g, &sched, &machine, &placement, 2)
                     .unwrap()
                     .report
                     .wall_nanos

@@ -459,84 +459,6 @@ pub fn time_case<T>(label: &str, samples: usize, mut f: impl FnMut() -> T) {
 // ---------------------------------------------------------------------------
 // Measured (threaded runtime) vs. modeled (analytic makespan) comparison.
 
-/// One benchmark at one core count: the analytic multicore estimate next
-/// to what the threaded runtime actually measured.
-#[derive(Debug)]
-pub struct MeasuredVsModeled {
-    /// Benchmark name.
-    pub name: String,
-    /// Worker-thread count.
-    pub cores: usize,
-    /// The LPT partition used for both columns.
-    pub partition: macross_multicore::Partition,
-    /// Analytic per-iteration makespan (compute + communication model).
-    pub modeled: macross_multicore::CoreEstimate,
-    /// What the threaded runtime observed.
-    pub report: macross_runtime::RuntimeReport,
-}
-
-/// Partition `graph` over `cores` with LPT, run `iters` steady iterations
-/// on the threaded runtime, and pair the measurement with the analytic
-/// estimate for the same placement.
-pub fn measured_vs_modeled(
-    name: &str,
-    graph: &Graph,
-    schedule: &Schedule,
-    machine: &Machine,
-    cores: usize,
-    iters: u64,
-) -> MeasuredVsModeled {
-    measured_vs_modeled_traced(
-        name,
-        graph,
-        schedule,
-        machine,
-        cores,
-        iters,
-        &TraceSession::disabled(),
-    )
-}
-
-/// [`measured_vs_modeled`] recording the threaded run into `session`
-/// (pair with [`emit_chrome_trace`] to export the timeline).
-#[allow(clippy::too_many_arguments)]
-pub fn measured_vs_modeled_traced(
-    name: &str,
-    graph: &Graph,
-    schedule: &Schedule,
-    machine: &Machine,
-    cores: usize,
-    iters: u64,
-    session: &TraceSession,
-) -> MeasuredVsModeled {
-    let seq = run_scheduled(graph, schedule, machine, iters.min(2)).expect("sequential profile");
-    let partition = macross_multicore::Partition::lpt(graph, schedule, &seq.node_cycles, cores);
-    let modeled = macross_multicore::estimate(
-        graph,
-        schedule,
-        &seq.node_cycles,
-        &partition.assignment,
-        cores,
-        &CommModel::default(),
-    );
-    let run = macross_runtime::run_threaded_traced(
-        graph,
-        schedule,
-        machine,
-        &partition.assignment,
-        iters,
-        session,
-    )
-    .expect("threaded run");
-    MeasuredVsModeled {
-        name: name.to_string(),
-        cores,
-        partition,
-        modeled,
-        report: run.report,
-    }
-}
-
 /// One benchmark under the cost-model planner at one worker budget: the
 /// plan's modelled verdict next to what the threaded runtime measured
 /// for the *planned* placement (fusion, fission, and all).
@@ -554,29 +476,9 @@ pub struct PlannedVsModeled {
 
 /// Profile `graph` sequentially for per-node cycles, ask the cost-model
 /// planner for a placement over `workers` cores using `comm`, and run
-/// the planned placement for `iters` steady iterations.
-pub fn planned_vs_modeled(
-    name: &str,
-    graph: &Graph,
-    schedule: &Schedule,
-    machine: &Machine,
-    workers: usize,
-    iters: u64,
-    comm: &CommModel,
-) -> PlannedVsModeled {
-    planned_vs_modeled_traced(
-        name,
-        graph,
-        schedule,
-        machine,
-        workers,
-        iters,
-        comm,
-        &TraceSession::disabled(),
-    )
-}
-
-/// [`planned_vs_modeled`] recording the threaded run into `session`.
+/// the planned placement for `iters` steady iterations, recording the
+/// threaded run into `session` (pair with [`emit_chrome_trace`] to export
+/// the timeline).
 #[allow(clippy::too_many_arguments)]
 pub fn planned_vs_modeled_traced(
     name: &str,
@@ -590,15 +492,16 @@ pub fn planned_vs_modeled_traced(
 ) -> PlannedVsModeled {
     let seq = run_scheduled(graph, schedule, machine, iters.min(2)).expect("sequential profile");
     let plan = macross_multicore::plan_placement(graph, schedule, &seq.node_cycles, workers, comm);
-    let run = macross_runtime::run_threaded_placed_traced_mode(
+    let run = macross_runtime::run_supervised_placed(
         graph,
         schedule,
         machine,
         &plan.placement,
         iters,
+        &Default::default(),
         session,
-        Default::default(),
     )
+    .and_then(macross_runtime::SupervisedRun::into_result)
     .expect("planned run");
     PlannedVsModeled {
         name: name.to_string(),
@@ -614,25 +517,6 @@ mod measured_tests {
     use macross_benchsuite::by_name;
 
     #[test]
-    fn measured_vs_modeled_is_consistent() {
-        let machine = Machine::core_i7();
-        let b = by_name("FMRadio").unwrap();
-        let g = (b.build)();
-        let sched = Schedule::compute(&g).unwrap();
-        for cores in [1usize, 2, 4] {
-            let m = measured_vs_modeled(b.name, &g, &sched, &machine, cores, 4);
-            assert_eq!(m.report.cores, cores.min(m.report.cores).max(1));
-            assert_eq!(m.report.cut_edges, m.partition.cut_edges.len());
-            assert!(m.report.wall_nanos > 0);
-            assert!(m.modeled.makespan > 0);
-            if cores == 1 {
-                assert_eq!(m.report.cut_edges, 0);
-                assert_eq!(m.report.ring_traffic(), 0);
-            }
-        }
-    }
-
-    #[test]
     fn planned_vs_modeled_is_consistent() {
         let machine = Machine::core_i7();
         let b = by_name("FilterBank").unwrap();
@@ -640,7 +524,16 @@ mod measured_tests {
         let sched = Schedule::compute(&g).unwrap();
         let comm = CommModel::default();
         for workers in [1usize, 2, 4] {
-            let m = planned_vs_modeled(b.name, &g, &sched, &machine, workers, 4, &comm);
+            let m = planned_vs_modeled_traced(
+                b.name,
+                &g,
+                &sched,
+                &machine,
+                workers,
+                4,
+                &comm,
+                &TraceSession::disabled(),
+            );
             assert!(m.plan.cores_used <= workers.max(1));
             assert_eq!(m.report.cut_edges, m.plan.cut_edges);
             // The planner never commits to a placement it models slower

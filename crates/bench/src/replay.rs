@@ -14,10 +14,12 @@
 //! cargo run -p macross-bench --features fault-inject --bin replay_fault -- REPLAY_FMRadio_7.json
 //! ```
 
-use macross::driver::{macro_simdize, placement, SimdizeOptions};
+use macross::driver::{macro_simdize, steady_node_weights, SimdizeOptions};
 use macross_benchsuite::by_name;
+use macross_multicore::partition_lpt;
 use macross_runtime::{
-    run_supervised, FaultPlan, ReplayBundle, StageFailure, SupervisedRun, SupervisorOptions,
+    run_supervised_placed, FaultPlan, Placement, ReplayBundle, StageFailure, SupervisedRun,
+    SupervisorOptions,
 };
 use macross_sdf::Schedule;
 use macross_telemetry::TraceSession;
@@ -137,11 +139,11 @@ pub fn run_bundle(bundle: &ReplayBundle) -> Result<ReplayOutcome, String> {
         stage_timeouts: Vec::new(),
         plan: bundle.plan.clone(),
     };
-    let run = run_supervised(
+    let run = run_supervised_placed(
         &graph,
         &schedule,
         &machine,
-        &bundle.assignment,
+        &Placement::whole_stage(bundle.assignment.clone()),
         bundle.iters,
         &opts,
         &TraceSession::disabled(),
@@ -156,9 +158,9 @@ pub fn run_bundle(bundle: &ReplayBundle) -> Result<ReplayOutcome, String> {
     })
 }
 
-/// The placement a fault campaign should record into its bundles: the
-/// same LPT the driver uses, re-exported here so campaign code and replay
-/// agree by construction.
+/// The placement a fault campaign should record into its bundles: LPT
+/// over the static cost model of the SIMDized graph, so campaign code and
+/// replay agree by construction.
 pub fn campaign_placement(
     graph: &macross_streamir::graph::Graph,
     machine: &Machine,
@@ -166,7 +168,8 @@ pub fn campaign_placement(
 ) -> Result<(macross_streamir::graph::Graph, Schedule, Vec<u32>), String> {
     let simd = macro_simdize(graph, machine, &SimdizeOptions::all())
         .map_err(|e| format!("simdize failed: {e}"))?;
-    let assignment = placement(&simd, machine, cores);
+    let weights = steady_node_weights(&simd.graph, &simd.schedule, machine);
+    let assignment = partition_lpt(&weights, cores.max(1));
     Ok((simd.graph, simd.schedule, assignment))
 }
 

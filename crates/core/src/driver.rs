@@ -21,7 +21,7 @@ use macross_vm::Machine;
 use std::collections::HashSet;
 
 /// Which transforms and optimizations the driver may apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SimdizeOptions {
     /// Single-actor SIMDization of isolated stateless actors.
     pub single: bool,
@@ -627,43 +627,11 @@ pub fn macro_simdize_colocated(
     ))
 }
 
-/// Error from [`run_threaded`]: SIMDization or threaded execution failed.
-#[derive(Debug)]
-pub enum ThreadedError {
-    /// Macro-SIMDization rejected the graph.
-    Simdize(SimdizeError),
-    /// The threaded runtime failed.
-    Runtime(macross_runtime::RuntimeError),
-}
-
-impl std::fmt::Display for ThreadedError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ThreadedError::Simdize(e) => write!(f, "simdize: {e}"),
-            ThreadedError::Runtime(e) => write!(f, "runtime: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ThreadedError {}
-
-impl From<SimdizeError> for ThreadedError {
-    fn from(e: SimdizeError) -> Self {
-        ThreadedError::Simdize(e)
-    }
-}
-
-impl From<macross_runtime::RuntimeError> for ThreadedError {
-    fn from(e: macross_runtime::RuntimeError) -> Self {
-        ThreadedError::Runtime(e)
-    }
-}
-
 /// Statically modelled steady-state work per node: `reps * firing_cost`,
 /// where a filter's firing cost comes from the static cost model and a
 /// switch node's from the elements it moves. The common currency of both
-/// [`lpt_placement`] (nodes onto cores) and the service layer's session
-/// sharding (whole sessions onto shards).
+/// static LPT placement (nodes onto cores, `macross_multicore::partition_lpt`)
+/// and the service layer's session sharding (whole sessions onto shards).
 pub fn steady_node_weights(graph: &Graph, schedule: &Schedule, machine: &Machine) -> Vec<u64> {
     graph
         .node_ids()
@@ -698,112 +666,6 @@ pub fn modelled_steady_cost(simd: &Simdized, machine: &Machine) -> u64 {
     steady_node_weights(&simd.graph, &simd.schedule, machine)
         .iter()
         .sum()
-}
-
-/// Greedy LPT placement over [`steady_node_weights`].
-fn lpt_placement(graph: &Graph, schedule: &Schedule, machine: &Machine, cores: usize) -> Vec<u32> {
-    let weights = steady_node_weights(graph, schedule, machine);
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
-    let mut load = vec![0u64; cores.max(1)];
-    let mut assign = vec![0u32; weights.len()];
-    for i in order {
-        let core = (0..load.len()).min_by_key(|&c| load[c]).unwrap();
-        load[core] += weights[i];
-        assign[i] = core as u32;
-    }
-    assign
-}
-
-/// One-call convenience: macro-SIMDize `graph`, place the transformed
-/// actors on `cores` worker threads with a greedy LPT over the static
-/// cost model, and execute `iters` steady iterations on the threaded
-/// runtime ([`macross_runtime::run_threaded`]).
-///
-/// The sink output is bit-identical to `run_scheduled` on the SIMDized
-/// graph (and therefore, by the differential guarantee, to the scalar
-/// graph at aligned throughput).
-///
-/// # Errors
-/// Fails if SIMDization rejects the graph or the threaded run fails.
-pub fn run_threaded(
-    graph: &Graph,
-    machine: &Machine,
-    opts: &SimdizeOptions,
-    cores: usize,
-    iters: u64,
-) -> Result<(macross_runtime::ThreadedRun, Simdized), ThreadedError> {
-    let simd = macro_simdize(graph, machine, opts)?;
-    let assignment = lpt_placement(&simd.graph, &simd.schedule, machine, cores);
-    let run =
-        macross_runtime::run_threaded(&simd.graph, &simd.schedule, machine, &assignment, iters)?;
-    Ok((run, simd))
-}
-
-/// [`run_threaded`] with an explicit work-function engine
-/// ([`macross_vm::ExecMode`]): bytecode or the tree-walking oracle. The
-/// differential suite uses this to compare both engines across worker
-/// counts without rebuilding.
-///
-/// # Errors
-/// Same as [`run_threaded`].
-pub fn run_threaded_mode(
-    graph: &Graph,
-    machine: &Machine,
-    opts: &SimdizeOptions,
-    cores: usize,
-    iters: u64,
-    mode: macross_vm::ExecMode,
-) -> Result<(macross_runtime::ThreadedRun, Simdized), ThreadedError> {
-    let simd = macro_simdize(graph, machine, opts)?;
-    let assignment = lpt_placement(&simd.graph, &simd.schedule, machine, cores);
-    let run = macross_runtime::run_threaded_mode(
-        &simd.graph,
-        &simd.schedule,
-        machine,
-        &assignment,
-        iters,
-        mode,
-    )?;
-    Ok((run, simd))
-}
-
-/// [`run_threaded`] under full supervision: stage failures come back as
-/// typed [`macross_runtime::StageFailure`]s inside the report together
-/// with the partial output, instead of as an error. The entry point for
-/// fault-injection campaigns and any caller that wants graceful
-/// degradation (the run drains instead of aborting).
-///
-/// # Errors
-/// Fails only if SIMDization rejects the graph or the placement is
-/// malformed — never for stage failures.
-pub fn run_threaded_supervised(
-    graph: &Graph,
-    machine: &Machine,
-    opts: &SimdizeOptions,
-    cores: usize,
-    iters: u64,
-    sup_opts: &macross_runtime::SupervisorOptions,
-) -> Result<(macross_runtime::SupervisedRun, Simdized), ThreadedError> {
-    let simd = macro_simdize(graph, machine, opts)?;
-    let assignment = lpt_placement(&simd.graph, &simd.schedule, machine, cores);
-    let run = macross_runtime::run_supervised(
-        &simd.graph,
-        &simd.schedule,
-        machine,
-        &assignment,
-        iters,
-        sup_opts,
-        &macross_telemetry::TraceSession::disabled(),
-    )?;
-    Ok((run, simd))
-}
-
-/// The LPT placement [`run_threaded`] and [`run_threaded_supervised`] use,
-/// exposed so replay bundles can record and reproduce the exact
-/// node-to-core assignment of a failing run.
-pub fn placement(simd: &Simdized, machine: &Machine, cores: usize) -> Vec<u32> {
-    lpt_placement(&simd.graph, &simd.schedule, machine, cores)
 }
 
 /// True if the neighbour on the given side is a scalar consumer/producer
@@ -1154,26 +1016,6 @@ mod tests {
             .expect("fir must be recorded as unprofitable");
         assert_eq!(up.actor, "fir");
         assert!(up.est_vector_cycles >= 4 * up.est_scalar_cycles);
-    }
-
-    #[test]
-    fn run_threaded_matches_interpreter() {
-        let g = StreamSpec::pipeline(vec![
-            f32_source("src"),
-            scale_filter("f1", 2.0),
-            scale_filter("f2", 3.0),
-            StreamSpec::Sink,
-        ])
-        .build()
-        .unwrap();
-        let machine = Machine::core_i7();
-        let (thr, simd) = run_threaded(&g, &machine, &SimdizeOptions::all(), 2, 5).unwrap();
-        let seq = run_scheduled(&simd.graph, &simd.schedule, &machine, 5).unwrap();
-        assert_eq!(thr.output.len(), seq.output.len());
-        for (a, b) in seq.output.iter().zip(&thr.output) {
-            assert!(a.bits_eq(*b), "threaded output diverged: {a:?} vs {b:?}");
-        }
-        assert_eq!(thr.report.cores, 2);
     }
 
     fn iir_bank_filter(name: &str, regions: usize) -> StreamSpec {

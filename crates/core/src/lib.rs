@@ -67,11 +67,10 @@ pub mod region;
 pub mod single;
 pub mod vertical;
 
-pub use artifact::{compile_graph, CompiledGraph};
+pub use artifact::{compile_graph, ArtifactCache, CompiledGraph};
 pub use driver::{
-    macro_simdize, macro_simdize_colocated, modelled_steady_cost, placement, run_threaded,
-    run_threaded_mode, run_threaded_supervised, steady_node_weights, SimdizeOptions, SimdizeReport,
-    Simdized, TapeDecision, ThreadedError,
+    macro_simdize, macro_simdize_colocated, modelled_steady_cost, steady_node_weights,
+    SimdizeOptions, SimdizeReport, Simdized, TapeDecision,
 };
 pub use error::SimdizeError;
 pub use region::{region_width, simdize_region_actor};

@@ -562,7 +562,6 @@ pub fn partition_simd_aware(
     use macross::horizontal::find_split_joins;
     use macross::vertical::link_fusable;
     use macross_streamir::analysis::analyze_vectorizability;
-    use macross_streamir::graph::Node;
 
     assert!(cores >= 1);
     let n = graph.node_count();
@@ -612,11 +611,6 @@ pub fn partition_simd_aware(
         union(&mut parent, sp, cand.joiner.0 as usize);
     }
     // Splitters/joiners that did not form candidates stay free.
-    let _ = graph
-        .nodes()
-        .map(|(_, n)| n)
-        .filter(|n| matches!(n, Node::Splitter(_)))
-        .count();
 
     // Cluster loads, then LPT over clusters.
     let mut cluster_nodes: std::collections::HashMap<usize, Vec<usize>> = Default::default();

@@ -17,8 +17,8 @@
 //!    `macross_runtime::Placement`), so the hottest stage no longer caps
 //!    the pipeline.
 //! 3. **Collapse** — parallel placements must beat the modelled
-//!    sequential run by a configurable margin
-//!    (`MACROSS_PARALLEL_MARGIN`, default 1.2×); otherwise the plan says
+//!    sequential run by a fixed margin ([`PARALLEL_MARGIN`], 1.2×);
+//!    otherwise the plan says
 //!    "one core" and the caller runs sequentially instead of losing to
 //!    ring overhead.
 //!
@@ -67,19 +67,10 @@ impl PlacementPlan {
 }
 
 /// Margin a parallel placement's modelled makespan must beat sequential
-/// by before the planner commits to it (override:
-/// `MACROSS_PARALLEL_MARGIN`). The comm model is calibrated but still a
-/// model; demanding a 1.2× modelled win keeps marginal placements — the
-/// ones that lose to unmodelled stall latency — sequential.
-const DEFAULT_PARALLEL_MARGIN: f64 = 1.2;
-
-fn parallel_margin() -> f64 {
-    std::env::var("MACROSS_PARALLEL_MARGIN")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|m| m.is_finite() && *m >= 1.0)
-        .unwrap_or(DEFAULT_PARALLEL_MARGIN)
-}
+/// by before the planner commits to it. The comm model is calibrated but
+/// still a model; demanding a 1.2× modelled win keeps marginal placements
+/// — the ones that lose to unmodelled stall latency — sequential.
+const PARALLEL_MARGIN: f64 = 1.2;
 
 /// Can this node's steady firings be dealt round-robin across replicas?
 /// Mirrors `Placement::validate` (the runtime re-checks; this keeps the
@@ -298,7 +289,7 @@ pub fn plan_placement(
     }
 
     // --- Collapse guard ----------------------------------------------
-    if (best_make as f64) * parallel_margin() > sequential as f64 {
+    if (best_make as f64) * PARALLEL_MARGIN > sequential as f64 {
         return collapse(fused_groups);
     }
 

@@ -10,13 +10,13 @@
 //! miss can still be a compile-cache hit (two templates instantiating
 //! structurally identical graphs share one artifact).
 
-use macross::{CompiledGraph, SimdizeError, SimdizeOptions};
+use macross::{ArtifactCache, CompiledGraph, SimdizeError, SimdizeOptions};
 use macross_streamir::graph::Graph;
 use macross_streamir::shash::{structural_hash, GraphHash};
 use macross_streamir::Valuation;
 use macross_telemetry::service::ScheduleCacheStats;
 use macross_vm::{ExecMode, Machine};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Everything that selects a distinct installed configuration. The
@@ -29,45 +29,15 @@ struct ScheduleKey {
     hash: GraphHash,
     canon: String,
     machine: Machine,
-    opts_bits: u8,
-    mode_tag: u8,
+    opts: SimdizeOptions,
+    mode: ExecMode,
 }
 
-fn opts_bits(opts: &SimdizeOptions) -> u8 {
-    (opts.single as u8)
-        | (opts.vertical as u8) << 1
-        | (opts.horizontal as u8) << 2
-        | (opts.permute_opt as u8) << 3
-        | (opts.reorder_opt as u8) << 4
-        | (opts.profitability as u8) << 5
-        | (opts.prepass as u8) << 6
-        | (opts.region as u8) << 7
-}
-
-fn mode_tag(mode: ExecMode) -> u8 {
-    match mode {
-        ExecMode::Bytecode => 0,
-        ExecMode::BytecodeNoFuse => 1,
-        ExecMode::TreeWalk => 2,
-    }
-}
-
-struct Entry {
-    art: Arc<CompiledGraph>,
-    last_used: u64,
-}
-
-/// A bounded LRU of compiled configurations keyed by shape x valuation x
-/// machine x options x mode, with reconfiguration counters in the
-/// SERVICE-report shape.
+/// An [`ArtifactCache`] of compiled configurations keyed by shape x
+/// valuation x machine x options x mode, with reconfiguration counters in
+/// the SERVICE-report shape.
 pub struct ScheduleCache {
-    capacity: usize,
-    map: HashMap<ScheduleKey, Entry>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    reconfigurations: u64,
+    arts: ArtifactCache<ScheduleKey>,
     distinct: HashSet<(GraphHash, String)>,
 }
 
@@ -75,13 +45,7 @@ impl ScheduleCache {
     /// An empty cache bounded to `capacity` configurations (min 1).
     pub fn new(capacity: usize) -> ScheduleCache {
         ScheduleCache {
-            capacity: capacity.max(1),
-            map: HashMap::new(),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            reconfigurations: 0,
+            arts: ArtifactCache::new(capacity),
             distinct: HashSet::new(),
         }
     }
@@ -110,63 +74,40 @@ impl ScheduleCache {
             hash: structural_hash(graph),
             canon: valuation.canon(),
             machine: machine.clone(),
-            opts_bits: opts_bits(opts),
-            mode_tag: mode_tag(mode),
+            opts: *opts,
+            mode,
         };
-        self.tick += 1;
-        if let Some(entry) = self.map.get_mut(&key) {
-            entry.last_used = self.tick;
-            self.hits += 1;
-            self.reconfigurations += 1;
-            return Ok((entry.art.clone(), true));
+        let valuation_id = (key.hash, key.canon.clone());
+        let (art, hit) = self.arts.get_or_insert_with(key, || compile(graph))?;
+        if !hit {
+            self.distinct.insert(valuation_id);
         }
-        let art = compile(graph)?;
-        self.misses += 1;
-        self.reconfigurations += 1;
-        self.distinct.insert((key.hash, key.canon.clone()));
-        if self.map.len() >= self.capacity {
-            if let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&victim);
-                self.evictions += 1;
-            }
-        }
-        self.map.insert(
-            key,
-            Entry {
-                art: art.clone(),
-                last_used: self.tick,
-            },
-        );
-        Ok((art, false))
+        Ok((art, hit))
     }
 
     /// Live configurations.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.arts.len()
     }
 
     /// True when nothing has been installed yet.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.arts.is_empty()
     }
 
     /// Counters in the SERVICE-report shape. Invariants the report
-    /// validator enforces: `hits + misses == reconfigurations`, and with
-    /// zero evictions `misses == distinct_valuations` (each distinct
-    /// valuation compiled exactly once, however often it was revisited).
+    /// validator enforces: `hits + misses == reconfigurations` (every
+    /// successful lookup is one reconfiguration), and with zero evictions
+    /// `misses == distinct_valuations` (each distinct valuation compiled
+    /// exactly once, however often it was revisited).
     pub fn stats(&self) -> ScheduleCacheStats {
         ScheduleCacheStats {
-            capacity: self.capacity as u64,
+            capacity: self.arts.capacity() as u64,
             distinct_valuations: self.distinct.len() as u64,
-            reconfigurations: self.reconfigurations,
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
+            reconfigurations: self.arts.hits() + self.arts.misses(),
+            hits: self.arts.hits(),
+            misses: self.arts.misses(),
+            evictions: self.arts.evictions(),
         }
     }
 }

@@ -32,12 +32,12 @@ use macross_streamir::graph::{Graph, Node, NodeId};
 use macross_streamir::types::Value;
 use macross_telemetry::TraceSession;
 use macross_vm::machine::{CycleCounters, Machine};
-use macross_vm::{ExecMode, VmError};
+use macross_vm::VmError;
 use ring::{Aborted, Ring, OCC_BUCKETS};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use supervisor::Supervisor;
 use worker::Worker;
 
@@ -282,8 +282,8 @@ pub struct ThreadedRun {
     pub report: RuntimeReport,
 }
 
-/// Result of a supervised run ([`run_supervised`]): always carries the
-/// output produced so far, even when the run failed.
+/// Result of a supervised run ([`run_supervised_placed`]): always carries
+/// the output produced so far, even when the run failed.
 #[derive(Debug, Clone)]
 pub struct SupervisedRun {
     /// All sink outputs concatenated in node-id order. For a failed run
@@ -296,6 +296,40 @@ pub struct SupervisedRun {
     pub report: RuntimeReport,
     /// True when every scheduled firing completed (no failures).
     pub completed: bool,
+}
+
+impl SupervisedRun {
+    /// Collapse to the all-or-nothing surface of [`run_threaded_placed`]:
+    /// a clean run's output, or one error for a failed run — the
+    /// root-cause VM error wins, then a panic, then a bare abort (a
+    /// watchdog escalation carries neither).
+    ///
+    /// # Errors
+    /// [`RuntimeError::Vm`], [`RuntimeError::WorkerPanicked`] or
+    /// [`RuntimeError::Aborted`] when the run did not complete.
+    pub fn into_result(self) -> Result<ThreadedRun, RuntimeError> {
+        if self.completed {
+            return Ok(ThreadedRun {
+                output: self.output,
+                outputs: self.outputs,
+                report: self.report,
+            });
+        }
+        let failures = self.report.failures;
+        if let Some(e) = failures.iter().find_map(|f| match &f.cause {
+            FailureCause::Vm(e) => Some(e.clone()),
+            _ => None,
+        }) {
+            return Err(RuntimeError::Vm(e));
+        }
+        if let Some(msg) = failures.iter().find_map(|f| match &f.cause {
+            FailureCause::Panic(msg) => Some(msg.clone()),
+            _ => None,
+        }) {
+            return Err(RuntimeError::WorkerPanicked(msg));
+        }
+        Err(RuntimeError::Aborted)
+    }
 }
 
 fn stage_name(node: &Node) -> String {
@@ -324,10 +358,11 @@ pub struct FissionSpec {
 }
 
 /// A full multicore placement: the per-node core assignment plus any
-/// fissioned stages. [`run_supervised`] is the `fission: []` special case.
+/// fissioned stages ([`Placement::whole_stage`] is the `fission: []`
+/// special case).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Placement {
-    /// Node id -> core, as in [`run_supervised`].
+    /// Node id -> core.
     pub assignment: Vec<u32>,
     /// Stages split across cores (empty for plain placements).
     pub fission: Vec<FissionSpec>,
@@ -462,122 +497,26 @@ pub(crate) enum EdgeRings {
 }
 
 /// Execute `iters` steady iterations of a scheduled graph across worker
-/// threads, one per core of `assignment` (node id -> core).
+/// threads, one per core named by `placement` (the cost-model planner in
+/// `macross-multicore` produces placements; [`Placement::whole_stage`]
+/// wraps a plain node id -> core assignment).
 ///
 /// Within a core, nodes fire in the global schedule order via the same
-/// interpreter primitives as the single-threaded executor; cross-core
-/// edges stream through bounded SPSC rings sized from the schedule's
+/// firing path as the single-threaded executor; cross-core edges stream
+/// through bounded SPSC rings sized from the schedule's
 /// [`buffer_requirements`]. The init schedule runs before timing starts;
 /// sink outputs and modelled cycle counters cover the steady phase
 /// exactly like `run_scheduled`.
 ///
-/// # Errors
-/// [`RuntimeError::BadAssignment`] for a malformed assignment, and any
-/// [`VmError`] a filter raises on a worker (the other workers are aborted
-/// and joined).
-pub fn run_threaded(
-    graph: &Graph,
-    schedule: &Schedule,
-    machine: &Machine,
-    assignment: &[u32],
-    iters: u64,
-) -> Result<ThreadedRun, RuntimeError> {
-    run_threaded_traced(
-        graph,
-        schedule,
-        machine,
-        assignment,
-        iters,
-        &TraceSession::disabled(),
-    )
-}
-
-/// [`run_threaded`] with an explicit execution engine ([`ExecMode`]) for
-/// the filter work functions on every worker, instead of the build's
-/// default. Used by the differential suite to pit the bytecode engine
-/// against the tree-walking oracle inside the same binary.
+/// This is [`run_supervised_placed`] with default [`SupervisorOptions`]
+/// and no trace session, collapsed by [`SupervisedRun::into_result`];
+/// call that directly to choose the engine ([`SupervisorOptions::mode`]),
+/// record a trace, or keep the partial output of a failed run.
 ///
 /// # Errors
-/// Same as [`run_threaded`].
-pub fn run_threaded_mode(
-    graph: &Graph,
-    schedule: &Schedule,
-    machine: &Machine,
-    assignment: &[u32],
-    iters: u64,
-    mode: ExecMode,
-) -> Result<ThreadedRun, RuntimeError> {
-    run_threaded_traced_mode(
-        graph,
-        schedule,
-        machine,
-        assignment,
-        iters,
-        &TraceSession::disabled(),
-        mode,
-    )
-}
-
-/// [`run_threaded`] with a live trace session: each worker records firing
-/// spans, ring stalls, and park/unpark events into the session's per-core
-/// event ring (core id = trace worker index = Chrome `tid`). With the
-/// `telemetry` feature off, or a [`TraceSession::disabled`] session, the
-/// hooks compile to (or short-circuit into) nothing and the run is
-/// behaviorally identical to [`run_threaded`].
-///
-/// # Errors
-/// Same as [`run_threaded`].
-pub fn run_threaded_traced(
-    graph: &Graph,
-    schedule: &Schedule,
-    machine: &Machine,
-    assignment: &[u32],
-    iters: u64,
-    session: &TraceSession,
-) -> Result<ThreadedRun, RuntimeError> {
-    run_threaded_traced_mode(
-        graph,
-        schedule,
-        machine,
-        assignment,
-        iters,
-        session,
-        ExecMode::default(),
-    )
-}
-
-/// [`run_threaded_traced`] with an explicit execution engine for the
-/// filter work functions, combining tracing and engine selection.
-///
-/// # Errors
-/// Same as [`run_threaded`].
-pub fn run_threaded_traced_mode(
-    graph: &Graph,
-    schedule: &Schedule,
-    machine: &Machine,
-    assignment: &[u32],
-    iters: u64,
-    session: &TraceSession,
-    mode: ExecMode,
-) -> Result<ThreadedRun, RuntimeError> {
-    run_threaded_placed_traced_mode(
-        graph,
-        schedule,
-        machine,
-        &Placement::whole_stage(assignment.to_vec()),
-        iters,
-        session,
-        mode,
-    )
-}
-
-/// [`run_threaded`] generalized to a full [`Placement`] (assignment plus
-/// fissioned stages). The cost-model planner in `macross-multicore`
-/// produces placements for this entry point.
-///
-/// # Errors
-/// Same as [`run_threaded`], plus [`RuntimeError::InvalidPlacement`] for
-/// an illegal fission spec.
+/// [`RuntimeError::BadAssignment`] / [`RuntimeError::InvalidPlacement`]
+/// for a malformed placement, and any [`VmError`] a filter raises on a
+/// worker (the other workers are drained and joined).
 pub fn run_threaded_placed(
     graph: &Graph,
     schedule: &Schedule,
@@ -585,88 +524,41 @@ pub fn run_threaded_placed(
     placement: &Placement,
     iters: u64,
 ) -> Result<ThreadedRun, RuntimeError> {
-    run_threaded_placed_traced_mode(
+    run_supervised_placed(
         graph,
         schedule,
         machine,
         placement,
         iters,
+        &SupervisorOptions::default(),
         &TraceSession::disabled(),
-        ExecMode::default(),
-    )
-}
-
-/// [`run_threaded_placed`] with a trace session and an explicit engine.
-///
-/// # Errors
-/// Same as [`run_threaded_placed`].
-pub fn run_threaded_placed_traced_mode(
-    graph: &Graph,
-    schedule: &Schedule,
-    machine: &Machine,
-    placement: &Placement,
-    iters: u64,
-    session: &TraceSession,
-    mode: ExecMode,
-) -> Result<ThreadedRun, RuntimeError> {
-    let opts = SupervisorOptions {
-        mode,
-        ..SupervisorOptions::default()
-    };
-    let run = run_supervised_placed(graph, schedule, machine, placement, iters, &opts, session)?;
-    if run.completed {
-        return Ok(ThreadedRun {
-            output: run.output,
-            outputs: run.outputs,
-            report: run.report,
-        });
-    }
-    // Legacy error surface: the root-cause VM error wins, then a panic,
-    // then a bare abort (watchdog escalations cannot happen here — the
-    // legacy entry points never configure one).
-    let failures = run.report.failures;
-    if let Some(e) = failures.iter().find_map(|f| match &f.cause {
-        FailureCause::Vm(e) => Some(e.clone()),
-        _ => None,
-    }) {
-        return Err(RuntimeError::Vm(e));
-    }
-    if let Some(msg) = failures.iter().find_map(|f| match &f.cause {
-        FailureCause::Panic(msg) => Some(msg.clone()),
-        _ => None,
-    }) {
-        return Err(RuntimeError::WorkerPanicked(msg));
-    }
-    Err(RuntimeError::Aborted)
+    )?
+    .into_result()
 }
 
 /// Pipeline slack: how many steady iterations of an edge its ring can
-/// hold (`MACROSS_RING_SLACK`, default 8, clamped to [1, 64]).
+/// hold.
 ///
-/// Slack 1 reproduces the strict one-iteration sizing; larger values buy
-/// wall-clock (stages overlap across iterations and every park/unpark is
-/// amortized over `slack` iterations) for memory, without affecting
-/// outputs: firing order per stage, deal/merge rotation, and fault
-/// addressing are all capacity-independent.
-///
-/// Public because the multicore planner's communication-cost calibration
-/// amortizes its measured handshake cost by the same factor.
+/// Slack 1 would reproduce strict one-iteration sizing; 8 buys wall-clock
+/// (stages overlap across iterations and every park/unpark is amortized
+/// over the slack) for memory, without affecting outputs: firing order
+/// per stage, deal/merge rotation, and fault addressing are all
+/// capacity-independent.
+const RING_SLACK: u64 = 8;
+
+/// [`RING_SLACK`], for the multicore planner's communication-cost
+/// calibration (which amortizes its measured handshake cost by the same
+/// factor) and for run headers.
 pub fn ring_slack() -> u64 {
-    static SLACK: OnceLock<u64> = OnceLock::new();
-    *SLACK.get_or_init(|| {
-        std::env::var("MACROSS_RING_SLACK")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .map(|v| v.clamp(1, 64))
-            .unwrap_or(8)
-    })
+    RING_SLACK
 }
 
 /// The full-fidelity entry point: execute `iters` steady iterations under
 /// supervision and *always* return the (possibly partial) output plus a
 /// report whose `failures` list types every stage failure.
 ///
-/// This is [`run_threaded`]'s engine. On top of it, supervision adds:
+/// This is [`run_threaded_placed`]'s engine. On top of it, supervision
+/// adds:
 ///
 /// - every firing runs inside `catch_unwind` under a heartbeat, so a
 ///   panicking or erroring stage becomes a [`StageFailure`] instead of a
@@ -678,41 +570,24 @@ pub fn ring_slack() -> u64 {
 ///   already buffered, and committed sink output is preserved;
 /// - a [`fault::FaultPlan`] can deterministically inject faults at exact
 ///   `(stage, firing)` coordinates when built with `fault-inject` (the
-///   plan is inert otherwise — see [`FAULTS_COMPILED`]).
+///   plan is inert otherwise — see [`FAULTS_COMPILED`]);
+/// - each worker records firing spans, ring stalls, and park/unpark
+///   events into `session`'s per-core event ring (core id = trace worker
+///   index = Chrome `tid`); with the `telemetry` feature off, or a
+///   [`TraceSession::disabled`] session, the hooks compile to (or
+///   short-circuit into) nothing.
 ///
-/// # Errors
-/// Only [`RuntimeError::BadAssignment`]. Stage failures are *not* errors
-/// here: they come back inside the report.
-pub fn run_supervised(
-    graph: &Graph,
-    schedule: &Schedule,
-    machine: &Machine,
-    assignment: &[u32],
-    iters: u64,
-    opts: &SupervisorOptions,
-    session: &TraceSession,
-) -> Result<SupervisedRun, RuntimeError> {
-    run_supervised_placed(
-        graph,
-        schedule,
-        machine,
-        &Placement::whole_stage(assignment.to_vec()),
-        iters,
-        opts,
-        session,
-    )
-}
-
-/// [`run_supervised`] generalized to a full [`Placement`]: besides the
-/// node-to-core assignment, stages named in `placement.fission` are split
-/// across replica cores. Steady firing `g` of a fissioned stage runs on
-/// `replicas[g % k]`; its input tokens are dealt to one ring per replica
-/// in pop-rate blocks and its output merged back in push-rate blocks, so
-/// the downstream consumer observes the exact sequential stream.
+/// Besides the node-to-core assignment, stages named in
+/// `placement.fission` are split across replica cores. Steady firing `g`
+/// of a fissioned stage runs on `replicas[g % k]`; its input tokens are
+/// dealt to one ring per replica in pop-rate blocks and its output merged
+/// back in push-rate blocks, so the downstream consumer observes the
+/// exact sequential stream.
 ///
 /// # Errors
 /// [`RuntimeError::BadAssignment`] / [`RuntimeError::InvalidPlacement`]
-/// for a malformed placement. Stage failures come back inside the report.
+/// for a malformed placement. Stage failures are *not* errors here: they
+/// come back inside the report.
 pub fn run_supervised_placed(
     graph: &Graph,
     schedule: &Schedule,
@@ -953,11 +828,105 @@ mod tests {
             .unwrap()
     }
 
+    /// Whole-stage run of `assignment` (node id -> core).
+    fn run_on(
+        g: &Graph,
+        sched: &Schedule,
+        m: &Machine,
+        assignment: &[u32],
+        iters: u64,
+    ) -> Result<ThreadedRun, RuntimeError> {
+        run_threaded_placed(
+            g,
+            sched,
+            m,
+            &Placement::whole_stage(assignment.to_vec()),
+            iters,
+        )
+    }
+
+    /// [`run_on`] recording into `session`.
+    fn run_traced(
+        g: &Graph,
+        sched: &Schedule,
+        m: &Machine,
+        assignment: &[u32],
+        iters: u64,
+        session: &TraceSession,
+    ) -> ThreadedRun {
+        run_supervised_placed(
+            g,
+            sched,
+            m,
+            &Placement::whole_stage(assignment.to_vec()),
+            iters,
+            &SupervisorOptions::default(),
+            session,
+        )
+        .unwrap()
+        .into_result()
+        .unwrap()
+    }
+
+    /// The all-or-nothing mapping keeps its precedence whatever order the
+    /// failures were raised in: a VM error beats a panic beats `Aborted`.
+    #[test]
+    fn into_result_prefers_vm_error_then_panic_then_aborted() {
+        let run_with = |causes: Vec<FailureCause>| {
+            let failures: Vec<StageFailure> = causes
+                .into_iter()
+                .enumerate()
+                .map(|(stage, cause)| StageFailure {
+                    stage,
+                    name: format!("stage{stage}"),
+                    core: 0,
+                    firing: 0,
+                    mode: Default::default(),
+                    cause,
+                })
+                .collect();
+            SupervisedRun {
+                output: vec![Value::I32(7)],
+                outputs: vec![vec![Value::I32(7)]],
+                completed: failures.is_empty(),
+                report: RuntimeReport {
+                    cores: 1,
+                    iters: 1,
+                    cut_edges: 0,
+                    stages: Vec::new(),
+                    rings: Vec::new(),
+                    core_nanos: vec![0],
+                    wall_nanos: 0,
+                    core_modelled: vec![CycleCounters::default()],
+                    failures,
+                },
+            }
+        };
+        let watchdog = || FailureCause::Watchdog { waited_nanos: 1 };
+        let panic = || FailureCause::Panic("boom".into());
+        let vm = || FailureCause::Vm(VmError::Poisoned { filter: "f".into() });
+
+        let clean = run_with(vec![]).into_result().unwrap();
+        assert_eq!(clean.output, vec![Value::I32(7)]);
+        assert!(matches!(
+            run_with(vec![watchdog(), panic(), vm()]).into_result(),
+            Err(RuntimeError::Vm(VmError::Poisoned { .. }))
+        ));
+        match run_with(vec![watchdog(), panic()]).into_result() {
+            Err(RuntimeError::WorkerPanicked(msg)) => assert_eq!(msg, "boom"),
+            other => panic!("expected WorkerPanicked, got {other:?}"),
+        }
+        assert!(matches!(
+            run_with(vec![watchdog()]).into_result(),
+            Err(RuntimeError::Aborted)
+        ));
+    }
+
     #[test]
     fn bad_assignment_is_rejected() {
         let g = chain();
         let sched = Schedule::compute(&g).unwrap();
-        let err = run_threaded(&g, &sched, &Machine::core_i7(), &[0, 1], 4).unwrap_err();
+        let err = run_on(&g, &sched, &Machine::core_i7(), &[0, 1], 4).unwrap_err();
         assert!(matches!(
             err,
             RuntimeError::BadAssignment {
@@ -973,7 +942,7 @@ mod tests {
         let sched = Schedule::compute(&g).unwrap();
         let m = Machine::core_i7();
         let seq = macross_vm::run_scheduled(&g, &sched, &m, 8).unwrap();
-        let thr = run_threaded(&g, &sched, &m, &[0, 1, 1], 8).unwrap();
+        let thr = run_on(&g, &sched, &m, &[0, 1, 1], 8).unwrap();
         assert_eq!(thr.output, seq.output);
         assert_eq!(thr.report.cores, 2);
         assert_eq!(thr.report.cut_edges, 1);
@@ -997,7 +966,7 @@ mod tests {
         let sched = Schedule::compute(&g).unwrap();
         let m = Machine::core_i7();
         let seq = macross_vm::run_scheduled(&g, &sched, &m, 5).unwrap();
-        let thr = run_threaded(&g, &sched, &m, &[0, 0, 0], 5).unwrap();
+        let thr = run_on(&g, &sched, &m, &[0, 0, 0], 5).unwrap();
         assert_eq!(thr.output, seq.output);
         assert_eq!(thr.report.cut_edges, 0);
         assert_eq!(thr.report.ring_traffic(), 0);
@@ -1009,7 +978,7 @@ mod tests {
     fn report_carries_ring_stats() {
         let g = chain();
         let sched = Schedule::compute(&g).unwrap();
-        let thr = run_threaded(&g, &sched, &Machine::core_i7(), &[0, 1, 1], 16).unwrap();
+        let thr = run_on(&g, &sched, &Machine::core_i7(), &[0, 1, 1], 16).unwrap();
         assert_eq!(thr.report.rings.len(), 1);
         let rs = &thr.report.rings[0];
         assert_eq!((rs.src, rs.dst), (0, 1));
@@ -1024,7 +993,7 @@ mod tests {
     fn per_iteration_ratios_guard_zero_iters() {
         let g = chain();
         let sched = Schedule::compute(&g).unwrap();
-        let thr = run_threaded(&g, &sched, &Machine::core_i7(), &[0, 1, 1], 0).unwrap();
+        let thr = run_on(&g, &sched, &Machine::core_i7(), &[0, 1, 1], 0).unwrap();
         assert_eq!(thr.report.iters, 0);
         let ns = thr.report.nanos_per_iter();
         assert!(ns.is_finite());
@@ -1040,7 +1009,7 @@ mod tests {
         let m = Machine::core_i7();
         let seq = macross_vm::run_scheduled(&g, &sched, &m, 8).unwrap();
         let session = TraceSession::new(2, 1 << 12);
-        let thr = run_threaded_traced(&g, &sched, &m, &[0, 1, 1], 8, &session).unwrap();
+        let thr = run_traced(&g, &sched, &m, &[0, 1, 1], 8, &session);
         assert_eq!(thr.output, seq.output);
         if cfg!(feature = "telemetry") {
             // Each worker records at least its firing spans.
@@ -1150,7 +1119,7 @@ mod tests {
         let m = Machine::core_i7();
         let iters = 50;
         let seq = macross_vm::run_scheduled(&g, &sched, &m, iters).unwrap();
-        let thr = run_threaded(&g, &sched, &m, &[0, 1, 1], iters).unwrap();
+        let thr = run_on(&g, &sched, &m, &[0, 1, 1], iters).unwrap();
         assert_eq!(thr.output, seq.output);
         let gob_firings = thr.report.stages[1].firings;
         let ring = thr
@@ -1174,8 +1143,7 @@ mod tests {
         let g = chain();
         let sched = Schedule::compute(&g).unwrap();
         let session = TraceSession::new(2, 1 << 14);
-        let thr =
-            run_threaded_traced(&g, &sched, &Machine::core_i7(), &[0, 1, 1], 8, &session).unwrap();
+        let thr = run_traced(&g, &sched, &Machine::core_i7(), &[0, 1, 1], 8, &session);
         let events = session.drain();
         // Core 0 fired src 8 times: exactly 8 start/end pairs on worker 0.
         let starts0 = events

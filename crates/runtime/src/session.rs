@@ -27,56 +27,13 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::supervisor::{FailureCause, StageFailure};
 use macross_sdf::Schedule;
 use macross_streamir::analysis::analyze_vectorizability;
-use macross_streamir::graph::{Graph, Node, NodeId, ReorderSide};
+use macross_streamir::graph::{Graph, Node, NodeId};
 use macross_streamir::types::Value;
 use macross_telemetry::{EventKind, WorkerTrace};
-use macross_vm::firing::{self, FilterState};
+use macross_vm::firing::{self, FilterState, FirePlan};
 use macross_vm::{CompiledPrograms, CycleCounters, ExecMode, Machine, Tape};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-
-/// Immutable per-node adjacency (tape indices and reorder address
-/// costs), resolved once at admission — the session-engine analogue of
-/// the executor's fire plan.
-struct NodeAdj {
-    in_edge: Option<usize>,
-    out_edge: Option<usize>,
-    in_cost: u64,
-    out_cost: u64,
-    in_idx: Vec<usize>,
-    out_idx: Vec<usize>,
-    in_costs: Vec<u64>,
-    out_costs: Vec<u64>,
-}
-
-impl NodeAdj {
-    fn compute(graph: &Graph, id: NodeId, machine: &Machine) -> NodeAdj {
-        let ins = graph.in_edges(id);
-        let outs = graph.out_edges(id);
-        let in_edge = graph.single_in_edge(id);
-        let out_edge = graph.single_out_edge(id);
-        NodeAdj {
-            in_cost: in_edge
-                .map(|e| firing::edge_addr_cost(graph, e, true, machine))
-                .unwrap_or(0),
-            out_cost: out_edge
-                .map(|e| firing::edge_addr_cost(graph, e, false, machine))
-                .unwrap_or(0),
-            in_costs: ins
-                .iter()
-                .map(|&e| firing::edge_addr_cost(graph, e, true, machine))
-                .collect(),
-            out_costs: outs
-                .iter()
-                .map(|&e| firing::edge_addr_cost(graph, e, false, machine))
-                .collect(),
-            in_idx: ins.iter().map(|e| e.0 as usize).collect(),
-            out_idx: outs.iter().map(|e| e.0 as usize).collect(),
-            in_edge: in_edge.map(|e| e.0 as usize),
-            out_edge: out_edge.map(|e| e.0 as usize),
-        }
-    }
-}
 
 /// Name-level identity of an edge, stable across independently compiled
 /// configurations of the same parameterized program (node *ids* are not:
@@ -136,7 +93,7 @@ pub struct SessionEngine {
     shard: u32,
     tapes: Vec<Tape>,
     states: Vec<FilterState>,
-    adj: Vec<NodeAdj>,
+    adj: Vec<FirePlan>,
     /// Captured values per node id (non-empty for sinks only).
     outputs: Vec<Vec<Value>>,
     sink_ids: Vec<NodeId>,
@@ -171,22 +128,9 @@ impl SessionEngine {
             graph.node_count(),
             "compiled programs were built for a different graph"
         );
-        let mut tapes: Vec<Tape> = graph.edges().map(|(_, e)| Tape::new(e.elem)).collect();
-        for (i, (_, e)) in graph.edges().enumerate() {
-            if let Some(r) = e.reorder {
-                match r.side {
-                    ReorderSide::Consumer => tapes[i].set_read_reorder(r.rate, r.sw),
-                    ReorderSide::Producer => tapes[i].set_write_reorder(r.rate, r.sw),
-                }
-            }
-        }
         let states = graph
             .nodes()
             .map(|(id, node)| programs.state_for(id, node))
-            .collect();
-        let adj = graph
-            .nodes()
-            .map(|(id, _)| NodeAdj::compute(&graph, id, &machine))
             .collect();
         let sink_ids = graph
             .nodes()
@@ -196,9 +140,9 @@ impl SessionEngine {
         let n = graph.node_count();
         SessionEngine {
             mode: programs.mode(),
-            tapes,
+            tapes: firing::graph_tapes(&graph),
             states,
-            adj,
+            adj: FirePlan::for_graph(&graph, &machine),
             outputs: vec![Vec::new(); n],
             sink_ids,
             counters: CycleCounters::default(),
@@ -309,11 +253,9 @@ impl SessionEngine {
     /// During a drain, a stage touching a poisoned tape must not fire:
     /// taint it instead of letting the firing fail a second time.
     fn adjacent_poisoned(&self, id: NodeId) -> bool {
-        let a = &self.adj[id.0 as usize];
-        a.in_idx
-            .iter()
-            .chain(a.out_idx.iter())
-            .any(|&t| self.tapes[t].is_poisoned())
+        self.adj[id.0 as usize]
+            .tapes()
+            .any(|t| self.tapes[t].is_poisoned())
     }
 
     /// Fire `id` once under the supervision envelope: planned fault
@@ -330,9 +272,8 @@ impl SessionEngine {
                 FaultKind::PoisonTape => {
                     // Poison the stage's input half (or output half for
                     // sources); the firing below then refuses to run.
-                    if let Some(e) = self.adj[stage].in_edge {
-                        self.tapes[e].poison();
-                    } else if let Some(e) = self.adj[stage].out_edge {
+                    let a = &self.adj[stage];
+                    if let Some(e) = a.in_edge().or(a.out_edge()) {
                         self.tapes[e].poison();
                     }
                 }
@@ -362,20 +303,14 @@ impl SessionEngine {
                 true
             }
             Ok(Err(e)) => {
-                // fire_filter already poisoned the touched tapes.
+                // The firing already poisoned the touched tapes.
                 self.fail(id, firing, FailureCause::Vm(e));
                 false
             }
             Err(payload) => {
                 // A panic outside the VM's own boundary (native node or
                 // injected): quarantine the stage's tapes ourselves.
-                for t in self.adj[stage]
-                    .in_idx
-                    .iter()
-                    .chain(self.adj[stage].out_idx.iter())
-                    .copied()
-                    .collect::<Vec<_>>()
-                {
+                for t in self.adj[stage].tapes() {
                     self.tapes[t].poison();
                 }
                 let msg = firing::panic_message(payload.as_ref());
@@ -387,69 +322,17 @@ impl SessionEngine {
 
     /// Fire one node once (no supervision — callers wrap this).
     fn fire_node(&mut self, id: NodeId) -> Result<(), macross_vm::VmError> {
-        self.counters.firing_overhead += self.machine.cost.firing;
         let i = id.0 as usize;
-        let a = &self.adj[i];
-        match self.graph.node(id) {
-            Node::Filter(f) => firing::fire_filter(
-                f,
-                &mut self.states[i],
-                &mut self.tapes,
-                a.in_edge,
-                a.out_edge,
-                a.in_cost,
-                a.out_cost,
-                &self.machine,
-                &mut self.counters,
-            )?,
-            Node::Splitter(kind) => firing::fire_splitter(
-                kind,
-                &mut self.tapes,
-                a.in_edge.expect("splitter needs an input"),
-                &a.out_idx,
-                a.in_cost,
-                &a.out_costs,
-                &self.machine,
-                &mut self.counters,
-            ),
-            Node::Joiner(weights) => firing::fire_joiner(
-                weights,
-                &mut self.tapes,
-                &a.in_idx,
-                a.out_edge.expect("joiner needs an output"),
-                &a.in_costs,
-                a.out_cost,
-                &self.machine,
-                &mut self.counters,
-            ),
-            Node::HSplitter { kind, width } => firing::fire_hsplitter(
-                kind,
-                *width,
-                &mut self.tapes,
-                a.in_edge.expect("hsplitter needs an input"),
-                &a.out_idx,
-                &self.machine,
-                &mut self.counters,
-            ),
-            Node::HJoiner { weights, width } => firing::fire_hjoiner(
-                weights,
-                *width,
-                &mut self.tapes,
-                &a.in_idx,
-                a.out_edge.expect("hjoiner needs an output"),
-                &self.machine,
-                &mut self.counters,
-            ),
-            Node::Sink => {
-                let v = firing::fire_sink(
-                    &mut self.tapes,
-                    a.in_edge.expect("sink needs an input"),
-                    a.in_cost,
-                    &self.machine,
-                    &mut self.counters,
-                );
-                self.outputs[i].push(v);
-            }
+        let sunk = firing::fire_node(
+            &self.adj[i],
+            self.graph.node(id),
+            &mut self.states[i],
+            &mut self.tapes,
+            &self.machine,
+            &mut self.counters,
+        )?;
+        if let Some(v) = sunk {
+            self.outputs[i].push(v);
         }
         Ok(())
     }

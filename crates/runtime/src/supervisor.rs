@@ -86,7 +86,7 @@ impl fmt::Display for StageFailure {
     }
 }
 
-/// Options for a supervised run ([`crate::run_supervised`]).
+/// Options for a supervised run ([`crate::run_supervised_placed`]).
 #[derive(Debug, Clone, Default)]
 pub struct SupervisorOptions {
     /// Work-function engine on every worker.

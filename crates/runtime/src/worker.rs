@@ -26,7 +26,7 @@ use macross_sdf::Schedule;
 use macross_streamir::graph::{Graph, Node, NodeId};
 use macross_streamir::types::Value;
 use macross_telemetry::{clock, EventKind, WorkerTrace};
-use macross_vm::firing::{self, FilterState};
+use macross_vm::firing::{self, FilterState, FirePlan};
 use macross_vm::machine::{CycleCounters, Machine};
 use macross_vm::tape::Tape;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -207,6 +207,8 @@ struct LocalIn {
 /// Per-node firing plan for one core.
 struct NodePlan {
     id: NodeId,
+    /// Adjacent tape indices and reorder address costs, resolved once.
+    adj: FirePlan,
     reps: u64,
     init_reps: u64,
     pulls: Vec<Pull>,
@@ -434,6 +436,7 @@ impl<'g> Worker<'g> {
             };
             plans.push(NodePlan {
                 id,
+                adj: FirePlan::compute(graph, id, machine),
                 reps,
                 init_reps,
                 pulls,
@@ -579,12 +582,12 @@ impl<'g> Worker<'g> {
     }
 
     /// Quarantine the torn outputs of a failed firing: poison every local
-    /// out-edge tape half of `id` so nothing downstream consumes a torn
+    /// out-edge tape half of plan `p` so nothing downstream consumes a torn
     /// write prefix. (Cut-edge rings only ever receive post-firing
     /// flushes, so they need no quarantine.)
-    fn quarantine_outputs(&mut self, id: NodeId) {
-        for eid in self.graph.out_edges(id) {
-            self.tapes[eid.0 as usize].poison();
+    fn quarantine_outputs(&mut self, p: usize) {
+        for &e in self.plans[p].adj.out_tapes() {
+            self.tapes[e].poison();
         }
     }
 
@@ -607,10 +610,9 @@ impl<'g> Worker<'g> {
                 FaultKind::PoisonTape => {
                     // Poison the stage's input half (or output half for
                     // sources); the firing below then refuses to run.
-                    if let Some(e) = self.graph.single_in_edge(id) {
-                        self.tapes[e.0 as usize].poison();
-                    } else if let Some(e) = self.graph.single_out_edge(id) {
-                        self.tapes[e.0 as usize].poison();
+                    let adj = &self.plans[p].adj;
+                    if let Some(e) = adj.in_edge().or(adj.out_edge()) {
+                        self.tapes[e].poison();
                     }
                 }
                 FaultKind::DelayPush { nanos } => delay_push = nanos,
@@ -653,7 +655,7 @@ impl<'g> Worker<'g> {
             if matches!(fault, Some(FaultKind::Panic)) {
                 panic!("injected fault: panic at stage {stage} firing {firing}");
             }
-            self.fire_node(id)
+            self.fire_node(p)
         }));
         self.trace
             .record(EventKind::FiringEnd, id.0, self.counters.total() - before);
@@ -661,12 +663,12 @@ impl<'g> Worker<'g> {
         match result {
             Ok(Ok(())) => {}
             Ok(Err(e)) => {
-                self.quarantine_outputs(id);
+                self.quarantine_outputs(p);
                 self.fail(stage, firing, FailureCause::Vm(e));
                 return Err(Stop);
             }
             Err(payload) => {
-                self.quarantine_outputs(id);
+                self.quarantine_outputs(p);
                 let msg = firing::panic_message(payload.as_ref());
                 self.fail(stage, firing, FailureCause::Panic(msg));
                 return Err(Stop);
@@ -678,7 +680,7 @@ impl<'g> Worker<'g> {
         // finished cleanly.
         if self.sup.draining() && self.sup.failed_stages().contains(&stage) {
             self.trace.record(EventKind::WatchdogFire, id.0, firing);
-            self.quarantine_outputs(id);
+            self.quarantine_outputs(p);
             return Err(Stop);
         }
         self.plans[p].completed += 1;
@@ -845,13 +847,7 @@ impl<'g> Worker<'g> {
         // traces are not rolled back — the replay does not re-pull from
         // rings (tokens are already local), and the batch loop records no
         // per-firing trace events (see below), so nothing double-counts.
-        let tape_ids: Vec<usize> = self
-            .graph
-            .in_edges(id)
-            .into_iter()
-            .chain(self.graph.out_edges(id))
-            .map(|e| e.0 as usize)
-            .collect();
+        let tape_ids: Vec<usize> = self.plans[p].adj.tapes().collect();
         let tapes: Vec<Tape> = tape_ids.iter().map(|&e| self.tapes[e].clone()).collect();
         let consumed: Vec<usize> = self.plans[p].pulls.iter().map(|pl| pl.consumed).collect();
         let state = self.states[stage].clone();
@@ -875,7 +871,7 @@ impl<'g> Worker<'g> {
             // replays un-batched through fire_plan, whose per-firing
             // events would otherwise duplicate ones recorded here for the
             // firings that succeeded before the failure.
-            let result = catch_unwind(AssertUnwindSafe(|| self.fire_node(id)));
+            let result = catch_unwind(AssertUnwindSafe(|| self.fire_node(p)));
             if !matches!(result, Ok(Ok(()))) {
                 failed = true;
                 break;
@@ -1131,15 +1127,11 @@ impl<'g> Worker<'g> {
         // The firing below also writes: a poisoned output half (torn
         // prefix quarantine) refuses the firing for filters and must
         // equally stop splitters/joiners/sinks here.
-        if self
-            .graph
-            .out_edges(self.plans[p].id)
+        !plan
+            .adj
+            .out_tapes()
             .iter()
-            .any(|e| self.tapes[e.0 as usize].is_poisoned())
-        {
-            return false;
-        }
-        true
+            .any(|&e| self.tapes[e].is_poisoned())
     }
 
     /// Fire plan `p` once during the drain. Returns false (and marks the
@@ -1152,7 +1144,7 @@ impl<'g> Worker<'g> {
         self.plans[p].attempts += self.plans[p].stride;
         self.trace.record(EventKind::FiringStart, id.0, 0);
         let before = self.counters.total();
-        let result = catch_unwind(AssertUnwindSafe(|| self.fire_node(id)));
+        let result = catch_unwind(AssertUnwindSafe(|| self.fire_node(p)));
         self.trace
             .record(EventKind::FiringEnd, id.0, self.counters.total() - before);
         let cause = match result {
@@ -1168,7 +1160,7 @@ impl<'g> Worker<'g> {
             Ok(Err(e)) => FailureCause::Vm(e),
             Err(payload) => FailureCause::Panic(firing::panic_message(payload.as_ref())),
         };
-        self.quarantine_outputs(id);
+        self.quarantine_outputs(p);
         self.fail(stage, firing, cause);
         dead[stage] = true;
         false
@@ -1214,127 +1206,23 @@ impl<'g> Worker<'g> {
         }
     }
 
-    /// Fire one node once against the local tapes — the same dispatch as
-    /// `Executor::fire`, built on the shared [`firing`] primitives.
-    fn fire_node(&mut self, id: NodeId) -> Result<(), macross_vm::VmError> {
-        self.counters.firing_overhead += self.machine.cost.firing;
-        let in_edge = self.graph.single_in_edge(id);
-        let out_edge = self.graph.single_out_edge(id);
-        match self.graph.node(id) {
-            Node::Filter(f) => {
-                let in_cost = in_edge
-                    .map(|e| firing::edge_addr_cost(self.graph, e, true, self.machine))
-                    .unwrap_or(0);
-                let out_cost = out_edge
-                    .map(|e| firing::edge_addr_cost(self.graph, e, false, self.machine))
-                    .unwrap_or(0);
-                firing::fire_filter(
-                    f,
-                    &mut self.states[id.0 as usize],
-                    &mut self.tapes,
-                    in_edge.map(|e| e.0 as usize),
-                    out_edge.map(|e| e.0 as usize),
-                    in_cost,
-                    out_cost,
-                    self.machine,
-                    &mut self.counters,
-                )?;
-            }
-            Node::Splitter(kind) => {
-                let kind = kind.clone();
-                let in_edge = in_edge.expect("splitter needs an input");
-                let outs = self.graph.out_edges(id);
-                let in_cost = firing::edge_addr_cost(self.graph, in_edge, true, self.machine);
-                let out_costs: Vec<u64> = outs
-                    .iter()
-                    .map(|&e| firing::edge_addr_cost(self.graph, e, false, self.machine))
-                    .collect();
-                let out_idx: Vec<usize> = outs.iter().map(|e| e.0 as usize).collect();
-                firing::fire_splitter(
-                    &kind,
-                    &mut self.tapes,
-                    in_edge.0 as usize,
-                    &out_idx,
-                    in_cost,
-                    &out_costs,
-                    self.machine,
-                    &mut self.counters,
-                );
-            }
-            Node::Joiner(weights) => {
-                let weights = weights.clone();
-                let ins = self.graph.in_edges(id);
-                let out = out_edge.expect("joiner needs an output");
-                let in_costs: Vec<u64> = ins
-                    .iter()
-                    .map(|&e| firing::edge_addr_cost(self.graph, e, true, self.machine))
-                    .collect();
-                let out_cost = firing::edge_addr_cost(self.graph, out, false, self.machine);
-                let in_idx: Vec<usize> = ins.iter().map(|e| e.0 as usize).collect();
-                firing::fire_joiner(
-                    &weights,
-                    &mut self.tapes,
-                    &in_idx,
-                    out.0 as usize,
-                    &in_costs,
-                    out_cost,
-                    self.machine,
-                    &mut self.counters,
-                );
-            }
-            Node::HSplitter { kind, width } => {
-                let (kind, width) = (kind.clone(), *width);
-                let in_edge = in_edge.expect("hsplitter needs an input");
-                let out_idx: Vec<usize> = self
-                    .graph
-                    .out_edges(id)
-                    .iter()
-                    .map(|e| e.0 as usize)
-                    .collect();
-                firing::fire_hsplitter(
-                    &kind,
-                    width,
-                    &mut self.tapes,
-                    in_edge.0 as usize,
-                    &out_idx,
-                    self.machine,
-                    &mut self.counters,
-                );
-            }
-            Node::HJoiner { weights, width } => {
-                let (weights, width) = (weights.clone(), *width);
-                let out = out_edge.expect("hjoiner needs an output");
-                let in_idx: Vec<usize> = self
-                    .graph
-                    .in_edges(id)
-                    .iter()
-                    .map(|e| e.0 as usize)
-                    .collect();
-                firing::fire_hjoiner(
-                    &weights,
-                    width,
-                    &mut self.tapes,
-                    &in_idx,
-                    out.0 as usize,
-                    self.machine,
-                    &mut self.counters,
-                );
-            }
-            Node::Sink => {
-                let in_edge = in_edge.expect("sink needs an input");
-                let in_cost = firing::edge_addr_cost(self.graph, in_edge, true, self.machine);
-                let v = firing::fire_sink(
-                    &mut self.tapes,
-                    in_edge.0 as usize,
-                    in_cost,
-                    self.machine,
-                    &mut self.counters,
-                );
-                let idx = id.0 as usize;
-                match self.sink_outputs.iter_mut().find(|(i, _)| *i == idx) {
-                    Some((_, vals)) => vals.push(v),
-                    None => self.sink_outputs.push((idx, vec![v])),
-                }
+    /// Fire plan `p`'s node once against the local tapes through the
+    /// shared firing path, routing a sink's value to this core's outputs.
+    fn fire_node(&mut self, p: usize) -> Result<(), macross_vm::VmError> {
+        let plan = &self.plans[p];
+        let idx = plan.id.0 as usize;
+        let sunk = firing::fire_node(
+            &plan.adj,
+            self.graph.node(plan.id),
+            &mut self.states[idx],
+            &mut self.tapes,
+            self.machine,
+            &mut self.counters,
+        )?;
+        if let Some(v) = sunk {
+            match self.sink_outputs.iter_mut().find(|(i, _)| *i == idx) {
+                Some((_, vals)) => vals.push(v),
+                None => self.sink_outputs.push((idx, vec![v])),
             }
         }
         Ok(())

@@ -1,7 +1,9 @@
 //! Differential suite: for every benchsuite graph, the threaded runtime
 //! (1, 2, and 4 workers) must produce bit-identical output to the
 //! single-threaded `run_scheduled` interpreter — for the scalar graph and
-//! for the macro-SIMDized graph.
+//! for the macro-SIMDized graph — and the three engines built on the one
+//! firing path (`Executor`, a one-core threaded run, `SessionEngine`) must
+//! agree on modelled cycle counters too.
 //!
 //! LPT partitions place the cut edges where the naive multi-core
 //! scheduler would; an extra round-robin placement per benchmark cuts
@@ -10,11 +12,12 @@
 
 use macross::driver::{macro_simdize, SimdizeOptions};
 use macross_multicore::Partition;
-use macross_runtime::run_threaded;
+use macross_runtime::{run_threaded_placed, FaultPlan, Placement, SessionEngine, SessionStatus};
 use macross_sdf::Schedule;
 use macross_streamir::graph::Graph;
 use macross_streamir::types::Value;
-use macross_vm::{run_scheduled, Machine};
+use macross_vm::{run_scheduled, CompiledPrograms, ExecMode, Executor, Machine};
+use std::sync::Arc;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -37,7 +40,8 @@ fn check_graph(name: &str, graph: &Graph, schedule: &Schedule, machine: &Machine
     for &cores in &WORKER_COUNTS {
         eprintln!("[diff] {name} x{cores}");
         let part = Partition::lpt(graph, schedule, &seq.node_cycles, cores);
-        let thr = run_threaded(graph, schedule, machine, &part.assignment, iters)
+        let placement = Placement::whole_stage(part.assignment.clone());
+        let thr = run_threaded_placed(graph, schedule, machine, &placement, iters)
             .unwrap_or_else(|e| panic!("{name} x{cores}: threaded run failed: {e}"));
         assert_bits_eq(&format!("{name} x{cores} (lpt)"), &seq.output, &thr.output);
         assert_eq!(
@@ -55,14 +59,73 @@ fn check_graph(name: &str, graph: &Graph, schedule: &Schedule, machine: &Machine
         }
     }
     eprintln!("[diff] {name} round-robin");
-    let rr: Vec<u32> = (0..graph.node_count() as u32).map(|i| i % 4).collect();
-    let thr = run_threaded(graph, schedule, machine, &rr, iters)
+    let rr = Placement::whole_stage((0..graph.node_count() as u32).map(|i| i % 4).collect());
+    let thr = run_threaded_placed(graph, schedule, machine, &rr, iters)
         .unwrap_or_else(|e| panic!("{name} round-robin: threaded run failed: {e}"));
     assert_bits_eq(&format!("{name} (round-robin)"), &seq.output, &thr.output);
 }
 
 fn bench_iters(iters: u64) -> u64 {
     iters.min(6)
+}
+
+/// The three engines over the one firing path must agree on sink bits
+/// *and* on modelled cycles taken over the same phases: a one-core
+/// threaded run reports the steady phase (like `run_scheduled`), a
+/// `SessionEngine` never resets after init (like `Executor::run` without
+/// `reset_counters`).
+fn check_engines(name: &str, graph: &Graph, schedule: &Schedule, machine: &Machine, iters: u64) {
+    let steady = run_scheduled(graph, schedule, machine, iters).expect("sequential run failed");
+    let one_core = Placement::whole_stage(vec![0; graph.node_count()]);
+    let thr = run_threaded_placed(graph, schedule, machine, &one_core, iters)
+        .unwrap_or_else(|e| panic!("{name}: one-core threaded run failed: {e}"));
+    assert_bits_eq(&format!("{name} (one core)"), &steady.output, &thr.output);
+    assert_eq!(
+        thr.report.core_modelled,
+        vec![steady.counters],
+        "{name}: one-core threaded counters diverge from the executor"
+    );
+
+    let mut whole = Executor::new(graph, schedule, machine);
+    whole.run(iters).expect("sequential run failed");
+    let programs = CompiledPrograms::compile(graph, machine, ExecMode::default());
+    let mut session = SessionEngine::new(
+        Arc::new(graph.clone()),
+        Arc::new(schedule.clone()),
+        Arc::new(machine.clone()),
+        &programs,
+        FaultPlan::none(),
+        0,
+    );
+    assert_eq!(session.run_init(), SessionStatus::Running, "{name}");
+    assert_eq!(session.run_steady(iters), SessionStatus::Running, "{name}");
+    let session_out: Vec<Value> = session.take_outputs().into_iter().flatten().collect();
+    assert_bits_eq(&format!("{name} (session)"), &steady.output, &session_out);
+    assert_eq!(
+        session.counters(),
+        whole.counters(),
+        "{name}: session counters diverge from the executor"
+    );
+}
+
+#[test]
+fn session_and_one_core_threaded_match_executor_bits_and_counters() {
+    let machine = Machine::core_i7();
+    for b in macross_benchsuite::all() {
+        let iters = bench_iters(b.iters);
+        let graph = (b.build)();
+        let schedule = Schedule::compute(&graph).expect("benchsuite graph must schedule");
+        check_engines(b.name, &graph, &schedule, &machine, iters);
+        let simd = macro_simdize(&graph, &machine, &SimdizeOptions::all())
+            .unwrap_or_else(|e| panic!("{}: simdize failed: {e}", b.name));
+        check_engines(
+            &format!("{}-simd", b.name),
+            &simd.graph,
+            &simd.schedule,
+            &machine,
+            iters,
+        );
+    }
 }
 
 #[test]

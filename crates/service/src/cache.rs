@@ -15,12 +15,12 @@
 //! validator enforces: with zero evictions, `compilations ==
 //! distinct_graphs` no matter how many sessions ran.
 
-use macross::{compile_graph, CompiledGraph, SimdizeError, SimdizeOptions};
+use macross::{compile_graph, ArtifactCache, CompiledGraph, SimdizeError, SimdizeOptions};
 use macross_streamir::graph::Graph;
 use macross_streamir::shash::{structural_hash, GraphHash};
 use macross_telemetry::service::CacheStats;
 use macross_vm::{ExecMode, Machine};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Everything that selects a distinct compilation output. The machine
@@ -31,44 +31,15 @@ use std::sync::Arc;
 struct CacheKey {
     hash: GraphHash,
     machine: Machine,
-    opts_bits: u8,
-    mode_tag: u8,
+    opts: SimdizeOptions,
+    mode: ExecMode,
 }
 
-fn opts_bits(opts: &SimdizeOptions) -> u8 {
-    (opts.single as u8)
-        | (opts.vertical as u8) << 1
-        | (opts.horizontal as u8) << 2
-        | (opts.permute_opt as u8) << 3
-        | (opts.reorder_opt as u8) << 4
-        | (opts.profitability as u8) << 5
-        | (opts.prepass as u8) << 6
-        | (opts.region as u8) << 7
-}
-
-fn mode_tag(mode: ExecMode) -> u8 {
-    match mode {
-        ExecMode::Bytecode => 0,
-        ExecMode::BytecodeNoFuse => 1,
-        ExecMode::TreeWalk => 2,
-    }
-}
-
-struct Entry {
-    art: Arc<CompiledGraph>,
-    last_used: u64,
-}
-
-/// A bounded LRU of compiled artifacts with hit/miss/eviction counters.
+/// The compile-once cache: an [`ArtifactCache`] keyed by shape x machine
+/// x options x mode, plus the submission counters of the SERVICE report.
 pub struct CompileCache {
-    capacity: usize,
-    map: HashMap<CacheKey, Entry>,
-    tick: u64,
+    arts: ArtifactCache<CacheKey>,
     submits: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    compilations: u64,
     distinct: HashSet<GraphHash>,
 }
 
@@ -76,14 +47,8 @@ impl CompileCache {
     /// An empty cache bounded to `capacity` entries (min 1).
     pub fn new(capacity: usize) -> CompileCache {
         CompileCache {
-            capacity: capacity.max(1),
-            map: HashMap::new(),
-            tick: 0,
+            arts: ArtifactCache::new(capacity),
             submits: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            compilations: 0,
             distinct: HashSet::new(),
         }
     }
@@ -101,64 +66,44 @@ impl CompileCache {
         opts: &SimdizeOptions,
         mode: ExecMode,
     ) -> Result<(Arc<CompiledGraph>, bool), SimdizeError> {
+        let hash = structural_hash(graph);
         let key = CacheKey {
-            hash: structural_hash(graph),
+            hash,
             machine: machine.clone(),
-            opts_bits: opts_bits(opts),
-            mode_tag: mode_tag(mode),
+            opts: *opts,
+            mode,
         };
-        self.tick += 1;
         self.submits += 1;
-        if let Some(entry) = self.map.get_mut(&key) {
-            entry.last_used = self.tick;
-            self.hits += 1;
-            return Ok((entry.art.clone(), true));
+        let (art, hit) = self.arts.get_or_insert_with(key, || {
+            compile_graph(graph, machine, opts, mode).map(Arc::new)
+        })?;
+        if !hit {
+            self.distinct.insert(hash);
         }
-        let art = Arc::new(compile_graph(graph, machine, opts, mode)?);
-        self.misses += 1;
-        self.compilations += 1;
-        self.distinct.insert(key.hash);
-        if self.map.len() >= self.capacity {
-            if let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&victim);
-                self.evictions += 1;
-            }
-        }
-        self.map.insert(
-            key,
-            Entry {
-                art: art.clone(),
-                last_used: self.tick,
-            },
-        );
-        Ok((art, false))
+        Ok((art, hit))
     }
 
     /// Live entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.arts.len()
     }
 
     /// True when nothing has been cached.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.arts.is_empty()
     }
 
-    /// Counters in the SERVICE-report shape.
+    /// Counters in the SERVICE-report shape. Every miss compiles, so
+    /// `compilations == misses`.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            capacity: self.capacity as u64,
+            capacity: self.arts.capacity() as u64,
             distinct_graphs: self.distinct.len() as u64,
             submits: self.submits,
-            compilations: self.compilations,
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
+            compilations: self.arts.misses(),
+            hits: self.arts.hits(),
+            misses: self.arts.misses(),
+            evictions: self.arts.evictions(),
         }
     }
 }
@@ -211,7 +156,7 @@ mod tests {
     #[test]
     fn mode_and_options_partition_the_cache() {
         let machine = Machine::core_i7();
-        let mut cache = CompileCache::new(8);
+        let mut cache = CompileCache::new(16);
         let g = pipeline("a", 3);
         let all = SimdizeOptions::all();
         let scalar = SimdizeOptions {
@@ -231,10 +176,30 @@ mod tests {
             .get_or_compile(&g, &machine, &scalar, ExecMode::Bytecode)
             .unwrap();
         assert!(!hit, "option sets must partition the cache");
-        // One source shape, three compilations — legal because the key is
-        // (shape, machine, opts, mode), and distinct counts shapes.
+        // Every option field keys on its own: flipping any single one
+        // away from `all` is a fresh compilation.
+        let flips: [fn(&mut SimdizeOptions); 8] = [
+            |o| o.single = false,
+            |o| o.vertical = false,
+            |o| o.horizontal = false,
+            |o| o.permute_opt = false,
+            |o| o.reorder_opt = false,
+            |o| o.profitability = false,
+            |o| o.prepass = false,
+            |o| o.region = false,
+        ];
+        for (i, flip) in flips.iter().enumerate() {
+            let mut opts = all;
+            flip(&mut opts);
+            let (_, hit) = cache
+                .get_or_compile(&g, &machine, &opts, ExecMode::Bytecode)
+                .unwrap();
+            assert!(!hit, "option field {i} must partition the cache");
+        }
+        // One source shape, eleven compilations — legal because the key
+        // is (shape, machine, opts, mode), and distinct counts shapes.
         assert_eq!(cache.stats().distinct_graphs, 1);
-        assert_eq!(cache.stats().compilations, 3);
+        assert_eq!(cache.stats().compilations, 11);
     }
 
     #[test]

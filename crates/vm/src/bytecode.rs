@@ -1016,7 +1016,7 @@ fn slice_index(idx: i64, w: u32, len: u32, filter: &str) -> usize {
 /// Execute one compiled body (`plan.init` or `plan.work`).
 ///
 /// `in_cost` / `out_cost` are the per-access reorder address costs of the
-/// input/output edge (see [`crate::firing::edge_addr_cost`]).
+/// input/output edge (see [`crate::firing::FirePlan`]).
 ///
 /// # Errors
 /// Returns [`VmError::MissingTape`] when a tape op runs without the

@@ -72,7 +72,7 @@ pub enum VmError {
         filter: String,
     },
     /// The filter body panicked. The unwind is caught at the firing
-    /// boundary ([`crate::firing::fire_filter`]) and converted so one bad
+    /// boundary ([`crate::firing::fire_node`]) and converted so one bad
     /// guest program cannot take a host worker thread down with it.
     Panicked {
         /// Filter name.

@@ -6,21 +6,21 @@
 //! threaded runtime can reuse it against thread-local tapes.
 
 use crate::error::VmError;
-use crate::firing::{self, FilterState};
+use crate::firing::{self, FilterState, FirePlan};
 use crate::machine::{CycleCounters, Machine};
 use crate::programs::CompiledPrograms;
 use crate::tape::Tape;
 use macross_sdf::Schedule;
-use macross_streamir::graph::{Graph, Node, NodeId, ReorderSide};
+use macross_streamir::graph::{Graph, Node, NodeId};
 use macross_streamir::types::Value;
-use macross_telemetry::{EventKind, TraceSession, WorkerTrace};
+use macross_telemetry::{EventKind, WorkerTrace};
 
 /// Which engine executes filter work functions.
 ///
 /// The default is [`ExecMode::Bytecode`] unless the crate is built with
 /// the `vm-treewalk` feature, which flips the default to the tree-walking
 /// oracle — one binary can then run both paths differentially.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// Compiled register bytecode, with per-filter fallback to the
     /// tree-walker for bodies the compiler cannot lower exactly.
@@ -41,58 +41,6 @@ impl Default for ExecMode {
             ExecMode::TreeWalk
         } else {
             ExecMode::Bytecode
-        }
-    }
-}
-
-/// Per-node firing facts that never change once the graph is built:
-/// adjacent edges and their reorder address costs. [`Executor::fire`] is
-/// on the hot path of every benchmark; recomputing these from the graph
-/// (an edge-table scan plus a `Vec` allocation per lookup) on every
-/// firing dominates short firings, so they are resolved once at
-/// construction.
-struct FirePlan {
-    in_edge: Option<macross_streamir::graph::EdgeId>,
-    out_edge: Option<macross_streamir::graph::EdgeId>,
-    /// Consumer-side reorder address cost of `in_edge` (0 without one).
-    in_cost: u64,
-    /// Producer-side reorder address cost of `out_edge` (0 without one).
-    out_cost: u64,
-    /// All input edges as tape indices, sorted by port (joiners).
-    in_idx: Vec<usize>,
-    /// All output edges as tape indices, sorted by port (splitters).
-    out_idx: Vec<usize>,
-    /// Consumer-side address cost per entry of `in_idx`.
-    in_costs: Vec<u64>,
-    /// Producer-side address cost per entry of `out_idx`.
-    out_costs: Vec<u64>,
-}
-
-impl FirePlan {
-    fn compute(graph: &Graph, id: NodeId, machine: &Machine) -> FirePlan {
-        let in_edge = graph.single_in_edge(id);
-        let out_edge = graph.single_out_edge(id);
-        let ins = graph.in_edges(id);
-        let outs = graph.out_edges(id);
-        FirePlan {
-            in_edge,
-            out_edge,
-            in_cost: in_edge
-                .map(|e| firing::edge_addr_cost(graph, e, true, machine))
-                .unwrap_or(0),
-            out_cost: out_edge
-                .map(|e| firing::edge_addr_cost(graph, e, false, machine))
-                .unwrap_or(0),
-            in_costs: ins
-                .iter()
-                .map(|&e| firing::edge_addr_cost(graph, e, true, machine))
-                .collect(),
-            out_costs: outs
-                .iter()
-                .map(|&e| firing::edge_addr_cost(graph, e, false, machine))
-                .collect(),
-            in_idx: ins.iter().map(|e| e.0 as usize).collect(),
-            out_idx: outs.iter().map(|e| e.0 as usize).collect(),
         }
     }
 }
@@ -155,31 +103,18 @@ impl<'a> Executor<'a> {
             graph.node_count(),
             "compiled programs were built for a different graph"
         );
-        let mut tapes: Vec<Tape> = graph.edges().map(|(_, e)| Tape::new(e.elem)).collect();
-        for (i, (_, e)) in graph.edges().enumerate() {
-            if let Some(r) = e.reorder {
-                match r.side {
-                    ReorderSide::Consumer => tapes[i].set_read_reorder(r.rate, r.sw),
-                    ReorderSide::Producer => tapes[i].set_write_reorder(r.rate, r.sw),
-                }
-            }
-        }
         let states = graph
             .nodes()
             .map(|(id, node)| programs.state_for(id, node))
             .collect();
         let outputs = vec![Vec::new(); graph.node_count()];
         let node_cycles = vec![0; graph.node_count()];
-        let plans = graph
-            .nodes()
-            .map(|(id, _)| FirePlan::compute(graph, id, machine))
-            .collect();
         Executor {
             graph,
             schedule,
             machine,
-            tapes,
-            plans,
+            tapes: firing::graph_tapes(graph),
+            plans: FirePlan::for_graph(graph, machine),
             states,
             counters: CycleCounters::default(),
             node_cycles,
@@ -296,93 +231,17 @@ impl<'a> Executor<'a> {
     pub fn fire(&mut self, id: NodeId) -> Result<(), VmError> {
         let before = self.counters.total();
         self.trace.record(EventKind::FiringStart, id.0, 0);
-        self.counters.firing_overhead += self.machine.cost.firing;
         let i = id.0 as usize;
-        // Reorder address costs apply to the *scalar* side of a reordered
-        // tape: the consumer side when the edge reorders reads, the
-        // producer side when it reorders writes. All of this adjacency is
-        // immutable, so it comes from the per-node plan, not the graph.
-        match self.graph.node(id) {
-            Node::Filter(f) => {
-                let plan = &self.plans[i];
-                firing::fire_filter(
-                    f,
-                    &mut self.states[i],
-                    &mut self.tapes,
-                    plan.in_edge.map(|e| e.0 as usize),
-                    plan.out_edge.map(|e| e.0 as usize),
-                    plan.in_cost,
-                    plan.out_cost,
-                    self.machine,
-                    &mut self.counters,
-                )?;
-            }
-            Node::Splitter(kind) => {
-                let plan = &self.plans[i];
-                let in_edge = plan.in_edge.expect("splitter needs an input");
-                firing::fire_splitter(
-                    kind,
-                    &mut self.tapes,
-                    in_edge.0 as usize,
-                    &plan.out_idx,
-                    plan.in_cost,
-                    &plan.out_costs,
-                    self.machine,
-                    &mut self.counters,
-                );
-            }
-            Node::Joiner(weights) => {
-                let plan = &self.plans[i];
-                let out = plan.out_edge.expect("joiner needs an output");
-                firing::fire_joiner(
-                    weights,
-                    &mut self.tapes,
-                    &plan.in_idx,
-                    out.0 as usize,
-                    &plan.in_costs,
-                    plan.out_cost,
-                    self.machine,
-                    &mut self.counters,
-                );
-            }
-            Node::HSplitter { kind, width } => {
-                let plan = &self.plans[i];
-                let in_edge = plan.in_edge.expect("hsplitter needs an input");
-                firing::fire_hsplitter(
-                    kind,
-                    *width,
-                    &mut self.tapes,
-                    in_edge.0 as usize,
-                    &plan.out_idx,
-                    self.machine,
-                    &mut self.counters,
-                );
-            }
-            Node::HJoiner { weights, width } => {
-                let plan = &self.plans[i];
-                let out = plan.out_edge.expect("hjoiner needs an output");
-                firing::fire_hjoiner(
-                    weights,
-                    *width,
-                    &mut self.tapes,
-                    &plan.in_idx,
-                    out.0 as usize,
-                    self.machine,
-                    &mut self.counters,
-                );
-            }
-            Node::Sink => {
-                let plan = &self.plans[i];
-                let in_edge = plan.in_edge.expect("sink needs an input");
-                let v = firing::fire_sink(
-                    &mut self.tapes,
-                    in_edge.0 as usize,
-                    plan.in_cost,
-                    self.machine,
-                    &mut self.counters,
-                );
-                self.outputs[i].push(v);
-            }
+        let sunk = firing::fire_node(
+            &self.plans[i],
+            self.graph.node(id),
+            &mut self.states[i],
+            &mut self.tapes,
+            self.machine,
+            &mut self.counters,
+        )?;
+        if let Some(v) = sunk {
+            self.outputs[i].push(v);
         }
         let cost = self.counters.total() - before;
         self.trace.record(EventKind::FiringEnd, id.0, cost);
@@ -429,11 +288,12 @@ pub fn run_scheduled(
     machine: &Machine,
     iters: u64,
 ) -> Result<RunResult, VmError> {
-    run_scheduled_traced(graph, schedule, machine, iters, &TraceSession::disabled())
+    run_scheduled_mode(graph, schedule, machine, iters, ExecMode::default())
 }
 
 /// [`run_scheduled`] with an explicit engine choice (differential runs
-/// pit [`ExecMode::Bytecode`] against [`ExecMode::TreeWalk`]).
+/// pit [`ExecMode::Bytecode`] against [`ExecMode::TreeWalk`]). To record
+/// firing spans, drive an [`Executor`] with [`Executor::set_trace`].
 ///
 /// # Errors
 /// Propagates interpreter failures.
@@ -444,54 +304,7 @@ pub fn run_scheduled_mode(
     iters: u64,
     mode: ExecMode,
 ) -> Result<RunResult, VmError> {
-    run_scheduled_traced_mode(
-        graph,
-        schedule,
-        machine,
-        iters,
-        &TraceSession::disabled(),
-        mode,
-    )
-}
-
-/// [`run_scheduled`] recording firing spans into worker 0 of `session`
-/// (the single-threaded executor is one timeline). Init firings are
-/// recorded too — they appear before the steady phase on the timeline but
-/// are still excluded from the returned cycle counts.
-///
-/// # Errors
-/// Propagates interpreter failures.
-pub fn run_scheduled_traced(
-    graph: &Graph,
-    schedule: &Schedule,
-    machine: &Machine,
-    iters: u64,
-    session: &TraceSession,
-) -> Result<RunResult, VmError> {
-    run_scheduled_traced_mode(
-        graph,
-        schedule,
-        machine,
-        iters,
-        session,
-        ExecMode::default(),
-    )
-}
-
-/// [`run_scheduled_traced`] with an explicit engine choice.
-///
-/// # Errors
-/// Propagates interpreter failures.
-pub fn run_scheduled_traced_mode(
-    graph: &Graph,
-    schedule: &Schedule,
-    machine: &Machine,
-    iters: u64,
-    session: &TraceSession,
-    mode: ExecMode,
-) -> Result<RunResult, VmError> {
     let mut ex = Executor::with_mode(graph, schedule, machine, mode);
-    ex.set_trace(session.worker(0));
     ex.run_init()?;
     ex.reset_counters();
     ex.run_steady(iters)?;
@@ -694,10 +507,14 @@ mod tests {
         let m = Machine::core_i7();
         let sched = Schedule::compute(&g).unwrap();
         let plain = run_scheduled(&g, &sched, &m, 5).unwrap();
-        let session = TraceSession::new(1, 1 << 12);
-        let traced = run_scheduled_traced(&g, &sched, &m, 5, &session).unwrap();
-        assert_eq!(traced.output, plain.output);
-        assert_eq!(traced.counters, plain.counters);
+        let session = macross_telemetry::TraceSession::new(1, 1 << 12);
+        let mut traced = Executor::new(&g, &sched, &m);
+        traced.set_trace(session.worker(0));
+        traced.run_init().unwrap();
+        traced.reset_counters();
+        traced.run_steady(5).unwrap();
+        assert_eq!(traced.output_flat(), plain.output);
+        assert_eq!(*traced.counters(), plain.counters);
         if cfg!(feature = "telemetry") {
             // 3 nodes x 5 iterations x (start + end), plus init (none here).
             assert_eq!(session.drain().len(), 3 * 5 * 2);
@@ -730,7 +547,7 @@ mod reorder_cost_tests {
     use macross_sdf::Schedule;
     use macross_streamir::edsl::*;
     use macross_streamir::expr::Expr;
-    use macross_streamir::graph::{AddrGen, Reorder};
+    use macross_streamir::graph::{AddrGen, Reorder, ReorderSide};
     use macross_streamir::stmt::Stmt;
     use macross_streamir::types::{ScalarTy, Ty};
 

@@ -1,11 +1,11 @@
-//! Reentrant firing primitives.
+//! The reentrant firing path.
 //!
-//! Free functions that fire one node once against a caller-supplied tape
+//! [`fire_node`] fires one node once against a caller-supplied tape
 //! slice, shared by the single-threaded [`crate::exec::Executor`] and the
-//! worker threads of `macross-runtime`. All state is passed in explicitly
-//! ([`FilterState`] is plain owned data and therefore `Send`), so a worker
-//! thread can own the states of exactly the filters assigned to its core
-//! and fire them against thread-local tapes.
+//! session engine and worker threads of `macross-runtime`. All state is
+//! passed in explicitly ([`FilterState`] is plain owned data and therefore
+//! `Send`), so a worker thread can own the states of exactly the filters
+//! assigned to its core and fire them against thread-local tapes.
 
 use crate::bytecode::{run_code, CompiledFilter, Regs};
 use crate::compile::compile_filter_opts;
@@ -15,7 +15,7 @@ use crate::interp::{reset_locals, zero_slots, FiringCtx, Slot};
 use crate::machine::{CycleCounters, Machine};
 use crate::tape::Tape;
 use macross_streamir::filter::{Filter, VarKind};
-use macross_streamir::graph::{EdgeId, Graph, ReorderSide, SplitKind};
+use macross_streamir::graph::{EdgeId, Graph, Node, NodeId, ReorderSide, SplitKind};
 use macross_streamir::types::{ScalarTy, Ty, Value};
 use macross_streamir::AddrGen;
 use std::collections::VecDeque;
@@ -342,27 +342,163 @@ fn unflatten_slot(ty: Ty, vals: &[Value]) -> Slot {
     }
 }
 
-/// Address-generation cost of one scalar access through a reorder unit.
-pub fn addr_cost(machine: &Machine, gen: AddrGen) -> u64 {
-    match gen {
-        AddrGen::Sagu => machine.cost.sagu_access,
-        AddrGen::Software => machine.cost.addr_software_reorder,
-    }
-}
-
 /// Reorder address-generation cost a scalar access on `edge` pays at the
 /// consuming (`consuming = true`) or producing end, if the edge is
 /// reordered on that side.
-pub fn edge_addr_cost(graph: &Graph, edge: EdgeId, consuming: bool, machine: &Machine) -> u64 {
+fn edge_addr_cost(graph: &Graph, edge: EdgeId, consuming: bool, machine: &Machine) -> u64 {
+    let scalar_side = if consuming {
+        ReorderSide::Consumer
+    } else {
+        ReorderSide::Producer
+    };
+    match graph.edge(edge).reorder {
+        Some(r) if r.side == scalar_side => match r.addr_gen {
+            AddrGen::Sagu => machine.cost.sagu_access,
+            AddrGen::Software => machine.cost.addr_software_reorder,
+        },
+        _ => 0,
+    }
+}
+
+/// Per-node firing facts that never change once the graph is built:
+/// adjacent edges (as indices into the caller's tape slice) and their
+/// reorder address costs. [`fire_node`] is on the hot path of every
+/// engine; recomputing these from the graph (an edge-table scan plus a
+/// `Vec` allocation per lookup) on every firing dominates short firings,
+/// so each engine resolves them once at construction.
+///
+/// Reorder address costs apply to the *scalar* side of a reordered tape:
+/// the consumer side when the edge reorders reads, the producer side when
+/// it reorders writes.
+#[derive(Debug, Clone)]
+pub struct FirePlan {
+    in_edge: Option<usize>,
+    out_edge: Option<usize>,
+    /// Consumer-side reorder address cost of `in_edge` (0 without one).
+    in_cost: u64,
+    /// Producer-side reorder address cost of `out_edge` (0 without one).
+    out_cost: u64,
+    /// All input edges, sorted by port (joiners).
+    in_idx: Vec<usize>,
+    /// All output edges, sorted by port (splitters).
+    out_idx: Vec<usize>,
+    /// Consumer-side address cost per entry of `in_idx`.
+    in_costs: Vec<u64>,
+    /// Producer-side address cost per entry of `out_idx`.
+    out_costs: Vec<u64>,
+}
+
+impl FirePlan {
+    /// Resolve the plan of node `id`.
+    pub fn compute(graph: &Graph, id: NodeId, machine: &Machine) -> FirePlan {
+        let ins = graph.in_edges(id);
+        let outs = graph.out_edges(id);
+        let in_costs: Vec<u64> = ins
+            .iter()
+            .map(|&e| edge_addr_cost(graph, e, true, machine))
+            .collect();
+        let out_costs: Vec<u64> = outs
+            .iter()
+            .map(|&e| edge_addr_cost(graph, e, false, machine))
+            .collect();
+        let in_idx: Vec<usize> = ins.iter().map(|e| e.0 as usize).collect();
+        let out_idx: Vec<usize> = outs.iter().map(|e| e.0 as usize).collect();
+        // The "single edge" of a node is its only edge on that side.
+        let single = |idx: &[usize], costs: &[u64]| match (idx, costs) {
+            (&[e], &[cost]) => (Some(e), cost),
+            _ => (None, 0),
+        };
+        let (in_edge, in_cost) = single(&in_idx, &in_costs);
+        let (out_edge, out_cost) = single(&out_idx, &out_costs);
+        FirePlan {
+            in_edge,
+            out_edge,
+            in_cost,
+            out_cost,
+            in_idx,
+            out_idx,
+            in_costs,
+            out_costs,
+        }
+    }
+
+    /// One plan per node of `graph`, indexed by node id.
+    pub fn for_graph(graph: &Graph, machine: &Machine) -> Vec<FirePlan> {
+        graph
+            .node_ids()
+            .map(|id| FirePlan::compute(graph, id, machine))
+            .collect()
+    }
+
+    /// Tape index of the node's only input edge, if it has exactly one.
+    pub fn in_edge(&self) -> Option<usize> {
+        self.in_edge
+    }
+
+    /// Tape index of the node's only output edge, if it has exactly one.
+    pub fn out_edge(&self) -> Option<usize> {
+        self.out_edge
+    }
+
+    /// Tape indices of all output edges, sorted by port.
+    pub fn out_tapes(&self) -> &[usize] {
+        &self.out_idx
+    }
+
+    /// Tape indices of every adjacent edge, inputs first.
+    pub fn tapes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.in_idx.iter().chain(&self.out_idx).copied()
+    }
+}
+
+/// One tape per edge of `graph`, indexed by edge id, with each reordered
+/// edge's read or write remapping installed.
+pub fn graph_tapes(graph: &Graph) -> Vec<Tape> {
     graph
-        .edge(edge)
-        .reorder
-        .filter(|r| {
-            (consuming && r.side == ReorderSide::Consumer)
-                || (!consuming && r.side == ReorderSide::Producer)
+        .edges()
+        .map(|(_, e)| {
+            let mut tape = Tape::new(e.elem);
+            match e.reorder {
+                Some(r) if r.side == ReorderSide::Consumer => tape.set_read_reorder(r.rate, r.sw),
+                Some(r) => tape.set_write_reorder(r.rate, r.sw),
+                None => {}
+            }
+            tape
         })
-        .map(|r| addr_cost(machine, r.addr_gen))
-        .unwrap_or(0)
+        .collect()
+}
+
+/// Fire `node` once against `tapes` — the one implementation of a firing,
+/// shared by the sequential executor, the session engine and the threaded
+/// workers. Returns the value a sink captured (`None` for every other
+/// node kind) for the caller to route.
+///
+/// # Errors
+/// Propagates interpreter failures (filters only; the native nodes cannot
+/// fail).
+#[inline]
+pub fn fire_node(
+    plan: &FirePlan,
+    node: &Node,
+    state: &mut FilterState,
+    tapes: &mut [Tape],
+    machine: &Machine,
+    counters: &mut CycleCounters,
+) -> Result<Option<Value>, VmError> {
+    counters.firing_overhead += machine.cost.firing;
+    match node {
+        Node::Filter(f) => fire_filter(f, state, tapes, plan, machine, counters)?,
+        Node::Splitter(kind) => fire_splitter(kind, tapes, plan, machine, counters),
+        Node::Joiner(weights) => fire_joiner(weights, tapes, plan, machine, counters),
+        Node::HSplitter { kind, width } => {
+            fire_hsplitter(kind, *width, tapes, plan, machine, counters)
+        }
+        Node::HJoiner { weights, width } => {
+            fire_hjoiner(weights, *width, tapes, plan, machine, counters)
+        }
+        Node::Sink => return Ok(Some(fire_sink(tapes, plan, machine, counters))),
+    }
+    Ok(None)
 }
 
 /// Render a caught panic payload as text (best effort).
@@ -397,9 +533,8 @@ fn two_tapes(
     }
 }
 
-/// Fire a filter once: reset locals, run `work` against the tapes at
-/// `in_edge` / `out_edge` in `tapes` (indices into the caller's tape
-/// slice).
+/// Fire a filter once: reset locals, run `work` against the plan's input
+/// and output tapes.
 ///
 /// The firing is a failure boundary: a poisoned tape is refused before it
 /// is touched ([`VmError::Poisoned`]), and a panic in the body is caught
@@ -408,28 +543,29 @@ fn two_tapes(
 ///
 /// # Errors
 /// Propagates interpreter failures; the tapes are restored either way.
-#[allow(clippy::too_many_arguments)]
-pub fn fire_filter(
+// Out of line, as it was when each engine called it directly: inlined
+// into `fire_node`, the unwind boundary lands in every engine's dispatch
+// body (measured 4–11 % slower on the suite_e2e workloads).
+#[inline(never)]
+fn fire_filter(
     filter: &Filter,
     state: &mut FilterState,
     tapes: &mut [Tape],
-    in_edge: Option<usize>,
-    out_edge: Option<usize>,
-    input_addr_cost: u64,
-    output_addr_cost: u64,
+    plan: &FirePlan,
     machine: &Machine,
     counters: &mut CycleCounters,
 ) -> Result<(), VmError> {
-    if in_edge
+    if plan
+        .in_edge
         .iter()
-        .chain(out_edge.iter())
+        .chain(plan.out_edge.iter())
         .any(|&e| tapes[e].is_poisoned())
     {
         return Err(VmError::Poisoned {
             filter: filter.name.clone(),
         });
     }
-    let (mut in_tape, mut out_tape) = two_tapes(tapes, in_edge, out_edge);
+    let (mut in_tape, mut out_tape) = two_tapes(tapes, plan.in_edge, plan.out_edge);
     let FilterState {
         slots,
         chans,
@@ -437,17 +573,17 @@ pub fn fire_filter(
         engine,
     } = state;
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if let Engine::Compiled(plan) = engine {
-            plan.zero_locals(regs);
+        if let Engine::Compiled(compiled) = engine {
+            compiled.zero_locals(regs);
             run_code(
-                plan,
-                &plan.work,
+                compiled,
+                &compiled.work,
                 regs,
                 chans,
                 in_tape.as_deref_mut(),
                 out_tape.as_deref_mut(),
-                input_addr_cost,
-                output_addr_cost,
+                plan.in_cost,
+                plan.out_cost,
                 counters,
             )
         } else {
@@ -460,8 +596,8 @@ pub fn fire_filter(
                 output: out_tape.as_deref_mut(),
                 machine,
                 counters,
-                input_addr_cost,
-                output_addr_cost,
+                input_addr_cost: plan.in_cost,
+                output_addr_cost: plan.out_cost,
             };
             ctx.exec_block(&filter.work)
         }
@@ -491,35 +627,31 @@ pub fn fire_filter(
     Ok(())
 }
 
-/// Fire a splitter once. `in_cost` / `out_costs` are the per-access
-/// reorder address costs of the input edge and each output edge.
-#[allow(clippy::too_many_arguments)]
-pub fn fire_splitter(
+/// Fire a splitter once.
+fn fire_splitter(
     kind: &SplitKind,
     tapes: &mut [Tape],
-    in_edge: usize,
-    out_edges: &[usize],
-    in_cost: u64,
-    out_costs: &[u64],
+    plan: &FirePlan,
     machine: &Machine,
     counters: &mut CycleCounters,
 ) {
+    let in_edge = plan.in_edge.expect("splitter needs an input");
     match kind {
         SplitKind::Duplicate => {
             counters.mem_scalar += machine.cost.load;
-            counters.addr_overhead += in_cost;
+            counters.addr_overhead += plan.in_cost;
             let v = tapes[in_edge].pop();
-            for (i, &e) in out_edges.iter().enumerate() {
+            for (&e, &cost) in plan.out_idx.iter().zip(&plan.out_costs) {
                 counters.mem_scalar += machine.cost.store;
-                counters.addr_overhead += out_costs[i];
+                counters.addr_overhead += cost;
                 tapes[e].push(v);
             }
         }
         SplitKind::RoundRobin(weights) => {
-            for (i, &e) in out_edges.iter().enumerate() {
+            for (i, &e) in plan.out_idx.iter().enumerate() {
                 for _ in 0..weights[i] {
                     counters.mem_scalar += machine.cost.load + machine.cost.store;
-                    counters.addr_overhead += in_cost + out_costs[i];
+                    counters.addr_overhead += plan.in_cost + plan.out_costs[i];
                     let v = tapes[in_edge].pop();
                     tapes[e].push(v);
                 }
@@ -529,21 +661,18 @@ pub fn fire_splitter(
 }
 
 /// Fire a round-robin joiner once.
-#[allow(clippy::too_many_arguments)]
-pub fn fire_joiner(
+fn fire_joiner(
     weights: &[usize],
     tapes: &mut [Tape],
-    in_edges: &[usize],
-    out_edge: usize,
-    in_costs: &[u64],
-    out_cost: u64,
+    plan: &FirePlan,
     machine: &Machine,
     counters: &mut CycleCounters,
 ) {
-    for (i, &e) in in_edges.iter().enumerate() {
+    let out_edge = plan.out_edge.expect("joiner needs an output");
+    for (i, &e) in plan.in_idx.iter().enumerate() {
         for _ in 0..weights[i] {
             counters.mem_scalar += machine.cost.load + machine.cost.store;
-            counters.addr_overhead += in_costs[i] + out_cost;
+            counters.addr_overhead += plan.in_costs[i] + plan.out_cost;
             let v = tapes[e].pop();
             tapes[out_edge].push(v);
         }
@@ -553,15 +682,16 @@ pub fn fire_joiner(
 /// Fire a horizontal splitter once: pops the original splitter's worth of
 /// scalars, packs them into vectors (one lane per fused branch), and
 /// vector-pushes to each group's vector tape.
-pub fn fire_hsplitter(
+fn fire_hsplitter(
     kind: &SplitKind,
     width: usize,
     tapes: &mut [Tape],
-    in_edge: usize,
-    out_edges: &[usize],
+    plan: &FirePlan,
     machine: &Machine,
     counters: &mut CycleCounters,
 ) {
+    let in_edge = plan.in_edge.expect("hsplitter needs an input");
+    let out_edges = &plan.out_idx;
     let groups = out_edges.len();
     match kind {
         SplitKind::Duplicate => {
@@ -602,15 +732,16 @@ pub fn fire_hsplitter(
 
 /// Fire a horizontal joiner once: vector-pops from each group, unpacks
 /// lanes, and pushes scalars in the original joiner's round-robin order.
-pub fn fire_hjoiner(
+fn fire_hjoiner(
     weights: &[usize],
     width: usize,
     tapes: &mut [Tape],
-    in_edges: &[usize],
-    out_edge: usize,
+    plan: &FirePlan,
     machine: &Machine,
     counters: &mut CycleCounters,
 ) {
+    let out_edge = plan.out_edge.expect("hjoiner needs an output");
+    let in_edges = &plan.in_idx;
     let w = weights[0];
     debug_assert!(
         weights.iter().all(|&x| x == w),
@@ -639,14 +770,13 @@ pub fn fire_hjoiner(
 
 /// Fire a sink once: pop one value from its input tape and return it for
 /// the caller to record.
-pub fn fire_sink(
+fn fire_sink(
     tapes: &mut [Tape],
-    in_edge: usize,
-    in_cost: u64,
+    plan: &FirePlan,
     machine: &Machine,
     counters: &mut CycleCounters,
 ) -> Value {
     counters.mem_scalar += machine.cost.load;
-    counters.addr_overhead += in_cost;
-    tapes[in_edge].pop()
+    counters.addr_overhead += plan.in_cost;
+    tapes[plan.in_edge.expect("sink needs an input")].pop()
 }

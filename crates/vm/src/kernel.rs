@@ -27,8 +27,7 @@
 //! dispatch logic. Variants a tier has no exact instruction for fall
 //! through to the portable code. All `unsafe` is confined to the [`x86`]
 //! module. Tier selection is runtime feature detection, overridable with
-//! `MACROSS_KERNEL_TIER=portable|sse2|avx2` (and the older
-//! `MACROSS_FORCE_PORTABLE_KERNELS=1`, which still forces portable).
+//! `MACROSS_KERNEL_TIER=portable|sse2|avx2`.
 //!
 //! # Register-resident chains
 //!
@@ -111,10 +110,6 @@ pub enum KernelTier {
     Avx2,
 }
 
-/// Backward-compatible name from before the matrix had more than two
-/// rows. `KernelTier` is the name the tier matrix uses.
-pub type KernelBackend = KernelTier;
-
 impl KernelTier {
     /// Every tier in the matrix, narrowest last.
     pub const ALL: [KernelTier; 3] = [KernelTier::Avx2, KernelTier::Sse2, KernelTier::Portable];
@@ -175,24 +170,6 @@ fn avx2_available() -> bool {
     *AVX2.get_or_init(|| std::is_x86_feature_detected!("avx2"))
 }
 
-/// Whether `val` — the raw `MACROSS_FORCE_PORTABLE_KERNELS` value, or
-/// `None` when unset — forces the portable tier: anything but
-/// unset/empty/`0` does.
-fn forces_portable(val: Option<&str>) -> bool {
-    val.map(|v| !v.is_empty() && v != "0").unwrap_or(false)
-}
-
-/// True when `MACROSS_FORCE_PORTABLE_KERNELS` is set to anything but
-/// `0`/empty. Read per compile (not in the firing hot path), so a test
-/// can flip tiers between compilations inside one process.
-pub fn portable_forced() -> bool {
-    forces_portable(
-        std::env::var("MACROSS_FORCE_PORTABLE_KERNELS")
-            .ok()
-            .as_deref(),
-    )
-}
-
 /// Tier for a given override state — the pure core of [`select_tier`],
 /// testable without touching the process environment.
 ///
@@ -200,9 +177,8 @@ pub fn portable_forced() -> bool {
 /// label or an unavailable tier is an error — running a tier the CPU
 /// lacks would be undefined behavior, so selection refuses loudly rather
 /// than silently degrading a forced-tier CI run to a different tier);
-/// then the older `MACROSS_FORCE_PORTABLE_KERNELS`; then detection —
-/// the widest available tier.
-fn tier_for(env_tier: Option<&str>, portable_forced: bool) -> Result<KernelTier, String> {
+/// then detection — the widest available tier.
+fn tier_for(env_tier: Option<&str>) -> Result<KernelTier, String> {
     if let Some(s) = env_tier.filter(|s| !s.is_empty()) {
         let tier = KernelTier::from_label(s).ok_or_else(|| {
             format!("MACROSS_KERNEL_TIER={s:?} is not a tier the matrix recognizes (portable|sse2|avx2)")
@@ -215,9 +191,6 @@ fn tier_for(env_tier: Option<&str>, portable_forced: bool) -> Result<KernelTier,
         }
         return Ok(tier);
     }
-    if portable_forced {
-        return Ok(KernelTier::Portable);
-    }
     Ok(*KernelTier::ALL
         .iter()
         .find(|t| t.available())
@@ -225,20 +198,16 @@ fn tier_for(env_tier: Option<&str>, portable_forced: bool) -> Result<KernelTier,
 }
 
 /// Select the kernel tier: `MACROSS_KERNEL_TIER` if set (panics on an
-/// unknown or unavailable tier — see [`tier_for`]), else portable when
-/// `MACROSS_FORCE_PORTABLE_KERNELS` forces it, else the widest tier
-/// runtime detection finds.
+/// unknown or unavailable tier — see [`tier_for`]), else the widest tier
+/// runtime detection finds. Read per compile (not in the firing hot
+/// path), so a test can flip tiers between compilations inside one
+/// process.
 pub fn select_tier() -> KernelTier {
     let env_tier = std::env::var("MACROSS_KERNEL_TIER").ok();
-    match tier_for(env_tier.as_deref(), portable_forced()) {
+    match tier_for(env_tier.as_deref()) {
         Ok(t) => t,
         Err(e) => panic!("{e}"),
     }
-}
-
-/// Backward-compatible alias for [`select_tier`].
-pub fn select_backend() -> KernelTier {
-    select_tier()
 }
 
 /// One fused superblock: the pre-resolved ops and how many original
@@ -2500,22 +2469,14 @@ mod tests {
         // tests/kernel_backends.rs and tests/kernel_tier_matrix.rs,
         // which own their variables in single #[test]s, and by the CI
         // kernel-matrix job.
-        assert!(forces_portable(Some("1")));
-        assert!(forces_portable(Some("yes")));
-        assert!(!forces_portable(Some("0")));
-        assert!(!forces_portable(Some("")));
-        assert!(!forces_portable(None));
-        // Legacy portable override.
-        assert_eq!(tier_for(None, true), Ok(KernelTier::Portable));
-        // Explicit tier wins over the portable override.
-        assert_eq!(tier_for(Some("portable"), true), Ok(KernelTier::Portable));
+        assert_eq!(tier_for(Some("portable")), Ok(KernelTier::Portable));
         // Unknown labels refuse loudly instead of degrading.
-        assert!(tier_for(Some("avx512"), false).is_err());
-        assert!(tier_for(Some("AVX2"), false).is_err());
-        // Empty counts as unset.
-        assert_eq!(tier_for(Some(""), true), Ok(KernelTier::Portable));
-        // Detection picks the widest available tier.
-        let detected = tier_for(None, false).unwrap();
+        assert!(tier_for(Some("avx512")).is_err());
+        assert!(tier_for(Some("AVX2")).is_err());
+        // Detection picks the widest available tier; empty counts as
+        // unset.
+        let detected = tier_for(None).unwrap();
+        assert_eq!(tier_for(Some("")), Ok(detected));
         assert!(detected.available());
         for t in KernelTier::ALL {
             if t.available() {
@@ -2525,17 +2486,17 @@ mod tests {
         }
         #[cfg(target_arch = "x86_64")]
         {
-            assert_eq!(tier_for(Some("sse2"), false), Ok(KernelTier::Sse2));
+            assert_eq!(tier_for(Some("sse2")), Ok(KernelTier::Sse2));
             if std::is_x86_feature_detected!("avx2") {
-                assert_eq!(tier_for(None, false), Ok(KernelTier::Avx2));
+                assert_eq!(tier_for(None), Ok(KernelTier::Avx2));
             } else {
-                assert!(tier_for(Some("avx2"), false).is_err());
+                assert!(tier_for(Some("avx2")).is_err());
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
-            assert_eq!(tier_for(None, false), Ok(KernelTier::Portable));
-            assert!(tier_for(Some("sse2"), false).is_err());
+            assert_eq!(tier_for(None), Ok(KernelTier::Portable));
+            assert!(tier_for(Some("sse2")).is_err());
         }
     }
 

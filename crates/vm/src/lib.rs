@@ -47,7 +47,7 @@ pub use error::{TapeSide, VmError};
 pub use exec::{run_program, run_scheduled, run_scheduled_mode, ExecMode, Executor, RunResult};
 pub use firing::FilterState;
 pub use interp::{FiringCtx, RtVal, Slot};
-pub use kernel::{select_tier, KernelBackend, KernelTier};
+pub use kernel::{select_tier, KernelTier};
 pub use machine::{CostTable, CycleCounters, Machine};
 pub use programs::CompiledPrograms;
 pub use tape::Tape;

@@ -191,8 +191,36 @@ fn macro_simd_then_autovec_is_bit_exact_with_gcc() {
 
 mod engine_differential {
     use super::*;
-    use macross_repro::runtime::run_threaded_mode;
+    use macross_repro::runtime::{
+        run_supervised_placed, FissionSpec, Placement, RuntimeError, SupervisorOptions, ThreadedRun,
+    };
+    use macross_repro::telemetry::TraceSession;
     use macross_repro::vm::{run_scheduled_mode, ExecMode};
+
+    /// `run_threaded_placed` with an explicit engine on every worker.
+    fn run_placed_mode(
+        g: &Graph,
+        sched: &Schedule,
+        m: &Machine,
+        placement: &Placement,
+        iters: u64,
+        mode: ExecMode,
+    ) -> Result<ThreadedRun, RuntimeError> {
+        let opts = SupervisorOptions {
+            mode,
+            ..SupervisorOptions::default()
+        };
+        run_supervised_placed(
+            g,
+            sched,
+            m,
+            placement,
+            iters,
+            &opts,
+            &TraceSession::disabled(),
+        )?
+        .into_result()
+    }
 
     /// Run one graph under all three engines — tree walk, plain bytecode
     /// dispatch, and bytecode with superblock kernel fusion — and demand
@@ -254,18 +282,19 @@ mod engine_differential {
             for cores in [1u32, 2, 4] {
                 // Round-robin placement: deterministic and exercises cut
                 // edges without depending on the LPT heuristic.
-                let assignment: Vec<u32> = (0..simd.graph.node_count())
-                    .map(|i| i as u32 % cores)
-                    .collect();
+                let placement = Placement::whole_stage(
+                    (0..simd.graph.node_count())
+                        .map(|i| i as u32 % cores)
+                        .collect(),
+                );
                 let mut runs = Vec::new();
                 for mode in [
                     ExecMode::TreeWalk,
                     ExecMode::Bytecode,
                     ExecMode::BytecodeNoFuse,
                 ] {
-                    let thr =
-                        run_threaded_mode(&simd.graph, &simd.schedule, &m, &assignment, 2, mode)
-                            .unwrap_or_else(|e| panic!("{}@{cores}/{mode:?}: {e}", b.name));
+                    let thr = run_placed_mode(&simd.graph, &simd.schedule, &m, &placement, 2, mode)
+                        .unwrap_or_else(|e| panic!("{}@{cores}/{mode:?}: {e}", b.name));
                     assert_eq!(
                         thr.output.len(),
                         seq.output.len(),
@@ -302,8 +331,6 @@ mod engine_differential {
     #[test]
     fn all_benchmarks_planned_placements_agree() {
         use macross_repro::multicore::{plan_placement, CommModel};
-        use macross_repro::runtime::run_threaded_placed_traced_mode;
-        use macross_repro::telemetry::TraceSession;
         let m = Machine::core_i7();
         let comms = [
             CommModel {
@@ -348,13 +375,12 @@ mod engine_differential {
                             "{}@{workers} comm {}/{} {mode:?}",
                             b.name, comm.cycles_per_element, comm.sync_per_edge
                         );
-                        let thr = run_threaded_placed_traced_mode(
+                        let thr = run_placed_mode(
                             &simd.graph,
                             &simd.schedule,
                             &m,
                             &plan.placement,
                             2,
-                            &TraceSession::disabled(),
                             mode,
                         )
                         .unwrap_or_else(|e| panic!("{ctx}: {e}"));
@@ -386,8 +412,6 @@ mod engine_differential {
     /// stages the cost-model planner would never pick.
     #[test]
     fn all_benchmarks_explicit_fission_agrees() {
-        use macross_repro::runtime::{run_threaded_placed_traced_mode, FissionSpec, Placement};
-        use macross_repro::telemetry::TraceSession;
         let m = Machine::core_i7();
         let mut fissioned = 0usize;
         for b in benchsuite::all() {
@@ -417,16 +441,8 @@ mod engine_differential {
                 fissioned += 1;
                 for mode in [ExecMode::TreeWalk, ExecMode::Bytecode] {
                     let ctx = format!("{} fission node {} {mode:?}", b.name, node.0);
-                    let thr = run_threaded_placed_traced_mode(
-                        &simd.graph,
-                        &simd.schedule,
-                        &m,
-                        &placement,
-                        2,
-                        &TraceSession::disabled(),
-                        mode,
-                    )
-                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    let thr = run_placed_mode(&simd.graph, &simd.schedule, &m, &placement, 2, mode)
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
                     assert_eq!(
                         thr.output.len(),
                         seq.output.len(),

@@ -21,8 +21,8 @@
 use macross_bench::replay::{failure_signature, make_bundle, run_bundle};
 use macross_repro::benchsuite;
 use macross_repro::runtime::{
-    run_supervised, run_supervised_placed, FaultKind, FaultPlan, FissionSpec, Placement,
-    SupervisedRun, SupervisorOptions, FAULTS_COMPILED,
+    run_supervised_placed, FaultKind, FaultPlan, FissionSpec, Placement, SupervisedRun,
+    SupervisorOptions, FAULTS_COMPILED,
 };
 use macross_repro::sdf::Schedule;
 use macross_repro::streamir::graph::{Graph, Node};
@@ -62,11 +62,11 @@ fn run_once(
         plan,
     };
     let t0 = Instant::now();
-    let out = run_supervised(
+    let out = run_supervised_placed(
         graph,
         schedule,
         &Machine::core_i7(),
-        assignment,
+        &Placement::whole_stage(assignment.to_vec()),
         iters,
         &opts,
         &TraceSession::disabled(),

@@ -11,7 +11,8 @@
 
 use macross_repro::runtime as rt;
 use macross_repro::runtime::{
-    run_supervised, run_threaded, FailureCause, RuntimeError, SupervisorOptions,
+    run_supervised_placed, run_threaded_placed, FailureCause, Placement, RuntimeError,
+    SupervisorOptions,
 };
 use macross_repro::sdf::Schedule;
 use macross_repro::streamir::builder::StreamSpec;
@@ -89,11 +90,11 @@ fn supervised(
     opts: &SupervisorOptions,
 ) -> rt::SupervisedRun {
     let sched = Schedule::compute(g).unwrap();
-    run_supervised(
+    run_supervised_placed(
         g,
         &sched,
         &Machine::core_i7(),
-        assignment,
+        &Placement::whole_stage(assignment.to_vec()),
         iters,
         opts,
         &TraceSession::disabled(),
@@ -144,7 +145,8 @@ fn legacy_entry_point_maps_failure_to_vm_error() {
         .build()
         .unwrap();
     let sched = Schedule::compute(&g).unwrap();
-    let err = run_threaded(&g, &sched, &Machine::core_i7(), &[0, 1, 1], 8).unwrap_err();
+    let placement = Placement::whole_stage(vec![0, 1, 1]);
+    let err = run_threaded_placed(&g, &sched, &Machine::core_i7(), &placement, 8).unwrap_err();
     match err {
         RuntimeError::Vm(e) => assert!(e.to_string().contains("panicked"), "{e}"),
         other => panic!("expected RuntimeError::Vm, got {other}"),
@@ -269,7 +271,8 @@ fn supervised_clean_run_matches_legacy_entry_point() {
         .unwrap();
     let sched = Schedule::compute(&g).unwrap();
     let m = Machine::core_i7();
-    let legacy = run_threaded(&g, &sched, &m, &[0, 0, 1, 1], 12).unwrap();
+    let placement = Placement::whole_stage(vec![0, 0, 1, 1]);
+    let legacy = run_threaded_placed(&g, &sched, &m, &placement, 12).unwrap();
     let sup = supervised(&g, &[0, 0, 1, 1], 12, &SupervisorOptions::default());
     assert!(sup.completed);
     assert!(sup.report.failures.is_empty());

@@ -1,5 +1,5 @@
 //! Runtime CPU-feature dispatch for superblock kernels: forcing the
-//! portable backend (`MACROSS_FORCE_PORTABLE_KERNELS=1`) must not change
+//! portable backend (`MACROSS_KERNEL_TIER=portable`) must not change
 //! a single output bit or cycle counter versus the default,
 //! feature-detected backend.
 //!
@@ -25,7 +25,7 @@ use macross_repro::streamir::graph::Graph;
 use macross_repro::streamir::types::{ScalarTy, Ty};
 use macross_repro::vm::{run_scheduled_mode, ExecMode, Machine, RunResult};
 
-const OVERRIDE: &str = "MACROSS_FORCE_PORTABLE_KERNELS";
+const OVERRIDE: &str = "MACROSS_KERNEL_TIER";
 
 /// Stateless f32 filter with a deep multiply-add chain; after
 /// macro-SIMDization the work body compiles to fused vector kernels.
@@ -105,7 +105,7 @@ fn portable_override_is_bit_identical_on_fma_and_permutation_benchmarks() {
         .map(|(_, g, s)| run(g, s, &machine))
         .collect();
 
-    std::env::set_var(OVERRIDE, "1");
+    std::env::set_var(OVERRIDE, "portable");
     let portable: Vec<RunResult> = subjects
         .iter()
         .map(|(_, g, s)| run(g, s, &machine))
