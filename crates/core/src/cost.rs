@@ -6,6 +6,8 @@
 //! actor is profitable at all and (b) pick the cheapest tape-access mode
 //! (strided scalar vs. permutation-based vs. SAGU/vector-reordered).
 
+use crate::permnet::{gather_plan, scatter_plan};
+use crate::single::{Staged, TapeMode};
 use macross_streamir::expr::{BinOp, Expr, LValue, VarId};
 use macross_streamir::filter::Filter;
 use macross_streamir::stmt::Stmt;
@@ -23,12 +25,26 @@ pub struct AddrCosts {
     pub output: u64,
 }
 
+/// The candidate tape modes of a staged-body walk: the body is still in
+/// scalar form, and every statement is charged what its lowering costs —
+/// a tape-read site once per input mode, a push site once per output mode.
+struct StagedModes<'a> {
+    sw: u64,
+    inputs: &'a [TapeMode],
+    outputs: &'a [TapeMode],
+}
+
 struct CostWalker<'a> {
     filter: &'a Filter,
     machine: &'a Machine,
     env: HashMap<VarId, Value>,
     addr: AddrCosts,
+    /// Cycles every (input, output) mode pair pays.
     cycles: u64,
+    /// Cycles on top of `cycles` per mode pair, input-major; empty for a
+    /// plain (already lowered, or scalar) body.
+    pair_extra: Vec<u64>,
+    staged: Option<StagedModes<'a>>,
 }
 
 /// Estimate the cycle cost of one firing of `filter` on `machine`.
@@ -43,9 +59,73 @@ pub fn static_firing_cost(filter: &Filter, machine: &Machine, addr: AddrCosts) -
         env: HashMap::new(),
         addr,
         cycles: machine.cost.firing,
+        pair_extra: Vec::new(),
+        staged: None,
     };
     w.block(&filter.work);
     w.cycles
+}
+
+/// Cost one firing of `staged` lowered under every `(input, output)` pair
+/// of the given candidate modes, in **one** walk of its mode-independent
+/// body. Returns the totals input-major; each equals
+/// `static_firing_cost(&staged.lower(input, output, false)?, machine,
+/// AddrCosts::default())`.
+///
+/// One cycle total is carried per pair: a statement whose lowering does
+/// not depend on the tape modes adds to all of them, a tape-read site adds
+/// per input mode, a push site per output mode, and an `If` the model
+/// cannot resolve takes the element-wise maximum of its two sides. The
+/// constant environment that resolves trip counts and branches holds only
+/// uniform (scalar) variables, which lower identically under every mode,
+/// so one environment serves all pairs.
+pub(crate) fn staged_pair_costs(
+    staged: &Staged,
+    inputs: &[TapeMode],
+    outputs: &[TapeMode],
+    machine: &Machine,
+) -> Vec<u64> {
+    let c = &machine.cost;
+    let sw = staged.sw as u64;
+    let (p, q) = (staged.pop as u64, staged.push as u64);
+    let mut w = CostWalker {
+        filter: &staged.filter,
+        machine,
+        env: HashMap::new(),
+        addr: AddrCosts::default(),
+        cycles: c.firing,
+        pair_extra: vec![0; inputs.len() * outputs.len()],
+        staged: Some(StagedModes {
+            sw,
+            inputs,
+            outputs,
+        }),
+    };
+    w.block(&staged.filter.work);
+    // What `lower` emits around the body.
+    w.charge_inputs(|m| match m {
+        // Gather preamble: p vector pops, the network, p stores into the
+        // permuted array.
+        TapeMode::Permute if p > 0 => {
+            let network = gather_plan(staged.pop, staged.sw).op_count() as u64;
+            p * (c.vload + c.vstore) + network * c.permute
+        }
+        // advance_read((SW - 1) * p)
+        TapeMode::Strided if p > 0 => c.alu,
+        _ => 0,
+    });
+    w.charge_outputs(|m| match m {
+        // Scatter postamble: q loads from the permuted array, the network,
+        // q vector pushes.
+        TapeMode::Permute if q > 0 => {
+            let network = scatter_plan(staged.push, staged.sw).op_count() as u64;
+            q * (c.vload + c.vstore) + network * c.permute
+        }
+        // advance_write((SW - 1) * q)
+        TapeMode::Strided if q > 0 => c.alu,
+        _ => 0,
+    });
+    w.pair_extra.iter().map(|x| w.cycles + x).collect()
 }
 
 impl<'a> CostWalker<'a> {
@@ -59,19 +139,117 @@ impl<'a> CostWalker<'a> {
         }
     }
 
+    /// Add `cost(mode)` to every pair whose input mode is `mode`.
+    fn charge_inputs(&mut self, cost: impl Fn(TapeMode) -> u64) {
+        let m = self.staged.as_ref().expect("staged walk");
+        let n_out = m.outputs.len();
+        for (row, &mode) in self.pair_extra.chunks_mut(n_out).zip(m.inputs) {
+            let c = cost(mode);
+            row.iter_mut().for_each(|x| *x += c);
+        }
+    }
+
+    /// Add `cost(mode)` to every pair whose output mode is `mode`.
+    fn charge_outputs(&mut self, cost: impl Fn(TapeMode) -> u64) {
+        let m = self.staged.as_ref().expect("staged walk");
+        let n_out = m.outputs.len();
+        for row in self.pair_extra.chunks_mut(n_out) {
+            for (x, &mode) in row.iter_mut().zip(m.outputs) {
+                *x += cost(mode);
+            }
+        }
+    }
+
+    /// Cycles `e` costs, without charging them.
+    fn expr_cycles(&mut self, e: &Expr) -> u64 {
+        let before = self.cycles;
+        self.expr(e);
+        std::mem::replace(&mut self.cycles, before) - before
+    }
+
+    /// Charge a tape-access site of a staged body with what
+    /// `Staged::lower` turns it into under each candidate mode. Returns
+    /// false for every other statement.
+    fn staged_site(&mut self, s: &Stmt) -> bool {
+        let Some(sw) = self.staged.as_ref().map(|m| m.sw) else {
+            return false;
+        };
+        let c = &self.machine.cost;
+        let addr = self.addr;
+        match s {
+            Stmt::Assign(LValue::Var(_), Expr::Pop) => self.charge_inputs(|m| match m {
+                // SW lane inserts fed by SW - 1 strided peeks and a pop.
+                TapeMode::Strided => sw * (c.load + addr.input + c.lane_insert),
+                // v = perm[cnt]; cnt = cnt + 1
+                TapeMode::Permute => c.vload + c.alu,
+                TapeMode::VectorReorder | TapeMode::Vector => c.vload,
+            }),
+            Stmt::Assign(LValue::Var(_), Expr::Peek(off)) => {
+                let off = self.expr_cycles(off);
+                self.charge_inputs(|m| match m {
+                    // SW lane inserts fed by peek(off + l * p), lane 0
+                    // without the add.
+                    TapeMode::Strided => {
+                        sw * (off + c.load + addr.input + c.lane_insert) + (sw - 1) * c.alu
+                    }
+                    other => panic!("peek unsupported in {other:?} mode"),
+                });
+            }
+            // v = lvpop(ch)
+            Stmt::Assign(LValue::Var(_), Expr::LPop(_)) => self.cycles += c.vload,
+            Stmt::Push(e) => {
+                let Expr::Var(var) = e else {
+                    panic!("push operand not normalized: {e}")
+                };
+                let vec = self.is_vec_var(*var);
+                let splat = if vec { 0 } else { c.splat };
+                self.charge_outputs(|m| match m {
+                    // SW - 1 rpushes and a push, each of one extracted lane.
+                    TapeMode::Strided => {
+                        let lane = if vec { c.lane_extract } else { 0 };
+                        sw * (c.store + lane) + (sw - 1) * c.alu + addr.output
+                    }
+                    // perm[cnt] = v; cnt = cnt + 1
+                    TapeMode::Permute => c.vstore + c.alu + splat,
+                    TapeMode::VectorReorder | TapeMode::Vector => c.vstore + splat,
+                });
+            }
+            // lvpush(ch, v)
+            Stmt::LPush(_, e) => {
+                if !self.expr(e) {
+                    self.cycles += c.splat;
+                }
+                self.cycles += c.vstore;
+            }
+            _ => return false,
+        }
+        true
+    }
+
     fn stmt(&mut self, s: &Stmt) {
+        if self.staged_site(s) {
+            return;
+        }
+        let staged = self.staged.is_some();
         let c = &self.machine.cost;
         match s {
             Stmt::Assign(lv, e) => {
                 let vec = self.expr(e);
+                // A staged vector target's right-hand side lowers to a
+                // splat or a vector expression: never a known constant.
+                let lowered_vec = staged && self.is_vec_var(lv.var());
+                if lowered_vec && !vec {
+                    self.cycles += c.splat;
+                }
                 match lv {
-                    LValue::Var(v) => {
-                        if let Some(val) = self.const_eval(e) {
+                    LValue::Var(v) => match self.const_eval(e) {
+                        Some(val) if !lowered_vec => {
                             self.env.insert(*v, val);
-                        } else {
+                        }
+                        _ => {
                             self.env.remove(v);
                         }
-                    }
+                    },
                     LValue::Index(v, i) => {
                         self.expr(i);
                         self.env.remove(v);
@@ -93,7 +271,6 @@ impl<'a> CostWalker<'a> {
                         self.cycles += c.lane_insert;
                     }
                 }
-                let _ = vec;
             }
             Stmt::Push(e) => {
                 self.expr(e);
@@ -141,16 +318,22 @@ impl<'a> CostWalker<'a> {
                     Some(v) if v.is_truthy() => self.block(then_branch),
                     Some(_) => self.block(else_branch),
                     None => {
-                        // Unknown branch: cost the more expensive side.
-                        let snapshot = self.cycles;
+                        // Unknown branch: cost the more expensive side,
+                        // per mode pair.
+                        let base = self.cycles;
+                        let base_extra = self.pair_extra.clone();
                         let env = self.env.clone();
                         self.block(then_branch);
-                        let then_cost = self.cycles;
-                        self.cycles = snapshot;
+                        let then_cycles = self.cycles;
+                        let then_extra = std::mem::replace(&mut self.pair_extra, base_extra);
+                        self.cycles = base;
                         self.env = env.clone();
                         self.block(else_branch);
-                        let else_cost = self.cycles;
-                        self.cycles = then_cost.max(else_cost);
+                        let else_cycles = self.cycles;
+                        self.cycles = then_cycles.max(else_cycles);
+                        for (x, t) in self.pair_extra.iter_mut().zip(then_extra) {
+                            *x = (then_cycles + t).max(else_cycles + *x) - self.cycles;
+                        }
                         self.env = env;
                     }
                 }
@@ -159,9 +342,12 @@ impl<'a> CostWalker<'a> {
         }
     }
 
-    /// Cost an expression; returns whether it is vector-valued.
+    /// Cost an expression; returns whether it is vector-valued. In a
+    /// staged body a scalar operand of a vector operation is charged the
+    /// splat its lowering wraps it in.
     fn expr(&mut self, e: &Expr) -> bool {
         let c = &self.machine.cost;
+        let staged = self.staged.is_some();
         match e {
             Expr::Const(_) => false,
             Expr::ConstVec(_) => {
@@ -189,6 +375,9 @@ impl<'a> CostWalker<'a> {
                 let va = self.expr(a);
                 let vb = self.expr(b);
                 let vec = va || vb;
+                if staged && va != vb {
+                    self.cycles += c.splat;
+                }
                 self.cycles += match (op, vec) {
                     (BinOp::Mul, false) => c.mul,
                     (BinOp::Mul, true) => c.vmul,
@@ -203,8 +392,14 @@ impl<'a> CostWalker<'a> {
                 // Not `any()`: every argument must be walked so its
                 // cycles are charged, even after a vector one is seen.
                 let mut vec = false;
+                let mut scalars = 0;
                 for a in args {
-                    vec |= self.expr(a);
+                    let va = self.expr(a);
+                    vec |= va;
+                    scalars += u64::from(!va);
+                }
+                if staged && vec {
+                    self.cycles += scalars * c.splat;
                 }
                 self.cycles += if vec {
                     self.machine.vector_intrinsic_cost(*i)
@@ -350,6 +545,76 @@ mod tests {
             },
         );
         assert_eq!(reordered, base + 12);
+    }
+
+    /// Every total of the one-walk staged costing is what lowering that
+    /// pair and walking the lowered body costs — on a fused actor
+    /// (internal channels, loops, uniform and vector operands mixed) and
+    /// on a peeking one.
+    #[test]
+    fn staged_pair_costs_equal_lowered_costs() {
+        use crate::single::{stage_actor, TapeMode::*};
+        use crate::vertical::fuse_chain;
+        use macross_streamir::builder::StreamSpec;
+        use macross_streamir::graph::NodeId;
+
+        let stage_filter = |name: &str, k: f32| {
+            let mut fb = FilterBuilder::new(name, 2, 2, 2, ScalarTy::F32);
+            let a = fb.local("a", Ty::Scalar(ScalarTy::F32));
+            let i = fb.local("i", Ty::Scalar(ScalarTy::I32));
+            let w = fb.state("w", Ty::Array(ScalarTy::F32, 2));
+            fb.work(move |b| {
+                b.for_(i, 2i32, |b| {
+                    b.set(a, pop());
+                    b.push(sqrt(v(a) * k) + idx(w, v(i)));
+                });
+            });
+            fb.build_spec()
+        };
+        let mut src = FilterBuilder::new("src", 0, 0, 1, ScalarTy::F32);
+        src.work(|b| {
+            b.push(1.0f32);
+        });
+        let g = StreamSpec::pipeline(vec![
+            src.build_spec(),
+            stage_filter("f", 2.0),
+            stage_filter("g", 3.0),
+            StreamSpec::Sink,
+        ])
+        .build()
+        .unwrap();
+        let fused = fuse_chain(&g, &[NodeId(1), NodeId(2)], &[1, 1]).unwrap();
+
+        let mut fir = FilterBuilder::new("fir", 4, 1, 1, ScalarTy::F32);
+        let i = fir.local("i", Ty::Scalar(ScalarTy::I32));
+        let acc = fir.local("acc", Ty::Scalar(ScalarTy::F32));
+        let junk = fir.local("junk", Ty::Scalar(ScalarTy::F32));
+        fir.work(|b| {
+            b.set(acc, 0.0f32);
+            b.for_(i, 4i32, |b| {
+                b.set(acc, v(acc) + peek(v(i) + 0i32));
+            });
+            b.set(junk, pop());
+            b.push(v(acc));
+        });
+        let fir = fir.build();
+
+        let all = [Strided, Permute, VectorReorder];
+        for machine in [Machine::core_i7(), Machine::wide(8), Machine::neon_like()] {
+            for (f, inputs) in [(&fused, &all[..]), (&fir, &all[..1])] {
+                let sw = machine.simd_width;
+                let stage = || stage_actor(f, sw, ScalarTy::F32, ScalarTy::F32);
+                let costs = staged_pair_costs(&stage(), inputs, &all, &machine);
+                let mut lowered = Vec::new();
+                for &input in inputs {
+                    for &output in &all {
+                        let vf = stage().lower(input, output, false).unwrap();
+                        lowered.push(static_firing_cost(&vf, &machine, AddrCosts::default()));
+                    }
+                }
+                assert_eq!(costs, lowered, "{} on {}", f.name, machine.name);
+            }
+        }
     }
 
     #[test]

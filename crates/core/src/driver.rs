@@ -5,16 +5,18 @@
 //! (Equation 1), horizontal SIMDization, single-actor SIMDization with
 //! cost-model-selected tape optimizations, and final validation.
 
-use crate::cost::{static_firing_cost, AddrCosts};
+use crate::cost::{staged_pair_costs, static_firing_cost, AddrCosts};
 use crate::error::SimdizeError;
 use crate::horizontal::{find_split_joins, horizontalize};
 use crate::permnet::{gather_applicable, scatter_applicable};
-use crate::region::{region_width, simdize_region_actor};
-use crate::single::{simdize_single_actor, uses_peek, SingleActorConfig, TapeMode};
-use crate::vertical::{fuse_chain, link_fusable, splice_fused};
+use crate::region::{region_width, simdize_region_actor_analyzed};
+use crate::single::{stage_actor, SingleActorConfig, TapeMode};
+use crate::vertical::{fuse_vetted_chain, link_fusable_vetted, splice_fused};
 use macross_sdf::{compute_init_reps, lcm, Schedule};
-use macross_streamir::analysis::{analyze_vectorizability, check_rates};
+use macross_streamir::analysis::{analyze_vectorizability, check_rates, Vectorizability};
+use macross_streamir::filter::Filter;
 use macross_streamir::graph::{AddrGen, Graph, Node, NodeId, Reorder, ReorderSide};
+use macross_streamir::stmt::Stmt;
 use macross_streamir::types::ScalarTy;
 use macross_telemetry::compile::{Pass, PassEvent};
 use macross_vm::Machine;
@@ -101,6 +103,28 @@ pub struct TapeDecision {
     pub output: TapeMode,
 }
 
+/// Work counters of the tape-mode search over the single-actor set: how
+/// many candidates were priced and how little had to be built to price
+/// them. Not part of the decision — two reports that agree on everything
+/// else describe the same compilation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    /// Actors that entered the search (vectorized or found unprofitable).
+    pub selected_actors: usize,
+    /// (input mode, output mode) pairs costed across them.
+    pub pairs_costed: usize,
+    /// Full-body tape lowerings, each followed by one `check_rates`
+    /// self-check: one per vectorized actor, none per unprofitable one.
+    pub lowerings: usize,
+    /// Cost-model walks: per actor one over the scalar body and one over
+    /// the staged body, whatever the number of pairs.
+    pub cost_walks: usize,
+    /// Actors whose pair costs (and lowered winner, when one was built)
+    /// were compared against the exhaustive grid: every selected actor in
+    /// a debug build, 0 in a release build.
+    pub oracle_checked: usize,
+}
+
 /// What the driver did, for tests, reports and EXPERIMENTS.md.
 #[derive(Debug, Clone, Default)]
 pub struct SimdizeReport {
@@ -122,6 +146,8 @@ pub struct SimdizeReport {
     /// Compile-side trace: every transform decision in the order the
     /// driver made it, with the cost-model estimates behind it.
     pub passes: Vec<PassEvent>,
+    /// Work counters of the tape-mode search.
+    pub search: SearchStats,
 }
 
 /// Result of macro-SIMDization: the vectorized graph plus its adjusted
@@ -137,13 +163,46 @@ pub struct Simdized {
     pub report: SimdizeReport,
 }
 
-/// Is this filter eligible for single/vertical SIMDization on `machine`?
-fn eligible(graph: &Graph, id: NodeId, machine: &Machine) -> bool {
-    let Some(f) = graph.node(id).as_filter() else {
-        return false;
-    };
-    let va = analyze_vectorizability(f);
-    va.simdizable() && machine.supports_all(&va.intrinsics)
+/// [`analyze_vectorizability`] memoised per node for one graph revision,
+/// so every phase of one `macro_simdize` call reads the same verdict
+/// instead of recomputing it.
+struct VaMemo(Vec<Option<Vectorizability>>);
+
+impl VaMemo {
+    fn new(graph: &Graph) -> VaMemo {
+        VaMemo(vec![None; graph.node_count()])
+    }
+
+    /// The verdict for filter `id`; `None` for every other node kind.
+    fn get(&mut self, graph: &Graph, id: NodeId) -> Option<&Vectorizability> {
+        let f = graph.node(id).as_filter()?;
+        Some(self.0[id.0 as usize].get_or_insert_with(|| analyze_vectorizability(f)))
+    }
+
+    /// Is this filter eligible for single/vertical SIMDization on `machine`?
+    fn eligible(&mut self, graph: &Graph, id: NodeId, machine: &Machine) -> bool {
+        self.get(graph, id)
+            .is_some_and(|va| va.simdizable() && machine.supports_all(&va.intrinsics))
+    }
+}
+
+/// Carry per-node data across a graph rebuild: kept nodes keep their
+/// value, nodes the rebuild added start from the default.
+fn remap_nodes<T: Default>(old: Vec<T>, node_map: &[Option<NodeId>], new_count: usize) -> Vec<T> {
+    let mut new: Vec<T> = std::iter::repeat_with(T::default).take(new_count).collect();
+    for (value, mapped) in old.into_iter().zip(node_map) {
+        if let Some(n) = mapped {
+            new[n.0 as usize] = value;
+        }
+    }
+    new
+}
+
+/// Element types of a node's input and output tapes (`f32` where it has
+/// none).
+fn tape_elems(g: &Graph, id: NodeId) -> (ScalarTy, ScalarTy) {
+    let elem = |e: Option<_>| e.map_or(ScalarTy::F32, |e| g.edge(e).elem);
+    (elem(g.single_in_edge(id)), elem(g.single_out_edge(id)))
 }
 
 /// Run macro-SIMDization (Algorithm 1) on a stream graph.
@@ -196,6 +255,7 @@ pub fn macro_simdize_colocated(
         ..Default::default()
     };
     let mut g = graph.clone();
+    let mut va = VaMemo::new(&g);
 
     // --- Horizontal SIMDization of eligible split-joins. Done before
     // vertical so isomorphic branches are not partially fused away; the
@@ -211,10 +271,8 @@ pub fn macro_simdize_colocated(
                 }
                 // Every actor must be supported by the SIMD engine.
                 let intrinsics_ok = cand.branches.iter().flatten().all(|&id| {
-                    g.node(id)
-                        .as_filter()
-                        .map(|f| machine.supports_all(&analyze_vectorizability(f).intrinsics))
-                        .unwrap_or(false)
+                    va.get(&g, id)
+                        .is_some_and(|va| machine.supports_all(&va.intrinsics))
                 });
                 if !intrinsics_ok {
                     continue;
@@ -238,16 +296,10 @@ pub fn macro_simdize_colocated(
                                 .note(format!("{}-branch split-join merged", cand.branches.len())),
                         );
                         report.horizontal_groups.push(group);
-                        let mut new_colors = vec![0u32; h.graph.node_count()];
-                        for (old, new) in h.node_map.iter().enumerate() {
-                            if let Some(n) = new {
-                                new_colors[n.0 as usize] = colors[old];
-                            }
-                        }
-                        for k in 0..added {
-                            new_colors[h.graph.node_count() - added + k] = group_color;
-                        }
-                        colors = new_colors;
+                        let n = h.graph.node_count();
+                        colors = remap_nodes(colors, &h.node_map, n);
+                        colors[n - added..].fill(group_color);
+                        va = VaMemo(remap_nodes(va.0, &h.node_map, n));
                         g = h.graph;
                         advanced = true;
                         break; // node ids changed; re-find candidates
@@ -267,6 +319,7 @@ pub fn macro_simdize_colocated(
     // compares shapes modulo constants, and folding is shape-changing).
     if opts.prepass {
         let stats = crate::opt::prepass_optimize(&mut g);
+        va = VaMemo::new(&g); // bodies were rewritten
         report.passes.push(
             PassEvent::new(Pass::Prepass, "<graph>", sw as u64).note(format!(
                 "{} rewrites: {} folded, {} identities, {} branches, {} loops, {} dead stores",
@@ -284,14 +337,13 @@ pub fn macro_simdize_colocated(
     let mut fused_names: HashSet<String> = HashSet::new();
     if opts.vertical {
         loop {
-            let sched = Schedule::compute(&g)?;
             let order = g
                 .topo_order()
                 .map_err(|e| SimdizeError::Graph(e.to_string()))?;
             let mut taken: HashSet<NodeId> = HashSet::new();
             let mut chain: Option<Vec<NodeId>> = None;
             'outer: for &id in &order {
-                if taken.contains(&id) || !eligible(&g, id, machine) {
+                if taken.contains(&id) || !va.eligible(&g, id, machine) {
                     continue;
                 }
                 let mut c = vec![id];
@@ -299,9 +351,9 @@ pub fn macro_simdize_colocated(
                 while let Some(e) = g.single_out_edge(cur) {
                     let next = g.edge(e).dst;
                     if taken.contains(&next)
-                        || !eligible(&g, next, machine)
+                        || !va.eligible(&g, next, machine)
                         || colors[next.0 as usize] != colors[id.0 as usize]
-                        || link_fusable(&g, cur, next).is_err()
+                        || link_fusable_vetted(&g, cur, next).is_err()
                     {
                         break;
                     }
@@ -315,29 +367,20 @@ pub fn macro_simdize_colocated(
                 }
             }
             let Some(chain) = chain else { break };
+            let sched = Schedule::compute(&g)?;
             let reps: Vec<u64> = chain.iter().map(|&id| sched.rep(id)).collect();
             let names: Vec<String> = chain.iter().map(|&id| g.node(id).name()).collect();
             let chain_color = colors[chain[0].0 as usize];
-            let fused = fuse_chain(&g, &chain, &reps)?;
+            let fused = fuse_vetted_chain(&g, &chain, &reps);
             fused_names.insert(fused.name.clone());
-            let (ng, fused_id) = splice_fused(&g, &chain, fused);
-            // Remap colors: kept nodes keep theirs, the fused node takes
-            // the chain's color. splice_fused removes the chain and
-            // appends exactly one node.
-            let mut new_colors = vec![0u32; ng.node_count()];
-            {
-                use crate::graph_edit::rebuild_without;
-                let remove: HashSet<NodeId> = chain.iter().copied().collect();
-                let r = rebuild_without(&g, &remove);
-                for (old, new) in r.node_map.iter().enumerate() {
-                    if let Some(n) = new {
-                        new_colors[n.0 as usize] = colors[old];
-                    }
-                }
-            }
-            new_colors[fused_id.0 as usize] = chain_color;
-            colors = new_colors;
-            g = ng;
+            let spliced = splice_fused(&g, &chain, fused);
+            // Kept nodes keep their color and verdict; the fused node
+            // takes the chain's color and is analyzed on first use.
+            let n = spliced.graph.node_count();
+            colors = remap_nodes(colors, &spliced.node_map, n);
+            colors[spliced.fused_id.0 as usize] = chain_color;
+            va = VaMemo(remap_nodes(va.0, &spliced.node_map, n));
+            g = spliced.graph;
             report.passes.push(
                 PassEvent::new(Pass::Vertical, names.join("->"), sw as u64)
                     .note(format!("{}-actor chain fused", names.len())),
@@ -352,7 +395,7 @@ pub fn macro_simdize_colocated(
     let mut selected: Vec<NodeId> = Vec::new();
     if opts.single || opts.vertical {
         for id in g.node_ids() {
-            if !eligible(&g, id, machine) {
+            if !va.eligible(&g, id, machine) {
                 continue;
             }
             let is_fused = fused_names.contains(&g.node(id).name());
@@ -363,23 +406,15 @@ pub fn macro_simdize_colocated(
         }
     }
 
-    // --- Tape-mode selection and profitability per actor.
-    let mut plans: Vec<(NodeId, SingleActorConfig)> = Vec::new();
+    // --- Tape-mode selection and profitability per actor: stage the
+    // actor once, cost every candidate (input, output) pair from that
+    // staging in one walk, lower only the winner.
+    let mut plans: Vec<(NodeId, SingleActorConfig, Filter)> = Vec::new();
     for &id in &selected {
-        let f = g
-            .node(id)
-            .as_filter()
-            .expect("selected actors are filters")
-            .clone();
-        let in_elem = g
-            .single_in_edge(id)
-            .map(|e| g.edge(e).elem)
-            .unwrap_or(ScalarTy::F32);
-        let out_elem = g
-            .single_out_edge(id)
-            .map(|e| g.edge(e).elem)
-            .unwrap_or(ScalarTy::F32);
-        let peeking = f.peek > f.pop || uses_peek(&f);
+        let f = g.node(id).as_filter().expect("selected actors are filters");
+        let (in_elem, out_elem) = tape_elems(&g, id);
+        let staged = stage_actor(f, sw, in_elem, out_elem);
+        let peeking = f.peek > f.pop || staged.peeking;
 
         let mut input_modes = vec![TapeMode::Strided];
         let mut output_modes = vec![TapeMode::Strided];
@@ -400,44 +435,74 @@ pub fn macro_simdize_colocated(
             }
         }
 
+        let mut costs = staged_pair_costs(&staged, &input_modes, &output_modes, machine);
+        #[cfg(debug_assertions)]
+        let grid = {
+            let grid = exhaustive_grid(
+                f,
+                (sw, in_elem, out_elem),
+                &input_modes,
+                &output_modes,
+                machine,
+            );
+            let grid_costs: Vec<Option<u64>> = grid
+                .iter()
+                .map(|cell| cell.as_ref().map(|(cost, _)| *cost))
+                .collect();
+            assert_eq!(
+                costs.iter().copied().map(Some).collect::<Vec<_>>(),
+                grid_costs,
+                "{}: staged pair costs differ from the exhaustive grid",
+                f.name
+            );
+            report.search.oracle_checked += 1;
+            grid
+        };
+
+        // Charge the scalar neighbour's extra address generation, then
+        // take the first minimum in input-major order.
         let addr_unit = if machine.has_sagu {
             machine.cost.sagu_access
         } else {
             machine.cost.addr_software_reorder
         };
-        let mut best: Option<(u64, SingleActorConfig)> = None;
-        for &im in &input_modes {
-            for &om in &output_modes {
-                let cfg = SingleActorConfig {
-                    sw,
-                    input: im,
-                    output: om,
-                    in_elem,
-                    out_elem,
-                };
-                let Ok(vf) = simdize_single_actor(&f, &cfg) else {
-                    continue;
-                };
-                let mut cost = static_firing_cost(&vf, machine, AddrCosts::default());
-                // Charge the neighbour's extra address generation.
-                if im == TapeMode::VectorReorder {
-                    cost += (sw * f.pop) as u64 * addr_unit;
-                }
-                if om == TapeMode::VectorReorder {
-                    cost += (sw * f.push) as u64 * addr_unit;
-                }
-                if best.as_ref().map(|(c, _)| cost < *c).unwrap_or(true) {
-                    best = Some((cost, cfg));
-                }
+        let pairs: Vec<(TapeMode, TapeMode)> = input_modes
+            .iter()
+            .flat_map(|&im| output_modes.iter().map(move |&om| (im, om)))
+            .collect();
+        for (cost, &(im, om)) in costs.iter_mut().zip(&pairs) {
+            if im == TapeMode::VectorReorder {
+                *cost += (sw * f.pop) as u64 * addr_unit;
+            }
+            if om == TapeMode::VectorReorder {
+                *cost += (sw * f.push) as u64 * addr_unit;
             }
         }
-        let (vcost, cfg) = best.expect("strided mode always available");
-        let scost = static_firing_cost(&f, machine, AddrCosts::default());
+        let mut best = 0;
+        for (i, &cost) in costs.iter().enumerate() {
+            if cost < costs[best] {
+                best = i;
+            }
+        }
+        let (vcost, (input, output)) = (costs[best], pairs[best]);
+        let scost = static_firing_cost(f, machine, AddrCosts::default());
+        report.search.selected_actors += 1;
+        report.search.pairs_costed += pairs.len();
+        report.search.cost_walks += 2;
+        let costed = pairs
+            .iter()
+            .zip(&costs)
+            .map(|((im, om), cost)| format!("{im:?}/{om:?}={cost}"))
+            .collect::<Vec<_>>()
+            .join(" ");
+
         if opts.profitability && vcost >= (sw as u64) * scost {
             report.passes.push(
                 PassEvent::new(Pass::Unprofitable, f.name.clone(), sw as u64)
                     .costs(scost, vcost)
-                    .note("vector firing not cheaper than SW scalar firings"),
+                    .note(format!(
+                        "vector firing not cheaper than SW scalar firings; costed in/out {costed}"
+                    )),
             );
             report.skipped_unprofitable.push(f.name.clone());
             continue;
@@ -445,23 +510,41 @@ pub fn macro_simdize_colocated(
         report.passes.push(
             PassEvent::new(Pass::SingleActor, f.name.clone(), sw as u64)
                 .costs(scost, vcost)
-                .note(format!("tapes in={:?} out={:?}", cfg.input, cfg.output)),
+                .note(format!(
+                    "tapes in={input:?} out={output:?}; costed in/out {costed}"
+                )),
         );
-        plans.push((id, cfg));
+        let vf = staged.materialize(input, output)?;
+        report.search.lowerings += 1;
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            Some(&vf),
+            grid[best].as_ref().map(|(_, vf)| vf),
+            "{}: lowered winner differs from the one-shot transform",
+            f.name
+        );
+        let cfg = SingleActorConfig {
+            sw,
+            input,
+            output,
+            in_elem,
+            out_elem,
+        };
+        plans.push((id, cfg, vf));
     }
 
     // --- Region-based stateful SIMDization: actors the passes above
     // refuse (stateful), but whose state is declared as independent
     // regions. The lane width is the machine width or the largest
     // power-of-two divisor of the region count that fits.
-    let mut region_plans: Vec<(NodeId, SingleActorConfig)> = Vec::new();
+    let mut region_plans: Vec<(NodeId, SingleActorConfig, Filter)> = Vec::new();
     if opts.region {
         for id in g.node_ids() {
             let Some(f) = g.node(id).as_filter() else {
                 continue;
             };
             let Some(spec) = &f.region else { continue };
-            let va = analyze_vectorizability(f);
+            let va = va.get(&g, id).expect("filters have a verdict");
             if va.vectorized || !machine.supports_all(&va.intrinsics) {
                 continue;
             }
@@ -472,17 +555,9 @@ pub fn macro_simdize_colocated(
                 continue;
             };
             let regions = spec.regions;
-            let f = f.clone();
-            let in_elem = g
-                .single_in_edge(id)
-                .map(|e| g.edge(e).elem)
-                .unwrap_or(ScalarTy::F32);
-            let out_elem = g
-                .single_out_edge(id)
-                .map(|e| g.edge(e).elem)
-                .unwrap_or(ScalarTy::F32);
+            let (in_elem, out_elem) = tape_elems(&g, id);
             let cfg = SingleActorConfig::strided(w, in_elem, out_elem);
-            let Ok(vf) = simdize_region_actor(&f, &cfg) else {
+            let Ok(vf) = simdize_region_actor_analyzed(f, &cfg, va) else {
                 continue;
             };
             // Equation-1-style profitability with a region-permute term:
@@ -491,7 +566,7 @@ pub fn macro_simdize_colocated(
             // so each extra panel is charged one cross-panel permute.
             let panels = regions / w;
             let permute_term = (panels as u64 - 1) * machine.cost.permute;
-            let scost = static_firing_cost(&f, machine, AddrCosts::default());
+            let scost = static_firing_cost(f, machine, AddrCosts::default());
             let vcost = static_firing_cost(&vf, machine, AddrCosts::default()) + permute_term;
             if opts.profitability && vcost >= (w as u64) * scost {
                 report.passes.push(
@@ -512,7 +587,7 @@ pub fn macro_simdize_colocated(
                         "R={regions} regions as {panels} panel(s), permute term {permute_term}"
                     )),
             );
-            region_plans.push((id, cfg));
+            region_plans.push((id, cfg, vf));
         }
     }
 
@@ -523,11 +598,10 @@ pub fn macro_simdize_colocated(
     if !plans.is_empty() || !region_plans.is_empty() {
         let m = plans
             .iter()
-            .map(|(id, cfg)| (*id, cfg.sw))
-            .chain(region_plans.iter().map(|(id, cfg)| (*id, cfg.sw)))
-            .map(|(id, w)| {
-                let r = schedule.rep(id);
-                lcm(w as u64, r) / r
+            .chain(&region_plans)
+            .map(|(id, cfg, _)| {
+                let r = schedule.rep(*id);
+                lcm(cfg.sw as u64, r) / r
             })
             .max()
             .unwrap_or(1);
@@ -539,70 +613,55 @@ pub fn macro_simdize_colocated(
         );
     }
 
-    // --- Transform the selected actors, divide their repetition numbers,
-    // and mark reordered edges.
-    for (id, cfg) in &plans {
-        let f = g.node(*id).as_filter().expect("filter").clone();
-        let vf = simdize_single_actor(&f, cfg)?;
+    // --- Put the vectorized actors in the graph, divide their repetition
+    // numbers by their lane widths, and mark reordered edges.
+    let mut install = |g: &mut Graph, id: NodeId, cfg: &SingleActorConfig, vf: Filter| {
         report.tape_decisions.push(TapeDecision {
             actor: vf.name.clone(),
             input: cfg.input,
             output: cfg.output,
         });
-        report.single_actors.push(vf.name.clone());
-        g.replace_node(*id, Node::Filter(vf));
+        g.replace_node(id, Node::Filter(vf));
         let r = &mut schedule.reps[id.0 as usize];
         debug_assert_eq!(
-            *r % sw as u64,
+            *r % cfg.sw as u64,
             0,
-            "Equation 1 must make reps divisible by SW"
+            "Equation 1 must make reps divisible by the lane width"
         );
-        *r /= sw as u64;
-
-        let addr_gen = if machine.has_sagu {
-            AddrGen::Sagu
-        } else {
-            AddrGen::Software
-        };
+        *r /= cfg.sw as u64;
+    };
+    let addr_gen = if machine.has_sagu {
+        AddrGen::Sagu
+    } else {
+        AddrGen::Software
+    };
+    for (id, cfg, vf) in plans {
+        let (pop, push) = (vf.pop / sw, vf.push / sw);
+        report.single_actors.push(vf.name.clone());
+        install(&mut g, id, &cfg, vf);
         if cfg.input == TapeMode::VectorReorder {
-            let e = g.single_in_edge(*id).expect("input edge");
+            let e = g.single_in_edge(id).expect("input edge");
             g.edge_mut(e).reorder = Some(Reorder {
-                rate: f.pop,
+                rate: pop,
                 sw,
                 side: ReorderSide::Producer,
                 addr_gen,
             });
         }
         if cfg.output == TapeMode::VectorReorder {
-            let e = g.single_out_edge(*id).expect("output edge");
+            let e = g.single_out_edge(id).expect("output edge");
             g.edge_mut(e).reorder = Some(Reorder {
-                rate: f.push,
+                rate: push,
                 sw,
                 side: ReorderSide::Consumer,
                 addr_gen,
             });
         }
     }
-
-    // --- Transform the region actors and divide their repetition numbers
-    // by their lane widths. Strided tapes only: no reorder edges.
-    for (id, cfg) in &region_plans {
-        let f = g.node(*id).as_filter().expect("filter").clone();
-        let vf = simdize_region_actor(&f, cfg)?;
-        report.tape_decisions.push(TapeDecision {
-            actor: vf.name.clone(),
-            input: cfg.input,
-            output: cfg.output,
-        });
+    // Region actors keep strided tapes: no reorder edges.
+    for (id, cfg, vf) in region_plans {
         report.region_actors.push(vf.name.clone());
-        g.replace_node(*id, Node::Filter(vf));
-        let r = &mut schedule.reps[id.0 as usize];
-        debug_assert_eq!(
-            *r % cfg.sw as u64,
-            0,
-            "Equation 1 must make reps divisible by the region lane width"
-        );
-        *r /= cfg.sw as u64;
+        install(&mut g, id, &cfg, vf);
     }
 
     // --- Final validation and init-schedule refresh.
@@ -668,6 +727,39 @@ pub fn modelled_steady_cost(simd: &Simdized, machine: &Machine) -> u64 {
         .sum()
 }
 
+/// The exhaustive tape-mode grid the staged search replaced, kept as its
+/// oracle: every (input, output) pair goes through the public one-shot
+/// transform and its own cost walk. Input-major; `None` where the
+/// transform refuses the pair. Debug builds run it beside every search
+/// and assert identical costs and an identical lowered winner.
+#[cfg(debug_assertions)]
+fn exhaustive_grid(
+    f: &Filter,
+    (sw, in_elem, out_elem): (usize, ScalarTy, ScalarTy),
+    input_modes: &[TapeMode],
+    output_modes: &[TapeMode],
+    machine: &Machine,
+) -> Vec<Option<(u64, Filter)>> {
+    let mut grid = Vec::with_capacity(input_modes.len() * output_modes.len());
+    for &input in input_modes {
+        for &output in output_modes {
+            let cfg = SingleActorConfig {
+                sw,
+                input,
+                output,
+                in_elem,
+                out_elem,
+            };
+            grid.push(
+                crate::single::simdize_single_actor(f, &cfg)
+                    .ok()
+                    .map(|vf| (static_firing_cost(&vf, machine, AddrCosts::default()), vf)),
+            );
+        }
+    }
+    grid
+}
+
 /// True if the neighbour on the given side is a scalar consumer/producer
 /// that can absorb reordered accesses: a sink, splitter, joiner, or a
 /// filter that will *not* itself be vectorized.
@@ -687,41 +779,25 @@ fn scalar_neighbor(g: &Graph, id: NodeId, input_side: bool, selected: &[NodeId])
         return false;
     }
     match g.node(other) {
+        // A selected neighbour is about to be vectorized itself, and a
+        // region-annotated one may later be region-vectorized into a
+        // strided (rpush-style) producer or consumer: neither can absorb
+        // reordered accesses.
+        Node::Filter(f) if selected.contains(&other) || f.region.is_some() => false,
+        // A consumer works as is: pops and peeks both remap.
+        Node::Filter(_) if !input_side => true,
+        // A producer must write with plain pushes (none of our scalar
+        // actors do otherwise — rpush is compiler-generated).
         Node::Filter(f) => {
-            if selected.contains(&other) {
-                return false;
+            let mut plain = true;
+            for s in &f.work {
+                s.walk(&mut |s| {
+                    if matches!(s, Stmt::RPush { .. } | Stmt::VPush { .. }) {
+                        plain = false;
+                    }
+                });
             }
-            // A region-annotated neighbour may later be region-vectorized
-            // into a strided (rpush-style) producer or consumer, so it
-            // cannot absorb reordered accesses.
-            if f.region.is_some() {
-                return false;
-            }
-            // The scalar side must access the tape with plain pops/pushes:
-            // a peeking consumer's window is supported by the remapping,
-            // but rpush-style producers are not.
-            if !input_side {
-                // `other` is the consumer; any filter consumer works (pop
-                // and peek both remap).
-                let _ = f;
-                true
-            } else {
-                // `other` is the producer; it must not use rpush (none of
-                // our scalar actors do — rpush is compiler-generated).
-                let mut has_rpush = false;
-                for s in &f.work {
-                    s.walk(&mut |s| {
-                        if matches!(
-                            s,
-                            macross_streamir::stmt::Stmt::RPush { .. }
-                                | macross_streamir::stmt::Stmt::VPush { .. }
-                        ) {
-                            has_rpush = true;
-                        }
-                    });
-                }
-                !has_rpush
-            }
+            plain
         }
         Node::Splitter(_) | Node::Joiner(_) => true,
         Node::Sink => !input_side,
@@ -734,7 +810,7 @@ mod tests {
     use super::*;
     use macross_streamir::builder::StreamSpec;
     use macross_streamir::edsl::*;
-    use macross_streamir::types::{Ty, Value};
+    use macross_streamir::types::Ty;
     use macross_vm::{run_scheduled, Machine, RunResult};
 
     fn f32_source(name: &str) -> StreamSpec {
@@ -965,7 +1041,6 @@ mod tests {
         // up and down fuse into 1up_1down? reps: src 2, up 1, down 1. After
         // fusion rep 1 -> M = 4.
         assert_eq!(simd.report.scale_factor, 4);
-        let _ = Value::I32(0);
     }
 
     #[test]
@@ -1132,6 +1207,176 @@ mod tests {
             .unwrap();
         assert_eq!(ev.simd_width, 2);
         assert!(!report.single_actors.is_empty());
+    }
+
+    /// An actor whose branch the cost model cannot resolve (`flag` is
+    /// state that only `init` writes), with the two sides favouring
+    /// different output modes: `wide` pushes the popped vector twice
+    /// (lane extracts under strided output), `narrow` pushes uniform
+    /// scalars after scalar multiplies (splats under vector output).
+    /// `cond` overrides the branch condition with a constant.
+    fn branchy_actor(cond: Option<i32>) -> Filter {
+        let mut fb = FilterBuilder::new("sel", 1, 1, 2, ScalarTy::F32);
+        let flag = fb.state("flag", Ty::Scalar(ScalarTy::I32));
+        let a = fb.local("a", Ty::Scalar(ScalarTy::F32));
+        let k = fb.local("k", Ty::Scalar(ScalarTy::F32));
+        fb.init(|b| {
+            b.set(flag, 1i32);
+        });
+        fb.work(|b| {
+            b.set(k, 3.0f32);
+            b.if_else(
+                cond.map(c).unwrap_or(v(flag)),
+                |b| {
+                    b.set(a, pop());
+                    b.push(v(a));
+                    b.push(v(a));
+                },
+                |b| {
+                    b.set(a, pop());
+                    b.push(v(k) * v(k) * v(k));
+                    b.push(v(k));
+                },
+            );
+        });
+        fb.build()
+    }
+
+    #[test]
+    fn unknown_branch_takes_the_elementwise_max_per_mode_pair() {
+        use TapeMode::*;
+        let modes = [Strided, Permute, VectorReorder];
+        let costs_of = |f: &Filter, machine: &Machine| {
+            let staged = stage_actor(f, machine.simd_width, ScalarTy::F32, ScalarTy::F32);
+            staged_pair_costs(&staged, &modes, &modes, machine)
+        };
+        for machine in [
+            Machine::core_i7_with_sagu(),
+            Machine::wide(8),
+            Machine::neon_like(),
+        ] {
+            let unknown = costs_of(&branchy_actor(None), &machine);
+            let wide = costs_of(&branchy_actor(Some(1)), &machine);
+            let narrow = costs_of(&branchy_actor(Some(0)), &machine);
+            let max: Vec<u64> = wide.iter().zip(&narrow).map(|(w, n)| *w.max(n)).collect();
+            assert_eq!(unknown, max, "{}", machine.name);
+            // Neither side dominates: which one the max takes depends on
+            // the pair, so one total per pair is what has to be carried.
+            assert!(wide.iter().zip(&narrow).any(|(w, n)| w > n));
+            assert!(wide.iter().zip(&narrow).any(|(w, n)| w < n));
+
+            // And every total is what lowering that pair and walking the
+            // result costs.
+            #[cfg(debug_assertions)]
+            for cond in [None, Some(1), Some(0)] {
+                let f = branchy_actor(cond);
+                let grid = exhaustive_grid(
+                    &f,
+                    (machine.simd_width, ScalarTy::F32, ScalarTy::F32),
+                    &modes,
+                    &modes,
+                    &machine,
+                );
+                let grid: Vec<u64> = grid.into_iter().map(|c| c.unwrap().0).collect();
+                assert_eq!(costs_of(&f, &machine), grid, "{}", machine.name);
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_branch_actor_survives_the_full_driver() {
+        let g = StreamSpec::pipeline(vec![
+            f32_source("src"),
+            StreamSpec::filter(branchy_actor(None), ScalarTy::F32),
+            StreamSpec::Sink,
+        ])
+        .build()
+        .unwrap();
+        for machine in [Machine::core_i7(), Machine::core_i7_with_sagu()] {
+            let (_, _, report) = differential(&g, &machine, &SimdizeOptions::all(), 6);
+            assert_eq!(report.search.selected_actors, 1);
+        }
+    }
+
+    #[test]
+    fn search_stages_once_and_lowers_only_winners() {
+        // f vectorizes, fir is unprofitable: two actors searched, one
+        // body built.
+        let mut fir = FilterBuilder::new("fir", 8, 1, 1, ScalarTy::F32);
+        let i = fir.local("i", Ty::Scalar(ScalarTy::I32));
+        let acc = fir.local("acc", Ty::Scalar(ScalarTy::F32));
+        let junk = fir.local("junk", Ty::Scalar(ScalarTy::F32));
+        fir.work(|b| {
+            b.set(acc, 0.0f32);
+            b.for_(i, 8i32, |b| {
+                b.set(acc, v(acc) + peek(v(i)));
+            });
+            b.set(junk, pop());
+            b.push(v(acc));
+        });
+        let g = StreamSpec::pipeline(vec![
+            f32_source("src"),
+            fir.build_spec(),
+            scale_filter("f", 2.0),
+            StreamSpec::Sink,
+        ])
+        .build()
+        .unwrap();
+        let machine = Machine::core_i7_with_sagu();
+        let simd = macro_simdize(&g, &machine, &SimdizeOptions::single_only()).unwrap();
+        let report = simd.report;
+        assert_eq!(report.skipped_unprofitable, vec!["fir"]);
+        assert_eq!(report.single_actors, vec!["f_v4"]);
+        let stats = report.search;
+        assert_eq!(stats.selected_actors, 2);
+        assert_eq!(stats.lowerings, 1);
+        assert_eq!(stats.cost_walks, 4);
+        // single_only: strided tapes only, one pair each.
+        assert_eq!(stats.pairs_costed, 2);
+        assert_eq!(
+            stats.oracle_checked,
+            if cfg!(debug_assertions) { 2 } else { 0 }
+        );
+
+        // With every tape optimization on, f (pop 2, push 2; only its
+        // sink side can reorder, the fir being selected itself) has 2 x 3
+        // candidate pairs and the peeking fir 1 x 2 — still one lowering,
+        // and every pair's cost is in the pass note.
+        let simd = macro_simdize(
+            &g,
+            &machine,
+            &SimdizeOptions {
+                vertical: false,
+                ..SimdizeOptions::all()
+            },
+        )
+        .unwrap();
+        assert_eq!(simd.report.search.pairs_costed, 2 + 6);
+        assert_eq!(simd.report.search.lowerings, 1);
+        let note = &simd
+            .report
+            .passes
+            .iter()
+            .find(|e| e.pass == Pass::SingleActor)
+            .unwrap()
+            .note;
+        for pair in [
+            "Strided/Strided=",
+            "Strided/Permute=",
+            "Strided/VectorReorder=",
+            "Permute/Strided=",
+            "Permute/Permute=",
+            "Permute/VectorReorder=",
+        ] {
+            assert!(note.contains(pair), "{pair} missing from: {note}");
+        }
+        let unprofitable = simd
+            .report
+            .passes
+            .iter()
+            .find(|e| e.pass == Pass::Unprofitable)
+            .unwrap();
+        assert!(unprofitable.note.contains("Strided/Strided="));
     }
 
     #[test]

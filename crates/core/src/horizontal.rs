@@ -7,7 +7,7 @@
 
 use crate::error::SimdizeError;
 use crate::graph_edit::rebuild_without;
-use crate::single::{expr_vecish, mark_vector_vars, vectorize_filter, SingleActorConfig, TapeMode};
+use crate::single::{expr_vecish, mark_vector_vars, stage, TapeMode};
 use macross_streamir::expr::{Expr, LValue};
 use macross_streamir::filter::Filter;
 use macross_streamir::graph::{Graph, Node, NodeId, SplitKind};
@@ -505,21 +505,18 @@ pub fn horizontalize(
                         .expect("filter")
                 })
                 .collect();
-            let mut m = merge_isomorphic(&actors, sw)?;
+            let m = merge_isomorphic(&actors, sw)?;
             check_uniform_control(&m)?;
             let out_elem = if l + 1 < levels {
                 elem_in[l + 1]
             } else {
                 elem_out_last
             };
-            let cfg = SingleActorConfig {
-                sw,
-                input: TapeMode::Vector,
-                output: TapeMode::Vector,
-                in_elem: elem_in[l],
-                out_elem,
-            };
-            vectorize_filter(&mut m, &cfg, true)?;
+            let m = stage(m, sw, elem_in[l], out_elem, &HashSet::new()).lower(
+                TapeMode::Vector,
+                TapeMode::Vector,
+                true,
+            )?;
             macross_streamir::analysis::check_rates(&m)
                 .map_err(|e| SimdizeError::RateCheck(e.to_string()))?;
             names.push(m.name.clone());

@@ -23,7 +23,8 @@
 //!   the hardware model in the `macross-sagu` crate.
 //! - [`driver`] — Algorithm 1: scheduling, segment identification,
 //!   Equation-1 repetition adjustment, cost-model-driven tape-mode
-//!   selection, and final validation.
+//!   selection (each actor staged once, every mode pair costed from that
+//!   staging, only the winner lowered), and final validation.
 //!
 //! Every transform is *output-preserving by construction and by test*: the
 //! differential harness runs the scalar and SIMDized graphs on the
@@ -69,7 +70,7 @@ pub mod vertical;
 
 pub use artifact::{compile_graph, ArtifactCache, CompiledGraph};
 pub use driver::{
-    macro_simdize, macro_simdize_colocated, modelled_steady_cost, steady_node_weights,
+    macro_simdize, macro_simdize_colocated, modelled_steady_cost, steady_node_weights, SearchStats,
     SimdizeOptions, SimdizeReport, Simdized, TapeDecision,
 };
 pub use error::SimdizeError;

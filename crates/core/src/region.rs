@@ -25,9 +25,9 @@
 //! panels (`y[j].{l} = scratch[j*W + l]`).
 
 use crate::error::SimdizeError;
-use crate::single::{vectorize_filter_seeded, SingleActorConfig, TapeMode};
+use crate::single::{stage, SingleActorConfig, TapeMode};
 use macross_streamir::analysis::{
-    analyze_vectorizability, check_rates, check_region_spec, region_cursor_update,
+    analyze_vectorizability, check_rates, check_region_spec, region_cursor_update, Vectorizability,
 };
 use macross_streamir::expr::{Expr, LValue, VarId};
 use macross_streamir::filter::{Filter, RegionSpec, VarKind};
@@ -146,12 +146,21 @@ pub fn simdize_region_actor(
     orig: &Filter,
     cfg: &SingleActorConfig,
 ) -> Result<Filter, SimdizeError> {
+    simdize_region_actor_analyzed(orig, cfg, &analyze_vectorizability(orig))
+}
+
+/// [`simdize_region_actor`] for a caller that already holds `orig`'s
+/// vectorizability verdict.
+pub(crate) fn simdize_region_actor_analyzed(
+    orig: &Filter,
+    cfg: &SingleActorConfig,
+    va: &Vectorizability,
+) -> Result<Filter, SimdizeError> {
     let not_vec = |reason: String| SimdizeError::NotVectorizable {
         actor: orig.name.clone(),
         reason,
     };
     check_region_spec(orig).map_err(&not_vec)?;
-    let va = analyze_vectorizability(orig);
     if va.tape_dependent_control || va.tape_dependent_subscript || va.vectorized {
         return Err(not_vec(format!(
             "tape_dependent_control={} tape_dependent_subscript={} vectorized={}",
@@ -207,10 +216,11 @@ pub fn simdize_region_actor(
     // vector variables: their lanes hold different regions' values even
     // when no tape data flows into them.
     let seeds: HashSet<VarId> = spec.vars.iter().copied().collect();
-    vectorize_filter_seeded(&mut f, cfg, false, &seeds)?;
+    let mut f =
+        stage(f, w, cfg.in_elem, cfg.out_elem, &seeds).lower(cfg.input, cfg.output, false)?;
 
     // Retype the panels region-major: W lanes per panel, R/W panels (the
-    // blanket retype in vectorize_filter produced R panels).
+    // blanket retype in `stage` produced R panels).
     for &(y, _, elem) in &scratch {
         f.vars[y.0 as usize].ty = Ty::VectorArray(elem, w, panels);
     }

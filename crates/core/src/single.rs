@@ -90,6 +90,11 @@ pub fn uses_peek(filter: &Filter) -> bool {
 
 /// Vectorize one stateless actor for `cfg.sw`-wide execution.
 ///
+/// The one-shot form of the transform: [`stage_actor`] followed by
+/// [`Staged::materialize`]. The driver's tape-mode search stages an actor
+/// once, costs every mode pair from that staging
+/// ([`crate::cost::staged_pair_costs`]) and materializes only the winner.
+///
 /// # Errors
 /// Fails when the actor is stateful, has tape-dependent control flow or
 /// subscripts, is already vectorized, requests a non-strided input mode
@@ -110,73 +115,69 @@ pub fn simdize_single_actor(
             ),
         });
     }
+    stage_actor(orig, cfg.sw, cfg.in_elem, cfg.out_elem).materialize(cfg.input, cfg.output)
+}
+
+/// The mode-independent half of the transform, done once per actor: the
+/// body normalized to the statement forms `v = pop()`, `v = peek(e)`,
+/// `v = lpop(ch)`, `push(v)` and `lpush(ch, v)`, vector variables marked
+/// and retyped, internal channels widened. Tape accesses are still in
+/// scalar form; [`Staged::lower`] rewrites them for one (input, output)
+/// mode pair.
+#[derive(Debug)]
+pub(crate) struct Staged {
+    /// The actor with its normalized, retyped, not yet tape-lowered body.
+    pub(crate) filter: Filter,
+    /// Variables that hold one value per lane.
+    vec_vars: HashSet<VarId>,
+    /// SIMD width.
+    pub(crate) sw: usize,
+    in_elem: ScalarTy,
+    out_elem: ScalarTy,
+    /// The scalar actor's declared rates.
+    pub(crate) pop: usize,
+    pub(crate) push: usize,
+    peek: usize,
+    /// The body peeks or advances the read pointer explicitly.
+    pub(crate) peeking: bool,
+}
+
+/// Clone `orig` under its vectorized name and stage it. The caller vouches
+/// that `orig` passes [`analyze_vectorizability`].
+pub(crate) fn stage_actor(
+    orig: &Filter,
+    sw: usize,
+    in_elem: ScalarTy,
+    out_elem: ScalarTy,
+) -> Staged {
     let mut f = orig.clone();
-    f.name = format!("{}_v{}", f.name, cfg.sw);
-    vectorize_filter(&mut f, cfg, false)?;
-    check_rates(&f).map_err(|e| SimdizeError::RateCheck(e.to_string()))?;
-    Ok(f)
+    f.name = format!("{}_v{sw}", f.name);
+    stage(f, sw, in_elem, out_elem, &HashSet::new())
 }
 
-/// The shared vectorization core used by single-actor (and, through the
-/// fused coarse actor, vertical) SIMDization as well as horizontal
-/// SIMDization (with [`TapeMode::Vector`] and `rewrite_init = true`).
-///
-/// Rewrites `f` in place: normalizes the body, marks and retypes vector
-/// variables, rewrites tape/channel accesses per the configured modes,
-/// emits permutation preambles/postambles and pointer adjustments, and
-/// updates the declared rates.
-pub(crate) fn vectorize_filter(
-    f: &mut Filter,
-    cfg: &SingleActorConfig,
-    rewrite_init: bool,
-) -> Result<(), SimdizeError> {
-    vectorize_filter_seeded(f, cfg, rewrite_init, &HashSet::new())
-}
-
-/// [`vectorize_filter`] with pre-seeded vector variables: `seeds` enter the
-/// def-use marking fixpoint as already-vector, forcing variables whose
-/// lanes must diverge even without tape data flowing into them (region
-/// state panels hold per-region values from `init`).
-pub(crate) fn vectorize_filter_seeded(
-    f: &mut Filter,
-    cfg: &SingleActorConfig,
-    rewrite_init: bool,
+/// Stage `f` for `sw`-wide execution. `seeds` enter the def-use marking
+/// fixpoint as already-vector, forcing variables whose lanes must diverge
+/// even without tape data flowing into them (region state panels hold
+/// per-region values from `init`).
+pub(crate) fn stage(
+    mut f: Filter,
+    sw: usize,
+    in_elem: ScalarTy,
+    out_elem: ScalarTy,
     seeds: &HashSet<VarId>,
-) -> Result<(), SimdizeError> {
-    let sw = cfg.sw;
+) -> Staged {
     assert!(
         sw.is_power_of_two() && sw >= 2,
         "SIMD width must be a power of two >= 2"
     );
-    let orig_pop = f.pop;
-    let orig_push = f.push;
-    let orig_peek = f.peek;
-    normalize_work(f, Ty::Scalar(cfg.in_elem), Ty::Scalar(cfg.out_elem));
-
-    let peeking = uses_peek(f);
-    if peeking && !matches!(cfg.input, TapeMode::Strided | TapeMode::Vector) {
-        return Err(SimdizeError::NotVectorizable {
-            actor: f.name.clone(),
-            reason: "peeking actors require the strided or vector-tape input mode".into(),
-        });
-    }
-    if cfg.input == TapeMode::Permute && !gather_applicable(orig_pop) {
-        return Err(SimdizeError::NotVectorizable {
-            actor: f.name.clone(),
-            reason: format!("pop rate {orig_pop} does not admit the permute input mode"),
-        });
-    }
-    if cfg.output == TapeMode::Permute && !scatter_applicable(orig_push) {
-        return Err(SimdizeError::NotVectorizable {
-            actor: f.name.clone(),
-            reason: format!("push rate {orig_push} does not admit the permute output mode"),
-        });
-    }
+    let (pop, push, peek) = (f.pop, f.push, f.peek);
+    normalize_work(&mut f, Ty::Scalar(in_elem), Ty::Scalar(out_elem));
+    let peeking = uses_peek(&f);
 
     // Mark vector variables by def-use propagation from tape reads and
     // merged vector constants (Section 3.1 "identifying variables and
     // constants to be vectorized").
-    let vec_vars = mark_vector_vars_seeded(f, seeds);
+    let vec_vars = mark_vector_vars_seeded(&f, seeds);
     for v in &vec_vars {
         let decl = &mut f.vars[v.0 as usize];
         decl.ty = decl.ty.vectorized(sw);
@@ -185,119 +186,190 @@ pub(crate) fn vectorize_filter_seeded(
     for ch in &mut f.chans {
         ch.ty = ch.ty.vectorized(sw);
     }
-
-    let (p, q) = (orig_pop, orig_push);
-    let mut rw = Rewriter {
-        filter_vars: f.vars.iter().map(|v| v.ty).collect(),
+    Staged {
+        filter: f,
         vec_vars,
         sw,
-        p,
-        q,
-        input: cfg.input,
-        output: cfg.output,
-        in_perm: None,
-        out_perm: None,
-        fresh: 0,
-        new_vars: Vec::new(),
-    };
+        in_elem,
+        out_elem,
+        pop,
+        push,
+        peek,
+        peeking,
+    }
+}
 
-    let mut body = Vec::new();
-    // Input permute preamble: p vector pops + gather network into an array
-    // indexed by a running pop counter.
-    if cfg.input == TapeMode::Permute && p > 0 {
-        let arr = rw.alloc("__in_perm".to_string(), Ty::VectorArray(cfg.in_elem, sw, p));
-        let cnt = rw.alloc("__in_cnt".to_string(), Ty::Scalar(ScalarTy::I32));
-        rw.in_perm = Some((arr, cnt));
-        let loads: Vec<VarId> = (0..p)
-            .map(|i| rw.alloc(format!("__ld{i}"), Ty::Vector(cfg.in_elem, sw)))
-            .collect();
-        for &t in &loads {
-            body.push(Stmt::Assign(LValue::Var(t), Expr::VPop { width: sw }));
-        }
-        let finals = emit_rounds(
-            &loads,
-            gather_plan(p, sw).rounds,
-            cfg.in_elem,
+impl Staged {
+    /// [`Staged::lower`] the work function only, then self-check the
+    /// result's measured rates against its declared ones.
+    pub(crate) fn materialize(
+        self,
+        input: TapeMode,
+        output: TapeMode,
+    ) -> Result<Filter, SimdizeError> {
+        let f = self.lower(input, output, false)?;
+        check_rates(&f).map_err(|e| SimdizeError::RateCheck(e.to_string()))?;
+        Ok(f)
+    }
+
+    /// The tape-lowering half, shared by single-actor (and, through the
+    /// fused coarse actor, vertical) SIMDization, region SIMDization and
+    /// horizontal SIMDization (with [`TapeMode::Vector`] and
+    /// `rewrite_init = true`): rewrites tape/channel accesses per the
+    /// given modes, emits permutation preambles/postambles and pointer
+    /// adjustments, and updates the declared rates.
+    ///
+    /// [`crate::cost::staged_pair_costs`] prices exactly the statements
+    /// emitted here; the driver's debug oracle holds the two together.
+    pub(crate) fn lower(
+        self,
+        input: TapeMode,
+        output: TapeMode,
+        rewrite_init: bool,
+    ) -> Result<Filter, SimdizeError> {
+        let Staged {
+            filter: mut f,
+            vec_vars,
             sw,
-            &mut rw,
-            &mut body,
-        );
-        for (i, &t) in finals.iter().enumerate() {
-            body.push(Stmt::Assign(
-                LValue::Index(arr, Expr::Const(Value::I32(i as i32))),
-                Expr::Var(t),
+            in_elem,
+            out_elem,
+            pop: p,
+            push: q,
+            peek: orig_peek,
+            peeking,
+        } = self;
+        let not_vectorizable = |f: &Filter, reason: String| SimdizeError::NotVectorizable {
+            actor: f.name.clone(),
+            reason,
+        };
+        if peeking && !matches!(input, TapeMode::Strided | TapeMode::Vector) {
+            return Err(not_vectorizable(
+                &f,
+                "peeking actors require the strided or vector-tape input mode".into(),
             ));
         }
-    }
-    if cfg.output == TapeMode::Permute && q > 0 {
-        let arr = rw.alloc(
-            "__out_perm".to_string(),
-            Ty::VectorArray(cfg.out_elem, sw, q),
-        );
-        let cnt = rw.alloc("__out_cnt".to_string(), Ty::Scalar(ScalarTy::I32));
-        rw.out_perm = Some((arr, cnt));
-    }
-
-    let work = std::mem::take(&mut f.work);
-    let mut rewritten = rw.block(&work)?;
-    body.append(&mut rewritten);
-
-    // Output permute postamble: scatter network + q vector pushes.
-    if cfg.output == TapeMode::Permute && q > 0 {
-        let (arr, _) = rw.out_perm.unwrap();
-        let loads: Vec<VarId> = (0..q)
-            .map(|i| rw.alloc(format!("__st{i}"), Ty::Vector(cfg.out_elem, sw)))
-            .collect();
-        for (i, &t) in loads.iter().enumerate() {
-            body.push(Stmt::Assign(
-                LValue::Var(t),
-                Expr::Index(arr, Box::new(Expr::Const(Value::I32(i as i32)))),
+        if input == TapeMode::Permute && !gather_applicable(p) {
+            return Err(not_vectorizable(
+                &f,
+                format!("pop rate {p} does not admit the permute input mode"),
             ));
         }
-        let finals = emit_rounds(
-            &loads,
-            scatter_plan(q, sw).rounds,
-            cfg.out_elem,
-            sw,
-            &mut rw,
-            &mut body,
-        );
-        for &t in &finals {
-            body.push(Stmt::VPush {
-                value: Expr::Var(t),
-                width: sw,
-            });
+        if output == TapeMode::Permute && !scatter_applicable(q) {
+            return Err(not_vectorizable(
+                &f,
+                format!("push rate {q} does not admit the permute output mode"),
+            ));
         }
-    }
 
-    // Pointer adjustments for the strided modes (the step the paper leaves
-    // implicit in Figure 3b).
-    if cfg.input == TapeMode::Strided && p > 0 {
-        body.push(Stmt::AdvanceRead((sw - 1) * p));
-    }
-    if cfg.output == TapeMode::Strided && q > 0 {
-        body.push(Stmt::AdvanceWrite((sw - 1) * q));
-    }
+        let mut rw = Rewriter {
+            filter_vars: f.vars.iter().map(|v| v.ty).collect(),
+            vec_vars,
+            sw,
+            p,
+            q,
+            input,
+            output,
+            in_perm: None,
+            out_perm: None,
+            fresh: 0,
+            new_vars: Vec::new(),
+        };
 
-    // Horizontal SIMDization also rewrites the init function (per-lane
-    // state initialization, Figure 6b).
-    if rewrite_init {
-        let init = std::mem::take(&mut f.init);
-        f.init = rw.block(&init)?;
-    }
+        let mut body = Vec::new();
+        // Input permute preamble: p vector pops + gather network into an
+        // array indexed by a running pop counter.
+        if input == TapeMode::Permute && p > 0 {
+            let arr = rw.alloc("__in_perm".to_string(), Ty::VectorArray(in_elem, sw, p));
+            let cnt = rw.alloc("__in_cnt".to_string(), Ty::Scalar(ScalarTy::I32));
+            rw.in_perm = Some((arr, cnt));
+            let loads: Vec<VarId> = (0..p)
+                .map(|i| rw.alloc(format!("__ld{i}"), Ty::Vector(in_elem, sw)))
+                .collect();
+            for &t in &loads {
+                body.push(Stmt::Assign(LValue::Var(t), Expr::VPop { width: sw }));
+            }
+            let finals = emit_rounds(
+                &loads,
+                gather_plan(p, sw).rounds,
+                in_elem,
+                sw,
+                &mut rw,
+                &mut body,
+            );
+            for (i, &t) in finals.iter().enumerate() {
+                body.push(Stmt::Assign(
+                    LValue::Index(arr, Expr::Const(Value::I32(i as i32))),
+                    Expr::Var(t),
+                ));
+            }
+        }
+        if output == TapeMode::Permute && q > 0 {
+            let arr = rw.alloc("__out_perm".to_string(), Ty::VectorArray(out_elem, sw, q));
+            let cnt = rw.alloc("__out_cnt".to_string(), Ty::Scalar(ScalarTy::I32));
+            rw.out_perm = Some((arr, cnt));
+        }
 
-    for (name, ty) in rw.new_vars {
-        f.add_var(name, ty, VarKind::Local);
+        let work = std::mem::take(&mut f.work);
+        let mut rewritten = rw.block(&work)?;
+        body.append(&mut rewritten);
+
+        // Output permute postamble: scatter network + q vector pushes.
+        if output == TapeMode::Permute && q > 0 {
+            let (arr, _) = rw.out_perm.unwrap();
+            let loads: Vec<VarId> = (0..q)
+                .map(|i| rw.alloc(format!("__st{i}"), Ty::Vector(out_elem, sw)))
+                .collect();
+            for (i, &t) in loads.iter().enumerate() {
+                body.push(Stmt::Assign(
+                    LValue::Var(t),
+                    Expr::Index(arr, Box::new(Expr::Const(Value::I32(i as i32)))),
+                ));
+            }
+            let finals = emit_rounds(
+                &loads,
+                scatter_plan(q, sw).rounds,
+                out_elem,
+                sw,
+                &mut rw,
+                &mut body,
+            );
+            for &t in &finals {
+                body.push(Stmt::VPush {
+                    value: Expr::Var(t),
+                    width: sw,
+                });
+            }
+        }
+
+        // Pointer adjustments for the strided modes (the step the paper
+        // leaves implicit in Figure 3b).
+        if input == TapeMode::Strided && p > 0 {
+            body.push(Stmt::AdvanceRead((sw - 1) * p));
+        }
+        if output == TapeMode::Strided && q > 0 {
+            body.push(Stmt::AdvanceWrite((sw - 1) * q));
+        }
+
+        // Horizontal SIMDization also rewrites the init function (per-lane
+        // state initialization, Figure 6b).
+        if rewrite_init {
+            let init = std::mem::take(&mut f.init);
+            f.init = rw.block(&init)?;
+        }
+
+        for (name, ty) in rw.new_vars {
+            f.add_var(name, ty, VarKind::Local);
+        }
+        f.work = body;
+        f.pop = sw * p;
+        f.push = sw * q;
+        f.peek = match input {
+            TapeMode::Strided => (sw - 1) * p + orig_peek,
+            TapeMode::Vector => sw * orig_peek,
+            _ => sw * p,
+        };
+        Ok(f)
     }
-    f.work = body;
-    f.pop = sw * p;
-    f.push = sw * q;
-    f.peek = match cfg.input {
-        TapeMode::Strided => (sw - 1) * p + orig_peek,
-        TapeMode::Vector => sw * orig_peek,
-        _ => sw * p,
-    };
-    Ok(())
 }
 
 /// Emit `rounds` even/odd permutation rounds over the given vector temps,

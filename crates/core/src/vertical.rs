@@ -29,6 +29,32 @@ pub enum FuseBlocker {
 /// only (the paper allows peeking only at the endpoints of a fused
 /// pipeline; we require it only at the head — see DESIGN.md).
 pub fn link_fusable(graph: &Graph, up: NodeId, down: NodeId) -> Result<(), FuseBlocker> {
+    let (upf, downf) = pipeline_link(graph, up, down)?;
+    for f in [upf, downf] {
+        if !analyze_vectorizability(f).simdizable() {
+            return Err(FuseBlocker::NotVectorizable(f.name.clone()));
+        }
+    }
+    no_inner_peek(downf)
+}
+
+/// [`link_fusable`] for a caller that already holds both actors'
+/// vectorizability verdicts and found them SIMDizable.
+pub(crate) fn link_fusable_vetted(
+    graph: &Graph,
+    up: NodeId,
+    down: NodeId,
+) -> Result<(), FuseBlocker> {
+    let (_, downf) = pipeline_link(graph, up, down)?;
+    no_inner_peek(downf)
+}
+
+/// The two filters of a one-to-one filter-to-filter pipeline edge.
+fn pipeline_link(
+    graph: &Graph,
+    up: NodeId,
+    down: NodeId,
+) -> Result<(&Filter, &Filter), FuseBlocker> {
     let (upf, downf) = match (graph.node(up), graph.node(down)) {
         (Node::Filter(a), Node::Filter(b)) => (a, b),
         _ => return Err(FuseBlocker::NotPipeline),
@@ -37,12 +63,10 @@ pub fn link_fusable(graph: &Graph, up: NodeId, down: NodeId) -> Result<(), FuseB
     if graph.edge(out).dst != down || graph.single_in_edge(down) != Some(out) {
         return Err(FuseBlocker::NotPipeline);
     }
-    for f in [upf, downf] {
-        let va = analyze_vectorizability(f);
-        if !va.simdizable() {
-            return Err(FuseBlocker::NotVectorizable(f.name.clone()));
-        }
-    }
+    Ok((upf, downf))
+}
+
+fn no_inner_peek(downf: &Filter) -> Result<(), FuseBlocker> {
     if downf.peek > downf.pop || crate::single::uses_peek(downf) {
         return Err(FuseBlocker::InnerPeek(downf.name.clone()));
     }
@@ -61,14 +85,20 @@ pub fn link_fusable(graph: &Graph, up: NodeId, down: NodeId) -> Result<(), FuseB
 /// # Panics
 /// Panics if `chain.len() < 2` or the chain/reps lengths differ.
 pub fn fuse_chain(graph: &Graph, chain: &[NodeId], reps: &[u64]) -> Result<Filter, SimdizeError> {
-    assert!(chain.len() >= 2, "fusing needs at least two actors");
-    assert_eq!(chain.len(), reps.len());
     for w in chain.windows(2) {
         link_fusable(graph, w[0], w[1]).map_err(|b| SimdizeError::NotVectorizable {
             actor: graph.node(w[0]).name(),
             reason: format!("cannot fuse with successor: {b:?}"),
         })?;
     }
+    Ok(fuse_vetted_chain(graph, chain, reps))
+}
+
+/// [`fuse_chain`] for a chain whose every link the caller has already
+/// found fusable.
+pub(crate) fn fuse_vetted_chain(graph: &Graph, chain: &[NodeId], reps: &[u64]) -> Filter {
+    assert!(chain.len() >= 2, "fusing needs at least two actors");
+    assert_eq!(chain.len(), reps.len());
 
     let g = reps.iter().copied().fold(0, gcd).max(1);
     let inner_reps: Vec<u64> = reps.iter().map(|r| r / g).collect();
@@ -140,7 +170,7 @@ pub fn fuse_chain(graph: &Graph, chain: &[NodeId], reps: &[u64]) -> Result<Filte
             });
         }
     }
-    Ok(fused)
+    fused
 }
 
 /// Remap variable ids by `base` and redirect tape accesses to internal
@@ -235,10 +265,20 @@ fn remap_expr(e: &Expr, base: u32, ic: Option<ChanId>) -> Expr {
     }
 }
 
+/// A graph with a fused chain spliced in.
+#[derive(Debug)]
+pub struct Spliced {
+    /// The rewritten graph.
+    pub graph: Graph,
+    /// The fused actor's node id (the one node the splice appended).
+    pub fused_id: NodeId,
+    /// Old-to-new node id mapping; `None` for the chain's nodes.
+    pub node_map: Vec<Option<NodeId>>,
+}
+
 /// Replace a fused chain in the graph: the chain's nodes are removed, the
-/// fused actor inserted, and boundary edges reconnected. Returns the new
-/// graph and the fused actor's node id.
-pub fn splice_fused(graph: &Graph, chain: &[NodeId], fused: Filter) -> (Graph, NodeId) {
+/// fused actor inserted, and boundary edges reconnected.
+pub fn splice_fused(graph: &Graph, chain: &[NodeId], fused: Filter) -> Spliced {
     use crate::graph_edit::rebuild_without;
     use std::collections::HashSet;
     let remove: HashSet<NodeId> = chain.iter().copied().collect();
@@ -258,7 +298,11 @@ pub fn splice_fused(graph: &Graph, chain: &[NodeId], fused: Filter) -> (Graph, N
         }
         // Edges strictly inside the chain vanish into internal channels.
     }
-    (r.graph, fused_id)
+    Spliced {
+        graph: r.graph,
+        fused_id,
+        node_map: r.node_map,
+    }
 }
 
 #[cfg(test)]
@@ -268,7 +312,6 @@ mod tests {
     use macross_sdf::Schedule;
     use macross_streamir::builder::StreamSpec;
     use macross_streamir::edsl::*;
-    use macross_streamir::types::Value;
     use macross_vm::{run_scheduled, Machine, RunResult};
 
     /// Paper's actor D (pop 2, push 2).
@@ -363,7 +406,7 @@ mod tests {
         let sched = Schedule::compute(&g).unwrap();
         let reps = [sched.rep(NodeId(1)), sched.rep(NodeId(2))];
         let fused = fuse_chain(&g, &[NodeId(1), NodeId(2)], &reps).unwrap();
-        let (fg, _) = splice_fused(&g, &[NodeId(1), NodeId(2)], fused);
+        let fg = splice_fused(&g, &[NodeId(1), NodeId(2)], fused).graph;
         let fsched = Schedule::compute(&fg).unwrap();
 
         // Equal throughput: scale both to the same number of source firings.
@@ -410,7 +453,11 @@ mod tests {
         // (b) vertical: fuse then SIMDize.
         let reps = [base.rep(NodeId(1)), base.rep(NodeId(2))];
         let fused = fuse_chain(&scalar_graph, &[NodeId(1), NodeId(2)], &reps).unwrap();
-        let (mut gb, fused_id) = splice_fused(&scalar_graph, &[NodeId(1), NodeId(2)], fused);
+        let Spliced {
+            graph: mut gb,
+            fused_id,
+            ..
+        } = splice_fused(&scalar_graph, &[NodeId(1), NodeId(2)], fused);
         let fsched = Schedule::compute(&gb).unwrap();
         let fused_filter = gb.node(fused_id).as_filter().unwrap().clone();
         let coarse_v = simdize_single_actor(&fused_filter, &cfg).unwrap();
@@ -507,6 +554,5 @@ mod tests {
         let reps = [sched.rep(NodeId(1)), sched.rep(NodeId(2))];
         let fused = fuse_chain(&g, &[NodeId(1), NodeId(2)], &reps).unwrap();
         assert!(fused.peek > fused.pop);
-        let _ = Expr::Const(Value::I32(0));
     }
 }

@@ -652,6 +652,18 @@ fn scatter_plan_inverts_lane_major() {
 // Random pipelines through the FULL macro-SIMDization driver.
 // ---------------------------------------------------------------------
 
+/// The driver's tape-mode search against the exhaustive grid it replaced:
+/// a debug build compares every searched actor's pair costs and lowered
+/// winner inside `macro_simdize` (a mismatch panics there); this checks it
+/// ran for each of them, and that only installed actors were lowered.
+fn assert_search_matched_grid(report: &macross_repro::macross::SimdizeReport, at: &str) {
+    let stats = report.search;
+    if cfg!(debug_assertions) {
+        assert_eq!(stats.oracle_checked, stats.selected_actors, "{at}");
+    }
+    assert_eq!(stats.lowerings, report.single_actors.len(), "{at}");
+}
+
 /// Random pipeline: 1..4 random actors chained between a source and sink,
 /// run through `macro_simdize` with all transforms enabled — vertical
 /// fusion, Equation-1 scaling, cost-model tape modes, the lot — and
@@ -676,6 +688,7 @@ fn random_pipeline_full_driver() {
 
         for machine in [Machine::core_i7(), Machine::core_i7_with_sagu()] {
             let simd = macro_simdize(&g, &machine, &SimdizeOptions::all()).unwrap();
+            assert_search_matched_grid(&simd.report, &format!("seed {seed}"));
             let mut ssched = Schedule::compute(&g).unwrap();
             let src = g.node_ids().find(|&id| g.in_edges(id).is_empty()).unwrap();
             let l = macross_repro::sdf::lcm(ssched.rep(src), simd.schedule.reps[src.0 as usize]);
@@ -743,6 +756,7 @@ fn random_splitjoin_full_driver() {
 
         let machine = Machine::core_i7();
         let simd = macro_simdize(&g, &machine, &SimdizeOptions::all()).unwrap();
+        assert_search_matched_grid(&simd.report, &format!("seed {seed}"));
         let mut ssched = Schedule::compute(&g).unwrap();
         let src_id = g.node_ids().find(|&id| g.in_edges(id).is_empty()).unwrap();
         let l = macross_repro::sdf::lcm(ssched.rep(src_id), simd.schedule.reps[src_id.0 as usize]);
