@@ -115,8 +115,11 @@ fn main() {
     let hw = hardware_budget();
     println!(
         "== Threaded runtime: measured wall-clock vs. planned makespan \
-         ({iters} iters, median of {SAMPLES}, comm model {}/{}, hardware budget {hw}) ==",
-        comm.cycles_per_element, comm.sync_per_edge
+         ({iters} iters in blocks of {}, median of {SAMPLES}, comm model {}/{}, \
+         hardware budget {hw}) ==",
+        macross_runtime::iteration_block(),
+        comm.cycles_per_element,
+        comm.sync_per_edge
     );
     let mut report = BenchReport::new("runtime_measured", &machine.name, machine.simd_width as u64);
     let mut rows = Vec::new();
@@ -157,8 +160,9 @@ fn main() {
             "0".into(),
             "0".into(),
             "0".into(),
+            "0".into(),
         ]);
-        let (mut traffic, mut stalls, mut stall_ns) = (0u64, 0u64, 0u64);
+        let (mut traffic, mut stalls, mut parks, mut stall_ns) = (0u64, 0u64, 0u64, 0u64);
         for workers in WORKERS {
             let budget = workers.min(hw);
             let plan = plan_placement(&g, &sched, &profile.node_cycles, budget, &comm);
@@ -192,6 +196,7 @@ fn main() {
             }
             traffic += m.report.ring_traffic();
             stalls += m.report.total_stalls();
+            parks += m.report.total_parks();
             stall_ns += m.report.total_stall_nanos();
             batched_total += batched_firings(&m.report);
             report.push_row(
@@ -206,6 +211,9 @@ fn main() {
                     .counter("fission_replicas", plan.fissioned as u64)
                     .counter("ring_traffic", m.report.ring_traffic())
                     .counter("total_stalls", m.report.total_stalls())
+                    // A stall resolved by spinning costs about a
+                    // microsecond, one that parked tens: count them apart.
+                    .counter("stall_parks", m.report.total_parks())
                     .counter("stall_nanos", m.report.total_stall_nanos()),
             );
             rows.push(vec![
@@ -221,13 +229,15 @@ fn main() {
                 format!("{:.2}x", plan.modelled_speedup()),
                 m.report.cut_edges.to_string(),
                 m.report.ring_traffic().to_string(),
-                m.report.total_stalls().to_string(),
+                format!("{:.3}", per_iter(m.report.total_stalls(), &m.report)),
+                format!("{:.3}", per_iter(m.report.total_parks(), &m.report)),
             ]);
         }
         totals.push(vec![
             name.to_string(),
             traffic.to_string(),
             stalls.to_string(),
+            parks.to_string(),
             stall_ns.to_string(),
         ]);
     }
@@ -243,7 +253,8 @@ fn main() {
                 "modeled speedup",
                 "cut edges",
                 "ring elems",
-                "stalls",
+                "stalls/iter",
+                "parks/iter",
             ],
             &rows,
         )
@@ -253,7 +264,13 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &["benchmark", "ring traffic", "total stalls", "stall ns"],
+            &[
+                "benchmark",
+                "ring traffic",
+                "total stalls",
+                "of which parked",
+                "stall ns",
+            ],
             &totals,
         )
     );
@@ -330,6 +347,11 @@ fn main() {
     if gate {
         println!("multicore gate: every committed placement at or above 1.0x");
     }
+}
+
+/// `count` events per steady iteration of the run `report` describes.
+fn per_iter(count: u64, report: &RuntimeReport) -> f64 {
+    safe_ratio(count as f64, report.iters as f64)
 }
 
 fn batched_firings(report: &RuntimeReport) -> u64 {

@@ -456,18 +456,19 @@ fn measure_comm_model() -> CommModel {
     // transfer, publishes amortized away.
     let streaming = ring_ns_per_elem(1 << 18, 512, 1024);
     // Rendezvous cost: a ring exactly one batch deep forces a full
-    // park/unpark handshake per batch — the lockstep worst case a cut
-    // edge degenerates to when producer and consumer can't drift apart.
-    // This is where parking latency (microseconds, thousands of modelled
-    // cycles) actually shows up; a deep-ring measurement never sees it.
+    // hand-off (the stalled side's spin, yield or park, and its wake-up)
+    // per batch — the lockstep worst case a cut edge degenerates to when
+    // producer and consumer can't drift apart. This is where waiting
+    // latency (microseconds, thousands of modelled cycles) actually
+    // shows up; a deep-ring measurement never sees it.
     let small_batch = 8usize;
     let rendezvous = ring_ns_per_elem(1 << 14, small_batch, small_batch);
     let per_elem = (streaming / ns_cycle).round() as u64;
     let handshake = ((rendezvous - streaming).max(0.0) * small_batch as f64) / ns_cycle;
-    // The runtime sizes rings to `ring_slack()` iterations, so a steady
-    // pipeline pays roughly one handshake per slack iterations per edge:
+    // A worker hands its consumers a block of iterations at a time, so a
+    // steady pipeline pays roughly one handshake per block per edge:
     // charge the per-iteration share.
-    let per_sync = (handshake / macross_runtime::ring_slack() as f64).round() as u64;
+    let per_sync = (handshake / macross_runtime::iteration_block() as f64).round() as u64;
     CommModel {
         cycles_per_element: per_elem.clamp(1, 64),
         sync_per_edge: per_sync.clamp(8, 1 << 16),

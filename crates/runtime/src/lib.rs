@@ -8,8 +8,9 @@
 //!
 //! The execution model is a Kahn process network specialization: each
 //! worker fires its nodes in the global schedule order restricted to its
-//! core, blocking on ring reads until enough tokens are visible and on
-//! ring writes until space frees. Because every worker preserves its
+//! core, a block of steady iterations at a time ([`iteration_block`]),
+//! blocking on ring reads until enough tokens are visible and on ring
+//! writes until space frees. Because every worker preserves its
 //! local firing order and rings preserve element order, the threaded run
 //! is deterministic and bit-identical to the single-threaded executor —
 //! the property the differential test suite pins down for every
@@ -192,6 +193,12 @@ pub struct RingStat {
     pub full_stall_nanos: u64,
     /// Nanoseconds the consumer spent waiting for data.
     pub empty_stall_nanos: u64,
+    /// Producer stalls that outlasted the spin and yield phases and
+    /// parked the thread: the expensive ones (a halted core and a wake-up
+    /// of tens of microseconds, against about one for a spin).
+    pub full_parks: u64,
+    /// Consumer stalls that parked the thread.
+    pub empty_parks: u64,
 }
 
 /// Measured counters from a threaded run, the empirical counterpart of
@@ -202,6 +209,9 @@ pub struct RuntimeReport {
     pub cores: usize,
     /// Steady iterations executed.
     pub iters: u64,
+    /// Steady iterations per node-major block ([`iteration_block`]): the
+    /// hand-off unit the stall and park counts are to be read against.
+    pub block: u64,
     /// Cross-core (cut) edges bridged by rings.
     pub cut_edges: usize,
     /// Per-stage counters, indexed by node id.
@@ -252,6 +262,16 @@ impl RuntimeReport {
         self.stages
             .iter()
             .map(|s| s.full_stalls + s.empty_stalls)
+            .sum()
+    }
+
+    /// Total ring stalls (both sides) that went as far as parking the
+    /// thread; the rest of [`RuntimeReport::total_stalls`] were resolved
+    /// by spinning or yielding.
+    pub fn total_parks(&self) -> u64 {
+        self.rings
+            .iter()
+            .map(|r| r.full_parks + r.empty_parks)
             .sum()
     }
 
@@ -536,21 +556,36 @@ pub fn run_threaded_placed(
     .into_result()
 }
 
-/// Pipeline slack: how many steady iterations of an edge its ring can
-/// hold.
+/// Steady iterations a worker executes node-major before it moves on:
+/// the unit of cross-core hand-off. A worker whose input comes from
+/// another core waits for it once per block and plan instead of once per
+/// iteration, and every wake-up is amortized over a block of work.
 ///
-/// Slack 1 would reproduce strict one-iteration sizing; 8 buys wall-clock
-/// (stages overlap across iterations and every park/unpark is amortized
-/// over the slack) for memory, without affecting outputs: firing order
-/// per stage, deal/merge rotation, and fault addressing are all
-/// capacity-independent.
-const RING_SLACK: u64 = 8;
+/// 16, from the recorded runs (EXPERIMENTS.md "Threaded hand-off"): 8 is
+/// measurably slower, 32 no faster while doubling every ring and local
+/// tape again. Outputs do not depend on it — a block is the steady
+/// schedule with its repetition counts scaled, so firing order per stage,
+/// deal/merge rotation and fault addressing never see the block size.
+pub(crate) const ITER_BLOCK: u64 = 16;
 
-/// [`RING_SLACK`], for the multicore planner's communication-cost
-/// calibration (which amortizes its measured handshake cost by the same
-/// factor) and for run headers.
+/// Pipeline slack: how many steady iterations of an edge its ring can
+/// hold on top of the tokens resident after init. Two blocks, so a
+/// producer can run a whole block ahead of a consumer that is still
+/// working through the previous one; one block is the floor below which
+/// a cyclic cross-core dependency could deadlock (see
+/// [`run_supervised_placed`]).
+const RING_SLACK: u64 = 2 * ITER_BLOCK;
+
+/// [`RING_SLACK`], for run headers.
 pub fn ring_slack() -> u64 {
     RING_SLACK
+}
+
+/// `ITER_BLOCK`: how many steady iterations one cross-core hand-off
+/// covers — what the multicore planner's communication-cost calibration
+/// amortizes its measured handshake over.
+pub fn iteration_block() -> u64 {
+    ITER_BLOCK
 }
 
 /// The full-fidelity entry point: execute `iters` steady iterations under
@@ -600,20 +635,28 @@ pub fn run_supervised_placed(
     placement.validate(graph, schedule)?;
     let assignment = &placement.assignment;
     let cores = placement.cores();
-    // Rings bridge cut edges, sized to `ring_slack()` steady iterations
-    // of the edge so a producer can run several iterations ahead before
-    // backpressure. With exactly one iteration of capacity, a cut edge
-    // serializes the pipeline: the producer fills the ring, parks, the
-    // consumer drains it, parks, and every iteration pays at least one
-    // park/unpark round trip per edge — multicore can't win. Slack lets
-    // the stages drift apart and amortizes every wake-up over `slack`
-    // iterations; growing a ring can never introduce deadlock. The floor
-    // is the larger of the steady-iteration capacity and the init-phase
-    // resident count: the node-major init schedule has a producer
-    // complete ALL init firings before its consumer's first, so
-    // init_reps[src] * push tokens are simultaneously live — possibly
-    // more than the steady capacity (deep peeking pipelines do this), and
-    // undersized rings can deadlock a cyclic cross-core wait.
+    // Rings bridge cut edges. Every worker runs its slice of the schedule
+    // node-major over a block of `ITER_BLOCK` iterations, i.e. it runs
+    // the steady schedule with every repetition count scaled by the
+    // block. The deadlock argument is the one for a single iteration,
+    // scaled: the global order "each node, in schedule order, fires its
+    // whole block" is a sequential execution every worker's local order
+    // is a restriction of, and it needs `init_tokens + block * steady`
+    // slots on an edge; with at least that much on every ring the
+    // bounded network (a Kahn network itself, blocked writes included)
+    // can always follow that order, so no interleaving deadlocks. With
+    // less, a dependency that leaves a core and returns (core0 -> core1
+    // -> core0) wedges: core0 blocks pushing a block into a full ring
+    // that core1 cannot drain because its own output ring, which core0
+    // would read next, is full too.
+    //
+    // Rings get two blocks (`ring_slack()` iterations), so a producer can
+    // run a block ahead instead of finishing in lockstep with its
+    // consumer. The floor also covers the init-phase resident count: the
+    // node-major init schedule has a producer complete ALL init firings
+    // before its consumer's first, so init_reps[src] * push tokens are
+    // simultaneously live — possibly more than the steady capacity (deep
+    // peeking pipelines do this).
     //
     // Fission edges get one ring per replica, each at the full edge
     // capacity: a ring only ever holds its rotation share of the edge's
@@ -780,6 +823,8 @@ pub fn run_supervised_placed(
                 empty_stalls: ring.empty_stalls(),
                 full_stall_nanos: ring.full_stall_nanos(),
                 empty_stall_nanos: ring.empty_stall_nanos(),
+                full_parks: ring.full_parks(),
+                empty_parks: ring.empty_parks(),
             });
         }
     }
@@ -792,6 +837,7 @@ pub fn run_supervised_placed(
         report: RuntimeReport {
             cores,
             iters,
+            block: ITER_BLOCK,
             cut_edges,
             stages: stage_stats,
             rings: ring_stats,
@@ -892,6 +938,7 @@ mod tests {
                 report: RuntimeReport {
                     cores: 1,
                     iters: 1,
+                    block: ITER_BLOCK,
                     cut_edges: 0,
                     stages: Vec::new(),
                     rings: Vec::new(),

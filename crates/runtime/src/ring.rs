@@ -5,9 +5,10 @@
 //! the head or tail index publishes a whole batch (one firing's worth of
 //! elements). Head and tail live on separate cache lines so the producer
 //! and consumer don't false-share. When the ring is full (producer) or
-//! empty (consumer), the stalled side spins briefly, then parks; the peer
-//! unparks it on the next batch. Parks use a timeout so an abort raised by
-//! a failing worker is always noticed.
+//! empty (consumer), the stalled side waits in three phases bounded by
+//! elapsed time — spin, then yield the core, then park (see
+//! `SPIN_FOR`); the peer unparks it on the next batch. Parks use a
+//! timeout so an abort raised by a failing worker is always noticed.
 
 use macross_streamir::types::Value;
 use macross_telemetry::{EventKind, WorkerTrace};
@@ -29,10 +30,27 @@ pub struct Aborted;
 #[repr(align(64))]
 struct CachePadded<T>(T);
 
-/// Iterations of `spin_loop` before a stalled side parks.
-const SPIN_BUDGET: u32 = 256;
+/// How long a stalled side busy-waits before it starts yielding. The
+/// phases are bounded by the clock, not by an iteration count: one
+/// `spin_loop` is a `pause`, whose latency differs by about 10x between
+/// x86 generations, so a count means a different wait on every host.
+/// A peer that is merely finishing a firing publishes within this.
+const SPIN_FOR: Duration = Duration::from_micros(4);
+/// How long it then yields the core between polls before it parks. With
+/// more runnable workers than cores this is what lets the peer it waits
+/// for run; with a core to itself it is a slower spin. Parking halts the
+/// (virtual) CPU and the wake-up costs tens of microseconds on both
+/// sides, so it pays only for waits well beyond that.
+const YIELD_FOR: Duration = Duration::from_micros(120);
 /// Park timeout — bounds abort-detection latency if an unpark is lost.
 const PARK_TIMEOUT: Duration = Duration::from_micros(200);
+
+/// The side of a ring that is waiting on its peer.
+#[derive(Clone, Copy)]
+enum Side {
+    Producer,
+    Consumer,
+}
 
 /// Bounded single-producer single-consumer ring of tape elements.
 pub struct Ring {
@@ -52,7 +70,12 @@ pub struct Ring {
     full_stall_nanos: AtomicU64,
     /// Nanoseconds the consumer spent waiting for data.
     empty_stall_nanos: AtomicU64,
-    /// Highest occupancy ever observed at a publish point.
+    /// Waits of the producer that reached `park_timeout`.
+    full_parks: AtomicU64,
+    /// Waits of the consumer that reached `park_timeout`.
+    empty_parks: AtomicU64,
+    /// Highest occupancy ever observed at a publish point. Like
+    /// `occ_hist`, written only by the producer.
     high_water: AtomicUsize,
     /// Occupancy histogram, one sample per published batch; bucket `i`
     /// covers occupancies in `[i, i+1) * capacity / OCC_BUCKETS`.
@@ -96,6 +119,8 @@ impl Ring {
             empty_stalls: AtomicU64::new(0),
             full_stall_nanos: AtomicU64::new(0),
             empty_stall_nanos: AtomicU64::new(0),
+            full_parks: AtomicU64::new(0),
+            empty_parks: AtomicU64::new(0),
             high_water: AtomicUsize::new(0),
             occ_hist: Default::default(),
             producer_parked: AtomicBool::new(false),
@@ -147,6 +172,17 @@ impl Ring {
         self.empty_stall_nanos.load(Ordering::Relaxed)
     }
 
+    /// Producer waits that reached `park_timeout` — the stalls that
+    /// halted the core instead of being resolved by spinning.
+    pub fn full_parks(&self) -> u64 {
+        self.full_parks.load(Ordering::Relaxed)
+    }
+
+    /// Consumer waits that reached `park_timeout`.
+    pub fn empty_parks(&self) -> u64 {
+        self.empty_parks.load(Ordering::Relaxed)
+    }
+
     /// Highest occupancy observed at any publish point.
     pub fn high_water(&self) -> usize {
         self.high_water.load(Ordering::Relaxed)
@@ -157,11 +193,46 @@ impl Ring {
         std::array::from_fn(|i| self.occ_hist[i].load(Ordering::Relaxed))
     }
 
-    /// One occupancy sample at a publish point.
+    /// One occupancy sample at a publish point. Only the producer
+    /// publishes, so both statistics have a single writer and a plain
+    /// load and store keep them exact without a read-modify-write.
     fn sample_occupancy(&self, occupied: usize) {
-        self.high_water.fetch_max(occupied, Ordering::Relaxed);
+        if occupied > self.high_water.load(Ordering::Relaxed) {
+            self.high_water.store(occupied, Ordering::Relaxed);
+        }
         let bucket = (occupied * OCC_BUCKETS / self.capacity()).min(OCC_BUCKETS - 1);
-        self.occ_hist[bucket].fetch_add(1, Ordering::Relaxed);
+        let seen = self.occ_hist[bucket].load(Ordering::Relaxed);
+        self.occ_hist[bucket].store(seen + 1, Ordering::Relaxed);
+    }
+
+    /// Copy `vals` into the slots starting at absolute index `at`.
+    ///
+    /// # Safety
+    /// The caller is the producer and `[at, at + vals.len())` lies in the
+    /// unpublished region `[tail, head + capacity)`.
+    unsafe fn write_slots(&self, at: usize, vals: &[Value]) {
+        let s = at & self.mask;
+        let first = vals.len().min(self.capacity() - s);
+        let base = UnsafeCell::raw_get(self.buf.as_ptr());
+        std::ptr::copy_nonoverlapping(vals.as_ptr(), base.add(s), first);
+        std::ptr::copy_nonoverlapping(vals.as_ptr().add(first), base, vals.len() - first);
+    }
+
+    /// The `n` slots starting at absolute index `at`, as one or two
+    /// slices (two when the span wraps the ring boundary).
+    ///
+    /// # Safety
+    /// The caller is the consumer, `[at, at + n)` lies in the published
+    /// region `[head, tail)`, and the slices are dropped before `head`
+    /// advances past them.
+    unsafe fn read_slots(&self, at: usize, n: usize) -> (&[Value], &[Value]) {
+        let s = at & self.mask;
+        let first = n.min(self.capacity() - s);
+        let base = UnsafeCell::raw_get(self.buf.as_ptr()) as *const Value;
+        (
+            std::slice::from_raw_parts(base.add(s), first),
+            std::slice::from_raw_parts(base, n - first),
+        )
     }
 
     /// Fault injection: swallow the next `n` unparks this ring would have
@@ -238,68 +309,20 @@ impl Ring {
     ) -> Result<(), Aborted> {
         let mut written = 0;
         while written < vals.len() {
-            let tail = self.tail.0.load(Ordering::Relaxed);
-            let head = self.head.0.load(Ordering::Acquire);
-            let free = self.capacity() - (tail - head);
-            if free == 0 {
+            let n = self.push_avail(&vals[written..]);
+            written += n;
+            if n == 0 {
                 self.full_stalls.fetch_add(1, Ordering::Relaxed);
                 trace.record(EventKind::RingPushStallBegin, self.edge, 0);
                 let waited = Instant::now();
-                let res = self.wait_for_space(tail, abort, trace);
+                let res = self.wait(Side::Producer, abort, trace);
                 let ns = waited.elapsed().as_nanos() as u64;
                 self.full_stall_nanos.fetch_add(ns, Ordering::Relaxed);
                 trace.record(EventKind::RingPushStallEnd, self.edge, ns);
                 res?;
-                continue;
             }
-            let n = free.min(vals.len() - written);
-            for i in 0..n {
-                // SAFETY: slots in [tail, tail+n) are unpublished; only the
-                // producer writes them.
-                unsafe {
-                    *self.buf[(tail + i) & self.mask].get() = vals[written + i];
-                }
-            }
-            self.tail.0.store(tail + n, Ordering::Release);
-            written += n;
-            // `head` is a snapshot, so this occupancy is an upper bound;
-            // good enough for a histogram and exact for the high-water.
-            self.sample_occupancy(tail + n - head);
-            self.wake_consumer();
         }
         Ok(())
-    }
-
-    fn wait_for_space(
-        &self,
-        tail: usize,
-        abort: &AtomicBool,
-        trace: &WorkerTrace,
-    ) -> Result<(), Aborted> {
-        let full = |s: &Ring| s.capacity() - (tail - s.head.0.load(Ordering::Acquire)) == 0;
-        for _ in 0..SPIN_BUDGET {
-            if !full(self) {
-                return Ok(());
-            }
-            if abort.load(Ordering::Relaxed) {
-                return Err(Aborted);
-            }
-            std::hint::spin_loop();
-        }
-        loop {
-            self.producer_parked.store(true, Ordering::Release);
-            if !full(self) {
-                self.producer_parked.store(false, Ordering::Release);
-                return Ok(());
-            }
-            if abort.load(Ordering::Relaxed) {
-                self.producer_parked.store(false, Ordering::Release);
-                return Err(Aborted);
-            }
-            trace.record(EventKind::Park, self.edge, 0);
-            std::thread::park_timeout(PARK_TIMEOUT);
-            trace.record(EventKind::Unpark, self.edge, 0);
-        }
     }
 
     /// Free slots from the producer's perspective (a lower bound: the
@@ -312,9 +335,10 @@ impl Ring {
     }
 
     /// Producer: append as many of `vals` as currently fit, without
-    /// blocking. Returns how many were written. Used by the drain after a
-    /// failure, where a full ring whose consumer is gone must not wedge
-    /// the draining worker.
+    /// blocking, and publish them with one release store. Returns how
+    /// many were written. Used directly by the drain after a failure,
+    /// where a full ring whose consumer is gone must not wedge the
+    /// draining worker.
     pub fn push_avail(&self, vals: &[Value]) -> usize {
         let tail = self.tail.0.load(Ordering::Relaxed);
         let head = self.head.0.load(Ordering::Acquire);
@@ -322,63 +346,51 @@ impl Ring {
         if n == 0 {
             return 0;
         }
-        for (i, v) in vals.iter().take(n).enumerate() {
-            // SAFETY: slots in [tail, tail+n) are unpublished; only the
-            // producer writes them.
-            unsafe {
-                *self.buf[(tail + i) & self.mask].get() = *v;
-            }
-        }
+        // SAFETY: this is the producer, and `n` is at most the free space
+        // past `tail`, so the slots are unpublished.
+        unsafe { self.write_slots(tail, &vals[..n]) };
         self.tail.0.store(tail + n, Ordering::Release);
+        // `head` is a snapshot, so this occupancy is an upper bound;
+        // good enough for a histogram and exact for the high-water.
         self.sample_occupancy(tail + n - head);
         self.wake_consumer();
         n
     }
 
-    /// Consumer: drain up to `max` available elements into `sink` without
-    /// blocking. Returns how many were taken.
-    pub fn pop_avail(&self, mut sink: impl FnMut(Value), max: usize) -> usize {
+    /// Consumer: hand up to `max` available elements to `sink` as one or
+    /// two slices of the ring (two when the span wraps), in order,
+    /// without blocking. Returns how many were taken.
+    pub fn pop_spans(&self, max: usize, sink: impl FnOnce(&[Value], &[Value])) -> usize {
         let tail = self.tail.0.load(Ordering::Acquire);
         let head = self.head.0.load(Ordering::Relaxed);
         let avail = (tail - head).min(max);
-        for i in 0..avail {
-            // SAFETY: slots in [head, tail) are published and not written
-            // again until the head advances past them.
-            sink(unsafe { *self.buf[(head + i) & self.mask].get() });
-        }
         if avail > 0 {
+            // SAFETY: this is the consumer, slots in [head, tail) are
+            // published and not written again until the head advances
+            // past them, which happens after `sink` returned.
+            let (a, b) = unsafe { self.read_slots(head, avail) };
+            sink(a, b);
             self.head.0.store(head + avail, Ordering::Release);
             self.wake_producer();
         }
         avail
     }
 
-    /// Consumer: block until at least one element is visible.
+    /// [`Ring::pop_spans`], one element at a time.
+    pub fn pop_avail(&self, mut sink: impl FnMut(Value), max: usize) -> usize {
+        self.pop_spans(max, |a, b| a.iter().chain(b).for_each(|&v| sink(v)))
+    }
+
+    /// Consumer: block until at least one element is visible, counted and
+    /// timed as one empty-ring stall.
     ///
     /// # Errors
     /// Returns [`Aborted`] if `abort` is raised while waiting.
     pub fn wait_nonempty(&self, abort: &AtomicBool) -> Result<(), Aborted> {
-        self.wait_nonempty_traced(abort, &WorkerTrace::disabled())
-    }
-
-    /// [`Ring::wait_nonempty`] with a trace handle: the empty-ring stall
-    /// is recorded as a `RingPopStallBegin`/`End` span on the consumer's
-    /// timeline (subject = this ring's edge).
-    ///
-    /// # Errors
-    /// Returns [`Aborted`] if `abort` is raised while waiting.
-    pub fn wait_nonempty_traced(
-        &self,
-        abort: &AtomicBool,
-        trace: &WorkerTrace,
-    ) -> Result<(), Aborted> {
-        self.empty_stalls.fetch_add(1, Ordering::Relaxed);
-        trace.record(EventKind::RingPopStallBegin, self.edge, 0);
-        let waited = Instant::now();
-        let res = self.wait_nonempty_inner(abort, trace);
-        let ns = waited.elapsed().as_nanos() as u64;
-        self.empty_stall_nanos.fetch_add(ns, Ordering::Relaxed);
-        trace.record(EventKind::RingPopStallEnd, self.edge, ns);
+        let trace = WorkerTrace::disabled();
+        let since = self.begin_empty_stall(&trace);
+        let res = self.wait_nonempty_quiet(abort, &trace);
+        self.end_empty_stall(since, &trace);
         res
     }
 
@@ -414,34 +426,58 @@ impl Ring {
         abort: &AtomicBool,
         trace: &WorkerTrace,
     ) -> Result<(), Aborted> {
-        self.wait_nonempty_inner(abort, trace)
+        self.wait(Side::Consumer, abort, trace)
     }
 
-    fn wait_nonempty_inner(&self, abort: &AtomicBool, trace: &WorkerTrace) -> Result<(), Aborted> {
-        let head = self.head.0.load(Ordering::Relaxed);
-        let empty = |s: &Ring| s.tail.0.load(Ordering::Acquire) == head;
-        for _ in 0..SPIN_BUDGET {
-            if !empty(self) {
-                return Ok(());
-            }
-            if abort.load(Ordering::Relaxed) {
-                return Err(Aborted);
-            }
-            std::hint::spin_loop();
-        }
+    /// Block `side` until its peer has moved — the consumer freed a slot
+    /// of a full ring, or the producer published into an empty one — in
+    /// three phases bounded by elapsed time: spin for [`SPIN_FOR`], yield
+    /// the core between polls until [`YIELD_FOR`], then park (counted in
+    /// `full_parks` / `empty_parks`) until the peer's next publish
+    /// unparks it or [`PARK_TIMEOUT`] passes.
+    fn wait(&self, side: Side, abort: &AtomicBool, trace: &WorkerTrace) -> Result<(), Aborted> {
+        // The waiting side's own index cannot move while it waits.
+        let (mine, parked, parks) = match side {
+            Side::Producer => (
+                self.tail.0.load(Ordering::Relaxed),
+                &self.producer_parked,
+                &self.full_parks,
+            ),
+            Side::Consumer => (
+                self.head.0.load(Ordering::Relaxed),
+                &self.consumer_parked,
+                &self.empty_parks,
+            ),
+        };
+        let ready = || match side {
+            Side::Producer => mine - self.head.0.load(Ordering::Acquire) < self.capacity(),
+            Side::Consumer => self.tail.0.load(Ordering::Acquire) != mine,
+        };
+        let since = Instant::now();
         loop {
-            self.consumer_parked.store(true, Ordering::Release);
-            if !empty(self) {
-                self.consumer_parked.store(false, Ordering::Release);
+            if ready() {
                 return Ok(());
             }
             if abort.load(Ordering::Relaxed) {
-                self.consumer_parked.store(false, Ordering::Release);
                 return Err(Aborted);
             }
-            trace.record(EventKind::Park, self.edge, 0);
-            std::thread::park_timeout(PARK_TIMEOUT);
-            trace.record(EventKind::Unpark, self.edge, 0);
+            let waited = since.elapsed();
+            if waited < SPIN_FOR {
+                std::hint::spin_loop();
+            } else if waited < YIELD_FOR {
+                std::thread::yield_now();
+            } else {
+                // Announce, then look once more: a publish that landed
+                // before the announcement saw no one to wake.
+                parked.store(true, Ordering::Release);
+                if !ready() && !abort.load(Ordering::Relaxed) {
+                    parks.fetch_add(1, Ordering::Relaxed);
+                    trace.record(EventKind::Park, self.edge, 0);
+                    std::thread::park_timeout(PARK_TIMEOUT);
+                    trace.record(EventKind::Unpark, self.edge, 0);
+                }
+                parked.store(false, Ordering::Release);
+            }
         }
     }
 }
@@ -517,6 +553,26 @@ mod tests {
         assert_eq!(hist.iter().sum::<u64>(), 1);
         // Occupancy 6 of 8 lands in bucket 6*OCC_BUCKETS/8.
         assert_eq!(hist[6 * OCC_BUCKETS / 8], 1);
+    }
+
+    #[test]
+    fn pop_spans_hands_out_a_wrapped_span_in_order() {
+        let r = Ring::with_capacity(8, iv(0));
+        let abort = AtomicBool::new(false);
+        let vals: Vec<Value> = (0..12).map(iv).collect();
+        r.push_batch(&vals[..6], &abort).unwrap();
+        assert_eq!(r.pop_avail(|_| {}, 5), 5);
+        // Slots 6, 7 and then 0..4: the span wraps the ring boundary.
+        r.push_batch(&vals[6..], &abort).unwrap();
+        let mut got = Vec::new();
+        let n = r.pop_spans(100, |a, b| {
+            assert_eq!((a.len(), b.len()), (3, 4));
+            got.extend_from_slice(a);
+            got.extend_from_slice(b);
+        });
+        assert_eq!(n, 7);
+        assert_eq!(got, vals[5..]);
+        assert_eq!(r.pop_spans(100, |_, _| panic!("nothing to hand out")), 0);
     }
 
     #[test]
@@ -602,5 +658,9 @@ mod tests {
         abort.store(true, Ordering::Relaxed);
         assert_eq!(consumer.join().unwrap(), Err(Aborted));
         assert!(r.empty_stalls() > 0);
+        // 20 ms is far past the spin and yield phases: the wait parked,
+        // and only the waiting side's counter moved.
+        assert!(r.empty_parks() > 0);
+        assert_eq!(r.full_parks(), 0);
     }
 }

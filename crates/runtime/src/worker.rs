@@ -21,14 +21,14 @@
 use crate::fault::FaultKind;
 use crate::ring::Ring;
 use crate::supervisor::{FailureCause, StageFailure, Supervisor, SupervisorOptions};
-use crate::{stage_name, EdgeRings, Placement, Stage, StartGate};
+use crate::{stage_name, EdgeRings, Placement, Stage, StartGate, ITER_BLOCK};
 use macross_sdf::Schedule;
 use macross_streamir::graph::{Graph, Node, NodeId};
 use macross_streamir::types::Value;
 use macross_telemetry::{clock, EventKind, WorkerTrace};
 use macross_vm::firing::{self, FilterState, FirePlan};
 use macross_vm::machine::{CycleCounters, Machine};
-use macross_vm::tape::Tape;
+use macross_vm::tape::{Tape, TapeMark};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -40,10 +40,10 @@ struct Stop;
 
 /// Smallest batch worth the admission work (a 1-batch is just a firing).
 const MIN_BATCH: u64 = 2;
-/// Starting adaptive batch depth (the old fixed `MAX_BATCH`).
+/// Starting adaptive batch depth of a stage that feeds a ring.
 const INIT_BATCH: u64 = 8;
-/// Upper clamp for the adaptive depth: bounds roll-back cost and
-/// drain-response latency even when downstream rings always run dry.
+/// Upper clamp for the adaptive depth: bounds how long a consumer on
+/// another core waits for the flush even when its ring always runs dry.
 const MAX_BATCH: u64 = 64;
 
 /// What a worker hands back to the coordinator. Failures travel through
@@ -131,7 +131,10 @@ impl Pull {
                 let i = self.cur();
                 (i, (self.ring_block - self.taken % self.ring_block).min(max))
             };
-            let n = self.rings[i].pop_avail(|v| tape.push(v), room);
+            let n = self.rings[i].pop_spans(room, |a, b| {
+                tape.push_slice(a);
+                tape.push_slice(b);
+            });
             self.taken += n;
             total += n;
             max -= n;
@@ -189,6 +192,26 @@ impl Push {
             (self.ring_block - self.shipped % self.ring_block).min(want)
         }
     }
+
+    /// Ship `vals` in stream order: one chunk for a single ring; at a
+    /// deal point, rotate replicas at pop-rate block boundaries so
+    /// replica r receives exactly the tokens of its own global firings.
+    /// `send` returns how many tokens of a chunk the ring took; the first
+    /// short answer stops the shipment with the cursor exactly at the
+    /// next undelivered token. Returns how many tokens went out.
+    fn ship(&mut self, vals: &[Value], mut send: impl FnMut(&Ring, &[Value]) -> usize) -> usize {
+        let mut off = 0;
+        while off < vals.len() {
+            let take = self.room_in_block(vals.len() - off);
+            let sent = send(&self.rings[self.cur()], &vals[off..off + take]);
+            self.shipped += sent;
+            off += sent;
+            if sent < take {
+                break;
+            }
+        }
+        off
+    }
 }
 
 /// One same-core in-edge, tracked so the post-failure drain can check
@@ -232,6 +255,22 @@ struct NodePlan {
     depth: u64,
 }
 
+/// Record a mark of each tape in `ids`, in that order.
+fn take_marks(marks: &mut Vec<TapeMark>, tapes: &[Tape], ids: impl Iterator<Item = usize>) {
+    marks.clear();
+    marks.extend(ids.map(|e| tapes[e].mark()));
+}
+
+/// Put each tape in `ids` (the order [`take_marks`] saw) back to its mark,
+/// and lift the poison the firing path put on the tapes of a filter that
+/// failed: what the marks restore is trustworthy again.
+fn restore_marks(tapes: &mut [Tape], ids: impl Iterator<Item = usize>, marks: &[TapeMark]) {
+    for (e, mark) in ids.zip(marks) {
+        tapes[e].rollback(mark);
+        tapes[e].clear_poison();
+    }
+}
+
 pub(crate) struct Worker<'g> {
     graph: &'g Graph,
     machine: &'g Machine,
@@ -241,7 +280,9 @@ pub(crate) struct Worker<'g> {
     stages: Arc<Vec<Stage>>,
     counters: CycleCounters,
     sink_outputs: Vec<(usize, Vec<Value>)>,
-    scratch: Vec<Value>,
+    /// Tape marks of the firing (or batch) in flight, in the order of the
+    /// plan's tape list; reused so a firing allocates nothing.
+    marks: Vec<TapeMark>,
     /// This core's trace handle (zero-sized no-op unless the `telemetry`
     /// feature is on and a live session was passed to the run).
     trace: WorkerTrace,
@@ -458,7 +499,7 @@ impl<'g> Worker<'g> {
             stages,
             counters: CycleCounters::default(),
             sink_outputs: Vec::new(),
-            scratch: Vec::new(),
+            marks: Vec::new(),
             trace,
             core,
             opts,
@@ -468,8 +509,9 @@ impl<'g> Worker<'g> {
     }
 
     /// Run this core: filter init functions, the init schedule, the start
-    /// gate, then `iters` timed steady iterations. Always returns (the
-    /// possibly partial) output — failures travel through the supervisor.
+    /// gate, then `iters` timed steady iterations in blocks of
+    /// [`ITER_BLOCK`]. Always returns (the possibly partial) output —
+    /// failures travel through the supervisor.
     pub(crate) fn run(mut self, iters: u64, gate: &StartGate) -> WorkerOut {
         for p in 0..self.plans.len() {
             let id = self.plans[p].id;
@@ -506,13 +548,23 @@ impl<'g> Worker<'g> {
         self.counters = CycleCounters::default();
         let t0 = Instant::now();
         let mut stopped = false;
-        'steady: for t in 0..iters {
+        // Node-major over blocks of `ITER_BLOCK` iterations: each plan
+        // fires its whole share of the block before the next plan starts,
+        // so a dependency that leaves this core and comes back is waited
+        // for once per block, not once per iteration. A block is the
+        // steady schedule with every repetition count scaled, so firing
+        // order per node, deal/merge rotation and fault addresses are
+        // those of the iteration-major loop.
+        let mut t = 0;
+        'steady: while t < iters {
+            let block = ITER_BLOCK.min(iters - t);
+            t += block;
             for p in 0..self.plans.len() {
                 if self.plans[p].stride > 1 {
                     // Replica: fire every stride-th global firing up to
-                    // this iteration's boundary. `attempts` is the global
+                    // this block's boundary. `attempts` is the global
                     // index, so the bound is the full per-iteration reps.
-                    let end = (t + 1) * self.plans[p].reps;
+                    let end = t * self.plans[p].reps;
                     while self.plans[p].attempts < end {
                         if self.fire_plan(p).is_err() {
                             stopped = true;
@@ -521,7 +573,7 @@ impl<'g> Worker<'g> {
                     }
                     continue;
                 }
-                let reps = self.plans[p].reps;
+                let reps = block * self.plans[p].reps;
                 let mut done = 0u64;
                 while done < reps {
                     let k = self.batch_size(p, reps - done);
@@ -581,14 +633,22 @@ impl<'g> Worker<'g> {
         Ok(())
     }
 
-    /// Quarantine the torn outputs of a failed firing: poison every local
-    /// out-edge tape half of plan `p` so nothing downstream consumes a torn
-    /// write prefix. (Cut-edge rings only ever receive post-firing
-    /// flushes, so they need no quarantine.)
-    fn quarantine_outputs(&mut self, p: usize) {
-        for &e in self.plans[p].adj.out_tapes() {
-            self.tapes[e].poison();
-        }
+    /// Record the write mark of every out-edge tape of plan `p`, for
+    /// [`Worker::rollback_outputs`].
+    fn mark_outputs(&mut self, p: usize) {
+        let outs = self.plans[p].adj.out_tapes().iter().copied();
+        take_marks(&mut self.marks, &self.tapes, outs);
+    }
+
+    /// Undo the writes of a firing that failed or was condemned: every
+    /// out-edge tape half of plan `p` goes back to its mark, so a torn
+    /// write prefix is gone while everything earlier firings committed
+    /// stays deliverable — under the blocked loop a downstream stage may
+    /// not have consumed any of it yet. (Cut-edge rings only ever receive
+    /// post-firing flushes, so they hold no torn data.)
+    fn rollback_outputs(&mut self, p: usize) {
+        let outs = self.plans[p].adj.out_tapes().iter().copied();
+        restore_marks(&mut self.tapes, outs, &self.marks);
     }
 
     /// One firing of plan `p`: pull cut-edge inputs, fire (inside
@@ -649,6 +709,7 @@ impl<'g> Worker<'g> {
                 return Err(Stop);
             }
         }
+        self.mark_outputs(p);
         self.trace.record(EventKind::FiringStart, id.0, 0);
         let before = self.counters.total();
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -663,12 +724,12 @@ impl<'g> Worker<'g> {
         match result {
             Ok(Ok(())) => {}
             Ok(Err(e)) => {
-                self.quarantine_outputs(p);
+                self.rollback_outputs(p);
                 self.fail(stage, firing, FailureCause::Vm(e));
                 return Err(Stop);
             }
             Err(payload) => {
-                self.quarantine_outputs(p);
+                self.rollback_outputs(p);
                 let msg = firing::panic_message(payload.as_ref());
                 self.fail(stage, firing, FailureCause::Panic(msg));
                 return Err(Stop);
@@ -680,7 +741,7 @@ impl<'g> Worker<'g> {
         // finished cleanly.
         if self.sup.draining() && self.sup.failed_stages().contains(&stage) {
             self.trace.record(EventKind::WatchdogFire, id.0, firing);
-            self.quarantine_outputs(p);
+            self.rollback_outputs(p);
             return Err(Stop);
         }
         self.plans[p].completed += 1;
@@ -696,8 +757,9 @@ impl<'g> Worker<'g> {
         Ok(())
     }
 
-    /// How many of the next `remaining` firings of plan `p` can run as
-    /// one batch. Filters only, steady phase only, never under a
+    /// How many of the next `remaining` firings of plan `p` (what is left
+    /// of its share of the iteration block) can run as one batch.
+    /// Filters only, steady phase only, never under a
     /// watchdog (per-firing timeout attribution needs per-firing
     /// heartbeats) and never across an injected fault (the faulty firing
     /// runs un-batched with the full fault setup). Tops the cut in-edge
@@ -721,7 +783,14 @@ impl<'g> Worker<'g> {
         if self.plans[p].stride > 1 || self.plans[p].pushes.iter().any(|ps| ps.rings.len() > 1) {
             return 1;
         }
-        let mut k = remaining.min(self.plans[p].depth);
+        // The depth trades dispatch cost against how long another core
+        // waits for the flush; a stage that feeds no ring keeps nobody
+        // waiting and takes what remains of its block.
+        let mut k = if self.plans[p].pushes.is_empty() {
+            remaining
+        } else {
+            remaining.min(self.plans[p].depth)
+        };
         let attempts = self.plans[p].attempts;
         for j in 0..k {
             if self.opts.plan.fault_for(stage, attempts + j).is_some() {
@@ -786,7 +855,9 @@ impl<'g> Worker<'g> {
     }
 
     /// Adjust plan `p`'s batch depth from downstream ring occupancy after
-    /// a flush: any near-full ring (≥ 3/4) means the consumer is behind —
+    /// a flush (a plan that feeds no ring has no depth to adjust — see
+    /// [`Worker::batch_size`]): any near-full ring (≥ 3/4) means the
+    /// consumer is behind —
     /// halve so it waits less per wakeup; all near-empty (≤ 1/4) means
     /// the consumer is starved — grow so each flush delivers more.
     /// Output-invariant: depth only regroups firings into batches, never
@@ -831,8 +902,8 @@ impl<'g> Worker<'g> {
     /// charges) each firing individually, and a batch that fails is
     /// rolled back — tapes, filter state, modelled counters, plan
     /// cursors — and re-run un-batched, so the deterministic failure
-    /// recurs at the exact firing with the standard path's quarantine
-    /// and `StageFailure` attribution.
+    /// recurs at the exact firing with the standard path's output
+    /// rollback and `StageFailure` attribution.
     fn fire_batch(&mut self, p: usize, k: u64) -> Result<(), Stop> {
         if self.sup.draining() {
             return Err(Stop);
@@ -841,14 +912,15 @@ impl<'g> Worker<'g> {
         let stage = id.0 as usize;
         let first_firing = self.plans[p].attempts;
 
-        // Snapshot everything a failed batch must roll back: every tape
-        // half the node touches (cut and local, both sides), the filter
-        // state, the modelled counters, and the plan cursors. Stats and
-        // traces are not rolled back — the replay does not re-pull from
-        // rings (tokens are already local), and the batch loop records no
-        // per-firing trace events (see below), so nothing double-counts.
-        let tape_ids: Vec<usize> = self.plans[p].adj.tapes().collect();
-        let tapes: Vec<Tape> = tape_ids.iter().map(|&e| self.tapes[e].clone()).collect();
+        // Snapshot everything a failed batch must roll back: a mark on
+        // every tape half the node touches (cut and local, both sides —
+        // the batch only pops its inputs and only pushes its outputs, so
+        // marks suffice), the filter state, the modelled counters, and
+        // the plan cursors. Stats and traces are not rolled back — the
+        // replay does not re-pull from rings (tokens are already local),
+        // and the batch loop records no per-firing trace events (see
+        // below), so nothing double-counts.
+        take_marks(&mut self.marks, &self.tapes, self.plans[p].adj.tapes());
         let consumed: Vec<usize> = self.plans[p].pulls.iter().map(|pl| pl.consumed).collect();
         let state = self.states[stage].clone();
         let counters = self.counters;
@@ -880,9 +952,7 @@ impl<'g> Worker<'g> {
         }
         hb.end();
         if failed {
-            for (&e, tape) in tape_ids.iter().zip(tapes) {
-                self.tapes[e] = tape;
-            }
+            restore_marks(&mut self.tapes, self.plans[p].adj.tapes(), &self.marks);
             for (pull, &c) in self.plans[p].pulls.iter_mut().zip(&consumed) {
                 pull.consumed = c;
             }
@@ -975,25 +1045,17 @@ impl<'g> Worker<'g> {
             if n == 0 {
                 continue;
             }
-            self.scratch.clear();
-            for _ in 0..n {
-                self.scratch.push(tape.pop());
-            }
-            // Single ring: one batch. Deal point: rotate replicas at
-            // pop-rate block boundaries so replica r receives exactly the
-            // tokens of its own global firings.
-            let mut off = 0;
-            while off < n {
-                let i = push.cur();
-                let take = push.room_in_block(n - off);
-                if push.rings[i]
-                    .push_batch_traced(&self.scratch[off..off + take], abort, &self.trace)
-                    .is_err()
-                {
+            let (a, b) = tape.vpop_slices(n);
+            for span in [a, b] {
+                let sent = push.ship(span, |ring, chunk| {
+                    match ring.push_batch_traced(chunk, abort, &self.trace) {
+                        Ok(()) => chunk.len(),
+                        Err(_) => 0,
+                    }
+                });
+                if sent < span.len() {
                     return Err(Stop);
                 }
-                push.shipped += take;
-                off += take;
             }
             self.stages[node_idx]
                 .ring_out
@@ -1085,7 +1147,7 @@ impl<'g> Worker<'g> {
 
     /// True when every in-edge of plan `p` already holds enough tokens
     /// for one firing (after topping up cut edges non-blocking) and none
-    /// of its tapes is quarantined.
+    /// of them is poisoned.
     fn drain_inputs_ready(&mut self, p: usize) -> bool {
         let node_idx = self.plans[p].id.0 as usize;
         let plan = &mut self.plans[p];
@@ -1124,14 +1186,7 @@ impl<'g> Worker<'g> {
                 return false;
             }
         }
-        // The firing below also writes: a poisoned output half (torn
-        // prefix quarantine) refuses the firing for filters and must
-        // equally stop splitters/joiners/sinks here.
-        !plan
-            .adj
-            .out_tapes()
-            .iter()
-            .any(|&e| self.tapes[e].is_poisoned())
+        true
     }
 
     /// Fire plan `p` once during the drain. Returns false (and marks the
@@ -1142,6 +1197,7 @@ impl<'g> Worker<'g> {
         let stage = id.0 as usize;
         let firing = self.plans[p].attempts;
         self.plans[p].attempts += self.plans[p].stride;
+        self.mark_outputs(p);
         self.trace.record(EventKind::FiringStart, id.0, 0);
         let before = self.counters.total();
         let result = catch_unwind(AssertUnwindSafe(|| self.fire_node(p)));
@@ -1160,7 +1216,7 @@ impl<'g> Worker<'g> {
             Ok(Err(e)) => FailureCause::Vm(e),
             Err(payload) => FailureCause::Panic(firing::panic_message(payload.as_ref())),
         };
-        self.quarantine_outputs(p);
+        self.rollback_outputs(p);
         self.fail(stage, firing, cause);
         dead[stage] = true;
         false
@@ -1177,27 +1233,14 @@ impl<'g> Worker<'g> {
             if n == 0 {
                 continue;
             }
-            self.scratch.clear();
-            for i in 0..n {
-                self.scratch.push(tape.peek(i));
+            // Stop at the first ring that refuses tokens: what it did
+            // not take stays on the tape, in order.
+            let (a, b) = tape.vpeek_slices(0, n);
+            let mut off = push.ship(a, |ring, chunk| ring.push_avail(chunk));
+            if off == a.len() {
+                off += push.ship(b, |ring, chunk| ring.push_avail(chunk));
             }
-            // Same deal rotation as the blocking flush, but stop at the
-            // first ring that refuses tokens — the cursor must stay
-            // exactly at the next undelivered token.
-            let mut off = 0;
-            while off < n {
-                let i = push.cur();
-                let take = push.room_in_block(n - off);
-                let accepted = push.rings[i].push_avail(&self.scratch[off..off + take]);
-                push.shipped += accepted;
-                off += accepted;
-                if accepted < take {
-                    break;
-                }
-            }
-            for _ in 0..off {
-                tape.pop();
-            }
+            tape.advance_read(off);
             if off > 0 {
                 self.stages[node_idx]
                     .ring_out

@@ -177,3 +177,125 @@ fn simdized_no_sagu_variant_also_matches() {
         );
     }
 }
+
+/// A ten-stage chain whose rates differ stage to stage (so steady
+/// repetition counts do) and whose FIR peeks ahead (so init tokens stay
+/// resident on an edge).
+fn mixed_rate_chain() -> Graph {
+    use macross_streamir::builder::StreamSpec;
+    use macross_streamir::edsl::*;
+    use macross_streamir::types::{ScalarTy, Ty};
+
+    let mut src = FilterBuilder::new("src", 0, 0, 1, ScalarTy::I32);
+    let n = src.state("n", Ty::Scalar(ScalarTy::I32));
+    src.work(|b| {
+        b.push(v(n));
+        b.set(n, v(n) * 5i32 + 3i32);
+    });
+    let mut fork = FilterBuilder::new("fork", 1, 1, 2, ScalarTy::I32);
+    let t = fork.local("t", Ty::Scalar(ScalarTy::I32));
+    fork.work(|b| {
+        b.set(t, pop());
+        b.push(v(t));
+        b.push(v(t) + 1i32);
+    });
+    let mut fir = FilterBuilder::new("fir", 3, 1, 1, ScalarTy::I32);
+    let used = fir.local("used", Ty::Scalar(ScalarTy::I32));
+    fir.work(|b| {
+        b.push(peek(0i32) + peek(1i32) * 2i32 + peek(2i32) * 3i32);
+        b.set(used, pop());
+    });
+    let mut fold = FilterBuilder::new("fold", 2, 2, 1, ScalarTy::I32);
+    fold.work(|b| {
+        b.push(pop() - pop());
+    });
+    let pass = |name: &str| {
+        let mut fb = FilterBuilder::new(name, 1, 1, 1, ScalarTy::I32);
+        fb.work(|b| {
+            b.push(pop() + 1i32);
+        });
+        fb.build_spec()
+    };
+    StreamSpec::pipeline(vec![
+        src.build_spec(),
+        pass("p1"),
+        fork.build_spec(),
+        pass("p2"),
+        fir.build_spec(),
+        pass("p3"),
+        fold.build_spec(),
+        pass("p4"),
+        pass("p5"),
+        StreamSpec::Sink,
+    ])
+    .build()
+    .unwrap()
+}
+
+/// Stage `i` of the chain on core `i % workers`: with two workers every
+/// edge leaves its core and the next one comes back (0 -> 1 -> 0 ...),
+/// the dependency shape whose hand-off the iteration blocks amortize.
+fn cyclic_placement(graph: &Graph, workers: usize) -> Placement {
+    Placement::whole_stage(
+        (0..graph.node_count())
+            .map(|i| (i % workers) as u32)
+            .collect(),
+    )
+}
+
+#[test]
+fn cyclic_core_assignment_matches_sequential_around_block_boundaries() {
+    let graph = mixed_rate_chain();
+    let schedule = Schedule::compute(&graph).unwrap();
+    let machine = Machine::core_i7();
+    let block = macross_runtime::iteration_block();
+    for iters in [1, block - 1, block, block + 1, 3 * block + 5] {
+        let seq = run_scheduled(&graph, &schedule, &machine, iters).unwrap();
+        for workers in WORKER_COUNTS {
+            let ctx = format!("chain x{workers}, {iters} iterations");
+            let placement = cyclic_placement(&graph, workers);
+            let thr = run_threaded_placed(&graph, &schedule, &machine, &placement, iters)
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_bits_eq(&ctx, &seq.output, &thr.output);
+            assert_eq!(thr.report.block, block, "{ctx}");
+            // The cores' modelled cycles partition the sequential run's,
+            // class by class.
+            let mut total = macross_vm::CycleCounters::default();
+            thr.report
+                .core_modelled
+                .iter()
+                .for_each(|c| total.absorb(c));
+            assert_eq!(total, seq.counters, "{ctx}: modelled cycles");
+        }
+    }
+}
+
+#[test]
+fn oversubscribed_workers_finish_inside_a_wall_clock_bound() {
+    // Eight workers in a dependency cycle on however few cores the host
+    // has (two on the development sandbox): every waiting worker must
+    // give its core to the peer it waits for. With a wait that only
+    // spins, a hand-over takes a scheduler time slice and this run 13 s
+    // on two cores; as shipped it takes 0.1 s.
+    let graph = mixed_rate_chain();
+    let schedule = Schedule::compute(&graph).unwrap();
+    let machine = Machine::core_i7();
+    let iters = 4000;
+    let seq = run_scheduled(&graph, &schedule, &machine, iters).unwrap();
+    let t0 = std::time::Instant::now();
+    let thr = run_threaded_placed(
+        &graph,
+        &schedule,
+        &machine,
+        &cyclic_placement(&graph, 8),
+        iters,
+    )
+    .unwrap();
+    let took = t0.elapsed();
+    assert_bits_eq("chain x8", &seq.output, &thr.output);
+    assert!(
+        took < std::time::Duration::from_secs(5),
+        "8 workers on {:?} cores took {took:?}",
+        std::thread::available_parallelism()
+    );
+}

@@ -61,6 +61,18 @@ pub struct Tape {
     poisoned: bool,
 }
 
+/// A tape's pointers at one instant — see [`Tape::mark`]. A handful of
+/// words, whatever the tape holds.
+#[derive(Debug, Clone, Copy)]
+pub struct TapeMark {
+    read: usize,
+    read_block_pos: usize,
+    committed_end: usize,
+    write_block_pos: usize,
+    total_pushed: u64,
+    total_popped: u64,
+}
+
 impl Default for Tape {
     /// An empty `f32` tape (used when temporarily moving tapes out of the
     /// executor's storage).
@@ -106,6 +118,60 @@ impl Tape {
     /// Clear the poison mark (replay tooling re-arms tapes between runs).
     pub fn clear_poison(&mut self) {
         self.poisoned = false;
+    }
+
+    /// Record the read and write pointers, so that whatever one node's
+    /// firings do to the tape afterwards can be undone by
+    /// [`Tape::rollback`]. Take it at a firing boundary.
+    pub fn mark(&self) -> TapeMark {
+        TapeMark {
+            read: self.read,
+            read_block_pos: self.read_block_pos,
+            committed_end: self.committed_end,
+            write_block_pos: self.write_block_pos,
+            total_pushed: self.total_pushed,
+            total_popped: self.total_popped,
+        }
+    }
+
+    /// Undo everything done since `mark`: the tape again holds exactly the
+    /// tokens it held then, and a write-reordered tape the same partial
+    /// block.
+    ///
+    /// Nothing is copied when the mark is taken, so this relies on what
+    /// the ring keeps by itself. Popped tokens stay in their slots until
+    /// a write reuses them, so pops can be undone only on a tape that was
+    /// not written since the mark — true of a node's input tapes, which
+    /// only its (idle) producer writes. Written slots are simply
+    /// abandoned: everything past the restored write pointer, `rpush`
+    /// staging included, is zero-filled again before its next use. The
+    /// staging block of a write-reordered tape is overwritten in place,
+    /// but the first block committed after the mark holds a full image of
+    /// it, so it is reloaded from there (positions at or past the
+    /// restored block cursor are rewritten before the next commit reads
+    /// them). The poison flag is the caller's to clear.
+    pub fn rollback(&mut self, mark: &TapeMark) {
+        debug_assert!(
+            mark.read <= self.read && mark.committed_end <= self.committed_end,
+            "mark is newer than the tape"
+        );
+        debug_assert!(
+            (mark.read, mark.read_block_pos) == (self.read, self.read_block_pos)
+                || mark.total_pushed == self.total_pushed,
+            "pops cannot be undone on a tape written since the mark"
+        );
+        if self.write_reorder.is_some() && self.committed_end > mark.committed_end {
+            for i in 0..self.write_stage.len() {
+                self.write_stage[i] = self.buf[(mark.committed_end + i) & self.mask];
+            }
+        }
+        self.read = mark.read;
+        self.read_block_pos = mark.read_block_pos;
+        self.committed_end = mark.committed_end;
+        self.filled_end = mark.committed_end;
+        self.write_block_pos = mark.write_block_pos;
+        self.total_pushed = mark.total_pushed;
+        self.total_popped = mark.total_popped;
     }
 
     /// Enable column-major *read* remapping (vectorized producer, scalar
@@ -324,6 +390,30 @@ impl Tape {
         }
         self.total_pushed += w as u64;
         self.committed_end += w;
+    }
+
+    /// Push a span of elements with one capacity check and at most two
+    /// slice copies — how the threaded runtime lands a ring's tokens on
+    /// the consuming core's tape half.
+    ///
+    /// # Panics
+    /// Panics on a write-reordered tape.
+    pub fn push_slice(&mut self, vals: &[Value]) {
+        assert!(
+            self.write_reorder.is_none(),
+            "push_slice on a write-reordered tape"
+        );
+        let end = self.committed_end + vals.len();
+        if end - self.read > self.buf.len() {
+            self.grow(end - self.read);
+        }
+        let s = self.committed_end & self.mask;
+        let first = vals.len().min(self.buf.len() - s);
+        self.buf[s..s + first].copy_from_slice(&vals[..first]);
+        self.buf[..vals.len() - first].copy_from_slice(&vals[first..]);
+        self.total_pushed += vals.len() as u64;
+        self.committed_end = end;
+        self.filled_end = self.filled_end.max(end);
     }
 
     /// Pop one element.
@@ -631,6 +721,107 @@ mod tests {
         let flat: Vec<Value> = a.iter().chain(b).copied().collect();
         assert_eq!(flat, want);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn push_slice_matches_push_across_wrap_and_growth() {
+        let mut a = Tape::new(ScalarTy::I32);
+        let mut b = Tape::new(ScalarTy::I32);
+        let vals: Vec<Value> = (0..40).map(iv).collect();
+        // Empty span on an unallocated tape, then spans that wrap the
+        // 8-slot ring and one that outgrows it.
+        b.push_slice(&[]);
+        for (lo, hi, pops) in [(0, 6, 5), (6, 12, 3), (12, 40, 0)] {
+            vals[lo..hi].iter().for_each(|&v| a.push(v));
+            b.push_slice(&vals[lo..hi]);
+            for _ in 0..pops {
+                assert_eq!(a.pop(), b.pop());
+            }
+        }
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.vpop(a.len()), b.vpop(b.len()));
+    }
+
+    #[test]
+    fn rollback_restores_either_side_of_a_plain_tape() {
+        let mut t = Tape::new(ScalarTy::I32);
+        (0..4).for_each(|i| t.push(iv(i)));
+        let m = t.mark();
+        // A consumer's firings: pops only.
+        assert_eq!((t.pop(), t.pop()), (iv(0), iv(1)));
+        t.rollback(&m);
+        assert_eq!((t.len(), t.stats()), (4, (4, 0)));
+        // A producer's firings: pushes only.
+        (10..13).for_each(|i| t.push(iv(i)));
+        t.rollback(&m);
+        assert_eq!((t.len(), t.stats()), (4, (4, 0)));
+        t.push(iv(4));
+        assert_eq!(t.vpop(5), (0..5).map(iv).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn rollback_rezeroes_an_rpush_gap() {
+        let mut t = Tape::new(ScalarTy::I32);
+        t.push(iv(7));
+        let m = t.mark();
+        // The abandoned firing staged a value three slots ahead.
+        t.rpush(iv(9), 3);
+        t.push(iv(1));
+        t.rollback(&m);
+        assert_eq!((t.len(), t.stats()), (1, (1, 0)));
+        // The retry stages nothing there: the slot must read zero again.
+        t.push(iv(1));
+        t.advance_write(3);
+        assert_eq!(t.vpop(5), vec![iv(7), iv(1), iv(0), iv(0), iv(0)]);
+    }
+
+    /// A write-reordered tape (block 8) that had `before` pushes at the
+    /// mark, then `torn` pushes that are rolled back, then the rest of
+    /// `total`: must equal one that was pushed `0..total` undisturbed.
+    fn write_reorder_rollback_case(before: i32, torn: i32, total: i32) {
+        let mut want = Tape::new(ScalarTy::I32);
+        want.set_write_reorder(2, 4);
+        (0..total).for_each(|i| want.push(iv(i)));
+
+        let mut t = Tape::new(ScalarTy::I32);
+        t.set_write_reorder(2, 4);
+        (0..before).for_each(|i| t.push(iv(i)));
+        let m = t.mark();
+        (0..torn).for_each(|i| t.push(iv(1000 + i)));
+        t.rollback(&m);
+        assert_eq!(t.len(), (before as usize / 8) * 8);
+        (before..total).for_each(|i| t.push(iv(i)));
+        assert_eq!(t.stats(), want.stats());
+        assert_eq!(t.vpop(t.len()), want.vpop(want.len()));
+    }
+
+    #[test]
+    fn rollback_of_a_write_reorder_block_left_partial() {
+        write_reorder_rollback_case(3, 2, 16);
+    }
+
+    #[test]
+    fn rollback_of_a_write_reorder_block_completed_mid_firing() {
+        // 8 torn pushes complete the block and then overwrite exactly the
+        // three staged entries from before the mark.
+        write_reorder_rollback_case(3, 8, 16);
+        // Three blocks committed since the mark (and the ring regrown).
+        write_reorder_rollback_case(11, 24, 24);
+    }
+
+    #[test]
+    fn rollback_survives_ring_growth() {
+        let mut t = Tape::new(ScalarTy::I32);
+        (0..6).for_each(|i| t.push(iv(i)));
+        t.pop();
+        t.pop();
+        let m = t.mark();
+        // 100 pushes outgrow the 8-slot ring twice over.
+        (0..100).for_each(|i| t.push(iv(100 + i)));
+        t.rollback(&m);
+        assert_eq!((t.len(), t.stats()), (4, (6, 2)));
+        t.push(iv(6));
+        assert_eq!(t.vpop(5), (2..7).map(iv).collect::<Vec<_>>());
     }
 
     #[test]

@@ -426,3 +426,88 @@ fn faulted_region_stage_drains_to_clean_prefix() {
         }
     }
 }
+
+/// A panic in the middle of an iteration block, on a stage whose out-edge
+/// is write-reordered: the workers run node-major over a block, so when
+/// the stage fails nothing downstream has consumed this block's share of
+/// its output yet. The drain must still deliver every completed firing's
+/// tokens — the failed firing's write mark is rolled back, the tape is
+/// not quarantined — and nothing more: the sink's stream is exactly as
+/// long as the completed firings make it.
+#[test]
+fn panic_mid_block_on_a_write_reordered_edge_keeps_completed_firings() {
+    use macross_repro::runtime::iteration_block;
+    use macross_repro::streamir::builder::StreamSpec;
+    use macross_repro::streamir::edsl::*;
+    use macross_repro::streamir::graph::{AddrGen, NodeId, Reorder, ReorderSide};
+    use macross_repro::streamir::types::{ScalarTy, Ty};
+    use macross_repro::streamir::{Expr, Filter, Stmt};
+
+    let mut src = FilterBuilder::new("src", 0, 0, 1, ScalarTy::I32);
+    let n = src.state("n", Ty::Scalar(ScalarTy::I32));
+    src.work(|b| {
+        b.push(v(n));
+        b.set(n, v(n) + 1i32);
+    });
+    // Scalar producer, 3 tokens per firing, into blocks of 8 that a
+    // vector consumer pops whole: 8 producer firings per iteration.
+    let mut triple = FilterBuilder::new("triple", 3, 3, 3, ScalarTy::I32);
+    triple.work(|b| {
+        for _ in 0..3 {
+            b.push(pop() + 1i32);
+        }
+    });
+    let mut vec = Filter::new("vec", 8, 8, 8);
+    vec.work = vec![
+        Stmt::VPush {
+            value: Expr::VPop { width: 4 },
+            width: 4,
+        };
+        2
+    ];
+    let mut graph = StreamSpec::pipeline(vec![
+        src.build_spec(),
+        triple.build_spec(),
+        StreamSpec::filter(vec, ScalarTy::I32),
+        StreamSpec::Sink,
+    ])
+    .build()
+    .unwrap();
+    let victim = 1usize;
+    let e = graph.single_out_edge(NodeId(victim as u32)).unwrap();
+    graph.edge_mut(e).reorder = Some(Reorder {
+        rate: 2,
+        sw: 4,
+        side: ReorderSide::Producer,
+        addr_gen: AddrGen::Sagu,
+    });
+    let schedule = Schedule::compute(&graph).unwrap();
+    assert_eq!(schedule.reps[victim], 8);
+
+    let block = iteration_block();
+    let iters = 3 * block;
+    // 40 firings into the second block; 3 tokens each, so the completed
+    // firings end on a reorder-block boundary and every token of theirs
+    // can reach the sink.
+    let firing = 8 * block + 40;
+    for assignment in [[0u32, 0, 0, 0], [0, 1, 1, 1], [0, 1, 0, 1]] {
+        let label = format!("{assignment:?}");
+        let clean = run_once(
+            &graph,
+            &schedule,
+            &assignment,
+            iters,
+            FaultPlan::none(),
+            None,
+        );
+        assert!(clean.completed, "{label}");
+        let plan = FaultPlan::single(victim, firing, FaultKind::Panic);
+        let failed = run_once(&graph, &schedule, &assignment, iters, plan, None);
+        assert!(!failed.completed, "{label}");
+        let f = failed.report.root_failure().unwrap();
+        assert_eq!((f.stage, f.firing), (victim, firing), "{label}");
+        assert_eq!(failed.report.stages[victim].firings, firing, "{label}");
+        assert_prefix("reordered chain", 2, &clean, &failed);
+        assert_eq!(failed.output.len() as u64, 3 * firing, "{label}");
+    }
+}

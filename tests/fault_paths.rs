@@ -186,6 +186,80 @@ fn drain_with_buffered_rings_terminates_and_keeps_prefix() {
     assert_eq!(run.report.cut_edges, 1);
 }
 
+/// src -> tear -> [write-reordered, block 8] -> vec -> sink, where
+/// `tear` moves 3 tokens per firing and blows firing `fail_at` after
+/// pushing two of them, and `vec` moves whole blocks with vector
+/// accesses (what the SIMDizer puts behind such an edge).
+fn torn_block_graph(fail_at: i32) -> Graph {
+    use macross_repro::streamir::graph::{AddrGen, Reorder, ReorderSide};
+    let mut tear = FilterBuilder::new("tear", 3, 3, 3, ScalarTy::I32);
+    let n = tear.state("n", Ty::Scalar(ScalarTy::I32));
+    let junk = tear.local("junk", Ty::Scalar(ScalarTy::I32));
+    tear.work(move |b| {
+        b.push(pop());
+        b.push(pop());
+        b.if_(eq(v(n), fail_at), |b| {
+            b.set(junk, peek(1_000_000i32));
+        });
+        b.set(n, v(n) + 1i32);
+        b.push(pop());
+    });
+    let mut vec = macross_repro::streamir::Filter::new("vec", 8, 8, 8);
+    vec.work = vec![
+        macross_repro::streamir::Stmt::VPush {
+            value: macross_repro::streamir::Expr::VPop { width: 4 },
+            width: 4,
+        };
+        2
+    ];
+    let mut g = StreamSpec::pipeline(vec![
+        source(),
+        tear.build_spec(),
+        StreamSpec::filter(vec, ScalarTy::I32),
+        StreamSpec::Sink,
+    ])
+    .build()
+    .unwrap();
+    let e = g
+        .single_out_edge(NodeId(node_id(&g, "tear") as u32))
+        .unwrap();
+    g.edge_mut(e).reorder = Some(Reorder {
+        rate: 2,
+        sw: 4,
+        side: ReorderSide::Producer,
+        addr_gen: AddrGen::Sagu,
+    });
+    g
+}
+
+#[test]
+fn torn_write_into_a_reorder_block_is_rolled_back_not_delivered() {
+    // tear's firing 5 pushes tokens 15 and 16 and then blows: token 15
+    // completes (and commits) the second block of 8 in mid-firing. The
+    // five completed firings account for 15 tokens, i.e. one whole block:
+    // the sink must see exactly those 8 — not 16, which would launder the
+    // failed firing's writes, and not 0, which would drop committed ones.
+    // `tear` feeds `vec` on its own core in the first placement and
+    // through a ring in the second.
+    let clean = supervised(
+        &torn_block_graph(1 << 20),
+        &[0, 1, 1, 1],
+        2,
+        &Default::default(),
+    );
+    assert!(clean.completed);
+    assert_eq!(clean.output.len(), 48);
+    for assignment in [[0, 1, 1, 1], [0, 1, 0, 0]] {
+        let g = torn_block_graph(5);
+        let run = supervised(&g, &assignment, 2, &SupervisorOptions::default());
+        assert!(!run.completed);
+        let f = run.report.root_failure().unwrap();
+        assert_eq!((f.stage, f.firing), (node_id(&g, "tear"), 5));
+        assert_eq!(run.report.stages[f.stage].firings, 5);
+        assert_eq!(run.output, clean.output[..8].to_vec(), "{assignment:?}");
+    }
+}
+
 #[test]
 fn watchdog_escalates_deliberately_stalled_stage() {
     let g = StreamSpec::pipeline(vec![source(), sloth("sloth"), StreamSpec::Sink])
