@@ -205,8 +205,8 @@ impl SessionEngine {
     }
 
     /// Aggregate modelled-cycle counters.
-    pub fn counters(&self) -> &CycleCounters {
-        &self.counters
+    pub fn counters(&self) -> CycleCounters {
+        self.counters
     }
 
     fn status(&self) -> SessionStatus {

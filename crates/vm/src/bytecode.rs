@@ -36,6 +36,7 @@
 
 use crate::error::{TapeSide, VmError};
 use crate::kernel::{self, Kernel, KernelTier};
+use crate::lanes;
 use crate::machine::CycleCounters;
 use crate::tape::Tape;
 use macross_streamir::expr::{BinOp, Intrinsic};
@@ -118,10 +119,10 @@ impl CompiledFilter {
     /// Zero the `Local` variable ranges (between firings).
     pub fn zero_locals(&self, regs: &mut Regs) {
         for &(base, len) in &self.zero_i {
-            regs.i[base as usize..(base + len) as usize].fill(0);
+            lanes::fill(&mut regs.i, base as usize, len as usize, 0);
         }
         for &(base, len) in &self.zero_f {
-            regs.f[base as usize..(base + len) as usize].fill(0.0);
+            lanes::fill(&mut regs.f, base as usize, len as usize, 0.0);
         }
     }
 }
@@ -708,6 +709,7 @@ pub enum Op {
 // suite green.
 // ---------------------------------------------------------------------
 
+#[inline(always)]
 fn cmp_ord(op: BinOp, lt: bool, eq: bool) -> bool {
     match op {
         BinOp::Eq => eq,
@@ -720,6 +722,7 @@ fn cmp_ord(op: BinOp, lt: bool, eq: bool) -> bool {
     }
 }
 
+#[inline(always)]
 pub(crate) fn bin_i(op: BinOp, ty: ScalarTy, a: i64, b: i64) -> i64 {
     use BinOp::*;
     if op.is_comparison() {
@@ -785,6 +788,7 @@ pub(crate) fn bin_i(op: BinOp, ty: ScalarTy, a: i64, b: i64) -> i64 {
     }
 }
 
+#[inline(always)]
 pub(crate) fn bin_f(op: BinOp, ty: ScalarTy, a: f64, b: f64) -> f64 {
     use BinOp::*;
     if ty == ScalarTy::F32 {
@@ -813,10 +817,12 @@ pub(crate) fn bin_f(op: BinOp, ty: ScalarTy, a: f64, b: f64) -> f64 {
 /// Integer compare producing the portable 0/1 lane. Registers hold
 /// sign-extended values and sign extension preserves order, so the i64
 /// predicate is exact for both integer widths.
+#[inline(always)]
 pub(crate) fn cmp_i(op: BinOp, a: i64, b: i64) -> i64 {
     cmp_ord(op, a < b, a == b) as i64
 }
 
+#[inline(always)]
 pub(crate) fn cmp_f(op: BinOp, a: f64, b: f64) -> i64 {
     // The tree-walker compares f32 operands after widening to f64; the
     // registers already hold the widened values.
@@ -832,6 +838,7 @@ pub(crate) fn cmp_f(op: BinOp, a: f64, b: f64) -> i64 {
     r as i64
 }
 
+#[inline(always)]
 pub(crate) fn neg_i(ty: ScalarTy, x: i64) -> i64 {
     if ty == ScalarTy::I32 {
         ((x as i32).wrapping_neg()) as i64
@@ -840,6 +847,7 @@ pub(crate) fn neg_i(ty: ScalarTy, x: i64) -> i64 {
     }
 }
 
+#[inline(always)]
 pub(crate) fn not_i(ty: ScalarTy, x: i64) -> i64 {
     if ty == ScalarTy::I32 {
         (!(x as i32)) as i64
@@ -848,6 +856,7 @@ pub(crate) fn not_i(ty: ScalarTy, x: i64) -> i64 {
     }
 }
 
+#[inline(always)]
 pub(crate) fn cast_ii(from: ScalarTy, to: ScalarTy, x: i64) -> i64 {
     if from == ScalarTy::I64 && to == ScalarTy::I32 {
         (x as i32) as i64
@@ -856,6 +865,7 @@ pub(crate) fn cast_ii(from: ScalarTy, to: ScalarTy, x: i64) -> i64 {
     }
 }
 
+#[inline(always)]
 pub(crate) fn cast_if(to: ScalarTy, x: i64) -> f64 {
     if to == ScalarTy::F32 {
         (x as f32) as f64
@@ -864,6 +874,7 @@ pub(crate) fn cast_if(to: ScalarTy, x: i64) -> f64 {
     }
 }
 
+#[inline(always)]
 pub(crate) fn cast_fi(to: ScalarTy, x: f64) -> i64 {
     if to == ScalarTy::I32 {
         (x as i32) as i64
@@ -872,6 +883,7 @@ pub(crate) fn cast_fi(to: ScalarTy, x: f64) -> i64 {
     }
 }
 
+#[inline(always)]
 pub(crate) fn cast_ff(to: ScalarTy, x: f64) -> f64 {
     if to == ScalarTy::F32 {
         (x as f32) as f64
@@ -880,6 +892,7 @@ pub(crate) fn cast_ff(to: ScalarTy, x: f64) -> f64 {
     }
 }
 
+#[inline(always)]
 pub(crate) fn call1_i(ty: ScalarTy, x: i64) -> i64 {
     // Abs is the only unary integer intrinsic the compiler accepts.
     if ty == ScalarTy::I32 {
@@ -889,6 +902,7 @@ pub(crate) fn call1_i(ty: ScalarTy, x: i64) -> i64 {
     }
 }
 
+#[inline(always)]
 pub(crate) fn call2_i(i: Intrinsic, a: i64, b: i64) -> i64 {
     // Min/Max: order-preserving on the sign-extended representation.
     match i {
@@ -898,6 +912,7 @@ pub(crate) fn call2_i(i: Intrinsic, a: i64, b: i64) -> i64 {
     }
 }
 
+#[inline(always)]
 pub(crate) fn call1_f(i: Intrinsic, ty: ScalarTy, x: f64) -> f64 {
     if i == Intrinsic::Abs {
         return if ty == ScalarTy::F32 {
@@ -925,6 +940,7 @@ pub(crate) fn call1_f(i: Intrinsic, ty: ScalarTy, x: f64) -> f64 {
     }
 }
 
+#[inline(always)]
 pub(crate) fn call2_f(i: Intrinsic, ty: ScalarTy, a: f64, b: f64) -> f64 {
     // Min/Max/Pow are evaluated in the operand's own domain: f64::min on
     // widened f32 values could pick the other operand of a +/-0.0 pair.
@@ -1062,9 +1078,12 @@ pub fn run_code(
         };
     }
 
-    let mut pc = 0usize;
-    while pc < code.len() {
-        match &code[pc] {
+    // The cursor is a slice iterator: stepping is a pointer compare and
+    // bump, and only a taken jump pays an index bounds check.
+    let at = |target: u32| code[target as usize..].iter();
+    let mut ip = code.iter();
+    while let Some(op) = ip.next() {
+        match op {
             Op::Charge(idx) => {
                 let e = &plan.charges[*idx as usize];
                 counters.absorb(&e.counters);
@@ -1074,49 +1093,29 @@ pub fn run_code(
             Op::Kernel(idx) => {
                 let k = &plan.kernels[*idx as usize];
                 kernel::exec(k, plan.tier, regs);
-                pc += k.span as usize;
-                continue;
+                // The marker is the first of the `span` ops it covers.
+                ip = ip.as_slice()[k.span as usize - 1..].iter();
             }
 
             Op::ConstI { dst, v } => regs.i[*dst as usize] = *v,
             Op::ConstF { dst, v } => regs.f[*dst as usize] = *v,
-            Op::ConstVecI { dst, vals } => {
-                regs.i[*dst as usize..*dst as usize + vals.len()].copy_from_slice(vals);
-            }
-            Op::ConstVecF { dst, vals } => {
-                regs.f[*dst as usize..*dst as usize + vals.len()].copy_from_slice(vals);
-            }
+            Op::ConstVecI { dst, vals } => lanes::put(&mut regs.i, *dst as usize, vals),
+            Op::ConstVecF { dst, vals } => lanes::put(&mut regs.f, *dst as usize, vals),
             Op::MovI { dst, src } => regs.i[*dst as usize] = regs.i[*src as usize],
             Op::MovF { dst, src } => regs.f[*dst as usize] = regs.f[*src as usize],
             Op::MovNI { dst, src, w } => {
-                regs.i
-                    .copy_within(*src as usize..(*src + *w) as usize, *dst as usize);
+                lanes::mov(&mut regs.i, *dst as usize, *src as usize, *w as usize);
             }
             Op::MovNF { dst, src, w } => {
-                regs.f
-                    .copy_within(*src as usize..(*src + *w) as usize, *dst as usize);
+                lanes::mov(&mut regs.f, *dst as usize, *src as usize, *w as usize);
             }
             Op::FToI { dst, a } => regs.i[*dst as usize] = regs.f[*a as usize] as i64,
 
+            // Pure arithmetic: a scalar op is the width-1 instance of its
+            // vector op, and both resolve `(op, ty)` once in `lanes`.
             Op::BinI { op, ty, dst, a, b } => {
-                regs.i[*dst as usize] = bin_i(*op, *ty, regs.i[*a as usize], regs.i[*b as usize]);
+                lanes::bin_i(*op, *ty, &mut regs.i, *dst, *a, *b, 1);
             }
-            Op::BinF { op, ty, dst, a, b } => {
-                regs.f[*dst as usize] = bin_f(*op, *ty, regs.f[*a as usize], regs.f[*b as usize]);
-            }
-            Op::CmpF { op, dst, a, b } => {
-                regs.i[*dst as usize] = cmp_f(*op, regs.f[*a as usize], regs.f[*b as usize]);
-            }
-            Op::NegI { ty, dst, a } => regs.i[*dst as usize] = neg_i(*ty, regs.i[*a as usize]),
-            Op::NegF { dst, a } => regs.f[*dst as usize] = -regs.f[*a as usize],
-            Op::NotI { ty, dst, a } => regs.i[*dst as usize] = not_i(*ty, regs.i[*a as usize]),
-            Op::LogNotI { dst, a } => {
-                regs.i[*dst as usize] = (regs.i[*a as usize] == 0) as i64;
-            }
-            Op::LogNotF { dst, a } => {
-                regs.i[*dst as usize] = (regs.f[*a as usize] == 0.0) as i64;
-            }
-
             Op::VBinI {
                 op,
                 ty,
@@ -1124,11 +1123,9 @@ pub fn run_code(
                 a,
                 b,
                 w,
-            } => {
-                for k in 0..*w as usize {
-                    regs.i[*dst as usize + k] =
-                        bin_i(*op, *ty, regs.i[*a as usize + k], regs.i[*b as usize + k]);
-                }
+            } => lanes::bin_i(*op, *ty, &mut regs.i, *dst, *a, *b, *w),
+            Op::BinF { op, ty, dst, a, b } => {
+                lanes::bin_f(*op, *ty, &mut regs.f, *dst, *a, *b, 1);
             }
             Op::VBinF {
                 op,
@@ -1137,55 +1134,22 @@ pub fn run_code(
                 a,
                 b,
                 w,
-            } => {
-                for k in 0..*w as usize {
-                    regs.f[*dst as usize + k] =
-                        bin_f(*op, *ty, regs.f[*a as usize + k], regs.f[*b as usize + k]);
-                }
-            }
-            Op::VCmpF { op, dst, a, b, w } => {
-                for k in 0..*w as usize {
-                    regs.i[*dst as usize + k] =
-                        cmp_f(*op, regs.f[*a as usize + k], regs.f[*b as usize + k]);
-                }
-            }
-            Op::VNegI { ty, dst, a, w } => {
-                for k in 0..*w as usize {
-                    regs.i[*dst as usize + k] = neg_i(*ty, regs.i[*a as usize + k]);
-                }
-            }
-            Op::VNegF { dst, a, w } => {
-                for k in 0..*w as usize {
-                    regs.f[*dst as usize + k] = -regs.f[*a as usize + k];
-                }
-            }
-            Op::VNotI { ty, dst, a, w } => {
-                for k in 0..*w as usize {
-                    regs.i[*dst as usize + k] = not_i(*ty, regs.i[*a as usize + k]);
-                }
-            }
-            Op::VLogNotI { dst, a, w } => {
-                for k in 0..*w as usize {
-                    regs.i[*dst as usize + k] = (regs.i[*a as usize + k] == 0) as i64;
-                }
-            }
-            Op::VLogNotF { dst, a, w } => {
-                for k in 0..*w as usize {
-                    regs.i[*dst as usize + k] = (regs.f[*a as usize + k] == 0.0) as i64;
-                }
-            }
+            } => lanes::bin_f(*op, *ty, &mut regs.f, *dst, *a, *b, *w),
+            Op::CmpF { op, dst, a, b } => lanes::cmp_f(*op, regs, *dst, *a, *b, 1),
+            Op::VCmpF { op, dst, a, b, w } => lanes::cmp_f(*op, regs, *dst, *a, *b, *w),
+            Op::NegI { ty, dst, a } => lanes::neg_i(*ty, &mut regs.i, *dst, *a, 1),
+            Op::VNegI { ty, dst, a, w } => lanes::neg_i(*ty, &mut regs.i, *dst, *a, *w),
+            Op::NegF { dst, a } => lanes::neg_f(&mut regs.f, *dst, *a, 1),
+            Op::VNegF { dst, a, w } => lanes::neg_f(&mut regs.f, *dst, *a, *w),
+            Op::NotI { ty, dst, a } => lanes::not_i(*ty, &mut regs.i, *dst, *a, 1),
+            Op::VNotI { ty, dst, a, w } => lanes::not_i(*ty, &mut regs.i, *dst, *a, *w),
+            Op::LogNotI { dst, a } => lanes::lognot_i(&mut regs.i, *dst, *a, 1),
+            Op::VLogNotI { dst, a, w } => lanes::lognot_i(&mut regs.i, *dst, *a, *w),
+            Op::LogNotF { dst, a } => lanes::lognot_f(regs, *dst, *a, 1),
+            Op::VLogNotF { dst, a, w } => lanes::lognot_f(regs, *dst, *a, *w),
 
             Op::CastII { from, to, dst, a } => {
-                regs.i[*dst as usize] = cast_ii(*from, *to, regs.i[*a as usize]);
-            }
-            Op::CastIF { to, dst, a } => {
-                regs.f[*dst as usize] = cast_if(*to, regs.i[*a as usize]);
-            }
-            Op::CastFI { to, dst, a } => {
-                regs.i[*dst as usize] = cast_fi(*to, regs.f[*a as usize]);
-            }
-            Op::CastFF { to, dst, a } => {
-                regs.f[*dst as usize] = cast_ff(*to, regs.f[*a as usize]);
+                lanes::cast_ii(*from, *to, &mut regs.i, *dst, *a, 1);
             }
             Op::VCastII {
                 from,
@@ -1193,56 +1157,32 @@ pub fn run_code(
                 dst,
                 a,
                 w,
-            } => {
-                for k in 0..*w as usize {
-                    regs.i[*dst as usize + k] = cast_ii(*from, *to, regs.i[*a as usize + k]);
-                }
-            }
-            Op::VCastIF { to, dst, a, w } => {
-                for k in 0..*w as usize {
-                    regs.f[*dst as usize + k] = cast_if(*to, regs.i[*a as usize + k]);
-                }
-            }
-            Op::VCastFI { to, dst, a, w } => {
-                for k in 0..*w as usize {
-                    regs.i[*dst as usize + k] = cast_fi(*to, regs.f[*a as usize + k]);
-                }
-            }
-            Op::VCastFF { to, dst, a, w } => {
-                for k in 0..*w as usize {
-                    regs.f[*dst as usize + k] = cast_ff(*to, regs.f[*a as usize + k]);
-                }
-            }
+            } => lanes::cast_ii(*from, *to, &mut regs.i, *dst, *a, *w),
+            Op::CastIF { to, dst, a } => lanes::cast_if(*to, regs, *dst, *a, 1),
+            Op::VCastIF { to, dst, a, w } => lanes::cast_if(*to, regs, *dst, *a, *w),
+            Op::CastFI { to, dst, a } => lanes::cast_fi(*to, regs, *dst, *a, 1),
+            Op::VCastFI { to, dst, a, w } => lanes::cast_fi(*to, regs, *dst, *a, *w),
+            Op::CastFF { to, dst, a } => lanes::cast_ff(*to, &mut regs.f, *dst, *a, 1),
+            Op::VCastFF { to, dst, a, w } => lanes::cast_ff(*to, &mut regs.f, *dst, *a, *w),
 
             Op::Call1I { i, ty, dst, a } => {
                 debug_assert_eq!(*i, Intrinsic::Abs);
-                regs.i[*dst as usize] = call1_i(*ty, regs.i[*a as usize]);
-            }
-            Op::Call2I { i, dst, a, b } => {
-                regs.i[*dst as usize] = call2_i(*i, regs.i[*a as usize], regs.i[*b as usize]);
-            }
-            Op::Call1F { i, ty, dst, a } => {
-                regs.f[*dst as usize] = call1_f(*i, *ty, regs.f[*a as usize]);
-            }
-            Op::Call2F { i, ty, dst, a, b } => {
-                regs.f[*dst as usize] = call2_f(*i, *ty, regs.f[*a as usize], regs.f[*b as usize]);
+                lanes::call1_i(*ty, &mut regs.i, *dst, *a, 1);
             }
             Op::VCall1I { i, ty, dst, a, w } => {
                 debug_assert_eq!(*i, Intrinsic::Abs);
-                for k in 0..*w as usize {
-                    regs.i[*dst as usize + k] = call1_i(*ty, regs.i[*a as usize + k]);
-                }
+                lanes::call1_i(*ty, &mut regs.i, *dst, *a, *w);
             }
+            Op::Call2I { i, dst, a, b } => lanes::call2_i(*i, &mut regs.i, *dst, *a, *b, 1),
             Op::VCall2I { i, dst, a, b, w } => {
-                for k in 0..*w as usize {
-                    regs.i[*dst as usize + k] =
-                        call2_i(*i, regs.i[*a as usize + k], regs.i[*b as usize + k]);
-                }
+                lanes::call2_i(*i, &mut regs.i, *dst, *a, *b, *w);
             }
+            Op::Call1F { i, ty, dst, a } => lanes::call1_f(*i, *ty, &mut regs.f, *dst, *a, 1),
             Op::VCall1F { i, ty, dst, a, w } => {
-                for k in 0..*w as usize {
-                    regs.f[*dst as usize + k] = call1_f(*i, *ty, regs.f[*a as usize + k]);
-                }
+                lanes::call1_f(*i, *ty, &mut regs.f, *dst, *a, *w);
+            }
+            Op::Call2F { i, ty, dst, a, b } => {
+                lanes::call2_f(*i, *ty, &mut regs.f, *dst, *a, *b, 1);
             }
             Op::VCall2F {
                 i,
@@ -1251,21 +1191,10 @@ pub fn run_code(
                 a,
                 b,
                 w,
-            } => {
-                for k in 0..*w as usize {
-                    regs.f[*dst as usize + k] =
-                        call2_f(*i, *ty, regs.f[*a as usize + k], regs.f[*b as usize + k]);
-                }
-            }
+            } => lanes::call2_f(*i, *ty, &mut regs.f, *dst, *a, *b, *w),
 
-            Op::SplatI { dst, a, w } => {
-                let v = regs.i[*a as usize];
-                regs.i[*dst as usize..(*dst + *w) as usize].fill(v);
-            }
-            Op::SplatF { dst, a, w } => {
-                let v = regs.f[*a as usize];
-                regs.f[*dst as usize..(*dst + *w) as usize].fill(v);
-            }
+            Op::SplatI { dst, a, w } => lanes::splat(&mut regs.i, *dst, *a, *w),
+            Op::SplatF { dst, a, w } => lanes::splat(&mut regs.f, *dst, *a, *w),
             Op::PermI {
                 parity,
                 dst,
@@ -1330,7 +1259,7 @@ pub fn run_code(
             } => {
                 let k = array_index(regs.i[*idx as usize], *len, &plan.name);
                 let s = *base as usize + k * *w as usize;
-                regs.i.copy_within(s..s + *w as usize, *dst as usize);
+                lanes::mov(&mut regs.i, *dst as usize, s, *w as usize);
             }
             Op::LoadVElemF {
                 dst,
@@ -1341,7 +1270,7 @@ pub fn run_code(
             } => {
                 let k = array_index(regs.i[*idx as usize], *len, &plan.name);
                 let s = *base as usize + k * *w as usize;
-                regs.f.copy_within(s..s + *w as usize, *dst as usize);
+                lanes::mov(&mut regs.f, *dst as usize, s, *w as usize);
             }
             Op::LoadVSliceI {
                 dst,
@@ -1351,8 +1280,7 @@ pub fn run_code(
                 w,
             } => {
                 let k = slice_index(regs.i[*idx as usize], *w, *len, &plan.name);
-                let s = *base as usize + k;
-                regs.i.copy_within(s..s + *w as usize, *dst as usize);
+                lanes::mov(&mut regs.i, *dst as usize, *base as usize + k, *w as usize);
             }
             Op::LoadVSliceF {
                 dst,
@@ -1362,8 +1290,7 @@ pub fn run_code(
                 w,
             } => {
                 let k = slice_index(regs.i[*idx as usize], *w, *len, &plan.name);
-                let s = *base as usize + k;
-                regs.f.copy_within(s..s + *w as usize, *dst as usize);
+                lanes::mov(&mut regs.f, *dst as usize, *base as usize + k, *w as usize);
             }
             Op::StoreIdxI {
                 base,
@@ -1392,7 +1319,7 @@ pub fn run_code(
             } => {
                 let k = array_index(regs.i[*idx as usize], *len, &plan.name);
                 let d = *base as usize + k * *w as usize;
-                regs.i.copy_within(*src as usize..(*src + *w) as usize, d);
+                lanes::mov(&mut regs.i, d, *src as usize, *w as usize);
             }
             Op::StoreVElemF {
                 base,
@@ -1403,7 +1330,7 @@ pub fn run_code(
             } => {
                 let k = array_index(regs.i[*idx as usize], *len, &plan.name);
                 let d = *base as usize + k * *w as usize;
-                regs.f.copy_within(*src as usize..(*src + *w) as usize, d);
+                lanes::mov(&mut regs.f, d, *src as usize, *w as usize);
             }
             Op::StoreVSliceI {
                 base,
@@ -1413,8 +1340,7 @@ pub fn run_code(
                 w,
             } => {
                 let k = slice_index(regs.i[*idx as usize], *w, *len, &plan.name);
-                let d = *base as usize + k;
-                regs.i.copy_within(*src as usize..(*src + *w) as usize, d);
+                lanes::mov(&mut regs.i, *base as usize + k, *src as usize, *w as usize);
             }
             Op::StoreVSliceF {
                 base,
@@ -1424,8 +1350,7 @@ pub fn run_code(
                 w,
             } => {
                 let k = slice_index(regs.i[*idx as usize], *w, *len, &plan.name);
-                let d = *base as usize + k;
-                regs.f.copy_within(*src as usize..(*src + *w) as usize, d);
+                lanes::mov(&mut regs.f, *base as usize + k, *src as usize, *w as usize);
             }
             Op::LaneStoreI {
                 base,
@@ -1585,20 +1510,15 @@ pub fn run_code(
                 }
             }
 
-            Op::Jump { target } => {
-                pc = *target as usize;
-                continue;
-            }
+            Op::Jump { target } => ip = at(*target),
             Op::JumpIfZI { cond, target } => {
                 if regs.i[*cond as usize] == 0 {
-                    pc = *target as usize;
-                    continue;
+                    ip = at(*target);
                 }
             }
             Op::JumpIfZF { cond, target } => {
                 if regs.f[*cond as usize] == 0.0 {
-                    pc = *target as usize;
-                    continue;
+                    ip = at(*target);
                 }
             }
             Op::LoopHead {
@@ -1607,20 +1527,17 @@ pub fn run_code(
                 exit,
             } => {
                 if regs.i[*counter as usize] >= regs.i[*limit as usize] {
-                    pc = *exit as usize;
-                    continue;
+                    ip = at(*exit);
                 }
             }
             Op::LoopBack { counter, head } => {
                 regs.i[*counter as usize] += 1;
-                pc = *head as usize;
-                continue;
+                ip = at(*head);
             }
             Op::SetLoopVar { var, counter } => {
                 regs.i[*var as usize] = (regs.i[*counter as usize] as i32) as i64;
             }
         }
-        pc += 1;
     }
     Ok(())
 }

@@ -128,7 +128,12 @@ pub fn compile_filter_opts(
         let base = *cursor;
         *cursor = cursor.checked_add(len)?;
         if decl.kind == VarKind::Local && len > 0 {
-            zeros.push((base, len));
+            // Windows are allocated in declaration order, so a `Local`
+            // that follows another in its file extends the same range.
+            match zeros.last_mut() {
+                Some((b, l)) if *b + *l == base => *l += len,
+                _ => zeros.push((base, len)),
+            }
         }
         vars.push(VarSlot { ty: decl.ty, base });
     }

@@ -55,8 +55,10 @@ pub struct Executor<'a> {
     plans: Vec<FirePlan>,
     /// Persistent state per node (non-empty for filters only).
     states: Vec<FilterState>,
-    counters: CycleCounters,
-    node_cycles: Vec<u64>,
+    /// Cycles charged by each node's firings; the aggregate and the
+    /// per-node totals are derived from it on read, so a firing pays for
+    /// no bookkeeping beyond its own charges.
+    node_counters: Vec<CycleCounters>,
     outputs: Vec<Vec<Value>>,
     inits_done: bool,
     /// Firing-span recorder (zero-sized no-op unless the `telemetry`
@@ -108,7 +110,6 @@ impl<'a> Executor<'a> {
             .map(|(id, node)| programs.state_for(id, node))
             .collect();
         let outputs = vec![Vec::new(); graph.node_count()];
-        let node_cycles = vec![0; graph.node_count()];
         Executor {
             graph,
             schedule,
@@ -116,8 +117,7 @@ impl<'a> Executor<'a> {
             tapes: firing::graph_tapes(graph),
             plans: FirePlan::for_graph(graph, machine),
             states,
-            counters: CycleCounters::default(),
-            node_cycles,
+            node_counters: vec![CycleCounters::default(); graph.node_count()],
             outputs,
             inits_done: false,
             trace: WorkerTrace::disabled(),
@@ -193,23 +193,27 @@ impl<'a> Executor<'a> {
 
     /// Zero the cycle counters (e.g. after warm-up or the init schedule).
     pub fn reset_counters(&mut self) {
-        self.counters = CycleCounters::default();
-        self.node_cycles.iter_mut().for_each(|c| *c = 0);
+        self.node_counters.fill(CycleCounters::default());
     }
 
     /// Aggregate counters.
-    pub fn counters(&self) -> &CycleCounters {
-        &self.counters
+    pub fn counters(&self) -> CycleCounters {
+        let mut sum = CycleCounters::default();
+        self.node_counters.iter().for_each(|c| sum.absorb(c));
+        sum
     }
 
     /// Total modelled cycles.
     pub fn total_cycles(&self) -> u64 {
-        self.counters.total()
+        self.counters().total()
     }
 
     /// Cycles attributed to each node.
-    pub fn node_cycles(&self) -> &[u64] {
-        &self.node_cycles
+    pub fn node_cycles(&self) -> Vec<u64> {
+        self.node_counters
+            .iter()
+            .map(CycleCounters::total)
+            .collect()
     }
 
     /// Values captured by each sink node (indexed by node id).
@@ -229,23 +233,25 @@ impl<'a> Executor<'a> {
     /// Propagates interpreter failures (filters only; the native nodes
     /// cannot fail).
     pub fn fire(&mut self, id: NodeId) -> Result<(), VmError> {
-        let before = self.counters.total();
-        self.trace.record(EventKind::FiringStart, id.0, 0);
         let i = id.0 as usize;
+        self.trace.record(EventKind::FiringStart, id.0, 0);
+        // The firing's own cost is only needed as the span's payload.
+        let before = self.trace.active().then(|| self.node_counters[i].total());
         let sunk = firing::fire_node(
             &self.plans[i],
             self.graph.node(id),
             &mut self.states[i],
             &mut self.tapes,
             self.machine,
-            &mut self.counters,
+            &mut self.node_counters[i],
         )?;
         if let Some(v) = sunk {
             self.outputs[i].push(v);
         }
-        let cost = self.counters.total() - before;
-        self.trace.record(EventKind::FiringEnd, id.0, cost);
-        self.node_cycles[i] += cost;
+        if let Some(before) = before {
+            let cost = self.node_counters[i].total() - before;
+            self.trace.record(EventKind::FiringEnd, id.0, cost);
+        }
         Ok(())
     }
 }
@@ -310,8 +316,8 @@ pub fn run_scheduled_mode(
     ex.run_steady(iters)?;
     Ok(RunResult {
         output: ex.output_flat(),
-        counters: *ex.counters(),
-        node_cycles: ex.node_cycles().to_vec(),
+        counters: ex.counters(),
+        node_cycles: ex.node_cycles(),
     })
 }
 
@@ -514,7 +520,7 @@ mod tests {
         traced.reset_counters();
         traced.run_steady(5).unwrap();
         assert_eq!(traced.output_flat(), plain.output);
-        assert_eq!(*traced.counters(), plain.counters);
+        assert_eq!(traced.counters(), plain.counters);
         if cfg!(feature = "telemetry") {
             // 3 nodes x 5 iterations x (start + end), plus init (none here).
             assert_eq!(session.drain().len(), 3 * 5 * 2);

@@ -780,3 +780,69 @@ fn fire_sink(
     counters.addr_overhead += plan.in_cost;
     tapes[plan.in_edge.expect("sink needs an input")].pop()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bytecode::Op;
+    use crate::kernel::KernelTier;
+    use macross_streamir::expr::BinOp;
+
+    /// A vector operand outside the register file is a guest fault like
+    /// any other: the lane loop's window check panics, the firing
+    /// boundary reports it and quarantines both tapes.
+    #[test]
+    fn out_of_file_vector_operand_fails_the_firing_and_poisons_both_tapes() {
+        let mut g = Graph::new();
+        let src = g.add_node(Node::Filter(Filter::new("src", 0, 0, 1)));
+        let f = g.add_node(Node::Filter(Filter::new("wild", 1, 1, 1)));
+        let sink = g.add_node(Node::Sink);
+        g.connect(src, 0, f, 0, ScalarTy::F32);
+        g.connect(f, 0, sink, 0, ScalarTy::F32);
+        let machine = Machine::core_i7();
+        let plan = FirePlan::compute(&g, f, &machine);
+        let mut tapes = graph_tapes(&g);
+
+        for (dst, a) in [(0, 1000), (1000, 0), (13, 0)] {
+            let wild = CompiledFilter {
+                name: "wild".into(),
+                int_regs: 0,
+                float_regs: 16,
+                zero_i: vec![],
+                zero_f: vec![],
+                init: vec![],
+                work: vec![Op::VBinF {
+                    op: BinOp::Add,
+                    ty: ScalarTy::F32,
+                    dst,
+                    a,
+                    b: 4,
+                    w: 4,
+                }],
+                charges: vec![],
+                kernels: vec![],
+                tier: KernelTier::Portable,
+            };
+            let Node::Filter(filter) = g.node(f) else {
+                unreachable!()
+            };
+            let mut state = FilterState::from_shared(filter, Some(Arc::new(wild)));
+            tapes.iter_mut().for_each(Tape::clear_poison);
+            let mut counters = CycleCounters::default();
+            let err = fire_node(
+                &plan,
+                g.node(f),
+                &mut state,
+                &mut tapes,
+                &machine,
+                &mut counters,
+            )
+            .expect_err("the window lies outside the file");
+            assert!(
+                matches!(&err, VmError::Panicked { filter, .. } if filter == "wild"),
+                "{err:?}"
+            );
+            assert!(tapes.iter().all(Tape::is_poisoned), "dst {dst} a {a}");
+        }
+    }
+}

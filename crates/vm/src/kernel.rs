@@ -2,19 +2,30 @@
 //! that collapses straight-line runs of pure register ops into single
 //! [`Kernel`]s executed over contiguous register slices.
 //!
-//! The dispatch loop in [`crate::bytecode::run_code`] pays a per-opcode
-//! match plus, for vector ops, a per-lane call into a scalar helper that
-//! re-matches the operator and type on every lane. Fusion removes both
-//! costs: at compile time each fusible [`Op`] is lowered to a [`KOp`]
-//! with the operator/type pre-resolved, and each maximal run becomes one
-//! `Op::Kernel` the interpreter executes in a single dispatch.
+//! The dispatch loop in [`crate::bytecode::run_code`] pays, per executed
+//! op, one opcode dispatch, one `(operator, type)` resolution inside
+//! `crate::lanes`, a window check, and a round trip through the
+//! register file for every value. Fusion goes after what is left of
+//! that: at compile time each fusible [`Op`] is lowered to a [`KOp`] with
+//! the operator/type pre-resolved and its windows proven in bounds, each
+//! maximal run becomes one `Op::Kernel` the interpreter executes in a
+//! single dispatch, redundant ops inside it are pruned, and
+//! producer→consumer ladders keep their accumulator in a machine
+//! register. The lane work itself is no cheaper fused than dispatched
+//! unless a tier brings real vector instructions to it — the portable
+//! tier executes a `KOp` by calling the very lane loop the dispatch arm
+//! calls — which is why the profitability gate (`tier_threshold`) asks
+//! a run to earn its kernel entry, and why the portable tier fuses
+//! nothing by default.
 //!
 //! A width-parameterized **tier matrix** executes the same `KOp` stream
 //! (DESIGN.md §16):
 //!
 //! - **Portable** ([`KernelTier::Portable`], `exec_kop_portable`): safe
-//!   Rust slice loops written so LLVM autovectorizes the hot variants at
-//!   whatever width the build target has — the scalable-width tier.
+//!   Rust over the shared lane loops of `crate::lanes`, vectorized by
+//!   LLVM at whatever width the build target has — the scalable-width
+//!   tier, the fallback the intrinsic tiers call for ops they have no
+//!   exact instruction for, and the reference they are tested against.
 //!   Always available and the only tier off x86-64.
 //! - **SSE2** ([`KernelTier::Sse2`], [`x86::sse2`]): 128-bit intrinsic
 //!   paths — the x86-64 baseline, present on every x86-64 CPU.
@@ -62,24 +73,23 @@
 //! Backend-specialized variants (e.g. [`KOp::AddF32`]) additionally
 //! require the destination range to be disjoint from both source ranges
 //! and fully in-bounds — verified at fusion time; a violating op degrades
-//! to its generic lane-loop variant, which replicates `run_code`'s exact
-//! per-lane write order (aliasing included).
+//! to its generic variant, which goes through the lane loop's own window
+//! check and so keeps `run_code`'s exact per-lane write order (aliasing
+//! included).
 //!
 //! # Bit-exactness
 //!
-//! Generic variants call the same scalar helpers as `run_code`. The
-//! specialized portable loops inline those helpers' type-stable bodies
-//! verbatim (`f32` domain: narrow, op, widen; `i32` domain: truncate,
-//! wrapping op, sign-extend). The AVX2 paths use conversion instructions
+//! Every portable variant, generic or specialized, runs the lane loop
+//! `run_code` runs for the same `(op, ty)`, over the same scalar helpers
+//! (`f32` domain: narrow, op, widen; `i32` domain: truncate, wrapping
+//! op, sign-extend). The AVX2 paths use conversion instructions
 //! (`vcvtpd2ps` / `vcvtps2pd` / `vpmovsxdq`) that are exactly the
 //! per-lane Rust `as` casts, so all three execution paths produce
 //! bit-identical register files. The engine differential suite enforces
 //! this across every benchmark.
 
-use crate::bytecode::{
-    bin_f, bin_i, call1_f, call1_i, call2_f, call2_i, cast_ff, cast_fi, cast_if, cast_ii, cmp_f,
-    cmp_i, neg_i, not_i, Op, Regs,
-};
+use crate::bytecode::{Op, Regs};
+use crate::lanes;
 use macross_streamir::expr::{BinOp, Intrinsic};
 use macross_streamir::types::ScalarTy;
 
@@ -679,7 +689,7 @@ fn kop_bin_f(op: BinOp, ty: ScalarTy, dst: u32, a: u32, b: u32, w: u32, float_re
 
 /// Lower one bytecode op to a fused op, or `None` for non-fusible ops
 /// (tape/channel/array accesses, control flow, `Charge`).
-fn lower(op: &Op, int_regs: u32, float_regs: u32) -> Option<KOp> {
+pub(crate) fn lower(op: &Op, int_regs: u32, float_regs: u32) -> Option<KOp> {
     Some(match *op {
         Op::ConstI { dst, v } => KOp::ConstVecI {
             dst,
@@ -1517,31 +1527,36 @@ fn simd_units(op: &KOp, tier: KernelTier) -> usize {
     }
 }
 
-/// Default profitability threshold per tier. Entering a kernel has a
-/// fixed cost (kernel lookup, tier dispatch, one non-inlined call), so
-/// short or purely scalar runs lose to the plain dispatch loop; wider
-/// tiers amortize that entry cost over more lanes per op-unit, so they
-/// accept shorter runs.
-fn tier_threshold(tier: KernelTier) -> usize {
+/// Default profitability threshold per tier; `None` when the tier does
+/// not fuse unless told to. Entering a kernel has a fixed cost (kernel
+/// lookup, tier dispatch, one non-inlined call) that a run must earn
+/// back against a dispatch loop which resolves an op once and moves
+/// SIMD-width windows inline (`crate::lanes`). Measured on the
+/// 16-program suite (EXPERIMENTS.md, "Dispatch loop"): both intrinsic
+/// tiers lose below 48, break even there and stay level above it, with
+/// no difference between them that two sweeps could resolve; the
+/// portable tier, whose fused ops run the very lane loops the dispatch
+/// path calls, stays below 1.0 at every threshold that still fuses
+/// anything, so it fuses nothing by default.
+fn tier_threshold(tier: KernelTier) -> Option<usize> {
     match tier {
-        KernelTier::Portable => 32,
-        KernelTier::Sse2 => 28,
-        KernelTier::Avx2 => 24,
+        KernelTier::Portable => None,
+        KernelTier::Sse2 | KernelTier::Avx2 => Some(48),
     }
 }
 
 /// Threshold for `tier` given a raw `MACROSS_KERNEL_FUSE_THRESHOLD`
 /// value — the pure core, testable without touching the process env.
 /// A parseable override wins for every tier; garbage is ignored.
-fn threshold_for(tier: KernelTier, env_val: Option<&str>) -> usize {
+fn threshold_for(tier: KernelTier, env_val: Option<&str>) -> Option<usize> {
     env_val
         .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| tier_threshold(tier))
+        .or_else(|| tier_threshold(tier))
 }
 
 /// Read the env-tunable profitability threshold (per compile, not in the
 /// firing hot path).
-fn fuse_threshold(tier: KernelTier) -> usize {
+fn fuse_threshold(tier: KernelTier) -> Option<usize> {
     threshold_for(
         tier,
         std::env::var("MACROSS_KERNEL_FUSE_THRESHOLD")
@@ -1582,8 +1597,8 @@ fn leaders(code: &[Op]) -> Vec<bool> {
 
 /// Fuse straight-line runs of pure register ops in `code`, appending the
 /// kernels to `kernels` (shared between `init` and `work`, indexed by
-/// [`Op::Kernel`]). The profitability gate is tier-aware (wider tiers
-/// accept shorter runs) and env-tunable via
+/// [`Op::Kernel`]). The profitability gate is tier-aware (what counts as
+/// vector work, and whether the tier fuses at all) and env-tunable via
 /// `MACROSS_KERNEL_FUSE_THRESHOLD`. Returns the number of kernels
 /// created.
 pub fn fuse(
@@ -1593,7 +1608,9 @@ pub fn fuse(
     float_regs: u32,
     tier: KernelTier,
 ) -> usize {
-    let threshold = fuse_threshold(tier);
+    let Some(threshold) = fuse_threshold(tier) else {
+        return 0;
+    };
     fuse_runs(code, kernels, int_regs, float_regs, |kops| {
         profitable(kops, tier, threshold)
     })
@@ -1678,69 +1695,6 @@ pub fn exec(kernel: &Kernel, tier: KernelTier, regs: &mut Regs) {
     }
 }
 
-/// Split a register file into a mutable destination window and two
-/// shared source windows. Caller guarantees (fusion-time check) that the
-/// ranges are in-bounds and the destination is disjoint from both
-/// sources; the sources may alias each other.
-fn split3<T>(file: &mut [T], dst: u32, a: u32, b: u32, w: u32) -> (&mut [T], &[T], &[T]) {
-    let (dst, a, b, w) = (dst as usize, a as usize, b as usize, w as usize);
-    let (lo, rest) = file.split_at_mut(dst);
-    let (d, hi) = rest.split_at_mut(w);
-    // A disjoint equal-or-shorter range lies entirely below `dst` or
-    // entirely at/after `dst + w`.
-    let pick = |r: usize| -> &[T] {
-        if r < dst {
-            &lo[r..r + w]
-        } else {
-            &hi[r - dst - w..r - dst - w + w]
-        }
-    };
-    let (ra, rb) = (pick(a), pick(b));
-    (d, ra, rb)
-}
-
-macro_rules! lanes_f32 {
-    ($d:expr, $x:expr, $y:expr, $op:tt) => {
-        for ((d, &x), &y) in $d.iter_mut().zip($x).zip($y) {
-            *d = ((x as f32) $op (y as f32)) as f64;
-        }
-    };
-}
-
-macro_rules! lanes_f64 {
-    ($d:expr, $x:expr, $y:expr, $op:tt) => {
-        for ((d, &x), &y) in $d.iter_mut().zip($x).zip($y) {
-            *d = x $op y;
-        }
-    };
-}
-
-macro_rules! lanes_i32 {
-    ($d:expr, $x:expr, $y:expr, $f:ident) => {
-        for ((d, &x), &y) in $d.iter_mut().zip($x).zip($y) {
-            *d = ((x as i32).$f(y as i32)) as i64;
-        }
-    };
-}
-
-macro_rules! lanes_i64 {
-    ($d:expr, $x:expr, $y:expr, $f:ident) => {
-        for ((d, &x), &y) in $d.iter_mut().zip($x).zip($y) {
-            *d = x.$f(y);
-        }
-    };
-}
-
-macro_rules! lanes_bits {
-    ($d:expr, $x:expr, $y:expr, $op:tt) => {
-        for ((d, &x), &y) in $d.iter_mut().zip($x).zip($y) {
-            *d = x $op y;
-        }
-    };
-}
-
-/// Execute one fused op on the portable backend. Public within the crate
-/// so the AVX2 dispatcher can fall through to it for generic variants.
 /// Dynamic element index of a fused indexed vector move, with the same
 /// guest-panic bounds contract as the dispatch path's `array_index` (the
 /// firing layer's `catch_unwind` maps it to `VmError::Panicked`).
@@ -1753,30 +1707,22 @@ fn kernel_array_index(idx: i64, len: u32) -> usize {
     k
 }
 
+/// Execute one fused op on the portable backend: every arm is one call
+/// into `crate::lanes`, the same lane loops the dispatch path runs.
+/// Public within the crate so the intrinsic tiers can fall through to it
+/// for the variants they have no exact instruction for.
 pub(crate) fn exec_kop_portable(op: &KOp, regs: &mut Regs) {
     match *op {
-        KOp::ConstVecI { dst, ref vals } => {
-            regs.i[dst as usize..dst as usize + vals.len()].copy_from_slice(vals);
-        }
-        KOp::ConstVecF { dst, ref vals } => {
-            regs.f[dst as usize..dst as usize + vals.len()].copy_from_slice(vals);
-        }
+        KOp::ConstVecI { dst, ref vals } => lanes::put(&mut regs.i, dst as usize, vals),
+        KOp::ConstVecF { dst, ref vals } => lanes::put(&mut regs.f, dst as usize, vals),
         KOp::MovNI { dst, src, w } => {
-            regs.i
-                .copy_within(src as usize..(src + w) as usize, dst as usize);
+            lanes::mov(&mut regs.i, dst as usize, src as usize, w as usize);
         }
         KOp::MovNF { dst, src, w } => {
-            regs.f
-                .copy_within(src as usize..(src + w) as usize, dst as usize);
+            lanes::mov(&mut regs.f, dst as usize, src as usize, w as usize);
         }
-        KOp::SplatI { dst, a, w } => {
-            let v = regs.i[a as usize];
-            regs.i[dst as usize..(dst + w) as usize].fill(v);
-        }
-        KOp::SplatF { dst, a, w } => {
-            let v = regs.f[a as usize];
-            regs.f[dst as usize..(dst + w) as usize].fill(v);
-        }
+        KOp::SplatI { dst, a, w } => lanes::splat(&mut regs.i, dst, a, w),
+        KOp::SplatF { dst, a, w } => lanes::splat(&mut regs.f, dst, a, w),
         KOp::PermI {
             parity,
             dst,
@@ -1822,7 +1768,7 @@ pub(crate) fn exec_kop_portable(op: &KOp, regs: &mut Regs) {
             w,
         } => {
             let s = base as usize + kernel_array_index(regs.i[idx as usize], len) * w as usize;
-            regs.i.copy_within(s..s + w as usize, dst as usize);
+            lanes::mov(&mut regs.i, dst as usize, s, w as usize);
         }
         KOp::LoadVElemF {
             dst,
@@ -1832,7 +1778,7 @@ pub(crate) fn exec_kop_portable(op: &KOp, regs: &mut Regs) {
             w,
         } => {
             let s = base as usize + kernel_array_index(regs.i[idx as usize], len) * w as usize;
-            regs.f.copy_within(s..s + w as usize, dst as usize);
+            lanes::mov(&mut regs.f, dst as usize, s, w as usize);
         }
         KOp::StoreVElemI {
             base,
@@ -1842,7 +1788,7 @@ pub(crate) fn exec_kop_portable(op: &KOp, regs: &mut Regs) {
             w,
         } => {
             let d = base as usize + kernel_array_index(regs.i[idx as usize], len) * w as usize;
-            regs.i.copy_within(src as usize..(src + w) as usize, d);
+            lanes::mov(&mut regs.i, d, src as usize, w as usize);
         }
         KOp::StoreVElemF {
             base,
@@ -1852,76 +1798,7 @@ pub(crate) fn exec_kop_portable(op: &KOp, regs: &mut Regs) {
             w,
         } => {
             let d = base as usize + kernel_array_index(regs.i[idx as usize], len) * w as usize;
-            regs.f.copy_within(src as usize..(src + w) as usize, d);
-        }
-
-        KOp::AddF32 { dst, a, b, w } => {
-            let (d, x, y) = split3(&mut regs.f, dst, a, b, w);
-            lanes_f32!(d, x, y, +);
-        }
-        KOp::SubF32 { dst, a, b, w } => {
-            let (d, x, y) = split3(&mut regs.f, dst, a, b, w);
-            lanes_f32!(d, x, y, -);
-        }
-        KOp::MulF32 { dst, a, b, w } => {
-            let (d, x, y) = split3(&mut regs.f, dst, a, b, w);
-            lanes_f32!(d, x, y, *);
-        }
-        KOp::DivF32 { dst, a, b, w } => {
-            let (d, x, y) = split3(&mut regs.f, dst, a, b, w);
-            lanes_f32!(d, x, y, /);
-        }
-        KOp::AddF64 { dst, a, b, w } => {
-            let (d, x, y) = split3(&mut regs.f, dst, a, b, w);
-            lanes_f64!(d, x, y, +);
-        }
-        KOp::SubF64 { dst, a, b, w } => {
-            let (d, x, y) = split3(&mut regs.f, dst, a, b, w);
-            lanes_f64!(d, x, y, -);
-        }
-        KOp::MulF64 { dst, a, b, w } => {
-            let (d, x, y) = split3(&mut regs.f, dst, a, b, w);
-            lanes_f64!(d, x, y, *);
-        }
-        KOp::DivF64 { dst, a, b, w } => {
-            let (d, x, y) = split3(&mut regs.f, dst, a, b, w);
-            lanes_f64!(d, x, y, /);
-        }
-        KOp::AddI32 { dst, a, b, w } => {
-            let (d, x, y) = split3(&mut regs.i, dst, a, b, w);
-            lanes_i32!(d, x, y, wrapping_add);
-        }
-        KOp::SubI32 { dst, a, b, w } => {
-            let (d, x, y) = split3(&mut regs.i, dst, a, b, w);
-            lanes_i32!(d, x, y, wrapping_sub);
-        }
-        KOp::MulI32 { dst, a, b, w } => {
-            let (d, x, y) = split3(&mut regs.i, dst, a, b, w);
-            lanes_i32!(d, x, y, wrapping_mul);
-        }
-        KOp::AddI64 { dst, a, b, w } => {
-            let (d, x, y) = split3(&mut regs.i, dst, a, b, w);
-            lanes_i64!(d, x, y, wrapping_add);
-        }
-        KOp::SubI64 { dst, a, b, w } => {
-            let (d, x, y) = split3(&mut regs.i, dst, a, b, w);
-            lanes_i64!(d, x, y, wrapping_sub);
-        }
-        KOp::MulI64 { dst, a, b, w } => {
-            let (d, x, y) = split3(&mut regs.i, dst, a, b, w);
-            lanes_i64!(d, x, y, wrapping_mul);
-        }
-        KOp::AndI { dst, a, b, w } => {
-            let (d, x, y) = split3(&mut regs.i, dst, a, b, w);
-            lanes_bits!(d, x, y, &);
-        }
-        KOp::OrI { dst, a, b, w } => {
-            let (d, x, y) = split3(&mut regs.i, dst, a, b, w);
-            lanes_bits!(d, x, y, |);
-        }
-        KOp::XorI { dst, a, b, w } => {
-            let (d, x, y) = split3(&mut regs.i, dst, a, b, w);
-            lanes_bits!(d, x, y, ^);
+            lanes::mov(&mut regs.f, d, src as usize, w as usize);
         }
 
         KOp::BinI {
@@ -1931,12 +1808,15 @@ pub(crate) fn exec_kop_portable(op: &KOp, regs: &mut Regs) {
             a,
             b,
             w,
-        } => {
-            for k in 0..w as usize {
-                regs.i[dst as usize + k] =
-                    bin_i(op, ty, regs.i[a as usize + k], regs.i[b as usize + k]);
-            }
         }
+        | KOp::CmpI {
+            op,
+            ty,
+            dst,
+            a,
+            b,
+            w,
+        } => lanes::bin_i(op, ty, &mut regs.i, dst, a, b, w),
         KOp::BinF {
             op,
             ty,
@@ -1944,93 +1824,26 @@ pub(crate) fn exec_kop_portable(op: &KOp, regs: &mut Regs) {
             a,
             b,
             w,
-        } => {
-            for k in 0..w as usize {
-                regs.f[dst as usize + k] =
-                    bin_f(op, ty, regs.f[a as usize + k], regs.f[b as usize + k]);
-            }
-        }
-        KOp::CmpF { op, dst, a, b, w } => {
-            for k in 0..w as usize {
-                regs.i[dst as usize + k] =
-                    cmp_f(op, regs.f[a as usize + k], regs.f[b as usize + k]);
-            }
-        }
-        KOp::CmpI {
-            op, dst, a, b, w, ..
-        } => {
-            let (d, x, y) = split3(&mut regs.i, dst, a, b, w);
-            for k in 0..w as usize {
-                d[k] = cmp_i(op, x[k], y[k]);
-            }
-        }
-        KOp::NegI { ty, dst, a, w } => {
-            for k in 0..w as usize {
-                regs.i[dst as usize + k] = neg_i(ty, regs.i[a as usize + k]);
-            }
-        }
-        KOp::NegF { dst, a, w } => {
-            for k in 0..w as usize {
-                regs.f[dst as usize + k] = -regs.f[a as usize + k];
-            }
-        }
-        KOp::NotI { ty, dst, a, w } => {
-            for k in 0..w as usize {
-                regs.i[dst as usize + k] = not_i(ty, regs.i[a as usize + k]);
-            }
-        }
-        KOp::LogNotI { dst, a, w } => {
-            for k in 0..w as usize {
-                regs.i[dst as usize + k] = (regs.i[a as usize + k] == 0) as i64;
-            }
-        }
-        KOp::LogNotF { dst, a, w } => {
-            for k in 0..w as usize {
-                regs.i[dst as usize + k] = (regs.f[a as usize + k] == 0.0) as i64;
-            }
-        }
+        } => lanes::bin_f(op, ty, &mut regs.f, dst, a, b, w),
+        KOp::CmpF { op, dst, a, b, w } => lanes::cmp_f(op, regs, dst, a, b, w),
+        KOp::NegI { ty, dst, a, w } => lanes::neg_i(ty, &mut regs.i, dst, a, w),
+        KOp::NegF { dst, a, w } => lanes::neg_f(&mut regs.f, dst, a, w),
+        KOp::NotI { ty, dst, a, w } => lanes::not_i(ty, &mut regs.i, dst, a, w),
+        KOp::LogNotI { dst, a, w } => lanes::lognot_i(&mut regs.i, dst, a, w),
+        KOp::LogNotF { dst, a, w } => lanes::lognot_f(regs, dst, a, w),
         KOp::CastII {
             from,
             to,
             dst,
             a,
             w,
-        } => {
-            for k in 0..w as usize {
-                regs.i[dst as usize + k] = cast_ii(from, to, regs.i[a as usize + k]);
-            }
-        }
-        KOp::CastIF { to, dst, a, w } => {
-            for k in 0..w as usize {
-                regs.f[dst as usize + k] = cast_if(to, regs.i[a as usize + k]);
-            }
-        }
-        KOp::CastFI { to, dst, a, w } => {
-            for k in 0..w as usize {
-                regs.i[dst as usize + k] = cast_fi(to, regs.f[a as usize + k]);
-            }
-        }
-        KOp::CastFF { to, dst, a, w } => {
-            for k in 0..w as usize {
-                regs.f[dst as usize + k] = cast_ff(to, regs.f[a as usize + k]);
-            }
-        }
-        KOp::Call1I { ty, dst, a, w } => {
-            for k in 0..w as usize {
-                regs.i[dst as usize + k] = call1_i(ty, regs.i[a as usize + k]);
-            }
-        }
-        KOp::Call2I { i, dst, a, b, w } => {
-            for k in 0..w as usize {
-                regs.i[dst as usize + k] =
-                    call2_i(i, regs.i[a as usize + k], regs.i[b as usize + k]);
-            }
-        }
-        KOp::Call1F { i, ty, dst, a, w } => {
-            for k in 0..w as usize {
-                regs.f[dst as usize + k] = call1_f(i, ty, regs.f[a as usize + k]);
-            }
-        }
+        } => lanes::cast_ii(from, to, &mut regs.i, dst, a, w),
+        KOp::CastIF { to, dst, a, w } => lanes::cast_if(to, regs, dst, a, w),
+        KOp::CastFI { to, dst, a, w } => lanes::cast_fi(to, regs, dst, a, w),
+        KOp::CastFF { to, dst, a, w } => lanes::cast_ff(to, &mut regs.f, dst, a, w),
+        KOp::Call1I { ty, dst, a, w } => lanes::call1_i(ty, &mut regs.i, dst, a, w),
+        KOp::Call2I { i, dst, a, b, w } => lanes::call2_i(i, &mut regs.i, dst, a, b, w),
+        KOp::Call1F { i, ty, dst, a, w } => lanes::call1_f(i, ty, &mut regs.f, dst, a, w),
         KOp::Call2F {
             i,
             ty,
@@ -2038,18 +1851,41 @@ pub(crate) fn exec_kop_portable(op: &KOp, regs: &mut Regs) {
             a,
             b,
             w,
-        } => {
-            for k in 0..w as usize {
-                regs.f[dst as usize + k] =
-                    call2_f(i, ty, regs.f[a as usize + k], regs.f[b as usize + k]);
-            }
-        }
+        } => lanes::call2_f(i, ty, &mut regs.f, dst, a, b, w),
         KOp::Chain {
             dom,
             a,
             w,
             ref stages,
         } => exec_chain_portable(dom, a, w, stages, regs),
+        // What remains is the specialized arithmetic, a pre-resolved
+        // `(op, ty)`; its proven-disjoint destination takes the lane
+        // loop's whole-window path.
+        _ => {
+            let (class, kind, dst, a, b, w) =
+                chain_parts(op).expect("every other variant is matched above");
+            let bin = match kind {
+                ChainKind::Add => BinOp::Add,
+                ChainKind::Sub => BinOp::Sub,
+                ChainKind::Mul => BinOp::Mul,
+                ChainKind::Div => BinOp::Div,
+                ChainKind::And => BinOp::And,
+                ChainKind::Or => BinOp::Or,
+                ChainKind::Xor => BinOp::Xor,
+                ChainKind::RSub | ChainKind::RDiv => {
+                    unreachable!("chain_parts emits base kinds only")
+                }
+            };
+            match class {
+                ChainClass::F32 => lanes::bin_f(bin, ScalarTy::F32, &mut regs.f, dst, a, b, w),
+                ChainClass::F64 => lanes::bin_f(bin, ScalarTy::F64, &mut regs.f, dst, a, b, w),
+                ChainClass::I32 => lanes::bin_i(bin, ScalarTy::I32, &mut regs.i, dst, a, b, w),
+                // Bitwise ops are full-width: the `I64` loop is theirs too.
+                ChainClass::I64 | ChainClass::Bits => {
+                    lanes::bin_i(bin, ScalarTy::I64, &mut regs.i, dst, a, b, w)
+                }
+            }
+        }
     }
 }
 
@@ -2513,17 +2349,19 @@ mod tests {
 
     #[test]
     fn profitability_gate_is_tier_aware_and_tunable() {
-        // Wider tiers accept shorter runs by default.
-        assert!(threshold_for(KernelTier::Avx2, None) < threshold_for(KernelTier::Sse2, None));
-        assert!(threshold_for(KernelTier::Sse2, None) < threshold_for(KernelTier::Portable, None));
+        // The intrinsic tiers fuse by default; the portable tier only on
+        // request.
+        let avx2 = threshold_for(KernelTier::Avx2, None).expect("avx2 fuses");
+        assert!(threshold_for(KernelTier::Sse2, None).is_some());
+        assert_eq!(threshold_for(KernelTier::Portable, None), None);
         // The env override wins for every tier; garbage is ignored.
         for t in KernelTier::ALL {
-            assert_eq!(threshold_for(t, Some("5")), 5);
+            assert_eq!(threshold_for(t, Some("5")), Some(5));
             assert_eq!(threshold_for(t, Some("nope")), tier_threshold(t));
         }
         // A permutation-heavy run counts as vector work only on the
-        // intrinsic tiers, so the same run can clear the bar on AVX2
-        // while staying on dispatch for portable.
+        // intrinsic tiers, so the same run clears AVX2's bar and would
+        // not clear it as portable work.
         let perm = KOp::PermF {
             parity: 0,
             dst: 16,
@@ -2531,17 +2369,9 @@ mod tests {
             b: 8,
             w: 8,
         };
-        let kops: Vec<KOp> = (0..6).map(|_| perm.clone()).collect();
-        assert!(profitable(
-            &kops,
-            KernelTier::Avx2,
-            tier_threshold(KernelTier::Avx2)
-        ));
-        assert!(!profitable(
-            &kops,
-            KernelTier::Portable,
-            tier_threshold(KernelTier::Portable)
-        ));
+        let kops: Vec<KOp> = (0..10).map(|_| perm.clone()).collect();
+        assert!(profitable(&kops, KernelTier::Avx2, avx2));
+        assert!(!profitable(&kops, KernelTier::Portable, avx2));
         // Chains count one unit per stage — they replaced that many ops.
         let chain = KOp::Chain {
             dom: ChainDom::F32,

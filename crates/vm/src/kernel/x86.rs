@@ -121,6 +121,7 @@ macro_rules! tier_exec_body {
             disjoint, exec_kop_portable, ChainClass, ChainDom, ChainKind, ChainStage, KOp,
         };
         use crate::bytecode::{call1_f, cmp_f, cmp_i, Regs};
+        use crate::lanes;
         use macross_streamir::expr::{BinOp, Intrinsic};
         use macross_streamir::types::ScalarTy;
 
@@ -645,46 +646,20 @@ macro_rules! tier_exec_body {
                         let (d, x) = super::ptrs2(&mut regs.f, dst, a);
                         call1_f_slice(i, ty, d, x, w as usize);
                     }
-                    // Bookkeeping ops: same semantics as the portable
-                    // arms, with the bounds checks the fusion pass
-                    // already performed removed. `copy` (not
-                    // `copy_nonoverlapping`) matches `copy_within`'s
-                    // overlap tolerance.
+                    // Register moves go straight to the shared lane
+                    // loops (SIMD-width windows move as fixed-size
+                    // arrays, no libc call) instead of through the
+                    // portable dispatcher's second match.
                     KOp::MovNF { dst, src, w } => {
-                        core::ptr::copy(
-                            regs.f.as_ptr().add(src as usize),
-                            regs.f.as_mut_ptr().add(dst as usize),
-                            w as usize,
-                        );
+                        lanes::mov(&mut regs.f, dst as usize, src as usize, w as usize);
                     }
                     KOp::MovNI { dst, src, w } => {
-                        core::ptr::copy(
-                            regs.i.as_ptr().add(src as usize),
-                            regs.i.as_mut_ptr().add(dst as usize),
-                            w as usize,
-                        );
+                        lanes::mov(&mut regs.i, dst as usize, src as usize, w as usize);
                     }
-                    KOp::ConstVecF { dst, ref vals } => {
-                        core::ptr::copy_nonoverlapping(
-                            vals.as_ptr(),
-                            regs.f.as_mut_ptr().add(dst as usize),
-                            vals.len(),
-                        );
-                    }
-                    KOp::ConstVecI { dst, ref vals } => {
-                        core::ptr::copy_nonoverlapping(
-                            vals.as_ptr(),
-                            regs.i.as_mut_ptr().add(dst as usize),
-                            vals.len(),
-                        );
-                    }
-                    KOp::SplatF { dst, a, w } => {
-                        let v = *regs.f.as_ptr().add(a as usize);
-                        let d = regs.f.as_mut_ptr().add(dst as usize);
-                        for k in 0..w as usize {
-                            *d.add(k) = v;
-                        }
-                    }
+                    KOp::ConstVecF { dst, ref vals } => lanes::put(&mut regs.f, dst as usize, vals),
+                    KOp::ConstVecI { dst, ref vals } => lanes::put(&mut regs.i, dst as usize, vals),
+                    KOp::SplatF { dst, a, w } => lanes::splat(&mut regs.f, dst, a, w),
+                    KOp::SplatI { dst, a, w } => lanes::splat(&mut regs.i, dst, a, w),
                     // Everything generic runs the exact portable loops.
                     ref other => exec_kop_portable(other, regs),
                 }

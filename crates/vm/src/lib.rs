@@ -37,6 +37,7 @@ pub mod exec;
 pub mod firing;
 pub mod interp;
 pub mod kernel;
+mod lanes;
 pub mod machine;
 pub mod programs;
 pub mod tape;

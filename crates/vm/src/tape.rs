@@ -313,7 +313,28 @@ impl Tape {
     }
 
     /// Push one element, advancing the write pointer.
+    #[inline]
     pub fn push(&mut self, v: Value) {
+        // The common case in one branch: a plain tape with no staged
+        // `rpush` gap and a free slot takes a single store. `&` rather
+        // than `&&` keeps the three tests one condition.
+        let plain = self.write_reorder.is_none()
+            & (self.filled_end == self.committed_end)
+            & (self.committed_end - self.read < self.buf.len());
+        if plain {
+            self.buf[self.committed_end & self.mask] = v;
+            self.committed_end += 1;
+            self.filled_end += 1;
+            self.total_pushed += 1;
+        } else {
+            self.push_slow(v);
+        }
+    }
+
+    /// [`Tape::push`] in full: reordered writes, a staged gap to fill and
+    /// a ring to grow end up here.
+    #[inline(never)]
+    fn push_slow(&mut self, v: Value) {
         self.total_pushed += 1;
         if let Some((rate, sw)) = self.write_reorder {
             let block = rate * sw;
@@ -352,6 +373,9 @@ impl Tape {
     /// Advance the write pointer over `n` slots previously filled by
     /// `rpush`.
     pub fn advance_write(&mut self, n: usize) {
+        if n == 0 {
+            return;
+        }
         self.ensure_filled(self.committed_end + n - 1);
         self.committed_end += n;
     }
@@ -420,7 +444,23 @@ impl Tape {
     ///
     /// # Panics
     /// Panics if the tape is empty (the schedule guarantees availability).
+    #[inline]
     pub fn pop(&mut self) -> Value {
+        // One branch for the common case, like [`Tape::push`].
+        if self.read_reorder.is_none() & (self.committed_end > self.read) {
+            let v = self.buf[self.read & self.mask];
+            self.read += 1;
+            self.total_popped += 1;
+            v
+        } else {
+            self.pop_slow()
+        }
+    }
+
+    /// [`Tape::pop`] in full: read-reordered tapes and the empty-tape
+    /// panic end up here.
+    #[inline(never)]
+    fn pop_slow(&mut self) -> Value {
         self.total_popped += 1;
         if let Some((rate, sw)) = self.read_reorder {
             let block = rate * sw;
@@ -584,6 +624,18 @@ mod tests {
         assert_eq!(t.len(), 8);
         let got: Vec<Value> = (0..8).map(|_| t.pop()).collect();
         assert_eq!(got, (0..8).map(iv).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn advance_write_of_nothing_is_a_no_op() {
+        // `committed_end + 0 - 1` underflowed on a tape still at 0, and
+        // in release zero-filled over the staged slot.
+        let mut t = Tape::new(ScalarTy::I32);
+        t.rpush(iv(5), 2);
+        t.advance_write(0);
+        assert_eq!((t.len(), t.stats()), (0, (1, 0)));
+        t.advance_write(3);
+        assert_eq!(t.vpop(3), vec![iv(0), iv(0), iv(5)]);
     }
 
     #[test]
@@ -822,6 +874,128 @@ mod tests {
         assert_eq!((t.len(), t.stats()), (4, (6, 2)));
         t.push(iv(6));
         assert_eq!(t.vpop(5), (2..7).map(iv).collect::<Vec<_>>());
+    }
+
+    /// Everything two tapes driven by the same calls must agree on: the
+    /// pointers, the statistics, the ring itself and the staging block.
+    fn same_state(a: &Tape, b: &Tape, what: &str) {
+        let key = |t: &Tape| {
+            (
+                (t.read, t.committed_end, t.filled_end, t.mask),
+                (t.read_block_pos, t.write_block_pos),
+                (t.total_pushed, t.total_popped),
+                (t.buf.clone(), t.write_stage.clone()),
+            )
+        };
+        assert_eq!(key(a), key(b), "{what}");
+    }
+
+    /// Drive `fast` through `push`/`pop` and `slow` through the full
+    /// bodies they fall back to, under one seeded call sequence, and
+    /// require identical state after every call. `rpush`-staged gaps,
+    /// ring growth, vector transfers and `mark`/`rollback` around runs of
+    /// pushes or pops are all in the mix; `block` is the reorder block
+    /// (1 for a plain tape).
+    fn push_pop_paths_agree(mut fast: Tape, mut slow: Tape, block: usize, seed: u64) {
+        let plain_write = fast.write_reorder.is_none();
+        let plain_read = fast.read_reorder.is_none();
+        let mut x = seed | 1;
+        let mut rnd = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        let mut next = 0i32;
+        // A pending mark and whether pushes (true) or pops (false) may
+        // follow it: a rollback undoes one kind, never a mix.
+        let mut marked: Option<(TapeMark, TapeMark, bool)> = None;
+        for step in 0..4000 {
+            let what = format!("seed {seed} step {step}");
+            let may_push = marked.as_ref().is_none_or(|m| m.2);
+            let may_pop = marked.as_ref().is_none_or(|m| !m.2);
+            // A read-reordered pop addresses its whole block.
+            let poppable = fast.len() >= block.max(1) && may_pop;
+            match rnd(10) {
+                0..=3 if may_push => {
+                    next += 1;
+                    fast.push(iv(next));
+                    slow.push_slow(iv(next));
+                }
+                4 | 5 if poppable => assert_eq!(fast.pop(), slow.pop_slow(), "{what}"),
+                6 if may_push && plain_write => {
+                    // Stage a gap, sometimes commit it: the next pushes
+                    // must fill, not overwrite.
+                    next += 1;
+                    let off = 1 + rnd(5);
+                    fast.rpush(iv(next), off);
+                    slow.rpush(iv(next), off);
+                    if rnd(2) == 0 {
+                        let n = rnd(off + 2);
+                        fast.advance_write(n);
+                        slow.advance_write(n);
+                    }
+                }
+                7 if may_push && plain_write => {
+                    let w = rnd(6);
+                    let base = next;
+                    next += w as i32;
+                    fast.vpush_many(w, |k| iv(base + 1 + k as i32));
+                    slow.vpush_many(w, |k| iv(base + 1 + k as i32));
+                }
+                8 if may_pop && plain_read => {
+                    let w = rnd(fast.len() + 1);
+                    assert_eq!(fast.vpop(w), slow.vpop(w), "{what}");
+                }
+                9 => match marked.take() {
+                    Some((mf, ms, _)) if rnd(2) == 0 => {
+                        fast.rollback(&mf);
+                        slow.rollback(&ms);
+                    }
+                    Some(_) => {}
+                    None => marked = Some((fast.mark(), slow.mark(), rnd(2) == 0)),
+                },
+                _ => {}
+            }
+            same_state(&fast, &slow, &what);
+        }
+        assert!(fast.stats().0 > 500, "the mix must actually push");
+    }
+
+    #[test]
+    fn push_fast_path_matches_the_full_path_on_plain_tapes() {
+        for seed in [1, 7, 99, 2026] {
+            let t = Tape::new(ScalarTy::I32);
+            push_pop_paths_agree(t.clone(), t, 1, seed);
+        }
+    }
+
+    #[test]
+    fn push_fast_path_matches_the_full_path_on_reordered_tapes() {
+        for seed in [3, 11, 404] {
+            let mut w = Tape::new(ScalarTy::I32);
+            w.set_write_reorder(2, 4);
+            push_pop_paths_agree(w.clone(), w, 1, seed);
+            let mut r = Tape::new(ScalarTy::I32);
+            r.set_read_reorder(3, 4);
+            push_pop_paths_agree(r.clone(), r, 12, seed);
+        }
+    }
+
+    #[test]
+    fn push_fast_path_hands_over_exactly_at_capacity() {
+        // Pushes 1..=8 land on the fast path once the ring exists, the
+        // 9th finds it full and must grow it; both tapes see the same.
+        let (mut fast, mut slow) = (Tape::new(ScalarTy::I32), Tape::new(ScalarTy::I32));
+        for i in 0..40 {
+            fast.push(iv(i));
+            slow.push_slow(iv(i));
+            same_state(&fast, &slow, &format!("push {i}"));
+            if i % 5 == 4 {
+                assert_eq!(fast.pop(), slow.pop_slow());
+            }
+        }
+        assert_eq!(fast.buf.len(), 64);
     }
 
     #[test]
