@@ -5,8 +5,9 @@
 //! every operation. The bytecode VM removes all of that: values live
 //! unboxed in two register files (`Vec<i64>` / `Vec<f64>`), vectors are
 //! `width` consecutive registers, variable slots are resolved to fixed
-//! bases at compile time, and cycle charges are pre-aggregated per basic
-//! block into [`ChargeEntry`] records applied by a single [`Op::Charge`].
+//! bases at compile time, literals live in a constant pool loaded once per
+//! register file, and cycle charges are pre-aggregated per firing into
+//! [`ChargeEntry`] records applied by a single [`Op::Charge`].
 //!
 //! # Value representation
 //!
@@ -25,14 +26,18 @@
 //!
 //! # Cycle accounting
 //!
-//! The compiler sums the per-op charges of each basic block at compile
-//! time. Address-generation overhead on reordered tapes depends on the
-//! edge (`in_cost` / `out_cost`), so [`ChargeEntry`] records *counts* of
-//! input/output accesses and the VM multiplies at run time. All charges
-//! are plain `u64` additions, so aggregation order cannot change totals;
-//! on a successful firing the counters are bit-identical to the
-//! tree-walker's. Runs that abort with a [`VmError`] never surface their
-//! counters, so mid-block divergence there is unobservable.
+//! The compiler sums the per-op charges of each region (function body or
+//! loop body) at compile time and multiplies a loop body's sum by its trip
+//! count — at compile time when the count is a literal, by one
+//! [`Op::ChargeTimes`] after the loop when it is not; only code under an
+//! `If` is charged where it runs. Address-generation overhead on reordered
+//! tapes depends on the edge (`in_cost` / `out_cost`), so [`ChargeEntry`]
+//! records *counts* of input/output accesses and the VM multiplies at run
+//! time. All charges are plain `u64` additions, so aggregation order
+//! cannot change totals; on a successful firing the counters are
+//! bit-identical to the tree-walker's. Runs that abort with a [`VmError`]
+//! never surface their counters, so where inside a firing a charge lands
+//! is unobservable.
 
 use crate::error::{TapeSide, VmError};
 use crate::kernel::{self, Kernel, KernelTier};
@@ -62,7 +67,7 @@ impl Regs {
     }
 }
 
-/// Pre-aggregated cycle charges of one basic block.
+/// Pre-aggregated cycle charges of one region of a body.
 ///
 /// `in_addr` / `out_addr` count scalar accesses to the input/output tape
 /// that pay the per-edge reorder address cost; the VM multiplies them by
@@ -83,12 +88,30 @@ impl ChargeEntry {
     pub fn is_zero(&self) -> bool {
         self.counters == CycleCounters::default() && self.in_addr == 0 && self.out_addr == 0
     }
+
+    /// Add another entry into this one.
+    pub fn absorb(&mut self, other: &ChargeEntry) {
+        self.counters.absorb(&other.counters);
+        self.in_addr += other.in_addr;
+        self.out_addr += other.out_addr;
+    }
+
+    /// This entry applied `n` times (a loop body's charges times its trip
+    /// count); `None` if a sum leaves `u64`.
+    pub fn times(&self, n: u64) -> Option<ChargeEntry> {
+        Some(ChargeEntry {
+            counters: self.counters.times(n)?,
+            in_addr: self.in_addr.checked_mul(n)?,
+            out_addr: self.out_addr.checked_mul(n)?,
+        })
+    }
 }
 
 /// A filter's compiled firing plan: bytecode for `init` and `work`, the
-/// shared charge table, register-file sizes, and which register ranges
-/// hold `Local` variables (zeroed before every firing, like
-/// [`crate::interp::reset_locals`]).
+/// shared charge table, and the layout of the two register files — each
+/// is variable windows, then the constant pool, then expression
+/// temporaries — including which ranges hold `Local` variables (zeroed
+/// before every firing, like [`crate::interp::reset_locals`]).
 #[derive(Debug, Clone)]
 pub struct CompiledFilter {
     /// Filter name (for errors and panics).
@@ -97,6 +120,14 @@ pub struct CompiledFilter {
     pub int_regs: u32,
     /// Float register file size.
     pub float_regs: u32,
+    /// Each declared variable's window `(base, len, is_float)`, by
+    /// `VarId`: the one record of where a variable lives.
+    pub var_windows: Vec<(u32, u32, bool)>,
+    /// Integer constant pool `(base, values)`: registers
+    /// [`CompiledFilter::new_regs`] loads and no op ever writes.
+    pub pool_i: (u32, Box<[i64]>),
+    /// Float constant pool `(base, values)`.
+    pub pool_f: (u32, Box<[f64]>),
     /// `(base, len)` integer ranges of `Local` variables.
     pub zero_i: Vec<(u32, u32)>,
     /// `(base, len)` float ranges of `Local` variables.
@@ -116,6 +147,35 @@ pub struct CompiledFilter {
 }
 
 impl CompiledFilter {
+    /// Fresh register files for this plan: zeroed, constant pool loaded.
+    pub fn new_regs(&self) -> Regs {
+        let mut regs = Regs::new(self.int_regs as usize, self.float_regs as usize);
+        lanes::put(&mut regs.i, self.pool_i.0 as usize, &self.pool_i.1);
+        lanes::put(&mut regs.f, self.pool_f.0 as usize, &self.pool_f.1);
+        regs
+    }
+
+    /// A hand-assembled plan for unit tests: `work` over register files of
+    /// the given sizes, nothing declared, pooled, zeroed or fused.
+    #[cfg(test)]
+    pub(crate) fn bare(name: &str, int_regs: u32, float_regs: u32, work: Vec<Op>) -> Self {
+        CompiledFilter {
+            name: name.into(),
+            int_regs,
+            float_regs,
+            var_windows: vec![],
+            pool_i: (0, Box::new([])),
+            pool_f: (0, Box::new([])),
+            zero_i: vec![],
+            zero_f: vec![],
+            init: vec![],
+            work,
+            charges: vec![],
+            kernels: vec![],
+            tier: KernelTier::Portable,
+        }
+    }
+
     /// Zero the `Local` variable ranges (between firings).
     pub fn zero_locals(&self, regs: &mut Regs) {
         for &(base, len) in &self.zero_i {
@@ -130,41 +190,30 @@ impl CompiledFilter {
 /// One bytecode instruction.
 ///
 /// Register operands are indices into [`Regs`]; vector operands name the
-/// first of `w` consecutive registers. Destination registers of value-
-/// producing ops are always fresh temporaries (the compiler never aliases
-/// a destination with a live source), so vector ops can write in-place
-/// lane by lane.
+/// first of `w` consecutive registers. The destination of a value-
+/// producing op is a fresh temporary or the variable window its
+/// assignment forwarded it to, and in both cases every source window in
+/// the same file is disjoint from it or — lane-wise ops only — is it, so
+/// vector ops can write in-place lane by lane. Constant-pool registers are
+/// never a destination.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Apply `charges[idx]` to the counters.
     Charge(u32),
+    /// Apply `charges[idx]` `max(i[n], 0)` times: the per-iteration
+    /// charges of a loop whose trip count is only known at run time,
+    /// emitted once after the loop.
+    ChargeTimes {
+        idx: u32,
+        n: u32,
+    },
 
     /// Execute fused superblock `kernels[idx]` and skip its span. The
     /// fused ops remain in place right after this marker (so jump
     /// targets stay valid); the interpreter advances `pc` past them.
     Kernel(u32),
 
-    // --- Constants and moves -------------------------------------------
-    /// `i[dst] = v`.
-    ConstI {
-        dst: u32,
-        v: i64,
-    },
-    /// `f[dst] = v`.
-    ConstF {
-        dst: u32,
-        v: f64,
-    },
-    /// `i[dst..dst+len] = vals`.
-    ConstVecI {
-        dst: u32,
-        vals: Box<[i64]>,
-    },
-    /// `f[dst..dst+len] = vals`.
-    ConstVecF {
-        dst: u32,
-        vals: Box<[f64]>,
-    },
+    // --- Moves (constants are pool registers, not ops) ------------------
     /// `i[dst] = i[src]` (free: register move).
     MovI {
         dst: u32,
@@ -424,8 +473,8 @@ pub enum Op {
         w: u32,
     },
     /// `extract_even` (parity 0) / `extract_odd` (parity 1) of the
-    /// concatenation of two `w`-lane vectors. `dst` is always a fresh
-    /// temporary, so it cannot alias `a` or `b`.
+    /// concatenation of two `w`-lane vectors. `dst` is disjoint from `a`
+    /// and `b` (forwarding refuses a permute that reads its destination).
     PermI {
         parity: u32,
         dst: u32,
@@ -683,22 +732,25 @@ pub enum Op {
         cond: u32,
         target: u32,
     },
-    /// Jump to `exit` if `i[counter] >= i[limit]` (handles `count <= 0`).
-    LoopHead {
+    /// Loop entry: `i[counter] = 0`, then jump to `exit` if `i[limit] <=
+    /// 0` (the loop variable stays untouched), else `i[var] = 0` and fall
+    /// into the body.
+    LoopEnter {
         counter: u32,
         limit: u32,
+        var: u32,
         exit: u32,
     },
-    /// `i[counter] += 1; goto head`.
-    LoopBack {
+    /// The loop's one latch: `i[counter] += 1`; while that is below
+    /// `i[limit]`, `i[var] = (i[counter] as i32) as i64` and jump back to
+    /// `body`. The loop variable is declared `i32`, mirroring the
+    /// tree-walker's `Value::I32(i as i32)`; the body may overwrite it, or
+    /// whatever the count was read from, without changing the trip count.
+    LoopNext {
         counter: u32,
-        head: u32,
-    },
-    /// `i[var] = (i[counter] as i32) as i64` — the loop variable is
-    /// declared `i32`, mirroring the tree-walker's `Value::I32(i as i32)`.
-    SetLoopVar {
+        limit: u32,
         var: u32,
-        counter: u32,
+        body: u32,
     },
 }
 
@@ -1078,16 +1130,25 @@ pub fn run_code(
         };
     }
 
+    macro_rules! charge {
+        ($e:expr) => {{
+            let e: &ChargeEntry = $e;
+            counters.absorb(&e.counters);
+            counters.addr_overhead += e.in_addr * in_cost + e.out_addr * out_cost;
+        }};
+    }
+
     // The cursor is a slice iterator: stepping is a pointer compare and
     // bump, and only a taken jump pays an index bounds check.
     let at = |target: u32| code[target as usize..].iter();
     let mut ip = code.iter();
     while let Some(op) = ip.next() {
         match op {
-            Op::Charge(idx) => {
-                let e = &plan.charges[*idx as usize];
-                counters.absorb(&e.counters);
-                counters.addr_overhead += e.in_addr * in_cost + e.out_addr * out_cost;
+            Op::Charge(idx) => charge!(&plan.charges[*idx as usize]),
+            Op::ChargeTimes { idx, n } => {
+                let times = regs.i[*n as usize].max(0) as u64;
+                let e = plan.charges[*idx as usize].times(times);
+                charge!(&e.expect("cycle counters overflow u64"));
             }
 
             Op::Kernel(idx) => {
@@ -1097,10 +1158,6 @@ pub fn run_code(
                 ip = ip.as_slice()[k.span as usize - 1..].iter();
             }
 
-            Op::ConstI { dst, v } => regs.i[*dst as usize] = *v,
-            Op::ConstF { dst, v } => regs.f[*dst as usize] = *v,
-            Op::ConstVecI { dst, vals } => lanes::put(&mut regs.i, *dst as usize, vals),
-            Op::ConstVecF { dst, vals } => lanes::put(&mut regs.f, *dst as usize, vals),
             Op::MovI { dst, src } => regs.i[*dst as usize] = regs.i[*src as usize],
             Op::MovF { dst, src } => regs.f[*dst as usize] = regs.f[*src as usize],
             Op::MovNI { dst, src, w } => {
@@ -1521,21 +1578,31 @@ pub fn run_code(
                     ip = at(*target);
                 }
             }
-            Op::LoopHead {
+            Op::LoopEnter {
                 counter,
                 limit,
+                var,
                 exit,
             } => {
-                if regs.i[*counter as usize] >= regs.i[*limit as usize] {
+                regs.i[*counter as usize] = 0;
+                if regs.i[*limit as usize] <= 0 {
                     ip = at(*exit);
+                } else {
+                    regs.i[*var as usize] = 0;
                 }
             }
-            Op::LoopBack { counter, head } => {
-                regs.i[*counter as usize] += 1;
-                ip = at(*head);
-            }
-            Op::SetLoopVar { var, counter } => {
-                regs.i[*var as usize] = (regs.i[*counter as usize] as i32) as i64;
+            Op::LoopNext {
+                counter,
+                limit,
+                var,
+                body,
+            } => {
+                let next = regs.i[*counter as usize] + 1;
+                regs.i[*counter as usize] = next;
+                if next < regs.i[*limit as usize] {
+                    regs.i[*var as usize] = (next as i32) as i64;
+                    ip = at(*body);
+                }
             }
         }
     }
@@ -1548,11 +1615,9 @@ mod tests {
 
     #[test]
     fn i32_arithmetic_wraps_in_narrow_domain() {
-        let a = (i32::MAX as i64) + 5; // out-of-invariant input would differ; use in-range
         let x = i32::MAX as i64;
         assert_eq!(bin_i(BinOp::Add, ScalarTy::I32, x, 1), i32::MIN as i64);
         assert_eq!(bin_i(BinOp::Add, ScalarTy::I64, x, 1), x + 1);
-        let _ = a;
     }
 
     #[test]
@@ -1605,29 +1670,18 @@ mod tests {
 
     #[test]
     fn straight_line_code_runs() {
-        let plan = CompiledFilter {
-            name: "t".into(),
-            int_regs: 3,
-            float_regs: 0,
-            zero_i: vec![],
-            zero_f: vec![],
-            init: vec![],
-            work: vec![
-                Op::ConstI { dst: 0, v: 20 },
-                Op::ConstI { dst: 1, v: 22 },
-                Op::BinI {
-                    op: BinOp::Add,
-                    ty: ScalarTy::I32,
-                    dst: 2,
-                    a: 0,
-                    b: 1,
-                },
-            ],
-            charges: vec![],
-            kernels: vec![],
-            tier: KernelTier::Portable,
+        let add = Op::BinI {
+            op: BinOp::Add,
+            ty: ScalarTy::I32,
+            dst: 2,
+            a: 0,
+            b: 1,
         };
-        let mut regs = Regs::new(3, 0);
+        let plan = CompiledFilter {
+            pool_i: (0, Box::new([20, 22])),
+            ..CompiledFilter::bare("t", 3, 0, vec![add])
+        };
+        let mut regs = plan.new_regs();
         let mut counters = CycleCounters::default();
         run_code(
             &plan,
@@ -1646,21 +1700,11 @@ mod tests {
 
     #[test]
     fn missing_tape_is_reported() {
-        let plan = CompiledFilter {
-            name: "no_tape".into(),
-            int_regs: 1,
-            float_regs: 0,
-            zero_i: vec![],
-            zero_f: vec![],
-            init: vec![],
-            work: vec![Op::PopI {
-                ty: ScalarTy::I32,
-                dst: 0,
-            }],
-            charges: vec![],
-            kernels: vec![],
-            tier: KernelTier::Portable,
+        let pop = Op::PopI {
+            ty: ScalarTy::I32,
+            dst: 0,
         };
+        let plan = CompiledFilter::bare("no_tape", 1, 0, vec![pop]);
         let mut regs = Regs::new(1, 0);
         let mut counters = CycleCounters::default();
         let err = run_code(

@@ -12,23 +12,36 @@
 //!
 //! # Register allocation
 //!
-//! Declared variables get fixed register windows (scalars one register,
-//! vectors `w`, arrays `n`, vector-arrays `w*n`), split by class into the
-//! integer and float files. Expression temporaries are bump-allocated
-//! above the variable windows and released per statement, so the register
-//! files stay small; destination registers of value-producing ops are
-//! always fresh, which is the no-aliasing invariant the vector ops in the
-//! VM rely on.
+//! Each register file has three zones, bottom up. Declared variables get
+//! fixed windows (scalars one register, vectors `w`, arrays `n`,
+//! vector-arrays `w*n`), split by class into the integer and float files
+//! and recorded in [`CompiledFilter::var_windows`]. Above them sits the
+//! **constant pool**: a pre-scan gives every scalar literal, `ConstVec`
+//! and `Splat` of a literal a window that is loaded once when the register
+//! files are created and that no op ever writes, so a literal compiles to
+//! an operand and emits nothing. Expression temporaries are bump-allocated
+//! above the pool and released per statement, so the files stay small.
+//!
+//! The destination of a value-producing op is a fresh temporary, or — for
+//! the outermost op of `x = expr` / `v.lane = expr` — the variable's own
+//! window (**destination forwarding**, [`Compiler::dest`]), which saves
+//! the move. Either way every source window in the destination's file is
+//! disjoint from it or, for the lane-wise ops `crate::lanes` runs
+//! identical-or-disjoint, identical to it: the aliasing invariant the
+//! vector ops in the VM rely on.
 //!
 //! # Cycle accounting
 //!
-//! Every charge the tree-walker makes is accumulated into a pending
-//! [`ChargeEntry`] and flushed as a single [`Op::Charge`] per basic
-//! block (at branches, loop-body ends, and function ends). Counter
-//! fields are `u64` sums, so aggregation order cannot change totals;
-//! per-access input/output reorder costs are kept as *counts* and
-//! multiplied by the edge costs at run time, exactly like the
-//! tree-walker's incremental additions.
+//! Every charge the tree-walker makes is accumulated into the pending
+//! [`ChargeEntry`] of the innermost enclosing block. A loop body's entry
+//! is multiplied by the trip count into the enclosing block — at compile
+//! time when the count is an integer literal (nests multiply), by one
+//! [`Op::ChargeTimes`] behind the loop otherwise — so a body without an
+//! `If` ends in exactly one [`Op::Charge`]; only the branches of an `If`
+//! are charged in place. Counter fields are `u64` sums, so aggregation
+//! order cannot change totals; per-access input/output reorder costs are
+//! kept as *counts* and multiplied by the edge costs at run time, exactly
+//! like the tree-walker's incremental additions.
 
 use crate::bytecode::{ChargeEntry, CompiledFilter, Op};
 use crate::kernel;
@@ -37,6 +50,7 @@ use macross_streamir::expr::{BinOp, Expr, Intrinsic, LValue, UnOp};
 use macross_streamir::filter::{Filter, VarKind};
 use macross_streamir::stmt::Stmt;
 use macross_streamir::types::{ScalarTy, Ty, Value};
+use std::collections::HashMap;
 
 /// A compiled expression value: a scalar register or `w` consecutive
 /// registers, in the file selected by `ty`'s class.
@@ -61,14 +75,86 @@ struct VarSlot {
     base: u32,
 }
 
+/// The variable window the outermost op of an assignment may write
+/// directly instead of a fresh temporary.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    float: bool,
+    base: u32,
+    len: u32,
+}
+
+/// One register file's constant pool: register images in pool order and
+/// a hashed index from a constant's image to its offset, so interning and
+/// lookup stay linear in the size of the filter.
+#[derive(Default)]
+struct Pool {
+    base: u32,
+    bits: Vec<u64>,
+    index: HashMap<Vec<u64>, u32>,
+}
+
+impl Pool {
+    fn intern(&mut self, image: &[u64]) {
+        if !self.index.contains_key(image) {
+            self.index.insert(image.to_vec(), self.bits.len() as u32);
+            self.bits.extend_from_slice(image);
+        }
+    }
+}
+
+/// The constant `e` denotes, if it is one the pool holds — a scalar
+/// literal, a homogeneous `ConstVec` or a `Splat` of a literal — as
+/// `(type, width)`, with its register image left in `image` (a scratch
+/// buffer, so a lookup allocates nothing). The image is what the registers
+/// hold (`i32` sign-extended, `f32` exactly widened) as bit patterns, so
+/// equal values of both widths share a window while `-0.0` and each NaN
+/// payload keep their own.
+fn pooled(e: &Expr, image: &mut Vec<u64>) -> Option<(ScalarTy, Option<u32>)> {
+    let bits = |v: &Value| match *v {
+        Value::I32(x) => x as i64 as u64,
+        Value::I64(x) => x as u64,
+        Value::F32(x) => (x as f64).to_bits(),
+        Value::F64(x) => x.to_bits(),
+    };
+    image.clear();
+    match e {
+        Expr::Const(v) => {
+            image.push(bits(v));
+            Some((v.ty(), None))
+        }
+        Expr::ConstVec(vs) => {
+            let ty = vs.first()?.ty();
+            let w = u32::try_from(vs.len()).ok()?;
+            image.extend(vs.iter().map(bits));
+            vs.iter().all(|v| v.ty() == ty).then_some((ty, Some(w)))
+        }
+        Expr::Splat(x, w) => match **x {
+            Expr::Const(v) => {
+                let lanes = u32::try_from(*w).ok()?;
+                image.resize(*w, bits(&v));
+                Some((v.ty(), Some(lanes)))
+            }
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 struct Compiler<'a> {
     machine: &'a Machine,
     in_elem: Option<ScalarTy>,
     out_elem: Option<ScalarTy>,
     chan_elems: Vec<ScalarTy>,
     vars: Vec<VarSlot>,
+    pool_i: Pool,
+    pool_f: Pool,
+    /// Scratch for [`pooled`].
+    image: Vec<u64>,
     code: Vec<Op>,
     charges: Vec<ChargeEntry>,
+    /// Charges of the innermost enclosing block (function body, loop body
+    /// or `If` branch) not yet emitted or folded into its parent.
     pending: ChargeEntry,
     cur_i: u32,
     cur_f: u32,
@@ -114,13 +200,15 @@ pub fn compile_filter_opts(
     fuse: bool,
 ) -> Option<CompiledFilter> {
     let mut vars = Vec::with_capacity(filter.vars.len());
+    let mut var_windows = Vec::with_capacity(filter.vars.len());
     let mut zero_i = Vec::new();
     let mut zero_f = Vec::new();
     let mut ni = 0u32;
     let mut nf = 0u32;
     for decl in &filter.vars {
         let len = window_len(decl.ty)?;
-        let (cursor, zeros) = if decl.ty.elem().is_float() {
+        let float = decl.ty.elem().is_float();
+        let (cursor, zeros) = if float {
             (&mut nf, &mut zero_f)
         } else {
             (&mut ni, &mut zero_i)
@@ -136,20 +224,40 @@ pub fn compile_filter_opts(
             }
         }
         vars.push(VarSlot { ty: decl.ty, base });
+        var_windows.push((base, len, float));
     }
+    // The pool zone sits between the variables and the temporaries, so
+    // its size has to be known before the first temporary is allocated.
+    let pool_at = |base| Pool {
+        base,
+        ..Pool::default()
+    };
+    let (mut pool_i, mut pool_f, mut image) = (pool_at(ni), pool_at(nf), Vec::new());
+    for s in filter.init.iter().chain(&filter.work) {
+        s.walk_exprs(&mut |e| match pooled(e, &mut image) {
+            Some((ty, _)) if ty.is_float() => pool_f.intern(&image),
+            Some(_) => pool_i.intern(&image),
+            None => {}
+        });
+    }
+    let temp_i = ni.checked_add(u32::try_from(pool_i.bits.len()).ok()?)?;
+    let temp_f = nf.checked_add(u32::try_from(pool_f.bits.len()).ok()?)?;
     let mut c = Compiler {
         machine,
         in_elem,
         out_elem,
         chan_elems: filter.chans.iter().map(|ch| ch.ty.elem()).collect(),
         vars,
+        pool_i,
+        pool_f,
+        image,
         code: Vec::new(),
         charges: Vec::new(),
         pending: ChargeEntry::default(),
-        cur_i: ni,
-        cur_f: nf,
-        max_i: ni,
-        max_f: nf,
+        cur_i: temp_i,
+        cur_f: temp_f,
+        max_i: temp_i,
+        max_f: temp_f,
     };
     let mut init = c.compile_body(&filter.init)?;
     let mut work = c.compile_body(&filter.work)?;
@@ -163,6 +271,12 @@ pub fn compile_filter_opts(
         name: filter.name.clone(),
         int_regs: c.max_i,
         float_regs: c.max_f,
+        var_windows,
+        pool_i: (ni, c.pool_i.bits.iter().map(|&b| b as i64).collect()),
+        pool_f: (
+            nf,
+            c.pool_f.bits.iter().map(|&b| f64::from_bits(b)).collect(),
+        ),
         zero_i,
         zero_f,
         init,
@@ -212,12 +326,13 @@ impl<'a> Compiler<'a> {
             Op::Jump { target: t }
             | Op::JumpIfZI { target: t, .. }
             | Op::JumpIfZF { target: t, .. }
-            | Op::LoopHead { exit: t, .. } => *t = target,
+            | Op::LoopEnter { exit: t, .. } => *t = target,
             other => unreachable!("patching non-jump {other:?}"),
         }
     }
 
-    /// Flush pending charges as a single `Charge` op (basic-block end).
+    /// Emit the block's pending charges in place as a single `Charge` op
+    /// (end of an `If` branch or of the function body).
     fn flush(&mut self) {
         if self.pending.is_zero() {
             return;
@@ -239,6 +354,69 @@ impl<'a> Compiler<'a> {
             self.cur_i += n;
             self.max_i = self.max_i.max(self.cur_i);
             r
+        }
+    }
+
+    /// Where a value-producing op writes: the forwarded window `want` when
+    /// that is legal — same file and width, and every window of `srcs`
+    /// (the op's sources as `(is_float, base, len)`) that lies in that
+    /// file disjoint from it or, for the `lanewise` ops (lane `k` reads
+    /// only lane `k`), identical to it — else a fresh temporary.
+    /// Sub-expressions are compiled with no `want`, so only the op that
+    /// produces the assigned value itself can land in the variable, and a
+    /// pool register is never written.
+    fn dest(
+        &mut self,
+        want: Option<Window>,
+        float: bool,
+        w: u32,
+        lanewise: bool,
+        srcs: &[(bool, u32, u32)],
+    ) -> u32 {
+        if let Some(win) = want.filter(|win| win.float == float && win.len == w) {
+            let clear = |&(f, s, len): &(bool, u32, u32)| {
+                f != float
+                    || s + len <= win.base
+                    || win.base + w <= s
+                    || (lanewise && (s, len) == (win.base, w))
+            };
+            if srcs.iter().all(clear) {
+                return win.base;
+            }
+        }
+        self.alloc(float, w)
+    }
+
+    /// The window `lv = expr` may forward to: a whole scalar or vector
+    /// variable, or one lane of a vector variable — the lvalues with no
+    /// index to evaluate after the value.
+    fn forward_window(&self, lv: &LValue) -> Option<Window> {
+        let (slot, lane) = match *lv {
+            LValue::Var(v) => (self.vars.get(v.0 as usize)?, None),
+            LValue::LaneVar(v, lane) => (self.vars.get(v.0 as usize)?, Some(lane)),
+            _ => return None,
+        };
+        let float = slot.ty.elem().is_float();
+        let (base, len) = match (slot.ty, lane) {
+            (Ty::Scalar(_), None) => (slot.base, 1),
+            (Ty::Vector(_, w), None) => (slot.base, u32::try_from(w).ok()?),
+            (Ty::Vector(_, w), Some(lane)) if lane < w => (slot.base + lane as u32, 1),
+            _ => return None,
+        };
+        Some(Window { float, base, len })
+    }
+
+    /// `window at dst <- val`, a register move (free in the cost model)
+    /// unless `val` was forwarded there and already is the window.
+    fn emit_mov(&mut self, dst: u32, val: Operand) {
+        let src = val.reg;
+        if src != dst {
+            self.emit(match (val.is_float(), val.w) {
+                (false, None) => Op::MovI { dst, src },
+                (true, None) => Op::MovF { dst, src },
+                (false, Some(w)) => Op::MovNI { dst, src, w },
+                (true, Some(w)) => Op::MovNF { dst, src, w },
+            });
         }
     }
 
@@ -276,7 +454,8 @@ impl<'a> Compiler<'a> {
     fn compile_stmt(&mut self, s: &Stmt) -> Option<()> {
         match s {
             Stmt::Assign(lv, e) => {
-                let val = self.compile_expr(e)?;
+                let want = self.forward_window(lv);
+                let val = self.compile_expr_to(e, want)?;
                 self.compile_store(lv, val)
             }
             Stmt::Push(e) => {
@@ -405,37 +584,54 @@ impl<'a> Compiler<'a> {
                 if cnt.w.is_some() {
                     return None;
                 }
-                self.pending.counters.compute_scalar += self.machine.cost.alu; // loop setup
-                                                                               // Copy the limit to a fresh temp: the body may reassign
-                                                                               // whatever variable the count was read from.
+                // Loop setup.
+                self.pending.counters.compute_scalar += self.machine.cost.alu;
+                // The limit has to survive the body. A pool register or a
+                // temporary of this statement does; a variable may be
+                // reassigned in the body, so it is copied.
                 let limit = if cnt.is_float() {
-                    let dst = self.alloc(false, 1);
-                    self.emit(Op::FToI { dst, a: cnt.reg });
-                    dst
-                } else {
+                    self.as_index(cnt)?
+                } else if cnt.reg < self.pool_i.base {
                     let dst = self.alloc(false, 1);
                     self.emit(Op::MovI { dst, src: cnt.reg });
                     dst
+                } else {
+                    cnt.reg
                 };
                 let counter = self.alloc(false, 1);
-                self.emit(Op::ConstI { dst: counter, v: 0 });
-                self.flush();
-                let head = self.here();
-                let head_at = self.emit_patch(Op::LoopHead {
+                let enter = self.emit_patch(Op::LoopEnter {
                     counter,
                     limit,
+                    var: slot.base,
                     exit: 0,
                 });
-                self.emit(Op::SetLoopVar {
-                    var: slot.base,
-                    counter,
-                });
+                let top = self.here();
+                let outer = std::mem::take(&mut self.pending);
                 self.pending.counters.loop_overhead += self.machine.cost.loop_iter;
                 self.compile_block(body)?;
-                self.flush();
-                self.emit(Op::LoopBack { counter, head });
+                let per_iter = std::mem::replace(&mut self.pending, outer);
+                self.emit(Op::LoopNext {
+                    counter,
+                    limit,
+                    var: slot.base,
+                    body: top,
+                });
+                match count {
+                    // A literal trip count: the body's charges fold into
+                    // the enclosing block here, `n` times over.
+                    Expr::Const(n @ (Value::I32(_) | Value::I64(_))) => {
+                        let n = n.as_i64().max(0) as u64;
+                        self.pending.absorb(&per_iter.times(n)?);
+                    }
+                    _ if per_iter.is_zero() => {}
+                    _ => {
+                        let idx = self.charges.len() as u32;
+                        self.charges.push(per_iter);
+                        self.emit(Op::ChargeTimes { idx, n: limit });
+                    }
+                }
                 let exit = self.here();
-                self.patch(head_at, exit);
+                self.patch(enter, exit);
                 Some(())
             }
             Stmt::If {
@@ -448,7 +644,7 @@ impl<'a> Compiler<'a> {
                     return None;
                 }
                 self.pending.counters.compute_scalar += self.machine.cost.alu; // branch
-                self.flush();
+                let outer = std::mem::take(&mut self.pending);
                 let to_else = self.emit_patch(if c.is_float() {
                     Op::JumpIfZF {
                         cond: c.reg,
@@ -469,6 +665,7 @@ impl<'a> Compiler<'a> {
                 self.flush();
                 let end = self.here();
                 self.patch(to_end, end);
+                self.pending = outer;
                 Some(())
             }
             Stmt::AdvanceRead(n) => {
@@ -493,39 +690,13 @@ impl<'a> Compiler<'a> {
             LValue::Var(v) => {
                 let slot = *self.vars.get(v.0 as usize)?;
                 match (slot.ty, val.w) {
-                    (Ty::Scalar(t), None) if t == val.ty => {
-                        // Register move: free in the cost model.
-                        self.emit(if val.is_float() {
-                            Op::MovF {
-                                dst: slot.base,
-                                src: val.reg,
-                            }
-                        } else {
-                            Op::MovI {
-                                dst: slot.base,
-                                src: val.reg,
-                            }
-                        });
-                        Some(())
-                    }
+                    (Ty::Scalar(t), None) if t == val.ty => self.emit_mov(slot.base, val),
                     (Ty::Vector(t, w), Some(vw)) if t == val.ty && u32::try_from(w).ok()? == vw => {
-                        self.emit(if val.is_float() {
-                            Op::MovNF {
-                                dst: slot.base,
-                                src: val.reg,
-                                w: vw,
-                            }
-                        } else {
-                            Op::MovNI {
-                                dst: slot.base,
-                                src: val.reg,
-                                w: vw,
-                            }
-                        });
-                        Some(())
+                        self.emit_mov(slot.base, val)
                     }
-                    _ => None,
+                    _ => return None,
                 }
+                Some(())
             }
             LValue::Index(v, i) => {
                 let slot = *self.vars.get(v.0 as usize)?;
@@ -617,12 +788,7 @@ impl<'a> Compiler<'a> {
                 match slot.ty {
                     Ty::Vector(t, w) if t == val.ty && val.w.is_none() && *lane < w => {
                         self.pending.counters.pack_unpack += self.machine.cost.lane_insert;
-                        let dst = slot.base + u32::try_from(*lane).ok()?;
-                        self.emit(if val.is_float() {
-                            Op::MovF { dst, src: val.reg }
-                        } else {
-                            Op::MovI { dst, src: val.reg }
-                        });
+                        self.emit_mov(slot.base + u32::try_from(*lane).ok()?, val);
                         Some(())
                     }
                     _ => None,
@@ -668,65 +834,32 @@ impl<'a> Compiler<'a> {
     }
 
     fn compile_expr(&mut self, e: &Expr) -> Option<Operand> {
+        self.compile_expr_to(e, None)
+    }
+
+    /// A constant's pool window as an operand: nothing to emit, only the
+    /// charges the tree-walker makes for evaluating it.
+    fn pooled_operand(&mut self, e: &Expr) -> Option<Operand> {
+        let (ty, w) = pooled(e, &mut self.image)?;
         match e {
-            Expr::Const(v) => {
-                let (ty, float) = match v {
-                    Value::I32(_) => (ScalarTy::I32, false),
-                    Value::I64(_) => (ScalarTy::I64, false),
-                    Value::F32(_) => (ScalarTy::F32, true),
-                    Value::F64(_) => (ScalarTy::F64, true),
-                };
-                let reg = self.alloc(float, 1);
-                self.emit(match v {
-                    Value::I32(x) => Op::ConstI {
-                        dst: reg,
-                        v: *x as i64,
-                    },
-                    Value::I64(x) => Op::ConstI { dst: reg, v: *x },
-                    Value::F32(x) => Op::ConstF {
-                        dst: reg,
-                        v: *x as f64,
-                    },
-                    Value::F64(x) => Op::ConstF { dst: reg, v: *x },
-                });
-                Some(Operand { ty, w: None, reg })
-            }
-            Expr::ConstVec(vs) => {
-                let first = *vs.first()?;
-                let ty = match first {
-                    Value::I32(_) => ScalarTy::I32,
-                    Value::I64(_) => ScalarTy::I64,
-                    Value::F32(_) => ScalarTy::F32,
-                    Value::F64(_) => ScalarTy::F64,
-                };
-                let same = |v: &Value| {
-                    matches!(
-                        (ty, v),
-                        (ScalarTy::I32, Value::I32(_))
-                            | (ScalarTy::I64, Value::I64(_))
-                            | (ScalarTy::F32, Value::F32(_))
-                            | (ScalarTy::F64, Value::F64(_))
-                    )
-                };
-                if !vs.iter().all(same) {
-                    return None;
-                }
-                let w = u32::try_from(vs.len()).ok()?;
-                self.pending.counters.mem_vector += self.machine.cost.vload;
-                let reg = self.alloc(ty.is_float(), w);
-                if ty.is_float() {
-                    let vals = vs.iter().map(|v| v.as_f64()).collect::<Box<[f64]>>();
-                    self.emit(Op::ConstVecF { dst: reg, vals });
-                } else {
-                    let vals = vs.iter().map(|v| v.as_i64()).collect::<Box<[i64]>>();
-                    self.emit(Op::ConstVecI { dst: reg, vals });
-                }
-                Some(Operand {
-                    ty,
-                    w: Some(w),
-                    reg,
-                })
-            }
+            Expr::ConstVec(_) => self.pending.counters.mem_vector += self.machine.cost.vload,
+            Expr::Splat(..) => self.pending.counters.pack_unpack += self.machine.cost.splat,
+            _ => {}
+        }
+        let pool = if ty.is_float() {
+            &self.pool_f
+        } else {
+            &self.pool_i
+        };
+        let reg = pool.base + pool.index.get(&self.image[..])?;
+        Some(Operand { ty, w, reg })
+    }
+
+    /// [`Self::compile_expr`] for the value of an assignment: the op that
+    /// produces it may write `want` (see [`Self::dest`]).
+    fn compile_expr_to(&mut self, e: &Expr, want: Option<Window>) -> Option<Operand> {
+        match e {
+            Expr::Const(_) | Expr::ConstVec(_) => self.pooled_operand(e),
             Expr::Var(v) => {
                 let slot = *self.vars.get(v.0 as usize)?;
                 match slot.ty {
@@ -753,7 +886,8 @@ impl<'a> Compiler<'a> {
                     Ty::Array(t, n) => {
                         self.pending.counters.mem_scalar += self.machine.cost.load;
                         let len = u32::try_from(n).ok()?;
-                        let dst = self.alloc(t.is_float(), 1);
+                        let srcs = [(t.is_float(), slot.base, len), (false, idx, 1)];
+                        let dst = self.dest(want, t.is_float(), 1, false, &srcs);
                         self.emit(if t.is_float() {
                             Op::LoadIdxF {
                                 dst,
@@ -778,7 +912,8 @@ impl<'a> Compiler<'a> {
                     Ty::VectorArray(t, w, n) => {
                         self.pending.counters.mem_vector += self.machine.cost.vload;
                         let (len, w) = (u32::try_from(n).ok()?, u32::try_from(w).ok()?);
-                        let dst = self.alloc(t.is_float(), w);
+                        let srcs = [(t.is_float(), slot.base, len * w), (false, idx, 1)];
+                        let dst = self.dest(want, t.is_float(), w, false, &srcs);
                         self.emit(if t.is_float() {
                             Op::LoadVElemF {
                                 dst,
@@ -814,7 +949,8 @@ impl<'a> Compiler<'a> {
                     Ty::Array(t, n) => {
                         self.pending.counters.mem_vector += self.machine.cost.vload;
                         let len = u32::try_from(n).ok()?;
-                        let dst = self.alloc(t.is_float(), w);
+                        let srcs = [(t.is_float(), slot.base, len), (false, idx, 1)];
+                        let dst = self.dest(want, t.is_float(), w, false, &srcs);
                         self.emit(if t.is_float() {
                             Op::LoadVSliceF {
                                 dst,
@@ -846,11 +982,11 @@ impl<'a> Compiler<'a> {
                 match a.w {
                     None => {
                         self.pending.counters.compute_scalar += self.machine.cost.alu;
-                        self.unary(*op, a, None)
+                        self.unary(*op, a, None, want)
                     }
                     Some(w) => {
                         self.pending.counters.compute_vector += self.machine.cost.valu;
-                        self.unary(*op, a, Some(w))
+                        self.unary(*op, a, Some(w), want)
                     }
                 }
             }
@@ -864,113 +1000,41 @@ impl<'a> Compiler<'a> {
                 if a.is_float() && op.is_integer_only() {
                     return None;
                 }
+                let (float, cmp) = (a.is_float(), op.is_comparison());
                 match a.w {
-                    None => {
-                        self.pending.counters.compute_scalar += self.scalar_binop_cost(*op);
-                        let float = a.is_float();
-                        if float && op.is_comparison() {
-                            let dst = self.alloc(false, 1);
-                            self.emit(Op::CmpF {
-                                op: *op,
-                                dst,
-                                a: a.reg,
-                                b: b.reg,
-                            });
-                            Some(Operand {
-                                ty: ScalarTy::I32,
-                                w: None,
-                                reg: dst,
-                            })
-                        } else if float {
-                            let dst = self.alloc(true, 1);
-                            self.emit(Op::BinF {
-                                op: *op,
-                                ty: a.ty,
-                                dst,
-                                a: a.reg,
-                                b: b.reg,
-                            });
-                            Some(Operand {
-                                ty: a.ty,
-                                w: None,
-                                reg: dst,
-                            })
-                        } else {
-                            let dst = self.alloc(false, 1);
-                            self.emit(Op::BinI {
-                                op: *op,
-                                ty: a.ty,
-                                dst,
-                                a: a.reg,
-                                b: b.reg,
-                            });
-                            let ty = if op.is_comparison() {
-                                ScalarTy::I32
-                            } else {
-                                a.ty
-                            };
-                            Some(Operand {
-                                ty,
-                                w: None,
-                                reg: dst,
-                            })
-                        }
-                    }
-                    Some(w) => {
-                        self.pending.counters.compute_vector += self.vector_binop_cost(*op);
-                        let float = a.is_float();
-                        if float && op.is_comparison() {
-                            let dst = self.alloc(false, w);
-                            self.emit(Op::VCmpF {
-                                op: *op,
-                                dst,
-                                a: a.reg,
-                                b: b.reg,
-                                w,
-                            });
-                            Some(Operand {
-                                ty: ScalarTy::I32,
-                                w: Some(w),
-                                reg: dst,
-                            })
-                        } else if float {
-                            let dst = self.alloc(true, w);
-                            self.emit(Op::VBinF {
-                                op: *op,
-                                ty: a.ty,
-                                dst,
-                                a: a.reg,
-                                b: b.reg,
-                                w,
-                            });
-                            Some(Operand {
-                                ty: a.ty,
-                                w: Some(w),
-                                reg: dst,
-                            })
-                        } else {
-                            let dst = self.alloc(false, w);
-                            self.emit(Op::VBinI {
-                                op: *op,
-                                ty: a.ty,
-                                dst,
-                                a: a.reg,
-                                b: b.reg,
-                                w,
-                            });
-                            let ty = if op.is_comparison() {
-                                ScalarTy::I32
-                            } else {
-                                a.ty
-                            };
-                            Some(Operand {
-                                ty,
-                                w: Some(w),
-                                reg: dst,
-                            })
-                        }
-                    }
+                    None => self.pending.counters.compute_scalar += self.scalar_binop_cost(*op),
+                    Some(_) => self.pending.counters.compute_vector += self.vector_binop_cost(*op),
                 }
+                // Comparisons yield I32 0/1 lanes, so a float comparison
+                // lands in the integer file.
+                let lanes = a.w.unwrap_or(1);
+                let srcs = [(float, a.reg, lanes), (float, b.reg, lanes)];
+                let dst = self.dest(want, float && !cmp, lanes, true, &srcs);
+                let (op, ty, w, a, b) = (*op, a.ty, a.w, a.reg, b.reg);
+                self.emit(match (float, cmp, w) {
+                    (true, true, None) => Op::CmpF { op, dst, a, b },
+                    (true, true, Some(w)) => Op::VCmpF { op, dst, a, b, w },
+                    (true, false, None) => Op::BinF { op, ty, dst, a, b },
+                    (true, false, Some(w)) => Op::VBinF {
+                        op,
+                        ty,
+                        dst,
+                        a,
+                        b,
+                        w,
+                    },
+                    (false, _, None) => Op::BinI { op, ty, dst, a, b },
+                    (false, _, Some(w)) => Op::VBinI {
+                        op,
+                        ty,
+                        dst,
+                        a,
+                        b,
+                        w,
+                    },
+                });
+                let ty = if cmp { ScalarTy::I32 } else { ty };
+                Some(Operand { ty, w, reg: dst })
             }
             Expr::Call(i, args) => {
                 if args.len() != i.arity() {
@@ -984,7 +1048,7 @@ impl<'a> Compiler<'a> {
                 if ops.iter().any(|o| o.ty != a.ty || o.w != a.w) {
                     return None;
                 }
-                self.intrinsic(*i, &ops)
+                self.intrinsic(*i, &ops, want)
             }
             Expr::Cast(t, a) => {
                 let a = self.compile_expr(a)?;
@@ -992,7 +1056,8 @@ impl<'a> Compiler<'a> {
                 match a.w {
                     None => {
                         self.pending.counters.compute_scalar += self.machine.cost.alu;
-                        let dst = self.alloc(to.is_float(), 1);
+                        let srcs = [(a.is_float(), a.reg, 1)];
+                        let dst = self.dest(want, to.is_float(), 1, true, &srcs);
                         self.emit(cast_op(a.ty, to, dst, a.reg, None));
                         Some(Operand {
                             ty: to,
@@ -1002,7 +1067,8 @@ impl<'a> Compiler<'a> {
                     }
                     Some(w) => {
                         self.pending.counters.compute_vector += self.machine.cost.valu;
-                        let dst = self.alloc(to.is_float(), w);
+                        let srcs = [(a.is_float(), a.reg, w)];
+                        let dst = self.dest(want, to.is_float(), w, true, &srcs);
                         self.emit(cast_op(a.ty, to, dst, a.reg, Some(w)));
                         Some(Operand {
                             ty: to,
@@ -1016,7 +1082,7 @@ impl<'a> Compiler<'a> {
                 let ty = self.in_elem?;
                 self.pending.counters.mem_scalar += self.machine.cost.load;
                 self.pending.in_addr += 1;
-                let dst = self.alloc(ty.is_float(), 1);
+                let dst = self.dest(want, ty.is_float(), 1, false, &[]);
                 self.emit(if ty.is_float() {
                     Op::PopF { ty, dst }
                 } else {
@@ -1034,7 +1100,7 @@ impl<'a> Compiler<'a> {
                 let ty = self.in_elem?;
                 self.pending.counters.mem_scalar += self.machine.cost.load;
                 self.pending.in_addr += 1;
-                let dst = self.alloc(ty.is_float(), 1);
+                let dst = self.dest(want, ty.is_float(), 1, false, &[(false, off, 1)]);
                 self.emit(if ty.is_float() {
                     Op::PeekF { ty, dst, off }
                 } else {
@@ -1050,7 +1116,7 @@ impl<'a> Compiler<'a> {
                 let ty = self.in_elem?;
                 let w = u32::try_from(*width).ok()?;
                 self.pending.counters.mem_vector += self.machine.cost.vload;
-                let dst = self.alloc(ty.is_float(), w);
+                let dst = self.dest(want, ty.is_float(), w, false, &[]);
                 self.emit(if ty.is_float() {
                     Op::VPopF { ty, dst, w }
                 } else {
@@ -1068,7 +1134,7 @@ impl<'a> Compiler<'a> {
                 let ty = self.in_elem?;
                 let w = u32::try_from(*width).ok()?;
                 self.pending.counters.mem_vector += self.machine.cost.vload;
-                let dst = self.alloc(ty.is_float(), w);
+                let dst = self.dest(want, ty.is_float(), w, false, &[(false, off, 1)]);
                 self.emit(if ty.is_float() {
                     Op::VPeekF { ty, dst, off, w }
                 } else {
@@ -1083,7 +1149,7 @@ impl<'a> Compiler<'a> {
             Expr::LPop(c) => {
                 let ty = *self.chan_elems.get(c.0 as usize)?;
                 self.pending.counters.mem_scalar += self.machine.cost.load;
-                let dst = self.alloc(ty.is_float(), 1);
+                let dst = self.dest(want, ty.is_float(), 1, false, &[]);
                 let chan = c.0;
                 self.emit(if ty.is_float() {
                     Op::LPopF { ty, chan, dst }
@@ -1100,7 +1166,7 @@ impl<'a> Compiler<'a> {
                 let ty = *self.chan_elems.get(c.0 as usize)?;
                 let w = u32::try_from(*width).ok()?;
                 self.pending.counters.mem_vector += self.machine.cost.vload;
-                let dst = self.alloc(ty.is_float(), w);
+                let dst = self.dest(want, ty.is_float(), w, false, &[]);
                 let chan = c.0;
                 self.emit(if ty.is_float() {
                     Op::LVPopF { ty, chan, dst, w }
@@ -1130,6 +1196,7 @@ impl<'a> Compiler<'a> {
                     reg: v.reg + lane,
                 })
             }
+            Expr::Splat(x, _) if matches!(**x, Expr::Const(_)) => self.pooled_operand(e),
             Expr::Splat(e, width) => {
                 let x = self.compile_expr(e)?;
                 if x.w.is_some() {
@@ -1137,7 +1204,7 @@ impl<'a> Compiler<'a> {
                 }
                 let w = u32::try_from(*width).ok()?;
                 self.pending.counters.pack_unpack += self.machine.cost.splat;
-                let dst = self.alloc(x.is_float(), w);
+                let dst = self.dest(want, x.is_float(), w, false, &[(x.is_float(), x.reg, 1)]);
                 self.emit(if x.is_float() {
                     Op::SplatF { dst, a: x.reg, w }
                 } else {
@@ -1149,12 +1216,18 @@ impl<'a> Compiler<'a> {
                     reg: dst,
                 })
             }
-            Expr::PermuteEven(a, b) => self.permute(a, b, 0),
-            Expr::PermuteOdd(a, b) => self.permute(a, b, 1),
+            Expr::PermuteEven(a, b) => self.permute(a, b, 0, want),
+            Expr::PermuteOdd(a, b) => self.permute(a, b, 1, want),
         }
     }
 
-    fn permute(&mut self, a: &Expr, b: &Expr, parity: u32) -> Option<Operand> {
+    fn permute(
+        &mut self,
+        a: &Expr,
+        b: &Expr,
+        parity: u32,
+        want: Option<Window>,
+    ) -> Option<Operand> {
         let a = self.compile_expr(a)?;
         let b = self.compile_expr(b)?;
         let w = a.w?;
@@ -1162,7 +1235,10 @@ impl<'a> Compiler<'a> {
             return None;
         }
         self.pending.counters.permute += self.machine.cost.permute;
-        let dst = self.alloc(a.is_float(), w);
+        // Lane `k` of a permute reads lane `2k` or `2k + 1`: it must not
+        // write over its sources.
+        let srcs = [(a.is_float(), a.reg, w), (a.is_float(), b.reg, w)];
+        let dst = self.dest(want, a.is_float(), w, false, &srcs);
         self.emit(if a.is_float() {
             Op::PermF {
                 parity,
@@ -1187,7 +1263,13 @@ impl<'a> Compiler<'a> {
         })
     }
 
-    fn unary(&mut self, op: UnOp, a: Operand, w: Option<u32>) -> Option<Operand> {
+    fn unary(
+        &mut self,
+        op: UnOp,
+        a: Operand,
+        w: Option<u32>,
+        want: Option<Window>,
+    ) -> Option<Operand> {
         let float = a.is_float();
         let (result_float, result_ty) = match op {
             UnOp::Neg => (float, a.ty),
@@ -1199,7 +1281,8 @@ impl<'a> Compiler<'a> {
             }
             UnOp::LogNot => (false, ScalarTy::I32),
         };
-        let dst = self.alloc(result_float, w.unwrap_or(1));
+        let lanes = w.unwrap_or(1);
+        let dst = self.dest(want, result_float, lanes, true, &[(float, a.reg, lanes)]);
         let op = match (op, float, w) {
             (UnOp::Neg, false, None) => Op::NegI {
                 ty: a.ty,
@@ -1239,9 +1322,17 @@ impl<'a> Compiler<'a> {
         })
     }
 
-    fn intrinsic(&mut self, i: Intrinsic, ops: &[Operand]) -> Option<Operand> {
+    fn intrinsic(
+        &mut self,
+        i: Intrinsic,
+        ops: &[Operand],
+        want: Option<Window>,
+    ) -> Option<Operand> {
         let a = ops[0];
         let float = a.is_float();
+        // One or two operands (anything else is refused below).
+        let (lanes, last) = (a.w.unwrap_or(1), ops[ops.len() - 1]);
+        let srcs = [(float, a.reg, lanes), (float, last.reg, lanes)];
         // Which (intrinsic, class) pairs the tree-walker evaluates without
         // panicking: Abs/Min/Max on any class, everything else float-only.
         let int_ok = matches!(i, Intrinsic::Abs | Intrinsic::Min | Intrinsic::Max);
@@ -1251,7 +1342,7 @@ impl<'a> Compiler<'a> {
         match a.w {
             None => {
                 self.pending.counters.compute_scalar += self.machine.scalar_intrinsic_cost(i);
-                let dst = self.alloc(float, 1);
+                let dst = self.dest(want, float, 1, true, &srcs);
                 let op = match (ops.len(), float) {
                     (1, false) => Op::Call1I {
                         i,
@@ -1289,7 +1380,7 @@ impl<'a> Compiler<'a> {
             }
             Some(w) => {
                 self.pending.counters.compute_vector += self.machine.vector_intrinsic_cost(i);
-                let dst = self.alloc(float, w);
+                let dst = self.dest(want, float, w, true, &srcs);
                 let op = match (ops.len(), float) {
                     (1, false) => Op::VCall1I {
                         i,
@@ -1371,7 +1462,7 @@ mod tests {
             &Machine::core_i7(),
         )
         .expect("should compile");
-        assert!(plan.work.len() >= 3); // pop, const, mul, push, charge
+        assert!(plan.work.len() >= 3); // pop, mul (by a pool register), push, charge
         assert_eq!(plan.charges.len(), 1);
         // load + store, mul, one in-access, one out-access.
         let c = plan.charges[0];
@@ -1416,11 +1507,25 @@ mod tests {
         let f = fb.build();
         let plan =
             compile_filter(&f, None, Some(ScalarTy::I32), &Machine::core_i7()).expect("compiles");
-        assert!(plan.work.iter().any(|op| matches!(op, Op::LoopHead { .. })));
-        // One pre-loop charge (const + setup alu), one per-iteration charge.
-        assert_eq!(plan.charges.len(), 2);
-        assert_eq!(plan.charges[1].counters.loop_overhead, 1);
-        assert_eq!(plan.charges[1].counters.mem_scalar, 2); // store
+        let count = |f: fn(&Op) -> bool| plan.work.iter().filter(|op| f(op)).count();
+        assert_eq!(count(|op| matches!(op, Op::LoopEnter { .. })), 1);
+        assert_eq!(count(|op| matches!(op, Op::LoopNext { .. })), 1);
+        // The trip count is a literal, so the whole firing is one charge:
+        // the setup alu plus four times the per-iteration entry (loop
+        // overhead, one store, one out-access).
+        assert_eq!(count(|op| matches!(op, Op::Charge(_))), 1);
+        assert_eq!(plan.charges.len(), 1);
+        let c = plan.charges[0];
+        assert_eq!(c.counters.compute_scalar, 1);
+        assert_eq!(c.counters.loop_overhead, 4);
+        assert_eq!(c.counters.mem_scalar, 8);
+        assert_eq!(c.out_addr, 4);
+        // The limit is the literal's pool register, read in place.
+        assert_eq!(plan.pool_i, (1, vec![4i64].into_boxed_slice()));
+        assert!(plan
+            .work
+            .iter()
+            .any(|op| matches!(op, Op::LoopEnter { limit: 1, .. })));
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl FilterState {
     pub fn from_shared(filter: &Filter, plan: Option<Arc<CompiledFilter>>) -> FilterState {
         let mut state = FilterState::new(filter);
         if let Some(plan) = plan {
-            state.regs = Regs::new(plan.int_regs as usize, plan.float_regs as usize);
+            state.regs = plan.new_regs();
             state.engine = Engine::Compiled(plan);
         }
         state
@@ -137,8 +137,8 @@ impl FilterState {
     pub fn export_state_vars(&self, filter: &Filter) -> Vec<Value> {
         let mut out = Vec::new();
         match &self.engine {
-            Engine::Compiled(_) => {
-                for (decl, (base, len, float)) in filter.vars.iter().zip(var_windows(filter)) {
+            Engine::Compiled(plan) => {
+                for (decl, &(base, len, float)) in filter.vars.iter().zip(&plan.var_windows) {
                     if decl.kind != VarKind::State {
                         continue;
                     }
@@ -187,12 +187,11 @@ impl FilterState {
             context,
         };
         let mut cursor = 0usize;
-        let windows = var_windows(filter);
         for (i, decl) in filter.vars.iter().enumerate() {
             if decl.kind != VarKind::State {
                 continue;
             }
-            let len = flat_len(decl.ty);
+            let len = decl.ty.lanes() * decl.ty.array_len().unwrap_or(1);
             let chunk = vals
                 .get(cursor..cursor + len)
                 .ok_or_else(|| mismatch(format!("state carrier too short for '{}'", decl.name)))?;
@@ -205,8 +204,9 @@ impl FilterState {
             }
             cursor += len;
             self.slots[i] = unflatten_slot(decl.ty, chunk);
-            if let Engine::Compiled(_) = self.engine {
-                let (base, _, float) = windows[i];
+            if let Engine::Compiled(plan) = &self.engine {
+                let (base, window, float) = plan.var_windows[i];
+                debug_assert_eq!(window as usize, len);
                 for (k, v) in chunk.iter().enumerate() {
                     if float {
                         self.regs.f[base as usize + k] = widen_float(*v);
@@ -262,33 +262,6 @@ impl FilterState {
         };
         ctx.exec_block(&filter.init)
     }
-}
-
-/// Flattened element count of a declared variable type (mirrors the
-/// bytecode compiler's register-window sizes).
-fn flat_len(ty: Ty) -> usize {
-    match ty {
-        Ty::Scalar(_) => 1,
-        Ty::Vector(_, w) => w,
-        Ty::Array(_, n) => n,
-        Ty::VectorArray(_, w, n) => w * n,
-    }
-}
-
-/// Recompute each declared variable's register window `(base, len,
-/// is_float)` exactly as the bytecode compiler allocates them: declaration
-/// order, int/float files split, windows at the bottom of each file.
-fn var_windows(filter: &Filter) -> Vec<(u32, u32, bool)> {
-    let mut out = Vec::with_capacity(filter.vars.len());
-    let (mut ni, mut nf) = (0u32, 0u32);
-    for decl in &filter.vars {
-        let len = flat_len(decl.ty) as u32;
-        let float = decl.ty.elem().is_float();
-        let cursor = if float { &mut nf } else { &mut ni };
-        out.push((*cursor, len, float));
-        *cursor += len;
-    }
-    out
 }
 
 fn value_matches(t: ScalarTy, v: Value) -> bool {
@@ -785,7 +758,6 @@ fn fire_sink(
 mod tests {
     use super::*;
     use crate::bytecode::Op;
-    use crate::kernel::KernelTier;
     use macross_streamir::expr::BinOp;
 
     /// A vector operand outside the register file is a guest fault like
@@ -804,25 +776,15 @@ mod tests {
         let mut tapes = graph_tapes(&g);
 
         for (dst, a) in [(0, 1000), (1000, 0), (13, 0)] {
-            let wild = CompiledFilter {
-                name: "wild".into(),
-                int_regs: 0,
-                float_regs: 16,
-                zero_i: vec![],
-                zero_f: vec![],
-                init: vec![],
-                work: vec![Op::VBinF {
-                    op: BinOp::Add,
-                    ty: ScalarTy::F32,
-                    dst,
-                    a,
-                    b: 4,
-                    w: 4,
-                }],
-                charges: vec![],
-                kernels: vec![],
-                tier: KernelTier::Portable,
+            let op = Op::VBinF {
+                op: BinOp::Add,
+                ty: ScalarTy::F32,
+                dst,
+                a,
+                b: 4,
+                w: 4,
             };
+            let wild = CompiledFilter::bare("wild", 0, 16, vec![op]);
             let Node::Filter(filter) = g.node(f) else {
                 unreachable!()
             };

@@ -60,10 +60,11 @@
 //!
 //! # Fusion legality
 //!
-//! Only *pure register ops* fuse: constants, moves, arithmetic,
-//! comparisons, casts, intrinsic calls, splats and permutations. Tape,
-//! channel and array ops, control flow, and [`Op::Charge`] never fuse —
-//! leaving `Charge` unfused keeps `CycleCounters` bit-identical for
+//! Only *pure register ops* fuse: moves, arithmetic, comparisons, casts,
+//! intrinsic calls, splats and permutations (constants are pool registers,
+//! not ops). Tape, channel and array ops, control flow (the loop ops
+//! included), and [`Op::Charge`] / [`Op::ChargeTimes`] never fuse —
+//! leaving the charges unfused keeps `CycleCounters` bit-identical for
 //! free. A run never extends across a jump target (basic-block leader),
 //! so every jump still lands on a real instruction. The fused ops stay
 //! in place behind the `Op::Kernel` marker; the interpreter skips them
@@ -237,16 +238,6 @@ pub struct Kernel {
 /// operator/type match hoisted out of the per-lane path.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KOp {
-    /// `i[dst..dst+len] = vals` (also width-1 `ConstI`).
-    ConstVecI {
-        dst: u32,
-        vals: Box<[i64]>,
-    },
-    /// `f[dst..dst+len] = vals`.
-    ConstVecF {
-        dst: u32,
-        vals: Box<[f64]>,
-    },
     /// `copy_within` — alias-safe, like `Op::MovNI`.
     MovNI {
         dst: u32,
@@ -269,7 +260,8 @@ pub enum KOp {
         a: u32,
         w: u32,
     },
-    /// `extract_even`/`extract_odd`; `dst` is fresh by construction.
+    /// `extract_even`/`extract_odd`; the firing compiler never lets
+    /// `dst` overlap `a` or `b`.
     PermI {
         parity: u32,
         dst: u32,
@@ -688,25 +680,9 @@ fn kop_bin_f(op: BinOp, ty: ScalarTy, dst: u32, a: u32, b: u32, w: u32, float_re
 }
 
 /// Lower one bytecode op to a fused op, or `None` for non-fusible ops
-/// (tape/channel/array accesses, control flow, `Charge`).
+/// (tape/channel/array accesses, control flow, charges).
 pub(crate) fn lower(op: &Op, int_regs: u32, float_regs: u32) -> Option<KOp> {
     Some(match *op {
-        Op::ConstI { dst, v } => KOp::ConstVecI {
-            dst,
-            vals: Box::new([v]),
-        },
-        Op::ConstF { dst, v } => KOp::ConstVecF {
-            dst,
-            vals: Box::new([v]),
-        },
-        Op::ConstVecI { dst, ref vals } => KOp::ConstVecI {
-            dst,
-            vals: vals.clone(),
-        },
-        Op::ConstVecF { dst, ref vals } => KOp::ConstVecF {
-            dst,
-            vals: vals.clone(),
-        },
         Op::MovI { dst, src } => KOp::MovNI { dst, src, w: 1 },
         Op::MovF { dst, src } => KOp::MovNF { dst, src, w: 1 },
         Op::MovNI { dst, src, w } => KOp::MovNI { dst, src, w },
@@ -837,15 +813,6 @@ pub(crate) fn lower(op: &Op, int_regs: u32, float_regs: u32) -> Option<KOp> {
             b,
             w,
         },
-        // The loop variable is declared i32: identical to a width-1
-        // I64 -> I32 cast on the sign-extended representation.
-        Op::SetLoopVar { var, counter } => KOp::CastII {
-            from: ScalarTy::I64,
-            to: ScalarTy::I32,
-            dst: var,
-            a: counter,
-            w: 1,
-        },
         // Panelized region state: indexed vector-array moves are pure
         // register-file traffic, so runs may span them (the arithmetic
         // between a panel load and its writeback then chains normally).
@@ -927,8 +894,6 @@ fn footprint(op: &KOp) -> (RegRange, [Option<RegRange>; 3]) {
     let r2 = |a, b| [Some(a), Some(b), None];
     let r3 = |a, b, c| [Some(a), Some(b), Some(c)];
     match *op {
-        KOp::ConstVecI { dst, ref vals } => ((I, dst, vals.len() as u32), [None, None, None]),
-        KOp::ConstVecF { dst, ref vals } => ((F, dst, vals.len() as u32), [None, None, None]),
         KOp::MovNI { dst, src, w } => ((I, dst, w), r1((I, src, w))),
         KOp::MovNF { dst, src, w } => ((F, dst, w), r1((F, src, w))),
         KOp::SplatI { dst, a, w } => ((I, dst, w), r1((I, a, 1))),
@@ -1584,8 +1549,8 @@ fn leaders(code: &[Op]) -> Vec<bool> {
             Op::Jump { target } => *target,
             Op::JumpIfZI { target, .. } => *target,
             Op::JumpIfZF { target, .. } => *target,
-            Op::LoopHead { exit, .. } => *exit,
-            Op::LoopBack { head, .. } => *head,
+            Op::LoopEnter { exit, .. } => *exit,
+            Op::LoopNext { body, .. } => *body,
             _ => continue,
         };
         if (t as usize) < leader.len() {
@@ -1713,8 +1678,6 @@ fn kernel_array_index(idx: i64, len: u32) -> usize {
 /// for the variants they have no exact instruction for.
 pub(crate) fn exec_kop_portable(op: &KOp, regs: &mut Regs) {
     match *op {
-        KOp::ConstVecI { dst, ref vals } => lanes::put(&mut regs.i, dst as usize, vals),
-        KOp::ConstVecF { dst, ref vals } => lanes::put(&mut regs.f, dst as usize, vals),
         KOp::MovNI { dst, src, w } => {
             lanes::mov(&mut regs.i, dst as usize, src as usize, w as usize);
         }
@@ -2050,18 +2013,7 @@ mod tests {
             }
             r
         };
-        let plain = CompiledFilter {
-            name: "t".into(),
-            int_regs,
-            float_regs,
-            zero_i: vec![],
-            zero_f: vec![],
-            init: vec![],
-            work: code.to_vec(),
-            charges: vec![],
-            kernels: vec![],
-            tier: KernelTier::Portable,
-        };
+        let plain = CompiledFilter::bare("t", int_regs, float_regs, code.to_vec());
         let mut kernels = Vec::new();
         fuse_runs(code, &mut kernels, int_regs, float_regs, |_| true);
         let fused = CompiledFilter {
@@ -2161,14 +2113,15 @@ mod tests {
     #[test]
     fn runs_stop_at_leaders_and_nonfusible_ops() {
         let mut code = vec![
-            Op::ConstI { dst: 0, v: 3 },
-            Op::ConstI { dst: 1, v: 0 },
-            // leader (LoopBack target below)
-            Op::LoopHead {
+            Op::MovI { dst: 0, src: 5 },
+            Op::MovI { dst: 1, src: 6 },
+            Op::LoopEnter {
                 counter: 1,
                 limit: 0,
+                var: 7,
                 exit: 7,
             },
+            // leader (LoopNext target below)
             Op::BinI {
                 op: BinOp::Add,
                 ty: ScalarTy::I64,
@@ -2184,20 +2137,27 @@ mod tests {
                 b: 2,
             },
             Op::Charge(0),
-            Op::LoopBack {
+            Op::LoopNext {
                 counter: 1,
-                head: 2,
+                limit: 0,
+                var: 7,
+                body: 3,
             },
             Op::MovI { dst: 4, src: 3 },
         ];
+        assert_eq!(
+            leaders(&code).iter().filter(|&&l| l).count(),
+            2,
+            "loop body and loop exit"
+        );
         let mut kernels = Vec::new();
         fuse_runs(&mut code, &mut kernels, 8, 0, |_| true);
-        // Two fused runs: the two leading consts, and the two adds inside
+        // Two fused runs: the two leading moves, and the two adds inside
         // the loop body (stopped by Charge). The trailing single MovI is
         // below MIN_RUN.
         assert_eq!(kernels.len(), 2);
         assert_eq!(code[0], Op::Kernel(0));
-        assert!(matches!(code[2], Op::LoopHead { .. }));
+        assert!(matches!(code[2], Op::LoopEnter { .. }));
         assert_eq!(code[3], Op::Kernel(1));
         assert!(matches!(code[4], Op::BinI { .. })); // left in place
         assert!(matches!(code[7], Op::MovI { .. }));
@@ -2205,17 +2165,32 @@ mod tests {
         // generic lane-loop variant, not AddI64.
         assert!(matches!(kernels[1].kops[0], KOp::BinI { .. }));
         assert!(matches!(kernels[1].kops[1], KOp::AddI64 { .. }));
+
+        // A jump into the middle of four fusible ops splits the run in
+        // two, so the jump lands on a kernel marker, not inside a span.
+        let mov = |dst| Op::MovI { dst, src: dst + 4 };
+        let mut code = vec![
+            Op::JumpIfZI { cond: 0, target: 3 },
+            mov(0),
+            mov(1),
+            mov(2),
+            mov(3),
+        ];
+        let mut kernels = Vec::new();
+        fuse_runs(&mut code, &mut kernels, 8, 0, |_| true);
+        assert_eq!(kernels.len(), 2);
+        assert_eq!((&code[1], &code[3]), (&Op::Kernel(0), &Op::Kernel(1)));
     }
 
     #[test]
     fn idempotent_rematerializations_are_pruned() {
         // An unrolled two-stage chain: the second stage re-materializes
-        // the same constant into the same registers with nothing touching
-        // them in between — one materialization must survive, and the
-        // fused result must still match plain dispatch bit-for-bit.
+        // the same coefficient into the same registers with nothing
+        // touching them in between — one materialization must survive, and
+        // the fused result must still match plain dispatch bit-for-bit.
         let stage = |dst| {
             vec![
-                Op::ConstF { dst: 8, v: 1.5 },
+                Op::MovF { dst: 8, src: 20 },
                 Op::SplatF { dst: 9, a: 8, w: 4 },
                 Op::VBinF {
                     op: BinOp::Mul,
@@ -2242,7 +2217,7 @@ mod tests {
         let pruned = prune_idempotent(code_kops(
             &stage(16).into_iter().chain(stage(16)).collect::<Vec<_>>(),
         ));
-        // Second stage's ConstF + SplatF collapse; its Mul and MovNF stay
+        // Second stage's MovF + SplatF collapse; its Mul and MovNF stay
         // (their inputs were rewritten in between).
         assert_eq!(pruned.len(), 6);
     }
@@ -2270,7 +2245,7 @@ mod tests {
             w: 4,
         };
         let code = vec![
-            Op::ConstI { dst: 0, v: 3 },
+            Op::MovI { dst: 0, src: 7 },
             add.clone(),
             add.clone(),
             mov.clone(),
@@ -2288,13 +2263,30 @@ mod tests {
 
     #[test]
     fn unprofitable_runs_stay_on_dispatch() {
-        // Two scalar consts: a legal run, but far below the profitability
-        // bar — no kernel may be created and the ops stay in place.
-        let mut code = vec![Op::ConstI { dst: 0, v: 1 }, Op::ConstI { dst: 1, v: 2 }];
+        // The gate itself, at the intrinsic tiers' default threshold and
+        // independent of the process environment. Two scalar moves are a
+        // legal run far below the bar: no kernel, and the ops stay in
+        // place.
+        let gate = |k: &[KOp]| profitable(k, KernelTier::Avx2, 48);
+        let mut code = vec![Op::MovI { dst: 0, src: 2 }, Op::MovI { dst: 1, src: 3 }];
         let mut kernels = Vec::new();
-        assert_eq!(fuse(&mut code, &mut kernels, 4, 0, KernelTier::Portable), 0);
+        assert_eq!(fuse_runs(&mut code, &mut kernels, 4, 0, gate), 0);
         assert!(kernels.is_empty());
-        assert!(matches!(code[0], Op::ConstI { .. }));
+        assert!(matches!(code[0], Op::MovI { .. }));
+        // Twelve independent 4-lane adds clear it (12 x 4 vector units +
+        // 12 ops), so the same gate is not just refusing everything.
+        let mut code: Vec<Op> = (0..12)
+            .map(|k| Op::VBinF {
+                op: BinOp::Add,
+                ty: ScalarTy::F32,
+                dst: 8 + 4 * k,
+                a: 0,
+                b: 4,
+                w: 4,
+            })
+            .collect();
+        assert_eq!(fuse_runs(&mut code, &mut kernels, 0, 56, gate), 1);
+        assert_eq!(code[0], Op::Kernel(0));
     }
 
     #[test]

@@ -656,8 +656,6 @@ macro_rules! tier_exec_body {
                     KOp::MovNI { dst, src, w } => {
                         lanes::mov(&mut regs.i, dst as usize, src as usize, w as usize);
                     }
-                    KOp::ConstVecF { dst, ref vals } => lanes::put(&mut regs.f, dst as usize, vals),
-                    KOp::ConstVecI { dst, ref vals } => lanes::put(&mut regs.i, dst as usize, vals),
                     KOp::SplatF { dst, a, w } => lanes::splat(&mut regs.f, dst, a, w),
                     KOp::SplatI { dst, a, w } => lanes::splat(&mut regs.i, dst, a, w),
                     // Everything generic runs the exact portable loops.

@@ -23,7 +23,7 @@
 //!
 //! Lanes are always written in ascending order. A source window that
 //! *is* the destination or is disjoint from it — the firing compiler's
-//! fresh-temporary invariant, so nearly always — cannot observe a lane
+//! destination invariant, so nearly always — cannot observe a lane
 //! the same op wrote, so [`zip`] loads a SIMD-width window (1, 2, 4 or 8
 //! lanes, the lane count a compile-time constant) whole as a fixed-size
 //! array, computes, and stores it whole: three bounds checks per op and
@@ -385,7 +385,7 @@ pub(crate) fn put<T: Copy>(file: &mut [T], dst: usize, vals: &[T]) {
 mod tests {
     use super::*;
     use crate::bytecode::{run_code, CompiledFilter, Op};
-    use crate::kernel::{self, Kernel, KernelTier};
+    use crate::kernel::{self, Kernel};
     use crate::machine::CycleCounters;
 
     /// Registers per file in the property tests: room for three 16-lane
@@ -463,16 +463,9 @@ mod tests {
 
     fn plan_of(work: Vec<Op>, zero_i: Vec<(u32, u32)>, zero_f: Vec<(u32, u32)>) -> CompiledFilter {
         CompiledFilter {
-            name: "lanes".into(),
-            int_regs: FILE as u32,
-            float_regs: FILE as u32,
             zero_i,
             zero_f,
-            init: vec![],
-            work,
-            charges: vec![],
-            kernels: vec![],
-            tier: KernelTier::Portable,
+            ..CompiledFilter::bare("lanes", FILE as u32, FILE as u32, work)
         }
     }
 
@@ -836,7 +829,7 @@ mod tests {
             put(&mut got, src, &vals);
             assert_eq!(got, want, "put w {w}");
 
-            // Splat, vector constant and local zeroing as the engines
+            // Splat, constant-pool load and local zeroing as the engines
             // issue them. The splat source sits inside its own window.
             let mut start = Regs::new(FILE, FILE);
             start.i.clone_from(&file);
@@ -855,17 +848,13 @@ mod tests {
             got.iter()
                 .for_each(|g| assert_eq!(bits(g), bits(&want), "{splat:?}"));
 
+            let mut pooled = plan_of(vec![], vec![], vec![]);
+            pooled.pool_i = (at, vals.clone().into());
+            pooled.pool_f = (at, vals.iter().map(|&x| x as f64).collect());
+            let mut want = Regs::new(FILE, FILE);
             want.i[src..src + w].copy_from_slice(&vals);
-            let konst = Op::ConstVecI {
-                dst: at,
-                vals: vals.clone().into(),
-            };
-            let mut got: [Regs; 3] = std::array::from_fn(|_| start.clone());
-            let [x, p, t] = &mut got;
-            dispatched(&konst, x);
-            fused(&konst, p, t);
-            got.iter()
-                .for_each(|g| assert_eq!(bits(g), bits(&want), "{konst:?}"));
+            want.f[src..src + w].copy_from_slice(&pooled.pool_f.1);
+            assert_eq!(bits(&pooled.new_regs()), bits(&want), "pool w {w}");
 
             let mut want = start.clone();
             want.i[src..src + w].fill(0);

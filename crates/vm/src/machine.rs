@@ -239,6 +239,21 @@ impl CycleCounters {
         self.loop_overhead += other.loop_overhead;
         self.firing_overhead += other.firing_overhead;
     }
+
+    /// Every category multiplied by `n`; `None` if one leaves `u64`.
+    pub fn times(&self, n: u64) -> Option<CycleCounters> {
+        Some(CycleCounters {
+            compute_scalar: self.compute_scalar.checked_mul(n)?,
+            compute_vector: self.compute_vector.checked_mul(n)?,
+            mem_scalar: self.mem_scalar.checked_mul(n)?,
+            mem_vector: self.mem_vector.checked_mul(n)?,
+            pack_unpack: self.pack_unpack.checked_mul(n)?,
+            permute: self.permute.checked_mul(n)?,
+            addr_overhead: self.addr_overhead.checked_mul(n)?,
+            loop_overhead: self.loop_overhead.checked_mul(n)?,
+            firing_overhead: self.firing_overhead.checked_mul(n)?,
+        })
+    }
 }
 
 #[cfg(test)]

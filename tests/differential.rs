@@ -460,6 +460,317 @@ mod engine_differential {
         );
     }
 
+    /// Every loop and charge shape the suite does not have — it has no
+    /// trip count that is unknown at compile time — in one filter, with
+    /// the counts popped from the tape running through negative, zero and
+    /// positive values over the firings. Sink bits, `CycleCounters` and
+    /// per-node cycles must agree across all three engines.
+    #[test]
+    fn runtime_trip_loops_and_branch_charges_agree() {
+        use macross_repro::streamir::builder::StreamSpec;
+        use macross_repro::streamir::edsl::*;
+        use macross_repro::streamir::types::{ScalarTy, Ty};
+        use macross_repro::vm::bytecode::Op;
+        use macross_repro::vm::compile_filter_opts;
+
+        let mut src = FilterBuilder::new("src", 0, 0, 1, ScalarTy::I32);
+        let n = src.state("n", Ty::Scalar(ScalarTy::I32));
+        src.work(|b| {
+            // 0, -2, 5, 3, 1, -1, -3, 4, 2, 0, ...
+            b.push((v(n) * 7i32 + 3i32) % 9i32 - 3i32);
+            b.set(n, v(n) + 1i32);
+        });
+
+        let mut fb = FilterBuilder::new("edges", 2, 2, 18, ScalarTy::I32);
+        let [i, j, a, q, acc] =
+            ["i", "j", "a", "q", "acc"].map(|name| fb.local(name, Ty::Scalar(ScalarTy::I32)));
+        let f = fb.local("f", Ty::Scalar(ScalarTy::F32));
+        fb.work(|b| {
+            // A count popped in place; the loop variable read after the
+            // loop, and left alone when the loop does not run.
+            b.set(i, 77i32);
+            b.for_(i, pop(), |b| {
+                b.set(acc, v(acc) + v(i) * 3i32 + 1i32);
+            });
+            b.push(v(acc)).push(v(i));
+            // The body reassigns the variable the count was read from.
+            b.set(a, pop()).set(q, v(a)).set(acc, 0i32);
+            b.for_(j, v(q), |b| {
+                b.set(q, v(q) - 5i32).set(acc, v(acc) + v(q));
+            });
+            b.push(v(acc)).push(v(q)).push(v(j));
+            // The body writes the loop variable.
+            b.set(acc, 0i32);
+            b.for_(i, v(a) + 4i32, |b| {
+                b.set(acc, v(acc) + v(i));
+                b.set(i, v(i) + 10i32);
+                b.set(acc, v(acc) * 2i32 + v(i));
+            });
+            b.push(v(acc)).push(v(i));
+            // Triangular nests: a runtime inner count under a literal
+            // outer one, and under a runtime one.
+            b.set(acc, 0i32);
+            b.for_(i, 4i32, |b| {
+                b.for_(j, v(i), |b| {
+                    b.set(acc, v(acc) + v(j) * v(i) + v(a));
+                });
+            });
+            b.push(v(acc));
+            b.for_(i, v(a) + 1i32, |b| {
+                b.for_(j, v(i), |b| {
+                    b.set(acc, v(acc) ^ (v(j) + v(i)));
+                });
+            });
+            b.push(v(acc)).push(v(j));
+            // If / else with different charges, inside a loop, inside an
+            // If whose other branch is charged differently again.
+            b.if_else(
+                gt(v(a), 0i32),
+                |b| {
+                    b.for_(i, v(a) + 2i32, |b| {
+                        b.if_else(
+                            v(i) & 1i32,
+                            |b| {
+                                b.set(acc, v(acc) * 3i32);
+                            },
+                            |b| {
+                                b.set(acc, v(acc) / 7i32 + v(i)).set(acc, v(acc) - 1i32);
+                            },
+                        );
+                    });
+                },
+                |b| {
+                    b.set(acc, v(acc) + 100i32);
+                },
+            );
+            b.push(v(acc));
+            // Float counts: a variable, an expression, a literal.
+            b.set(f, cast(ScalarTy::F32, v(a)) * 1.5f32).set(acc, 0i32);
+            b.for_(i, v(f), |b| {
+                b.set(acc, v(acc) + 2i32);
+            });
+            b.for_(j, cast(ScalarTy::F32, v(a)) + 0.75f32, |b| {
+                b.set(acc, v(acc) + 16i32);
+            });
+            b.for_(j, 2.5f32, |b| {
+                b.set(acc, v(acc) + 256i32);
+            });
+            b.push(v(acc)).push(v(i)).push(v(j));
+            // Literal counts of zero, below zero, and of the other width.
+            b.set(i, -5i32);
+            b.for_(i, 0i32, |b| {
+                b.set(acc, v(acc) + 1000i32);
+            });
+            b.for_(j, -3i32, |b| {
+                b.set(acc, v(acc) + 2000i32);
+            });
+            b.push(v(acc)).push(v(i));
+            b.for_(i, 3i64, |b| {
+                b.set(acc, v(acc) + 4000i32);
+            });
+            b.push(v(acc)).push(v(i));
+        });
+        let edges = fb.build();
+
+        // None of this is worth anything if the filter quietly fell back
+        // to the tree-walker, or never reached the ops under test.
+        let m = Machine::core_i7();
+        let plan = compile_filter_opts(&edges, Some(ScalarTy::I32), Some(ScalarTy::I32), &m, false)
+            .expect("the edge filter compiles");
+        let count = |f: fn(&Op) -> bool| plan.work.iter().filter(|op| f(op)).count();
+        assert_eq!(count(|op| matches!(op, Op::LoopEnter { .. })), 14);
+        assert_eq!(count(|op| matches!(op, Op::LoopNext { .. })), 14);
+        // Literal integer counts (4, 0, -3, 3i64) fold; the other ten
+        // loops charge by their run-time trip count.
+        assert_eq!(count(|op| matches!(op, Op::ChargeTimes { .. })), 10);
+        // Four `If` branches and the end of the body.
+        assert_eq!(count(|op| matches!(op, Op::Charge(_))), 5);
+
+        let g = StreamSpec::pipeline(vec![
+            src.build_spec(),
+            StreamSpec::filter(edges, ScalarTy::I32),
+            StreamSpec::Sink,
+        ])
+        .build()
+        .unwrap();
+        let mut sched = Schedule::compute(&g).unwrap();
+        sched.scale(12); // 24 firings: every count from -3 to 5 comes up
+        assert_engines_agree("edges", "loops+charges", &g, &sched, &m);
+        let run = run_scheduled_mode(&g, &sched, &m, 2, ExecMode::Bytecode).unwrap();
+        assert_eq!(run.output.len(), 24 * 18);
+    }
+
+    /// What the firing compiler promises about the code it emits, checked
+    /// on every filter of the suite, scalar and SIMDized: loops are one
+    /// entry and one latch, nothing is charged per iteration, and the
+    /// constant pool is a zone no op writes and no firing zeroes.
+    #[test]
+    fn all_benchmarks_compile_to_rotated_loops_region_charges_and_a_read_only_pool() {
+        use macross_repro::streamir::graph::Node;
+        use macross_repro::vm::bytecode::{CompiledFilter, Op};
+        use macross_repro::vm::CompiledPrograms;
+
+        /// Every register window `op` writes, as `(is_float, base, len)`,
+        /// read off its `Debug` form so that no variant can be forgotten.
+        fn writes(op: &Op) -> Vec<(bool, u32, u32)> {
+            let text = format!("{op:?}");
+            let field = |name: &str| -> Option<u32> {
+                let at = text.find(&format!(" {name}: "))? + name.len() + 3;
+                let digits = text[at..].split(|c: char| !c.is_ascii_digit()).next()?;
+                digits.parse().ok()
+            };
+            let name = text.split([' ', '(']).next().unwrap();
+            // Float compares and logical nots yield integer lanes.
+            let float =
+                name.ends_with('F') && !matches!(name, "CmpF" | "VCmpF" | "LogNotF" | "VLogNotF");
+            let w = field("w").unwrap_or(1);
+            let mut out = Vec::new();
+            if let Some(dst) = field("dst") {
+                out.push((float, dst, w));
+            }
+            if name.starts_with("Store") || name.starts_with("LaneStore") {
+                let whole = field("len").unwrap() * if name.contains("VElem") { w } else { 1 };
+                out.push((float, field("base").unwrap(), whole));
+            }
+            if let Op::LoopEnter { counter, var, .. } | Op::LoopNext { counter, var, .. } = op {
+                out.extend([(false, *counter, 1), (false, *var, 1)]);
+            }
+            out
+        }
+
+        fn check(at: &str, plan: &CompiledFilter, code: &[Op]) {
+            let pool = |float: bool| {
+                if float {
+                    (plan.pool_f.0, plan.pool_f.1.len() as u32)
+                } else {
+                    (plan.pool_i.0, plan.pool_i.1.len() as u32)
+                }
+            };
+            let in_pool = |float: bool, base: u32, len: u32| {
+                let (p, n) = pool(float);
+                base < p + n && p < base + len
+            };
+            for (float, zeros) in [(false, &plan.zero_i), (true, &plan.zero_f)] {
+                for &(base, len) in zeros {
+                    assert!(!in_pool(float, base, len), "{at}: the pool is zeroed");
+                }
+            }
+            let mut open: Vec<usize> = Vec::new();
+            for (k, op) in code.iter().enumerate() {
+                for (float, base, len) in writes(op) {
+                    assert!(
+                        !in_pool(float, base, len),
+                        "{at}: op {k} {op:?} writes a pool register"
+                    );
+                }
+                match *op {
+                    Op::LoopEnter { .. } => open.push(k),
+                    Op::LoopNext {
+                        counter,
+                        limit,
+                        var,
+                        body,
+                    } => {
+                        let enter = open
+                            .pop()
+                            .unwrap_or_else(|| panic!("{at}: stray latch {k}"));
+                        let Op::LoopEnter {
+                            counter: c,
+                            limit: l,
+                            var: v,
+                            exit,
+                        } = code[enter]
+                        else {
+                            unreachable!()
+                        };
+                        assert_eq!((c, l, v), (counter, limit, var), "{at}: loop {enter}..{k}");
+                        assert_eq!(body as usize, enter + 1, "{at}: loop {enter}..{k}");
+                        // Walk the body's unconditional path: an `If`
+                        // jumps to its else label, whose predecessor jumps
+                        // to the end of the whole statement.
+                        let mut pc = enter + 1;
+                        while pc < k {
+                            match code[pc] {
+                                Op::JumpIfZI { target, .. } | Op::JumpIfZF { target, .. } => {
+                                    let Op::Jump { target: end } = code[target as usize - 1] else {
+                                        panic!("{at}: malformed If at {pc}");
+                                    };
+                                    pc = end as usize;
+                                }
+                                Op::Charge(_) => panic!("{at}: per-iteration Charge at {pc}"),
+                                _ => pc += 1,
+                            }
+                        }
+                        // A literal trip count is a pool register and is
+                        // charged at compile time; anything else by one
+                        // `ChargeTimes` right behind the latch.
+                        let by_trips = matches!(code.get(k + 1),
+                            Some(Op::ChargeTimes { n, .. }) if *n == limit);
+                        assert_eq!(
+                            by_trips,
+                            !in_pool(false, limit, 1),
+                            "{at}: loop {enter}..{k}"
+                        );
+                        assert_eq!(exit as usize, k + 1 + by_trips as usize, "{at}");
+                    }
+                    _ => {}
+                }
+            }
+            assert!(open.is_empty(), "{at}: loop without a latch");
+            let branches = code
+                .iter()
+                .any(|op| matches!(op, Op::JumpIfZI { .. } | Op::JumpIfZF { .. }));
+            let charges = code.iter().filter(|op| matches!(op, Op::Charge(_))).count();
+            assert!(branches || charges <= 1, "{at}: {charges} charges, no If");
+        }
+
+        use macross_repro::streamir::expr::BinOp;
+        let (dst, a, b, w) = (9, 2, 3, 4);
+        let op = BinOp::Lt;
+        assert_eq!(writes(&Op::VCmpF { op, dst, a, b, w }), [(false, 9, 4)]);
+        assert_eq!(writes(&Op::MovF { dst, src: a }), [(true, 9, 1)]);
+        let (base, len, idx, src) = (8, 5, 1, 40);
+        let store = Op::StoreVElemF {
+            base,
+            len,
+            idx,
+            src,
+            w,
+        };
+        assert_eq!(writes(&store), [(true, 8, 20)]);
+        assert!(writes(&Op::Charge(3)).is_empty());
+
+        let m = Machine::core_i7();
+        let (mut filters, mut loops) = (0usize, 0usize);
+        for b in benchsuite::all() {
+            let g = (b.build)();
+            let simd = macro_simdize(&g, &m, &SimdizeOptions::all())
+                .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+            for (cfg, g) in [("scalar", &g), ("simdized", &simd.graph)] {
+                let programs = CompiledPrograms::compile(g, &m, ExecMode::BytecodeNoFuse);
+                for (id, node) in g.nodes() {
+                    let Node::Filter(f) = node else { continue };
+                    let at = format!("{}/{cfg}/{}", b.name, f.name);
+                    let plan = programs
+                        .plan(id)
+                        .unwrap_or_else(|| panic!("{at}: tree-walks"));
+                    check(&at, plan, &plan.init);
+                    check(&at, plan, &plan.work);
+                    filters += 1;
+                    loops += plan
+                        .work
+                        .iter()
+                        .filter(|op| matches!(op, Op::LoopNext { .. }))
+                        .count();
+                }
+            }
+        }
+        assert!(
+            filters > 200 && loops > 200,
+            "{filters} filters, {loops} loops"
+        );
+    }
+
     /// Guest-program failures surface identically through both engines.
     #[test]
     fn engine_errors_match() {

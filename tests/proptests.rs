@@ -2,6 +2,9 @@
 //!
 //! - random stateless actors survive single-actor SIMDization (all tape
 //!   modes) with bit-identical output;
+//! - random *structured* actors — nested loops with literal, variable and
+//!   popped trip counts, branches, scalar and vector assignments — produce
+//!   the same sink bits and cycle counters on all three engines;
 //! - the repetition-vector solver balances arbitrary pipelines and
 //!   split-joins, minimally;
 //! - tapes behave like a FIFO oracle under arbitrary operation sequences;
@@ -21,9 +24,10 @@ use macross_repro::sagu::{column_major_index, Sagu, SoftwareAddrGen};
 use macross_repro::sdf::{is_balanced, repetition_vector, Schedule};
 use macross_repro::streamir::builder::StreamSpec;
 use macross_repro::streamir::edsl::*;
-use macross_repro::streamir::expr::{BinOp, Expr, VarId};
+use macross_repro::streamir::expr::{BinOp, Expr, LValue, VarId};
 use macross_repro::streamir::filter::{Filter, VarKind};
 use macross_repro::streamir::graph::{Graph, Node};
+use macross_repro::streamir::stmt::Stmt;
 use macross_repro::streamir::types::{ScalarTy, Ty, Value};
 use macross_repro::vm::{run_scheduled, Machine, Tape};
 
@@ -250,6 +254,232 @@ fn random_actor_width_8() {
         let cfg = SingleActorConfig::strided(8, ScalarTy::I32, ScalarTy::I32);
         differential(actor, cfg);
     }
+}
+
+// ---------------------------------------------------------------------
+// Random structured actors -> three-engine differential.
+// ---------------------------------------------------------------------
+
+/// Generator state for one random structured actor over `i32` scalars
+/// `xs`, 4-lane `i32` vectors `us` and one loop variable per nesting depth.
+struct StmtGen {
+    rng: Rng,
+    xs: Vec<VarId>,
+    us: Vec<VarId>,
+    loop_vars: Vec<VarId>,
+    /// Pops not yet spent. A pop may only sit where every firing executes
+    /// it exactly once: outside every loop and branch.
+    pops_left: usize,
+}
+
+impl StmtGen {
+    fn x(&mut self) -> VarId {
+        self.xs[self.rng.range(0, self.xs.len())]
+    }
+
+    fn u(&mut self) -> VarId {
+        self.us[self.rng.range(0, self.us.len())]
+    }
+
+    /// A scalar `i32` expression over variables, enclosing loop variables,
+    /// lanes and literals (repeated ones, so the pool shares them).
+    fn scalar(&mut self, depth: usize, loops: usize) -> Expr {
+        if depth < 2 && self.rng.range(0, 3) > 0 {
+            let op = [
+                BinOp::Add,
+                BinOp::Sub,
+                BinOp::Mul,
+                BinOp::Xor,
+                BinOp::And,
+                BinOp::Div,
+                BinOp::Lt,
+                BinOp::Ne,
+            ][self.rng.range(0, 8)];
+            return Expr::bin(
+                op,
+                self.scalar(depth + 1, loops),
+                self.scalar(depth + 1, loops),
+            );
+        }
+        match self.rng.range(0, 4) {
+            0 if loops > 0 => Expr::Var(self.loop_vars[self.rng.range(0, loops)]),
+            1 => Expr::Lane(Box::new(Expr::Var(self.u())), self.rng.range(0, 4)),
+            2 => Expr::Const(Value::I32(self.rng.range_i32(-3, 6))),
+            _ => Expr::Var(self.x()),
+        }
+    }
+
+    fn vector(&mut self, loops: usize) -> Expr {
+        match self.rng.range(0, 4) {
+            0 => Expr::Splat(Box::new(self.scalar(1, loops)), 4),
+            1 => Expr::Splat(
+                Box::new(Expr::Const(Value::I32(self.rng.range_i32(-2, 3)))),
+                4,
+            ),
+            2 => Expr::PermuteEven(Box::new(Expr::Var(self.u())), Box::new(Expr::Var(self.u()))),
+            _ => Expr::bin(
+                [BinOp::Add, BinOp::Mul, BinOp::Xor, BinOp::Gt][self.rng.range(0, 4)],
+                Expr::Var(self.u()),
+                Expr::Var(self.u()),
+            ),
+        }
+    }
+
+    /// A trip count in `-2..=5` — a literal, a bare variable clamped just
+    /// before (the body may reassign it), an expression, or a pop.
+    fn count(&mut self, out: &mut Vec<Stmt>, loops: usize) -> Expr {
+        let clamped = |e: Expr| {
+            Expr::bin(
+                BinOp::Sub,
+                Expr::bin(BinOp::And, e, Expr::Const(Value::I32(7))),
+                Expr::Const(Value::I32(2)),
+            )
+        };
+        match self.rng.range(0, 4) {
+            0 => Expr::Const(Value::I32(self.rng.range_i32(-1, 5))),
+            1 => {
+                let x = self.x();
+                out.push(Stmt::Assign(LValue::Var(x), clamped(Expr::Var(x))));
+                Expr::Var(x)
+            }
+            2 if loops == 0 && self.pops_left > 0 => {
+                self.pops_left -= 1;
+                Expr::Pop // the source stays inside -3..=5
+            }
+            _ => clamped(self.scalar(1, loops)),
+        }
+    }
+
+    fn block(&mut self, loops: usize, nest: usize) -> Vec<Stmt> {
+        let mut out = Vec::new();
+        for _ in 0..self.rng.range(1, 5) {
+            match self.rng.range(0, 6) {
+                0 if nest < 3 && loops < self.loop_vars.len() => {
+                    let count = self.count(&mut out, loops);
+                    out.push(Stmt::For {
+                        var: self.loop_vars[loops],
+                        count,
+                        body: self.block(loops + 1, nest + 1),
+                    });
+                }
+                1 if nest < 3 => {
+                    let cond = self.scalar(1, loops);
+                    let then_branch = self.block(loops, nest + 1);
+                    let else_branch = if self.rng.range(0, 3) == 0 {
+                        Vec::new()
+                    } else {
+                        self.block(loops, nest + 1)
+                    };
+                    out.push(Stmt::If {
+                        cond,
+                        then_branch,
+                        else_branch,
+                    });
+                }
+                2 => out.push(Stmt::Assign(LValue::Var(self.u()), self.vector(loops))),
+                3 => out.push(Stmt::Assign(
+                    LValue::LaneVar(self.u(), self.rng.range(0, 4)),
+                    self.scalar(0, loops),
+                )),
+                _ => out.push(Stmt::Assign(LValue::Var(self.x()), self.scalar(0, loops))),
+            }
+        }
+        out
+    }
+}
+
+const STRUCTURED_POPS: usize = 5;
+
+fn gen_structured_actor(seed: u64) -> Filter {
+    let mut f = Filter::new("structured", STRUCTURED_POPS, STRUCTURED_POPS, 4 + 8 + 3);
+    let mut var = |name: String, ty| f.add_var(name, ty, VarKind::Local);
+    let mut g = StmtGen {
+        rng: Rng::new(0x57A7 ^ (seed << 5)),
+        xs: (0..4)
+            .map(|k| var(format!("x{k}"), Ty::Scalar(ScalarTy::I32)))
+            .collect(),
+        us: (0..2)
+            .map(|k| var(format!("u{k}"), Ty::Vector(ScalarTy::I32, 4)))
+            .collect(),
+        loop_vars: (0..3)
+            .map(|k| var(format!("l{k}"), Ty::Scalar(ScalarTy::I32)))
+            .collect(),
+        pops_left: STRUCTURED_POPS,
+    };
+    let mut work = Vec::new();
+    for k in 0..2 {
+        g.pops_left -= 1;
+        work.push(Stmt::Assign(LValue::Var(g.xs[k]), Expr::Pop));
+    }
+    work.extend(g.block(0, 0));
+    work.extend(g.block(0, 0));
+    // Spend what is left of the pop rate, then push every variable.
+    for _ in 0..g.pops_left {
+        let x = g.x();
+        work.push(Stmt::Assign(
+            LValue::Var(x),
+            Expr::bin(BinOp::Add, Expr::Var(x), Expr::Pop),
+        ));
+    }
+    for &x in g.xs.iter().chain(&g.loop_vars) {
+        work.push(Stmt::Push(Expr::Var(x)));
+    }
+    for &u in &g.us {
+        for lane in 0..4 {
+            work.push(Stmt::Push(Expr::Lane(Box::new(Expr::Var(u)), lane)));
+        }
+    }
+    f.work = work;
+    f
+}
+
+/// The loop and charge paths no suite program reaches: `ChargeTimes` for
+/// trip counts only known at run time and in-place charges under `If`,
+/// nested every which way, against the tree-walking oracle — sink bits,
+/// cycle counters and per-node cycles, with and without kernel fusion.
+#[test]
+fn random_structured_actors_agree_across_engines() {
+    use macross_repro::vm::bytecode::Op;
+    use macross_repro::vm::{compile_filter_opts, run_scheduled_mode, ExecMode};
+    let machine = Machine::core_i7();
+    let (mut by_trips, mut in_branch) = (0usize, 0usize);
+    for seed in 0..64u64 {
+        let actor = gen_structured_actor(seed);
+        let i32_edge = Some(ScalarTy::I32);
+        let plan = compile_filter_opts(&actor, i32_edge, i32_edge, &machine, false)
+            .unwrap_or_else(|| panic!("seed {seed}: fell back to the tree-walker"));
+        let count = |f: fn(&Op) -> bool| plan.work.iter().filter(|op| f(op)).count();
+        by_trips += count(|op| matches!(op, Op::ChargeTimes { .. }));
+        in_branch += count(|op| matches!(op, Op::Charge(_))) - 1;
+
+        let mut src = FilterBuilder::new("src", 0, 0, 1, ScalarTy::I32);
+        let n = src.state("n", Ty::Scalar(ScalarTy::I32));
+        src.work(|b| {
+            b.push((v(n) * 7i32 + 3i32) % 9i32 - 3i32);
+            b.set(n, v(n) + 1i32);
+        });
+        let g = StreamSpec::pipeline(vec![
+            src.build_spec(),
+            StreamSpec::filter(actor, ScalarTy::I32),
+            StreamSpec::Sink,
+        ])
+        .build()
+        .unwrap();
+        let mut sched = Schedule::compute(&g).unwrap();
+        sched.scale(5);
+        let tw = run_scheduled_mode(&g, &sched, &machine, 2, ExecMode::TreeWalk).unwrap();
+        assert_eq!(tw.output.len(), 10 * 15, "seed {seed}");
+        for mode in [ExecMode::Bytecode, ExecMode::BytecodeNoFuse] {
+            let bc = run_scheduled_mode(&g, &sched, &machine, 2, mode).unwrap();
+            assert_eq!(tw.output, bc.output, "seed {seed} {mode:?}");
+            assert_eq!(tw.counters, bc.counters, "seed {seed} {mode:?}");
+            assert_eq!(tw.node_cycles, bc.node_cycles, "seed {seed} {mode:?}");
+        }
+    }
+    assert!(
+        by_trips > 50 && in_branch > 50,
+        "{by_trips} ChargeTimes, {in_branch} in-branch charges"
+    );
 }
 
 // ---------------------------------------------------------------------
