@@ -374,11 +374,10 @@ impl CommModel {
 /// `capacity` slots between two threads at `batch` elements per push.
 fn ring_ns_per_elem(total: usize, batch: usize, capacity: usize) -> f64 {
     use macross_runtime::ring::Ring;
-    use macross_streamir::types::Value;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
-    let ring = Arc::new(Ring::for_edge(0, capacity, Value::I32(0)));
+    let ring = Arc::new(Ring::for_edge(0, capacity));
     let abort = Arc::new(AtomicBool::new(false));
     ring.register_consumer();
     let t0 = std::time::Instant::now();
@@ -387,7 +386,7 @@ fn ring_ns_per_elem(total: usize, batch: usize, capacity: usize) -> f64 {
         let abort = Arc::clone(&abort);
         std::thread::spawn(move || {
             ring.register_producer();
-            let chunk = vec![Value::I32(7); batch];
+            let chunk = vec![7u64; batch];
             let mut sent = 0;
             while sent < total {
                 let k = chunk.len().min(total - sent);
@@ -400,16 +399,9 @@ fn ring_ns_per_elem(total: usize, batch: usize, capacity: usize) -> f64 {
     };
     let trace = macross_telemetry::WorkerTrace::disabled();
     let mut got = 0usize;
-    let mut sink = 0i64;
+    let mut sink = 0u64;
     while got < total {
-        let k = ring.pop_avail(
-            |v| {
-                if let Value::I32(x) = v {
-                    sink += x as i64;
-                }
-            },
-            total - got,
-        );
+        let k = ring.pop_avail(|image| sink += image, total - got);
         if k == 0 && ring.wait_nonempty_quiet(&abort, &trace).is_err() {
             break;
         }

@@ -673,7 +673,7 @@ pub fn run_supervised_placed(
             let cap = (req.init_tokens + ring_slack() * steady)
                 .max(req.capacity)
                 .max(init_peak) as usize;
-            let mk = || Arc::new(Ring::for_edge(eid.0, cap, e.elem.zero()));
+            let mk = || Arc::new(Ring::for_edge(eid.0, cap));
             if let Some(spec) = placement.fission_of(e.dst).or(placement.fission_of(e.src)) {
                 EdgeRings::Fission((0..spec.replicas.len()).map(|_| mk()).collect())
             } else if assignment[e.src.0 as usize] != assignment[e.dst.0 as usize] {
@@ -829,7 +829,7 @@ pub fn run_supervised_placed(
         }
     }
 
-    let output = outputs.iter().flatten().copied().collect();
+    let output = outputs.concat();
     let completed = failures.is_empty();
     Ok(SupervisedRun {
         output,

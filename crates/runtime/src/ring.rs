@@ -1,7 +1,9 @@
 //! Bounded lock-free SPSC ring buffer: the inter-core tape segment.
 //!
 //! One producer worker and one consumer worker share a ring per cut edge.
-//! The data path is wait-free on both sides — a single release store of
+//! A slot holds a token's register image (`macross_vm::tape::raw_of`), the
+//! same 8 bytes the tape halves on either side hold, so a token crosses
+//! cores by copy, never by conversion. The data path is wait-free on both sides — a single release store of
 //! the head or tail index publishes a whole batch (one firing's worth of
 //! elements). Head and tail live on separate cache lines so the producer
 //! and consumer don't false-share. When the ring is full (producer) or
@@ -10,7 +12,6 @@
 //! `SPIN_FOR`); the peer unparks it on the next batch. Parks use a
 //! timeout so an abort raised by a failing worker is always noticed.
 
-use macross_streamir::types::Value;
 use macross_telemetry::{EventKind, WorkerTrace};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -54,7 +55,7 @@ enum Side {
 
 /// Bounded single-producer single-consumer ring of tape elements.
 pub struct Ring {
-    buf: Box<[UnsafeCell<Value>]>,
+    buf: Box<[UnsafeCell<u64>]>,
     mask: usize,
     /// The cut edge this ring carries (trace subject; 0 when standalone).
     edge: u32,
@@ -99,16 +100,16 @@ unsafe impl Sync for Ring {}
 
 impl Ring {
     /// A ring with at least `capacity` slots (rounded up to a power of
-    /// two, minimum 8), zero-filled with `fill`.
-    pub fn with_capacity(capacity: usize, fill: Value) -> Ring {
-        Ring::for_edge(0, capacity, fill)
+    /// two, minimum 8).
+    pub fn with_capacity(capacity: usize) -> Ring {
+        Ring::for_edge(0, capacity)
     }
 
     /// Like [`Ring::with_capacity`], tagged with the cut edge it carries
     /// so trace events and ring stats can name it.
-    pub fn for_edge(edge: u32, capacity: usize, fill: Value) -> Ring {
+    pub fn for_edge(edge: u32, capacity: usize) -> Ring {
         let cap = capacity.max(8).next_power_of_two();
-        let buf: Vec<UnsafeCell<Value>> = (0..cap).map(|_| UnsafeCell::new(fill)).collect();
+        let buf: Vec<UnsafeCell<u64>> = (0..cap).map(|_| UnsafeCell::new(0)).collect();
         Ring {
             buf: buf.into_boxed_slice(),
             mask: cap - 1,
@@ -210,7 +211,7 @@ impl Ring {
     /// # Safety
     /// The caller is the producer and `[at, at + vals.len())` lies in the
     /// unpublished region `[tail, head + capacity)`.
-    unsafe fn write_slots(&self, at: usize, vals: &[Value]) {
+    unsafe fn write_slots(&self, at: usize, vals: &[u64]) {
         let s = at & self.mask;
         let first = vals.len().min(self.capacity() - s);
         let base = UnsafeCell::raw_get(self.buf.as_ptr());
@@ -225,10 +226,10 @@ impl Ring {
     /// The caller is the consumer, `[at, at + n)` lies in the published
     /// region `[head, tail)`, and the slices are dropped before `head`
     /// advances past them.
-    unsafe fn read_slots(&self, at: usize, n: usize) -> (&[Value], &[Value]) {
+    unsafe fn read_slots(&self, at: usize, n: usize) -> (&[u64], &[u64]) {
         let s = at & self.mask;
         let first = n.min(self.capacity() - s);
-        let base = UnsafeCell::raw_get(self.buf.as_ptr()) as *const Value;
+        let base = UnsafeCell::raw_get(self.buf.as_ptr()) as *const u64;
         (
             std::slice::from_raw_parts(base.add(s), first),
             std::slice::from_raw_parts(base, n - first),
@@ -291,7 +292,7 @@ impl Ring {
     ///
     /// # Errors
     /// Returns [`Aborted`] if `abort` is raised while waiting for space.
-    pub fn push_batch(&self, vals: &[Value], abort: &AtomicBool) -> Result<(), Aborted> {
+    pub fn push_batch(&self, vals: &[u64], abort: &AtomicBool) -> Result<(), Aborted> {
         self.push_batch_traced(vals, abort, &WorkerTrace::disabled())
     }
 
@@ -303,7 +304,7 @@ impl Ring {
     /// Returns [`Aborted`] if `abort` is raised while waiting for space.
     pub fn push_batch_traced(
         &self,
-        vals: &[Value],
+        vals: &[u64],
         abort: &AtomicBool,
         trace: &WorkerTrace,
     ) -> Result<(), Aborted> {
@@ -339,7 +340,7 @@ impl Ring {
     /// many were written. Used directly by the drain after a failure,
     /// where a full ring whose consumer is gone must not wedge the
     /// draining worker.
-    pub fn push_avail(&self, vals: &[Value]) -> usize {
+    pub fn push_avail(&self, vals: &[u64]) -> usize {
         let tail = self.tail.0.load(Ordering::Relaxed);
         let head = self.head.0.load(Ordering::Acquire);
         let n = (self.capacity() - (tail - head)).min(vals.len());
@@ -360,7 +361,7 @@ impl Ring {
     /// Consumer: hand up to `max` available elements to `sink` as one or
     /// two slices of the ring (two when the span wraps), in order,
     /// without blocking. Returns how many were taken.
-    pub fn pop_spans(&self, max: usize, sink: impl FnOnce(&[Value], &[Value])) -> usize {
+    pub fn pop_spans(&self, max: usize, sink: impl FnOnce(&[u64], &[u64])) -> usize {
         let tail = self.tail.0.load(Ordering::Acquire);
         let head = self.head.0.load(Ordering::Relaxed);
         let avail = (tail - head).min(max);
@@ -377,7 +378,7 @@ impl Ring {
     }
 
     /// [`Ring::pop_spans`], one element at a time.
-    pub fn pop_avail(&self, mut sink: impl FnMut(Value), max: usize) -> usize {
+    pub fn pop_avail(&self, mut sink: impl FnMut(u64), max: usize) -> usize {
         self.pop_spans(max, |a, b| a.iter().chain(b).for_each(|&v| sink(v)))
     }
 
@@ -488,20 +489,21 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
-    fn iv(x: i32) -> Value {
-        Value::I32(x)
+    /// The image of `x` as an `i32` token: what a tape half ships.
+    fn iv(x: i32) -> u64 {
+        x as i64 as u64
     }
 
     #[test]
     fn capacity_rounds_to_power_of_two() {
-        let r = Ring::with_capacity(13, iv(0));
+        let r = Ring::with_capacity(13);
         assert_eq!(r.capacity(), 16);
-        assert_eq!(Ring::with_capacity(0, iv(0)).capacity(), 8);
+        assert_eq!(Ring::with_capacity(0).capacity(), 8);
     }
 
     #[test]
     fn batch_roundtrip_single_thread() {
-        let r = Ring::with_capacity(8, iv(0));
+        let r = Ring::with_capacity(8);
         let abort = AtomicBool::new(false);
         r.push_batch(&(0..6).map(iv).collect::<Vec<_>>(), &abort)
             .unwrap();
@@ -514,9 +516,9 @@ mod tests {
     #[test]
     fn oversized_batch_flows_in_chunks() {
         // Batch larger than capacity: requires a concurrent consumer.
-        let r = Arc::new(Ring::with_capacity(8, iv(0)));
+        let r = Arc::new(Ring::with_capacity(8));
         let abort = Arc::new(AtomicBool::new(false));
-        let vals: Vec<Value> = (0..1000).map(iv).collect();
+        let vals: Vec<u64> = (0..1000).map(iv).collect();
         let rc = Arc::clone(&r);
         let ac = Arc::clone(&abort);
         let consumer = std::thread::spawn(move || {
@@ -543,7 +545,7 @@ mod tests {
 
     #[test]
     fn occupancy_stats_track_publishes() {
-        let r = Ring::for_edge(3, 8, iv(0));
+        let r = Ring::for_edge(3, 8);
         assert_eq!(r.edge(), 3);
         let abort = AtomicBool::new(false);
         r.push_batch(&(0..6).map(iv).collect::<Vec<_>>(), &abort)
@@ -557,9 +559,9 @@ mod tests {
 
     #[test]
     fn pop_spans_hands_out_a_wrapped_span_in_order() {
-        let r = Ring::with_capacity(8, iv(0));
+        let r = Ring::with_capacity(8);
         let abort = AtomicBool::new(false);
-        let vals: Vec<Value> = (0..12).map(iv).collect();
+        let vals: Vec<u64> = (0..12).map(iv).collect();
         r.push_batch(&vals[..6], &abort).unwrap();
         assert_eq!(r.pop_avail(|_| {}, 5), 5);
         // Slots 6, 7 and then 0..4: the span wraps the ring boundary.
@@ -577,7 +579,7 @@ mod tests {
 
     #[test]
     fn spsc_stress_preserves_order() {
-        let r = Arc::new(Ring::with_capacity(32, iv(0)));
+        let r = Arc::new(Ring::with_capacity(32));
         let abort = Arc::new(AtomicBool::new(false));
         const N: i32 = 100_000;
         let rc = Arc::clone(&r);
@@ -602,7 +604,7 @@ mod tests {
         let mut k = 0i32;
         while k < N {
             let n = (1 + (k % 17)) as usize;
-            let batch: Vec<Value> = (k..(k + n as i32).min(N)).map(iv).collect();
+            let batch: Vec<u64> = (k..(k + n as i32).min(N)).map(iv).collect();
             r.push_batch(&batch, &abort).unwrap();
             k += batch.len() as i32;
         }
@@ -616,7 +618,7 @@ mod tests {
         // with disjoint intervals; the episode protocol records exactly
         // one interval covering the whole wait — the monotonic accounting
         // `ensure_inputs` relies on.
-        let r = Arc::new(Ring::with_capacity(8, iv(0)));
+        let r = Arc::new(Ring::with_capacity(8));
         let abort = Arc::new(AtomicBool::new(false));
         let rc = Arc::clone(&r);
         let ac = Arc::clone(&abort);
@@ -646,7 +648,7 @@ mod tests {
 
     #[test]
     fn abort_unblocks_waiters() {
-        let r = Arc::new(Ring::with_capacity(8, iv(0)));
+        let r = Arc::new(Ring::with_capacity(8));
         let abort = Arc::new(AtomicBool::new(false));
         let rc = Arc::clone(&r);
         let ac = Arc::clone(&abort);

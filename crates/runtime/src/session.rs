@@ -323,18 +323,15 @@ impl SessionEngine {
     /// Fire one node once (no supervision — callers wrap this).
     fn fire_node(&mut self, id: NodeId) -> Result<(), macross_vm::VmError> {
         let i = id.0 as usize;
-        let sunk = firing::fire_node(
+        firing::fire_node(
             &self.adj[i],
             self.graph.node(id),
             &mut self.states[i],
             &mut self.tapes,
             &self.machine,
             &mut self.counters,
-        )?;
-        if let Some(v) = sunk {
-            self.outputs[i].push(v);
-        }
-        Ok(())
+            &mut self.outputs[i],
+        )
     }
 
     /// One pass over a schedule phase (init or steady), honouring the

@@ -9,9 +9,11 @@
 //! producer-side reorder (`ReorderSide::Producer`) stages and commits on
 //! the producing core, a consumer-side reorder (`ReorderSide::Consumer`)
 //! remaps reads on the consuming core, and the ring always carries
-//! elements in committed physical order. Draining a tape front-first
-//! therefore preserves exactly the layout the single-threaded executor
-//! would have seen, which is what makes the differential tests exact.
+//! elements in committed physical order — as the register images the tape
+//! halves hold, so a token is copied across and never converted. Draining
+//! a tape front-first therefore preserves exactly the layout the
+//! single-threaded executor would have seen, which is what makes the
+//! differential tests exact.
 //!
 //! Workers are *supervised*: every firing runs inside `catch_unwind`
 //! with a heartbeat the watchdog samples, failures become typed
@@ -199,7 +201,7 @@ impl Push {
     /// `send` returns how many tokens of a chunk the ring took; the first
     /// short answer stops the shipment with the cursor exactly at the
     /// next undelivered token. Returns how many tokens went out.
-    fn ship(&mut self, vals: &[Value], mut send: impl FnMut(&Ring, &[Value]) -> usize) -> usize {
+    fn ship(&mut self, vals: &[u64], mut send: impl FnMut(&Ring, &[u64]) -> usize) -> usize {
         let mut off = 0;
         while off < vals.len() {
             let take = self.room_in_block(vals.len() - off);
@@ -279,7 +281,8 @@ pub(crate) struct Worker<'g> {
     plans: Vec<NodePlan>,
     stages: Arc<Vec<Stage>>,
     counters: CycleCounters,
-    sink_outputs: Vec<(usize, Vec<Value>)>,
+    /// Values captured per node id (non-empty for this core's sinks only).
+    outputs: Vec<Vec<Value>>,
     /// Tape marks of the firing (or batch) in flight, in the order of the
     /// plan's tape list; reused so a firing allocates nothing.
     marks: Vec<TapeMark>,
@@ -498,7 +501,7 @@ impl<'g> Worker<'g> {
             plans,
             stages,
             counters: CycleCounters::default(),
-            sink_outputs: Vec::new(),
+            outputs: vec![Vec::new(); graph.node_count()],
             marks: Vec::new(),
             trace,
             core,
@@ -598,8 +601,9 @@ impl<'g> Worker<'g> {
     }
 
     fn into_out(self, steady_nanos: u64) -> WorkerOut {
+        let captured = self.outputs.into_iter().enumerate();
         WorkerOut {
-            sink_outputs: self.sink_outputs,
+            sink_outputs: captured.filter(|(_, vals)| !vals.is_empty()).collect(),
             steady_nanos,
             modelled: self.counters,
         }
@@ -1250,24 +1254,18 @@ impl<'g> Worker<'g> {
     }
 
     /// Fire plan `p`'s node once against the local tapes through the
-    /// shared firing path, routing a sink's value to this core's outputs.
+    /// shared firing path, a sink's value landing in this core's outputs.
     fn fire_node(&mut self, p: usize) -> Result<(), macross_vm::VmError> {
         let plan = &self.plans[p];
         let idx = plan.id.0 as usize;
-        let sunk = firing::fire_node(
+        firing::fire_node(
             &plan.adj,
             self.graph.node(plan.id),
             &mut self.states[idx],
             &mut self.tapes,
             self.machine,
             &mut self.counters,
-        )?;
-        if let Some(v) = sunk {
-            match self.sink_outputs.iter_mut().find(|(i, _)| *i == idx) {
-                Some((_, vals)) => vals.push(v),
-                None => self.sink_outputs.push((idx, vec![v])),
-            }
-        }
-        Ok(())
+            &mut self.outputs[idx],
+        )
     }
 }

@@ -19,10 +19,12 @@
 //!   the `f32` domain and re-widened. Comparisons run on the widened
 //!   values, which is what the tree-walker's `fcmp` does too.
 //!
-//! These invariants make every encode/decode at a tape or channel
-//! boundary lossless, so a compiled filter is bit-identical to the
-//! tree-walked one (the differential suite in `tests/differential.rs`
-//! enforces this).
+//! A register's bits are therefore the token's *image*
+//! ([`crate::tape::raw_of`]), which is what tapes and channels store: a
+//! tape or channel op is a bit-cast register move, and a compiled filter
+//! is bit-identical to the tree-walked one, which reads the same slots
+//! through the typed `Value` view (the differential suite in
+//! `tests/differential.rs` enforces this).
 //!
 //! # Cycle accounting
 //!
@@ -45,8 +47,7 @@ use crate::lanes;
 use crate::machine::CycleCounters;
 use crate::tape::Tape;
 use macross_streamir::expr::{BinOp, Intrinsic};
-use macross_streamir::types::{ScalarTy, Value};
-use std::collections::VecDeque;
+use macross_streamir::types::ScalarTy;
 
 /// The two unboxed register files of a compiled filter.
 #[derive(Debug, Clone, Default)]
@@ -64,6 +65,40 @@ impl Regs {
             i: vec![0; int_regs],
             f: vec![0.0; float_regs],
         }
+    }
+}
+
+/// An internal (fused-actor) channel of a compiled filter: a flat FIFO of
+/// register images. It is empty between firings, so it rewinds whenever it
+/// has drained and never outgrows one firing's traffic.
+#[derive(Debug, Clone, Default)]
+pub struct Chan {
+    buf: Vec<u64>,
+    /// Index of the next image to pop.
+    head: usize,
+}
+
+impl Chan {
+    /// True when every pushed image was popped.
+    pub fn is_empty(&self) -> bool {
+        self.head == self.buf.len()
+    }
+
+    #[inline]
+    fn push(&mut self, images: &[u64]) {
+        if self.is_empty() {
+            self.buf.clear();
+            self.head = 0;
+        }
+        self.buf.extend_from_slice(images);
+    }
+
+    /// The next `w` images, or `None` when fewer are queued.
+    #[inline]
+    fn pop(&mut self, w: usize) -> Option<&[u64]> {
+        let span = self.buf.get(self.head..self.head + w)?;
+        self.head += w;
+        Some(span)
     }
 }
 
@@ -116,6 +151,12 @@ impl ChargeEntry {
 pub struct CompiledFilter {
     /// Filter name (for errors and panics).
     pub name: String,
+    /// Element type of the input tape the tape ops were compiled against
+    /// (`None`: no input edge, so no input op). The firing boundary checks
+    /// the tape it is handed against it, once per block.
+    pub in_elem: Option<ScalarTy>,
+    /// Element type of the output tape, likewise.
+    pub out_elem: Option<ScalarTy>,
     /// Integer register file size.
     pub int_regs: u32,
     /// Float register file size.
@@ -161,6 +202,8 @@ impl CompiledFilter {
     pub(crate) fn bare(name: &str, int_regs: u32, float_regs: u32, work: Vec<Op>) -> Self {
         CompiledFilter {
             name: name.into(),
+            in_elem: None,
+            out_elem: None,
             int_regs,
             float_regs,
             var_windows: vec![],
@@ -1015,54 +1058,6 @@ pub(crate) fn call2_f(i: Intrinsic, ty: ScalarTy, a: f64, b: f64) -> f64 {
     }
 }
 
-/// Decode a tape/channel [`Value`] into an integer register.
-///
-/// # Panics
-/// Panics if the value's type does not match the compiled element type.
-/// The compiler only emits typed tape ops when the edge element type is
-/// known, so this fires only for ill-typed programs (a producer pushing a
-/// mismatched value onto a typed edge), which the tree-walker does not
-/// diagnose either — it would silently propagate the wrong type.
-fn decode_i(v: Value, ty: ScalarTy, filter: &str) -> i64 {
-    match (ty, v) {
-        (ScalarTy::I32, Value::I32(x)) => x as i64,
-        (ScalarTy::I64, Value::I64(x)) => x,
-        _ => panic!(
-            "tape/channel value {v:?} does not match compiled element type {ty} in filter {filter}"
-        ),
-    }
-}
-
-/// Decode a tape/channel [`Value`] into a float register.
-///
-/// # Panics
-/// Same contract as [`decode_i`].
-fn decode_f(v: Value, ty: ScalarTy, filter: &str) -> f64 {
-    match (ty, v) {
-        (ScalarTy::F32, Value::F32(x)) => x as f64,
-        (ScalarTy::F64, Value::F64(x)) => x,
-        _ => panic!(
-            "tape/channel value {v:?} does not match compiled element type {ty} in filter {filter}"
-        ),
-    }
-}
-
-fn encode_i(ty: ScalarTy, x: i64) -> Value {
-    if ty == ScalarTy::I32 {
-        Value::I32(x as i32)
-    } else {
-        Value::I64(x)
-    }
-}
-
-fn encode_f(ty: ScalarTy, x: f64) -> Value {
-    if ty == ScalarTy::F32 {
-        Value::F32(x as f32)
-    } else {
-        Value::F64(x)
-    }
-}
-
 fn array_index(idx: i64, len: u32, filter: &str) -> usize {
     let k = idx as usize;
     assert!(
@@ -1101,7 +1096,7 @@ pub fn run_code(
     plan: &CompiledFilter,
     code: &[Op],
     regs: &mut Regs,
-    chans: &mut [VecDeque<Value>],
+    chans: &mut [Chan],
     mut input: Option<&mut Tape>,
     mut output: Option<&mut Tape>,
     in_cost: u64,
@@ -1432,139 +1427,92 @@ pub fn run_code(
                 regs.f[*base as usize + k * *w as usize + *lane as usize] = regs.f[*src as usize];
             }
 
-            Op::PopI { ty, dst } => {
-                let v = tape!(Input, input).pop();
-                regs.i[*dst as usize] = decode_i(v, *ty, &plan.name);
+            // Tape and channel ops are bit-cast register moves: a slot
+            // holds the image a register holds. What `ty` promised is
+            // checked once per firing block, at the firing boundary.
+            Op::PopI { dst, .. } => regs.i[*dst as usize] = tape!(Input, input).pop_raw() as i64,
+            Op::PopF { dst, .. } => {
+                regs.f[*dst as usize] = f64::from_bits(tape!(Input, input).pop_raw());
             }
-            Op::PopF { ty, dst } => {
-                let v = tape!(Input, input).pop();
-                regs.f[*dst as usize] = decode_f(v, *ty, &plan.name);
-            }
-            Op::PeekI { ty, dst, off } => {
+            Op::PeekI { dst, off, .. } => {
                 let o = regs.i[*off as usize] as usize;
-                let v = tape!(Input, input).peek(o);
-                regs.i[*dst as usize] = decode_i(v, *ty, &plan.name);
+                regs.i[*dst as usize] = tape!(Input, input).peek_raw(o) as i64;
             }
-            Op::PeekF { ty, dst, off } => {
+            Op::PeekF { dst, off, .. } => {
                 let o = regs.i[*off as usize] as usize;
-                let v = tape!(Input, input).peek(o);
-                regs.f[*dst as usize] = decode_f(v, *ty, &plan.name);
+                regs.f[*dst as usize] = f64::from_bits(tape!(Input, input).peek_raw(o));
             }
-            Op::VPopI { ty, dst, w } => {
-                let t = tape!(Input, input);
-                let (a, b) = t.vpop_slices(*w as usize);
-                let d = *dst as usize;
-                for (k, v) in a.iter().chain(b.iter()).enumerate() {
-                    regs.i[d + k] = decode_i(*v, *ty, &plan.name);
-                }
+            Op::VPopI { dst, w, .. } => {
+                let span = tape!(Input, input).vpop_slices(*w as usize);
+                lanes::load(&mut regs.i, *dst, span, |raw| raw as i64);
             }
-            Op::VPopF { ty, dst, w } => {
-                let t = tape!(Input, input);
-                let (a, b) = t.vpop_slices(*w as usize);
-                let d = *dst as usize;
-                for (k, v) in a.iter().chain(b.iter()).enumerate() {
-                    regs.f[d + k] = decode_f(*v, *ty, &plan.name);
-                }
+            Op::VPopF { dst, w, .. } => {
+                let span = tape!(Input, input).vpop_slices(*w as usize);
+                lanes::load(&mut regs.f, *dst, span, f64::from_bits);
             }
-            Op::VPeekI { ty, dst, off, w } => {
+            Op::VPeekI { dst, off, w, .. } => {
                 let o = regs.i[*off as usize] as usize;
-                let t = tape!(Input, input);
-                let (a, b) = t.vpeek_slices(o, *w as usize);
-                let d = *dst as usize;
-                for (k, v) in a.iter().chain(b.iter()).enumerate() {
-                    regs.i[d + k] = decode_i(*v, *ty, &plan.name);
-                }
+                let span = tape!(Input, input).vpeek_slices(o, *w as usize);
+                lanes::load(&mut regs.i, *dst, span, |raw| raw as i64);
             }
-            Op::VPeekF { ty, dst, off, w } => {
+            Op::VPeekF { dst, off, w, .. } => {
                 let o = regs.i[*off as usize] as usize;
-                let t = tape!(Input, input);
-                let (a, b) = t.vpeek_slices(o, *w as usize);
-                let d = *dst as usize;
-                for (k, v) in a.iter().chain(b.iter()).enumerate() {
-                    regs.f[d + k] = decode_f(*v, *ty, &plan.name);
-                }
+                let span = tape!(Input, input).vpeek_slices(o, *w as usize);
+                lanes::load(&mut regs.f, *dst, span, f64::from_bits);
             }
             Op::AdvRead { n } => tape!(Input, input).advance_read(*n as usize),
 
-            Op::PushI { ty, src } => {
-                let v = encode_i(*ty, regs.i[*src as usize]);
-                tape!(Output, output).push(v);
+            Op::PushI { src, .. } => tape!(Output, output).push_raw(regs.i[*src as usize] as u64),
+            Op::PushF { src, .. } => {
+                tape!(Output, output).push_raw(regs.f[*src as usize].to_bits());
             }
-            Op::PushF { ty, src } => {
-                let v = encode_f(*ty, regs.f[*src as usize]);
-                tape!(Output, output).push(v);
-            }
-            Op::RPushI { ty, src, off } => {
-                let v = encode_i(*ty, regs.i[*src as usize]);
+            Op::RPushI { src, off, .. } => {
                 let o = regs.i[*off as usize] as usize;
-                tape!(Output, output).rpush(v, o);
+                tape!(Output, output).rpush_raw(regs.i[*src as usize] as u64, o);
             }
-            Op::RPushF { ty, src, off } => {
-                let v = encode_f(*ty, regs.f[*src as usize]);
+            Op::RPushF { src, off, .. } => {
                 let o = regs.i[*off as usize] as usize;
-                tape!(Output, output).rpush(v, o);
+                tape!(Output, output).rpush_raw(regs.f[*src as usize].to_bits(), o);
             }
-            Op::VPushI { ty, src, w } => {
-                let ty = *ty;
-                let s = *src as usize;
-                let i = &regs.i;
-                tape!(Output, output).vpush_many(*w as usize, |k| encode_i(ty, i[s + k]));
+            Op::VPushI { src, w, .. } => {
+                let t = tape!(Output, output);
+                lanes::store(&regs.i, *src, *w, |x| x as u64, |span| t.push_slice(span));
             }
-            Op::VPushF { ty, src, w } => {
-                let ty = *ty;
-                let s = *src as usize;
-                let f = &regs.f;
-                tape!(Output, output).vpush_many(*w as usize, |k| encode_f(ty, f[s + k]));
+            Op::VPushF { src, w, .. } => {
+                let t = tape!(Output, output);
+                lanes::store(&regs.f, *src, *w, f64::to_bits, |span| t.push_slice(span));
             }
             Op::AdvWrite { n } => tape!(Output, output).advance_write(*n as usize),
 
-            Op::LPopI { ty, chan, dst } => match chans[*chan as usize].pop_front() {
-                Some(v) => regs.i[*dst as usize] = decode_i(v, *ty, &plan.name),
+            Op::LPopI { chan, dst, .. } => match chans[*chan as usize].pop(1) {
+                Some(span) => regs.i[*dst as usize] = span[0] as i64,
                 None => underflow!(format!("ch{chan}")),
             },
-            Op::LPopF { ty, chan, dst } => match chans[*chan as usize].pop_front() {
-                Some(v) => regs.f[*dst as usize] = decode_f(v, *ty, &plan.name),
+            Op::LPopF { chan, dst, .. } => match chans[*chan as usize].pop(1) {
+                Some(span) => regs.f[*dst as usize] = f64::from_bits(span[0]),
                 None => underflow!(format!("ch{chan}")),
             },
-            Op::LVPopI { ty, chan, dst, w } => {
+            Op::LVPopI { chan, dst, w, .. } => match chans[*chan as usize].pop(*w as usize) {
+                Some(span) => lanes::load(&mut regs.i, *dst, (span, &[]), |raw| raw as i64),
+                None => underflow!(format!("ch{chan} (vector)")),
+            },
+            Op::LVPopF { chan, dst, w, .. } => match chans[*chan as usize].pop(*w as usize) {
+                Some(span) => lanes::load(&mut regs.f, *dst, (span, &[]), f64::from_bits),
+                None => underflow!(format!("ch{chan} (vector)")),
+            },
+            Op::LPushI { chan, src, .. } => {
+                chans[*chan as usize].push(&[regs.i[*src as usize] as u64]);
+            }
+            Op::LPushF { chan, src, .. } => {
+                chans[*chan as usize].push(&[regs.f[*src as usize].to_bits()]);
+            }
+            Op::LVPushI { chan, src, w, .. } => {
                 let ch = &mut chans[*chan as usize];
-                if ch.len() < *w as usize {
-                    underflow!(format!("ch{chan} (vector)"));
-                }
-                for k in 0..*w as usize {
-                    let v = ch.pop_front().expect("length checked");
-                    regs.i[*dst as usize + k] = decode_i(v, *ty, &plan.name);
-                }
+                lanes::store(&regs.i, *src, *w, |x| x as u64, |span| ch.push(span));
             }
-            Op::LVPopF { ty, chan, dst, w } => {
+            Op::LVPushF { chan, src, w, .. } => {
                 let ch = &mut chans[*chan as usize];
-                if ch.len() < *w as usize {
-                    underflow!(format!("ch{chan} (vector)"));
-                }
-                for k in 0..*w as usize {
-                    let v = ch.pop_front().expect("length checked");
-                    regs.f[*dst as usize + k] = decode_f(v, *ty, &plan.name);
-                }
-            }
-            Op::LPushI { ty, chan, src } => {
-                let v = encode_i(*ty, regs.i[*src as usize]);
-                chans[*chan as usize].push_back(v);
-            }
-            Op::LPushF { ty, chan, src } => {
-                let v = encode_f(*ty, regs.f[*src as usize]);
-                chans[*chan as usize].push_back(v);
-            }
-            Op::LVPushI { ty, chan, src, w } => {
-                for k in 0..*w as usize {
-                    let v = encode_i(*ty, regs.i[*src as usize + k]);
-                    chans[*chan as usize].push_back(v);
-                }
-            }
-            Op::LVPushF { ty, chan, src, w } => {
-                for k in 0..*w as usize {
-                    let v = encode_f(*ty, regs.f[*src as usize + k]);
-                    chans[*chan as usize].push_back(v);
-                }
+                lanes::store(&regs.f, *src, *w, f64::to_bits, |span| ch.push(span));
             }
 
             Op::Jump { target } => ip = at(*target),

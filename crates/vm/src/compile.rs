@@ -46,6 +46,7 @@
 use crate::bytecode::{ChargeEntry, CompiledFilter, Op};
 use crate::kernel;
 use crate::machine::Machine;
+use crate::tape::raw_of;
 use macross_streamir::expr::{BinOp, Expr, Intrinsic, LValue, UnOp};
 use macross_streamir::filter::{Filter, VarKind};
 use macross_streamir::stmt::Stmt;
@@ -111,28 +112,22 @@ impl Pool {
 /// equal values of both widths share a window while `-0.0` and each NaN
 /// payload keep their own.
 fn pooled(e: &Expr, image: &mut Vec<u64>) -> Option<(ScalarTy, Option<u32>)> {
-    let bits = |v: &Value| match *v {
-        Value::I32(x) => x as i64 as u64,
-        Value::I64(x) => x as u64,
-        Value::F32(x) => (x as f64).to_bits(),
-        Value::F64(x) => x.to_bits(),
-    };
     image.clear();
     match e {
         Expr::Const(v) => {
-            image.push(bits(v));
+            image.push(raw_of(*v));
             Some((v.ty(), None))
         }
         Expr::ConstVec(vs) => {
             let ty = vs.first()?.ty();
             let w = u32::try_from(vs.len()).ok()?;
-            image.extend(vs.iter().map(bits));
+            image.extend(vs.iter().map(|v| raw_of(*v)));
             vs.iter().all(|v| v.ty() == ty).then_some((ty, Some(w)))
         }
         Expr::Splat(x, w) => match **x {
             Expr::Const(v) => {
                 let lanes = u32::try_from(*w).ok()?;
-                image.resize(*w, bits(&v));
+                image.resize(*w, raw_of(v));
                 Some((v.ty(), Some(lanes)))
             }
             _ => None,
@@ -269,6 +264,8 @@ pub fn compile_filter_opts(
     }
     Some(CompiledFilter {
         name: filter.name.clone(),
+        in_elem,
+        out_elem,
         int_regs: c.max_i,
         float_regs: c.max_f,
         var_windows,

@@ -158,9 +158,7 @@ impl<'a> Executor<'a> {
         self.run_init_functions()?;
         let order = self.schedule.order.clone();
         for id in order {
-            for _ in 0..self.schedule.init_reps[id.0 as usize] {
-                self.fire(id)?;
-            }
+            self.fire_reps(id, self.schedule.init_reps[id.0 as usize])?;
         }
         Ok(())
     }
@@ -174,9 +172,7 @@ impl<'a> Executor<'a> {
         let order = self.schedule.order.clone();
         for _ in 0..iters {
             for &id in &order {
-                for _ in 0..self.schedule.reps[id.0 as usize] {
-                    self.fire(id)?;
-                }
+                self.fire_reps(id, self.schedule.reps[id.0 as usize])?;
             }
         }
         Ok(())
@@ -224,7 +220,27 @@ impl<'a> Executor<'a> {
     /// All sink outputs concatenated in node order (for differential
     /// comparisons).
     pub fn output_flat(&self) -> Vec<Value> {
-        self.outputs.iter().flatten().copied().collect()
+        self.outputs.concat()
+    }
+
+    /// A node's `k` repetitions: one [`firing::fire_block`], or — with a
+    /// live trace handle, which wants a span and a cycle payload per
+    /// firing — `k` times [`Executor::fire`].
+    fn fire_reps(&mut self, id: NodeId, k: u64) -> Result<(), VmError> {
+        if self.trace.active() {
+            return (0..k).try_for_each(|_| self.fire(id));
+        }
+        let i = id.0 as usize;
+        firing::fire_block(
+            &self.plans[i],
+            self.graph.node(id),
+            &mut self.states[i],
+            &mut self.tapes,
+            self.machine,
+            &mut self.node_counters[i],
+            k,
+            &mut self.outputs[i],
+        )
     }
 
     /// Fire one node once.
@@ -237,17 +253,15 @@ impl<'a> Executor<'a> {
         self.trace.record(EventKind::FiringStart, id.0, 0);
         // The firing's own cost is only needed as the span's payload.
         let before = self.trace.active().then(|| self.node_counters[i].total());
-        let sunk = firing::fire_node(
+        firing::fire_node(
             &self.plans[i],
             self.graph.node(id),
             &mut self.states[i],
             &mut self.tapes,
             self.machine,
             &mut self.node_counters[i],
+            &mut self.outputs[i],
         )?;
-        if let Some(v) = sunk {
-            self.outputs[i].push(v);
-        }
         if let Some(before) = before {
             let cost = self.node_counters[i].total() - before;
             self.trace.record(EventKind::FiringEnd, id.0, cost);

@@ -1,19 +1,20 @@
 //! The reentrant firing path.
 //!
-//! [`fire_node`] fires one node once against a caller-supplied tape
-//! slice, shared by the single-threaded [`crate::exec::Executor`] and the
-//! session engine and worker threads of `macross-runtime`. All state is
+//! [`fire_block`] fires one node `k` times in a row against a
+//! caller-supplied tape slice ([`fire_node`] is `k = 1`), shared by the
+//! single-threaded [`crate::exec::Executor`] and the session engine and
+//! worker threads of `macross-runtime`. All state is
 //! passed in explicitly ([`FilterState`] is plain owned data and therefore
 //! `Send`), so a worker thread can own the states of exactly the filters
 //! assigned to its core and fire them against thread-local tapes.
 
-use crate::bytecode::{run_code, CompiledFilter, Regs};
+use crate::bytecode::{run_code, Chan, CompiledFilter, Regs};
 use crate::compile::compile_filter_opts;
 use crate::error::VmError;
 use crate::exec::ExecMode;
 use crate::interp::{reset_locals, zero_slots, FiringCtx, Slot};
 use crate::machine::{CycleCounters, Machine};
-use crate::tape::Tape;
+use crate::tape::{raw_of, value_of, Tape};
 use macross_streamir::filter::{Filter, VarKind};
 use macross_streamir::graph::{EdgeId, Graph, Node, NodeId, ReorderSide, SplitKind};
 use macross_streamir::types::{ScalarTy, Ty, Value};
@@ -39,10 +40,14 @@ enum Engine {
 pub struct FilterState {
     /// Variable storage, indexed by `VarId` (tree-walking engine).
     pub slots: Vec<Slot>,
-    /// Internal channel storage, indexed by `ChanId`.
+    /// Internal channel storage, indexed by `ChanId` (tree-walking
+    /// engine: values keep their dynamic type).
     pub chans: Vec<VecDeque<Value>>,
     /// Unboxed register files (bytecode engine).
     regs: Regs,
+    /// Internal channels as image FIFOs, indexed by `ChanId` (bytecode
+    /// engine).
+    fifos: Vec<Chan>,
     engine: Engine,
 }
 
@@ -53,6 +58,7 @@ impl FilterState {
             slots: zero_slots(filter),
             chans: vec![VecDeque::new(); filter.chans.len()],
             regs: Regs::default(),
+            fifos: Vec::new(),
             engine: Engine::Tree,
         }
     }
@@ -104,6 +110,7 @@ impl FilterState {
         let mut state = FilterState::new(filter);
         if let Some(plan) = plan {
             state.regs = plan.new_regs();
+            state.fifos = vec![Chan::default(); filter.chans.len()];
             state.engine = Engine::Compiled(plan);
         }
         state
@@ -126,9 +133,8 @@ impl FilterState {
     /// Export the values of the filter's `State` variables, flattened in
     /// declaration order (vector-arrays row-major: all lanes of row 0,
     /// then row 1, ...). Exact in both engines: the tree-walker stores
-    /// `Value`s directly, and the bytecode register files hold `i32`
-    /// sign-extended to `i64` / `f32` exactly widened to `f64`, so
-    /// narrowing back through the declared element type loses nothing.
+    /// `Value`s directly, and a bytecode register holds the value's image
+    /// ([`raw_of`]), which the declared element type reads back.
     ///
     /// Together with [`FilterState::import_state_vars`] this is the
     /// configuration-swap carrier of the parameterized-dataflow runtime:
@@ -144,11 +150,12 @@ impl FilterState {
                     }
                     let elem = decl.ty.elem();
                     for k in base..base + len {
-                        out.push(if float {
-                            narrow_float(elem, self.regs.f[k as usize])
+                        let image = if float {
+                            self.regs.f[k as usize].to_bits()
                         } else {
-                            narrow_int(elem, self.regs.i[k as usize])
-                        });
+                            self.regs.i[k as usize] as u64
+                        };
+                        out.push(value_of(elem, image));
                     }
                 }
             }
@@ -196,7 +203,7 @@ impl FilterState {
                 .get(cursor..cursor + len)
                 .ok_or_else(|| mismatch(format!("state carrier too short for '{}'", decl.name)))?;
             let elem = decl.ty.elem();
-            if !chunk.iter().all(|v| value_matches(elem, *v)) {
+            if !chunk.iter().all(|v| v.ty() == elem) {
                 return Err(mismatch(format!(
                     "state carrier element type mismatch for '{}'",
                     decl.name
@@ -209,9 +216,9 @@ impl FilterState {
                 debug_assert_eq!(window as usize, len);
                 for (k, v) in chunk.iter().enumerate() {
                     if float {
-                        self.regs.f[base as usize + k] = widen_float(*v);
+                        self.regs.f[base as usize + k] = f64::from_bits(raw_of(*v));
                     } else {
-                        self.regs.i[base as usize + k] = widen_int(*v);
+                        self.regs.i[base as usize + k] = raw_of(*v) as i64;
                     }
                 }
             }
@@ -241,7 +248,7 @@ impl FilterState {
                 &plan,
                 &plan.init,
                 &mut self.regs,
-                &mut self.chans,
+                &mut self.fifos,
                 None,
                 None,
                 0,
@@ -261,48 +268,6 @@ impl FilterState {
             output_addr_cost: 0,
         };
         ctx.exec_block(&filter.init)
-    }
-}
-
-fn value_matches(t: ScalarTy, v: Value) -> bool {
-    matches!(
-        (t, v),
-        (ScalarTy::I32, Value::I32(_))
-            | (ScalarTy::I64, Value::I64(_))
-            | (ScalarTy::F32, Value::F32(_))
-            | (ScalarTy::F64, Value::F64(_))
-    )
-}
-
-fn widen_int(v: Value) -> i64 {
-    match v {
-        Value::I32(x) => x as i64,
-        Value::I64(x) => x,
-        _ => unreachable!("int window holds int values"),
-    }
-}
-
-fn widen_float(v: Value) -> f64 {
-    match v {
-        Value::F32(x) => x as f64,
-        Value::F64(x) => x,
-        _ => unreachable!("float window holds float values"),
-    }
-}
-
-fn narrow_int(t: ScalarTy, raw: i64) -> Value {
-    match t {
-        ScalarTy::I32 => Value::I32(raw as i32),
-        ScalarTy::I64 => Value::I64(raw),
-        _ => unreachable!("int window narrows to an int type"),
-    }
-}
-
-fn narrow_float(t: ScalarTy, raw: f64) -> Value {
-    match t {
-        ScalarTy::F32 => Value::F32(raw as f32),
-        ScalarTy::F64 => Value::F64(raw),
-        _ => unreachable!("float window narrows to a float type"),
     }
 }
 
@@ -363,9 +328,23 @@ pub struct FirePlan {
 
 impl FirePlan {
     /// Resolve the plan of node `id`.
+    ///
+    /// # Panics
+    /// Panics if a native node's edges differ in element type: it moves
+    /// images from tape to tape as they are, so a graph builder that
+    /// connected them so has a bug.
     pub fn compute(graph: &Graph, id: NodeId, machine: &Machine) -> FirePlan {
         let ins = graph.in_edges(id);
         let outs = graph.out_edges(id);
+        if !matches!(graph.node(id), Node::Filter(_)) {
+            let mut elems = ins.iter().chain(&outs).map(|&e| graph.edge(e).elem);
+            let first = elems.next();
+            assert!(
+                elems.all(|elem| Some(elem) == first),
+                "{} joins tapes of different element types",
+                graph.node(id).name()
+            );
+        }
         let in_costs: Vec<u64> = ins
             .iter()
             .map(|&e| edge_addr_cost(graph, e, true, machine))
@@ -441,14 +420,59 @@ pub fn graph_tapes(graph: &Graph) -> Vec<Tape> {
         .collect()
 }
 
-/// Fire `node` once against `tapes` — the one implementation of a firing,
-/// shared by the sequential executor, the session engine and the threaded
-/// workers. Returns the value a sink captured (`None` for every other
-/// node kind) for the caller to route.
+/// Fire `node` `k` times in a row against `tapes` — the one implementation
+/// of a firing, shared by the sequential executor, the session engine and
+/// the threaded workers. Values a sink captures are appended to `sunk`
+/// for the caller to route.
+///
+/// The block is one envelope: the poison check, the tape borrows, the
+/// element-type check and the unwind boundary are paid once, and the `k`
+/// firings run inside them as `k` single firings would have. The first
+/// one that fails poisons both tapes and returns its error; the firings
+/// before it stand.
 ///
 /// # Errors
 /// Propagates interpreter failures (filters only; the native nodes cannot
 /// fail).
+#[allow(clippy::too_many_arguments)]
+pub fn fire_block(
+    plan: &FirePlan,
+    node: &Node,
+    state: &mut FilterState,
+    tapes: &mut [Tape],
+    machine: &Machine,
+    counters: &mut CycleCounters,
+    k: u64,
+    sunk: &mut Vec<Value>,
+) -> Result<(), VmError> {
+    if k == 0 {
+        return Ok(());
+    }
+    counters.firing_overhead += k * machine.cost.firing;
+    match node {
+        Node::Filter(f) => fire_filter(f, state, tapes, plan, machine, counters, k)?,
+        Node::Sink => fire_sink(tapes, plan, machine, counters, k, sunk),
+        Node::Splitter(kind) => {
+            (0..k).for_each(|_| fire_splitter(kind, tapes, plan, machine, counters));
+        }
+        Node::Joiner(weights) => {
+            (0..k).for_each(|_| fire_joiner(weights, tapes, plan, machine, counters));
+        }
+        Node::HSplitter { kind, width } => {
+            (0..k).for_each(|_| fire_hsplitter(kind, *width, tapes, plan, machine, counters));
+        }
+        Node::HJoiner { weights, width } => {
+            (0..k).for_each(|_| fire_hjoiner(weights, *width, tapes, plan, machine, counters));
+        }
+    }
+    Ok(())
+}
+
+/// [`fire_block`] of one firing — what an engine with a per-firing
+/// envelope of its own (faults, heartbeats, trace spans) calls.
+///
+/// # Errors
+/// As [`fire_block`].
 #[inline]
 pub fn fire_node(
     plan: &FirePlan,
@@ -457,21 +481,9 @@ pub fn fire_node(
     tapes: &mut [Tape],
     machine: &Machine,
     counters: &mut CycleCounters,
-) -> Result<Option<Value>, VmError> {
-    counters.firing_overhead += machine.cost.firing;
-    match node {
-        Node::Filter(f) => fire_filter(f, state, tapes, plan, machine, counters)?,
-        Node::Splitter(kind) => fire_splitter(kind, tapes, plan, machine, counters),
-        Node::Joiner(weights) => fire_joiner(weights, tapes, plan, machine, counters),
-        Node::HSplitter { kind, width } => {
-            fire_hsplitter(kind, *width, tapes, plan, machine, counters)
-        }
-        Node::HJoiner { weights, width } => {
-            fire_hjoiner(weights, *width, tapes, plan, machine, counters)
-        }
-        Node::Sink => return Ok(Some(fire_sink(tapes, plan, machine, counters))),
-    }
-    Ok(None)
+    sunk: &mut Vec<Value>,
+) -> Result<(), VmError> {
+    fire_block(plan, node, state, tapes, machine, counters, 1, sunk)
 }
 
 /// Render a caught panic payload as text (best effort).
@@ -483,22 +495,29 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Disjoint mutable borrows of the tapes at `a` and `b` (which must be
-/// distinct when both present — they are different edges of one node).
+/// Exclusive borrows of the tapes at `i` and `j` (distinct: they are
+/// different edges of one node).
+fn tape_pair(tapes: &mut [Tape], i: usize, j: usize) -> (&mut Tape, &mut Tape) {
+    assert_ne!(i, j, "a node's tapes must be distinct edges");
+    if i < j {
+        let (lo, hi) = tapes.split_at_mut(j);
+        (&mut lo[i], &mut hi[0])
+    } else {
+        let (lo, hi) = tapes.split_at_mut(i);
+        (&mut hi[0], &mut lo[j])
+    }
+}
+
+/// [`tape_pair`] where either tape may be absent.
 fn two_tapes(
     tapes: &mut [Tape],
     a: Option<usize>,
     b: Option<usize>,
 ) -> (Option<&mut Tape>, Option<&mut Tape>) {
     match (a, b) {
-        (Some(i), Some(j)) if i < j => {
-            let (lo, hi) = tapes.split_at_mut(j);
-            (Some(&mut lo[i]), Some(&mut hi[0]))
-        }
         (Some(i), Some(j)) => {
-            assert_ne!(i, j, "input and output tape must be distinct edges");
-            let (lo, hi) = tapes.split_at_mut(i);
-            (Some(&mut hi[0]), Some(&mut lo[j]))
+            let (x, y) = tape_pair(tapes, i, j);
+            (Some(x), Some(y))
         }
         (Some(i), None) => (Some(&mut tapes[i]), None),
         (None, Some(j)) => (None, Some(&mut tapes[j])),
@@ -506,18 +525,20 @@ fn two_tapes(
     }
 }
 
-/// Fire a filter once: reset locals, run `work` against the plan's input
-/// and output tapes.
+/// Fire a filter `k` times: per firing, reset locals and run `work`
+/// against the plan's input and output tapes.
 ///
-/// The firing is a failure boundary: a poisoned tape is refused before it
-/// is touched ([`VmError::Poisoned`]), and a panic in the body is caught
-/// and converted ([`VmError::Panicked`]) so a bad guest program fails one
-/// firing instead of unwinding through a host worker thread.
+/// The block is a failure boundary: a poisoned tape is refused before it
+/// is touched ([`VmError::Poisoned`]), a compiled plan is held to the
+/// element types of the tapes it is handed ([`VmError::TypeMismatch`] —
+/// its tape ops move images and trust them), and a panic in the body is
+/// caught and converted ([`VmError::Panicked`]) so a bad guest program
+/// fails one firing instead of unwinding through a host worker thread.
 ///
 /// # Errors
 /// Propagates interpreter failures; the tapes are restored either way.
 // Out of line, as it was when each engine called it directly: inlined
-// into `fire_node`, the unwind boundary lands in every engine's dispatch
+// into `fire_block`, the unwind boundary lands in every engine's dispatch
 // body (measured 4–11 % slower on the suite_e2e workloads).
 #[inline(never)]
 fn fire_filter(
@@ -527,6 +548,7 @@ fn fire_filter(
     plan: &FirePlan,
     machine: &Machine,
     counters: &mut CycleCounters,
+    k: u64,
 ) -> Result<(), VmError> {
     if plan
         .in_edge
@@ -543,37 +565,55 @@ fn fire_filter(
         slots,
         chans,
         regs,
+        fifos,
         engine,
     } = state;
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if let Engine::Compiled(compiled) = engine {
-            compiled.zero_locals(regs);
-            run_code(
-                compiled,
-                &compiled.work,
-                regs,
-                chans,
-                in_tape.as_deref_mut(),
-                out_tape.as_deref_mut(),
-                plan.in_cost,
-                plan.out_cost,
-                counters,
-            )
-        } else {
-            reset_locals(filter, slots);
-            let mut ctx = FiringCtx {
-                filter,
-                slots,
-                chans,
-                input: in_tape.as_deref_mut(),
-                output: out_tape.as_deref_mut(),
-                machine,
-                counters,
-                input_addr_cost: plan.in_cost,
-                output_addr_cost: plan.out_cost,
+            let agrees = |ty: Option<ScalarTy>, tape: Option<&Tape>| match (ty, tape) {
+                (Some(ty), Some(tape)) => ty == tape.elem(),
+                _ => true,
             };
-            ctx.exec_block(&filter.work)
+            if !agrees(compiled.in_elem, in_tape.as_deref())
+                || !agrees(compiled.out_elem, out_tape.as_deref())
+            {
+                return Err(VmError::TypeMismatch {
+                    filter: filter.name.clone(),
+                    context: "compiled against tapes of other element types".into(),
+                });
+            }
+            for _ in 0..k {
+                compiled.zero_locals(regs);
+                run_code(
+                    compiled,
+                    &compiled.work,
+                    regs,
+                    fifos,
+                    in_tape.as_deref_mut(),
+                    out_tape.as_deref_mut(),
+                    plan.in_cost,
+                    plan.out_cost,
+                    counters,
+                )?;
+            }
+        } else {
+            for _ in 0..k {
+                reset_locals(filter, slots);
+                let mut ctx = FiringCtx {
+                    filter,
+                    slots,
+                    chans,
+                    input: in_tape.as_deref_mut(),
+                    output: out_tape.as_deref_mut(),
+                    machine,
+                    counters,
+                    input_addr_cost: plan.in_cost,
+                    output_addr_cost: plan.out_cost,
+                };
+                ctx.exec_block(&filter.work)?;
+            }
         }
+        Ok(())
     }))
     .unwrap_or_else(|payload| {
         Err(VmError::Panicked {
@@ -593,14 +633,14 @@ fn fire_filter(
     }
     result?;
     debug_assert!(
-        chans.iter().all(|c| c.is_empty()),
+        chans.iter().all(|c| c.is_empty()) && fifos.iter().all(Chan::is_empty),
         "filter {} left data in an internal channel after firing",
         filter.name
     );
     Ok(())
 }
 
-/// Fire a splitter once.
+/// Fire a splitter once. Tokens move between tapes as the images they are.
 fn fire_splitter(
     kind: &SplitKind,
     tapes: &mut [Tape],
@@ -613,21 +653,20 @@ fn fire_splitter(
         SplitKind::Duplicate => {
             counters.mem_scalar += machine.cost.load;
             counters.addr_overhead += plan.in_cost;
-            let v = tapes[in_edge].pop();
+            let v = tapes[in_edge].pop_raw();
             for (&e, &cost) in plan.out_idx.iter().zip(&plan.out_costs) {
                 counters.mem_scalar += machine.cost.store;
                 counters.addr_overhead += cost;
-                tapes[e].push(v);
+                tapes[e].push_raw(v);
             }
         }
         SplitKind::RoundRobin(weights) => {
             for (i, &e) in plan.out_idx.iter().enumerate() {
-                for _ in 0..weights[i] {
-                    counters.mem_scalar += machine.cost.load + machine.cost.store;
-                    counters.addr_overhead += plan.in_cost + plan.out_costs[i];
-                    let v = tapes[in_edge].pop();
-                    tapes[e].push(v);
-                }
+                let n = weights[i] as u64;
+                counters.mem_scalar += n * (machine.cost.load + machine.cost.store);
+                counters.addr_overhead += n * (plan.in_cost + plan.out_costs[i]);
+                let (src, dst) = tape_pair(tapes, in_edge, e);
+                src.pop_spans(weights[i], |span| dst.push_slice(span));
             }
         }
     }
@@ -643,18 +682,17 @@ fn fire_joiner(
 ) {
     let out_edge = plan.out_edge.expect("joiner needs an output");
     for (i, &e) in plan.in_idx.iter().enumerate() {
-        for _ in 0..weights[i] {
-            counters.mem_scalar += machine.cost.load + machine.cost.store;
-            counters.addr_overhead += plan.in_costs[i] + plan.out_cost;
-            let v = tapes[e].pop();
-            tapes[out_edge].push(v);
-        }
+        let n = weights[i] as u64;
+        counters.mem_scalar += n * (machine.cost.load + machine.cost.store);
+        counters.addr_overhead += n * (plan.in_costs[i] + plan.out_cost);
+        let (src, dst) = tape_pair(tapes, e, out_edge);
+        src.pop_spans(weights[i], |span| dst.push_slice(span));
     }
 }
 
-/// Fire a horizontal splitter once: pops the original splitter's worth of
-/// scalars, packs them into vectors (one lane per fused branch), and
-/// vector-pushes to each group's vector tape.
+/// Fire a horizontal splitter once: takes the original splitter's worth of
+/// scalars off its input, packs them into vectors (one lane per fused
+/// branch), and vector-pushes to each group's vector tape.
 fn fire_hsplitter(
     kind: &SplitKind,
     width: usize,
@@ -665,15 +703,14 @@ fn fire_hsplitter(
 ) {
     let in_edge = plan.in_edge.expect("hsplitter needs an input");
     let out_edges = &plan.out_idx;
-    let groups = out_edges.len();
     match kind {
         SplitKind::Duplicate => {
             counters.mem_scalar += machine.cost.load;
-            let v = tapes[in_edge].pop();
+            let v = tapes[in_edge].pop_raw();
             for &e in out_edges {
                 counters.pack_unpack += machine.cost.splat;
                 counters.mem_vector += machine.cost.vstore;
-                tapes[e].vpush(&vec![v; width]);
+                tapes[e].vpush_many(width, |_| v);
             }
         }
         SplitKind::RoundRobin(weights) => {
@@ -682,23 +719,19 @@ fn fire_hsplitter(
                 weights.iter().all(|&x| x == w),
                 "hsplitter weights must be uniform"
             );
-            let n = groups * width;
-            let mut vals = Vec::with_capacity(n * w);
-            for _ in 0..n * w {
-                counters.mem_scalar += machine.cost.load;
-                vals.push(tapes[in_edge].pop());
-            }
+            let taken = out_edges.len() * width * w;
+            counters.mem_scalar += taken as u64 * machine.cost.load;
+            // Branch `g * width + j` owns `w` consecutive input tokens;
+            // its `k`-th is lane `j` of group `g`'s `k`-th vector.
             for (g, &e) in out_edges.iter().enumerate() {
+                let (src, dst) = tape_pair(tapes, in_edge, e);
                 for k in 0..w {
-                    let mut vec = Vec::with_capacity(width);
-                    for j in 0..width {
-                        counters.pack_unpack += machine.cost.lane_insert;
-                        vec.push(vals[w * (g * width + j) + k]);
-                    }
+                    counters.pack_unpack += width as u64 * machine.cost.lane_insert;
                     counters.mem_vector += machine.cost.vstore;
-                    tapes[e].vpush(&vec);
+                    dst.vpush_many(width, |j| src.peek_raw(w * (g * width + j) + k));
                 }
             }
+            tapes[in_edge].advance_read(taken);
         }
     }
 }
@@ -714,44 +747,44 @@ fn fire_hjoiner(
     counters: &mut CycleCounters,
 ) {
     let out_edge = plan.out_edge.expect("hjoiner needs an output");
-    let in_edges = &plan.in_idx;
     let w = weights[0];
     debug_assert!(
         weights.iter().all(|&x| x == w),
         "hjoiner weights must be uniform"
     );
-    let groups = in_edges.len();
-    // rows[g][k] = k-th vector popped from group g this firing.
-    let mut rows: Vec<Vec<Vec<Value>>> = Vec::with_capacity(groups);
-    for &e in in_edges {
-        let mut group_rows = Vec::with_capacity(w);
-        for _ in 0..w {
-            counters.mem_vector += machine.cost.vload;
-            group_rows.push(tapes[e].vpop(width));
-        }
-        rows.push(group_rows);
-    }
-    let n = groups * width;
-    for b in 0..n {
-        for row in &rows[b / width] {
-            counters.pack_unpack += machine.cost.lane_extract;
-            counters.mem_scalar += machine.cost.store;
-            tapes[out_edge].push(row[b % width]);
+    for &e in &plan.in_idx {
+        counters.mem_vector += w as u64 * machine.cost.vload;
+        counters.pack_unpack += (w * width) as u64 * machine.cost.lane_extract;
+        counters.mem_scalar += (w * width) as u64 * machine.cost.store;
+        let (src, dst) = tape_pair(tapes, e, out_edge);
+        // The group's `w` vectors, popped as one span: branch `j`'s
+        // `k`-th token is lane `j` of vector `k`.
+        let (a, b) = src.vpop_slices(w * width);
+        for j in 0..width {
+            for at in (j..w * width).step_by(width) {
+                dst.push_raw(if at < a.len() { a[at] } else { b[at - a.len()] });
+            }
         }
     }
 }
 
-/// Fire a sink once: pop one value from its input tape and return it for
-/// the caller to record.
+/// Fire a sink `k` times: pop `k` values off its input tape as a span and
+/// append them to `sunk` — the one place a sequential run decodes images.
 fn fire_sink(
     tapes: &mut [Tape],
     plan: &FirePlan,
     machine: &Machine,
     counters: &mut CycleCounters,
-) -> Value {
-    counters.mem_scalar += machine.cost.load;
-    counters.addr_overhead += plan.in_cost;
-    tapes[plan.in_edge.expect("sink needs an input")].pop()
+    k: u64,
+    sunk: &mut Vec<Value>,
+) {
+    counters.mem_scalar += k * machine.cost.load;
+    counters.addr_overhead += k * plan.in_cost;
+    let tape = &mut tapes[plan.in_edge.expect("sink needs an input")];
+    let elem = tape.elem();
+    tape.pop_spans(k as usize, |span| {
+        sunk.extend(span.iter().map(|&raw| value_of(elem, raw)));
+    });
 }
 
 #[cfg(test)]
@@ -759,6 +792,64 @@ mod tests {
     use super::*;
     use crate::bytecode::Op;
     use macross_streamir::expr::BinOp;
+
+    #[test]
+    #[should_panic(expected = "joins tapes of different element types")]
+    fn a_native_node_between_tapes_of_two_types_is_refused_when_planned() {
+        let mut g = Graph::new();
+        let src = g.add_node(Node::Filter(Filter::new("src", 0, 0, 1)));
+        let join = g.add_node(Node::Joiner(vec![1]));
+        let sink = g.add_node(Node::Sink);
+        g.connect(src, 0, join, 0, ScalarTy::I32);
+        g.connect(join, 0, sink, 0, ScalarTy::F32);
+        FirePlan::compute(&g, join, &Machine::core_i7());
+    }
+
+    /// A compiled plan moves images and trusts them, so a block refuses
+    /// tapes of other element types than it was compiled against — once,
+    /// before the first firing touches either.
+    #[test]
+    fn a_plan_compiled_for_other_tapes_is_refused_at_the_block_boundary() {
+        let mut g = Graph::new();
+        let src = g.add_node(Node::Filter(Filter::new("src", 0, 0, 1)));
+        let f = g.add_node(Node::Filter(Filter::new("f", 1, 1, 1)));
+        let sink = g.add_node(Node::Sink);
+        g.connect(src, 0, f, 0, ScalarTy::F32);
+        g.connect(f, 0, sink, 0, ScalarTy::F32);
+        let machine = Machine::core_i7();
+        let plan = FirePlan::compute(&g, f, &machine);
+        let Node::Filter(filter) = g.node(f) else {
+            unreachable!()
+        };
+        for (in_elem, out_elem) in [
+            (Some(ScalarTy::I32), Some(ScalarTy::F32)),
+            (Some(ScalarTy::F32), Some(ScalarTy::F64)),
+        ] {
+            let compiled = CompiledFilter {
+                in_elem,
+                out_elem,
+                ..CompiledFilter::bare("f", 0, 0, vec![])
+            };
+            let mut state = FilterState::from_shared(filter, Some(Arc::new(compiled)));
+            let mut tapes = graph_tapes(&g);
+            let err = fire_block(
+                &plan,
+                g.node(f),
+                &mut state,
+                &mut tapes,
+                &machine,
+                &mut CycleCounters::default(),
+                3,
+                &mut Vec::new(),
+            )
+            .expect_err("element types disagree");
+            assert!(
+                matches!(&err, VmError::TypeMismatch { filter, .. } if filter == "f"),
+                "{err:?}"
+            );
+            assert!(tapes.iter().all(Tape::is_poisoned));
+        }
+    }
 
     /// A vector operand outside the register file is a guest fault like
     /// any other: the lane loop's window check panics, the firing
@@ -798,6 +889,7 @@ mod tests {
                 &mut tapes,
                 &machine,
                 &mut counters,
+                &mut Vec::new(),
             )
             .expect_err("the window lies outside the file");
             assert!(

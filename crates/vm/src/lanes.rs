@@ -373,7 +373,8 @@ pub(crate) fn splat<T: Copy>(file: &mut [T], dst: u32, a: u32, w: u32) {
     fill(file, dst as usize, w as usize, v);
 }
 
-/// `file[dst..dst + vals.len()] = vals` (vector constants).
+/// `file[dst..dst + vals.len()] = vals` (vector constants, image spans
+/// landing on a tape).
 #[inline(always)]
 pub(crate) fn put<T: Copy>(file: &mut [T], dst: usize, vals: &[T]) {
     by_width!(vals.len(), N => *window::<T, N>(file, dst) = read::<T, N>(vals, 0), _ => {
@@ -381,12 +382,59 @@ pub(crate) fn put<T: Copy>(file: &mut [T], dst: usize, vals: &[T]) {
     });
 }
 
+/// Load the image span `a ++ b` — what a tape or channel pop hands out —
+/// into the registers at `dst`, each image bit-cast by `of`.
+#[inline(always)]
+pub(crate) fn load<T: Copy>(
+    file: &mut [T],
+    dst: u32,
+    (a, b): (&[u64], &[u64]),
+    of: impl Fn(u64) -> T,
+) {
+    let dst = dst as usize;
+    if b.is_empty() {
+        by_width!(a.len(), N => {
+            *window::<T, N>(file, dst) = read::<u64, N>(a, 0).map(of);
+            return;
+        }, _ => {});
+    }
+    let to = &mut file[dst..dst + a.len() + b.len()];
+    for (d, &raw) in to.iter_mut().zip(a.iter().chain(b)) {
+        *d = of(raw);
+    }
+}
+
+/// Hand the `w` registers at `src` to `sink` as a span of images, each
+/// register bit-cast by `bits`: whole for a SIMD width, in pieces of at
+/// most eight for any other (a tape or channel push of the pieces in order
+/// is a push of the whole).
+#[inline(always)]
+pub(crate) fn store<T: Copy>(
+    file: &[T],
+    src: u32,
+    w: u32,
+    bits: impl Fn(T) -> u64,
+    mut sink: impl FnMut(&[u64]),
+) {
+    let (src, w) = (src as usize, w as usize);
+    by_width!(w, N => sink(&read::<T, N>(file, src).map(bits)), _ => {
+        for piece in file[src..src + w].chunks(8) {
+            let mut images = [0u64; 8];
+            for (image, &x) in images.iter_mut().zip(piece) {
+                *image = bits(x);
+            }
+            sink(&images[..piece.len()]);
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{run_code, CompiledFilter, Op};
+    use crate::bytecode::{run_code, Chan, CompiledFilter, Op};
     use crate::kernel::{self, Kernel};
     use crate::machine::CycleCounters;
+    use crate::tape::Tape;
 
     /// Registers per file in the property tests: room for three 16-lane
     /// windows plus the shifted ones.
@@ -862,6 +910,98 @@ mod tests {
             let mut got = start.clone();
             plan_of(vec![], vec![(3, 1), (at, w as u32)], vec![]).zero_locals(&mut got);
             assert_eq!(bits(&got), bits(&want), "zero_locals w {w}");
+        }
+    }
+
+    /// Vector tape and channel ops of every width — SIMD widths as one
+    /// window, odd ones in pieces, spans that wrap the tape's ring in two
+    /// — move exactly the register bits, in both files.
+    #[test]
+    fn tape_and_channel_vector_ops_of_every_width_move_register_bits() {
+        for w in 1..=17u32 {
+            // `skew` rotates both rings so that some spans straddle the seam.
+            for skew in [0, 5, 7] {
+                let (ity, fty) = (I64, F64);
+                let mut rng = Rng(0x51ce ^ ((w as u64) << 8) ^ skew);
+                let ints: Vec<i64> = (0..w).map(|_| rng.int(ity)).collect();
+                let floats: Vec<f64> = (0..w).map(|_| rng.float(fty)).collect();
+                for float in [false, true] {
+                    let images: Vec<u64> = if float {
+                        floats.iter().map(|x| x.to_bits()).collect()
+                    } else {
+                        ints.iter().map(|&x| x as u64).collect()
+                    };
+                    let ty = if float { fty } else { ity };
+                    let (mut input, mut output) = (Tape::new(ty), Tape::new(ty));
+                    for tape in [&mut input, &mut output] {
+                        (0..skew).for_each(|_| tape.push_raw(0));
+                        tape.advance_read(skew as usize);
+                    }
+                    input.push_slice(&images);
+                    // peek -> channel -> registers -> output; then the pop.
+                    let (chan, off) = (0, 63);
+                    let work = if float {
+                        vec![
+                            Op::VPeekF { ty, dst: 0, off, w },
+                            Op::LVPushF {
+                                ty,
+                                chan,
+                                src: 0,
+                                w,
+                            },
+                            Op::LVPopF {
+                                ty,
+                                chan,
+                                dst: 20,
+                                w,
+                            },
+                            Op::VPushF { ty, src: 20, w },
+                            Op::VPopF { ty, dst: 40, w },
+                        ]
+                    } else {
+                        vec![
+                            Op::VPeekI { ty, dst: 0, off, w },
+                            Op::LVPushI {
+                                ty,
+                                chan,
+                                src: 0,
+                                w,
+                            },
+                            Op::LVPopI {
+                                ty,
+                                chan,
+                                dst: 20,
+                                w,
+                            },
+                            Op::VPushI { ty, src: 20, w },
+                            Op::VPopI { ty, dst: 40, w },
+                        ]
+                    };
+                    let plan = plan_of(work, vec![], vec![]);
+                    let mut regs = Regs::new(FILE, FILE);
+                    let mut chans = [Chan::default()];
+                    let mut c = CycleCounters::default();
+                    let (i, o) = (Some(&mut input), Some(&mut output));
+                    run_code(&plan, &plan.work, &mut regs, &mut chans, i, o, 0, 0, &mut c)
+                        .expect("the tokens are there");
+                    let at = format!("w {w} skew {skew} float {float}");
+                    let (a, b) = output.vpop_slices(w as usize);
+                    assert_eq!([a, b].concat(), images, "{at}");
+                    assert!(input.is_empty() && chans[0].is_empty(), "{at}");
+                    for base in [0, 20, 40] {
+                        let got: Vec<u64> = (base..base + w as usize)
+                            .map(|k| {
+                                if float {
+                                    regs.f[k].to_bits()
+                                } else {
+                                    regs.i[k] as u64
+                                }
+                            })
+                            .collect();
+                        assert_eq!(got, images, "{at} window {base}");
+                    }
+                }
+            }
         }
     }
 }

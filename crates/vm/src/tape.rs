@@ -6,10 +6,59 @@
 //! traffic is masked index arithmetic over one allocation instead of
 //! `VecDeque` element churn, and vector transfers degrade to at most two
 //! contiguous slice copies (see [`Tape::vpop_slices`] /
-//! [`Tape::vpush_many`]).
+//! [`Tape::push_slice`]).
+//!
+//! A slot holds a token's *register image* ([`raw_of`]): the 8 bytes a
+//! bytecode register holds for it, whatever the element type. The compiled
+//! engine, the native nodes and the threaded runtime's rings move images
+//! (`*_raw`, spans of `u64`) and never convert; the [`Value`] methods are
+//! typed views over the same storage for the tree-walker, sinks, the
+//! configuration-swap carrier and tests.
 
+use crate::lanes;
 use macross_sagu::column_major_index;
 use macross_streamir::types::{ScalarTy, Value};
+
+/// The register image of `v`: an `i32` sign-extended, an `i64` as is, an
+/// `f32` exactly widened to `f64` bits, an `f64`'s bits. Zero of every
+/// type is image 0.
+#[inline]
+pub fn raw_of(v: Value) -> u64 {
+    match v {
+        Value::I32(x) => x as i64 as u64,
+        Value::I64(x) => x as u64,
+        Value::F32(x) => (x as f64).to_bits(),
+        Value::F64(x) => x.to_bits(),
+    }
+}
+
+/// The `elem` value whose image is `raw` — [`raw_of`]'s inverse, bit for
+/// bit except that widening quiets an `f32` signalling NaN (DESIGN §10).
+#[inline]
+pub fn value_of(elem: ScalarTy, raw: u64) -> Value {
+    match elem {
+        ScalarTy::I32 => Value::I32(raw as i32),
+        ScalarTy::I64 => Value::I64(raw as i64),
+        ScalarTy::F32 => Value::F32(f64::from_bits(raw) as f32),
+        ScalarTy::F64 => Value::F64(f64::from_bits(raw)),
+    }
+}
+
+/// [`raw_of`] for a value entering a tape of `elem` tokens.
+///
+/// # Panics
+/// Panics if `v` is of another type: an image does not carry its type, so
+/// the mismatch is a fault of the producer, raised where it pushes.
+#[inline]
+fn image_for(elem: ScalarTy, v: Value) -> u64 {
+    assert!(v.ty() == elem, "pushed {v:?} on a tape of {elem} tokens");
+    raw_of(v)
+}
+
+/// The `Value` view of a span of `elem` images.
+fn span_values(elem: ScalarTy, (a, b): (&[u64], &[u64])) -> Vec<Value> {
+    a.iter().chain(b).map(|&raw| value_of(elem, raw)).collect()
+}
 
 /// A tape (FIFO channel) between two actors.
 ///
@@ -28,8 +77,9 @@ use macross_streamir::types::{ScalarTy, Value};
 ///   this type implements the functional remapping).
 #[derive(Debug, Clone)]
 pub struct Tape {
-    /// Ring storage; `buf.len()` is the capacity, zero or a power of two.
-    buf: Vec<Value>,
+    /// Ring storage, one register image per slot; `buf.len()` is the
+    /// capacity, zero or a power of two.
+    buf: Vec<u64>,
     /// `buf.len() - 1` when allocated, 0 while empty.
     mask: usize,
     /// Absolute read pointer (monotonic).
@@ -40,7 +90,8 @@ pub struct Tape {
     /// Zero-filled high-water mark (`>= committed_end`; the gap holds
     /// rpush-staged elements not yet committed by `advance_write`).
     filled_end: usize,
-    /// Element type (for zero-fill of rpush gaps).
+    /// Element type every image is one of (the `Value` views convert by
+    /// it; the firing boundary checks compiled filters against it).
     elem: ScalarTy,
     /// Column-major read remapping: (rate, simd width).
     read_reorder: Option<(usize, usize)>,
@@ -49,7 +100,7 @@ pub struct Tape {
     /// Column-major write remapping: (rate, simd width).
     write_reorder: Option<(usize, usize)>,
     /// Staging buffer for one write block.
-    write_stage: Vec<Value>,
+    write_stage: Vec<u64>,
     /// Logical position within the current write block.
     write_block_pos: usize,
     /// Lifetime statistics.
@@ -197,7 +248,7 @@ impl Tape {
     pub fn set_write_reorder(&mut self, rate: usize, sw: usize) {
         assert!(self.read_reorder.is_none(), "tape cannot reorder both ends");
         self.write_reorder = Some((rate, sw));
-        self.write_stage = vec![self.elem.zero(); rate * sw];
+        self.write_stage = vec![0; rate * sw];
     }
 
     /// Element type carried by this tape.
@@ -227,7 +278,7 @@ impl Tape {
         }
         Some(
             (self.read..self.committed_end)
-                .map(|i| self.at(i))
+                .map(|i| value_of(self.elem, self.at(i)))
                 .collect(),
         )
     }
@@ -235,8 +286,9 @@ impl Tape {
     /// Preload tokens exported by [`Tape::export_resident`] into this
     /// (still pristine) tape, in FIFO order. Counterpart of the export:
     /// returns `false` — importing nothing — when this tape already holds
-    /// data, has block state in flight, or would need a reorder-aware
-    /// layout for a non-empty carrier. Lifetime push/pop statistics are
+    /// data, has block state in flight, would need a reorder-aware
+    /// layout for a non-empty carrier, or carries another element type
+    /// than the tokens. Lifetime push/pop statistics are
     /// not disturbed: carried tokens were already counted by the
     /// configuration that produced them.
     pub fn import_resident(&mut self, vals: &[Value]) -> bool {
@@ -250,8 +302,11 @@ impl Tape {
         if !vals.is_empty() && (self.read_reorder.is_some() || self.write_reorder.is_some()) {
             return false;
         }
+        if vals.iter().any(|v| v.ty() != self.elem) {
+            return false;
+        }
         for &v in vals {
-            self.write_at(self.committed_end, v);
+            self.write_at(self.committed_end, raw_of(v));
             self.committed_end += 1;
         }
         true
@@ -274,10 +329,11 @@ impl Tape {
 
     /// Reallocate so at least `min_live` slots fit, re-ringing the live
     /// region `[read, filled_end)` under the new mask.
+    #[cold]
     fn grow(&mut self, min_live: usize) {
         let new_cap = min_live.next_power_of_two().max(8);
         let new_mask = new_cap - 1;
-        let mut new_buf = vec![self.elem.zero(); new_cap];
+        let mut new_buf = vec![0; new_cap];
         for i in self.read..self.filled_end {
             new_buf[i & new_mask] = self.buf[i & self.mask];
         }
@@ -294,27 +350,36 @@ impl Tape {
         }
         while self.filled_end <= idx {
             let slot = self.filled_end & self.mask;
-            self.buf[slot] = self.elem.zero();
+            self.buf[slot] = 0;
             self.filled_end += 1;
         }
     }
 
     /// Write `v` at absolute index `idx` (filling any gap with zeros).
-    fn write_at(&mut self, idx: usize, v: Value) {
+    fn write_at(&mut self, idx: usize, v: u64) {
         self.ensure_filled(idx);
         let slot = idx & self.mask;
         self.buf[slot] = v;
     }
 
     /// Read the element at absolute index `idx`.
-    fn at(&self, idx: usize) -> Value {
+    fn at(&self, idx: usize) -> u64 {
         assert!(idx < self.filled_end, "tape read past filled region");
         self.buf[idx & self.mask]
     }
 
     /// Push one element, advancing the write pointer.
-    #[inline]
+    ///
+    /// # Panics
+    /// Panics if `v` is not of the tape's element type (as do
+    /// [`Tape::rpush`] and [`Tape::vpush`]).
     pub fn push(&mut self, v: Value) {
+        self.push_raw(image_for(self.elem, v));
+    }
+
+    /// [`Tape::push`] of a register image.
+    #[inline]
+    pub fn push_raw(&mut self, raw: u64) {
         // The common case in one branch: a plain tape with no staged
         // `rpush` gap and a free slot takes a single store. `&` rather
         // than `&&` keeps the three tests one condition.
@@ -322,24 +387,24 @@ impl Tape {
             & (self.filled_end == self.committed_end)
             & (self.committed_end - self.read < self.buf.len());
         if plain {
-            self.buf[self.committed_end & self.mask] = v;
+            self.buf[self.committed_end & self.mask] = raw;
             self.committed_end += 1;
             self.filled_end += 1;
             self.total_pushed += 1;
         } else {
-            self.push_slow(v);
+            self.push_slow(raw);
         }
     }
 
-    /// [`Tape::push`] in full: reordered writes, a staged gap to fill and
-    /// a ring to grow end up here.
+    /// [`Tape::push_raw`] in full: reordered writes, a staged gap to fill
+    /// and a ring to grow end up here.
     #[inline(never)]
-    fn push_slow(&mut self, v: Value) {
+    fn push_slow(&mut self, raw: u64) {
         self.total_pushed += 1;
         if let Some((rate, sw)) = self.write_reorder {
             let block = rate * sw;
             let phys = column_major_index(self.write_block_pos, rate, sw);
-            self.write_stage[phys] = v;
+            self.write_stage[phys] = raw;
             self.write_block_pos += 1;
             if self.write_block_pos == block {
                 self.write_block_pos = 0;
@@ -352,7 +417,7 @@ impl Tape {
             }
             return;
         }
-        self.write_at(self.committed_end, v);
+        self.write_at(self.committed_end, raw);
         self.committed_end += 1;
     }
 
@@ -362,12 +427,17 @@ impl Tape {
     /// # Panics
     /// Panics on a write-reordered tape.
     pub fn rpush(&mut self, v: Value, off: usize) {
+        self.rpush_raw(image_for(self.elem, v), off);
+    }
+
+    /// [`Tape::rpush`] of a register image.
+    pub fn rpush_raw(&mut self, raw: u64, off: usize) {
         assert!(
             self.write_reorder.is_none(),
             "rpush on a write-reordered tape"
         );
         self.total_pushed += 1;
-        self.write_at(self.committed_end + off, v);
+        self.write_at(self.committed_end + off, raw);
     }
 
     /// Advance the write pointer over `n` slots previously filled by
@@ -382,24 +452,17 @@ impl Tape {
 
     /// Push `w` contiguous elements (a vector push).
     pub fn vpush(&mut self, vals: &[Value]) {
-        assert!(
-            self.write_reorder.is_none(),
-            "vpush on a write-reordered tape"
-        );
-        for &v in vals {
-            self.total_pushed += 1;
-            self.write_at(self.committed_end, v);
-            self.committed_end += 1;
-        }
+        let elem = self.elem;
+        self.vpush_many(vals.len(), |k| image_for(elem, vals[k]));
     }
 
-    /// Push `w` elements produced by `f(lane)` without materializing a
-    /// `Vec<Value>` (the bytecode VM's unboxed vector-push fast path).
+    /// Push the `w` images `f(lane)` without materializing them (how the
+    /// horizontal splitter packs lanes straight off its input tape).
     ///
     /// # Panics
     /// Panics on a write-reordered tape.
     #[inline]
-    pub fn vpush_many(&mut self, w: usize, mut f: impl FnMut(usize) -> Value) {
+    pub fn vpush_many(&mut self, w: usize, mut f: impl FnMut(usize) -> u64) {
         assert!(
             self.write_reorder.is_none(),
             "vpush on a write-reordered tape"
@@ -416,17 +479,36 @@ impl Tape {
         self.committed_end += w;
     }
 
-    /// Push a span of elements with one capacity check and at most two
-    /// slice copies — how the threaded runtime lands a ring's tokens on
-    /// the consuming core's tape half.
-    ///
-    /// # Panics
-    /// Panics on a write-reordered tape.
-    pub fn push_slice(&mut self, vals: &[Value]) {
-        assert!(
-            self.write_reorder.is_none(),
-            "push_slice on a write-reordered tape"
-        );
+    /// Push a span of images with one capacity check and at most two
+    /// window moves — a compiled vector push, a native node's tokens, a
+    /// ring's tokens landing on the consuming core's tape half. A
+    /// write-reordered tape stages them one by one.
+    #[inline(always)]
+    pub fn push_slice(&mut self, vals: &[u64]) {
+        // One branch for the common case, like [`Tape::push_raw`]: a plain
+        // tape with room, the span short of the ring's seam.
+        let s = self.committed_end & self.mask;
+        let end = self.committed_end + vals.len();
+        let plain = self.write_reorder.is_none()
+            & (end - self.read <= self.buf.len())
+            & (s + vals.len() <= self.buf.len());
+        if plain {
+            lanes::put(&mut self.buf, s, vals);
+            self.total_pushed += vals.len() as u64;
+            self.committed_end = end;
+            self.filled_end = self.filled_end.max(end);
+        } else {
+            self.push_slice_slow(vals);
+        }
+    }
+
+    /// [`Tape::push_slice`] in full: reordered writes, a ring to grow and
+    /// a span that wraps end up here.
+    #[inline(never)]
+    fn push_slice_slow(&mut self, vals: &[u64]) {
+        if self.write_reorder.is_some() {
+            return vals.iter().for_each(|&raw| self.push_slow(raw));
+        }
         let end = self.committed_end + vals.len();
         if end - self.read > self.buf.len() {
             self.grow(end - self.read);
@@ -444,9 +526,14 @@ impl Tape {
     ///
     /// # Panics
     /// Panics if the tape is empty (the schedule guarantees availability).
-    #[inline]
     pub fn pop(&mut self) -> Value {
-        // One branch for the common case, like [`Tape::push`].
+        value_of(self.elem, self.pop_raw())
+    }
+
+    /// [`Tape::pop`] as a register image.
+    #[inline]
+    pub fn pop_raw(&mut self) -> u64 {
+        // One branch for the common case, like [`Tape::push_raw`].
         if self.read_reorder.is_none() & (self.committed_end > self.read) {
             let v = self.buf[self.read & self.mask];
             self.read += 1;
@@ -457,10 +544,10 @@ impl Tape {
         }
     }
 
-    /// [`Tape::pop`] in full: read-reordered tapes and the empty-tape
+    /// [`Tape::pop_raw`] in full: read-reordered tapes and the empty-tape
     /// panic end up here.
     #[inline(never)]
-    fn pop_slow(&mut self) -> Value {
+    fn pop_slow(&mut self) -> u64 {
         self.total_popped += 1;
         if let Some((rate, sw)) = self.read_reorder {
             let block = rate * sw;
@@ -479,8 +566,32 @@ impl Tape {
         v
     }
 
+    /// Pop `n` elements in stream order, handed to `sink` as spans of
+    /// images: the one or two ring slices they occupy on a plain tape, one
+    /// at a time through the remapping on a read-reordered one.
+    ///
+    /// # Panics
+    /// Panics if fewer than `n` are committed.
+    #[inline]
+    pub fn pop_spans(&mut self, n: usize, mut sink: impl FnMut(&[u64])) {
+        if self.read_reorder.is_some() {
+            return (0..n).for_each(|_| sink(&[self.pop_slow()]));
+        }
+        let (a, b) = self.vpop_slices(n);
+        sink(a);
+        if !b.is_empty() {
+            sink(b);
+        }
+    }
+
     /// Non-destructive read `off` elements past the read pointer.
     pub fn peek(&self, off: usize) -> Value {
+        value_of(self.elem, self.peek_raw(off))
+    }
+
+    /// [`Tape::peek`] as a register image.
+    #[inline]
+    pub fn peek_raw(&self, off: usize) -> u64 {
         if let Some((rate, sw)) = self.read_reorder {
             let phys = column_major_index(self.read_block_pos + off, rate, sw);
             return self.at(self.read + phys);
@@ -516,22 +627,17 @@ impl Tape {
 
     /// Pop `w` contiguous elements as a vector.
     pub fn vpop(&mut self, w: usize) -> Vec<Value> {
-        let (a, b) = self.vpop_slices(w);
-        let mut out = Vec::with_capacity(w);
-        out.extend_from_slice(a);
-        out.extend_from_slice(b);
-        out
+        span_values(self.elem, self.vpop_slices(w))
     }
 
     /// Pop `w` contiguous elements, returned as at most two contiguous
-    /// slices of the ring (the bytecode VM's unboxed vector-pop fast
-    /// path — counters and the read pointer are updated before the
-    /// borrows are handed out).
+    /// slices of the ring (counters and the read pointer are updated
+    /// before the borrows are handed out).
     ///
     /// # Panics
     /// Panics like [`Tape::vpop`].
     #[inline]
-    pub fn vpop_slices(&mut self, w: usize) -> (&[Value], &[Value]) {
+    pub fn vpop_slices(&mut self, w: usize) -> (&[u64], &[u64]) {
         assert!(self.read_reorder.is_none(), "vpop on a read-reordered tape");
         assert!(w <= self.len(), "vpop({w}) beyond committed {}", self.len());
         self.total_popped += w as u64;
@@ -543,11 +649,7 @@ impl Tape {
     /// Non-destructive read of `w` contiguous elements at scalar offset
     /// `off`.
     pub fn vpeek(&self, off: usize, w: usize) -> Vec<Value> {
-        let (a, b) = self.vpeek_slices(off, w);
-        let mut out = Vec::with_capacity(w);
-        out.extend_from_slice(a);
-        out.extend_from_slice(b);
-        out
+        span_values(self.elem, self.vpeek_slices(off, w))
     }
 
     /// [`Tape::vpeek`] as at most two contiguous ring slices.
@@ -555,7 +657,7 @@ impl Tape {
     /// # Panics
     /// Panics like [`Tape::vpeek`].
     #[inline]
-    pub fn vpeek_slices(&self, off: usize, w: usize) -> (&[Value], &[Value]) {
+    pub fn vpeek_slices(&self, off: usize, w: usize) -> (&[u64], &[u64]) {
         assert!(
             self.read_reorder.is_none(),
             "vpeek on a read-reordered tape"
@@ -570,7 +672,7 @@ impl Tape {
     /// The `w` elements starting at absolute index `start`, as one or two
     /// contiguous slices (two when the span wraps the ring boundary).
     #[inline]
-    fn ring_slices(&self, start: usize, w: usize) -> (&[Value], &[Value]) {
+    fn ring_slices(&self, start: usize, w: usize) -> (&[u64], &[u64]) {
         if w == 0 {
             return (&[], &[]);
         }
@@ -588,6 +690,10 @@ mod tests {
 
     fn iv(x: i32) -> Value {
         Value::I32(x)
+    }
+
+    fn raw(x: i32) -> u64 {
+        raw_of(iv(x))
     }
 
     #[test]
@@ -766,12 +872,10 @@ mod tests {
             t.push(iv(i));
         }
         let (a, b) = t.vpeek_slices(1, 4);
-        let flat: Vec<Value> = a.iter().chain(b).copied().collect();
-        assert_eq!(flat, t.vpeek(1, 4));
+        assert_eq!(span_values(ScalarTy::I32, (a, b)), t.vpeek(1, 4));
         let want = t.vpeek(0, 7);
         let (a, b) = t.vpop_slices(7);
-        let flat: Vec<Value> = a.iter().chain(b).copied().collect();
-        assert_eq!(flat, want);
+        assert_eq!(span_values(ScalarTy::I32, (a, b)), want);
         assert!(t.is_empty());
     }
 
@@ -780,12 +884,13 @@ mod tests {
         let mut a = Tape::new(ScalarTy::I32);
         let mut b = Tape::new(ScalarTy::I32);
         let vals: Vec<Value> = (0..40).map(iv).collect();
+        let raws: Vec<u64> = (0..40).map(raw).collect();
         // Empty span on an unallocated tape, then spans that wrap the
         // 8-slot ring and one that outgrows it.
         b.push_slice(&[]);
         for (lo, hi, pops) in [(0, 6, 5), (6, 12, 3), (12, 40, 0)] {
             vals[lo..hi].iter().for_each(|&v| a.push(v));
-            b.push_slice(&vals[lo..hi]);
+            b.push_slice(&raws[lo..hi]);
             for _ in 0..pops {
                 assert_eq!(a.pop(), b.pop());
             }
@@ -920,9 +1025,9 @@ mod tests {
                 0..=3 if may_push => {
                     next += 1;
                     fast.push(iv(next));
-                    slow.push_slow(iv(next));
+                    slow.push_slow(raw(next));
                 }
-                4 | 5 if poppable => assert_eq!(fast.pop(), slow.pop_slow(), "{what}"),
+                4 | 5 if poppable => assert_eq!(fast.pop_raw(), slow.pop_slow(), "{what}"),
                 6 if may_push && plain_write => {
                     // Stage a gap, sometimes commit it: the next pushes
                     // must fill, not overwrite.
@@ -940,8 +1045,8 @@ mod tests {
                     let w = rnd(6);
                     let base = next;
                     next += w as i32;
-                    fast.vpush_many(w, |k| iv(base + 1 + k as i32));
-                    slow.vpush_many(w, |k| iv(base + 1 + k as i32));
+                    fast.vpush_many(w, |k| raw(base + 1 + k as i32));
+                    slow.vpush_many(w, |k| raw(base + 1 + k as i32));
                 }
                 8 if may_pop && plain_read => {
                     let w = rnd(fast.len() + 1);
@@ -989,10 +1094,10 @@ mod tests {
         let (mut fast, mut slow) = (Tape::new(ScalarTy::I32), Tape::new(ScalarTy::I32));
         for i in 0..40 {
             fast.push(iv(i));
-            slow.push_slow(iv(i));
+            slow.push_slow(raw(i));
             same_state(&fast, &slow, &format!("push {i}"));
             if i % 5 == 4 {
-                assert_eq!(fast.pop(), slow.pop_slow());
+                assert_eq!(fast.pop_raw(), slow.pop_slow());
             }
         }
         assert_eq!(fast.buf.len(), 64);
@@ -1001,7 +1106,7 @@ mod tests {
     #[test]
     fn vpush_many_matches_vpush() {
         let mut t = Tape::new(ScalarTy::I32);
-        t.vpush_many(4, |lane| iv(lane as i32 * 10));
+        t.vpush_many(4, |lane| raw(lane as i32 * 10));
         assert_eq!(t.vpop(4), vec![iv(0), iv(10), iv(20), iv(30)]);
         assert_eq!(t.stats(), (4, 4));
     }

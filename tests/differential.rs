@@ -771,6 +771,241 @@ mod engine_differential {
         );
     }
 
+    /// `Executor::run_*` fires a node's repetitions as one block
+    /// (`firing::fire_block`); walking the same schedule one
+    /// `Executor::fire` at a time — what a traced run does — must give the
+    /// same sink bits, counters and per-node cycles, on every suite
+    /// program, scalar and SIMDized, in both engines.
+    #[test]
+    fn block_firing_matches_single_firings_on_every_benchmark() {
+        use macross_repro::vm::Executor;
+        let m = Machine::core_i7();
+        for b in benchsuite::all() {
+            let g = (b.build)();
+            let simd = macro_simdize(&g, &m, &SimdizeOptions::all())
+                .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+            let scalar = (g, Schedule::compute(&(b.build)()).unwrap());
+            for (cfg, (g, sched)) in [
+                ("scalar", scalar),
+                ("simdized", (simd.graph, simd.schedule)),
+            ] {
+                // Every repetition count at least 2, so every node fires
+                // in blocks.
+                let mut sched = sched;
+                sched.scale(2);
+                for mode in [ExecMode::TreeWalk, ExecMode::Bytecode] {
+                    let at = format!("{}/{cfg}/{mode:?}", b.name);
+                    let mut blocks = Executor::with_mode(&g, &sched, &m, mode);
+                    blocks.run_init().unwrap();
+                    blocks.reset_counters();
+                    blocks.run_steady(2).unwrap();
+
+                    let mut singles = Executor::with_mode(&g, &sched, &m, mode);
+                    // Filter `init` functions only: no iteration.
+                    singles.run_steady(0).unwrap();
+                    let walk = |ex: &mut Executor, reps: &[u64]| {
+                        for &id in &sched.order {
+                            for _ in 0..reps[id.0 as usize] {
+                                ex.fire(id).unwrap_or_else(|e| panic!("{at}: {e}"));
+                            }
+                        }
+                    };
+                    walk(&mut singles, &sched.init_reps);
+                    singles.reset_counters();
+                    walk(&mut singles, &sched.reps);
+                    walk(&mut singles, &sched.reps);
+
+                    let (a, c) = (blocks.output_flat(), singles.output_flat());
+                    assert!(!a.is_empty() && a.len() == c.len(), "{at}: output length");
+                    assert!(
+                        a.iter().zip(&c).all(|(x, y)| x.bits_eq(*y)),
+                        "{at}: sink bits"
+                    );
+                    assert_eq!(blocks.counters(), singles.counters(), "{at}: counters");
+                    assert_eq!(
+                        blocks.node_cycles(),
+                        singles.node_cycles(),
+                        "{at}: node cycles"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A guest fault at firing `j` of a block of `k` leaves what `k` single
+    /// firings stopped at the first error leave: the same error, both
+    /// tapes poisoned, the `j` firings before it committed — tokens, tape
+    /// statistics and filter state — and nothing of the failed one
+    /// delivered downstream.
+    #[test]
+    fn a_fault_inside_a_block_stops_where_single_firings_stop() {
+        use macross_repro::streamir::builder::StreamSpec;
+        use macross_repro::streamir::edsl::*;
+        use macross_repro::streamir::graph::Node;
+        use macross_repro::streamir::types::{ScalarTy, Ty, Value};
+        use macross_repro::vm::firing::{fire_block, fire_node, graph_tapes, FirePlan};
+        use macross_repro::vm::{CompiledPrograms, CycleCounters, VmError};
+        const K: u64 = 8;
+        const J: i32 = 5;
+        let mut src = FilterBuilder::new("src", 0, 0, 1, ScalarTy::I32);
+        let n = src.state("n", Ty::Scalar(ScalarTy::I32));
+        src.work(|b| {
+            b.push(v(n));
+            b.set(n, v(n) + 1i32);
+        });
+        // Blows its own firing number J with an out-of-range peek, after
+        // it has counted the firing and before it pushes.
+        let mut bomb = FilterBuilder::new("bomb", 1, 1, 1, ScalarTy::I32);
+        let fired = bomb.state("fired", Ty::Scalar(ScalarTy::I32));
+        let junk = bomb.local("junk", Ty::Scalar(ScalarTy::I32));
+        bomb.work(move |b| {
+            b.set(fired, v(fired) + 1i32);
+            b.if_(eq(v(fired), J + 1), |b| {
+                b.set(junk, peek(1_000_000i32));
+            });
+            b.push(pop() + 100i32);
+        });
+        let g = StreamSpec::pipeline(vec![src.build_spec(), bomb.build_spec(), StreamSpec::Sink])
+            .build()
+            .unwrap();
+        let m = Machine::core_i7();
+        let ids: Vec<_> = g.node_ids().collect();
+        let (src_id, bomb_id) = (ids[0], ids[1]);
+        let Node::Filter(bomb_filter) = g.node(bomb_id) else {
+            panic!("node 1 is the bomb")
+        };
+        let plans = FirePlan::for_graph(&g, &m);
+        for mode in [ExecMode::TreeWalk, ExecMode::Bytecode] {
+            let programs = CompiledPrograms::compile(&g, &m, mode);
+            let run = |as_block: bool| {
+                let mut tapes = graph_tapes(&g);
+                let mut states: Vec<_> =
+                    g.nodes().map(|(id, n)| programs.state_for(id, n)).collect();
+                let (mut counters, mut sunk) = (CycleCounters::default(), Vec::new());
+                let mut fire = |id: macross_repro::streamir::NodeId, k: u64, as_block: bool| {
+                    let i = id.0 as usize;
+                    let (plan, node, state) = (&plans[i], g.node(id), &mut states[i]);
+                    if as_block {
+                        fire_block(
+                            plan,
+                            node,
+                            state,
+                            &mut tapes,
+                            &m,
+                            &mut counters,
+                            k,
+                            &mut sunk,
+                        )
+                    } else {
+                        (0..k).try_for_each(|_| {
+                            fire_node(plan, node, state, &mut tapes, &m, &mut counters, &mut sunk)
+                        })
+                    }
+                };
+                fire(src_id, K, true).unwrap();
+                let err = fire(bomb_id, K, as_block).unwrap_err();
+                let tapes: Vec<_> = tapes
+                    .iter()
+                    .map(|t| (t.is_poisoned(), t.stats(), t.export_resident()))
+                    .collect();
+                let state = states[bomb_id.0 as usize].export_state_vars(bomb_filter);
+                (err, tapes, state)
+            };
+            let (block, singles) = (run(true), run(false));
+            assert_eq!(block, singles, "{mode:?}");
+            let (err, tapes, state) = block;
+            assert!(
+                matches!(&err, VmError::Panicked { filter, .. } if filter == "bomb"),
+                "{mode:?}: {err}"
+            );
+            // J firings popped and pushed; the failed one counted itself
+            // and touched neither tape.
+            let fed: Vec<Value> = (J..K as i32).map(Value::I32).collect();
+            let out: Vec<Value> = (0..J).map(|x| Value::I32(x + 100)).collect();
+            assert_eq!(tapes[0], (true, (K, J as u64), Some(fed)), "{mode:?}");
+            assert_eq!(tapes[1], (true, (J as u64, 0), Some(out)), "{mode:?}");
+            assert_eq!(state, vec![Value::I32(J + 1)], "{mode:?}");
+        }
+    }
+
+    /// A tape stores untyped register images, so a value of another type
+    /// than the edge's is refused where it is pushed — a guest fault of
+    /// the producer, not a panic in whoever pops it later. (The firing
+    /// compiler declines a body whose push type is not the edge's, so the
+    /// liar tree-walks under either mode.)
+    #[test]
+    fn wrong_typed_push_is_the_producers_fault_in_both_engines() {
+        use macross_repro::streamir::edsl::*;
+        use macross_repro::streamir::graph::Node;
+        use macross_repro::streamir::types::ScalarTy;
+        use macross_repro::vm::VmError;
+        let mut liar = FilterBuilder::new("liar", 0, 0, 1, ScalarTy::I32);
+        liar.work(|b| {
+            b.push(c(7i32));
+        });
+        let mut halve = FilterBuilder::new("halve", 1, 1, 1, ScalarTy::F32);
+        halve.work(|b| {
+            b.push(pop() * 0.5f32);
+        });
+        let mut g = Graph::new();
+        let (l, h) = (
+            g.add_node(Node::Filter(liar.build())),
+            g.add_node(Node::Filter(halve.build())),
+        );
+        let k = g.add_node(Node::Sink);
+        g.connect(l, 0, h, 0, ScalarTy::F32);
+        g.connect(h, 0, k, 0, ScalarTy::F32);
+        let sched = Schedule::compute(&g).unwrap();
+        let m = Machine::core_i7();
+        for mode in [ExecMode::TreeWalk, ExecMode::Bytecode] {
+            match run_scheduled_mode(&g, &sched, &m, 1, mode).unwrap_err() {
+                VmError::Panicked { filter, message } => {
+                    assert_eq!(filter, "liar", "{mode:?}");
+                    assert!(message.contains("tape of f32"), "{mode:?}: {message}");
+                }
+                other => panic!("{mode:?}: expected the liar to fault, got {other}"),
+            }
+        }
+    }
+
+    /// What DESIGN §10 says of signalling NaNs: an `f32` tape slot holds
+    /// the token widened to `f64` bits, and widening quiets — in both
+    /// engines alike, with sign and payload kept. An `f64` slot is the
+    /// token's own bits.
+    #[test]
+    fn a_tape_quiets_an_f32_signalling_nan_and_keeps_an_f64_one_in_both_engines() {
+        use macross_repro::streamir::edsl::*;
+        use macross_repro::streamir::graph::Node;
+        use macross_repro::streamir::types::Value;
+        let snan32 = f32::from_bits(0xffa0_1234);
+        let snan64 = f64::from_bits(0x7ff4_0000_dead_beef);
+        let cases = [
+            (Value::F32(snan32), Value::F32(f32::from_bits(0xffe0_1234))),
+            (Value::F64(snan64), Value::F64(snan64)),
+        ];
+        for (token, want) in cases {
+            let mut src = FilterBuilder::new("src", 0, 0, 1, token.ty());
+            src.work(|b| {
+                b.push(c(token));
+            });
+            let mut copy = FilterBuilder::new("copy", 1, 1, 1, token.ty());
+            copy.work(|b| {
+                b.push(pop());
+            });
+            let mut g = Graph::new();
+            let s = g.add_node(Node::Filter(src.build()));
+            let f = g.add_node(Node::Filter(copy.build()));
+            let k = g.add_node(Node::Sink);
+            g.connect(s, 0, f, 0, token.ty());
+            g.connect(f, 0, k, 0, token.ty());
+            let sched = Schedule::compute(&g).unwrap();
+            for mode in [ExecMode::TreeWalk, ExecMode::Bytecode] {
+                let out = run_scheduled_mode(&g, &sched, &Machine::core_i7(), 1, mode).unwrap();
+                assert!(out.output[0].bits_eq(want), "{mode:?}: {:?}", out.output);
+            }
+        }
+    }
+
     /// Guest-program failures surface identically through both engines.
     #[test]
     fn engine_errors_match() {

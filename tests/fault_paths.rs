@@ -20,8 +20,8 @@ use macross_repro::streamir::edsl::*;
 use macross_repro::streamir::graph::{Graph, NodeId, SplitKind};
 use macross_repro::streamir::types::{ScalarTy, Ty};
 use macross_repro::telemetry::TraceSession;
-use macross_repro::vm::Machine;
-use std::time::Duration;
+use macross_repro::vm::{Executor, Machine};
+use std::time::{Duration, Instant};
 
 /// i32 counter source: 0, 1, 2, ...
 fn source() -> StreamSpec {
@@ -60,8 +60,9 @@ fn bomb(name: &str, fail_at: i32) -> StreamSpec {
     fb.build_spec()
 }
 
-/// Pass-through whose every firing burns a long interpreter loop — slow
-/// enough that a small watchdog timeout must escalate it.
+/// Pass-through whose every firing burns a long interpreter loop. How
+/// long depends on the build and on how fast the interpreter has become,
+/// so a test that needs it to outlast a watchdog times a firing first.
 fn sloth(name: &str) -> StreamSpec {
     let mut fb = FilterBuilder::new(name, 1, 1, 1, ScalarTy::I32);
     let i = fb.local("i", Ty::Scalar(ScalarTy::I32));
@@ -266,7 +267,16 @@ fn watchdog_escalates_deliberately_stalled_stage() {
         .build()
         .unwrap();
     let sloth_id = node_id(&g, "sloth");
-    let timeout = Duration::from_millis(10);
+    // A quarter of what one `sloth` firing takes in this build (one
+    // sequential steady iteration, which the firing dominates): the stall
+    // outlasts the timeout however fast the interpreter runs the loop.
+    let sched = Schedule::compute(&g).unwrap();
+    let machine = Machine::core_i7();
+    let mut ex = Executor::new(&g, &sched, &machine);
+    ex.run_init().unwrap();
+    let t0 = Instant::now();
+    ex.run_steady(1).unwrap();
+    let timeout = (t0.elapsed() / 4).max(Duration::from_millis(1));
     let opts = SupervisorOptions::default().watchdog_after(timeout);
     let run = supervised(&g, &[0, 1, 1], 4, &opts);
     assert!(!run.completed);

@@ -7,7 +7,9 @@
 //!   the same sink bits and cycle counters on all three engines;
 //! - the repetition-vector solver balances arbitrary pipelines and
 //!   split-joins, minimally;
-//! - tapes behave like a FIFO oracle under arbitrary operation sequences;
+//! - tapes behave like a FIFO oracle under arbitrary operation sequences,
+//!   for every element type and through both the `Value` and the image
+//!   view;
 //! - the SAGU model, the Figure-8 software model, and the pure mapping
 //!   agree for arbitrary configurations;
 //! - permutation-network plans invert strided layouts for every legal
@@ -29,6 +31,7 @@ use macross_repro::streamir::filter::{Filter, VarKind};
 use macross_repro::streamir::graph::{Graph, Node};
 use macross_repro::streamir::stmt::Stmt;
 use macross_repro::streamir::types::{ScalarTy, Ty, Value};
+use macross_repro::vm::tape::raw_of;
 use macross_repro::vm::{run_scheduled, Machine, Tape};
 
 // ---------------------------------------------------------------------
@@ -545,52 +548,126 @@ fn split_join_reps_uniform() {
 
 // ---------------------------------------------------------------------
 // Tape vs. FIFO oracle.
+//
+// A tape stores register images, not `Value`s, so every oracle below runs
+// over all four element types, on token streams salted with the values
+// that tell an image from a `Value`, and reads the tape through both of
+// its views: the typed one must return the pushed value bit for bit, the
+// raw one exactly `raw_of` of it.
 // ---------------------------------------------------------------------
+
+const ELEMS: [ScalarTy; 4] = [ScalarTy::I32, ScalarTy::I64, ScalarTy::F32, ScalarTy::F64];
+
+/// Every element type with each of `seeds` case seeds.
+fn typed_seeds(seeds: u64) -> impl Iterator<Item = (ScalarTy, u64)> {
+    ELEMS
+        .into_iter()
+        .flat_map(move |ty| (0..seeds).map(move |s| (ty, s)))
+}
+
+/// Token `n` of a test stream of `ty` elements. Tokens differ from their
+/// neighbours, so a misplaced one shows; every fourth is an edge value:
+/// integers whose image is all sign bits or needs all 64, `-0.0`,
+/// subnormals, quiet NaNs with payloads and both signs, the largest
+/// finite `f32` (the `f32` ones exercise the widening to `f64` bits).
+fn token(ty: ScalarTy, n: i32) -> Value {
+    let edge = (n.rem_euclid(4) == 3).then_some(n.div_euclid(4).unsigned_abs() as usize);
+    match (ty, edge) {
+        (ScalarTy::I32, Some(e)) => Value::I32([i32::MIN, -1, i32::MAX, 0][e % 4]),
+        (ScalarTy::I32, None) => Value::I32(n),
+        (ScalarTy::I64, Some(e)) => {
+            Value::I64([i64::MIN, -1, i64::MAX, i32::MIN as i64 - 1, 1 << 32][e % 5])
+        }
+        (ScalarTy::I64, None) => Value::I64(n as i64 * 0x1_0000_0001),
+        (ScalarTy::F32, Some(e)) => Value::F32(
+            [
+                -0.0,
+                f32::MAX,
+                f32::from_bits(1),
+                -f32::MIN_POSITIVE / 2.0,
+                f32::from_bits(0x7fc1_2345),
+                f32::from_bits(0xffc0_0001),
+                f32::NEG_INFINITY,
+            ][e % 7],
+        ),
+        (ScalarTy::F32, None) => Value::F32(n as f32 * 0.5),
+        (ScalarTy::F64, Some(e)) => Value::F64(
+            [
+                -0.0,
+                f64::MAX,
+                f64::from_bits(1),
+                -f64::MIN_POSITIVE / 2.0,
+                f64::from_bits(0x7ff8_dead_beef_0001),
+                f64::from_bits(0xfff8_0000_0000_0001),
+                f32::MAX as f64 * 2.0,
+            ][e % 7],
+        ),
+        (ScalarTy::F64, None) => Value::F64(n as f64 * 0.25),
+    }
+}
+
+fn raws(vals: &[Value]) -> Vec<u64> {
+    vals.iter().map(|&v| raw_of(v)).collect()
+}
+
+/// `got` is `want`, bit for bit (NaN payloads and zero signs included).
+fn assert_bits(got: &[Value], want: &[Value], what: &str) {
+    let same = got.len() == want.len() && got.iter().zip(want).all(|(a, b)| a.bits_eq(*b));
+    assert!(same, "{what}: {got:?} != {want:?}");
+}
 
 #[test]
 fn tape_matches_fifo_oracle() {
-    for seed in 0..128u64 {
+    for (ty, seed) in typed_seeds(128) {
+        let what = format!("{ty} seed {seed}");
         let mut rng = Rng::new(0x7A9E ^ (seed << 8));
-        let mut tape = Tape::new(ScalarTy::I32);
-        let mut oracle: std::collections::VecDeque<i32> = Default::default();
+        let mut tape = Tape::new(ty);
+        let mut oracle: std::collections::VecDeque<Value> = Default::default();
         let n_ops = rng.range(0, 60);
         for _ in 0..n_ops {
             match rng.range(0, 5) {
                 0 => {
-                    let x = rng.range_i32(-100, 100);
-                    tape.push(Value::I32(x));
+                    let x = token(ty, rng.range_i32(-100, 100));
+                    // Either view writes the same slot.
+                    if rng.range(0, 2) == 0 {
+                        tape.push(x);
+                    } else {
+                        tape.push_raw(raw_of(x));
+                    }
                     oracle.push_back(x);
                 }
                 1 => {
-                    if !oracle.is_empty() {
-                        assert_eq!(tape.pop(), Value::I32(oracle.pop_front().unwrap()));
+                    if let Some(x) = oracle.pop_front() {
+                        if rng.range(0, 2) == 0 {
+                            assert_bits(&[tape.pop()], &[x], &what);
+                        } else {
+                            assert_eq!(tape.pop_raw(), raw_of(x), "{what}");
+                        }
                     }
                 }
                 2 => {
                     let k = rng.range(0, 4);
                     if k < oracle.len() {
-                        assert_eq!(tape.peek(k), Value::I32(oracle[k]));
+                        assert_bits(&[tape.peek(k)], &[oracle[k]], &what);
+                        assert_eq!(tape.peek_raw(k), raw_of(oracle[k]), "{what}");
                     }
                 }
                 3 => {
-                    let vs: Vec<i32> = (0..rng.range(1, 5))
-                        .map(|_| rng.range_i32(-100, 100))
+                    let vs: Vec<Value> = (0..rng.range(1, 5))
+                        .map(|_| token(ty, rng.range_i32(-100, 100)))
                         .collect();
-                    tape.vpush(&vs.iter().map(|&x| Value::I32(x)).collect::<Vec<_>>());
+                    tape.vpush(&vs);
                     oracle.extend(vs);
                 }
                 _ => {
                     let w = rng.range(1, 5);
                     if w <= oracle.len() {
-                        let got = tape.vpop(w);
-                        let want: Vec<Value> = (0..w)
-                            .map(|_| Value::I32(oracle.pop_front().unwrap()))
-                            .collect();
-                        assert_eq!(got, want);
+                        let want: Vec<Value> = oracle.drain(..w).collect();
+                        assert_bits(&tape.vpop(w), &want, &what);
                     }
                 }
             }
-            assert_eq!(tape.len(), oracle.len(), "seed {seed}");
+            assert_eq!(tape.len(), oracle.len(), "{what}");
         }
     }
 }
@@ -606,16 +683,17 @@ fn tape_matches_fifo_oracle() {
 /// through both the `Vec` path and the two-slice fast path.
 #[test]
 fn tape_ring_matches_oracle_under_wraparound() {
-    for seed in 0..64u64 {
+    for (ty, seed) in typed_seeds(64) {
+        let what = format!("{ty} seed {seed}");
         let mut rng = Rng::new(0x7A9F ^ (seed << 9));
-        let mut tape = Tape::new(ScalarTy::I32);
-        let mut oracle: std::collections::VecDeque<i32> = Default::default();
+        let mut tape = Tape::new(ty);
+        let mut oracle: std::collections::VecDeque<Value> = Default::default();
         let mut next = 0i32;
         for _ in 0..400 {
             match rng.range(0, 7) {
                 0 => {
-                    tape.push(Value::I32(next));
-                    oracle.push_back(next);
+                    tape.push(token(ty, next));
+                    oracle.push_back(token(ty, next));
                     next += 1;
                 }
                 1 => {
@@ -623,25 +701,32 @@ fn tape_ring_matches_oracle_under_wraparound() {
                     // commit the whole strip with advance_write.
                     let k = rng.range(1, 6);
                     for i in (0..k).rev() {
-                        tape.rpush(Value::I32(next + i as i32), i);
+                        tape.rpush(token(ty, next + i as i32), i);
                     }
                     tape.advance_write(k);
                     for i in 0..k {
-                        oracle.push_back(next + i as i32);
+                        oracle.push_back(token(ty, next + i as i32));
                     }
                     next += k as i32;
                 }
                 2 => {
                     let w = rng.range(1, 9);
-                    tape.vpush_many(w, |lane| Value::I32(next + lane as i32));
+                    let images: Vec<u64> =
+                        (0..w).map(|i| raw_of(token(ty, next + i as i32))).collect();
+                    // The two image pushes are interchangeable.
+                    if rng.range(0, 2) == 0 {
+                        tape.vpush_many(w, |lane| images[lane]);
+                    } else {
+                        tape.push_slice(&images);
+                    }
                     for i in 0..w {
-                        oracle.push_back(next + i as i32);
+                        oracle.push_back(token(ty, next + i as i32));
                     }
                     next += w as i32;
                 }
                 3 => {
                     if let Some(x) = oracle.pop_front() {
-                        assert_eq!(tape.pop(), Value::I32(x), "seed {seed}");
+                        assert_bits(&[tape.pop()], &[x], &what);
                     }
                 }
                 4 => {
@@ -650,11 +735,10 @@ fn tape_ring_matches_oracle_under_wraparound() {
                         // vpop must equal vpeek(0, w) taken just before.
                         let peeked = tape.vpeek(0, w);
                         let (a, b) = tape.vpop_slices(w);
-                        let flat: Vec<Value> = a.iter().chain(b).copied().collect();
-                        assert_eq!(flat, peeked, "seed {seed}");
-                        for v in flat {
-                            assert_eq!(v, Value::I32(oracle.pop_front().unwrap()));
-                        }
+                        let flat = [a, b].concat();
+                        let want: Vec<Value> = oracle.drain(..w).collect();
+                        assert_eq!(flat, raws(&want), "{what}");
+                        assert_bits(&peeked, &want, &what);
                     }
                 }
                 5 => {
@@ -662,11 +746,10 @@ fn tape_ring_matches_oracle_under_wraparound() {
                     let off = rng.range(0, 6);
                     if off + w <= oracle.len() {
                         let (a, b) = tape.vpeek_slices(off, w);
-                        let flat: Vec<Value> = a.iter().chain(b).copied().collect();
-                        let want: Vec<Value> =
-                            (0..w).map(|i| Value::I32(oracle[off + i])).collect();
-                        assert_eq!(flat, want, "seed {seed}");
-                        assert_eq!(flat, tape.vpeek(off, w), "seed {seed}");
+                        let flat = [a, b].concat();
+                        let want: Vec<Value> = (0..w).map(|i| oracle[off + i]).collect();
+                        assert_eq!(flat, raws(&want), "{what}");
+                        assert_bits(&tape.vpeek(off, w), &want, &what);
                     }
                 }
                 _ => {
@@ -675,50 +758,64 @@ fn tape_ring_matches_oracle_under_wraparound() {
                     oracle.drain(..n);
                 }
             }
-            assert_eq!(tape.len(), oracle.len(), "seed {seed}");
-            assert_eq!(tape.is_empty(), oracle.is_empty(), "seed {seed}");
+            assert_eq!(tape.len(), oracle.len(), "{what}");
+            assert_eq!(tape.is_empty(), oracle.is_empty(), "{what}");
         }
     }
 }
 
-/// Batched-width slice reads across the wraparound seam: the batched
-/// firing path moves `k x w` tokens per `vpush_many`/`vpop_slices` call
+/// Batched-width slice reads across the wraparound seam: a block of
+/// firings moves `k x w` tokens per `push_slice`/`vpop_slices` call
 /// (up to 8 firings x vector width), far wider than the scalar traffic
 /// above, so spans regularly straddle the ring boundary. Checks the
 /// two-slice decomposition covers exactly `w` (the fast path's debug
-/// assertion), splits only at the physical seam, and preserves content.
+/// assertion), splits only at the physical seam, and preserves content;
+/// `pop_spans` must hand out the same spans.
 #[test]
 fn tape_slices_cover_batched_widths_across_seam() {
-    for seed in 0..64u64 {
+    for (ty, seed) in typed_seeds(64) {
+        let what = format!("{ty} seed {seed}");
         let mut rng = Rng::new(0xBA7C ^ (seed << 7));
-        let mut tape = Tape::new(ScalarTy::I32);
-        let mut oracle: std::collections::VecDeque<i32> = Default::default();
+        let mut tape = Tape::new(ty);
+        let mut oracle: std::collections::VecDeque<u64> = Default::default();
         let mut next = 0i32;
         let mut wrapped_reads = 0usize;
         for _ in 0..300 {
             // Batched production: k firings x w lanes in one call.
             let k = rng.range(1, 9);
             let w = rng.range(1, 9);
-            tape.vpush_many(k * w, |lane| Value::I32(next + lane as i32));
-            for i in 0..k * w {
-                oracle.push_back(next + i as i32);
+            let images: Vec<u64> = (0..k * w)
+                .map(|i| raw_of(token(ty, next + i as i32)))
+                .collect();
+            if rng.range(0, 2) == 0 {
+                tape.vpush_many(k * w, |lane| images[lane]);
+            } else {
+                tape.push_slice(&images);
             }
+            oracle.extend(&images);
             next += (k * w) as i32;
             // Batched consumption of a possibly different batch shape.
             let width = rng.range(1, 33).min(oracle.len());
             if width == 0 {
                 continue;
             }
-            let (a, b) = tape.vpop_slices(width);
-            assert_eq!(a.len() + b.len(), width, "seed {seed}");
-            wrapped_reads += usize::from(!b.is_empty());
-            for v in a.iter().chain(b) {
-                assert_eq!(*v, Value::I32(oracle.pop_front().unwrap()), "seed {seed}");
+            let want: Vec<u64> = oracle.drain(..width).collect();
+            if rng.range(0, 2) == 0 {
+                let (a, b) = tape.vpop_slices(width);
+                assert_eq!(a.len() + b.len(), width, "{what}");
+                wrapped_reads += usize::from(!b.is_empty());
+                assert_eq!([a, b].concat(), want, "{what}");
+            } else {
+                let mut spans = Vec::new();
+                tape.pop_spans(width, |span| spans.push(span.to_vec()));
+                assert!(spans.len() <= 2, "{what}");
+                wrapped_reads += usize::from(spans.len() == 2);
+                assert_eq!(spans.concat(), want, "{what}");
             }
-            assert_eq!(tape.len(), oracle.len(), "seed {seed}");
+            assert_eq!(tape.len(), oracle.len(), "{what}");
         }
         // The sustained traffic must actually have exercised the seam.
-        assert!(wrapped_reads > 0, "seed {seed}: no read crossed the seam");
+        assert!(wrapped_reads > 0, "{what}: no read crossed the seam");
     }
 }
 
@@ -729,47 +826,54 @@ fn tape_slices_cover_batched_widths_across_seam() {
 /// tape's own `column_major_index`.
 #[test]
 fn tape_read_reorder_matches_naive_model() {
-    for seed in 0..64u64 {
+    for (ty, seed) in typed_seeds(64) {
         let mut rng = Rng::new(0x0DDB ^ (seed << 7));
         let rate = rng.range(1, 6);
         let sw = 1usize << rng.range(1, 4);
+        let what = format!("{ty} seed {seed} rate {rate} sw {sw}");
         let block = rate * sw;
         let blocks = rng.range(1, 5);
-        let mut tape = Tape::new(ScalarTy::I32);
+        let mut tape = Tape::new(ty);
         tape.set_read_reorder(rate, sw);
         // Producer writes `blocks` blocks of physical rows; the naive
         // logical stream is reconstructed independently.
-        let mut logical = vec![0i32; blocks * block];
+        let mut logical = vec![ty.zero(); blocks * block];
         let mut phys_next = 0i32;
         for b in 0..blocks {
             for p in 0..block {
                 // Physical slot p = (l % rate) * sw + l / rate, inverted:
                 let (i, j) = (p / sw, p % sw);
                 let l = j * rate + i;
-                logical[b * block + l] = phys_next;
-                tape.push(Value::I32(phys_next));
+                logical[b * block + l] = token(ty, phys_next);
+                tape.push(token(ty, phys_next));
                 phys_next += 1;
             }
         }
-        // Consume with a random mix of peeks, pops, and advances.
+        // Consume with a random mix of peeks, pops, spans and advances.
         let mut pos = 0usize;
         while pos < logical.len() {
-            match rng.range(0, 3) {
+            match rng.range(0, 4) {
                 0 => {
-                    assert_eq!(
-                        tape.pop(),
-                        Value::I32(logical[pos]),
-                        "seed {seed} rate {rate} sw {sw} pos {pos}"
-                    );
+                    assert_bits(&[tape.pop()], &[logical[pos]], &format!("{what} pos {pos}"));
                     pos += 1;
                 }
                 1 => {
                     let off = rng.range(0, (logical.len() - pos).min(2 * block));
-                    assert_eq!(
-                        tape.peek(off),
-                        Value::I32(logical[pos + off]),
-                        "seed {seed} rate {rate} sw {sw} peek {pos}+{off}"
+                    let want = logical[pos + off];
+                    assert_bits(
+                        &[tape.peek(off)],
+                        &[want],
+                        &format!("{what} peek {pos}+{off}"),
                     );
+                    assert_eq!(tape.peek_raw(off), raw_of(want), "{what} peek {pos}+{off}");
+                }
+                2 => {
+                    // A span pop goes through the remapping token by token.
+                    let n = rng.range(0, (logical.len() - pos).min(block) + 1);
+                    let mut got = Vec::new();
+                    tape.pop_spans(n, |span| got.extend_from_slice(span));
+                    assert_eq!(got, raws(&logical[pos..pos + n]), "{what} span at {pos}");
+                    pos += n;
                 }
                 _ => {
                     let n = rng.range(0, (logical.len() - pos).min(block) + 1);
@@ -778,7 +882,7 @@ fn tape_read_reorder_matches_naive_model() {
                 }
             }
         }
-        assert!(tape.is_empty(), "seed {seed}");
+        assert!(tape.is_empty(), "{what}");
     }
 }
 
@@ -788,34 +892,95 @@ fn tape_read_reorder_matches_naive_model() {
 /// rule: a partial block contributes nothing to `len()`.
 #[test]
 fn tape_write_reorder_matches_naive_model() {
-    for seed in 0..64u64 {
+    for (ty, seed) in typed_seeds(64) {
         let mut rng = Rng::new(0xBEEF ^ (seed << 6));
         let rate = rng.range(1, 6);
         let sw = 1usize << rng.range(1, 4);
+        let what = format!("{ty} seed {seed} rate {rate} sw {sw}");
         let block = rate * sw;
         let blocks = rng.range(1, 5);
-        let mut tape = Tape::new(ScalarTy::I32);
+        let mut tape = Tape::new(ty);
         tape.set_write_reorder(rate, sw);
-        for l in 0..blocks * block {
+        let mut l = 0;
+        while l < blocks * block {
             assert_eq!(
                 tape.len(),
                 (l / block) * block,
-                "seed {seed}: partial block visible"
+                "{what}: partial block visible"
             );
-            tape.push(Value::I32(l as i32));
+            // One token through either view, or a span (which a
+            // write-reordered tape stages token by token).
+            let n = rng.range(1, 4).min(blocks * block - l);
+            match rng.range(0, 3) {
+                0 => tape.push(token(ty, l as i32)),
+                1 => tape.push_raw(raw_of(token(ty, l as i32))),
+                _ => {
+                    let images: Vec<u64> =
+                        (l..l + n).map(|i| raw_of(token(ty, i as i32))).collect();
+                    tape.push_slice(&images);
+                    l += n - 1;
+                }
+            }
+            l += 1;
         }
         assert_eq!(tape.len(), blocks * block);
         // Physical slot p of block b holds logical b*block + (p%sw)*rate + p/sw.
         for b in 0..blocks {
             for i in 0..rate {
-                let row = tape.vpop(sw);
                 let want: Vec<Value> = (0..sw)
-                    .map(|j| Value::I32((b * block + j * rate + i) as i32))
+                    .map(|j| token(ty, (b * block + j * rate + i) as i32))
                     .collect();
-                assert_eq!(row, want, "seed {seed} rate {rate} sw {sw} row {i}");
+                assert_bits(&tape.vpop(sw), &want, &format!("{what} row {i}"));
             }
         }
-        assert!(tape.is_empty(), "seed {seed}");
+        assert!(tape.is_empty(), "{what}");
+    }
+}
+
+/// `mark`/`rollback` on image storage, for every element type: pushes
+/// that outgrow the ring (so the marked tokens were re-ringed into a new
+/// allocation) and pushes that complete and overwrite a write-reordered
+/// staging block are undone to exactly the tokens held at the mark.
+#[test]
+fn tape_rollback_restores_images_across_growth_and_reordered_blocks() {
+    for ty in ELEMS {
+        // Plain tape: 6 tokens, 2 popped, then 100 torn pushes grow the
+        // 8-slot ring twice over.
+        let mut tape = Tape::new(ty);
+        (0..6).for_each(|n| tape.push(token(ty, n)));
+        tape.advance_read(2);
+        let mark = tape.mark();
+        (0..100).for_each(|n| tape.push_raw(raw_of(token(ty, 1000 + n))));
+        tape.rollback(&mark);
+        assert_eq!((tape.len(), tape.stats()), (4, (6, 2)), "{ty}");
+        tape.push(token(ty, 6));
+        let want: Vec<Value> = (2..7).map(|n| token(ty, n)).collect();
+        assert_bits(&tape.vpop(5), &want, &format!("{ty} plain"));
+
+        // Write-reordered tape (block 8): the torn pushes complete the
+        // block holding three staged tokens, commit two more (regrowing
+        // the ring) and leave a partial one behind.
+        for (before, torn, total) in [(3, 2, 16), (3, 8, 16), (11, 24, 24), (5, 21, 32)] {
+            let mut want = Tape::new(ty);
+            want.set_write_reorder(2, 4);
+            (0..total).for_each(|n| want.push(token(ty, n)));
+            let mut tape = Tape::new(ty);
+            tape.set_write_reorder(2, 4);
+            (0..before).for_each(|n| tape.push(token(ty, n)));
+            let mark = tape.mark();
+            (0..torn).for_each(|n| tape.push(token(ty, 1000 + n)));
+            tape.rollback(&mark);
+            assert_eq!(tape.len(), (before as usize / 8) * 8, "{ty}");
+            (before..total).for_each(|n| tape.push(token(ty, n)));
+            assert_eq!(tape.stats(), want.stats(), "{ty}");
+            let (a, b) = tape.vpop_slices(total as usize);
+            let (c, d) = want.vpop_slices(total as usize);
+            assert_eq!(
+                [a, b].concat(),
+                [c, d].concat(),
+                "{ty} {before}+{torn}/{total}"
+            );
+        }
     }
 }
 
