@@ -1,6 +1,6 @@
 //! Measured vs. modeled under the cost-model planner: run benchmarks on
 //! the threaded runtime with *planned* placements (fusion, fission,
-//! adaptive batching) at 2- and 4-worker budgets, and print the observed
+//! block shares) at 2- and 4-worker budgets, and print the observed
 //! wall-clock next to the planner's own modelled verdict.
 //!
 //! Every benchmark also runs once on a single core — the measured

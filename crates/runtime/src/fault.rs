@@ -10,9 +10,10 @@
 //! interleaving — the property that lets a `ReplayBundle` reproduce the
 //! identical `StageFailure`.
 //!
-//! The lookup hook ([`FaultPlan::fault_for`]) is compiled to a constant
-//! `None` unless the `fault-inject` cargo feature is on, so production
-//! builds carry no branch in the firing loop.
+//! The lookup hooks ([`FaultPlan::fault_for`], and
+//! [`FaultPlan::first_fault`] for a block of firings) are compiled to a
+//! constant `None` unless the `fault-inject` cargo feature is on, so
+//! production builds carry no branch in the firing loop.
 
 use macross_telemetry::json::{self, Json};
 
@@ -218,6 +219,26 @@ impl FaultPlan {
             .iter()
             .find(|f| f.stage == stage && f.firing == firing)
             .map(|f| f.kind)
+    }
+
+    /// How many of the `k` firings `from, from + stride, …` of `stage`
+    /// come before the first one the plan addresses (`None`: none of them
+    /// is). What a block of firings is split at, by every engine alike;
+    /// like [`FaultPlan::fault_for`] a constant `None` without the
+    /// feature.
+    #[inline]
+    pub fn first_fault(&self, stage: usize, from: u64, stride: u64, k: u64) -> Option<u64> {
+        if !FAULTS_COMPILED || self.faults.is_empty() {
+            return None;
+        }
+        self.faults
+            .iter()
+            .filter(|f| f.stage == stage && f.firing >= from)
+            .map(|f| f.firing - from)
+            .filter(|ahead| ahead.is_multiple_of(stride))
+            .map(|ahead| ahead / stride)
+            .filter(|&j| j < k)
+            .min()
     }
 
     /// The plan as a JSON value (for [`ReplayBundle`]).
@@ -465,8 +486,18 @@ mod tests {
             assert_eq!(hit, Some(FaultKind::Panic));
             assert_eq!(plan.fault_for(2, 6), None);
             assert_eq!(plan.fault_for(1, 5), None);
+            // Firing 5 is the sixth of a block from 0, outside one of
+            // five, the third of a replica's 1, 3, 5, … and not among
+            // 0, 2, 4, … at all; a block that starts past it is clean.
+            assert_eq!(plan.first_fault(2, 0, 1, 6), Some(5));
+            assert_eq!(plan.first_fault(2, 0, 1, 5), None);
+            assert_eq!(plan.first_fault(2, 1, 2, 8), Some(2));
+            assert_eq!(plan.first_fault(2, 0, 2, 8), None);
+            assert_eq!(plan.first_fault(2, 6, 1, 8), None);
+            assert_eq!(plan.first_fault(1, 0, 1, 8), None);
         } else {
             assert_eq!(hit, None, "faults must be inert without the feature");
+            assert_eq!(plan.first_fault(2, 0, 1, 6), None);
         }
     }
 

@@ -107,7 +107,8 @@ impl From<VmError> for RuntimeError {
 pub struct Stage {
     /// Completed firings.
     pub firings: AtomicU64,
-    /// Of those, firings executed inside a batched invocation.
+    /// Of those, firings fired inside a share envelope (all of them in a
+    /// clean run without watchdog or trace; see `Worker::fire_many`).
     pub batched_firings: AtomicU64,
     /// Tokens pulled from cross-core rings into this node's input tapes.
     pub ring_in: AtomicU64,
@@ -154,8 +155,9 @@ pub struct StageStats {
     pub core: u32,
     /// Completed firings (init + steady).
     pub firings: u64,
-    /// Of those, firings executed inside a batched invocation
-    /// (scheduling-dependent; excluded from bit-exact comparisons).
+    /// Of those, firings fired inside a share envelope rather than one of
+    /// their own: every firing of a clean run, none under a watchdog or a
+    /// live trace, all but the addressed ones under a fault plan.
     pub batched_firings: u64,
     /// Tokens pulled from cross-core rings.
     pub ring_in: u64,

@@ -264,8 +264,17 @@ impl Ring {
         took
     }
 
+    /// Wake the consumer if it announced a park. Called after the `tail`
+    /// store of a publish; pairs with the announcement in [`Ring::wait`]:
+    /// both are sequentially consistent read-modify-writes of the flag, so
+    /// one of them reads the other's value. Either this swap reads `true`
+    /// and unparks (the token outlives a park not yet begun), or the
+    /// announcement reads this swap's `false`, which orders the index
+    /// store before the waiter's second look. With a plain store for the
+    /// announcement both sides could miss each other (store buffering),
+    /// and the waiter slept a whole `PARK_TIMEOUT` on a ready ring.
     fn wake_consumer(&self) {
-        if self.consumer_parked.swap(false, Ordering::AcqRel) {
+        if self.consumer_parked.swap(false, Ordering::SeqCst) {
             if self.take_unpark_drop() {
                 return;
             }
@@ -275,8 +284,10 @@ impl Ring {
         }
     }
 
+    /// [`Ring::wake_consumer`]'s mirror image, after the `head` store of
+    /// a pop.
     fn wake_producer(&self) {
-        if self.producer_parked.swap(false, Ordering::AcqRel) {
+        if self.producer_parked.swap(false, Ordering::SeqCst) {
             if self.take_unpark_drop() {
                 return;
             }
@@ -324,15 +335,6 @@ impl Ring {
             }
         }
         Ok(())
-    }
-
-    /// Free slots from the producer's perspective (a lower bound: the
-    /// consumer may free more concurrently, never less). Producer-side
-    /// call, like [`Ring::push_avail`].
-    pub fn free_space(&self) -> usize {
-        let tail = self.tail.0.load(Ordering::Relaxed);
-        let head = self.head.0.load(Ordering::Acquire);
-        self.capacity() - (tail - head)
     }
 
     /// Producer: append as many of `vals` as currently fit, without
@@ -469,8 +471,12 @@ impl Ring {
                 std::thread::yield_now();
             } else {
                 // Announce, then look once more: a publish that landed
-                // before the announcement saw no one to wake.
-                parked.store(true, Ordering::Release);
+                // before the announcement saw no one to wake. The
+                // announcement is a read-modify-write, not a store, so
+                // that the second look cannot pass it: it either reads the
+                // peer's `wake_*` swap, and then sees the index that swap
+                // followed, or precedes it, and then the peer unparks us.
+                parked.swap(true, Ordering::SeqCst);
                 if !ready() && !abort.load(Ordering::Relaxed) {
                     parks.fetch_add(1, Ordering::Relaxed);
                     trace.record(EventKind::Park, self.edge, 0);

@@ -7,16 +7,17 @@
 //! a thousand sessions of the same graph shape pay for one compilation.
 //!
 //! The engine carries PR 4's supervision envelope down to session
-//! granularity: every firing runs behind `catch_unwind` with any planned
-//! [`FaultPlan`] fault applied, and a failure quarantines *this session
-//! only*. Quarantine is a taint drain, not an abort: the failed stage and
-//! everything data-dependent on it (descendants, plus any stage adjacent
-//! to a poisoned tape) stop firing, while independent branches finish the
-//! current steady iteration so every sink ends on a bit-exact clean
-//! prefix of the fault-free run. Co-resident sessions on the same shard
-//! share nothing but the immutable compiled artifacts, so they are
-//! unaffected by construction — the tenant-isolation tests assert this
-//! bit-for-bit.
+//! granularity: a node's repetitions in an iteration run as one block
+//! behind one `catch_unwind`, cut so that a planned [`FaultPlan`] fault
+//! fires alone, and a failure — named by its exact firing — quarantines
+//! *this session only*. Quarantine is a taint drain, not an abort: the
+//! failed stage and everything data-dependent on it (descendants, plus
+//! any stage adjacent to a poisoned tape) stop firing, while independent
+//! branches finish the current steady iteration so every sink ends on a
+//! bit-exact clean prefix of the fault-free run. Co-resident sessions on
+//! the same shard share nothing but the immutable compiled artifacts, so
+//! they are unaffected by construction — the tenant-isolation tests
+//! assert this bit-for-bit.
 //!
 //! Differences from the threaded worker's envelope, by design: there are
 //! no cut-edge rings (one session = one timeline), so the ring faults
@@ -177,9 +178,10 @@ impl SessionEngine {
     /// Drain everything the sinks captured since the last call, one `Vec`
     /// per sink in [`SessionEngine::sink_ids`] order.
     pub fn take_outputs(&mut self) -> Vec<Vec<Value>> {
-        let ids = self.sink_ids.clone();
-        ids.iter()
-            .map(|id| std::mem::take(&mut self.outputs[id.0 as usize]))
+        let outputs = &mut self.outputs;
+        self.sink_ids
+            .iter()
+            .map(|id| std::mem::take(&mut outputs[id.0 as usize]))
             .collect()
     }
 
@@ -258,16 +260,19 @@ impl SessionEngine {
             .any(|t| self.tapes[t].is_poisoned())
     }
 
-    /// Fire `id` once under the supervision envelope: planned fault
-    /// applied, panic caught, failure recorded and drained. Returns
-    /// `false` when the firing failed.
-    fn fire_guarded(&mut self, id: NodeId) -> bool {
+    /// Fire `id` `k` times in a row as one guarded block: panic caught,
+    /// failure recorded at the firing that raised it and drained. The
+    /// caller ([`SessionEngine::run_phase`]) cuts blocks so that a planned
+    /// fault can only address a block's first firing, and then `k = 1` —
+    /// as under a live trace handle, whose spans are per firing. Returns
+    /// `false` when a firing failed; the ones before it stand.
+    fn fire_guarded(&mut self, id: NodeId, k: u64) -> bool {
         let stage = id.0 as usize;
-        let firing = self.attempts[stage];
-        self.attempts[stage] += 1;
-        let fault = self.plan.fault_for(stage, firing);
+        let first = self.attempts[stage];
+        let fault = self.plan.fault_for(stage, first);
         if let Some(kind) = fault {
-            self.trace.record(EventKind::FaultInjected, id.0, firing);
+            debug_assert_eq!(k, 1, "a planned fault fires alone");
+            self.trace.record(EventKind::FaultInjected, id.0, first);
             match kind {
                 FaultKind::PoisonTape => {
                     // Poison the stage's input half (or output half for
@@ -289,22 +294,33 @@ impl SessionEngine {
         }
         self.trace.record(EventKind::FiringStart, id.0, 0);
         let before = self.counters.total();
+        let mut done = 0;
         let result = catch_unwind(AssertUnwindSafe(|| {
             if matches!(fault, Some(FaultKind::Panic)) {
-                panic!("injected fault: panic at stage {stage} firing {firing}");
+                panic!("injected fault: panic at stage {stage} firing {first}");
             }
-            self.fire_node(id)
+            firing::fire_block(
+                &self.adj[stage],
+                self.graph.node(id),
+                &mut self.states[stage],
+                &mut self.tapes,
+                &self.machine,
+                &mut self.counters,
+                k,
+                &mut self.outputs[stage],
+                &mut done,
+            )
         }));
         self.trace
             .record(EventKind::FiringEnd, id.0, self.counters.total() - before);
+        self.firings += done;
+        // The failed firing was attempted too.
+        self.attempts[stage] += done + u64::from(!matches!(result, Ok(Ok(()))));
         match result {
-            Ok(Ok(())) => {
-                self.firings += 1;
-                true
-            }
+            Ok(Ok(())) => true,
             Ok(Err(e)) => {
                 // The firing already poisoned the touched tapes.
-                self.fail(id, firing, FailureCause::Vm(e));
+                self.fail(id, first + done, FailureCause::Vm(e));
                 false
             }
             Err(payload) => {
@@ -314,50 +330,46 @@ impl SessionEngine {
                     self.tapes[t].poison();
                 }
                 let msg = firing::panic_message(payload.as_ref());
-                self.fail(id, firing, FailureCause::Panic(msg));
+                self.fail(id, first + done, FailureCause::Panic(msg));
                 false
             }
         }
     }
 
-    /// Fire one node once (no supervision — callers wrap this).
-    fn fire_node(&mut self, id: NodeId) -> Result<(), macross_vm::VmError> {
-        let i = id.0 as usize;
-        firing::fire_node(
-            &self.adj[i],
-            self.graph.node(id),
-            &mut self.states[i],
-            &mut self.tapes,
-            &self.machine,
-            &mut self.counters,
-            &mut self.outputs[i],
-        )
-    }
-
-    /// One pass over a schedule phase (init or steady), honouring the
-    /// taint drain: tainted stages are skipped, stages that would touch a
-    /// poisoned tape are tainted instead of fired, everything else runs
-    /// to flush its clean data.
+    /// One pass over a schedule phase (init or steady), each node's
+    /// repetitions as one guarded block, honouring the taint drain:
+    /// tainted stages are skipped, stages that would touch a poisoned tape
+    /// are tainted instead of fired, everything else runs to flush its
+    /// clean data.
     fn run_phase(&mut self, init: bool) {
-        let order = self.schedule.order.clone();
+        let schedule = Arc::clone(&self.schedule);
         let draining_at_entry = self.quarantined;
-        for id in order {
-            let reps = if init {
-                self.schedule.init_reps[id.0 as usize]
+        for &id in &schedule.order {
+            let stage = id.0 as usize;
+            let mut left = if init {
+                schedule.init_reps[stage]
             } else {
-                self.schedule.reps[id.0 as usize]
+                schedule.reps[stage]
             };
-            for _ in 0..reps {
-                if self.tainted[id.0 as usize] {
+            while left > 0 {
+                if self.tainted[stage] {
                     break;
                 }
                 if (self.quarantined || draining_at_entry) && self.adjacent_poisoned(id) {
                     self.taint_from(id);
                     break;
                 }
-                if !self.fire_guarded(id) {
+                // Up to the next planned fault, which then fires alone.
+                let k = if self.trace.active() {
+                    1
+                } else {
+                    let next = self.plan.first_fault(stage, self.attempts[stage], 1, left);
+                    next.unwrap_or(left).max(1)
+                };
+                if !self.fire_guarded(id, k) {
                     break;
                 }
+                left -= k;
             }
         }
     }
@@ -599,6 +611,147 @@ mod tests {
         let machine = Arc::new(Machine::core_i7());
         let programs = CompiledPrograms::compile(&g, &machine, ExecMode::default());
         SessionEngine::new(g, sched, machine, &programs, plan, 0)
+    }
+
+    /// src (4 tokens a firing) -> bomb -> sink: the bomb and the sink fire
+    /// four times an iteration, so their blocks have an inside. The bomb
+    /// blows its own firing `fail_at` with an out-of-range peek, after it
+    /// has counted the firing and before it pushes.
+    fn build_wide(fail_at: i32, plan: FaultPlan) -> SessionEngine {
+        let mut src = FilterBuilder::new("src", 0, 0, 4, ScalarTy::I32);
+        let n = src.state("n", Ty::Scalar(ScalarTy::I32));
+        src.work(|b| {
+            for _ in 0..4 {
+                b.push(v(n));
+                b.set(n, v(n) + 1i32);
+            }
+        });
+        let mut bomb = FilterBuilder::new("bomb", 1, 1, 1, ScalarTy::I32);
+        let fired = bomb.state("fired", Ty::Scalar(ScalarTy::I32));
+        let junk = bomb.local("junk", Ty::Scalar(ScalarTy::I32));
+        bomb.work(move |b| {
+            b.set(fired, v(fired) + 1i32);
+            b.if_(eq(v(fired), fail_at + 1), |b| {
+                b.set(junk, peek(1_000_000i32));
+            });
+            b.push(pop() * 5i32);
+        });
+        let g = StreamSpec::pipeline(vec![src.build_spec(), bomb.build_spec(), StreamSpec::Sink])
+            .build()
+            .unwrap();
+        let g = Arc::new(g);
+        let sched = Arc::new(SdfSchedule::compute(&g).unwrap());
+        assert_eq!(sched.reps, vec![1, 4, 4]);
+        let machine = Arc::new(Machine::core_i7());
+        let programs = CompiledPrograms::compile(&g, &machine, ExecMode::default());
+        SessionEngine::new(g, sched, machine, &programs, plan, 0)
+    }
+
+    /// `run_steady` as it was before blocks: an envelope per firing.
+    fn steady_one_at_a_time(s: &mut SessionEngine, iters: u64) {
+        s.run_init();
+        let schedule = Arc::clone(&s.schedule);
+        for _ in 0..iters {
+            if s.quarantined {
+                break;
+            }
+            for &id in &schedule.order {
+                for _ in 0..schedule.reps[id.0 as usize] {
+                    if s.tainted[id.0 as usize] {
+                        break;
+                    }
+                    if s.quarantined && s.adjacent_poisoned(id) {
+                        s.taint_from(id);
+                        break;
+                    }
+                    if !s.fire_guarded(id, 1) {
+                        break;
+                    }
+                }
+            }
+            if !s.quarantined {
+                s.iters_done += 1;
+            }
+        }
+    }
+
+    /// Everything a run leaves behind that a caller or a later firing can
+    /// see.
+    fn leftovers(s: &SessionEngine) -> impl PartialEq + std::fmt::Debug {
+        let tapes: Vec<_> = s
+            .tapes
+            .iter()
+            .map(|t| (t.len(), t.is_poisoned(), t.stats()))
+            .collect();
+        (
+            (s.failures.clone(), s.outputs.clone(), tapes),
+            (s.firings, s.iters_done, s.counters),
+            (s.attempts.clone(), s.tainted.clone()),
+        )
+    }
+
+    #[test]
+    fn guest_fault_inside_a_block_names_its_firing_and_keeps_what_came_before() {
+        // Firing 6 of the bomb is the third of its second block: the block
+        // began at firing 4 and two firings completed in it.
+        for fail_at in [4, 6, 7] {
+            let mut blocks = build_wide(fail_at, FaultPlan::none());
+            assert_eq!(blocks.run_steady(5), SessionStatus::Faulted);
+            let f = &blocks.failures()[0];
+            assert_eq!((f.stage, f.firing), (1, fail_at as u64));
+            assert_eq!(f.cause.label(), "vm");
+            // What the block's earlier firings pushed stands on the tape
+            // (poisoned with it), and the sink has the whole iteration
+            // before.
+            assert_eq!(blocks.tapes[1].len(), fail_at as usize - 4);
+            assert_eq!(blocks.firings(), (1 + 4 + 4) + 1 + (fail_at as u64 - 4));
+            let mut singles = build_wide(fail_at, FaultPlan::none());
+            steady_one_at_a_time(&mut singles, 5);
+            assert_eq!(leftovers(&blocks), leftovers(&singles), "bomb at {fail_at}");
+            let expect: Vec<Value> = (0..4).map(|x| Value::I32(x * 5)).collect();
+            assert_eq!(blocks.take_outputs()[0], expect);
+        }
+    }
+
+    /// A planned fault cuts its block in three: the firings before it as
+    /// one block, the addressed firing alone, the rest as one block — at
+    /// the first, a middle and the last firing of a block alike, with
+    /// exactly what an envelope per firing leaves behind.
+    #[test]
+    fn planned_fault_splits_a_block_at_its_firing() {
+        if !crate::fault::FAULTS_COMPILED {
+            return;
+        }
+        let kinds = [
+            FaultKind::Panic,
+            FaultKind::PoisonTape,
+            FaultKind::StallFiring { nanos: 1000 },
+            FaultKind::DelayPush { nanos: 1000 },
+            FaultKind::DropUnpark { count: 1 },
+        ];
+        for kind in kinds {
+            for firing in [4, 6, 7] {
+                let plan = FaultPlan::single(1, firing, kind);
+                let mut blocks = build_wide(i32::MAX - 1, plan.clone());
+                let status = blocks.run_steady(3);
+                let fatal = matches!(kind, FaultKind::Panic | FaultKind::PoisonTape);
+                assert_eq!(status == SessionStatus::Faulted, fatal, "{kind:?}");
+                if fatal {
+                    let f = &blocks.failures()[0];
+                    assert_eq!((f.stage, f.firing), (1, firing), "{kind:?}");
+                    assert_eq!(blocks.tapes[1].len() as u64, firing - 4, "{kind:?}");
+                } else {
+                    assert_eq!(blocks.outputs[2].len(), 12, "{kind:?}");
+                }
+                let mut singles = build_wide(i32::MAX - 1, plan);
+                steady_one_at_a_time(&mut singles, 3);
+                assert_eq!(
+                    leftovers(&blocks),
+                    leftovers(&singles),
+                    "{kind:?} at {firing}"
+                );
+            }
+        }
     }
 
     #[test]

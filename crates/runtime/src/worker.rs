@@ -15,16 +15,19 @@
 //! single-threaded executor would have seen, which is what makes the
 //! differential tests exact.
 //!
-//! Workers are *supervised*: every firing runs inside `catch_unwind`
-//! with a heartbeat the watchdog samples, failures become typed
-//! [`StageFailure`]s instead of process aborts, and on the first failure
-//! the run switches to a coordinated drain (see [`Worker::drain`]).
+//! Workers are *supervised*: firings run inside `catch_unwind` with a
+//! heartbeat the watchdog samples — a node's whole share of an iteration
+//! block in one envelope ([`Worker::fire_many`]), one firing at a time
+//! where something is addressed to a single firing
+//! ([`Worker::fire_plan`]) — failures become typed [`StageFailure`]s
+//! instead of process aborts, and on the first failure the run switches
+//! to a coordinated drain (see [`Worker::drain`]).
 
 use crate::fault::FaultKind;
 use crate::ring::Ring;
 use crate::supervisor::{FailureCause, StageFailure, Supervisor, SupervisorOptions};
 use crate::{stage_name, EdgeRings, Placement, Stage, StartGate, ITER_BLOCK};
-use macross_sdf::Schedule;
+use macross_sdf::{buffer_requirements, Schedule};
 use macross_streamir::graph::{Graph, Node, NodeId};
 use macross_streamir::types::Value;
 use macross_telemetry::{clock, EventKind, WorkerTrace};
@@ -39,14 +42,6 @@ use std::time::Instant;
 /// The supervisor interrupt was observed: stop the scheduled phase and
 /// switch to draining (or return, when already draining).
 struct Stop;
-
-/// Smallest batch worth the admission work (a 1-batch is just a firing).
-const MIN_BATCH: u64 = 2;
-/// Starting adaptive batch depth of a stage that feeds a ring.
-const INIT_BATCH: u64 = 8;
-/// Upper clamp for the adaptive depth: bounds how long a consumer on
-/// another core waits for the flush even when its ring always runs dry.
-const MAX_BATCH: u64 = 64;
 
 /// What a worker hands back to the coordinator. Failures travel through
 /// the [`Supervisor`], so this is plain (possibly partial) output.
@@ -162,18 +157,15 @@ struct Push {
     ring_block: usize,
     /// Total tokens shipped on this edge — the rotation cursor.
     shipped: usize,
-    /// Tokens one firing pushes on this edge (sizes batch admission).
-    rate: usize,
 }
 
 impl Push {
-    fn single(edge: usize, ring: Arc<Ring>, rate: usize) -> Push {
+    fn single(edge: usize, ring: Arc<Ring>) -> Push {
         Push {
             edge,
             rings: vec![ring],
             ring_block: 0,
             shipped: 0,
-            rate,
         }
     }
 
@@ -253,8 +245,6 @@ struct NodePlan {
     /// offset+2k, …` — `attempts` stays the *global* firing index, so
     /// fault addressing and trace attribution match the sequential run.
     stride: u64,
-    /// Current adaptive batch depth, clamped to `[MIN_BATCH, MAX_BATCH]`.
-    depth: u64,
 }
 
 /// Record a mark of each tape in `ids`, in that order.
@@ -283,9 +273,12 @@ pub(crate) struct Worker<'g> {
     counters: CycleCounters,
     /// Values captured per node id (non-empty for this core's sinks only).
     outputs: Vec<Vec<Value>>,
-    /// Tape marks of the firing (or batch) in flight, in the order of the
+    /// Tape marks of the firing or share in flight, in the order of the
     /// plan's tape list; reused so a firing allocates nothing.
     marks: Vec<TapeMark>,
+    /// What the filter of the share in flight held before it
+    /// ([`FilterState::save_to`]); reused likewise.
+    saved: FilterState,
     /// This core's trace handle (zero-sized no-op unless the `telemetry`
     /// feature is on and a live session was passed to the run).
     trace: WorkerTrace,
@@ -316,7 +309,28 @@ impl<'g> Worker<'g> {
         iters: u64,
     ) -> Worker<'g> {
         let assignment = &placement.assignment;
-        let mut tapes: Vec<Tape> = graph.edges().map(|(_, e)| Tape::new(e.elem)).collect();
+        // A node runs here when assigned here — or, if fissioned, when
+        // this core hosts one of its replicas.
+        let on_core = |id: NodeId| match placement.fission_of(id) {
+            Some(spec) => spec.replicas.contains(&core),
+            None => assignment[id.0 as usize] == core,
+        };
+        // A tape half of this core holds up to a block of its edge (a
+        // share is fired whole, then flushed): sized once, here, not
+        // doubling by doubling inside the first timed block.
+        let block = ITER_BLOCK.min(iters);
+        let mut tapes: Vec<Tape> = graph
+            .edges()
+            .zip(buffer_requirements(graph, schedule))
+            .map(|((_, e), req)| {
+                let mut tape = Tape::new(e.elem);
+                if on_core(e.src) || on_core(e.dst) {
+                    let steady = req.capacity - req.init_tokens;
+                    tape.reserve((req.init_tokens + block * steady) as usize);
+                }
+                tape
+            })
+            .collect();
         for (i, (_, e)) in graph.edges().enumerate() {
             let Some(r) = e.reorder else { continue };
             // Fissioned nodes reject reorder on their edges (see
@@ -334,12 +348,6 @@ impl<'g> Worker<'g> {
                 _ => {}
             }
         }
-        // A node runs here when assigned here — or, if fissioned, when
-        // this core hosts one of its replicas.
-        let on_core = |id: NodeId| match placement.fission_of(id) {
-            Some(spec) => spec.replicas.contains(&core),
-            None => assignment[id.0 as usize] == core,
-        };
         let states: Vec<FilterState> = graph
             .nodes()
             .map(|(id, node)| match node {
@@ -434,19 +442,18 @@ impl<'g> Worker<'g> {
             let mut pushes = Vec::new();
             for eid in graph.out_edges(id) {
                 let e = graph.edge(eid);
-                let rate = node.push_rate(e.src_port);
                 match &rings[eid.0 as usize] {
                     EdgeRings::Local => {}
                     EdgeRings::Single(ring) => {
                         ring.register_producer();
-                        pushes.push(Push::single(eid.0 as usize, Arc::clone(ring), rate));
+                        pushes.push(Push::single(eid.0 as usize, Arc::clone(ring)));
                     }
                     EdgeRings::Fission(rs) if stride > 1 => {
                         // Fissioned producer: replica r writes only its
                         // own merge ring.
                         let ring = &rs[offset as usize];
                         ring.register_producer();
-                        pushes.push(Push::single(eid.0 as usize, Arc::clone(ring), rate));
+                        pushes.push(Push::single(eid.0 as usize, Arc::clone(ring)));
                     }
                     EdgeRings::Fission(rs) => {
                         // Deal point: the consumer is fissioned, tokens
@@ -460,7 +467,6 @@ impl<'g> Worker<'g> {
                             rings: rs.iter().map(Arc::clone).collect(),
                             ring_block,
                             shipped: 0,
-                            rate,
                         });
                     }
                 }
@@ -490,8 +496,13 @@ impl<'g> Worker<'g> {
                 completed: 0,
                 scheduled,
                 stride,
-                depth: INIT_BATCH,
             });
+        }
+        let mut outputs = vec![Vec::new(); graph.node_count()];
+        for plan in &plans {
+            if matches!(graph.node(plan.id), Node::Sink) {
+                outputs[plan.id.0 as usize].reserve(plan.scheduled as usize);
+            }
         }
         Worker {
             graph,
@@ -501,8 +512,9 @@ impl<'g> Worker<'g> {
             plans,
             stages,
             counters: CycleCounters::default(),
-            outputs: vec![Vec::new(); graph.node_count()],
+            outputs,
             marks: Vec::new(),
+            saved: FilterState::default(),
             trace,
             core,
             opts,
@@ -534,13 +546,12 @@ impl<'g> Worker<'g> {
                 }
             }
         }
-        // Init schedule (primes peek slack), in global-order restriction.
+        // Init schedule (primes peek slack), in global-order restriction:
+        // a plan's init firings are its share of block 0.
         for p in 0..self.plans.len() {
-            for _ in 0..self.plans[p].init_reps {
-                if self.fire_plan(p).is_err() {
-                    self.drain();
-                    return self.into_out(0);
-                }
+            if self.run_share(p, 0).is_err() {
+                self.drain();
+                return self.into_out(0);
             }
         }
         // Don't let fast cores start the clock while others still prime.
@@ -560,36 +571,11 @@ impl<'g> Worker<'g> {
         // those of the iteration-major loop.
         let mut t = 0;
         'steady: while t < iters {
-            let block = ITER_BLOCK.min(iters - t);
-            t += block;
+            t += ITER_BLOCK.min(iters - t);
             for p in 0..self.plans.len() {
-                if self.plans[p].stride > 1 {
-                    // Replica: fire every stride-th global firing up to
-                    // this block's boundary. `attempts` is the global
-                    // index, so the bound is the full per-iteration reps.
-                    let end = t * self.plans[p].reps;
-                    while self.plans[p].attempts < end {
-                        if self.fire_plan(p).is_err() {
-                            stopped = true;
-                            break 'steady;
-                        }
-                    }
-                    continue;
-                }
-                let reps = block * self.plans[p].reps;
-                let mut done = 0u64;
-                while done < reps {
-                    let k = self.batch_size(p, reps - done);
-                    let fired = if k >= MIN_BATCH {
-                        self.fire_batch(p, k)
-                    } else {
-                        self.fire_plan(p)
-                    };
-                    if fired.is_err() {
-                        stopped = true;
-                        break 'steady;
-                    }
-                    done += if k >= MIN_BATCH { k } else { 1 };
+                if self.run_share(p, t).is_err() {
+                    stopped = true;
+                    break 'steady;
                 }
             }
         }
@@ -655,9 +641,12 @@ impl<'g> Worker<'g> {
         restore_marks(&mut self.tapes, outs, &self.marks);
     }
 
-    /// One firing of plan `p`: pull cut-edge inputs, fire (inside
-    /// `catch_unwind`, under a heartbeat, with any planned fault applied),
-    /// flush cut-edge outputs.
+    /// One firing of plan `p` in an envelope of its own: pull cut-edge
+    /// inputs, fire (inside `catch_unwind`, under a heartbeat, with any
+    /// planned fault applied), flush cut-edge outputs. The path of
+    /// everything addressed to a single firing — a planned fault, a
+    /// watchdog timeout, a trace span, the replay that finds which firing
+    /// of a share failed.
     fn fire_plan(&mut self, p: usize) -> Result<(), Stop> {
         if self.sup.draining() {
             return Err(Stop);
@@ -700,9 +689,7 @@ impl<'g> Worker<'g> {
         // condemned by the watchdog (blocked waits are interruptible
         // through the abort flag instead). The heartbeat covers only the
         // firing itself.
-        if self.ensure_inputs(p).is_err() {
-            return Err(Stop);
-        }
+        self.ensure_inputs(p)?;
         let hb = self.sup.heartbeat(self.slot);
         hb.begin(stage, firing);
         if let Some(FaultKind::StallFiring { nanos }) = fault {
@@ -720,7 +707,7 @@ impl<'g> Worker<'g> {
             if matches!(fault, Some(FaultKind::Panic)) {
                 panic!("injected fault: panic at stage {stage} firing {firing}");
             }
-            self.fire_node(p)
+            self.fire(p, 1)
         }));
         self.trace
             .record(EventKind::FiringEnd, id.0, self.counters.total() - before);
@@ -748,8 +735,7 @@ impl<'g> Worker<'g> {
             self.rollback_outputs(p);
             return Err(Stop);
         }
-        self.plans[p].completed += 1;
-        self.stages[stage].firings.fetch_add(1, Ordering::Relaxed);
+        self.commit(p, 1);
         if delay_push > 0 && self.cooperative_stall(delay_push).is_err() {
             // Another stage failed during the injected delay; the drain
             // below flushes this firing's committed output.
@@ -761,226 +747,131 @@ impl<'g> Worker<'g> {
         Ok(())
     }
 
-    /// How many of the next `remaining` firings of plan `p` (what is left
-    /// of its share of the iteration block) can run as one batch.
-    /// Filters only, steady phase only, never under a
-    /// watchdog (per-firing timeout attribution needs per-firing
-    /// heartbeats) and never across an injected fault (the faulty firing
-    /// runs un-batched with the full fault setup). Tops the cut in-edge
-    /// tapes up with whatever their rings hold right now (non-blocking)
-    /// and requires ring space for the whole batch's output, so the
-    /// batched firings themselves never wait on a ring.
-    fn batch_size(&mut self, p: usize, remaining: u64) -> u64 {
-        if remaining < MIN_BATCH || self.opts.wants_watchdog() || self.sup.draining() {
-            return 1;
-        }
-        let id = self.plans[p].id;
-        if !matches!(self.graph.node(id), Node::Filter(_)) {
-            return 1;
-        }
-        let stage = id.0 as usize;
-        // Replicas fire strided global indices (batch bookkeeping assumes
-        // +1 steps) and deal producers rotate rings mid-flush under
-        // rollback — both stay un-batched. Merge consumers batch fine:
-        // the top-up below rotates deterministically and is never rolled
-        // back (it precedes the batch snapshot).
-        if self.plans[p].stride > 1 || self.plans[p].pushes.iter().any(|ps| ps.rings.len() > 1) {
-            return 1;
-        }
-        // The depth trades dispatch cost against how long another core
-        // waits for the flush; a stage that feeds no ring keeps nobody
-        // waiting and takes what remains of its block.
-        let mut k = if self.plans[p].pushes.is_empty() {
-            remaining
-        } else {
-            remaining.min(self.plans[p].depth)
-        };
-        let attempts = self.plans[p].attempts;
-        for j in 0..k {
-            if self.opts.plan.fault_for(stage, attempts + j).is_some() {
-                k = j;
-                break;
+    /// Plan `p`'s share of a block: fire it up to the end of steady
+    /// iteration `t` (`t = 0`: its init firings) — for a replica, its
+    /// stride of the global firings up to there. One envelope takes as
+    /// much of the share as the inputs on this core cover and no planned
+    /// fault addresses; a firing someone wants to see alone — the fault
+    /// plan, a watchdog (timeouts are per firing), a live trace handle
+    /// (spans are) — goes through [`Worker::fire_plan`].
+    fn run_share(&mut self, p: usize, t: u64) -> Result<(), Stop> {
+        let single = self.opts.wants_watchdog() || self.trace.active();
+        loop {
+            let plan = &self.plans[p];
+            let end = plan.init_reps + t * plan.reps;
+            if plan.attempts >= end {
+                return Ok(());
+            }
+            let left = (end - plan.attempts).div_ceil(plan.stride);
+            // Firings before the next one that must fire alone.
+            let clean = if single {
+                0
+            } else {
+                let faults = &self.opts.plan;
+                faults
+                    .first_fault(plan.id.0 as usize, plan.attempts, plan.stride, left)
+                    .unwrap_or(left)
+            };
+            if clean == 0 {
+                self.fire_plan(p)?;
+            } else {
+                self.fire_many(p, clean)?;
             }
         }
-        if k < MIN_BATCH {
-            return 1;
-        }
+    }
+
+    /// Top the cut in-edge tapes of plan `p` up, without blocking, with
+    /// what their rings hold of the next `max` firings' input, and return
+    /// how many firings the tapes then cover — at least the one
+    /// [`Worker::ensure_inputs`] has waited for. Same-core inputs need no
+    /// look: their producers fired their share of the block already.
+    fn top_up(&mut self, p: usize, max: u64) -> u64 {
         let plan = &mut self.plans[p];
+        let stage = plan.id.0 as usize;
+        let mut k = max;
         for pull in &mut plan.pulls {
             let tape = &mut self.tapes[pull.edge];
             let pos = pull.consumed % pull.block;
             // Physical tokens k successive firings address: the last
-            // starts at block position pos + (k-1)*pop and reaches
-            // `need` further, rounded up to whole reorder blocks.
+            // starts at block position pos + (k-1)*pop and reaches `need`
+            // further, rounded up to whole reorder blocks.
             let target = pos + (k as usize - 1) * pull.pop + pull.need;
-            let target_phys = if pull.block > 1 {
-                target.div_ceil(pull.block) * pull.block
-            } else {
-                target
-            };
-            if tape.len() < target_phys {
-                let missing = target_phys - tape.len();
-                let got = pull.pop_rotating(tape, missing);
+            let target = target.next_multiple_of(pull.block);
+            if tape.len() < target {
+                let got = pull.pop_rotating(tape, target - tape.len());
                 if got > 0 {
                     self.stages[stage]
                         .ring_in
                         .fetch_add(got as u64, Ordering::Relaxed);
                 }
             }
-            let len = tape.len();
-            let cap = if pull.block > 1 {
-                (len / pull.block) * pull.block
-            } else {
-                len
-            };
-            let k_max = if cap < pos + pull.need {
-                0
-            } else {
-                match (cap - pos - pull.need).checked_div(pull.pop) {
-                    Some(extra) => (extra as u64 + 1).min(k),
-                    None => k,
-                }
-            };
-            k = k_max;
-            if k < MIN_BATCH {
-                return 1;
+            let whole_blocks = tape.len() / pull.block * pull.block;
+            if let Some(more) = (whole_blocks - pos - pull.need).checked_div(pull.pop) {
+                k = k.min(more as u64 + 1);
             }
         }
-        for push in &plan.pushes {
-            if let Some(room) = push.rings[0].free_space().checked_div(push.rate) {
-                k = k.min(room as u64);
-            }
-        }
-        if k < MIN_BATCH {
-            1
-        } else {
-            k
-        }
+        k
     }
 
-    /// Adjust plan `p`'s batch depth from downstream ring occupancy after
-    /// a flush (a plan that feeds no ring has no depth to adjust — see
-    /// [`Worker::batch_size`]): any near-full ring (≥ 3/4) means the
-    /// consumer is behind —
-    /// halve so it waits less per wakeup; all near-empty (≤ 1/4) means
-    /// the consumer is starved — grow so each flush delivers more.
-    /// Output-invariant: depth only regroups firings into batches, never
-    /// reorders tokens.
-    fn adapt_depth(&mut self, p: usize) {
-        let plan = &mut self.plans[p];
-        if plan.pushes.is_empty() {
-            return;
-        }
-        let mut any_full = false;
-        let mut all_idle = true;
-        for push in &plan.pushes {
-            for ring in &push.rings {
-                let cap = ring.capacity();
-                let used = cap - ring.free_space().min(cap);
-                if used * 4 >= cap * 3 {
-                    any_full = true;
-                }
-                if used * 4 > cap {
-                    all_idle = false;
-                }
-            }
-        }
-        let depth = plan.depth;
-        let next = if any_full {
-            (depth / 2).max(MIN_BATCH)
-        } else if all_idle {
-            (depth * 2).min(MAX_BATCH)
-        } else {
-            depth
-        };
-        if next != depth {
-            plan.depth = next;
-            self.trace.record(EventKind::BatchDepth, plan.id.0, next);
-        }
-    }
-
-    /// Fire plan `p` `k` times as one batch: inputs already topped up and
-    /// output space verified by [`Worker::batch_size`], one heartbeat
-    /// window and one output flush for the whole batch. Cycle accounting
-    /// and failure attribution stay per-firing: `fire_node` runs (and
-    /// charges) each firing individually, and a batch that fails is
-    /// rolled back — tapes, filter state, modelled counters, plan
-    /// cursors — and re-run un-batched, so the deterministic failure
-    /// recurs at the exact firing with the standard path's output
-    /// rollback and `StageFailure` attribution.
-    fn fire_batch(&mut self, p: usize, k: u64) -> Result<(), Stop> {
+    /// Fire plan `p` up to `max` times in one envelope: one wait for
+    /// input, one heartbeat window, one snapshot, one `catch_unwind`
+    /// around one `fire_block`, one output flush. Cycle accounting stays
+    /// per firing (`fire_block` charges each), and so does failure
+    /// attribution: a run that fails is undone — tapes, filter state,
+    /// modelled counters, sink output; the cursors have not moved yet —
+    /// and replayed through [`Worker::fire_plan`], so the deterministic
+    /// failure recurs at its exact firing with that path's own output
+    /// rollback and `StageFailure`. Ring statistics are not undone: the
+    /// replay finds its tokens on this core and pulls none again.
+    fn fire_many(&mut self, p: usize, max: u64) -> Result<(), Stop> {
         if self.sup.draining() {
             return Err(Stop);
         }
-        let id = self.plans[p].id;
-        let stage = id.0 as usize;
-        let first_firing = self.plans[p].attempts;
-
-        // Snapshot everything a failed batch must roll back: a mark on
-        // every tape half the node touches (cut and local, both sides —
-        // the batch only pops its inputs and only pushes its outputs, so
-        // marks suffice), the filter state, the modelled counters, and
-        // the plan cursors. Stats and traces are not rolled back — the
-        // replay does not re-pull from rings (tokens are already local),
-        // and the batch loop records no per-firing trace events (see
-        // below), so nothing double-counts.
+        // Outside the heartbeat, like every input wait (see `fire_plan`).
+        self.ensure_inputs(p)?;
+        let k = self.top_up(p, max);
+        let stage = self.plans[p].id.0 as usize;
+        // Marks undo a node's pops and pushes alike; the top-up is not
+        // undone, and precedes them. A native node's state is empty.
         take_marks(&mut self.marks, &self.tapes, self.plans[p].adj.tapes());
-        let consumed: Vec<usize> = self.plans[p].pulls.iter().map(|pl| pl.consumed).collect();
-        let state = self.states[stage].clone();
+        self.states[stage].save_to(&mut self.saved);
         let counters = self.counters;
-        let completed = self.plans[p].completed;
+        let sunk = self.outputs[stage].len();
 
         let hb = self.sup.heartbeat(self.slot);
-        hb.begin(stage, first_firing);
-        let mut failed = false;
-        for _ in 0..k {
-            self.plans[p].attempts += 1;
-            // The tapes were topped up, so this finds every token
-            // locally — no ring waits — while keeping the per-firing
-            // `consumed` bookkeeping identical to the un-batched path.
-            if self.ensure_inputs(p).is_err() {
-                hb.end();
-                return Err(Stop);
-            }
-            // No FiringStart/End here: a successful batch is represented
-            // by the single BatchedFiring event below, and a failed batch
-            // replays un-batched through fire_plan, whose per-firing
-            // events would otherwise duplicate ones recorded here for the
-            // firings that succeeded before the failure.
-            let result = catch_unwind(AssertUnwindSafe(|| self.fire_node(p)));
-            if !matches!(result, Ok(Ok(()))) {
-                failed = true;
-                break;
-            }
-            self.plans[p].completed += 1;
-        }
+        hb.begin(stage, self.plans[p].attempts);
+        let result = catch_unwind(AssertUnwindSafe(|| self.fire(p, k)));
         hb.end();
-        if failed {
+        if !matches!(result, Ok(Ok(()))) {
             restore_marks(&mut self.tapes, self.plans[p].adj.tapes(), &self.marks);
-            for (pull, &c) in self.plans[p].pulls.iter_mut().zip(&consumed) {
-                pull.consumed = c;
-            }
-            self.states[stage] = state;
+            self.states[stage].restore_from(&self.saved);
             self.counters = counters;
-            self.plans[p].attempts = first_firing;
-            self.plans[p].completed = completed;
-            for _ in 0..k {
-                self.fire_plan(p)?;
-            }
-            return Ok(());
+            self.outputs[stage].truncate(sunk);
+            return (0..k).try_for_each(|_| self.fire_plan(p));
         }
-        self.stages[stage].firings.fetch_add(k, Ordering::Relaxed);
+        self.plans[p].attempts += k * self.plans[p].stride;
+        self.commit(p, k);
         self.stages[stage]
             .batched_firings
             .fetch_add(k, Ordering::Relaxed);
-        self.trace.record(EventKind::BatchedFiring, id.0, k);
-        self.flush_outputs(p)?;
-        self.adapt_depth(p);
-        Ok(())
+        self.flush_outputs(p)
+    }
+
+    /// Count `k` firings of plan `p` completed: their output stands and
+    /// their input is consumed.
+    fn commit(&mut self, p: usize, k: u64) {
+        let plan = &mut self.plans[p];
+        plan.completed += k;
+        for pull in &mut plan.pulls {
+            pull.consumed += k as usize * pull.pop;
+        }
+        self.stages[plan.id.0 as usize]
+            .firings
+            .fetch_add(k, Ordering::Relaxed);
     }
 
     /// Pull from each cut in-edge until the local tape half holds every
-    /// physical token this firing can address.
+    /// physical token the next firing can address.
     fn ensure_inputs(&mut self, p: usize) -> Result<(), Stop> {
         let abort = self.sup.interrupt_flag();
         let plan = &mut self.plans[p];
@@ -1027,7 +918,6 @@ impl<'g> Worker<'g> {
             if let Some((i, t0)) = stall {
                 pull.rings[i].end_empty_stall(t0, &self.trace);
             }
-            pull.consumed += pull.pop;
             if got > 0 {
                 self.stages[node_idx]
                     .ring_in
@@ -1204,16 +1094,12 @@ impl<'g> Worker<'g> {
         self.mark_outputs(p);
         self.trace.record(EventKind::FiringStart, id.0, 0);
         let before = self.counters.total();
-        let result = catch_unwind(AssertUnwindSafe(|| self.fire_node(p)));
+        let result = catch_unwind(AssertUnwindSafe(|| self.fire(p, 1)));
         self.trace
             .record(EventKind::FiringEnd, id.0, self.counters.total() - before);
         let cause = match result {
             Ok(Ok(())) => {
-                self.plans[p].completed += 1;
-                self.stages[stage].firings.fetch_add(1, Ordering::Relaxed);
-                for pull in &mut self.plans[p].pulls {
-                    pull.consumed += pull.pop;
-                }
+                self.commit(p, 1);
                 self.flush_avail(p);
                 return true;
             }
@@ -1253,19 +1139,22 @@ impl<'g> Worker<'g> {
         }
     }
 
-    /// Fire plan `p`'s node once against the local tapes through the
-    /// shared firing path, a sink's value landing in this core's outputs.
-    fn fire_node(&mut self, p: usize) -> Result<(), macross_vm::VmError> {
+    /// Fire plan `p`'s node `k` times against the local tapes through the
+    /// shared firing path, a sink's values landing in this core's outputs.
+    /// Which firing failed is found by replay, not by count.
+    fn fire(&mut self, p: usize, k: u64) -> Result<(), macross_vm::VmError> {
         let plan = &self.plans[p];
         let idx = plan.id.0 as usize;
-        firing::fire_node(
+        firing::fire_block(
             &plan.adj,
             self.graph.node(plan.id),
             &mut self.states[idx],
             &mut self.tapes,
             self.machine,
             &mut self.counters,
+            k,
             &mut self.outputs[idx],
+            &mut 0,
         )
     }
 }

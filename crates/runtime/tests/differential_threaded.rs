@@ -11,11 +11,15 @@
 //! local (including reordered tapes split across cores).
 
 use macross::driver::{macro_simdize, SimdizeOptions};
-use macross_multicore::Partition;
-use macross_runtime::{run_threaded_placed, FaultPlan, Placement, SessionEngine, SessionStatus};
+use macross_multicore::{plan_placement, CommModel, Partition};
+use macross_runtime::{
+    run_supervised_placed, run_threaded_placed, FaultPlan, FissionSpec, Placement, SessionEngine,
+    SessionStatus, SupervisedRun, SupervisorOptions,
+};
 use macross_sdf::Schedule;
-use macross_streamir::graph::Graph;
+use macross_streamir::graph::{Graph, NodeId};
 use macross_streamir::types::Value;
+use macross_telemetry::TraceSession;
 use macross_vm::{run_scheduled, CompiledPrograms, ExecMode, Executor, Machine};
 use std::sync::Arc;
 
@@ -298,4 +302,160 @@ fn oversubscribed_workers_finish_inside_a_wall_clock_bound() {
         "8 workers on {:?} cores took {took:?}",
         std::thread::available_parallelism()
     );
+}
+
+/// A clean supervised run in `mode`; with `one_at_a_time`, under a
+/// watchdog that never fires — a timeout is per firing, so every firing
+/// then takes an envelope of its own, as all of them did before shares.
+fn supervised(
+    ctx: &str,
+    graph: &Graph,
+    schedule: &Schedule,
+    placement: &Placement,
+    iters: u64,
+    mode: ExecMode,
+    one_at_a_time: bool,
+) -> SupervisedRun {
+    let opts = SupervisorOptions {
+        mode,
+        watchdog: one_at_a_time.then(|| std::time::Duration::from_secs(3600)),
+        ..SupervisorOptions::default()
+    };
+    let session = TraceSession::disabled();
+    let machine = Machine::core_i7();
+    let run = run_supervised_placed(graph, schedule, &machine, placement, iters, &opts, &session)
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    assert!(run.completed, "{ctx}: {:?}", run.report.failures);
+    run
+}
+
+/// `(all firings, firings inside a share envelope)` of a run.
+fn firings_and_batched(run: &SupervisedRun) -> (u64, u64) {
+    let stages = &run.report.stages;
+    (
+        stages.iter().map(|s| s.firings).sum(),
+        stages.iter().map(|s| s.batched_firings).sum(),
+    )
+}
+
+/// Firing a node's share of a block through one envelope must be
+/// invisible in everything but wall-clock: against the same run with one
+/// envelope per firing, the same sink bits, modelled cycles, per-stage
+/// firings and ring traffic — on every suite program, scalar and
+/// SIMDized, under the planner's placement (fission included) and under
+/// one that cuts every edge, in both engines, across a block boundary.
+/// And every firing of a clean run with default options is in a share.
+#[test]
+fn shares_match_one_envelope_per_firing_on_every_benchmark() {
+    let machine = Machine::core_i7();
+    let iters = macross_runtime::iteration_block() + 3;
+    for b in macross_benchsuite::all() {
+        let graph = (b.build)();
+        let simd = macro_simdize(&graph, &machine, &SimdizeOptions::all())
+            .unwrap_or_else(|e| panic!("{}: simdize failed: {e}", b.name));
+        let scalar = Schedule::compute(&graph).expect("benchsuite graph must schedule");
+        for (cfg, graph, schedule) in [
+            ("scalar", &graph, &scalar),
+            ("simdized", &simd.graph, &simd.schedule),
+        ] {
+            let profile = run_scheduled(graph, schedule, &machine, 2).unwrap();
+            let planned = plan_placement(
+                graph,
+                schedule,
+                &profile.node_cycles,
+                2,
+                &CommModel::default(),
+            )
+            .placement;
+            let every_edge_cut =
+                Placement::whole_stage((0..graph.node_count() as u32).map(|i| i % 4).collect());
+            for (how, placement) in [("planned", &planned), ("round-robin", &every_edge_cut)] {
+                for mode in [ExecMode::Bytecode, ExecMode::TreeWalk] {
+                    let ctx = format!("{}/{cfg}/{how}/{mode:?}", b.name);
+                    let shares = supervised(&ctx, graph, schedule, placement, iters, mode, false);
+                    let singles = supervised(&ctx, graph, schedule, placement, iters, mode, true);
+                    assert_bits_eq(&ctx, &singles.output, &shares.output);
+                    let cycles = |run: &SupervisedRun| {
+                        let mut total = macross_vm::CycleCounters::default();
+                        run.report
+                            .core_modelled
+                            .iter()
+                            .for_each(|c| total.absorb(c));
+                        total
+                    };
+                    assert_eq!(cycles(&shares), cycles(&singles), "{ctx}: modelled cycles");
+                    let traffic = |run: &SupervisedRun| -> Vec<(u64, u64, u64)> {
+                        let stages = run.report.stages.iter();
+                        stages.map(|s| (s.firings, s.ring_in, s.ring_out)).collect()
+                    };
+                    assert_eq!(traffic(&shares), traffic(&singles), "{ctx}: stage counters");
+                    let (all, batched) = firings_and_batched(&shares);
+                    assert!(
+                        batched as f64 >= 0.98 * all as f64,
+                        "{ctx}: {batched} of {all} firings in shares"
+                    );
+                    assert_eq!(firings_and_batched(&singles).1, 0, "{ctx}");
+                }
+            }
+        }
+    }
+}
+
+/// The init schedule goes through the share path too — the FIR's peek
+/// slack is primed across a cut edge here, every edge being cut — and so
+/// do a fissioned stage's replicas, the deal producer that feeds them and
+/// the merge consumer behind their two rings: stage by stage, every
+/// firing of these runs is inside a share.
+#[test]
+fn init_firings_replicas_and_their_neighbours_fire_in_shares() {
+    let machine = Machine::core_i7();
+    let iters = 2 * macross_runtime::iteration_block() + 1;
+    let all_in_shares = |ctx: &str, graph: &Graph, placement: &Placement| {
+        let schedule = Schedule::compute(graph).unwrap();
+        let seq = run_scheduled(graph, &schedule, &machine, iters).unwrap();
+        let mode = ExecMode::default();
+        let run = supervised(ctx, graph, &schedule, placement, iters, mode, false);
+        assert_bits_eq(ctx, &seq.output, &run.output);
+        for (i, stage) in run.report.stages.iter().enumerate() {
+            let scheduled = schedule.init_reps[i] + iters * schedule.reps[i];
+            assert_eq!(stage.firings, scheduled, "{ctx}: stage {i}");
+            assert_eq!(stage.batched_firings, scheduled, "{ctx}: stage {i}");
+        }
+        schedule
+    };
+    let chain = mixed_rate_chain();
+    let schedule = all_in_shares("chain", &chain, &cyclic_placement(&chain, 2));
+    assert!(
+        schedule.init_reps.iter().any(|&r| r > 0),
+        "the chain must have an init schedule"
+    );
+
+    // src (4 tokens a firing) -> doubler on cores 1 and 2 -> sink.
+    use macross_streamir::builder::StreamSpec;
+    use macross_streamir::edsl::*;
+    use macross_streamir::types::{ScalarTy, Ty};
+    let mut src = FilterBuilder::new("src", 0, 0, 4, ScalarTy::I32);
+    let n = src.state("n", Ty::Scalar(ScalarTy::I32));
+    src.work(|b| {
+        for _ in 0..4 {
+            b.push(v(n));
+            b.set(n, v(n) + 1i32);
+        }
+    });
+    let mut dbl = FilterBuilder::new("dbl", 1, 1, 1, ScalarTy::I32);
+    dbl.work(|b| {
+        b.push(pop() * 2i32);
+    });
+    let fissionable =
+        StreamSpec::pipeline(vec![src.build_spec(), dbl.build_spec(), StreamSpec::Sink])
+            .build()
+            .unwrap();
+    let placement = Placement {
+        assignment: vec![0, 1, 0],
+        fission: vec![FissionSpec {
+            node: NodeId(1),
+            replicas: vec![1, 2],
+        }],
+    };
+    all_in_shares("fission", &fissionable, &placement);
 }

@@ -35,7 +35,6 @@ fn span_parts(kind: EventKind) -> Option<(&'static str, bool)> {
         | EventKind::DrainBegin
         | EventKind::WatchdogFire
         | EventKind::KernelFusion
-        | EventKind::BatchedFiring
         | EventKind::SessionAdmitted
         | EventKind::SessionRejected
         | EventKind::CacheHit
@@ -44,7 +43,6 @@ fn span_parts(kind: EventKind) -> Option<(&'static str, bool)> {
         | EventKind::SessionClosed
         | EventKind::SetParam
         | EventKind::Reconfigure
-        | EventKind::BatchDepth
         | EventKind::FissionReplica => None,
     }
 }
@@ -57,8 +55,6 @@ fn instant_cat(kind: EventKind) -> Option<&'static str> {
         EventKind::DrainBegin => Some("drain"),
         EventKind::WatchdogFire => Some("watchdog"),
         EventKind::KernelFusion => Some("kernel_fusion"),
-        EventKind::BatchedFiring => Some("batch"),
-        EventKind::BatchDepth => Some("batch"),
         EventKind::FissionReplica => Some("fission"),
         EventKind::SessionAdmitted
         | EventKind::SessionRejected

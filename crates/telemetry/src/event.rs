@@ -41,9 +41,6 @@ pub enum EventKind {
     /// The firing compiler fused superblock kernels for a stage
     /// (`subject` = node id, `aux` = number of kernels in the plan).
     KernelFusion,
-    /// A worker executed a run of consecutive firings of one stage as a
-    /// single batch (`subject` = node id, `aux` = batch size).
-    BatchedFiring,
     /// The service admitted a session (`subject` = session id, `aux` =
     /// shard it was placed on).
     SessionAdmitted,
@@ -69,9 +66,6 @@ pub enum EventKind {
     /// point (`subject` = 1 when the schedule cache served the new
     /// configuration, 0 when it compiled; `aux` = swap ordinal).
     Reconfigure,
-    /// A worker's adaptive batch depth changed from downstream ring
-    /// occupancy (`subject` = node id, `aux` = the new depth).
-    BatchDepth,
     /// A worker hosts one replica of a fissioned stage (`subject` = node
     /// id, `aux` = total replica count).
     FissionReplica,
@@ -94,7 +88,6 @@ impl EventKind {
             EventKind::DrainBegin => "drain_begin",
             EventKind::WatchdogFire => "watchdog_fire",
             EventKind::KernelFusion => "kernel_fusion",
-            EventKind::BatchedFiring => "batched_firing",
             EventKind::SessionAdmitted => "session_admitted",
             EventKind::SessionRejected => "session_rejected",
             EventKind::CacheHit => "cache_hit",
@@ -103,7 +96,6 @@ impl EventKind {
             EventKind::SessionClosed => "session_closed",
             EventKind::SetParam => "set_param",
             EventKind::Reconfigure => "reconfigure",
-            EventKind::BatchDepth => "batch_depth",
             EventKind::FissionReplica => "fission_replica",
         }
     }
@@ -160,7 +152,6 @@ mod tests {
             EventKind::DrainBegin,
             EventKind::WatchdogFire,
             EventKind::KernelFusion,
-            EventKind::BatchedFiring,
             EventKind::SessionAdmitted,
             EventKind::SessionRejected,
             EventKind::CacheHit,
@@ -169,7 +160,6 @@ mod tests {
             EventKind::SessionClosed,
             EventKind::SetParam,
             EventKind::Reconfigure,
-            EventKind::BatchDepth,
             EventKind::FissionReplica,
         ];
         let labels: std::collections::HashSet<_> = kinds.iter().map(|k| k.label()).collect();

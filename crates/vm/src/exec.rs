@@ -240,6 +240,7 @@ impl<'a> Executor<'a> {
             &mut self.node_counters[i],
             k,
             &mut self.outputs[i],
+            &mut 0,
         )
     }
 

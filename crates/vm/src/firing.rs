@@ -130,6 +130,34 @@ impl FilterState {
         }
     }
 
+    /// Copy what firings change — the engine's variable storage; the
+    /// internal channels are empty between firings — into `saved`, whose
+    /// buffers are reused: a supervisor's snapshot before a block it may
+    /// have to undo.
+    pub fn save_to(&self, saved: &mut FilterState) {
+        match self.engine {
+            Engine::Tree => saved.slots.clone_from(&self.slots),
+            Engine::Compiled(_) => {
+                saved.regs.i.clone_from(&self.regs.i);
+                saved.regs.f.clone_from(&self.regs.f);
+            }
+        }
+    }
+
+    /// Undo the firings since [`FilterState::save_to`] filled `saved`,
+    /// and empty the channels a failed firing left data in.
+    pub fn restore_from(&mut self, saved: &FilterState) {
+        match self.engine {
+            Engine::Tree => self.slots.clone_from(&saved.slots),
+            Engine::Compiled(_) => {
+                self.regs.i.clone_from(&saved.regs.i);
+                self.regs.f.clone_from(&saved.regs.f);
+            }
+        }
+        self.chans.iter_mut().for_each(VecDeque::clear);
+        self.fifos.iter_mut().for_each(Chan::clear);
+    }
+
     /// Export the values of the filter's `State` variables, flattened in
     /// declaration order (vector-arrays row-major: all lanes of row 0,
     /// then row 1, ...). Exact in both engines: the tree-walker stores
@@ -429,7 +457,9 @@ pub fn graph_tapes(graph: &Graph) -> Vec<Tape> {
 /// element-type check and the unwind boundary are paid once, and the `k`
 /// firings run inside them as `k` single firings would have. The first
 /// one that fails poisons both tapes and returns its error; the firings
-/// before it stand.
+/// before it stand, and `completed` says how many they are — on success
+/// (`k`), on an error and when a native node unwinds through here alike —
+/// so a supervisor can name the firing that failed.
 ///
 /// # Errors
 /// Propagates interpreter failures (filters only; the native nodes cannot
@@ -444,28 +474,41 @@ pub fn fire_block(
     counters: &mut CycleCounters,
     k: u64,
     sunk: &mut Vec<Value>,
+    completed: &mut u64,
 ) -> Result<(), VmError> {
+    *completed = 0;
     if k == 0 {
         return Ok(());
     }
     counters.firing_overhead += k * machine.cost.firing;
-    match node {
-        Node::Filter(f) => fire_filter(f, state, tapes, plan, machine, counters, k)?,
-        Node::Sink => fire_sink(tapes, plan, machine, counters, k, sunk),
-        Node::Splitter(kind) => {
-            (0..k).for_each(|_| fire_splitter(kind, tapes, plan, machine, counters));
+    let result = match node {
+        Node::Filter(f) => fire_filter(f, state, tapes, plan, machine, counters, k, completed),
+        Node::Sink => {
+            fire_sink(tapes, plan, machine, counters, k, sunk, completed);
+            Ok(())
         }
-        Node::Joiner(weights) => {
-            (0..k).for_each(|_| fire_joiner(weights, tapes, plan, machine, counters));
-        }
-        Node::HSplitter { kind, width } => {
-            (0..k).for_each(|_| fire_hsplitter(kind, *width, tapes, plan, machine, counters));
-        }
-        Node::HJoiner { weights, width } => {
-            (0..k).for_each(|_| fire_hjoiner(weights, *width, tapes, plan, machine, counters));
-        }
+        Node::Splitter(kind) => each_firing(k, completed, || {
+            fire_splitter(kind, tapes, plan, machine, counters);
+            Ok(())
+        }),
+        Node::Joiner(weights) => each_firing(k, completed, || {
+            fire_joiner(weights, tapes, plan, machine, counters);
+            Ok(())
+        }),
+        Node::HSplitter { kind, width } => each_firing(k, completed, || {
+            fire_hsplitter(kind, *width, tapes, plan, machine, counters);
+            Ok(())
+        }),
+        Node::HJoiner { weights, width } => each_firing(k, completed, || {
+            fire_hjoiner(weights, *width, tapes, plan, machine, counters);
+            Ok(())
+        }),
+    };
+    if result.is_err() {
+        // The firings after the failed one were charged and never began.
+        counters.firing_overhead -= (k - *completed - 1) * machine.cost.firing;
     }
-    Ok(())
+    result
 }
 
 /// [`fire_block`] of one firing — what an engine with a per-firing
@@ -483,7 +526,41 @@ pub fn fire_node(
     counters: &mut CycleCounters,
     sunk: &mut Vec<Value>,
 ) -> Result<(), VmError> {
-    fire_block(plan, node, state, tapes, machine, counters, 1, sunk)
+    fire_block(plan, node, state, tapes, machine, counters, 1, sunk, &mut 0)
+}
+
+/// A block's count of completed firings: kept in a register while the
+/// block runs and written out when dropped, which a return, a `?` and an
+/// unwind all do — the success path pays an increment, and the index of a
+/// failed firing exists only where someone reads it.
+struct Tally<'a> {
+    n: u64,
+    out: &'a mut u64,
+}
+
+impl Drop for Tally<'_> {
+    fn drop(&mut self) {
+        *self.out = self.n;
+    }
+}
+
+/// Run `fire` `k` times, stopping at its first error, and leave in
+/// `completed` how many calls returned `Ok`.
+#[inline(always)]
+fn each_firing(
+    k: u64,
+    completed: &mut u64,
+    mut fire: impl FnMut() -> Result<(), VmError>,
+) -> Result<(), VmError> {
+    let mut done = Tally {
+        n: 0,
+        out: completed,
+    };
+    while done.n < k {
+        fire()?;
+        done.n += 1;
+    }
+    Ok(())
 }
 
 /// Render a caught panic payload as text (best effort).
@@ -541,6 +618,7 @@ fn two_tapes(
 // into `fire_block`, the unwind boundary lands in every engine's dispatch
 // body (measured 4–11 % slower on the suite_e2e workloads).
 #[inline(never)]
+#[allow(clippy::too_many_arguments)]
 fn fire_filter(
     filter: &Filter,
     state: &mut FilterState,
@@ -549,6 +627,7 @@ fn fire_filter(
     machine: &Machine,
     counters: &mut CycleCounters,
     k: u64,
+    completed: &mut u64,
 ) -> Result<(), VmError> {
     if plan
         .in_edge
@@ -582,7 +661,7 @@ fn fire_filter(
                     context: "compiled against tapes of other element types".into(),
                 });
             }
-            for _ in 0..k {
+            each_firing(k, completed, || {
                 compiled.zero_locals(regs);
                 run_code(
                     compiled,
@@ -594,10 +673,10 @@ fn fire_filter(
                     plan.in_cost,
                     plan.out_cost,
                     counters,
-                )?;
-            }
+                )
+            })
         } else {
-            for _ in 0..k {
+            each_firing(k, completed, || {
                 reset_locals(filter, slots);
                 let mut ctx = FiringCtx {
                     filter,
@@ -610,10 +689,9 @@ fn fire_filter(
                     input_addr_cost: plan.in_cost,
                     output_addr_cost: plan.out_cost,
                 };
-                ctx.exec_block(&filter.work)?;
-            }
+                ctx.exec_block(&filter.work)
+            })
         }
-        Ok(())
     }))
     .unwrap_or_else(|payload| {
         Err(VmError::Panicked {
@@ -770,6 +848,7 @@ fn fire_hjoiner(
 
 /// Fire a sink `k` times: pop `k` values off its input tape as a span and
 /// append them to `sunk` — the one place a sequential run decodes images.
+/// A sink firing is one token, so `completed` is the tokens captured.
 fn fire_sink(
     tapes: &mut [Tape],
     plan: &FirePlan,
@@ -777,13 +856,19 @@ fn fire_sink(
     counters: &mut CycleCounters,
     k: u64,
     sunk: &mut Vec<Value>,
+    completed: &mut u64,
 ) {
     counters.mem_scalar += k * machine.cost.load;
     counters.addr_overhead += k * plan.in_cost;
     let tape = &mut tapes[plan.in_edge.expect("sink needs an input")];
     let elem = tape.elem();
+    let mut done = Tally {
+        n: 0,
+        out: completed,
+    };
     tape.pop_spans(k as usize, |span| {
         sunk.extend(span.iter().map(|&raw| value_of(elem, raw)));
+        done.n += span.len() as u64;
     });
 }
 
@@ -841,6 +926,7 @@ mod tests {
                 &mut CycleCounters::default(),
                 3,
                 &mut Vec::new(),
+                &mut 0,
             )
             .expect_err("element types disagree");
             assert!(

@@ -327,6 +327,15 @@ impl Tape {
         (self.total_pushed, self.total_popped)
     }
 
+    /// Make room for `live` resident tokens now: a caller that knows the
+    /// tape's peak sizes the ring once instead of letting the first pushes
+    /// double it up.
+    pub fn reserve(&mut self, live: usize) {
+        if live > self.buf.len() {
+            self.grow(live);
+        }
+    }
+
     /// Reallocate so at least `min_live` slots fit, re-ringing the live
     /// region `[read, filled_end)` under the new mask.
     #[cold]

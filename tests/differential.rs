@@ -835,8 +835,8 @@ mod engine_differential {
     /// A guest fault at firing `j` of a block of `k` leaves what `k` single
     /// firings stopped at the first error leave: the same error, both
     /// tapes poisoned, the `j` firings before it committed — tokens, tape
-    /// statistics and filter state — and nothing of the failed one
-    /// delivered downstream.
+    /// statistics, filter state and modelled cycles — nothing of the failed
+    /// one delivered downstream, and `j` reported as completed.
     #[test]
     fn a_fault_inside_a_block_stops_where_single_firings_stop() {
         use macross_repro::streamir::builder::StreamSpec;
@@ -882,6 +882,7 @@ mod engine_differential {
                 let mut states: Vec<_> =
                     g.nodes().map(|(id, n)| programs.state_for(id, n)).collect();
                 let (mut counters, mut sunk) = (CycleCounters::default(), Vec::new());
+                let mut completed = 0;
                 let mut fire = |id: macross_repro::streamir::NodeId, k: u64, as_block: bool| {
                     let i = id.0 as usize;
                     let (plan, node, state) = (&plans[i], g.node(id), &mut states[i]);
@@ -895,25 +896,29 @@ mod engine_differential {
                             &mut counters,
                             k,
                             &mut sunk,
+                            &mut completed,
                         )
                     } else {
+                        completed = 0;
                         (0..k).try_for_each(|_| {
                             fire_node(plan, node, state, &mut tapes, &m, &mut counters, &mut sunk)
+                                .map(|()| completed += 1)
                         })
                     }
                 };
                 fire(src_id, K, true).unwrap();
                 let err = fire(bomb_id, K, as_block).unwrap_err();
+                assert_eq!(completed, J as u64, "{mode:?}, block {as_block}");
                 let tapes: Vec<_> = tapes
                     .iter()
                     .map(|t| (t.is_poisoned(), t.stats(), t.export_resident()))
                     .collect();
                 let state = states[bomb_id.0 as usize].export_state_vars(bomb_filter);
-                (err, tapes, state)
+                (err, tapes, (state, counters))
             };
             let (block, singles) = (run(true), run(false));
             assert_eq!(block, singles, "{mode:?}");
-            let (err, tapes, state) = block;
+            let (err, tapes, (state, _)) = block;
             assert!(
                 matches!(&err, VmError::Panicked { filter, .. } if filter == "bomb"),
                 "{mode:?}: {err}"

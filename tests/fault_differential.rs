@@ -511,3 +511,92 @@ fn panic_mid_block_on_a_write_reordered_edge_keeps_completed_firings() {
         assert_eq!(failed.output.len() as u64, 3 * firing, "{label}");
     }
 }
+
+/// A planned fault cuts the share it falls in at its firing: the firings
+/// before it go through one envelope, the addressed one through one of
+/// its own, the rest of the share through one again — whether it is the
+/// share's first firing, one in the middle or its last, for a whole stage
+/// and for a replica (whose share is every second global firing). Counted
+/// where it shows: every firing but the addressed one is a batched one.
+#[test]
+fn planned_fault_fires_alone_and_the_rest_of_its_share_in_envelopes() {
+    use macross_repro::runtime::iteration_block;
+    use macross_repro::streamir::builder::StreamSpec;
+    use macross_repro::streamir::edsl::*;
+    use macross_repro::streamir::graph::NodeId;
+    use macross_repro::streamir::types::{ScalarTy, Ty};
+
+    let mut src = FilterBuilder::new("src", 0, 0, 1, ScalarTy::I32);
+    let n = src.state("n", Ty::Scalar(ScalarTy::I32));
+    src.work(|b| {
+        b.push(v(n));
+        b.set(n, v(n) + 1i32);
+    });
+    let mut victim = FilterBuilder::new("victim", 1, 1, 1, ScalarTy::I32);
+    victim.work(|b| {
+        b.push(pop() + 1i32);
+    });
+    let graph = StreamSpec::pipeline(vec![
+        src.build_spec(),
+        victim.build_spec(),
+        StreamSpec::Sink,
+    ])
+    .build()
+    .unwrap();
+    let schedule = Schedule::compute(&graph).unwrap();
+    let block = iteration_block();
+    let iters = 2 * block + block / 2;
+    let whole = Placement::whole_stage(vec![0, 1, 1]);
+    let replicas = Placement {
+        assignment: vec![0, 1, 0],
+        fission: vec![FissionSpec {
+            node: NodeId(1),
+            replicas: vec![1, 2],
+        }],
+    };
+    let run = |placement: &Placement, plan: FaultPlan| {
+        let opts = SupervisorOptions::with_plan(plan);
+        let session = TraceSession::disabled();
+        let machine = Machine::core_i7();
+        run_supervised_placed(
+            &graph, &schedule, &machine, placement, iters, &opts, &session,
+        )
+        .unwrap()
+    };
+    let kinds = [
+        FaultKind::Panic,
+        FaultKind::PoisonTape,
+        FaultKind::StallFiring { nanos: 50_000 },
+        FaultKind::DelayPush { nanos: 50_000 },
+        FaultKind::DropUnpark { count: 1 },
+    ];
+    for (how, placement) in [("whole", &whole), ("replicas", &replicas)] {
+        let clean = run(placement, FaultPlan::none());
+        assert!(clean.completed, "{how}");
+        assert_eq!(clean.report.stages[1].batched_firings, iters, "{how}");
+        for kind in kinds {
+            for firing in [block, block + block / 2, 2 * block - 1] {
+                let label = format!("{how}: {kind:?} at {firing}");
+                let out = run(placement, FaultPlan::single(1, firing, kind));
+                let victim = &out.report.stages[1];
+                if matches!(kind, FaultKind::Panic | FaultKind::PoisonTape) {
+                    let f = out.report.root_failure().expect(&label);
+                    assert_eq!((f.stage, f.firing), (1, firing), "{label}");
+                    assert_prefix(&label, 2, &clean, &out);
+                    if how == "whole" {
+                        // A replica's sibling does not stop at `firing`.
+                        assert_eq!(victim.firings, firing, "{label}");
+                    }
+                } else {
+                    assert!(out.completed, "{label}: {:?}", out.report.failures);
+                    assert_eq!(out.output, clean.output, "{label}");
+                    assert_eq!(victim.firings, iters, "{label}");
+                }
+                assert_eq!(
+                    victim.batched_firings,
+                    victim.firings - u64::from(out.completed)
+                );
+            }
+        }
+    }
+}

@@ -11,14 +11,14 @@
 
 use macross_repro::runtime as rt;
 use macross_repro::runtime::{
-    run_supervised_placed, run_threaded_placed, FailureCause, Placement, RuntimeError,
+    run_supervised_placed, run_threaded_placed, FailureCause, FissionSpec, Placement, RuntimeError,
     SupervisorOptions,
 };
 use macross_repro::sdf::Schedule;
 use macross_repro::streamir::builder::StreamSpec;
 use macross_repro::streamir::edsl::*;
 use macross_repro::streamir::graph::{Graph, NodeId, SplitKind};
-use macross_repro::streamir::types::{ScalarTy, Ty};
+use macross_repro::streamir::types::{ScalarTy, Ty, Value};
 use macross_repro::telemetry::TraceSession;
 use macross_repro::vm::{Executor, Machine};
 use std::time::{Duration, Instant};
@@ -90,17 +90,34 @@ fn supervised(
     iters: u64,
     opts: &SupervisorOptions,
 ) -> rt::SupervisedRun {
+    supervised_placed(g, &Placement::whole_stage(assignment.to_vec()), iters, opts)
+}
+
+fn supervised_placed(
+    g: &Graph,
+    placement: &Placement,
+    iters: u64,
+    opts: &SupervisorOptions,
+) -> rt::SupervisedRun {
     let sched = Schedule::compute(g).unwrap();
+    let session = TraceSession::disabled();
     run_supervised_placed(
         g,
         &sched,
         &Machine::core_i7(),
-        &Placement::whole_stage(assignment.to_vec()),
+        placement,
         iters,
         opts,
-        &TraceSession::disabled(),
+        &session,
     )
     .unwrap()
+}
+
+/// Options under which every firing takes an envelope of its own, as all
+/// of them did before workers fired shares: a watchdog's timeout is per
+/// firing. This one never fires.
+fn one_at_a_time() -> SupervisorOptions {
+    SupervisorOptions::default().watchdog_after(Duration::from_secs(3600))
 }
 
 #[test]
@@ -362,4 +379,136 @@ fn supervised_clean_run_matches_legacy_entry_point() {
     assert!(sup.report.failures.is_empty());
     assert_eq!(sup.output, legacy.output);
     let _ = NodeId(0);
+}
+
+/// Stateless pass-through (so it may be fissioned) that blows the firing
+/// that pops the value `fail_on`.
+fn stateless_bomb(name: &str, fail_on: i32) -> StreamSpec {
+    let mut fb = FilterBuilder::new(name, 1, 1, 1, ScalarTy::I32);
+    let t = fb.local("t", Ty::Scalar(ScalarTy::I32));
+    let junk = fb.local("junk", Ty::Scalar(ScalarTy::I32));
+    fb.work(move |b| {
+        b.set(t, pop());
+        b.if_(eq(v(t), fail_on), |b| {
+            b.set(junk, peek(1_000_000i32));
+        });
+        b.push(v(t) + 1i32);
+    });
+    fb.build_spec()
+}
+
+/// The failure coordinates of a run that must have failed exactly once.
+fn only_failure(run: &rt::SupervisedRun) -> (usize, u64, &'static str) {
+    assert!(!run.completed);
+    let [f] = run.report.failures.as_slice() else {
+        panic!("expected one failure, got {:?}", run.report.failures)
+    };
+    (f.stage, f.firing, f.cause.label())
+}
+
+#[test]
+fn guest_fault_inside_a_share_fails_like_a_fault_in_a_single_firing() {
+    // 40 iterations are shares of 16, 16 and 8 firings for each stage:
+    // the bomb goes off in the first firing of the run, in the middle of
+    // the second share, and in that share's last firing.
+    let iters = 40;
+    let block = rt::iteration_block() as i32;
+    let pipeline = |stages: Vec<StreamSpec>| StreamSpec::pipeline(stages).build().unwrap();
+    for j in [0, block + 4, 2 * block - 1] {
+        // A plain filter, its sink beside it: exactly its `j` completed
+        // firings reach the sink.
+        let clean = pipeline(vec![source(), bomb("bomb", 1 << 20), StreamSpec::Sink]);
+        let clean = supervised(&clean, &[0, 1, 1], iters, &SupervisorOptions::default());
+        let g = pipeline(vec![source(), bomb("bomb", j), StreamSpec::Sink]);
+        for opts in [SupervisorOptions::default(), one_at_a_time()] {
+            let run = supervised(&g, &[0, 1, 1], iters, &opts);
+            assert_eq!(only_failure(&run), (1, j as u64, "vm"), "plain, {j}");
+            assert_eq!(
+                run.output,
+                clean.output[..j as usize].to_vec(),
+                "plain, {j}"
+            );
+            assert_eq!(run.report.stages[1].firings, j as u64, "plain, {j}");
+            assert_eq!(run.report.stages[2].firings, j as u64, "plain, {j}");
+        }
+
+        // A replica of a fissioned stage (the source's value is the
+        // stage's global firing index): the other replica is independent,
+        // so the sink holds some prefix of the firings before `j`.
+        let g = pipeline(vec![source(), stateless_bomb("bomb", j), StreamSpec::Sink]);
+        let split = |nodes: u32, node: u32| Placement {
+            assignment: (0..nodes).map(|i| u32::from(i == node)).collect(),
+            fission: vec![FissionSpec {
+                node: NodeId(node),
+                replicas: vec![1, 2],
+            }],
+        };
+        for opts in [SupervisorOptions::default(), one_at_a_time()] {
+            let run = supervised_placed(&g, &split(3, 1), iters, &opts);
+            assert_eq!(only_failure(&run), (1, j as u64, "vm"), "replica, {j}");
+            assert!(run.output.len() <= j as usize, "replica, {j}");
+            assert_eq!(run.output, clean.output[..run.output.len()].to_vec());
+        }
+
+        // The producer that deals to the replicas of the stage after it.
+        let stages = vec![source(), bomb("bomb", j), pass("dealt"), StreamSpec::Sink];
+        let g = pipeline(stages);
+        let stages = vec![source(), pass("bomb"), pass("dealt"), StreamSpec::Sink];
+        let clean = supervised_placed(&pipeline(stages), &split(4, 2), iters, &Default::default());
+        assert!(clean.completed);
+        for opts in [SupervisorOptions::default(), one_at_a_time()] {
+            let run = supervised_placed(&g, &split(4, 2), iters, &opts);
+            assert_eq!(only_failure(&run), (1, j as u64, "vm"), "dealer, {j}");
+            assert_eq!(run.report.stages[1].firings, j as u64, "dealer, {j}");
+            assert!(run.output.len() <= j as usize, "dealer, {j}");
+            assert_eq!(run.output, clean.output[..run.output.len()].to_vec());
+        }
+    }
+}
+
+#[test]
+fn failed_share_of_sink_firings_leaves_no_value_twice() {
+    // `liar` declares eight tokens a firing and delivers four from its
+    // second firing on, behind an edge the sink reads through a
+    // column-major remap (block 8). The sink's share of the two
+    // iterations is 16 firings in one envelope: it captures the first
+    // block and one value of the second, then reads past what was
+    // written. The share is undone — the nine captured values with it —
+    // and replayed firing by firing, which captures them once.
+    use macross_repro::streamir::graph::{AddrGen, Reorder, ReorderSide};
+    let mut liar = FilterBuilder::new("liar", 8, 8, 8, ScalarTy::I32);
+    let n = liar.state("n", Ty::Scalar(ScalarTy::I32));
+    let i = liar.local("i", Ty::Scalar(ScalarTy::I32));
+    let unsent = liar.local("unsent", Ty::Scalar(ScalarTy::I32));
+    liar.work(move |b| {
+        b.for_(i, 4i32, |b| {
+            b.push(pop());
+        });
+        b.for_(i, 4i32, |b| {
+            b.set(unsent, pop());
+            b.if_(eq(v(n), 0i32), |b| {
+                b.push(v(unsent));
+            });
+        });
+        b.set(n, v(n) + 1i32);
+    });
+    let mut g = StreamSpec::pipeline(vec![source(), liar.build_spec(), StreamSpec::Sink])
+        .build()
+        .unwrap();
+    let liar_id = NodeId(node_id(&g, "liar") as u32);
+    let e = g.single_out_edge(liar_id).unwrap();
+    g.edge_mut(e).reorder = Some(Reorder {
+        rate: 2,
+        sw: 4,
+        side: ReorderSide::Consumer,
+        addr_gen: AddrGen::Sagu,
+    });
+    let sink = g.node_count() - 1;
+    for opts in [SupervisorOptions::default(), one_at_a_time()] {
+        let run = supervised(&g, &[0, 0, 0], 2, &opts);
+        assert_eq!(only_failure(&run), (sink, 9, "panic"));
+        assert_eq!(run.report.stages[sink].firings, 9);
+        let captured = [0, 4, 1, 5, 2, 6, 3, 7, 8].map(Value::I32);
+        assert_eq!(run.output, captured.to_vec());
+    }
 }
