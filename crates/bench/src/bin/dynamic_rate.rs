@@ -5,11 +5,11 @@
 //! reconfiguration, repeat valuations hit, and (at these sizes, with
 //! zero evictions) misses equal distinct valuations.
 //!
-//! Usage: `dynamic_rate [--mode bytecode|nofuse] [--workers W]`
-//! (defaults: bytecode, 2 workers). Any violated invariant exits
-//! non-zero. With emission enabled (`MACROSS_BENCH_JSON=1`, or the
-//! `telemetry` feature), writes `SERVICE_dynamic_<mode>.json` into
-//! `MACROSS_BENCH_DIR` for `validate_report`.
+//! Usage: `dynamic_rate [--workers W]` (default 2 workers), on the
+//! bytecode engine. Any violated invariant exits non-zero. With emission
+//! enabled (`MACROSS_BENCH_JSON=1`, or the `telemetry` feature), writes
+//! `SERVICE_dynamic_bytecode.json` into `MACROSS_BENCH_DIR` for
+//! `validate_report`.
 
 use macross::SimdizeOptions;
 use macross_bench::{bench_dir, render_table, report_emission_enabled};
@@ -21,16 +21,11 @@ use macross_streamir::types::Value;
 use macross_vm::{ExecMode, Machine};
 use std::sync::Arc;
 
-struct Args {
-    workers: usize,
-    mode: ExecMode,
-}
+const MODE: ExecMode = ExecMode::Bytecode;
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        workers: 2,
-        mode: ExecMode::Bytecode,
-    };
+/// The `--workers` value.
+fn parse_args() -> usize {
+    let mut workers = 2;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |what: &str| {
@@ -40,24 +35,14 @@ fn parse_args() -> Args {
             })
         };
         match flag.as_str() {
-            "--workers" => args.workers = value("--workers").parse().expect("--workers"),
-            "--mode" => {
-                args.mode = match value("--mode").as_str() {
-                    "bytecode" => ExecMode::Bytecode,
-                    "nofuse" => ExecMode::BytecodeNoFuse,
-                    other => {
-                        eprintln!("unknown mode '{other}' (bytecode|nofuse)");
-                        std::process::exit(2);
-                    }
-                }
-            }
+            "--workers" => workers = value("--workers").parse().expect("--workers"),
             other => {
                 eprintln!("unknown flag '{other}'");
                 std::process::exit(2);
             }
         }
     }
-    args
+    workers
 }
 
 fn fail(msg: &str) -> ! {
@@ -73,21 +58,21 @@ fn rows_equal(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
 }
 
 fn main() {
-    let args = parse_args();
+    let workers = parse_args();
     let machine = Machine::core_i7();
     let opts = SimdizeOptions::all();
-    let report_name = format!("dynamic_{}", mode_label(args.mode));
+    let report_name = format!("dynamic_{}", mode_label(MODE));
     println!(
         "== dynamic-rate: {} benchmarks, {} workers, {} engine ==",
         dynamic().len(),
-        args.workers,
-        mode_label(args.mode)
+        workers,
+        mode_label(MODE)
     );
     let service = StreamService::new(
         machine.clone(),
         ServiceConfig {
-            workers: args.workers,
-            mode: args.mode,
+            workers,
+            mode: MODE,
             ..ServiceConfig::default()
         },
     );
@@ -99,10 +84,10 @@ fn main() {
         let template = Arc::new((b.template)());
         // Prove the template swappable before trusting any swap below.
         let sweep = template
-            .validate_swappable(&machine, &opts, args.mode)
+            .validate_swappable(&machine, &opts, MODE)
             .unwrap_or_else(|e| fail(&format!("{}: not swappable: {e}", b.name)));
         for trace in (b.traces)() {
-            let want = oracle_replay(&template, &(b.init)(), &trace, &machine, &opts, args.mode)
+            let want = oracle_replay(&template, &(b.init)(), &trace, &machine, &opts, MODE)
                 .unwrap_or_else(|e| fail(&format!("{}/{}: oracle: {e}", b.name, trace.name)));
             let id = service
                 .submit_dynamic(b.name, &template, &(b.init)(), FaultPlan::none())

@@ -1,34 +1,24 @@
 //! Interpreter hot-path microbenchmark: ns per firing of the tree-walking
 //! interpreter vs. the register bytecode engine on eight representative
 //! filter shapes — an arithmetic-heavy scalar loop, a macro-SIMDized
-//! FMA-chain kernel, a peeking FIR with an array-indexed loop, two
+//! multiply-add chain, a peeking FIR with an array-indexed loop, two
 //! permutation-heavy SIMDized pipelines (BitonicSort's compare-exchange
 //! network and MatrixMultBlock's transpose mesh), a synthetic
-//! perm-dominated riffle network where the tier matrix's permutation
-//! kernels carry nearly all of the work, and two *stateful* region
-//! workloads (the benchsuite's IIR bank and accumulator/normalizer)
-//! where the region transform vectorizes actors the classic passes
-//! refuse. For the region rows the baseline is the **scalar** graph on
-//! the dispatch engine (schedules aligned by steady-state output
-//! volume), so `region_vs_scalar_speedup_*` prices the whole transform
-//! — panel layout, cursor elision, and fused panel kernels — not just
-//! fusion; `region_vs_scalar_speedup_best` (the max over available
-//! tiers) is pinned by the zero-tolerance kernel gate.
+//! perm-dominated riffle network, and two *stateful* region workloads
+//! (the benchsuite's IIR bank and accumulator/normalizer) where the
+//! region transform vectorizes actors the classic passes refuse. For the
+//! region rows both sides run on the bytecode engine and the baseline is
+//! the **scalar** graph (schedules aligned by steady-state output volume),
+//! so `region_vs_scalar_speedup` prices the whole transform — panel
+//! layout and cursor elision on the dispatch loop; the binary exits
+//! non-zero when the IIR bank's falls below [`REGION_GATE`].
 //!
 //! All engines run the *same* compiled graph and schedule inside one
 //! binary via `ExecMode`, so the comparison isolates the execution
-//! substrate. Outputs are asserted bit-identical before any number is
-//! reported — including one fused run under every *available* kernel
-//! tier (`MACROSS_KERNEL_TIER` forced per run), which differentially
-//! pins the whole backend matrix against the tree-walk oracle on real
-//! benchmark graphs.
-//!
-//! Besides the engine columns, the table (and report) carries one
-//! fused-vs-dispatch column per available tier; the unsuffixed metrics
-//! always describe the natively selected tier, so existing baselines
-//! keep their meaning. Emits `BENCH_interp_hotpath.json` (schema v1)
-//! when report emission is enabled (`telemetry` feature or
-//! `MACROSS_BENCH_JSON`).
+//! substrate. Outputs and cycle counters are asserted bit-identical
+//! against the tree-walk oracle before any number is reported. Emits
+//! `BENCH_interp_hotpath.json` (schema v1) when report emission is
+//! enabled (`telemetry` feature or `MACROSS_BENCH_JSON`).
 //!
 //! Usage: `interp_hotpath [iters]` (default 2000 steady iterations per
 //! timed sample).
@@ -42,10 +32,12 @@ use macross_streamir::builder::StreamSpec;
 use macross_streamir::edsl::*;
 use macross_streamir::graph::{Graph, Node};
 use macross_streamir::types::{ScalarTy, Ty};
-use macross_vm::{
-    compile_filter_opts, kernel, run_scheduled_mode, ExecMode, KernelTier, Machine, RunResult,
-};
+use macross_vm::{compile_filter, run_scheduled_mode, ExecMode, Machine, RunResult};
 use std::time::Instant;
+
+/// The region row the gate holds, and the least region-vectorized vs.
+/// scalar speedup it may show.
+const REGION_GATE: (&str, f64) = ("region_iir_bank", 1.5);
 
 /// Arithmetic-heavy scalar filter: pop 1, push 1, 48 loop iterations of
 /// integer mixing (mul/add/xor/shift/mask) over an accumulator.
@@ -70,12 +62,8 @@ fn mix32() -> Graph {
     .expect("mix32 graph")
 }
 
-/// Stateless float kernel that macro-SIMDization vectorizes: 24 chained
+/// Stateless float filter that macro-SIMDization vectorizes: 24 chained
 /// multiply-adds per element, executed as vector ops after SIMDization.
-/// The depth matters: chain formation collapses the whole ladder into
-/// one register-resident `KOp::Chain`, so this benchmark isolates the
-/// FMA-chain win (load once, chain in-register, store once) on top of
-/// the per-op dispatch gap.
 fn vmix_scalar() -> Graph {
     let mut fb = FilterBuilder::new("vmix", 1, 1, 1, ScalarTy::F32);
     let x = fb.local("x", Ty::Scalar(ScalarTy::F32));
@@ -110,10 +98,9 @@ fn fir16() -> Graph {
 /// Hand-vectorized permutation network: two 8-lane f32 vectors riffled
 /// through 24 rounds of `extract_even`/`extract_odd` pairs, with a
 /// two-op multiply-add mix every other round. Unlike the benchsuite
-/// graphs (whose fused filters amortize the kernel across a large tape
-/// and charge footprint), this filter is almost nothing *but*
-/// permutations, so its fused/dispatch ratio isolates what the tier
-/// matrix buys on `PermF`.
+/// graphs (whose filters spread their work across a large tape and
+/// charge footprint), this filter is almost nothing *but* permutations,
+/// so its row prices the `PermF` dispatch arm.
 fn permnet() -> Graph {
     use macross_streamir::expr::{BinOp, Expr, LValue};
     use macross_streamir::stmt::Stmt;
@@ -148,7 +135,7 @@ fn permnet() -> Graph {
             ));
             if r % 2 == 0 {
                 // a = a * 1.0001 + b: keeps the data flowing across
-                // rounds and gives chain formation a short ladder.
+                // rounds.
                 b.stmt(Stmt::Assign(
                     LValue::Var(a),
                     Expr::bin(
@@ -181,8 +168,8 @@ fn permnet() -> Graph {
     .expect("permnet graph")
 }
 
-/// Macro-SIMDize a benchsuite application; the fused hot filter carries
-/// the permutation-heavy kernels the tier matrix exists for.
+/// Macro-SIMDize a benchsuite application; its hot filter is
+/// permutation-heavy.
 fn simdized_suite(name: &str) -> (Graph, Schedule) {
     let machine = Machine::core_i7();
     let b = macross_benchsuite::by_name(name)
@@ -215,39 +202,20 @@ fn time_run(
         .unwrap()
 }
 
-/// Steady reps of the hot filter (name contains `needle`), whether it
-/// compiled to bytecode rather than falling back to the tree walker, and
-/// how many superblock kernels fusion carved out of it.
-fn hot_filter(
-    graph: &Graph,
-    sched: &Schedule,
-    machine: &Machine,
-    needle: &str,
-) -> (u64, bool, u64) {
+/// Steady reps of the hot filter (name contains `needle`) and whether it
+/// compiled to bytecode rather than falling back to the tree walker.
+fn hot_filter(graph: &Graph, sched: &Schedule, machine: &Machine, needle: &str) -> (u64, bool) {
     for (id, node) in graph.nodes() {
         if let Node::Filter(f) = node {
             if f.name.contains(needle) {
                 let in_elem = graph.single_in_edge(id).map(|e| graph.edge(e).elem);
                 let out_elem = graph.single_out_edge(id).map(|e| graph.edge(e).elem);
-                let plan = compile_filter_opts(f, in_elem, out_elem, machine, true);
-                let kernels = plan.as_ref().map_or(0, |p| p.kernels.len() as u64);
-                return (sched.reps[id.0 as usize], plan.is_some(), kernels);
+                let compiled = compile_filter(f, in_elem, out_elem, machine).is_some();
+                return (sched.reps[id.0 as usize], compiled);
             }
         }
     }
     panic!("no filter named *{needle}* in graph");
-}
-
-/// Force the backend-matrix tier for subsequent compiles (or restore the
-/// inherited setting with `None`).
-fn set_tier_env(tier: Option<&str>, inherited: &Option<String>) {
-    match tier {
-        Some(label) => std::env::set_var("MACROSS_KERNEL_TIER", label),
-        None => match inherited {
-            Some(orig) => std::env::set_var("MACROSS_KERNEL_TIER", orig),
-            None => std::env::remove_var("MACROSS_KERNEL_TIER"),
-        },
-    }
 }
 
 fn outputs_bits_eq(a: &RunResult, b: &RunResult) -> bool {
@@ -261,15 +229,6 @@ fn main() {
         .map(|s| s.parse().expect("iters must be a number"))
         .unwrap_or(2000);
     let samples = 5;
-    // The tier detection (or the caller's env) picked before this binary
-    // starts forcing tiers per timed run.
-    let native = kernel::select_tier();
-    let inherited = std::env::var("MACROSS_KERNEL_TIER").ok();
-    let tiers: Vec<KernelTier> = KernelTier::ALL
-        .iter()
-        .copied()
-        .filter(|t| t.available())
-        .collect();
 
     // (label, graph, schedule, hot-filter name fragment)
     let mut cases: Vec<(&str, Graph, Schedule, &str)> = Vec::new();
@@ -281,121 +240,59 @@ fn main() {
     let g = fir16();
     let s = Schedule::compute(&g).expect("schedule");
     cases.push(("fir16_peeking", g, s, "fir16"));
-    // Permutation-heavy: the fused BitonicSort network carries 40 PermI
-    // kernels ops; MatrixMultBlock's transpose mesh carries 192 PermF.
+    // Permutation-heavy: the SIMDized BitonicSort network carries 40
+    // PermI ops; MatrixMultBlock's transpose mesh carries 192 PermF.
     let (g, s) = simdized_suite("BitonicSort");
     cases.push(("bitonic_permnet", g, s, "bs_k"));
     let (g, s) = simdized_suite("MatrixMultBlock");
     cases.push(("blockmm_permnet", g, s, "mmb_mul"));
-    // Synthetic permutation network: perms dominate the fused kernel, so
-    // this row is where the perm-speedup gate bites.
     let g = permnet();
     let s = Schedule::compute(&g).expect("schedule");
     cases.push(("permnet_synthetic", g, s, "permnet"));
 
     println!(
-        "== Interpreter hot path: tree-walk vs. bytecode ({iters} iters, min of {samples}, native tier {}) ==",
-        native.label()
+        "== Interpreter hot path: tree-walk vs. bytecode ({iters} iters, min of {samples}) =="
     );
     let mut report = BenchReport::new("interp_hotpath", &machine.name, machine.simd_width as u64)
-        .with_exec_mode("bytecode-vs-treewalk")
-        .with_kernel_backend(native.label())
-        .with_kernel_tier(native.label());
+        .with_exec_mode("bytecode-vs-treewalk");
     let mut rows = Vec::new();
     for (label, graph, sched, needle) in &cases {
-        // All engines must agree bit-for-bit before any timing counts —
-        // and the fused engine must agree under *every* available tier,
-        // not just the natively selected one.
+        // Both engines must agree bit-for-bit before any timing counts.
         let tw = run_scheduled_mode(graph, sched, &machine, 16, ExecMode::TreeWalk).expect("tw");
-        let nf =
-            run_scheduled_mode(graph, sched, &machine, 16, ExecMode::BytecodeNoFuse).expect("nf");
-        assert!(outputs_bits_eq(&tw, &nf), "{label}: dispatch diverges");
-        assert_eq!(tw.counters, nf.counters, "{label}: counters diverge");
-        for tier in &tiers {
-            set_tier_env(Some(tier.label()), &inherited);
-            let bc =
-                run_scheduled_mode(graph, sched, &machine, 16, ExecMode::Bytecode).expect("bc");
-            assert!(
-                outputs_bits_eq(&tw, &bc),
-                "{label}: fused {} tier diverges",
-                tier.label()
-            );
-            assert_eq!(
-                tw.counters,
-                bc.counters,
-                "{label}: fused {} tier counters diverge",
-                tier.label()
-            );
-        }
-        set_tier_env(None, &inherited);
+        let bc = run_scheduled_mode(graph, sched, &machine, 16, ExecMode::Bytecode).expect("bc");
+        assert!(outputs_bits_eq(&tw, &bc), "{label}: bytecode diverges");
+        assert_eq!(tw.counters, bc.counters, "{label}: counters diverge");
 
-        let (reps, compiled, kernels) = hot_filter(graph, sched, &machine, needle);
+        let (reps, compiled) = hot_filter(graph, sched, &machine, needle);
         let firings = reps * iters;
         let tw_ns = time_run(graph, sched, &machine, iters, ExecMode::TreeWalk, samples);
-        let nf_ns = time_run(
-            graph,
-            sched,
-            &machine,
-            iters,
-            ExecMode::BytecodeNoFuse,
-            samples,
-        );
+        let bc_ns = time_run(graph, sched, &machine, iters, ExecMode::Bytecode, samples);
         let tw_per = tw_ns as f64 / firings as f64;
-        let nf_per = nf_ns as f64 / firings as f64;
-
-        // Fused timing, once per available tier.
-        let mut row = BenchRow::new(*label);
-        let mut per_tier_cells: Vec<String> = Vec::new();
-        let mut native_per = f64::NAN;
-        for tier in &tiers {
-            set_tier_env(Some(tier.label()), &inherited);
-            let ns = time_run(graph, sched, &machine, iters, ExecMode::Bytecode, samples);
-            let per = ns as f64 / firings as f64;
-            let ratio = safe_ratio(nf_per, per);
-            row = row
-                .metric(format!("bytecode_ns_per_firing_{}", tier.label()), per)
-                .metric(
-                    format!("kernel_vs_dispatch_speedup_{}", tier.label()),
-                    ratio,
-                );
-            per_tier_cells.push(format!("{ratio:.2}x"));
-            if *tier == native {
-                native_per = per;
-            }
-        }
-        set_tier_env(None, &inherited);
-        per_tier_cells.resize(KernelTier::ALL.len(), "-".to_string());
-
-        let speedup = safe_ratio(tw_per, native_per);
-        let kernel_speedup = safe_ratio(nf_per, native_per);
+        let bc_per = bc_ns as f64 / firings as f64;
+        let speedup = safe_ratio(tw_per, bc_per);
         report.push_row(
-            row.metric("treewalk_ns_per_firing", tw_per)
-                .metric("dispatch_ns_per_firing", nf_per)
-                .metric("bytecode_ns_per_firing", native_per)
+            BenchRow::new(*label)
+                .metric("treewalk_ns_per_firing", tw_per)
+                .metric("bytecode_ns_per_firing", bc_per)
                 .metric("speedup", speedup)
-                .metric("kernel_vs_dispatch_speedup", kernel_speedup)
                 .counter("firings", firings)
-                .counter("compiled", u64::from(compiled))
-                .counter("kernels", kernels),
+                .counter("compiled", u64::from(compiled)),
         );
-        let mut cells = vec![
+        rows.push(vec![
             label.to_string(),
             format!("{tw_per:.1}"),
-            format!("{nf_per:.1}"),
-            format!("{native_per:.1}"),
+            format!("{bc_per:.1}"),
             format!("{speedup:.2}x"),
-        ];
-        cells.extend(per_tier_cells);
-        cells.push(kernels.to_string());
-        cells.push(if compiled { "yes" } else { "FALLBACK" }.to_string());
-        rows.push(cells);
+            if compiled { "yes" } else { "FALLBACK" }.to_string(),
+        ]);
     }
     // --- Region-state rows: stateful actors vectorized lane-per-region.
     // Unlike the rows above (one graph, engines compared), these compare
-    // two *graphs*: the scalar original on the dispatch engine vs. the
-    // region-transformed one per kernel tier, schedules aligned by
-    // steady-state output volume so a time ratio is a fair speedup.
+    // two *graphs* on the bytecode engine: the scalar original vs. the
+    // region-transformed one, schedules aligned by steady-state output
+    // volume so a time ratio is a fair speedup.
     let mut region_rows = Vec::new();
+    let mut below_gate = None;
     for (label, build, needle) in [
         (
             "region_iir_bank",
@@ -436,105 +333,77 @@ fn main() {
             "{label}: steady-state volumes do not align"
         );
         ss.scale((v_out.output.len() / s_out.output.len()) as u64);
-        // The transformed graph must match the scalar one bit-for-bit on
-        // every available tier before any timing counts.
-        let sc = run_scheduled_mode(&g, &ss, &machine, 16, ExecMode::BytecodeNoFuse).expect("sc");
-        for tier in &tiers {
-            set_tier_env(Some(tier.label()), &inherited);
-            let rg = run_scheduled_mode(
-                &simd.graph,
-                &simd.schedule,
-                &machine,
-                16,
-                ExecMode::Bytecode,
-            )
-            .expect("rg");
-            assert!(
-                outputs_bits_eq(&sc, &rg),
-                "{label}: region {} tier diverges from scalar",
-                tier.label()
-            );
-        }
-        set_tier_env(None, &inherited);
-
-        let (reps, compiled, kernels) = hot_filter(&simd.graph, &simd.schedule, &machine, needle);
-        let firings = reps * iters;
-        let sc_ns = time_run(&g, &ss, &machine, iters, ExecMode::BytecodeNoFuse, samples);
-        let sc_per = sc_ns as f64 / firings as f64;
-        let mut row = BenchRow::new(label);
-        let mut per_tier_cells: Vec<String> = Vec::new();
-        let mut best = 0.0f64;
-        for tier in &tiers {
-            set_tier_env(Some(tier.label()), &inherited);
-            let ns = time_run(
-                &simd.graph,
-                &simd.schedule,
-                &machine,
-                iters,
-                ExecMode::Bytecode,
-                samples,
-            );
-            let per = ns as f64 / firings as f64;
-            let ratio = safe_ratio(sc_per, per);
-            best = best.max(ratio);
-            row = row
-                .metric(format!("region_ns_per_firing_{}", tier.label()), per)
-                .metric(format!("region_vs_scalar_speedup_{}", tier.label()), ratio);
-            per_tier_cells.push(format!("{ratio:.2}x"));
-        }
-        set_tier_env(None, &inherited);
-        per_tier_cells.resize(KernelTier::ALL.len(), "-".to_string());
-        report.push_row(
-            row.metric("scalar_dispatch_ns_per_firing", sc_per)
-                .metric("region_vs_scalar_speedup_best", best)
-                .counter("firings", firings)
-                .counter("compiled", u64::from(compiled))
-                .counter("kernels", kernels),
+        // The transformed graph must match the scalar one bit-for-bit
+        // before any timing counts.
+        let sc = run_scheduled_mode(&g, &ss, &machine, 16, ExecMode::Bytecode).expect("sc");
+        let rg = run_scheduled_mode(
+            &simd.graph,
+            &simd.schedule,
+            &machine,
+            16,
+            ExecMode::Bytecode,
+        )
+        .expect("rg");
+        assert!(
+            outputs_bits_eq(&sc, &rg),
+            "{label}: region graph diverges from scalar"
         );
-        let mut cells = vec![
+
+        let (reps, compiled) = hot_filter(&simd.graph, &simd.schedule, &machine, needle);
+        let firings = reps * iters;
+        let sc_ns = time_run(&g, &ss, &machine, iters, ExecMode::Bytecode, samples);
+        let rg_ns = time_run(
+            &simd.graph,
+            &simd.schedule,
+            &machine,
+            iters,
+            ExecMode::Bytecode,
+            samples,
+        );
+        let sc_per = sc_ns as f64 / firings as f64;
+        let rg_per = rg_ns as f64 / firings as f64;
+        let ratio = safe_ratio(sc_per, rg_per);
+        if label == REGION_GATE.0 && ratio < REGION_GATE.1 {
+            below_gate = Some(ratio);
+        }
+        report.push_row(
+            BenchRow::new(label)
+                .metric("scalar_ns_per_firing", sc_per)
+                .metric("region_ns_per_firing", rg_per)
+                .metric("region_vs_scalar_speedup", ratio)
+                .counter("firings", firings)
+                .counter("compiled", u64::from(compiled)),
+        );
+        region_rows.push(vec![
             label.to_string(),
             format!("{sc_per:.1}"),
-            format!("{best:.2}x"),
-        ];
-        cells.extend(per_tier_cells);
-        cells.push(kernels.to_string());
-        cells.push(if compiled { "yes" } else { "FALLBACK" }.to_string());
-        region_rows.push(cells);
+            format!("{rg_per:.1}"),
+            format!("{ratio:.2}x"),
+            if compiled { "yes" } else { "FALLBACK" }.to_string(),
+        ]);
     }
 
-    let mut headers = vec![
-        "filter".to_string(),
-        "treewalk ns/firing".to_string(),
-        "dispatch ns/firing".to_string(),
-        "fused ns/firing".to_string(),
-        "speedup".to_string(),
+    let headers = [
+        "filter",
+        "treewalk ns/firing",
+        "bytecode ns/firing",
+        "speedup",
+        "compiled",
     ];
-    for tier in KernelTier::ALL.iter().filter(|t| t.available()) {
-        headers.push(format!("fused/disp {}", tier.label()));
-    }
-    for tier in KernelTier::ALL.iter().filter(|t| !t.available()) {
-        headers.push(format!("fused/disp {}", tier.label()));
-    }
-    headers.push("kernels".to_string());
-    headers.push("compiled".to_string());
-    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    println!("{}", render_table(&header_refs, &rows));
-
-    println!("== Region-state SIMDization: region-vectorized vs. scalar dispatch ==");
-    let mut region_headers = vec![
-        "benchmark".to_string(),
-        "scalar disp ns/firing".to_string(),
-        "best speedup".to_string(),
+    println!("{}", render_table(&headers, &rows));
+    println!("== Region-state SIMDization: region-vectorized vs. scalar graph, bytecode ==");
+    let region_headers = [
+        "benchmark",
+        "scalar ns/firing",
+        "region ns/firing",
+        "region/scalar",
+        "compiled",
     ];
-    for tier in KernelTier::ALL.iter().filter(|t| t.available()) {
-        region_headers.push(format!("region/scalar {}", tier.label()));
-    }
-    for tier in KernelTier::ALL.iter().filter(|t| !t.available()) {
-        region_headers.push(format!("region/scalar {}", tier.label()));
-    }
-    region_headers.push("kernels".to_string());
-    region_headers.push("compiled".to_string());
-    let region_header_refs: Vec<&str> = region_headers.iter().map(|s| s.as_str()).collect();
-    println!("{}", render_table(&region_header_refs, &region_rows));
+    println!("{}", render_table(&region_headers, &region_rows));
     emit_report(&report);
+    if let Some(ratio) = below_gate {
+        let (label, gate) = REGION_GATE;
+        eprintln!("{label}: region speedup {ratio:.2}x is below the {gate}x gate");
+        std::process::exit(1);
+    }
 }

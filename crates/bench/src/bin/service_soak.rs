@@ -6,7 +6,7 @@
 //! everything admitted.
 //!
 //! Usage: `service_soak [--sessions N] [--cap M] [--workers W]
-//! [--iters I] [--mode bytecode|nofuse|treewalk]`
+//! [--iters I] [--mode bytecode|treewalk]`
 //! (defaults: 72 sessions over a cap of 64, 4 workers, 4 iterations,
 //! bytecode). Any violated invariant exits non-zero. With emission
 //! enabled (`MACROSS_BENCH_JSON=1`, or the `telemetry` feature), writes
@@ -50,10 +50,9 @@ fn parse_args() -> Args {
             "--mode" => {
                 args.mode = match value("--mode").as_str() {
                     "bytecode" => ExecMode::Bytecode,
-                    "nofuse" => ExecMode::BytecodeNoFuse,
                     "treewalk" => ExecMode::TreeWalk,
                     other => {
-                        eprintln!("unknown mode '{other}' (bytecode|nofuse|treewalk)");
+                        eprintln!("unknown mode '{other}' (bytecode|treewalk)");
                         std::process::exit(2);
                     }
                 }

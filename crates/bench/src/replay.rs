@@ -39,16 +39,17 @@ pub fn machine_by_name(name: &str) -> Option<Machine> {
 pub fn exec_mode_name(mode: ExecMode) -> &'static str {
     match mode {
         ExecMode::Bytecode => "bytecode",
-        ExecMode::BytecodeNoFuse => "bytecode-nofuse",
         ExecMode::TreeWalk => "treewalk",
     }
 }
 
-/// Resolve an [`ExecMode`] from its serialized name.
+/// Resolve an [`ExecMode`] from its serialized name. `bytecode-nofuse`,
+/// the bytecode engine with superblock kernel fusion turned off, names
+/// what `bytecode` now always is, so bundles recorded under it still
+/// replay (bit-exactly: every engine matches the tree-walk oracle).
 pub fn exec_mode_by_name(name: &str) -> Option<ExecMode> {
     match name {
-        "bytecode" => Some(ExecMode::Bytecode),
-        "bytecode-nofuse" => Some(ExecMode::BytecodeNoFuse),
+        "bytecode" | "bytecode-nofuse" => Some(ExecMode::Bytecode),
         "treewalk" => Some(ExecMode::TreeWalk),
         _ => None,
     }
@@ -179,13 +180,13 @@ mod tests {
 
     #[test]
     fn name_lookups_roundtrip() {
-        for mode in [
-            ExecMode::Bytecode,
-            ExecMode::BytecodeNoFuse,
-            ExecMode::TreeWalk,
-        ] {
+        for mode in [ExecMode::Bytecode, ExecMode::TreeWalk] {
             assert_eq!(exec_mode_by_name(exec_mode_name(mode)), Some(mode));
         }
+        assert_eq!(
+            exec_mode_by_name("bytecode-nofuse"),
+            Some(ExecMode::Bytecode)
+        );
         for m in [Machine::core_i7(), Machine::core_i7_with_sagu()] {
             assert_eq!(machine_by_name(&m.name).unwrap().name, m.name);
         }

@@ -215,7 +215,7 @@ mod tests {
     fn every_dynamic_benchmark_is_swappable_in_both_modes() {
         for b in dynamic() {
             let t = (b.template)();
-            for mode in [ExecMode::Bytecode, ExecMode::BytecodeNoFuse] {
+            for mode in [ExecMode::Bytecode, ExecMode::TreeWalk] {
                 let v = t
                     .validate_swappable(&Machine::core_i7(), &SimdizeOptions::all(), mode)
                     .unwrap_or_else(|e| panic!("{}: {e}", b.name));

@@ -2,8 +2,8 @@
 //!
 //! [`compile_graph`] runs everything expensive about admitting a stream
 //! program exactly once — the Algorithm-1 SIMDization driver, the
-//! Equation-1 schedule adjustment, the firing compiler and superblock
-//! kernel fuser, and the static cost model — and packages the results
+//! Equation-1 schedule adjustment, the firing compiler, and the static
+//! cost model — and packages the results
 //! behind `Arc`s so any number of concurrent sessions of the same graph
 //! shape execute from one compilation. This is what separates *compile*
 //! from *run*: the `run_scheduled` / `run_threaded_placed` entry points
@@ -36,7 +36,7 @@ pub struct CompiledGraph {
     pub graph: Arc<Graph>,
     /// Its Equation-1-adjusted steady schedule (do not recompute).
     pub schedule: Arc<Schedule>,
-    /// Per-filter compiled bytecode with fused superblock kernels.
+    /// Per-filter compiled bytecode.
     pub programs: CompiledPrograms,
     /// Engine mode the programs were compiled for.
     pub mode: ExecMode,

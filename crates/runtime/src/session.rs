@@ -381,12 +381,6 @@ impl SessionEngine {
         self.init_fns_done = true;
         for (id, node) in self.graph.clone().nodes() {
             if let Node::Filter(f) = node {
-                let state = &mut self.states[id.0 as usize];
-                let kernels = state.kernel_count();
-                if kernels > 0 {
-                    self.trace
-                        .record(EventKind::KernelFusion, id.0, kernels as u64);
-                }
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     self.states[id.0 as usize].run_init_fn(f, &self.machine)
                 }));

@@ -535,11 +535,6 @@ impl<'g> Worker<'g> {
                     .record(EventKind::FissionReplica, id.0, self.plans[p].stride);
             }
             if let Node::Filter(f) = self.graph.node(id) {
-                let kernels = self.states[id.0 as usize].kernel_count();
-                if kernels > 0 {
-                    self.trace
-                        .record(EventKind::KernelFusion, id.0, kernels as u64);
-                }
                 if let Err(e) = self.states[id.0 as usize].run_init_fn(f, self.machine) {
                     self.fail(id.0 as usize, 0, FailureCause::Vm(e));
                     return self.into_out(0);

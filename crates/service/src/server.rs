@@ -99,7 +99,6 @@ impl Default for ServiceConfig {
 pub fn mode_label(mode: ExecMode) -> &'static str {
     match mode {
         ExecMode::Bytecode => "bytecode",
-        ExecMode::BytecodeNoFuse => "bytecode_nofuse",
         ExecMode::TreeWalk => "treewalk",
     }
 }

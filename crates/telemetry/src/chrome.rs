@@ -34,7 +34,6 @@ fn span_parts(kind: EventKind) -> Option<(&'static str, bool)> {
         | EventKind::StageFailed
         | EventKind::DrainBegin
         | EventKind::WatchdogFire
-        | EventKind::KernelFusion
         | EventKind::SessionAdmitted
         | EventKind::SessionRejected
         | EventKind::CacheHit
@@ -54,7 +53,6 @@ fn instant_cat(kind: EventKind) -> Option<&'static str> {
         EventKind::StageFailed => Some("failure"),
         EventKind::DrainBegin => Some("drain"),
         EventKind::WatchdogFire => Some("watchdog"),
-        EventKind::KernelFusion => Some("kernel_fusion"),
         EventKind::FissionReplica => Some("fission"),
         EventKind::SessionAdmitted
         | EventKind::SessionRejected

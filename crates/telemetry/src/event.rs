@@ -38,9 +38,6 @@ pub enum EventKind {
     /// The watchdog escalated a stuck stage (`subject` = node id, `aux` =
     /// nanoseconds the firing had been running).
     WatchdogFire,
-    /// The firing compiler fused superblock kernels for a stage
-    /// (`subject` = node id, `aux` = number of kernels in the plan).
-    KernelFusion,
     /// The service admitted a session (`subject` = session id, `aux` =
     /// shard it was placed on).
     SessionAdmitted,
@@ -87,7 +84,6 @@ impl EventKind {
             EventKind::StageFailed => "stage_failed",
             EventKind::DrainBegin => "drain_begin",
             EventKind::WatchdogFire => "watchdog_fire",
-            EventKind::KernelFusion => "kernel_fusion",
             EventKind::SessionAdmitted => "session_admitted",
             EventKind::SessionRejected => "session_rejected",
             EventKind::CacheHit => "cache_hit",
@@ -151,7 +147,6 @@ mod tests {
             EventKind::StageFailed,
             EventKind::DrainBegin,
             EventKind::WatchdogFire,
-            EventKind::KernelFusion,
             EventKind::SessionAdmitted,
             EventKind::SessionRejected,
             EventKind::CacheHit,

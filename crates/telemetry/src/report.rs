@@ -120,15 +120,6 @@ pub struct BenchReport {
     /// Work-function engine the numbers were produced with (e.g.
     /// `"bytecode"` or `"treewalk"`); omitted from the JSON when unset.
     pub exec_mode: Option<String>,
-    /// Kernel backend the numbers were produced with (`"avx2"` /
-    /// `"portable"`); omitted from the JSON when unset. Top-level (not a
-    /// counter) so it stays out of the bit-exact counter comparison.
-    pub kernel_backend: Option<String>,
-    /// Backend-matrix tier the fused kernels executed on (`"portable"` /
-    /// `"sse2"` / `"avx2"`); omitted from the JSON when unset. The
-    /// tier-matrix successor of `kernel_backend`, carried alongside it
-    /// so baselines written before the matrix still compare cleanly.
-    pub kernel_tier: Option<String>,
     /// Total batched firings across the run, when the producer tracked
     /// them. Top-level because the number is scheduling-dependent, not a
     /// deterministic event count.
@@ -156,8 +147,6 @@ impl BenchReport {
                 .map(|d| d.as_millis() as u64)
                 .unwrap_or(0),
             exec_mode: None,
-            kernel_backend: None,
-            kernel_tier: None,
             batched_firings: None,
             passes: Vec::new(),
             rows: Vec::new(),
@@ -167,18 +156,6 @@ impl BenchReport {
     /// Stamp the report with the work-function engine used.
     pub fn with_exec_mode(mut self, mode: impl Into<String>) -> BenchReport {
         self.exec_mode = Some(mode.into());
-        self
-    }
-
-    /// Stamp the report with the kernel backend used.
-    pub fn with_kernel_backend(mut self, backend: impl Into<String>) -> BenchReport {
-        self.kernel_backend = Some(backend.into());
-        self
-    }
-
-    /// Stamp the report with the backend-matrix kernel tier used.
-    pub fn with_kernel_tier(mut self, tier: impl Into<String>) -> BenchReport {
-        self.kernel_tier = Some(tier.into());
         self
     }
 
@@ -246,12 +223,6 @@ impl BenchReport {
         ];
         if let Some(mode) = &self.exec_mode {
             fields.push(("exec_mode", Json::Str(mode.clone())));
-        }
-        if let Some(backend) = &self.kernel_backend {
-            fields.push(("kernel_backend", Json::Str(backend.clone())));
-        }
-        if let Some(tier) = &self.kernel_tier {
-            fields.push(("kernel_tier", Json::Str(tier.clone())));
         }
         if let Some(n) = self.batched_firings {
             fields.push(("batched_firings", Json::Num(n as f64)));
@@ -398,23 +369,6 @@ pub fn check(doc: &Json) -> Vec<Violation> {
             Some(_) => {}
         }
     }
-    if let Some(backend) = doc.get("kernel_backend") {
-        match backend.as_str() {
-            None => c.push("kernel_backend", "must be a string"),
-            Some("") => c.push("kernel_backend", "must be non-empty when present"),
-            Some(_) => {}
-        }
-    }
-    if let Some(tier) = doc.get("kernel_tier") {
-        match tier.as_str() {
-            None => c.push("kernel_tier", "must be a string"),
-            Some("portable" | "sse2" | "avx2") => {}
-            Some(other) => c.push(
-                "kernel_tier",
-                format!("unknown tier {other:?} (expected portable|sse2|avx2)"),
-            ),
-        }
-    }
     if let Some(n) = doc.get("batched_firings") {
         if get_uint(n).is_none() {
             c.push("batched_firings", "must be a non-negative integer");
@@ -534,15 +488,13 @@ pub fn warnings(doc: &Json) -> Vec<Violation> {
     let Some(fields) = doc.as_obj() else {
         return out;
     };
-    const KNOWN: [&str; 11] = [
+    const KNOWN: [&str; 9] = [
         "schema_version",
         "name",
         "machine",
         "simd_width",
         "created_unix_ms",
         "exec_mode",
-        "kernel_backend",
-        "kernel_tier",
         "batched_firings",
         "passes",
         "rows",
@@ -674,39 +626,20 @@ mod tests {
     }
 
     #[test]
-    fn kernel_fields_are_optional_and_typed() {
-        let stamped = sample()
-            .with_kernel_backend("avx2")
-            .with_kernel_tier("sse2")
-            .with_batched_firings(128);
-        let s = stamped.json_string();
-        assert!(s.contains("\"kernel_backend\": \"avx2\""));
-        assert!(s.contains("\"kernel_tier\": \"sse2\""));
+    fn batched_firings_is_optional_and_typed() {
+        let s = sample().with_batched_firings(128).json_string();
         assert!(s.contains("\"batched_firings\": 128"));
         validate_str(&s).unwrap();
-        // Known fields: must not trip the unknown-key warning either.
+        // A known field: must not trip the unknown-key warning either.
         let doc = json::parse(&s).unwrap();
-        assert!(warnings(&doc).iter().all(|w| w.path != "kernel_backend"
-            && w.path != "kernel_tier"
-            && w.path != "batched_firings"));
-        // Absent (older baselines): still valid, not emitted.
+        assert!(warnings(&doc).iter().all(|w| w.path != "batched_firings"));
+        // Absent: still valid, not emitted.
         let plain = sample().json_string();
-        assert!(
-            !plain.contains("kernel_backend")
-                && !plain.contains("kernel_tier")
-                && !plain.contains("batched_firings")
-        );
+        assert!(!plain.contains("batched_firings"));
         validate_str(&plain).unwrap();
-        // Wrong types: rejected.
-        let bad = r#"{"schema_version":1,"name":"x","machine":"m","simd_width":4,"created_unix_ms":0,"kernel_backend":7,"rows":[]}"#;
-        assert!(validate_str(bad).unwrap_err().contains("kernel_backend"));
+        // Wrong type: rejected.
         let bad = r#"{"schema_version":1,"name":"x","machine":"m","simd_width":4,"created_unix_ms":0,"batched_firings":-3,"rows":[]}"#;
         assert!(validate_str(bad).unwrap_err().contains("batched_firings"));
-        // kernel_tier must name a tier the matrix recognizes.
-        let bad = r#"{"schema_version":1,"name":"x","machine":"m","simd_width":4,"created_unix_ms":0,"kernel_tier":"avx512","rows":[]}"#;
-        assert!(validate_str(bad).unwrap_err().contains("kernel_tier"));
-        let bad = r#"{"schema_version":1,"name":"x","machine":"m","simd_width":4,"created_unix_ms":0,"kernel_tier":7,"rows":[]}"#;
-        assert!(validate_str(bad).unwrap_err().contains("kernel_tier"));
     }
 
     #[test]

@@ -42,7 +42,6 @@
 //! is unobservable.
 
 use crate::error::{TapeSide, VmError};
-use crate::kernel::{self, Kernel, KernelTier};
 use crate::lanes;
 use crate::machine::CycleCounters;
 use crate::tape::Tape;
@@ -185,12 +184,6 @@ pub struct CompiledFilter {
     pub work: Vec<Op>,
     /// Charge table indexed by [`Op::Charge`].
     pub charges: Vec<ChargeEntry>,
-    /// Fused superblock kernels indexed by [`Op::Kernel`] (shared by
-    /// `init` and `work`; empty when fusion is disabled).
-    pub kernels: Vec<Kernel>,
-    /// Backend-matrix tier executing the fused kernels, selected at
-    /// compile time.
-    pub tier: KernelTier,
 }
 
 impl CompiledFilter {
@@ -203,7 +196,7 @@ impl CompiledFilter {
     }
 
     /// A hand-assembled plan for unit tests: `work` over register files of
-    /// the given sizes, nothing declared, pooled, zeroed or fused.
+    /// the given sizes, nothing declared, pooled or zeroed.
     #[cfg(test)]
     pub(crate) fn bare(name: &str, int_regs: u32, float_regs: u32, work: Vec<Op>) -> Self {
         CompiledFilter {
@@ -220,8 +213,6 @@ impl CompiledFilter {
             init: vec![],
             work,
             charges: vec![],
-            kernels: vec![],
-            tier: KernelTier::Portable,
         }
     }
 
@@ -256,11 +247,6 @@ pub enum Op {
         idx: u32,
         n: u32,
     },
-
-    /// Execute fused superblock `kernels[idx]` and skip its span. The
-    /// fused ops remain in place right after this marker (so jump
-    /// targets stay valid); the interpreter advances `pc` past them.
-    Kernel(u32),
 
     // --- Moves (constants are pool registers, not ops) ------------------
     /// `i[dst] = i[src]` (free: register move).
@@ -644,42 +630,34 @@ pub enum Op {
 
     // --- Input tape ----------------------------------------------------
     PopI {
-        ty: ScalarTy,
         dst: u32,
     },
     PopF {
-        ty: ScalarTy,
         dst: u32,
     },
     /// `off` is an integer register holding the peek offset.
     PeekI {
-        ty: ScalarTy,
         dst: u32,
         off: u32,
     },
     PeekF {
-        ty: ScalarTy,
         dst: u32,
         off: u32,
     },
     VPopI {
-        ty: ScalarTy,
         dst: u32,
         w: u32,
     },
     VPopF {
-        ty: ScalarTy,
         dst: u32,
         w: u32,
     },
     VPeekI {
-        ty: ScalarTy,
         dst: u32,
         off: u32,
         w: u32,
     },
     VPeekF {
-        ty: ScalarTy,
         dst: u32,
         off: u32,
         w: u32,
@@ -690,30 +668,24 @@ pub enum Op {
 
     // --- Output tape ---------------------------------------------------
     PushI {
-        ty: ScalarTy,
         src: u32,
     },
     PushF {
-        ty: ScalarTy,
         src: u32,
     },
     RPushI {
-        ty: ScalarTy,
         src: u32,
         off: u32,
     },
     RPushF {
-        ty: ScalarTy,
         src: u32,
         off: u32,
     },
     VPushI {
-        ty: ScalarTy,
         src: u32,
         w: u32,
     },
     VPushF {
-        ty: ScalarTy,
         src: u32,
         w: u32,
     },
@@ -723,45 +695,37 @@ pub enum Op {
 
     // --- Internal channels ---------------------------------------------
     LPopI {
-        ty: ScalarTy,
         chan: u32,
         dst: u32,
     },
     LPopF {
-        ty: ScalarTy,
         chan: u32,
         dst: u32,
     },
     LVPopI {
-        ty: ScalarTy,
         chan: u32,
         dst: u32,
         w: u32,
     },
     LVPopF {
-        ty: ScalarTy,
         chan: u32,
         dst: u32,
         w: u32,
     },
     LPushI {
-        ty: ScalarTy,
         chan: u32,
         src: u32,
     },
     LPushF {
-        ty: ScalarTy,
         chan: u32,
         src: u32,
     },
     LVPushI {
-        ty: ScalarTy,
         chan: u32,
         src: u32,
         w: u32,
     },
     LVPushF {
-        ty: ScalarTy,
         chan: u32,
         src: u32,
         w: u32,
@@ -1152,13 +1116,6 @@ pub fn run_code(
                 charge!(&e.expect("cycle counters overflow u64"));
             }
 
-            Op::Kernel(idx) => {
-                let k = &plan.kernels[*idx as usize];
-                kernel::exec(k, plan.tier, regs);
-                // The marker is the first of the `span` ops it covers.
-                ip = ip.as_slice()[k.span as usize - 1..].iter();
-            }
-
             Op::MovI { dst, src } => regs.i[*dst as usize] = regs.i[*src as usize],
             Op::MovF { dst, src } => regs.f[*dst as usize] = regs.f[*src as usize],
             Op::MovNI { dst, src, w } => {
@@ -1434,89 +1391,91 @@ pub fn run_code(
             }
 
             // Tape and channel ops are bit-cast register moves: a slot
-            // holds the image a register holds. What `ty` promised is
-            // checked once per firing block, at the firing boundary.
-            Op::PopI { dst, .. } => regs.i[*dst as usize] = tape!(Input, input).pop_raw() as i64,
-            Op::PopF { dst, .. } => {
+            // holds the image a register holds. That the tapes carry the
+            // element types the plan was compiled for (`in_elem`,
+            // `out_elem`) is checked once per firing block, at the firing
+            // boundary.
+            Op::PopI { dst } => regs.i[*dst as usize] = tape!(Input, input).pop_raw() as i64,
+            Op::PopF { dst } => {
                 regs.f[*dst as usize] = f64::from_bits(tape!(Input, input).pop_raw());
             }
-            Op::PeekI { dst, off, .. } => {
+            Op::PeekI { dst, off } => {
                 let o = regs.i[*off as usize] as usize;
                 regs.i[*dst as usize] = tape!(Input, input).peek_raw(o) as i64;
             }
-            Op::PeekF { dst, off, .. } => {
+            Op::PeekF { dst, off } => {
                 let o = regs.i[*off as usize] as usize;
                 regs.f[*dst as usize] = f64::from_bits(tape!(Input, input).peek_raw(o));
             }
-            Op::VPopI { dst, w, .. } => {
+            Op::VPopI { dst, w } => {
                 let span = tape!(Input, input).vpop_slices(*w as usize);
                 lanes::load(&mut regs.i, *dst, span, |raw| raw as i64);
             }
-            Op::VPopF { dst, w, .. } => {
+            Op::VPopF { dst, w } => {
                 let span = tape!(Input, input).vpop_slices(*w as usize);
                 lanes::load(&mut regs.f, *dst, span, f64::from_bits);
             }
-            Op::VPeekI { dst, off, w, .. } => {
+            Op::VPeekI { dst, off, w } => {
                 let o = regs.i[*off as usize] as usize;
                 let span = tape!(Input, input).vpeek_slices(o, *w as usize);
                 lanes::load(&mut regs.i, *dst, span, |raw| raw as i64);
             }
-            Op::VPeekF { dst, off, w, .. } => {
+            Op::VPeekF { dst, off, w } => {
                 let o = regs.i[*off as usize] as usize;
                 let span = tape!(Input, input).vpeek_slices(o, *w as usize);
                 lanes::load(&mut regs.f, *dst, span, f64::from_bits);
             }
             Op::AdvRead { n } => tape!(Input, input).advance_read(*n as usize),
 
-            Op::PushI { src, .. } => tape!(Output, output).push_raw(regs.i[*src as usize] as u64),
-            Op::PushF { src, .. } => {
+            Op::PushI { src } => tape!(Output, output).push_raw(regs.i[*src as usize] as u64),
+            Op::PushF { src } => {
                 tape!(Output, output).push_raw(regs.f[*src as usize].to_bits());
             }
-            Op::RPushI { src, off, .. } => {
+            Op::RPushI { src, off } => {
                 let o = regs.i[*off as usize] as usize;
                 tape!(Output, output).rpush_raw(regs.i[*src as usize] as u64, o);
             }
-            Op::RPushF { src, off, .. } => {
+            Op::RPushF { src, off } => {
                 let o = regs.i[*off as usize] as usize;
                 tape!(Output, output).rpush_raw(regs.f[*src as usize].to_bits(), o);
             }
-            Op::VPushI { src, w, .. } => {
+            Op::VPushI { src, w } => {
                 let t = tape!(Output, output);
                 lanes::store(&regs.i, *src, *w, |x| x as u64, |span| t.push_slice(span));
             }
-            Op::VPushF { src, w, .. } => {
+            Op::VPushF { src, w } => {
                 let t = tape!(Output, output);
                 lanes::store(&regs.f, *src, *w, f64::to_bits, |span| t.push_slice(span));
             }
             Op::AdvWrite { n } => tape!(Output, output).advance_write(*n as usize),
 
-            Op::LPopI { chan, dst, .. } => match chans[*chan as usize].pop(1) {
+            Op::LPopI { chan, dst } => match chans[*chan as usize].pop(1) {
                 Some(span) => regs.i[*dst as usize] = span[0] as i64,
                 None => underflow!(format!("ch{chan}")),
             },
-            Op::LPopF { chan, dst, .. } => match chans[*chan as usize].pop(1) {
+            Op::LPopF { chan, dst } => match chans[*chan as usize].pop(1) {
                 Some(span) => regs.f[*dst as usize] = f64::from_bits(span[0]),
                 None => underflow!(format!("ch{chan}")),
             },
-            Op::LVPopI { chan, dst, w, .. } => match chans[*chan as usize].pop(*w as usize) {
+            Op::LVPopI { chan, dst, w } => match chans[*chan as usize].pop(*w as usize) {
                 Some(span) => lanes::load(&mut regs.i, *dst, (span, &[]), |raw| raw as i64),
                 None => underflow!(format!("ch{chan} (vector)")),
             },
-            Op::LVPopF { chan, dst, w, .. } => match chans[*chan as usize].pop(*w as usize) {
+            Op::LVPopF { chan, dst, w } => match chans[*chan as usize].pop(*w as usize) {
                 Some(span) => lanes::load(&mut regs.f, *dst, (span, &[]), f64::from_bits),
                 None => underflow!(format!("ch{chan} (vector)")),
             },
-            Op::LPushI { chan, src, .. } => {
+            Op::LPushI { chan, src } => {
                 chans[*chan as usize].push(&[regs.i[*src as usize] as u64]);
             }
-            Op::LPushF { chan, src, .. } => {
+            Op::LPushF { chan, src } => {
                 chans[*chan as usize].push(&[regs.f[*src as usize].to_bits()]);
             }
-            Op::LVPushI { chan, src, w, .. } => {
+            Op::LVPushI { chan, src, w } => {
                 let ch = &mut chans[*chan as usize];
                 lanes::store(&regs.i, *src, *w, |x| x as u64, |span| ch.push(span));
             }
-            Op::LVPushF { chan, src, w, .. } => {
+            Op::LVPushF { chan, src, w } => {
                 let ch = &mut chans[*chan as usize];
                 lanes::store(&regs.f, *src, *w, f64::to_bits, |span| ch.push(span));
             }
@@ -1654,10 +1613,7 @@ mod tests {
 
     #[test]
     fn missing_tape_is_reported() {
-        let pop = Op::PopI {
-            ty: ScalarTy::I32,
-            dst: 0,
-        };
+        let pop = Op::PopI { dst: 0 };
         let plan = CompiledFilter::bare("no_tape", 1, 0, vec![pop]);
         let mut regs = Regs::new(1, 0);
         let mut counters = CycleCounters::default();

@@ -44,7 +44,6 @@
 //! like the tree-walker's incremental additions.
 
 use crate::bytecode::{ChargeEntry, CompiledFilter, Op};
-use crate::kernel;
 use crate::machine::Machine;
 use crate::tape::raw_of;
 use macross_streamir::expr::{BinOp, Expr, Intrinsic, LValue, UnOp};
@@ -180,20 +179,6 @@ pub fn compile_filter(
     out_elem: Option<ScalarTy>,
     machine: &Machine,
 ) -> Option<CompiledFilter> {
-    compile_filter_opts(filter, in_elem, out_elem, machine, true)
-}
-
-/// [`compile_filter`] with superblock kernel fusion controllable: `fuse`
-/// = false keeps the plain per-op dispatch plan (the kernels-off
-/// baseline measured by `interp_hotpath`, exposed to callers as
-/// `ExecMode::BytecodeNoFuse`).
-pub fn compile_filter_opts(
-    filter: &Filter,
-    in_elem: Option<ScalarTy>,
-    out_elem: Option<ScalarTy>,
-    machine: &Machine,
-    fuse: bool,
-) -> Option<CompiledFilter> {
     let mut vars = Vec::with_capacity(filter.vars.len());
     let mut var_windows = Vec::with_capacity(filter.vars.len());
     let mut zero_i = Vec::new();
@@ -254,14 +239,8 @@ pub fn compile_filter_opts(
         max_i: temp_i,
         max_f: temp_f,
     };
-    let mut init = c.compile_body(&filter.init)?;
-    let mut work = c.compile_body(&filter.work)?;
-    let tier = kernel::select_tier();
-    let mut kernels = Vec::new();
-    if fuse {
-        kernel::fuse(&mut init, &mut kernels, c.max_i, c.max_f, tier);
-        kernel::fuse(&mut work, &mut kernels, c.max_i, c.max_f, tier);
-    }
+    let init = c.compile_body(&filter.init)?;
+    let work = c.compile_body(&filter.work)?;
     Some(CompiledFilter {
         name: filter.name.clone(),
         in_elem,
@@ -279,8 +258,6 @@ pub fn compile_filter_opts(
         init,
         work,
         charges: c.charges,
-        kernels,
-        tier,
     })
 }
 
@@ -464,9 +441,9 @@ impl<'a> Compiler<'a> {
                 self.pending.counters.mem_scalar += self.machine.cost.store;
                 self.pending.out_addr += 1;
                 self.emit(if val.is_float() {
-                    Op::PushF { ty, src: val.reg }
+                    Op::PushF { src: val.reg }
                 } else {
-                    Op::PushI { ty, src: val.reg }
+                    Op::PushI { src: val.reg }
                 });
                 Some(())
             }
@@ -483,17 +460,9 @@ impl<'a> Compiler<'a> {
                 // per-edge reorder cost (the producer *is* the reorderer).
                 self.pending.counters.addr_overhead += self.machine.cost.alu;
                 self.emit(if val.is_float() {
-                    Op::RPushF {
-                        ty,
-                        src: val.reg,
-                        off,
-                    }
+                    Op::RPushF { src: val.reg, off }
                 } else {
-                    Op::RPushI {
-                        ty,
-                        src: val.reg,
-                        off,
-                    }
+                    Op::RPushI { src: val.reg, off }
                 });
                 Some(())
             }
@@ -506,17 +475,9 @@ impl<'a> Compiler<'a> {
                 self.pending.counters.mem_vector += self.machine.cost.vstore;
                 let w = val.w.expect("checked vector");
                 self.emit(if val.is_float() {
-                    Op::VPushF {
-                        ty,
-                        src: val.reg,
-                        w,
-                    }
+                    Op::VPushF { src: val.reg, w }
                 } else {
-                    Op::VPushI {
-                        ty,
-                        src: val.reg,
-                        w,
-                    }
+                    Op::VPushI { src: val.reg, w }
                 });
                 Some(())
             }
@@ -529,17 +490,9 @@ impl<'a> Compiler<'a> {
                 self.pending.counters.mem_scalar += self.machine.cost.store;
                 let chan = c.0;
                 self.emit(if val.is_float() {
-                    Op::LPushF {
-                        ty,
-                        chan,
-                        src: val.reg,
-                    }
+                    Op::LPushF { chan, src: val.reg }
                 } else {
-                    Op::LPushI {
-                        ty,
-                        chan,
-                        src: val.reg,
-                    }
+                    Op::LPushI { chan, src: val.reg }
                 });
                 Some(())
             }
@@ -553,14 +506,12 @@ impl<'a> Compiler<'a> {
                 let (chan, w) = (c.0, val.w.expect("checked vector"));
                 self.emit(if val.is_float() {
                     Op::LVPushF {
-                        ty,
                         chan,
                         src: val.reg,
                         w,
                     }
                 } else {
                     Op::LVPushI {
-                        ty,
                         chan,
                         src: val.reg,
                         w,
@@ -1081,9 +1032,9 @@ impl<'a> Compiler<'a> {
                 self.pending.in_addr += 1;
                 let dst = self.dest(want, ty.is_float(), 1, false, &[]);
                 self.emit(if ty.is_float() {
-                    Op::PopF { ty, dst }
+                    Op::PopF { dst }
                 } else {
-                    Op::PopI { ty, dst }
+                    Op::PopI { dst }
                 });
                 Some(Operand {
                     ty,
@@ -1099,9 +1050,9 @@ impl<'a> Compiler<'a> {
                 self.pending.in_addr += 1;
                 let dst = self.dest(want, ty.is_float(), 1, false, &[(false, off, 1)]);
                 self.emit(if ty.is_float() {
-                    Op::PeekF { ty, dst, off }
+                    Op::PeekF { dst, off }
                 } else {
-                    Op::PeekI { ty, dst, off }
+                    Op::PeekI { dst, off }
                 });
                 Some(Operand {
                     ty,
@@ -1115,9 +1066,9 @@ impl<'a> Compiler<'a> {
                 self.pending.counters.mem_vector += self.machine.cost.vload;
                 let dst = self.dest(want, ty.is_float(), w, false, &[]);
                 self.emit(if ty.is_float() {
-                    Op::VPopF { ty, dst, w }
+                    Op::VPopF { dst, w }
                 } else {
-                    Op::VPopI { ty, dst, w }
+                    Op::VPopI { dst, w }
                 });
                 Some(Operand {
                     ty,
@@ -1133,9 +1084,9 @@ impl<'a> Compiler<'a> {
                 self.pending.counters.mem_vector += self.machine.cost.vload;
                 let dst = self.dest(want, ty.is_float(), w, false, &[(false, off, 1)]);
                 self.emit(if ty.is_float() {
-                    Op::VPeekF { ty, dst, off, w }
+                    Op::VPeekF { dst, off, w }
                 } else {
-                    Op::VPeekI { ty, dst, off, w }
+                    Op::VPeekI { dst, off, w }
                 });
                 Some(Operand {
                     ty,
@@ -1149,9 +1100,9 @@ impl<'a> Compiler<'a> {
                 let dst = self.dest(want, ty.is_float(), 1, false, &[]);
                 let chan = c.0;
                 self.emit(if ty.is_float() {
-                    Op::LPopF { ty, chan, dst }
+                    Op::LPopF { chan, dst }
                 } else {
-                    Op::LPopI { ty, chan, dst }
+                    Op::LPopI { chan, dst }
                 });
                 Some(Operand {
                     ty,
@@ -1166,9 +1117,9 @@ impl<'a> Compiler<'a> {
                 let dst = self.dest(want, ty.is_float(), w, false, &[]);
                 let chan = c.0;
                 self.emit(if ty.is_float() {
-                    Op::LVPopF { ty, chan, dst, w }
+                    Op::LVPopF { chan, dst, w }
                 } else {
-                    Op::LVPopI { ty, chan, dst, w }
+                    Op::LVPopI { chan, dst, w }
                 });
                 Some(Operand {
                     ty,

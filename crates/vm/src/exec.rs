@@ -24,13 +24,7 @@ use macross_telemetry::{EventKind, WorkerTrace};
 pub enum ExecMode {
     /// Compiled register bytecode, with per-filter fallback to the
     /// tree-walker for bodies the compiler cannot lower exactly.
-    /// Straight-line runs of register ops are fused into superblock
-    /// kernels ([`crate::kernel`]).
     Bytecode,
-    /// Bytecode without kernel fusion: the plain per-op dispatch loop.
-    /// The kernels-off baseline for `interp_hotpath`'s
-    /// kernel-vs-dispatch column.
-    BytecodeNoFuse,
     /// The original tree-walking interpreter (the differential oracle).
     TreeWalk,
 }
@@ -138,13 +132,7 @@ impl<'a> Executor<'a> {
         self.inits_done = true;
         for (id, node) in self.graph.nodes() {
             if let Node::Filter(f) = node {
-                let state = &mut self.states[id.0 as usize];
-                let kernels = state.kernel_count();
-                if kernels > 0 {
-                    self.trace
-                        .record(EventKind::KernelFusion, id.0, kernels as u64);
-                }
-                state.run_init_fn(f, self.machine)?;
+                self.states[id.0 as usize].run_init_fn(f, self.machine)?;
             }
         }
         Ok(())

@@ -9,7 +9,7 @@
 //! assigned to its core and fire them against thread-local tapes.
 
 use crate::bytecode::{run_code, Chan, CompiledFilter, Regs};
-use crate::compile::compile_filter_opts;
+use crate::compile::compile_filter;
 use crate::error::VmError;
 use crate::exec::ExecMode;
 use crate::interp::{reset_locals, zero_slots, FiringCtx, Slot};
@@ -93,12 +93,10 @@ impl FilterState {
         out_elem: Option<ScalarTy>,
         mode: ExecMode,
     ) -> Option<Arc<CompiledFilter>> {
-        let fuse = match mode {
-            ExecMode::Bytecode => Some(true),
-            ExecMode::BytecodeNoFuse => Some(false),
+        match mode {
+            ExecMode::Bytecode => compile_filter(filter, in_elem, out_elem, machine).map(Arc::new),
             ExecMode::TreeWalk => None,
-        }?;
-        compile_filter_opts(filter, in_elem, out_elem, machine, fuse).map(Arc::new)
+        }
     }
 
     /// Zero-initialized state firing through an already-compiled shared
@@ -119,15 +117,6 @@ impl FilterState {
     /// True when this state fires through compiled bytecode.
     pub fn is_compiled(&self) -> bool {
         matches!(self.engine, Engine::Compiled(_))
-    }
-
-    /// Number of fused superblock kernels in the compiled plan (0 when
-    /// tree-walking or fusion is off) — telemetry's kernel-fusion trace.
-    pub fn kernel_count(&self) -> usize {
-        match &self.engine {
-            Engine::Compiled(plan) => plan.kernels.len(),
-            Engine::Tree => 0,
-        }
     }
 
     /// Copy what firings change — the engine's variable storage; the

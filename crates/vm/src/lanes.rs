@@ -1,11 +1,9 @@
 //! Lane loops: the one implementation of every register-window
-//! operation, shared by the dispatch loop
-//! ([`crate::bytecode::run_code`]) and the portable kernel tier
-//! (`kernel::exec_kop_portable`).
+//! operation of the dispatch loop ([`crate::bytecode::run_code`]).
 //!
 //! A vector value is `w` consecutive registers of one file and a scalar
 //! is the `w == 1` case of the same thing, so every pure op — scalar or
-//! vector, dispatched or fused — executes by calling one function here.
+//! vector — executes by calling one function here.
 //!
 //! # Resolve once per op
 //!
@@ -31,8 +29,8 @@
 //! overlaps the destination *at a shift* takes the indexed loop instead,
 //! where lane `k + 1` reads what lane `k` wrote: the order-sensitive
 //! behaviour the per-lane interpreter always had, kept bit for bit
-//! because fused generic ops degrade to exactly this loop and all
-//! engines are compared bitwise. Other widths take the indexed loop too.
+//! because the engines are compared bitwise. Other widths take the
+//! indexed loop too.
 //! A window outside the file panics on either path (a guest fault the
 //! firing boundary reports as `VmError::Panicked`).
 //!
@@ -432,7 +430,6 @@ pub(crate) fn store<T: Copy>(
 mod tests {
     use super::*;
     use crate::bytecode::{run_code, Chan, CompiledFilter, Op};
-    use crate::kernel::{self, Kernel};
     use crate::machine::CycleCounters;
     use crate::tape::Tape;
 
@@ -525,20 +522,9 @@ mod tests {
             .expect("pure ops cannot fail");
     }
 
-    /// `op` lowered to its fused form, on the portable tier and on the
-    /// tier this process selects (`MACROSS_KERNEL_TIER` in the CI legs).
-    fn fused(op: &Op, portable: &mut Regs, selected: &mut Regs) {
-        let kop = kernel::lower(op, FILE as u32, FILE as u32).expect("pure ops lower");
-        kernel::exec_kop_portable(&kop, portable);
-        let k = Kernel {
-            span: 1,
-            kops: Box::new([kop]),
-        };
-        kernel::exec(&k, kernel::select_tier(), selected);
-    }
-
-    /// The naive interpreter every engine is held to: one scalar helper
-    /// call per lane, lanes ascending, straight on the register file.
+    /// The naive interpreter the dispatch loop is held to: one scalar
+    /// helper call per lane, lanes ascending, straight on the register
+    /// file.
     fn reference(op: &Op, r: &mut Regs) {
         macro_rules! lanes {
             ($w:expr, $to:ident[$dst:expr] = |$k:ident| $e:expr) => {
@@ -788,15 +774,9 @@ mod tests {
                         forms.push(scalar_form(&op));
                     }
                     for form in forms {
-                        let mut got: [Regs; 3] = std::array::from_fn(|_| init.clone());
-                        let [d, p, s] = &mut got;
-                        dispatched(&form, d);
-                        fused(&form, p, s);
-                        for (engine, got) in
-                            ["dispatch", "portable", "selected tier"].iter().zip(&got)
-                        {
-                            assert_eq!(bits(got), bits(&want), "{engine}: {form:?}");
-                        }
+                        let mut got = init.clone();
+                        dispatched(&form, &mut got);
+                        assert_eq!(bits(&got), bits(&want), "{form:?}");
                     }
                 }
             }
@@ -825,8 +805,8 @@ mod tests {
                 mov(&mut got, dst, src, w);
                 assert_eq!(got, want, "mov w {w} dst {dst}");
 
-                // The same move as an op, a fused op and a panel
-                // load/store (index register 0 holds element 0).
+                // The same move as an op and as a panel load/store (index
+                // register 0 holds element 0).
                 let (d, s, ww) = (dst as u32, src as u32, w as u32);
                 let mut wantf = Regs::new(FILE, FILE);
                 wantf.f = want.iter().map(|&x| x as f64).collect();
@@ -856,13 +836,9 @@ mod tests {
                         w: ww,
                     },
                 ] {
-                    let mut got: [Regs; 3] = std::array::from_fn(|_| startf());
-                    let [x, p, t] = &mut got;
-                    dispatched(&op, x);
-                    fused(&op, p, t);
-                    for g in &got {
-                        assert_eq!(bits(g), bits(&wantf), "{op:?}");
-                    }
+                    let mut got = startf();
+                    dispatched(&op, &mut got);
+                    assert_eq!(bits(&got), bits(&wantf), "{op:?}");
                 }
             }
 
@@ -877,8 +853,8 @@ mod tests {
             put(&mut got, src, &vals);
             assert_eq!(got, want, "put w {w}");
 
-            // Splat, constant-pool load and local zeroing as the engines
-            // issue them. The splat source sits inside its own window.
+            // Splat, constant-pool load and local zeroing as the engine
+            // issues them. The splat source sits inside its own window.
             let mut start = Regs::new(FILE, FILE);
             start.i.clone_from(&file);
             let at = src as u32;
@@ -889,12 +865,9 @@ mod tests {
                 a: at + w as u32 / 2,
                 w: w as u32,
             };
-            let mut got: [Regs; 3] = std::array::from_fn(|_| start.clone());
-            let [x, p, t] = &mut got;
-            dispatched(&splat, x);
-            fused(&splat, p, t);
-            got.iter()
-                .for_each(|g| assert_eq!(bits(g), bits(&want), "{splat:?}"));
+            let mut got = start.clone();
+            dispatched(&splat, &mut got);
+            assert_eq!(bits(&got), bits(&want), "{splat:?}");
 
             let mut pooled = plan_of(vec![], vec![], vec![]);
             pooled.pool_i = (at, vals.clone().into());
@@ -942,39 +915,19 @@ mod tests {
                     let (chan, off) = (0, 63);
                     let work = if float {
                         vec![
-                            Op::VPeekF { ty, dst: 0, off, w },
-                            Op::LVPushF {
-                                ty,
-                                chan,
-                                src: 0,
-                                w,
-                            },
-                            Op::LVPopF {
-                                ty,
-                                chan,
-                                dst: 20,
-                                w,
-                            },
-                            Op::VPushF { ty, src: 20, w },
-                            Op::VPopF { ty, dst: 40, w },
+                            Op::VPeekF { dst: 0, off, w },
+                            Op::LVPushF { chan, src: 0, w },
+                            Op::LVPopF { chan, dst: 20, w },
+                            Op::VPushF { src: 20, w },
+                            Op::VPopF { dst: 40, w },
                         ]
                     } else {
                         vec![
-                            Op::VPeekI { ty, dst: 0, off, w },
-                            Op::LVPushI {
-                                ty,
-                                chan,
-                                src: 0,
-                                w,
-                            },
-                            Op::LVPopI {
-                                ty,
-                                chan,
-                                dst: 20,
-                                w,
-                            },
-                            Op::VPushI { ty, src: 20, w },
-                            Op::VPopI { ty, dst: 40, w },
+                            Op::VPeekI { dst: 0, off, w },
+                            Op::LVPushI { chan, src: 0, w },
+                            Op::LVPopI { chan, dst: 20, w },
+                            Op::VPushI { src: 20, w },
+                            Op::VPopI { dst: 40, w },
                         ]
                     };
                     let plan = plan_of(work, vec![], vec![]);

@@ -36,19 +36,51 @@ pub mod error;
 pub mod exec;
 pub mod firing;
 pub mod interp;
-pub mod kernel;
 mod lanes;
 pub mod machine;
 pub mod programs;
 pub mod tape;
 
 pub use bytecode::{CompiledFilter, Regs};
-pub use compile::{compile_filter, compile_filter_opts};
+pub use compile::compile_filter;
 pub use error::{TapeSide, VmError};
 pub use exec::{run_program, run_scheduled, run_scheduled_mode, ExecMode, Executor, RunResult};
 pub use firing::FilterState;
 pub use interp::{FiringCtx, RtVal, Slot};
-pub use kernel::{select_tier, KernelTier};
 pub use machine::{CostTable, CycleCounters, Machine};
 pub use programs::CompiledPrograms;
 pub use tape::Tape;
+
+// Stand-ins for the benchmark package (`benchmark/`), which still names
+// three items of the superblock kernel layer this crate no longer has:
+// `BytecodeNoFuse` is plain `Bytecode`, no plan carries a kernel, and no
+// kernel tier is in force. They go in the benchmark change that retires
+// the `vm.fuse_*` and `vm.fused_over_dispatch_*` ledger rows.
+
+#[doc(hidden)]
+#[allow(non_upper_case_globals)]
+impl ExecMode {
+    pub const BytecodeNoFuse: ExecMode = ExecMode::Bytecode;
+}
+
+#[doc(hidden)]
+impl CompiledPrograms {
+    pub fn kernel_total(&self) -> usize {
+        0
+    }
+}
+
+#[doc(hidden)]
+pub struct NoKernelTier;
+
+#[doc(hidden)]
+impl NoKernelTier {
+    pub fn label(self) -> &'static str {
+        "none"
+    }
+}
+
+#[doc(hidden)]
+pub fn select_tier() -> NoKernelTier {
+    NoKernelTier
+}

@@ -1,10 +1,10 @@
 //! Graph-level sets of compiled filter plans, shareable across executors.
 //!
 //! [`CompiledPrograms`] is the unit the service layer's compile-once cache
-//! stores: every filter of a graph compiled exactly once (with superblock
-//! kernels fused per the chosen [`ExecMode`]), behind `Arc`s so any number
-//! of concurrent sessions can instantiate fresh [`FilterState`]s without
-//! re-running the firing compiler. `Clone` is cheap — it clones the
+//! stores: every filter of a graph compiled exactly once for the chosen
+//! [`ExecMode`], behind `Arc`s so any number of concurrent sessions can
+//! instantiate fresh [`FilterState`]s without re-running the firing
+//! compiler. `Clone` is cheap — it clones the
 //! `Arc`s, never the bytecode.
 
 use crate::bytecode::CompiledFilter;
@@ -73,10 +73,5 @@ impl CompiledPrograms {
     /// Number of filters that actually compiled (the rest tree-walk).
     pub fn compiled_count(&self) -> usize {
         self.plans.iter().flatten().count()
-    }
-
-    /// Total fused superblock kernels across all plans.
-    pub fn kernel_total(&self) -> usize {
-        self.plans.iter().flatten().map(|p| p.kernels.len()).sum()
     }
 }

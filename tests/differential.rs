@@ -222,28 +222,22 @@ mod engine_differential {
         .into_result()
     }
 
-    /// Run one graph under all three engines — tree walk, plain bytecode
-    /// dispatch, and bytecode with superblock kernel fusion — and demand
-    /// bit-identical outputs AND identical cycle counters.
+    /// Run one graph under both engines — tree walk and bytecode — and
+    /// demand bit-identical outputs AND identical cycle counters.
     fn assert_engines_agree(name: &str, cfg: &str, g: &Graph, sched: &Schedule, m: &Machine) {
         let tw = run_scheduled_mode(g, sched, m, 2, ExecMode::TreeWalk)
             .unwrap_or_else(|e| panic!("{name}/{cfg}/treewalk: {e}"));
-        for (mode, leg) in [
-            (ExecMode::Bytecode, "bytecode"),
-            (ExecMode::BytecodeNoFuse, "bytecode-nofuse"),
-        ] {
-            let bc = run_scheduled_mode(g, sched, m, 2, mode)
-                .unwrap_or_else(|e| panic!("{name}/{cfg}/{leg}: {e}"));
-            assert_exact(name, &format!("{cfg}/{leg}"), &tw, &bc);
-            assert_eq!(
-                tw.counters, bc.counters,
-                "{name}/{cfg}/{leg}: cycle counters diverge between engines"
-            );
-            assert_eq!(
-                tw.node_cycles, bc.node_cycles,
-                "{name}/{cfg}/{leg}: per-node cycles diverge between engines"
-            );
-        }
+        let bc = run_scheduled_mode(g, sched, m, 2, ExecMode::Bytecode)
+            .unwrap_or_else(|e| panic!("{name}/{cfg}/bytecode: {e}"));
+        assert_exact(name, &format!("{cfg}/bytecode"), &tw, &bc);
+        assert_eq!(
+            tw.counters, bc.counters,
+            "{name}/{cfg}/bytecode: cycle counters diverge between engines"
+        );
+        assert_eq!(
+            tw.node_cycles, bc.node_cycles,
+            "{name}/{cfg}/bytecode: per-node cycles diverge between engines"
+        );
     }
 
     #[test]
@@ -288,11 +282,7 @@ mod engine_differential {
                         .collect(),
                 );
                 let mut runs = Vec::new();
-                for mode in [
-                    ExecMode::TreeWalk,
-                    ExecMode::Bytecode,
-                    ExecMode::BytecodeNoFuse,
-                ] {
+                for mode in [ExecMode::TreeWalk, ExecMode::Bytecode] {
                     let thr = run_placed_mode(&simd.graph, &simd.schedule, &m, &placement, 2, mode)
                         .unwrap_or_else(|e| panic!("{}@{cores}/{mode:?}: {e}", b.name));
                     assert_eq!(
@@ -323,7 +313,7 @@ mod engine_differential {
     }
 
     /// Cost-model-planned placements (fusion, fission, collapse) under
-    /// all three engines, across three communication regimes and two
+    /// both engines, across three communication regimes and two
     /// worker budgets: every plan's output must be bit-identical to the
     /// sequential tree-walk oracle. The cheap regime pushes the planner
     /// toward aggressive cuts and fission; the chatty regime toward
@@ -366,11 +356,7 @@ mod engine_differential {
                     if plan.fissioned > 0 {
                         fissioned_plans += 1;
                     }
-                    for mode in [
-                        ExecMode::TreeWalk,
-                        ExecMode::Bytecode,
-                        ExecMode::BytecodeNoFuse,
-                    ] {
+                    for mode in [ExecMode::TreeWalk, ExecMode::Bytecode] {
                         let ctx = format!(
                             "{}@{workers} comm {}/{} {mode:?}",
                             b.name, comm.cycles_per_element, comm.sync_per_edge
@@ -464,14 +450,14 @@ mod engine_differential {
     /// trip count that is unknown at compile time — in one filter, with
     /// the counts popped from the tape running through negative, zero and
     /// positive values over the firings. Sink bits, `CycleCounters` and
-    /// per-node cycles must agree across all three engines.
+    /// per-node cycles must agree across both engines.
     #[test]
     fn runtime_trip_loops_and_branch_charges_agree() {
         use macross_repro::streamir::builder::StreamSpec;
         use macross_repro::streamir::edsl::*;
         use macross_repro::streamir::types::{ScalarTy, Ty};
         use macross_repro::vm::bytecode::Op;
-        use macross_repro::vm::compile_filter_opts;
+        use macross_repro::vm::compile_filter;
 
         let mut src = FilterBuilder::new("src", 0, 0, 1, ScalarTy::I32);
         let n = src.state("n", Ty::Scalar(ScalarTy::I32));
@@ -575,7 +561,7 @@ mod engine_differential {
         // None of this is worth anything if the filter quietly fell back
         // to the tree-walker, or never reached the ops under test.
         let m = Machine::core_i7();
-        let plan = compile_filter_opts(&edges, Some(ScalarTy::I32), Some(ScalarTy::I32), &m, false)
+        let plan = compile_filter(&edges, Some(ScalarTy::I32), Some(ScalarTy::I32), &m)
             .expect("the edge filter compiles");
         let count = |f: fn(&Op) -> bool| plan.work.iter().filter(|op| f(op)).count();
         assert_eq!(count(|op| matches!(op, Op::LoopEnter { .. })), 14);
@@ -747,7 +733,7 @@ mod engine_differential {
             let simd = macro_simdize(&g, &m, &SimdizeOptions::all())
                 .unwrap_or_else(|e| panic!("{}: {e}", b.name));
             for (cfg, g) in [("scalar", &g), ("simdized", &simd.graph)] {
-                let programs = CompiledPrograms::compile(g, &m, ExecMode::BytecodeNoFuse);
+                let programs = CompiledPrograms::compile(g, &m, ExecMode::Bytecode);
                 for (id, node) in g.nodes() {
                     let Node::Filter(f) = node else { continue };
                     let at = format!("{}/{cfg}/{}", b.name, f.name);

@@ -18,7 +18,7 @@ use macross_repro::streamir::types::Value;
 use macross_repro::vm::{ExecMode, Machine};
 use std::sync::Arc;
 
-const MODES: [ExecMode; 2] = [ExecMode::Bytecode, ExecMode::BytecodeNoFuse];
+const MODES: [ExecMode; 2] = [ExecMode::Bytecode, ExecMode::TreeWalk];
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Drive one trace through the service as a dynamic session and return

@@ -4,7 +4,11 @@
 //!   modes) with bit-identical output;
 //! - random *structured* actors — nested loops with literal, variable and
 //!   popped trip counts, branches, scalar and vector assignments — produce
-//!   the same sink bits and cycle counters on all three engines;
+//!   the same sink bits and cycle counters on both engines;
+//! - random *vector* actors — permutations, float and integer compares,
+//!   casts through every width, intrinsics, `i64` multiplies — and random
+//!   assignments the constant pool and destination forwarding must get
+//!   right do too;
 //! - the repetition-vector solver balances arbitrary pipelines and
 //!   split-joins, minimally;
 //! - tapes behave like a FIFO oracle under arbitrary operation sequences,
@@ -439,17 +443,17 @@ fn gen_structured_actor(seed: u64) -> Filter {
 /// The loop and charge paths no suite program reaches: `ChargeTimes` for
 /// trip counts only known at run time and in-place charges under `If`,
 /// nested every which way, against the tree-walking oracle — sink bits,
-/// cycle counters and per-node cycles, with and without kernel fusion.
+/// cycle counters and per-node cycles.
 #[test]
 fn random_structured_actors_agree_across_engines() {
     use macross_repro::vm::bytecode::Op;
-    use macross_repro::vm::{compile_filter_opts, run_scheduled_mode, ExecMode};
+    use macross_repro::vm::{compile_filter, run_scheduled_mode, ExecMode};
     let machine = Machine::core_i7();
     let (mut by_trips, mut in_branch) = (0usize, 0usize);
     for seed in 0..64u64 {
         let actor = gen_structured_actor(seed);
         let i32_edge = Some(ScalarTy::I32);
-        let plan = compile_filter_opts(&actor, i32_edge, i32_edge, &machine, false)
+        let plan = compile_filter(&actor, i32_edge, i32_edge, &machine)
             .unwrap_or_else(|| panic!("seed {seed}: fell back to the tree-walker"));
         let count = |f: fn(&Op) -> bool| plan.work.iter().filter(|op| f(op)).count();
         by_trips += count(|op| matches!(op, Op::ChargeTimes { .. }));
@@ -472,17 +476,459 @@ fn random_structured_actors_agree_across_engines() {
         sched.scale(5);
         let tw = run_scheduled_mode(&g, &sched, &machine, 2, ExecMode::TreeWalk).unwrap();
         assert_eq!(tw.output.len(), 10 * 15, "seed {seed}");
-        for mode in [ExecMode::Bytecode, ExecMode::BytecodeNoFuse] {
-            let bc = run_scheduled_mode(&g, &sched, &machine, 2, mode).unwrap();
-            assert_eq!(tw.output, bc.output, "seed {seed} {mode:?}");
-            assert_eq!(tw.counters, bc.counters, "seed {seed} {mode:?}");
-            assert_eq!(tw.node_cycles, bc.node_cycles, "seed {seed} {mode:?}");
-        }
+        let bc = run_scheduled_mode(&g, &sched, &machine, 2, ExecMode::Bytecode).unwrap();
+        assert_eq!(tw.output, bc.output, "seed {seed}");
+        assert_eq!(tw.counters, bc.counters, "seed {seed}");
+        assert_eq!(tw.node_cycles, bc.node_cycles, "seed {seed}");
     }
     assert!(
         by_trips > 50 && in_branch > 50,
         "{by_trips} ChargeTimes, {in_branch} in-branch charges"
     );
+}
+
+// ---------------------------------------------------------------------
+// Random vector actors and pool/forwarding actors -> two-engine
+// differential.
+// ---------------------------------------------------------------------
+
+/// A random vector filter: pops two `w`-lane f32 vectors, applies a random
+/// sequence of vector ops across f32/f64/i32/i64 locals — permutations,
+/// compares (whose 0/1 lanes come back through a cast), `CastFF` round
+/// trips, `sqrt`/`abs`/`floor`, binary arithmetic, dword and qword integer
+/// detours with `i64` multiplies — and pushes one vector back.
+fn vector_graph(rng: &mut Rng, w: usize) -> Graph {
+    use macross_repro::streamir::expr::Intrinsic;
+    let mut fb = FilterBuilder::new("rnd", 2 * w, 2 * w, w, ScalarTy::F32);
+    let mut vars = |name: &str, n: usize, ty: Ty| -> Vec<VarId> {
+        (0..n).map(|i| fb.local(format!("{name}{i}"), ty)).collect()
+    };
+    let f = vars("f", 4, Ty::Vector(ScalarTy::F32, w));
+    let d = vars("d", 1, Ty::Vector(ScalarTy::F64, w))[0];
+    let n = vars("n", 2, Ty::Vector(ScalarTy::I32, w));
+    let q = vars("q", 2, Ty::Vector(ScalarTy::I64, w));
+    let steps = 10 + rng.range(0, 16);
+    let plan: Vec<(usize, usize, usize, usize)> = (0..steps)
+        .map(|_| {
+            let mut pick = |k| rng.range(0, k);
+            (pick(8), pick(4), pick(4), pick(4))
+        })
+        .collect();
+    let out = f[rng.range(0, 4)];
+    fb.work(move |b| {
+        let var = |id: VarId| Box::new(Expr::Var(id));
+        let mut set = |id: VarId, e: Expr| {
+            b.stmt(Stmt::Assign(LValue::Var(id), e));
+        };
+        let cmp = [
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+            BinOp::Eq,
+            BinOp::Ne,
+        ];
+        set(f[0], Expr::VPop { width: w });
+        set(f[1], Expr::VPop { width: w });
+        // Center the inputs so negatives reach abs/floor/compares.
+        let centre = Expr::Splat(Box::new(Expr::Const(Value::F32(7.25))), w);
+        set(f[1], Expr::bin(BinOp::Sub, Expr::Var(f[1]), centre));
+        set(f[2], Expr::Var(f[0]));
+        set(f[3], Expr::Var(f[1]));
+        for &(kind, t, x, y) in &plan {
+            let (ft, fx, fy) = (f[t], f[x], f[y]);
+            match kind {
+                0 => set(
+                    ft,
+                    Expr::Binary(
+                        [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div][x % 4],
+                        var(fx),
+                        var(fy),
+                    ),
+                ),
+                // The paper's extract_even/odd.
+                1 => set(
+                    ft,
+                    if y % 2 == 0 {
+                        Expr::PermuteEven(var(fx), var(fy))
+                    } else {
+                        Expr::PermuteOdd(var(fx), var(fy))
+                    },
+                ),
+                // sqrt over abs: the intrinsic without NaNs.
+                2 => set(
+                    ft,
+                    Expr::Call(
+                        Intrinsic::Sqrt,
+                        vec![Expr::Call(Intrinsic::Abs, vec![Expr::Var(fx)])],
+                    ),
+                ),
+                3 => set(
+                    ft,
+                    Expr::Call(
+                        [Intrinsic::Floor, Intrinsic::Abs][y % 2],
+                        vec![Expr::Var(fx)],
+                    ),
+                ),
+                4 => {
+                    set(n[0], Expr::Binary(cmp[x % 6], var(fx), var(fy)));
+                    set(ft, Expr::Cast(ScalarTy::F32, var(n[0])));
+                }
+                // f32 -> f64 -> f32.
+                5 => {
+                    set(d, Expr::Cast(ScalarTy::F64, var(fx)));
+                    set(ft, Expr::Cast(ScalarTy::F32, var(d)));
+                }
+                // Integer detour: f32 -> i32, bitwise, arithmetic or a
+                // compare, back.
+                6 => {
+                    set(n[0], Expr::Cast(ScalarTy::I32, var(fx)));
+                    set(n[1], Expr::Cast(ScalarTy::I32, var(fy)));
+                    let op = [
+                        BinOp::And,
+                        BinOp::Or,
+                        BinOp::Xor,
+                        BinOp::Add,
+                        BinOp::Mul,
+                        BinOp::Lt,
+                        BinOp::Ge,
+                        BinOp::Eq,
+                    ][y % 8];
+                    set(n[0], Expr::Binary(op, var(n[0]), var(n[1])));
+                    set(ft, Expr::Cast(ScalarTy::F32, var(n[0])));
+                }
+                // 64-bit detour: qword multiply and compare, folded back
+                // through the saturating cast.
+                _ => {
+                    set(q[0], Expr::Cast(ScalarTy::I64, var(fx)));
+                    set(q[1], Expr::Cast(ScalarTy::I64, var(fy)));
+                    let op = [BinOp::Mul, BinOp::Mul, BinOp::Add, BinOp::Xor][x % 4];
+                    set(q[0], Expr::Binary(op, var(q[0]), var(q[1])));
+                    set(n[0], Expr::Binary(cmp[y % 6], var(q[0]), var(q[1])));
+                    set(ft, Expr::Cast(ScalarTy::F32, var(n[0])));
+                }
+            }
+        }
+        b.stmt(Stmt::VPush {
+            value: Expr::Var(out),
+            width: w,
+        });
+    });
+    StreamSpec::pipeline(vec![
+        macross_repro::benchsuite::util::source_f32("src", 2 * w, 4096, 0.375),
+        fb.build_spec(),
+        StreamSpec::Sink,
+    ])
+    .build()
+    .expect("vector graph")
+}
+
+/// Quiet NaNs with different payloads: distinct pool entries, never fed to
+/// arithmetic (which operand's payload an op keeps is unspecified).
+const NAN_BITS: [u32; 2] = [0x7fc0_0001, 0x7fc0_0002];
+
+/// A random filter of assignments the firing compiler forwards, or has to
+/// refuse to forward, over literals the constant pool shares, or has to
+/// keep apart. One of every shape first, then a random mix.
+fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
+    let mut fb = FilterBuilder::new("fwd", 2 * w, 2 * w, 5 * w + 10, ScalarTy::F32);
+    let mut vars = |name: &str, n: usize, ty: Ty| -> Vec<VarId> {
+        (0..n).map(|i| fb.local(format!("{name}{i}"), ty)).collect()
+    };
+    let vf = vars("vf", 3, Ty::Vector(ScalarTy::F32, w));
+    let vi = vars("vi", 2, Ty::Vector(ScalarTy::I32, w));
+    let vd = vars("vd", 1, Ty::Vector(ScalarTy::F64, w))[0];
+    let sf = vars("sf", 2, Ty::Scalar(ScalarTy::F32));
+    let si = vars("si", 2, Ty::Scalar(ScalarTy::I32));
+    let sd = vars("sd", 1, Ty::Scalar(ScalarTy::F64))[0];
+    let sq = vars("sq", 1, Ty::Scalar(ScalarTy::I64))[0];
+    let panels = vars("panels", 1, Ty::VectorArray(ScalarTy::F32, w, 2))[0];
+    let arr = vars("arr", 1, Ty::Array(ScalarTy::F32, 4))[0];
+    let odd = vars("odd", 4, Ty::Scalar(ScalarTy::F32)); // NaNs and zeros
+    let steps = 12 + rng.range(0, 12);
+    let plan: Vec<(usize, usize, usize, usize)> = (0..10 + steps)
+        .map(|k| {
+            let kind = if k < 10 { k } else { rng.range(0, 10) };
+            (kind, rng.range(0, 3), rng.range(0, 3), rng.range(0, 3))
+        })
+        .collect();
+    fb.work(move |b| {
+        let var = |id: VarId| Box::new(Expr::Var(id));
+        let lit = |x: f32| Expr::Const(Value::F32(x));
+        let int = |x: i32| Expr::Const(Value::I32(x));
+        let splat = |e: Expr| Expr::Splat(Box::new(e), w);
+        let lane = |e: Expr, k: usize| Expr::Lane(Box::new(e), k % w);
+        let cast = |t: ScalarTy, e: Expr| Expr::Cast(t, Box::new(e));
+        let mut set = |lv: LValue, e: Expr| {
+            b.stmt(Stmt::Assign(lv, e));
+        };
+        let small = [0.5f32, -1.25, 1.5];
+        set(LValue::Var(vf[0]), Expr::VPop { width: w });
+        set(LValue::Var(vf[1]), Expr::VPop { width: w });
+        set(
+            LValue::Var(vf[1]),
+            Expr::bin(BinOp::Sub, Expr::Var(vf[1]), splat(lit(7.25))),
+        );
+        set(LValue::Var(vf[2]), Expr::Var(vf[0]));
+        set(LValue::Var(sf[0]), lane(Expr::Var(vf[0]), 1));
+        set(LValue::Var(sf[1]), lane(Expr::Var(vf[1]), 2));
+        for &(kind, t, x, y) in &plan {
+            let (vt, vx, vy) = (vf[t], vf[x], vf[y]);
+            let (s2, i2) = (t % 2, x % 2);
+            match kind {
+                // `v = v op u`, `v = u op v`, `v = u op splat(literal)`.
+                0 => set(
+                    LValue::Var(vt),
+                    match y {
+                        0 => Expr::bin(BinOp::Add, Expr::Var(vt), Expr::Var(vx)),
+                        1 => Expr::bin(BinOp::Sub, Expr::Var(vx), Expr::Var(vt)),
+                        _ => Expr::bin(BinOp::Mul, Expr::Var(vx), splat(lit(small[x]))),
+                    },
+                ),
+                // A permute reading its own destination must not alias.
+                1 => set(
+                    LValue::Var(vt),
+                    if y % 2 == 0 {
+                        Expr::PermuteEven(var(vt), var(vx))
+                    } else {
+                        Expr::PermuteOdd(var(vx), var(vt))
+                    },
+                ),
+                // A broadcast whose source sits inside its destination.
+                2 => set(LValue::Var(vt), splat(lane(Expr::Var(vt), x + y))),
+                // Lane 0 of a vector temporary shares its base register
+                // with the vector: the vector op must not land in a scalar.
+                3 => set(
+                    LValue::Var(sf[s2]),
+                    lane(
+                        Expr::bin(BinOp::Add, Expr::Var(vx), Expr::Var(vy)),
+                        y * (x + 1),
+                    ),
+                ),
+                // Vector results that live in the other register file.
+                4 => {
+                    set(
+                        LValue::Var(vi[i2]),
+                        Expr::bin(
+                            [BinOp::Lt, BinOp::Ge, BinOp::Ne][y],
+                            Expr::Var(vx),
+                            Expr::Var(vy),
+                        ),
+                    );
+                    set(LValue::Var(vt), cast(ScalarTy::F32, Expr::Var(vi[i2])));
+                    set(LValue::Var(vi[1 - i2]), cast(ScalarTy::I32, Expr::Var(vx)));
+                    set(LValue::Var(vd), cast(ScalarTy::F64, Expr::Var(vy)));
+                    set(LValue::Var(vy), cast(ScalarTy::F32, Expr::Var(vd)));
+                }
+                // Scalar ones.
+                5 => {
+                    set(
+                        LValue::Var(si[i2]),
+                        Expr::bin(BinOp::Lt, Expr::Var(sf[0]), Expr::Var(sf[1])),
+                    );
+                    set(LValue::Var(sf[s2]), cast(ScalarTy::F32, Expr::Var(si[i2])));
+                    set(
+                        LValue::Var(si[1 - i2]),
+                        cast(ScalarTy::I32, Expr::Var(sf[1 - s2])),
+                    );
+                }
+                // `a.lane = expr`, both files.
+                6 => {
+                    set(
+                        LValue::LaneVar(vt, (x + y) % w),
+                        Expr::bin(BinOp::Mul, Expr::Var(sf[s2]), lit(small[y])),
+                    );
+                    set(
+                        LValue::LaneVar(vi[i2], (t + y) % w),
+                        Expr::bin(BinOp::Add, Expr::Var(si[i2]), int(7)),
+                    );
+                }
+                // Pool sources keep their move: `x = 5`.
+                7 => {
+                    set(LValue::Var(si[i2]), int(5));
+                    set(LValue::Var(sf[s2]), lit(2.5));
+                    set(LValue::Var(vt), splat(lit(small[y])));
+                    set(
+                        LValue::Var(vi[1 - i2]),
+                        Expr::ConstVec((0..w).map(|k| Value::I32(k as i32 - 2)).collect()),
+                    );
+                }
+                // One literal, two widths: `7` and `0.625` are each one
+                // pool register whatever the type they are used at.
+                8 => {
+                    set(
+                        LValue::Var(si[i2]),
+                        Expr::bin(BinOp::Add, Expr::Var(si[i2]), int(7)),
+                    );
+                    set(
+                        LValue::Var(sq),
+                        Expr::bin(
+                            BinOp::Add,
+                            Expr::bin(BinOp::Xor, Expr::Var(sq), Expr::Const(Value::I64(7))),
+                            cast(ScalarTy::I64, Expr::Var(si[i2])),
+                        ),
+                    );
+                    set(
+                        LValue::Var(sf[s2]),
+                        Expr::bin(BinOp::Mul, Expr::Var(sf[s2]), lit(0.625)),
+                    );
+                    set(
+                        LValue::Var(sd),
+                        Expr::bin(
+                            BinOp::Add,
+                            Expr::bin(BinOp::Mul, Expr::Var(sd), Expr::Const(Value::F64(0.625))),
+                            cast(ScalarTy::F64, Expr::Var(sf[s2])),
+                        ),
+                    );
+                }
+                // Windows found through a run-time index.
+                _ => {
+                    let row = Expr::bin(BinOp::And, Expr::Var(si[i2]), int(1));
+                    let cell = Expr::bin(BinOp::And, Expr::Var(si[1 - i2]), int(3));
+                    set(LValue::Index(panels, row.clone()), Expr::Var(vx));
+                    set(LValue::Var(vt), Expr::Index(panels, Box::new(row)));
+                    set(LValue::Index(arr, cell.clone()), Expr::Var(sf[s2]));
+                    set(LValue::Var(sf[1 - s2]), Expr::Index(arr, Box::new(cell)));
+                }
+            }
+        }
+        // Literals only bit patterns tell apart.
+        set(LValue::Var(odd[0]), lit(f32::from_bits(NAN_BITS[0])));
+        set(LValue::Var(odd[1]), lit(f32::from_bits(NAN_BITS[1])));
+        set(LValue::Var(odd[2]), lit(0.0));
+        set(LValue::Var(odd[3]), lit(-0.0));
+        for value in [
+            Expr::Var(vf[0]),
+            Expr::Var(vf[1]),
+            Expr::Var(vf[2]),
+            cast(ScalarTy::F32, Expr::Var(vi[0])),
+            cast(ScalarTy::F32, Expr::Var(vd)),
+        ] {
+            b.stmt(Stmt::VPush { value, width: w });
+        }
+        for value in [
+            Expr::Var(sf[0]),
+            Expr::Var(sf[1]),
+            cast(ScalarTy::F32, Expr::Var(sd)),
+            cast(ScalarTy::F32, Expr::Var(si[0])),
+            cast(ScalarTy::F32, Expr::Var(si[1])),
+            cast(ScalarTy::F32, Expr::Var(sq)),
+            Expr::Var(odd[0]),
+            Expr::Var(odd[1]),
+            Expr::bin(BinOp::Div, lit(1.0), Expr::Var(odd[2])),
+            Expr::bin(BinOp::Div, lit(1.0), Expr::Var(odd[3])),
+        ] {
+            b.stmt(Stmt::Push(value));
+        }
+    });
+    StreamSpec::pipeline(vec![
+        macross_repro::benchsuite::util::source_f32("src", 2 * w, 4096, 0.375),
+        fb.build_spec(),
+        StreamSpec::Sink,
+    ])
+    .build()
+    .expect("forwarding graph")
+}
+
+/// The compiled plan of the filter named `name`; a fallback to the
+/// tree-walker would make the differential compare the oracle to itself.
+fn plan_of(
+    g: &Graph,
+    name: &str,
+    machine: &Machine,
+    at: &str,
+) -> macross_repro::vm::CompiledFilter {
+    let (id, fl) = g
+        .nodes()
+        .find_map(|(id, n)| match n {
+            Node::Filter(fl) if fl.name == name => Some((id, fl)),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("{at}: no filter {name}"));
+    let in_e = g.single_in_edge(id).map(|e| g.edge(e).elem);
+    let out_e = g.single_out_edge(id).map(|e| g.edge(e).elem);
+    macross_repro::vm::compile_filter(fl, in_e, out_e, machine)
+        .unwrap_or_else(|| panic!("{at}: {name} fell back to the tree-walker"))
+}
+
+/// What the pool and forwarding did to `fwd`, so the differential is known
+/// to have met them: shared and separated literals, ops that write a
+/// variable window directly, and permutes and splats that were kept off
+/// theirs.
+fn assert_pool_and_forwarding_engaged(g: &Graph, machine: &Machine, at: &str) {
+    use macross_repro::vm::bytecode::Op;
+    let plan = plan_of(g, "fwd", machine, at);
+    let ints = |x: i64| plan.pool_i.1.iter().filter(|&&v| v == x).count();
+    let floats = |x: f64| {
+        let bits = x.to_bits();
+        plan.pool_f.1.iter().filter(|v| v.to_bits() == bits).count()
+    };
+    assert_eq!(ints(7), 1, "{at}: I32 and I64 `7` share a register");
+    assert_eq!(
+        floats(0.625),
+        1,
+        "{at}: F32 and F64 `0.625` share a register"
+    );
+    assert_eq!((floats(0.0), floats(-0.0)), (1, 1), "{at}: signed zeros");
+    for bits in NAN_BITS {
+        assert_eq!(
+            floats(f32::from_bits(bits) as f64),
+            1,
+            "{at}: NaN {bits:#x}"
+        );
+    }
+    let var_zone = plan.pool_f.0;
+    let mut forwarded = 0;
+    for op in &plan.work {
+        match *op {
+            Op::VBinF { dst, .. } | Op::VCastIF { dst, .. } | Op::LoadVElemF { dst, .. } => {
+                forwarded += (dst < var_zone) as usize;
+            }
+            Op::PermF { dst, a, b, w, .. } => {
+                let apart = |s: u32| s + w <= dst || dst + w <= s;
+                assert!(apart(a) && apart(b), "{at}: {op:?} reads its destination");
+            }
+            Op::SplatF { dst, a, w } => {
+                assert!(
+                    a < dst || dst + w <= a,
+                    "{at}: {op:?} reads its destination"
+                );
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        forwarded >= 3,
+        "{at}: only {forwarded} forwarded vector ops"
+    );
+}
+
+/// Random vector actors, then random pool-and-forwarding actors, against
+/// the tree-walking oracle: sink bits and cycle counters.
+#[test]
+fn random_vector_and_forwarding_actors_agree_across_engines() {
+    use macross_repro::vm::{run_scheduled_mode, ExecMode};
+    let machine = Machine::core_i7();
+    for seed in 0..48u64 {
+        let mut rng = Rng::new(0xF0A2 ^ (seed << 7));
+        let w = [4, 8][rng.range(0, 2)];
+        let at = format!("seed {seed} w={w}");
+        // Seeds 24.. go to the pool-and-forwarding generator.
+        let g = if seed < 24 {
+            let g = vector_graph(&mut rng, w);
+            plan_of(&g, "rnd", &machine, &at);
+            g
+        } else {
+            let g = forwarding_graph(&mut rng, w);
+            assert_pool_and_forwarding_engaged(&g, &machine, &at);
+            g
+        };
+        let sched = Schedule::compute(&g).expect("schedule");
+        let tw = run_scheduled_mode(&g, &sched, &machine, 12, ExecMode::TreeWalk).expect("tw");
+        let bc = run_scheduled_mode(&g, &sched, &machine, 12, ExecMode::Bytecode).expect("bc");
+        assert_bits(&bc.output, &tw.output, &at);
+        assert_eq!(tw.counters, bc.counters, "{at}: counters");
+    }
 }
 
 // ---------------------------------------------------------------------
