@@ -6,13 +6,12 @@
 //! zero evictions) misses equal distinct valuations.
 //!
 //! Usage: `dynamic_rate [--workers W]` (default 2 workers), on the
-//! bytecode engine. Any violated invariant exits non-zero. With emission
-//! enabled (`MACROSS_BENCH_JSON=1`, or the `telemetry` feature), writes
-//! `SERVICE_dynamic_bytecode.json` into `MACROSS_BENCH_DIR` for
-//! `validate_report`.
+//! bytecode engine. Any violated invariant exits non-zero. With
+//! `MACROSS_BENCH_DIR` set, writes `SERVICE_dynamic_bytecode.json` there
+//! for `validate_report`.
 
 use macross::SimdizeOptions;
-use macross_bench::{bench_dir, render_table, report_emission_enabled};
+use macross_bench::{bench_dir, render_table};
 use macross_benchsuite::dynamic::dynamic;
 use macross_pdf::oracle_replay;
 use macross_runtime::FaultPlan;
@@ -202,8 +201,8 @@ fn main() {
             ],
         )
     );
-    if report_emission_enabled() {
-        match report.write_to_dir(&bench_dir()) {
+    if let Some(dir) = bench_dir() {
+        match report.write_to_dir(&dir) {
             Ok(path) => eprintln!("wrote {}", path.display()),
             Err(e) => fail(&format!("failed to write {}: {e}", report.file_name())),
         }

@@ -8,12 +8,11 @@
 //! Usage: `service_soak [--sessions N] [--cap M] [--workers W]
 //! [--iters I] [--mode bytecode|treewalk]`
 //! (defaults: 72 sessions over a cap of 64, 4 workers, 4 iterations,
-//! bytecode). Any violated invariant exits non-zero. With emission
-//! enabled (`MACROSS_BENCH_JSON=1`, or the `telemetry` feature), writes
-//! `SERVICE_soak_<mode>.json` into `MACROSS_BENCH_DIR` for
+//! bytecode). Any violated invariant exits non-zero. With
+//! `MACROSS_BENCH_DIR` set, writes `SERVICE_soak_<mode>.json` there for
 //! `validate_report`.
 
-use macross_bench::{bench_dir, render_table, report_emission_enabled};
+use macross_bench::{bench_dir, render_table};
 use macross_runtime::FaultPlan;
 use macross_service::{mode_label, ServiceConfig, StreamService};
 use macross_vm::{ExecMode, Machine};
@@ -209,8 +208,8 @@ fn main() {
             ],
         )
     );
-    if report_emission_enabled() {
-        match report.write_to_dir(&bench_dir()) {
+    if let Some(dir) = bench_dir() {
+        match report.write_to_dir(&dir) {
             Ok(path) => eprintln!("wrote {}", path.display()),
             Err(e) => fail(&format!("failed to write {}: {e}", report.file_name())),
         }

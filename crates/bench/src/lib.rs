@@ -13,78 +13,31 @@ use macross_benchsuite::Benchmark;
 use macross_multicore::{figure13_point, CommModel, Figure13Point};
 use macross_sdf::Schedule;
 use macross_streamir::graph::Graph;
-use macross_telemetry::TraceSession;
 use macross_vm::{run_scheduled, Machine, RunResult};
 use std::path::PathBuf;
 
 pub use macross_telemetry::report::{BenchReport, BenchRow};
 
 // ---------------------------------------------------------------------------
-// Machine-readable reports and trace export for the fig* binaries.
+// Machine-readable reports for the experiment binaries.
 
-/// A per-iteration (or any other) ratio that degrades to 0.0 instead of
-/// NaN/inf when the denominator is zero or either side is non-finite.
-pub fn safe_ratio(num: f64, den: f64) -> f64 {
-    if den == 0.0 || !num.is_finite() || !den.is_finite() {
-        0.0
-    } else {
-        num / den
-    }
+/// Where the binaries write their reports: `MACROSS_BENCH_DIR` when it is
+/// set; unset, no report is written.
+pub fn bench_dir() -> Option<PathBuf> {
+    std::env::var_os("MACROSS_BENCH_DIR").map(PathBuf::from)
 }
 
-/// Whether bench binaries should write `BENCH_<name>.json`: always when
-/// built with the `telemetry` feature, or on demand via the
-/// `MACROSS_BENCH_JSON` environment variable.
-pub fn report_emission_enabled() -> bool {
-    cfg!(feature = "telemetry") || std::env::var_os("MACROSS_BENCH_JSON").is_some()
-}
-
-/// Output directory for reports and traces: `MACROSS_BENCH_DIR`, default
-/// the current directory.
-pub fn bench_dir() -> PathBuf {
-    std::env::var_os("MACROSS_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."))
-}
-
-/// Write `report` as `BENCH_<name>.json` into [`bench_dir`] when emission
-/// is enabled (silent no-op otherwise). Emission failures are reported on
+/// Write `report` as `BENCH_<name>.json` into [`bench_dir`] when it is
+/// set (silent no-op otherwise). Emission failures are reported on
 /// stderr but never fail the benchmark itself.
 pub fn emit_report(report: &BenchReport) {
-    if !report_emission_enabled() {
+    let Some(dir) = bench_dir() else {
         return;
-    }
-    match report.write_to_dir(&bench_dir()) {
+    };
+    match report.write_to_dir(&dir) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("failed to write {}: {e}", report.file_name()),
     }
-}
-
-/// Drain `session` into a Chrome `trace_event` timeline and write it as
-/// `TRACE_<name>.json` into [`bench_dir`]. No-op for a disabled session
-/// (in particular, always a no-op without the `telemetry` feature).
-pub fn emit_chrome_trace(name: &str, session: &TraceSession, node_names: &[String]) {
-    if !session.enabled() {
-        return;
-    }
-    let events = session.drain();
-    let doc = macross_telemetry::chrome::chrome_trace(&events, node_names);
-    let path = bench_dir().join(format!("TRACE_{name}.json"));
-    match std::fs::write(&path, doc.to_string_compact()) {
-        Ok(()) => eprintln!(
-            "wrote {} ({} events, {} dropped) — open in chrome://tracing or ui.perfetto.dev",
-            path.display(),
-            events.len(),
-            session.dropped()
-        ),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-    }
-}
-
-/// Display names of a graph's nodes, indexed by node id (for firing-span
-/// labels in a Chrome trace).
-pub fn node_names(graph: &Graph) -> Vec<String> {
-    graph.node_ids().map(|id| graph.node(id).name()).collect()
 }
 
 /// Align two scheduled programs to identical source throughput and run
@@ -313,15 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn safe_ratio_guards_degenerate_denominators() {
-        assert_eq!(safe_ratio(10.0, 2.0), 5.0);
-        assert_eq!(safe_ratio(10.0, 0.0), 0.0);
-        assert_eq!(safe_ratio(f64::NAN, 2.0), 0.0);
-        assert_eq!(safe_ratio(10.0, f64::INFINITY), 0.0);
-        assert_eq!(safe_ratio(10.0, -0.0), 0.0);
-    }
-
-    #[test]
     fn geomean_is_geometric() {
         let g = geomean([1.0, 4.0]);
         assert!((g - 2.0).abs() < 1e-9);
@@ -454,95 +398,4 @@ pub fn time_case<T>(label: &str, samples: usize, mut f: impl FnMut() -> T) {
         fmt_ns(ns[0]),
         ns.len()
     );
-}
-
-// ---------------------------------------------------------------------------
-// Measured (threaded runtime) vs. modeled (analytic makespan) comparison.
-
-/// One benchmark under the cost-model planner at one worker budget: the
-/// plan's modelled verdict next to what the threaded runtime measured
-/// for the *planned* placement (fusion, fission, and all).
-#[derive(Debug)]
-pub struct PlannedVsModeled {
-    /// Benchmark name.
-    pub name: String,
-    /// Worker budget the planner was given (it may use fewer cores).
-    pub workers: usize,
-    /// The plan: placement plus modelled makespan/speedup.
-    pub plan: macross_multicore::PlacementPlan,
-    /// What the threaded runtime observed running that placement.
-    pub report: macross_runtime::RuntimeReport,
-}
-
-/// Profile `graph` sequentially for per-node cycles, ask the cost-model
-/// planner for a placement over `workers` cores using `comm`, and run
-/// the planned placement for `iters` steady iterations, recording the
-/// threaded run into `session` (pair with [`emit_chrome_trace`] to export
-/// the timeline).
-#[allow(clippy::too_many_arguments)]
-pub fn planned_vs_modeled_traced(
-    name: &str,
-    graph: &Graph,
-    schedule: &Schedule,
-    machine: &Machine,
-    workers: usize,
-    iters: u64,
-    comm: &CommModel,
-    session: &TraceSession,
-) -> PlannedVsModeled {
-    let seq = run_scheduled(graph, schedule, machine, iters.min(2)).expect("sequential profile");
-    let plan = macross_multicore::plan_placement(graph, schedule, &seq.node_cycles, workers, comm);
-    let run = macross_runtime::run_supervised_placed(
-        graph,
-        schedule,
-        machine,
-        &plan.placement,
-        iters,
-        &Default::default(),
-        session,
-    )
-    .and_then(macross_runtime::SupervisedRun::into_result)
-    .expect("planned run");
-    PlannedVsModeled {
-        name: name.to_string(),
-        workers,
-        plan,
-        report: run.report,
-    }
-}
-
-#[cfg(test)]
-mod measured_tests {
-    use super::*;
-    use macross_benchsuite::by_name;
-
-    #[test]
-    fn planned_vs_modeled_is_consistent() {
-        let machine = Machine::core_i7();
-        let b = by_name("FilterBank").unwrap();
-        let g = (b.build)();
-        let sched = Schedule::compute(&g).unwrap();
-        let comm = CommModel::default();
-        for workers in [1usize, 2, 4] {
-            let m = planned_vs_modeled_traced(
-                b.name,
-                &g,
-                &sched,
-                &machine,
-                workers,
-                4,
-                &comm,
-                &TraceSession::disabled(),
-            );
-            assert!(m.plan.cores_used <= workers.max(1));
-            assert_eq!(m.report.cut_edges, m.plan.cut_edges);
-            // The planner never commits to a placement it models slower
-            // than sequential.
-            assert!(m.plan.modelled_speedup() >= 1.0 - 1e-9);
-            assert!(m.report.wall_nanos > 0);
-            if m.plan.cores_used == 1 {
-                assert_eq!(m.report.ring_traffic(), 0);
-            }
-        }
-    }
 }

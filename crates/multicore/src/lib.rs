@@ -44,6 +44,10 @@ impl Default for CommModel {
 /// Longest-processing-time greedy partitioner: nodes sorted by cycle cost,
 /// assigned to the least-loaded core. Deliberately structure-blind — the
 /// paper's "naive multi-core scheduler".
+///
+/// It serves the Figure 13 study and the fault campaigns' replay bundles
+/// (`macross_bench::replay::campaign_placement`), nothing else: the
+/// production placement is [`plan_placement`].
 pub fn partition_lpt(node_cycles: &[u64], cores: usize) -> Vec<u32> {
     assert!(cores >= 1);
     let mut order: Vec<usize> = (0..node_cycles.len()).collect();
@@ -553,6 +557,10 @@ mod tests {
 /// Cluster-aware LPT: vertically fusable chains and horizontal split-join
 /// candidates are kept on one core so the SIMDizer's opportunities
 /// survive partitioning, then clusters are placed greedily by load.
+///
+/// Like [`partition_lpt`], it serves the Figure 13 study only (the
+/// `ablate_partitioner` comparison); the production placement is
+/// [`plan_placement`].
 pub fn partition_simd_aware(
     graph: &Graph,
     node_cycles: &[u64],

@@ -5,7 +5,7 @@
 //! balances compute and lets every pipeline edge become a cut edge, so on
 //! cheap graphs the threaded runtime pays more in ring transfers and
 //! stalls than it wins in parallel compute. This module plans placements
-//! the other way around, from a calibrated cost model:
+//! the other way around, from a cost model ([`CommModel`]):
 //!
 //! 1. **Fusion** — greedy cut-edge contraction. Starting from singleton
 //!    clusters, repeatedly pin the heaviest-traffic edge's endpoints to
@@ -32,7 +32,6 @@ use macross_runtime::{FissionSpec, Placement};
 use macross_sdf::Schedule;
 use macross_streamir::analysis::analyze_vectorizability;
 use macross_streamir::graph::{Graph, Node, NodeId};
-use std::sync::OnceLock;
 
 /// A planned placement plus the model's view of it — everything reports
 /// and gates need beyond the raw [`Placement`].
@@ -67,8 +66,8 @@ impl PlacementPlan {
 }
 
 /// Margin a parallel placement's modelled makespan must beat sequential
-/// by before the planner commits to it. The comm model is calibrated but
-/// still a model; demanding a 1.2× modelled win keeps marginal placements
+/// by before the planner commits to it. The comm model is only a model;
+/// demanding a 1.2× modelled win keeps marginal placements
 /// — the ones that lose to unmodelled stall latency — sequential.
 const PARALLEL_MARGIN: f64 = 1.2;
 
@@ -309,12 +308,12 @@ pub fn plan_placement(
         .unwrap_or(0);
     let cut_edges = graph
         .edges()
-        .filter(|(id, e)| {
+        .filter(|(_, e)| {
             placement.assignment[e.src.0 as usize] != placement.assignment[e.dst.0 as usize]
-                || placement.fission.iter().any(|s| {
-                    let _ = id;
-                    s.node == e.src || s.node == e.dst
-                })
+                || placement
+                    .fission
+                    .iter()
+                    .any(|s| s.node == e.src || s.node == e.dst)
         })
         .count();
     let cores_used = placement.cores();
@@ -326,144 +325,6 @@ pub fn plan_placement(
         fissioned,
         modelled_makespan: best_make,
         modelled_sequential: sequential,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Communication model calibration
-// ---------------------------------------------------------------------
-
-impl CommModel {
-    /// Calibrate the communication terms once per process from a
-    /// micro-measurement of the runtime's actual SPSC ring, expressed in
-    /// the same modelled-cycle unit as the per-node costs:
-    ///
-    /// - `cycles_per_element` = measured ring ns/element at streaming
-    ///   batch sizes, divided by the machine's measured ns per modelled
-    ///   cycle;
-    /// - `sync_per_edge` = the extra per-batch cost observed at small
-    ///   batches (publish/park handshakes), in the same unit.
-    ///
-    /// Both are overridable (`MACROSS_COMM_CYCLES_PER_ELEM`,
-    /// `MACROSS_COMM_SYNC_PER_EDGE`) so CI legs that compare counters
-    /// bit-exactly can pin the model instead of depending on host noise.
-    pub fn calibrated() -> CommModel {
-        static CAL: OnceLock<CommModel> = OnceLock::new();
-        *CAL.get_or_init(|| {
-            let env = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<u64>().ok());
-            let (elem_env, sync_env) = (
-                env("MACROSS_COMM_CYCLES_PER_ELEM"),
-                env("MACROSS_COMM_SYNC_PER_EDGE"),
-            );
-            if let (Some(cycles_per_element), Some(sync_per_edge)) = (elem_env, sync_env) {
-                return CommModel {
-                    cycles_per_element,
-                    sync_per_edge,
-                };
-            }
-            let measured = measure_comm_model();
-            CommModel {
-                cycles_per_element: elem_env.unwrap_or(measured.cycles_per_element),
-                sync_per_edge: sync_env.unwrap_or(measured.sync_per_edge),
-            }
-        })
-    }
-}
-
-/// Wall nanoseconds per element streamed through one runtime ring of
-/// `capacity` slots between two threads at `batch` elements per push.
-fn ring_ns_per_elem(total: usize, batch: usize, capacity: usize) -> f64 {
-    use macross_runtime::ring::Ring;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
-
-    let ring = Arc::new(Ring::for_edge(0, capacity));
-    let abort = Arc::new(AtomicBool::new(false));
-    ring.register_consumer();
-    let t0 = std::time::Instant::now();
-    let producer = {
-        let ring = Arc::clone(&ring);
-        let abort = Arc::clone(&abort);
-        std::thread::spawn(move || {
-            ring.register_producer();
-            let chunk = vec![7u64; batch];
-            let mut sent = 0;
-            while sent < total {
-                let k = chunk.len().min(total - sent);
-                if ring.push_batch(&chunk[..k], &abort).is_err() {
-                    return;
-                }
-                sent += k;
-            }
-        })
-    };
-    let trace = macross_telemetry::WorkerTrace::disabled();
-    let mut got = 0usize;
-    let mut sink = 0u64;
-    while got < total {
-        let k = ring.pop_avail(|image| sink += image, total - got);
-        if k == 0 && ring.wait_nonempty_quiet(&abort, &trace).is_err() {
-            break;
-        }
-        got += k;
-    }
-    producer.join().ok();
-    std::hint::black_box(sink);
-    t0.elapsed().as_nanos() as f64 / total.max(1) as f64
-}
-
-/// Wall nanoseconds per modelled cycle: time a small scalar run and
-/// divide by the cycles the model charged it.
-fn ns_per_modelled_cycle() -> f64 {
-    use macross_streamir::builder::StreamSpec;
-    use macross_streamir::edsl::*;
-    use macross_streamir::types::{ScalarTy, Ty};
-    use macross_vm::{run_scheduled, Machine};
-
-    let mut src = FilterBuilder::new("src", 0, 0, 1, ScalarTy::I32);
-    let n = src.state("n", Ty::Scalar(ScalarTy::I32));
-    src.work(|b| {
-        b.push(v(n));
-        b.set(n, v(n) + 1i32);
-    });
-    let mut mul = FilterBuilder::new("mul", 1, 1, 1, ScalarTy::I32);
-    mul.work(|b| {
-        b.push(pop() * 3i32);
-    });
-    let g = StreamSpec::pipeline(vec![src.build_spec(), mul.build_spec(), StreamSpec::Sink])
-        .build()
-        .expect("calibration graph");
-    let sched = Schedule::compute(&g).expect("calibration schedule");
-    let m = Machine::core_i7();
-    let iters = 20_000;
-    let t0 = std::time::Instant::now();
-    let run = run_scheduled(&g, &sched, &m, iters).expect("calibration run");
-    let ns = t0.elapsed().as_nanos() as f64;
-    ns / run.counters.total().max(1) as f64
-}
-
-fn measure_comm_model() -> CommModel {
-    let ns_cycle = ns_per_modelled_cycle().max(1e-3);
-    // Streaming cost at a large batch with a deep ring: pure per-element
-    // transfer, publishes amortized away.
-    let streaming = ring_ns_per_elem(1 << 18, 512, 1024);
-    // Rendezvous cost: a ring exactly one batch deep forces a full
-    // hand-off (the stalled side's spin, yield or park, and its wake-up)
-    // per batch — the lockstep worst case a cut edge degenerates to when
-    // producer and consumer can't drift apart. This is where waiting
-    // latency (microseconds, thousands of modelled cycles) actually
-    // shows up; a deep-ring measurement never sees it.
-    let small_batch = 8usize;
-    let rendezvous = ring_ns_per_elem(1 << 14, small_batch, small_batch);
-    let per_elem = (streaming / ns_cycle).round() as u64;
-    let handshake = ((rendezvous - streaming).max(0.0) * small_batch as f64) / ns_cycle;
-    // A worker hands its consumers a block of iterations at a time, so a
-    // steady pipeline pays roughly one handshake per block per edge:
-    // charge the per-iteration share.
-    let per_sync = (handshake / macross_runtime::iteration_block() as f64).round() as u64;
-    CommModel {
-        cycles_per_element: per_elem.clamp(1, 64),
-        sync_per_edge: per_sync.clamp(8, 1 << 16),
     }
 }
 
@@ -505,13 +366,6 @@ mod tests {
         StreamSpec::pipeline(stages).build().unwrap()
     }
 
-    fn fixed_comm() -> CommModel {
-        CommModel {
-            cycles_per_element: 3,
-            sync_per_edge: 40,
-        }
-    }
-
     #[test]
     fn cheap_chain_collapses_to_sequential() {
         // Every stage is trivial: any cut edge costs more than the whole
@@ -524,7 +378,7 @@ mod tests {
         ]);
         let sched = Schedule::compute(&g).unwrap();
         let cycles = vec![5u64; g.node_count()];
-        let plan = plan_placement(&g, &sched, &cycles, 4, &fixed_comm());
+        let plan = plan_placement(&g, &sched, &cycles, 4, &CommModel::default());
         assert_eq!(plan.cores_used, 1);
         assert_eq!(plan.cut_edges, 0);
         assert_eq!(plan.fissioned, 0);
@@ -548,7 +402,7 @@ mod tests {
         ]);
         let sched = Schedule::compute(&g).unwrap();
         let cycles: Vec<u64> = vec![10, 10, 4000, 10, 4000, 10];
-        let comm = fixed_comm();
+        let comm = CommModel::default();
         let plan = plan_placement(&g, &sched, &cycles, 2, &comm);
         assert!(plan.cores_used >= 2, "plan should go parallel: {plan:?}");
         let lpt = crate::Partition::lpt(&g, &sched, &cycles, 2);
@@ -574,7 +428,7 @@ mod tests {
         ]);
         let sched = Schedule::compute(&g).unwrap();
         let cycles: Vec<u64> = vec![40, 80_000, 40];
-        let plan = plan_placement(&g, &sched, &cycles, 4, &fixed_comm());
+        let plan = plan_placement(&g, &sched, &cycles, 4, &CommModel::default());
         assert!(plan.fissioned >= 2, "expected fission: {plan:?}");
         let spec = &plan.placement.fission[0];
         assert_eq!(spec.node, NodeId(1));
@@ -600,7 +454,7 @@ mod tests {
         let g = pipeline(vec![counter_src(4), hot.build_spec(), StreamSpec::Sink]);
         let sched = Schedule::compute(&g).unwrap();
         let cycles: Vec<u64> = vec![40, 80_000, 40];
-        let plan = plan_placement(&g, &sched, &cycles, 4, &fixed_comm());
+        let plan = plan_placement(&g, &sched, &cycles, 4, &CommModel::default());
         assert_eq!(
             plan.fissioned, 0,
             "stateful stage must stay whole: {plan:?}"
@@ -622,7 +476,7 @@ mod tests {
                 StreamSpec::Sink,
             ])
         };
-        let comm = fixed_comm();
+        let comm = CommModel::default();
         for workers in [1usize, 2, 3, 4, 8] {
             for scale in [1u64, 17, 400] {
                 let g1 = build();
@@ -660,30 +514,11 @@ mod tests {
         let seq = macross_vm::run_scheduled(&g, &sched, &m, 6).unwrap();
         let cycles: Vec<u64> = seq.node_cycles.iter().map(|c| c / 6).collect();
         for workers in [2usize, 4] {
-            let plan = plan_placement(&g, &sched, &cycles, workers, &fixed_comm());
+            let plan = plan_placement(&g, &sched, &cycles, workers, &CommModel::default());
             plan.placement.validate(&g, &sched).unwrap();
             let thr =
                 macross_runtime::run_threaded_placed(&g, &sched, &m, &plan.placement, 6).unwrap();
             assert_eq!(thr.output, seq.output, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn calibration_respects_env_overrides() {
-        // Process-wide OnceLock: only assert the pinned path when the
-        // harness set the variables (the CI counter legs do).
-        let pinned = (
-            std::env::var("MACROSS_COMM_CYCLES_PER_ELEM").ok(),
-            std::env::var("MACROSS_COMM_SYNC_PER_EDGE").ok(),
-        );
-        let cal = CommModel::calibrated();
-        if let (Some(e), Some(s)) = pinned {
-            assert_eq!(cal.cycles_per_element.to_string(), e);
-            assert_eq!(cal.sync_per_edge.to_string(), s);
-        }
-        assert!(cal.cycles_per_element >= 1);
-        assert!(cal.sync_per_edge >= 1);
-        // Calibration is cached: a second call returns the same model.
-        assert_eq!(CommModel::calibrated(), cal);
     }
 }

@@ -267,16 +267,6 @@ impl RuntimeReport {
             .sum()
     }
 
-    /// Total ring stalls (both sides) that went as far as parking the
-    /// thread; the rest of [`RuntimeReport::total_stalls`] were resolved
-    /// by spinning or yielding.
-    pub fn total_parks(&self) -> u64 {
-        self.rings
-            .iter()
-            .map(|r| r.full_parks + r.empty_parks)
-            .sum()
-    }
-
     /// Total nanoseconds workers spent blocked on rings (both sides).
     pub fn total_stall_nanos(&self) -> u64 {
         self.rings
@@ -584,8 +574,7 @@ pub fn ring_slack() -> u64 {
 }
 
 /// `ITER_BLOCK`: how many steady iterations one cross-core hand-off
-/// covers — what the multicore planner's communication-cost calibration
-/// amortizes its measured handshake over.
+/// covers.
 pub fn iteration_block() -> u64 {
     ITER_BLOCK
 }
@@ -1205,5 +1194,16 @@ mod tests {
         assert!(events.iter().any(|(w, _)| *w == 1));
         // The run itself is unaffected by recording.
         assert_eq!(thr.report.stages[0].firings, 8);
+        // The events export as a Chrome trace that parses back with only
+        // complete (`X`) and instant (`i`) events in it.
+        let names: Vec<String> = g.node_ids().map(|id| g.node(id).name()).collect();
+        let doc = macross_telemetry::chrome::chrome_trace(&events, &names).to_string_compact();
+        let doc = macross_telemetry::json::parse(&doc).unwrap();
+        let traced = doc.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+        assert!(!traced.is_empty());
+        for e in traced {
+            let ph = e.get("ph").and_then(|p| p.as_str());
+            assert!(matches!(ph, Some("X" | "i")), "event phase {ph:?}: {e:?}");
+        }
     }
 }

@@ -116,8 +116,8 @@ struct PlanSummary {
 }
 
 /// Summarize the planner's verdict for an admitted artifact. Uses the
-/// default communication model (not the calibrated one) so the summary
-/// is deterministic across machines and cheap at admission time.
+/// default communication model, so the summary is deterministic across
+/// machines.
 fn plan_summary(art: &CompiledGraph, machine: &Machine, workers: usize) -> PlanSummary {
     let cycles = steady_node_weights(&art.graph, &art.schedule, machine);
     let plan = plan_placement(

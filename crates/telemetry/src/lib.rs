@@ -24,9 +24,11 @@
 //! 4. **Export** ([`chrome`], [`report`]): a Chrome `trace_event` JSON
 //!    timeline (open in `chrome://tracing` or <https://ui.perfetto.dev>)
 //!    and the stable [`report::BenchReport`] schema the bench binaries
-//!    write to `BENCH_<name>.json`. [`report::validate_str`] (and the
+//!    write to `BENCH_<name>.json` (and [`service::ServiceReport`]'s
+//!    `SERVICE_<name>.json`). [`report::validate_str`] (and the
 //!    `validate_report` binary) check a report against the schema without
-//!    any external JSON dependency.
+//!    any external JSON dependency; both schemas' validators run on one
+//!    checker.
 
 pub mod chrome;
 pub mod clock;

@@ -38,12 +38,6 @@ pub const SCHEMA_VERSION: u64 = 1;
 pub struct BenchRow {
     /// Benchmark name (e.g. `FMRadio`).
     pub benchmark: String,
-    /// This row *is* the reference other rows' ratios are computed
-    /// against (e.g. the 1-worker measurement a speedup divides by).
-    /// Comparators must never gate a baseline row on ratio metrics —
-    /// they are self-ratios, identically 1. Omitted from the JSON when
-    /// false.
-    pub baseline: bool,
     /// Continuous measurements, in insertion order.
     pub metrics: Vec<(String, f64)>,
     /// Exact event counts, in insertion order.
@@ -57,12 +51,6 @@ impl BenchRow {
             benchmark: benchmark.into(),
             ..Default::default()
         }
-    }
-
-    /// Mark this row as the baseline its siblings' ratios divide by.
-    pub fn as_baseline(mut self) -> BenchRow {
-        self.baseline = true;
-        self
     }
 
     /// Append a metric (non-finite values are recorded as 0.0 so the
@@ -80,32 +68,6 @@ impl BenchRow {
     }
 }
 
-/// One macro-SIMDization pass recorded alongside a report's rows: which
-/// transform fired while producing the benchmarked graphs and the actors
-/// it produced. Lets a consumer cross-check that a row claiming a
-/// transform's speedup (e.g. a `region_*` benchmark) was actually
-/// produced by that transform rather than by a silently skipped pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReportPass {
-    /// Pass name as the compile trace spells it (`"region"`,
-    /// `"single_actor"`, ...).
-    pub pass: String,
-    /// Post-transform actor names the pass produced.
-    pub actors: Vec<String>,
-}
-
-/// Pass names the schema recognizes in [`ReportPass::pass`] — the
-/// `Display` spellings of the compile trace's pass enum.
-pub const KNOWN_PASSES: [&str; 7] = [
-    "prepass",
-    "horizontal",
-    "vertical",
-    "single_actor",
-    "unprofitable",
-    "equation1",
-    "region",
-];
-
 /// A machine-readable benchmark report, written as `BENCH_<name>.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
@@ -117,16 +79,6 @@ pub struct BenchReport {
     pub simd_width: u64,
     /// Wall-clock creation time (Unix milliseconds).
     pub created_unix_ms: u64,
-    /// Work-function engine the numbers were produced with (e.g.
-    /// `"bytecode"` or `"treewalk"`); omitted from the JSON when unset.
-    pub exec_mode: Option<String>,
-    /// Total batched firings across the run, when the producer tracked
-    /// them. Top-level because the number is scheduling-dependent, not a
-    /// deterministic event count.
-    pub batched_firings: Option<u64>,
-    /// Compile passes that produced the benchmarked graphs; omitted from
-    /// the JSON when empty (reports on pre-built graphs have none).
-    pub passes: Vec<ReportPass>,
     /// One row per benchmark (or per benchmark x configuration).
     pub rows: Vec<BenchRow>,
 }
@@ -146,36 +98,13 @@ impl BenchReport {
                 .duration_since(UNIX_EPOCH)
                 .map(|d| d.as_millis() as u64)
                 .unwrap_or(0),
-            exec_mode: None,
-            batched_firings: None,
-            passes: Vec::new(),
             rows: Vec::new(),
         }
-    }
-
-    /// Stamp the report with the work-function engine used.
-    pub fn with_exec_mode(mut self, mode: impl Into<String>) -> BenchReport {
-        self.exec_mode = Some(mode.into());
-        self
-    }
-
-    /// Stamp the report with the total batched firings observed.
-    pub fn with_batched_firings(mut self, n: u64) -> BenchReport {
-        self.batched_firings = Some(n);
-        self
     }
 
     /// Append a row.
     pub fn push_row(&mut self, row: BenchRow) {
         self.rows.push(row);
-    }
-
-    /// Record a compile pass that produced the benchmarked graphs.
-    pub fn push_pass(&mut self, pass: impl Into<String>, actors: Vec<String>) {
-        self.passes.push(ReportPass {
-            pass: pass.into(),
-            actors,
-        });
     }
 
     /// The canonical file name: `BENCH_<name>.json`.
@@ -189,62 +118,37 @@ impl BenchReport {
             .rows
             .iter()
             .map(|r| {
-                let mut fields = vec![("benchmark", Json::Str(r.benchmark.clone()))];
-                if r.baseline {
-                    fields.push(("baseline", Json::Bool(true)));
-                }
-                fields.push((
-                    "metrics",
-                    Json::Obj(
-                        r.metrics
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                            .collect(),
+                Json::obj([
+                    ("benchmark", Json::Str(r.benchmark.clone())),
+                    (
+                        "metrics",
+                        Json::Obj(
+                            r.metrics
+                                .iter()
+                                .map(|(k, v)| (k.clone(), Json::Num(*v)))
+                                .collect(),
+                        ),
                     ),
-                ));
-                fields.push((
-                    "counters",
-                    Json::Obj(
-                        r.counters
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                            .collect(),
+                    (
+                        "counters",
+                        Json::Obj(
+                            r.counters
+                                .iter()
+                                .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
+                                .collect(),
+                        ),
                     ),
-                ));
-                Json::obj(fields)
+                ])
             })
             .collect();
-        let mut fields = vec![
+        Json::obj([
             ("schema_version", Json::Num(SCHEMA_VERSION as f64)),
             ("name", Json::Str(self.name.clone())),
             ("machine", Json::Str(self.machine.clone())),
             ("simd_width", Json::Num(self.simd_width as f64)),
             ("created_unix_ms", Json::Num(self.created_unix_ms as f64)),
-        ];
-        if let Some(mode) = &self.exec_mode {
-            fields.push(("exec_mode", Json::Str(mode.clone())));
-        }
-        if let Some(n) = self.batched_firings {
-            fields.push(("batched_firings", Json::Num(n as f64)));
-        }
-        if !self.passes.is_empty() {
-            let passes = self
-                .passes
-                .iter()
-                .map(|p| {
-                    Json::obj(vec![
-                        ("pass", Json::Str(p.pass.clone())),
-                        (
-                            "actors",
-                            Json::Arr(p.actors.iter().map(|a| Json::Str(a.clone())).collect()),
-                        ),
-                    ])
-                })
-                .collect();
-            fields.push(("passes", Json::Arr(passes)));
-        }
-        fields.push(("rows", Json::Arr(rows)));
-        Json::obj(fields)
+            ("rows", Json::Arr(rows)),
+        ])
     }
 
     /// Pretty-printed JSON document.
@@ -280,10 +184,12 @@ impl std::fmt::Display for Violation {
     }
 }
 
-struct Checker(Vec<Violation>);
+/// Collects every violation of a document, each with its key path —
+/// the core both this module's validator and [`crate::service`]'s run on.
+pub(crate) struct Checker(pub(crate) Vec<Violation>);
 
 impl Checker {
-    fn push(&mut self, path: impl Into<String>, message: impl Into<String>) {
+    pub(crate) fn push(&mut self, path: impl Into<String>, message: impl Into<String>) {
         self.0.push(Violation {
             path: path.into(),
             message: message.into(),
@@ -292,7 +198,7 @@ impl Checker {
 
     /// Require `obj[key]` to exist and parse through `get`; on success run
     /// `then` against the extracted value.
-    fn field<'a, T>(
+    pub(crate) fn field<'a, T>(
         &mut self,
         obj: &'a Json,
         path: &str,
@@ -308,6 +214,15 @@ impl Checker {
                 Some(t) => then(self, t),
             },
         }
+    }
+
+    /// Require `obj[key]` to be a non-negative integer and return it.
+    pub(crate) fn uint_field(&mut self, obj: &Json, path: &str) -> Option<u64> {
+        let mut out = None;
+        self.field(obj, path, "a non-negative integer", get_uint, |_, n| {
+            out = Some(n as u64);
+        });
+        out
     }
 }
 
@@ -344,87 +259,16 @@ pub fn check(doc: &Json) -> Vec<Violation> {
         }
     });
     c.field(doc, "machine", "a string", Json::as_str, |_, _| {});
-    c.field(
-        doc,
-        "simd_width",
-        "a non-negative integer",
-        get_uint,
-        |c, n| {
-            if n < 1.0 {
-                c.push("simd_width", "must be >= 1");
-            }
-        },
-    );
-    c.field(
-        doc,
-        "created_unix_ms",
-        "a non-negative integer",
-        get_uint,
-        |_, _| {},
-    );
-    if let Some(mode) = doc.get("exec_mode") {
-        match mode.as_str() {
-            None => c.push("exec_mode", "must be a string"),
-            Some("") => c.push("exec_mode", "must be non-empty when present"),
-            Some(_) => {}
-        }
+    if c.uint_field(doc, "simd_width") == Some(0) {
+        c.push("simd_width", "must be >= 1");
     }
-    if let Some(n) = doc.get("batched_firings") {
-        if get_uint(n).is_none() {
-            c.push("batched_firings", "must be a non-negative integer");
-        }
-    }
-    if let Some(passes) = doc.get("passes") {
-        match passes.as_arr() {
-            None => c.push("passes", "must be an array"),
-            Some(entries) => {
-                for (i, entry) in entries.iter().enumerate() {
-                    check_pass(&mut c, entry, i);
-                }
-            }
-        }
-    }
+    c.uint_field(doc, "created_unix_ms");
     c.field(doc, "rows", "an array", Json::as_arr, |c, rows| {
         for (i, row) in rows.iter().enumerate() {
             check_row(c, row, i);
         }
     });
     c.0
-}
-
-fn check_pass(c: &mut Checker, entry: &Json, i: usize) {
-    let what = format!("passes[{i}]");
-    if entry.as_obj().is_none() {
-        c.push(what, "must be an object");
-        return;
-    }
-    c.field(
-        entry,
-        &format!("{what}.pass"),
-        "a string",
-        Json::as_str,
-        |c, s| {
-            if !KNOWN_PASSES.contains(&s) {
-                c.push(
-                    format!("{what}.pass"),
-                    format!("unknown pass {s:?} (expected one of {KNOWN_PASSES:?})"),
-                );
-            }
-        },
-    );
-    c.field(
-        entry,
-        &format!("{what}.actors"),
-        "an array",
-        Json::as_arr,
-        |c, actors| {
-            for (j, a) in actors.iter().enumerate() {
-                if !matches!(a.as_str(), Some(s) if !s.is_empty()) {
-                    c.push(format!("{what}.actors[{j}]"), "must be a non-empty string");
-                }
-            }
-        },
-    );
 }
 
 fn check_row(c: &mut Checker, row: &Json, i: usize) {
@@ -444,11 +288,6 @@ fn check_row(c: &mut Checker, row: &Json, i: usize) {
             }
         },
     );
-    if let Some(b) = row.get("baseline") {
-        if b.as_bool().is_none() {
-            c.push(format!("{what}.baseline"), "must be a boolean");
-        }
-    }
     c.field(
         row,
         &format!("{what}.metrics"),
@@ -488,15 +327,12 @@ pub fn warnings(doc: &Json) -> Vec<Violation> {
     let Some(fields) = doc.as_obj() else {
         return out;
     };
-    const KNOWN: [&str; 9] = [
+    const KNOWN: [&str; 6] = [
         "schema_version",
         "name",
         "machine",
         "simd_width",
         "created_unix_ms",
-        "exec_mode",
-        "batched_firings",
-        "passes",
         "rows",
     ];
     for (k, _) in fields {
@@ -524,31 +360,6 @@ pub fn warnings(doc: &Json) -> Vec<Violation> {
                 out.push(Violation {
                     path: format!("rows[{i}]"),
                     message: "row has no metrics and no counters".into(),
-                });
-            }
-        }
-        // Cross-check: a row claiming a region-transform measurement must
-        // be backed by a recorded region pass with at least one actor —
-        // otherwise the row timed a graph the transform silently skipped.
-        let region_backed = doc.get("passes").and_then(Json::as_arr).is_some_and(|ps| {
-            ps.iter().any(|p| {
-                p.get("pass").and_then(Json::as_str) == Some("region")
-                    && p.get("actors")
-                        .and_then(Json::as_arr)
-                        .is_some_and(|a| !a.is_empty())
-            })
-        });
-        for (i, row) in rows.iter().enumerate() {
-            let is_region = row
-                .get("benchmark")
-                .and_then(Json::as_str)
-                .is_some_and(|b| b.starts_with("region_"));
-            if is_region && !region_backed {
-                out.push(Violation {
-                    path: format!("rows[{i}]"),
-                    message: "region_* row without a \"region\" entry in passes \
-                              (did the region transform actually fire?)"
-                        .into(),
                 });
             }
         }
@@ -608,115 +419,6 @@ mod tests {
     #[test]
     fn file_name_is_canonical() {
         assert_eq!(sample().file_name(), "BENCH_fig11.json");
-    }
-
-    #[test]
-    fn exec_mode_is_optional_but_nonempty() {
-        let stamped = sample().with_exec_mode("bytecode");
-        let s = stamped.json_string();
-        assert!(s.contains("\"exec_mode\": \"bytecode\""));
-        validate_str(&s).unwrap();
-        // Absent: still valid, and not emitted at all.
-        let plain = sample().json_string();
-        assert!(!plain.contains("exec_mode"));
-        validate_str(&plain).unwrap();
-        // Present but empty: rejected.
-        let bad = r#"{"schema_version":1,"name":"x","machine":"m","simd_width":4,"created_unix_ms":0,"exec_mode":"","rows":[]}"#;
-        assert!(validate_str(bad).unwrap_err().contains("exec_mode"));
-    }
-
-    #[test]
-    fn batched_firings_is_optional_and_typed() {
-        let s = sample().with_batched_firings(128).json_string();
-        assert!(s.contains("\"batched_firings\": 128"));
-        validate_str(&s).unwrap();
-        // A known field: must not trip the unknown-key warning either.
-        let doc = json::parse(&s).unwrap();
-        assert!(warnings(&doc).iter().all(|w| w.path != "batched_firings"));
-        // Absent: still valid, not emitted.
-        let plain = sample().json_string();
-        assert!(!plain.contains("batched_firings"));
-        validate_str(&plain).unwrap();
-        // Wrong type: rejected.
-        let bad = r#"{"schema_version":1,"name":"x","machine":"m","simd_width":4,"created_unix_ms":0,"batched_firings":-3,"rows":[]}"#;
-        assert!(validate_str(bad).unwrap_err().contains("batched_firings"));
-    }
-
-    #[test]
-    fn baseline_flag_round_trips() {
-        let mut r = BenchReport::new("runtime", "core_i7_sse4", 4);
-        r.push_row(
-            BenchRow::new("FilterBank@1")
-                .as_baseline()
-                .metric("nanos_per_iter", 100.0),
-        );
-        r.push_row(
-            BenchRow::new("FilterBank@2")
-                .metric("nanos_per_iter", 60.0)
-                .metric("speedup", 1.67),
-        );
-        let s = r.json_string();
-        assert!(s.contains("\"baseline\": true"));
-        validate_str(&s).unwrap();
-        // Unflagged rows stay flag-free on the wire.
-        assert_eq!(s.matches("baseline").count(), 1);
-        // Non-boolean flag is rejected.
-        let bad = r#"{"schema_version":1,"name":"x","machine":"m","simd_width":4,"created_unix_ms":0,"rows":[{"benchmark":"b","baseline":1,"metrics":{},"counters":{}}]}"#;
-        assert!(validate_str(bad).unwrap_err().contains("baseline"));
-    }
-
-    #[test]
-    fn passes_round_trip_and_validate() {
-        let mut r = sample();
-        r.push_pass("region", vec!["iir_bank_r4".into(), "acc_norm_r4".into()]);
-        r.push_pass("single_actor", vec!["vmix_v4".into()]);
-        let s = r.json_string();
-        assert!(s.contains("\"pass\": \"region\""));
-        assert!(s.contains("\"iir_bank_r4\""));
-        validate_str(&s).unwrap();
-        let doc = json::parse(&s).unwrap();
-        assert!(warnings(&doc).iter().all(|w| w.path != "passes"));
-        // Absent: valid, not emitted.
-        let plain = sample().json_string();
-        assert!(!plain.contains("passes"));
-        validate_str(&plain).unwrap();
-        // Unknown pass name: rejected.
-        let bad = r#"{"schema_version":1,"name":"x","machine":"m","simd_width":4,"created_unix_ms":0,"passes":[{"pass":"mystery","actors":[]}],"rows":[]}"#;
-        assert!(validate_str(bad).unwrap_err().contains("unknown pass"));
-        // Malformed shapes: rejected with the offending path.
-        let bad = r#"{"schema_version":1,"name":"x","machine":"m","simd_width":4,"created_unix_ms":0,"passes":7,"rows":[]}"#;
-        assert!(validate_str(bad).unwrap_err().contains("passes"));
-        let bad = r#"{"schema_version":1,"name":"x","machine":"m","simd_width":4,"created_unix_ms":0,"passes":[{"pass":"region","actors":[""]}],"rows":[]}"#;
-        assert!(validate_str(bad).unwrap_err().contains("actors[0]"));
-    }
-
-    #[test]
-    fn region_row_requires_region_pass() {
-        // A region_* row with no recorded region pass warns; adding the
-        // pass entry clears it. Schema-valid either way (the cross-check
-        // is a warning so hand-pinned gate baselines stay loadable).
-        let mut r = BenchReport::new("hot", "m", 4);
-        r.push_row(BenchRow::new("region_iir_bank").metric("region_vs_scalar_speedup_best", 1.9));
-        let doc = json::parse(&r.json_string()).unwrap();
-        assert!(check(&doc).is_empty());
-        assert!(
-            warnings(&doc)
-                .iter()
-                .any(|w| w.message.contains("region_* row")),
-            "missing region pass should warn"
-        );
-        r.push_pass("region", vec!["iir_bank_r4".into()]);
-        let doc = json::parse(&r.json_string()).unwrap();
-        assert!(check(&doc).is_empty());
-        assert!(warnings(&doc).is_empty());
-        // An empty actors list does not count as backing.
-        let mut r2 = BenchReport::new("hot", "m", 4);
-        r2.push_row(BenchRow::new("region_iir_bank").metric("x", 1.0));
-        r2.push_pass("region", Vec::new());
-        let doc = json::parse(&r2.json_string()).unwrap();
-        assert!(warnings(&doc)
-            .iter()
-            .any(|w| w.message.contains("region_* row")));
     }
 
     #[test]

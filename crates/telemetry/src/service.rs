@@ -74,7 +74,7 @@
 //! revisited it).
 
 use crate::json::{self, Json};
-use crate::report::Violation;
+use crate::report::{Checker, Violation};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -360,49 +360,6 @@ impl ServiceReport {
 /// dispatch test `validate_report` uses to pick a validator.
 pub fn is_service_report(doc: &Json) -> bool {
     doc.get("schema").and_then(Json::as_str) == Some(SERVICE_SCHEMA)
-}
-
-struct Checker(Vec<Violation>);
-
-impl Checker {
-    fn push(&mut self, path: impl Into<String>, message: impl Into<String>) {
-        self.0.push(Violation {
-            path: path.into(),
-            message: message.into(),
-        });
-    }
-
-    /// Require `obj[key]` to exist and parse through `get`; on success run
-    /// `then` against the extracted value.
-    fn field<'a, T>(
-        &mut self,
-        obj: &'a Json,
-        path: &str,
-        kind: &str,
-        get: impl Fn(&'a Json) -> Option<T>,
-        then: impl FnOnce(&mut Checker, T),
-    ) {
-        let key = path.rsplit('.').next().unwrap_or(path);
-        match obj.get(key) {
-            None => self.push(path, "missing required field"),
-            Some(v) => match get(v) {
-                None => self.push(path, format!("must be {kind}")),
-                Some(t) => then(self, t),
-            },
-        }
-    }
-
-    fn uint_field(&mut self, obj: &Json, path: &str) -> Option<u64> {
-        let mut out = None;
-        self.field(obj, path, "a non-negative integer", get_uint, |_, n| {
-            out = Some(n as u64);
-        });
-        out
-    }
-}
-
-fn get_uint(v: &Json) -> Option<f64> {
-    v.as_num().filter(|n| *n >= 0.0 && n.fract() == 0.0)
 }
 
 /// Check a parsed document against `macross-service-v2`, collecting

@@ -242,12 +242,38 @@ mod engine_differential {
 
     #[test]
     fn all_benchmarks_scalar_engines_agree() {
+        use macross_repro::streamir::builder::StreamSpec;
+        use macross_repro::streamir::edsl::*;
+        use macross_repro::streamir::types::{ScalarTy, Ty};
         let m = Machine::core_i7();
         for b in benchsuite::all() {
             let g = (b.build)();
             let sched = Schedule::compute(&g).unwrap();
             assert_engines_agree(b.name, "scalar", &g, &sched, &m);
         }
+        // One shape no suite program has: a 48-trip hash-mixing loop over
+        // an i32 accumulator whose multiply wraps and whose arithmetic
+        // shift sees negative values.
+        let mut fb = FilterBuilder::new("mix32", 1, 1, 1, ScalarTy::I32);
+        let acc = fb.local("acc", Ty::Scalar(ScalarTy::I32));
+        let i = fb.local("i", Ty::Scalar(ScalarTy::I32));
+        fb.work(move |b| {
+            b.set(acc, pop());
+            b.for_(i, 48i32, |b| {
+                b.set(acc, (v(acc) * 1103515245i32 + 12345i32) ^ (v(acc) >> 7i32));
+                b.set(acc, v(acc) & 0x7fffffffi32);
+            });
+            b.push(v(acc));
+        });
+        let g = StreamSpec::pipeline(vec![
+            benchsuite::util::source_i32("src", 1, 0xffff),
+            fb.build_spec(),
+            StreamSpec::Sink,
+        ])
+        .build()
+        .unwrap();
+        let sched = Schedule::compute(&g).unwrap();
+        assert_engines_agree("mix32", "scalar", &g, &sched, &m);
     }
 
     #[test]
@@ -334,6 +360,7 @@ mod engine_differential {
             },
         ];
         let mut parallel_plans = 0usize;
+        let mut collapsed_plans = 0usize;
         let mut fissioned_plans = 0usize;
         for b in benchsuite::all() {
             let g = (b.build)();
@@ -350,8 +377,18 @@ mod engine_differential {
                         workers,
                         comm,
                     );
+                    // The planner never commits to a placement it models
+                    // slower than sequential.
+                    assert!(
+                        plan.modelled_speedup() >= 1.0,
+                        "{}@{workers}: modelled speedup {} below 1",
+                        b.name,
+                        plan.modelled_speedup()
+                    );
                     if plan.cores_used > 1 {
                         parallel_plans += 1;
+                    } else {
+                        collapsed_plans += 1;
                     }
                     if plan.fissioned > 0 {
                         fissioned_plans += 1;
@@ -374,6 +411,13 @@ mod engine_differential {
                             thr.report.cut_edges, plan.cut_edges,
                             "{ctx}: runtime cut edges disagree with the plan"
                         );
+                        if plan.cores_used == 1 {
+                            assert_eq!(
+                                thr.report.ring_traffic(),
+                                0,
+                                "{ctx}: a one-core plan moved tokens through rings"
+                            );
+                        }
                         assert_eq!(
                             thr.output.len(),
                             seq.output.len(),
@@ -386,9 +430,67 @@ mod engine_differential {
                 }
             }
         }
-        // If every plan collapsed the parallel legs above were vacuous.
+        // If every plan collapsed the parallel legs above were vacuous, and
+        // if none did the one-core check was.
         assert!(parallel_plans > 0, "no plan ever chose more than one core");
+        assert!(collapsed_plans > 0, "no plan ever collapsed to one core");
         assert!(fissioned_plans > 0, "no plan ever fissioned a stage");
+    }
+
+    /// The planner's exact verdict on two scalar programs under the
+    /// default comm model (3 cycles per element, 40 per cut edge), from
+    /// node cycles of a 2-iteration sequential profile, and what the
+    /// runtime moves through rings running it for 50 iterations. Every
+    /// number is a pure function of the graph, so a change to the planner,
+    /// the comm model or what crosses a ring must update this table on
+    /// purpose.
+    #[test]
+    fn planned_counters_match_their_pinned_values() {
+        use macross_repro::multicore::{plan_placement, CommModel};
+        use macross_repro::runtime::run_threaded_placed;
+        // (program, worker budget, cores used, cut edges, fused groups,
+        //  fission replicas, modelled makespan, ring traffic)
+        type Pin = (&'static str, usize, usize, usize, usize, usize, u64, u64);
+        const PINNED: [Pin; 4] = [
+            ("FilterBank", 2, 2, 8, 2, 0, 21856, 832),
+            ("FilterBank", 4, 4, 16, 9, 0, 11916, 5388),
+            ("DCT", 2, 2, 2, 2, 0, 2482, 800),
+            ("DCT", 4, 4, 4, 0, 0, 2074, 1600),
+        ];
+        let m = Machine::core_i7();
+        for (name, workers, cores, cut, fused, fissioned, makespan, traffic) in PINNED {
+            let at = format!("{name}@{workers}");
+            let g = (benchsuite::by_name(name).unwrap().build)();
+            let sched = Schedule::compute(&g).unwrap();
+            let profile = run_scheduled(&g, &sched, &m, 2).unwrap();
+            let plan = plan_placement(
+                &g,
+                &sched,
+                &profile.node_cycles,
+                workers,
+                &CommModel::default(),
+            );
+            assert_eq!(
+                (
+                    plan.cores_used,
+                    plan.cut_edges,
+                    plan.fused_groups,
+                    plan.fissioned,
+                    plan.modelled_makespan
+                ),
+                (cores, cut, fused, fissioned, makespan),
+                "{at}: plan (cores, cut edges, fused, fissioned, makespan) drifted"
+            );
+            let seq = run_scheduled(&g, &sched, &m, 50).unwrap();
+            let thr = run_threaded_placed(&g, &sched, &m, &plan.placement, 50)
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            assert_eq!(thr.report.ring_traffic(), traffic, "{at}: ring traffic");
+            assert_eq!(thr.report.cut_edges, plan.cut_edges, "{at}: cut edges");
+            assert_eq!(thr.output.len(), seq.output.len(), "{at}: throughput");
+            for (i, (x, y)) in seq.output.iter().zip(&thr.output).enumerate() {
+                assert!(x.bits_eq(*y), "{at}: output {i} differs: {x:?} vs {y:?}");
+            }
+        }
     }
 
     /// Explicit-fission sweep: for every stage of every benchmark that

@@ -6,7 +6,11 @@
 use macross_bench::{figure10_row, figure11_row, figure12_row, figure13_rows, geomean};
 use macross_repro::autovec::AutovecConfig;
 use macross_repro::benchsuite::{all, by_name};
-use macross_repro::vm::Machine;
+use macross_repro::macross::driver::{macro_simdize, SimdizeOptions};
+use macross_repro::sdf::Schedule;
+use macross_repro::streamir::graph::Graph;
+use macross_repro::vm::{run_scheduled_mode, ExecMode, Machine};
+use std::time::Instant;
 
 #[test]
 fn figure10_macro_beats_both_autovectorizers() {
@@ -114,6 +118,63 @@ fn figure13_two_cores_plus_simd_competitive_with_four() {
     assert!(g4s > g4, "SIMD must add to 4-core: {g4s:.2} vs {g4:.2}");
     // The paper's headline: 2 cores + SIMD >= plain 4 cores (within 5%).
     assert!(g2s > g4 * 0.95, "2c+SIMD {g2s:.2} vs 4c {g4:.2}");
+}
+
+/// DESIGN.md §17's region row: `RegionIIRBank` SIMDized against its own
+/// scalar graph, both on the bytecode engine, the scalar schedule scaled
+/// to the same output volume per iteration. Every build checks that the
+/// region pass vectorized the IIR bank and that both graphs' sink bits
+/// agree; release builds also require the min-of-5 wall clock of 2 000
+/// iterations to be at least 1.5x faster SIMDized (a debug build's timing
+/// says nothing about the engine).
+#[test]
+fn region_iir_bank_beats_its_scalar_graph() {
+    let machine = Machine::core_i7();
+    let g = macross_repro::benchsuite::region::region_iir_bank();
+    let simd = macro_simdize(&g, &machine, &SimdizeOptions::all()).unwrap();
+    assert!(
+        simd.report
+            .region_actors
+            .iter()
+            .any(|a| a.contains("iir_bank")),
+        "the region transform did not fire on iir_bank: {:?}",
+        simd.report.region_actors
+    );
+    let run = |g: &Graph, s: &Schedule, iters| {
+        run_scheduled_mode(g, s, &machine, iters, ExecMode::Bytecode).unwrap()
+    };
+    let mut scalar = Schedule::compute(&g).unwrap();
+    let (s_out, v_out) = (
+        run(&g, &scalar, 4).output.len(),
+        run(&simd.graph, &simd.schedule, 4).output.len(),
+    );
+    assert_eq!(v_out % s_out, 0, "output volumes do not align");
+    scalar.scale((v_out / s_out) as u64);
+    let (sc, rg) = (run(&g, &scalar, 16), run(&simd.graph, &simd.schedule, 16));
+    assert_eq!(sc.output.len(), rg.output.len());
+    for (i, (x, y)) in sc.output.iter().zip(&rg.output).enumerate() {
+        assert!(x.bits_eq(*y), "output {i} differs: {x:?} vs {y:?}");
+    }
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let best_of_5 = |g: &Graph, s: &Schedule| {
+        std::hint::black_box(run(g, s, 2000));
+        (0..5)
+            .map(|_| {
+                let t = Instant::now();
+                std::hint::black_box(run(g, s, 2000));
+                t.elapsed()
+            })
+            .min()
+            .unwrap()
+    };
+    let ratio =
+        best_of_5(&g, &scalar).as_secs_f64() / best_of_5(&simd.graph, &simd.schedule).as_secs_f64();
+    assert!(
+        ratio >= 1.5,
+        "region_iir_bank runs {ratio:.2}x its scalar graph, below 1.5x"
+    );
 }
 
 #[test]
