@@ -2,19 +2,21 @@
 //!
 //! Where `macross_vm::run_scheduled` interprets the whole graph on one
 //! thread, this crate executes the *same* schedule pipeline-parallel: one
-//! worker thread per core of a partition (e.g. from
-//! `macross_multicore::Partition::lpt`), with every cross-core tape edge
-//! bridged by a bounded lock-free SPSC ring ([`ring::Ring`]).
+//! worker per core of a partition (e.g. from
+//! `macross_multicore::Partition::lpt`) — the first on the calling
+//! thread, each other on a thread of its own — with every cross-core tape
+//! edge bridged by a bounded lock-free SPSC ring ([`ring::Ring`]).
 //!
 //! The execution model is a Kahn process network specialization: each
 //! worker fires its nodes in the global schedule order restricted to its
 //! core, a block of steady iterations at a time ([`iteration_block`]),
-//! blocking on ring reads until enough tokens are visible and on ring
-//! writes until space frees. Because every worker preserves its
-//! local firing order and rings preserve element order, the threaded run
-//! is deterministic and bit-identical to the single-threaded executor —
-//! the property the differential test suite pins down for every
-//! benchmark graph, scalar and macro-SIMDized.
+//! every node one block behind each producer on another core (its *lag*,
+//! see [`run_supervised_placed`]), blocking on ring reads until enough
+//! tokens are visible and on ring writes until space frees. Because every
+//! worker preserves its nodes' firing order and rings preserve element
+//! order, the threaded run is deterministic and bit-identical to the
+//! single-threaded executor — the property the differential test suite
+//! pins down for every benchmark graph, scalar and macro-SIMDized.
 //!
 //! Alongside the outputs, a run produces a [`RuntimeReport`]: per-stage
 //! firing and ring-traffic counters, per-edge stall counts, and measured
@@ -27,11 +29,12 @@ pub mod session;
 pub mod supervisor;
 mod worker;
 
-use macross_sdf::{buffer_requirements, Schedule};
+use macross_sdf::{buffer_requirements, BufferReq, Schedule};
 use macross_streamir::analysis::analyze_vectorizability;
-use macross_streamir::graph::{Graph, Node, NodeId};
+use macross_streamir::graph::{Edge, Graph, Node, NodeId};
 use macross_streamir::types::Value;
-use macross_telemetry::TraceSession;
+use macross_telemetry::{TraceSession, WorkerTrace};
+use macross_vm::firing::panic_message;
 use macross_vm::machine::{CycleCounters, Machine};
 use macross_vm::VmError;
 use ring::{Aborted, Ring, OCC_BUCKETS};
@@ -508,10 +511,51 @@ pub(crate) enum EdgeRings {
     Fission(Vec<Arc<Ring>>),
 }
 
-/// Execute `iters` steady iterations of a scheduled graph across worker
-/// threads, one per core named by `placement` (the cost-model planner in
+/// What a run derives once from its graph, schedule and placement, and
+/// every worker reads.
+pub(crate) struct Wiring {
+    /// How each edge's tokens travel, indexed by edge id.
+    pub(crate) rings: Vec<EdgeRings>,
+    /// Each edge's [`buffer_requirements`], indexed by edge id.
+    pub(crate) reqs: Vec<BufferReq>,
+    /// Each node's lag in blocks ([`stage_lags`]), indexed by node id.
+    pub(crate) lags: Vec<u64>,
+}
+
+/// True when `e`'s tokens leave the core that produced them: the edge is
+/// cut, or an endpoint is fissioned (one ring per replica).
+fn crosses_cores(placement: &Placement, e: &Edge) -> bool {
+    let (src, dst) = (e.src.0 as usize, e.dst.0 as usize);
+    placement.assignment[src] != placement.assignment[dst]
+        || placement.fission_of(e.src).is_some()
+        || placement.fission_of(e.dst).is_some()
+}
+
+/// How many blocks each node runs behind the sources: 0 for a source,
+/// otherwise the maximum over its in-edges of the producer's lag, plus
+/// one when the edge crosses cores ([`crosses_cores`]). A worker fires a
+/// node's block `b` at step `b + lag`, so a consumer on another core
+/// works on the block its producer finished one step earlier.
+pub(crate) fn stage_lags(graph: &Graph, schedule: &Schedule, placement: &Placement) -> Vec<u64> {
+    let mut lags = vec![0u64; graph.node_count()];
+    // The schedule order is topological: a node's producers are final
+    // before its own out-edges are relaxed.
+    for &id in &schedule.order {
+        for eid in graph.out_edges(id) {
+            let e = graph.edge(eid);
+            let lag = lags[id.0 as usize] + u64::from(crosses_cores(placement, e));
+            let dst = &mut lags[e.dst.0 as usize];
+            *dst = (*dst).max(lag);
+        }
+    }
+    lags
+}
+
+/// Execute `iters` steady iterations of a scheduled graph across workers,
+/// one per core named by `placement` (the cost-model planner in
 /// `macross-multicore` produces placements; [`Placement::whole_stage`]
-/// wraps a plain node id -> core assignment).
+/// wraps a plain node id -> core assignment). The first core's worker
+/// runs on the calling thread, every other one on a scoped thread.
 ///
 /// Within a core, nodes fire in the global schedule order via the same
 /// firing path as the single-threaded executor; cross-core edges stream
@@ -553,22 +597,25 @@ pub fn run_threaded_placed(
 /// another core waits for it once per block and plan instead of once per
 /// iteration, and every wake-up is amortized over a block of work.
 ///
-/// 16, from the recorded runs (EXPERIMENTS.md "Threaded hand-off"): 8 is
-/// measurably slower, 32 no faster while doubling every ring and local
-/// tape again. Outputs do not depend on it — a block is the steady
-/// schedule with its repetition counts scaled, so firing order per stage,
-/// deal/merge rotation and fault addressing never see the block size.
+/// 16, from the recorded runs (EXPERIMENTS.md "Threaded hand-off",
+/// "Skewed blocks"): 8 is measurably slower, 32 no faster while doubling
+/// every ring and local tape again. Outputs do not depend on it — a block
+/// is the steady schedule with its repetition counts scaled, so firing
+/// order per stage, deal/merge rotation and fault addressing never see
+/// the block size.
 pub(crate) const ITER_BLOCK: u64 = 16;
 
-/// Pipeline slack: how many steady iterations of an edge its ring can
-/// hold on top of the tokens resident after init. Two blocks, so a
-/// producer can run a whole block ahead of a consumer that is still
-/// working through the previous one; one block is the floor below which
-/// a cyclic cross-core dependency could deadlock (see
+/// The smallest ring slack: how many steady iterations of an edge a ring
+/// holds on top of the tokens resident after init when its consumer runs
+/// one block behind its producer (the lag difference of every plain
+/// producer-to-consumer cut). Two blocks — the one the consumer is
+/// reading and the one the producer is writing. A ring whose endpoints'
+/// lags differ by more gets one block more per step of difference (see
 /// [`run_supervised_placed`]).
 const RING_SLACK: u64 = 2 * ITER_BLOCK;
 
-/// [`RING_SLACK`], for run headers.
+/// [`RING_SLACK`], for run headers: the floor of every ring's slack, not
+/// the size of every ring.
 pub fn ring_slack() -> u64 {
     RING_SLACK
 }
@@ -590,7 +637,8 @@ pub fn iteration_block() -> u64 {
 ///   panicking or erroring stage becomes a [`StageFailure`] instead of a
 ///   process abort or a wedged pipeline;
 /// - an optional watchdog thread ([`SupervisorOptions::watchdog`])
-///   escalates any single firing that exceeds its timeout;
+///   escalates any single firing that exceeds its timeout — the worker
+///   on the calling thread included;
 /// - after the first failure, workers coordinate a drain: stages
 ///   upstream of the failure park, everything else finishes what is
 ///   already buffered, and committed sink output is preserved;
@@ -627,25 +675,34 @@ pub fn run_supervised_placed(
     let assignment = &placement.assignment;
     let cores = placement.cores();
     // Rings bridge cut edges. Every worker runs its slice of the schedule
-    // node-major over a block of `ITER_BLOCK` iterations, i.e. it runs
-    // the steady schedule with every repetition count scaled by the
-    // block. The deadlock argument is the one for a single iteration,
-    // scaled: the global order "each node, in schedule order, fires its
-    // whole block" is a sequential execution every worker's local order
-    // is a restriction of, and it needs `init_tokens + block * steady`
-    // slots on an edge; with at least that much on every ring the
-    // bounded network (a Kahn network itself, blocked writes included)
-    // can always follow that order, so no interleaving deadlocks. With
-    // less, a dependency that leaves a core and returns (core0 -> core1
-    // -> core0) wedges: core0 blocks pushing a block into a full ring
-    // that core1 cannot drain because its own output ring, which core0
-    // would read next, is full too.
+    // over blocks of `ITER_BLOCK` iterations, skewed: at step `s` it fires
+    // each of its nodes, in schedule order, up to the end of block
+    // `s - lag` (`stage_lags`: one block per core crossing on the node's
+    // longest path from a source). The deadlock argument is the one for a
+    // single iteration, scaled and skewed: the global order "for each
+    // step, each node in schedule order fires block `s - lag`" is itself
+    // a sequential execution — a producer on the same core has the same
+    // or a smaller lag and comes first in the schedule order, one on
+    // another core has a smaller lag — and every worker's local order is
+    // a restriction of it. In that order an edge holds its init tokens
+    // plus `lag(dst) - lag(src) + 1` blocks at most: right after the
+    // producer finished block `s - lag(src)` the consumer has consumed
+    // through block `s - lag(dst) - 1`. With at least that much on every
+    // ring, the bounded network (a Kahn network itself, blocked writes
+    // included) can always follow that order, so no interleaving
+    // deadlocks. With less, a dependency that leaves a core and returns
+    // wedges: a split-join branch that crosses cores three times feeds
+    // its joiner three steps after the one-crossing branch beside it, and
+    // a two-block ring on the short branch fills with blocks the joiner
+    // cannot take before the long branch, queued behind the full ring on
+    // the same core, delivers.
     //
-    // Rings get two blocks (`ring_slack()` iterations), so a producer can
-    // run a block ahead instead of finishing in lockstep with its
-    // consumer. The floor also covers the init-phase resident count: the
-    // node-major init schedule has a producer complete ALL init firings
-    // before its consumer's first, so init_reps[src] * push tokens are
+    // A consumer one block behind its producer — every plain cut —
+    // therefore gets two blocks (`ring_slack()` iterations): the producer
+    // writes a block while the consumer works through the previous one.
+    // The floor also covers the init-phase resident count: the node-major
+    // init schedule has a producer complete ALL init firings before its
+    // consumer's first, so init_reps[src] * push tokens are
     // simultaneously live — possibly more than the steady capacity (deep
     // peeking pipelines do this).
     //
@@ -654,23 +711,26 @@ pub fn run_supervised_placed(
     // tokens, so this over-provision can never deadlock, and it keeps the
     // per-ring bound independent of how the deal divides an iteration.
     let reqs = buffer_requirements(graph, schedule);
+    let lags = stage_lags(graph, schedule, placement);
     let rings: Vec<EdgeRings> = graph
         .edges()
         .map(|(eid, e)| {
-            let init_peak = schedule.init_reps[e.src.0 as usize]
-                * graph.node(e.src).push_rate(e.src_port) as u64;
+            if !crosses_cores(placement, e) {
+                return EdgeRings::Local;
+            }
+            let (src, dst) = (e.src.0 as usize, e.dst.0 as usize);
+            let init_peak =
+                schedule.init_reps[src] * graph.node(e.src).push_rate(e.src_port) as u64;
             let req = &reqs[eid.0 as usize];
             let steady = req.capacity - req.init_tokens;
-            let cap = (req.init_tokens + ring_slack() * steady)
+            let blocks = lags[dst] - lags[src] + 1;
+            let cap = (req.init_tokens + blocks * ITER_BLOCK * steady)
                 .max(req.capacity)
                 .max(init_peak) as usize;
             let mk = || Arc::new(Ring::for_edge(eid.0, cap));
-            if let Some(spec) = placement.fission_of(e.dst).or(placement.fission_of(e.src)) {
-                EdgeRings::Fission((0..spec.replicas.len()).map(|_| mk()).collect())
-            } else if assignment[e.src.0 as usize] != assignment[e.dst.0 as usize] {
-                EdgeRings::Single(mk())
-            } else {
-                EdgeRings::Local
+            match placement.fission_of(e.dst).or(placement.fission_of(e.src)) {
+                Some(spec) => EdgeRings::Fission((0..spec.replicas.len()).map(|_| mk()).collect()),
+                None => EdgeRings::Single(mk()),
             }
         })
         .collect();
@@ -678,6 +738,7 @@ pub fn run_supervised_placed(
         .iter()
         .filter(|r| !matches!(r, EdgeRings::Local))
         .count();
+    let wiring = Wiring { rings, reqs, lags };
     let stages: Arc<Vec<Stage>> =
         Arc::new((0..graph.node_count()).map(|_| Stage::default()).collect());
     let worker_cores: Vec<u32> = {
@@ -695,47 +756,42 @@ pub fn run_supervised_placed(
     let sup = Supervisor::new(worker_cores.len());
     let gate = StartGate::new(worker_cores.len());
 
+    // One core's worker. It catches firing panics itself; this outer net
+    // only catches harness bugs, so a buggy runtime still cannot strand
+    // the other workers on the gate — whichever thread it runs on.
+    let run_core = |slot: usize, core: u32, trace: WorkerTrace| {
+        catch_unwind(AssertUnwindSafe(|| {
+            let stages = Arc::clone(&stages);
+            Worker::new(
+                graph, schedule, machine, placement, core, &wiring, stages, trace, opts, &sup,
+                slot, iters,
+            )
+            .run(iters, &gate)
+        }))
+        .map_err(|payload| {
+            sup.raise(StageFailure {
+                stage: usize::MAX,
+                name: format!("worker {core}"),
+                core,
+                firing: 0,
+                mode: opts.mode,
+                cause: FailureCause::Panic(panic_message(payload.as_ref())),
+            });
+        })
+        .ok()
+    };
     let mut results: Vec<(u32, Option<worker::WorkerOut>)> = Vec::with_capacity(worker_cores.len());
     std::thread::scope(|s| {
+        // The first core runs on the calling thread, after the others and
+        // the watchdog have their threads.
+        let run_core = &run_core;
         let handles: Vec<_> = worker_cores
             .iter()
             .enumerate()
+            .skip(1)
             .map(|(slot, &core)| {
-                let stages = Arc::clone(&stages);
-                let (rings, gate, sup) = (&rings, &gate, &sup);
                 let trace = session.worker(core as usize);
-                let h = s.spawn(move || {
-                    // The worker catches firing panics itself; this outer
-                    // net only catches harness bugs (so a buggy runtime
-                    // still cannot strand sibling workers on the gate).
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        let w = Worker::new(
-                            graph, schedule, machine, placement, core, rings, stages, trace, opts,
-                            sup, slot, iters,
-                        );
-                        w.run(iters, gate)
-                    }));
-                    match run {
-                        Ok(out) => Some(out),
-                        Err(payload) => {
-                            let msg = payload
-                                .downcast_ref::<String>()
-                                .cloned()
-                                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                                .unwrap_or_else(|| "unknown panic".to_string());
-                            sup.raise(StageFailure {
-                                stage: usize::MAX,
-                                name: format!("worker {core}"),
-                                core,
-                                firing: 0,
-                                mode: opts.mode,
-                                cause: FailureCause::Panic(msg),
-                            });
-                            None
-                        }
-                    }
-                });
-                (core, h)
+                (core, s.spawn(move || run_core(slot, core, trace)))
             })
             .collect();
         let watchdog = opts.wants_watchdog().then(|| {
@@ -744,6 +800,9 @@ pub fn run_supervised_placed(
             let stage_names: Vec<String> = graph.nodes().map(|(_, n)| stage_name(n)).collect();
             s.spawn(move || sup.run_watchdog(opts, worker_cores, &stage_names))
         });
+        if let Some(&core) = worker_cores.first() {
+            results.push((core, run_core(0, core, session.worker(core as usize))));
+        }
         for (core, h) in handles {
             // The spawned closure never panics: the body is wrapped in
             // catch_unwind, so join() only fails on harness bugs.
@@ -793,7 +852,7 @@ pub fn run_supervised_placed(
         .collect();
     let mut ring_stats: Vec<RingStat> = Vec::with_capacity(cut_edges);
     for (eid, e) in graph.edges() {
-        let physical: &[Arc<Ring>] = match &rings[eid.0 as usize] {
+        let physical: &[Arc<Ring>] = match &wiring.rings[eid.0 as usize] {
             EdgeRings::Local => &[],
             EdgeRings::Single(ring) => std::slice::from_ref(ring),
             EdgeRings::Fission(rs) => rs,
@@ -1101,6 +1160,107 @@ mod tests {
         assert_eq!(thr.report.stages[1].ring_in, 32);
         assert_eq!(thr.report.stages[1].ring_out, 32);
         assert_eq!(thr.report.rings.len(), 4);
+    }
+
+    /// A node runs a block behind each producer on another core: the
+    /// `[0, 1, 0]` ping-pong chain runs its stages 0, 1 and 2 blocks
+    /// behind, and a fission edge counts as cut even when the assignment
+    /// puts both of its ends on one core.
+    #[test]
+    fn lag_counts_core_crossings_on_the_longest_path() {
+        let g = chain();
+        let sched = Schedule::compute(&g).unwrap();
+        let lags =
+            |assignment: Vec<u32>| stage_lags(&g, &sched, &Placement::whole_stage(assignment));
+        assert_eq!(lags(vec![0, 1, 0]), vec![0, 1, 2]);
+        assert_eq!(lags(vec![0, 0, 1]), vec![0, 0, 1]);
+        assert_eq!(lags(vec![0, 0, 0]), vec![0, 0, 0]);
+
+        let g = fissionable_chain();
+        let sched = Schedule::compute(&g).unwrap();
+        let replicas = Placement {
+            assignment: vec![0, 0, 0],
+            fission: vec![FissionSpec {
+                node: NodeId(1),
+                replicas: vec![0, 1],
+            }],
+        };
+        assert_eq!(stage_lags(&g, &sched, &replicas), vec![0, 1, 2]);
+    }
+
+    /// src -> duplicate split -> (a1 -> a2 -> a3 | b1) -> join -> sink,
+    /// with node ids 0, 1, (3, 4, 5 | 6), 2, 7.
+    fn lopsided_split_join() -> Graph {
+        let mut src = FilterBuilder::new("src", 0, 0, 1, ScalarTy::I32);
+        let n = src.state("n", Ty::Scalar(ScalarTy::I32));
+        src.work(|b| {
+            b.push(v(n));
+            b.set(n, v(n) * 3i32 + 1i32);
+        });
+        let stage = |name: &str, k: i32| {
+            let mut fb = FilterBuilder::new(name, 1, 1, 1, ScalarTy::I32);
+            fb.work(move |b| {
+                b.push(pop() * k + 1i32);
+            });
+            fb.build_spec()
+        };
+        StreamSpec::pipeline(vec![
+            src.build_spec(),
+            StreamSpec::split_join_duplicate(
+                1,
+                vec![
+                    StreamSpec::pipeline(vec![stage("a1", 2), stage("a2", 3), stage("a3", 5)]),
+                    stage("b1", 7),
+                ],
+            ),
+            StreamSpec::Sink,
+        ])
+        .build()
+        .unwrap()
+    }
+
+    /// The long branch crosses cores three times (a1, a3 on core 1, a2
+    /// on core 0), the short one once (b1 on core 1), so the joiner runs
+    /// three blocks behind b1 and b1's ring must hold four. With the two
+    /// blocks every plain cut gets, b1 fills it before a3 — after b1 in
+    /// core 1's schedule order — ships the block the joiner waits for,
+    /// and the run never ends. Run on a thread of its own, so a hang
+    /// fails the bound instead of the whole suite.
+    #[test]
+    fn lag_skew_of_three_on_a_cut_edge_finishes_inside_a_wall_clock_bound() {
+        let iters = 8 * ITER_BLOCK + 5;
+        let placement = Placement::whole_stage(vec![0, 0, 0, 1, 0, 1, 1, 0]);
+        let g = lopsided_split_join();
+        let sched = Schedule::compute(&g).unwrap();
+        let lags = stage_lags(&g, &sched, &placement);
+        assert_eq!((lags[6], lags[2]), (1, 4), "b1 and the joiner");
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = placement.clone();
+        std::thread::spawn(move || {
+            let g = lopsided_split_join();
+            let sched = Schedule::compute(&g).unwrap();
+            let _ = tx.send(run_threaded_placed(
+                &g,
+                &sched,
+                &Machine::core_i7(),
+                &run,
+                iters,
+            ));
+        });
+        let thr = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the run did not finish inside 10 s")
+            .unwrap();
+        let seq = macross_vm::run_scheduled(&g, &sched, &Machine::core_i7(), iters).unwrap();
+        assert_eq!(thr.output.len(), seq.output.len());
+        assert!(thr
+            .output
+            .iter()
+            .zip(&seq.output)
+            .all(|(a, b)| a.bits_eq(*b)));
+        let b1_ring = thr.report.rings.iter().find(|r| (r.src, r.dst) == (6, 2));
+        assert!(b1_ring.unwrap().capacity as u64 >= 4 * ITER_BLOCK);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 use crate::fault::FaultKind;
 use crate::ring::Ring;
 use crate::supervisor::{FailureCause, StageFailure, Supervisor, SupervisorOptions};
-use crate::{stage_name, EdgeRings, Placement, Stage, StartGate, ITER_BLOCK};
-use macross_sdf::{buffer_requirements, Schedule};
+use crate::{stage_name, EdgeRings, Placement, Stage, StartGate, Wiring, ITER_BLOCK};
+use macross_sdf::Schedule;
 use macross_streamir::graph::{Graph, Node, NodeId};
 use macross_streamir::types::Value;
 use macross_telemetry::{clock, EventKind, WorkerTrace};
@@ -245,6 +245,9 @@ struct NodePlan {
     /// offset+2k, …` — `attempts` stays the *global* firing index, so
     /// fault addressing and trace attribution match the sequential run.
     stride: u64,
+    /// Steps the node runs behind the sources ([`crate::stage_lags`]):
+    /// it fires steady block `b` at step `b + lag`.
+    lag: u64,
 }
 
 /// Record a mark of each tape in `ids`, in that order.
@@ -300,7 +303,7 @@ impl<'g> Worker<'g> {
         machine: &'g Machine,
         placement: &'g Placement,
         core: u32,
-        rings: &'g [EdgeRings],
+        wiring: &'g Wiring,
         stages: Arc<Vec<Stage>>,
         trace: WorkerTrace,
         opts: &'g SupervisorOptions,
@@ -308,25 +311,31 @@ impl<'g> Worker<'g> {
         slot: usize,
         iters: u64,
     ) -> Worker<'g> {
-        let assignment = &placement.assignment;
+        let (assignment, rings, lags) = (&placement.assignment, &wiring.rings, &wiring.lags);
         // A node runs here when assigned here — or, if fissioned, when
         // this core hosts one of its replicas.
         let on_core = |id: NodeId| match placement.fission_of(id) {
             Some(spec) => spec.replicas.contains(&core),
             None => assignment[id.0 as usize] == core,
         };
-        // A tape half of this core holds up to a block of its edge (a
-        // share is fired whole, then flushed): sized once, here, not
-        // doubling by doubling inside the first timed block.
-        let block = ITER_BLOCK.min(iters);
+        // A cut edge's tape half holds up to a block of it (a share is
+        // fired whole, then flushed); a same-core edge as many blocks as
+        // its consumer lags its producer, plus one. Sized once, here, not
+        // doubling by doubling inside the first timed blocks.
         let mut tapes: Vec<Tape> = graph
             .edges()
-            .zip(buffer_requirements(graph, schedule))
-            .map(|((_, e), req)| {
+            .zip(&wiring.reqs)
+            .zip(rings)
+            .map(|(((_, e), req), how)| {
                 let mut tape = Tape::new(e.elem);
                 if on_core(e.src) || on_core(e.dst) {
+                    let blocks = match how {
+                        EdgeRings::Local => lags[e.dst.0 as usize] - lags[e.src.0 as usize] + 1,
+                        _ => 1,
+                    };
                     let steady = req.capacity - req.init_tokens;
-                    tape.reserve((req.init_tokens + block * steady) as usize);
+                    let span = (blocks * ITER_BLOCK).min(iters);
+                    tape.reserve((req.init_tokens + span * steady) as usize);
                 }
                 tape
             })
@@ -496,6 +505,7 @@ impl<'g> Worker<'g> {
                 completed: 0,
                 scheduled,
                 stride,
+                lag: lags[id.0 as usize],
             });
         }
         let mut outputs = vec![Vec::new(); graph.node_count()];
@@ -525,8 +535,9 @@ impl<'g> Worker<'g> {
 
     /// Run this core: filter init functions, the init schedule, the start
     /// gate, then `iters` timed steady iterations in blocks of
-    /// [`ITER_BLOCK`]. Always returns (the possibly partial) output —
-    /// failures travel through the supervisor.
+    /// [`ITER_BLOCK`], each node `lag` blocks behind the sources. Always
+    /// returns (the possibly partial) output — failures travel through
+    /// the supervisor.
     pub(crate) fn run(mut self, iters: u64, gate: &StartGate) -> WorkerOut {
         for p in 0..self.plans.len() {
             let id = self.plans[p].id;
@@ -557,17 +568,26 @@ impl<'g> Worker<'g> {
         self.counters = CycleCounters::default();
         let t0 = Instant::now();
         let mut stopped = false;
-        // Node-major over blocks of `ITER_BLOCK` iterations: each plan
-        // fires its whole share of the block before the next plan starts,
-        // so a dependency that leaves this core and comes back is waited
-        // for once per block, not once per iteration. A block is the
-        // steady schedule with every repetition count scaled, so firing
+        // Node-major over blocks of `ITER_BLOCK` iterations, skewed: at
+        // step `s` each plan fires its whole share of block `s - lag`
+        // before the next plan starts. A node on this core that consumes
+        // what another core produced works on the block that core
+        // finished a step earlier, so a dependency that leaves this core
+        // and comes back — source here, filter there, sink here — is not
+        // waited for at all once the pipeline is full, instead of once
+        // per block. A block is the steady schedule with every repetition
+        // count scaled, and a node's blocks still come in order, so firing
         // order per node, deal/merge rotation and fault addresses are
         // those of the iteration-major loop.
-        let mut t = 0;
-        'steady: while t < iters {
-            t += ITER_BLOCK.min(iters - t);
+        let nblocks = iters.div_ceil(ITER_BLOCK);
+        let max_lag = self.plans.iter().map(|p| p.lag).max().unwrap_or(0);
+        'steady: for step in 0..nblocks + max_lag {
             for p in 0..self.plans.len() {
+                let Some(b) = step.checked_sub(self.plans[p].lag) else {
+                    continue;
+                };
+                // Past its last block, `run_share` finds the share done.
+                let t = ((b + 1) * ITER_BLOCK).min(iters);
                 if self.run_share(p, t).is_err() {
                     stopped = true;
                     break 'steady;
@@ -779,7 +799,8 @@ impl<'g> Worker<'g> {
     /// what their rings hold of the next `max` firings' input, and return
     /// how many firings the tapes then cover — at least the one
     /// [`Worker::ensure_inputs`] has waited for. Same-core inputs need no
-    /// look: their producers fired their share of the block already.
+    /// look: their producers, at the same lag or a smaller one, fired
+    /// their share of the block already, at this step or an earlier one.
     fn top_up(&mut self, p: usize, max: u64) -> u64 {
         let plan = &mut self.plans[p];
         let stage = plan.id.0 as usize;

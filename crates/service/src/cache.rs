@@ -15,13 +15,48 @@
 //! validator enforces: with zero evictions, `compilations ==
 //! distinct_graphs` no matter how many sessions ran.
 
-use macross::{compile_graph, ArtifactCache, CompiledGraph, SimdizeError, SimdizeOptions};
+use macross::{
+    compile_graph, steady_node_weights, ArtifactCache, CompiledGraph, SimdizeError, SimdizeOptions,
+};
+use macross_multicore::{plan_placement, CommModel};
 use macross_streamir::graph::Graph;
 use macross_streamir::shash::{structural_hash, GraphHash};
 use macross_telemetry::service::CacheStats;
 use macross_vm::{ExecMode, Machine};
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::Arc;
+
+/// What the cost-model planner would choose for a tenant's graph given
+/// the whole worker pool — advisory (sessions stay pinned to one shard
+/// for bit-identical outputs) but recorded per tenant so capacity
+/// decisions can read the parallel headroom straight off the report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PlanSummary {
+    pub(crate) cores: u64,
+    pub(crate) cut_edges: u64,
+    pub(crate) fused: u64,
+    pub(crate) fissioned: u64,
+}
+
+/// Summarize the planner's verdict for a compiled artifact. Uses the
+/// default communication model, so the summary is deterministic across
+/// machines.
+fn plan_summary(art: &CompiledGraph, machine: &Machine, workers: usize) -> PlanSummary {
+    let cycles = steady_node_weights(&art.graph, &art.schedule, machine);
+    let plan = plan_placement(
+        &art.graph,
+        &art.schedule,
+        &cycles,
+        workers.max(1),
+        &CommModel::default(),
+    );
+    PlanSummary {
+        cores: plan.cores_used as u64,
+        cut_edges: plan.cut_edges as u64,
+        fused: plan.fused_groups as u64,
+        fissioned: plan.fissioned as u64,
+    }
+}
 
 /// Everything that selects a distinct compilation output. The machine
 /// is keyed by its *full* description, not its name: two `Machine`
@@ -36,20 +71,28 @@ struct CacheKey {
 }
 
 /// The compile-once cache: an [`ArtifactCache`] keyed by shape x machine
-/// x options x mode, plus the submission counters of the SERVICE report.
+/// x options x mode, plus the submission counters of the SERVICE report
+/// and the planner's verdict per shape.
 pub struct CompileCache {
     arts: ArtifactCache<CacheKey>,
     submits: u64,
-    distinct: HashSet<GraphHash>,
+    /// One entry per shape ever compiled, planned for `workers` cores on
+    /// its first compilation. A service fixes its machine, options, mode
+    /// and worker count, so the plan is a function of the shape alone;
+    /// entries outlive the artifact's eviction.
+    plans: HashMap<GraphHash, PlanSummary>,
+    workers: usize,
 }
 
 impl CompileCache {
-    /// An empty cache bounded to `capacity` entries (min 1).
-    pub fn new(capacity: usize) -> CompileCache {
+    /// An empty cache bounded to `capacity` entries (min 1), planning
+    /// each shape for a pool of `workers` cores.
+    pub fn new(capacity: usize, workers: usize) -> CompileCache {
         CompileCache {
             arts: ArtifactCache::new(capacity),
             submits: 0,
-            distinct: HashSet::new(),
+            plans: HashMap::new(),
+            workers,
         }
     }
 
@@ -78,9 +121,18 @@ impl CompileCache {
             compile_graph(graph, machine, opts, mode).map(Arc::new)
         })?;
         if !hit {
-            self.distinct.insert(hash);
+            let workers = self.workers;
+            self.plans
+                .entry(hash)
+                .or_insert_with(|| plan_summary(&art, machine, workers));
         }
         Ok((art, hit))
+    }
+
+    /// The planner's verdict for a shape this cache compiled — every
+    /// artifact it handed out, whose `source_hash` is the key.
+    pub(crate) fn plan(&self, hash: &GraphHash) -> PlanSummary {
+        self.plans[hash]
     }
 
     /// Live entries.
@@ -98,7 +150,7 @@ impl CompileCache {
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             capacity: self.arts.capacity() as u64,
-            distinct_graphs: self.distinct.len() as u64,
+            distinct_graphs: self.plans.len() as u64,
             submits: self.submits,
             compilations: self.arts.misses(),
             hits: self.arts.hits(),
@@ -133,7 +185,7 @@ mod tests {
     fn same_shape_hits_renamed_or_not() {
         let machine = Machine::core_i7();
         let opts = SimdizeOptions::all();
-        let mut cache = CompileCache::new(8);
+        let mut cache = CompileCache::new(8, 2);
         let (_, hit) = cache
             .get_or_compile(&pipeline("a", 3), &machine, &opts, ExecMode::Bytecode)
             .unwrap();
@@ -156,7 +208,7 @@ mod tests {
     #[test]
     fn mode_and_options_partition_the_cache() {
         let machine = Machine::core_i7();
-        let mut cache = CompileCache::new(16);
+        let mut cache = CompileCache::new(16, 2);
         let g = pipeline("a", 3);
         let all = SimdizeOptions::all();
         let scalar = SimdizeOptions {
@@ -205,7 +257,7 @@ mod tests {
     #[test]
     fn machines_sharing_a_name_do_not_alias() {
         let opts = SimdizeOptions::all();
-        let mut cache = CompileCache::new(8);
+        let mut cache = CompileCache::new(8, 2);
         let g = pipeline("a", 3);
         let narrow = Machine::core_i7();
         // Same name, different vector width: a distinct compilation
@@ -235,7 +287,7 @@ mod tests {
     fn lru_bound_evicts_and_recompiles() {
         let machine = Machine::core_i7();
         let opts = SimdizeOptions::all();
-        let mut cache = CompileCache::new(2);
+        let mut cache = CompileCache::new(2, 2);
         let (g1, g2, g3) = (pipeline("a", 1), pipeline("a", 2), pipeline("a", 3));
         cache
             .get_or_compile(&g1, &machine, &opts, ExecMode::Bytecode)
@@ -259,5 +311,27 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.compilations, 4);
         assert_eq!(s.distinct_graphs, 3);
+    }
+
+    /// The plan recorded on a shape's miss is the one planning the
+    /// artifact afresh gives, on the miss and on every later hit — for
+    /// each program of the suite.
+    #[test]
+    fn cached_plan_matches_a_fresh_one_on_every_suite_shape() {
+        let machine = Machine::core_i7();
+        let opts = SimdizeOptions::all();
+        let workers = 2;
+        let mut cache = CompileCache::new(32, workers);
+        for b in macross_benchsuite::all() {
+            for want_hit in [false, true] {
+                let (art, hit) = cache
+                    .get_or_compile(&(b.build)(), &machine, &opts, ExecMode::Bytecode)
+                    .unwrap();
+                assert_eq!(hit, want_hit, "{}", b.name);
+                let fresh = plan_summary(&art, &machine, workers);
+                assert_eq!(cache.plan(&art.source_hash), fresh, "{}", b.name);
+            }
+        }
+        assert_eq!(cache.stats().distinct_graphs, 16);
     }
 }

@@ -35,11 +35,10 @@
 //! blocks a co-resident tenant (the engine is per-session; only the
 //! compiled artifact is shared, and that is immutable).
 
-use crate::cache::CompileCache;
+use crate::cache::{CompileCache, PlanSummary};
 use crate::error::ServiceError;
 use crate::tenant::{CloseReport, PollResult, Tenant, TenantState};
-use macross::{steady_node_weights, CompiledGraph, SimdizeOptions};
-use macross_multicore::{plan_placement, CommModel};
+use macross::SimdizeOptions;
 use macross_pdf::{CompileFn, DynamicSession, ParamGraph, ScheduleCache};
 use macross_runtime::{FaultPlan, SessionEngine};
 use macross_streamir::graph::Graph;
@@ -100,38 +99,6 @@ pub fn mode_label(mode: ExecMode) -> &'static str {
     match mode {
         ExecMode::Bytecode => "bytecode",
         ExecMode::TreeWalk => "treewalk",
-    }
-}
-
-/// What the cost-model planner would choose for a tenant's graph given
-/// the whole worker pool — advisory (sessions stay pinned to one shard
-/// for bit-identical outputs) but recorded per tenant so capacity
-/// decisions can read the parallel headroom straight off the report.
-#[derive(Debug, Clone, Copy)]
-struct PlanSummary {
-    cores: u64,
-    cut_edges: u64,
-    fused: u64,
-    fissioned: u64,
-}
-
-/// Summarize the planner's verdict for an admitted artifact. Uses the
-/// default communication model, so the summary is deterministic across
-/// machines.
-fn plan_summary(art: &CompiledGraph, machine: &Machine, workers: usize) -> PlanSummary {
-    let cycles = steady_node_weights(&art.graph, &art.schedule, machine);
-    let plan = plan_placement(
-        &art.graph,
-        &art.schedule,
-        &cycles,
-        workers.max(1),
-        &CommModel::default(),
-    );
-    PlanSummary {
-        cores: plan.cores_used as u64,
-        cut_edges: plan.cut_edges as u64,
-        fused: plan.fused_groups as u64,
-        fissioned: plan.fissioned as u64,
     }
 }
 
@@ -219,7 +186,10 @@ impl StreamService {
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            cache: Arc::new(Mutex::new(CompileCache::new(config.cache_capacity))),
+            cache: Arc::new(Mutex::new(CompileCache::new(
+                config.cache_capacity,
+                workers,
+            ))),
             scache: Arc::new(Mutex::new(ScheduleCache::new(config.scache_capacity))),
             machine: Arc::new(machine),
             config: ServiceConfig { workers, ..config },
@@ -279,21 +249,20 @@ impl StreamService {
         // Compile (or hit) outside the state lock. The cache lock is held
         // across the whole compile on purpose: concurrent submissions of
         // the same shape serialize here and the losers get hits.
-        let compiled = inner.cache.lock().unwrap().get_or_compile(
-            graph,
-            &inner.machine,
-            &inner.config.opts,
-            inner.config.mode,
-        );
-        let (art, hit) = match compiled {
-            Ok(pair) => pair,
+        let compiled = {
+            let mut cache = inner.cache.lock().unwrap();
+            cache
+                .get_or_compile(graph, &inner.machine, &inner.config.opts, inner.config.mode)
+                .map(|(art, hit)| (cache.plan(&art.source_hash), art, hit))
+        };
+        let (summary, art, hit) = match compiled {
+            Ok(admitted) => admitted,
             Err(e) => {
                 let mut st = inner.state.lock().unwrap();
                 st.admission.rejected_sessions += 1;
                 return Err(ServiceError::Simdize(e));
             }
         };
-        let summary = plan_summary(&art, &inner.machine, inner.config.workers);
         let mut st = inner.state.lock().unwrap();
         // Re-check the cap: another submission may have won the race
         // while we compiled.
@@ -435,7 +404,9 @@ impl StreamService {
                 return Err(ServiceError::Simdize(e));
             }
         };
-        let summary = plan_summary(&art, &inner.machine, inner.config.workers);
+        // The artifact came through the compile-once cache (on a
+        // schedule-cache hit, at an earlier miss), which planned its shape.
+        let summary = inner.cache.lock().unwrap().plan(&art.source_hash);
         let mut st = inner.state.lock().unwrap();
         if st.sessions.len() >= inner.config.session_cap {
             st.admission.rejected_sessions += 1;
