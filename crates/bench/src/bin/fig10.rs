@@ -1,74 +1,72 @@
 //! Regenerates Figure 10 of the paper: speedup over scalar of
 //! (a) host-compiler auto-vectorization, (b) macro-SIMDization, and
-//! (c) macro-SIMDization followed by auto-vectorization.
+//! (c) macro-SIMDization followed by auto-vectorization — modelled, with
+//! the macro-SIMD bar also measured on this host's VM.
 //!
-//! Usage: `fig10 [gcc|icc]` (default: both).
+//! Usage: `fig10`.
 
 use macross_autovec::AutovecConfig;
-use macross_bench::{emit_report, figure10_row, geomean, render_table, BenchReport, BenchRow};
+use macross_bench::{figure10_measured, figure10_row, geomean, render_table, TRIES};
 use macross_vm::Machine;
 
-fn run(host_name: &str, host_key: &str, host: &AutovecConfig) {
+fn main() {
     let machine = Machine::core_i7();
-    println!("== Figure 10 ({host_name} host compiler model), SW=4, Core-i7-like machine ==");
-    let mut report = BenchReport::new(
-        format!("fig10_{host_key}"),
-        &machine.name,
-        machine.simd_width as u64,
+    let (gcc, icc) = (AutovecConfig::gcc_like(4), AutovecConfig::icc_like(4));
+    println!("== Figure 10: speedup over scalar, SW=4 ==");
+    println!("modelled: Core-i7 cycle model; GCC-/ICC-like auto-vectorizer presets");
+    println!(
+        "measured: this host's bytecode VM, scalar vs macro-SIMDized wall clock, \
+         best of {TRIES} over iters x 16 source-aligned iterations"
     );
     let mut rows = Vec::new();
-    let mut auto_v = Vec::new();
-    let mut macro_v = Vec::new();
-    let mut both_v = Vec::new();
+    let mut cols: [Vec<f64>; 7] = Default::default();
     for b in macross_benchsuite::all() {
-        let r = figure10_row(&b, &machine, host);
-        auto_v.push(r.autovec);
-        macro_v.push(r.macro_simd);
-        both_v.push(r.macro_plus_auto);
-        report.push_row(
-            BenchRow::new(r.name)
-                .metric("autovec_speedup", r.autovec)
-                .metric("macro_simd_speedup", r.macro_simd)
-                .metric("macro_plus_auto_speedup", r.macro_plus_auto),
-        );
-        rows.push(vec![
-            r.name.to_string(),
-            format!("{:.2}x", r.autovec),
-            format!("{:.2}x", r.macro_simd),
-            format!("{:.2}x", r.macro_plus_auto),
-        ]);
+        let g = figure10_row(&b, &machine, &gcc);
+        let i = figure10_row(&b, &machine, &icc);
+        let measured = figure10_measured(&b, &machine);
+        let bars = [
+            g.autovec,
+            i.autovec,
+            g.macro_simd,
+            g.macro_plus_auto,
+            i.macro_plus_auto,
+            measured,
+            measured / g.macro_simd,
+        ];
+        for (col, v) in cols.iter_mut().zip(bars) {
+            col.push(v);
+        }
+        let mut row = vec![b.name.to_string()];
+        row.extend(bars.iter().map(|v| format!("{v:.2}x")));
+        rows.push(row);
     }
-    rows.push(vec![
-        "GEOMEAN".into(),
-        format!("{:.2}x", geomean(auto_v.clone())),
-        format!("{:.2}x", geomean(macro_v.clone())),
-        format!("{:.2}x", geomean(both_v.clone())),
-    ]);
+    let means = cols.map(geomean);
+    let mut row = vec!["GEOMEAN".to_string()];
+    row.extend(means.iter().map(|v| format!("{v:.2}x")));
+    rows.push(row);
     println!(
         "{}",
         render_table(
-            &["benchmark", "auto-vectorize", "macro-SIMD", "macro+auto"],
+            &[
+                "benchmark",
+                "GCC auto",
+                "ICC auto",
+                "macro",
+                "macro+GCC",
+                "macro+ICC",
+                "measured",
+                "meas/model",
+            ],
             &rows
         )
     );
-    let gain = (geomean(macro_v.clone()) / geomean(auto_v.clone()) - 1.0) * 100.0;
-    println!("macro-SIMD outperforms {host_name} auto-vectorization by {gain:.0}% on average");
-    println!("(paper: +54% vs GCC, +26% vs ICC)\n");
-    report.push_row(
-        BenchRow::new("GEOMEAN")
-            .metric("autovec_speedup", geomean(auto_v))
-            .metric("macro_simd_speedup", geomean(macro_v))
-            .metric("macro_plus_auto_speedup", geomean(both_v)),
+    let [gcc_auto, icc_auto, macro_simd, .., measured, error] = means;
+    println!(
+        "modelled macro-SIMD outperforms GCC-like auto-vectorization by {:.0}%, ICC-like by {:.0}%",
+        (macro_simd / gcc_auto - 1.0) * 100.0,
+        (macro_simd / icc_auto - 1.0) * 100.0
     );
-    emit_report(&report);
-}
-
-fn main() {
-    let arg = std::env::args().nth(1).unwrap_or_default();
-    if arg.is_empty() || arg == "gcc" {
-        run("GCC-like", "gcc", &AutovecConfig::gcc_like(4));
-    }
-    if arg.is_empty() || arg == "icc" {
-        run("ICC-like", "icc", &AutovecConfig::icc_like(4));
-    }
+    println!("measured macro-SIMD geomean {measured:.2}x");
+    println!("model error (measured / modelled macro-SIMD, geomean): {error:.2}");
+    println!("(paper: macro-SIMD 2.07x; +54% vs GCC, +26% vs ICC autovec 1.34x)");
 }

@@ -1,32 +1,52 @@
-//! Regenerates Figure 11: percent speedup of vertical SIMDization over
-//! single-actor-only SIMDization.
+//! Regenerates Figure 11: speedup of vertical SIMDization over
+//! single-actor-only SIMDization, modelled and measured on this host's VM.
+//!
+//! Usage: `fig11`.
 
-use macross_bench::{emit_report, figure11_row, render_table, BenchReport, BenchRow};
+use macross_bench::{figure11_measured, figure11_row, geomean, render_table, TRIES};
 use macross_vm::Machine;
 
 fn main() {
     let machine = Machine::core_i7();
     println!("== Figure 11: benefit of vertical SIMDization (vs single-actor only) ==");
-    let mut report = BenchReport::new("fig11", &machine.name, machine.simd_width as u64);
+    println!("modelled: Core-i7 cycle model");
+    println!(
+        "measured: this host's bytecode VM, single-actor vs vertical wall clock, \
+         best of {TRIES} over iters x 16 source-aligned iterations"
+    );
     let mut rows = Vec::new();
-    let mut sum = 0.0;
-    let mut n = 0;
+    let (mut modelled, mut measured) = (Vec::new(), Vec::new());
     for b in macross_benchsuite::all() {
-        let r = figure11_row(&b, &machine);
-        sum += r.improvement_pct;
-        n += 1;
-        report.push_row(BenchRow::new(r.name).metric("improvement_pct", r.improvement_pct));
+        let model = 1.0 + figure11_row(&b, &machine).improvement_pct / 100.0;
+        let meas = figure11_measured(&b, &machine);
+        modelled.push(model);
+        measured.push(meas);
         rows.push(vec![
-            r.name.to_string(),
-            format!("{:.1}%", r.improvement_pct),
+            b.name.to_string(),
+            format!("{:+.1}%", (model - 1.0) * 100.0),
+            format!("{:+.1}%", (meas - 1.0) * 100.0),
+            format!("{:.2}x", meas / model),
         ]);
     }
-    let avg = sum / n as f64;
-    rows.push(vec!["AVERAGE".into(), format!("{avg:.1}%")]);
-    println!("{}", render_table(&["benchmark", "improvement"], &rows));
+    let avg = |v: &[f64]| (v.iter().sum::<f64>() / v.len() as f64 - 1.0) * 100.0;
+    let error = geomean(measured.iter().zip(&modelled).map(|(m, p)| m / p));
+    rows.push(vec![
+        "AVERAGE".into(),
+        format!("{:+.1}%", avg(&modelled)),
+        format!("{:+.1}%", avg(&measured)),
+        format!("{error:.2}x"),
+    ]);
+    println!(
+        "{}",
+        render_table(&["benchmark", "modelled", "measured", "meas/model"], &rows)
+    );
+    println!(
+        "geomean speedup: modelled {:.2}x, measured {:.2}x",
+        geomean(modelled),
+        geomean(measured)
+    );
+    println!("model error (measured / modelled, geomean): {error:.2}");
     println!(
         "(paper: 40% average; MatrixMultBlock largest at 114%; FilterBank/BeamFormer negligible)"
     );
-    report.push_row(BenchRow::new("AVERAGE").metric("improvement_pct", avg));
-    emit_report(&report);
 }

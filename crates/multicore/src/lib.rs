@@ -13,7 +13,7 @@
 //! multi-core ... can also experience slowdown due to inter-core
 //! communication overhead".
 
-use macross::driver::{macro_simdize_colocated, SimdizeOptions};
+use macross::driver::{macro_simdize_colocated, SimdizeOptions, Simdized};
 use macross::SimdizeError;
 use macross_sdf::Schedule;
 use macross_streamir::graph::Graph;
@@ -205,9 +205,11 @@ impl Throughput {
     }
 }
 
-/// The four bars of Figure 13 for one benchmark: `cores` with and without
-/// macro-SIMDization, as speedups over single-core scalar.
-#[derive(Debug, Clone, PartialEq)]
+/// The bars of Figure 13 for one benchmark at one core count: `cores`
+/// with and without macro-SIMDization, as modelled speedups over
+/// single-core scalar, plus the two placements they priced, so a caller
+/// can run exactly those.
+#[derive(Debug, Clone)]
 pub struct Figure13Point {
     /// Core count.
     pub cores: usize,
@@ -216,6 +218,15 @@ pub struct Figure13Point {
     /// Speedup of multicore + macro-SIMD (partition-first) over 1-core
     /// scalar.
     pub multicore_simd: f64,
+    /// Core per node of the scalar graph: the partition `multicore`
+    /// priced.
+    pub assignment: Vec<u32>,
+    /// The graph macro-SIMDized under that partition as a co-location
+    /// constraint, with its schedule.
+    pub simd: Simdized,
+    /// Core per node of `simd.graph`: the placement `multicore_simd`
+    /// priced.
+    pub simd_colors: Vec<u32>,
 }
 
 /// Evaluate one benchmark graph at a core count.
@@ -290,6 +301,9 @@ pub fn figure13_point(
         cores,
         multicore: base / multicore.cycles_per_source_firing(),
         multicore_simd: base / multicore_simd.cycles_per_source_firing(),
+        assignment,
+        simd,
+        simd_colors: colors,
     })
 }
 
@@ -559,8 +573,8 @@ mod tests {
 /// survive partitioning, then clusters are placed greedily by load.
 ///
 /// Like [`partition_lpt`], it serves the Figure 13 study only (the
-/// `ablate_partitioner` comparison); the production placement is
-/// [`plan_placement`].
+/// partitioner ablation in `tests/experiment_shapes.rs`); the production
+/// placement is [`plan_placement`].
 pub fn partition_simd_aware(
     graph: &Graph,
     node_cycles: &[u64],
@@ -646,7 +660,8 @@ pub fn partition_simd_aware(
 }
 
 /// Figure-13 evaluation using the SIMD-aware partitioner instead of the
-/// naive LPT (the `ablate_partitioner` comparison).
+/// naive LPT (the partitioner ablation). `assignment` holds the aware
+/// partition.
 ///
 /// # Errors
 /// Propagates scheduling/SIMDization failures.
@@ -702,6 +717,9 @@ pub fn figure13_point_simd_aware(
         cores,
         multicore: single / multicore,
         multicore_simd: single / multicore_simd,
+        assignment,
+        simd,
+        simd_colors: colors,
     })
 }
 

@@ -381,20 +381,9 @@ impl SessionEngine {
         self.init_fns_done = true;
         for (id, node) in self.graph.clone().nodes() {
             if let Node::Filter(f) = node {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    self.states[id.0 as usize].run_init_fn(f, &self.machine)
-                }));
-                match result {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => {
-                        self.fail(id, 0, FailureCause::Vm(e));
-                        return;
-                    }
-                    Err(payload) => {
-                        let msg = firing::panic_message(payload.as_ref());
-                        self.fail(id, 0, FailureCause::Panic(msg));
-                        return;
-                    }
+                if let Err(e) = self.states[id.0 as usize].run_init_fn(f, &self.machine) {
+                    self.fail(id, 0, FailureCause::Vm(e));
+                    return;
                 }
             }
         }

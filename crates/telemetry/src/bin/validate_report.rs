@@ -1,19 +1,14 @@
-//! Validate `BENCH_*.json` / `SERVICE_*.json` files against the
-//! telemetry report schemas.
+//! Validate `SERVICE_*.json` files against the `macross-service-v2`
+//! schema.
 //!
 //! Usage: `validate_report [--errors-only] <file.json>...` — prints one
 //! line per violation (with the offending key path) and per warning, and
-//! exits non-zero if any file fails to parse, violates the schema, or
-//! triggers a warning. `--errors-only` downgrades warnings to informative
-//! output. CI runs this on the reports a benchmark or soak run emitted.
-//!
-//! The validator is picked per document: files declaring
-//! `"schema": "macross-service-v2"` go through [`service`], everything
-//! else through the bench [`report`] checker.
+//! exits non-zero if any file fails to parse, is not a service report,
+//! violates the schema, or triggers a warning. `--errors-only` downgrades
+//! warnings to informative output. CI runs this on the reports a soak or
+//! dynamic-rate run emitted.
 
 use macross_telemetry::json;
-use macross_telemetry::report;
-use macross_telemetry::report::Violation;
 use macross_telemetry::service;
 use std::process::ExitCode;
 
@@ -27,14 +22,24 @@ fn main() -> ExitCode {
         }
     }
     if paths.is_empty() {
-        eprintln!("usage: validate_report [--errors-only] <BENCH_*.json | SERVICE_*.json>...");
+        eprintln!("usage: validate_report [--errors-only] <SERVICE_*.json>...");
         return ExitCode::from(2);
     }
     let mut bad_files = 0usize;
     for path in &paths {
         let doc = std::fs::read_to_string(path)
             .map_err(|e| format!("read failed: {e}"))
-            .and_then(|s| json::parse(&s));
+            .and_then(|s| json::parse(&s))
+            .and_then(|doc| {
+                if service::is_service_report(&doc) {
+                    Ok(doc)
+                } else {
+                    Err(format!(
+                        "not a service report (expected \"schema\": {:?})",
+                        service::SERVICE_SCHEMA
+                    ))
+                }
+            });
         let doc = match doc {
             Ok(doc) => doc,
             Err(e) => {
@@ -43,12 +48,7 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        let (violations, warnings): (Vec<Violation>, Vec<Violation>) =
-            if service::is_service_report(&doc) {
-                (service::check(&doc), service::warnings(&doc))
-            } else {
-                (report::check(&doc), report::warnings(&doc))
-            };
+        let (violations, warnings) = (service::check(&doc), service::warnings(&doc));
         for v in &violations {
             println!("{path}: error: {v}");
         }

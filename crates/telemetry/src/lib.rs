@@ -2,7 +2,7 @@
 //!
 //! The observability subsystem of the MacroSS reproduction: a low-overhead
 //! event recorder threaded through the threaded runtime and the VM, plus
-//! machine-readable exporters for the benchmark binaries.
+//! machine-readable exporters for traces and service runs.
 //!
 //! Four layers, from hot to cold:
 //!
@@ -21,21 +21,20 @@
 //!    driver records which transform fired on which actor, the chosen
 //!    SIMD width, and the cost-model estimates, so estimated cost can be
 //!    compared against measured cost per benchmark.
-//! 4. **Export** ([`chrome`], [`report`]): a Chrome `trace_event` JSON
+//! 4. **Export** ([`chrome`], [`service`]): a Chrome `trace_event` JSON
 //!    timeline (open in `chrome://tracing` or <https://ui.perfetto.dev>)
-//!    and the stable [`report::BenchReport`] schema the bench binaries
-//!    write to `BENCH_<name>.json` (and [`service::ServiceReport`]'s
-//!    `SERVICE_<name>.json`). [`report::validate_str`] (and the
-//!    `validate_report` binary) check a report against the schema without
-//!    any external JSON dependency; both schemas' validators run on one
-//!    checker.
+//!    and the stable [`service::ServiceReport`] schema the service and its
+//!    two bench binaries (`service_soak`, `dynamic_rate`) write to
+//!    `SERVICE_<name>.json`. [`service::validate_str`] (and the
+//!    `validate_report` binary) check a report against that schema
+//!    without any external JSON dependency. The figure binaries write no
+//!    files; they print their tables.
 
 pub mod chrome;
 pub mod clock;
 pub mod compile;
 pub mod event;
 pub mod json;
-pub mod report;
 pub mod ring;
 pub mod service;
 pub mod trace;

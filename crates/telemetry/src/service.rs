@@ -1,6 +1,6 @@
 //! The stable `SERVICE_<name>.json` schema the streaming service emits,
-//! plus a validator so CI can gate on well-formed reports — the service
-//! sibling of [`crate::report`]'s bench schema.
+//! plus a validator so CI can gate on well-formed reports — the one
+//! report schema in the tree.
 //!
 //! Schema (`macross-service-v2`):
 //!
@@ -74,7 +74,6 @@
 //! revisited it).
 
 use crate::json::{self, Json};
-use crate::report::{Checker, Violation};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -356,15 +355,74 @@ impl ServiceReport {
     }
 }
 
-/// True when a parsed document declares the service schema — the
-/// dispatch test `validate_report` uses to pick a validator.
+/// True when a parsed document declares the service schema — the test
+/// `validate_report` uses to refuse anything else.
 pub fn is_service_report(doc: &Json) -> bool {
     doc.get("schema").and_then(Json::as_str) == Some(SERVICE_SCHEMA)
 }
 
+/// One schema violation: the JSON key path of the offending value and
+/// what is wrong with it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// Key path into the document, e.g. `tenants[2].firings` (`$` is the
+    /// document root).
+    pub path: String,
+    /// What the schema required there.
+    pub message: String,
+}
+
+impl std::fmt::Display for Violation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.path, self.message)
+    }
+}
+
+/// Collects every violation of a document, each with its key path.
+struct Checker(Vec<Violation>);
+
+impl Checker {
+    fn push(&mut self, path: impl Into<String>, message: impl Into<String>) {
+        self.0.push(Violation {
+            path: path.into(),
+            message: message.into(),
+        });
+    }
+
+    /// Require `obj[key]` to exist and parse through `get`; on success run
+    /// `then` against the extracted value.
+    fn field<'a, T>(
+        &mut self,
+        obj: &'a Json,
+        path: &str,
+        kind: &str,
+        get: impl Fn(&'a Json) -> Option<T>,
+        then: impl FnOnce(&mut Checker, T),
+    ) {
+        let key = path.rsplit('.').next().unwrap_or(path);
+        match obj.get(key) {
+            None => self.push(path, "missing required field"),
+            Some(v) => match get(v) {
+                None => self.push(path, format!("must be {kind}")),
+                Some(t) => then(self, t),
+            },
+        }
+    }
+
+    /// Require `obj[key]` to be a non-negative integer and return it.
+    fn uint_field(&mut self, obj: &Json, path: &str) -> Option<u64> {
+        let mut out = None;
+        let get_uint = |v: &Json| v.as_num().filter(|n| *n >= 0.0 && n.fract() == 0.0);
+        self.field(obj, path, "a non-negative integer", get_uint, |_, n| {
+            out = Some(n as u64);
+        });
+        out
+    }
+}
+
 /// Check a parsed document against `macross-service-v2`, collecting
-/// **every** violation instead of stopping at the first, exactly like the
-/// bench validator.
+/// **every** violation instead of stopping at the first, so a CI failure
+/// shows the whole damage at once.
 pub fn check(doc: &Json) -> Vec<Violation> {
     let mut c = Checker(Vec::new());
     if doc.as_obj().is_none() {

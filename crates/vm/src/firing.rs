@@ -252,12 +252,31 @@ impl FilterState {
     /// Run the filter's `init` function, if any. Cycles are *not*
     /// counted: the paper's measurements are steady-state.
     ///
+    /// The body is a failure boundary like a firing's: a panic in it is
+    /// caught and converted ([`VmError::Panicked`]), so every engine
+    /// reports a faulting `init` the same way.
+    ///
     /// # Errors
     /// Propagates interpreter failures from the `init` body.
+    // Out of line, like `fire_filter`: the unwind boundary stays out of
+    // the callers' bodies.
+    #[inline(never)]
     pub fn run_init_fn(&mut self, filter: &Filter, machine: &Machine) -> Result<(), VmError> {
         if filter.init.is_empty() {
             return Ok(());
         }
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.exec_init(filter, machine)
+        }))
+        .unwrap_or_else(|payload| {
+            Err(VmError::Panicked {
+                filter: filter.name.clone(),
+                message: panic_message(payload.as_ref()),
+            })
+        })
+    }
+
+    fn exec_init(&mut self, filter: &Filter, machine: &Machine) -> Result<(), VmError> {
         let mut scratch = CycleCounters::default();
         if let Engine::Compiled(plan) = &self.engine {
             let plan = Arc::clone(plan);

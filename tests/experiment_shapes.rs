@@ -3,14 +3,23 @@
 //! regression in any pass shows up as a failed claim, not just a changed
 //! number.
 
-use macross_bench::{figure10_row, figure11_row, figure12_row, figure13_rows, geomean};
+use macross_bench::{
+    figure10_measured, figure10_row, figure11_row, figure12_row, figure13_rows, geomean,
+    run_aligned, scaling_ablation,
+};
 use macross_repro::autovec::AutovecConfig;
 use macross_repro::benchsuite::{all, by_name};
 use macross_repro::macross::driver::{macro_simdize, SimdizeOptions};
+use macross_repro::multicore::{figure13_point, figure13_point_simd_aware, CommModel};
 use macross_repro::sdf::Schedule;
 use macross_repro::streamir::graph::Graph;
 use macross_repro::vm::{run_scheduled_mode, ExecMode, Machine};
+use std::sync::Mutex;
 use std::time::Instant;
+
+/// The wall-clock tests take turns: two timed runs sharing the host's
+/// cores would slow each other down.
+static TIMING: Mutex<()> = Mutex::new(());
 
 #[test]
 fn figure10_macro_beats_both_autovectorizers() {
@@ -38,6 +47,123 @@ fn figure10_macro_beats_both_autovectorizers() {
     assert!(
         gi > 1.05 && gi < 1.8,
         "ICC geomean {gi:.2} out of the paper's ballpark"
+    );
+}
+
+/// Figure 10's measured bar: the VM's wall clock, scalar over
+/// macro-SIMDized, on all 16 programs. Release builds require a geomean of
+/// at least 1.5x (the paper reports 2.07x, the cycle model 2.31x); a debug
+/// build's timing says nothing about the engine, so it times nothing.
+#[test]
+fn figure10_measured_macro_simd_geomean() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let _turn = TIMING.lock().unwrap_or_else(|e| e.into_inner());
+    let machine = Machine::core_i7();
+    let bars: Vec<f64> = all()
+        .iter()
+        .map(|b| figure10_measured(b, &machine))
+        .collect();
+    let gm = geomean(bars.iter().copied());
+    assert!(
+        gm >= 1.5,
+        "measured macro-SIMD geomean {gm:.2}x, below 1.5x: {bars:.2?}"
+    );
+}
+
+/// Modelled cycles of `name` compiled without over with the options
+/// `off` changes, both source-aligned.
+fn ablation_ratio(name: &str, off: SimdizeOptions) -> f64 {
+    let machine = Machine::core_i7();
+    let b = by_name(name).unwrap();
+    let g = (b.build)();
+    let on = macro_simdize(&g, &machine, &SimdizeOptions::all()).unwrap();
+    let off = macro_simdize(&g, &machine, &off).unwrap();
+    let (without, with) = run_aligned(
+        (&off.graph, &off.schedule, &machine),
+        (&on.graph, &on.schedule, &machine),
+        b.iters,
+    );
+    without.total_cycles() as f64 / with.total_cycles() as f64
+}
+
+#[test]
+fn ablation_horizontal_carries_the_split_join_benchmarks() {
+    // Modelled at 1.89 (FilterBank), 1.96 (BeamFormer), 1.93
+    // (ChannelVocoder): horizontal SIMDization is where their speedup is.
+    let off = SimdizeOptions {
+        horizontal: false,
+        ..SimdizeOptions::all()
+    };
+    for name in ["FilterBank", "BeamFormer", "ChannelVocoder"] {
+        let r = ablation_ratio(name, off);
+        assert!(r > 1.3, "{name}: horizontal off / on = {r:.3}");
+    }
+}
+
+#[test]
+fn ablation_permutation_tape_accesses_pay() {
+    // Modelled at 1.020 (DCT) and 1.031 (BitonicSort): Figure 7's
+    // permutation networks beat scalar gathers wherever they apply.
+    let off = SimdizeOptions {
+        permute_opt: false,
+        ..SimdizeOptions::all()
+    };
+    for name in ["DCT", "BitonicSort"] {
+        let r = ablation_ratio(name, off);
+        assert!(r > 1.0, "{name}: permute_opt off / on = {r:.3}");
+    }
+}
+
+#[test]
+fn ablation_wider_simd_speeds_serpent_up_monotonically() {
+    // Modelled at 1.50 / 2.39 / 3.54 / 4.67 for SW 2 / 4 / 8 / 16.
+    let b = by_name("Serpent").unwrap();
+    let g = (b.build)();
+    let sched = Schedule::compute(&g).unwrap();
+    let speedups: Vec<f64> = [2, 4, 8, 16]
+        .iter()
+        .map(|&sw| {
+            let m = Machine::wide(sw);
+            let simd = macro_simdize(&g, &m, &SimdizeOptions::all()).unwrap();
+            let (scalar, v) = run_aligned((&g, &sched, &m), (&simd.graph, &simd.schedule, &m), 2);
+            scalar.total_cycles() as f64 / v.total_cycles() as f64
+        })
+        .collect();
+    assert!(
+        speedups.windows(2).all(|w| w[1] > w[0]),
+        "Serpent speedup over scalar at SW 2/4/8/16: {speedups:.2?}"
+    );
+}
+
+#[test]
+fn ablation_equation1_scaling_on_filter_bank() {
+    // FilterBank's repetition numbers are already multiples of 4, so
+    // Equation 1 needs no scaling where scale-by-SW quadruples the
+    // steady state.
+    let r = scaling_ablation(&by_name("FilterBank").unwrap(), &Machine::core_i7());
+    assert_eq!((r.minimal_factor, r.naive_factor), (1, 4));
+    assert_eq!((r.minimal_buffer_elems, r.naive_buffer_elems), (617, 1721));
+    assert_eq!((r.minimal_firings, r.naive_firings), (209, 836));
+}
+
+#[test]
+fn ablation_simd_aware_partitioner_beats_naive_lpt_on_tde() {
+    // Modelled at 3.89x (SIMD-aware) against 3.47x (naive LPT) at 2 cores
+    // + SIMD: keeping fusable chains on one core keeps them fusable.
+    let machine = Machine::core_i7();
+    let b = by_name("TDE").unwrap();
+    let g = (b.build)();
+    let comm = CommModel::default();
+    let iters = b.iters.min(8);
+    let naive = figure13_point(&g, &machine, 2, &comm, iters).unwrap();
+    let aware = figure13_point_simd_aware(&g, &machine, 2, &comm, iters).unwrap();
+    assert!(
+        aware.multicore_simd > naive.multicore_simd,
+        "aware {:.2}x vs naive {:.2}x",
+        aware.multicore_simd,
+        naive.multicore_simd
     );
 }
 
@@ -158,6 +284,7 @@ fn region_iir_bank_beats_its_scalar_graph() {
     if cfg!(debug_assertions) {
         return;
     }
+    let _turn = TIMING.lock().unwrap_or_else(|e| e.into_inner());
     let best_of_5 = |g: &Graph, s: &Schedule| {
         std::hint::black_box(run(g, s, 2000));
         (0..5)

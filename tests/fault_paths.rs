@@ -466,6 +466,85 @@ fn guest_fault_inside_a_share_fails_like_a_fault_in_a_single_firing() {
     }
 }
 
+/// Pass-through whose `init` writes one past the end of its 4-element
+/// state array.
+fn init_bomb(name: &str) -> StreamSpec {
+    let mut fb = FilterBuilder::new(name, 1, 1, 1, ScalarTy::I32);
+    let table = fb.state("table", Ty::Array(ScalarTy::I32, 4));
+    let i = fb.local("i", Ty::Scalar(ScalarTy::I32));
+    fb.init(move |b| {
+        b.for_(i, 5i32, |b| {
+            b.set_idx(table, v(i), v(i));
+        });
+    });
+    fb.work(|b| {
+        b.push(pop() + 1i32);
+    });
+    fb.build_spec()
+}
+
+#[test]
+fn faulting_init_is_a_vm_panic_at_firing_zero_on_every_engine() {
+    use macross_repro::runtime::{FaultPlan, SessionEngine};
+    use macross_repro::vm::{CompiledPrograms, ExecMode, VmError};
+    use std::sync::Arc;
+
+    let g = StreamSpec::pipeline(vec![source(), init_bomb("init_bomb"), StreamSpec::Sink])
+        .build()
+        .unwrap();
+    let bomb_id = node_id(&g, "init_bomb");
+    let sched = Schedule::compute(&g).unwrap();
+    let machine = Machine::core_i7();
+    let is_init_panic =
+        |e: &VmError| matches!(e, VmError::Panicked { filter, .. } if filter == "init_bomb");
+    for mode in [ExecMode::Bytecode, ExecMode::TreeWalk] {
+        let err = Executor::with_mode(&g, &sched, &machine, mode)
+            .run(4)
+            .unwrap_err();
+        assert!(is_init_panic(&err), "Executor, {mode:?}: {err:?}");
+
+        let programs = CompiledPrograms::compile(&g, &machine, mode);
+        let mut session = SessionEngine::new(
+            Arc::new(g.clone()),
+            Arc::new(sched.clone()),
+            Arc::new(machine.clone()),
+            &programs,
+            FaultPlan::none(),
+            0,
+        );
+        session.run_init();
+        let [f] = session.failures() else {
+            panic!("SessionEngine, {mode:?}: {:?}", session.failures())
+        };
+        assert_eq!((f.stage, f.firing), (bomb_id, 0), "SessionEngine, {mode:?}");
+        assert!(
+            matches!(&f.cause, FailureCause::Vm(e) if is_init_panic(e)),
+            "SessionEngine, {mode:?}: {:?}",
+            f.cause
+        );
+
+        let opts = SupervisorOptions {
+            mode,
+            ..SupervisorOptions::default()
+        };
+        for assignment in [[0, 0, 0], [0, 1, 1]] {
+            let run = supervised(&g, &assignment, 4, &opts);
+            assert!(!run.completed);
+            let f = run.report.root_failure().expect("failure must be recorded");
+            assert_eq!(
+                (f.stage, f.firing),
+                (bomb_id, 0),
+                "threaded {assignment:?}, {mode:?}"
+            );
+            assert!(
+                matches!(&f.cause, FailureCause::Vm(e) if is_init_panic(e)),
+                "threaded {assignment:?}, {mode:?}: {:?}",
+                f.cause
+            );
+        }
+    }
+}
+
 #[test]
 fn failed_share_of_sink_firings_leaves_no_value_twice() {
     // `liar` declares eight tokens a firing and delivers four from its
