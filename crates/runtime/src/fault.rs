@@ -1,4 +1,4 @@
-//! Deterministic fault injection: a seeded, schedule-addressable plan of
+//! Deterministic fault injection: a schedule-addressable plan of
 //! failures to provoke, plus the [`ReplayBundle`] that makes any failure
 //! reproducible with one command.
 //!
@@ -44,7 +44,8 @@ pub enum FaultKind {
         /// How many wakeups to swallow per out-edge ring.
         count: u32,
     },
-    /// Poison the stage's input tape before the firing; the firing is
+    /// Poison the stage's first tape before the firing — its first input,
+    /// or a source's output — for a stage of any node kind; the firing is
     /// then refused with `VmError::Poisoned`.
     PoisonTape,
 }
@@ -125,14 +126,14 @@ pub struct FaultSpec {
     pub kind: FaultKind,
 }
 
-/// A deterministic set of faults for one run. Empty by default; built by
-/// hand ([`FaultPlan::with`]) or pseudo-randomly from a seed
-/// ([`FaultPlan::random`]). The seed is carried along (and serialized in
-/// replay bundles) purely as provenance — the specs themselves are what
-/// replays.
+/// A deterministic set of faults for one run. Empty by default; built
+/// with [`FaultPlan::single`] and [`FaultPlan::with`]. The seed is carried
+/// along (and serialized in replay bundles) purely as provenance — the
+/// specs themselves are what replays.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Seed the plan was generated from (0 for hand-built plans).
+    /// Provenance only (0 for a plain hand-built plan): it names the
+    /// plan's replay bundle file.
     pub seed: u64,
     /// The planned faults.
     pub faults: Vec<FaultSpec>,
@@ -167,44 +168,6 @@ impl FaultPlan {
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
-    }
-
-    /// A pseudo-random plan: `count` faults drawn from `kinds` (xorshift*
-    /// over `seed`), aimed at stages `< stages` and firing indices
-    /// `< max_firing`. Deterministic in all arguments.
-    pub fn random(
-        seed: u64,
-        stages: usize,
-        max_firing: u64,
-        kinds: &[FaultKind],
-        count: usize,
-    ) -> FaultPlan {
-        let mut state = seed.max(1);
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state.wrapping_mul(0x2545F4914F6CDD1D)
-        };
-        let mut plan = FaultPlan {
-            seed,
-            faults: Vec::with_capacity(count),
-        };
-        if stages == 0 || kinds.is_empty() {
-            return plan;
-        }
-        for _ in 0..count {
-            plan.faults.push(FaultSpec {
-                stage: (next() % stages as u64) as usize,
-                firing: if max_firing == 0 {
-                    0
-                } else {
-                    next() % max_firing
-                },
-                kind: kinds[(next() % kinds.len() as u64) as usize],
-            });
-        }
-        plan
     }
 
     /// The fault planned for `(stage, firing)`, if any. With the
@@ -465,18 +428,6 @@ impl std::str::FromStr for ReplayBundle {
 mod tests {
     use super::*;
     use std::str::FromStr;
-
-    #[test]
-    fn random_plans_are_deterministic() {
-        let kinds = [FaultKind::Panic, FaultKind::PoisonTape];
-        let a = FaultPlan::random(42, 7, 100, &kinds, 5);
-        let b = FaultPlan::random(42, 7, 100, &kinds, 5);
-        assert_eq!(a, b);
-        assert_eq!(a.faults.len(), 5);
-        assert!(a.faults.iter().all(|f| f.stage < 7 && f.firing < 100));
-        let c = FaultPlan::random(43, 7, 100, &kinds, 5);
-        assert_ne!(a, c, "different seeds must give different plans");
-    }
 
     #[test]
     fn fault_lookup_respects_feature_gate() {

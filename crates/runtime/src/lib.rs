@@ -25,6 +25,7 @@
 
 pub mod fault;
 pub mod ring;
+mod runner;
 pub mod session;
 pub mod supervisor;
 mod worker;
@@ -110,8 +111,9 @@ impl From<VmError> for RuntimeError {
 pub struct Stage {
     /// Completed firings.
     pub firings: AtomicU64,
-    /// Of those, firings fired inside a share envelope (all of them in a
-    /// clean run without watchdog or trace; see `Worker::fire_many`).
+    /// Of those, firings fired in a share of several, not in an envelope
+    /// of their own: all of them in a clean run without watchdog or trace
+    /// (see `Worker::run_share`).
     pub batched_firings: AtomicU64,
     /// Tokens pulled from cross-core rings into this node's input tapes.
     pub ring_in: AtomicU64,
@@ -344,17 +346,6 @@ impl SupervisedRun {
             return Err(RuntimeError::WorkerPanicked(msg));
         }
         Err(RuntimeError::Aborted)
-    }
-}
-
-fn stage_name(node: &Node) -> String {
-    match node {
-        Node::Filter(f) => f.name.clone(),
-        Node::Splitter(_) => "splitter".to_string(),
-        Node::Joiner(_) => "joiner".to_string(),
-        Node::HSplitter { .. } => "hsplitter".to_string(),
-        Node::HJoiner { .. } => "hjoiner".to_string(),
-        Node::Sink => "sink".to_string(),
     }
 }
 
@@ -633,8 +624,9 @@ pub fn iteration_block() -> u64 {
 /// This is [`run_threaded_placed`]'s engine. On top of it, supervision
 /// adds:
 ///
-/// - every firing runs inside `catch_unwind` under a heartbeat, so a
-///   panicking or erroring stage becomes a [`StageFailure`] instead of a
+/// - every share of firings runs inside the share runner's
+///   `catch_unwind` under a heartbeat, so a panicking or erroring stage
+///   becomes a [`StageFailure`], named at its exact firing, instead of a
 ///   process abort or a wedged pipeline;
 /// - an optional watchdog thread ([`SupervisorOptions::watchdog`])
 ///   escalates any single firing that exceeds its timeout — the worker
@@ -797,7 +789,7 @@ pub fn run_supervised_placed(
         let watchdog = opts.wants_watchdog().then(|| {
             let sup = &sup;
             let worker_cores = &worker_cores;
-            let stage_names: Vec<String> = graph.nodes().map(|(_, n)| stage_name(n)).collect();
+            let stage_names: Vec<String> = graph.nodes().map(|(_, n)| n.name()).collect();
             s.spawn(move || sup.run_watchdog(opts, worker_cores, &stage_names))
         });
         if let Some(&core) = worker_cores.first() {
@@ -838,7 +830,7 @@ pub fn run_supervised_placed(
             let i = id.0 as usize;
             StageStats {
                 node: i,
-                name: stage_name(node),
+                name: node.name(),
                 core: assignment[i],
                 firings: stages[i].firings.load(Ordering::Relaxed),
                 batched_firings: stages[i].batched_firings.load(Ordering::Relaxed),

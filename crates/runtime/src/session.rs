@@ -6,34 +6,32 @@
 //! from *shared* compiled programs ([`macross_vm::CompiledPrograms`]), so
 //! a thousand sessions of the same graph shape pay for one compilation.
 //!
-//! The engine carries PR 4's supervision envelope down to session
-//! granularity: a node's repetitions in an iteration run as one block
-//! behind one `catch_unwind`, cut so that a planned [`FaultPlan`] fault
-//! fires alone, and a failure — named by its exact firing — quarantines
-//! *this session only*. Quarantine is a taint drain, not an abort: the
-//! failed stage and everything data-dependent on it (descendants, plus
-//! any stage adjacent to a poisoned tape) stop firing, while independent
-//! branches finish the current steady iteration so every sink ends on a
-//! bit-exact clean prefix of the fault-free run. Co-resident sessions on
-//! the same shard share nothing but the immutable compiled artifacts, so
-//! they are unaffected by construction — the tenant-isolation tests
-//! assert this bit-for-bit.
+//! It is the share runner (`runner.rs`) over every node of the
+//! graph, a share being a node's repetitions in one iteration, plus the
+//! slice loop, the configuration-swap carrier and its drain policy: a
+//! failure quarantines *this session only*, and quarantine is a taint
+//! drain, not an abort. The failed stage and everything data-dependent on
+//! it (descendants, plus any stage adjacent to a poisoned tape) stop
+//! firing, while independent branches finish the current steady
+//! iteration so every sink ends on a bit-exact clean prefix of the
+//! fault-free run. Co-resident sessions on the same shard share nothing
+//! but the immutable compiled artifacts, so they are unaffected by
+//! construction — the tenant-isolation tests assert this bit-for-bit.
 //!
-//! Differences from the threaded worker's envelope, by design: there are
-//! no cut-edge rings (one session = one timeline), so the ring faults
-//! `DelayPush` / `DropUnpark` are inert here, and without a watchdog
-//! `StallFiring` is pure latency rather than an escalation.
+//! One session is one timeline, so the ring faults `DelayPush` /
+//! `DropUnpark` are inert here, and without a watchdog `StallFiring` is
+//! pure latency rather than an escalation.
 
 use crate::fault::{FaultKind, FaultPlan};
-use crate::supervisor::{FailureCause, StageFailure};
+use crate::runner::{mark_reachable, Failed, Runner, Unit};
+use crate::supervisor::StageFailure;
 use macross_sdf::Schedule;
 use macross_streamir::analysis::analyze_vectorizability;
 use macross_streamir::graph::{Graph, Node, NodeId};
 use macross_streamir::types::Value;
 use macross_telemetry::{EventKind, WorkerTrace};
-use macross_vm::firing::{self, FilterState, FirePlan};
-use macross_vm::{CompiledPrograms, CycleCounters, ExecMode, Machine, Tape};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use macross_vm::firing::{self, FirePlan};
+use macross_vm::{CompiledPrograms, CycleCounters, Machine};
 use std::sync::Arc;
 
 /// Name-level identity of an edge, stable across independently compiled
@@ -88,30 +86,16 @@ pub struct SessionEngine {
     graph: Arc<Graph>,
     schedule: Arc<Schedule>,
     machine: Arc<Machine>,
-    mode: ExecMode,
-    plan: FaultPlan,
-    /// Shard running the session's current slice — reported as `core`
-    /// in failures.
-    shard: u32,
-    tapes: Vec<Tape>,
-    states: Vec<FilterState>,
-    adj: Vec<FirePlan>,
-    /// Captured values per node id (non-empty for sinks only).
-    outputs: Vec<Vec<Value>>,
+    /// The share runner over every node: unit `i` is node `i`.
+    run: Runner,
     sink_ids: Vec<NodeId>,
-    counters: CycleCounters,
-    /// Per-stage firing index (init + steady), the address space of
-    /// [`FaultPlan`] — identical numbering to the threaded worker.
-    attempts: Vec<u64>,
     /// Total firings completed cleanly.
     firings: u64,
     iters_done: u64,
     failures: Vec<StageFailure>,
     tainted: Vec<bool>,
-    init_fns_done: bool,
-    init_schedule_done: bool,
-    quarantined: bool,
-    trace: WorkerTrace,
+    /// Init functions and the init schedule (or a carrier) are done.
+    initialized: bool,
 }
 
 impl SessionEngine {
@@ -130,38 +114,38 @@ impl SessionEngine {
             graph.node_count(),
             "compiled programs were built for a different graph"
         );
-        let states = graph
-            .nodes()
-            .map(|(id, node)| programs.state_for(id, node))
-            .collect();
+        let units = graph.node_ids().map(|id| Unit {
+            id,
+            adj: FirePlan::compute(&graph, id, &machine),
+            attempts: 0,
+            stride: 1,
+        });
+        let states = graph.nodes().map(|(id, node)| programs.state_for(id, node));
+        let run = Runner::new(
+            units.collect(),
+            firing::graph_tapes(&graph),
+            states.collect(),
+            plan,
+            WorkerTrace::disabled(),
+            shard,
+            programs.mode(),
+        );
         let sink_ids = graph
             .nodes()
             .filter(|(_, n)| matches!(n, Node::Sink))
             .map(|(id, _)| id)
             .collect();
-        let n = graph.node_count();
         SessionEngine {
-            mode: programs.mode(),
-            tapes: firing::graph_tapes(&graph),
-            states,
-            adj: FirePlan::for_graph(&graph, &machine),
-            outputs: vec![Vec::new(); n],
+            run,
             sink_ids,
-            counters: CycleCounters::default(),
-            attempts: vec![0; n],
             firings: 0,
             iters_done: 0,
             failures: Vec::new(),
-            tainted: vec![false; n],
-            init_fns_done: false,
-            init_schedule_done: false,
-            quarantined: false,
-            trace: WorkerTrace::disabled(),
+            tainted: vec![false; graph.node_count()],
+            initialized: false,
             graph,
             schedule,
             machine,
-            plan,
-            shard,
         }
     }
 
@@ -169,8 +153,8 @@ impl SessionEngine {
     /// name `shard` as their core, and firing/fault/drain events go to
     /// `trace`.
     pub fn set_host(&mut self, shard: u32, trace: WorkerTrace) {
-        self.shard = shard;
-        self.trace = trace;
+        self.run.core = shard;
+        self.run.trace = trace;
     }
 
     /// Sink node ids, in node order — the row order of
@@ -187,22 +171,21 @@ impl SessionEngine {
     pub fn drain_outputs_into(&mut self, rows: &mut [Vec<Value>]) -> usize {
         let mut moved = 0;
         for (row, id) in rows.iter_mut().zip(&self.sink_ids) {
-            let captured = &mut self.outputs[id.0 as usize];
+            let captured = &mut self.run.outputs[id.0 as usize];
             moved += captured.len();
             row.append(captured);
         }
         moved
     }
 
-    /// Failures recorded so far (at most the first fault and any
-    /// secondary poisoning it caused).
+    /// Failures recorded so far: the first fault (a session stops at it).
     pub fn failures(&self) -> &[StageFailure] {
         &self.failures
     }
 
     /// True once a fault quarantined this session.
     pub fn is_faulted(&self) -> bool {
-        self.quarantined
+        !self.failures.is_empty()
     }
 
     /// Total firings completed cleanly (init + steady).
@@ -217,11 +200,11 @@ impl SessionEngine {
 
     /// Aggregate modelled-cycle counters.
     pub fn counters(&self) -> CycleCounters {
-        self.counters
+        self.run.counters
     }
 
     fn status(&self) -> SessionStatus {
-        if self.quarantined {
+        if self.is_faulted() {
             SessionStatus::Faulted
         } else {
             SessionStatus::Running
@@ -229,20 +212,12 @@ impl SessionEngine {
     }
 
     /// Record a failure, begin the taint drain.
-    fn fail(&mut self, id: NodeId, firing: u64, cause: FailureCause) {
-        self.trace.record(EventKind::StageFailed, id.0, firing);
+    fn fail(&mut self, failure: StageFailure) {
+        let id = NodeId(failure.stage as u32);
         if self.failures.is_empty() {
-            self.trace.record(EventKind::DrainBegin, id.0, 0);
+            self.run.trace.record(EventKind::DrainBegin, id.0, 0);
         }
-        self.failures.push(StageFailure {
-            stage: id.0 as usize,
-            name: self.graph.node(id).name(),
-            core: self.shard,
-            firing,
-            mode: self.mode,
-            cause,
-        });
-        self.quarantined = true;
+        self.failures.push(failure);
         self.taint_from(id);
     }
 
@@ -250,108 +225,42 @@ impl SessionEngine {
     /// out-edges): none of them may fire again, their inputs are
     /// compromised.
     fn taint_from(&mut self, id: NodeId) {
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            if std::mem::replace(&mut self.tainted[n.0 as usize], true) {
-                continue;
-            }
-            for e in self.graph.out_edges(n) {
-                stack.push(self.graph.edge(e).dst);
-            }
-        }
+        mark_reachable(&self.graph, &mut self.tainted, id, true);
     }
 
-    /// During a drain, a stage touching a poisoned tape must not fire:
-    /// taint it instead of letting the firing fail a second time.
-    fn adjacent_poisoned(&self, id: NodeId) -> bool {
-        self.adj[id.0 as usize]
-            .tapes()
-            .any(|t| self.tapes[t].is_poisoned())
-    }
-
-    /// Fire `id` `k` times in a row as one guarded block: panic caught,
-    /// failure recorded at the firing that raised it and drained. The
-    /// caller ([`SessionEngine::run_phase`]) cuts blocks so that a planned
-    /// fault can only address a block's first firing, and then `k = 1` —
-    /// as under a live trace handle, whose spans are per firing. Returns
-    /// `false` when a firing failed; the ones before it stand.
-    fn fire_guarded(&mut self, id: NodeId, k: u64) -> bool {
+    /// Fire up to `k` firings of `id` as one guarded share, cut before a
+    /// planned fault (which then fires alone): how many fired, or `None`
+    /// when one failed — the ones before it stand, the failure is
+    /// recorded and drained.
+    fn fire_guarded(&mut self, id: NodeId, k: u64) -> Option<u64> {
         let stage = id.0 as usize;
-        let first = self.attempts[stage];
-        let fault = self.plan.fault_for(stage, first);
-        if let Some(kind) = fault {
-            debug_assert_eq!(k, 1, "a planned fault fires alone");
-            self.trace.record(EventKind::FaultInjected, id.0, first);
-            match kind {
-                FaultKind::PoisonTape => {
-                    // Poison the stage's input half (or output half for
-                    // sources); the firing below then refuses to run.
-                    let a = &self.adj[stage];
-                    if let Some(e) = a.in_edge().or(a.out_edge()) {
-                        self.tapes[e].poison();
-                    }
-                }
-                FaultKind::StallFiring { nanos } => {
-                    // No watchdog on the sequential engine: a stall is
-                    // pure latency, never an escalation.
-                    std::thread::sleep(std::time::Duration::from_nanos(nanos));
-                }
-                // Ring-level faults; the session engine has no rings.
-                FaultKind::DelayPush { .. } | FaultKind::DropUnpark { .. } => {}
-                FaultKind::Panic => {}
-            }
+        let (k, fault) = self.run.cut(stage, k);
+        if let Some(FaultKind::StallFiring { nanos }) = fault {
+            std::thread::sleep(std::time::Duration::from_nanos(nanos));
         }
-        self.trace.record(EventKind::FiringStart, id.0, 0);
-        let before = self.counters.total();
-        let mut done = 0;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if matches!(fault, Some(FaultKind::Panic)) {
-                panic!("injected fault: panic at stage {stage} firing {first}");
+        let fired = self
+            .run
+            .fire_share(&self.graph, &self.machine, stage, k, fault);
+        match fired {
+            Ok(()) => {
+                self.firings += k;
+                Some(k)
             }
-            firing::fire_block(
-                &self.adj[stage],
-                self.graph.node(id),
-                &mut self.states[stage],
-                &mut self.tapes,
-                &self.machine,
-                &mut self.counters,
-                k,
-                &mut self.outputs[stage],
-                &mut done,
-            )
-        }));
-        self.trace
-            .record(EventKind::FiringEnd, id.0, self.counters.total() - before);
-        self.firings += done;
-        // The failed firing was attempted too.
-        self.attempts[stage] += done + u64::from(!matches!(result, Ok(Ok(()))));
-        match result {
-            Ok(Ok(())) => true,
-            Ok(Err(e)) => {
-                // The firing already poisoned the touched tapes.
-                self.fail(id, first + done, FailureCause::Vm(e));
-                false
-            }
-            Err(payload) => {
-                // A panic outside the VM's own boundary (native node or
-                // injected): quarantine the stage's tapes ourselves.
-                for t in self.adj[stage].tapes() {
-                    self.tapes[t].poison();
-                }
-                let msg = firing::panic_message(payload.as_ref());
-                self.fail(id, first + done, FailureCause::Panic(msg));
-                false
+            Err(Failed { done, failure }) => {
+                self.firings += done;
+                self.fail(failure);
+                None
             }
         }
     }
 
     /// One pass over a schedule phase (init or steady), each node's
-    /// repetitions as one guarded block, honouring the taint drain:
+    /// repetitions as one share — one firing at a time under a live trace
+    /// handle, whose spans are per firing — honouring the taint drain:
     /// tainted stages are skipped, stages that would touch a poisoned tape
     /// are tainted instead of fired, everything else runs to flush its
     /// clean data.
     fn run_phase(&mut self, init: bool) {
-        let draining_at_entry = self.quarantined;
         // Indexed, not through a cloned `Arc`: every session of a shape
         // shares the schedule, and a clone per iteration is two atomic
         // read-modify-writes on one cache line for all of them.
@@ -363,50 +272,29 @@ impl SessionEngine {
             } else {
                 self.schedule.reps[stage]
             };
-            while left > 0 {
-                if self.tainted[stage] {
-                    break;
-                }
-                if (self.quarantined || draining_at_entry) && self.adjacent_poisoned(id) {
+            while left > 0 && !self.tainted[stage] {
+                // During a drain, a stage touching a poisoned tape must not
+                // fire: taint it instead of letting it fail a second time.
+                if self.is_faulted() && self.run.poisoned(stage) {
                     self.taint_from(id);
                     break;
                 }
-                // Up to the next planned fault, which then fires alone.
-                let k = if self.trace.active() {
-                    1
-                } else {
-                    let next = self.plan.first_fault(stage, self.attempts[stage], 1, left);
-                    next.unwrap_or(left).max(1)
-                };
-                if !self.fire_guarded(id, k) {
+                let want = if self.run.trace.active() { 1 } else { left };
+                let Some(fired) = self.fire_guarded(id, want) else {
                     break;
-                }
-                left -= k;
-            }
-        }
-    }
-
-    fn run_init_functions(&mut self) {
-        if self.init_fns_done {
-            return;
-        }
-        self.init_fns_done = true;
-        for (id, node) in self.graph.clone().nodes() {
-            if let Node::Filter(f) = node {
-                if let Err(e) = self.states[id.0 as usize].run_init_fn(f, &self.machine) {
-                    self.fail(id, 0, FailureCause::Vm(e));
-                    return;
-                }
+                };
+                left -= fired;
             }
         }
     }
 
     /// Run filter `init` functions and the init schedule (idempotent).
     pub fn run_init(&mut self) -> SessionStatus {
-        self.run_init_functions();
-        if !self.init_schedule_done && !self.quarantined {
-            self.init_schedule_done = true;
-            self.run_phase(true);
+        if !std::mem::replace(&mut self.initialized, true) {
+            match self.run.run_init_fns(&self.graph, &self.machine) {
+                Ok(()) => self.run_phase(true),
+                Err(failure) => self.fail(failure),
+            }
         }
         self.status()
     }
@@ -436,10 +324,10 @@ impl SessionEngine {
     /// sequence (partial reorder block / staged rpush data — states that
     /// template validation proves unreachable for swappable programs).
     pub fn export_carrier(&self) -> Result<SessionCarrier, String> {
-        if self.quarantined {
+        if self.is_faulted() {
             return Err("cannot export the carrier of a faulted session".into());
         }
-        if !self.init_fns_done || !self.init_schedule_done {
+        if !self.initialized {
             return Err("cannot export a carrier before initialization".into());
         }
         let mut states = Vec::new();
@@ -449,13 +337,13 @@ impl SessionEngine {
                     if states.iter().any(|(n, _)| *n == f.name) {
                         return Err(format!("duplicate stateful filter name '{}'", f.name));
                     }
-                    let vals = self.states[id.0 as usize].export_state_vars(f);
+                    let vals = self.run.states[id.0 as usize].export_state_vars(f);
                     states.push((f.name.clone(), vals));
                 }
             }
         }
         let mut tapes = Vec::new();
-        for (idx, tape) in self.tapes.iter().enumerate() {
+        for (idx, tape) in self.run.tapes.iter().enumerate() {
             let vals = tape.export_resident().ok_or_else(|| {
                 format!(
                     "tape {:?} holds reordered or uncommitted resident state",
@@ -509,67 +397,65 @@ impl SessionEngine {
                 s.sink_ids.len()
             ));
         }
-        s.run_init_functions();
-        if s.quarantined {
-            return Err("init function faulted while resuming".into());
-        }
+        s.run
+            .run_init_fns(&s.graph, &s.machine)
+            .map_err(|f| format!("init function faulted while resuming: {f}"))?;
         for (name, vals) in &carrier.states {
-            let mut target = None;
-            for (id, node) in s.graph.nodes() {
-                if let Node::Filter(f) = node {
-                    if f.name == *name {
-                        if target.is_some() {
-                            return Err(format!("ambiguous stateful filter name '{name}'"));
-                        }
-                        target = Some(id);
-                    }
-                }
-            }
-            let id = target
-                .ok_or_else(|| format!("stateful filter '{name}' missing in new configuration"))?;
-            let filter = match s.graph.clone().node(id) {
-                Node::Filter(f) => f.clone(),
-                _ => unreachable!("target is a filter"),
-            };
-            s.states[id.0 as usize]
-                .import_state_vars(&filter, vals)
+            let filters = s
+                .graph
+                .nodes()
+                .filter_map(|(id, n)| Some((id, n.as_filter()?)));
+            let (id, filter) = only(
+                filters.filter(|(_, f)| f.name == *name),
+                format!("stateful filter '{name}' missing in new configuration"),
+                format!("ambiguous stateful filter name '{name}'"),
+            )?;
+            s.run.states[id.0 as usize]
+                .import_state_vars(filter, vals)
                 .map_err(|e| format!("state carrier rejected for '{name}': {e}"))?;
         }
         for (sig, vals) in &carrier.tapes {
-            let mut target = None;
-            for idx in 0..s.tapes.len() {
-                if s.edge_sig(idx) == *sig {
-                    if target.is_some() {
-                        return Err(format!("ambiguous tape signature {sig:?}"));
-                    }
-                    target = Some(idx);
-                }
-            }
-            let idx = target.ok_or_else(|| format!("tape {sig:?} missing in new configuration"))?;
-            if !s.tapes[idx].import_resident(vals) {
+            let idx = only(
+                (0..s.run.tapes.len()).filter(|&idx| s.edge_sig(idx) == *sig),
+                format!("tape {sig:?} missing in new configuration"),
+                format!("ambiguous tape signature {sig:?}"),
+            )?;
+            if !s.run.tapes[idx].import_resident(vals) {
                 return Err(format!("tape {sig:?} refused the carried tokens"));
             }
         }
-        s.init_schedule_done = true;
+        s.initialized = true;
         Ok(s)
     }
 
     /// Run up to `iters` steady iterations, stopping (after draining the
     /// current iteration's clean remainder) on the first fault.
     pub fn run_steady(&mut self, iters: u64) -> SessionStatus {
-        if !self.init_fns_done || !self.init_schedule_done {
-            self.run_init();
-        }
+        self.run_init();
         for _ in 0..iters {
-            if self.quarantined {
+            if self.is_faulted() {
                 break;
             }
             self.run_phase(false);
-            if !self.quarantined {
+            if !self.is_faulted() {
                 self.iters_done += 1;
             }
         }
         self.status()
+    }
+}
+
+/// The only item of `found`: `missing` when there is none, `ambiguous`
+/// when there are more.
+fn only<T>(
+    mut found: impl Iterator<Item = T>,
+    missing: String,
+    ambiguous: String,
+) -> Result<T, String> {
+    match (found.next(), found.next()) {
+        (Some(item), None) => Ok(item),
+        (None, _) => Err(missing),
+        _ => Err(ambiguous),
     }
 }
 
@@ -580,7 +466,7 @@ mod tests {
     use macross_streamir::builder::StreamSpec;
     use macross_streamir::edsl::*;
     use macross_streamir::types::{ScalarTy, Ty};
-    use macross_vm::run_scheduled_mode;
+    use macross_vm::{run_scheduled_mode, ExecMode};
 
     fn pipeline() -> Graph {
         let mut src = FilterBuilder::new("src", 0, 0, 2, ScalarTy::I32);
@@ -654,7 +540,7 @@ mod tests {
         s.run_init();
         let schedule = Arc::clone(&s.schedule);
         for _ in 0..iters {
-            if s.quarantined {
+            if s.is_faulted() {
                 break;
             }
             for &id in &schedule.order {
@@ -662,16 +548,16 @@ mod tests {
                     if s.tainted[id.0 as usize] {
                         break;
                     }
-                    if s.quarantined && s.adjacent_poisoned(id) {
+                    if s.is_faulted() && s.run.poisoned(id.0 as usize) {
                         s.taint_from(id);
                         break;
                     }
-                    if !s.fire_guarded(id, 1) {
+                    if s.fire_guarded(id, 1).is_none() {
                         break;
                     }
                 }
             }
-            if !s.quarantined {
+            if !s.is_faulted() {
                 s.iters_done += 1;
             }
         }
@@ -680,15 +566,17 @@ mod tests {
     /// Everything a run leaves behind that a caller or a later firing can
     /// see.
     fn leftovers(s: &SessionEngine) -> impl PartialEq + std::fmt::Debug {
+        let attempts: Vec<u64> = s.run.units.iter().map(|u| u.attempts).collect();
         let tapes: Vec<_> = s
+            .run
             .tapes
             .iter()
             .map(|t| (t.len(), t.is_poisoned(), t.stats()))
             .collect();
         (
-            (s.failures.clone(), s.outputs.clone(), tapes),
-            (s.firings, s.iters_done, s.counters),
-            (s.attempts.clone(), s.tainted.clone()),
+            (s.failures.clone(), s.run.outputs.clone(), tapes),
+            (s.firings, s.iters_done, s.run.counters),
+            (attempts, s.tainted.clone()),
         )
     }
 
@@ -703,9 +591,9 @@ mod tests {
             assert_eq!((f.stage, f.firing), (1, fail_at as u64));
             assert_eq!(f.cause.label(), "vm");
             // What the block's earlier firings pushed stands on the tape
-            // (poisoned with it), and the sink has the whole iteration
-            // before.
-            assert_eq!(blocks.tapes[1].len(), fail_at as usize - 4);
+            // (only the failed firing's input stays poisoned), and the
+            // sink has the whole iteration before.
+            assert_eq!(blocks.run.tapes[1].len(), fail_at as usize - 4);
             assert_eq!(blocks.firings(), (1 + 4 + 4) + 1 + (fail_at as u64 - 4));
             let mut singles = build_wide(fail_at, FaultPlan::none());
             steady_one_at_a_time(&mut singles, 5);
@@ -741,9 +629,9 @@ mod tests {
                 if fatal {
                     let f = &blocks.failures()[0];
                     assert_eq!((f.stage, f.firing), (1, firing), "{kind:?}");
-                    assert_eq!(blocks.tapes[1].len() as u64, firing - 4, "{kind:?}");
+                    assert_eq!(blocks.run.tapes[1].len() as u64, firing - 4, "{kind:?}");
                 } else {
-                    assert_eq!(blocks.outputs[2].len(), 12, "{kind:?}");
+                    assert_eq!(blocks.run.outputs[2].len(), 12, "{kind:?}");
                 }
                 let mut singles = build_wide(i32::MAX - 1, plan);
                 steady_one_at_a_time(&mut singles, 3);

@@ -83,12 +83,6 @@ impl Chan {
         self.head == self.buf.len()
     }
 
-    /// Drop whatever is queued (what a failed firing left behind).
-    pub(crate) fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
-    }
-
     #[inline]
     fn push(&mut self, images: &[u64]) {
         if self.is_empty() {

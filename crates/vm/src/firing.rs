@@ -119,34 +119,6 @@ impl FilterState {
         matches!(self.engine, Engine::Compiled(_))
     }
 
-    /// Copy what firings change — the engine's variable storage; the
-    /// internal channels are empty between firings — into `saved`, whose
-    /// buffers are reused: a supervisor's snapshot before a block it may
-    /// have to undo.
-    pub fn save_to(&self, saved: &mut FilterState) {
-        match self.engine {
-            Engine::Tree => saved.slots.clone_from(&self.slots),
-            Engine::Compiled(_) => {
-                saved.regs.i.clone_from(&self.regs.i);
-                saved.regs.f.clone_from(&self.regs.f);
-            }
-        }
-    }
-
-    /// Undo the firings since [`FilterState::save_to`] filled `saved`,
-    /// and empty the channels a failed firing left data in.
-    pub fn restore_from(&mut self, saved: &FilterState) {
-        match self.engine {
-            Engine::Tree => self.slots.clone_from(&saved.slots),
-            Engine::Compiled(_) => {
-                self.regs.i.clone_from(&saved.regs.i);
-                self.regs.f.clone_from(&saved.regs.f);
-            }
-        }
-        self.chans.iter_mut().for_each(VecDeque::clear);
-        self.fifos.iter_mut().for_each(Chan::clear);
-    }
-
     /// Export the values of the filter's `State` variables, flattened in
     /// declaration order (vector-arrays row-major: all lanes of row 0,
     /// then row 1, ...). Exact in both engines: the tree-walker stores
@@ -437,6 +409,19 @@ impl FirePlan {
     pub fn tapes(&self) -> impl Iterator<Item = usize> + '_ {
         self.in_idx.iter().chain(&self.out_idx).copied()
     }
+
+    /// True when a tape of [`FirePlan::tapes`] is poisoned. A node with at
+    /// most one edge on each side — a filter, a sink — is checked through
+    /// its single edges, without a walk of the edge lists.
+    #[inline]
+    pub fn poisoned(&self, tapes: &[Tape]) -> bool {
+        let hit = |t: Option<usize>| t.is_some_and(|t| tapes[t].is_poisoned());
+        if self.in_idx.len() <= 1 && self.out_idx.len() <= 1 {
+            hit(self.in_edge) || hit(self.out_edge)
+        } else {
+            self.tapes().any(|t| tapes[t].is_poisoned())
+        }
+    }
 }
 
 /// One tape per edge of `graph`, indexed by edge id, with each reordered
@@ -463,15 +448,17 @@ pub fn graph_tapes(graph: &Graph) -> Vec<Tape> {
 ///
 /// The block is one envelope: the poison check, the tape borrows, the
 /// element-type check and the unwind boundary are paid once, and the `k`
-/// firings run inside them as `k` single firings would have. The first
-/// one that fails poisons both tapes and returns its error; the firings
-/// before it stand, and `completed` says how many they are — on success
-/// (`k`), on an error and when a native node unwinds through here alike —
-/// so a supervisor can name the firing that failed.
+/// firings run inside them as `k` single firings would have. A block of
+/// any node kind that touches a poisoned tape is refused before its first
+/// firing ([`VmError::Poisoned`]). The first firing that fails returns
+/// its error (a filter's also poisons both its tapes); the firings before
+/// it stand, and `completed` says how many they are — on success (`k`),
+/// on an error and when a native node unwinds through here alike — so a
+/// supervisor can name the firing that failed.
 ///
 /// # Errors
-/// Propagates interpreter failures (filters only; the native nodes cannot
-/// fail).
+/// [`VmError::Poisoned`] for any node kind; interpreter failures from
+/// filters (the native nodes cannot fail otherwise).
 #[allow(clippy::too_many_arguments)]
 pub fn fire_block(
     plan: &FirePlan,
@@ -489,28 +476,34 @@ pub fn fire_block(
         return Ok(());
     }
     counters.firing_overhead += k * machine.cost.firing;
-    let result = match node {
-        Node::Filter(f) => fire_filter(f, state, tapes, plan, machine, counters, k, completed),
-        Node::Sink => {
-            fire_sink(tapes, plan, machine, counters, k, sunk, completed);
-            Ok(())
+    let result = if plan.poisoned(tapes) {
+        Err(VmError::Poisoned {
+            filter: node.name(),
+        })
+    } else {
+        match node {
+            Node::Filter(f) => fire_filter(f, state, tapes, plan, machine, counters, k, completed),
+            Node::Sink => {
+                fire_sink(tapes, plan, machine, counters, k, sunk, completed);
+                Ok(())
+            }
+            Node::Splitter(kind) => each_firing(k, completed, || {
+                fire_splitter(kind, tapes, plan, machine, counters);
+                Ok(())
+            }),
+            Node::Joiner(weights) => each_firing(k, completed, || {
+                fire_joiner(weights, tapes, plan, machine, counters);
+                Ok(())
+            }),
+            Node::HSplitter { kind, width } => each_firing(k, completed, || {
+                fire_hsplitter(kind, *width, tapes, plan, machine, counters);
+                Ok(())
+            }),
+            Node::HJoiner { weights, width } => each_firing(k, completed, || {
+                fire_hjoiner(weights, *width, tapes, plan, machine, counters);
+                Ok(())
+            }),
         }
-        Node::Splitter(kind) => each_firing(k, completed, || {
-            fire_splitter(kind, tapes, plan, machine, counters);
-            Ok(())
-        }),
-        Node::Joiner(weights) => each_firing(k, completed, || {
-            fire_joiner(weights, tapes, plan, machine, counters);
-            Ok(())
-        }),
-        Node::HSplitter { kind, width } => each_firing(k, completed, || {
-            fire_hsplitter(kind, *width, tapes, plan, machine, counters);
-            Ok(())
-        }),
-        Node::HJoiner { weights, width } => each_firing(k, completed, || {
-            fire_hjoiner(weights, *width, tapes, plan, machine, counters);
-            Ok(())
-        }),
     };
     if result.is_err() {
         // The firings after the failed one were charged and never began.
@@ -613,8 +606,7 @@ fn two_tapes(
 /// Fire a filter `k` times: per firing, reset locals and run `work`
 /// against the plan's input and output tapes.
 ///
-/// The block is a failure boundary: a poisoned tape is refused before it
-/// is touched ([`VmError::Poisoned`]), a compiled plan is held to the
+/// The block is a failure boundary: a compiled plan is held to the
 /// element types of the tapes it is handed ([`VmError::TypeMismatch`] —
 /// its tape ops move images and trust them), and a panic in the body is
 /// caught and converted ([`VmError::Panicked`]) so a bad guest program
@@ -637,16 +629,6 @@ fn fire_filter(
     k: u64,
     completed: &mut u64,
 ) -> Result<(), VmError> {
-    if plan
-        .in_edge
-        .iter()
-        .chain(plan.out_edge.iter())
-        .any(|&e| tapes[e].is_poisoned())
-    {
-        return Err(VmError::Poisoned {
-            filter: filter.name.clone(),
-        });
-    }
     let (mut in_tape, mut out_tape) = two_tapes(tapes, plan.in_edge, plan.out_edge);
     let FilterState {
         slots,
@@ -896,6 +878,51 @@ mod tests {
         g.connect(src, 0, join, 0, ScalarTy::I32);
         g.connect(join, 0, sink, 0, ScalarTy::F32);
         FirePlan::compute(&g, join, &Machine::core_i7());
+    }
+
+    /// A poisoned tape is refused by a block of any node kind, before its
+    /// first firing touches anything: a splitter, a joiner and a sink alike
+    /// fail by their own name with nothing popped or pushed.
+    #[test]
+    fn a_block_of_any_node_kind_refuses_a_poisoned_tape() {
+        let mut g = Graph::new();
+        let src = g.add_node(Node::Filter(Filter::new("src", 0, 0, 2)));
+        let split = g.add_node(Node::Splitter(SplitKind::RoundRobin(vec![1, 1])));
+        let join = g.add_node(Node::Joiner(vec![1, 1]));
+        let sink = g.add_node(Node::Sink);
+        g.connect(src, 0, split, 0, ScalarTy::I32);
+        g.connect(split, 0, join, 0, ScalarTy::I32);
+        g.connect(split, 1, join, 1, ScalarTy::I32);
+        g.connect(join, 0, sink, 0, ScalarTy::I32);
+        let machine = Machine::core_i7();
+        for (id, poisoned) in [(split, 0), (join, 2), (sink, 3), (split, 2)] {
+            let mut tapes = graph_tapes(&g);
+            tapes
+                .iter_mut()
+                .for_each(|t| (0..4).for_each(|i| t.push_raw(i)));
+            tapes[poisoned].poison();
+            let (mut done, mut sunk) = (7, Vec::new());
+            let err = fire_block(
+                &FirePlan::compute(&g, id, &machine),
+                g.node(id),
+                &mut FilterState::default(),
+                &mut tapes,
+                &machine,
+                &mut CycleCounters::default(),
+                2,
+                &mut sunk,
+                &mut done,
+            )
+            .expect_err("a poisoned tape is refused");
+            let name = g.node(id).name();
+            assert!(
+                matches!(&err, VmError::Poisoned { filter } if *filter == name),
+                "{err:?}"
+            );
+            assert_eq!(done, 0, "{name}");
+            assert!(sunk.is_empty(), "{name}");
+            assert!(tapes.iter().all(|t| t.stats() == (4, 0)), "{name}");
+        }
     }
 
     /// A compiled plan moves images and trusts them, so a block refuses

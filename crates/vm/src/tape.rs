@@ -225,6 +225,33 @@ impl Tape {
         self.total_popped = mark.total_popped;
     }
 
+    /// Tokens written so far, committed or staged in a write-reorder block
+    /// — the position [`Tape::unwrite_to`] rewinds to.
+    pub fn written(&self) -> usize {
+        self.committed_end + self.write_block_pos
+    }
+
+    /// Undo every write past the first `written` ([`Tape::written`]), as
+    /// [`Tape::rollback`] would to a mark taken then: what a failed firing
+    /// wrote after the firings before it is gone, a write-reordered tape
+    /// again holds their partial block, and reads are not touched. A
+    /// position at or past the current one changes nothing.
+    pub fn unwrite_to(&mut self, written: usize) {
+        let now = self.written();
+        if written >= now {
+            return;
+        }
+        // Committed writes come in whole blocks on a write-reordered tape.
+        let block = self.write_reorder.map_or(1, |(rate, sw)| rate * sw);
+        let mark = TapeMark {
+            committed_end: written / block * block,
+            write_block_pos: written % block,
+            total_pushed: self.total_pushed - (now - written) as u64,
+            ..self.mark()
+        };
+        self.rollback(&mark);
+    }
+
     /// Enable column-major *read* remapping (vectorized producer, scalar
     /// consumer): logical read `k` resolves to physical slot
     /// `column_major_index(k, rate, sw)` within the current block.
@@ -973,6 +1000,37 @@ mod tests {
         write_reorder_rollback_case(3, 8, 16);
         // Three blocks committed since the mark (and the ring regrown).
         write_reorder_rollback_case(11, 24, 24);
+    }
+
+    /// A block's firings write from a recorded position; one of them fails
+    /// mid-write. Unwriting to the position plus what the completed ones
+    /// wrote keeps exactly their tokens, plain or write-reordered, with
+    /// the failed firing's writes inside, completing or past a block.
+    #[test]
+    fn unwrite_to_keeps_what_the_completed_firings_wrote() {
+        for reorder in [false, true] {
+            for (start, kept, torn) in [(0, 0, 3), (3, 4, 2), (3, 5, 8), (11, 13, 24)] {
+                let tape = || {
+                    let mut t = Tape::new(ScalarTy::I32);
+                    if reorder {
+                        t.set_write_reorder(2, 4);
+                    }
+                    t
+                };
+                let (mut t, mut want) = (tape(), tape());
+                (0..start).for_each(|i| t.push(iv(i)));
+                let at = t.written();
+                (start..start + kept).for_each(|i| t.push(iv(i)));
+                (0..torn).for_each(|i| t.push(iv(1000 + i)));
+                t.unwrite_to(at + kept as usize);
+                t.unwrite_to(t.written() + 5);
+                (0..40).for_each(|i| want.push(iv(i)));
+                (start + kept..40).for_each(|i| t.push(iv(i)));
+                let ctx = format!("reorder {reorder}, {start} + {kept} + {torn}");
+                assert_eq!(t.stats(), want.stats(), "{ctx}");
+                assert_eq!(t.vpop(t.len()), want.vpop(want.len()), "{ctx}");
+            }
+        }
     }
 
     #[test]

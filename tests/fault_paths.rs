@@ -591,3 +591,109 @@ fn failed_share_of_sink_firings_leaves_no_value_twice() {
         assert_eq!(run.output, captured.to_vec());
     }
 }
+
+/// src (3 tokens a firing) -> split_rr(2, 2) -> {f, g} -> join_rr(2, 2)
+/// -> sink: steady repetitions 4, 3, 6, 6, 3 and 12, so a session's
+/// block of any node has an inside. `f` blows its own firing `fail_at`.
+fn split_join(fail_at: i32) -> Graph {
+    let mut src = FilterBuilder::new("src", 0, 0, 3, ScalarTy::I32);
+    let n = src.state("n", Ty::Scalar(ScalarTy::I32));
+    src.work(|b| {
+        for _ in 0..3 {
+            b.push(v(n));
+            b.set(n, v(n) + 1i32);
+        }
+    });
+    StreamSpec::pipeline(vec![
+        src.build_spec(),
+        StreamSpec::SplitJoin {
+            split: SplitKind::RoundRobin(vec![2, 2]),
+            branches: vec![bomb("f", fail_at), pass("g")],
+            join: vec![2, 2],
+        },
+        StreamSpec::Sink,
+    ])
+    .build()
+    .unwrap()
+}
+
+#[test]
+fn a_failure_has_one_identity_on_every_engine() {
+    use macross_repro::runtime::{FaultKind, FaultPlan, SessionEngine, FAULTS_COMPILED};
+    use macross_repro::vm::{CompiledPrograms, ExecMode};
+    use std::sync::Arc;
+
+    let iters = 40;
+    let machine = Machine::core_i7();
+    let clean = split_join(1 << 20);
+    let sched = Schedule::compute(&clean).unwrap();
+    let clean = macross_repro::vm::run_scheduled(&clean, &sched, &machine, iters).unwrap();
+    // `(stage, firing, cause label, name)` of a run's only failure, and
+    // its output, checked against the clean run's.
+    let identity = |ctx: &str, failures: &[rt::StageFailure], output: &[Value]| {
+        let [f] = failures else {
+            panic!("{ctx}: expected one failure, got {failures:?}")
+        };
+        assert!(output.len() <= clean.output.len(), "{ctx}");
+        let prefix = output.iter().zip(&clean.output).all(|(a, b)| a.bits_eq(*b));
+        assert!(prefix, "{ctx}: output is not a prefix of the clean run's");
+        (f.stage, f.firing, f.cause.label(), f.name.clone())
+    };
+    let on_every_engine = |ctx: &str, g: &Graph, plan: FaultPlan| {
+        let programs = CompiledPrograms::compile(g, &machine, ExecMode::default());
+        let (graph, schedule) = (Arc::new(g.clone()), Arc::new(sched.clone()));
+        let machine = Arc::new(machine.clone());
+        let mut session = SessionEngine::new(graph, schedule, machine, &programs, plan.clone(), 0);
+        session.run_steady(iters);
+        let mut rows = vec![Vec::new(); session.sink_ids().len()];
+        session.drain_outputs_into(&mut rows);
+        let want = identity(
+            &format!("{ctx}, session"),
+            session.failures(),
+            &rows.concat(),
+        );
+        for assignment in [[0; 6], [0, 0, 1, 0, 1, 1]] {
+            let opts = SupervisorOptions::with_plan(plan.clone());
+            let run = supervised(g, &assignment, iters, &opts);
+            let ctx = format!("{ctx}, {assignment:?}");
+            let got = identity(&ctx, &run.report.failures, &run.output);
+            assert_eq!(got, want, "{ctx}");
+        }
+        want
+    };
+
+    // The first firing of a worker's second share, one in the middle of
+    // it and its last (a share is 16 iterations) — each also the first,
+    // a middle or the last firing of a session's block (one iteration).
+    let block = rt::iteration_block();
+    let places = |reps: u64| {
+        [
+            block * reps,
+            block * reps + block / 2 * reps + 1,
+            2 * block * reps - 1,
+        ]
+    };
+    let g = split_join(1 << 20);
+    for (id, node) in g.nodes().filter(|_| FAULTS_COMPILED) {
+        let stage = id.0 as usize;
+        for (kind, label) in [(FaultKind::Panic, "panic"), (FaultKind::PoisonTape, "vm")] {
+            for firing in places(sched.reps[stage]) {
+                let ctx = format!("{kind:?} at {} firing {firing}", node.name());
+                let plan = FaultPlan::single(stage, firing, kind);
+                let want = (stage, firing, label, node.name());
+                assert_eq!(on_every_engine(&ctx, &g, plan), want, "{ctx}");
+            }
+        }
+    }
+    let f = node_id(&g, "f");
+    for firing in places(sched.reps[f]) {
+        let ctx = format!("guest fault at f firing {firing}");
+        let bombed = split_join(firing as i32);
+        let want = (f, firing, "vm", "f".to_string());
+        assert_eq!(
+            on_every_engine(&ctx, &bombed, FaultPlan::none()),
+            want,
+            "{ctx}"
+        );
+    }
+}
