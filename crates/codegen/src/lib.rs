@@ -37,7 +37,119 @@ use macross_streamir::filter::{Filter, VarKind};
 use macross_streamir::graph::{Graph, Node, SplitKind};
 use macross_streamir::stmt::Stmt;
 use macross_streamir::types::{ScalarTy, Ty};
+use std::collections::HashSet;
 use std::fmt::Write;
+
+/// C++ keywords and the names the prelude and `main` declare: no emitted
+/// name may take one.
+const RESERVED: &[&str] = &[
+    "auto",
+    "bool",
+    "break",
+    "case",
+    "char",
+    "class",
+    "const",
+    "continue",
+    "default",
+    "delete",
+    "do",
+    "double",
+    "else",
+    "enum",
+    "extern",
+    "false",
+    "float",
+    "for",
+    "if",
+    "inline",
+    "int",
+    "long",
+    "namespace",
+    "new",
+    "operator",
+    "private",
+    "public",
+    "return",
+    "short",
+    "signed",
+    "sizeof",
+    "static",
+    "struct",
+    "switch",
+    "template",
+    "this",
+    "true",
+    "typedef",
+    "typename",
+    "union",
+    "unsigned",
+    "using",
+    "virtual",
+    "void",
+    "volatile",
+    "while",
+    "main",
+    "std",
+    "Tape",
+    "vec",
+    "In",
+    "Out",
+    "in",
+    "out",
+    "init",
+    "work",
+    "r",
+    "nil_tape",
+    "split_dup",
+    "split_rr",
+    "join_rr",
+    "hsplit",
+    "hjoin",
+    "sink_consume",
+];
+
+/// Hands out the identifiers of one scope — a translation unit's
+/// structs, or one struct's members: every name the emitter writes goes
+/// through [`Mangler::fresh`], which makes it a legal C++ identifier
+/// (`[A-Za-z_][A-Za-z0-9_]*`) that no earlier call returned and nothing
+/// reserved uses.
+struct Mangler {
+    taken: HashSet<String>,
+}
+
+impl Mangler {
+    fn new() -> Mangler {
+        Mangler {
+            taken: RESERVED.iter().map(|s| s.to_string()).collect(),
+        }
+    }
+
+    /// `name` as a fresh identifier of this scope: a character outside
+    /// `[A-Za-z0-9_]` is escaped as `_<hex code>_`, a leading digit gets
+    /// an `n_` prefix, and a name already taken a `_<k>` suffix.
+    fn fresh(&mut self, name: &str) -> String {
+        let mut id = String::with_capacity(name.len());
+        for ch in name.chars() {
+            if ch.is_ascii_alphanumeric() || ch == '_' {
+                id.push(ch);
+            } else {
+                let _ = write!(id, "_{:x}_", ch as u32);
+            }
+        }
+        if id.is_empty() || id.starts_with(|c: char| c.is_ascii_digit()) {
+            id.insert_str(0, "n_");
+        }
+        let mut unique = id.clone();
+        let mut k = 2;
+        while self.taken.contains(&unique) {
+            unique = format!("{id}_{k}");
+            k += 1;
+        }
+        self.taken.insert(unique.clone());
+        unique
+    }
+}
 
 /// Which vector flavour the emitted C++ uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,6 +259,10 @@ struct Emitter<'a> {
     filter: &'a Filter,
     out: String,
     indent: usize,
+    /// Member identifiers, indexed by `VarId`.
+    var_names: Vec<String>,
+    /// Member identifiers, indexed by `ChanId`.
+    chan_names: Vec<String>,
 }
 
 impl<'a> Emitter<'a> {
@@ -159,10 +275,11 @@ impl<'a> Emitter<'a> {
     }
 
     fn var_name(&self, v: macross_streamir::expr::VarId) -> String {
-        let decl = &self.filter.vars[v.0 as usize];
-        // C++-safe identifier: name + id to disambiguate duplicates from
-        // fusion renaming.
-        format!("{}_{}", decl.name.replace([' ', '-'], "_"), v.0)
+        self.var_names[v.0 as usize].clone()
+    }
+
+    fn chan_name(&self, c: macross_streamir::expr::ChanId) -> String {
+        self.chan_names[c.0 as usize].clone()
     }
 
     fn ty_cxx(&self, ty: Ty) -> String {
@@ -230,8 +347,8 @@ impl<'a> Emitter<'a> {
             Expr::Peek(off) => format!("in.peek({})", self.expr(off)),
             Expr::VPop { width } => format!("vpop{width}(in)"),
             Expr::VPeek { offset, width } => format!("vpeek{width}(in, {})", self.expr(offset)),
-            Expr::LPop(c) => format!("{}.pop()", chan_name(self.filter, *c)),
-            Expr::LVPop(c, w) => format!("vpop{w}({})", chan_name(self.filter, *c)),
+            Expr::LPop(c) => format!("{}.pop()", self.chan_name(*c)),
+            Expr::LVPop(c, w) => format!("vpop{w}({})", self.chan_name(*c)),
             Expr::Lane(a, l) => format!("lane<{l}>({})", self.expr(a)),
             Expr::Splat(a, _) => {
                 let t = self.scalar_elem(a).unwrap_or(ScalarTy::F32);
@@ -344,15 +461,11 @@ impl<'a> Emitter<'a> {
                 self.line(&text);
             }
             Stmt::LPush(c, e) => {
-                let text = format!("{}.push({});", chan_name(self.filter, *c), self.expr(e));
+                let text = format!("{}.push({});", self.chan_name(*c), self.expr(e));
                 self.line(&text);
             }
             Stmt::LVPush(c, e, w) => {
-                let text = format!(
-                    "vpush{w}({}, {});",
-                    chan_name(self.filter, *c),
-                    self.expr(e)
-                );
+                let text = format!("vpush{w}({}, {});", self.chan_name(*c), self.expr(e));
                 self.line(&text);
             }
             Stmt::For { var, count, body } => {
@@ -400,14 +513,6 @@ fn elem_of(f: &Filter, v: macross_streamir::expr::VarId) -> ScalarTy {
     f.vars[v.0 as usize].ty.elem()
 }
 
-fn chan_name(f: &Filter, c: macross_streamir::expr::ChanId) -> String {
-    format!(
-        "{}_{}",
-        f.chans[c.0 as usize].name.replace([' ', '-'], "_"),
-        c.0
-    )
-}
-
 fn binop_name(op: macross_streamir::expr::BinOp) -> &'static str {
     use macross_streamir::expr::BinOp::*;
     match op {
@@ -448,13 +553,28 @@ fn intrinsic_cxx(i: Intrinsic) -> &'static str {
 
 /// Emit one filter as a C++ struct with `init`/`work` methods.
 pub fn emit_filter(filter: &Filter, opts: &CodegenOptions) -> String {
+    emit_struct(filter, &Mangler::new().fresh(&filter.name), opts)
+}
+
+/// [`emit_filter`] under the struct name `cname`. Members are named
+/// after their declarations, suffixed with their id to keep the
+/// duplicates fusion renaming leaves apart.
+fn emit_struct(filter: &Filter, cname: &str, opts: &CodegenOptions) -> String {
+    let mut members = Mangler::new();
+    let var_names = (filter.vars.iter().enumerate())
+        .map(|(idx, v)| members.fresh(&format!("{}_{idx}", v.name)))
+        .collect();
+    let chan_names = (filter.chans.iter().enumerate())
+        .map(|(idx, c)| members.fresh(&format!("{}_{idx}", c.name)))
+        .collect();
     let mut e = Emitter {
         opts,
         filter,
         out: String::new(),
         indent: 0,
+        var_names,
+        chan_names,
     };
-    let cname = filter.name.replace([' ', '-'], "_");
     e.line(&format!(
         "// actor {} (peek={}, pop={}, push={})",
         filter.name, filter.peek, filter.pop, filter.push
@@ -493,7 +613,7 @@ pub fn emit_filter(filter: &Filter, opts: &CodegenOptions) -> String {
             VarKind::State => " // state",
             VarKind::Local => "",
         };
-        let name = format!("{}_{}", v.name.replace([' ', '-'], "_"), idx);
+        let name = &e.var_names[idx];
         match v.ty {
             Ty::Array(t, n) => e.line(&format!("{} {name}[{n}];{comment}", scalar_cxx(t))),
             Ty::VectorArray(t, _, n) => {
@@ -512,10 +632,7 @@ pub fn emit_filter(filter: &Filter, opts: &CodegenOptions) -> String {
             Ty::Vector(t, _) => format!("Tape<{}>", vector_cxx(t, opts)),
             _ => unreachable!("channels are scalar or vector"),
         };
-        e.line(&format!(
-            "{ty} {}_{idx}; // internal buffer",
-            c.name.replace([' ', '-'], "_")
-        ));
+        e.line(&format!("{ty} {}; // internal buffer", e.chan_names[idx]));
     }
     e.line("");
     e.line("void init() {");
@@ -527,10 +644,7 @@ pub fn emit_filter(filter: &Filter, opts: &CodegenOptions) -> String {
     e.indent -= 1;
     e.line("}");
     e.line("");
-    let (in_ty, out_ty) = ("auto", "auto");
-    e.line(&format!(
-        "template <typename In, typename Out> void work({in_ty} In& in, {out_ty} Out& out) {{"
-    ));
+    e.line("template <typename In, typename Out> void work(In& in, Out& out) {");
     e.indent += 1;
     let work = filter.work.clone();
     for s in &work {
@@ -547,10 +661,22 @@ pub fn emit_filter(filter: &Filter, opts: &CodegenOptions) -> String {
 /// main loop (initialization firings followed by the steady state).
 pub fn emit_program(graph: &Graph, schedule: &Schedule, opts: &CodegenOptions) -> String {
     let mut s = emit_prelude(opts);
-    for (_, node) in graph.nodes() {
+    // One scope for the unit: `main`'s locals are taken first, then each
+    // actor's struct gets its name.
+    let mut unit = Mangler::new();
+    for (id, _) in graph.edges() {
+        unit.taken.insert(format!("tape{}", id.0));
+    }
+    for id in graph.node_ids() {
+        unit.taken.insert(format!("actor{}", id.0));
+    }
+    let mut struct_names = vec![String::new(); graph.node_count()];
+    for (id, node) in graph.nodes() {
         if let Node::Filter(f) = node {
-            s.push_str(&emit_filter(f, opts));
+            let cname = unit.fresh(&f.name);
+            s.push_str(&emit_struct(f, &cname, opts));
             s.push('\n');
+            struct_names[id.0 as usize] = cname;
         }
     }
     s.push_str("int main() {\n");
@@ -560,8 +686,8 @@ pub fn emit_program(graph: &Graph, schedule: &Schedule, opts: &CodegenOptions) -
     }
     // Actor instances + init.
     for (id, node) in graph.nodes() {
-        if let Node::Filter(f) = node {
-            let cname = f.name.replace([' ', '-'], "_");
+        if let Node::Filter(_) = node {
+            let cname = &struct_names[id.0 as usize];
             let _ = writeln!(s, "  {cname} actor{}; actor{}.init();", id.0, id.0);
         }
     }
@@ -750,6 +876,18 @@ mod tests {
         StreamSpec::pipeline(vec![src.build_spec(), f.build_spec(), StreamSpec::Sink])
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn mangled_names_are_escaped_prefixed_and_unique() {
+        let mut m = Mangler::new();
+        assert_eq!(m.fresh("a-b c"), "a_2d_b_20_c");
+        assert_eq!(m.fresh("1fdct_1quant_v4"), "n_1fdct_1quant_v4");
+        assert_eq!(m.fresh("int"), "int_2", "keywords are reserved");
+        assert_eq!(m.fresh("band"), "band");
+        assert_eq!(m.fresh("band"), "band_2");
+        assert_eq!(m.fresh("band"), "band_3");
+        assert_eq!(m.fresh(""), "n_");
     }
 
     #[test]

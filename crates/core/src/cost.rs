@@ -6,14 +6,15 @@
 //! actor is profitable at all and (b) pick the cheapest tape-access mode
 //! (strided scalar vs. permutation-based vs. SAGU/vector-reordered).
 
+use crate::driver::{candidate_modes, SimdizeOptions};
 use crate::permnet::{gather_plan, scatter_plan};
-use crate::single::{Staged, TapeMode};
+use crate::single::{stage_actor, Staged, TapeMode};
+use macross_streamir::analysis::{uniform_loop_body, ConstEnv};
 use macross_streamir::expr::{BinOp, Expr, LValue, VarId};
 use macross_streamir::filter::Filter;
 use macross_streamir::stmt::Stmt;
-use macross_streamir::types::Value;
+use macross_streamir::types::{ScalarTy, Value};
 use macross_vm::Machine;
-use std::collections::HashMap;
 
 /// Extra per-access address costs for reordered tapes, passed in by the
 /// tape-mode cost comparison.
@@ -37,7 +38,7 @@ struct StagedModes<'a> {
 struct CostWalker<'a> {
     filter: &'a Filter,
     machine: &'a Machine,
-    env: HashMap<VarId, Value>,
+    env: ConstEnv,
     addr: AddrCosts,
     /// Cycles every (input, output) mode pair pays.
     cycles: u64,
@@ -45,23 +46,35 @@ struct CostWalker<'a> {
     /// plain (already lowered, or scalar) body.
     pair_extra: Vec<u64>,
     staged: Option<StagedModes<'a>>,
+    /// Summarize uniform loops ([`uniform_loop_body`]); off for the
+    /// unrolling reference walk.
+    summarize: bool,
+    /// Scratch for [`uniform_loop_body`].
+    assigned: Vec<VarId>,
 }
 
 /// Estimate the cycle cost of one firing of `filter` on `machine`.
 ///
-/// Loops with constant (or loop-var-computable) trip counts are unrolled
+/// Loops with constant (or loop-var-computable) trip counts are walked
 /// abstractly; unknown-trip-count loops make the estimate panic — the
-/// vectorizability analysis guarantees the SIMDizer never sees one.
+/// vectorizability analysis guarantees the SIMDizer never sees one. What
+/// a statement costs depends on its shape, never on a value, so a loop
+/// whose body is uniform across iterations ([`uniform_loop_body`]) is
+/// walked once and its cycles multiplied by the trip count; every other
+/// loop is unrolled.
 pub fn static_firing_cost(filter: &Filter, machine: &Machine, addr: AddrCosts) -> u64 {
-    let mut w = CostWalker {
-        filter,
-        machine,
-        env: HashMap::new(),
-        addr,
-        cycles: machine.cost.firing,
-        pair_extra: Vec::new(),
-        staged: None,
-    };
+    firing_cost(filter, machine, addr, true)
+}
+
+/// [`static_firing_cost`] with every loop unrolled: the reference the
+/// summarizing walk is checked against.
+#[doc(hidden)]
+pub fn static_firing_cost_unrolled(filter: &Filter, machine: &Machine, addr: AddrCosts) -> u64 {
+    firing_cost(filter, machine, addr, false)
+}
+
+fn firing_cost(filter: &Filter, machine: &Machine, addr: AddrCosts, summarize: bool) -> u64 {
+    let mut w = CostWalker::new(filter, machine, addr, None, summarize);
     w.block(&filter.work);
     w.cycles
 }
@@ -85,22 +98,50 @@ pub(crate) fn staged_pair_costs(
     outputs: &[TapeMode],
     machine: &Machine,
 ) -> Vec<u64> {
+    pair_costs(staged, inputs, outputs, machine, true)
+}
+
+/// The candidate tape-mode pairs the driver's search prices for `f`
+/// (with every tape option on and scalar neighbours on both sides),
+/// costed by [`staged_pair_costs`] and by its unrolling reference walk,
+/// both input-major.
+#[doc(hidden)]
+pub fn staged_pair_costs_and_reference(
+    f: &Filter,
+    machine: &Machine,
+    in_elem: ScalarTy,
+    out_elem: ScalarTy,
+) -> (Vec<u64>, Vec<u64>) {
+    let staged = stage_actor(f, machine.simd_width, in_elem, out_elem);
+    let (inputs, outputs) = candidate_modes(f, &staged, &SimdizeOptions::all(), machine, |_| true);
+    (
+        pair_costs(&staged, &inputs, &outputs, machine, true),
+        pair_costs(&staged, &inputs, &outputs, machine, false),
+    )
+}
+
+fn pair_costs(
+    staged: &Staged,
+    inputs: &[TapeMode],
+    outputs: &[TapeMode],
+    machine: &Machine,
+    summarize: bool,
+) -> Vec<u64> {
     let c = &machine.cost;
     let sw = staged.sw as u64;
     let (p, q) = (staged.pop as u64, staged.push as u64);
-    let mut w = CostWalker {
-        filter: &staged.filter,
-        machine,
-        env: HashMap::new(),
-        addr: AddrCosts::default(),
-        cycles: c.firing,
-        pair_extra: vec![0; inputs.len() * outputs.len()],
-        staged: Some(StagedModes {
-            sw,
-            inputs,
-            outputs,
-        }),
+    let modes = StagedModes {
+        sw,
+        inputs,
+        outputs,
     };
+    let mut w = CostWalker::new(
+        &staged.filter,
+        machine,
+        AddrCosts::default(),
+        Some(modes),
+        summarize,
+    );
     w.block(&staged.filter.work);
     // What `lower` emits around the body.
     w.charge_inputs(|m| match m {
@@ -129,6 +170,29 @@ pub(crate) fn staged_pair_costs(
 }
 
 impl<'a> CostWalker<'a> {
+    fn new(
+        filter: &'a Filter,
+        machine: &'a Machine,
+        addr: AddrCosts,
+        staged: Option<StagedModes<'a>>,
+        summarize: bool,
+    ) -> CostWalker<'a> {
+        let pairs = staged
+            .as_ref()
+            .map_or(0, |m| m.inputs.len() * m.outputs.len());
+        CostWalker {
+            filter,
+            machine,
+            env: ConstEnv::with_vars(filter.vars.len()),
+            addr,
+            cycles: machine.cost.firing,
+            pair_extra: vec![0; pairs],
+            staged,
+            summarize,
+            assigned: Vec::new(),
+        }
+    }
+
     fn is_vec_var(&self, v: VarId) -> bool {
         self.filter.var(v).ty.is_vector()
     }
@@ -242,17 +306,13 @@ impl<'a> CostWalker<'a> {
                     self.cycles += c.splat;
                 }
                 match lv {
-                    LValue::Var(v) => match self.const_eval(e) {
-                        Some(val) if !lowered_vec => {
-                            self.env.insert(*v, val);
-                        }
-                        _ => {
-                            self.env.remove(v);
-                        }
-                    },
+                    LValue::Var(v) => {
+                        let val = if lowered_vec { None } else { self.env.eval(e) };
+                        self.env.set(*v, val);
+                    }
                     LValue::Index(v, i) => {
                         self.expr(i);
-                        self.env.remove(v);
+                        self.env.set(*v, None);
                         self.cycles += if self.is_vec_var(*v) {
                             c.vstore
                         } else {
@@ -261,13 +321,13 @@ impl<'a> CostWalker<'a> {
                     }
                     LValue::VIndex(v, i, _) => {
                         self.expr(i);
-                        self.env.remove(v);
+                        self.env.set(*v, None);
                         self.cycles += c.vstore;
                     }
                     LValue::LaneVar(_, _) => self.cycles += c.lane_insert,
                     LValue::LaneIndex(v, i, _) => {
                         self.expr(i);
-                        self.env.remove(v);
+                        self.env.set(*v, None);
                         self.cycles += c.lane_insert;
                     }
                 }
@@ -297,15 +357,37 @@ impl<'a> CostWalker<'a> {
                 self.expr(count);
                 self.cycles += c.alu;
                 let n = self
-                    .const_eval(count)
+                    .env
+                    .eval(count)
                     .map(|v| v.as_i64())
                     .expect("static cost model requires constant trip counts");
-                for i in 0..n.max(0) {
-                    self.env.insert(*var, Value::I32(i as i32));
-                    self.cycles += c.loop_iter;
-                    self.block(body);
+                if n >= 2
+                    && n <= i64::from(i32::MAX)
+                    && self.summarize
+                    && uniform_loop_body(*var, body, &mut self.assigned)
+                {
+                    #[cfg(debug_assertions)]
+                    let before = (self.cycles, self.pair_extra.clone(), self.env.clone());
+                    self.summarized_loop(*var, n, body);
+                    #[cfg(debug_assertions)]
+                    {
+                        let summarized = (self.cycles, self.pair_extra.clone(), self.env.clone());
+                        (self.cycles, self.pair_extra, self.env) = before;
+                        self.summarize = false;
+                        self.unrolled_loop(*var, n, body);
+                        self.summarize = true;
+                        assert!(
+                            summarized.0 == self.cycles
+                                && summarized.1 == self.pair_extra
+                                && summarized.2.same(&self.env),
+                            "{}: summarized loop over {var} disagrees with its unrolling",
+                            self.filter.name
+                        );
+                    }
+                } else {
+                    self.unrolled_loop(*var, n, body);
                 }
-                self.env.remove(var);
+                self.env.set(*var, None);
             }
             Stmt::If {
                 cond,
@@ -314,7 +396,7 @@ impl<'a> CostWalker<'a> {
             } => {
                 self.expr(cond);
                 self.cycles += c.alu;
-                match self.const_eval(cond) {
+                match self.env.eval(cond) {
                     Some(v) if v.is_truthy() => self.block(then_branch),
                     Some(_) => self.block(else_branch),
                     None => {
@@ -453,18 +535,26 @@ impl<'a> CostWalker<'a> {
         }
     }
 
-    fn const_eval(&self, e: &Expr) -> Option<Value> {
-        match e {
-            Expr::Const(v) => Some(*v),
-            Expr::Var(v) => self.env.get(v).copied(),
-            Expr::Unary(op, a) => Some(macross_streamir::expr::eval_unop(*op, self.const_eval(a)?)),
-            Expr::Binary(op, a, b) => Some(macross_streamir::expr::eval_binop(
-                *op,
-                self.const_eval(a)?,
-                self.const_eval(b)?,
-            )),
-            Expr::Cast(t, a) => Some(self.const_eval(a)?.cast(*t)),
-            _ => None,
+    fn unrolled_loop(&mut self, var: VarId, n: i64, body: &[Stmt]) {
+        for i in 0..n.max(0) {
+            self.env.set(var, Some(Value::I32(i as i32)));
+            self.cycles += self.machine.cost.loop_iter;
+            self.block(body);
+        }
+    }
+
+    /// Walk the last of `n` iterations of a uniform loop and charge its
+    /// cycles `n` times: every iteration costs the same, and the last one
+    /// leaves the constants the loop leaves.
+    fn summarized_loop(&mut self, var: VarId, n: i64, body: &[Stmt]) {
+        let (cycles, extra) = (self.cycles, self.pair_extra.clone());
+        self.env.set(var, Some(Value::I32((n - 1) as i32)));
+        self.cycles += self.machine.cost.loop_iter;
+        self.block(body);
+        let more = (n - 1) as u64;
+        self.cycles += more * (self.cycles - cycles);
+        for (x, x0) in self.pair_extra.iter_mut().zip(extra) {
+            *x += more * (*x - x0);
         }
     }
 }
@@ -525,6 +615,69 @@ mod tests {
         // firing(3) + loop setup alu(1)+count? count is const: no cost.
         // per iter: loop_iter(1) + load(2) + add(1) = 4 -> 16; push: store 2.
         assert_eq!(cost, 3 + 1 + 16 + 2);
+    }
+
+    /// Uniform loops are walked once and charged per iteration; loops
+    /// that vary per iteration are unrolled. Both cost what the unrolled
+    /// walk costs.
+    #[test]
+    fn summarized_loops_cost_what_unrolled_ones_do() {
+        let machine = Machine::core_i7();
+        let cost = |work: &dyn Fn(&mut B, VarId, VarId, VarId, VarId)| {
+            let mut f = FilterBuilder::new("f", 1, 1, 1, ScalarTy::I32);
+            let i = f.local("i", Ty::Scalar(ScalarTy::I32));
+            let j = f.local("j", Ty::Scalar(ScalarTy::I32));
+            let k = f.local("k", Ty::Scalar(ScalarTy::I32));
+            let t = f.local("t", Ty::Scalar(ScalarTy::I32));
+            f.work(|b| work(b, i, j, k, t));
+            let f = f.build();
+            let summarized = static_firing_cost(&f, &machine, AddrCosts::default());
+            let unrolled = static_firing_cost_unrolled(&f, &machine, AddrCosts::default());
+            assert_eq!(summarized, unrolled);
+            summarized
+        };
+        // A stepped local picks the branch after the loop: k is 12, so
+        // the mul side is taken. firing 3 + loop alu 1 + 4 x (iter 1 +
+        // load 2 + add 1) + compare 1 + branch 1 + mul 3.
+        let stepped = cost(&|b, i, _, k, t| {
+            b.set(k, 0i32);
+            b.for_(i, 4i32, |b| {
+                b.set(t, pop());
+                b.set(k, v(k) + 3i32);
+            });
+            b.if_else(
+                eq(v(k), 12i32),
+                |b| {
+                    b.set(t, v(t) * v(t));
+                },
+                |b| {
+                    b.set(t, v(t) + 1i32);
+                },
+            );
+        });
+        assert_eq!(stepped, 3 + 1 + 4 * 4 + 1 + 1 + 3);
+        // A uniform body whose constant is read by a later trip count:
+        // the walked iteration is the last, so k is 5 after the loop.
+        cost(&|b, i, j, k, t| {
+            b.for_(i, 6i32, |b| {
+                b.set(t, pop() * 2i32);
+                b.set(k, v(i) - 0i32);
+            });
+            b.for_(j, v(k), |b| {
+                b.push(v(t) + v(j));
+            });
+        });
+        // A triangular nest, and a branch on the loop variable.
+        cost(&|b, i, j, _, t| {
+            b.for_(i, 5i32, |b| {
+                b.for_(j, v(i) + 1i32, |b| {
+                    b.set(t, v(t) * v(j));
+                });
+                b.if_(eq(v(i), 0i32), |b| {
+                    b.set(t, v(t) / 3i32);
+                });
+            });
+        });
     }
 
     #[test]

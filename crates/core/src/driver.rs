@@ -10,7 +10,7 @@ use crate::error::SimdizeError;
 use crate::horizontal::{find_split_joins, horizontalize};
 use crate::permnet::{gather_applicable, scatter_applicable};
 use crate::region::{region_width, simdize_region_actor_analyzed};
-use crate::single::{stage_actor, SingleActorConfig, TapeMode};
+use crate::single::{stage_actor, SingleActorConfig, Staged, TapeMode};
 use crate::vertical::{fuse_vetted_chain, link_fusable_vetted, splice_fused};
 use macross_sdf::{compute_init_reps, lcm, Schedule};
 use macross_streamir::analysis::{analyze_vectorizability, check_rates, Vectorizability};
@@ -414,26 +414,9 @@ pub fn macro_simdize_colocated(
         let f = g.node(id).as_filter().expect("selected actors are filters");
         let (in_elem, out_elem) = tape_elems(&g, id);
         let staged = stage_actor(f, sw, in_elem, out_elem);
-        let peeking = f.peek > f.pop || staged.peeking;
-
-        let mut input_modes = vec![TapeMode::Strided];
-        let mut output_modes = vec![TapeMode::Strided];
-        if !peeking && f.pop > 0 {
-            if opts.permute_opt && machine.has_permute && gather_applicable(f.pop) {
-                input_modes.push(TapeMode::Permute);
-            }
-            if opts.reorder_opt && scalar_neighbor(&g, id, true, &selected) {
-                input_modes.push(TapeMode::VectorReorder);
-            }
-        }
-        if f.push > 0 {
-            if opts.permute_opt && machine.has_permute && scatter_applicable(f.push) {
-                output_modes.push(TapeMode::Permute);
-            }
-            if opts.reorder_opt && scalar_neighbor(&g, id, false, &selected) {
-                output_modes.push(TapeMode::VectorReorder);
-            }
-        }
+        let (input_modes, output_modes) = candidate_modes(f, &staged, opts, machine, |input| {
+            scalar_neighbor(&g, id, input, &selected)
+        });
 
         let mut costs = staged_pair_costs(&staged, &input_modes, &output_modes, machine);
         #[cfg(debug_assertions)]
@@ -725,6 +708,38 @@ pub fn modelled_steady_cost(simd: &Simdized, machine: &Machine) -> u64 {
     steady_node_weights(&simd.graph, &simd.schedule, machine)
         .iter()
         .sum()
+}
+
+/// The (input, output) tape modes the search prices for `f`, staged as
+/// `staged`. `scalar_neighbor(input)` says whether the neighbour on that
+/// side can absorb reordered accesses.
+pub(crate) fn candidate_modes(
+    f: &Filter,
+    staged: &Staged,
+    opts: &SimdizeOptions,
+    machine: &Machine,
+    scalar_neighbor: impl Fn(bool) -> bool,
+) -> (Vec<TapeMode>, Vec<TapeMode>) {
+    let peeking = f.peek > f.pop || staged.peeking;
+    let mut input_modes = vec![TapeMode::Strided];
+    let mut output_modes = vec![TapeMode::Strided];
+    if !peeking && f.pop > 0 {
+        if opts.permute_opt && machine.has_permute && gather_applicable(f.pop) {
+            input_modes.push(TapeMode::Permute);
+        }
+        if opts.reorder_opt && scalar_neighbor(true) {
+            input_modes.push(TapeMode::VectorReorder);
+        }
+    }
+    if f.push > 0 {
+        if opts.permute_opt && machine.has_permute && scatter_applicable(f.push) {
+            output_modes.push(TapeMode::Permute);
+        }
+        if opts.reorder_opt && scalar_neighbor(false) {
+            output_modes.push(TapeMode::VectorReorder);
+        }
+    }
+    (input_modes, output_modes)
 }
 
 /// The exhaustive tape-mode grid the staged search replaced, kept as its

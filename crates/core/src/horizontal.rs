@@ -8,6 +8,7 @@
 use crate::error::SimdizeError;
 use crate::graph_edit::rebuild_without;
 use crate::single::{expr_vecish, mark_vector_vars, stage, TapeMode};
+use macross_streamir::analysis::VarSet;
 use macross_streamir::expr::{Expr, LValue};
 use macross_streamir::filter::Filter;
 use macross_streamir::graph::{Graph, Node, NodeId, SplitKind};
@@ -512,7 +513,7 @@ pub fn horizontalize(
             } else {
                 elem_out_last
             };
-            let m = stage(m, sw, elem_in[l], out_elem, &HashSet::new()).lower(
+            let m = stage(m, sw, elem_in[l], out_elem, &VarSet::new()).lower(
                 TapeMode::Vector,
                 TapeMode::Vector,
                 true,

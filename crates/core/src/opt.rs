@@ -12,12 +12,12 @@
 //! the same `eval_*` kernels the VM executes, so folding `sin(0.5)` now or
 //! at run time produces the identical f32.
 
-use macross_streamir::expr::{eval_binop, eval_intrinsic, eval_unop, BinOp, Expr, LValue, VarId};
+use macross_streamir::analysis::VarSet;
+use macross_streamir::expr::{eval_binop, eval_intrinsic, eval_unop, BinOp, Expr, LValue};
 use macross_streamir::filter::{Filter, VarKind};
 use macross_streamir::graph::{Graph, Node};
 use macross_streamir::stmt::Stmt;
 use macross_streamir::types::Value;
-use std::collections::HashSet;
 
 /// Statistics from one optimization run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -306,8 +306,8 @@ fn identity(op: BinOp, a: &Expr, b: &Expr) -> Option<Expr> {
 /// Arrays and state are left alone; RHSes with tape reads are kept.
 fn eliminate_dead_stores(f: &mut Filter) -> usize {
     // Collect read variables across init+work.
-    let mut read: HashSet<VarId> = HashSet::new();
-    let mut loop_vars: HashSet<VarId> = HashSet::new();
+    let mut read = VarSet::new();
+    let mut loop_vars = VarSet::new();
     let mut collect = |stmts: &[Stmt]| {
         for s in stmts {
             s.walk_exprs(&mut |e| {
@@ -332,18 +332,18 @@ fn eliminate_dead_stores(f: &mut Filter) -> usize {
     collect(&f.work);
 
     let mut removed = 0;
-    let dead = |lv: &LValue, e: &Expr, f: &Filter, read: &HashSet<VarId>| -> bool {
+    let dead = |lv: &LValue, e: &Expr, f: &Filter, read: &VarSet| -> bool {
         if let LValue::Var(v) = lv {
             f.var(*v).kind == VarKind::Local && !read.contains(v) && !e.reads_tape()
         } else {
             false
         }
     };
-    type DeadCheck<'a> = &'a dyn Fn(&LValue, &Expr, &Filter, &HashSet<VarId>) -> bool;
+    type DeadCheck<'a> = &'a dyn Fn(&LValue, &Expr, &Filter, &VarSet) -> bool;
     fn sweep(
         stmts: Vec<Stmt>,
         f: &Filter,
-        read: &HashSet<VarId>,
+        read: &VarSet,
         dead: DeadCheck<'_>,
         removed: &mut usize,
     ) -> Vec<Stmt> {

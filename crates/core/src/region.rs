@@ -27,13 +27,14 @@
 use crate::error::SimdizeError;
 use crate::single::{stage, SingleActorConfig, TapeMode};
 use macross_streamir::analysis::{
-    analyze_vectorizability, check_rates, check_region_spec, region_cursor_update, Vectorizability,
+    analyze_vectorizability, check_rates, check_region_spec, region_cursor_update, VarSet,
+    Vectorizability,
 };
 use macross_streamir::expr::{Expr, LValue, VarId};
 use macross_streamir::filter::{Filter, RegionSpec, VarKind};
 use macross_streamir::stmt::Stmt;
 use macross_streamir::types::{Ty, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Pick the lane width for an `R`-region actor on a `sw`-wide machine:
 /// `sw` itself when it divides `R`, otherwise the largest power-of-two
@@ -215,7 +216,7 @@ pub(crate) fn simdize_region_actor_analyzed(
     // Vectorize the cursor-free body. The region arrays are seeded as
     // vector variables: their lanes hold different regions' values even
     // when no tape data flows into them.
-    let seeds: HashSet<VarId> = spec.vars.iter().copied().collect();
+    let seeds: VarSet = spec.vars.iter().copied().collect();
     let mut f =
         stage(f, w, cfg.in_elem, cfg.out_elem, &seeds).lower(cfg.input, cfg.output, false)?;
 

@@ -19,12 +19,11 @@
 use crate::error::SimdizeError;
 use crate::normalize::normalize_work;
 use crate::permnet::{gather_applicable, gather_plan, scatter_applicable, scatter_plan};
-use macross_streamir::analysis::{analyze_vectorizability, check_rates};
+use macross_streamir::analysis::{analyze_vectorizability, check_rates, VarSet};
 use macross_streamir::expr::{BinOp, Expr, LValue, VarId};
 use macross_streamir::filter::{Filter, VarKind};
 use macross_streamir::stmt::Stmt;
 use macross_streamir::types::{ScalarTy, Ty, Value};
-use std::collections::HashSet;
 
 /// How a vectorized actor accesses one of its tapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,7 +128,7 @@ pub(crate) struct Staged {
     /// The actor with its normalized, retyped, not yet tape-lowered body.
     pub(crate) filter: Filter,
     /// Variables that hold one value per lane.
-    vec_vars: HashSet<VarId>,
+    vec_vars: VarSet,
     /// SIMD width.
     pub(crate) sw: usize,
     in_elem: ScalarTy,
@@ -152,7 +151,7 @@ pub(crate) fn stage_actor(
 ) -> Staged {
     let mut f = orig.clone();
     f.name = format!("{}_v{sw}", f.name);
-    stage(f, sw, in_elem, out_elem, &HashSet::new())
+    stage(f, sw, in_elem, out_elem, &VarSet::new())
 }
 
 /// Stage `f` for `sw`-wide execution. `seeds` enter the def-use marking
@@ -164,7 +163,7 @@ pub(crate) fn stage(
     sw: usize,
     in_elem: ScalarTy,
     out_elem: ScalarTy,
-    seeds: &HashSet<VarId>,
+    seeds: &VarSet,
 ) -> Staged {
     assert!(
         sw.is_power_of_two() && sw >= 2,
@@ -178,7 +177,7 @@ pub(crate) fn stage(
     // merged vector constants (Section 3.1 "identifying variables and
     // constants to be vectorized").
     let vec_vars = mark_vector_vars_seeded(&f, seeds);
-    for v in &vec_vars {
+    for v in vec_vars.iter() {
         let decl = &mut f.vars[v.0 as usize];
         decl.ty = decl.ty.vectorized(sw);
     }
@@ -279,11 +278,11 @@ impl Staged {
         // Input permute preamble: p vector pops + gather network into an
         // array indexed by a running pop counter.
         if input == TapeMode::Permute && p > 0 {
-            let arr = rw.alloc("__in_perm".to_string(), Ty::VectorArray(in_elem, sw, p));
-            let cnt = rw.alloc("__in_cnt".to_string(), Ty::Scalar(ScalarTy::I32));
+            let arr = rw.alloc(format_args!("__in_perm"), Ty::VectorArray(in_elem, sw, p));
+            let cnt = rw.alloc(format_args!("__in_cnt"), Ty::Scalar(ScalarTy::I32));
             rw.in_perm = Some((arr, cnt));
             let loads: Vec<VarId> = (0..p)
-                .map(|i| rw.alloc(format!("__ld{i}"), Ty::Vector(in_elem, sw)))
+                .map(|i| rw.alloc(format_args!("__ld{i}"), Ty::Vector(in_elem, sw)))
                 .collect();
             for &t in &loads {
                 body.push(Stmt::Assign(LValue::Var(t), Expr::VPop { width: sw }));
@@ -304,20 +303,20 @@ impl Staged {
             }
         }
         if output == TapeMode::Permute && q > 0 {
-            let arr = rw.alloc("__out_perm".to_string(), Ty::VectorArray(out_elem, sw, q));
-            let cnt = rw.alloc("__out_cnt".to_string(), Ty::Scalar(ScalarTy::I32));
+            let arr = rw.alloc(format_args!("__out_perm"), Ty::VectorArray(out_elem, sw, q));
+            let cnt = rw.alloc(format_args!("__out_cnt"), Ty::Scalar(ScalarTy::I32));
             rw.out_perm = Some((arr, cnt));
         }
 
         let work = std::mem::take(&mut f.work);
-        let mut rewritten = rw.block(&work)?;
+        let mut rewritten = rw.block(work)?;
         body.append(&mut rewritten);
 
         // Output permute postamble: scatter network + q vector pushes.
         if output == TapeMode::Permute && q > 0 {
             let (arr, _) = rw.out_perm.unwrap();
             let loads: Vec<VarId> = (0..q)
-                .map(|i| rw.alloc(format!("__st{i}"), Ty::Vector(out_elem, sw)))
+                .map(|i| rw.alloc(format_args!("__st{i}"), Ty::Vector(out_elem, sw)))
                 .collect();
             for (i, &t) in loads.iter().enumerate() {
                 body.push(Stmt::Assign(
@@ -354,7 +353,7 @@ impl Staged {
         // state initialization, Figure 6b).
         if rewrite_init {
             let init = std::mem::take(&mut f.init);
-            f.init = rw.block(&init)?;
+            f.init = rw.block(init)?;
         }
 
         for (name, ty) in rw.new_vars {
@@ -387,7 +386,7 @@ fn emit_rounds(
     for r in 0..rounds {
         let mut next = Vec::with_capacity(k);
         for i in 0..k {
-            next.push(rw.alloc(format!("__perm_r{r}_{i}"), Ty::Vector(elem, sw)));
+            next.push(rw.alloc(format_args!("__perm_r{r}_{i}"), Ty::Vector(elem, sw)));
         }
         for i in 0..k / 2 {
             body.push(Stmt::Assign(
@@ -421,12 +420,12 @@ fn scale_offset(off: Expr, sw: usize) -> Expr {
 
 /// Def-use marking: variables whose values originate (transitively) from
 /// tape or channel reads become vectors.
-pub(crate) fn mark_vector_vars(f: &Filter) -> HashSet<VarId> {
-    mark_vector_vars_seeded(f, &HashSet::new())
+pub(crate) fn mark_vector_vars(f: &Filter) -> VarSet {
+    mark_vector_vars_seeded(f, &VarSet::new())
 }
 
-pub(crate) fn mark_vector_vars_seeded(f: &Filter, seeds: &HashSet<VarId>) -> HashSet<VarId> {
-    let mut vec: HashSet<VarId> = seeds.clone();
+pub(crate) fn mark_vector_vars_seeded(f: &Filter, seeds: &VarSet) -> VarSet {
+    let mut vec = seeds.clone();
     loop {
         let before = vec.len();
         mark_block(&f.init, &mut vec);
@@ -438,7 +437,7 @@ pub(crate) fn mark_vector_vars_seeded(f: &Filter, seeds: &HashSet<VarId>) -> Has
     vec
 }
 
-pub(crate) fn expr_vecish(e: &Expr, vec: &HashSet<VarId>) -> bool {
+pub(crate) fn expr_vecish(e: &Expr, vec: &VarSet) -> bool {
     let mut hit = false;
     e.walk(&mut |e| match e {
         Expr::Pop | Expr::Peek(_) | Expr::LPop(_) | Expr::ConstVec(_) => hit = true,
@@ -450,7 +449,7 @@ pub(crate) fn expr_vecish(e: &Expr, vec: &HashSet<VarId>) -> bool {
     hit
 }
 
-fn mark_block(stmts: &[Stmt], vec: &mut HashSet<VarId>) {
+fn mark_block(stmts: &[Stmt], vec: &mut VarSet) {
     for s in stmts {
         match s {
             Stmt::Assign(lv, e) if expr_vecish(e, vec) => {
@@ -472,7 +471,7 @@ fn mark_block(stmts: &[Stmt], vec: &mut HashSet<VarId>) {
 
 struct Rewriter {
     filter_vars: Vec<Ty>,
-    vec_vars: HashSet<VarId>,
+    vec_vars: VarSet,
     sw: usize,
     p: usize,
     q: usize,
@@ -485,7 +484,9 @@ struct Rewriter {
 }
 
 impl Rewriter {
-    fn alloc(&mut self, name: String, ty: Ty) -> VarId {
+    /// A fresh local named `name` suffixed with a counter (one format,
+    /// no intermediate string).
+    fn alloc(&mut self, name: std::fmt::Arguments<'_>, ty: Ty) -> VarId {
         let id = VarId((self.filter_vars.len()) as u32);
         self.filter_vars.push(ty);
         self.new_vars.push((format!("{name}_{}", self.fresh), ty));
@@ -497,7 +498,9 @@ impl Rewriter {
         Expr::Splat(Box::new(e), self.sw)
     }
 
-    fn block(&mut self, stmts: &[Stmt]) -> Result<Vec<Stmt>, SimdizeError> {
+    /// Rewrite a block, consuming it: an expression node the rewrite
+    /// keeps is moved into the output with its allocation.
+    fn block(&mut self, stmts: Vec<Stmt>) -> Result<Vec<Stmt>, SimdizeError> {
         let mut out = Vec::with_capacity(stmts.len());
         for s in stmts {
             self.stmt(s, &mut out)?;
@@ -505,27 +508,27 @@ impl Rewriter {
         Ok(out)
     }
 
-    fn stmt(&mut self, s: &Stmt, out: &mut Vec<Stmt>) -> Result<(), SimdizeError> {
+    fn stmt(&mut self, s: Stmt, out: &mut Vec<Stmt>) -> Result<(), SimdizeError> {
         match s {
             Stmt::Assign(LValue::Var(v), Expr::Pop) => {
                 debug_assert!(
-                    self.vec_vars.contains(v),
+                    self.vec_vars.contains(&v),
                     "pop target must be marked vector"
                 );
                 match self.input {
                     TapeMode::Strided => {
                         for l in (1..self.sw).rev() {
                             out.push(Stmt::Assign(
-                                LValue::LaneVar(*v, l),
+                                LValue::LaneVar(v, l),
                                 Expr::Peek(Box::new(Expr::Const(Value::I32((l * self.p) as i32)))),
                             ));
                         }
-                        out.push(Stmt::Assign(LValue::LaneVar(*v, 0), Expr::Pop));
+                        out.push(Stmt::Assign(LValue::LaneVar(v, 0), Expr::Pop));
                     }
                     TapeMode::Permute => {
                         let (arr, cnt) = self.in_perm.expect("permute input state");
                         out.push(Stmt::Assign(
-                            LValue::Var(*v),
+                            LValue::Var(v),
                             Expr::Index(arr, Box::new(Expr::Var(cnt))),
                         ));
                         out.push(Stmt::Assign(
@@ -534,22 +537,22 @@ impl Rewriter {
                         ));
                     }
                     TapeMode::VectorReorder | TapeMode::Vector => {
-                        out.push(Stmt::Assign(LValue::Var(*v), Expr::VPop { width: self.sw }));
+                        out.push(Stmt::Assign(LValue::Var(v), Expr::VPop { width: self.sw }));
                     }
                 }
             }
             Stmt::Assign(LValue::Var(v), Expr::Peek(off)) => {
                 debug_assert!(
-                    self.vec_vars.contains(v),
+                    self.vec_vars.contains(&v),
                     "peek target must be marked vector"
                 );
-                let (off_rw, off_vec) = self.expr(off)?;
+                let (off_rw, off_vec) = self.expr(*off)?;
                 assert!(!off_vec, "peek offset must be uniform");
                 match self.input {
                     TapeMode::Strided => {
                         for l in (1..self.sw).rev() {
                             out.push(Stmt::Assign(
-                                LValue::LaneVar(*v, l),
+                                LValue::LaneVar(v, l),
                                 Expr::Peek(Box::new(Expr::bin(
                                     BinOp::Add,
                                     off_rw.clone(),
@@ -558,7 +561,7 @@ impl Rewriter {
                             ));
                         }
                         out.push(Stmt::Assign(
-                            LValue::LaneVar(*v, 0),
+                            LValue::LaneVar(v, 0),
                             Expr::Peek(Box::new(off_rw)),
                         ));
                     }
@@ -567,7 +570,7 @@ impl Rewriter {
                         // scalar offset `off * SW`.
                         let scaled = scale_offset(off_rw, self.sw);
                         out.push(Stmt::Assign(
-                            LValue::Var(*v),
+                            LValue::Var(v),
                             Expr::VPeek {
                                 offset: Box::new(scaled),
                                 width: self.sw,
@@ -578,8 +581,8 @@ impl Rewriter {
                 }
             }
             Stmt::Assign(LValue::Var(v), Expr::LPop(c)) => {
-                debug_assert!(self.vec_vars.contains(v));
-                out.push(Stmt::Assign(LValue::Var(*v), Expr::LVPop(*c, self.sw)));
+                debug_assert!(self.vec_vars.contains(&v));
+                out.push(Stmt::Assign(LValue::Var(v), Expr::LVPop(c, self.sw)));
             }
             Stmt::Assign(lv, e) => {
                 let (mut e2, ev) = self.expr(e)?;
@@ -590,11 +593,11 @@ impl Rewriter {
                     panic!("marking bug: vector value assigned to scalar variable {lv}");
                 }
                 let lv2 = match lv {
-                    LValue::Var(v) => LValue::Var(*v),
+                    LValue::Var(v) => LValue::Var(v),
                     LValue::Index(v, i) => {
                         let (i2, ivec) = self.expr(i)?;
                         assert!(!ivec, "array subscript must be uniform");
-                        LValue::Index(*v, i2)
+                        LValue::Index(v, i2)
                     }
                     LValue::LaneVar(_, _)
                     | LValue::LaneIndex(_, _, _)
@@ -606,7 +609,7 @@ impl Rewriter {
             }
             Stmt::Push(e) => {
                 let var = match e {
-                    Expr::Var(v) => *v,
+                    Expr::Var(v) => v,
                     other => panic!("push operand not normalized: {other}"),
                 };
                 let is_vec = self.vec_vars.contains(&var);
@@ -659,14 +662,14 @@ impl Rewriter {
             Stmt::LPush(c, e) => {
                 let (e2, ev) = self.expr(e)?;
                 let value = if ev { e2 } else { self.splat(e2) };
-                out.push(Stmt::LVPush(*c, value, self.sw));
+                out.push(Stmt::LVPush(c, value, self.sw));
             }
             Stmt::For { var, count, body } => {
                 let (count2, cvec) = self.expr(count)?;
                 assert!(!cvec, "loop trip count must be uniform");
                 let body2 = self.block(body)?;
                 out.push(Stmt::For {
-                    var: *var,
+                    var,
                     count: count2,
                     body: body2,
                 });
@@ -687,8 +690,8 @@ impl Rewriter {
                 });
             }
             Stmt::AdvanceRead(n) => match self.input {
-                TapeMode::Strided => out.push(Stmt::AdvanceRead(*n)),
-                TapeMode::Vector => out.push(Stmt::AdvanceRead(*n * self.sw)),
+                TapeMode::Strided => out.push(Stmt::AdvanceRead(n)),
+                TapeMode::Vector => out.push(Stmt::AdvanceRead(n * self.sw)),
                 other => panic!("advance_read unsupported in {other:?} mode"),
             },
             Stmt::AdvanceWrite(_)
@@ -701,35 +704,39 @@ impl Rewriter {
         Ok(())
     }
 
-    /// Rewrite an expression; returns (expr, is_vector).
-    fn expr(&mut self, e: &Expr) -> Result<(Expr, bool), SimdizeError> {
+    /// Rewrite an expression, consuming it; returns (expr, is_vector).
+    /// An operand is moved back into its own box.
+    fn expr(&mut self, e: Expr) -> Result<(Expr, bool), SimdizeError> {
         Ok(match e {
-            Expr::Const(v) => (Expr::Const(*v), false),
-            Expr::Var(v) => (Expr::Var(*v), self.vec_vars.contains(v)),
-            Expr::Index(v, i) => {
-                let (i2, ivec) = self.expr(i)?;
+            Expr::Const(v) => (Expr::Const(v), false),
+            Expr::Var(v) => (Expr::Var(v), self.vec_vars.contains(&v)),
+            Expr::Index(v, mut i) => {
+                let (i2, ivec) = self.expr(*i)?;
                 assert!(!ivec, "array subscript must be uniform");
-                (Expr::Index(*v, Box::new(i2)), self.vec_vars.contains(v))
+                *i = i2;
+                (Expr::Index(v, i), self.vec_vars.contains(&v))
             }
-            Expr::Unary(op, a) => {
-                let (a2, av) = self.expr(a)?;
-                (Expr::Unary(*op, Box::new(a2)), av)
+            Expr::Unary(op, mut a) => {
+                let (a2, av) = self.expr(*a)?;
+                *a = a2;
+                (Expr::Unary(op, a), av)
             }
-            Expr::Cast(t, a) => {
-                let (a2, av) = self.expr(a)?;
-                (Expr::Cast(*t, Box::new(a2)), av)
+            Expr::Cast(t, mut a) => {
+                let (a2, av) = self.expr(*a)?;
+                *a = a2;
+                (Expr::Cast(t, a), av)
             }
-            Expr::Binary(op, a, b) => {
-                let (a2, av) = self.expr(a)?;
-                let (b2, bv) = self.expr(b)?;
+            Expr::Binary(op, mut a, mut b) => {
+                let (a2, av) = self.expr(*a)?;
+                let (b2, bv) = self.expr(*b)?;
                 let vec = av || bv;
-                let a3 = if vec && !av { self.splat(a2) } else { a2 };
-                let b3 = if vec && !bv { self.splat(b2) } else { b2 };
-                (Expr::bin(*op, a3, b3), vec)
+                *a = if vec && !av { self.splat(a2) } else { a2 };
+                *b = if vec && !bv { self.splat(b2) } else { b2 };
+                (Expr::Binary(op, a, b), vec)
             }
             Expr::Call(i, args) => {
                 let parts: Vec<(Expr, bool)> = args
-                    .iter()
+                    .into_iter()
                     .map(|a| self.expr(a))
                     .collect::<Result<_, _>>()?;
                 let vec = parts.iter().any(|(_, v)| *v);
@@ -737,9 +744,9 @@ impl Rewriter {
                     .into_iter()
                     .map(|(a, av)| if vec && !av { self.splat(a) } else { a })
                     .collect();
-                (Expr::Call(*i, args2), vec)
+                (Expr::Call(i, args2), vec)
             }
-            Expr::ConstVec(vs) => (Expr::ConstVec(vs.clone()), true),
+            Expr::ConstVec(vs) => (Expr::ConstVec(vs), true),
             Expr::Pop | Expr::Peek(_) | Expr::LPop(_) => {
                 panic!("tape read not normalized out of expression position")
             }

@@ -114,9 +114,10 @@ impl SessionEngine {
             graph.node_count(),
             "compiled programs were built for a different graph"
         );
-        let units = graph.node_ids().map(|id| Unit {
+        let plans = FirePlan::for_graph(&graph, &machine);
+        let units = graph.node_ids().zip(plans).map(|(id, adj)| Unit {
             id,
-            adj: FirePlan::compute(&graph, id, &machine),
+            adj,
             attempts: 0,
             stride: 1,
         });

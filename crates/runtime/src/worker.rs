@@ -297,12 +297,14 @@ impl<'g> Worker<'g> {
                 tape
             })
             .collect();
+        let mut fire = FirePlan::for_graph(graph, machine);
+        let elem = |tape: Option<usize>| tape.map(|e| graph.edge(EdgeId(e as u32)).elem);
         let states: Vec<FilterState> = graph
             .nodes()
             .map(|(id, node)| match node {
                 Node::Filter(f) if on_core(id) => {
-                    let in_elem = graph.single_in_edge(id).map(|e| graph.edge(e).elem);
-                    let out_elem = graph.single_out_edge(id).map(|e| graph.edge(e).elem);
+                    let adj = &fire[id.0 as usize];
+                    let (in_elem, out_elem) = (elem(adj.in_edge()), elem(adj.out_edge()));
                     FilterState::prepared(f, machine, in_elem, out_elem, opts.mode)
                 }
                 _ => FilterState::default(),
@@ -333,8 +335,12 @@ impl<'g> Worker<'g> {
                 EdgeRings::Fission(rs) => Some((rs.clone(), rate)),
             };
             let node = graph.node(id);
+            // Each node is planned once per core: its fire plan moves
+            // into the unit.
+            let adj = std::mem::take(&mut fire[id.0 as usize]);
             let (mut pulls, mut local_ins) = (Vec::new(), Vec::new());
-            for eid in graph.in_edges(id) {
+            for &edge in adj.in_tapes() {
+                let eid = EdgeId(edge as u32);
                 let e = graph.edge(eid);
                 let pop = node.pop_rate(e.dst_port);
                 let need = match node {
@@ -345,7 +351,6 @@ impl<'g> Worker<'g> {
                     .reorder
                     .filter(|r| r.side == ReorderSide::Consumer)
                     .map_or(1, |r| r.block());
-                let edge = eid.0 as usize;
                 let Some((rings, ring_block)) =
                     ring_set(eid, graph.node(e.src).push_rate(e.src_port))
                 else {
@@ -365,7 +370,8 @@ impl<'g> Worker<'g> {
                 });
             }
             let mut pushes = Vec::new();
-            for eid in graph.out_edges(id) {
+            for &edge in adj.out_tapes() {
+                let eid = EdgeId(edge as u32);
                 let e = graph.edge(eid);
                 let Some((rings, ring_block)) =
                     ring_set(eid, graph.node(e.dst).pop_rate(e.dst_port))
@@ -374,7 +380,7 @@ impl<'g> Worker<'g> {
                 };
                 rings.iter().for_each(|ring| ring.register_producer());
                 pushes.push(Push {
-                    edge: eid.0 as usize,
+                    edge,
                     rings,
                     ring_block,
                     shipped: 0,
@@ -395,7 +401,7 @@ impl<'g> Worker<'g> {
             };
             units.push(Unit {
                 id,
-                adj: FirePlan::compute(graph, id, machine),
+                adj,
                 attempts,
                 stride,
             });

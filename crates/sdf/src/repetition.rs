@@ -1,7 +1,7 @@
 //! Repetition-vector computation: solving the SDF balance equations
 //! (Lee & Messerschmitt, 1987) with exact rational arithmetic.
 
-use macross_streamir::graph::{Graph, NodeId};
+use macross_streamir::graph::{Edge, Graph, NodeId};
 use std::fmt;
 
 /// Errors from rate matching.
@@ -111,6 +111,16 @@ pub fn repetition_vector(graph: &Graph) -> Result<Vec<u64>, RateMatchError> {
         }
     }
 
+    // Each node's edges in table order, from one pass over the table: the
+    // propagation visits them as a scan of the whole table would.
+    let mut incident: Vec<Vec<&Edge>> = vec![Vec::new(); n];
+    for (_, e) in graph.edges() {
+        incident[e.src.0 as usize].push(e);
+        if e.dst != e.src {
+            incident[e.dst.0 as usize].push(e);
+        }
+    }
+
     for start in 0..n {
         if ratio[start].is_some() {
             continue;
@@ -119,7 +129,7 @@ pub fn repetition_vector(graph: &Graph) -> Result<Vec<u64>, RateMatchError> {
         let mut stack = vec![NodeId(start as u32)];
         while let Some(id) = stack.pop() {
             let r = ratio[id.0 as usize].expect("visited node has a ratio");
-            for (_, e) in graph.edges() {
+            for &e in &incident[id.0 as usize] {
                 if e.src == id {
                     let push = graph.node(e.src).push_rate(e.src_port) as u64;
                     let pop = graph.node(e.dst).pop_rate(e.dst_port) as u64;

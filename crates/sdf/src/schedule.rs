@@ -60,8 +60,7 @@ impl Schedule {
     /// # Errors
     /// Fails when the graph is cyclic/invalid or its rates are inconsistent.
     pub fn compute(graph: &Graph) -> Result<Schedule, ScheduleError> {
-        graph.validate()?;
-        let order = graph.topo_order()?;
+        let order = graph.validated_order()?;
         let reps = repetition_vector(graph)?;
         let init_reps = compute_init_reps(graph, &order);
         Ok(Schedule {
@@ -106,9 +105,10 @@ impl Schedule {
 /// (b) the peek slack its consumers need left over.
 pub fn compute_init_reps(graph: &Graph, order: &[NodeId]) -> Vec<u64> {
     let mut init = vec![0u64; graph.node_count()];
+    let adj = graph.adjacency();
     for &id in order.iter().rev() {
         let mut need = 0u64;
-        for eid in graph.out_edges(id) {
+        for &eid in adj.outs(id) {
             let e = graph.edge(eid);
             let push = graph.node(id).push_rate(e.src_port) as u64;
             let consumer = graph.node(e.dst);

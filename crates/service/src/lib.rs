@@ -47,7 +47,7 @@ pub mod tenant;
 
 pub use cache::CompileCache;
 pub use error::ServiceError;
-pub use server::{mode_label, ServiceConfig, StreamService};
+pub use server::{mode_label, ServiceConfig, ServiceSnapshot, StreamService};
 pub use tenant::{CloseReport, PollResult, TenantState};
 
 #[cfg(test)]
@@ -307,12 +307,20 @@ mod tests {
             .submit("bp", &counter_pipeline(1), FaultPlan::none())
             .unwrap();
         service.feed(id, 64).unwrap();
-        // Let the shard hit the output bound and park the tenant. The
-        // drain is bounded by the clock, not by a poll count: how many
-        // polls fit before the shard worker is next scheduled depends on
-        // the load around this test.
-        let mut drained = 0usize;
+        // Let the shard hit the output bound and park the tenant before
+        // the first poll: a client that polls as fast as the shard
+        // produces may never let the buffer fill. The wait and the drain
+        // are bounded by the clock, not by a poll count: how far the
+        // shard gets before it is next scheduled depends on the load
+        // around this test.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while service.snapshot().admission.backpressure_stalls == 0
+            && std::time::Instant::now() < deadline
+        {
+            std::thread::yield_now();
+        }
+        assert_eq!(service.snapshot().deferred, 1, "the tenant is parked");
+        let mut drained = 0usize;
         while drained < 64 && std::time::Instant::now() < deadline {
             let r = service.poll(id).unwrap();
             drained += r.outputs.iter().map(Vec::len).sum::<usize>();

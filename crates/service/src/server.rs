@@ -124,6 +124,24 @@ pub fn mode_label(mode: ExecMode) -> &'static str {
     }
 }
 
+/// A point-in-time view of a running service
+/// ([`StreamService::snapshot`]): what admission has counted so far and
+/// where the live sessions stand. It copies counters the service keeps
+/// anyway, under one short hold of the state lock, with or without the
+/// `trace` feature.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ServiceSnapshot {
+    /// Admission counters so far: submissions, rejections, backpressure
+    /// stalls, steals.
+    pub admission: AdmissionStats,
+    /// Sessions queued on each shard, by shard index.
+    pub queue_depths: Vec<usize>,
+    /// Live sessions parked on backpressure until their client polls.
+    pub deferred: usize,
+    /// Live sessions a fault quarantined.
+    pub quarantined: usize,
+}
+
 /// Control-plane view of one admitted session. The engine itself lives
 /// behind `slot`; everything here is guarded by the state lock.
 struct SessionEntry {
@@ -213,6 +231,17 @@ impl State {
             admission: AdmissionStats::default(),
             retired: VecDeque::new(),
             retired_dropped: 0,
+        }
+    }
+
+    fn snapshot(&self) -> ServiceSnapshot {
+        let count =
+            |flag: fn(&SessionEntry) -> bool| self.sessions.values().filter(|e| flag(e)).count();
+        ServiceSnapshot {
+            admission: self.admission,
+            queue_depths: self.queues.iter().map(VecDeque::len).collect(),
+            deferred: count(|e| e.deferred),
+            quarantined: count(|e| e.faulted),
         }
     }
 
@@ -773,6 +802,12 @@ impl StreamService {
         }
     }
 
+    /// The admission counters, shard queue depths and parked and
+    /// quarantined session counts as they stand now.
+    pub fn snapshot(&self) -> ServiceSnapshot {
+        self.inner.state.lock().unwrap().snapshot()
+    }
+
     /// Sessions currently admitted.
     pub fn live_sessions(&self) -> usize {
         self.inner.state.lock().unwrap().sessions.len()
@@ -1041,6 +1076,34 @@ mod tests {
         assert_eq!(st.take_job(0).unwrap().0, 2);
         assert_eq!(st.admission.steals, 2);
         assert!(st.take_job(1).is_none(), "every queue is empty");
+    }
+
+    #[test]
+    fn a_snapshot_reads_the_scripted_state() {
+        // Shard 0 holds one session, shard 1 three.
+        let (mut st, _) = state(2, &[0, 1, 1, 1]);
+        assert_eq!(st.snapshot().queue_depths, vec![1, 3]);
+        // Shard 0 runs its own session, then steals shard 1's tail.
+        st.take_job(0).unwrap();
+        st.take_job(0).unwrap();
+        st.sessions.get_mut(&0).unwrap().deferred = true;
+        st.sessions.get_mut(&3).unwrap().faulted = true;
+        st.admission.backpressure_stalls = 1;
+        st.admission.rejected_feeds = 2;
+        assert_eq!(
+            st.snapshot(),
+            ServiceSnapshot {
+                admission: AdmissionStats {
+                    backpressure_stalls: 1,
+                    rejected_feeds: 2,
+                    steals: 1,
+                    ..AdmissionStats::default()
+                },
+                queue_depths: vec![0, 2],
+                deferred: 1,
+                quarantined: 1,
+            }
+        );
     }
 
     #[test]

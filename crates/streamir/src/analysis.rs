@@ -6,7 +6,7 @@ use crate::expr::{BinOp, Expr, Intrinsic, LValue, VarId};
 use crate::filter::{Filter, VarKind};
 use crate::stmt::Stmt;
 use crate::types::{ScalarTy, Ty, Value};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
 /// Measured per-firing tape rates.
@@ -66,10 +66,247 @@ impl fmt::Display for RateError {
 
 impl std::error::Error for RateError {}
 
+/// The constant environment of a static walk over a body: the value
+/// each variable is known to hold at the current point, indexed by
+/// [`VarId`] (`None`: unknown). Loop variables and variables assigned a
+/// constant expression are tracked; everything else is unknown.
+#[derive(Debug, Clone, Default)]
+pub struct ConstEnv(Vec<Option<Value>>);
+
+impl ConstEnv {
+    /// An empty environment with room for `vars` variables (it grows past
+    /// that on demand).
+    pub fn with_vars(vars: usize) -> ConstEnv {
+        ConstEnv(vec![None; vars])
+    }
+
+    /// What `v` is known to hold.
+    pub fn get(&self, v: VarId) -> Option<Value> {
+        self.0.get(v.0 as usize).copied().flatten()
+    }
+
+    /// Record what `v` holds from here on (`None`: unknown).
+    pub fn set(&mut self, v: VarId, val: Option<Value>) {
+        let i = v.0 as usize;
+        if i >= self.0.len() {
+            if val.is_none() {
+                return;
+            }
+            self.0.resize(i + 1, None);
+        }
+        self.0[i] = val;
+    }
+
+    /// Evaluate `e` to a compile-time constant if possible: literals,
+    /// known variables and the scalar operators over them.
+    pub fn eval(&self, e: &Expr) -> Option<Value> {
+        match e {
+            Expr::Const(v) => Some(*v),
+            Expr::Var(v) => self.get(*v),
+            Expr::Unary(op, a) => Some(crate::expr::eval_unop(*op, self.eval(a)?)),
+            Expr::Binary(op, a, b) => {
+                Some(crate::expr::eval_binop(*op, self.eval(a)?, self.eval(b)?))
+            }
+            Expr::Cast(t, a) => Some(self.eval(a)?.cast(*t)),
+            _ => None,
+        }
+    }
+
+    /// Keep only the bindings `a` and `b` both hold unchanged.
+    fn meet(&mut self, a: &ConstEnv, b: &ConstEnv) {
+        for (i, slot) in self.0.iter_mut().enumerate() {
+            let k = VarId(i as u32);
+            if slot.is_some() && (a.get(k) != *slot || b.get(k) != *slot) {
+                *slot = None;
+            }
+        }
+    }
+
+    /// Same bindings, bit for bit (a `NaN` equals itself).
+    pub fn same(&self, other: &ConstEnv) -> bool {
+        let n = self.0.len().max(other.0.len());
+        (0..n).all(|i| {
+            let k = VarId(i as u32);
+            match (self.get(k), other.get(k)) {
+                (Some(a), Some(b)) => a.bits_eq(b),
+                (a, b) => a.is_none() && b.is_none(),
+            }
+        })
+    }
+}
+
+/// A set of variables as one flag per [`VarId`]: membership is an index,
+/// not a hash. The dataflow fixpoints over a body (taint, vector marking,
+/// liveness) test it at every variable read.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct VarSet {
+    member: Vec<bool>,
+    len: usize,
+}
+
+impl VarSet {
+    /// The empty set.
+    pub fn new() -> VarSet {
+        VarSet::default()
+    }
+
+    /// Add `v`; true if it was not a member.
+    pub fn insert(&mut self, v: VarId) -> bool {
+        let i = v.0 as usize;
+        if i >= self.member.len() {
+            self.member.resize(i + 1, false);
+        }
+        let fresh = !std::mem::replace(&mut self.member[i], true);
+        self.len += usize::from(fresh);
+        fresh
+    }
+
+    /// Is `v` a member?
+    pub fn contains(&self, v: &VarId) -> bool {
+        self.member.get(v.0 as usize).copied().unwrap_or(false)
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the set has no members.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The members, in `VarId` order.
+    pub fn iter(&self) -> impl Iterator<Item = VarId> + '_ {
+        (self.member.iter().enumerate())
+            .filter(|(_, &m)| m)
+            .map(|(i, _)| VarId(i as u32))
+    }
+}
+
+impl FromIterator<VarId> for VarSet {
+    fn from_iter<I: IntoIterator<Item = VarId>>(vars: I) -> VarSet {
+        let mut set = VarSet::new();
+        for v in vars {
+            set.insert(v);
+        }
+        set
+    }
+}
+
+/// Can a static walk visit the body of `for var in 0..n` once and scale
+/// what it saw, instead of unrolling it? Only when nothing the walk
+/// tracks differs from one iteration to the next except `var` itself:
+/// the body has no `For` (no inner trip count) and no `If` (no
+/// condition), does not assign `var`, and no assignment of an
+/// expression the walk could track as a constant reads a variable the
+/// body assigns (no tracked constant carried across iterations). Leaves
+/// the variables the body assigns in `assigned`.
+pub fn uniform_loop_body(var: VarId, body: &[Stmt], assigned: &mut Vec<VarId>) -> bool {
+    assigned.clear();
+    for s in body {
+        match s {
+            Stmt::For { .. } | Stmt::If { .. } => return false,
+            Stmt::Assign(lv, _) => assigned.push(lv.var()),
+            _ => {}
+        }
+    }
+    if assigned.contains(&var) {
+        return false;
+    }
+    body.iter().all(|s| match s {
+        Stmt::Assign(LValue::Var(_), e) if trackable(e) => {
+            let mut carried = false;
+            e.walk(&mut |e| {
+                if let Expr::Var(v) = e {
+                    carried |= assigned.contains(v);
+                }
+            });
+            !carried
+        }
+        _ => true,
+    })
+}
+
+/// Could [`ConstEnv::eval`] resolve `e` for some environment?
+fn trackable(e: &Expr) -> bool {
+    match e {
+        Expr::Const(_) | Expr::Var(_) => true,
+        Expr::Unary(_, a) | Expr::Cast(_, a) => trackable(a),
+        Expr::Binary(_, a, b) => trackable(a) && trackable(b),
+        _ => false,
+    }
+}
+
+/// `e` as `a * var + b` over `var` in `0..=last`, when it is exactly
+/// that: built from `i32` literals, `var`, variables the body does not
+/// assign (known `i32` constants) and `+`, `-`, `*` by a loop-invariant
+/// factor, with every sub-expression inside `i32` at both ends of the
+/// range. A linear sub-expression is extreme at the ends, so it never
+/// wraps in between, and the walk's wrapping `i32` evaluation agrees
+/// with the exact form at every iteration.
+fn affine(
+    e: &Expr,
+    var: VarId,
+    assigned: &[VarId],
+    env: &ConstEnv,
+    last: i128,
+) -> Option<(i128, i128)> {
+    let (a, b) = match e {
+        Expr::Const(Value::I32(c)) => (0, i128::from(*c)),
+        Expr::Var(v) if *v == var => (1, 0),
+        Expr::Var(v) if !assigned.contains(v) => match env.get(*v)? {
+            Value::I32(c) => (0, i128::from(c)),
+            _ => return None,
+        },
+        Expr::Binary(op, x, y) => {
+            let (xa, xb) = affine(x, var, assigned, env, last)?;
+            let (ya, yb) = affine(y, var, assigned, env, last)?;
+            match op {
+                BinOp::Add => (xa + ya, xb + yb),
+                BinOp::Sub => (xa - ya, xb - yb),
+                BinOp::Mul if xa == 0 => (xb * ya, xb * yb),
+                BinOp::Mul if ya == 0 => (xa * yb, xb * yb),
+                _ => return None,
+            }
+        }
+        _ => return None,
+    };
+    let fits = |x: i128| i32::try_from(x).is_ok();
+    (fits(b) && fits(a * last + b)).then_some((a, b))
+}
+
+/// Every tape offset in `body` (`peek`, `vpeek`, `rpush`) is affine in
+/// `var` ([`affine`]) and non-negative over `0..=last`.
+fn offsets_affine(
+    body: &[Stmt],
+    var: VarId,
+    assigned: &[VarId],
+    env: &ConstEnv,
+    last: i128,
+) -> bool {
+    let ok = |off: &Expr| {
+        affine(off, var, assigned, env, last).is_some_and(|(a, b)| b >= 0 && a * last + b >= 0)
+    };
+    let mut all = true;
+    for s in body {
+        if let Stmt::RPush { offset, .. } = s {
+            all &= ok(offset);
+        }
+        s.walk_exprs(&mut |e| {
+            if let Expr::Peek(off) | Expr::VPeek { offset: off, .. } = e {
+                all &= ok(off);
+            }
+        });
+    }
+    all
+}
+
 /// Abstract machine state for rate measurement.
+#[derive(Clone)]
 struct RateState {
     /// Integer-constant environment (loop vars and constant locals).
-    env: HashMap<VarId, Value>,
+    env: ConstEnv,
     /// Elements popped so far this firing.
     pops: usize,
     /// Maximum read extent so far.
@@ -78,36 +315,65 @@ struct RateState {
     pushes: usize,
     /// Maximum write extent so far (rpush can exceed the pointer).
     push_extent: usize,
+    /// Summarize uniform loops ([`uniform_loop_body`]); off for the
+    /// unrolling reference walk.
+    summarize: bool,
+    /// Scratch for [`uniform_loop_body`].
+    assigned: Vec<VarId>,
 }
 
 impl RateState {
-    fn new() -> RateState {
+    fn new(summarize: bool) -> RateState {
         RateState {
-            env: HashMap::new(),
+            env: ConstEnv::default(),
             pops: 0,
             peek_extent: 0,
             pushes: 0,
             push_extent: 0,
+            summarize,
+            assigned: Vec::new(),
         }
+    }
+
+    fn rates(&self) -> Rates {
+        Rates {
+            pop: self.pops,
+            push: self.pushes.max(self.push_extent),
+            peek: self.peek_extent.max(self.pops),
+        }
+    }
+
+    /// The tape counters, for comparing two walks.
+    fn counters(&self) -> (usize, usize, usize, usize) {
+        (self.pops, self.pushes, self.peek_extent, self.push_extent)
     }
 }
 
 /// Measure the per-firing rates of a work function body.
 ///
-/// Loops are abstractly unrolled (their trip counts must be compile-time
+/// Loops are walked abstractly (their trip counts must be compile-time
 /// constants), so loop-variable-dependent peek offsets like `peek(i + j)`
-/// resolve exactly.
+/// resolve exactly. A loop whose body is uniform across iterations
+/// ([`uniform_loop_body`]) and whose tape offsets are affine in the loop
+/// variable is walked at its first and last iteration only: the counters
+/// grow by the same amount every iteration, and an affine extent is
+/// largest at one end. Every other loop is unrolled.
 ///
 /// # Errors
 /// See [`RateError`].
 pub fn measure_rates(body: &[Stmt]) -> Result<Rates, RateError> {
-    let mut st = RateState::new();
+    let mut st = RateState::new(true);
     exec_block(body, &mut st)?;
-    Ok(Rates {
-        pop: st.pops,
-        push: st.pushes.max(st.push_extent),
-        peek: st.peek_extent.max(st.pops),
-    })
+    Ok(st.rates())
+}
+
+/// [`measure_rates`] with every loop unrolled: the reference the
+/// summarizing walk is checked against.
+#[doc(hidden)]
+pub fn measure_rates_unrolled(body: &[Stmt]) -> Result<Rates, RateError> {
+    let mut st = RateState::new(false);
+    exec_block(body, &mut st)?;
+    Ok(st.rates())
 }
 
 /// Check a filter's declared rates against its measured rates.
@@ -139,6 +405,14 @@ fn exec_block(stmts: &[Stmt], st: &mut RateState) -> Result<(), RateError> {
     Ok(())
 }
 
+/// The offset `off` evaluates to, as a tape distance.
+fn tape_offset(off: &Expr, st: &RateState) -> Result<usize, RateError> {
+    st.env
+        .eval(off)
+        .map(|v| v.as_i64() as usize)
+        .ok_or_else(|| RateError::DynamicOffset(off.to_string()))
+}
+
 fn exec_stmt(s: &Stmt, st: &mut RateState) -> Result<(), RateError> {
     match s {
         Stmt::Assign(lv, e) => {
@@ -146,18 +420,11 @@ fn exec_stmt(s: &Stmt, st: &mut RateState) -> Result<(), RateError> {
             if let LValue::Index(_, i) | LValue::LaneIndex(_, i, _) | LValue::VIndex(_, i, _) = lv {
                 count_expr(i, st)?;
             }
-            match lv {
-                LValue::Var(v) => {
-                    if let Some(val) = const_eval(e, st) {
-                        st.env.insert(*v, val);
-                    } else {
-                        st.env.remove(v);
-                    }
-                }
-                _ => {
-                    st.env.remove(&lv.var());
-                }
-            }
+            let val = match lv {
+                LValue::Var(_) => st.env.eval(e),
+                _ => None,
+            };
+            st.env.set(lv.var(), val);
         }
         Stmt::Push(e) => {
             count_expr(e, st)?;
@@ -166,9 +433,7 @@ fn exec_stmt(s: &Stmt, st: &mut RateState) -> Result<(), RateError> {
         }
         Stmt::RPush { value, offset } => {
             count_expr(value, st)?;
-            let off = const_eval(offset, st)
-                .map(|v| v.as_i64() as usize)
-                .ok_or_else(|| RateError::DynamicOffset(offset.to_string()))?;
+            let off = tape_offset(offset, st)?;
             st.push_extent = st.push_extent.max(st.pushes + off + 1);
         }
         Stmt::VPush { value, width } => {
@@ -178,14 +443,34 @@ fn exec_stmt(s: &Stmt, st: &mut RateState) -> Result<(), RateError> {
         }
         Stmt::LPush(_, e) | Stmt::LVPush(_, e, _) => count_expr(e, st)?,
         Stmt::For { var, count, body } => {
-            let n = const_eval(count, st)
+            let n = st
+                .env
+                .eval(count)
                 .map(|v| v.as_i64())
                 .ok_or_else(|| RateError::DynamicTripCount(count.to_string()))?;
-            for i in 0..n.max(0) {
-                st.env.insert(*var, Value::I32(i as i32));
-                exec_block(body, st)?;
+            if n >= 3
+                && n <= i64::from(i32::MAX)
+                && st.summarize
+                && uniform_loop_body(*var, body, &mut st.assigned)
+                && offsets_affine(body, *var, &st.assigned, &st.env, i128::from(n - 1))
+            {
+                #[cfg(debug_assertions)]
+                let before = st.clone();
+                summarized_loop(*var, n, body, st)?;
+                #[cfg(debug_assertions)]
+                {
+                    let mut reference = before;
+                    reference.summarize = false;
+                    unrolled_loop(*var, n, body, &mut reference)?;
+                    assert!(
+                        reference.counters() == st.counters() && reference.env.same(&st.env),
+                        "summarized loop over {var} disagrees with its unrolling"
+                    );
+                }
+            } else {
+                unrolled_loop(*var, n, body, st)?;
             }
-            st.env.remove(var);
+            st.env.set(*var, None);
         }
         Stmt::If {
             cond,
@@ -193,7 +478,7 @@ fn exec_stmt(s: &Stmt, st: &mut RateState) -> Result<(), RateError> {
             else_branch,
         } => {
             count_expr(cond, st)?;
-            if let Some(c) = const_eval(cond, st) {
+            if let Some(c) = st.env.eval(cond) {
                 if c.is_truthy() {
                     exec_block(then_branch, st)?;
                 } else {
@@ -202,22 +487,16 @@ fn exec_stmt(s: &Stmt, st: &mut RateState) -> Result<(), RateError> {
             } else {
                 // Unknown condition: both branches must have identical
                 // tape behaviour for the rates to be static.
-                let mut t = snapshot(st);
+                let mut t = st.clone();
                 exec_block(then_branch, &mut t)?;
-                let mut e = snapshot(st);
+                let mut e = st.clone();
                 exec_block(else_branch, &mut e)?;
-                if (t.pops, t.pushes, t.peek_extent, t.push_extent)
-                    != (e.pops, e.pushes, e.peek_extent, e.push_extent)
-                {
+                if t.counters() != e.counters() {
                     return Err(RateError::DivergentBranches(cond.to_string()));
                 }
-                st.pops = t.pops;
-                st.pushes = t.pushes;
-                st.peek_extent = t.peek_extent;
-                st.push_extent = t.push_extent;
+                (st.pops, st.pushes, st.peek_extent, st.push_extent) = t.counters();
                 // Keep only bindings identical in both branches.
-                st.env
-                    .retain(|k, v| t.env.get(k) == Some(v) && e.env.get(k) == Some(v));
+                st.env.meet(&t.env, &e.env);
             }
         }
         Stmt::AdvanceRead(n) => {
@@ -232,14 +511,27 @@ fn exec_stmt(s: &Stmt, st: &mut RateState) -> Result<(), RateError> {
     Ok(())
 }
 
-fn snapshot(st: &RateState) -> RateState {
-    RateState {
-        env: st.env.clone(),
-        pops: st.pops,
-        peek_extent: st.peek_extent,
-        pushes: st.pushes,
-        push_extent: st.push_extent,
+fn unrolled_loop(var: VarId, n: i64, body: &[Stmt], st: &mut RateState) -> Result<(), RateError> {
+    for i in 0..n.max(0) {
+        st.env.set(var, Some(Value::I32(i as i32)));
+        exec_block(body, st)?;
     }
+    Ok(())
+}
+
+/// Walk iteration 0 and iteration `n - 1` (`n >= 3`) of a loop
+/// [`exec_stmt`] found uniform with affine offsets, advancing the tape
+/// pointers past the `n - 2` iterations in between: each moves them as
+/// far as iteration 0 did, and reaches no further than one of the ends.
+fn summarized_loop(var: VarId, n: i64, body: &[Stmt], st: &mut RateState) -> Result<(), RateError> {
+    let (pops, pushes) = (st.pops, st.pushes);
+    st.env.set(var, Some(Value::I32(0)));
+    exec_block(body, st)?;
+    let skipped = (n - 2) as usize;
+    st.pops += skipped * (st.pops - pops);
+    st.pushes += skipped * (st.pushes - pushes);
+    st.env.set(var, Some(Value::I32((n - 1) as i32)));
+    exec_block(body, st)
 }
 
 /// Count tape reads inside an expression (left-to-right evaluation order).
@@ -255,16 +547,12 @@ fn count_expr(e: &Expr, st: &mut RateState) -> Result<(), RateError> {
         }
         Expr::Peek(off) => {
             count_expr(off, st)?;
-            let o = const_eval(off, st)
-                .map(|v| v.as_i64() as usize)
-                .ok_or_else(|| RateError::DynamicOffset(off.to_string()))?;
+            let o = tape_offset(off, st)?;
             st.peek_extent = st.peek_extent.max(st.pops + o + 1);
         }
         Expr::VPeek { offset, width } => {
             count_expr(offset, st)?;
-            let o = const_eval(offset, st)
-                .map(|v| v.as_i64() as usize)
-                .ok_or_else(|| RateError::DynamicOffset(offset.to_string()))?;
+            let o = tape_offset(offset, st)?;
             st.peek_extent = st.peek_extent.max(st.pops + o + width);
         }
         Expr::Const(_) | Expr::ConstVec(_) | Expr::Var(_) | Expr::LPop(_) | Expr::LVPop(_, _) => {}
@@ -283,22 +571,6 @@ fn count_expr(e: &Expr, st: &mut RateState) -> Result<(), RateError> {
         }
     }
     Ok(())
-}
-
-/// Evaluate an expression to a compile-time constant if possible.
-fn const_eval(e: &Expr, st: &RateState) -> Option<Value> {
-    match e {
-        Expr::Const(v) => Some(*v),
-        Expr::Var(v) => st.env.get(v).copied(),
-        Expr::Unary(op, a) => Some(crate::expr::eval_unop(*op, const_eval(a, st)?)),
-        Expr::Binary(op, a, b) => Some(crate::expr::eval_binop(
-            *op,
-            const_eval(a, st)?,
-            const_eval(b, st)?,
-        )),
-        Expr::Cast(t, a) => Some(const_eval(a, st)?.cast(*t)),
-        _ => None,
-    }
 }
 
 /// Result of the vectorizability analysis (Section 3.1).
@@ -340,7 +612,7 @@ pub fn analyze_vectorizability(filter: &Filter) -> Vectorizability {
     };
 
     // Statefulness: state variables written inside work.
-    let state_vars: HashSet<VarId> = filter.state_vars().collect();
+    let state_vars: VarSet = filter.state_vars().collect();
     for s in &filter.work {
         s.walk(&mut |s| {
             if let Stmt::Assign(lv, _) = s {
@@ -380,7 +652,7 @@ pub fn analyze_vectorizability(filter: &Filter) -> Vectorizability {
 
     // Taint analysis for tape-dependent control flow / subscripts.
     // Iterate to a fixpoint so loop-carried taint is caught.
-    let mut tainted: HashSet<VarId> = HashSet::new();
+    let mut tainted = VarSet::new();
     loop {
         let before = tainted.len();
         taint_block(&filter.work, &mut tainted, &mut out);
@@ -391,7 +663,7 @@ pub fn analyze_vectorizability(filter: &Filter) -> Vectorizability {
     out
 }
 
-fn expr_tainted(e: &Expr, tainted: &HashSet<VarId>) -> bool {
+fn expr_tainted(e: &Expr, tainted: &VarSet) -> bool {
     let mut hit = false;
     e.walk(&mut |e| match e {
         Expr::Pop
@@ -408,7 +680,7 @@ fn expr_tainted(e: &Expr, tainted: &HashSet<VarId>) -> bool {
     hit
 }
 
-fn check_subscripts(e: &Expr, tainted: &HashSet<VarId>, out: &mut Vectorizability) {
+fn check_subscripts(e: &Expr, tainted: &VarSet, out: &mut Vectorizability) {
     e.walk(&mut |e| match e {
         Expr::Index(_, i) if expr_tainted(i, tainted) => {
             out.tape_dependent_subscript = true;
@@ -420,7 +692,7 @@ fn check_subscripts(e: &Expr, tainted: &HashSet<VarId>, out: &mut Vectorizabilit
     });
 }
 
-fn taint_block(stmts: &[Stmt], tainted: &mut HashSet<VarId>, out: &mut Vectorizability) {
+fn taint_block(stmts: &[Stmt], tainted: &mut VarSet, out: &mut Vectorizability) {
     for s in stmts {
         match s {
             Stmt::Assign(lv, e) => {
@@ -739,6 +1011,148 @@ mod tests {
                 peek: 8
             }
         );
+    }
+
+    /// The rates of `body`, from the summarizing walk, once it is shown
+    /// to agree with the unrolling one.
+    fn rates_both_ways(body: &[Stmt]) -> Result<Rates, RateError> {
+        let summarized = measure_rates(body);
+        assert_eq!(summarized, measure_rates_unrolled(body));
+        summarized
+    }
+
+    /// Does the walk summarize the (only) loop at the top of `body`,
+    /// given what the statements before it leave in the environment?
+    fn summarizes_first_loop(body: &[Stmt]) -> bool {
+        let mut st = RateState::new(true);
+        for s in body {
+            let Stmt::For { var, count, body } = s else {
+                exec_stmt(s, &mut st).unwrap();
+                continue;
+            };
+            let n = st.env.eval(count).unwrap().as_i64();
+            return uniform_loop_body(*var, body, &mut st.assigned)
+                && offsets_affine(body, *var, &st.assigned, &st.env, i128::from(n - 1));
+        }
+        panic!("no loop")
+    }
+
+    #[test]
+    fn affine_offsets_are_summarized_and_exact() {
+        let mut fb = FilterBuilder::new("fir", 3, 1, 1, ScalarTy::F32);
+        let (i, base) = (
+            fb.local("i", Ty::Scalar(ScalarTy::I32)),
+            fb.local("base", Ty::Scalar(ScalarTy::I32)),
+        );
+        let acc = fb.local("acc", Ty::Scalar(ScalarTy::F32));
+        let t = fb.local("t", Ty::Scalar(ScalarTy::F32));
+        fb.work(|b| {
+            b.set(base, 2i32);
+            b.for_(i, 6i32, |b| {
+                // Pops and a peek walking down while the pointer walks up:
+                // pops before the peek are 2i + 1, its offset 9 - i + base.
+                b.set(t, pop());
+                b.set(acc, v(acc) + peek(c(9i32) - v(i) + v(base)));
+                b.set(t, pop());
+                b.stmt(Stmt::RPush {
+                    value: v(acc).0,
+                    offset: (v(i) * 3i32 + 1i32).0,
+                });
+            });
+        });
+        let f = fb.build();
+        assert!(summarizes_first_loop(&f.work));
+        // Peek extent: 2i + 1 + (11 - i) + 1, largest at i = 5: 18; pops 12.
+        // Push extent: 3i + 2, largest at i = 5: 17.
+        assert_eq!(
+            rates_both_ways(&f.work).unwrap(),
+            Rates {
+                pop: 12,
+                push: 17,
+                peek: 18
+            }
+        );
+    }
+
+    /// One case per reason a loop is unrolled instead: each still
+    /// measures what the unrolled walk measures.
+    #[test]
+    fn loops_that_vary_per_iteration_are_unrolled() {
+        let build = |work: &dyn Fn(&mut B, VarId, VarId, VarId, VarId)| {
+            let mut fb = FilterBuilder::new("f", 1, 1, 0, ScalarTy::I32);
+            let i = fb.local("i", Ty::Scalar(ScalarTy::I32));
+            let j = fb.local("j", Ty::Scalar(ScalarTy::I32));
+            let k = fb.local("k", Ty::Scalar(ScalarTy::I32));
+            let t = fb.local("t", Ty::Scalar(ScalarTy::I32));
+            fb.work(|b| work(b, i, j, k, t));
+            fb.build().work
+        };
+        let rates = |pop, peek| Rates { pop, push: 0, peek };
+
+        // peek(i * i): not affine; offsets 0, 1, 4, 9.
+        let square = build(&|b, i, _, _, t| {
+            b.for_(i, 4i32, |b| {
+                b.set(t, peek(v(i) * v(i)));
+            });
+        });
+        assert!(!summarizes_first_loop(&square));
+        assert_eq!(rates_both_ways(&square), Ok(rates(0, 10)));
+
+        // peek(i % 4) over six iterations: largest in the middle (3),
+        // not at either end (0 and 1).
+        let modulo = build(&|b, i, _, _, t| {
+            b.for_(i, 6i32, |b| {
+                b.set(t, peek(v(i) % 4i32));
+            });
+        });
+        assert!(!summarizes_first_loop(&modulo));
+        assert_eq!(rates_both_ways(&modulo), Ok(rates(0, 4)));
+
+        // if i == 0: the first iteration pops, the others do not.
+        let first_only = build(&|b, i, _, _, t| {
+            b.for_(i, 5i32, |b| {
+                b.if_(eq(v(i), 0i32), |b| {
+                    b.set(t, pop());
+                });
+            });
+        });
+        assert!(!summarizes_first_loop(&first_only));
+        assert_eq!(rates_both_ways(&first_only), Ok(rates(1, 1)));
+
+        // A triangular nest: the inner trip count is the outer variable.
+        let triangle = build(&|b, i, j, _, t| {
+            b.for_(i, 5i32, |b| {
+                b.for_(j, v(i), |b| {
+                    b.set(t, pop());
+                });
+            });
+        });
+        assert!(!summarizes_first_loop(&triangle));
+        assert_eq!(rates_both_ways(&triangle), Ok(rates(10, 10)));
+
+        // A local stepped in the body and read after the loop.
+        let stepped = build(&|b, i, _, k, t| {
+            b.set(k, 0i32);
+            b.for_(i, 4i32, |b| {
+                b.set(t, pop());
+                b.set(k, v(k) + 3i32);
+            });
+            b.set(t, peek(v(k)));
+        });
+        assert!(!summarizes_first_loop(&stepped));
+        assert_eq!(rates_both_ways(&stepped), Ok(rates(4, 17)));
+
+        // An offset nothing resolves: the error is still reported.
+        let dynamic = build(&|b, i, _, k, t| {
+            b.for_(i, 4i32, |b| {
+                b.set(t, peek(v(i) + v(k)));
+            });
+        });
+        assert!(!summarizes_first_loop(&dynamic));
+        assert!(matches!(
+            rates_both_ways(&dynamic),
+            Err(RateError::DynamicOffset(_))
+        ));
     }
 
     #[test]

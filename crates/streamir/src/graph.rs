@@ -249,6 +249,58 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
+/// Every node's edges, from [`Graph::adjacency`]: each side one flat
+/// list grouped by node, with the start of each node's group.
+#[derive(Debug, Clone)]
+pub struct Adjacency {
+    ins: Vec<EdgeId>,
+    in_start: Vec<usize>,
+    outs: Vec<EdgeId>,
+    out_start: Vec<usize>,
+}
+
+impl Adjacency {
+    /// Input edges of `id`, sorted by input port.
+    pub fn ins(&self, id: NodeId) -> &[EdgeId] {
+        let i = id.0 as usize;
+        &self.ins[self.in_start[i]..self.in_start[i + 1]]
+    }
+
+    /// Output edges of `id`, sorted by output port.
+    pub fn outs(&self, id: NodeId) -> &[EdgeId] {
+        let i = id.0 as usize;
+        &self.outs[self.out_start[i]..self.out_start[i + 1]]
+    }
+}
+
+/// Group `edges` by the node `end` names, each group in table order and
+/// then stably sorted by `port`: the edge ids and each group's start.
+fn group_edges(
+    edges: &[Edge],
+    nodes: usize,
+    end: impl Fn(&Edge) -> NodeId,
+    port: impl Fn(&Edge) -> usize,
+) -> (Vec<EdgeId>, Vec<usize>) {
+    let mut start = vec![0usize; nodes + 1];
+    for e in edges {
+        start[end(e).0 as usize + 1] += 1;
+    }
+    for i in 0..nodes {
+        start[i + 1] += start[i];
+    }
+    let mut fill = start.clone();
+    let mut grouped = vec![EdgeId(0); edges.len()];
+    for (i, e) in edges.iter().enumerate() {
+        let slot = &mut fill[end(e).0 as usize];
+        grouped[*slot] = EdgeId(i as u32);
+        *slot += 1;
+    }
+    for w in start.windows(2) {
+        grouped[w[0]..w[1]].sort_by_key(|&e| port(&edges[e.0 as usize]));
+    }
+    (grouped, start)
+}
+
 /// A flattened stream graph (a DAG of nodes and tapes).
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
@@ -372,6 +424,24 @@ impl Graph {
         v
     }
 
+    /// Every node's input and output edges from one pass over the edge
+    /// table: for each node, what [`Graph::in_edges`] and
+    /// [`Graph::out_edges`] return, without a scan and an allocation per
+    /// node and side.
+    pub fn adjacency(&self) -> Adjacency {
+        let n = self.nodes.len();
+        // Stable sorts: edges on one port keep their table order, as in
+        // `in_edges` / `out_edges`.
+        let (ins, in_start) = group_edges(&self.edges, n, |e| e.dst, |e| e.dst_port);
+        let (outs, out_start) = group_edges(&self.edges, n, |e| e.src, |e| e.src_port);
+        Adjacency {
+            ins,
+            in_start,
+            outs,
+            out_start,
+        }
+    }
+
     /// The single input edge of a node, if it has exactly one.
     pub fn single_in_edge(&self, id: NodeId) -> Option<EdgeId> {
         let v = self.in_edges(id);
@@ -397,6 +467,11 @@ impl Graph {
     /// # Errors
     /// Returns [`GraphError::Cyclic`] if the graph is not a DAG.
     pub fn topo_order(&self) -> Result<Vec<NodeId>, GraphError> {
+        self.topo_order_in(&self.adjacency())
+    }
+
+    /// [`Graph::topo_order`] over this graph's [`Graph::adjacency`].
+    fn topo_order_in(&self, adj: &Adjacency) -> Result<Vec<NodeId>, GraphError> {
         let n = self.nodes.len();
         let mut indeg = vec![0usize; n];
         for e in &self.edges {
@@ -409,23 +484,21 @@ impl Graph {
         // Keep deterministic order: process smallest id first.
         queue.sort();
         let mut order = Vec::with_capacity(n);
+        let mut next: Vec<NodeId> = Vec::new();
         let mut qi = 0;
         while qi < queue.len() {
             let id = queue[qi];
             qi += 1;
             order.push(id);
-            let mut next: Vec<NodeId> = Vec::new();
-            for e in &self.edges {
-                if e.src == id {
-                    let d = e.dst.0 as usize;
-                    indeg[d] -= 1;
-                    if indeg[d] == 0 {
-                        next.push(e.dst);
-                    }
+            for &e in adj.outs(id) {
+                let dst = self.edge(e).dst;
+                indeg[dst.0 as usize] -= 1;
+                if indeg[dst.0 as usize] == 0 {
+                    next.push(dst);
                 }
             }
             next.sort();
-            queue.extend(next);
+            queue.append(&mut next);
         }
         if order.len() == n {
             Ok(order)
@@ -440,9 +513,18 @@ impl Graph {
     /// # Errors
     /// Returns the first violation found.
     pub fn validate(&self) -> Result<(), GraphError> {
+        self.validated_order().map(|_| ())
+    }
+
+    /// [`Graph::validate`], returning the [`Graph::topo_order`] that
+    /// checked acyclicity; both read one [`Graph::adjacency`].
+    ///
+    /// # Errors
+    /// As [`Graph::validate`].
+    pub fn validated_order(&self) -> Result<Vec<NodeId>, GraphError> {
+        let adj = self.adjacency();
         for (id, node) in self.nodes() {
-            let ins = self.in_edges(id);
-            let outs = self.out_edges(id);
+            let (ins, outs) = (adj.ins(id), adj.outs(id));
             let (max_in, max_out) = match node {
                 Node::Filter(_) => (1usize, 1usize),
                 Node::Splitter(SplitKind::Duplicate) => (1, usize::MAX),
@@ -523,7 +605,7 @@ impl Graph {
                 }
             }
         }
-        self.topo_order().map(|_| ())
+        self.topo_order_in(&adj)
     }
 }
 
@@ -580,6 +662,35 @@ mod tests {
         };
         assert_eq!(hj.pop_rate(0), 4);
         assert_eq!(hj.push_rate(0), 4);
+    }
+
+    /// A split-join wired out of port order: the one-pass adjacency lists
+    /// every node's edges as the per-node scans do, port-sorted.
+    #[test]
+    fn adjacency_matches_the_per_node_scans() {
+        let mut g = Graph::new();
+        let src = g.add_node(Node::Filter(Filter::new("src", 0, 0, 3)));
+        let split = g.add_node(Node::Splitter(SplitKind::RoundRobin(vec![1, 1, 1])));
+        let join = g.add_node(Node::Joiner(vec![1, 1, 1]));
+        let sink = g.add_node(Node::Sink);
+        g.connect(src, 0, split, 0, ScalarTy::I32);
+        for port in [2, 0, 1] {
+            let f = g.add_node(Node::Filter(Filter::new("f", 1, 1, 1)));
+            g.connect(split, port, f, 0, ScalarTy::I32);
+            g.connect(f, 0, join, port, ScalarTy::I32);
+        }
+        g.connect(join, 0, sink, 0, ScalarTy::I32);
+        let adj = g.adjacency();
+        for id in g.node_ids() {
+            assert_eq!(adj.ins(id), g.in_edges(id), "inputs of {id:?}");
+            assert_eq!(adj.outs(id), g.out_edges(id), "outputs of {id:?}");
+        }
+        let ports: Vec<usize> = adj
+            .outs(split)
+            .iter()
+            .map(|&e| g.edge(e).src_port)
+            .collect();
+        assert_eq!(ports, [0, 1, 2]);
     }
 
     #[test]

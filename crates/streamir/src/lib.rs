@@ -59,7 +59,8 @@ pub mod types;
 pub use expr::{BinOp, ChanId, Expr, Intrinsic, LValue, UnOp, VarId};
 pub use filter::{Filter, LocalChan, RegionSpec, VarDecl, VarKind};
 pub use graph::{
-    AddrGen, Edge, EdgeId, Graph, GraphError, Node, NodeId, Reorder, ReorderSide, SplitKind,
+    AddrGen, Adjacency, Edge, EdgeId, Graph, GraphError, Node, NodeId, Reorder, ReorderSide,
+    SplitKind,
 };
 pub use param::{ParamDomain, ParamError, ParamRange, RateExpr, Valuation};
 pub use shash::{structural_hash, GraphHash};

@@ -333,13 +333,14 @@ pub fn structural_hash(graph: &Graph) -> GraphHash {
     // rounds can only merge fewer (never more) shapes, and invariance
     // properties hold for any round count.
     let rounds = n.clamp(1, 32);
+    // Port-sorted edge lists, resolved once for every round: the
+    // absorption order is structural, not insertion order.
+    let adj = graph.adjacency();
     let mut next = labels.clone();
     for _ in 0..rounds {
         for (id, _) in graph.nodes() {
             let mut h = H::new().label(labels[id.0 as usize]);
-            // `in_edges` / `out_edges` come back sorted by port, so the
-            // absorption order is structural, not insertion order.
-            for e in graph.in_edges(id) {
+            for &e in adj.ins(id) {
                 let edge = graph.edge(e);
                 h = edge_sig(
                     h.word(0x1e)
@@ -351,7 +352,7 @@ pub fn structural_hash(graph: &Graph) -> GraphHash {
                     &edge.reorder,
                 );
             }
-            for e in graph.out_edges(id) {
+            for &e in adj.outs(id) {
                 let edge = graph.edge(e);
                 h = edge_sig(
                     h.word(0x0e)

@@ -50,7 +50,9 @@ use macross_streamir::expr::{BinOp, Expr, Intrinsic, LValue, UnOp};
 use macross_streamir::filter::{Filter, VarKind};
 use macross_streamir::stmt::Stmt;
 use macross_streamir::types::{ScalarTy, Ty, Value};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A compiled expression value: a scalar register or `w` consecutive
 /// registers, in the file selected by `ty`'s class.
@@ -84,21 +86,88 @@ struct Window {
     len: u32,
 }
 
+/// FxHash's multiply-rotate step: the pool's keys are a few machine
+/// words, which SipHash spends most of an intern on.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FxMap<K> = HashMap<K, u32, BuildHasherDefault<FxHasher>>;
+
 /// One register file's constant pool: register images in pool order and
 /// a hashed index from a constant's image to its offset, so interning and
-/// lookup stay linear in the size of the filter.
+/// lookup stay linear in the size of the filter. A constant whose lanes
+/// share one image — every scalar literal and splat — is keyed by that
+/// image and its width: interned with one hash and no key allocated.
 #[derive(Default)]
 struct Pool {
     base: u32,
     bits: Vec<u64>,
-    index: HashMap<Vec<u64>, u32>,
+    uniform: FxMap<(u64, u32)>,
+    /// Vector constants with differing lanes, by image.
+    mixed: FxMap<Vec<u64>>,
+}
+
+/// `(image, width)` of a constant whose lanes all hold `image`.
+fn uniform_key(image: &[u64]) -> Option<(u64, u32)> {
+    let (&first, rest) = image.split_first()?;
+    rest.iter()
+        .all(|&b| b == first)
+        .then_some((first, image.len() as u32))
 }
 
 impl Pool {
     fn intern(&mut self, image: &[u64]) {
-        if !self.index.contains_key(image) {
-            self.index.insert(image.to_vec(), self.bits.len() as u32);
+        let at = self.bits.len() as u32;
+        let fresh = match uniform_key(image) {
+            Some(key) => match self.uniform.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(at);
+                    true
+                }
+                Entry::Occupied(_) => false,
+            },
+            None if self.mixed.contains_key(image) => false,
+            None => {
+                self.mixed.insert(image.to_vec(), at);
+                true
+            }
+        };
+        if fresh {
             self.bits.extend_from_slice(image);
+        }
+    }
+
+    /// Offset of an interned constant's window.
+    fn find(&self, image: &[u64]) -> Option<u32> {
+        match uniform_key(image) {
+            Some(key) => self.uniform.get(&key).copied(),
+            None => self.mixed.get(image).copied(),
         }
     }
 }
@@ -799,7 +868,7 @@ impl<'a> Compiler<'a> {
         } else {
             &self.pool_i
         };
-        let reg = pool.base + pool.index.get(&self.image[..])?;
+        let reg = pool.base + pool.find(&self.image)?;
         Some(Operand { ty, w, reg })
     }
 

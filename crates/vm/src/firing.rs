@@ -35,7 +35,9 @@ enum Engine {
 
 /// Persistent per-filter execution state: variable slots and internal
 /// (fused-actor) channels. Owned data — `Send` — so it can migrate to the
-/// worker thread that hosts the filter.
+/// worker thread that hosts the filter. A state holds the storage of its
+/// own engine only: a compiled one has registers and image FIFOs, and
+/// its `slots` and `chans` are empty.
 #[derive(Debug, Clone, Default)]
 pub struct FilterState {
     /// Variable storage, indexed by `VarId` (tree-walking engine).
@@ -105,13 +107,15 @@ impl FilterState {
     /// one compilation. Behaviour is identical to
     /// [`FilterState::prepared`] with the mode the plan was compiled for.
     pub fn from_shared(filter: &Filter, plan: Option<Arc<CompiledFilter>>) -> FilterState {
-        let mut state = FilterState::new(filter);
-        if let Some(plan) = plan {
-            state.regs = plan.new_regs();
-            state.fifos = vec![Chan::default(); filter.chans.len()];
-            state.engine = Engine::Compiled(plan);
+        match plan {
+            Some(plan) => FilterState {
+                regs: plan.new_regs(),
+                fifos: vec![Chan::default(); filter.chans.len()],
+                engine: Engine::Compiled(plan),
+                ..FilterState::default()
+            },
+            None => FilterState::new(filter),
         }
-        state
     }
 
     /// True when this state fires through compiled bytecode.
@@ -170,8 +174,9 @@ impl FilterState {
 
     /// Overwrite the filter's `State` variables with values previously
     /// produced by [`FilterState::export_state_vars`] on a state of a
-    /// filter with identical `State` declarations. Both engines' storage
-    /// is updated so a subsequent export round-trips.
+    /// filter with identical `State` declarations: the slots of a
+    /// tree-walking state, the registers of a compiled one, so a
+    /// subsequent export round-trips.
     ///
     /// # Errors
     /// [`VmError::TypeMismatch`] when the value count or any element
@@ -199,17 +204,19 @@ impl FilterState {
                 )));
             }
             cursor += len;
-            self.slots[i] = unflatten_slot(decl.ty, chunk);
-            if let Engine::Compiled(plan) = &self.engine {
-                let (base, window, float) = plan.var_windows[i];
-                debug_assert_eq!(window as usize, len);
-                for (k, v) in chunk.iter().enumerate() {
-                    if float {
-                        self.regs.f[base as usize + k] = f64::from_bits(raw_of(*v));
-                    } else {
-                        self.regs.i[base as usize + k] = raw_of(*v) as i64;
+            match &self.engine {
+                Engine::Compiled(plan) => {
+                    let (base, window, float) = plan.var_windows[i];
+                    debug_assert_eq!(window as usize, len);
+                    for (k, v) in chunk.iter().enumerate() {
+                        if float {
+                            self.regs.f[base as usize + k] = f64::from_bits(raw_of(*v));
+                        } else {
+                            self.regs.i[base as usize + k] = raw_of(*v) as i64;
+                        }
                     }
                 }
+                Engine::Tree => self.slots[i] = unflatten_slot(decl.ty, chunk),
             }
         }
         if cursor != vals.len() {
@@ -316,7 +323,7 @@ fn edge_addr_cost(graph: &Graph, edge: EdgeId, consuming: bool, machine: &Machin
 /// Reorder address costs apply to the *scalar* side of a reordered tape:
 /// the consumer side when the edge reorders reads, the producer side when
 /// it reorders writes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FirePlan {
     in_edge: Option<usize>,
     out_edge: Option<usize>,
@@ -335,17 +342,16 @@ pub struct FirePlan {
 }
 
 impl FirePlan {
-    /// Resolve the plan of node `id`.
-    ///
-    /// # Panics
-    /// Panics if a native node's edges differ in element type: it moves
-    /// images from tape to tape as they are, so a graph builder that
-    /// connected them so has a bug.
-    pub fn compute(graph: &Graph, id: NodeId, machine: &Machine) -> FirePlan {
-        let ins = graph.in_edges(id);
-        let outs = graph.out_edges(id);
+    /// The plan of node `id`, from its port-sorted edges.
+    fn from_edges(
+        graph: &Graph,
+        id: NodeId,
+        ins: &[EdgeId],
+        outs: &[EdgeId],
+        machine: &Machine,
+    ) -> FirePlan {
         if !matches!(graph.node(id), Node::Filter(_)) {
-            let mut elems = ins.iter().chain(&outs).map(|&e| graph.edge(e).elem);
+            let mut elems = ins.iter().chain(outs).map(|&e| graph.edge(e).elem);
             let first = elems.next();
             assert!(
                 elems.all(|elem| Some(elem) == first),
@@ -382,11 +388,18 @@ impl FirePlan {
         }
     }
 
-    /// One plan per node of `graph`, indexed by node id.
+    /// One plan per node of `graph`, indexed by node id, from one pass
+    /// over the edge table ([`Graph::adjacency`]).
+    ///
+    /// # Panics
+    /// Panics if a native node's edges differ in element type: it moves
+    /// images from tape to tape as they are, so a graph builder that
+    /// connected them so has a bug.
     pub fn for_graph(graph: &Graph, machine: &Machine) -> Vec<FirePlan> {
+        let adj = graph.adjacency();
         graph
             .node_ids()
-            .map(|id| FirePlan::compute(graph, id, machine))
+            .map(|id| FirePlan::from_edges(graph, id, adj.ins(id), adj.outs(id), machine))
             .collect()
     }
 
@@ -398,6 +411,11 @@ impl FirePlan {
     /// Tape index of the node's only output edge, if it has exactly one.
     pub fn out_edge(&self) -> Option<usize> {
         self.out_edge
+    }
+
+    /// Tape indices of all input edges, sorted by port.
+    pub fn in_tapes(&self) -> &[usize] {
+        &self.in_idx
     }
 
     /// Tape indices of all output edges, sorted by port.
@@ -877,7 +895,7 @@ mod tests {
         let sink = g.add_node(Node::Sink);
         g.connect(src, 0, join, 0, ScalarTy::I32);
         g.connect(join, 0, sink, 0, ScalarTy::F32);
-        FirePlan::compute(&g, join, &Machine::core_i7());
+        FirePlan::for_graph(&g, &Machine::core_i7());
     }
 
     /// A poisoned tape is refused by a block of any node kind, before its
@@ -903,7 +921,7 @@ mod tests {
             tapes[poisoned].poison();
             let (mut done, mut sunk) = (7, Vec::new());
             let err = fire_block(
-                &FirePlan::compute(&g, id, &machine),
+                &FirePlan::for_graph(&g, &machine)[id.0 as usize],
                 g.node(id),
                 &mut FilterState::default(),
                 &mut tapes,
@@ -937,7 +955,7 @@ mod tests {
         g.connect(src, 0, f, 0, ScalarTy::F32);
         g.connect(f, 0, sink, 0, ScalarTy::F32);
         let machine = Machine::core_i7();
-        let plan = FirePlan::compute(&g, f, &machine);
+        let plan = FirePlan::for_graph(&g, &machine).swap_remove(f.0 as usize);
         let Node::Filter(filter) = g.node(f) else {
             unreachable!()
         };
@@ -984,7 +1002,7 @@ mod tests {
         g.connect(src, 0, f, 0, ScalarTy::F32);
         g.connect(f, 0, sink, 0, ScalarTy::F32);
         let machine = Machine::core_i7();
-        let plan = FirePlan::compute(&g, f, &machine);
+        let plan = FirePlan::for_graph(&g, &machine).swap_remove(f.0 as usize);
         let mut tapes = graph_tapes(&g);
 
         for (dst, a) in [(0, 1000), (1000, 0), (13, 0)] {

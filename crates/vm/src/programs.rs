@@ -11,7 +11,7 @@ use crate::bytecode::CompiledFilter;
 use crate::exec::ExecMode;
 use crate::firing::FilterState;
 use crate::machine::Machine;
-use macross_streamir::graph::{Graph, Node, NodeId};
+use macross_streamir::graph::{EdgeId, Graph, Node, NodeId};
 use std::sync::Arc;
 
 /// Every filter of one graph compiled once for one engine mode.
@@ -32,12 +32,16 @@ impl CompiledPrograms {
     /// them, so an executor built from these plans behaves identically to
     /// one built with [`crate::Executor::with_mode`].
     pub fn compile(graph: &Graph, machine: &Machine, mode: ExecMode) -> CompiledPrograms {
+        let adj = graph.adjacency();
+        let single = |edges: &[EdgeId]| match edges {
+            [e] => Some(graph.edge(*e).elem),
+            _ => None,
+        };
         let plans = graph
             .nodes()
             .map(|(id, node)| match node {
                 Node::Filter(f) => {
-                    let in_elem = graph.single_in_edge(id).map(|e| graph.edge(e).elem);
-                    let out_elem = graph.single_out_edge(id).map(|e| graph.edge(e).elem);
+                    let (in_elem, out_elem) = (single(adj.ins(id)), single(adj.outs(id)));
                     FilterState::compile_plan(f, machine, in_elem, out_elem, mode)
                 }
                 _ => None,

@@ -9,11 +9,15 @@
 //! same deterministic case set and failures are reproducible from the
 //! printed template index.
 
+mod walks;
+
+use macross_repro::macross::driver::{macro_simdize, SimdizeOptions};
 use macross_repro::sdf::{is_balanced, repetition_vector};
 use macross_repro::streamir::builder::StreamSpec;
 use macross_repro::streamir::edsl::*;
 use macross_repro::streamir::types::{ScalarTy, Ty};
 use macross_repro::streamir::{ParamDomain, RateExpr, Valuation};
+use macross_repro::vm::Machine;
 
 // ---------------------------------------------------------------------
 // Deterministic PRNG (xorshift64*), same construction as proptests.rs.
@@ -150,6 +154,27 @@ fn repetition_vector_balances_minimally_across_every_valuation() {
                 g, 1,
                 "case {case} at {val}: non-minimal repetition vector {reps:?}"
             );
+        }
+    }
+}
+
+/// The summarizing static walks agree with the unrolling ones on every
+/// generated pipeline at every valuation, scalar and SIMDized: each
+/// stage's two loops run a parameter-sized trip count, summarized when
+/// it is at least 2 (cost) or 3 (rates).
+#[test]
+fn summarized_walks_equal_unrolled_walks_on_generated_pipelines() {
+    let machine = Machine::core_i7();
+    let mut rng = Rng::new(0x5EED_0031);
+    for case in 0..40 {
+        let spec = rand_template(&mut rng);
+        for val in spec.domain.valuations() {
+            let graph = instantiate(&spec, &val);
+            let what = format!("case {case} at {val}");
+            walks::check_graph(&graph, &machine, &what);
+            let simd = macro_simdize(&graph, &machine, &SimdizeOptions::all())
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            walks::check_graph(&simd.graph, &machine, &format!("{what} (SIMDized)"));
         }
     }
 }
