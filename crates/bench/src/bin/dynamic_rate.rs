@@ -1,7 +1,8 @@
 //! Dynamic-rate experiment: drive every dynamic benchmark through the
 //! multi-tenant service with its scripted parameter traces, verify each
 //! run bit-for-bit against the scratch-recompilation oracle, and check
-//! the schedule-cache contract — every `set_param` is one
+//! the configuration-install contract of the service's one artifact
+//! cache — every `set_param` is one
 //! reconfiguration, repeat valuations hit, and (at these sizes, with
 //! zero evictions) misses equal distinct valuations.
 //!
@@ -147,7 +148,7 @@ fn main() {
         ));
     }
     if s.hits + s.misses != s.reconfigurations {
-        fail("schedule-cache arithmetic broken: hits + misses != reconfigurations");
+        fail("install arithmetic broken: hits + misses != reconfigurations");
     }
     if s.evictions == 0 && s.misses != s.distinct_valuations {
         fail(&format!(
@@ -156,7 +157,7 @@ fn main() {
         ));
     }
     if s.hits == 0 {
-        fail("the traces revisit valuations; the schedule cache never hit");
+        fail("the traces revisit valuations; no install hit the cache");
     }
     if report.admission.admitted != sessions {
         fail(&format!(
@@ -192,8 +193,8 @@ fn main() {
                     "distinct valuations".into(),
                     s.distinct_valuations.to_string()
                 ],
-                vec!["schedule-cache hits".into(), s.hits.to_string()],
-                vec!["schedule-cache misses".into(), s.misses.to_string()],
+                vec!["install hits".into(), s.hits.to_string()],
+                vec!["install misses".into(), s.misses.to_string()],
                 vec![
                     "compile-cache compilations".into(),
                     report.cache.compilations.to_string()

@@ -8,9 +8,9 @@
 //! shape execute from one compilation. This is what separates *compile*
 //! from *run*: the `run_scheduled` / `run_threaded_placed` entry points
 //! compile implicitly per call, which is correct for a bench harness and
-//! wasteful for a server. [`ArtifactCache`] is the bounded LRU both the
-//! service's compile-once cache and the dynamic-rate schedule cache keep
-//! their artifacts in.
+//! wasteful for a server. [`ArtifactCache`] is the bounded LRU the
+//! service's one compile-once cache keeps its artifacts in — static
+//! graphs and dynamic-rate configurations alike.
 
 use crate::driver::{macro_simdize, modelled_steady_cost, SimdizeOptions, SimdizeReport};
 use crate::error::SimdizeError;

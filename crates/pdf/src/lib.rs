@@ -15,28 +15,27 @@
 //!   steady schedule and buffer requirements re-derived, and SIMDization
 //!   re-run for the new rates — by compiling the instantiated graph
 //!   through the ordinary [`macross::compile_graph`] pipeline.
-//! - [`ScheduleCache`] memoizes compiled configurations per
-//!   `(shape, valuation, machine, options, mode)`, so revisiting a
-//!   valuation never recompiles.
-//! - [`DynamicSession`] swaps configurations at quiescent points
-//!   (steady-iteration boundaries) using the session carrier protocol
-//!   ([`macross_runtime::SessionCarrier`]): stateful filters travel by
-//!   name, resident tape tokens by edge signature, and init-only state is
-//!   recomputed — so in-flight data carries over bit-exactly.
+//! - [`DynamicSession`] holds a session's current valuation and its
+//!   pending parameter boundaries; whoever runs the session swaps
+//!   configurations at those quiescent points (steady-iteration
+//!   boundaries) with [`macross_runtime::SessionEngine::reconfigure`]:
+//!   stateful filters travel by name, resident tape tokens by edge
+//!   signature, and init-only state is recomputed — so in-flight data
+//!   carries over bit-exactly. Compiled configurations are memoized by
+//!   the caller (the service's one artifact cache, keyed by shape), so
+//!   revisiting a valuation never recompiles.
 //! - [`ParamGraph::validate_swappable`] sweeps the whole domain once and
 //!   proves every pair of configurations exchangeable before any runtime
 //!   swap happens; [`oracle_replay`] is the differential referee, running
 //!   the same scripted [`ParamTrace`] with every configuration compiled
 //!   from scratch.
 
-pub mod cache;
 pub mod oracle;
 pub mod session;
 pub mod template;
 
-pub use cache::ScheduleCache;
 pub use oracle::{oracle_replay, ParamTrace, TraceStep};
-pub use session::{CompileFn, DynamicSession};
+pub use session::DynamicSession;
 pub use template::{ParamGraph, SwapValidation};
 
 use macross::SimdizeError;

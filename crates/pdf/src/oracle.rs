@@ -1,10 +1,10 @@
 //! The differential referee for dynamic-rate execution: replay a
 //! scripted parameter trace with **every configuration compiled from
-//! scratch** — no schedule cache, no compile-once cache, a fresh
-//! [`SessionEngine`] per segment — and return the concatenated sink
-//! outputs. A [`crate::DynamicSession`] driving the same trace must
-//! produce bit-identical outputs; anything the caches or the swap
-//! machinery got wrong shows up as a diff.
+//! scratch** — no artifact cache, a freshly built engine per segment —
+//! and return the concatenated sink outputs. A dynamic session driving
+//! the same trace through the service must produce bit-identical
+//! outputs; anything the cache or the swap machinery got wrong shows up
+//! as a diff.
 
 use crate::template::ParamGraph;
 use crate::PdfError;
@@ -105,20 +105,11 @@ pub fn oracle_replay(
                 target.bind(name, *value);
             }
             template.domain().check(&target)?;
-            let carrier = engine.export_carrier().map_err(PdfError::Swap)?;
-            engine.drain_outputs_into(&mut outputs);
             let graph = template.instantiate(&target)?;
             let art = compile_graph(&graph, &machine, opts, mode)?;
-            engine = SessionEngine::resume(
-                art.graph.clone(),
-                art.schedule.clone(),
-                machine.clone(),
-                &art.programs,
-                FaultPlan::none(),
-                0,
-                &carrier,
-            )
-            .map_err(PdfError::Swap)?;
+            engine
+                .reconfigure(art.graph.clone(), art.schedule.clone(), &art.programs)
+                .map_err(PdfError::Swap)?;
             valuation = target;
         }
         if engine.run_steady(step.iters) == SessionStatus::Faulted {

@@ -1,13 +1,13 @@
-//! Dynamic-rate sessions: a supervised session whose parameter valuation
-//! can change at steady-iteration boundaries, with each configuration
-//! compiled (or fetched) through the [`ScheduleCache`] and the live
-//! state moved across by the session carrier protocol.
+//! Dynamic-rate sessions: what parameterized dataflow adds to a
+//! supervised session — the template, the current valuation, and the
+//! parameter boundaries still to come.
 //!
 //! ## Quiescent-point swap
 //!
 //! A parameter boundary is scheduled at an absolute steady-iteration
-//! index ([`DynamicSession::set_param_at`]); [`DynamicSession::run_steady`]
-//! splits its slice at every scheduled boundary, and applies the swap
+//! index ([`DynamicSession::set_param_at`]). Whoever runs the session
+//! splits its slices at [`DynamicSession::until_next`] and, at a
+//! boundary ([`DynamicSession::take_due`]), swaps configurations
 //! *between* iterations — the only points where no firing is mid-flight,
 //! every tape holds exactly its peek slack, and the carrier is therefore
 //! a complete description of the session. Service callers get this for
@@ -16,180 +16,43 @@
 //!
 //! ## What a swap moves
 //!
-//! [`SessionEngine::export_carrier`] captures stateful filters by name
-//! and resident tape tokens by edge signature;
-//! [`SessionEngine::resume`] rebuilds the engine for the new
-//! configuration, re-runs init *functions* (recomputing deterministic
-//! init-only state like coefficient tables), installs the carried state
-//! and tokens, and skips the init *schedule* — the carrier already holds
-//! its effect. [`crate::ParamGraph::validate_swappable`] proves ahead of
-//! time that every pair of configurations can make this exchange; the
-//! typed error path exists so an unvalidated swap degrades to a
-//! quarantined session, never silent corruption.
+//! [`SessionEngine::reconfigure`](macross_runtime::SessionEngine::reconfigure)
+//! captures stateful filters by name and resident tape tokens by edge
+//! signature, rebuilds the engine for the new configuration, re-runs init
+//! *functions* (recomputing deterministic init-only state like
+//! coefficient tables), installs the carried state and tokens, and skips
+//! the init *schedule* — the carrier already holds its effect.
+//! [`crate::ParamGraph::validate_swappable`] proves ahead of time that
+//! every pair of configurations can make this exchange; the typed error
+//! path exists so an unvalidated swap degrades to a quarantined session,
+//! never silent corruption.
 
-use crate::cache::ScheduleCache;
 use crate::template::ParamGraph;
 use crate::PdfError;
-use macross::{CompiledGraph, SimdizeError, SimdizeOptions};
-use macross_runtime::{FaultPlan, SessionEngine, SessionStatus};
-use macross_streamir::graph::Graph;
-use macross_streamir::types::Value;
 use macross_streamir::Valuation;
-use macross_telemetry::{EventKind, WorkerTrace};
-use macross_vm::{ExecMode, Machine};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// How a session compiles a configuration the [`ScheduleCache`] does not
-/// hold: standalone users wrap [`macross::compile_graph`]; the service
-/// passes its compile-once cache so structurally identical
-/// configurations share one artifact across templates.
-pub type CompileFn = Arc<
-    dyn Fn(&Graph, &Machine, &SimdizeOptions, ExecMode) -> Result<Arc<CompiledGraph>, SimdizeError>
-        + Send
-        + Sync,
->;
-
-/// A [`CompileFn`] that compiles from scratch on every schedule-cache
-/// miss (no artifact sharing) — the standalone default.
-pub fn direct_compile() -> CompileFn {
-    Arc::new(|g, machine, opts, mode| macross::compile_graph(g, machine, opts, mode).map(Arc::new))
-}
-
-/// One tenant's supervised run of a *parameterized* graph: a
-/// [`SessionEngine`] for the current configuration, the pending
-/// parameter boundaries, and the caches that make revisiting a valuation
-/// free.
+/// The parameter side of one tenant's run of a *parameterized* graph: the
+/// template, the configuration installed now, and the pending parameter
+/// boundaries. The engine and the compiled configurations belong to the
+/// caller.
 pub struct DynamicSession {
     template: Arc<ParamGraph>,
-    machine: Arc<Machine>,
-    opts: SimdizeOptions,
-    mode: ExecMode,
-    cache: Arc<Mutex<ScheduleCache>>,
-    compile: CompileFn,
-    plan: FaultPlan,
-    shard: u32,
-    engine: SessionEngine,
-    art: Arc<CompiledGraph>,
     current: Valuation,
     /// Scheduled boundaries: `(absolute steady-iteration index, full
     /// target valuation)`, indices non-decreasing; same-index updates
     /// coalesce into one swap.
     boundaries: VecDeque<(u64, Valuation)>,
-    /// Steady iterations completed across every configuration.
-    iters_total: u64,
-    /// Clean firings completed by retired configurations.
-    firings_base: u64,
-    /// Swaps applied so far.
-    swaps: u64,
-    /// Whether the last configuration install hit the schedule cache.
-    last_hit: bool,
-    /// A failed swap quarantines the session exactly like a stage fault.
-    swap_failure: Option<String>,
-    /// Outputs drained from retired engines, merged into
-    /// [`DynamicSession::drain_outputs_into`].
-    held_outputs: Vec<Vec<Value>>,
-    trace: WorkerTrace,
 }
 
 impl DynamicSession {
-    /// Open a session at `init`, compiling (or fetching) its first
-    /// configuration through `cache`.
-    ///
-    /// # Errors
-    /// [`PdfError::Param`] for a valuation outside the domain,
-    /// [`PdfError::Build`]/[`PdfError::Simdize`] when the configuration
-    /// does not compile.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        template: Arc<ParamGraph>,
-        init: &Valuation,
-        machine: Arc<Machine>,
-        opts: SimdizeOptions,
-        mode: ExecMode,
-        cache: Arc<Mutex<ScheduleCache>>,
-        compile: CompileFn,
-        plan: FaultPlan,
-        shard: u32,
-    ) -> Result<DynamicSession, PdfError> {
-        let graph = template.instantiate(init)?;
-        let (art, hit) = {
-            let mut c = cache.lock().unwrap();
-            c.get_or_compile(&graph, init, &machine, &opts, mode, |g| {
-                compile(g, &machine, &opts, mode)
-            })?
-        };
-        Ok(DynamicSession::assemble(
-            template, init, art, hit, machine, opts, mode, cache, compile, plan, shard,
-        ))
-    }
-
-    /// Open a session from an artifact the caller already fetched from
-    /// the *same* schedule cache for `(template, init)` — the service
-    /// uses this to compile outside its state lock, then place the
-    /// session under it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_artifact(
-        template: Arc<ParamGraph>,
-        init: &Valuation,
-        art: Arc<CompiledGraph>,
-        cache_hit: bool,
-        machine: Arc<Machine>,
-        opts: SimdizeOptions,
-        mode: ExecMode,
-        cache: Arc<Mutex<ScheduleCache>>,
-        compile: CompileFn,
-        plan: FaultPlan,
-        shard: u32,
-    ) -> DynamicSession {
-        DynamicSession::assemble(
-            template, init, art, cache_hit, machine, opts, mode, cache, compile, plan, shard,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        template: Arc<ParamGraph>,
-        init: &Valuation,
-        art: Arc<CompiledGraph>,
-        hit: bool,
-        machine: Arc<Machine>,
-        opts: SimdizeOptions,
-        mode: ExecMode,
-        cache: Arc<Mutex<ScheduleCache>>,
-        compile: CompileFn,
-        plan: FaultPlan,
-        shard: u32,
-    ) -> DynamicSession {
-        let engine = SessionEngine::new(
-            art.graph.clone(),
-            art.schedule.clone(),
-            machine.clone(),
-            &art.programs,
-            plan.clone(),
-            shard,
-        );
-        let sinks = engine.sink_ids().len();
+    /// A session of `template` whose first configuration is `init`.
+    pub fn new(template: Arc<ParamGraph>, init: &Valuation) -> DynamicSession {
         DynamicSession {
             template,
-            machine,
-            opts,
-            mode,
-            cache,
-            compile,
-            plan,
-            shard,
-            engine,
-            art,
             current: init.clone(),
             boundaries: VecDeque::new(),
-            iters_total: 0,
-            firings_base: 0,
-            swaps: 0,
-            last_hit: hit,
-            swap_failure: None,
-            held_outputs: vec![Vec::new(); sinks],
-            trace: WorkerTrace::disabled(),
         }
     }
 
@@ -198,89 +61,28 @@ impl DynamicSession {
         &self.template
     }
 
-    /// The configuration currently installed.
-    pub fn current(&self) -> &Valuation {
-        &self.current
-    }
-
-    /// The compiled artifact of the current configuration.
-    pub fn artifact(&self) -> &Arc<CompiledGraph> {
-        &self.art
-    }
-
-    /// Whether the latest configuration install hit the schedule cache.
-    pub fn last_cache_hit(&self) -> bool {
-        self.last_hit
-    }
-
-    /// Swaps applied so far (excludes the initial install).
-    pub fn reconfigurations(&self) -> u64 {
-        self.swaps
-    }
-
-    /// Number of sink rows [`DynamicSession::drain_outputs_into`] returns —
-    /// constant across configurations (validation enforces it).
-    pub fn sink_count(&self) -> usize {
-        self.held_outputs.len()
-    }
-
-    /// Steady iterations completed across every configuration.
-    pub fn iters_done(&self) -> u64 {
-        self.iters_total
-    }
-
-    /// Clean firings completed across every configuration.
-    pub fn firings(&self) -> u64 {
-        self.firings_base + self.engine.firings()
-    }
-
-    /// True once a stage fault or a failed swap quarantined the session.
-    pub fn is_faulted(&self) -> bool {
-        self.swap_failure.is_some() || self.engine.is_faulted()
-    }
-
-    /// Rendered failures: stage failures of the current engine plus any
-    /// swap failure.
-    pub fn failures_rendered(&self) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .engine
-            .failures()
-            .iter()
-            .map(|f| f.to_string())
-            .collect();
-        if let Some(e) = &self.swap_failure {
-            out.push(format!("configuration swap failed: {e}"));
-        }
-        out
-    }
-
-    /// Move the session to the shard that runs its next slice (see
-    /// [`SessionEngine::set_host`]); both are re-installed on every
-    /// engine the session builds across swaps.
-    pub fn set_host(&mut self, shard: u32, trace: WorkerTrace) {
-        #[allow(clippy::clone_on_copy)]
-        self.engine.set_host(shard, trace.clone());
-        self.shard = shard;
-        self.trace = trace;
-    }
-
     /// Schedule a parameter change to take effect at the quiescent point
     /// *before* steady iteration `at_iter` (absolute, across the whole
-    /// session). Changes scheduled at the same boundary coalesce into
-    /// one swap; a boundary earlier than one already scheduled (or
-    /// already executed) is refused. Scheduling is always a
-    /// reconfiguration event, even when the value equals the current one
-    /// — the swap still runs (and hits the cache), which keeps the
+    /// session), `done` iterations having run. Changes scheduled at the
+    /// same boundary coalesce into one swap; a boundary earlier than one
+    /// already scheduled (or already executed) is refused. Scheduling is
+    /// always a reconfiguration, even when the value equals the current
+    /// one — the swap still runs (and hits the cache), which keeps the
     /// protocol uniform and testable.
     ///
     /// # Errors
     /// [`PdfError::Param`] when the resulting valuation leaves the
     /// domain, [`PdfError::Boundary`] for out-of-order boundaries.
-    pub fn set_param_at(&mut self, at_iter: u64, name: &str, value: u64) -> Result<(), PdfError> {
-        if at_iter < self.iters_total {
+    pub fn set_param_at(
+        &mut self,
+        at_iter: u64,
+        done: u64,
+        name: &str,
+        value: u64,
+    ) -> Result<(), PdfError> {
+        if at_iter < done {
             return Err(PdfError::Boundary(format!(
-                "iteration {at_iter} already executed ({} done)",
-                self.iters_total
+                "iteration {at_iter} already executed ({done} done)"
             )));
         }
         if let Some((last, _)) = self.boundaries.back() {
@@ -290,135 +92,33 @@ impl DynamicSession {
                 )));
             }
         }
-        let base = self
-            .boundaries
-            .back()
-            .map(|(_, v)| v.clone())
-            .unwrap_or_else(|| self.current.clone());
-        let target = base.with(name, value);
+        let base = self.boundaries.back().map_or(&self.current, |(_, v)| v);
+        let target = base.clone().with(name, value);
         self.template.domain().check(&target)?;
         match self.boundaries.back_mut() {
             Some((last, v)) if *last == at_iter => *v = target,
             _ => self.boundaries.push_back((at_iter, target)),
         }
-        self.trace.record(EventKind::SetParam, 0, value);
         Ok(())
     }
 
-    /// Schedule a parameter change at the current boundary (standalone
-    /// drivers alternating `run_steady` and `set_param`).
-    ///
-    /// # Errors
-    /// See [`DynamicSession::set_param_at`].
-    pub fn set_param(&mut self, name: &str, value: u64) -> Result<(), PdfError> {
-        let at = self
-            .boundaries
-            .back()
-            .map(|(i, _)| *i)
-            .unwrap_or(self.iters_total)
-            .max(self.iters_total);
-        self.set_param_at(at, name, value)
+    /// The configuration to install now, `done` iterations having run:
+    /// the target of the next boundary once the run has reached it, which
+    /// becomes the current valuation. `None` between boundaries.
+    pub fn take_due(&mut self, done: u64) -> Option<Valuation> {
+        if self.boundaries.front()?.0 > done {
+            return None;
+        }
+        let (_, target) = self.boundaries.pop_front()?;
+        self.current = target.clone();
+        Some(target)
     }
 
-    /// Move sink values produced so far out of the engine into the held
-    /// buffer (so a swap never loses the old configuration's tail).
-    fn hold_outputs(&mut self) {
-        self.engine.drain_outputs_into(&mut self.held_outputs);
-    }
-
-    /// Swap to `target` now. Caller guarantees the engine sits at a
-    /// steady-iteration boundary.
-    fn apply_swap(&mut self, target: Valuation) -> Result<(), PdfError> {
-        // A fresh session may not have initialized yet; the carrier
-        // requires it (and init is itself a quiescent point).
-        if self.engine.run_init() == SessionStatus::Faulted {
-            return Err(PdfError::Swap(
-                "session faulted during initialization".into(),
-            ));
-        }
-        self.hold_outputs();
-        let carrier = self.engine.export_carrier().map_err(PdfError::Swap)?;
-        let graph = self.template.instantiate(&target)?;
-        let (art, hit) = {
-            let mut c = self.cache.lock().unwrap();
-            let (machine, opts, mode) = (&self.machine, &self.opts, self.mode);
-            let compile = &self.compile;
-            c.get_or_compile(&graph, &target, machine, opts, mode, |g| {
-                compile(g, machine, opts, mode)
-            })?
-        };
-        let engine = SessionEngine::resume(
-            art.graph.clone(),
-            art.schedule.clone(),
-            self.machine.clone(),
-            &art.programs,
-            self.plan.clone(),
-            self.shard,
-            &carrier,
-        )
-        .map_err(PdfError::Swap)?;
-        self.firings_base += self.engine.firings();
-        self.engine = engine;
-        #[allow(clippy::clone_on_copy)]
-        self.engine.set_host(self.shard, self.trace.clone());
-        self.art = art;
-        self.current = target;
-        self.last_hit = hit;
-        self.swaps += 1;
-        self.trace
-            .record(EventKind::Reconfigure, hit as u32, self.swaps);
-        Ok(())
-    }
-
-    /// Run up to `iters` steady iterations, splitting the slice at every
-    /// scheduled parameter boundary and swapping configurations there.
-    /// Returns [`SessionStatus::Faulted`] on the first stage fault or
-    /// failed swap (the session is then permanently quarantined).
-    pub fn run_steady(&mut self, iters: u64) -> SessionStatus {
-        if self.is_faulted() {
-            return SessionStatus::Faulted;
-        }
-        let mut left = iters;
-        loop {
-            while let Some((at, _)) = self.boundaries.front() {
-                if *at > self.iters_total {
-                    break;
-                }
-                let (_, target) = self.boundaries.pop_front().expect("front exists");
-                if let Err(e) = self.apply_swap(target) {
-                    self.swap_failure = Some(e.to_string());
-                    return SessionStatus::Faulted;
-                }
-            }
-            if left == 0 {
-                return SessionStatus::Running;
-            }
-            let until = self
-                .boundaries
-                .front()
-                .map(|(at, _)| at - self.iters_total)
-                .unwrap_or(u64::MAX);
-            let n = left.min(until);
-            let before = self.engine.iters_done();
-            let status = self.engine.run_steady(n);
-            self.iters_total += self.engine.iters_done() - before;
-            if status == SessionStatus::Faulted {
-                return SessionStatus::Faulted;
-            }
-            left -= n;
-        }
-    }
-
-    /// Append everything the sinks produced since the last call to
-    /// `rows` — held outputs from retired configurations first, then the
-    /// live engine's, one row per sink — and return how many values
-    /// moved, without allocating.
-    pub fn drain_outputs_into(&mut self, rows: &mut [Vec<Value>]) -> usize {
-        let mut moved = 0;
-        for (row, held) in rows.iter_mut().zip(&mut self.held_outputs) {
-            moved += held.len();
-            row.append(held);
-        }
-        moved + self.engine.drain_outputs_into(rows)
+    /// Steady iterations from `done` to the next boundary (`u64::MAX`
+    /// with none scheduled): how far a slice may run before it must swap.
+    pub fn until_next(&self, done: u64) -> u64 {
+        self.boundaries
+            .front()
+            .map_or(u64::MAX, |(at, _)| at - done)
     }
 }

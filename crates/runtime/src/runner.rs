@@ -78,7 +78,7 @@ pub(crate) struct Runner {
     /// Values captured per node id (non-empty for sinks only).
     pub(crate) outputs: Vec<Vec<Value>>,
     pub(crate) counters: CycleCounters,
-    faults: FaultPlan,
+    pub(crate) faults: FaultPlan,
     pub(crate) trace: WorkerTrace,
     /// Core (worker) or shard (session) a failure names.
     pub(crate) core: u32,

@@ -54,7 +54,7 @@ pub struct EdgeSig {
 ///
 /// Captured by [`SessionEngine::export_carrier`] at a steady-iteration
 /// boundary and installed into a freshly built engine by
-/// [`SessionEngine::resume`]. Stateful filters (state written in `work`)
+/// [`SessionEngine::reconfigure`]. Stateful filters (state written in `work`)
 /// travel by name — the SIMDizer never renames them — while init-only
 /// state (e.g. FIR coefficient tables) is deterministically recomputed by
 /// the new engine's init functions and therefore not carried. Resident
@@ -366,31 +366,34 @@ impl SessionEngine {
         })
     }
 
-    /// Build a session over `programs` primed from `carrier` instead of
-    /// the init schedule: init *functions* run (recomputing deterministic
-    /// init-only state such as coefficient tables), carried stateful
-    /// values overwrite the corresponding filters' state, carried tokens
-    /// preload the corresponding tapes, and the init schedule is skipped
-    /// — its priming is exactly what the carrier holds.
+    /// Swap the session to another configuration of its program at a
+    /// steady-iteration boundary, in place: export the carrier, build the
+    /// engine for `graph` over `programs`, run its init *functions*
+    /// (recomputing deterministic init-only state such as coefficient
+    /// tables), let carried stateful values overwrite the corresponding
+    /// filters' state and carried tokens preload the corresponding tapes,
+    /// and skip the init schedule — its priming is exactly what the
+    /// carrier holds. Firings, iterations, the sinks' uncollected output
+    /// and the host carry over; the fault plan starts over.
     ///
     /// # Errors
-    /// Fails when the carrier does not fit this configuration: a carried
-    /// stateful filter or tape signature missing or ambiguous here, a
-    /// state-shape mismatch, a sink-count mismatch, or an init function
-    /// fault. Template validation makes these unreachable for programs it
-    /// accepted; the error path exists so an unvalidated swap degrades to
-    /// a typed failure instead of silent corruption.
-    #[allow(clippy::too_many_arguments)]
-    pub fn resume(
+    /// Leaves the session as it was when the carrier cannot be exported
+    /// (see [`SessionEngine::export_carrier`]) or does not fit the new
+    /// configuration: a carried stateful filter or tape signature missing
+    /// or ambiguous there, a state-shape mismatch, a sink-count mismatch,
+    /// or an init function fault. Template validation makes these
+    /// unreachable for programs it accepted; the error path exists so an
+    /// unvalidated swap degrades to a typed failure instead of silent
+    /// corruption.
+    pub fn reconfigure(
+        &mut self,
         graph: Arc<Graph>,
         schedule: Arc<Schedule>,
-        machine: Arc<Machine>,
         programs: &CompiledPrograms,
-        plan: FaultPlan,
-        shard: u32,
-        carrier: &SessionCarrier,
-    ) -> Result<SessionEngine, String> {
-        let mut s = SessionEngine::new(graph, schedule, machine, programs, plan, shard);
+    ) -> Result<(), String> {
+        let carrier = self.export_carrier()?;
+        let (machine, plan) = (self.machine.clone(), self.run.faults.clone());
+        let mut s = SessionEngine::new(graph, schedule, machine, programs, plan, self.run.core);
         if s.sink_ids.len() != carrier.sinks {
             return Err(format!(
                 "sink count changed across configurations: {} -> {}",
@@ -426,7 +429,13 @@ impl SessionEngine {
             }
         }
         s.initialized = true;
-        Ok(s)
+        (s.firings, s.iters_done) = (self.firings, self.iters_done);
+        s.run.trace = std::mem::replace(&mut self.run.trace, WorkerTrace::disabled());
+        for (new, old) in s.sink_ids.iter().zip(&self.sink_ids) {
+            s.run.outputs[new.0 as usize] = std::mem::take(&mut self.run.outputs[old.0 as usize]);
+        }
+        *self = s;
+        Ok(())
     }
 
     /// Run up to `iters` steady iterations, stopping (after draining the

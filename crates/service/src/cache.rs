@@ -14,6 +14,11 @@
 //! and the second gets a hit. That is the invariant the SERVICE report
 //! validator enforces: with zero evictions, `compilations ==
 //! distinct_graphs` no matter how many sessions ran.
+//!
+//! It is the only cache: a dynamic-rate session's configuration is the
+//! shape its valuation instantiates, looked up here like any submission.
+//! Each such install also counts itself per `(shape, valuation)` pair,
+//! which is the report's `scache` block.
 
 use macross::{
     compile_graph, steady_node_weights, ArtifactCache, CompiledGraph, SimdizeError, SimdizeOptions,
@@ -21,9 +26,9 @@ use macross::{
 use macross_multicore::{plan_placement, CommModel};
 use macross_streamir::graph::Graph;
 use macross_streamir::shash::{structural_hash, GraphHash};
-use macross_telemetry::service::CacheStats;
+use macross_telemetry::service::{CacheStats, ScheduleCacheStats};
 use macross_vm::{ExecMode, Machine};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// What the cost-model planner would choose for a tenant's graph given
@@ -82,6 +87,11 @@ pub struct CompileCache {
     /// entries outlive the artifact's eviction.
     plans: HashMap<GraphHash, PlanSummary>,
     workers: usize,
+    /// Configuration installs of dynamic sessions, and those that hit.
+    installs: u64,
+    install_hits: u64,
+    /// Every `(shape, valuation)` pair ever installed.
+    configs: HashSet<(GraphHash, String)>,
 }
 
 impl CompileCache {
@@ -93,6 +103,9 @@ impl CompileCache {
             submits: 0,
             plans: HashMap::new(),
             workers,
+            installs: 0,
+            install_hits: 0,
+            configs: HashSet::new(),
         }
     }
 
@@ -109,7 +122,19 @@ impl CompileCache {
         opts: &SimdizeOptions,
         mode: ExecMode,
     ) -> Result<(Arc<CompiledGraph>, bool), SimdizeError> {
-        let hash = structural_hash(graph);
+        self.get_or_compile_hashed(structural_hash(graph), graph, machine, opts, mode)
+    }
+
+    /// [`CompileCache::get_or_compile`] for a graph whose structural hash
+    /// the caller computed — outside the cache lock.
+    pub(crate) fn get_or_compile_hashed(
+        &mut self,
+        hash: GraphHash,
+        graph: &Graph,
+        machine: &Machine,
+        opts: &SimdizeOptions,
+        mode: ExecMode,
+    ) -> Result<(Arc<CompiledGraph>, bool), SimdizeError> {
         let key = CacheKey {
             hash,
             machine: machine.clone(),
@@ -133,6 +158,32 @@ impl CompileCache {
     /// artifact it handed out, whose `source_hash` is the key.
     pub(crate) fn plan(&self, hash: &GraphHash) -> PlanSummary {
         self.plans[hash]
+    }
+
+    /// Count a configuration install of a `(shape, canonical valuation)`
+    /// pair, whose artifact a lookup just returned (`hit`: the lookup
+    /// hit). The install hits when it reinstalls a pair whose artifact
+    /// was still cached.
+    pub(crate) fn count_install(&mut self, config: (GraphHash, String), hit: bool) -> bool {
+        self.installs += 1;
+        let hit = !self.configs.insert(config) && hit;
+        self.install_hits += hit as u64;
+        hit
+    }
+
+    /// Install counters in the SERVICE-report `scache` shape. A miss
+    /// installs a pair first or reinstalls one whose artifact the LRU
+    /// bound evicted, so `misses == distinct_valuations + evictions`.
+    pub fn install_stats(&self) -> ScheduleCacheStats {
+        let misses = self.installs - self.install_hits;
+        ScheduleCacheStats {
+            capacity: self.arts.capacity() as u64,
+            distinct_valuations: self.configs.len() as u64,
+            reconfigurations: self.installs,
+            hits: self.install_hits,
+            misses,
+            evictions: misses - self.configs.len() as u64,
+        }
     }
 
     /// Live entries.
@@ -311,6 +362,31 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.compilations, 4);
         assert_eq!(s.distinct_graphs, 3);
+    }
+
+    /// Configuration installs count per `(shape, valuation)`: a repeat
+    /// hits, and one whose artifact the LRU bound evicted misses again
+    /// and counts as an eviction.
+    #[test]
+    fn installs_hit_on_repeat_and_miss_after_eviction() {
+        let machine = Machine::core_i7();
+        let opts = SimdizeOptions::all();
+        let mut cache = CompileCache::new(1, 2);
+        let mut install = |mul: i32| {
+            let g = pipeline("a", mul);
+            let (art, hit) = cache
+                .get_or_compile(&g, &machine, &opts, ExecMode::Bytecode)
+                .unwrap();
+            cache.count_install((art.source_hash, format!("mul={mul}")), hit)
+        };
+        assert!(!install(2));
+        assert!(install(2), "a repeat valuation hits");
+        assert!(!install(3), "a new valuation misses (and evicts mul=2)");
+        assert!(!install(2), "an evicted configuration misses again");
+        let s = cache.install_stats();
+        assert_eq!((s.reconfigurations, s.hits, s.misses), (4, 1, 3));
+        assert_eq!((s.distinct_valuations, s.evictions), (2, 1));
+        assert_eq!(cache.stats().compilations, 3);
     }
 
     /// The plan recorded on a shape's miss is the one planning the

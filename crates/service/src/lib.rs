@@ -13,10 +13,11 @@
 //!    insertion order, so N tenants running the same benchmark trigger
 //!    exactly one SIMDization + bytecode compilation. The cache is a
 //!    bounded LRU of [`macross::CompiledGraph`]s with hit/miss/eviction
-//!    counters surfaced in the service report.
+//!    counters surfaced in the service report. It is the service's only
+//!    cache: a dynamic-rate configuration is looked up by its shape too.
 //! 2. **Session manager** ([`server::StreamService`]): `submit` admits a
 //!    graph and homes it on the least-loaded shard by modelled steady
-//!    cost; `feed` queues steady iterations; `poll` drains sink outputs;
+//!    cost (`submit_dynamic` takes the same admission path); `feed` queues steady iterations; `poll` drains sink outputs;
 //!    `close` drains and retires. The shard pool is work-conserving: a
 //!    shard with nothing queued of its own steals a queued session at a
 //!    slice boundary, and a wake-up goes only to a shard that can act on
@@ -35,10 +36,13 @@
 //!    [`macross_pdf::ParamGraph`] — a graph template over a declared
 //!    parameter domain — and `set_param` re-configures it at the steady
 //!    iteration boundary after everything fed so far: re-solve, re-derive,
-//!    re-SIMDize, swap at the quiescent point with bit-exact carryover.
-//!    Compiled configurations are memoized in a shared
-//!    [`macross_pdf::ScheduleCache`] layered on the compile-once cache,
-//!    so revisiting a valuation never recompiles.
+//!    re-SIMDize, swap the session's one engine in place at the quiescent
+//!    point with bit-exact carryover
+//!    ([`macross_runtime::SessionEngine::reconfigure`]). A static session
+//!    is a dynamic one with no parameter boundaries. Each configuration
+//!    is the compile-once cache's entry for its shape, so revisiting a
+//!    valuation never recompiles; installs are counted per
+//!    `(shape, valuation)` in the report's `scache` block.
 
 pub mod cache;
 pub mod error;

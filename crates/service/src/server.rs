@@ -3,18 +3,25 @@
 //!
 //! ## Threading and lock order
 //!
-//! Four locks exist: the service **state** (session table, run queues,
-//! counters), the compile-once **cache**, the per-configuration
-//! **schedule cache**, and one mutex **per tenant** (its engine and
-//! buffers). The global order is *state → tenant → schedule cache →
-//! compile cache*. Shard threads take a session id under the state lock,
-//! run the slice under that tenant's lock (a dynamic tenant swapping
-//! configurations mid-slice takes the two cache locks in order), then
-//! re-acquire the state lock once to publish the slice and take the next
-//! id. Control-plane calls (`feed`, `poll`, `set_param`) may take a
-//! tenant lock while holding the state lock; `submit`/`submit_dynamic`
-//! compile under the cache locks alone, never while holding the state
-//! lock.
+//! Three locks exist: the service **state** (session table, run queues,
+//! counters), one mutex **per tenant** (its engine and buffers), and the
+//! one artifact **cache**. The global order is *state → tenant → cache*.
+//! Shard threads take a session id under the state lock, run the slice
+//! under that tenant's lock (a dynamic tenant swapping configurations
+//! mid-slice takes the cache lock inside it), then re-acquire the state
+//! lock once to publish the slice and take the next id. Control-plane
+//! calls (`feed`, `poll`, `set_param`) may take a tenant lock while
+//! holding the state lock; admission (`submit` and `submit_dynamic` both
+//! go through `admit`) compiles under the cache lock alone, never while
+//! holding the state lock.
+//!
+//! ## One session type
+//!
+//! Every tenant runs one [`SessionEngine`]; a dynamic-rate tenant also
+//! carries its parameter boundaries ([`DynamicSession`]) and, at each,
+//! swaps the engine in place ([`SessionEngine::reconfigure`]) to the
+//! configuration it looks up in the same cache a submission does. A
+//! static tenant is one with no boundaries.
 //!
 //! ## Placement and stealing
 //!
@@ -55,10 +62,11 @@
 use crate::cache::{CompileCache, PlanSummary};
 use crate::error::ServiceError;
 use crate::tenant::{CloseReport, PollResult, Tenant, TenantState};
-use macross::SimdizeOptions;
-use macross_pdf::{CompileFn, DynamicSession, ParamGraph, ScheduleCache};
+use macross::{CompiledGraph, SimdizeError, SimdizeOptions};
+use macross_pdf::{DynamicSession, ParamGraph};
 use macross_runtime::{FaultPlan, SessionEngine};
 use macross_streamir::graph::Graph;
+use macross_streamir::shash::structural_hash;
 use macross_streamir::Valuation;
 use macross_telemetry::service::{
     AdmissionStats, CacheStats, ScheduleCacheStats, ServiceReport, TenantRow,
@@ -85,14 +93,12 @@ pub struct ServiceConfig {
     /// returns [`ServiceError::Overloaded`].
     pub queue_bound: u64,
     /// Maximum buffered sink values per tenant before its slices defer
-    /// until the client polls.
+    /// until the client polls (min 1).
     pub output_bound: usize,
-    /// Compile-once cache bound, in artifacts.
+    /// Artifact cache bound, in compiled shapes (static graphs and the
+    /// configurations of dynamic-rate sessions alike).
     pub cache_capacity: usize,
-    /// Schedule-cache bound, in compiled configurations (dynamic-rate
-    /// sessions).
-    pub scache_capacity: usize,
-    /// Steady iterations per shard work slice (fairness quantum).
+    /// Steady iterations per shard work slice (fairness quantum, min 1).
     pub batch_iters: u64,
     /// Engine mode sessions compile for.
     pub mode: ExecMode,
@@ -108,7 +114,6 @@ impl Default for ServiceConfig {
             queue_bound: 256,
             output_bound: 1 << 16,
             cache_capacity: 32,
-            scache_capacity: 32,
             batch_iters: 4,
             mode: ExecMode::default(),
             opts: SimdizeOptions::all(),
@@ -140,6 +145,11 @@ pub struct ServiceSnapshot {
     pub deferred: usize,
     /// Live sessions a fault quarantined.
     pub quarantined: usize,
+    /// Rows of closed sessions kept for the shutdown report, at most
+    /// [`RETIRED_ROWS`].
+    pub retired_rows: usize,
+    /// Closed sessions whose rows were dropped beyond that bound.
+    pub retired_dropped: u64,
 }
 
 /// Control-plane view of one admitted session. The engine itself lives
@@ -242,6 +252,8 @@ impl State {
             queue_depths: self.queues.iter().map(VecDeque::len).collect(),
             deferred: count(|e| e.deferred),
             quarantined: count(|e| e.faulted),
+            retired_rows: self.retired.len(),
+            retired_dropped: self.retired_dropped,
         }
     }
 
@@ -319,11 +331,7 @@ struct Inner {
     work_cv: Vec<Condvar>,
     /// `close` waits here; signalled when a session it waits on drains.
     done_cv: Condvar,
-    /// `Arc`d (not just a field) so dynamic sessions' compile callbacks
-    /// can capture the cache alone, without a cycle through `Inner`.
-    cache: Arc<Mutex<CompileCache>>,
-    /// Per-configuration cache shared by every dynamic session.
-    scache: Arc<Mutex<ScheduleCache>>,
+    cache: Mutex<CompileCache>,
     machine: Arc<Machine>,
     config: ServiceConfig,
     /// Control-plane recorder (admission and cache events).
@@ -331,6 +339,29 @@ struct Inner {
 }
 
 impl Inner {
+    /// Look `graph` up in the artifact cache, compiling it on a miss, with
+    /// the planner's verdict for its shape. A dynamic session's
+    /// configuration install passes its `valuation` and counts itself; the
+    /// flag is then the install's hit (see [`CompileCache::count_install`]).
+    fn lookup(
+        &self,
+        graph: &Graph,
+        valuation: Option<&Valuation>,
+    ) -> Result<(Arc<CompiledGraph>, bool, PlanSummary), SimdizeError> {
+        let (machine, opts, mode) = (&self.machine, &self.config.opts, self.config.mode);
+        // Keyed outside the lock: the hash is the lookup's walk of the graph.
+        let hash = structural_hash(graph);
+        let config = valuation.map(|v| (hash, v.canon()));
+        let mut cache = self.cache.lock().unwrap();
+        let (art, hit) = cache.get_or_compile_hashed(hash, graph, machine, opts, mode)?;
+        let hit = match config {
+            Some(config) => cache.count_install(config, hit),
+            None => hit,
+        };
+        let plan = cache.plan(&art.source_hash);
+        Ok((art, hit, plan))
+    }
+
     /// Wake every parked shard: shutdown, which each must see.
     fn wake_all(&self, st: &mut State) {
         for (idle, cv) in st.idle.iter_mut().zip(&self.work_cv) {
@@ -367,13 +398,16 @@ impl StreamService {
             state: Mutex::new(State::new(workers)),
             work_cv: (0..workers).map(|_| Condvar::new()).collect(),
             done_cv: Condvar::new(),
-            cache: Arc::new(Mutex::new(CompileCache::new(
-                config.cache_capacity,
-                workers,
-            ))),
-            scache: Arc::new(Mutex::new(ScheduleCache::new(config.scache_capacity))),
+            cache: Mutex::new(CompileCache::new(config.cache_capacity, workers)),
             machine: Arc::new(machine),
-            config: ServiceConfig { workers, ..config },
+            // A zero quantum or bound would requeue or defer every slice
+            // forever.
+            config: ServiceConfig {
+                workers,
+                batch_iters: config.batch_iters.max(1),
+                output_bound: config.output_bound.max(1),
+                ..config
+            },
             ctl: trace.worker(workers),
         });
         let handles = (0..workers)
@@ -407,106 +441,12 @@ impl StreamService {
     /// [`ServiceError::ShuttingDown`] after shutdown began, and
     /// [`ServiceError::Simdize`] when the driver rejects the graph.
     pub fn submit(&self, name: &str, graph: &Graph, plan: FaultPlan) -> Result<u64, ServiceError> {
-        let inner = &self.inner;
-        {
-            let mut st = inner.state.lock().unwrap();
-            st.admission.submitted += 1;
-            if st.shutting_down {
-                st.admission.rejected_sessions += 1;
-                return Err(ServiceError::ShuttingDown);
-            }
-            if st.sessions.len() >= inner.config.session_cap {
-                st.admission.rejected_sessions += 1;
-                inner.ctl.record(
-                    EventKind::SessionRejected,
-                    st.next_id as u32,
-                    st.sessions.len() as u64,
-                );
-                return Err(ServiceError::Overloaded {
-                    reason: format!("session cap {} reached", inner.config.session_cap),
-                });
-            }
-        }
-        // Compile (or hit) outside the state lock. The cache lock is held
-        // across the whole compile on purpose: concurrent submissions of
-        // the same shape serialize here and the losers get hits.
-        let compiled = {
-            let mut cache = inner.cache.lock().unwrap();
-            cache
-                .get_or_compile(graph, &inner.machine, &inner.config.opts, inner.config.mode)
-                .map(|(art, hit)| (cache.plan(&art.source_hash), art, hit))
-        };
-        let (summary, art, hit) = match compiled {
-            Ok(admitted) => admitted,
-            Err(e) => {
-                let mut st = inner.state.lock().unwrap();
-                st.admission.rejected_sessions += 1;
-                return Err(ServiceError::Simdize(e));
-            }
-        };
-        let mut st = inner.state.lock().unwrap();
-        // Re-check the cap: another submission may have won the race
-        // while we compiled.
-        if st.sessions.len() >= inner.config.session_cap {
-            st.admission.rejected_sessions += 1;
-            return Err(ServiceError::Overloaded {
-                reason: format!("session cap {} reached", inner.config.session_cap),
-            });
-        }
-        let shard = st.lightest_shard();
-        let engine = SessionEngine::new(
-            art.graph.clone(),
-            art.schedule.clone(),
-            self.inner.machine.clone(),
-            &art.programs,
-            plan,
-            shard as u32,
-        );
-        let id = st.next_id;
-        st.next_id += 1;
-        st.shard_load[shard] += art.steady_cost.max(1);
-        st.admission.admitted += 1;
-        st.sessions.insert(
-            id,
-            SessionEntry::admitted(
-                Tenant::new(engine),
-                shard,
-                name,
-                art.source_hash.to_hex(),
-                hit,
-                art.steady_cost.max(1),
-                summary,
-            ),
-        );
-        let kind = if hit {
-            EventKind::CacheHit
-        } else {
-            EventKind::CacheMiss
-        };
-        inner.ctl.record(kind, id as u32, art.steady_cost);
-        inner
-            .ctl
-            .record(EventKind::SessionAdmitted, id as u32, shard as u64);
-        Ok(id)
-    }
-
-    /// A [`CompileFn`] routing schedule-cache misses through the
-    /// compile-once cache, so two templates instantiating structurally
-    /// identical configurations share one artifact.
-    fn compile_fn(&self) -> CompileFn {
-        let cache = self.inner.cache.clone();
-        Arc::new(move |g, machine, opts, mode| {
-            cache
-                .lock()
-                .unwrap()
-                .get_or_compile(g, machine, opts, mode)
-                .map(|(art, _)| art)
-        })
+        self.admit(name, plan, None, || Ok(self.inner.lookup(graph, None)?))
     }
 
     /// Admit a *dynamic-rate* session: instantiate `template` at `init`,
-    /// compile (or fetch) that configuration through the schedule cache,
-    /// and home the session on the least-loaded shard. Later
+    /// install that configuration from the artifact cache, and home the
+    /// session on the least-loaded shard. Later
     /// [`StreamService::set_param`] calls re-configure it at quiescent
     /// points.
     ///
@@ -521,7 +461,32 @@ impl StreamService {
         init: &Valuation,
         plan: FaultPlan,
     ) -> Result<u64, ServiceError> {
+        let params = DynamicSession::new(template.clone(), init);
+        self.admit(name, plan, Some(params), || {
+            let graph = template
+                .instantiate(init)
+                .map_err(|e| ServiceError::Param(e.to_string()))?;
+            Ok(self.inner.lookup(&graph, Some(init))?)
+        })
+    }
+
+    /// The one admission path: the cap check, the compile-or-hit
+    /// (`lookup`, run outside the state lock — the cache lock is held
+    /// across the whole compile on purpose, so concurrent submissions of
+    /// the same shape serialize and the losers get hits), the cap
+    /// re-check, the shard pick, the session entry and its events.
+    fn admit(
+        &self,
+        name: &str,
+        plan: FaultPlan,
+        params: Option<DynamicSession>,
+        lookup: impl FnOnce() -> Result<(Arc<CompiledGraph>, bool, PlanSummary), ServiceError>,
+    ) -> Result<u64, ServiceError> {
         let inner = &self.inner;
+        let cap = inner.config.session_cap;
+        let overloaded = || ServiceError::Overloaded {
+            reason: format!("session cap {cap} reached"),
+        };
         {
             let mut st = inner.state.lock().unwrap();
             st.admission.submitted += 1;
@@ -529,71 +494,34 @@ impl StreamService {
                 st.admission.rejected_sessions += 1;
                 return Err(ServiceError::ShuttingDown);
             }
-            if st.sessions.len() >= inner.config.session_cap {
+            if st.sessions.len() >= cap {
                 st.admission.rejected_sessions += 1;
-                inner.ctl.record(
-                    EventKind::SessionRejected,
-                    st.next_id as u32,
-                    st.sessions.len() as u64,
-                );
-                return Err(ServiceError::Overloaded {
-                    reason: format!("session cap {} reached", inner.config.session_cap),
-                });
+                let (next, live) = (st.next_id as u32, st.sessions.len() as u64);
+                inner.ctl.record(EventKind::SessionRejected, next, live);
+                return Err(overloaded());
             }
         }
-        let graph = match template.instantiate(init) {
-            Ok(g) => g,
-            Err(e) => {
-                let mut st = inner.state.lock().unwrap();
-                st.admission.rejected_sessions += 1;
-                return Err(ServiceError::Param(e.to_string()));
-            }
-        };
-        // Install the initial configuration outside the state lock, same
-        // discipline as `submit`: schedule-cache lock first, compile-once
-        // cache inside the callback (the global lock order).
-        let compile = self.compile_fn();
-        let compiled = {
-            let mut sc = inner.scache.lock().unwrap();
-            let cb = &compile;
-            sc.get_or_compile(
-                &graph,
-                init,
-                &inner.machine,
-                &inner.config.opts,
-                inner.config.mode,
-                |g| cb(g, &inner.machine, &inner.config.opts, inner.config.mode),
-            )
-        };
-        let (art, hit) = match compiled {
-            Ok(pair) => pair,
-            Err(e) => {
-                let mut st = inner.state.lock().unwrap();
-                st.admission.rejected_sessions += 1;
-                return Err(ServiceError::Simdize(e));
-            }
-        };
-        // The artifact came through the compile-once cache (on a
-        // schedule-cache hit, at an earlier miss), which planned its shape.
-        let summary = inner.cache.lock().unwrap().plan(&art.source_hash);
+        let looked_up = lookup();
         let mut st = inner.state.lock().unwrap();
-        if st.sessions.len() >= inner.config.session_cap {
+        let (art, hit, summary) = match looked_up {
+            Ok(admitted) => admitted,
+            Err(e) => {
+                st.admission.rejected_sessions += 1;
+                return Err(e);
+            }
+        };
+        // Re-check the cap: another submission may have won the race
+        // while we compiled.
+        if st.sessions.len() >= cap {
             st.admission.rejected_sessions += 1;
-            return Err(ServiceError::Overloaded {
-                reason: format!("session cap {} reached", inner.config.session_cap),
-            });
+            return Err(overloaded());
         }
         let shard = st.lightest_shard();
-        let session = DynamicSession::with_artifact(
-            template.clone(),
-            init,
-            art.clone(),
-            hit,
+        let engine = SessionEngine::new(
+            art.graph.clone(),
+            art.schedule.clone(),
             inner.machine.clone(),
-            inner.config.opts,
-            inner.config.mode,
-            inner.scache.clone(),
-            compile,
+            &art.programs,
             plan,
             shard as u32,
         );
@@ -604,7 +532,7 @@ impl StreamService {
         st.sessions.insert(
             id,
             SessionEntry::admitted(
-                Tenant::new_dynamic(session),
+                Tenant::new(engine, params),
                 shard,
                 name,
                 art.source_hash.to_hex(),
@@ -647,12 +575,12 @@ impl StreamService {
             .ok_or(ServiceError::UnknownSession(id))?;
         let slot = entry.slot.clone();
         let mut tenant = slot.lock().unwrap();
-        let at = tenant.requested;
-        let Some(session) = tenant.engine.dynamic_mut() else {
+        let (at, done) = (tenant.requested, tenant.engine.iters_done());
+        let Some(params) = tenant.params.as_mut() else {
             return Err(ServiceError::NotDynamic(id));
         };
-        session
-            .set_param_at(at, name, value)
+        params
+            .set_param_at(at, done, name, value)
             .map_err(|e| ServiceError::Param(e.to_string()))?;
         drop(tenant);
         inner.ctl.record(EventKind::SetParam, id as u32, value);
@@ -720,7 +648,7 @@ impl StreamService {
             outputs: tenant.take_buffered(),
             iters_done: tenant.engine.iters_done(),
             pending: tenant.pending,
-            faulted: tenant.engine.is_faulted(),
+            faulted: tenant.is_faulted(),
         };
         let pending = tenant.pending;
         drop(tenant);
@@ -764,13 +692,13 @@ impl StreamService {
         st.shard_load[entry.shard] -= entry.steady_cost;
         let mut tenant = entry.slot.lock().unwrap();
         let outputs = tenant.take_buffered();
-        let faulted = tenant.engine.is_faulted();
+        let faulted = tenant.is_faulted();
         let report = CloseReport {
             outputs,
             iters_done: tenant.engine.iters_done(),
             firings: tenant.engine.firings(),
             faulted,
-            failures: tenant.engine.failures_rendered(),
+            failures: tenant.failures(),
         };
         let state = if faulted {
             TenantState::Faulted
@@ -813,14 +741,14 @@ impl StreamService {
         self.inner.state.lock().unwrap().sessions.len()
     }
 
-    /// Compile-once cache counters so far.
+    /// Artifact cache counters so far.
     pub fn cache_stats(&self) -> CacheStats {
         self.inner.cache.lock().unwrap().stats()
     }
 
-    /// Schedule-cache counters so far (dynamic-rate sessions).
+    /// Configuration-install counters so far (dynamic-rate sessions).
     pub fn schedule_cache_stats(&self) -> ScheduleCacheStats {
-        self.inner.scache.lock().unwrap().stats()
+        self.inner.cache.lock().unwrap().install_stats()
     }
 
     /// Drain every remaining session, stop the shards, and assemble the
@@ -865,8 +793,9 @@ impl StreamService {
         );
         report.workers = self.inner.config.workers as u64;
         report.session_cap = self.inner.config.session_cap as u64;
-        report.cache = self.inner.cache.lock().unwrap().stats();
-        report.scache = self.inner.scache.lock().unwrap().stats();
+        let cache = self.inner.cache.lock().unwrap();
+        (report.cache, report.scache) = (cache.stats(), cache.install_stats());
+        drop(cache);
         report.admission = st.admission;
         report.tenants = std::mem::take(&mut st.retired).into();
         report.tenants_dropped = st.retired_dropped;
@@ -874,7 +803,7 @@ impl StreamService {
         remaining.sort_by_key(|(id, _)| *id);
         for (id, entry) in remaining {
             let tenant = entry.slot.lock().unwrap();
-            let state = if tenant.engine.is_faulted() {
+            let state = if tenant.is_faulted() {
                 TenantState::Faulted
             } else {
                 TenantState::Draining
@@ -923,7 +852,7 @@ fn tenant_row(id: u64, entry: &SessionEntry, tenant: &Tenant, state: TenantState
         firings: tenant.engine.firings(),
         outputs: tenant.delivered,
         stalls: tenant.stalls,
-        faults: tenant.engine.failure_count(),
+        faults: tenant.failures().len() as u64,
         placement_cores: entry.plan.cores,
         placement_cut_edges: entry.plan.cut_edges,
         placement_fused: entry.plan.fused,
@@ -956,7 +885,13 @@ fn shard_loop(inner: &Inner, shard: usize, trace: &WorkerTrace) {
             // WorkerTrace is only Copy when the trace feature is off.
             #[allow(clippy::clone_on_copy)]
             tenant.engine.set_host(shard as u32, trace.clone());
-            tenant.run_slice(inner.config.batch_iters, inner.config.output_bound, drain)
+            let mut install = |graph: &Graph, valuation: &Valuation| {
+                let (art, hit, _) = inner.lookup(graph, Some(valuation))?;
+                trace.record(EventKind::Reconfigure, hit as u32, id);
+                Ok(art)
+            };
+            let (batch, bound) = (inner.config.batch_iters, inner.config.output_bound);
+            tenant.run_slice(batch, bound, drain, &mut install)
         };
         // Publish the outcome and requeue if there is more to do. The
         // pending count is re-read under state -> tenant: a `feed` that
@@ -1033,7 +968,7 @@ mod tests {
                 FaultPlan::none(),
                 home as u32,
             );
-            let tenant = Tenant::new(engine);
+            let tenant = Tenant::new(engine, None);
             let entry = SessionEntry::admitted(
                 tenant,
                 home,
@@ -1102,6 +1037,8 @@ mod tests {
                 queue_depths: vec![0, 2],
                 deferred: 1,
                 quarantined: 1,
+                retired_rows: 0,
+                retired_dropped: 0,
             }
         );
     }
@@ -1119,5 +1056,76 @@ mod tests {
         // Every shard awake: nobody is.
         st.wake(1, &cvs);
         assert_eq!(st.idle, vec![false, false, false]);
+    }
+
+    fn counter() -> Graph {
+        let mut src = FilterBuilder::new("src", 0, 0, 1, ScalarTy::I32);
+        let n = src.state("n", macross_streamir::types::Ty::Scalar(ScalarTy::I32));
+        src.work(move |b| {
+            b.push(v(n));
+            b.set(n, v(n) + 1i32);
+        });
+        StreamSpec::pipeline(vec![src.build_spec(), StreamSpec::Sink])
+            .build()
+            .unwrap()
+    }
+
+    /// A zero slice quantum used to requeue every slice without running
+    /// anything (`close` never returned, a shard spun), and a zero output
+    /// bound deferred every slice until `close`. Both are clamped to 1.
+    #[test]
+    fn zero_quanta_still_make_progress() {
+        let service = Arc::new(StreamService::new(
+            Machine::core_i7(),
+            ServiceConfig {
+                workers: 1,
+                batch_iters: 0,
+                output_bound: 0,
+                ..ServiceConfig::default()
+            },
+        ));
+        let id = service
+            .submit("zero", &counter(), FaultPlan::none())
+            .unwrap();
+        service.feed(id, 8).unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        let mut polled = Vec::new();
+        while polled.is_empty() && std::time::Instant::now() < deadline {
+            polled.extend(service.poll(id).unwrap().outputs.concat());
+            std::thread::yield_now();
+        }
+        assert!(!polled.is_empty(), "no poll made progress");
+        // On a plain thread, not a scoped one: a close that never
+        // returns must fail the test at the deadline, not hang it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let closer = service.clone();
+        std::thread::spawn(move || tx.send(closer.close(id).unwrap()));
+        let report = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("close did not return");
+        assert_eq!(report.iters_done, 8);
+        polled.extend(report.outputs.concat());
+        let want: Vec<_> = (0..8).map(macross_streamir::types::Value::I32).collect();
+        assert_eq!(polled, want, "every fed iteration, in order");
+    }
+
+    /// The retired-row bound is visible without a shutdown: the snapshot
+    /// reads the rows kept and the rows dropped.
+    #[test]
+    fn the_snapshot_shows_the_retired_row_bound() {
+        let service = StreamService::new(
+            Machine::core_i7(),
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        let g = counter();
+        for _ in 0..RETIRED_ROWS + 6 {
+            let id = service.submit("short", &g, FaultPlan::none()).unwrap();
+            service.close(id).unwrap();
+        }
+        let snap = service.snapshot();
+        assert_eq!((snap.retired_rows, snap.retired_dropped), (1024, 6));
     }
 }

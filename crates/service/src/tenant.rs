@@ -1,13 +1,16 @@
-//! Per-session state: one admitted tenant = one engine over the shared
-//! compiled artifact — a plain [`SessionEngine`] for static sessions, a
-//! [`DynamicSession`] for parameterized ones — plus the bounded queues
-//! admission control meters: pending steady iterations on the way in,
-//! buffered sink values on the way out.
+//! Per-session state: one admitted tenant = one [`SessionEngine`] over the
+//! shared compiled artifact, the parameter boundaries of a dynamic-rate
+//! session ([`DynamicSession`]), and the bounded queues admission control
+//! meters: pending steady iterations on the way in, buffered sink values
+//! on the way out.
 
-use macross_pdf::DynamicSession;
+use macross::{CompiledGraph, SimdizeError};
+use macross_pdf::{DynamicSession, ParamGraph, PdfError};
 use macross_runtime::{SessionEngine, SessionStatus};
+use macross_streamir::graph::Graph;
 use macross_streamir::types::Value;
-use macross_telemetry::WorkerTrace;
+use macross_streamir::Valuation;
+use std::sync::Arc;
 
 /// Lifecycle of an admitted session, reported in `SERVICE_*.json`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,95 +74,21 @@ pub(crate) struct SliceOutcome {
     pub faulted: bool,
 }
 
-/// The execution half of a tenant: either a fixed-configuration
-/// [`SessionEngine`] or a [`DynamicSession`] whose configuration swaps
-/// at parameter boundaries. The slice loop treats both identically —
-/// the dynamic variant simply splits its slices at scheduled boundaries
-/// internally.
-pub(crate) enum TenantEngine {
-    Static(Box<SessionEngine>),
-    Dynamic(Box<DynamicSession>),
-}
-
-impl TenantEngine {
-    pub fn sink_count(&self) -> usize {
-        match self {
-            TenantEngine::Static(e) => e.sink_ids().len(),
-            TenantEngine::Dynamic(d) => d.sink_count(),
-        }
-    }
-
-    pub fn run_steady(&mut self, iters: u64) -> SessionStatus {
-        match self {
-            TenantEngine::Static(e) => e.run_steady(iters),
-            TenantEngine::Dynamic(d) => d.run_steady(iters),
-        }
-    }
-
-    /// Append the sink values produced since the last call to `rows` and
-    /// return how many moved.
-    pub fn drain_outputs_into(&mut self, rows: &mut [Vec<Value>]) -> usize {
-        match self {
-            TenantEngine::Static(e) => e.drain_outputs_into(rows),
-            TenantEngine::Dynamic(d) => d.drain_outputs_into(rows),
-        }
-    }
-
-    pub fn iters_done(&self) -> u64 {
-        match self {
-            TenantEngine::Static(e) => e.iters_done(),
-            TenantEngine::Dynamic(d) => d.iters_done(),
-        }
-    }
-
-    pub fn firings(&self) -> u64 {
-        match self {
-            TenantEngine::Static(e) => e.firings(),
-            TenantEngine::Dynamic(d) => d.firings(),
-        }
-    }
-
-    pub fn is_faulted(&self) -> bool {
-        match self {
-            TenantEngine::Static(e) => e.is_faulted(),
-            TenantEngine::Dynamic(d) => d.is_faulted(),
-        }
-    }
-
-    pub fn failure_count(&self) -> u64 {
-        match self {
-            TenantEngine::Static(e) => e.failures().len() as u64,
-            TenantEngine::Dynamic(d) => d.failures_rendered().len() as u64,
-        }
-    }
-
-    pub fn failures_rendered(&self) -> Vec<String> {
-        match self {
-            TenantEngine::Static(e) => e.failures().iter().map(|f| f.to_string()).collect(),
-            TenantEngine::Dynamic(d) => d.failures_rendered(),
-        }
-    }
-
-    pub fn set_host(&mut self, shard: u32, trace: WorkerTrace) {
-        match self {
-            TenantEngine::Static(e) => e.set_host(shard, trace),
-            TenantEngine::Dynamic(d) => d.set_host(shard, trace),
-        }
-    }
-
-    /// The dynamic session, for `set_param`; `None` for static tenants.
-    pub fn dynamic_mut(&mut self) -> Option<&mut DynamicSession> {
-        match self {
-            TenantEngine::Static(_) => None,
-            TenantEngine::Dynamic(d) => Some(d),
-        }
-    }
-}
+/// Looks up (compiling on a miss) the artifact of the configuration a
+/// dynamic session swaps to: the instantiated graph and its valuation.
+pub(crate) type Install<'a> =
+    &'a mut dyn FnMut(&Graph, &Valuation) -> Result<Arc<CompiledGraph>, SimdizeError>;
 
 /// The engine-side of a session; lives behind its own mutex so one
-/// tenant's slice never blocks another tenant's `feed`/`poll`.
+/// tenant's slice never blocks another tenant's `feed`/`poll`. A static
+/// session is a dynamic one without parameter boundaries: the slice loop
+/// is the same, and only a tenant with `params` ever swaps.
 pub(crate) struct Tenant {
-    pub engine: TenantEngine,
+    pub engine: SessionEngine,
+    /// The parameter boundaries of a dynamic-rate session.
+    pub params: Option<DynamicSession>,
+    /// A failed swap quarantines the session exactly like a stage fault.
+    swap_failure: Option<String>,
     /// Steady iterations requested but not yet run.
     pub pending: u64,
     /// Lifetime total of requested iterations.
@@ -175,37 +104,50 @@ pub(crate) struct Tenant {
 }
 
 impl Tenant {
-    pub fn new(engine: SessionEngine) -> Tenant {
-        Tenant::with_engine(TenantEngine::Static(Box::new(engine)))
-    }
-
-    pub fn new_dynamic(session: DynamicSession) -> Tenant {
-        Tenant::with_engine(TenantEngine::Dynamic(Box::new(session)))
-    }
-
-    fn with_engine(engine: TenantEngine) -> Tenant {
-        let sinks = engine.sink_count();
+    /// A tenant over `engine`; `params` makes it a dynamic-rate one.
+    pub fn new(engine: SessionEngine, params: Option<DynamicSession>) -> Tenant {
         Tenant {
+            out: vec![Vec::new(); engine.sink_ids().len()],
             engine,
+            params,
+            swap_failure: None,
             pending: 0,
             requested: 0,
-            out: vec![Vec::new(); sinks],
             buffered: 0,
             delivered: 0,
             stalls: 0,
         }
     }
 
-    /// Move freshly produced sink values into the poll buffer.
-    fn absorb_outputs(&mut self) {
-        self.buffered += self.engine.drain_outputs_into(&mut self.out);
+    /// True once a stage fault or a failed swap quarantined the session.
+    pub fn is_faulted(&self) -> bool {
+        self.swap_failure.is_some() || self.engine.is_faulted()
+    }
+
+    /// Rendered failures: the engine's stage failures, then a swap failure.
+    pub fn failures(&self) -> Vec<String> {
+        let swap = self.swap_failure.iter();
+        let swap = swap.map(|e| format!("configuration swap failed: {e}"));
+        self.engine
+            .failures()
+            .iter()
+            .map(|f| f.to_string())
+            .chain(swap)
+            .collect()
     }
 
     /// Run up to `batch` pending iterations. With `ignore_bound` unset,
     /// the slice defers instead when the output buffer is at `bound`
-    /// (the client must poll before more work runs).
-    pub fn run_slice(&mut self, batch: u64, bound: usize, ignore_bound: bool) -> SliceOutcome {
-        if self.engine.is_faulted() {
+    /// (the client must poll before more work runs). `install` fetches
+    /// the artifact of a configuration a parameter boundary swaps to.
+    pub fn run_slice(
+        &mut self,
+        batch: u64,
+        bound: usize,
+        ignore_bound: bool,
+        install: Install<'_>,
+    ) -> SliceOutcome {
+        if self.is_faulted() {
             self.pending = 0;
             return SliceOutcome {
                 deferred: false,
@@ -220,9 +162,9 @@ impl Tenant {
             };
         }
         let take = self.pending.min(batch);
-        let status = self.engine.run_steady(take);
+        let status = self.run_steady(take, install);
         self.pending -= take;
-        self.absorb_outputs();
+        self.buffered += self.engine.drain_outputs_into(&mut self.out);
         if status == SessionStatus::Faulted {
             // Nothing queued will ever run; drop it so drains terminate.
             self.pending = 0;
@@ -233,6 +175,33 @@ impl Tenant {
         }
     }
 
+    /// Run `iters` steady iterations, splitting them at every parameter
+    /// boundary and swapping configurations there — also at a boundary
+    /// the run starts or ends on.
+    fn run_steady(&mut self, iters: u64, install: Install<'_>) -> SessionStatus {
+        let Some(params) = &mut self.params else {
+            return self.engine.run_steady(iters);
+        };
+        let mut left = iters;
+        loop {
+            while let Some(target) = params.take_due(self.engine.iters_done()) {
+                let swapped = swap(&mut self.engine, params.template(), &target, install);
+                if let Err(e) = swapped {
+                    self.swap_failure = Some(e.to_string());
+                    return SessionStatus::Faulted;
+                }
+            }
+            if left == 0 {
+                return SessionStatus::Running;
+            }
+            let n = left.min(params.until_next(self.engine.iters_done()));
+            if self.engine.run_steady(n) == SessionStatus::Faulted {
+                return SessionStatus::Faulted;
+            }
+            left -= n;
+        }
+    }
+
     /// Drain the poll buffer.
     pub fn take_buffered(&mut self) -> Vec<Vec<Value>> {
         self.buffered = 0;
@@ -240,4 +209,25 @@ impl Tenant {
         self.delivered += rows.iter().map(|r| r.len() as u64).sum::<u64>();
         rows
     }
+}
+
+/// Swap `engine`, at a steady-iteration boundary, to the configuration
+/// `target` of `template`.
+fn swap(
+    engine: &mut SessionEngine,
+    template: &ParamGraph,
+    target: &Valuation,
+    install: Install<'_>,
+) -> Result<(), PdfError> {
+    // A fresh session may not have initialized yet; the carrier requires
+    // it (and init is itself a quiescent point).
+    if engine.run_init() == SessionStatus::Faulted {
+        return Err(PdfError::Swap(
+            "session faulted during initialization".into(),
+        ));
+    }
+    let art = install(&template.instantiate(target)?, target)?;
+    engine
+        .reconfigure(art.graph.clone(), art.schedule.clone(), &art.programs)
+        .map_err(PdfError::Swap)
 }
