@@ -4,8 +4,8 @@
 //! cargo run -p macross-bench --features fault-inject --bin replay_fault -- REPLAY_FMRadio_7.json
 //! ```
 //!
-//! Exit status: 0 when every bundle reproduced its recorded failures
-//! exactly, 1 on divergence or error, 2 on usage errors. Without the
+//! Exit status: 0 when every bundle reproduced its recorded failures and
+//! sink lengths exactly, 1 on divergence or error, 2 on usage errors. Without the
 //! `fault-inject` feature the injected faults are inert, so a bundle
 //! whose `expect` list is non-empty cannot reproduce — the binary says so
 //! instead of reporting a spurious divergence.
@@ -39,7 +39,7 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        if !bundle.expect.is_empty() && !FAULTS_COMPILED {
+        if !bundle.expect.failures.is_empty() && !FAULTS_COMPILED {
             eprintln!(
                 "{path}: bundle expects failures but fault injection is not compiled in; \
                  rebuild with --features fault-inject"
@@ -64,10 +64,13 @@ fn main() -> ExitCode {
                 for f in &outcome.run.report.failures {
                     println!("  observed: {f}");
                 }
+                for (sink, len) in &outcome.observed.sinks {
+                    println!("  sink {sink} committed {len} value(s)");
+                }
                 if outcome.reproduced {
                     println!(
-                        "  REPRODUCED: {} failure(s) match the bundle exactly",
-                        outcome.observed.len()
+                        "  REPRODUCED: {} failure(s) and every sink length match the bundle",
+                        outcome.observed.failures.len()
                     );
                 } else {
                     println!("  DIVERGED: expected {:?}", bundle.expect);

@@ -18,10 +18,11 @@ use macross::driver::{macro_simdize, steady_node_weights, SimdizeOptions};
 use macross_benchsuite::by_name;
 use macross_multicore::partition_lpt;
 use macross_runtime::{
-    run_supervised_placed, FaultPlan, Placement, ReplayBundle, StageFailure, SupervisedRun,
+    run_supervised_placed, FailureSignature, FaultPlan, Placement, ReplayBundle, SupervisedRun,
     SupervisorOptions,
 };
 use macross_sdf::Schedule;
+use macross_streamir::graph::{Graph, Node};
 use macross_telemetry::TraceSession;
 use macross_vm::{ExecMode, Machine};
 use std::time::Duration;
@@ -55,16 +56,26 @@ pub fn exec_mode_by_name(name: &str) -> Option<ExecMode> {
     }
 }
 
-/// The failures of a run in the bundle's `expect` form.
-pub fn failure_signature(failures: &[StageFailure]) -> Vec<(usize, u64, String)> {
-    failures
-        .iter()
-        .map(|f| (f.stage, f.firing, f.cause.label().to_string()))
-        .collect()
+/// What a run left behind in the bundle's `expect` form: its failures
+/// and, when there are any, each sink's committed length (a clean run's
+/// signature is empty).
+pub fn failure_signature(graph: &Graph, run: &SupervisedRun) -> FailureSignature {
+    let failures = &run.report.failures;
+    let sinks = graph.nodes().filter(|(_, n)| matches!(n, Node::Sink));
+    let len = |id: usize| (id, run.outputs[id].len() as u64);
+    FailureSignature {
+        failures: (failures.iter())
+            .map(|f| (f.stage, f.firing, f.cause.label().to_string()))
+            .collect(),
+        sinks: match failures.is_empty() {
+            true => Vec::new(),
+            false => sinks.map(|(id, _)| len(id.0 as usize)).collect(),
+        },
+    }
 }
 
 /// Build the bundle describing a failing (or to-be-failed) run, with
-/// `expect` filled from the observed failures.
+/// `expect` filled from what the run left behind.
 #[allow(clippy::too_many_arguments)]
 pub fn make_bundle(
     benchmark: &str,
@@ -75,7 +86,7 @@ pub fn make_bundle(
     iters: u64,
     watchdog: Option<Duration>,
     plan: FaultPlan,
-    failures: &[StageFailure],
+    expect: FailureSignature,
 ) -> ReplayBundle {
     ReplayBundle {
         benchmark: benchmark.to_string(),
@@ -86,7 +97,7 @@ pub fn make_bundle(
         iters,
         watchdog_ms: watchdog.map(|d| d.as_millis() as u64).unwrap_or(0),
         plan,
-        expect: failure_signature(failures),
+        expect,
     }
 }
 
@@ -95,16 +106,16 @@ pub fn make_bundle(
 pub struct ReplayOutcome {
     /// The replayed run (partial output + report included).
     pub run: SupervisedRun,
-    /// The replay's failures in `expect` form.
-    pub observed: Vec<(usize, u64, String)>,
-    /// True when the observed failures match the bundle's `expect` list
-    /// exactly (same stages, same firing indices, same causes, same
-    /// order).
+    /// What the replay left behind, in `expect` form.
+    pub observed: FailureSignature,
+    /// True when the replay matches the bundle's `expect` exactly: same
+    /// stages, firing indices, causes and order, and the same length for
+    /// every sink.
     pub reproduced: bool,
 }
 
-/// Re-execute the run a bundle describes and compare its failures against
-/// the recorded ones.
+/// Re-execute the run a bundle describes and compare what it left behind
+/// against the recorded signature.
 ///
 /// # Errors
 /// A human-readable message when the bundle references an unknown
@@ -150,7 +161,7 @@ pub fn run_bundle(bundle: &ReplayBundle) -> Result<ReplayOutcome, String> {
         &TraceSession::disabled(),
     )
     .map_err(|e| format!("runtime rejected the bundle: {e}"))?;
-    let observed = failure_signature(&run.report.failures);
+    let observed = failure_signature(&graph, &run);
     let reproduced = observed == bundle.expect;
     Ok(ReplayOutcome {
         run,
@@ -163,10 +174,10 @@ pub fn run_bundle(bundle: &ReplayBundle) -> Result<ReplayOutcome, String> {
 /// over the static cost model of the SIMDized graph, so campaign code and
 /// replay agree by construction.
 pub fn campaign_placement(
-    graph: &macross_streamir::graph::Graph,
+    graph: &Graph,
     machine: &Machine,
     cores: usize,
-) -> Result<(macross_streamir::graph::Graph, Schedule, Vec<u32>), String> {
+) -> Result<(Graph, Schedule, Vec<u32>), String> {
     let simd = macro_simdize(graph, machine, &SimdizeOptions::all())
         .map_err(|e| format!("simdize failed: {e}"))?;
     let weights = steady_node_weights(&simd.graph, &simd.schedule, machine);
@@ -211,13 +222,13 @@ mod tests {
             3,
             None,
             FaultPlan::none(),
-            &[],
+            FailureSignature::default(),
         );
         assert_eq!(bundle.assignment.len(), graph_s.node_count());
         let outcome = run_bundle(&bundle).unwrap();
         assert!(outcome.reproduced);
         assert!(outcome.run.completed);
-        assert!(outcome.observed.is_empty());
+        assert_eq!(outcome.observed, FailureSignature::default());
     }
 
     #[test]
@@ -231,7 +242,7 @@ mod tests {
             1,
             None,
             FaultPlan::none(),
-            &[],
+            FailureSignature::default(),
         );
         bundle.benchmark = "NoSuchBench".into();
         assert!(run_bundle(&bundle).unwrap_err().contains("NoSuchBench"));

@@ -14,8 +14,128 @@
 //! [`FaultPlan::first_fault`] for a block of firings) are compiled to a
 //! constant `None` unless the `fault-inject` cargo feature is on, so
 //! production builds carry no branch in the firing loop.
+//!
+//! What a failure leaves behind is a function of the program, not of the
+//! engine: [`committed_outcome`] gives every node the number of firings a
+//! failed run commits, and every engine fires each node exactly that far.
 
+use crate::supervisor::StageFailure;
+use macross_sdf::Schedule;
+use macross_streamir::graph::{Edge, Graph, ReorderSide};
 use macross_telemetry::json::{self, Json};
+
+/// How many firings of each node, indexed by node id, a run with
+/// `failures` commits — every engine fires each node exactly that far, and
+/// a sink's output is the clean run's cut to its bound (a sink captures
+/// one value a firing). One topological pass of rate arithmetic per
+/// failure, the bounds of several failures being their elementwise
+/// minimum:
+///
+/// - a node's *horizon* is the end of the failure's steady iteration `i`
+///   (the init phase and a failed `init` function count as iteration
+///   −1): `init_reps + (i + 1)·reps` firings;
+/// - the failed stage's bound is its failed firing's index;
+/// - every other node's bound is the smaller of its horizon and the
+///   firings its in-edges feed from what their producers' bounds commit
+///   (push, pop and peek rates — splitter and joiner weights included —
+///   whole blocks of a reorder at either end; a fissioned node's firings
+///   are its global ones, whichever replica fires them).
+///
+/// A failure that names no node (a worker's harness panic) commits
+/// nothing. Without failures every bound is `u64::MAX`.
+pub fn committed_outcome(
+    graph: &Graph,
+    schedule: &Schedule,
+    failures: &[StageFailure],
+) -> Vec<u64> {
+    let mut bounds = vec![u64::MAX; graph.node_count()];
+    for f in failures {
+        let mut own = vec![0; graph.node_count()];
+        if f.stage < own.len() {
+            let iters = iterations_to(schedule, f);
+            for &id in &schedule.order {
+                let n = id.0 as usize;
+                let mut b = schedule.init_reps[n] + iters * schedule.reps[n];
+                for e in graph.in_edges(id).into_iter().map(|e| graph.edge(e)) {
+                    let (pop, need, block) = read_rates(graph, e);
+                    let tokens = edge_writes(graph, e, own[e.src.0 as usize]) / block * block;
+                    let fed = |spare: u64| spare.checked_div(pop).map_or(u64::MAX, |n| n + 1);
+                    b = b.min(tokens.checked_sub(need).map_or(0, fed));
+                }
+                own[n] = if n == f.stage { b.min(f.firing) } else { b };
+            }
+        }
+        bounds
+            .iter_mut()
+            .zip(own)
+            .for_each(|(b, o)| *b = (*b).min(o));
+    }
+    bounds
+}
+
+/// Steady iterations up to failure `f`'s horizon: its iteration plus one.
+fn iterations_to(schedule: &Schedule, f: &StageFailure) -> u64 {
+    match f.firing.checked_sub(schedule.init_reps[f.stage]) {
+        Some(steady) if !f.init_fn => steady / schedule.reps[f.stage] + 1,
+        _ => 0,
+    }
+}
+
+/// `(pop, reach, block)` of `e`'s consumer: tokens a firing consumes, how
+/// far past its first token it reads (`max(pop, peek)`), and the
+/// consumer-side reorder block it addresses anywhere inside (1 if plain).
+fn read_rates(graph: &Graph, e: &Edge) -> (u64, u64, u64) {
+    let node = graph.node(e.dst);
+    let pop = node.pop_rate(e.dst_port) as u64;
+    let block = e.reorder.filter(|r| r.side == ReorderSide::Consumer);
+    let need = pop.max(node.peek_rate(e.dst_port) as u64);
+    (pop, need, block.map_or(1, |r| r.block() as u64))
+}
+
+/// Tokens of `e` its producer's first `firings` firings commit: whole
+/// blocks of a producer-side reorder.
+fn edge_writes(graph: &Graph, e: &Edge, firings: u64) -> u64 {
+    let block = e.reorder.filter(|r| r.side == ReorderSide::Producer);
+    let block = block.map_or(1, |r| r.block() as u64);
+    firings.saturating_mul(graph.node(e.src).push_rate(e.src_port) as u64) / block * block
+}
+
+/// Tokens of `e` its consumer's first `firings` firings read.
+pub(crate) fn edge_reads(graph: &Graph, e: &Edge, firings: u64) -> u64 {
+    let (pop, need, block) = read_rates(graph, e);
+    firings
+        .checked_sub(1)
+        .map_or(0, |n| (n * pop + need).next_multiple_of(block))
+}
+
+/// `failures` in committed order — by iteration, then schedule position
+/// and firing, a harness failure last — less each one past the outcome
+/// of those before it: a firing a worker ran ahead to before it saw the
+/// interrupt, which the committed run never reaches (nor do its bounds).
+pub(crate) fn committed_failures(
+    graph: &Graph,
+    schedule: &Schedule,
+    mut failures: Vec<StageFailure>,
+) -> Vec<StageFailure> {
+    let mut at = vec![usize::MAX; graph.node_count()];
+    schedule
+        .order
+        .iter()
+        .enumerate()
+        .for_each(|(i, id)| at[id.0 as usize] = i);
+    failures.sort_by_key(|f| match at.get(f.stage) {
+        Some(&pos) => (iterations_to(schedule, f), pos, f.firing),
+        None => (u64::MAX, usize::MAX, 0),
+    });
+    let mut kept = Vec::with_capacity(failures.len());
+    for f in failures {
+        let bounds = committed_outcome(graph, schedule, &kept);
+        if f.stage >= bounds.len() || f.firing < bounds[f.stage] {
+            kept.push(f);
+        }
+    }
+    kept
+}
 
 /// What to do to the addressed firing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -266,8 +386,8 @@ impl FaultPlan {
 /// (`cargo run -p macross-bench --features fault-inject --bin replay_fault
 /// -- <bundle.json>`): the benchmark + machine + mode that rebuild the
 /// graph and schedule, the exact worker assignment, and the fault plan.
-/// `expect` pins the failures the original run observed so the replay can
-/// verify it reproduced them identically.
+/// `expect` pins the failures the original run observed and what each
+/// sink committed, so the replay can verify it reproduced both.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayBundle {
     /// Benchmark name (resolved via `macross_benchsuite::by_name`).
@@ -286,9 +406,20 @@ pub struct ReplayBundle {
     pub watchdog_ms: u64,
     /// The faults that were injected.
     pub plan: FaultPlan,
-    /// `(stage, firing, cause label)` of every failure the original run
-    /// reported, in report order.
-    pub expect: Vec<(usize, u64, String)>,
+    /// What the original run left behind.
+    pub expect: FailureSignature,
+}
+
+/// What a failed run left behind, as a [`ReplayBundle`] pins it: every
+/// failure's `(stage, firing, cause label)` in report order, and each
+/// sink's committed length — which answers "why did sink k stop at 380?"
+/// from the bundle. Both lists are empty for a clean run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FailureSignature {
+    /// `(stage, firing, cause label)` per failure.
+    pub failures: Vec<(usize, u64, String)>,
+    /// `(sink node id, values committed)` per sink of a failed run.
+    pub sinks: Vec<(usize, u64)>,
 }
 
 impl ReplayBundle {
@@ -300,7 +431,7 @@ impl ReplayBundle {
     /// The bundle as a JSON value.
     pub fn to_json(&self) -> Json {
         Json::obj([
-            ("schema", Json::Str("macross-replay-v1".into())),
+            ("schema", Json::Str("macross-replay-v2".into())),
             ("benchmark", Json::Str(self.benchmark.clone())),
             ("simdized", Json::Bool(self.simdized)),
             ("machine", Json::Str(self.machine.clone())),
@@ -317,21 +448,24 @@ impl ReplayBundle {
             ("iters", Json::Num(self.iters as f64)),
             ("watchdog_ms", Json::Num(self.watchdog_ms as f64)),
             ("plan", self.plan.to_json()),
-            (
-                "expect",
-                Json::Arr(
-                    self.expect
-                        .iter()
-                        .map(|(stage, firing, cause)| {
-                            Json::obj([
-                                ("stage", Json::Num(*stage as f64)),
-                                ("firing", Json::Num(*firing as f64)),
-                                ("cause", Json::Str(cause.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("expect", self.expect_json()),
+        ])
+    }
+
+    fn expect_json(&self) -> Json {
+        let num = |x: u64| Json::Num(x as f64);
+        let failures = self.expect.failures.iter().map(|(stage, firing, cause)| {
+            Json::obj([
+                ("stage", num(*stage as u64)),
+                ("firing", num(*firing)),
+                ("cause", Json::Str(cause.clone())),
+            ])
+        });
+        let sinks = (self.expect.sinks.iter())
+            .map(|&(node, len)| Json::obj([("node", num(node as u64)), ("len", num(len))]));
+        Json::obj([
+            ("failures", Json::Arr(failures.collect())),
+            ("sinks", Json::Arr(sinks.collect())),
         ])
     }
 
@@ -372,8 +506,8 @@ impl std::str::FromStr for ReplayBundle {
                 .filter(|x| *x >= 0.0)
                 .ok_or_else(|| format!("bundle needs a non-negative \"{key}\""))
         };
-        if v.get("schema").and_then(Json::as_str) != Some("macross-replay-v1") {
-            return Err("bundle schema must be \"macross-replay-v1\"".into());
+        if v.get("schema").and_then(Json::as_str) != Some("macross-replay-v2") {
+            return Err("bundle schema must be \"macross-replay-v2\"".into());
         }
         let assignment = v
             .get("assignment")
@@ -387,28 +521,27 @@ impl std::str::FromStr for ReplayBundle {
                     .ok_or("assignment entries must be non-negative numbers".to_string())
             })
             .collect::<Result<Vec<u32>, String>>()?;
-        let mut expect = Vec::new();
-        for (i, e) in v
-            .get("expect")
-            .and_then(Json::as_arr)
-            .ok_or("bundle needs an \"expect\" array")?
-            .iter()
-            .enumerate()
-        {
-            let num = |key: &str| {
-                e.get(key)
-                    .and_then(Json::as_num)
-                    .filter(|x| *x >= 0.0)
-                    .ok_or_else(|| format!("expect[{i}] needs a non-negative \"{key}\""))
-            };
-            expect.push((
-                num("stage")? as usize,
-                num("firing")? as u64,
-                e.get("cause")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("expect[{i}] needs a \"cause\" string"))?
-                    .to_string(),
-            ));
+        let expect = v.get("expect").ok_or("bundle needs an \"expect\"")?;
+        let list = |key: &str| {
+            let found = expect.get(key).and_then(Json::as_arr);
+            found.ok_or_else(|| format!("expect needs a \"{key}\" array"))
+        };
+        let num = |e: &Json, at: &str, key: &str| {
+            let found = e.get(key).and_then(Json::as_num).filter(|x| *x >= 0.0);
+            found.ok_or_else(|| format!("{at} needs a non-negative \"{key}\""))
+        };
+        let mut signature = FailureSignature::default();
+        for (i, e) in list("failures")?.iter().enumerate() {
+            let at = format!("expect.failures[{i}]");
+            let cause = e.get("cause").and_then(Json::as_str);
+            let cause = cause.ok_or_else(|| format!("{at} needs a \"cause\" string"))?;
+            let (stage, firing) = (num(e, &at, "stage")?, num(e, &at, "firing")?);
+            (signature.failures).push((stage as usize, firing as u64, cause.to_string()));
+        }
+        for (i, e) in list("sinks")?.iter().enumerate() {
+            let at = format!("expect.sinks[{i}]");
+            let (node, len) = (num(e, &at, "node")?, num(e, &at, "len")?);
+            signature.sinks.push((node as usize, len as u64));
         }
         Ok(ReplayBundle {
             benchmark: s("benchmark")?,
@@ -419,7 +552,7 @@ impl std::str::FromStr for ReplayBundle {
             iters: n("iters")? as u64,
             watchdog_ms: n("watchdog_ms")? as u64,
             plan: FaultPlan::from_json(v.get("plan").ok_or("bundle needs a \"plan\"")?)?,
-            expect,
+            expect: signature,
         })
     }
 }
@@ -484,7 +617,10 @@ mod tests {
             iters: 50,
             watchdog_ms: 200,
             plan: FaultPlan::single(2, 7, FaultKind::Panic),
-            expect: vec![(2, 7, "panic".into())],
+            expect: FailureSignature {
+                failures: vec![(2, 7, "panic".into())],
+                sinks: vec![(3, 380)],
+            },
         };
         assert_eq!(bundle.file_name(), "REPLAY_FMRadio_0.json");
         let back = ReplayBundle::from_str(&bundle.json_string()).unwrap();

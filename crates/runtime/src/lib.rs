@@ -46,7 +46,10 @@ use std::sync::Arc;
 use supervisor::Supervisor;
 use worker::Worker;
 
-pub use fault::{FaultKind, FaultPlan, FaultSpec, ReplayBundle, FAULTS_COMPILED};
+pub use fault::{
+    committed_outcome, FailureSignature, FaultKind, FaultPlan, FaultSpec, ReplayBundle,
+    FAULTS_COMPILED,
+};
 pub use session::{EdgeSig, SessionCarrier, SessionEngine, SessionStatus};
 pub use supervisor::{FailureCause, StageFailure, SupervisorOptions};
 
@@ -232,10 +235,11 @@ pub struct RuntimeReport {
     /// Modelled cycles per core (steady phase), from the interpreter's
     /// cost accounting.
     pub core_modelled: Vec<CycleCounters>,
-    /// Stage failures recorded by the supervisor, in the order they were
-    /// raised. Empty for a clean run; the first entry is the root cause
-    /// (later entries are secondary failures hit while draining, or
-    /// further watchdog escalations).
+    /// Stage failures, in committed order: by steady iteration (the init
+    /// phase first), then by schedule position — whichever core raised
+    /// one first. Empty for a clean run; the first entry is the root
+    /// cause. A failure a worker ran ahead to past the committed outcome
+    /// of the others is not one (see [`committed_outcome`]).
     pub failures: Vec<StageFailure>,
 }
 
@@ -304,8 +308,8 @@ pub struct ThreadedRun {
 #[derive(Debug, Clone)]
 pub struct SupervisedRun {
     /// All sink outputs concatenated in node-id order. For a failed run
-    /// this is the committed partial output: each sink's stream is a
-    /// prefix of what a clean run would have produced.
+    /// this is exactly the committed outcome: each sink's stream is the
+    /// clean run's cut to its bound in [`committed_outcome`].
     pub output: Vec<Value>,
     /// Per-sink outputs, indexed by node id (empty for non-sinks).
     pub outputs: Vec<Vec<Value>>,
@@ -631,9 +635,10 @@ pub fn iteration_block() -> u64 {
 /// - an optional watchdog thread ([`SupervisorOptions::watchdog`])
 ///   escalates any single firing that exceeds its timeout — the worker
 ///   on the calling thread included;
-/// - after the first failure, workers coordinate a drain: stages
-///   upstream of the failure park, everything else finishes what is
-///   already buffered, and committed sink output is preserved;
+/// - after a failure, every worker fires each of its nodes to exactly
+///   its bound in [`committed_outcome`], and each sink's output is cut
+///   to its bound — the same outcome as [`SessionEngine`]'s, whatever
+///   the placement and whichever core saw the failure first;
 /// - a [`fault::FaultPlan`] can deterministically inject faults at exact
 ///   `(stage, firing)` coordinates when built with `fault-inject` (the
 ///   plan is inert otherwise — see [`FAULTS_COMPILED`]);
@@ -766,6 +771,7 @@ pub fn run_supervised_placed(
                 name: format!("worker {core}"),
                 core,
                 firing: 0,
+                init_fn: false,
                 mode: opts.mode,
                 cause: FailureCause::Panic(panic_message(payload.as_ref())),
             });
@@ -806,7 +812,7 @@ pub fn run_supervised_placed(
         }
     });
 
-    let failures = sup.take_failures();
+    let failures = fault::committed_failures(graph, schedule, sup.take_failures());
     let finished: Vec<(u32, worker::WorkerOut)> = results
         .into_iter()
         .filter_map(|(core, r)| r.map(|out| (core, out)))
@@ -821,6 +827,13 @@ pub fn run_supervised_placed(
         }
         core_nanos[core as usize] = out.steady_nanos;
         core_modelled[core as usize] = out.modelled;
+    }
+    // A worker may have fired past the outcome before it saw a failure.
+    if !failures.is_empty() {
+        let bounds = committed_outcome(graph, schedule, &failures);
+        for (row, bound) in outputs.iter_mut().zip(bounds) {
+            row.truncate(bound as usize);
+        }
     }
     let wall_nanos = core_nanos.iter().copied().max().unwrap_or(0);
 
@@ -969,6 +982,7 @@ mod tests {
                     name: format!("stage{stage}"),
                     core: 0,
                     firing: 0,
+                    init_fn: false,
                     mode: Default::default(),
                     cause,
                 })

@@ -304,21 +304,23 @@ impl Ring {
     /// # Errors
     /// Returns [`Aborted`] if `abort` is raised while waiting for space.
     pub fn push_batch(&self, vals: &[u64], abort: &AtomicBool) -> Result<(), Aborted> {
-        self.push_batch_traced(vals, abort, &WorkerTrace::disabled())
+        match self.push_batch_traced(vals, abort, &WorkerTrace::disabled()) {
+            n if n == vals.len() => Ok(()),
+            _ => Err(Aborted),
+        }
     }
 
     /// [`Ring::push_batch`] with a trace handle: full-ring stalls are
     /// recorded as `RingPushStallBegin`/`End` spans on the producer's
-    /// timeline (subject = this ring's edge).
-    ///
-    /// # Errors
-    /// Returns [`Aborted`] if `abort` is raised while waiting for space.
+    /// timeline (subject = this ring's edge). Returns how many of `vals`
+    /// went in: all of them, unless `abort` was raised while waiting for
+    /// space.
     pub fn push_batch_traced(
         &self,
         vals: &[u64],
         abort: &AtomicBool,
         trace: &WorkerTrace,
-    ) -> Result<(), Aborted> {
+    ) -> usize {
         let mut written = 0;
         while written < vals.len() {
             let n = self.push_avail(&vals[written..]);
@@ -331,17 +333,17 @@ impl Ring {
                 let ns = waited.elapsed().as_nanos() as u64;
                 self.full_stall_nanos.fetch_add(ns, Ordering::Relaxed);
                 trace.record(EventKind::RingPushStallEnd, self.edge, ns);
-                res?;
+                if res.is_err() {
+                    break;
+                }
             }
         }
-        Ok(())
+        written
     }
 
     /// Producer: append as many of `vals` as currently fit, without
     /// blocking, and publish them with one release store. Returns how
-    /// many were written. Used directly by the drain after a failure,
-    /// where a full ring whose consumer is gone must not wedge the
-    /// draining worker.
+    /// many were written.
     pub fn push_avail(&self, vals: &[u64]) -> usize {
         let tail = self.tail.0.load(Ordering::Relaxed);
         let head = self.head.0.load(Ordering::Acquire);

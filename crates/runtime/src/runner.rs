@@ -16,11 +16,11 @@
 //! share behind the one `catch_unwind`. A failure is named by its exact
 //! firing, because `fire_block` counts the firings that completed, so
 //! nothing is snapshot and nothing replayed: the firings before the
-//! failed one stand, the failed firing's torn output is unwritten (each
-//! out-tape goes back to where the share began plus what the completed
-//! firings push, a static count), and its input tapes stay poisoned. What
-//! follows is the host's policy: a session taints everything downstream,
-//! a worker drains it.
+//! failed one stand, and the failed firing's torn output is unwritten
+//! (each out-tape goes back to where the share began plus what the
+//! completed firings push, a static count). No tape stays poisoned: what
+//! keeps the failed stage from firing again is its bound in
+//! [`crate::committed_outcome`], to which both hosts fire every node.
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::supervisor::{FailureCause, StageFailure};
@@ -30,24 +30,6 @@ use macross_telemetry::{EventKind, WorkerTrace};
 use macross_vm::firing::{self, FilterState, FirePlan};
 use macross_vm::{CycleCounters, ExecMode, Machine, Tape};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Mark `from` and every node reachable from it — downstream through
-/// out-edges, or upstream through in-edges — in `marked`.
-pub(crate) fn mark_reachable(graph: &Graph, marked: &mut [bool], from: NodeId, downstream: bool) {
-    let mut stack = vec![from];
-    while let Some(n) = stack.pop() {
-        if std::mem::replace(&mut marked[n.0 as usize], true) {
-            continue;
-        }
-        let edges = if downstream {
-            graph.out_edges(n)
-        } else {
-            graph.in_edges(n)
-        };
-        let ends = edges.into_iter().map(|e| graph.edge(e));
-        stack.extend(ends.map(|e| if downstream { e.dst } else { e.src }));
-    }
-}
 
 /// One node a runner fires, and where its firings stand.
 pub(crate) struct Unit {
@@ -120,27 +102,29 @@ impl Runner {
             name: graph.node(id).name(),
             core: self.core,
             firing,
+            init_fn: false,
             mode: self.mode,
             cause,
         }
     }
 
-    /// Run the filters' `init` functions, in unit order; one that faults
-    /// fails its node at firing 0.
-    pub(crate) fn run_init_fns(
-        &mut self,
-        graph: &Graph,
-        machine: &Machine,
-    ) -> Result<(), StageFailure> {
+    /// Run every filter's `init` function, in unit order; each one that
+    /// faults fails its node at firing 0, in the init phase.
+    pub(crate) fn run_init_fns(&mut self, graph: &Graph, machine: &Machine) -> Vec<StageFailure> {
+        let mut failures = Vec::new();
         for u in 0..self.units.len() {
             let id = self.units[u].id;
             if let Node::Filter(f) = graph.node(id) {
                 if let Err(e) = self.states[id.0 as usize].run_init_fn(f, machine) {
-                    return Err(self.failure(graph, id, 0, FailureCause::Vm(e)));
+                    let failure = self.failure(graph, id, 0, FailureCause::Vm(e));
+                    failures.push(StageFailure {
+                        init_fn: true,
+                        ..failure
+                    });
                 }
             }
         }
-        Ok(())
+        failures
     }
 
     /// How many of unit `u`'s next `k` firings form one share: those
@@ -157,12 +141,6 @@ impl Runner {
             Some(clean) => (clean, None),
             None => (k, None),
         }
-    }
-
-    /// True when a tape of unit `u` is poisoned: a block of it would be
-    /// refused, so a drain does not fire it.
-    pub(crate) fn poisoned(&self, u: usize) -> bool {
-        self.units[u].adj.poisoned(&self.tapes)
     }
 
     /// Fire unit `u` `k` times as one guarded block, `fault` (from
@@ -233,9 +211,9 @@ impl Runner {
             Ok(Err(e)) => FailureCause::Vm(e),
             Err(payload) => FailureCause::Panic(firing::panic_message(payload.as_ref())),
         };
-        // The failed firing's inputs stay poisoned; what it wrote goes.
+        // What the failed firing wrote goes, and no tape stays poisoned.
         for t in adj.tapes() {
-            self.tapes[t].poison();
+            self.tapes[t].clear_poison();
         }
         self.unwrite(node, u, done);
         self.units[u].attempts += (done + 1) * stride;
@@ -244,14 +222,12 @@ impl Runner {
     }
 
     /// Undo what the share in flight of unit `u` (node `node`) wrote after
-    /// its first `done` firings, and lift the poison off its out-tapes:
-    /// what those firings pushed can be delivered.
+    /// its first `done` firings: what those firings pushed can be
+    /// delivered.
     pub(crate) fn unwrite(&mut self, node: &Node, u: usize, done: u64) {
         let outs = self.units[u].adj.out_tapes();
         for (port, (&t, &at)) in outs.iter().zip(&self.written).enumerate() {
-            let tape = &mut self.tapes[t];
-            tape.unwrite_to(at + done as usize * node.push_rate(port));
-            tape.clear_poison();
+            self.tapes[t].unwrite_to(at + done as usize * node.push_rate(port));
         }
     }
 }

@@ -8,22 +8,22 @@
 //!
 //! It is the share runner (`runner.rs`) over every node of the
 //! graph, a share being a node's repetitions in one iteration, plus the
-//! slice loop, the configuration-swap carrier and its drain policy: a
-//! failure quarantines *this session only*, and quarantine is a taint
-//! drain, not an abort. The failed stage and everything data-dependent on
-//! it (descendants, plus any stage adjacent to a poisoned tape) stop
-//! firing, while independent branches finish the current steady
-//! iteration so every sink ends on a bit-exact clean prefix of the
-//! fault-free run. Co-resident sessions on the same shard share nothing
-//! but the immutable compiled artifacts, so they are unaffected by
+//! slice loop and the configuration-swap carrier. A failure quarantines
+//! *this session only*, and quarantine is a bounded finish, not an abort:
+//! the session completes the current iteration (the init phase, for a
+//! failure there) with every node capped at its bound in
+//! [`crate::committed_outcome`], so every sink ends on exactly the
+//! committed outcome — the clean run's output cut to the sink's bound, the
+//! same on every engine. Co-resident sessions on the same shard share
+//! nothing but the immutable compiled artifacts, so they are unaffected by
 //! construction — the tenant-isolation tests assert this bit-for-bit.
 //!
 //! One session is one timeline, so the ring faults `DelayPush` /
 //! `DropUnpark` are inert here, and without a watchdog `StallFiring` is
 //! pure latency rather than an escalation.
 
-use crate::fault::{FaultKind, FaultPlan};
-use crate::runner::{mark_reachable, Failed, Runner, Unit};
+use crate::fault::{committed_outcome, FaultKind, FaultPlan};
+use crate::runner::{Failed, Runner, Unit};
 use crate::supervisor::StageFailure;
 use macross_sdf::Schedule;
 use macross_streamir::analysis::analyze_vectorizability;
@@ -76,7 +76,7 @@ pub struct SessionCarrier {
 pub enum SessionStatus {
     /// Healthy; more iterations may be fed.
     Running,
-    /// A stage failed; the session drained its clean prefix and is
+    /// A stage failed; the session finished its committed outcome and is
     /// permanently quarantined ([`SessionEngine::failures`] says why).
     Faulted,
 }
@@ -93,7 +93,8 @@ pub struct SessionEngine {
     firings: u64,
     iters_done: u64,
     failures: Vec<StageFailure>,
-    tainted: Vec<bool>,
+    /// Each node's firing bound once a failure is recorded (empty before).
+    bounds: Vec<u64>,
     /// Init functions and the init schedule (or a carrier) are done.
     initialized: bool,
 }
@@ -142,7 +143,7 @@ impl SessionEngine {
             firings: 0,
             iters_done: 0,
             failures: Vec::new(),
-            tainted: vec![false; graph.node_count()],
+            bounds: Vec::new(),
             initialized: false,
             graph,
             schedule,
@@ -212,27 +213,20 @@ impl SessionEngine {
         }
     }
 
-    /// Record a failure, begin the taint drain.
+    /// Record a failure and bound every node's firings by the outcome.
     fn fail(&mut self, failure: StageFailure) {
-        let id = NodeId(failure.stage as u32);
         if self.failures.is_empty() {
-            self.run.trace.record(EventKind::DrainBegin, id.0, 0);
+            let id = failure.stage as u32;
+            self.run.trace.record(EventKind::DrainBegin, id, 0);
         }
         self.failures.push(failure);
-        self.taint_from(id);
-    }
-
-    /// Taint `id` and every node data-dependent on it (reachable through
-    /// out-edges): none of them may fire again, their inputs are
-    /// compromised.
-    fn taint_from(&mut self, id: NodeId) {
-        mark_reachable(&self.graph, &mut self.tainted, id, true);
+        self.bounds = committed_outcome(&self.graph, &self.schedule, &self.failures);
     }
 
     /// Fire up to `k` firings of `id` as one guarded share, cut before a
     /// planned fault (which then fires alone): how many fired, or `None`
     /// when one failed — the ones before it stand, the failure is
-    /// recorded and drained.
+    /// recorded.
     fn fire_guarded(&mut self, id: NodeId, k: u64) -> Option<u64> {
         let stage = id.0 as usize;
         let (k, fault) = self.run.cut(stage, k);
@@ -257,10 +251,8 @@ impl SessionEngine {
 
     /// One pass over a schedule phase (init or steady), each node's
     /// repetitions as one share — one firing at a time under a live trace
-    /// handle, whose spans are per firing — honouring the taint drain:
-    /// tainted stages are skipped, stages that would touch a poisoned tape
-    /// are tainted instead of fired, everything else runs to flush its
-    /// clean data.
+    /// handle, whose spans are per firing — and, once a failure is
+    /// recorded, each node capped at its bound.
     fn run_phase(&mut self, init: bool) {
         // Indexed, not through a cloned `Arc`: every session of a shape
         // shares the schedule, and a clone per iteration is two atomic
@@ -273,14 +265,12 @@ impl SessionEngine {
             } else {
                 self.schedule.reps[stage]
             };
-            while left > 0 && !self.tainted[stage] {
-                // During a drain, a stage touching a poisoned tape must not
-                // fire: taint it instead of letting it fail a second time.
-                if self.is_faulted() && self.run.poisoned(stage) {
-                    self.taint_from(id);
-                    break;
-                }
+            if let Some(&bound) = self.bounds.get(stage) {
+                left = left.min(bound.saturating_sub(self.run.units[stage].attempts));
+            }
+            while left > 0 {
                 let want = if self.run.trace.active() { 1 } else { left };
+                // A failed firing is its node's bound.
                 let Some(fired) = self.fire_guarded(id, want) else {
                     break;
                 };
@@ -292,10 +282,10 @@ impl SessionEngine {
     /// Run filter `init` functions and the init schedule (idempotent).
     pub fn run_init(&mut self) -> SessionStatus {
         if !std::mem::replace(&mut self.initialized, true) {
-            match self.run.run_init_fns(&self.graph, &self.machine) {
-                Ok(()) => self.run_phase(true),
-                Err(failure) => self.fail(failure),
+            for failure in self.run.run_init_fns(&self.graph, &self.machine) {
+                self.fail(failure);
             }
+            self.run_phase(true);
         }
         self.status()
     }
@@ -374,7 +364,9 @@ impl SessionEngine {
     /// filters' state and carried tokens preload the corresponding tapes,
     /// and skip the init schedule — its priming is exactly what the
     /// carrier holds. Firings, iterations, the sinks' uncollected output
-    /// and the host carry over; the fault plan starts over.
+    /// and the host carry over, and each node's firing index continues
+    /// where the new configuration run from the session's start would be,
+    /// so fault addresses and the committed outcome count from there.
     ///
     /// # Errors
     /// Leaves the session as it was when the carrier cannot be exported
@@ -401,9 +393,9 @@ impl SessionEngine {
                 s.sink_ids.len()
             ));
         }
-        s.run
-            .run_init_fns(&s.graph, &s.machine)
-            .map_err(|f| format!("init function faulted while resuming: {f}"))?;
+        if let Some(f) = s.run.run_init_fns(&s.graph, &s.machine).first() {
+            return Err(format!("init function faulted while resuming: {f}"));
+        }
         for (name, vals) in &carrier.states {
             let filters = s
                 .graph
@@ -430,6 +422,9 @@ impl SessionEngine {
         }
         s.initialized = true;
         (s.firings, s.iters_done) = (self.firings, self.iters_done);
+        for (u, unit) in s.run.units.iter_mut().enumerate() {
+            unit.attempts = s.schedule.init_reps[u] + s.iters_done * s.schedule.reps[u];
+        }
         s.run.trace = std::mem::replace(&mut self.run.trace, WorkerTrace::disabled());
         for (new, old) in s.sink_ids.iter().zip(&self.sink_ids) {
             s.run.outputs[new.0 as usize] = std::mem::take(&mut self.run.outputs[old.0 as usize]);
@@ -554,12 +549,10 @@ mod tests {
                 break;
             }
             for &id in &schedule.order {
-                for _ in 0..schedule.reps[id.0 as usize] {
-                    if s.tainted[id.0 as usize] {
-                        break;
-                    }
-                    if s.is_faulted() && s.run.poisoned(id.0 as usize) {
-                        s.taint_from(id);
+                let stage = id.0 as usize;
+                for _ in 0..schedule.reps[stage] {
+                    let at = s.run.units[stage].attempts;
+                    if s.bounds.get(stage).is_some_and(|&bound| at >= bound) {
                         break;
                     }
                     if s.fire_guarded(id, 1).is_none() {
@@ -586,7 +579,7 @@ mod tests {
         (
             (s.failures.clone(), s.run.outputs.clone(), tapes),
             (s.firings, s.iters_done, s.run.counters),
-            (attempts, s.tainted.clone()),
+            (attempts, s.bounds.clone()),
         )
     }
 
@@ -600,15 +593,16 @@ mod tests {
             let f = &blocks.failures()[0];
             assert_eq!((f.stage, f.firing), (1, fail_at as u64));
             assert_eq!(f.cause.label(), "vm");
-            // What the block's earlier firings pushed stands on the tape
-            // (only the failed firing's input stays poisoned), and the
-            // sink has the whole iteration before.
-            assert_eq!(blocks.run.tapes[1].len(), fail_at as usize - 4);
-            assert_eq!(blocks.firings(), (1 + 4 + 4) + 1 + (fail_at as u64 - 4));
+            // What the block's earlier firings pushed stands, and the sink
+            // takes it: it fires to its bound, one firing per bomb firing
+            // that completed.
+            assert_eq!(blocks.run.tapes[1].len(), 0);
+            let bomb = fail_at as u64 - 4;
+            assert_eq!(blocks.firings(), (1 + 4 + 4) + 1 + 2 * bomb);
             let mut singles = build_wide(fail_at, FaultPlan::none());
             steady_one_at_a_time(&mut singles, 5);
             assert_eq!(leftovers(&blocks), leftovers(&singles), "bomb at {fail_at}");
-            let expect: Vec<Value> = (0..4).map(|x| Value::I32(x * 5)).collect();
+            let expect: Vec<Value> = (0..fail_at).map(|x| Value::I32(x * 5)).collect();
             assert_eq!(take_outputs(&mut blocks)[0], expect);
         }
     }
@@ -639,7 +633,7 @@ mod tests {
                 if fatal {
                     let f = &blocks.failures()[0];
                     assert_eq!((f.stage, f.firing), (1, firing), "{kind:?}");
-                    assert_eq!(blocks.run.tapes[1].len() as u64, firing - 4, "{kind:?}");
+                    assert_eq!(blocks.run.outputs[2].len() as u64, firing, "{kind:?}");
                 } else {
                     assert_eq!(blocks.run.outputs[2].len(), 12, "{kind:?}");
                 }
@@ -692,7 +686,7 @@ mod tests {
         assert_eq!(f.stage, 1);
         assert_eq!(f.firing, 6);
         assert_eq!(f.cause.label(), "panic");
-        // Clean prefix: exactly the 6 completed firings' outputs.
+        // The committed outcome: exactly the 6 completed firings' outputs.
         let outs = take_outputs(&mut s);
         let expect: Vec<Value> = (0..6).map(|x| Value::I32(x * 5)).collect();
         assert_eq!(outs[0], expect);

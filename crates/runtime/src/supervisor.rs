@@ -1,19 +1,17 @@
 //! Worker supervision: typed stage failures, the interrupt that turns a
-//! failure into a coordinated drain, and the watchdog that escalates
-//! stuck stages.
+//! failure into a drain, and the watchdog that escalates stuck stages.
 //!
-//! The protocol: the first failure (a `VmError`, a caught panic, or a
-//! watchdog escalation) is recorded and raises the shared interrupt
-//! flag. Every blocking wait in the runtime (ring pushes/pops, the start
-//! gate) polls that flag, so no worker can stay blocked past the park
-//! timeout. On observing the interrupt, each worker switches from the
-//! steady schedule to a *drain*: stages that can still make progress
-//! without the failed stages finish whatever is buffered (bounding their
-//! firings by what the full run would have executed), everything
-//! upstream of a failure parks, and the worker returns its partial
-//! output. The coordinator then assembles a [`crate::RuntimeReport`]
-//! whose `failures` list tells the caller exactly which stage failed, at
-//! which firing, under which engine.
+//! The protocol: every failure (a `VmError`, a caught panic, or a
+//! watchdog escalation) is recorded, raises the shared interrupt flag and
+//! flags itself unread to every worker. Every blocking wait in the
+//! runtime (ring pushes/pops, the start gate) polls one of those flags,
+//! so no worker stays blocked past the park timeout. On observing its
+//! flag, a worker reads the failures, lowers the flag, and fires each of
+//! its nodes to the bound [`crate::committed_outcome`] gives — blocking
+//! only for tokens that bound guarantees will arrive, starting over when
+//! another failure lowers the bounds. The coordinator then assembles a
+//! [`crate::RuntimeReport`] whose `failures` list tells the caller
+//! exactly which stage failed, at which firing, under which engine.
 
 use macross_telemetry::clock;
 use macross_vm::{ExecMode, VmError};
@@ -63,6 +61,9 @@ pub struct StageFailure {
     pub core: u32,
     /// 0-based firing index at which it failed (init + steady).
     pub firing: u64,
+    /// True when the stage's `init` function failed, before any firing:
+    /// the failure then belongs to the init phase whatever `firing` says.
+    pub init_fn: bool,
     /// Engine the worker was firing with.
     pub mode: ExecMode,
     /// Why.
@@ -71,9 +72,10 @@ pub struct StageFailure {
 
 impl fmt::Display for StageFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let init = if self.init_fn { " (init function)" } else { "" };
         write!(
             f,
-            "stage {} ({}) on core {} failed at firing {} [{:?}]: ",
+            "stage {} ({}) on core {} failed at firing {}{init} [{:?}]: ",
             self.stage, self.name, self.core, self.firing, self.mode
         )?;
         match &self.cause {
@@ -170,11 +172,13 @@ impl Heartbeat {
 }
 
 /// Shared supervision state for one run: the failure list, the interrupt
-/// flag that triggers draining, and the per-worker heartbeats.
+/// flag that triggers draining, each worker's unread-failure flag, and
+/// the per-worker heartbeats.
 pub(crate) struct Supervisor {
     interrupt: AtomicBool,
     done: AtomicBool,
     failures: Mutex<Vec<StageFailure>>,
+    unread: Vec<AtomicBool>,
     heartbeats: Vec<Heartbeat>,
 }
 
@@ -184,6 +188,7 @@ impl Supervisor {
             interrupt: AtomicBool::new(false),
             done: AtomicBool::new(false),
             failures: Mutex::new(Vec::new()),
+            unread: (0..workers).map(|_| AtomicBool::new(false)).collect(),
             heartbeats: (0..workers).map(|_| Heartbeat::default()).collect(),
         }
     }
@@ -198,20 +203,38 @@ impl Supervisor {
         self.interrupt.load(Ordering::Relaxed)
     }
 
-    /// Record a failure and raise the interrupt.
+    /// Record a failure, flag it unread to every worker and raise the
+    /// interrupt.
     pub(crate) fn raise(&self, failure: StageFailure) {
         self.failures.lock().unwrap().push(failure);
+        self.unread
+            .iter()
+            .for_each(|f| f.store(true, Ordering::Release));
         self.interrupt.store(true, Ordering::Release);
     }
 
-    /// Node ids of every failed stage so far.
-    pub(crate) fn failed_stages(&self) -> Vec<usize> {
-        self.failures
-            .lock()
-            .unwrap()
+    /// The flag worker `slot`'s waits poll: raised by every failure,
+    /// lowered by [`Supervisor::read_failures`].
+    pub(crate) fn unread_flag(&self, slot: usize) -> &AtomicBool {
+        &self.unread[slot]
+    }
+
+    /// Every failure so far, read by worker `slot`. Its flag is lowered
+    /// before the list is read, so a failure the read misses raises it
+    /// again.
+    pub(crate) fn read_failures(&self, slot: usize) -> Vec<StageFailure> {
+        self.unread[slot].store(false, Ordering::Release);
+        self.failures.lock().unwrap().clone()
+    }
+
+    /// True when the watchdog condemned firing `firing` of `stage`.
+    pub(crate) fn condemned(&self, stage: usize, firing: u64) -> bool {
+        let failures = self.failures.lock().unwrap();
+        let watchdog = |f: &&StageFailure| matches!(f.cause, FailureCause::Watchdog { .. });
+        failures
             .iter()
-            .map(|f| f.stage)
-            .collect()
+            .filter(watchdog)
+            .any(|f| (f.stage, f.firing) == (stage, firing))
     }
 
     pub(crate) fn heartbeat(&self, worker: usize) -> &Heartbeat {
@@ -269,6 +292,7 @@ impl Supervisor {
                     name: stage_names.get(stage).cloned().unwrap_or_default(),
                     core: worker_cores[w],
                     firing,
+                    init_fn: false,
                     mode: opts.mode,
                     cause: FailureCause::Watchdog { waited_nanos },
                 });

@@ -20,12 +20,13 @@
 //! top-up that sizes a share to the input at hand, the heartbeat the
 //! watchdog samples, the ring faults (`DelayPush`, `DropUnpark`) and the
 //! cooperative stall. A failure becomes a typed [`StageFailure`] raised
-//! through the [`Supervisor`], and on the first one the run switches to a
-//! coordinated drain (see [`Worker::drain`]).
+//! through the [`Supervisor`]; from then on the worker fires each of its
+//! plans to exactly its bound in [`crate::committed_outcome`] (see
+//! [`Worker::drain`]).
 
-use crate::fault::FaultKind;
+use crate::fault::{committed_outcome, edge_reads, FaultKind};
 use crate::ring::Ring;
-use crate::runner::{mark_reachable, Failed, Runner, Unit};
+use crate::runner::{Failed, Runner, Unit};
 use crate::supervisor::{Supervisor, SupervisorOptions};
 use crate::{EdgeRings, Placement, Stage, StartGate, Wiring, ITER_BLOCK};
 use macross_sdf::Schedule;
@@ -35,12 +36,12 @@ use macross_telemetry::{clock, EventKind, WorkerTrace};
 use macross_vm::firing::{FilterState, FirePlan};
 use macross_vm::machine::{CycleCounters, Machine};
 use macross_vm::tape::Tape;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The supervisor interrupt was observed: stop the scheduled phase and
-/// switch to draining (or return, when already draining).
+/// A failure was raised since this worker last read the failures: stop
+/// firing and (re)draw the bounds.
 struct Stop;
 
 /// What a worker hands back to the coordinator. Failures travel through
@@ -163,6 +164,9 @@ struct Push {
     ring_block: usize,
     /// Total tokens shipped on this edge — the rotation cursor.
     shipped: usize,
+    /// Where `shipped` may go: the tokens the consumer's bound reads
+    /// (after a failure; unbounded before). Tokens past it are dropped.
+    cap: usize,
 }
 
 impl Push {
@@ -191,19 +195,6 @@ impl Push {
     }
 }
 
-/// One same-core in-edge, tracked so the post-failure drain can check
-/// token sufficiency without firing (the scheduled phase needs no such
-/// check: the schedule guarantees availability).
-struct LocalIn {
-    edge: usize,
-    /// Physical tokens one firing must be able to address.
-    need: usize,
-    /// Consumer-side reorder block (1 if plain). The drain has no block
-    /// cursor for local tapes, so sufficiency is `need + block - 1` —
-    /// conservative by at most one block.
-    block: usize,
-}
-
 /// Per-node firing plan for one core; the node itself, its tapes and its
 /// firing cursor are the runner's unit of the same index.
 struct NodePlan {
@@ -211,19 +202,17 @@ struct NodePlan {
     init_reps: u64,
     pulls: Vec<Pull>,
     pushes: Vec<Push>,
-    local_ins: Vec<LocalIn>,
-    /// Firings completed (output committed).
-    completed: u64,
-    /// Total firings a full run would execute; the drain never exceeds it
-    /// (keeps branch sources from running away from a failed sibling).
-    scheduled: u64,
     /// Steps the node runs behind the sources ([`crate::stage_lags`]):
     /// it fires steady block `b` at step `b + lag`.
     lag: u64,
+    /// The node's firing bound once a failure was raised (global firings;
+    /// unbounded before).
+    bound: u64,
 }
 
 pub(crate) struct Worker<'g> {
     graph: &'g Graph,
+    schedule: &'g Schedule,
     machine: &'g Machine,
     /// This core's share runner: unit `p` is plan `p`.
     run: Runner,
@@ -233,6 +222,8 @@ pub(crate) struct Worker<'g> {
     sup: &'g Supervisor,
     /// Index into the supervisor's heartbeat table.
     slot: usize,
+    /// This worker's unread-failure flag: what its waits poll.
+    abort: &'g AtomicBool,
 }
 
 impl<'g> Worker<'g> {
@@ -338,7 +329,7 @@ impl<'g> Worker<'g> {
             // Each node is planned once per core: its fire plan moves
             // into the unit.
             let adj = std::mem::take(&mut fire[id.0 as usize]);
-            let (mut pulls, mut local_ins) = (Vec::new(), Vec::new());
+            let mut pulls = Vec::new();
             for &edge in adj.in_tapes() {
                 let eid = EdgeId(edge as u32);
                 let e = graph.edge(eid);
@@ -354,7 +345,6 @@ impl<'g> Worker<'g> {
                 let Some((rings, ring_block)) =
                     ring_set(eid, graph.node(e.src).push_rate(e.src_port))
                 else {
-                    local_ins.push(LocalIn { edge, need, block });
                     continue;
                 };
                 rings.iter().for_each(|ring| ring.register_consumer());
@@ -384,25 +374,18 @@ impl<'g> Worker<'g> {
                     rings,
                     ring_block,
                     shipped: 0,
+                    cap: usize::MAX,
                 });
             }
-            let reps = schedule.reps[id.0 as usize];
-            let init_reps = schedule.init_reps[id.0 as usize];
+            let i = id.0 as usize;
+            let (reps, init_reps) = (schedule.reps[i], schedule.init_reps[i]);
             // Replicas start their firing clock at their offset and own
             // every stride-th firing; init firings exist only for whole
             // nodes (validate rejects fission with init_reps > 0).
-            let (attempts, scheduled) = if stride > 1 {
-                (
-                    offset,
-                    (iters * reps).saturating_sub(offset).div_ceil(stride),
-                )
-            } else {
-                (0, init_reps + iters * reps)
-            };
             units.push(Unit {
                 id,
                 adj,
-                attempts,
+                attempts: offset,
                 stride,
             });
             plans.push(NodePlan {
@@ -410,21 +393,21 @@ impl<'g> Worker<'g> {
                 init_reps,
                 pulls,
                 pushes,
-                local_ins,
-                completed: 0,
-                scheduled,
-                lag: lags[id.0 as usize],
+                lag: lags[i],
+                bound: u64::MAX,
             });
         }
         let faults = opts.plan.clone();
         let mut run = Runner::new(units, tapes, states, faults, trace, core, opts.mode);
         for (unit, plan) in run.units.iter().zip(&plans) {
             if matches!(graph.node(unit.id), Node::Sink) {
-                run.outputs[unit.id.0 as usize].reserve(plan.scheduled as usize);
+                let firings = plan.init_reps + iters * plan.reps;
+                run.outputs[unit.id.0 as usize].reserve(firings as usize);
             }
         }
         Worker {
             graph,
+            schedule,
             machine,
             run,
             plans,
@@ -432,71 +415,68 @@ impl<'g> Worker<'g> {
             opts,
             sup,
             slot,
+            abort: sup.unread_flag(slot),
         }
     }
 
     /// Run this core: filter init functions, the init schedule, the start
     /// gate, then `iters` timed steady iterations in blocks of
-    /// [`ITER_BLOCK`], each node `lag` blocks behind the sources. Always
-    /// returns (the possibly partial) output — failures travel through
-    /// the supervisor.
+    /// [`ITER_BLOCK`], each node `lag` blocks behind the sources — or,
+    /// once a failure is raised, [`Worker::drain`]. Always returns (the
+    /// possibly partial) output; failures travel through the supervisor.
     pub(crate) fn run(mut self, iters: u64, gate: &StartGate) -> WorkerOut {
         for unit in self.run.units.iter().filter(|u| u.stride > 1) {
             self.run
                 .trace
                 .record(EventKind::FissionReplica, unit.id.0, unit.stride);
         }
-        if let Err(failure) = self.run.run_init_fns(self.graph, self.machine) {
-            self.sup.raise(failure);
-            return self.into_out(0);
-        }
-        // Init schedule (primes peek slack), in global-order restriction:
-        // a plan's init firings are its share of block 0.
-        for p in 0..self.plans.len() {
-            if self.run_share(p, 0).is_err() {
-                self.drain();
-                return self.into_out(0);
+        let failures = self.run.run_init_fns(self.graph, self.machine);
+        let clean = failures.is_empty();
+        failures.into_iter().for_each(|f| self.sup.raise(f));
+        // Don't let fast cores start the clock while others still prime.
+        let mut steady_nanos = 0;
+        if clean && self.init_phase().is_ok() && gate.wait(self.sup.interrupt_flag()).is_ok() {
+            self.run.counters = CycleCounters::default();
+            let t0 = Instant::now();
+            let steady = self.steady(iters);
+            steady_nanos = t0.elapsed().as_nanos() as u64;
+            if steady.is_ok() {
+                return self.into_out(steady_nanos);
             }
         }
-        // Don't let fast cores start the clock while others still prime.
-        if gate.wait(self.sup.interrupt_flag()).is_err() {
-            self.drain();
-            return self.into_out(0);
-        }
-        self.run.counters = CycleCounters::default();
-        let t0 = Instant::now();
-        let mut stopped = false;
-        // Node-major over blocks of `ITER_BLOCK` iterations, skewed: at
-        // step `s` each plan fires its whole share of block `s - lag`
-        // before the next plan starts. A node on this core that consumes
-        // what another core produced works on the block that core
-        // finished a step earlier, so a dependency that leaves this core
-        // and comes back — source here, filter there, sink here — is not
-        // waited for at all once the pipeline is full, instead of once
-        // per block. A block is the steady schedule with every repetition
-        // count scaled, and a node's blocks still come in order, so firing
-        // order per node, deal/merge rotation and fault addresses are
-        // those of the iteration-major loop.
+        self.drain(iters);
+        self.into_out(steady_nanos)
+    }
+
+    /// The init schedule (primes peek slack), in global-order restriction:
+    /// a plan's init firings are its share of block 0.
+    fn init_phase(&mut self) -> Result<(), Stop> {
+        (0..self.plans.len()).try_for_each(|p| self.run_share(p, 0))
+    }
+
+    /// Node-major over blocks of `ITER_BLOCK` iterations, skewed: at step
+    /// `s` each plan fires its whole share of block `s - lag` before the
+    /// next plan starts. A node on this core that consumes what another
+    /// core produced works on the block that core finished a step
+    /// earlier, so a dependency that leaves this core and comes back —
+    /// source here, filter there, sink here — is not waited for at all
+    /// once the pipeline is full, instead of once per block. A block is
+    /// the steady schedule with every repetition count scaled, and a
+    /// node's blocks still come in order, so firing order per node,
+    /// deal/merge rotation and fault addresses are those of the
+    /// iteration-major loop.
+    fn steady(&mut self, iters: u64) -> Result<(), Stop> {
         let nblocks = iters.div_ceil(ITER_BLOCK);
         let max_lag = self.plans.iter().map(|p| p.lag).max().unwrap_or(0);
-        'steady: for step in 0..nblocks + max_lag {
+        for step in 0..nblocks + max_lag {
             for p in 0..self.plans.len() {
-                let Some(b) = step.checked_sub(self.plans[p].lag) else {
-                    continue;
-                };
                 // Past its last block, `run_share` finds the share done.
-                let t = ((b + 1) * ITER_BLOCK).min(iters);
-                if self.run_share(p, t).is_err() {
-                    stopped = true;
-                    break 'steady;
+                if let Some(b) = step.checked_sub(self.plans[p].lag) {
+                    self.run_share(p, ((b + 1) * ITER_BLOCK).min(iters))?;
                 }
             }
         }
-        let steady_nanos = t0.elapsed().as_nanos() as u64;
-        if stopped || self.sup.draining() {
-            self.drain();
-        }
-        self.into_out(steady_nanos)
+        Ok(())
     }
 
     fn into_out(self, steady_nanos: u64) -> WorkerOut {
@@ -510,11 +490,11 @@ impl<'g> Worker<'g> {
 
     /// Sleep `nanos` in supervisor-aware slices, so an injected stall (or
     /// push delay) can outlive a watchdog timeout without outliving the
-    /// run. Returns `Err(Stop)` if the run started draining meanwhile.
+    /// run. Returns `Err(Stop)` if a failure was raised meanwhile.
     fn cooperative_stall(&self, nanos: u64) -> Result<(), Stop> {
         let until = clock::now_ns() + nanos;
         while clock::now_ns() < until {
-            if self.sup.draining() {
+            if self.abort.load(Ordering::Relaxed) {
                 return Err(Stop);
             }
             std::thread::sleep(std::time::Duration::from_micros(50));
@@ -523,20 +503,21 @@ impl<'g> Worker<'g> {
     }
 
     /// Plan `p`'s share of a block: fire it up to the end of steady
-    /// iteration `t` (`t = 0`: its init firings) — for a replica, its
-    /// stride of the global firings up to there — in as few envelopes as
-    /// the runner's fault cut and the input on this core allow. A watchdog
-    /// (its timeout is per firing) and a live trace handle (its spans
-    /// are) see each firing in an envelope of its own.
+    /// iteration `t` (`t = 0`: its init firings), or to its bound if that
+    /// comes first — for a replica, its stride of the global firings up to
+    /// there — in as few envelopes as the runner's fault cut and the input
+    /// on this core allow. A watchdog (its timeout is per firing) and a
+    /// live trace handle (its spans are) see each firing in an envelope of
+    /// its own.
     fn run_share(&mut self, p: usize, t: u64) -> Result<(), Stop> {
         let alone = self.opts.wants_watchdog() || self.run.trace.active();
         loop {
             let (plan, unit) = (&self.plans[p], &self.run.units[p]);
-            let end = plan.init_reps + t * plan.reps;
+            let end = (plan.init_reps + t * plan.reps).min(plan.bound);
             if unit.attempts >= end {
                 return Ok(());
             }
-            if self.sup.draining() {
+            if self.abort.load(Ordering::Relaxed) {
                 return Err(Stop);
             }
             let left = (end - unit.attempts).div_ceil(unit.stride);
@@ -584,11 +565,9 @@ impl<'g> Worker<'g> {
         let fired = self.run.fire_share(self.graph, self.machine, p, k, fault);
         hb.end();
         if let Err(Failed { done, failure }) = fired {
-            // The firings before the failed one stand: their output goes
-            // out before the failure stops the run (the drain parks this
-            // stage).
+            // The firings before the failed one stand; the drain flushes
+            // what the consumers' bounds read of their output.
             self.commit(p, done, batched);
-            let _ = self.flush_outputs(p);
             self.sup.raise(failure);
             return Err(Stop);
         }
@@ -598,7 +577,7 @@ impl<'g> Worker<'g> {
         // finished cleanly.
         if self.opts.wants_watchdog()
             && self.sup.draining()
-            && self.sup.failed_stages().contains(&(id.0 as usize))
+            && self.sup.condemned(id.0 as usize, first)
         {
             self.run.trace.record(EventKind::WatchdogFire, id.0, first);
             self.run.unwrite(self.graph.node(id), p, 0);
@@ -616,9 +595,7 @@ impl<'g> Worker<'g> {
     /// Count `k` firings of plan `p` completed: their output stands and
     /// their input is consumed.
     fn commit(&mut self, p: usize, k: u64, batched: bool) {
-        let plan = &mut self.plans[p];
-        plan.completed += k;
-        for pull in &mut plan.pulls {
+        for pull in &mut self.plans[p].pulls {
             pull.consumed += k as usize * pull.pop;
         }
         let stage = &self.stages[self.run.units[p].id.0 as usize];
@@ -649,7 +626,7 @@ impl<'g> Worker<'g> {
     /// Pull from each cut in-edge until the local tape half holds every
     /// physical token the next firing can address.
     fn ensure_inputs(&mut self, p: usize) -> Result<(), Stop> {
-        let abort = self.sup.interrupt_flag();
+        let abort = self.abort;
         let ring_in = &self.stages[self.run.units[p].id.0 as usize].ring_in;
         let trace = &self.run.trace;
         for pull in &mut self.plans[p].pulls {
@@ -693,10 +670,12 @@ impl<'g> Worker<'g> {
         Ok(())
     }
 
-    /// Drain every committed element of each cut out-edge's local tape
-    /// half into its ring, in physical order.
+    /// Ship the committed elements of each cut out-edge's local tape half
+    /// into its ring, in physical order, up to the edge's cap; what lies
+    /// past the cap is dropped. What a ring did not take when a failure
+    /// was raised stays on the tape, in order, for the drain.
     fn flush_outputs(&mut self, p: usize) -> Result<(), Stop> {
-        let abort = self.sup.interrupt_flag();
+        let abort = self.abort;
         let ring_out = &self.stages[self.run.units[p].id.0 as usize].ring_out;
         let trace = &self.run.trace;
         for push in &mut self.plans[p].pushes {
@@ -705,145 +684,67 @@ impl<'g> Worker<'g> {
             if n == 0 {
                 continue;
             }
-            let (a, b) = tape.vpop_slices(n);
-            for span in [a, b] {
-                let sent = push.ship(span, |ring, chunk| {
-                    match ring.push_batch_traced(chunk, abort, trace) {
-                        Ok(()) => chunk.len(),
-                        Err(_) => 0,
-                    }
-                });
-                if sent < span.len() {
-                    return Err(Stop);
-                }
+            let due = n.min(push.cap.saturating_sub(push.shipped));
+            let (a, b) = tape.vpeek_slices(0, due);
+            let mut sent = push.ship(a, |ring, chunk| ring.push_batch_traced(chunk, abort, trace));
+            if sent == a.len() {
+                sent += push.ship(b, |ring, chunk| ring.push_batch_traced(chunk, abort, trace));
             }
-            ring_out.fetch_add(n as u64, Ordering::Relaxed);
+            tape.advance_read(if sent == due { n } else { sent });
+            ring_out.fetch_add(sent as u64, Ordering::Relaxed);
+            if sent < due {
+                return Err(Stop);
+            }
         }
         Ok(())
     }
 
-    /// Coordinated drain after a failure, the "degrade gracefully" half
-    /// of the supervision protocol:
+    /// Fire every plan to exactly its bound in [`committed_outcome`],
+    /// after the first failure this worker observed (a failed `init`
+    /// function, a failed firing, an interrupted wait):
     ///
-    /// - stages with a path to any failed stage (including the failed
-    ///   stages themselves) stop — anything they produced would never be
-    ///   consumed past the failure point;
-    /// - every other local stage keeps firing, one firing at a time, as
-    ///   long as its inputs are already available (non-blocking ring
-    ///   pops, no waits), bounded by the firing count a full run would
-    ///   have executed;
-    /// - cut-edge flushes become non-blocking and keep the unflushed tail
-    ///   buffered locally, so no committed token is dropped while a full
-    ///   ring empties;
-    /// - the pass loop ends after two consecutive passes without
-    ///   progress (the second separated by a short sleep so in-flight
-    ///   tokens from other cores can land).
+    /// - read the failures raised so far and bound each plan, and cap each
+    ///   cut out-edge at what its consumer's bound reads;
+    /// - flush what an interrupted flush left on the tape halves, then run
+    ///   the init schedule and the skewed block loop again, every share
+    ///   capped at its bound: shares already fired are found done, the
+    ///   rest fire as they would have, planned faults included.
     ///
-    /// Termination is structural: every pass either completes a firing
-    /// (bounded by the schedule) or burns one of the two idle passes. A
-    /// second failure during the drain is recorded like the first, and
-    /// its stage fires no more.
-    fn drain(&mut self) {
-        let failed = self.sup.failed_stages();
-        self.run.trace.record(
-            EventKind::DrainBegin,
-            failed.first().map(|&s| s as u32).unwrap_or(0),
-            0,
-        );
-        let excluded = self.upstream_of(&failed);
-        let mut dead = vec![false; self.graph.node_count()];
-        let mut idle_passes = 0;
-        while idle_passes < 2 {
-            let mut fired = false;
-            for p in 0..self.plans.len() {
-                let stage = self.run.units[p].id.0 as usize;
-                if excluded[stage] || dead[stage] {
-                    continue;
-                }
-                // Committed output first: even if the stage never fires
-                // again, what it already produced must reach its ring.
-                self.flush_avail(p);
-                while self.plans[p].completed < self.plans[p].scheduled
-                    && self.drain_inputs_ready(p)
-                {
-                    match self.run.fire_share(self.graph, self.machine, p, 1, None) {
-                        Ok(()) => {
-                            self.commit(p, 1, false);
-                            self.flush_avail(p);
-                            fired = true;
-                        }
-                        Err(Failed { failure, .. }) => {
-                            self.sup.raise(failure);
-                            dead[stage] = true;
-                            break;
-                        }
-                    }
+    /// Waits block as they do in the steady loop, and only for tokens a
+    /// bound guarantees: a producer fires to its bound, which feeds every
+    /// firing of its consumer's, and ships exactly what that reads. The
+    /// capped order is a restriction of the sequential one the ring sizes
+    /// are proved against (`run_supervised_placed`), and a cap keeps every
+    /// ring at or below its occupancy there, so the drain cannot deadlock.
+    /// A failure raised meanwhile — bounds only ever fall — interrupts a
+    /// wait through this worker's flag, and the drain starts over with the
+    /// lower bounds; it ends when a pass completes.
+    fn drain(&mut self, iters: u64) {
+        loop {
+            let failures = self.sup.read_failures(self.slot);
+            let first = failures.first().map_or(0, |f| f.stage as u32);
+            self.run.trace.record(EventKind::DrainBegin, first, 0);
+            let bounds = committed_outcome(self.graph, self.schedule, &failures);
+            for (plan, unit) in self.plans.iter_mut().zip(&self.run.units) {
+                plan.bound = bounds[unit.id.0 as usize];
+                for push in &mut plan.pushes {
+                    let e = self.graph.edge(EdgeId(push.edge as u32));
+                    let reads = edge_reads(self.graph, e, bounds[e.dst.0 as usize]);
+                    // A replica's ring carries its own share of the global
+                    // firings whose output the reads reach.
+                    let (rate, k) = (self.graph.node(e.src).push_rate(e.src_port), unit.stride);
+                    let firings = reads.div_ceil(rate.max(1) as u64);
+                    let own = firings.saturating_sub(unit.attempts % k).div_ceil(k);
+                    push.cap = if k == 1 { reads } else { own * rate as u64 } as usize;
                 }
             }
-            if fired {
-                idle_passes = 0;
-            } else {
-                idle_passes += 1;
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
-        }
-    }
-
-    /// `excluded[n]` = node `n` can reach a failed stage (or is one):
-    /// its remaining output is undeliverable, so it parks instead of
-    /// firing into a dead subgraph.
-    fn upstream_of(&self, failed: &[usize]) -> Vec<bool> {
-        let n = self.graph.node_count();
-        let mut marked = vec![false; n];
-        for &f in failed.iter().filter(|&&f| f < n) {
-            mark_reachable(self.graph, &mut marked, NodeId(f as u32), false);
-        }
-        marked
-    }
-
-    /// True when every in-edge of plan `p` already holds enough tokens
-    /// for one firing (after topping up cut edges non-blocking) and none
-    /// of them is poisoned.
-    fn drain_inputs_ready(&mut self, p: usize) -> bool {
-        if self.run.poisoned(p) {
-            return false;
-        }
-        let ring_in = &self.stages[self.run.units[p].id.0 as usize].ring_in;
-        let plan = &mut self.plans[p];
-        for pull in &mut plan.pulls {
-            let (covered, got) = pull.fill(&mut self.run.tapes[pull.edge], 1);
-            if got > 0 {
-                ring_in.fetch_add(got as u64, Ordering::Relaxed);
-            }
-            if covered == 0 {
-                return false;
-            }
-        }
-        // No block cursor for local tapes: require a worst-case
-        // block-aligned window (conservative by < one block).
-        (plan.local_ins.iter()).all(|li| self.run.tapes[li.edge].len() >= li.need + li.block - 1)
-    }
-
-    /// Non-blocking cut-edge flush: push what fits, keep the tail local
-    /// (in order) for the next pass.
-    fn flush_avail(&mut self, p: usize) {
-        let ring_out = &self.stages[self.run.units[p].id.0 as usize].ring_out;
-        for push in &mut self.plans[p].pushes {
-            let tape = &mut self.run.tapes[push.edge];
-            let n = tape.len();
-            if n == 0 {
-                continue;
-            }
-            // Stop at the first ring that refuses tokens: what it did
-            // not take stays on the tape, in order.
-            let (a, b) = tape.vpeek_slices(0, n);
-            let mut off = push.ship(a, |ring, chunk| ring.push_avail(chunk));
-            if off == a.len() {
-                off += push.ship(b, |ring, chunk| ring.push_avail(chunk));
-            }
-            tape.advance_read(off);
-            if off > 0 {
-                ring_out.fetch_add(off as u64, Ordering::Relaxed);
+            let flushed = (0..self.plans.len()).try_for_each(|p| self.flush_outputs(p));
+            if flushed
+                .and_then(|()| self.init_phase())
+                .and_then(|()| self.steady(iters))
+                .is_ok()
+            {
+                return;
             }
         }
     }

@@ -1,7 +1,7 @@
 //! The first worker core runs on the thread that called the runtime. A
 //! failure on that core — a panic, a VM error, a watchdog escalation —
 //! must leave the calling thread fit for the next run: each faulty run
-//! reports its exact `StageFailure` and committed prefix, and the clean
+//! reports its exact `StageFailure` and committed outcome, and the clean
 //! run after it, on the same thread, is bit-exact. So is a run made from
 //! inside the caller's own `std::thread::scope`.
 //!
@@ -121,7 +121,7 @@ fn faults_on_the_calling_threads_core_leave_it_fit_for_the_next_run() {
         assert_eq!(run.report.stages[1].firings, firing, "{cause}");
         assert!(
             bits_eq(&run.output, &seq.output[..firing as usize]),
-            "{cause}: committed prefix"
+            "{cause}: committed outcome"
         );
         clean_run(&format!("after {cause}"));
     }

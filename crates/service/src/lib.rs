@@ -23,8 +23,10 @@
 //!    slice boundary, and a wake-up goes only to a shard that can act on
 //!    it. Each session runs on a
 //!    [`macross_runtime::SessionEngine`] — the supervised single-session
-//!    engine — so a faulting tenant is quarantined with its bit-exact
-//!    clean output prefix while co-resident tenants keep firing.
+//!    engine — so a faulting tenant is quarantined with exactly its
+//!    committed outcome (its clean output cut to each sink's bound,
+//!    [`macross_runtime::committed_outcome`]) while co-resident tenants
+//!    keep firing.
 //! 3. **Admission control**: a session cap at `submit`, a bounded input
 //!    queue per tenant at `feed`, and output-buffer backpressure that
 //!    defers a tenant's slices until it polls. Saturation returns the

@@ -55,7 +55,9 @@
 //! final outputs. `shutdown` does the same for every remaining tenant,
 //! then joins the shards and assembles the `SERVICE_*.json` report.
 //! A faulted tenant stops immediately: its pending work is discarded,
-//! its clean output prefix stays pollable, and its quarantine never
+//! its committed outcome (the clean output cut to each sink's bound,
+//! [`macross_runtime::committed_outcome`]) stays pollable, and its
+//! quarantine never
 //! blocks a co-resident tenant (the engine is per-session; only the
 //! compiled artifact is shared, and that is immutable).
 

@@ -19,7 +19,7 @@ pub enum TenantState {
     Active,
     /// `close` or shutdown is flushing its remaining pending work.
     Draining,
-    /// A fault quarantined it; the clean prefix is still pollable.
+    /// A fault quarantined it; its committed outcome is still pollable.
     Faulted,
     /// Fully drained and retired.
     Closed,

@@ -7,10 +7,18 @@
 //! `SessionEngine`, a dynamic one against `oracle_replay` of the script
 //! it received, boundaries at the requested count. Every refusal is a
 //! typed `Overloaded`, and the cache compiles each distinct shape once.
+//!
+//! With `--features fault-inject`, one static session in four carries a
+//! random single fault. One that fires quarantines its session, whose
+//! outputs must then be its solo clean run cut to `committed_outcome`,
+//! while every co-resident session stays bit-equal to its solo run.
 
 use macross::{compile_graph, SimdizeOptions};
 use macross_pdf::{oracle_replay, ParamGraph, ParamTrace};
-use macross_runtime::{FaultPlan, SessionEngine};
+use macross_runtime::{
+    committed_outcome, FailureCause, FaultKind, FaultPlan, SessionEngine, StageFailure,
+    FAULTS_COMPILED,
+};
 use macross_service::{ServiceConfig, ServiceError, StreamService};
 use macross_streamir::builder::StreamSpec;
 use macross_streamir::edsl::*;
@@ -83,8 +91,9 @@ fn decim_template() -> Arc<ParamGraph> {
 
 /// What a session was fed, in the form its reference replays.
 enum Script {
-    /// The multiplier of its shape, and the iterations fed.
-    Static(i32, u64),
+    /// The multiplier of its shape, the iterations fed, and the fault its
+    /// plan injects, if any: `(stage, firing)` of a panic.
+    Static(i32, u64, Option<(usize, u64)>),
     /// Parameter changes and iterations, segment by segment.
     Dynamic(ParamTrace),
 }
@@ -95,13 +104,14 @@ struct Live {
     got: Vec<Vec<Value>>,
 }
 
-/// A solo run of what `live` was fed.
-fn reference(live: &Live, template: &ParamGraph) -> Vec<Vec<Value>> {
+/// A solo run of what `live` was fed — clean, and cut to the committed
+/// outcome of its fault if the run reached it — and whether it faulted.
+fn reference(live: &Live, template: &ParamGraph) -> (Vec<Vec<Value>>, bool) {
     let machine = Machine::core_i7();
     let (opts, mode) = (SimdizeOptions::all(), ExecMode::default());
     match &live.script {
-        Script::Static(mul, iters) => {
-            let art = compile_graph(&counter(*mul), &machine, &opts, mode).unwrap();
+        &Script::Static(mul, iters, fault) => {
+            let art = compile_graph(&counter(mul), &machine, &opts, mode).unwrap();
             let mut engine = SessionEngine::new(
                 art.graph.clone(),
                 art.schedule.clone(),
@@ -110,14 +120,34 @@ fn reference(live: &Live, template: &ParamGraph) -> Vec<Vec<Value>> {
                 FaultPlan::none(),
                 0,
             );
-            engine.run_steady(*iters);
+            engine.run_steady(iters);
             let mut rows = vec![Vec::new(); engine.sink_ids().len()];
             engine.drain_outputs_into(&mut rows);
-            rows
+            let (graph, schedule) = (&art.graph, &art.schedule);
+            let reached = fault.filter(|&(stage, firing)| {
+                firing < schedule.init_reps[stage] + iters * schedule.reps[stage]
+            });
+            if let Some((stage, firing)) = reached {
+                let failure = StageFailure {
+                    stage,
+                    name: String::new(),
+                    core: 0,
+                    firing,
+                    init_fn: false,
+                    mode,
+                    cause: FailureCause::Panic(String::new()),
+                };
+                let bounds = committed_outcome(graph, schedule, &[failure]);
+                for (row, sink) in rows.iter_mut().zip(engine.sink_ids()) {
+                    row.truncate(bounds[sink.0 as usize] as usize);
+                }
+            }
+            (rows, reached.is_some())
         }
         Script::Dynamic(trace) => {
             let init = Valuation::of("decim", 1);
-            oracle_replay(template, &init, trace, &machine, &opts, mode).unwrap()
+            let rows = oracle_replay(template, &init, trace, &machine, &opts, mode).unwrap();
+            (rows, false)
         }
     }
 }
@@ -129,10 +159,12 @@ fn append(got: &mut Vec<Vec<Value>>, rows: Vec<Vec<Value>>) {
     }
 }
 
-/// Close-time check: `rows` are the outputs `close` returned.
-fn check(mut live: Live, rows: Vec<Vec<Value>>, template: &ParamGraph, ctx: &str) {
+/// Close-time check: `rows` are the outputs `close` returned, `faulted`
+/// whether it reported the session quarantined.
+fn check(mut live: Live, rows: Vec<Vec<Value>>, faulted: bool, template: &ParamGraph, ctx: &str) {
     append(&mut live.got, rows);
-    let want = reference(&live, template);
+    let (want, fault) = reference(&live, template);
+    assert_eq!(faulted, fault, "{ctx}: quarantine");
     assert_eq!(live.got.len(), want.len(), "{ctx}: sink count");
     for (s, (g, w)) in live.got.iter().zip(&want).enumerate() {
         assert_eq!(g.len(), w.len(), "{ctx}: sink {s} output count");
@@ -155,7 +187,7 @@ fn run(seed: u64) {
     let mut rng = XorShift(seed);
     let mut live: Vec<Live> = Vec::new();
     let mut shapes = HashSet::new();
-    let (mut refusals, mut closed) = (0, 0);
+    let (mut refusals, mut closed, mut quarantined) = (0, 0, 0);
     for op in 0..OPS {
         let pick = |rng: &mut XorShift, n: usize| rng.below(n as u64) as usize;
         match rng.below(100) {
@@ -163,10 +195,28 @@ fn run(seed: u64) {
                 let dynamic = rng.below(3) == 0;
                 let mul = 1 + rng.below(3) as i32;
                 let init = Valuation::of("decim", 1);
+                // A static session's fault: a panic at one of the first
+                // dozen firings of a node of its compiled graph (the
+                // service compiles the same shape the same way).
+                let fault = (FAULTS_COMPILED && !dynamic && rng.below(4) == 0).then(|| {
+                    let nodes = compile_graph(
+                        &counter(mul),
+                        &Machine::core_i7(),
+                        &SimdizeOptions::all(),
+                        ExecMode::default(),
+                    )
+                    .unwrap()
+                    .graph
+                    .node_count();
+                    (pick(&mut rng, nodes), rng.below(12))
+                });
+                let plan = fault.map_or(FaultPlan::none(), |(stage, firing)| {
+                    FaultPlan::single(stage, firing, FaultKind::Panic)
+                });
                 let admitted = if dynamic {
-                    service.submit_dynamic("dyn", &template, &init, FaultPlan::none())
+                    service.submit_dynamic("dyn", &template, &init, plan)
                 } else {
-                    service.submit("static", &counter(mul), FaultPlan::none())
+                    service.submit("static", &counter(mul), plan)
                 };
                 match admitted {
                     Ok(id) => {
@@ -174,7 +224,7 @@ fn run(seed: u64) {
                             let graph = template.instantiate(&init).unwrap();
                             (graph, Script::Dynamic(ParamTrace::new("script")))
                         } else {
-                            (counter(mul), Script::Static(mul, 0))
+                            (counter(mul), Script::Static(mul, 0, fault))
                         };
                         shapes.insert(structural_hash(&shape));
                         live.push(Live {
@@ -195,7 +245,7 @@ fn run(seed: u64) {
                 let iters = 1 + rng.below(4);
                 service.feed(live[i].id, iters).unwrap();
                 match &mut live[i].script {
-                    Script::Static(_, fed) => *fed += iters,
+                    Script::Static(_, fed, _) => *fed += iters,
                     Script::Dynamic(trace) => trace.steps.push(step(&[], iters)),
                 }
             }
@@ -225,10 +275,11 @@ fn run(seed: u64) {
             85.. if !live.is_empty() => {
                 let l = live.swap_remove(pick(&mut rng, live.len()));
                 let report = service.close(l.id).unwrap();
-                assert!(!report.faulted, "{:?}", report.failures);
+                quarantined += usize::from(report.faulted);
                 check(
                     l,
                     report.outputs,
+                    report.faulted,
                     &template,
                     &format!("seed {seed:#x} op {op}"),
                 );
@@ -239,9 +290,11 @@ fn run(seed: u64) {
     }
     for l in live {
         let report = service.close(l.id).unwrap();
+        quarantined += usize::from(report.faulted);
         check(
             l,
             report.outputs,
+            report.faulted,
             &template,
             &format!("seed {seed:#x} at the end"),
         );
@@ -249,6 +302,16 @@ fn run(seed: u64) {
     }
     assert!(refusals > 0, "seed {seed:#x}: the cap never refused");
     assert!(closed > CAP, "seed {seed:#x}: too few sessions checked");
+    let faults = if FAULTS_COMPILED {
+        "a fault"
+    } else {
+        "no fault"
+    };
+    assert_eq!(
+        quarantined > 0,
+        FAULTS_COMPILED,
+        "seed {seed:#x}: {faults} must quarantine"
+    );
     let stats = service.cache_stats();
     assert_eq!(stats.compilations, shapes.len() as u64, "seed {seed:#x}");
     let sr = service.shutdown("interleavings");

@@ -1,26 +1,29 @@
-//! Tenant isolation: a faulting session is quarantined and drained to
-//! its bit-exact clean prefix while co-resident sessions — homed on the
+//! Tenant isolation: a faulting session is quarantined with exactly its
+//! committed outcome — the clean run cut to each sink's bound in
+//! `committed_outcome` — while co-resident sessions — homed on the
 //! *same* shard and sharing the *same* compiled artifact — produce
 //! outputs bit-identical to running alone. The migration half homes two
 //! sessions on one shard beside an idle one, which steals: a session's
 //! slices may run on either shard, and outputs, counters and fault
-//! prefixes still match the solo runs.
+//! outcomes still match the solo runs.
 //!
 //! The injected-fault tests need the `fault-inject` feature (the service
 //! CI job runs it); without the feature they self-skip, and the no-fault
 //! differentials still run. The shard-track test needs `telemetry`.
 
-use macross_runtime::{FaultKind, FaultPlan, FAULTS_COMPILED};
+use macross::{compile_graph, SimdizeOptions};
+use macross_runtime::{
+    committed_outcome, FailureCause, FaultKind, FaultPlan, StageFailure, FAULTS_COMPILED,
+};
 use macross_service::{CloseReport, ServiceConfig, StreamService};
 use macross_streamir::builder::StreamSpec;
 use macross_streamir::edsl::*;
 use macross_streamir::graph::Graph;
 use macross_streamir::types::{ScalarTy, Ty, Value};
-use macross_vm::Machine;
+use macross_vm::{ExecMode, Machine};
 
 /// `src -> f(*5) -> sink`, one value per steady iteration: firing `k` of
-/// stage 1 (the filter) pushes `5k`, which makes the clean prefix after
-/// a fault at firing `F` exactly `[0, 5, ..., 5(F-1)]`.
+/// stage 1 (the filter) pushes `5k`.
 fn victim_pipeline() -> Graph {
     let mut src = FilterBuilder::new("src", 0, 0, 1, ScalarTy::I32);
     let n = src.state("n", Ty::Scalar(ScalarTy::I32));
@@ -35,6 +38,31 @@ fn victim_pipeline() -> Graph {
     StreamSpec::pipeline(vec![src.build_spec(), f.build_spec(), StreamSpec::Sink])
         .build()
         .unwrap()
+}
+
+/// `clean`, the solo output of `victim_pipeline`, cut to the committed
+/// outcome of a failure at `firing` of `stage` of the graph the service
+/// compiles it to.
+fn committed(clean: &[Value], stage: usize, firing: u64) -> Vec<Value> {
+    let opts = SimdizeOptions::all();
+    let machine = Machine::core_i7();
+    let art = compile_graph(&victim_pipeline(), &machine, &opts, ExecMode::default()).unwrap();
+    let failure = StageFailure {
+        stage,
+        name: String::new(),
+        core: 0,
+        firing,
+        init_fn: false,
+        mode: art.mode,
+        cause: FailureCause::Panic(String::new()),
+    };
+    let bounds = committed_outcome(&art.graph, &art.schedule, &[failure]);
+    let sink = art.graph.node_count() - 1;
+    assert_eq!(
+        art.graph.node(macross_streamir::NodeId(sink as u32)).name(),
+        "sink"
+    );
+    clean[..bounds[sink] as usize].to_vec()
 }
 
 fn flat(report: CloseReport) -> Vec<Value> {
@@ -103,7 +131,7 @@ fn co_resident_tenants_match_solo_runs() {
 
 /// The acceptance criterion: inject a panic into one of two concurrent
 /// sessions on the same shard. The faulted tenant drains to the
-/// bit-exact clean prefix; the unfaulted tenant is bit-identical (outputs
+/// committed outcome; the unfaulted tenant is bit-identical (outputs
 /// *and* counters) to its solo run.
 #[test]
 fn injected_panic_quarantines_only_the_faulty_tenant() {
@@ -114,10 +142,9 @@ fn injected_panic_quarantines_only_the_faulty_tenant() {
     const ITERS: u64 = 12;
     const FAULT_FIRING: u64 = 6;
     let (solo_out, solo_iters, solo_firings) = solo_run(ITERS, FaultPlan::none());
-    // Fault the seventh firing of stage 1 of the SIMDized graph. The
-    // expected quarantine outcome is established by a *solo* faulted run:
-    // the drained output must be a strict clean prefix of the healthy
-    // stream, cut short of the full run.
+    // Fault the seventh firing of stage 1 of the SIMDized graph. A solo
+    // faulted run quarantines with exactly the committed outcome, cut
+    // short of the full run.
     let plan = FaultPlan::single(1, FAULT_FIRING, FaultKind::Panic);
     let (victim_solo_out, victim_solo_iters, _) = solo_run(ITERS, plan.clone());
     assert!(
@@ -126,8 +153,8 @@ fn injected_panic_quarantines_only_the_faulty_tenant() {
     );
     assert!(victim_solo_iters < solo_iters);
     assert_bits_eq(
-        "solo faulted run is a clean prefix",
-        &solo_out[..victim_solo_out.len()],
+        "solo faulted run is the committed outcome",
+        &committed(&solo_out, 1, FAULT_FIRING),
         &victim_solo_out,
     );
     let service = StreamService::new(
@@ -154,7 +181,7 @@ fn injected_panic_quarantines_only_the_faulty_tenant() {
     );
     // Co-resident quarantine is bit-identical to the solo quarantine.
     assert_bits_eq(
-        "victim clean prefix",
+        "victim committed outcome",
         &victim_solo_out,
         &flat(victim_report),
     );
@@ -267,7 +294,7 @@ fn stolen_sessions_match_solo_runs() {
 /// A fault on a stolen slice. The victim's home shard is stuck in a
 /// co-resident's stalled firing, so the victim's feed wakes the idle
 /// shard, which steals it; its whole feed is one slice, so the fault
-/// fires on the stolen slice itself. The quarantine prefix equals the
+/// fires on the stolen slice itself. The quarantined output equals the
 /// solo faulted run's, the staller equals its solo run, and the failure
 /// names the shard that ran the slice — the victim's home since the
 /// steal.
@@ -280,6 +307,8 @@ fn a_fault_on_a_stolen_slice_quarantines_to_the_solo_prefix() {
     const ITERS: u64 = 12;
     let plan = FaultPlan::single(1, 6, FaultKind::Panic);
     let (victim_solo_out, victim_solo_iters, _) = solo_run(ITERS, plan.clone());
+    let (solo_out, _, _) = solo_run(ITERS, FaultPlan::none());
+    assert_bits_eq("solo", &committed(&solo_out, 1, 6), &victim_solo_out);
     let (stall_solo_out, _, stall_solo_firings) = solo_run(1, FaultPlan::none());
     let stall = FaultPlan::single(1, 0, FaultKind::StallFiring { nanos: 400_000_000 });
     let mut steals = 0;

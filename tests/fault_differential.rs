@@ -6,13 +6,15 @@
 //!
 //! - **fatal** classes (panic, poisoned tape, stalled firing under a
 //!   watchdog) end in a clean typed [`StageFailure`] — no hang, no
-//!   process abort, and the partial sink output is a prefix of the clean
-//!   run's (nothing already committed is lost or corrupted);
+//!   process abort, and each sink's partial output is exactly the
+//!   committed outcome: the clean run's cut to the sink's bound in
+//!   [`committed_outcome`] (nothing committed is lost or corrupted, and
+//!   nothing past the bound leaks out);
 //! - **robustness** classes (delayed ring flush, swallowed unparks) are
 //!   absorbed: the run completes bit-identically to the clean run;
 //! - failures are deterministic: the same plan reproduces the identical
-//!   failure signature, both directly and via a serialized
-//!   [`ReplayBundle`] round-trip.
+//!   failure signature — failures and sink lengths — both directly and
+//!   via a serialized [`ReplayBundle`] round-trip.
 //!
 //! The engine under test is the build default (`ExecMode::default()`), so
 //! the nightly matrix covers both engines by toggling `vm-treewalk`.
@@ -21,8 +23,8 @@
 use macross_bench::replay::{failure_signature, make_bundle, run_bundle};
 use macross_repro::benchsuite;
 use macross_repro::runtime::{
-    run_supervised_placed, FaultKind, FaultPlan, FissionSpec, Placement, SupervisedRun,
-    SupervisorOptions, FAULTS_COMPILED,
+    committed_outcome, run_supervised_placed, FaultKind, FaultPlan, FissionSpec, Placement,
+    SupervisedRun, SupervisorOptions, FAULTS_COMPILED,
 };
 use macross_repro::sdf::Schedule;
 use macross_repro::streamir::graph::{Graph, Node};
@@ -129,18 +131,24 @@ fn target(bench: &benchsuite::Benchmark, cores: usize) -> Target {
     }
 }
 
-/// Each sink's partial stream must be a prefix of the clean run's.
-fn assert_prefix(bench: &str, cores: usize, clean: &SupervisedRun, failed: &SupervisedRun) {
-    for (sink, vals) in failed.outputs.iter().enumerate() {
-        let reference = &clean.outputs[sink];
-        assert!(
-            vals.len() <= reference.len(),
-            "{bench}@{cores}: sink {sink} produced beyond the clean run"
-        );
-        for (i, (got, want)) in vals.iter().zip(reference.iter()).enumerate() {
+/// The run failed once, and each sink's output is exactly the clean
+/// run's cut to the sink's bound in the committed outcome of that failure.
+fn assert_committed(
+    ctx: &str,
+    (graph, schedule): (&Graph, &Schedule),
+    clean: &SupervisedRun,
+    failed: &SupervisedRun,
+) {
+    let failures = &failed.report.failures;
+    assert_eq!(failures.len(), 1, "{ctx}: {failures:?}");
+    let bounds = committed_outcome(graph, schedule, failures);
+    for (sink, (got, want)) in failed.outputs.iter().zip(&clean.outputs).enumerate() {
+        let want = &want[..want.len().min(bounds[sink] as usize)];
+        assert_eq!(got.len(), want.len(), "{ctx}: sink {sink} length");
+        for (i, (got, want)) in got.iter().zip(want).enumerate() {
             assert!(
                 got.bits_eq(*want),
-                "{bench}@{cores}: sink {sink} diverged at {i}: {got:?} vs {want:?}"
+                "{ctx}: sink {sink} diverged at {i}: {got:?} vs {want:?}"
             );
         }
     }
@@ -151,8 +159,9 @@ const _: () = assert!(FAULTS_COMPILED);
 
 /// Fault injection through the fission deal/merge path: split a legal
 /// stage across two cores, then pin the same supervision contract on the
-/// *fissioned* stage — a panicking replica fails typed with the sink
-/// prefix intact and a deterministic signature, and a swallowed unpark on
+/// *fissioned* stage — a panicking replica fails typed with exactly the
+/// committed sink outcome and a deterministic signature, and a swallowed
+/// unpark on
 /// a replica ring is absorbed bit-identically. Covers the failure paths
 /// the whole-stage matrix above can never reach.
 #[test]
@@ -210,7 +219,7 @@ fn injected_faults_under_fission_fail_clean() {
         assert!(firings >= 2, "{label}: victim fired only {firings} times");
         let firing = firings / 2;
 
-        // Fatal: a replica panic mid-rotation fails typed, prefix intact.
+        // Fatal: a replica panic mid-rotation fails typed, to the outcome.
         let plan = FaultPlan::single(victim, firing, FaultKind::Panic);
         let failed = run_placed(plan.clone());
         assert!(!failed.completed, "{label}: panic must fail the run");
@@ -220,11 +229,11 @@ fn injected_faults_under_fission_fail_clean() {
             .unwrap_or_else(|| panic!("{label}: panic recorded no failure"));
         assert_eq!((f.stage, f.firing), (victim, firing), "{label}");
         assert_eq!(f.cause.label(), "panic", "{label}: {f}");
-        assert_prefix(bench.name, 2, &clean, &failed);
+        assert_committed(&label, (&graph, &schedule), &clean, &failed);
         let again = run_placed(plan);
         assert_eq!(
-            failure_signature(&failed.report.failures),
-            failure_signature(&again.report.failures),
+            failure_signature(&graph, &failed),
+            failure_signature(&graph, &again),
             "{label}: failure signature must be deterministic"
         );
 
@@ -258,7 +267,7 @@ fn injected_faults_fail_clean_and_replay_identically() {
             let t = target(&bench, cores);
             let label = format!("{}@{cores}", bench.name);
 
-            // --- Fatal classes: typed failure, no hang, prefix intact.
+            // --- Fatal classes: typed failure, no hang, exact outcome.
             let fatal = [
                 (FaultKind::Panic, "panic", None),
                 (FaultKind::PoisonTape, "vm", None),
@@ -280,14 +289,15 @@ fn injected_faults_fail_clean_and_replay_identically() {
                     .unwrap_or_else(|| panic!("{label}: {kind:?} recorded no failure"));
                 assert_eq!((f.stage, f.firing), (t.stage, t.firing), "{label} {kind:?}");
                 assert_eq!(f.cause.label(), want_cause, "{label} {kind:?}: {f}");
-                assert_prefix(bench.name, cores, &t.clean, &failed);
+                let ctx = format!("{label} {kind:?}");
+                assert_committed(&ctx, (&t.graph, &t.schedule), &t.clean, &failed);
 
                 // Determinism: an identical run observes the identical
                 // failure signature.
                 let again = run(&t, plan.clone(), watchdog);
                 assert_eq!(
-                    failure_signature(&failed.report.failures),
-                    failure_signature(&again.report.failures),
+                    failure_signature(&t.graph, &failed),
+                    failure_signature(&t.graph, &again),
                     "{label}: {kind:?} failure signature must be deterministic"
                 );
             }
@@ -329,7 +339,7 @@ fn injected_faults_fail_clean_and_replay_identically() {
                 t.iters,
                 None,
                 plan,
-                &failed.report.failures,
+                failure_signature(&t.graph, &failed),
             );
             let parsed: macross_repro::runtime::ReplayBundle = bundle
                 .json_string()
@@ -355,13 +365,14 @@ fn injected_faults_fail_clean_and_replay_identically() {
     }
 }
 
-/// A faulted *region-vectorized* stage drains to a clean prefix. The
+/// A faulted *region-vectorized* stage drains to exactly its committed
+/// outcome. The
 /// region transform turns per-channel scalar state into register-file
 /// panels carried across firings, so a mid-run fault inside the
 /// vectorized work function is the worst case for the drain contract:
 /// the supervisor must record a typed failure at exactly the injected
-/// `(stage, firing)` address, keep every token already committed to the
-/// sink bit-identical to the clean run, and never emit past it — on a
+/// `(stage, firing)` address and deliver exactly the sink outcome the
+/// bounds commit, bit-identical to the clean run's — on a
 /// single core and with the region stage isolated on its own core.
 #[test]
 fn faulted_region_stage_drains_to_clean_prefix() {
@@ -410,7 +421,8 @@ fn faulted_region_stage_drains_to_clean_prefix() {
                     .unwrap_or_else(|| panic!("{label}: {kind:?} recorded no failure"));
                 assert_eq!((f.stage, f.firing), (victim, firing), "{label} {kind:?}");
                 assert_eq!(f.cause.label(), want_cause, "{label} {kind:?}: {f}");
-                assert_prefix(needle, cores as usize, &clean, &failed);
+                let ctx = format!("{label} {kind:?}");
+                assert_committed(&ctx, (&graph, &schedule), &clean, &failed);
                 // The region stage committed exactly the pre-fault firings.
                 assert_eq!(
                     failed.report.stages[victim].firings, firing,
@@ -418,8 +430,8 @@ fn faulted_region_stage_drains_to_clean_prefix() {
                 );
                 let again = run_once(&graph, &schedule, &assignment, iters, plan, None);
                 assert_eq!(
-                    failure_signature(&failed.report.failures),
-                    failure_signature(&again.report.failures),
+                    failure_signature(&graph, &failed),
+                    failure_signature(&graph, &again),
                     "{label}: {kind:?} failure signature must be deterministic"
                 );
             }
@@ -507,7 +519,7 @@ fn panic_mid_block_on_a_write_reordered_edge_keeps_completed_firings() {
         let f = failed.report.root_failure().unwrap();
         assert_eq!((f.stage, f.firing), (victim, firing), "{label}");
         assert_eq!(failed.report.stages[victim].firings, firing, "{label}");
-        assert_prefix("reordered chain", 2, &clean, &failed);
+        assert_committed(&label, (&graph, &schedule), &clean, &failed);
         assert_eq!(failed.output.len() as u64, 3 * firing, "{label}");
     }
 }
@@ -582,7 +594,7 @@ fn planned_fault_fires_alone_and_the_rest_of_its_share_in_envelopes() {
                 if matches!(kind, FaultKind::Panic | FaultKind::PoisonTape) {
                     let f = out.report.root_failure().expect(&label);
                     assert_eq!((f.stage, f.firing), (1, firing), "{label}");
-                    assert_prefix(&label, 2, &clean, &out);
+                    assert_committed(&label, (&graph, &schedule), &clean, &out);
                     if how == "whole" {
                         // A replica's sibling does not stop at `firing`.
                         assert_eq!(victim.firings, firing, "{label}");

@@ -2,8 +2,9 @@
 //! are *guest-induced* (a filter that panics its own firing via an
 //! out-of-range dynamic peek, a filter whose firing is deliberately
 //! slow), so the supervised runtime's failure handling — typed
-//! `StageFailure`s, coordinated drain, watchdog escalation, partial
-//! output — is exercised in the plain tier-1 test run.
+//! `StageFailure`s, the drain to each node's bound, watchdog escalation,
+//! partial output exactly equal to the committed outcome — is exercised
+//! in the plain tier-1 test run.
 //!
 //! The injected-fault differential suite (every benchmark x worker count
 //! x fault class) lives in `tests/fault_differential.rs` behind the
@@ -11,8 +12,8 @@
 
 use macross_repro::runtime as rt;
 use macross_repro::runtime::{
-    run_supervised_placed, run_threaded_placed, FailureCause, FissionSpec, Placement, RuntimeError,
-    SupervisorOptions,
+    committed_outcome, run_supervised_placed, run_threaded_placed, FailureCause, FissionSpec,
+    Placement, RuntimeError, StageFailure, SupervisorOptions,
 };
 use macross_repro::sdf::Schedule;
 use macross_repro::streamir::builder::StreamSpec;
@@ -150,7 +151,7 @@ fn guest_panic_becomes_typed_stage_failure_with_partial_output() {
         }
         other => panic!("expected a VM cause, got {other:?}"),
     }
-    // Committed output is preserved and is a prefix of the clean run: the
+    // Committed output is exactly the clean run's to the sink's bound: the
     // bomb completed firings 0..3, so the sink consumed exactly 3 tokens.
     assert_eq!(run.output, clean.output[..3].to_vec());
     // The report still carries the usual counters.
@@ -175,17 +176,15 @@ fn legacy_entry_point_maps_failure_to_vm_error() {
 fn drain_with_buffered_rings_terminates_and_keeps_prefix() {
     // src runs ahead on its own core, so the src->pass ring holds
     // un-consumed tokens when the downstream bomb blows; the drain must
-    // terminate anyway (no hang, upstream parks) and keep the committed
-    // sink prefix.
-    let g = StreamSpec::pipeline(vec![
-        source(),
-        pass("pass"),
-        bomb("bomb", 2),
-        StreamSpec::Sink,
-    ])
-    .build()
-    .unwrap();
+    // terminate anyway (no hang, nothing waits for tokens past a bound)
+    // and deliver exactly the committed sink outcome.
+    let chain = |fuse: i32| {
+        let stages = vec![source(), pass("pass"), bomb("bomb", fuse), StreamSpec::Sink];
+        StreamSpec::pipeline(stages).build().unwrap()
+    };
+    let g = chain(2);
     let opts = SupervisorOptions::default();
+    let clean = supervised(&chain(1 << 20), &[0, 1, 1, 1], 64, &opts);
     let t0 = std::time::Instant::now();
     let run = supervised(&g, &[0, 1, 1, 1], 64, &opts);
     assert!(
@@ -200,7 +199,7 @@ fn drain_with_buffered_rings_terminates_and_keeps_prefix() {
     // src produced ahead of the failure point into the ring.
     assert!(run.report.stages[node_id(&g, "src")].firings > 2);
     // Sink saw exactly the two firings the bomb completed: src 0,1 + 2.
-    assert_eq!(run.output.len(), 2);
+    assert_eq!(run.output, clean.output[..2].to_vec());
     assert_eq!(run.report.cut_edges, 1);
 }
 
@@ -319,21 +318,21 @@ fn second_failure_during_drain_is_recorded_once_and_terminates() {
     // first switches the run to draining, and the second bomb then blows
     // *during the drain* — the drain must record it, mark the stage dead,
     // and still terminate (double-drain idempotence).
-    let mk_bomb = |name: &str| bomb(name, 3);
-    let g = StreamSpec::pipeline(vec![
-        source(),
-        StreamSpec::SplitJoin {
-            split: SplitKind::Duplicate,
-            branches: vec![
-                StreamSpec::pipeline(vec![mk_bomb("bombA")]),
-                StreamSpec::pipeline(vec![mk_bomb("bombB")]),
-            ],
-            join: vec![1, 1],
-        },
-        StreamSpec::Sink,
-    ])
-    .build()
-    .unwrap();
+    let two_bombs = |fuse: i32| {
+        let branch = |name: &str| StreamSpec::pipeline(vec![bomb(name, fuse)]);
+        StreamSpec::pipeline(vec![
+            source(),
+            StreamSpec::SplitJoin {
+                split: SplitKind::Duplicate,
+                branches: vec![branch("bombA"), branch("bombB")],
+                join: vec![1, 1],
+            },
+            StreamSpec::Sink,
+        ])
+        .build()
+        .unwrap()
+    };
+    let g = two_bombs(3);
     let a = node_id(&g, "bombA");
     let b = node_id(&g, "bombB");
     // src+splitter on core 0, each bomb alone on its own core, join+sink
@@ -352,17 +351,17 @@ fn second_failure_during_drain_is_recorded_once_and_terminates() {
     }
     let run = supervised(&g, &assignment, 16, &SupervisorOptions::default());
     assert!(!run.completed);
+    // Failures come in schedule order, whichever core raised first.
     let failed: Vec<usize> = run.report.failures.iter().map(|f| f.stage).collect();
-    assert!(failed.contains(&a), "bombA must fail: {failed:?}");
-    assert!(failed.contains(&b), "bombB must fail: {failed:?}");
-    assert_eq!(failed.len(), 2, "each bomb fails exactly once: {failed:?}");
+    assert_eq!(failed, vec![a.min(b), a.max(b)], "each bomb fails once");
     for f in &run.report.failures {
         assert_eq!(f.firing, 3);
         assert_eq!(f.cause.label(), "vm");
     }
     // The joiner needs both branches per output pair; with both blown at
-    // firing 3 the sink got at most 3 pairs' worth of tokens.
-    assert!(run.output.len() <= 6, "got {}", run.output.len());
+    // firing 3 the sink gets exactly 3 pairs' worth of tokens.
+    let clean = supervised(&two_bombs(1 << 20), &assignment, 16, &Default::default());
+    assert_eq!(run.output, clean.output[..6].to_vec());
 }
 
 #[test]
@@ -433,8 +432,8 @@ fn guest_fault_inside_a_share_fails_like_a_fault_in_a_single_firing() {
         }
 
         // A replica of a fissioned stage (the source's value is the
-        // stage's global firing index): the other replica is independent,
-        // so the sink holds some prefix of the firings before `j`.
+        // stage's global firing index): the other replica fires the
+        // firings before `j` it owns, so the sink holds exactly those.
         let g = pipeline(vec![source(), stateless_bomb("bomb", j), StreamSpec::Sink]);
         let split = |nodes: u32, node: u32| Placement {
             assignment: (0..nodes).map(|i| u32::from(i == node)).collect(),
@@ -446,8 +445,7 @@ fn guest_fault_inside_a_share_fails_like_a_fault_in_a_single_firing() {
         for opts in [SupervisorOptions::default(), one_at_a_time()] {
             let run = supervised_placed(&g, &split(3, 1), iters, &opts);
             assert_eq!(only_failure(&run), (1, j as u64, "vm"), "replica, {j}");
-            assert!(run.output.len() <= j as usize, "replica, {j}");
-            assert_eq!(run.output, clean.output[..run.output.len()].to_vec());
+            assert_eq!(run.output, clean.output[..j as usize].to_vec());
         }
 
         // The producer that deals to the replicas of the stage after it.
@@ -460,8 +458,7 @@ fn guest_fault_inside_a_share_fails_like_a_fault_in_a_single_firing() {
             let run = supervised_placed(&g, &split(4, 2), iters, &opts);
             assert_eq!(only_failure(&run), (1, j as u64, "vm"), "dealer, {j}");
             assert_eq!(run.report.stages[1].firings, j as u64, "dealer, {j}");
-            assert!(run.output.len() <= j as usize, "dealer, {j}");
-            assert_eq!(run.output, clean.output[..run.output.len()].to_vec());
+            assert_eq!(run.output, clean.output[..j as usize].to_vec());
         }
     }
 }
@@ -617,6 +614,19 @@ fn split_join(fail_at: i32) -> Graph {
     .unwrap()
 }
 
+/// A failure of `stage` at `firing`, as the committed outcome reads it.
+fn failure_at(stage: usize, firing: u64) -> StageFailure {
+    StageFailure {
+        stage,
+        name: String::new(),
+        core: 0,
+        firing,
+        init_fn: false,
+        mode: Default::default(),
+        cause: FailureCause::Panic(String::new()),
+    }
+}
+
 #[test]
 fn a_failure_has_one_identity_on_every_engine() {
     use macross_repro::runtime::{FaultKind, FaultPlan, SessionEngine, FAULTS_COMPILED};
@@ -627,31 +637,56 @@ fn a_failure_has_one_identity_on_every_engine() {
     let machine = Machine::core_i7();
     let clean = split_join(1 << 20);
     let sched = Schedule::compute(&clean).unwrap();
+    let sink = node_id(&clean, "sink");
+    // The committed outcome is rate arithmetic: a panic at the last
+    // firing of src's iteration 31 commits 127 of its firings, 95 of the
+    // splitter's and joiner's, and 380 sink values; one at split_rr's (or
+    // join_rr's) firing 73, in iteration 24, commits 292.
+    let committed = |stage: &str, firing| {
+        let f = failure_at(node_id(&clean, stage), firing);
+        committed_outcome(&clean, &sched, &[f])[sink]
+    };
+    assert_eq!(committed("src", 127), 380);
+    assert_eq!(committed("split_rr", 73), 292);
+    assert_eq!(committed("join_rr", 73), 292);
     let clean = macross_repro::vm::run_scheduled(&clean, &sched, &machine, iters).unwrap();
-    // `(stage, firing, cause label, name)` of a run's only failure, and
-    // its output, checked against the clean run's.
+    // `(stage, firing, cause label, name)` of a run's only failure; its
+    // output must be exactly the clean run's cut to the sink's bound.
     let identity = |ctx: &str, failures: &[rt::StageFailure], output: &[Value]| {
         let [f] = failures else {
             panic!("{ctx}: expected one failure, got {failures:?}")
         };
-        assert!(output.len() <= clean.output.len(), "{ctx}");
-        let prefix = output.iter().zip(&clean.output).all(|(a, b)| a.bits_eq(*b));
-        assert!(prefix, "{ctx}: output is not a prefix of the clean run's");
+        let bound = committed_outcome(&split_join(1 << 20), &sched, failures)[sink] as usize;
+        assert_eq!(output.len(), bound, "{ctx}: sink values");
+        let exact = output.iter().zip(&clean.output).all(|(a, b)| a.bits_eq(*b));
+        assert!(exact, "{ctx}: output is not the clean run's to its bound");
         (f.stage, f.firing, f.cause.label(), f.name.clone())
     };
     let on_every_engine = |ctx: &str, g: &Graph, plan: FaultPlan| {
         let programs = CompiledPrograms::compile(g, &machine, ExecMode::default());
         let (graph, schedule) = (Arc::new(g.clone()), Arc::new(sched.clone()));
         let machine = Arc::new(machine.clone());
-        let mut session = SessionEngine::new(graph, schedule, machine, &programs, plan.clone(), 0);
-        session.run_steady(iters);
-        let mut rows = vec![Vec::new(); session.sink_ids().len()];
-        session.drain_outputs_into(&mut rows);
-        let want = identity(
-            &format!("{ctx}, session"),
-            session.failures(),
-            &rows.concat(),
-        );
+        let session = |swap_at: Option<u64>| {
+            let (g, s, m) = (graph.clone(), schedule.clone(), machine.clone());
+            let mut session = SessionEngine::new(g, s, m, &programs, plan.clone(), 0);
+            // A dynamic tenant swaps configurations in place at an
+            // iteration boundary; here, to its own, before the fault.
+            if let Some(at) = swap_at {
+                session.run_steady(at);
+                let (g, s) = (graph.clone(), schedule.clone());
+                session.reconfigure(g, s, &programs).unwrap();
+            }
+            session.run_steady(iters - swap_at.unwrap_or(0));
+            let mut rows = vec![Vec::new(); session.sink_ids().len()];
+            session.drain_outputs_into(&mut rows);
+            identity(
+                &format!("{ctx}, {swap_at:?}"),
+                session.failures(),
+                &rows.concat(),
+            )
+        };
+        let want = session(None);
+        assert_eq!(session(Some(8)), want, "{ctx}, swapped");
         for assignment in [[0; 6], [0, 0, 1, 0, 1, 1]] {
             let opts = SupervisorOptions::with_plan(plan.clone());
             let run = supervised(g, &assignment, iters, &opts);
