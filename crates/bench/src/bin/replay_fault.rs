@@ -1,17 +1,14 @@
 //! Replay a failing supervised run from its `REPLAY_*.json` bundle.
 //!
 //! ```text
-//! cargo run -p macross-bench --features fault-inject --bin replay_fault -- REPLAY_FMRadio_7.json
+//! cargo run -p macross-bench --bin replay_fault -- REPLAY_FMRadio_7.json
 //! ```
 //!
 //! Exit status: 0 when every bundle reproduced its recorded failures and
-//! sink lengths exactly, 1 on divergence or error, 2 on usage errors. Without the
-//! `fault-inject` feature the injected faults are inert, so a bundle
-//! whose `expect` list is non-empty cannot reproduce — the binary says so
-//! instead of reporting a spurious divergence.
+//! sink lengths exactly, 1 on divergence or error, 2 on usage errors.
 
 use macross_bench::replay::run_bundle;
-use macross_runtime::{ReplayBundle, FAULTS_COMPILED};
+use macross_runtime::ReplayBundle;
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -39,14 +36,6 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        if !bundle.expect.failures.is_empty() && !FAULTS_COMPILED {
-            eprintln!(
-                "{path}: bundle expects failures but fault injection is not compiled in; \
-                 rebuild with --features fault-inject"
-            );
-            ok = false;
-            continue;
-        }
         println!(
             "{path}: {} ({}, {} on {} cores, seed {})",
             bundle.benchmark,

@@ -1,7 +1,7 @@
 //! One-command reproduction of failing supervised runs.
 //!
 //! A fault-injection campaign (the `fault-matrix` CI job, or a local run
-//! with `--features fault-inject`) that provokes a failure writes a
+//! of `tests/fault_differential.rs`) that provokes a failure writes a
 //! [`ReplayBundle`] next to its other artifacts. This module turns a
 //! bundle back into the identical run: same benchmark graph, same
 //! SIMDization, same node-to-core assignment, same engine, same fault
@@ -11,7 +11,7 @@
 //! The `replay_fault` binary is the command-line face:
 //!
 //! ```text
-//! cargo run -p macross-bench --features fault-inject --bin replay_fault -- REPLAY_FMRadio_7.json
+//! cargo run -p macross-bench --bin replay_fault -- REPLAY_FMRadio_7.json
 //! ```
 
 use macross::driver::{macro_simdize, steady_node_weights, SimdizeOptions};
@@ -148,7 +148,6 @@ pub fn run_bundle(bundle: &ReplayBundle) -> Result<ReplayOutcome, String> {
     let opts = SupervisorOptions {
         mode,
         watchdog: (bundle.watchdog_ms > 0).then(|| Duration::from_millis(bundle.watchdog_ms)),
-        stage_timeouts: Vec::new(),
         plan: bundle.plan.clone(),
     };
     let run = run_supervised_placed(
@@ -207,8 +206,7 @@ mod tests {
 
     #[test]
     fn clean_bundle_replays_clean() {
-        // An empty fault plan must replay to a failure-free run whether or
-        // not fault injection is compiled in.
+        // An empty fault plan must replay to a failure-free run.
         let machine = Machine::core_i7();
         let bench = by_name("FMRadio").unwrap();
         let graph = (bench.build)();

@@ -11,9 +11,9 @@
 //! identical `StageFailure`.
 //!
 //! The lookup hooks ([`FaultPlan::fault_for`], and
-//! [`FaultPlan::first_fault`] for a block of firings) are compiled to a
-//! constant `None` unless the `fault-inject` cargo feature is on, so
-//! production builds carry no branch in the firing loop.
+//! [`FaultPlan::first_fault`] for a block of firings) answer an empty
+//! plan — what every production caller passes — with one length test,
+//! taken once per block of firings, not per firing.
 //!
 //! What a failure leaves behind is a function of the program, not of the
 //! engine: [`committed_outcome`] gives every node the number of firings a
@@ -259,10 +259,6 @@ pub struct FaultPlan {
     pub faults: Vec<FaultSpec>,
 }
 
-/// True when the crate was compiled with the `fault-inject` feature, i.e.
-/// when [`FaultPlan::fault_for`] can actually trigger anything.
-pub const FAULTS_COMPILED: bool = cfg!(feature = "fault-inject");
-
 impl FaultPlan {
     /// An empty plan (injects nothing).
     pub fn none() -> FaultPlan {
@@ -290,14 +286,9 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// The fault planned for `(stage, firing)`, if any. With the
-    /// `fault-inject` feature off this is a constant `None` the optimizer
-    /// removes from the firing loop.
+    /// The fault planned for `(stage, firing)`, if any.
     #[inline]
     pub fn fault_for(&self, stage: usize, firing: u64) -> Option<FaultKind> {
-        if !FAULTS_COMPILED {
-            return None;
-        }
         self.faults
             .iter()
             .find(|f| f.stage == stage && f.firing == firing)
@@ -306,12 +297,10 @@ impl FaultPlan {
 
     /// How many of the `k` firings `from, from + stride, …` of `stage`
     /// come before the first one the plan addresses (`None`: none of them
-    /// is). What a block of firings is split at, by every engine alike;
-    /// like [`FaultPlan::fault_for`] a constant `None` without the
-    /// feature.
+    /// is). What a block of firings is split at, by every engine alike.
     #[inline]
     pub fn first_fault(&self, stage: usize, from: u64, stride: u64, k: u64) -> Option<u64> {
-        if !FAULTS_COMPILED || self.faults.is_empty() {
+        if self.faults.is_empty() {
             return None;
         }
         self.faults
@@ -383,9 +372,9 @@ impl FaultPlan {
 }
 
 /// Everything needed to reproduce a failing run locally with one command
-/// (`cargo run -p macross-bench --features fault-inject --bin replay_fault
-/// -- <bundle.json>`): the benchmark + machine + mode that rebuild the
-/// graph and schedule, the exact worker assignment, and the fault plan.
+/// (`cargo run -p macross-bench --bin replay_fault -- <bundle.json>`):
+/// the benchmark + machine + mode that rebuild the graph and schedule,
+/// the exact worker assignment, and the fault plan.
 /// `expect` pins the failures the original run observed and what each
 /// sink committed, so the replay can verify it reproduced both.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -563,26 +552,21 @@ mod tests {
     use std::str::FromStr;
 
     #[test]
-    fn fault_lookup_respects_feature_gate() {
+    fn fault_lookup_finds_only_planned_firings() {
         let plan = FaultPlan::single(2, 5, FaultKind::Panic);
-        let hit = plan.fault_for(2, 5);
-        if FAULTS_COMPILED {
-            assert_eq!(hit, Some(FaultKind::Panic));
-            assert_eq!(plan.fault_for(2, 6), None);
-            assert_eq!(plan.fault_for(1, 5), None);
-            // Firing 5 is the sixth of a block from 0, outside one of
-            // five, the third of a replica's 1, 3, 5, … and not among
-            // 0, 2, 4, … at all; a block that starts past it is clean.
-            assert_eq!(plan.first_fault(2, 0, 1, 6), Some(5));
-            assert_eq!(plan.first_fault(2, 0, 1, 5), None);
-            assert_eq!(plan.first_fault(2, 1, 2, 8), Some(2));
-            assert_eq!(plan.first_fault(2, 0, 2, 8), None);
-            assert_eq!(plan.first_fault(2, 6, 1, 8), None);
-            assert_eq!(plan.first_fault(1, 0, 1, 8), None);
-        } else {
-            assert_eq!(hit, None, "faults must be inert without the feature");
-            assert_eq!(plan.first_fault(2, 0, 1, 6), None);
-        }
+        assert_eq!(plan.fault_for(2, 5), Some(FaultKind::Panic));
+        assert_eq!(plan.fault_for(2, 6), None);
+        assert_eq!(plan.fault_for(1, 5), None);
+        // Firing 5 is the sixth of a block from 0, outside one of
+        // five, the third of a replica's 1, 3, 5, … and not among
+        // 0, 2, 4, … at all; a block that starts past it is clean.
+        assert_eq!(plan.first_fault(2, 0, 1, 6), Some(5));
+        assert_eq!(plan.first_fault(2, 0, 1, 5), None);
+        assert_eq!(plan.first_fault(2, 1, 2, 8), Some(2));
+        assert_eq!(plan.first_fault(2, 0, 2, 8), None);
+        assert_eq!(plan.first_fault(2, 6, 1, 8), None);
+        assert_eq!(plan.first_fault(1, 0, 1, 8), None);
+        assert_eq!(FaultPlan::none().first_fault(2, 0, 1, 6), None);
     }
 
     #[test]

@@ -48,7 +48,6 @@ use worker::Worker;
 
 pub use fault::{
     committed_outcome, FailureSignature, FaultKind, FaultPlan, FaultSpec, ReplayBundle,
-    FAULTS_COMPILED,
 };
 pub use session::{EdgeSig, SessionCarrier, SessionEngine, SessionStatus};
 pub use supervisor::{FailureCause, StageFailure, SupervisorOptions};
@@ -161,7 +160,9 @@ pub struct StageStats {
     pub name: String,
     /// Core the stage ran on.
     pub core: u32,
-    /// Completed firings (init + steady).
+    /// Completed firings (init + steady); after a failure, the stage's
+    /// bound in [`committed_outcome`] — what a worker fired past it
+    /// before it saw the failure is not counted.
     pub firings: u64,
     /// Of those, firings fired inside a share envelope rather than one of
     /// their own: every firing of a clean run, none under a watchdog or a
@@ -639,14 +640,12 @@ pub fn iteration_block() -> u64 {
 ///   its bound in [`committed_outcome`], and each sink's output is cut
 ///   to its bound — the same outcome as [`SessionEngine`]'s, whatever
 ///   the placement and whichever core saw the failure first;
-/// - a [`fault::FaultPlan`] can deterministically inject faults at exact
-///   `(stage, firing)` coordinates when built with `fault-inject` (the
-///   plan is inert otherwise — see [`FAULTS_COMPILED`]);
+/// - a [`fault::FaultPlan`] deterministically injects faults at exact
+///   `(stage, firing)` coordinates (an empty plan injects nothing);
 /// - each worker records firing spans, ring stalls, and park/unpark
 ///   events into `session`'s per-core event ring (core id = trace worker
-///   index = Chrome `tid`); with the `telemetry` feature off, or a
-///   [`TraceSession::disabled`] session, the hooks compile to (or
-///   short-circuit into) nothing.
+///   index = Chrome `tid`); a [`TraceSession::disabled`] session's hooks
+///   short-circuit into nothing.
 ///
 /// Besides the node-to-core assignment, stages named in
 /// `placement.fission` are split across replica cores. Steady firing `g`
@@ -792,7 +791,7 @@ pub fn run_supervised_placed(
                 (core, s.spawn(move || run_core(slot, core, trace)))
             })
             .collect();
-        let watchdog = opts.wants_watchdog().then(|| {
+        let watchdog = opts.watchdog.is_some().then(|| {
             let sup = &sup;
             let worker_cores = &worker_cores;
             let stage_names: Vec<String> = graph.nodes().map(|(_, n)| n.name()).collect();
@@ -828,12 +827,15 @@ pub fn run_supervised_placed(
         core_nanos[core as usize] = out.steady_nanos;
         core_modelled[core as usize] = out.modelled;
     }
-    // A worker may have fired past the outcome before it saw a failure.
-    if !failures.is_empty() {
-        let bounds = committed_outcome(graph, schedule, &failures);
-        for (row, bound) in outputs.iter_mut().zip(bounds) {
-            row.truncate(bound as usize);
-        }
+    // A worker may have fired past the outcome before it saw a failure:
+    // its sink rows and its stages' firing counts are cut to the bounds.
+    let bounds = if failures.is_empty() {
+        vec![u64::MAX; graph.node_count()]
+    } else {
+        committed_outcome(graph, schedule, &failures)
+    };
+    for (row, &bound) in outputs.iter_mut().zip(&bounds) {
+        row.truncate(bound as usize);
     }
     let wall_nanos = core_nanos.iter().copied().max().unwrap_or(0);
 
@@ -845,8 +847,11 @@ pub fn run_supervised_placed(
                 node: i,
                 name: node.name(),
                 core: assignment[i],
-                firings: stages[i].firings.load(Ordering::Relaxed),
-                batched_firings: stages[i].batched_firings.load(Ordering::Relaxed),
+                firings: stages[i].firings.load(Ordering::Relaxed).min(bounds[i]),
+                batched_firings: stages[i]
+                    .batched_firings
+                    .load(Ordering::Relaxed)
+                    .min(bounds[i]),
                 ring_in: stages[i].ring_in.load(Ordering::Relaxed),
                 ring_out: stages[i].ring_out.load(Ordering::Relaxed),
                 full_stalls: 0,
@@ -1103,10 +1108,10 @@ mod tests {
         assert_eq!(ns, 0.0);
     }
 
-    /// Without the `telemetry` feature the traced entry point must accept
-    /// any session, record nothing, and stay bit-identical.
+    /// A live session records the run and leaves its output
+    /// bit-identical.
     #[test]
-    fn traced_run_with_inert_session_is_identical() {
+    fn traced_run_is_identical_to_untraced() {
         let g = chain();
         let sched = Schedule::compute(&g).unwrap();
         let m = Machine::core_i7();
@@ -1114,12 +1119,8 @@ mod tests {
         let session = TraceSession::new(2, 1 << 12);
         let thr = run_traced(&g, &sched, &m, &[0, 1, 1], 8, &session);
         assert_eq!(thr.output, seq.output);
-        if cfg!(feature = "telemetry") {
-            // Each worker records at least its firing spans.
-            assert!(!session.drain().is_empty());
-        } else {
-            assert!(session.drain().is_empty());
-        }
+        // Each worker records at least its firing spans.
+        assert!(!session.drain().is_empty());
     }
 
     /// counter (push 4) -> doubler (stateless, pop 1 push 1) -> sink:
@@ -1340,7 +1341,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn traced_run_records_firing_spans_per_core() {
         use macross_telemetry::EventKind;

@@ -613,9 +613,6 @@ mod tests {
     /// exactly what an envelope per firing leaves behind.
     #[test]
     fn planned_fault_splits_a_block_at_its_firing() {
-        if !crate::fault::FAULTS_COMPILED {
-            return;
-        }
         let kinds = [
             FaultKind::Panic,
             FaultKind::PoisonTape,
@@ -670,9 +667,6 @@ mod tests {
 
     #[test]
     fn injected_panic_quarantines_with_clean_prefix() {
-        if !crate::fault::FAULTS_COMPILED {
-            return;
-        }
         // Stage 1 is the scaling filter; fail its 7th firing (2 per iter
         // steady, so mid-iteration 3 counting from 0).
         let plan = FaultPlan::single(1, 6, FaultKind::Panic);

@@ -96,9 +96,7 @@ pub struct SupervisorOptions {
     /// Per-firing watchdog timeout applied to every stage (`None`
     /// disables the watchdog thread entirely).
     pub watchdog: Option<Duration>,
-    /// Per-stage overrides of the watchdog timeout (node id, timeout).
-    pub stage_timeouts: Vec<(usize, Duration)>,
-    /// Faults to inject (inert unless built with `fault-inject`).
+    /// Faults to inject.
     pub plan: FaultPlan,
 }
 
@@ -116,20 +114,6 @@ impl SupervisorOptions {
     pub fn watchdog_after(mut self, timeout: Duration) -> SupervisorOptions {
         self.watchdog = Some(timeout);
         self
-    }
-
-    /// The effective per-firing timeout for `stage`, if any.
-    pub(crate) fn timeout_for(&self, stage: usize) -> Option<Duration> {
-        self.stage_timeouts
-            .iter()
-            .find(|(s, _)| *s == stage)
-            .map(|(_, t)| *t)
-            .or(self.watchdog)
-    }
-
-    /// True when a watchdog thread is needed at all.
-    pub(crate) fn wants_watchdog(&self) -> bool {
-        self.watchdog.is_some() || !self.stage_timeouts.is_empty()
     }
 }
 
@@ -251,7 +235,7 @@ impl Supervisor {
     }
 
     /// The watchdog loop: poll heartbeats until [`Supervisor::finish`],
-    /// escalating any firing that outlives its stage's timeout. Each
+    /// escalating any firing that outlives the watchdog timeout. Each
     /// stuck firing is escalated once (keyed by heartbeat seq). Runs on
     /// its own thread inside the run's scope; returns the escalations it
     /// raised (already recorded).
@@ -261,14 +245,10 @@ impl Supervisor {
         worker_cores: &[u32],
         stage_names: &[String],
     ) {
-        let min_timeout = opts
-            .watchdog
-            .iter()
-            .chain(opts.stage_timeouts.iter().map(|(_, t)| t))
-            .min()
-            .copied()
-            .unwrap_or(Duration::from_millis(100));
-        let poll = (min_timeout / 8).clamp(Duration::from_micros(100), Duration::from_millis(5));
+        let Some(timeout) = opts.watchdog else {
+            return;
+        };
+        let poll = (timeout / 8).clamp(Duration::from_micros(100), Duration::from_millis(5));
         let mut escalated: Vec<u64> = vec![0; self.heartbeats.len()];
         while !self.done.load(Ordering::Acquire) {
             std::thread::sleep(poll);
@@ -279,9 +259,6 @@ impl Supervisor {
                 if escalated[w] == seq {
                     continue;
                 }
-                let Some(timeout) = opts.timeout_for(stage) else {
-                    continue;
-                };
                 let waited_nanos = clock::now_ns().saturating_sub(started_ns);
                 if waited_nanos < timeout.as_nanos() as u64 {
                     continue;

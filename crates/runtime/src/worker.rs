@@ -510,7 +510,7 @@ impl<'g> Worker<'g> {
     /// live trace handle (its spans are) see each firing in an envelope of
     /// its own.
     fn run_share(&mut self, p: usize, t: u64) -> Result<(), Stop> {
-        let alone = self.opts.wants_watchdog() || self.run.trace.active();
+        let alone = self.opts.watchdog.is_some() || self.run.trace.active();
         loop {
             let (plan, unit) = (&self.plans[p], &self.run.units[p]);
             let end = (plan.init_reps + t * plan.reps).min(plan.bound);
@@ -575,7 +575,7 @@ impl<'g> Worker<'g> {
         // (stall injection, genuinely slow stage). Its output must not be
         // committed then: the failure report says the firing never
         // finished cleanly.
-        if self.opts.wants_watchdog()
+        if self.opts.watchdog.is_some()
             && self.sup.draining()
             && self.sup.condemned(id.0 as usize, first)
         {

@@ -4,9 +4,6 @@
 //! reports its exact `StageFailure` and committed outcome, and the clean
 //! run after it, on the same thread, is bit-exact. So is a run made from
 //! inside the caller's own `std::thread::scope`.
-//!
-//! Requires `--features fault-inject` (planned faults are inert without).
-#![cfg(feature = "fault-inject")]
 
 use macross_runtime::{
     iteration_block, run_supervised_placed, run_threaded_placed, FaultKind, FaultPlan, Placement,

@@ -9,15 +9,13 @@
 //!   of every node and an `init` function failure.
 //! - Every engine against it on `src → split_dup → {f → sink_a, g →
 //!   sink_b}`, where the sink beside a failed branch used to get however
-//!   much a worker's drain happened to reach. The planned-fault tests need
-//!   `--features fault-inject` and skip without it; CI runs this file in a
-//!   loop in release.
+//!   much a worker's drain happened to reach. CI runs the two-sink test
+//!   in a loop in release.
 
 use macross::driver::{macro_simdize, SimdizeOptions};
 use macross_runtime::{
     committed_outcome, run_supervised_placed, FailureCause, FaultKind, FaultPlan, FaultSpec,
     FissionSpec, Placement, SessionEngine, StageFailure, SupervisedRun, SupervisorOptions,
-    FAULTS_COMPILED,
 };
 use macross_sdf::Schedule;
 use macross_streamir::builder::StreamSpec;
@@ -402,9 +400,6 @@ fn assert_rows(ctx: &str, got: &[Vec<Value>], want: &[Vec<Value>]) {
 /// drain used to hand `sink_b` whatever it reached before two idle passes.
 #[test]
 fn the_sink_beside_a_failed_branch_gets_exactly_its_bound() {
-    if !FAULTS_COMPILED {
-        return;
-    }
     let (graph, schedule) = two_sinks();
     // The middle firing of iteration 20: iterations 0-20 are committed
     // for sink_b, and f's 61 completed firings for sink_a.
@@ -442,9 +437,6 @@ fn the_sink_beside_a_failed_branch_gets_exactly_its_bound() {
 /// but the committed run never reaches it, and it is not reported.
 #[test]
 fn two_faults_on_two_cores_leave_one_outcome() {
-    if !FAULTS_COMPILED {
-        return;
-    }
     let (graph, schedule) = two_sinks();
     let fa = 3 * 20 + 1;
     for (fb, lengths) in [(3 * 20 + 2, (61, 62)), (3 * 30, (61, 63))] {

@@ -134,8 +134,8 @@ pub fn mode_label(mode: ExecMode) -> &'static str {
 /// A point-in-time view of a running service
 /// ([`StreamService::snapshot`]): what admission has counted so far and
 /// where the live sessions stand. It copies counters the service keeps
-/// anyway, under one short hold of the state lock, with or without the
-/// `trace` feature.
+/// anyway, under one short hold of the state lock, with or without a
+/// live trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceSnapshot {
     /// Admission counters so far: submissions, rejections, backpressure
@@ -884,8 +884,6 @@ fn shard_loop(inner: &Inner, shard: usize, trace: &WorkerTrace) {
         // Run the slice under the tenant's lock only.
         let outcome = {
             let mut tenant = slot.lock().unwrap();
-            // WorkerTrace is only Copy when the trace feature is off.
-            #[allow(clippy::clone_on_copy)]
             tenant.engine.set_host(shard as u32, trace.clone());
             let mut install = |graph: &Graph, valuation: &Valuation| {
                 let (art, hit, _) = inner.lookup(graph, Some(valuation))?;

@@ -6,15 +6,9 @@
 //! sessions on one shard beside an idle one, which steals: a session's
 //! slices may run on either shard, and outputs, counters and fault
 //! outcomes still match the solo runs.
-//!
-//! The injected-fault tests need the `fault-inject` feature (the service
-//! CI job runs it); without the feature they self-skip, and the no-fault
-//! differentials still run. The shard-track test needs `telemetry`.
 
 use macross::{compile_graph, SimdizeOptions};
-use macross_runtime::{
-    committed_outcome, FailureCause, FaultKind, FaultPlan, StageFailure, FAULTS_COMPILED,
-};
+use macross_runtime::{committed_outcome, FailureCause, FaultKind, FaultPlan, StageFailure};
 use macross_service::{CloseReport, ServiceConfig, StreamService};
 use macross_streamir::builder::StreamSpec;
 use macross_streamir::edsl::*;
@@ -135,10 +129,6 @@ fn co_resident_tenants_match_solo_runs() {
 /// *and* counters) to its solo run.
 #[test]
 fn injected_panic_quarantines_only_the_faulty_tenant() {
-    if !FAULTS_COMPILED {
-        eprintln!("fault injection not compiled in; skipping (run with --features fault-inject)");
-        return;
-    }
     const ITERS: u64 = 12;
     const FAULT_FIRING: u64 = 6;
     let (solo_out, solo_iters, solo_firings) = solo_run(ITERS, FaultPlan::none());
@@ -300,10 +290,6 @@ fn stolen_sessions_match_solo_runs() {
 /// steal.
 #[test]
 fn a_fault_on_a_stolen_slice_quarantines_to_the_solo_prefix() {
-    if !FAULTS_COMPILED {
-        eprintln!("fault injection not compiled in; skipping (run with --features fault-inject)");
-        return;
-    }
     const ITERS: u64 = 12;
     let plan = FaultPlan::single(1, 6, FaultKind::Panic);
     let (victim_solo_out, victim_solo_iters, _) = solo_run(ITERS, plan.clone());
@@ -349,7 +335,6 @@ fn a_fault_on_a_stolen_slice_quarantines_to_the_solo_prefix() {
 /// steals it once the home shard is busy with a co-resident.
 /// `src -> spin -> sink`, a 3-node graph whose one firing of `spin`
 /// loops a million times: a slice that keeps its shard busy for a while.
-#[cfg(feature = "telemetry")]
 fn spinner() -> Graph {
     let mut src = FilterBuilder::new("src", 0, 0, 1, ScalarTy::I32);
     src.work(|b| {
@@ -370,7 +355,6 @@ fn spinner() -> Graph {
         .unwrap()
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn a_stolen_session_fires_on_both_shard_tracks() {
     use macross::SimdizeOptions;
@@ -414,6 +398,10 @@ fn a_stolen_session_fires_on_both_shard_tracks() {
         while service.poll(moved).unwrap().iters_done < 64 {
             std::thread::yield_now();
         }
+        // Let shard 1 park after `moved`'s last slice: a shard still
+        // awake is not woken, so `busy`'s feed would wake shard 0, which
+        // would steal `busy` instead.
+        std::thread::sleep(std::time::Duration::from_millis(20));
         // Shard 1 inside `busy`'s one long slice: the next feed of
         // `moved` wakes shard 0, which steals it.
         service.feed(busy, 1).unwrap();

@@ -9,10 +9,9 @@
 //! 1. **Recording** ([`ring::EventRing`], [`trace::TraceSession`]): each
 //!    worker thread appends fixed-size [`event::Event`]s (firing spans,
 //!    ring push/pop stalls, park/unpark) to a bounded lock-free ring with
-//!    monotonic [`clock::now_ns`] timestamps. The facade is selected by
-//!    the `trace` cargo feature: disabled (the default), `WorkerTrace` is
-//!    a zero-sized struct whose `record` is an empty inline function, so
-//!    hooks in the runtime and VM compile to nothing.
+//!    monotonic [`clock::now_ns`] timestamps. Recording is chosen per
+//!    run: a [`trace::TraceSession::disabled`] session hands out handles
+//!    without a ring, whose `record` is one `Option` test.
 //! 2. **Aggregation**: the runtime's `RuntimeReport` carries per-stage
 //!    firings, tokens moved, stall counts *and stall nanoseconds*, plus
 //!    per-ring occupancy histograms and high-water marks (always on —

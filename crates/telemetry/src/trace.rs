@@ -1,191 +1,97 @@
 //! The recording facade the runtime and VM hooks talk to.
 //!
-//! Exactly one of two implementations is compiled, selected by the
-//! `trace` cargo feature:
-//!
-//! * **enabled** — [`TraceSession`] owns one [`EventRing`] per worker and
-//!   [`WorkerTrace`] handles push timestamped events into them;
-//! * **disabled** (default) — both types are zero-sized, every method is
-//!   an empty `#[inline]` body, and hook call sites compile to nothing.
-//!   A unit test pins the zero-size property down.
-//!
-//! Both variants expose the *same* API, so instrumented code never needs
-//! `#[cfg]` at the call site.
+//! [`TraceSession`] owns one [`EventRing`] per worker and [`WorkerTrace`]
+//! handles push timestamped events into them. Whether anything is
+//! recorded is a run-time choice: [`TraceSession::disabled`] (and
+//! [`WorkerTrace::disabled`]) hold no ring, so a hook costs one `Option`
+//! test and records nothing.
 
 use crate::event::{Event, EventKind};
+use crate::ring::EventRing;
+use std::sync::Arc;
 
-#[cfg(feature = "trace")]
-mod imp {
-    use super::*;
-    use crate::ring::EventRing;
-    use std::sync::Arc;
+/// A recording session: one event ring per worker thread.
+pub struct TraceSession {
+    rings: Vec<Arc<EventRing>>,
+}
 
-    /// A recording session: one event ring per worker thread.
-    pub struct TraceSession {
-        rings: Vec<Arc<EventRing>>,
-    }
-
-    impl TraceSession {
-        /// A session with `workers` rings of `capacity_per_worker` events
-        /// each.
-        pub fn new(workers: usize, capacity_per_worker: usize) -> TraceSession {
-            TraceSession {
-                rings: (0..workers)
-                    .map(|_| Arc::new(EventRing::with_capacity(capacity_per_worker)))
-                    .collect(),
-            }
-        }
-
-        /// A session that records nothing (all handles are inert).
-        pub fn disabled() -> TraceSession {
-            TraceSession { rings: Vec::new() }
-        }
-
-        /// Whether this session can record anything at all.
-        pub fn enabled(&self) -> bool {
-            !self.rings.is_empty()
-        }
-
-        /// The recording handle for worker `i` (inert when out of range or
-        /// the session is disabled).
-        pub fn worker(&self, i: usize) -> WorkerTrace {
-            WorkerTrace {
-                ring: self.rings.get(i).cloned(),
-            }
-        }
-
-        /// Drain all rings into one `(worker, event)` list, merged and
-        /// sorted by timestamp.
-        pub fn drain(&self) -> Vec<(u32, Event)> {
-            let mut out: Vec<(u32, Event)> = Vec::new();
-            for (w, ring) in self.rings.iter().enumerate() {
-                out.extend(ring.drain().into_iter().map(|e| (w as u32, e)));
-            }
-            out.sort_by_key(|(_, e)| e.ts_ns);
-            out
-        }
-
-        /// Total events dropped across all rings (full-ring rejections).
-        pub fn dropped(&self) -> u64 {
-            self.rings.iter().map(|r| r.dropped()).sum()
+impl TraceSession {
+    /// A session with `workers` rings of `capacity_per_worker` events
+    /// each.
+    pub fn new(workers: usize, capacity_per_worker: usize) -> TraceSession {
+        TraceSession {
+            rings: (0..workers)
+                .map(|_| Arc::new(EventRing::with_capacity(capacity_per_worker)))
+                .collect(),
         }
     }
 
-    /// One worker's recording handle.
-    #[derive(Clone, Default)]
-    pub struct WorkerTrace {
-        pub(super) ring: Option<Arc<EventRing>>,
+    /// A session that records nothing (all handles are inert).
+    pub fn disabled() -> TraceSession {
+        TraceSession { rings: Vec::new() }
     }
 
-    impl WorkerTrace {
-        /// A handle that records nothing.
-        pub fn disabled() -> WorkerTrace {
-            WorkerTrace { ring: None }
-        }
+    /// Whether this session can record anything at all.
+    pub fn enabled(&self) -> bool {
+        !self.rings.is_empty()
+    }
 
-        /// Whether records actually land anywhere.
-        #[inline]
-        pub fn active(&self) -> bool {
-            self.ring.is_some()
+    /// The recording handle for worker `i` (inert when out of range or
+    /// the session is disabled).
+    pub fn worker(&self, i: usize) -> WorkerTrace {
+        WorkerTrace {
+            ring: self.rings.get(i).cloned(),
         }
+    }
 
-        /// Record one event, stamped with the current time.
-        #[inline]
-        pub fn record(&self, kind: EventKind, subject: u32, aux: u64) {
-            if let Some(ring) = &self.ring {
-                ring.push(Event::now(kind, subject, aux));
-            }
+    /// Drain all rings into one `(worker, event)` list, merged and
+    /// sorted by timestamp.
+    pub fn drain(&self) -> Vec<(u32, Event)> {
+        let mut out: Vec<(u32, Event)> = Vec::new();
+        for (w, ring) in self.rings.iter().enumerate() {
+            out.extend(ring.drain().into_iter().map(|e| (w as u32, e)));
         }
+        out.sort_by_key(|(_, e)| e.ts_ns);
+        out
+    }
+
+    /// Total events dropped across all rings (full-ring rejections).
+    pub fn dropped(&self) -> u64 {
+        self.rings.iter().map(|r| r.dropped()).sum()
     }
 }
 
-#[cfg(not(feature = "trace"))]
-mod imp {
-    use super::*;
-
-    /// Inert session: the `trace` feature is off, nothing is recorded.
-    #[derive(Clone, Copy, Default)]
-    pub struct TraceSession;
-
-    impl TraceSession {
-        /// Inert (the feature is off).
-        pub fn new(_workers: usize, _capacity_per_worker: usize) -> TraceSession {
-            TraceSession
-        }
-
-        /// Inert.
-        pub fn disabled() -> TraceSession {
-            TraceSession
-        }
-
-        /// Always `false` without the `trace` feature.
-        pub fn enabled(&self) -> bool {
-            false
-        }
-
-        /// An inert zero-sized handle.
-        pub fn worker(&self, _i: usize) -> WorkerTrace {
-            WorkerTrace
-        }
-
-        /// Always empty without the `trace` feature.
-        pub fn drain(&self) -> Vec<(u32, Event)> {
-            Vec::new()
-        }
-
-        /// Always 0 without the `trace` feature.
-        pub fn dropped(&self) -> u64 {
-            0
-        }
-    }
-
-    /// Zero-sized no-op recording handle.
-    #[derive(Clone, Copy, Default)]
-    pub struct WorkerTrace;
-
-    impl WorkerTrace {
-        /// An inert zero-sized handle.
-        pub fn disabled() -> WorkerTrace {
-            WorkerTrace
-        }
-
-        /// Always `false` without the `trace` feature.
-        #[inline(always)]
-        pub fn active(&self) -> bool {
-            false
-        }
-
-        /// Compiles to nothing.
-        #[inline(always)]
-        pub fn record(&self, _kind: EventKind, _subject: u32, _aux: u64) {}
-    }
+/// One worker's recording handle.
+#[derive(Clone, Default)]
+pub struct WorkerTrace {
+    ring: Option<Arc<EventRing>>,
 }
 
-pub use imp::{TraceSession, WorkerTrace};
+impl WorkerTrace {
+    /// A handle that records nothing.
+    pub fn disabled() -> WorkerTrace {
+        WorkerTrace { ring: None }
+    }
+
+    /// Whether records actually land anywhere.
+    #[inline]
+    pub fn active(&self) -> bool {
+        self.ring.is_some()
+    }
+
+    /// Record one event, stamped with the current time.
+    #[inline]
+    pub fn record(&self, kind: EventKind, subject: u32, aux: u64) {
+        if let Some(ring) = &self.ring {
+            ring.push(Event::now(kind, subject, aux));
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// With the feature off the hooks must be free: the handle is
-    /// zero-sized, `record` does nothing, and a drain yields nothing.
-    #[cfg(not(feature = "trace"))]
-    #[test]
-    fn disabled_build_hooks_are_no_ops() {
-        assert_eq!(std::mem::size_of::<WorkerTrace>(), 0);
-        assert_eq!(std::mem::size_of::<TraceSession>(), 0);
-        let session = TraceSession::new(4, 1 << 16);
-        assert!(!session.enabled());
-        let t = session.worker(0);
-        assert!(!t.active());
-        for i in 0..1000 {
-            t.record(EventKind::FiringStart, i, 0);
-        }
-        assert!(session.drain().is_empty());
-        assert_eq!(session.dropped(), 0);
-    }
-
-    #[cfg(feature = "trace")]
     #[test]
     fn enabled_session_records_and_merges() {
         let session = TraceSession::new(2, 64);
@@ -203,9 +109,8 @@ mod tests {
         assert!(workers.contains(&0) && workers.contains(&1));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
-    fn disabled_session_is_inert_even_when_feature_on() {
+    fn disabled_session_is_inert() {
         let session = TraceSession::disabled();
         assert!(!session.enabled());
         let t = session.worker(0);

@@ -15,28 +15,16 @@ use macross_streamir::graph::{Graph, Node, NodeId};
 use macross_streamir::types::Value;
 use macross_telemetry::{EventKind, WorkerTrace};
 
-/// Which engine executes filter work functions.
-///
-/// The default is [`ExecMode::Bytecode`] unless the crate is built with
-/// the `vm-treewalk` feature, which flips the default to the tree-walking
-/// oracle — one binary can then run both paths differentially.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Which engine executes filter work functions, chosen per run. The
+/// default is [`ExecMode::Bytecode`]; the differential tests run both.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// Compiled register bytecode, with per-filter fallback to the
     /// tree-walker for bodies the compiler cannot lower exactly.
+    #[default]
     Bytecode,
     /// The original tree-walking interpreter (the differential oracle).
     TreeWalk,
-}
-
-impl Default for ExecMode {
-    fn default() -> Self {
-        if cfg!(feature = "vm-treewalk") {
-            ExecMode::TreeWalk
-        } else {
-            ExecMode::Bytecode
-        }
-    }
 }
 
 /// Executes a scheduled stream graph on a modelled machine.
@@ -55,9 +43,8 @@ pub struct Executor<'a> {
     node_counters: Vec<CycleCounters>,
     outputs: Vec<Vec<Value>>,
     inits_done: bool,
-    /// Firing-span recorder (zero-sized no-op unless the `telemetry`
-    /// feature is on and a live handle was installed via
-    /// [`Executor::set_trace`]).
+    /// Firing-span recorder (inert unless a live handle was installed
+    /// via [`Executor::set_trace`]).
     trace: WorkerTrace,
 }
 
@@ -331,6 +318,14 @@ mod tests {
     use macross_streamir::edsl::*;
     use macross_streamir::types::{ScalarTy, Ty};
 
+    /// Every fixed-value test below holds on both engines.
+    const MODES: [ExecMode; 2] = [ExecMode::Bytecode, ExecMode::TreeWalk];
+
+    fn run_on(g: &Graph, iters: u64, mode: ExecMode) -> RunResult {
+        let sched = Schedule::compute(g).unwrap();
+        run_scheduled_mode(g, &sched, &Machine::core_i7(), iters, mode).unwrap()
+    }
+
     fn counting_source(name: &str, push: usize) -> StreamSpec {
         let mut fb = FilterBuilder::new(name, 0, 0, push, ScalarTy::I32);
         let n = fb.state("n", Ty::Scalar(ScalarTy::I32));
@@ -356,14 +351,13 @@ mod tests {
         ])
         .build()
         .unwrap();
-        let machine = Machine::core_i7();
-        let res = run_program(&g, &machine, 3).unwrap();
-        // 3 iterations x src rep 1 x push 2 = 6 outputs.
-        assert_eq!(
-            res.output,
-            (0..6).map(|x| Value::I32(x * 3)).collect::<Vec<_>>()
-        );
-        assert!(res.total_cycles() > 0);
+        for mode in MODES {
+            let res = run_on(&g, 3, mode);
+            // 3 iterations x src rep 1 x push 2 = 6 outputs.
+            let want: Vec<Value> = (0..6).map(|x| Value::I32(x * 3)).collect();
+            assert_eq!(res.output, want, "{mode:?}");
+            assert!(res.total_cycles() > 0, "{mode:?}");
+        }
     }
 
     #[test]
@@ -391,16 +385,18 @@ mod tests {
         ])
         .build()
         .unwrap();
-        let res = run_program(&g, &Machine::core_i7(), 1).unwrap();
-        assert_eq!(
-            res.output,
-            vec![
-                Value::I32(1000),
-                Value::I32(2001),
-                Value::I32(3002),
-                Value::I32(4003)
-            ]
-        );
+        for mode in MODES {
+            assert_eq!(
+                run_on(&g, 1, mode).output,
+                vec![
+                    Value::I32(1000),
+                    Value::I32(2001),
+                    Value::I32(3002),
+                    Value::I32(4003)
+                ],
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]
@@ -419,11 +415,13 @@ mod tests {
         ])
         .build()
         .unwrap();
-        let res = run_program(&g, &Machine::core_i7(), 2).unwrap();
-        assert_eq!(
-            res.output,
-            vec![Value::I32(0), Value::I32(0), Value::I32(1), Value::I32(1)]
-        );
+        for mode in MODES {
+            assert_eq!(
+                run_on(&g, 2, mode).output,
+                vec![Value::I32(0), Value::I32(0), Value::I32(1), Value::I32(1)],
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]
@@ -441,12 +439,14 @@ mod tests {
         ])
         .build()
         .unwrap();
-        let res = run_program(&g, &Machine::core_i7(), 4).unwrap();
-        // Windows start at 0: 0+1+2, 1+2+3, ...
-        assert_eq!(
-            res.output,
-            vec![Value::I32(3), Value::I32(6), Value::I32(9), Value::I32(12)]
-        );
+        for mode in MODES {
+            // Windows start at 0: 0+1+2, 1+2+3, ...
+            assert_eq!(
+                run_on(&g, 4, mode).output,
+                vec![Value::I32(3), Value::I32(6), Value::I32(9), Value::I32(12)],
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]
@@ -464,11 +464,13 @@ mod tests {
         ])
         .build()
         .unwrap();
-        let res = run_program(&g, &Machine::core_i7(), 4).unwrap();
-        assert_eq!(
-            res.output,
-            vec![Value::I32(0), Value::I32(1), Value::I32(3), Value::I32(6)]
-        );
+        for mode in MODES {
+            assert_eq!(
+                run_on(&g, 4, mode).output,
+                vec![Value::I32(0), Value::I32(1), Value::I32(3), Value::I32(6)],
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]
@@ -496,8 +498,13 @@ mod tests {
         ])
         .build()
         .unwrap();
-        let res = run_program(&g, &Machine::core_i7(), 1).unwrap();
-        assert_eq!(res.output, vec![Value::I32(200)]);
+        for mode in MODES {
+            assert_eq!(
+                run_on(&g, 1, mode).output,
+                vec![Value::I32(200)],
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]
@@ -524,12 +531,8 @@ mod tests {
         traced.run_steady(5).unwrap();
         assert_eq!(traced.output_flat(), plain.output);
         assert_eq!(traced.counters(), plain.counters);
-        if cfg!(feature = "telemetry") {
-            // 3 nodes x 5 iterations x (start + end), plus init (none here).
-            assert_eq!(session.drain().len(), 3 * 5 * 2);
-        } else {
-            assert!(session.drain().is_empty());
-        }
+        // 3 nodes x 5 iterations x (start + end), plus init (none here).
+        assert_eq!(session.drain().len(), 3 * 5 * 2);
     }
 
     #[test]
@@ -545,8 +548,14 @@ mod tests {
         ])
         .build()
         .unwrap();
-        let res = run_program(&g, &Machine::core_i7(), 5).unwrap();
-        assert_eq!(res.node_cycles.iter().sum::<u64>(), res.total_cycles());
+        for mode in MODES {
+            let res = run_on(&g, 5, mode);
+            assert_eq!(
+                res.node_cycles.iter().sum::<u64>(),
+                res.total_cycles(),
+                "{mode:?}"
+            );
+        }
     }
 }
 
@@ -610,13 +619,19 @@ mod reorder_cost_tests {
         let g_sagu = build(AddrGen::Sagu);
         let g_soft = build(AddrGen::Software);
         let sched = Schedule::compute(&g_sagu).unwrap();
-        let r_sagu = crate::exec::run_scheduled(&g_sagu, &sched, &machine, 2).unwrap();
-        let r_soft = crate::exec::run_scheduled(&g_soft, &sched, &machine, 2).unwrap();
-        assert_eq!(r_sagu.output, r_soft.output, "functionally identical");
-        // 4 joiner pushes per iteration x 2 iterations x 6 cycles.
-        assert_eq!(
-            r_soft.counters.addr_overhead - r_sagu.counters.addr_overhead,
-            4 * 2 * machine.cost.addr_software_reorder
-        );
+        for mode in [ExecMode::Bytecode, ExecMode::TreeWalk] {
+            let r_sagu = run_scheduled_mode(&g_sagu, &sched, &machine, 2, mode).unwrap();
+            let r_soft = run_scheduled_mode(&g_soft, &sched, &machine, 2, mode).unwrap();
+            assert_eq!(
+                r_sagu.output, r_soft.output,
+                "{mode:?}: functionally identical"
+            );
+            // 4 joiner pushes per iteration x 2 iterations x 6 cycles.
+            assert_eq!(
+                r_soft.counters.addr_overhead - r_sagu.counters.addr_overhead,
+                4 * 2 * machine.cost.addr_software_reorder,
+                "{mode:?}"
+            );
+        }
     }
 }

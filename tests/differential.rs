@@ -1,14 +1,18 @@
 //! Cross-crate differential tests: every benchmark, under every
 //! SIMDization configuration and both auto-vectorizer presets, must
 //! preserve program output (bit-exactly, except for the ICC preset's
-//! documented FP-reduction reassociation).
+//! documented FP-reduction reassociation) — on the bytecode engine and on
+//! the tree-walk oracle alike.
 
 use macross_repro::autovec::{autovectorize_graph, AutovecConfig};
 use macross_repro::benchsuite;
 use macross_repro::macross::driver::{macro_simdize, SimdizeOptions};
 use macross_repro::sdf::Schedule;
 use macross_repro::streamir::graph::Graph;
-use macross_repro::vm::{run_scheduled, Machine, RunResult};
+use macross_repro::vm::{run_scheduled, run_scheduled_mode, ExecMode, Machine, RunResult};
+
+/// The engines every comparison below runs on.
+const MODES: [ExecMode; 2] = [ExecMode::Bytecode, ExecMode::TreeWalk];
 
 fn source_of(g: &Graph) -> macross_repro::streamir::NodeId {
     g.node_ids()
@@ -23,6 +27,7 @@ fn run_aligned(
     s2: &Schedule,
     m: &Machine,
     iters: u64,
+    mode: ExecMode,
 ) -> (RunResult, RunResult) {
     let (src1, src2) = (source_of(g1), source_of(g2));
     let (r1, r2) = (s1.reps[src1.0 as usize], s2.reps[src2.0 as usize]);
@@ -32,8 +37,8 @@ fn run_aligned(
     s1.scale(l / r1);
     s2.scale(l / r2);
     (
-        run_scheduled(g1, &s1, m, iters).unwrap(),
-        run_scheduled(g2, &s2, m, iters).unwrap(),
+        run_scheduled_mode(g1, &s1, m, iters, mode).unwrap(),
+        run_scheduled_mode(g2, &s2, m, iters, mode).unwrap(),
     )
 }
 
@@ -58,8 +63,10 @@ fn check_options(machine: &Machine, opts: &SimdizeOptions, cfg: &str) {
         let sched = Schedule::compute(&g).unwrap();
         let simd =
             macro_simdize(&g, machine, opts).unwrap_or_else(|e| panic!("{}/{cfg}: {e}", b.name));
-        let (a, c) = run_aligned(&g, &sched, &simd.graph, &simd.schedule, machine, 2);
-        assert_exact(b.name, cfg, &a, &c);
+        for mode in MODES {
+            let (a, c) = run_aligned(&g, &sched, &simd.graph, &simd.schedule, machine, 2, mode);
+            assert_exact(b.name, &format!("{cfg}/{mode:?}"), &a, &c);
+        }
     }
 }
 
@@ -140,11 +147,13 @@ fn gcc_autovec_is_bit_exact() {
     for b in benchsuite::all() {
         let g = (b.build)();
         let sched = Schedule::compute(&g).unwrap();
-        let a = run_scheduled(&g, &sched, &machine, 2).unwrap();
         let mut vg = g.clone();
         autovectorize_graph(&mut vg, &AutovecConfig::gcc_like(4));
-        let c = run_scheduled(&vg, &sched, &machine, 2).unwrap();
-        assert_exact(b.name, "gcc_autovec", &a, &c);
+        for mode in MODES {
+            let a = run_scheduled_mode(&g, &sched, &machine, 2, mode).unwrap();
+            let c = run_scheduled_mode(&vg, &sched, &machine, 2, mode).unwrap();
+            assert_exact(b.name, &format!("gcc_autovec/{mode:?}"), &a, &c);
+        }
     }
 }
 
@@ -156,15 +165,21 @@ fn icc_autovec_is_approximately_exact() {
     for b in benchsuite::all() {
         let g = (b.build)();
         let sched = Schedule::compute(&g).unwrap();
-        let a = run_scheduled(&g, &sched, &machine, 2).unwrap();
         let mut vg = g.clone();
         autovectorize_graph(&mut vg, &AutovecConfig::icc_like(4));
-        let c = run_scheduled(&vg, &sched, &machine, 2).unwrap();
-        assert_eq!(a.output.len(), c.output.len(), "{}", b.name);
-        for (i, (x, y)) in a.output.iter().zip(&c.output).enumerate() {
-            let (x, y) = (x.as_f64(), y.as_f64());
-            let tol = 1e-3 * x.abs().max(1.0);
-            assert!((x - y).abs() <= tol, "{}: output {i}: {x} vs {y}", b.name);
+        for mode in MODES {
+            let a = run_scheduled_mode(&g, &sched, &machine, 2, mode).unwrap();
+            let c = run_scheduled_mode(&vg, &sched, &machine, 2, mode).unwrap();
+            assert_eq!(a.output.len(), c.output.len(), "{}/{mode:?}", b.name);
+            for (i, (x, y)) in a.output.iter().zip(&c.output).enumerate() {
+                let (x, y) = (x.as_f64(), y.as_f64());
+                let tol = 1e-3 * x.abs().max(1.0);
+                assert!(
+                    (x - y).abs() <= tol,
+                    "{}/{mode:?}: output {i}: {x} vs {y}",
+                    b.name
+                );
+            }
         }
     }
 }
@@ -179,15 +194,16 @@ fn macro_simd_then_autovec_is_bit_exact_with_gcc() {
         let simd = macro_simdize(&g, &machine, &SimdizeOptions::all()).unwrap();
         let mut both = simd.graph.clone();
         autovectorize_graph(&mut both, &AutovecConfig::gcc_like(4));
-        let (a, c) = run_aligned(&g, &sched, &both, &simd.schedule, &machine, 2);
-        assert_exact(b.name, "macro+gcc", &a, &c);
+        for mode in MODES {
+            let (a, c) = run_aligned(&g, &sched, &both, &simd.schedule, &machine, 2, mode);
+            assert_exact(b.name, &format!("macro+gcc/{mode:?}"), &a, &c);
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
 // Bytecode engine vs. tree-walking oracle. `ExecMode` selects the engine
-// per run, so one binary pits both against each other regardless of which
-// one the `vm-treewalk` feature made the default.
+// per run, so one binary pits both against each other.
 
 mod engine_differential {
     use super::*;
@@ -195,7 +211,6 @@ mod engine_differential {
         run_supervised_placed, FissionSpec, Placement, RuntimeError, SupervisorOptions, ThreadedRun,
     };
     use macross_repro::telemetry::TraceSession;
-    use macross_repro::vm::{run_scheduled_mode, ExecMode};
 
     /// `run_threaded_placed` with an explicit engine on every worker.
     fn run_placed_mode(

@@ -1,8 +1,8 @@
-//! Fault differential suite (requires `--features fault-inject`).
+//! Fault differential suite.
 //!
-//! For every benchmark in the suite, across {1, 2, 4} workers, inject
-//! each fault class at a deterministic mid-run `(stage, firing)` address
-//! and pin the supervision contract:
+//! For every benchmark in the suite, across {1, 2, 4} workers and on
+//! both engines, inject each fault class at a deterministic mid-run
+//! `(stage, firing)` address and pin the supervision contract:
 //!
 //! - **fatal** classes (panic, poisoned tape, stalled firing under a
 //!   watchdog) end in a clean typed [`StageFailure`] — no hang, no
@@ -16,15 +16,13 @@
 //!   failure signature — failures and sink lengths — both directly and
 //!   via a serialized [`ReplayBundle`] round-trip.
 //!
-//! The engine under test is the build default (`ExecMode::default()`), so
-//! the nightly matrix covers both engines by toggling `vm-treewalk`.
-#![cfg(feature = "fault-inject")]
+//! The other tests run on the default engine (`ExecMode::default()`).
 
 use macross_bench::replay::{failure_signature, make_bundle, run_bundle};
 use macross_repro::benchsuite;
 use macross_repro::runtime::{
     committed_outcome, run_supervised_placed, FaultKind, FaultPlan, FissionSpec, Placement,
-    SupervisedRun, SupervisorOptions, FAULTS_COMPILED,
+    SupervisedRun, SupervisorOptions,
 };
 use macross_repro::sdf::Schedule;
 use macross_repro::streamir::graph::{Graph, Node};
@@ -33,6 +31,7 @@ use macross_repro::vm::{ExecMode, Machine};
 use std::time::{Duration, Instant};
 
 const CORE_COUNTS: [usize; 3] = [1, 2, 4];
+const MODES: [ExecMode; 2] = [ExecMode::Bytecode, ExecMode::TreeWalk];
 const WATCHDOG: Duration = Duration::from_millis(25);
 /// Generous bound that still catches a wedged drain or a leaked blocking
 /// wait long before CI does.
@@ -43,6 +42,7 @@ struct Target {
     schedule: Schedule,
     assignment: Vec<u32>,
     iters: u64,
+    mode: ExecMode,
     clean: SupervisedRun,
     /// Filter stage chosen for injection and its mid-run firing index.
     stage: usize,
@@ -50,6 +50,7 @@ struct Target {
 }
 
 fn run_once(
+    mode: ExecMode,
     graph: &Graph,
     schedule: &Schedule,
     assignment: &[u32],
@@ -58,9 +59,8 @@ fn run_once(
     watchdog: Option<Duration>,
 ) -> SupervisedRun {
     let opts = SupervisorOptions {
-        mode: ExecMode::default(),
+        mode,
         watchdog,
-        stage_timeouts: Vec::new(),
         plan,
     };
     let t0 = Instant::now();
@@ -83,6 +83,7 @@ fn run_once(
 
 fn run(t: &Target, plan: FaultPlan, watchdog: Option<Duration>) -> SupervisedRun {
     run_once(
+        t.mode,
         &t.graph,
         &t.schedule,
         &t.assignment,
@@ -92,16 +93,17 @@ fn run(t: &Target, plan: FaultPlan, watchdog: Option<Duration>) -> SupervisedRun
     )
 }
 
-/// Build the injection target for one (benchmark, cores) cell: simdize +
-/// place exactly like the driver, run clean once, and pick the first
-/// filter stage with at least two firings as the victim.
-fn target(bench: &benchsuite::Benchmark, cores: usize) -> Target {
+/// Build the injection target for one (benchmark, cores, engine) cell:
+/// simdize + place exactly like the driver, run clean once, and pick the
+/// first filter stage with at least two firings as the victim.
+fn target(bench: &benchsuite::Benchmark, cores: usize, mode: ExecMode) -> Target {
     let machine = Machine::core_i7();
     let graph = (bench.build)();
     let (graph, schedule, assignment) =
         macross_bench::replay::campaign_placement(&graph, &machine, cores).unwrap();
     let iters = bench.iters.min(6);
     let clean = run_once(
+        mode,
         &graph,
         &schedule,
         &assignment,
@@ -125,6 +127,7 @@ fn target(bench: &benchsuite::Benchmark, cores: usize) -> Target {
         schedule,
         assignment,
         iters,
+        mode,
         clean,
         stage,
         firing: firings / 2,
@@ -153,9 +156,6 @@ fn assert_committed(
         }
     }
 }
-
-// The whole file is gated on the feature, so injection must be compiled.
-const _: () = assert!(FAULTS_COMPILED);
 
 /// Fault injection through the fission deal/merge path: split a legal
 /// stage across two cores, then pin the same supervision contract on the
@@ -193,7 +193,6 @@ fn injected_faults_under_fission_fail_clean() {
             let opts = SupervisorOptions {
                 mode: ExecMode::default(),
                 watchdog: None,
-                stage_timeouts: Vec::new(),
                 plan,
             };
             let t0 = Instant::now();
@@ -263,9 +262,9 @@ fn injected_faults_under_fission_fail_clean() {
 fn injected_faults_fail_clean_and_replay_identically() {
     let machine = Machine::core_i7();
     for bench in benchsuite::all() {
-        for &cores in &CORE_COUNTS {
-            let t = target(&bench, cores);
-            let label = format!("{}@{cores}", bench.name);
+        for (cores, mode) in CORE_COUNTS.into_iter().flat_map(|c| MODES.map(|m| (c, m))) {
+            let t = target(&bench, cores, mode);
+            let label = format!("{}@{cores} {mode:?}", bench.name);
 
             // --- Fatal classes: typed failure, no hang, exact outcome.
             let fatal = [
@@ -325,16 +324,17 @@ fn injected_faults_fail_clean_and_replay_identically() {
             }
 
             // --- Replay bundle round-trip reproduces the panic case. The
-            // seed is pure provenance; carrying the core count in it keeps
-            // the three per-benchmark bundle file names distinct.
+            // seed is pure provenance; carrying the engine and the core
+            // count in it keeps the six per-benchmark bundle file names
+            // distinct.
             let mut plan = FaultPlan::single(t.stage, t.firing, FaultKind::Panic);
-            plan.seed = cores as u64;
+            plan.seed = 10 * mode as u64 + cores as u64;
             let failed = run(&t, plan.clone(), None);
             let bundle = make_bundle(
                 bench.name,
                 true,
                 &machine,
-                ExecMode::default(),
+                mode,
                 &t.assignment,
                 t.iters,
                 None,
@@ -399,6 +399,7 @@ fn faulted_region_stage_drains_to_clean_prefix() {
             let label = format!("{needle}@{cores}");
             let iters = 6;
             let clean = run_once(
+                ExecMode::default(),
                 &graph,
                 &schedule,
                 &assignment,
@@ -413,7 +414,15 @@ fn faulted_region_stage_drains_to_clean_prefix() {
 
             for (kind, want_cause) in [(FaultKind::Panic, "panic"), (FaultKind::PoisonTape, "vm")] {
                 let plan = FaultPlan::single(victim, firing, kind);
-                let failed = run_once(&graph, &schedule, &assignment, iters, plan.clone(), None);
+                let failed = run_once(
+                    ExecMode::default(),
+                    &graph,
+                    &schedule,
+                    &assignment,
+                    iters,
+                    plan.clone(),
+                    None,
+                );
                 assert!(!failed.completed, "{label}: {kind:?} must fail the run");
                 let f = failed
                     .report
@@ -428,7 +437,15 @@ fn faulted_region_stage_drains_to_clean_prefix() {
                     failed.report.stages[victim].firings, firing,
                     "{label} {kind:?}: firings past the fault were committed"
                 );
-                let again = run_once(&graph, &schedule, &assignment, iters, plan, None);
+                let again = run_once(
+                    ExecMode::default(),
+                    &graph,
+                    &schedule,
+                    &assignment,
+                    iters,
+                    plan,
+                    None,
+                );
                 assert_eq!(
                     failure_signature(&graph, &failed),
                     failure_signature(&graph, &again),
@@ -505,6 +522,7 @@ fn panic_mid_block_on_a_write_reordered_edge_keeps_completed_firings() {
     for assignment in [[0u32, 0, 0, 0], [0, 1, 1, 1], [0, 1, 0, 1]] {
         let label = format!("{assignment:?}");
         let clean = run_once(
+            ExecMode::default(),
             &graph,
             &schedule,
             &assignment,
@@ -514,7 +532,15 @@ fn panic_mid_block_on_a_write_reordered_edge_keeps_completed_firings() {
         );
         assert!(clean.completed, "{label}");
         let plan = FaultPlan::single(victim, firing, FaultKind::Panic);
-        let failed = run_once(&graph, &schedule, &assignment, iters, plan, None);
+        let failed = run_once(
+            ExecMode::default(),
+            &graph,
+            &schedule,
+            &assignment,
+            iters,
+            plan,
+            None,
+        );
         assert!(!failed.completed, "{label}");
         let f = failed.report.root_failure().unwrap();
         assert_eq!((f.stage, f.firing), (victim, firing), "{label}");

@@ -1,14 +1,12 @@
-//! Supervision tests that need no `fault-inject` build: the faults here
-//! are *guest-induced* (a filter that panics its own firing via an
-//! out-of-range dynamic peek, a filter whose firing is deliberately
-//! slow), so the supervised runtime's failure handling — typed
-//! `StageFailure`s, the drain to each node's bound, watchdog escalation,
-//! partial output exactly equal to the committed outcome — is exercised
-//! in the plain tier-1 test run.
+//! Supervision tests whose faults are mostly *guest-induced* (a filter
+//! that panics its own firing via an out-of-range dynamic peek, a filter
+//! whose firing is deliberately slow): the supervised runtime's failure
+//! handling — typed `StageFailure`s, the drain to each node's bound,
+//! watchdog escalation, partial output exactly equal to the committed
+//! outcome — on graphs written to fail.
 //!
 //! The injected-fault differential suite (every benchmark x worker count
-//! x fault class) lives in `tests/fault_differential.rs` behind the
-//! `fault-inject` feature.
+//! x fault class) lives in `tests/fault_differential.rs`.
 
 use macross_repro::runtime as rt;
 use macross_repro::runtime::{
@@ -629,7 +627,7 @@ fn failure_at(stage: usize, firing: u64) -> StageFailure {
 
 #[test]
 fn a_failure_has_one_identity_on_every_engine() {
-    use macross_repro::runtime::{FaultKind, FaultPlan, SessionEngine, FAULTS_COMPILED};
+    use macross_repro::runtime::{FaultKind, FaultPlan, SessionEngine};
     use macross_repro::vm::{CompiledPrograms, ExecMode};
     use std::sync::Arc;
 
@@ -693,6 +691,14 @@ fn a_failure_has_one_identity_on_every_engine() {
             let ctx = format!("{ctx}, {assignment:?}");
             let got = identity(&ctx, &run.report.failures, &run.output);
             assert_eq!(got, want, "{ctx}");
+            // Per-stage counts are the outcome's too, not how far a
+            // worker got before it saw the failure.
+            let bounds = committed_outcome(g, &sched, &run.report.failures);
+            let firings: Vec<u64> = run.report.stages.iter().map(|s| s.firings).collect();
+            assert_eq!(firings, bounds, "{ctx}: stage firings");
+            for s in &run.report.stages {
+                assert!(s.batched_firings <= s.firings, "{ctx}: {}", s.name);
+            }
         }
         want
     };
@@ -709,7 +715,7 @@ fn a_failure_has_one_identity_on_every_engine() {
         ]
     };
     let g = split_join(1 << 20);
-    for (id, node) in g.nodes().filter(|_| FAULTS_COMPILED) {
+    for (id, node) in g.nodes() {
         let stage = id.0 as usize;
         for (kind, label) in [(FaultKind::Panic, "panic"), (FaultKind::PoisonTape, "vm")] {
             for firing in places(sched.reps[stage]) {

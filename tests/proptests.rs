@@ -1,7 +1,7 @@
 //! Randomized property tests over the core invariants:
 //!
 //! - random stateless actors survive single-actor SIMDization (all tape
-//!   modes) with bit-identical output;
+//!   modes) with bit-identical output, on both engines;
 //! - random *structured* actors — nested loops with literal, variable and
 //!   popped trip counts, branches, scalar and vector assignments — produce
 //!   the same sink bits and cycle counters on both engines;
@@ -36,7 +36,10 @@ use macross_repro::streamir::graph::{Graph, Node};
 use macross_repro::streamir::stmt::Stmt;
 use macross_repro::streamir::types::{ScalarTy, Ty, Value};
 use macross_repro::vm::tape::raw_of;
-use macross_repro::vm::{run_scheduled, Machine, Tape};
+use macross_repro::vm::{run_scheduled_mode, ExecMode, Machine, Tape};
+
+/// The engines every scalar-vs-SIMDized comparison runs on.
+const MODES: [ExecMode; 2] = [ExecMode::Bytecode, ExecMode::TreeWalk];
 
 // ---------------------------------------------------------------------
 // Deterministic PRNG (xorshift64*).
@@ -196,9 +199,11 @@ fn differential(actor: Filter, cfg: SingleActorConfig) {
         });
     }
     let machine = Machine::core_i7_with_sagu();
-    let a = run_scheduled(&scalar_graph, &ssched, &machine, 3).unwrap();
-    let b = run_scheduled(&vec_graph, &vsched, &machine, 3).unwrap();
-    assert_eq!(a.output, b.output);
+    for mode in MODES {
+        let a = run_scheduled_mode(&scalar_graph, &ssched, &machine, 3, mode).unwrap();
+        let b = run_scheduled_mode(&vec_graph, &vsched, &machine, 3, mode).unwrap();
+        assert_eq!(a.output, b.output, "{mode:?}");
+    }
 }
 
 #[test]
@@ -447,7 +452,7 @@ fn gen_structured_actor(seed: u64) -> Filter {
 #[test]
 fn random_structured_actors_agree_across_engines() {
     use macross_repro::vm::bytecode::Op;
-    use macross_repro::vm::{compile_filter, run_scheduled_mode, ExecMode};
+    use macross_repro::vm::compile_filter;
     let machine = Machine::core_i7();
     let (mut by_trips, mut in_branch) = (0usize, 0usize);
     for seed in 0..64u64 {
@@ -907,7 +912,6 @@ fn assert_pool_and_forwarding_engaged(g: &Graph, machine: &Machine, at: &str) {
 /// the tree-walking oracle: sink bits and cycle counters.
 #[test]
 fn random_vector_and_forwarding_actors_agree_across_engines() {
-    use macross_repro::vm::{run_scheduled_mode, ExecMode};
     let machine = Machine::core_i7();
     for seed in 0..48u64 {
         let mut rng = Rng::new(0xF0A2 ^ (seed << 7));
@@ -1537,9 +1541,11 @@ fn random_pipeline_full_driver() {
             ssched.scale(m1);
             let mut vsched = simd.schedule.clone();
             vsched.scale(l / vsched.reps[src.0 as usize]);
-            let a = run_scheduled(&g, &ssched, &machine, 2).unwrap();
-            let b = run_scheduled(&simd.graph, &vsched, &machine, 2).unwrap();
-            assert_eq!(&a.output, &b.output, "seed {seed}");
+            for mode in MODES {
+                let a = run_scheduled_mode(&g, &ssched, &machine, 2, mode).unwrap();
+                let b = run_scheduled_mode(&simd.graph, &vsched, &machine, 2, mode).unwrap();
+                assert_eq!(&a.output, &b.output, "seed {seed}, {mode:?}");
+            }
         }
     }
 }
@@ -1605,9 +1611,11 @@ fn random_splitjoin_full_driver() {
         ssched.scale(m1);
         let mut vsched = simd.schedule.clone();
         vsched.scale(l / vsched.reps[src_id.0 as usize]);
-        let a = run_scheduled(&g, &ssched, &machine, 2).unwrap();
-        let b = run_scheduled(&simd.graph, &vsched, &machine, 2).unwrap();
-        assert_eq!(&a.output, &b.output, "seed {seed}");
+        for mode in MODES {
+            let a = run_scheduled_mode(&g, &ssched, &machine, 2, mode).unwrap();
+            let b = run_scheduled_mode(&simd.graph, &vsched, &machine, 2, mode).unwrap();
+            assert_eq!(&a.output, &b.output, "seed {seed}, {mode:?}");
+        }
         // Four identical-shape branches must merge horizontally.
         assert!(!simd.report.horizontal_groups.is_empty(), "seed {seed}");
     }
