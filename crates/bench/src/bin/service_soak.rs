@@ -2,19 +2,20 @@
 //! benchmark sessions and check the subsystem's contract end to end —
 //! typed `Overloaded` rejections past the session cap, compile-once
 //! behaviour (compilations == distinct graph shapes, not sessions),
-//! per-tenant output counts, and a graceful shutdown that drains
-//! everything admitted.
+//! per-tenant output counts, a graceful shutdown that drains everything
+//! admitted, and a report with a row per tenant whose counters pass
+//! `ServiceReport::violations`.
 //!
 //! Usage: `service_soak [--sessions N] [--cap M] [--workers W]
 //! [--iters I] [--mode bytecode|treewalk]`
 //! (defaults: 72 sessions over a cap of 64, 4 workers, 4 iterations,
-//! bytecode). Any violated invariant exits non-zero. With
-//! `MACROSS_BENCH_DIR` set, writes `SERVICE_soak_<mode>.json` there for
-//! `validate_report`.
+//! bytecode). Any violated invariant exits non-zero, before any report is
+//! written. With `MACROSS_BENCH_DIR` set, writes the checked report as
+//! `SERVICE_soak_<mode>.json` there.
 
 use macross_bench::{bench_dir, render_table};
 use macross_runtime::FaultPlan;
-use macross_service::{mode_label, ServiceConfig, StreamService};
+use macross_service::{mode_label, ServiceConfig, StreamService, TenantState};
 use macross_vm::{ExecMode, Machine};
 
 struct Args {
@@ -144,29 +145,30 @@ fn main() {
     }
 
     let report = service.shutdown(&report_name);
+    // The counters' own rules, compile-once among them: with nothing
+    // evicted, one compilation per distinct structural hash.
+    let violations = report.violations();
+    if !violations.is_empty() {
+        fail(&format!("report: {}", violations.join("; ")));
+    }
+    if report.tenants.is_empty() {
+        fail("the report carries no tenant rows");
+    }
 
-    // Compile-once: one compilation per distinct structural hash — the
-    // benchmark mix has at most 14 shapes no matter how many sessions.
-    let distinct: std::collections::HashSet<&str> = report
-        .tenants
-        .iter()
-        .map(|t| t.graph_hash.as_str())
-        .collect();
-    if report.cache.distinct_graphs != distinct.len() as u64 {
+    // The benchmark mix has at most 14 shapes no matter how many
+    // sessions, and the cache saw exactly the tenants' hashes.
+    let distinct: std::collections::HashSet<_> =
+        report.tenants.iter().map(|t| t.graph_hash).collect();
+    let cache = report.last.cache;
+    if cache.distinct_graphs != distinct.len() as u64 {
         fail(&format!(
             "cache saw {} distinct hashes but tenants carry {}",
-            report.cache.distinct_graphs,
+            cache.distinct_graphs,
             distinct.len()
         ));
     }
-    if report.cache.evictions == 0 && report.cache.compilations != report.cache.distinct_graphs {
-        fail(&format!(
-            "compile-once broken: {} compilations for {} distinct graphs",
-            report.cache.compilations, report.cache.distinct_graphs
-        ));
-    }
     for row in &report.tenants {
-        if row.faults > 0 || row.state == "faulted" {
+        if row.faults > 0 || row.state == TenantState::Faulted {
             fail(&format!("tenant {}#{} faulted", row.benchmark, row.session));
         }
         if row.iters_done != row.iters_requested {
@@ -176,36 +178,33 @@ fn main() {
             ));
         }
     }
-    if let Err(e) = macross_telemetry::service::validate_str(&report.json_string()) {
-        fail(&format!("emitted report violates macross-service-v2: {e}"));
-    }
 
-    let hit_rate = report.cache.hit_rate();
+    let admission = report.last.admission;
     println!(
         "{}",
         render_table(
             &["metric", "value"],
             &[
+                vec!["distinct graphs".into(), cache.distinct_graphs.to_string()],
+                vec!["compilations".into(), cache.compilations.to_string()],
                 vec![
-                    "distinct graphs".into(),
-                    report.cache.distinct_graphs.to_string()
+                    "cache hit rate".into(),
+                    format!("{:.1}%", cache.hit_rate() * 100.0)
                 ],
-                vec!["compilations".into(), report.cache.compilations.to_string()],
-                vec!["cache hit rate".into(), format!("{:.1}%", hit_rate * 100.0)],
-                vec!["admitted".into(), report.admission.admitted.to_string()],
+                vec!["admitted".into(), admission.admitted.to_string()],
                 vec![
                     "rejected (Overloaded)".into(),
-                    report.admission.rejected_sessions.to_string(),
+                    admission.rejected_sessions.to_string(),
                 ],
                 vec![
                     "drained on shutdown".into(),
-                    report.admission.drained_on_shutdown.to_string(),
+                    admission.drained_on_shutdown.to_string(),
                 ],
                 vec![
                     "backpressure stalls".into(),
-                    report.admission.backpressure_stalls.to_string(),
+                    admission.backpressure_stalls.to_string(),
                 ],
-                vec!["steals".into(), report.admission.steals.to_string()],
+                vec!["steals".into(), admission.steals.to_string()],
             ],
         )
     );

@@ -643,7 +643,7 @@ pub fn iteration_block() -> u64 {
 /// - a [`fault::FaultPlan`] deterministically injects faults at exact
 ///   `(stage, firing)` coordinates (an empty plan injects nothing);
 /// - each worker records firing spans, ring stalls, and park/unpark
-///   events into `session`'s per-core event ring (core id = trace worker
+///   events into `session`'s per-core event track (core id = track
 ///   index = Chrome `tid`); a [`TraceSession::disabled`] session's hooks
 ///   short-circuit into nothing.
 ///
@@ -1116,7 +1116,7 @@ mod tests {
         let sched = Schedule::compute(&g).unwrap();
         let m = Machine::core_i7();
         let seq = macross_vm::run_scheduled(&g, &sched, &m, 8).unwrap();
-        let session = TraceSession::new(2, 1 << 12);
+        let session = TraceSession::new(1 << 12);
         let thr = run_traced(&g, &sched, &m, &[0, 1, 1], 8, &session);
         assert_eq!(thr.output, seq.output);
         // Each worker records at least its firing spans.
@@ -1346,7 +1346,7 @@ mod tests {
         use macross_telemetry::EventKind;
         let g = chain();
         let sched = Schedule::compute(&g).unwrap();
-        let session = TraceSession::new(2, 1 << 14);
+        let session = TraceSession::new(1 << 14);
         let thr = run_traced(&g, &sched, &Machine::core_i7(), &[0, 1, 1], 8, &session);
         let events = session.drain();
         // Core 0 fired src 8 times: exactly 8 start/end pairs on worker 0.

@@ -11,6 +11,11 @@
 //! elapsed time — spin, then yield the core, then park (see
 //! `SPIN_FOR`); the peer unparks it on the next batch. Parks use a
 //! timeout so an abort raised by a failing worker is always noticed.
+//!
+//! This is the one file of the workspace that may use `unsafe` (the
+//! workspace denies `unsafe_code` everywhere else): each `unsafe` block
+//! and impl below carries the SAFETY argument for it.
+#![allow(unsafe_code)]
 
 use macross_telemetry::{EventKind, WorkerTrace};
 use std::cell::UnsafeCell;

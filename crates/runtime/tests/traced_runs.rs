@@ -20,7 +20,7 @@ use macross_telemetry::{chrome, json, Event, EventKind, TraceSession};
 use macross_vm::{CompiledPrograms, ExecMode, Executor, Machine};
 use std::sync::Arc;
 
-/// Events per worker ring: more than any program's run records here.
+/// Events per trace track: more than any program's run records here.
 const RING: usize = 1 << 16;
 
 fn assert_bits_eq(ctx: &str, want: &[Value], got: &[Value]) {
@@ -53,7 +53,7 @@ fn executor(g: &Graph, s: &Schedule, m: &Machine, iters: u64, name: &str) -> Vec
         (ex.output_flat(), ex.counters(), ex.node_cycles())
     };
     let plain = run(None);
-    let session = TraceSession::new(1, RING);
+    let session = TraceSession::new(RING);
     let traced = run(Some(&session));
     let ctx = format!("{name}, executor");
     assert_bits_eq(&ctx, &plain.0, &traced.0);
@@ -95,7 +95,7 @@ fn session(g: &Graph, s: &Schedule, m: &Machine, iters: u64, name: &str) {
         (rows.concat(), engine.counters(), engine.firings())
     };
     let plain = run(None);
-    let session = TraceSession::new(1, RING);
+    let session = TraceSession::new(RING);
     let traced = run(Some(&session));
     let ctx = format!("{name}, session");
     assert_bits_eq(&ctx, &plain.0, &traced.0);
@@ -112,11 +112,6 @@ fn threaded(
     iters: u64,
     ctx: &str,
 ) -> Vec<(u32, Event)> {
-    let cores = placement
-        .assignment
-        .iter()
-        .max()
-        .map_or(1, |&c| c as usize + 1);
     let opts = SupervisorOptions::default();
     let run = |session: &TraceSession| -> SupervisedRun {
         let run = run_supervised_placed(g, s, m, placement, iters, &opts, session).unwrap();
@@ -124,7 +119,7 @@ fn threaded(
         run
     };
     let plain = run(&TraceSession::disabled());
-    let session = TraceSession::new(cores, RING);
+    let session = TraceSession::new(RING);
     let traced = run(&session);
     assert_bits_eq(ctx, &plain.output, &traced.output);
     let firings =

@@ -11,22 +11,22 @@
 //!
 //! The service holds this cache behind one mutex **across the whole
 //! compile**, so two tenants racing to submit the same shape serialize
-//! and the second gets a hit. That is the invariant the SERVICE report
-//! validator enforces: with zero evictions, `compilations ==
-//! distinct_graphs` no matter how many sessions ran.
+//! and the second gets a hit. That is the invariant
+//! [`crate::ServiceReport::violations`] checks: with zero evictions,
+//! `compilations == distinct_graphs` no matter how many sessions ran.
 //!
 //! It is the only cache: a dynamic-rate session's configuration is the
 //! shape its valuation instantiates, looked up here like any submission.
 //! Each such install also counts itself per `(shape, valuation)` pair,
 //! which is the report's `scache` block.
 
+use crate::report::{CacheStats, ScheduleCacheStats};
 use macross::{
     compile_graph, steady_node_weights, ArtifactCache, CompiledGraph, SimdizeError, SimdizeOptions,
 };
 use macross_multicore::{plan_placement, CommModel};
 use macross_streamir::graph::Graph;
 use macross_streamir::shash::{structural_hash, GraphHash};
-use macross_telemetry::service::{CacheStats, ScheduleCacheStats};
 use macross_vm::{ExecMode, Machine};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;

@@ -31,9 +31,11 @@
 //!    queue per tenant at `feed`, and output-buffer backpressure that
 //!    defers a tenant's slices until it polls. Saturation returns the
 //!    typed [`error::ServiceError::Overloaded`], never a panic or a
-//!    hang; `shutdown` drains everything admitted and emits the
-//!    `SERVICE_<name>.json` report (`macross-service-v2`, validated by
-//!    `validate_report`).
+//!    hang; `shutdown` drains everything admitted and returns the
+//!    [`report::ServiceReport`] — the last [`report::ServiceSnapshot`]
+//!    plus one row per tenant — which renders as `SERVICE_<name>.json`
+//!    (`macross-service-v2`) and checks its own counters
+//!    ([`report::ServiceReport::violations`]).
 //! 4. **Dynamic-rate sessions**: `submit_dynamic` admits a
 //!    [`macross_pdf::ParamGraph`] — a graph template over a declared
 //!    parameter domain — and `set_param` re-configures it at the steady
@@ -48,12 +50,16 @@
 
 pub mod cache;
 pub mod error;
+pub mod report;
 pub mod server;
 pub mod tenant;
 
 pub use cache::CompileCache;
 pub use error::ServiceError;
-pub use server::{mode_label, ServiceConfig, ServiceSnapshot, StreamService};
+pub use report::{
+    AdmissionStats, CacheStats, ScheduleCacheStats, ServiceReport, ServiceSnapshot, TenantRow,
+};
+pub use server::{mode_label, ServiceConfig, StreamService};
 pub use tenant::{CloseReport, PollResult, TenantState};
 
 #[cfg(test)]
@@ -66,7 +72,6 @@ mod tests {
     use macross_streamir::graph::Graph;
     use macross_streamir::types::{ScalarTy, Ty, Value};
     use macross_streamir::{ParamDomain, RateExpr, Valuation};
-    use macross_telemetry::service as svc_schema;
     use macross_vm::Machine;
     use std::sync::Arc;
 
@@ -158,10 +163,10 @@ mod tests {
         assert_eq!(flat_i32(report.outputs), expect);
         let sr = service.shutdown("dyn");
         // Initial install + one swap, both distinct configurations.
-        assert_eq!(sr.scache.reconfigurations, 2);
-        assert_eq!(sr.scache.misses, 2);
-        assert_eq!(sr.scache.distinct_valuations, 2);
-        svc_schema::validate_str(&sr.json_string()).unwrap();
+        assert_eq!(sr.last.scache.reconfigurations, 2);
+        assert_eq!(sr.last.scache.misses, 2);
+        assert_eq!(sr.last.scache.distinct_valuations, 2);
+        assert_eq!(sr.violations(), Vec::<String>::new());
     }
 
     #[test]
@@ -190,7 +195,7 @@ mod tests {
         assert_eq!(report.iters_done, 2);
         service.close(id).unwrap();
         let sr = service.shutdown("typed");
-        svc_schema::validate_str(&sr.json_string()).unwrap();
+        assert_eq!(sr.violations(), Vec::<String>::new());
     }
 
     #[test]
@@ -220,11 +225,14 @@ mod tests {
         let report = service.close(id).unwrap();
         assert!(!report.faulted, "failures: {:?}", report.failures);
         let sr = service.shutdown("pingpong");
-        assert_eq!(sr.scache.reconfigurations, 4);
-        assert_eq!(sr.scache.misses, 2, "repeat valuations must not recompile");
-        assert_eq!(sr.scache.hits, 2);
-        assert_eq!(sr.scache.distinct_valuations, 2);
-        svc_schema::validate_str(&sr.json_string()).unwrap();
+        assert_eq!(sr.last.scache.reconfigurations, 4);
+        assert_eq!(
+            sr.last.scache.misses, 2,
+            "repeat valuations must not recompile"
+        );
+        assert_eq!(sr.last.scache.hits, 2);
+        assert_eq!(sr.last.scache.distinct_valuations, 2);
+        assert_eq!(sr.violations(), Vec::<String>::new());
     }
 
     #[test]
@@ -246,9 +254,9 @@ mod tests {
         let flat: Vec<_> = report.outputs.into_iter().flatten().collect();
         assert_eq!(flat.len(), 8);
         let sr = service.shutdown("unit");
-        assert_eq!(sr.admission.admitted, 1);
-        assert_eq!(sr.cache.compilations, 1);
-        svc_schema::validate_str(&sr.json_string()).unwrap();
+        assert_eq!(sr.last.admission.admitted, 1);
+        assert_eq!(sr.last.cache.compilations, 1);
+        assert_eq!(sr.violations(), Vec::<String>::new());
     }
 
     #[test]
@@ -271,9 +279,9 @@ mod tests {
         assert_eq!(stats.compilations, 1);
         assert_eq!(stats.hits, 1);
         let sr = service.shutdown("cap");
-        assert_eq!(sr.admission.submitted, 3);
-        assert_eq!(sr.admission.rejected_sessions, 1);
-        svc_schema::validate_str(&sr.json_string()).unwrap();
+        assert_eq!(sr.last.admission.submitted, 3);
+        assert_eq!(sr.last.admission.rejected_sessions, 1);
+        assert_eq!(sr.violations(), Vec::<String>::new());
     }
 
     #[test]
@@ -295,7 +303,7 @@ mod tests {
         let report = service.close(id).unwrap();
         assert_eq!(report.iters_done, 4);
         let sr = service.shutdown("bound");
-        assert_eq!(sr.admission.rejected_feeds, 1);
+        assert_eq!(sr.last.admission.rejected_feeds, 1);
     }
 
     #[test]
@@ -335,10 +343,10 @@ mod tests {
         assert_eq!(drained, 64, "all fed iterations eventually drain");
         let sr = service.shutdown("bp");
         assert!(
-            sr.admission.backpressure_stalls > 0,
+            sr.last.admission.backpressure_stalls > 0,
             "a 4-value bound over 64 iterations must stall at least once"
         );
-        svc_schema::validate_str(&sr.json_string()).unwrap();
+        assert_eq!(sr.violations(), Vec::<String>::new());
     }
 
     #[test]
@@ -362,7 +370,7 @@ mod tests {
         let report = service.close(id).unwrap();
         assert_eq!(report.iters_done, 1, "close drains only the sane feed");
         let sr = service.shutdown("ovf");
-        assert_eq!(sr.admission.rejected_feeds, 1);
+        assert_eq!(sr.last.admission.rejected_feeds, 1);
     }
 
     #[test]
@@ -420,7 +428,7 @@ mod tests {
         let sr = service.shutdown("parked");
         // `drained_on_shutdown` counts completed drains: both tenants
         // must actually finish their 32 iterations, bound ignored.
-        assert_eq!(sr.admission.drained_on_shutdown, 2);
+        assert_eq!(sr.last.admission.drained_on_shutdown, 2);
         for row in &sr.tenants {
             assert_eq!(
                 row.iters_done, 32,
@@ -428,7 +436,7 @@ mod tests {
                 row.session
             );
         }
-        svc_schema::validate_str(&sr.json_string()).unwrap();
+        assert_eq!(sr.violations(), Vec::<String>::new());
     }
 
     #[test]
@@ -442,7 +450,7 @@ mod tests {
         let sr = service.shutdown("drain");
         let row = &sr.tenants[0];
         assert_eq!(row.iters_done, 16);
-        assert_eq!(row.state, "draining");
-        svc_schema::validate_str(&sr.json_string()).unwrap();
+        assert_eq!(row.state, TenantState::Draining);
+        assert_eq!(sr.violations(), Vec::<String>::new());
     }
 }

@@ -63,21 +63,22 @@
 
 use crate::cache::{CompileCache, PlanSummary};
 use crate::error::ServiceError;
+use crate::report::{
+    AdmissionStats, CacheStats, ScheduleCacheStats, ServiceReport, ServiceSnapshot, TenantRow,
+};
 use crate::tenant::{CloseReport, PollResult, Tenant, TenantState};
 use macross::{CompiledGraph, SimdizeError, SimdizeOptions};
 use macross_pdf::{DynamicSession, ParamGraph};
 use macross_runtime::{FaultPlan, SessionEngine};
 use macross_streamir::graph::Graph;
-use macross_streamir::shash::structural_hash;
+use macross_streamir::shash::{structural_hash, GraphHash};
 use macross_streamir::Valuation;
-use macross_telemetry::service::{
-    AdmissionStats, CacheStats, ScheduleCacheStats, ServiceReport, TenantRow,
-};
 use macross_telemetry::{EventKind, TraceSession, WorkerTrace};
 use macross_vm::{ExecMode, Machine};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Closed sessions whose rows a service keeps for its shutdown report;
 /// a resident server drops the oldest beyond this and counts them, so
@@ -131,29 +132,6 @@ pub fn mode_label(mode: ExecMode) -> &'static str {
     }
 }
 
-/// A point-in-time view of a running service
-/// ([`StreamService::snapshot`]): what admission has counted so far and
-/// where the live sessions stand. It copies counters the service keeps
-/// anyway, under one short hold of the state lock, with or without a
-/// live trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServiceSnapshot {
-    /// Admission counters so far: submissions, rejections, backpressure
-    /// stalls, steals.
-    pub admission: AdmissionStats,
-    /// Sessions queued on each shard, by shard index.
-    pub queue_depths: Vec<usize>,
-    /// Live sessions parked on backpressure until their client polls.
-    pub deferred: usize,
-    /// Live sessions a fault quarantined.
-    pub quarantined: usize,
-    /// Rows of closed sessions kept for the shutdown report, at most
-    /// [`RETIRED_ROWS`].
-    pub retired_rows: usize,
-    /// Closed sessions whose rows were dropped beyond that bound.
-    pub retired_dropped: u64,
-}
-
 /// Control-plane view of one admitted session. The engine itself lives
 /// behind `slot`; everything here is guarded by the state lock.
 struct SessionEntry {
@@ -162,7 +140,7 @@ struct SessionEntry {
     /// a steal moves it.
     shard: usize,
     benchmark: String,
-    graph_hash: String,
+    graph_hash: GraphHash,
     cache_hit: bool,
     steady_cost: u64,
     plan: PlanSummary,
@@ -187,7 +165,7 @@ impl SessionEntry {
         slot: Tenant,
         shard: usize,
         benchmark: &str,
-        graph_hash: String,
+        graph_hash: GraphHash,
         cache_hit: bool,
         steady_cost: u64,
         plan: PlanSummary,
@@ -246,6 +224,8 @@ impl State {
         }
     }
 
+    /// The snapshot of everything the state lock guards (the cache
+    /// counters are left at zero).
     fn snapshot(&self) -> ServiceSnapshot {
         let count =
             |flag: fn(&SessionEntry) -> bool| self.sessions.values().filter(|e| flag(e)).count();
@@ -256,6 +236,7 @@ impl State {
             quarantined: count(|e| e.faulted),
             retired_rows: self.retired.len(),
             retired_dropped: self.retired_dropped,
+            ..ServiceSnapshot::default()
         }
     }
 
@@ -388,8 +369,9 @@ impl StreamService {
         StreamService::with_trace(machine, config, TraceSession::disabled())
     }
 
-    /// Start the shard pool with a recording handle per shard (worker
-    /// `i` = shard `i`; worker `workers` = the control plane).
+    /// Start the shard pool with a recording handle per shard: track `i`
+    /// is shard `i`, track `workers` the control plane (admission, cache,
+    /// `set_param` and close events).
     pub fn with_trace(
         machine: Machine,
         config: ServiceConfig,
@@ -537,7 +519,7 @@ impl StreamService {
                 Tenant::new(engine, params),
                 shard,
                 name,
-                art.source_hash.to_hex(),
+                art.source_hash,
                 hit,
                 art.steady_cost.max(1),
                 summary,
@@ -732,10 +714,15 @@ impl StreamService {
         }
     }
 
-    /// The admission counters, shard queue depths and parked and
-    /// quarantined session counts as they stand now.
+    /// The admission and cache counters, shard queue depths and parked
+    /// and quarantined session counts as they stand now. The state and
+    /// cache locks are taken one after the other, never together, so a
+    /// snapshot never waits on the state lock behind a compile.
     pub fn snapshot(&self) -> ServiceSnapshot {
-        self.inner.state.lock().unwrap().snapshot()
+        let mut snap = self.inner.state.lock().unwrap().snapshot();
+        let cache = self.inner.cache.lock().unwrap();
+        (snap.cache, snap.scache) = (cache.stats(), cache.install_stats());
+        snap
     }
 
     /// Sessions currently admitted.
@@ -754,8 +741,9 @@ impl StreamService {
     }
 
     /// Drain every remaining session, stop the shards, and assemble the
-    /// `SERVICE_<report_name>.json` report (cache, admission, one row per
-    /// session ever admitted).
+    /// `SERVICE_<report_name>.json` report: the snapshot after the drain
+    /// and one row per session admitted (less the closed rows a resident
+    /// server dropped).
     pub fn shutdown(mut self, report_name: &str) -> ServiceReport {
         {
             let mut st = self.inner.state.lock().unwrap();
@@ -787,20 +775,9 @@ impl StreamService {
         for handle in self.handles.drain(..) {
             handle.join().expect("shard thread panicked");
         }
+        let last = self.snapshot();
         let mut st = self.inner.state.lock().unwrap();
-        let mut report = ServiceReport::new(
-            report_name,
-            self.inner.machine.name.clone(),
-            mode_label(self.inner.config.mode),
-        );
-        report.workers = self.inner.config.workers as u64;
-        report.session_cap = self.inner.config.session_cap as u64;
-        let cache = self.inner.cache.lock().unwrap();
-        (report.cache, report.scache) = (cache.stats(), cache.install_stats());
-        drop(cache);
-        report.admission = st.admission;
-        report.tenants = std::mem::take(&mut st.retired).into();
-        report.tenants_dropped = st.retired_dropped;
+        let mut tenants: Vec<TenantRow> = std::mem::take(&mut st.retired).into();
         let mut remaining: Vec<_> = st.sessions.drain().collect();
         remaining.sort_by_key(|(id, _)| *id);
         for (id, entry) in remaining {
@@ -810,10 +787,22 @@ impl StreamService {
             } else {
                 TenantState::Draining
             };
-            report.tenants.push(tenant_row(id, &entry, &tenant, state));
+            tenants.push(tenant_row(id, &entry, &tenant, state));
         }
-        report.tenants.sort_by_key(|row| row.session);
-        report
+        tenants.sort_by_key(|row| row.session);
+        let config = &self.inner.config;
+        ServiceReport {
+            name: report_name.to_string(),
+            machine: self.inner.machine.name.clone(),
+            exec_mode: mode_label(config.mode).to_string(),
+            created_unix_ms: SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .map_or(0, |d| d.as_millis() as u64),
+            workers: config.workers as u64,
+            session_cap: config.session_cap as u64,
+            last,
+            tenants,
+        }
     }
 
     /// The trace session handed to [`StreamService::with_trace`] (drain
@@ -846,9 +835,9 @@ fn tenant_row(id: u64, entry: &SessionEntry, tenant: &Tenant, state: TenantState
         session: id,
         benchmark: entry.benchmark.clone(),
         shard: entry.shard as u64,
-        graph_hash: entry.graph_hash.clone(),
+        graph_hash: entry.graph_hash,
         cache_hit: entry.cache_hit,
-        state: state.label().to_string(),
+        state,
         iters_requested: tenant.requested,
         iters_done: tenant.engine.iters_done(),
         firings: tenant.engine.firings(),
@@ -973,7 +962,7 @@ mod tests {
                 tenant,
                 home,
                 "t",
-                String::new(),
+                GraphHash(0),
                 true,
                 10,
                 PlanSummary {
@@ -1037,8 +1026,7 @@ mod tests {
                 queue_depths: vec![0, 2],
                 deferred: 1,
                 quarantined: 1,
-                retired_rows: 0,
-                retired_dropped: 0,
+                ..ServiceSnapshot::default()
             }
         );
     }

@@ -305,8 +305,8 @@ fn run(seed: u64) {
     let stats = service.cache_stats();
     assert_eq!(stats.compilations, shapes.len() as u64, "seed {seed:#x}");
     let sr = service.shutdown("interleavings");
-    assert_eq!(sr.admission.rejected_sessions, refusals);
-    macross_telemetry::service::validate_str(&sr.json_string()).unwrap();
+    assert_eq!(sr.last.admission.rejected_sessions, refusals);
+    assert_eq!(sr.violations(), Vec::<String>::new());
 }
 
 fn step(sets: &[(&str, u64)], iters: u64) -> macross_pdf::TraceStep {

@@ -71,9 +71,9 @@ fn equivalent_graphs_share_one_compilation() {
     let flat_b: Vec<Value> = out_b.outputs.into_iter().flatten().collect();
     assert_bits_eq("renamed tenants", &flat_a, &flat_b);
     let report = service.shutdown("rename");
-    assert_eq!(report.cache.compilations, 1, "one shape, one compile");
-    assert_eq!(report.cache.distinct_graphs, 1);
-    assert_eq!(report.cache.hits, 1);
+    assert_eq!(report.last.cache.compilations, 1, "one shape, one compile");
+    assert_eq!(report.last.cache.distinct_graphs, 1);
+    assert_eq!(report.last.cache.hits, 1);
 }
 
 #[test]
@@ -85,9 +85,9 @@ fn different_bodies_never_share_a_compilation() {
     service.submit("three", &three, FaultPlan::none()).unwrap();
     service.submit("four", &four, FaultPlan::none()).unwrap();
     let report = service.shutdown("bodies");
-    assert_eq!(report.cache.compilations, 2);
-    assert_eq!(report.cache.distinct_graphs, 2);
-    assert_eq!(report.cache.hits, 0);
+    assert_eq!(report.last.cache.compilations, 2);
+    assert_eq!(report.last.cache.distinct_graphs, 2);
+    assert_eq!(report.last.cache.hits, 0);
 }
 
 /// The headline differential: across every benchmark, a cache-hit
@@ -131,9 +131,9 @@ fn cache_hit_sessions_match_cold_runs_on_all_benchmarks() {
     let report = service.shutdown("benchsuite");
     // 16 distinct shapes, 32 sessions: compilations count shapes, and the
     // service never compiled what the hits could reuse.
-    assert_eq!(report.cache.distinct_graphs, 16);
-    assert_eq!(report.cache.compilations, 16);
-    assert_eq!(report.cache.hits, 16);
-    assert_eq!(report.admission.admitted, 32);
-    macross_telemetry::service::validate_str(&report.json_string()).unwrap();
+    assert_eq!(report.last.cache.distinct_graphs, 16);
+    assert_eq!(report.last.cache.compilations, 16);
+    assert_eq!(report.last.cache.hits, 16);
+    assert_eq!(report.last.admission.admitted, 32);
+    assert_eq!(report.violations(), Vec::<String>::new());
 }

@@ -9,7 +9,7 @@
 
 use macross::{compile_graph, SimdizeOptions};
 use macross_runtime::{committed_outcome, FailureCause, FaultKind, FaultPlan, StageFailure};
-use macross_service::{CloseReport, ServiceConfig, StreamService};
+use macross_service::{CloseReport, ServiceConfig, StreamService, TenantState};
 use macross_streamir::builder::StreamSpec;
 use macross_streamir::edsl::*;
 use macross_streamir::graph::Graph;
@@ -120,7 +120,10 @@ fn co_resident_tenants_match_solo_runs() {
         assert_bits_eq(&format!("tenant {id}"), &solo_out, &flat(report));
     }
     let sr = service.shutdown("isolation_clean");
-    assert_eq!(sr.cache.compilations, 1, "both tenants share one artifact");
+    assert_eq!(
+        sr.last.cache.compilations, 1,
+        "both tenants share one artifact"
+    );
 }
 
 /// The acceptance criterion: inject a panic into one of two concurrent
@@ -183,16 +186,16 @@ fn injected_panic_quarantines_only_the_faulty_tenant() {
     assert_bits_eq("healthy tenant", &solo_out, &flat(healthy_report));
     let sr = service.shutdown("isolation_fault");
     let victim_row = sr.tenants.iter().find(|t| t.benchmark == "victim").unwrap();
-    assert_eq!(victim_row.state, "faulted");
+    assert_eq!(victim_row.state, TenantState::Faulted);
     assert!(victim_row.faults > 0);
     let healthy_row = sr
         .tenants
         .iter()
         .find(|t| t.benchmark == "healthy")
         .unwrap();
-    assert_eq!(healthy_row.state, "closed");
+    assert_eq!(healthy_row.state, TenantState::Closed);
     assert_eq!(healthy_row.faults, 0);
-    macross_telemetry::service::validate_str(&sr.json_string()).unwrap();
+    assert_eq!(sr.violations(), Vec::<String>::new());
 }
 
 /// `src -> scale^stages -> sink`: more stages cost more under the
@@ -272,8 +275,8 @@ fn stolen_sessions_match_solo_runs() {
             assert_bits_eq(&ctx, &solo_out, &flat(report));
         }
         let sr = service.shutdown("migration");
-        macross_telemetry::service::validate_str(&sr.json_string()).unwrap();
-        steals = sr.admission.steals;
+        assert_eq!(sr.violations(), Vec::<String>::new());
+        steals = sr.last.admission.steals;
         if steals > 0 {
             break;
         }
@@ -315,14 +318,18 @@ fn a_fault_on_a_stolen_slice_quarantines_to_the_solo_prefix() {
         assert_eq!(staller_report.firings, stall_solo_firings, "{ctx}");
         assert_bits_eq(&ctx, &stall_solo_out, &flat(staller_report));
         let sr = service.shutdown("stolen_fault");
-        macross_telemetry::service::validate_str(&sr.json_string()).unwrap();
-        let row = sr.tenants.iter().find(|t| t.state == "faulted").unwrap();
+        assert_eq!(sr.violations(), Vec::<String>::new());
+        let row = sr
+            .tenants
+            .iter()
+            .find(|t| t.state == TenantState::Faulted)
+            .unwrap();
         let core = format!("on core {}", row.shard);
         assert!(
             failures.iter().all(|f| f.contains(&core)),
             "{ctx}: {failures:?} should name {core}"
         );
-        steals = sr.admission.steals;
+        steals = sr.last.admission.steals;
         if steals > 0 && row.shard == 0 {
             break;
         }
@@ -382,7 +389,7 @@ fn a_stolen_session_fires_on_both_shard_tracks() {
                 opts,
                 ..ServiceConfig::default()
             },
-            TraceSession::new(3, 1 << 16),
+            TraceSession::new(1 << 16),
         );
         service
             .submit("anchor", &chain(8), FaultPlan::none())
@@ -415,10 +422,65 @@ fn a_stolen_session_fires_on_both_shard_tracks() {
             }
         }
         let sr = service.shutdown("tracks");
-        if tracks == [true, true] && sr.admission.steals > 0 {
+        if tracks == [true, true] && sr.last.admission.steals > 0 {
             return;
         }
-        last = (tracks, sr.admission.steals);
+        last = (tracks, sr.last.admission.steals);
     }
     panic!("the stolen session's spans never reached both shard tracks in 10 rounds: {last:?}");
+}
+
+/// A session sized without counting the control plane still records it:
+/// tracks are made on demand, so a 2-shard service keeps its admission
+/// events on track 2 beside the shards' firings on tracks 0 and 1.
+#[test]
+fn the_control_plane_records_on_the_track_after_the_shards() {
+    use macross_telemetry::{EventKind, TraceSession};
+    let mut last = Vec::new();
+    for _ in 0..5 {
+        let service = StreamService::with_trace(
+            Machine::core_i7(),
+            ServiceConfig {
+                workers: 2,
+                ..ServiceConfig::default()
+            },
+            TraceSession::new(1 << 12),
+        );
+        // Admission homes the first session on shard 0, the second on 1.
+        let ids = [0, 1].map(|_| {
+            service
+                .submit("traced", &victim_pipeline(), FaultPlan::none())
+                .unwrap()
+        });
+        for id in ids {
+            service.feed(id, 64).unwrap();
+        }
+        for id in ids {
+            service.close(id).unwrap();
+        }
+        let events = service.trace().drain();
+        assert_eq!(service.trace().dropped(), 0);
+        let admitted: Vec<u32> = events
+            .iter()
+            .filter(|(_, e)| e.kind == EventKind::SessionAdmitted)
+            .map(|(track, _)| *track)
+            .collect();
+        assert_eq!(
+            admitted,
+            vec![2, 2],
+            "admissions on the control-plane track"
+        );
+        let mut fired: Vec<u32> = events
+            .iter()
+            .filter(|(_, e)| e.kind == EventKind::FiringStart)
+            .map(|(track, _)| *track)
+            .collect();
+        fired.sort_unstable();
+        fired.dedup();
+        if fired == [0, 1] {
+            return;
+        }
+        last = fired;
+    }
+    panic!("firings never reached both shard tracks in 5 rounds: {last:?}");
 }

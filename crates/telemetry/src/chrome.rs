@@ -148,23 +148,31 @@ pub fn chrome_trace(events: &[(u32, Event)], node_names: &[String]) -> Json {
                 ev.aux,
             ));
         }
-        // An end with no matching begin is dropped: the ring overwrote or
-        // never saw the begin, and a negative-duration span would make
-        // the viewer reject the whole file.
+        // An end with no matching begin is dropped: a full track dropped
+        // the begin (tracks drop new events, they never overwrite), and a
+        // negative-duration span would make the viewer reject the file.
     }
     // Truncated recordings leave begins open; emit them zero-length so
-    // they are visible rather than silently lost.
-    for (key, starts) in open {
-        for start in starts {
-            out.push(complete_event(
-                span_name(key.cat, key.subject, node_names),
-                key.cat,
-                key.worker,
-                start,
-                0,
-                0,
-            ));
-        }
+    // they are visible rather than silently lost, in a fixed order so two
+    // exports of the same events are the same text.
+    let mut unclosed: Vec<(u32, u64, u32, &'static str)> = open
+        .into_iter()
+        .flat_map(|(k, starts)| {
+            starts
+                .into_iter()
+                .map(move |t| (k.worker, t, k.subject, k.cat))
+        })
+        .collect();
+    unclosed.sort_unstable();
+    for (worker, start, subject, cat) in unclosed {
+        out.push(complete_event(
+            span_name(cat, subject, node_names),
+            cat,
+            worker,
+            start,
+            0,
+            0,
+        ));
     }
     Json::obj([
         ("traceEvents", Json::Arr(out)),
@@ -233,6 +241,36 @@ mod tests {
         let traced = doc.get("traceEvents").unwrap().as_arr().unwrap();
         assert_eq!(traced.len(), 1);
         assert_eq!(traced[0].get("dur").unwrap().as_num(), Some(0.0));
+    }
+
+    /// Open spans come out in `(worker, start, subject)` order, so the
+    /// export is the same text every time.
+    #[test]
+    fn open_spans_export_deterministically() {
+        let events: Vec<(u32, Event)> = (0..16u32)
+            .map(|i| (i % 3, ev(u64::from(i % 5), EventKind::FiringStart, i, 0)))
+            .chain([(1u32, ev(7, EventKind::RingPopStallBegin, 2, 0))])
+            .collect();
+        let first = chrome_trace(&events, &names()).to_string_compact();
+        for _ in 0..8 {
+            assert_eq!(chrome_trace(&events, &names()).to_string_compact(), first);
+        }
+        let doc = crate::json::parse(&first).unwrap();
+        let keys: Vec<(f64, f64)> = doc
+            .get("traceEvents")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|e| {
+                (
+                    e.get("tid").unwrap().as_num().unwrap(),
+                    e.get("ts").unwrap().as_num().unwrap(),
+                )
+            })
+            .collect();
+        assert_eq!(keys.len(), 17);
+        assert!(keys.windows(2).all(|w| w[0] <= w[1]), "{keys:?}");
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl EventKind {
     }
 }
 
-/// One recorded moment. 24 bytes; rings hold these by value.
+/// One recorded moment. 24 bytes; tracks hold these by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Event {
     /// [`crate::clock::now_ns`] at record time.

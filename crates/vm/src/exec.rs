@@ -523,7 +523,7 @@ mod tests {
         let m = Machine::core_i7();
         let sched = Schedule::compute(&g).unwrap();
         let plain = run_scheduled(&g, &sched, &m, 5).unwrap();
-        let session = macross_telemetry::TraceSession::new(1, 1 << 12);
+        let session = macross_telemetry::TraceSession::new(1 << 12);
         let mut traced = Executor::new(&g, &sched, &m);
         traced.set_trace(session.worker(0));
         traced.run_init().unwrap();
