@@ -48,13 +48,6 @@ pub fn dynamic() -> Vec<DynBenchmark> {
     ]
 }
 
-/// Look up a dynamic benchmark by (case-insensitive) name.
-pub fn dynamic_by_name(name: &str) -> Option<DynBenchmark> {
-    dynamic()
-        .into_iter()
-        .find(|b| b.name.eq_ignore_ascii_case(name))
-}
-
 /// A variable-rate decimation chain:
 /// `vd_src -> vd_smooth (peek 4, stateful) -> vd_down(decim) -> vd_amp`,
 /// with `decim` in `[1, 4]` at runtime. The `vd_src -> vd_smooth` edge

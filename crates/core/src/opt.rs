@@ -4,9 +4,8 @@
 //! elimination.
 //!
 //! The other prepass the paper names — *static parameter propagation* — is
-//! performed by the `macross-streamlang` elaborator (parameters become
-//! constants at instantiation) and by the benchmark builders, which bake
-//! parameters into constants directly.
+//! performed by the benchmark builders, which bake each instance's
+//! parameters into constants when they build its filter.
 //!
 //! Every rewrite here is bit-exactness-preserving: compile-time folds use
 //! the same `eval_*` kernels the VM executes, so folding `sin(0.5)` now or

@@ -182,15 +182,6 @@ impl FaultKind {
         }
     }
 
-    /// True when the fault must end in a clean [`crate::StageFailure`]
-    /// (as opposed to the robustness faults the run must absorb).
-    pub fn is_fatal(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::Panic | FaultKind::PoisonTape | FaultKind::StallFiring { .. }
-        )
-    }
-
     fn to_json(self) -> Json {
         let mut fields = vec![("kind", Json::Str(self.label().into()))];
         match self {

@@ -725,11 +725,6 @@ impl StreamService {
         snap
     }
 
-    /// Sessions currently admitted.
-    pub fn live_sessions(&self) -> usize {
-        self.inner.state.lock().unwrap().sessions.len()
-    }
-
     /// Artifact cache counters so far.
     pub fn cache_stats(&self) -> CacheStats {
         self.inner.cache.lock().unwrap().stats()

@@ -132,14 +132,6 @@ impl Node {
         }
     }
 
-    /// Mutable access to the contained filter, if this node is one.
-    pub fn as_filter_mut(&mut self) -> Option<&mut Filter> {
-        match self {
-            Node::Filter(f) => Some(f),
-            _ => None,
-        }
-    }
-
     /// Elements consumed per firing on input `port` (scalar elements).
     pub fn pop_rate(&self, port: usize) -> usize {
         match self {

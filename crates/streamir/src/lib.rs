@@ -46,7 +46,6 @@
 
 pub mod analysis;
 pub mod builder;
-pub mod dot;
 pub mod edsl;
 pub mod expr;
 pub mod filter;

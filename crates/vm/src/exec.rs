@@ -344,19 +344,44 @@ mod tests {
         scale.work(|b| {
             b.push(pop() * 3i32);
         });
-        let g = StreamSpec::pipeline(vec![
-            counting_source("src", 2),
-            scale.build_spec(),
-            StreamSpec::Sink,
-        ])
-        .build()
-        .unwrap();
-        for mode in MODES {
-            let res = run_on(&g, 3, mode);
-            // 3 iterations x src rep 1 x push 2 = 6 outputs.
-            let want: Vec<Value> = (0..6).map(|x| Value::I32(x * 3)).collect();
-            assert_eq!(res.output, want, "{mode:?}");
-            assert!(res.total_cycles() > 0, "{mode:?}");
+        // Clamps to [3, 12] through an if/else nested in an else branch.
+        let mut clamp = FilterBuilder::new("clamp", 1, 1, 1, ScalarTy::I32);
+        let x = clamp.local("x", Ty::Scalar(ScalarTy::I32));
+        clamp.work(|b| {
+            b.set(x, pop());
+            b.if_else(
+                lt(v(x), 3i32),
+                |b| {
+                    b.push(3i32);
+                },
+                |b| {
+                    b.if_else(
+                        gt(v(x), 12i32),
+                        |b| {
+                            b.push(12i32);
+                        },
+                        |b| {
+                            b.push(v(x));
+                        },
+                    );
+                },
+            );
+        });
+        let scaled: fn(i32) -> i32 = |x| x * 3;
+        for (filter, want_of) in [
+            (scale.build_spec(), scaled),
+            (clamp.build_spec(), |x| x.clamp(3, 12)),
+        ] {
+            let g = StreamSpec::pipeline(vec![counting_source("src", 2), filter, StreamSpec::Sink])
+                .build()
+                .unwrap();
+            for mode in MODES {
+                let res = run_on(&g, 8, mode);
+                // 8 iterations x src rep 1 x push 2 = 16 outputs.
+                let want: Vec<Value> = (0..16).map(|x| Value::I32(want_of(x))).collect();
+                assert_eq!(res.output, want, "{mode:?}");
+                assert!(res.total_cycles() > 0, "{mode:?}");
+            }
         }
     }
 
@@ -369,33 +394,39 @@ mod tests {
             });
             fb.build_spec()
         };
-        let g = StreamSpec::pipeline(vec![
-            counting_source("src", 4),
-            StreamSpec::split_join_uniform(
-                1,
-                1,
-                vec![
-                    mk_add("a", 1000),
-                    mk_add("b", 2000),
-                    mk_add("c", 3000),
-                    mk_add("d", 4000),
-                ],
-            ),
-            StreamSpec::Sink,
-        ])
-        .build()
-        .unwrap();
-        for mode in MODES {
-            assert_eq!(
-                run_on(&g, 1, mode).output,
-                vec![
-                    Value::I32(1000),
-                    Value::I32(2001),
-                    Value::I32(3002),
-                    Value::I32(4003)
-                ],
-                "{mode:?}"
-            );
+        let four = StreamSpec::split_join_uniform(
+            1,
+            1,
+            vec![
+                mk_add("a", 1000),
+                mk_add("b", 2000),
+                mk_add("c", 3000),
+                mk_add("d", 4000),
+            ],
+        );
+        // A pipeline nested in a branch, and weights of 2 on both sides.
+        let nested = StreamSpec::split_join_uniform(
+            2,
+            2,
+            vec![
+                StreamSpec::pipeline(vec![mk_add("p0", 100), mk_add("p1", 1000)]),
+                mk_add("q", 5000),
+            ],
+        );
+        for (split_join, want) in [
+            (four, [1000, 2001, 3002, 4003]),
+            (nested, [1100, 1101, 5002, 5003]),
+        ] {
+            let g = StreamSpec::pipeline(vec![
+                counting_source("src", 4),
+                split_join,
+                StreamSpec::Sink,
+            ])
+            .build()
+            .unwrap();
+            for mode in MODES {
+                assert_eq!(run_on(&g, 1, mode).output, want.map(Value::I32), "{mode:?}");
+            }
         }
     }
 

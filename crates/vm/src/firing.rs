@@ -118,11 +118,6 @@ impl FilterState {
         }
     }
 
-    /// True when this state fires through compiled bytecode.
-    pub fn is_compiled(&self) -> bool {
-        matches!(self.engine, Engine::Compiled(_))
-    }
-
     /// Export the values of the filter's `State` variables, flattened in
     /// declaration order (vector-arrays row-major: all lanes of row 0,
     /// then row 1, ...). Exact in both engines: the tree-walker stores

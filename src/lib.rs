@@ -13,6 +13,5 @@ pub use macross_sagu as sagu;
 pub use macross_sdf as sdf;
 pub use macross_service as service;
 pub use macross_streamir as streamir;
-pub use macross_streamlang as streamlang;
 pub use macross_telemetry as telemetry;
 pub use macross_vm as vm;

@@ -9,7 +9,6 @@ use macross_repro::streamir::edsl::*;
 use macross_repro::streamir::filter::Filter;
 use macross_repro::streamir::graph::{Graph, GraphError, Node, SplitKind};
 use macross_repro::streamir::types::{ScalarTy, Ty};
-use macross_repro::streamlang::{compile, CompileError};
 use macross_repro::vm::Machine;
 
 #[test]
@@ -100,33 +99,6 @@ fn builder_rejects_malformed_composition() {
         .build()
         .unwrap_err();
     assert_eq!(err, BuildError::DanglingOutput);
-}
-
-#[test]
-fn streamlang_reports_positions_and_kinds() {
-    // Lexical error.
-    let e = compile("float->float filter F() { work pop 1 push 1 { push(pop() $ 2); } }\nvoid->void pipeline Main() { add F(); add Sink(); }", "Main");
-    match e {
-        Err(CompileError::Parse(p)) => assert!(p.line == 1 && p.col > 0, "{p}"),
-        other => panic!("expected parse error, got {other:?}"),
-    }
-
-    // Unknown top-level stream.
-    let e = compile(
-        "float->float filter F() { work pop 1 push 1 { push(pop()); } }",
-        "Nope",
-    );
-    assert!(matches!(e, Err(CompileError::Elab(_))));
-
-    // Recursive pipeline.
-    let e = compile(
-        "void->void pipeline Main() { add Main(); add Sink(); }",
-        "Main",
-    );
-    match e {
-        Err(CompileError::Elab(el)) => assert!(el.to_string().contains("recursive"), "{el}"),
-        other => panic!("expected recursion error, got {other:?}"),
-    }
 }
 
 #[test]
