@@ -1,10 +1,26 @@
 //! # macross-multicore
 //!
-//! The naive SIMD-aware multicore scheduler study of Section 5 /
-//! Figure 13: partition the stream graph across cores for load balance,
-//! *then* macro-SIMDize within each core (which reduces fusion and
-//! horizontal opportunities), and compare against plain multicore and
-//! plain SIMD execution.
+//! Placement across cores, and the Section 5 / Figure 13 study built on
+//! it: partition the stream graph across cores for load balance, *then*
+//! macro-SIMDize within each core (which reduces fusion and horizontal
+//! opportunities), and compare against plain multicore and plain SIMD
+//! execution.
+//!
+//! Three partitioners share one placement model:
+//!
+//! - [`partition_lpt`], the paper's structure-blind "naive multi-core
+//!   scheduler";
+//! - [`partition_simd_aware`], the paper's future work: fusable links and
+//!   horizontal candidates are kept on one core;
+//! - [`plan_placement`], the production planner (fusion, fission and the
+//!   collapse to one core; see [`planner`]).
+//!
+//! All three place clusters of nodes with one longest-processing-time
+//! greedy (`Clusters::place`) and price a placement with one
+//! [`estimate`]. Which placements are legal and which edges cross cores
+//! is the runtime's rule (`macross_runtime::Placement::validate` and
+//! `Placement::crosses_cores`). Every choice breaks ties by node or core
+//! index, so a placement is a pure function of its inputs.
 //!
 //! The multicore substrate is analytic (see DESIGN.md's substitution
 //! table): per-core compute comes from the VM's per-node cycle counts, and
@@ -15,8 +31,9 @@
 
 use macross::driver::{macro_simdize_colocated, SimdizeOptions, Simdized};
 use macross::SimdizeError;
+use macross_runtime::Placement;
 use macross_sdf::Schedule;
-use macross_streamir::graph::Graph;
+use macross_streamir::graph::{Edge, Graph, NodeId};
 use macross_vm::{run_scheduled, Machine};
 
 pub mod planner;
@@ -28,7 +45,8 @@ pub struct CommModel {
     /// Cycles charged per element crossing a core boundary per steady
     /// iteration (cache-line transfer amortized per 32-bit element).
     pub cycles_per_element: u64,
-    /// Fixed per-cut-edge synchronization cost per steady iteration.
+    /// Fixed synchronization cost per inter-core ring per steady
+    /// iteration.
     pub sync_per_edge: u64,
 }
 
@@ -41,110 +59,103 @@ impl Default for CommModel {
     }
 }
 
-/// Longest-processing-time greedy partitioner: nodes sorted by cycle cost,
-/// assigned to the least-loaded core. Deliberately structure-blind — the
-/// paper's "naive multi-core scheduler".
+/// What one steady iteration of `e`'s traffic costs when it crosses
+/// cores through `rings` rings.
+pub(crate) fn crossing_cycles(
+    graph: &Graph,
+    schedule: &Schedule,
+    e: &Edge,
+    rings: u64,
+    comm: &CommModel,
+) -> u64 {
+    let tokens = schedule.reps[e.src.0 as usize] * graph.node(e.src).push_rate(e.src_port) as u64;
+    tokens * comm.cycles_per_element + rings * comm.sync_per_edge
+}
+
+/// Clusters of nodes that share a core: a union-find over node ids whose
+/// root is always the cluster's smallest member.
+#[derive(Clone)]
+pub(crate) struct Clusters {
+    parent: Vec<usize>,
+}
+
+impl Clusters {
+    /// `n` nodes, each its own cluster.
+    pub(crate) fn singletons(n: usize) -> Clusters {
+        Clusters {
+            parent: (0..n).collect(),
+        }
+    }
+
+    /// The root (smallest member) of `x`'s cluster, compressing the path.
+    pub(crate) fn find(&mut self, x: usize) -> usize {
+        let mut r = x;
+        while self.parent[r] != r {
+            r = self.parent[r];
+        }
+        let mut c = x;
+        while self.parent[c] != r {
+            let next = self.parent[c];
+            self.parent[c] = r;
+            c = next;
+        }
+        r
+    }
+
+    /// Put `a` and `b` in one cluster.
+    pub(crate) fn union(&mut self, a: usize, b: usize) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        self.parent[ra.max(rb)] = ra.min(rb);
+    }
+
+    /// Each cluster's members in ascending order, indexed by its root
+    /// (empty at every other index).
+    pub(crate) fn members(&mut self) -> Vec<Vec<usize>> {
+        let mut members = vec![Vec::new(); self.parent.len()];
+        for i in 0..self.parent.len() {
+            let r = self.find(i);
+            members[r].push(i);
+        }
+        members
+    }
+
+    /// Longest-processing-time greedy over clusters: heaviest cluster
+    /// first (ties: smallest member), each onto the least-loaded core
+    /// (ties: lowest index). Returns the core of every node.
+    pub(crate) fn place(&mut self, node_cycles: &[u64], cores: usize) -> Vec<u32> {
+        let members = self.members();
+        let mut order: Vec<(u64, usize)> = members
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| !m.is_empty())
+            .map(|(r, m)| (m.iter().map(|&i| node_cycles[i]).sum(), r))
+            .collect();
+        order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let mut load = vec![0u64; cores];
+        let mut assign = vec![0u32; members.len()];
+        for (cost, r) in order {
+            let core = (0..cores)
+                .min_by_key(|&c| load[c])
+                .expect("at least one core");
+            load[core] += cost;
+            for &i in &members[r] {
+                assign[i] = core as u32;
+            }
+        }
+        assign
+    }
+}
+
+/// Longest-processing-time greedy partitioner: every node its own
+/// cluster, heaviest first onto the least-loaded core. Deliberately
+/// structure-blind — the paper's "naive multi-core scheduler".
 ///
 /// It serves the Figure 13 study and the fault campaigns' replay bundles
 /// (`macross_bench::replay::campaign_placement`), nothing else: the
 /// production placement is [`plan_placement`].
 pub fn partition_lpt(node_cycles: &[u64], cores: usize) -> Vec<u32> {
     assert!(cores >= 1);
-    let mut order: Vec<usize> = (0..node_cycles.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(node_cycles[i]));
-    let mut load = vec![0u64; cores];
-    let mut assign = vec![0u32; node_cycles.len()];
-    for i in order {
-        let core = (0..cores)
-            .min_by_key(|&c| load[c])
-            .expect("at least one core");
-        assign[i] = core as u32;
-        load[core] += node_cycles[i];
-    }
-    assign
-}
-
-/// One graph edge crossing a core boundary under a partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CutEdge {
-    /// The crossing edge.
-    pub edge: macross_streamir::EdgeId,
-    /// Producing node.
-    pub src: macross_streamir::NodeId,
-    /// Consuming node.
-    pub dst: macross_streamir::NodeId,
-    /// Core the producer runs on.
-    pub src_core: u32,
-    /// Core the consumer runs on.
-    pub dst_core: u32,
-    /// Tokens crossing per steady iteration (`reps[src] * push`).
-    pub tokens_per_iter: u64,
-}
-
-/// A core assignment plus the metadata consumers need beyond the raw
-/// `Vec<u32>`: per-core compute loads and the cut edges the threaded
-/// runtime must bridge with inter-core rings (and that [`CommModel`]
-/// charges for).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Partition {
-    /// Core count the assignment targets.
-    pub cores: usize,
-    /// Core index per node.
-    pub assignment: Vec<u32>,
-    /// Compute cycles per core (sum of assigned nodes' cycles).
-    pub per_core_load: Vec<u64>,
-    /// Edges whose endpoints land on different cores.
-    pub cut_edges: Vec<CutEdge>,
-}
-
-impl Partition {
-    /// Partition with the naive LPT heuristic and derive the metadata.
-    pub fn lpt(graph: &Graph, schedule: &Schedule, node_cycles: &[u64], cores: usize) -> Partition {
-        let assignment = partition_lpt(node_cycles, cores);
-        Partition::from_assignment(graph, schedule, node_cycles, assignment, cores)
-    }
-
-    /// Derive per-core loads and cut edges for an existing assignment
-    /// (e.g. from [`partition_simd_aware`] or a hand-written placement).
-    pub fn from_assignment(
-        graph: &Graph,
-        schedule: &Schedule,
-        node_cycles: &[u64],
-        assignment: Vec<u32>,
-        cores: usize,
-    ) -> Partition {
-        assert_eq!(assignment.len(), graph.node_count());
-        let mut per_core_load = vec![0u64; cores];
-        for (i, &core) in assignment.iter().enumerate() {
-            per_core_load[core as usize] += node_cycles.get(i).copied().unwrap_or(0);
-        }
-        let mut cut_edges = Vec::new();
-        for (id, e) in graph.edges() {
-            let (sc, dc) = (assignment[e.src.0 as usize], assignment[e.dst.0 as usize]);
-            if sc != dc {
-                let push = graph.node(e.src).push_rate(e.src_port) as u64;
-                cut_edges.push(CutEdge {
-                    edge: id,
-                    src: e.src,
-                    dst: e.dst,
-                    src_core: sc,
-                    dst_core: dc,
-                    tokens_per_iter: schedule.reps[e.src.0 as usize] * push,
-                });
-            }
-        }
-        Partition {
-            cores,
-            assignment,
-            per_core_load,
-            cut_edges,
-        }
-    }
-
-    /// Load of the bottleneck core.
-    pub fn max_load(&self) -> u64 {
-        self.per_core_load.iter().copied().max().unwrap_or(0)
-    }
+    Clusters::singletons(node_cycles.len()).place(node_cycles, cores)
 }
 
 /// Per-core estimate for one steady iteration.
@@ -158,50 +169,52 @@ pub struct CoreEstimate {
     pub makespan: u64,
 }
 
-/// Estimate the multicore makespan of one steady iteration: max core load
-/// plus inter-core traffic.
+/// Estimate the makespan of one steady iteration under `placement` on
+/// `cores` cores: the bottleneck core's compute plus all inter-core
+/// traffic.
+///
+/// A fissioned node's cycles are split evenly across its replicas, the
+/// remainder on `replicas[0]`. Every edge that crosses cores
+/// (`Placement::crosses_cores`) costs its tokens at
+/// `cycles_per_element` plus `sync_per_edge` per ring: one ring, or one
+/// per replica when an endpoint is fissioned.
 pub fn estimate(
     graph: &Graph,
     schedule: &Schedule,
     node_cycles: &[u64],
-    assignment: &[u32],
+    placement: &Placement,
     cores: usize,
     comm: &CommModel,
 ) -> CoreEstimate {
     let mut per_core = vec![0u64; cores];
     for (i, &cyc) in node_cycles.iter().enumerate() {
-        per_core[assignment[i] as usize] += cyc;
+        per_core[placement.assignment[i] as usize] += cyc;
     }
-    let mut comm_cycles = 0u64;
-    for (_, e) in graph.edges() {
-        if assignment[e.src.0 as usize] != assignment[e.dst.0 as usize] {
-            let push = graph.node(e.src).push_rate(e.src_port) as u64;
-            let tokens = schedule.reps[e.src.0 as usize] * push;
-            comm_cycles += tokens * comm.cycles_per_element + comm.sync_per_edge;
+    for spec in &placement.fission {
+        let (i, k) = (spec.node.0 as usize, spec.replicas.len() as u64);
+        per_core[placement.assignment[i] as usize] -= node_cycles[i];
+        for &r in &spec.replicas {
+            per_core[r as usize] += node_cycles[i] / k;
         }
+        per_core[spec.replicas[0] as usize] += node_cycles[i] % k;
     }
+    let comm_cycles = graph
+        .edges()
+        .filter(|(_, e)| placement.crosses_cores(e))
+        .map(|(_, e)| {
+            let fissioned = placement
+                .fission
+                .iter()
+                .find(|s| s.node == e.src || s.node == e.dst);
+            let rings = fissioned.map_or(1, |s| s.replicas.len() as u64);
+            crossing_cycles(graph, schedule, e, rings, comm)
+        })
+        .sum();
     let makespan = per_core.iter().copied().max().unwrap_or(0) + comm_cycles;
     CoreEstimate {
         per_core,
         comm_cycles,
         makespan,
-    }
-}
-
-/// One configuration's modelled performance, normalized per source firing
-/// so scalar and Equation-1-scaled SIMD schedules are comparable.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Throughput {
-    /// Modelled cycles per steady iteration (makespan).
-    pub cycles_per_iteration: u64,
-    /// Source firings per steady iteration.
-    pub source_reps: u64,
-}
-
-impl Throughput {
-    /// Cycles per source firing — the figure of merit.
-    pub fn cycles_per_source_firing(&self) -> f64 {
-        self.cycles_per_iteration as f64 / self.source_reps as f64
     }
 }
 
@@ -229,11 +242,8 @@ pub struct Figure13Point {
     pub simd_colors: Vec<u32>,
 }
 
-/// Evaluate one benchmark graph at a core count.
-///
-/// Steps mirror the paper: measure scalar per-node cycles, partition
-/// (LPT), estimate plain multicore; then macro-SIMDize *with the partition
-/// as a co-location constraint* and re-estimate.
+/// Evaluate one benchmark graph at a core count with the naive LPT
+/// partition ([`partition_lpt`]).
 ///
 /// # Errors
 /// Propagates scheduling/SIMDization failures.
@@ -244,66 +254,59 @@ pub fn figure13_point(
     comm: &CommModel,
     iters: u64,
 ) -> Result<Figure13Point, SimdizeError> {
+    figure13_with(graph, machine, cores, comm, iters, |cycles| {
+        partition_lpt(cycles, cores)
+    })
+}
+
+/// Steps mirror the paper: measure scalar per-node cycles, partition,
+/// estimate plain multicore; then macro-SIMDize *with the partition as a
+/// co-location constraint* and re-estimate. Speedups are per source
+/// firing, so scalar and Equation-1-scaled SIMD schedules compare.
+fn figure13_with(
+    graph: &Graph,
+    machine: &Machine,
+    cores: usize,
+    comm: &CommModel,
+    iters: u64,
+    partition: impl FnOnce(&[u64]) -> Vec<u32>,
+) -> Result<Figure13Point, SimdizeError> {
+    // Cycles per steady iteration of each node, and source firings per
+    // steady iteration.
+    let measure = |g: &Graph, s: &Schedule| {
+        let run = run_scheduled(g, s, machine, iters).expect("run failed");
+        let per_iter: Vec<u64> = run.node_cycles.iter().map(|c| c / iters.max(1)).collect();
+        let src = g
+            .node_ids()
+            .find(|&id| g.in_edges(id).is_empty())
+            .expect("graph has a source");
+        (per_iter, s.rep(src) as f64)
+    };
     let schedule = Schedule::compute(graph)?;
-    let scalar = run_scheduled(graph, &schedule, machine, iters).expect("scalar run failed");
-    let per_iter: Vec<u64> = scalar
-        .node_cycles
-        .iter()
-        .map(|c| c / iters.max(1))
-        .collect();
-    let src = graph
-        .node_ids()
-        .find(|&id| graph.in_edges(id).is_empty())
-        .expect("graph has a source");
+    let (per_iter, reps) = measure(graph, &schedule);
+    let single = per_iter.iter().sum::<u64>() as f64 / reps;
+    let scalar = Placement::whole_stage(partition(&per_iter));
+    let mc = estimate(graph, &schedule, &per_iter, &scalar, cores, comm);
 
-    let single = Throughput {
-        cycles_per_iteration: per_iter.iter().sum(),
-        source_reps: schedule.rep(src),
-    };
-
-    let assignment = partition_lpt(&per_iter, cores);
-    let mc = estimate(graph, &schedule, &per_iter, &assignment, cores, comm);
-    let multicore = Throughput {
-        cycles_per_iteration: mc.makespan,
-        source_reps: schedule.rep(src),
-    };
-
-    // Partition-first macro-SIMDization.
     let (simd, colors) =
-        macro_simdize_colocated(graph, machine, &SimdizeOptions::all(), &assignment)?;
-    let simd_run =
-        run_scheduled(&simd.graph, &simd.schedule, machine, iters).expect("simd run failed");
-    let simd_per_iter: Vec<u64> = simd_run
-        .node_cycles
-        .iter()
-        .map(|c| c / iters.max(1))
-        .collect();
-    let simd_src = simd
-        .graph
-        .node_ids()
-        .find(|&id| simd.graph.in_edges(id).is_empty())
-        .expect("simd graph has a source");
+        macro_simdize_colocated(graph, machine, &SimdizeOptions::all(), &scalar.assignment)?;
+    let (simd_per_iter, simd_reps) = measure(&simd.graph, &simd.schedule);
+    let colocated = Placement::whole_stage(colors);
     let mcs = estimate(
         &simd.graph,
         &simd.schedule,
         &simd_per_iter,
-        &colors,
+        &colocated,
         cores,
         comm,
     );
-    let multicore_simd = Throughput {
-        cycles_per_iteration: mcs.makespan,
-        source_reps: simd.schedule.reps[simd_src.0 as usize],
-    };
-
-    let base = single.cycles_per_source_firing();
     Ok(Figure13Point {
         cores,
-        multicore: base / multicore.cycles_per_source_firing(),
-        multicore_simd: base / multicore_simd.cycles_per_source_firing(),
-        assignment,
+        multicore: single / (mc.makespan as f64 / reps),
+        multicore_simd: single / (mcs.makespan as f64 / simd_reps),
+        assignment: scalar.assignment,
         simd,
-        simd_colors: colors,
+        simd_colors: colocated.assignment,
     })
 }
 
@@ -456,50 +459,62 @@ mod tests {
     }
 
     #[test]
-    fn partition_metadata_matches_estimate() {
-        let g = bench_graph();
-        let sched = Schedule::compute(&g).unwrap();
-        let cycles = vec![100u64; g.node_count()];
-        let part = Partition::lpt(&g, &sched, &cycles, 2);
-        assert_eq!(part.assignment, partition_lpt(&cycles, 2));
-        assert_eq!(
-            part.per_core_load.iter().sum::<u64>(),
-            100 * g.node_count() as u64
-        );
-        let comm = CommModel::default();
-        let est = estimate(&g, &sched, &cycles, &part.assignment, 2, &comm);
-        let modeled: u64 = part
-            .cut_edges
-            .iter()
-            .map(|c| c.tokens_per_iter * comm.cycles_per_element + comm.sync_per_edge)
-            .sum();
-        assert_eq!(est.comm_cycles, modeled);
-        assert_eq!(est.makespan, part.max_load() + modeled);
-        for c in &part.cut_edges {
-            assert_ne!(c.src_core, c.dst_core);
-            assert_eq!(part.assignment[c.src.0 as usize], c.src_core);
-            assert_eq!(part.assignment[c.dst.0 as usize], c.dst_core);
-        }
-    }
-
-    #[test]
     fn estimate_counts_cut_edges() {
         let g = bench_graph();
         let sched = Schedule::compute(&g).unwrap();
         let cycles = vec![100u64; g.node_count()];
         let all_one_core = vec![0u32; g.node_count()];
         let comm = CommModel::default();
-        let e1 = estimate(&g, &sched, &cycles, &all_one_core, 2, &comm);
+        let e1 = estimate(
+            &g,
+            &sched,
+            &cycles,
+            &Placement::whole_stage(all_one_core.clone()),
+            2,
+            &comm,
+        );
         assert_eq!(e1.comm_cycles, 0);
         let mut split = all_one_core.clone();
         split[2] = 1; // one actor on core 1: two cut edges
-        let e2 = estimate(&g, &sched, &cycles, &split, 2, &comm);
+        let e2 = estimate(
+            &g,
+            &sched,
+            &cycles,
+            &Placement::whole_stage(split),
+            2,
+            &comm,
+        );
         // Two cut edges, 4 tokens each per steady iteration.
         assert_eq!(
             e2.comm_cycles,
             2 * (4 * comm.cycles_per_element + comm.sync_per_edge)
         );
         assert_eq!(e2.makespan, 500 + e2.comm_cycles);
+    }
+
+    #[test]
+    fn estimate_prices_fission() {
+        // h3 (node 3) dealt across cores 0 and 2: its 101 cycles split
+        // 51/50, and both its edges cross, 4 tokens each through two
+        // rings. Every other edge stays on its core.
+        let g = bench_graph();
+        let sched = Schedule::compute(&g).unwrap();
+        let mut cycles = vec![100u64; g.node_count()];
+        cycles[3] = 101;
+        let comm = CommModel::default();
+        let placement = Placement {
+            assignment: vec![0, 0, 0, 0, 1, 1],
+            fission: vec![macross_runtime::FissionSpec {
+                node: macross_streamir::NodeId(3),
+                replicas: vec![0, 2],
+            }],
+        };
+        placement.validate(&g, &sched).unwrap();
+        let est = estimate(&g, &sched, &cycles, &placement, 3, &comm);
+        assert_eq!(est.per_core, vec![351, 200, 50]);
+        let edge = 4 * comm.cycles_per_element + 2 * comm.sync_per_edge;
+        assert_eq!(est.comm_cycles, 2 * edge);
+        assert_eq!(est.makespan, 351 + 2 * edge);
     }
 
     #[test]
@@ -570,7 +585,8 @@ mod tests {
 
 /// Cluster-aware LPT: vertically fusable chains and horizontal split-join
 /// candidates are kept on one core so the SIMDizer's opportunities
-/// survive partitioning, then clusters are placed greedily by load.
+/// survive partitioning, then clusters are placed greedily by load, as
+/// [`partition_lpt`] places single nodes.
 ///
 /// Like [`partition_lpt`], it serves the Figure 13 study only (the
 /// partitioner ablation in `tests/experiment_shapes.rs`); the production
@@ -586,24 +602,7 @@ pub fn partition_simd_aware(
     use macross_streamir::analysis::analyze_vectorizability;
 
     assert!(cores >= 1);
-    let n = graph.node_count();
-    // Union-find over nodes.
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-        if parent[x] != x {
-            let r = find(parent, parent[x]);
-            parent[x] = r;
-        }
-        parent[x]
-    }
-    let union = |parent: &mut Vec<usize>, a: usize, b: usize| {
-        let (ra, rb) = (find(parent, a), find(parent, b));
-        if ra != rb {
-            parent[ra] = rb;
-        }
-    };
-
-    let eligible = |id: macross_streamir::NodeId| -> bool {
+    let eligible = |id: NodeId| -> bool {
         graph
             .node(id)
             .as_filter()
@@ -613,50 +612,25 @@ pub fn partition_simd_aware(
             })
             .unwrap_or(false)
     };
-
+    let mut clusters = Clusters::singletons(graph.node_count());
     // Fusable pipeline links stay together.
     for (_, e) in graph.edges() {
         if eligible(e.src) && eligible(e.dst) && link_fusable(graph, e.src, e.dst).is_ok() {
-            union(&mut parent, e.src.0 as usize, e.dst.0 as usize);
+            clusters.union(e.src.0 as usize, e.dst.0 as usize);
         }
     }
     // Horizontal candidates (splitter + all branches + joiner) stay together
-    // when the branch count fits the SIMD width.
+    // when the branch count fits the SIMD width; splitters and joiners that
+    // form no candidate stay free.
     for cand in find_split_joins(graph) {
         if cand.branches.len() % machine.simd_width != 0 {
             continue;
         }
-        let sp = cand.splitter.0 as usize;
-        for b in cand.branches.iter().flatten() {
-            union(&mut parent, sp, b.0 as usize);
-        }
-        union(&mut parent, sp, cand.joiner.0 as usize);
-    }
-    // Splitters/joiners that did not form candidates stay free.
-
-    // Cluster loads, then LPT over clusters.
-    let mut cluster_nodes: std::collections::HashMap<usize, Vec<usize>> = Default::default();
-    for i in 0..n {
-        let r = find(&mut parent, i);
-        cluster_nodes.entry(r).or_default().push(i);
-    }
-    let mut clusters: Vec<(u64, Vec<usize>)> = cluster_nodes
-        .into_values()
-        .map(|nodes| (nodes.iter().map(|&i| node_cycles[i]).sum(), nodes))
-        .collect();
-    clusters.sort_by_key(|(load, nodes)| std::cmp::Reverse((*load, nodes.len())));
-    let mut core_load = vec![0u64; cores];
-    let mut assign = vec![0u32; n];
-    for (load, nodes) in clusters {
-        let core = (0..cores)
-            .min_by_key(|&c| core_load[c])
-            .expect("at least one core");
-        core_load[core] += load;
-        for i in nodes {
-            assign[i] = core as u32;
+        for node in cand.branches.iter().flatten().chain([&cand.joiner]) {
+            clusters.union(cand.splitter.0 as usize, node.0 as usize);
         }
     }
-    assign
+    clusters.place(node_cycles, cores)
 }
 
 /// Figure-13 evaluation using the SIMD-aware partitioner instead of the
@@ -672,54 +646,8 @@ pub fn figure13_point_simd_aware(
     comm: &CommModel,
     iters: u64,
 ) -> Result<Figure13Point, SimdizeError> {
-    let schedule = Schedule::compute(graph)?;
-    let scalar = run_scheduled(graph, &schedule, machine, iters).expect("scalar run failed");
-    let per_iter: Vec<u64> = scalar
-        .node_cycles
-        .iter()
-        .map(|c| c / iters.max(1))
-        .collect();
-    let src = graph
-        .node_ids()
-        .find(|&id| graph.in_edges(id).is_empty())
-        .expect("source");
-    let single = per_iter.iter().sum::<u64>() as f64 / schedule.rep(src) as f64;
-
-    let assignment = partition_simd_aware(graph, &per_iter, cores, machine);
-    let mc = estimate(graph, &schedule, &per_iter, &assignment, cores, comm);
-    let multicore = mc.makespan as f64 / schedule.rep(src) as f64;
-
-    let (simd, colors) =
-        macro_simdize_colocated(graph, machine, &SimdizeOptions::all(), &assignment)?;
-    let simd_run =
-        run_scheduled(&simd.graph, &simd.schedule, machine, iters).expect("simd run failed");
-    let simd_per_iter: Vec<u64> = simd_run
-        .node_cycles
-        .iter()
-        .map(|c| c / iters.max(1))
-        .collect();
-    let simd_src = simd
-        .graph
-        .node_ids()
-        .find(|&id| simd.graph.in_edges(id).is_empty())
-        .expect("simd graph has a source");
-    let mcs = estimate(
-        &simd.graph,
-        &simd.schedule,
-        &simd_per_iter,
-        &colors,
-        cores,
-        comm,
-    );
-    let multicore_simd = mcs.makespan as f64 / simd.schedule.reps[simd_src.0 as usize] as f64;
-
-    Ok(Figure13Point {
-        cores,
-        multicore: single / multicore,
-        multicore_simd: single / multicore_simd,
-        assignment,
-        simd,
-        simd_colors: colors,
+    figure13_with(graph, machine, cores, comm, iters, |cycles| {
+        partition_simd_aware(graph, cycles, cores, machine)
     })
 }
 
@@ -783,9 +711,9 @@ mod simd_aware_tests {
         let aware = partition_simd_aware(&g, &cycles, 2, &machine);
         // The six fusable stages must share one core under the aware
         // partitioner; naive LPT scatters them.
-        let stage_cores: std::collections::HashSet<u32> = (1..7).map(|i| aware[i]).collect();
+        let stage_cores: std::collections::BTreeSet<u32> = (1..7).map(|i| aware[i]).collect();
         assert_eq!(stage_cores.len(), 1, "aware: {aware:?}");
-        let naive_cores: std::collections::HashSet<u32> = (1..7).map(|i| naive[i]).collect();
+        let naive_cores: std::collections::BTreeSet<u32> = (1..7).map(|i| naive[i]).collect();
         assert!(naive_cores.len() > 1, "naive: {naive:?}");
     }
 

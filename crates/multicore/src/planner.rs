@@ -27,11 +27,10 @@
 //! the property tests below assert replanning is bit-stable, which keeps
 //! `ReplayBundle`s reproducible.
 
-use crate::{estimate, CommModel};
+use crate::{crossing_cycles, estimate, Clusters, CommModel};
 use macross_runtime::{FissionSpec, Placement};
 use macross_sdf::Schedule;
-use macross_streamir::analysis::analyze_vectorizability;
-use macross_streamir::graph::{Graph, Node, NodeId};
+use macross_streamir::graph::{Graph, NodeId};
 
 /// A planned placement plus the model's view of it — everything reports
 /// and gates need beyond the raw [`Placement`].
@@ -41,8 +40,9 @@ pub struct PlacementPlan {
     pub placement: Placement,
     /// Distinct cores the placement actually uses (replicas included).
     pub cores_used: usize,
-    /// Graph edges the runtime must bridge with rings (a fission edge
-    /// counts once, though it fans out into one ring per replica).
+    /// Graph edges the runtime must bridge with rings
+    /// (`Placement::crosses_cores`; a fission edge counts once, though it
+    /// fans out into one ring per replica).
     pub cut_edges: usize,
     /// Clusters holding two or more nodes — stages fused onto one core.
     pub fused_groups: usize,
@@ -71,70 +71,6 @@ impl PlacementPlan {
 /// — the ones that lose to unmodelled stall latency — sequential.
 const PARALLEL_MARGIN: f64 = 1.2;
 
-/// Can this node's steady firings be dealt round-robin across replicas?
-/// Mirrors `Placement::validate` (the runtime re-checks; this keeps the
-/// planner from proposing placements the runtime would reject).
-fn fission_legal(graph: &Graph, schedule: &Schedule, id: NodeId) -> bool {
-    let Node::Filter(f) = graph.node(id) else {
-        return false;
-    };
-    if analyze_vectorizability(f).stateful || f.peek > f.pop {
-        return false;
-    }
-    if schedule.init_reps[id.0 as usize] != 0 {
-        return false;
-    }
-    graph
-        .in_edges(id)
-        .iter()
-        .chain(graph.out_edges(id).iter())
-        .all(|&e| graph.edge(e).reorder.is_none())
-}
-
-/// Union-find root with path compression.
-fn find(parent: &mut [usize], x: usize) -> usize {
-    let mut r = x;
-    while parent[r] != r {
-        r = parent[r];
-    }
-    let mut c = x;
-    while parent[c] != r {
-        let next = parent[c];
-        parent[c] = r;
-        c = next;
-    }
-    r
-}
-
-/// LPT over clusters: cluster loads sorted heaviest-first (ties broken by
-/// smallest member id — deterministic), each placed on the least-loaded
-/// core (ties broken by lowest core index).
-fn place_clusters(parent: &mut [usize], node_cycles: &[u64], workers: usize) -> Vec<u32> {
-    let n = parent.len();
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for i in 0..n {
-        let r = find(parent, i);
-        members[r].push(i);
-    }
-    let mut clusters: Vec<(u64, usize)> = members
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| !m.is_empty())
-        .map(|(r, m)| (m.iter().map(|&i| node_cycles[i]).sum(), r))
-        .collect();
-    clusters.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    let mut load = vec![0u64; workers];
-    let mut assign = vec![0u32; n];
-    for (cost, r) in clusters {
-        let core = (0..workers).min_by_key(|&c| load[c]).unwrap();
-        load[core] += cost;
-        for &i in &members[r] {
-            assign[i] = core as u32;
-        }
-    }
-    assign
-}
-
 /// Plan a placement for `workers` cores from measured (or modelled)
 /// per-node cycles per steady iteration.
 ///
@@ -162,6 +98,7 @@ pub fn plan_placement(
     if workers <= 1 || n < 2 {
         return collapse(0);
     }
+    let price = |p: &Placement| estimate(graph, schedule, node_cycles, p, workers, comm);
 
     // --- Fusion: greedy cut-edge contraction -------------------------
     // Heaviest-traffic edges first (ties: edge id), re-placed with LPT
@@ -171,59 +108,45 @@ pub fn plan_placement(
     let mut edges: Vec<(u64, usize, usize, usize)> = graph
         .edges()
         .map(|(id, e)| {
-            let push = graph.node(e.src).push_rate(e.src_port) as u64;
-            let tokens = schedule.reps[e.src.0 as usize] * push;
-            (
-                tokens * comm.cycles_per_element + comm.sync_per_edge,
-                id.0 as usize,
-                e.src.0 as usize,
-                e.dst.0 as usize,
-            )
+            let cost = crossing_cycles(graph, schedule, e, 1, comm);
+            (cost, id.0 as usize, e.src.0 as usize, e.dst.0 as usize)
         })
         .collect();
     edges.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
-    let mut parent: Vec<usize> = (0..n).collect();
-    let mut assign = place_clusters(&mut parent, node_cycles, workers);
-    let mut makespan = estimate(graph, schedule, node_cycles, &assign, workers, comm).makespan;
+    let mut clusters = Clusters::singletons(n);
+    let mut placement = Placement::whole_stage(clusters.place(node_cycles, workers));
+    let mut makespan = price(&placement).makespan;
     loop {
         let mut merged = false;
         for &(_, _, s, d) in &edges {
-            if find(&mut parent, s) == find(&mut parent, d) {
+            if clusters.find(s) == clusters.find(d) {
                 continue;
             }
-            let saved = parent.clone();
-            let (rs, rd) = (find(&mut parent, s), find(&mut parent, d));
-            parent[rs.max(rd)] = rs.min(rd);
-            let cand = place_clusters(&mut parent, node_cycles, workers);
-            let m = estimate(graph, schedule, node_cycles, &cand, workers, comm).makespan;
+            let saved = clusters.clone();
+            clusters.union(s, d);
+            let cand = Placement::whole_stage(clusters.place(node_cycles, workers));
+            let m = price(&cand).makespan;
             if m <= makespan {
-                assign = cand;
+                placement = cand;
                 makespan = m;
                 merged = true;
             } else {
-                parent = saved;
+                clusters = saved;
             }
         }
         if !merged {
             break;
         }
     }
-    let mut root_seen = vec![false; n];
-    let mut cluster_sizes = vec![0usize; n];
-    for i in 0..n {
-        let r = find(&mut parent, i);
-        root_seen[r] = true;
-        cluster_sizes[r] += 1;
-    }
-    let fused_groups = cluster_sizes.iter().filter(|&&s| s >= 2).count();
+    let fused_groups = clusters.members().iter().filter(|m| m.len() >= 2).count();
 
     // --- Fission: split the stage that caps the bottleneck core ------
-    // Worth modelling only when the bottleneck core is dominated by one
-    // legal stage: moving 1/k of its firings to each of k cores trades
-    // (k-1)/k of its compute for the deal/merge ring traffic on its two
-    // edges.
-    let est = estimate(graph, schedule, node_cycles, &assign, workers, comm);
+    // Worth trying only on the heaviest stage of the bottleneck core that
+    // the runtime lets us split (`Placement::validate`): dealing its
+    // firings across k cores trades (k-1)/k of its compute for the
+    // deal/merge ring traffic on its edges, as `estimate` prices it.
+    let est = price(&placement);
     let bottleneck = est
         .per_core
         .iter()
@@ -231,95 +154,62 @@ pub fn plan_placement(
         .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
         .map(|(c, _)| c as u32)
         .unwrap_or(0);
-    let mut fission: Vec<FissionSpec> = Vec::new();
-    let mut best_make = makespan;
-    let mut candidates: Vec<(u64, usize)> = (0..n)
-        .filter(|&i| assign[i] == bottleneck && fission_legal(graph, schedule, NodeId(i as u32)))
-        .map(|i| (node_cycles[i], i))
+    // Replica cores: the home core plus the least-loaded others
+    // (deterministic ties by core index).
+    let mut others: Vec<(u64, u32)> = est
+        .per_core
+        .iter()
+        .enumerate()
+        .filter(|(c, _)| *c as u32 != bottleneck)
+        .map(|(c, &l)| (l, c as u32))
         .collect();
-    candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    if let Some(&(cyc, node)) = candidates.first() {
-        // Replica cores: the home core plus the least-loaded others
-        // (deterministic ties by core index).
-        let mut others: Vec<(u64, usize)> = est
-            .per_core
-            .iter()
-            .enumerate()
-            .filter(|(c, _)| *c as u32 != bottleneck)
-            .map(|(c, &l)| (l, c))
-            .collect();
-        others.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+    others.sort();
+    let mut on_bottleneck: Vec<usize> = (0..n)
+        .filter(|&i| placement.assignment[i] == bottleneck)
+        .collect();
+    on_bottleneck.sort_by(|&a, &b| node_cycles[b].cmp(&node_cycles[a]).then(a.cmp(&b)));
+    let split = |node: usize, k: usize| {
+        let mut replicas = vec![bottleneck];
+        replicas.extend(others[..k - 1].iter().map(|&(_, c)| c));
+        vec![FissionSpec {
+            node: NodeId(node as u32),
+            replicas,
+        }]
+    };
+    let hot = on_bottleneck.into_iter().find(|&i| {
+        placement.fission = split(i, 2);
+        placement.validate(graph, schedule).is_ok()
+    });
+    let mut fission = Vec::new();
+    let mut best_make = makespan;
+    if let Some(node) = hot {
         for k in 2..=workers.min(1 + others.len()) {
-            let mut per_core = est.per_core.clone();
-            per_core[bottleneck as usize] -= cyc;
-            let mut replicas = vec![bottleneck];
-            replicas.extend(others[..k - 1].iter().map(|&(_, c)| c as u32));
-            let share = cyc / k as u64;
-            for (j, &r) in replicas.iter().enumerate() {
-                per_core[r as usize] += share + u64::from(j == 0) * (cyc % k as u64);
-            }
-            // Each fission edge costs its full token traffic (if not
-            // already cut) plus one sync term per replica ring.
-            let mut comm_cycles = est.comm_cycles;
-            for &e in graph
-                .in_edges(NodeId(node as u32))
-                .iter()
-                .chain(graph.out_edges(NodeId(node as u32)).iter())
-            {
-                let ed = graph.edge(e);
-                let push = graph.node(ed.src).push_rate(ed.src_port) as u64;
-                let tokens = schedule.reps[ed.src.0 as usize] * push;
-                let was_cut = assign[ed.src.0 as usize] != assign[ed.dst.0 as usize];
-                comm_cycles += if was_cut {
-                    (k as u64 - 1) * comm.sync_per_edge
-                } else {
-                    tokens * comm.cycles_per_element + k as u64 * comm.sync_per_edge
-                };
-            }
-            let m = per_core.iter().copied().max().unwrap_or(0) + comm_cycles;
+            placement.fission = split(node, k);
+            let m = price(&placement).makespan;
             if m < best_make {
                 best_make = m;
-                fission = vec![FissionSpec {
-                    node: NodeId(node as u32),
-                    replicas,
-                }];
+                fission = placement.fission.clone();
             }
         }
     }
+    placement.fission = fission;
 
     // --- Collapse guard ----------------------------------------------
-    if (best_make as f64) * PARALLEL_MARGIN > sequential as f64 {
-        return collapse(fused_groups);
-    }
-
-    let placement = Placement {
-        assignment: assign,
-        fission,
-    };
     // The runtime re-validates; a planner bug must degrade to a legal
     // plan, not a hard error at run time.
-    if placement.validate(graph, schedule).is_err() {
+    if (best_make as f64) * PARALLEL_MARGIN > sequential as f64
+        || placement.validate(graph, schedule).is_err()
+    {
         return collapse(fused_groups);
     }
-    let fissioned = placement
-        .fission
-        .first()
-        .map(|s| s.replicas.len())
-        .unwrap_or(0);
+    let fissioned = placement.fission.first().map_or(0, |s| s.replicas.len());
     let cut_edges = graph
         .edges()
-        .filter(|(_, e)| {
-            placement.assignment[e.src.0 as usize] != placement.assignment[e.dst.0 as usize]
-                || placement
-                    .fission
-                    .iter()
-                    .any(|s| s.node == e.src || s.node == e.dst)
-        })
+        .filter(|(_, e)| placement.crosses_cores(e))
         .count();
-    let cores_used = placement.cores();
     PlacementPlan {
+        cores_used: placement.cores(),
         placement,
-        cores_used,
         cut_edges,
         fused_groups,
         fissioned,
@@ -405,12 +295,15 @@ mod tests {
         let comm = CommModel::default();
         let plan = plan_placement(&g, &sched, &cycles, 2, &comm);
         assert!(plan.cores_used >= 2, "plan should go parallel: {plan:?}");
-        let lpt = crate::Partition::lpt(&g, &sched, &cycles, 2);
+        let lpt = crate::partition_lpt(&cycles, 2);
+        let lpt_cuts = g
+            .edges()
+            .filter(|(_, e)| lpt[e.src.0 as usize] != lpt[e.dst.0 as usize])
+            .count();
         assert!(
-            plan.cut_edges <= lpt.cut_edges.len(),
-            "planned {} cuts vs LPT {}",
-            plan.cut_edges,
-            lpt.cut_edges.len()
+            plan.cut_edges <= lpt_cuts,
+            "planned {} cuts vs LPT {lpt_cuts}",
+            plan.cut_edges
         );
         assert!(plan.fused_groups >= 1);
         assert!(plan.modelled_makespan < plan.modelled_sequential);

@@ -2,8 +2,8 @@
 //!
 //! Where `macross_vm::run_scheduled` interprets the whole graph on one
 //! thread, this crate executes the *same* schedule pipeline-parallel: one
-//! worker per core of a partition (e.g. from
-//! `macross_multicore::Partition::lpt`) — the first on the calling
+//! worker per core of a placement (e.g. from
+//! `macross_multicore::plan_placement`) — the first on the calling
 //! thread, each other on a thread of its own — with every cross-core tape
 //! edge bridged by a bounded lock-free SPSC ring ([`ring::Ring`]).
 //!
@@ -21,7 +21,7 @@
 //! Alongside the outputs, a run produces a [`RuntimeReport`]: per-stage
 //! firing and ring-traffic counters, per-edge stall counts, and measured
 //! wall-clock per steady iteration, for comparison against the analytic
-//! `macross_multicore::CoreEstimate` model.
+//! model (`macross_multicore::estimate`).
 
 pub mod fault;
 pub mod ring;
@@ -213,7 +213,7 @@ pub struct RingStat {
 }
 
 /// Measured counters from a threaded run, the empirical counterpart of
-/// the analytic `CoreEstimate`.
+/// the analytic `macross_multicore::estimate`.
 #[derive(Debug, Clone)]
 pub struct RuntimeReport {
     /// Worker threads (cores in the assignment).
@@ -393,6 +393,18 @@ impl Placement {
         self.fission.iter().find(|s| s.node == node)
     }
 
+    /// True when `e`'s tokens leave the core that produced them: the edge
+    /// is cut, or an endpoint is fissioned (one ring per replica).
+    #[inline]
+    pub fn crosses_cores(&self, e: &Edge) -> bool {
+        let (src, dst) = (e.src.0 as usize, e.dst.0 as usize);
+        self.assignment[src] != self.assignment[dst]
+            || self
+                .fission
+                .iter()
+                .any(|s| s.node == e.src || s.node == e.dst)
+    }
+
     /// Worker threads this placement needs (max named core + 1).
     pub fn cores(&self) -> usize {
         let a = self.assignment.iter().copied().max().unwrap_or(0);
@@ -518,20 +530,12 @@ pub(crate) struct Wiring {
     pub(crate) lags: Vec<u64>,
 }
 
-/// True when `e`'s tokens leave the core that produced them: the edge is
-/// cut, or an endpoint is fissioned (one ring per replica).
-fn crosses_cores(placement: &Placement, e: &Edge) -> bool {
-    let (src, dst) = (e.src.0 as usize, e.dst.0 as usize);
-    placement.assignment[src] != placement.assignment[dst]
-        || placement.fission_of(e.src).is_some()
-        || placement.fission_of(e.dst).is_some()
-}
-
 /// How many blocks each node runs behind the sources: 0 for a source,
 /// otherwise the maximum over its in-edges of the producer's lag, plus
-/// one when the edge crosses cores ([`crosses_cores`]). A worker fires a
-/// node's block `b` at step `b + lag`, so a consumer on another core
-/// works on the block its producer finished one step earlier.
+/// one when the edge crosses cores ([`Placement::crosses_cores`]). A
+/// worker fires a node's block `b` at step `b + lag`, so a consumer on
+/// another core works on the block its producer finished one step
+/// earlier.
 pub(crate) fn stage_lags(graph: &Graph, schedule: &Schedule, placement: &Placement) -> Vec<u64> {
     let mut lags = vec![0u64; graph.node_count()];
     // The schedule order is topological: a node's producers are final
@@ -539,7 +543,7 @@ pub(crate) fn stage_lags(graph: &Graph, schedule: &Schedule, placement: &Placeme
     for &id in &schedule.order {
         for eid in graph.out_edges(id) {
             let e = graph.edge(eid);
-            let lag = lags[id.0 as usize] + u64::from(crosses_cores(placement, e));
+            let lag = lags[id.0 as usize] + u64::from(placement.crosses_cores(e));
             let dst = &mut lags[e.dst.0 as usize];
             *dst = (*dst).max(lag);
         }
@@ -711,7 +715,7 @@ pub fn run_supervised_placed(
     let rings: Vec<EdgeRings> = graph
         .edges()
         .map(|(eid, e)| {
-            if !crosses_cores(placement, e) {
+            if !placement.crosses_cores(e) {
                 return EdgeRings::Local;
             }
             let (src, dst) = (e.src.0 as usize, e.dst.0 as usize);

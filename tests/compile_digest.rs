@@ -12,12 +12,18 @@
 //! a release build counts none — so one table holds for both profiles.
 //! A change that means to alter a decision re-pins the rows it moved, on
 //! purpose; the failure message prints the whole table as it now is.
+//!
+//! The placements table pins what `macross-multicore` decides from those
+//! graphs: the planner's plans, Figure 13's partitions and speedups, and
+//! the SIMD-aware partitioner's assignments.
 
 use macross_repro::benchsuite;
 use macross_repro::macross::driver::{macro_simdize, SimdizeOptions};
+use macross_repro::multicore::{figure13_point, partition_simd_aware, plan_placement, CommModel};
+use macross_repro::sdf::Schedule;
 use macross_repro::streamir::graph::Graph;
 use macross_repro::streamir::shash::structural_hash;
-use macross_repro::vm::{CompiledPrograms, ExecMode, Machine};
+use macross_repro::vm::{run_scheduled, run_scheduled_mode, CompiledPrograms, ExecMode, Machine};
 
 /// FNV-1a, 64-bit: stable across toolchains, unlike `DefaultHasher`.
 fn fnv(text: &str) -> u64 {
@@ -111,6 +117,94 @@ fn compiled_bytecode_matches_the_pins() {
         .collect();
     check("compiled bytecode", &rows, PINNED_BYTECODE);
 }
+
+/// The planner's three comm regimes (as in `tests/differential.rs`).
+fn comm_models() -> [CommModel; 3] {
+    [
+        CommModel {
+            cycles_per_element: 1,
+            sync_per_edge: 8,
+        },
+        CommModel::default(),
+        CommModel {
+            cycles_per_element: 32,
+            sync_per_edge: 4096,
+        },
+    ]
+}
+
+#[test]
+fn placements_match_the_pins() {
+    let machine = Machine::core_i7();
+    let mut rows = Vec::new();
+    for b in benchsuite::all() {
+        let g = (b.build)();
+        let simd = macro_simdize(&g, &machine, &SimdizeOptions::all()).unwrap();
+        let seq = run_scheduled_mode(&simd.graph, &simd.schedule, &machine, 2, ExecMode::TreeWalk)
+            .unwrap();
+        let mut plans = Vec::new();
+        for comm in comm_models() {
+            for workers in [2usize, 4] {
+                plans.push(plan_placement(
+                    &simd.graph,
+                    &simd.schedule,
+                    &seq.node_cycles,
+                    workers,
+                    &comm,
+                ));
+            }
+        }
+        let iters = b.iters.min(8);
+        let sched = Schedule::compute(&g).unwrap();
+        let per_iter: Vec<u64> = run_scheduled(&g, &sched, &machine, iters)
+            .unwrap()
+            .node_cycles
+            .iter()
+            .map(|c| c / iters)
+            .collect();
+        let mut fig13 = Vec::new();
+        let mut aware = Vec::new();
+        for cores in [2usize, 4] {
+            let p = figure13_point(&g, &machine, cores, &CommModel::default(), iters).unwrap();
+            fig13.push(format!(
+                "{:?} {:?} {} {}",
+                p.assignment,
+                p.simd_colors,
+                p.multicore.to_bits(),
+                p.multicore_simd.to_bits()
+            ));
+            aware.push(partition_simd_aware(&g, &per_iter, cores, &machine));
+        }
+        rows.push(format!(
+            "{} {:016x} {:016x} {:016x}",
+            b.name,
+            fnv(&format!("{plans:?}")),
+            fnv(&format!("{fig13:?}")),
+            fnv(&format!("{aware:?}"))
+        ));
+    }
+    check("placements", &rows, PINNED_PLACEMENTS);
+}
+
+/// Program, plans, Figure 13 points, SIMD-aware partitions.
+const PINNED_PLACEMENTS: &str = "
+AudioBeam fef43329ed6ca5f7 e3636935074f31bc 040c6b1776e4c87a
+BeamFormer cbaf3d2f1536049a 3f39d3a0ff1c2c9b 3274148be72e4c22
+BitonicSort f045a51a52377edf a366f76f9fd02b9b fb8406cd8bbdb388
+ChannelVocoder 4f85f7ad39e698eb e82da4b211330a36 03a53d049757666c
+DCT afdb6dec4fbbd501 587394971d7e5ce0 6e978bb7e02db814
+DES 06ebc0fd0290cb2d 4e90b639500eb3c4 6cbcb934fbb1ae21
+FFT 3d3b526c39fd256f eca891f03c3319b9 9f0dbd11c0bb5fdc
+FilterBank a58ee99f807fe8fe 8adc1375a9b1289e cadb68af40e1016c
+FMRadio 370f51dc3025ad64 fbe344a50331a0e2 6c7a1ca35fdd886d
+MatrixMult 02c495cccf9dfa3e 1d6e692dc9398fc8 6e978bb7e02db814
+MatrixMultBlock 835c0c658d379724 96941909554e3b38 fb8406cd8bbdb388
+MP3Decoder 92e5a01e3ff5d8f4 afc90d1ec2ffab79 cb54f0af25354572
+Serpent 616b0ce340cc8f2c 52f96951d0671581 fc2f5d03d05e236c
+TDE 0c20085c83ec908e 42dcefc99f6b1526 4b9a015a8260ab58
+RegionIIRBank 322e3924e0086af3 4d102dd1a00f7a1b 376a76eff070b75c
+RegionAccNorm 889fcbeebc622d11 0b98d78b4a00f26d c7d6cb1952900b0c
+";
 
 /// Program, option set, digest.
 const PINNED_DIGESTS: &str = "

@@ -10,10 +10,12 @@ use macross_bench::{
 use macross_repro::autovec::AutovecConfig;
 use macross_repro::benchsuite::{all, by_name};
 use macross_repro::macross::driver::{macro_simdize, SimdizeOptions};
-use macross_repro::multicore::{figure13_point, figure13_point_simd_aware, CommModel};
+use macross_repro::multicore::{
+    figure13_point, figure13_point_simd_aware, partition_simd_aware, CommModel,
+};
 use macross_repro::sdf::Schedule;
 use macross_repro::streamir::graph::Graph;
-use macross_repro::vm::{run_scheduled_mode, ExecMode, Machine};
+use macross_repro::vm::{run_scheduled, run_scheduled_mode, ExecMode, Machine};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -165,6 +167,45 @@ fn ablation_simd_aware_partitioner_beats_naive_lpt_on_tde() {
         aware.multicore_simd,
         naive.multicore_simd
     );
+}
+
+#[test]
+fn simd_aware_partitioner_is_deterministic() {
+    // DES and AudioBeam have equal-load clusters: their ties must fall the
+    // same way on every call, not by the order of a hash map.
+    let machine = Machine::core_i7();
+    let comm = CommModel::default();
+    for name in ["DES", "AudioBeam"] {
+        let b = by_name(name).unwrap();
+        let g = (b.build)();
+        let iters = b.iters.min(8);
+        let sched = Schedule::compute(&g).unwrap();
+        let per_iter: Vec<u64> = run_scheduled(&g, &sched, &machine, iters)
+            .unwrap()
+            .node_cycles
+            .iter()
+            .map(|c| c / iters)
+            .collect();
+        for cores in [2usize, 4] {
+            let first = partition_simd_aware(&g, &per_iter, cores, &machine);
+            for _ in 0..4 {
+                assert_eq!(
+                    partition_simd_aware(&g, &per_iter, cores, &machine),
+                    first,
+                    "{name}@{cores}: assignment moved between calls"
+                );
+            }
+            let a = figure13_point_simd_aware(&g, &machine, cores, &comm, iters).unwrap();
+            let b = figure13_point_simd_aware(&g, &machine, cores, &comm, iters).unwrap();
+            assert_eq!(
+                a.multicore_simd.to_bits(),
+                b.multicore_simd.to_bits(),
+                "{name}@{cores}: {} vs {}",
+                a.multicore_simd,
+                b.multicore_simd
+            );
+        }
+    }
 }
 
 #[test]
