@@ -17,7 +17,7 @@ use macross_bench::{bench_dir, render_table};
 use macross_benchsuite::dynamic::dynamic;
 use macross_pdf::oracle_replay;
 use macross_runtime::FaultPlan;
-use macross_service::{mode_label, ServiceConfig, StreamService};
+use macross_service::{ServiceConfig, StreamService};
 use macross_streamir::types::Value;
 use macross_vm::{ExecMode, Machine};
 use std::sync::Arc;
@@ -62,12 +62,12 @@ fn main() {
     let workers = parse_args();
     let machine = Machine::core_i7();
     let opts = SimdizeOptions::all();
-    let report_name = format!("dynamic_{}", mode_label(MODE));
+    let report_name = format!("dynamic_{}", MODE.label());
     println!(
         "== dynamic-rate: {} benchmarks, {} workers, {} engine ==",
         dynamic().len(),
         workers,
-        mode_label(MODE)
+        MODE.label()
     );
     let service = StreamService::new(
         machine.clone(),

@@ -15,7 +15,7 @@
 
 use macross_bench::{bench_dir, render_table};
 use macross_runtime::FaultPlan;
-use macross_service::{mode_label, ServiceConfig, StreamService, TenantState};
+use macross_service::{ServiceConfig, StreamService, TenantState};
 use macross_vm::{ExecMode, Machine};
 
 struct Args {
@@ -48,14 +48,11 @@ fn parse_args() -> Args {
             "--workers" => args.workers = value("--workers").parse().expect("--workers"),
             "--iters" => args.iters = value("--iters").parse().expect("--iters"),
             "--mode" => {
-                args.mode = match value("--mode").as_str() {
-                    "bytecode" => ExecMode::Bytecode,
-                    "treewalk" => ExecMode::TreeWalk,
-                    other => {
-                        eprintln!("unknown mode '{other}' (bytecode|treewalk)");
-                        std::process::exit(2);
-                    }
-                }
+                let label = value("--mode");
+                args.mode = ExecMode::from_label(&label).unwrap_or_else(|| {
+                    eprintln!("unknown mode '{label}' (bytecode|treewalk)");
+                    std::process::exit(2);
+                })
             }
             other => {
                 eprintln!("unknown flag '{other}'");
@@ -74,14 +71,14 @@ fn fail(msg: &str) -> ! {
 fn main() {
     let args = parse_args();
     let machine = Machine::core_i7();
-    let report_name = format!("soak_{}", mode_label(args.mode));
+    let report_name = format!("soak_{}", args.mode.label());
     println!(
         "== service soak: {} sessions, cap {}, {} workers, {} iters, {} engine ==",
         args.sessions,
         args.cap,
         args.workers,
         args.iters,
-        mode_label(args.mode)
+        args.mode.label()
     );
     let service = StreamService::new(
         machine,

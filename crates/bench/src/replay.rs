@@ -23,7 +23,6 @@ use macross_runtime::{
 };
 use macross_sdf::Schedule;
 use macross_streamir::graph::{Graph, Node};
-use macross_telemetry::TraceSession;
 use macross_vm::{ExecMode, Machine};
 use std::time::Duration;
 
@@ -32,26 +31,6 @@ pub fn machine_by_name(name: &str) -> Option<Machine> {
     match name {
         "core_i7_sse4" => Some(Machine::core_i7()),
         "core_i7_sse4_sagu" => Some(Machine::core_i7_with_sagu()),
-        _ => None,
-    }
-}
-
-/// Stable serialized name of an [`ExecMode`].
-pub fn exec_mode_name(mode: ExecMode) -> &'static str {
-    match mode {
-        ExecMode::Bytecode => "bytecode",
-        ExecMode::TreeWalk => "treewalk",
-    }
-}
-
-/// Resolve an [`ExecMode`] from its serialized name. `bytecode-nofuse`,
-/// the bytecode engine with superblock kernel fusion turned off, names
-/// what `bytecode` now always is, so bundles recorded under it still
-/// replay (bit-exactly: every engine matches the tree-walk oracle).
-pub fn exec_mode_by_name(name: &str) -> Option<ExecMode> {
-    match name {
-        "bytecode" | "bytecode-nofuse" => Some(ExecMode::Bytecode),
-        "treewalk" => Some(ExecMode::TreeWalk),
         _ => None,
     }
 }
@@ -92,7 +71,7 @@ pub fn make_bundle(
         benchmark: benchmark.to_string(),
         simdized,
         machine: machine.name.clone(),
-        exec_mode: exec_mode_name(mode).to_string(),
+        exec_mode: mode.label().to_string(),
         assignment: assignment.to_vec(),
         iters,
         watchdog_ms: watchdog.map(|d| d.as_millis() as u64).unwrap_or(0),
@@ -126,7 +105,7 @@ pub fn run_bundle(bundle: &ReplayBundle) -> Result<ReplayOutcome, String> {
         .ok_or_else(|| format!("unknown benchmark {:?}", bundle.benchmark))?;
     let machine = machine_by_name(&bundle.machine)
         .ok_or_else(|| format!("unknown machine {:?}", bundle.machine))?;
-    let mode = exec_mode_by_name(&bundle.exec_mode)
+    let mode = ExecMode::from_label(&bundle.exec_mode)
         .ok_or_else(|| format!("unknown exec mode {:?}", bundle.exec_mode))?;
     let graph = (bench.build)();
     let (graph, schedule) = if bundle.simdized {
@@ -157,7 +136,6 @@ pub fn run_bundle(bundle: &ReplayBundle) -> Result<ReplayOutcome, String> {
         &Placement::whole_stage(bundle.assignment.clone()),
         bundle.iters,
         &opts,
-        &TraceSession::disabled(),
     )
     .map_err(|e| format!("runtime rejected the bundle: {e}"))?;
     let observed = failure_signature(&graph, &run);
@@ -190,18 +168,10 @@ mod tests {
 
     #[test]
     fn name_lookups_roundtrip() {
-        for mode in [ExecMode::Bytecode, ExecMode::TreeWalk] {
-            assert_eq!(exec_mode_by_name(exec_mode_name(mode)), Some(mode));
-        }
-        assert_eq!(
-            exec_mode_by_name("bytecode-nofuse"),
-            Some(ExecMode::Bytecode)
-        );
         for m in [Machine::core_i7(), Machine::core_i7_with_sagu()] {
             assert_eq!(machine_by_name(&m.name).unwrap().name, m.name);
         }
         assert!(machine_by_name("pdp11").is_none());
-        assert!(exec_mode_by_name("abacus").is_none());
     }
 
     #[test]

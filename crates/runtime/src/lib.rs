@@ -34,7 +34,6 @@ use macross_sdf::{buffer_requirements, BufferReq, Schedule};
 use macross_streamir::analysis::analyze_vectorizability;
 use macross_streamir::graph::{Edge, Graph, Node, NodeId};
 use macross_streamir::types::Value;
-use macross_telemetry::{TraceSession, WorkerTrace};
 use macross_vm::firing::panic_message;
 use macross_vm::machine::{CycleCounters, Machine};
 use macross_vm::VmError;
@@ -114,8 +113,8 @@ pub struct Stage {
     /// Completed firings.
     pub firings: AtomicU64,
     /// Of those, firings fired in a share of several, not in an envelope
-    /// of their own: all of them in a clean run without watchdog or trace
-    /// (see `Worker::run_share`).
+    /// of their own: all of them in a clean run without a watchdog (see
+    /// `Worker::run_share`).
     pub batched_firings: AtomicU64,
     /// Tokens pulled from cross-core rings into this node's input tapes.
     pub ring_in: AtomicU64,
@@ -165,8 +164,8 @@ pub struct StageStats {
     /// before it saw the failure is not counted.
     pub firings: u64,
     /// Of those, firings fired inside a share envelope rather than one of
-    /// their own: every firing of a clean run, none under a watchdog or a
-    /// live trace, all but the addressed ones under a fault plan.
+    /// their own: every firing of a clean run, none under a watchdog, all
+    /// but the addressed ones under a fault plan.
     pub batched_firings: u64,
     /// Tokens pulled from cross-core rings.
     pub ring_in: u64,
@@ -291,26 +290,15 @@ impl RuntimeReport {
     }
 }
 
-/// Result of a threaded run.
-#[derive(Debug, Clone)]
-pub struct ThreadedRun {
-    /// All sink outputs concatenated in node-id order — the same order as
-    /// `macross_vm::RunResult::output`, so the two are directly
-    /// comparable.
-    pub output: Vec<Value>,
-    /// Per-sink outputs, indexed by node id (empty for non-sinks).
-    pub outputs: Vec<Vec<Value>>,
-    /// Measured counters.
-    pub report: RuntimeReport,
-}
-
-/// Result of a supervised run ([`run_supervised_placed`]): always carries
+/// Result of a threaded run ([`run_supervised_placed`]): always carries
 /// the output produced so far, even when the run failed.
 #[derive(Debug, Clone)]
 pub struct SupervisedRun {
-    /// All sink outputs concatenated in node-id order. For a failed run
-    /// this is exactly the committed outcome: each sink's stream is the
-    /// clean run's cut to its bound in [`committed_outcome`].
+    /// All sink outputs concatenated in node-id order — the same order as
+    /// `macross_vm::RunResult::output`, so the two are directly
+    /// comparable. For a failed run this is exactly the committed
+    /// outcome: each sink's stream is the clean run's cut to its bound in
+    /// [`committed_outcome`].
     pub output: Vec<Value>,
     /// Per-sink outputs, indexed by node id (empty for non-sinks).
     pub outputs: Vec<Vec<Value>>,
@@ -329,15 +317,11 @@ impl SupervisedRun {
     /// # Errors
     /// [`RuntimeError::Vm`], [`RuntimeError::WorkerPanicked`] or
     /// [`RuntimeError::Aborted`] when the run did not complete.
-    pub fn into_result(self) -> Result<ThreadedRun, RuntimeError> {
+    pub fn into_result(self) -> Result<SupervisedRun, RuntimeError> {
         if self.completed {
-            return Ok(ThreadedRun {
-                output: self.output,
-                outputs: self.outputs,
-                report: self.report,
-            });
+            return Ok(self);
         }
-        let failures = self.report.failures;
+        let failures = &self.report.failures;
         if let Some(e) = failures.iter().find_map(|f| match &f.cause {
             FailureCause::Vm(e) => Some(e.clone()),
             _ => None,
@@ -564,10 +548,10 @@ pub(crate) fn stage_lags(graph: &Graph, schedule: &Schedule, placement: &Placeme
 /// sink outputs and modelled cycle counters cover the steady phase
 /// exactly like `run_scheduled`.
 ///
-/// This is [`run_supervised_placed`] with default [`SupervisorOptions`]
-/// and no trace session, collapsed by [`SupervisedRun::into_result`];
-/// call that directly to choose the engine ([`SupervisorOptions::mode`]),
-/// record a trace, or keep the partial output of a failed run.
+/// This is [`run_supervised_placed`] with default [`SupervisorOptions`],
+/// collapsed by [`SupervisedRun::into_result`]; call that directly to
+/// choose the engine ([`SupervisorOptions::mode`]), plan faults or a
+/// watchdog, or keep the partial output of a failed run.
 ///
 /// # Errors
 /// [`RuntimeError::BadAssignment`] / [`RuntimeError::InvalidPlacement`]
@@ -579,7 +563,7 @@ pub fn run_threaded_placed(
     machine: &Machine,
     placement: &Placement,
     iters: u64,
-) -> Result<ThreadedRun, RuntimeError> {
+) -> Result<SupervisedRun, RuntimeError> {
     run_supervised_placed(
         graph,
         schedule,
@@ -587,7 +571,6 @@ pub fn run_threaded_placed(
         placement,
         iters,
         &SupervisorOptions::default(),
-        &TraceSession::disabled(),
     )?
     .into_result()
 }
@@ -645,11 +628,7 @@ pub fn iteration_block() -> u64 {
 ///   to its bound — the same outcome as [`SessionEngine`]'s, whatever
 ///   the placement and whichever core saw the failure first;
 /// - a [`fault::FaultPlan`] deterministically injects faults at exact
-///   `(stage, firing)` coordinates (an empty plan injects nothing);
-/// - each worker records firing spans, ring stalls, and park/unpark
-///   events into `session`'s per-core event track (core id = track
-///   index = Chrome `tid`); a [`TraceSession::disabled`] session's hooks
-///   short-circuit into nothing.
+///   `(stage, firing)` coordinates (an empty plan injects nothing).
 ///
 /// Besides the node-to-core assignment, stages named in
 /// `placement.fission` are split across replica cores. Steady firing `g`
@@ -669,7 +648,6 @@ pub fn run_supervised_placed(
     placement: &Placement,
     iters: u64,
     opts: &SupervisorOptions,
-    session: &TraceSession,
 ) -> Result<SupervisedRun, RuntimeError> {
     placement.validate(graph, schedule)?;
     let assignment = &placement.assignment;
@@ -727,7 +705,7 @@ pub fn run_supervised_placed(
             let cap = (req.init_tokens + blocks * ITER_BLOCK * steady)
                 .max(req.capacity)
                 .max(init_peak) as usize;
-            let mk = || Arc::new(Ring::for_edge(eid.0, cap));
+            let mk = || Arc::new(Ring::with_capacity(cap));
             match placement.fission_of(e.dst).or(placement.fission_of(e.src)) {
                 Some(spec) => EdgeRings::Fission((0..spec.replicas.len()).map(|_| mk()).collect()),
                 None => EdgeRings::Single(mk()),
@@ -759,12 +737,11 @@ pub fn run_supervised_placed(
     // One core's worker. It catches firing panics itself; this outer net
     // only catches harness bugs, so a buggy runtime still cannot strand
     // the other workers on the gate — whichever thread it runs on.
-    let run_core = |slot: usize, core: u32, trace: WorkerTrace| {
+    let run_core = |slot: usize, core: u32| {
         catch_unwind(AssertUnwindSafe(|| {
             let stages = Arc::clone(&stages);
             Worker::new(
-                graph, schedule, machine, placement, core, &wiring, stages, trace, opts, &sup,
-                slot, iters,
+                graph, schedule, machine, placement, core, &wiring, stages, opts, &sup, slot, iters,
             )
             .run(iters, &gate)
         }))
@@ -790,10 +767,7 @@ pub fn run_supervised_placed(
             .iter()
             .enumerate()
             .skip(1)
-            .map(|(slot, &core)| {
-                let trace = session.worker(core as usize);
-                (core, s.spawn(move || run_core(slot, core, trace)))
-            })
+            .map(|(slot, &core)| (core, s.spawn(move || run_core(slot, core))))
             .collect();
         let watchdog = opts.watchdog.is_some().then(|| {
             let sup = &sup;
@@ -802,7 +776,7 @@ pub fn run_supervised_placed(
             s.spawn(move || sup.run_watchdog(opts, worker_cores, &stage_names))
         });
         if let Some(&core) = worker_cores.first() {
-            results.push((core, run_core(0, core, session.worker(core as usize))));
+            results.push((core, run_core(0, core)));
         }
         for (core, h) in handles {
             // The spawned closure never panics: the body is wrapped in
@@ -945,7 +919,7 @@ mod tests {
         m: &Machine,
         assignment: &[u32],
         iters: u64,
-    ) -> Result<ThreadedRun, RuntimeError> {
+    ) -> Result<SupervisedRun, RuntimeError> {
         run_threaded_placed(
             g,
             sched,
@@ -953,29 +927,6 @@ mod tests {
             &Placement::whole_stage(assignment.to_vec()),
             iters,
         )
-    }
-
-    /// [`run_on`] recording into `session`.
-    fn run_traced(
-        g: &Graph,
-        sched: &Schedule,
-        m: &Machine,
-        assignment: &[u32],
-        iters: u64,
-        session: &TraceSession,
-    ) -> ThreadedRun {
-        run_supervised_placed(
-            g,
-            sched,
-            m,
-            &Placement::whole_stage(assignment.to_vec()),
-            iters,
-            &SupervisorOptions::default(),
-            session,
-        )
-        .unwrap()
-        .into_result()
-        .unwrap()
     }
 
     /// The all-or-nothing mapping keeps its precedence whatever order the
@@ -1110,21 +1061,6 @@ mod tests {
         let ns = thr.report.nanos_per_iter();
         assert!(ns.is_finite());
         assert_eq!(ns, 0.0);
-    }
-
-    /// A live session records the run and leaves its output
-    /// bit-identical.
-    #[test]
-    fn traced_run_is_identical_to_untraced() {
-        let g = chain();
-        let sched = Schedule::compute(&g).unwrap();
-        let m = Machine::core_i7();
-        let seq = macross_vm::run_scheduled(&g, &sched, &m, 8).unwrap();
-        let session = TraceSession::new(1 << 12);
-        let thr = run_traced(&g, &sched, &m, &[0, 1, 1], 8, &session);
-        assert_eq!(thr.output, seq.output);
-        // Each worker records at least its firing spans.
-        assert!(!session.drain().is_empty());
     }
 
     /// counter (push 4) -> doubler (stateless, pop 1 push 1) -> sink:
@@ -1343,37 +1279,5 @@ mod tests {
             ring.empty_stalls,
             gob_firings
         );
-    }
-
-    #[test]
-    fn traced_run_records_firing_spans_per_core() {
-        use macross_telemetry::EventKind;
-        let g = chain();
-        let sched = Schedule::compute(&g).unwrap();
-        let session = TraceSession::new(1 << 14);
-        let thr = run_traced(&g, &sched, &Machine::core_i7(), &[0, 1, 1], 8, &session);
-        let events = session.drain();
-        // Core 0 fired src 8 times: exactly 8 start/end pairs on worker 0.
-        let starts0 = events
-            .iter()
-            .filter(|(w, e)| *w == 0 && e.kind == EventKind::FiringStart)
-            .count();
-        assert_eq!(starts0, 8);
-        // Both cores contributed events, and no event subject is out of
-        // range of the graph's nodes or edges.
-        assert!(events.iter().any(|(w, _)| *w == 1));
-        // The run itself is unaffected by recording.
-        assert_eq!(thr.report.stages[0].firings, 8);
-        // The events export as a Chrome trace that parses back with only
-        // complete (`X`) and instant (`i`) events in it.
-        let names: Vec<String> = g.node_ids().map(|id| g.node(id).name()).collect();
-        let doc = macross_telemetry::chrome::chrome_trace(&events, &names).to_string_compact();
-        let doc = macross_telemetry::json::parse(&doc).unwrap();
-        let traced = doc.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
-        assert!(!traced.is_empty());
-        for e in traced {
-            let ph = e.get("ph").and_then(|p| p.as_str());
-            assert!(matches!(ph, Some("X" | "i")), "event phase {ph:?}: {e:?}");
-        }
     }
 }

@@ -17,7 +17,6 @@
 //! and impl below carries the SAFETY argument for it.
 #![allow(unsafe_code)]
 
-use macross_telemetry::{EventKind, WorkerTrace};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -62,8 +61,6 @@ enum Side {
 pub struct Ring {
     buf: Box<[UnsafeCell<u64>]>,
     mask: usize,
-    /// The cut edge this ring carries (trace subject; 0 when standalone).
-    edge: u32,
     /// Next slot the consumer reads. Written only by the consumer.
     head: CachePadded<AtomicUsize>,
     /// Next slot the producer writes. Written only by the producer.
@@ -93,8 +90,6 @@ pub struct Ring {
     /// Fault injection: unparks left to swallow ([`Ring::arm_unpark_drops`]).
     /// Normally 0, in which case the wake paths pay a single relaxed load.
     unpark_drops: AtomicU64,
-    /// Unparks actually swallowed (observability for the fault tests).
-    unparks_dropped: AtomicU64,
 }
 
 // SAFETY: slots are only written by the producer between `tail` publication
@@ -107,18 +102,11 @@ impl Ring {
     /// A ring with at least `capacity` slots (rounded up to a power of
     /// two, minimum 8).
     pub fn with_capacity(capacity: usize) -> Ring {
-        Ring::for_edge(0, capacity)
-    }
-
-    /// Like [`Ring::with_capacity`], tagged with the cut edge it carries
-    /// so trace events and ring stats can name it.
-    pub fn for_edge(edge: u32, capacity: usize) -> Ring {
         let cap = capacity.max(8).next_power_of_two();
         let buf: Vec<UnsafeCell<u64>> = (0..cap).map(|_| UnsafeCell::new(0)).collect();
         Ring {
             buf: buf.into_boxed_slice(),
             mask: cap - 1,
-            edge,
             head: CachePadded(AtomicUsize::new(0)),
             tail: CachePadded(AtomicUsize::new(0)),
             full_stalls: AtomicU64::new(0),
@@ -134,18 +122,12 @@ impl Ring {
             producer: Mutex::new(None),
             consumer: Mutex::new(None),
             unpark_drops: AtomicU64::new(0),
-            unparks_dropped: AtomicU64::new(0),
         }
     }
 
     /// Slot count.
     pub fn capacity(&self) -> usize {
         self.buf.len()
-    }
-
-    /// The cut edge this ring was built for.
-    pub fn edge(&self) -> u32 {
-        self.edge
     }
 
     /// Register the calling thread as the producer (for unpark).
@@ -249,24 +231,14 @@ impl Ring {
         self.unpark_drops.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Unparks actually swallowed so far.
-    pub fn unparks_dropped(&self) -> u64 {
-        self.unparks_dropped.load(Ordering::Relaxed)
-    }
-
     /// True when an armed drop consumed this wakeup.
     fn take_unpark_drop(&self) -> bool {
         if self.unpark_drops.load(Ordering::Relaxed) == 0 {
             return false;
         }
-        let took = self
-            .unpark_drops
+        self.unpark_drops
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1))
-            .is_ok();
-        if took {
-            self.unparks_dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        took
+            .is_ok()
     }
 
     /// Wake the consumer if it announced a park. Called after the `tail`
@@ -302,42 +274,23 @@ impl Ring {
         }
     }
 
-    /// Producer: append all of `vals`, in chunks as space frees up.
+    /// Producer: append all of `vals`, in chunks as space frees up, each
+    /// wait for space counted and timed as one full-ring stall.
     /// Deadlock-free for any capacity — the consumer always drains what is
-    /// visible before it waits, so space eventually appears.
-    ///
-    /// # Errors
-    /// Returns [`Aborted`] if `abort` is raised while waiting for space.
-    pub fn push_batch(&self, vals: &[u64], abort: &AtomicBool) -> Result<(), Aborted> {
-        match self.push_batch_traced(vals, abort, &WorkerTrace::disabled()) {
-            n if n == vals.len() => Ok(()),
-            _ => Err(Aborted),
-        }
-    }
-
-    /// [`Ring::push_batch`] with a trace handle: full-ring stalls are
-    /// recorded as `RingPushStallBegin`/`End` spans on the producer's
-    /// timeline (subject = this ring's edge). Returns how many of `vals`
-    /// went in: all of them, unless `abort` was raised while waiting for
-    /// space.
-    pub fn push_batch_traced(
-        &self,
-        vals: &[u64],
-        abort: &AtomicBool,
-        trace: &WorkerTrace,
-    ) -> usize {
+    /// visible before it waits, so space eventually appears. Returns how
+    /// many of `vals` went in: all of them, unless `abort` was raised
+    /// while waiting for space.
+    pub fn push_batch(&self, vals: &[u64], abort: &AtomicBool) -> usize {
         let mut written = 0;
         while written < vals.len() {
             let n = self.push_avail(&vals[written..]);
             written += n;
             if n == 0 {
                 self.full_stalls.fetch_add(1, Ordering::Relaxed);
-                trace.record(EventKind::RingPushStallBegin, self.edge, 0);
                 let waited = Instant::now();
-                let res = self.wait(Side::Producer, abort, trace);
+                let res = self.wait(Side::Producer, abort);
                 let ns = waited.elapsed().as_nanos() as u64;
                 self.full_stall_nanos.fetch_add(ns, Ordering::Relaxed);
-                trace.record(EventKind::RingPushStallEnd, self.edge, ns);
                 if res.is_err() {
                     break;
                 }
@@ -349,7 +302,7 @@ impl Ring {
     /// Producer: append as many of `vals` as currently fit, without
     /// blocking, and publish them with one release store. Returns how
     /// many were written.
-    pub fn push_avail(&self, vals: &[u64]) -> usize {
+    fn push_avail(&self, vals: &[u64]) -> usize {
         let tail = self.tail.0.load(Ordering::Relaxed);
         let head = self.head.0.load(Ordering::Acquire);
         let n = (self.capacity() - (tail - head)).min(vals.len());
@@ -386,57 +339,33 @@ impl Ring {
         avail
     }
 
-    /// [`Ring::pop_spans`], one element at a time.
-    pub fn pop_avail(&self, mut sink: impl FnMut(u64), max: usize) -> usize {
-        self.pop_spans(max, |a, b| a.iter().chain(b).for_each(|&v| sink(v)))
-    }
-
-    /// Consumer: block until at least one element is visible, counted and
-    /// timed as one empty-ring stall.
-    ///
-    /// # Errors
-    /// Returns [`Aborted`] if `abort` is raised while waiting.
-    pub fn wait_nonempty(&self, abort: &AtomicBool) -> Result<(), Aborted> {
-        let trace = WorkerTrace::disabled();
-        let since = self.begin_empty_stall(&trace);
-        let res = self.wait_nonempty_quiet(abort, &trace);
-        self.end_empty_stall(since, &trace);
-        res
-    }
-
-    /// Open a consumer-side stall interval: count one empty-ring stall and
-    /// emit the trace span begin. Pair with [`Ring::end_empty_stall`]; any
-    /// number of [`Ring::wait_nonempty_quiet`] calls may happen in between
-    /// without the interval double-counting — the protocol `ensure_inputs`
-    /// uses so one insufficient-input episode is exactly one stall, no
-    /// matter how many partial arrivals or spurious wakeups it spans.
-    pub fn begin_empty_stall(&self, trace: &WorkerTrace) -> Instant {
+    /// Open a consumer-side stall interval: count one empty-ring stall.
+    /// Pair with [`Ring::end_empty_stall`]; any number of
+    /// [`Ring::wait_nonempty_quiet`] calls may happen in between without
+    /// the interval double-counting — the protocol `ensure_inputs` uses so
+    /// one insufficient-input episode is exactly one stall, no matter how
+    /// many partial arrivals or spurious wakeups it spans.
+    pub fn begin_empty_stall(&self) -> Instant {
         self.empty_stalls.fetch_add(1, Ordering::Relaxed);
-        trace.record(EventKind::RingPopStallBegin, self.edge, 0);
         Instant::now()
     }
 
     /// Close a stall interval opened by [`Ring::begin_empty_stall`],
     /// attributing the whole elapsed wall time to this ring.
-    pub fn end_empty_stall(&self, since: Instant, trace: &WorkerTrace) {
+    pub fn end_empty_stall(&self, since: Instant) {
         let ns = since.elapsed().as_nanos() as u64;
         self.empty_stall_nanos.fetch_add(ns, Ordering::Relaxed);
-        trace.record(EventKind::RingPopStallEnd, self.edge, ns);
     }
 
-    /// [`Ring::wait_nonempty`] without opening a stall interval: park and
-    /// unpark events are still traced, but the stall counters and nanos
-    /// are untouched — the caller owns the interval through
+    /// Consumer: block until at least one element is visible. A park
+    /// is counted in `empty_parks`, but the stall counters and nanos are
+    /// untouched — the caller owns the interval through
     /// [`Ring::begin_empty_stall`] / [`Ring::end_empty_stall`].
     ///
     /// # Errors
     /// Returns [`Aborted`] if `abort` is raised while waiting.
-    pub fn wait_nonempty_quiet(
-        &self,
-        abort: &AtomicBool,
-        trace: &WorkerTrace,
-    ) -> Result<(), Aborted> {
-        self.wait(Side::Consumer, abort, trace)
+    pub fn wait_nonempty_quiet(&self, abort: &AtomicBool) -> Result<(), Aborted> {
+        self.wait(Side::Consumer, abort)
     }
 
     /// Block `side` until its peer has moved — the consumer freed a slot
@@ -445,7 +374,7 @@ impl Ring {
     /// the core between polls until [`YIELD_FOR`], then park (counted in
     /// `full_parks` / `empty_parks`) until the peer's next publish
     /// unparks it or [`PARK_TIMEOUT`] passes.
-    fn wait(&self, side: Side, abort: &AtomicBool, trace: &WorkerTrace) -> Result<(), Aborted> {
+    fn wait(&self, side: Side, abort: &AtomicBool) -> Result<(), Aborted> {
         // The waiting side's own index cannot move while it waits.
         let (mine, parked, parks) = match side {
             Side::Producer => (
@@ -486,9 +415,7 @@ impl Ring {
                 parked.swap(true, Ordering::SeqCst);
                 if !ready() && !abort.load(Ordering::Relaxed) {
                     parks.fetch_add(1, Ordering::Relaxed);
-                    trace.record(EventKind::Park, self.edge, 0);
                     std::thread::park_timeout(PARK_TIMEOUT);
-                    trace.record(EventKind::Unpark, self.edge, 0);
                 }
                 parked.store(false, Ordering::Release);
             }
@@ -507,6 +434,22 @@ mod tests {
         x as i64 as u64
     }
 
+    /// Pop up to `max` available elements onto `got`; how many came.
+    fn pop_into(r: &Ring, got: &mut Vec<u64>, max: usize) -> usize {
+        r.pop_spans(max, |a, b| {
+            got.extend_from_slice(a);
+            got.extend_from_slice(b);
+        })
+    }
+
+    /// Block until an element is visible, as one empty-ring stall.
+    fn wait_nonempty(r: &Ring, abort: &AtomicBool) -> Result<(), Aborted> {
+        let since = r.begin_empty_stall();
+        let res = r.wait_nonempty_quiet(abort);
+        r.end_empty_stall(since);
+        res
+    }
+
     #[test]
     fn capacity_rounds_to_power_of_two() {
         let r = Ring::with_capacity(13);
@@ -518,12 +461,11 @@ mod tests {
     fn batch_roundtrip_single_thread() {
         let r = Ring::with_capacity(8);
         let abort = AtomicBool::new(false);
-        r.push_batch(&(0..6).map(iv).collect::<Vec<_>>(), &abort)
-            .unwrap();
+        assert_eq!(r.push_batch(&(0..6).map(iv).collect::<Vec<_>>(), &abort), 6);
         let mut got = Vec::new();
-        assert_eq!(r.pop_avail(|v| got.push(v), 100), 6);
+        assert_eq!(pop_into(&r, &mut got, 100), 6);
         assert_eq!(got, (0..6).map(iv).collect::<Vec<_>>());
-        assert_eq!(r.pop_avail(|v| got.push(v), 100), 0);
+        assert_eq!(pop_into(&r, &mut got, 100), 0);
     }
 
     #[test]
@@ -538,14 +480,14 @@ mod tests {
             rc.register_consumer();
             let mut got = Vec::new();
             while got.len() < 1000 {
-                if rc.pop_avail(|v| got.push(v), 64) == 0 {
-                    rc.wait_nonempty(&ac).unwrap();
+                if pop_into(&rc, &mut got, 64) == 0 {
+                    wait_nonempty(&rc, &ac).unwrap();
                 }
             }
             got
         });
         r.register_producer();
-        r.push_batch(&vals, &abort).unwrap();
+        assert_eq!(r.push_batch(&vals, &abort), vals.len());
         let got = consumer.join().unwrap();
         assert_eq!(got, vals);
         // 1000 elements through 8 slots: the producer must have stalled,
@@ -558,11 +500,9 @@ mod tests {
 
     #[test]
     fn occupancy_stats_track_publishes() {
-        let r = Ring::for_edge(3, 8);
-        assert_eq!(r.edge(), 3);
+        let r = Ring::with_capacity(8);
         let abort = AtomicBool::new(false);
-        r.push_batch(&(0..6).map(iv).collect::<Vec<_>>(), &abort)
-            .unwrap();
+        assert_eq!(r.push_batch(&(0..6).map(iv).collect::<Vec<_>>(), &abort), 6);
         assert_eq!(r.high_water(), 6);
         let hist = r.occupancy_hist();
         assert_eq!(hist.iter().sum::<u64>(), 1);
@@ -575,10 +515,10 @@ mod tests {
         let r = Ring::with_capacity(8);
         let abort = AtomicBool::new(false);
         let vals: Vec<u64> = (0..12).map(iv).collect();
-        r.push_batch(&vals[..6], &abort).unwrap();
-        assert_eq!(r.pop_avail(|_| {}, 5), 5);
+        assert_eq!(r.push_batch(&vals[..6], &abort), 6);
+        assert_eq!(r.pop_spans(5, |_, _| {}), 5);
         // Slots 6, 7 and then 0..4: the span wraps the ring boundary.
-        r.push_batch(&vals[6..], &abort).unwrap();
+        assert_eq!(r.push_batch(&vals[6..], &abort), 6);
         let mut got = Vec::new();
         let n = r.pop_spans(100, |a, b| {
             assert_eq!((a.len(), b.len()), (3, 4));
@@ -601,15 +541,14 @@ mod tests {
             rc.register_consumer();
             let mut next = 0i32;
             while next < N {
-                let got = rc.pop_avail(
-                    |v| {
+                let got = rc.pop_spans(usize::MAX, |a, b| {
+                    for &v in a.iter().chain(b) {
                         assert_eq!(v, iv(next));
                         next += 1;
-                    },
-                    usize::MAX,
-                );
+                    }
+                });
                 if got == 0 {
-                    rc.wait_nonempty(&ac).unwrap();
+                    wait_nonempty(&rc, &ac).unwrap();
                 }
             }
         });
@@ -618,7 +557,7 @@ mod tests {
         while k < N {
             let n = (1 + (k % 17)) as usize;
             let batch: Vec<u64> = (k..(k + n as i32).min(N)).map(iv).collect();
-            r.push_batch(&batch, &abort).unwrap();
+            assert_eq!(r.push_batch(&batch, &abort), batch.len());
             k += batch.len() as i32;
         }
         consumer.join().unwrap();
@@ -637,22 +576,21 @@ mod tests {
         let ac = Arc::clone(&abort);
         let consumer = std::thread::spawn(move || {
             rc.register_consumer();
-            let trace = WorkerTrace::disabled();
             let mut got = Vec::new();
-            let t0 = rc.begin_empty_stall(&trace);
+            let t0 = rc.begin_empty_stall();
             while got.len() < 3 {
                 let want = 3 - got.len();
-                if rc.pop_avail(|v| got.push(v), want) == 0 {
-                    rc.wait_nonempty_quiet(&ac, &trace).unwrap();
+                if pop_into(&rc, &mut got, want) == 0 {
+                    rc.wait_nonempty_quiet(&ac).unwrap();
                 }
             }
-            rc.end_empty_stall(t0, &trace);
+            rc.end_empty_stall(t0);
             got
         });
         r.register_producer();
         for k in 0..3 {
             std::thread::sleep(Duration::from_millis(2));
-            r.push_batch(&[iv(k)], &abort).unwrap();
+            assert_eq!(r.push_batch(&[iv(k)], &abort), 1);
         }
         assert_eq!(consumer.join().unwrap(), vec![iv(0), iv(1), iv(2)]);
         assert_eq!(r.empty_stalls(), 1);
@@ -667,7 +605,7 @@ mod tests {
         let ac = Arc::clone(&abort);
         let consumer = std::thread::spawn(move || {
             rc.register_consumer();
-            rc.wait_nonempty(&ac)
+            wait_nonempty(&rc, &ac)
         });
         std::thread::sleep(Duration::from_millis(20));
         abort.store(true, Ordering::Relaxed);

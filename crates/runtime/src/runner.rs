@@ -26,7 +26,6 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::supervisor::{FailureCause, StageFailure};
 use macross_streamir::graph::{Graph, Node, NodeId};
 use macross_streamir::types::Value;
-use macross_telemetry::{EventKind, WorkerTrace};
 use macross_vm::firing::{self, FilterState, FirePlan};
 use macross_vm::{CycleCounters, ExecMode, Machine, Tape};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,7 +60,6 @@ pub(crate) struct Runner {
     pub(crate) outputs: Vec<Vec<Value>>,
     pub(crate) counters: CycleCounters,
     pub(crate) faults: FaultPlan,
-    pub(crate) trace: WorkerTrace,
     /// Core (worker) or shard (session) a failure names.
     pub(crate) core: u32,
     mode: ExecMode,
@@ -76,7 +74,6 @@ impl Runner {
         tapes: Vec<Tape>,
         states: Vec<FilterState>,
         faults: FaultPlan,
-        trace: WorkerTrace,
         core: u32,
         mode: ExecMode,
     ) -> Runner {
@@ -87,16 +84,14 @@ impl Runner {
             states,
             counters: CycleCounters::default(),
             faults,
-            trace,
             core,
             mode,
             written: Vec::new(),
         }
     }
 
-    /// The failure of node `id` at `firing`, recorded in the trace.
+    /// The failure of node `id` at `firing`.
     fn failure(&self, graph: &Graph, id: NodeId, firing: u64, cause: FailureCause) -> StageFailure {
-        self.trace.record(EventKind::StageFailed, id.0, firing);
         StageFailure {
             stage: id.0 as usize,
             name: graph.node(id).name(),
@@ -165,12 +160,9 @@ impl Runner {
         } = self.units[u];
         let stage = id.0 as usize;
         let node = graph.node(id);
-        if let Some(kind) = fault {
-            self.trace.record(EventKind::FaultInjected, id.0, first);
-            if kind == FaultKind::PoisonTape {
-                if let Some(t) = adj.tapes().next() {
-                    self.tapes[t].poison();
-                }
+        if fault == Some(FaultKind::PoisonTape) {
+            if let Some(t) = adj.tapes().next() {
+                self.tapes[t].poison();
             }
         }
         self.written.clear();
@@ -182,8 +174,6 @@ impl Runner {
                 .written
                 .extend(adj.out_tapes().iter().map(|&t| tapes[t].written())),
         }
-        self.trace.record(EventKind::FiringStart, id.0, 0);
-        let before = self.counters.total();
         let mut done = 0;
         let result = catch_unwind(AssertUnwindSafe(|| {
             if fault == Some(FaultKind::Panic) {
@@ -201,8 +191,6 @@ impl Runner {
                 &mut done,
             )
         }));
-        self.trace
-            .record(EventKind::FiringEnd, id.0, self.counters.total() - before);
         let cause = match result {
             Ok(Ok(())) => {
                 self.units[u].attempts += k * stride;

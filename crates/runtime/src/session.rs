@@ -29,7 +29,6 @@ use macross_sdf::Schedule;
 use macross_streamir::analysis::analyze_vectorizability;
 use macross_streamir::graph::{Graph, Node, NodeId};
 use macross_streamir::types::Value;
-use macross_telemetry::{EventKind, WorkerTrace};
 use macross_vm::firing::{self, FirePlan};
 use macross_vm::{CompiledPrograms, CycleCounters, Machine};
 use std::sync::Arc;
@@ -128,7 +127,6 @@ impl SessionEngine {
             firing::graph_tapes(&graph),
             states.collect(),
             plan,
-            WorkerTrace::disabled(),
             shard,
             programs.mode(),
         );
@@ -152,11 +150,9 @@ impl SessionEngine {
     }
 
     /// Move the session to the shard that runs its next slice: failures
-    /// name `shard` as their core, and firing/fault/drain events go to
-    /// `trace`.
-    pub fn set_host(&mut self, shard: u32, trace: WorkerTrace) {
+    /// name `shard` as their core.
+    pub fn set_host(&mut self, shard: u32) {
         self.run.core = shard;
-        self.run.trace = trace;
     }
 
     /// Sink node ids, in node order — the row order of
@@ -215,10 +211,6 @@ impl SessionEngine {
 
     /// Record a failure and bound every node's firings by the outcome.
     fn fail(&mut self, failure: StageFailure) {
-        if self.failures.is_empty() {
-            let id = failure.stage as u32;
-            self.run.trace.record(EventKind::DrainBegin, id, 0);
-        }
         self.failures.push(failure);
         self.bounds = committed_outcome(&self.graph, &self.schedule, &self.failures);
     }
@@ -250,9 +242,8 @@ impl SessionEngine {
     }
 
     /// One pass over a schedule phase (init or steady), each node's
-    /// repetitions as one share — one firing at a time under a live trace
-    /// handle, whose spans are per firing — and, once a failure is
-    /// recorded, each node capped at its bound.
+    /// repetitions as one share (cut before a planned fault) and, once a
+    /// failure is recorded, each node capped at its bound.
     fn run_phase(&mut self, init: bool) {
         // Indexed, not through a cloned `Arc`: every session of a shape
         // shares the schedule, and a clone per iteration is two atomic
@@ -269,9 +260,8 @@ impl SessionEngine {
                 left = left.min(bound.saturating_sub(self.run.units[stage].attempts));
             }
             while left > 0 {
-                let want = if self.run.trace.active() { 1 } else { left };
                 // A failed firing is its node's bound.
-                let Some(fired) = self.fire_guarded(id, want) else {
+                let Some(fired) = self.fire_guarded(id, left) else {
                     break;
                 };
                 left -= fired;
@@ -425,7 +415,6 @@ impl SessionEngine {
         for (u, unit) in s.run.units.iter_mut().enumerate() {
             unit.attempts = s.schedule.init_reps[u] + s.iters_done * s.schedule.reps[u];
         }
-        s.run.trace = std::mem::replace(&mut self.run.trace, WorkerTrace::disabled());
         for (new, old) in s.sink_ids.iter().zip(&self.sink_ids) {
             s.run.outputs[new.0 as usize] = std::mem::take(&mut self.run.outputs[old.0 as usize]);
         }

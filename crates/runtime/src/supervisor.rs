@@ -13,14 +13,22 @@
 //! [`crate::RuntimeReport`] whose `failures` list tells the caller
 //! exactly which stage failed, at which firing, under which engine.
 
-use macross_telemetry::clock;
 use macross_vm::{ExecMode, VmError};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::{Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 use crate::fault::FaultPlan;
+
+/// Monotonic nanoseconds since a process-wide anchor (the first call),
+/// comparable across threads: what a heartbeat stamps and the watchdog
+/// and a cooperative stall read.
+#[inline]
+pub(crate) fn now_ns() -> u64 {
+    static ANCHOR: OnceLock<Instant> = OnceLock::new();
+    ANCHOR.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
 
 /// Why a stage failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,7 +141,7 @@ impl Heartbeat {
     pub(crate) fn begin(&self, stage: usize, firing: u64) {
         self.stage.store(stage as u32, Ordering::Relaxed);
         self.firing.store(firing, Ordering::Relaxed);
-        self.started_ns.store(clock::now_ns(), Ordering::Relaxed);
+        self.started_ns.store(now_ns(), Ordering::Relaxed);
         self.seq.fetch_add(1, Ordering::Release); // even -> odd
     }
 
@@ -259,7 +267,7 @@ impl Supervisor {
                 if escalated[w] == seq {
                     continue;
                 }
-                let waited_nanos = clock::now_ns().saturating_sub(started_ns);
+                let waited_nanos = now_ns().saturating_sub(started_ns);
                 if waited_nanos < timeout.as_nanos() as u64 {
                     continue;
                 }
@@ -275,5 +283,26 @@ impl Supervisor {
                 });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn monotonic_within_a_thread() {
+        let a = now_ns();
+        let b = now_ns();
+        assert!(b >= a);
+    }
+
+    #[test]
+    fn comparable_across_threads() {
+        let before = now_ns();
+        let from_thread = std::thread::spawn(now_ns).join().unwrap();
+        let after = now_ns();
+        assert!(from_thread >= before);
+        assert!(after >= from_thread);
     }
 }

@@ -27,12 +27,11 @@
 use crate::fault::{committed_outcome, edge_reads, FaultKind};
 use crate::ring::Ring;
 use crate::runner::{Failed, Runner, Unit};
-use crate::supervisor::{Supervisor, SupervisorOptions};
+use crate::supervisor::{now_ns, Supervisor, SupervisorOptions};
 use crate::{EdgeRings, Placement, Stage, StartGate, Wiring, ITER_BLOCK};
 use macross_sdf::Schedule;
 use macross_streamir::graph::{EdgeId, Graph, Node, NodeId, ReorderSide};
 use macross_streamir::types::Value;
-use macross_telemetry::{clock, EventKind, WorkerTrace};
 use macross_vm::firing::{FilterState, FirePlan};
 use macross_vm::machine::{CycleCounters, Machine};
 use macross_vm::tape::Tape;
@@ -239,7 +238,6 @@ impl<'g> Worker<'g> {
         core: u32,
         wiring: &'g Wiring,
         stages: Arc<Vec<Stage>>,
-        trace: WorkerTrace,
         opts: &'g SupervisorOptions,
         sup: &'g Supervisor,
         slot: usize,
@@ -398,7 +396,7 @@ impl<'g> Worker<'g> {
             });
         }
         let faults = opts.plan.clone();
-        let mut run = Runner::new(units, tapes, states, faults, trace, core, opts.mode);
+        let mut run = Runner::new(units, tapes, states, faults, core, opts.mode);
         for (unit, plan) in run.units.iter().zip(&plans) {
             if matches!(graph.node(unit.id), Node::Sink) {
                 let firings = plan.init_reps + iters * plan.reps;
@@ -425,11 +423,6 @@ impl<'g> Worker<'g> {
     /// once a failure is raised, [`Worker::drain`]. Always returns (the
     /// possibly partial) output; failures travel through the supervisor.
     pub(crate) fn run(mut self, iters: u64, gate: &StartGate) -> WorkerOut {
-        for unit in self.run.units.iter().filter(|u| u.stride > 1) {
-            self.run
-                .trace
-                .record(EventKind::FissionReplica, unit.id.0, unit.stride);
-        }
         let failures = self.run.run_init_fns(self.graph, self.machine);
         let clean = failures.is_empty();
         failures.into_iter().for_each(|f| self.sup.raise(f));
@@ -492,8 +485,8 @@ impl<'g> Worker<'g> {
     /// push delay) can outlive a watchdog timeout without outliving the
     /// run. Returns `Err(Stop)` if a failure was raised meanwhile.
     fn cooperative_stall(&self, nanos: u64) -> Result<(), Stop> {
-        let until = clock::now_ns() + nanos;
-        while clock::now_ns() < until {
+        let until = now_ns() + nanos;
+        while now_ns() < until {
             if self.abort.load(Ordering::Relaxed) {
                 return Err(Stop);
             }
@@ -506,11 +499,10 @@ impl<'g> Worker<'g> {
     /// iteration `t` (`t = 0`: its init firings), or to its bound if that
     /// comes first — for a replica, its stride of the global firings up to
     /// there — in as few envelopes as the runner's fault cut and the input
-    /// on this core allow. A watchdog (its timeout is per firing) and a
-    /// live trace handle (its spans are) see each firing in an envelope of
-    /// its own.
+    /// on this core allow. A watchdog (its timeout is per firing) sees
+    /// each firing in an envelope of its own.
     fn run_share(&mut self, p: usize, t: u64) -> Result<(), Stop> {
-        let alone = self.opts.watchdog.is_some() || self.run.trace.active();
+        let alone = self.opts.watchdog.is_some();
         loop {
             let (plan, unit) = (&self.plans[p], &self.run.units[p]);
             let end = (plan.init_reps + t * plan.reps).min(plan.bound);
@@ -579,7 +571,6 @@ impl<'g> Worker<'g> {
             && self.sup.draining()
             && self.sup.condemned(id.0 as usize, first)
         {
-            self.run.trace.record(EventKind::WatchdogFire, id.0, first);
             self.run.unwrite(self.graph.node(id), p, 0);
             return Err(Stop);
         }
@@ -628,7 +619,6 @@ impl<'g> Worker<'g> {
     fn ensure_inputs(&mut self, p: usize) -> Result<(), Stop> {
         let abort = self.abort;
         let ring_in = &self.stages[self.run.units[p].id.0 as usize].ring_in;
-        let trace = &self.run.trace;
         for pull in &mut self.plans[p].pulls {
             let tape = &mut self.run.tapes[pull.edge];
             let mut got = 0;
@@ -650,17 +640,17 @@ impl<'g> Worker<'g> {
                 match stall {
                     Some((i, _)) if i == cur => {}
                     Some((i, t0)) => {
-                        pull.rings[i].end_empty_stall(t0, trace);
-                        stall = Some((cur, pull.rings[cur].begin_empty_stall(trace)));
+                        pull.rings[i].end_empty_stall(t0);
+                        stall = Some((cur, pull.rings[cur].begin_empty_stall()));
                     }
-                    None => stall = Some((cur, pull.rings[cur].begin_empty_stall(trace))),
+                    None => stall = Some((cur, pull.rings[cur].begin_empty_stall())),
                 }
-                if pull.rings[cur].wait_nonempty_quiet(abort, trace).is_err() {
+                if pull.rings[cur].wait_nonempty_quiet(abort).is_err() {
                     break Err(Stop);
                 }
             };
             if let Some((i, t0)) = stall {
-                pull.rings[i].end_empty_stall(t0, trace);
+                pull.rings[i].end_empty_stall(t0);
             }
             if got > 0 {
                 ring_in.fetch_add(got as u64, Ordering::Relaxed);
@@ -677,7 +667,6 @@ impl<'g> Worker<'g> {
     fn flush_outputs(&mut self, p: usize) -> Result<(), Stop> {
         let abort = self.abort;
         let ring_out = &self.stages[self.run.units[p].id.0 as usize].ring_out;
-        let trace = &self.run.trace;
         for push in &mut self.plans[p].pushes {
             let tape = &mut self.run.tapes[push.edge];
             let n = tape.len();
@@ -686,9 +675,9 @@ impl<'g> Worker<'g> {
             }
             let due = n.min(push.cap.saturating_sub(push.shipped));
             let (a, b) = tape.vpeek_slices(0, due);
-            let mut sent = push.ship(a, |ring, chunk| ring.push_batch_traced(chunk, abort, trace));
+            let mut sent = push.ship(a, |ring, chunk| ring.push_batch(chunk, abort));
             if sent == a.len() {
-                sent += push.ship(b, |ring, chunk| ring.push_batch_traced(chunk, abort, trace));
+                sent += push.ship(b, |ring, chunk| ring.push_batch(chunk, abort));
             }
             tape.advance_read(if sent == due { n } else { sent });
             ring_out.fetch_add(sent as u64, Ordering::Relaxed);
@@ -722,8 +711,6 @@ impl<'g> Worker<'g> {
     fn drain(&mut self, iters: u64) {
         loop {
             let failures = self.sup.read_failures(self.slot);
-            let first = failures.first().map_or(0, |f| f.stage as u32);
-            self.run.trace.record(EventKind::DrainBegin, first, 0);
             let bounds = committed_outcome(self.graph, self.schedule, &failures);
             for (plan, unit) in self.plans.iter_mut().zip(&self.run.units) {
                 plan.bound = bounds[unit.id.0 as usize];

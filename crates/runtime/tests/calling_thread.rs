@@ -14,7 +14,6 @@ use macross_streamir::builder::StreamSpec;
 use macross_streamir::edsl::*;
 use macross_streamir::graph::Graph;
 use macross_streamir::types::{ScalarTy, Ty, Value};
-use macross_telemetry::TraceSession;
 use macross_vm::{run_scheduled, Machine};
 use std::time::Duration;
 
@@ -83,11 +82,7 @@ fn faults_on_the_calling_threads_core_leave_it_fit_for_the_next_run() {
             watchdog,
             ..SupervisorOptions::with_plan(FaultPlan::single(1, firing, kind))
         };
-        let session = TraceSession::disabled();
-        run_supervised_placed(
-            &graph, &schedule, &machine, &placement, iters, &opts, &session,
-        )
-        .unwrap()
+        run_supervised_placed(&graph, &schedule, &machine, &placement, iters, &opts).unwrap()
     };
     let cases = [
         (FaultKind::Panic, None, "panic"),

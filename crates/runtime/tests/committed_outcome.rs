@@ -22,7 +22,6 @@ use macross_streamir::builder::StreamSpec;
 use macross_streamir::edsl::*;
 use macross_streamir::graph::{AddrGen, Graph, Node, NodeId, Reorder, ReorderSide, SplitKind};
 use macross_streamir::types::{ScalarTy, Ty, Value};
-use macross_telemetry::TraceSession;
 use macross_vm::{CompiledPrograms, ExecMode, Machine};
 use std::sync::Arc;
 
@@ -348,12 +347,8 @@ fn threaded(
 ) -> SupervisedRun {
     let opts = SupervisorOptions::with_plan(plan);
     let placement = Placement::whole_stage(assignment.to_vec());
-    let session = TraceSession::disabled();
     let machine = Machine::core_i7();
-    run_supervised_placed(
-        graph, schedule, &machine, &placement, ITERS, &opts, &session,
-    )
-    .unwrap()
+    run_supervised_placed(graph, schedule, &machine, &placement, ITERS, &opts).unwrap()
 }
 
 /// Each sink's rows, indexed by node id, of a session run of `plan`, and

@@ -19,7 +19,6 @@ use macross_runtime::{
 use macross_sdf::Schedule;
 use macross_streamir::graph::{Graph, NodeId};
 use macross_streamir::types::Value;
-use macross_telemetry::TraceSession;
 use macross_vm::{run_scheduled, CompiledPrograms, ExecMode, Executor, Machine};
 use std::sync::Arc;
 
@@ -326,9 +325,8 @@ fn supervised(
         watchdog: one_at_a_time.then(|| std::time::Duration::from_secs(3600)),
         ..SupervisorOptions::default()
     };
-    let session = TraceSession::disabled();
     let machine = Machine::core_i7();
-    let run = run_supervised_placed(graph, schedule, &machine, placement, iters, &opts, &session)
+    let run = run_supervised_placed(graph, schedule, &machine, placement, iters, &opts)
         .unwrap_or_else(|e| panic!("{ctx}: {e}"));
     assert!(run.completed, "{ctx}: {:?}", run.report.failures);
     run

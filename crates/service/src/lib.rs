@@ -59,7 +59,7 @@ pub use error::ServiceError;
 pub use report::{
     AdmissionStats, CacheStats, ScheduleCacheStats, ServiceReport, ServiceSnapshot, TenantRow,
 };
-pub use server::{mode_label, ServiceConfig, StreamService};
+pub use server::{ServiceConfig, StreamService};
 pub use tenant::{CloseReport, PollResult, TenantState};
 
 #[cfg(test)]

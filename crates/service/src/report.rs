@@ -157,8 +157,7 @@ pub struct AdmissionStats {
 /// A point-in-time view of a running service
 /// ([`crate::StreamService::snapshot`]): what admission and the artifact
 /// cache have counted so far and where the live sessions stand. It
-/// copies counters the service keeps anyway, with or without a live
-/// trace.
+/// copies counters the service keeps anyway.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceSnapshot {
     /// Admission counters so far: submissions, rejections, backpressure

@@ -73,7 +73,6 @@ use macross_runtime::{FaultPlan, SessionEngine};
 use macross_streamir::graph::Graph;
 use macross_streamir::shash::{structural_hash, GraphHash};
 use macross_streamir::Valuation;
-use macross_telemetry::{EventKind, TraceSession, WorkerTrace};
 use macross_vm::{ExecMode, Machine};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -121,14 +120,6 @@ impl Default for ServiceConfig {
             mode: ExecMode::default(),
             opts: SimdizeOptions::all(),
         }
-    }
-}
-
-/// Stable label for the engine mode, as reported in `SERVICE_*.json`.
-pub fn mode_label(mode: ExecMode) -> &'static str {
-    match mode {
-        ExecMode::Bytecode => "bytecode",
-        ExecMode::TreeWalk => "treewalk",
     }
 }
 
@@ -317,8 +308,6 @@ struct Inner {
     cache: Mutex<CompileCache>,
     machine: Arc<Machine>,
     config: ServiceConfig,
-    /// Control-plane recorder (admission and cache events).
-    ctl: WorkerTrace,
 }
 
 impl Inner {
@@ -359,24 +348,12 @@ impl Inner {
 /// model; see [`ServiceConfig`] for the knobs.
 pub struct StreamService {
     inner: Arc<Inner>,
-    trace: TraceSession,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl StreamService {
-    /// Start the shard pool with tracing disabled.
+    /// Start the shard pool.
     pub fn new(machine: Machine, config: ServiceConfig) -> StreamService {
-        StreamService::with_trace(machine, config, TraceSession::disabled())
-    }
-
-    /// Start the shard pool with a recording handle per shard: track `i`
-    /// is shard `i`, track `workers` the control plane (admission, cache,
-    /// `set_param` and close events).
-    pub fn with_trace(
-        machine: Machine,
-        config: ServiceConfig,
-        trace: TraceSession,
-    ) -> StreamService {
         let workers = config.workers.max(1);
         let inner = Arc::new(Inner {
             state: Mutex::new(State::new(workers)),
@@ -392,23 +369,17 @@ impl StreamService {
                 output_bound: config.output_bound.max(1),
                 ..config
             },
-            ctl: trace.worker(workers),
         });
         let handles = (0..workers)
             .map(|shard| {
                 let inner = inner.clone();
-                let wt = trace.worker(shard);
                 std::thread::Builder::new()
                     .name(format!("macross-shard-{shard}"))
-                    .spawn(move || shard_loop(&inner, shard, &wt))
+                    .spawn(move || shard_loop(&inner, shard))
                     .expect("spawn shard thread")
             })
             .collect();
-        StreamService {
-            inner,
-            trace,
-            handles,
-        }
+        StreamService { inner, handles }
     }
 
     /// The machine sessions compile against.
@@ -480,8 +451,6 @@ impl StreamService {
             }
             if st.sessions.len() >= cap {
                 st.admission.rejected_sessions += 1;
-                let (next, live) = (st.next_id as u32, st.sessions.len() as u64);
-                inner.ctl.record(EventKind::SessionRejected, next, live);
                 return Err(overloaded());
             }
         }
@@ -525,15 +494,6 @@ impl StreamService {
                 summary,
             ),
         );
-        let kind = if hit {
-            EventKind::CacheHit
-        } else {
-            EventKind::CacheMiss
-        };
-        inner.ctl.record(kind, id as u32, art.steady_cost);
-        inner
-            .ctl
-            .record(EventKind::SessionAdmitted, id as u32, shard as u64);
         Ok(id)
     }
 
@@ -566,8 +526,6 @@ impl StreamService {
         params
             .set_param_at(at, done, name, value)
             .map_err(|e| ServiceError::Param(e.to_string()))?;
-        drop(tenant);
-        inner.ctl.record(EventKind::SetParam, id as u32, value);
         Ok(())
     }
 
@@ -694,10 +652,6 @@ impl StreamService {
             st.retired_dropped += 1;
         }
         st.retired.push_back(tenant_row(id, &entry, &tenant, state));
-        drop(tenant);
-        inner
-            .ctl
-            .record(EventKind::SessionClosed, id as u32, report.iters_done);
         Ok(report)
     }
 
@@ -789,7 +743,7 @@ impl StreamService {
         ServiceReport {
             name: report_name.to_string(),
             machine: self.inner.machine.name.clone(),
-            exec_mode: mode_label(config.mode).to_string(),
+            exec_mode: config.mode.label().to_string(),
             created_unix_ms: SystemTime::now()
                 .duration_since(UNIX_EPOCH)
                 .map_or(0, |d| d.as_millis() as u64),
@@ -798,12 +752,6 @@ impl StreamService {
             last,
             tenants,
         }
-    }
-
-    /// The trace session handed to [`StreamService::with_trace`] (drain
-    /// it after shutdown for a Chrome timeline of the run).
-    pub fn trace(&self) -> &TraceSession {
-        &self.trace
     }
 }
 
@@ -846,7 +794,7 @@ fn tenant_row(id: u64, entry: &SessionEntry, tenant: &Tenant, state: TenantState
     }
 }
 
-fn shard_loop(inner: &Inner, shard: usize, trace: &WorkerTrace) {
+fn shard_loop(inner: &Inner, shard: usize) {
     let mut st = inner.state.lock().unwrap();
     loop {
         // Take the next id (own queue first, else steal), or park; exit
@@ -868,12 +816,9 @@ fn shard_loop(inner: &Inner, shard: usize, trace: &WorkerTrace) {
         // Run the slice under the tenant's lock only.
         let outcome = {
             let mut tenant = slot.lock().unwrap();
-            tenant.engine.set_host(shard as u32, trace.clone());
-            let mut install = |graph: &Graph, valuation: &Valuation| {
-                let (art, hit, _) = inner.lookup(graph, Some(valuation))?;
-                trace.record(EventKind::Reconfigure, hit as u32, id);
-                Ok(art)
-            };
+            tenant.engine.set_host(shard as u32);
+            let mut install =
+                |graph: &Graph, valuation: &Valuation| Ok(inner.lookup(graph, Some(valuation))?.0);
             let (batch, bound) = (inner.config.batch_iters, inner.config.output_bound);
             tenant.run_slice(batch, bound, drain, &mut install)
         };
@@ -891,7 +836,6 @@ fn shard_loop(inner: &Inner, shard: usize, trace: &WorkerTrace) {
             entry.pending_hint = fresh_pending;
             if outcome.faulted && !entry.faulted {
                 entry.faulted = true;
-                trace.record(EventKind::SessionQuarantined, id as u32, 0);
             }
             let requeue = if outcome.deferred {
                 // Re-check drain state under the lock: `close`/`shutdown`

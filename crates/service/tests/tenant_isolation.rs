@@ -337,9 +337,6 @@ fn a_fault_on_a_stolen_slice_quarantines_to_the_solo_prefix() {
     assert!(steals > 0, "the victim was never stolen in 5 rounds");
 }
 
-/// Under a live trace, one session's firing spans land on both shard
-/// tracks: its home shard runs it while it is alone, the idle shard
-/// steals it once the home shard is busy with a co-resident.
 /// `src -> spin -> sink`, a 3-node graph whose one firing of `spin`
 /// loops a million times: a slice that keeps its shard busy for a while.
 fn spinner() -> Graph {
@@ -362,12 +359,28 @@ fn spinner() -> Graph {
         .unwrap()
 }
 
+/// Admit `anchor` (`chain(8)`), `moved` (`chain(3)`) and `busy`
+/// (`spinner`) on `service`; the ids of `moved` and `busy`.
+fn moved_and_busy(service: &StreamService) -> (u64, u64) {
+    service
+        .submit("anchor", &chain(8), FaultPlan::none())
+        .unwrap();
+    let moved = service
+        .submit("moved", &chain(3), FaultPlan::none())
+        .unwrap();
+    let busy = service
+        .submit("busy", &spinner(), FaultPlan::none())
+        .unwrap();
+    (moved, busy)
+}
+
+/// One session's slices run on both shards: its home shard 1 runs it
+/// while it is alone, the idle shard 0 steals it once shard 1 is busy
+/// with a co-resident, and the session's row then names shard 0, its
+/// home since the steal. Its output is the solo run's, bit for bit.
 #[test]
-fn a_stolen_session_fires_on_both_shard_tracks() {
+fn a_stolen_session_fires_on_both_shards() {
     use macross::SimdizeOptions;
-    use macross_telemetry::{EventKind, TraceSession};
-    // Nothing SIMDized, so node ids stay the builder's: ids 3 and 4 exist
-    // only in the 5-node `chain(3)`, not in the 3-node `spinner`.
     let opts = SimdizeOptions {
         single: false,
         vertical: false,
@@ -378,31 +391,46 @@ fn a_stolen_session_fires_on_both_shard_tracks() {
         prepass: false,
         region: false,
     };
-    // (tracks reached, steals) of the last failed round.
-    let mut last = ([false; 2], 0);
-    for _ in 0..10 {
-        let service = StreamService::with_trace(
-            Machine::core_i7(),
-            ServiceConfig {
-                workers: 2,
-                batch_iters: 4,
-                opts,
-                ..ServiceConfig::default()
-            },
-            TraceSession::new(1 << 16),
-        );
-        service
-            .submit("anchor", &chain(8), FaultPlan::none())
-            .unwrap();
-        let moved = service
-            .submit("moved", &chain(3), FaultPlan::none())
-            .unwrap();
-        let busy = service
-            .submit("busy", &spinner(), FaultPlan::none())
-            .unwrap();
+    let config = ServiceConfig {
+        workers: 2,
+        batch_iters: 4,
+        opts,
+        ..ServiceConfig::default()
+    };
+    let solo = StreamService::new(
+        Machine::core_i7(),
+        ServiceConfig {
+            workers: 1,
+            ..config
+        },
+    );
+    let id = solo.submit("solo", &chain(3), FaultPlan::none()).unwrap();
+    solo.feed(id, 128).unwrap();
+    let solo_out = flat(solo.close(id).unwrap());
+    solo.shutdown("solo");
+    let dry = StreamService::new(Machine::core_i7(), config);
+    moved_and_busy(&dry);
+    let homes: Vec<u64> = dry
+        .shutdown("dry")
+        .tenants
+        .iter()
+        .map(|t| t.shard)
+        .collect();
+    assert_eq!(homes, vec![0, 1, 1], "the scenario's admission homes");
+    // (moved's last home, steals) of the last failed round.
+    let mut last = (1, 0);
+    for round in 0..10 {
+        let service = StreamService::new(Machine::core_i7(), config);
+        let (moved, busy) = moved_and_busy(&service);
         // Alone, `moved` runs on its home shard 1.
         service.feed(moved, 64).unwrap();
-        while service.poll(moved).unwrap().iters_done < 64 {
+        let mut out = Vec::new();
+        loop {
+            let polled = service.poll(moved).unwrap();
+            out.extend(polled.outputs.into_iter().flatten());
+            if polled.iters_done == 64 {
+                break;
+            }
             std::thread::yield_now();
         }
         // Let shard 1 park after `moved`'s last slice: a shard still
@@ -413,74 +441,20 @@ fn a_stolen_session_fires_on_both_shard_tracks() {
         // `moved` wakes shard 0, which steals it.
         service.feed(busy, 1).unwrap();
         service.feed(moved, 64).unwrap();
-        service.close(moved).unwrap();
+        out.extend(flat(service.close(moved).unwrap()));
         service.close(busy).unwrap();
-        let mut tracks = [false; 2];
-        for (worker, e) in service.trace().drain() {
-            if e.kind == EventKind::FiringStart && e.subject >= 3 && worker < 2 {
-                tracks[worker as usize] = true;
-            }
-        }
-        let sr = service.shutdown("tracks");
-        if tracks == [true, true] && sr.last.admission.steals > 0 {
+        assert_bits_eq(&format!("round {round}"), &solo_out, &out);
+        let sr = service.shutdown("steal");
+        let home = sr
+            .tenants
+            .iter()
+            .find(|t| t.session == moved)
+            .unwrap()
+            .shard;
+        if home == 0 && sr.last.admission.steals > 0 {
             return;
         }
-        last = (tracks, sr.last.admission.steals);
+        last = (home, sr.last.admission.steals);
     }
-    panic!("the stolen session's spans never reached both shard tracks in 10 rounds: {last:?}");
-}
-
-/// A session sized without counting the control plane still records it:
-/// tracks are made on demand, so a 2-shard service keeps its admission
-/// events on track 2 beside the shards' firings on tracks 0 and 1.
-#[test]
-fn the_control_plane_records_on_the_track_after_the_shards() {
-    use macross_telemetry::{EventKind, TraceSession};
-    let mut last = Vec::new();
-    for _ in 0..5 {
-        let service = StreamService::with_trace(
-            Machine::core_i7(),
-            ServiceConfig {
-                workers: 2,
-                ..ServiceConfig::default()
-            },
-            TraceSession::new(1 << 12),
-        );
-        // Admission homes the first session on shard 0, the second on 1.
-        let ids = [0, 1].map(|_| {
-            service
-                .submit("traced", &victim_pipeline(), FaultPlan::none())
-                .unwrap()
-        });
-        for id in ids {
-            service.feed(id, 64).unwrap();
-        }
-        for id in ids {
-            service.close(id).unwrap();
-        }
-        let events = service.trace().drain();
-        assert_eq!(service.trace().dropped(), 0);
-        let admitted: Vec<u32> = events
-            .iter()
-            .filter(|(_, e)| e.kind == EventKind::SessionAdmitted)
-            .map(|(track, _)| *track)
-            .collect();
-        assert_eq!(
-            admitted,
-            vec![2, 2],
-            "admissions on the control-plane track"
-        );
-        let mut fired: Vec<u32> = events
-            .iter()
-            .filter(|(_, e)| e.kind == EventKind::FiringStart)
-            .map(|(track, _)| *track)
-            .collect();
-        fired.sort_unstable();
-        fired.dedup();
-        if fired == [0, 1] {
-            return;
-        }
-        last = fired;
-    }
-    panic!("firings never reached both shard tracks in 5 rounds: {last:?}");
+    panic!("shard 0 never stole the session in 10 rounds: {last:?}");
 }

@@ -1,10 +1,9 @@
 //! Minimal JSON value, writer, and parser.
 //!
 //! The workspace deliberately has no external dependencies, so the
-//! exporters ([`crate::chrome`] and the service's `SERVICE_*.json`
-//! report) build documents from this small value type, and replay
-//! bundles and the benchmark harness read theirs back with the
-//! recursive-descent parser below. Object keys keep insertion order (a
+//! service's `SERVICE_*.json` report and replay bundles build documents
+//! from this small value type, and replay and the benchmark harness read
+//! them back with the recursive-descent parser below. Object keys keep insertion order (a
 //! `Vec`, not a map) so emitted reports are stable and diffable.
 
 use std::fmt::Write as _;

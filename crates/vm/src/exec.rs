@@ -13,7 +13,6 @@ use crate::tape::Tape;
 use macross_sdf::Schedule;
 use macross_streamir::graph::{Graph, Node, NodeId};
 use macross_streamir::types::Value;
-use macross_telemetry::{EventKind, WorkerTrace};
 
 /// Which engine executes filter work functions, chosen per run. The
 /// default is [`ExecMode::Bytecode`]; the differential tests run both.
@@ -25,6 +24,29 @@ pub enum ExecMode {
     Bytecode,
     /// The original tree-walking interpreter (the differential oracle).
     TreeWalk,
+}
+
+impl ExecMode {
+    /// Stable name of the engine, as service reports and replay bundles
+    /// record it.
+    pub fn label(self) -> &'static str {
+        match self {
+            ExecMode::Bytecode => "bytecode",
+            ExecMode::TreeWalk => "treewalk",
+        }
+    }
+
+    /// The engine a [`ExecMode::label`] names. `bytecode-nofuse`, the
+    /// bytecode engine with superblock kernel fusion turned off, names
+    /// what `bytecode` now always is, so bundles recorded under it still
+    /// replay (bit-exactly: every engine matches the tree-walk oracle).
+    pub fn from_label(label: &str) -> Option<ExecMode> {
+        match label {
+            "bytecode" | "bytecode-nofuse" => Some(ExecMode::Bytecode),
+            "treewalk" => Some(ExecMode::TreeWalk),
+            _ => None,
+        }
+    }
 }
 
 /// Executes a scheduled stream graph on a modelled machine.
@@ -43,9 +65,6 @@ pub struct Executor<'a> {
     node_counters: Vec<CycleCounters>,
     outputs: Vec<Vec<Value>>,
     inits_done: bool,
-    /// Firing-span recorder (inert unless a live handle was installed
-    /// via [`Executor::set_trace`]).
-    trace: WorkerTrace,
 }
 
 impl<'a> Executor<'a> {
@@ -101,15 +120,7 @@ impl<'a> Executor<'a> {
             node_counters: vec![CycleCounters::default(); graph.node_count()],
             outputs,
             inits_done: false,
-            trace: WorkerTrace::disabled(),
         }
-    }
-
-    /// Install a recording handle; every subsequent [`Executor::fire`]
-    /// emits a `FiringStart`/`FiringEnd` span for the fired node, with the
-    /// modelled cycle cost of the firing as the end event's aux payload.
-    pub fn set_trace(&mut self, trace: WorkerTrace) {
-        self.trace = trace;
     }
 
     fn run_init_functions(&mut self) -> Result<(), VmError> {
@@ -198,13 +209,8 @@ impl<'a> Executor<'a> {
         self.outputs.concat()
     }
 
-    /// A node's `k` repetitions: one [`firing::fire_block`], or — with a
-    /// live trace handle, which wants a span and a cycle payload per
-    /// firing — `k` times [`Executor::fire`].
+    /// A node's `k` repetitions: one [`firing::fire_block`].
     fn fire_reps(&mut self, id: NodeId, k: u64) -> Result<(), VmError> {
-        if self.trace.active() {
-            return (0..k).try_for_each(|_| self.fire(id));
-        }
         let i = id.0 as usize;
         firing::fire_block(
             &self.plans[i],
@@ -226,9 +232,6 @@ impl<'a> Executor<'a> {
     /// cannot fail).
     pub fn fire(&mut self, id: NodeId) -> Result<(), VmError> {
         let i = id.0 as usize;
-        self.trace.record(EventKind::FiringStart, id.0, 0);
-        // The firing's own cost is only needed as the span's payload.
-        let before = self.trace.active().then(|| self.node_counters[i].total());
         firing::fire_node(
             &self.plans[i],
             self.graph.node(id),
@@ -237,12 +240,7 @@ impl<'a> Executor<'a> {
             self.machine,
             &mut self.node_counters[i],
             &mut self.outputs[i],
-        )?;
-        if let Some(before) = before {
-            let cost = self.node_counters[i].total() - before;
-            self.trace.record(EventKind::FiringEnd, id.0, cost);
-        }
-        Ok(())
+        )
     }
 }
 
@@ -288,8 +286,7 @@ pub fn run_scheduled(
 }
 
 /// [`run_scheduled`] with an explicit engine choice (differential runs
-/// pit [`ExecMode::Bytecode`] against [`ExecMode::TreeWalk`]). To record
-/// firing spans, drive an [`Executor`] with [`Executor::set_trace`].
+/// pit [`ExecMode::Bytecode`] against [`ExecMode::TreeWalk`]).
 ///
 /// # Errors
 /// Propagates interpreter failures.
@@ -539,31 +536,15 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_matches_untraced() {
-        let mut f = FilterBuilder::new("f", 1, 1, 1, ScalarTy::I32);
-        f.work(|b| {
-            b.push(pop() + 1i32);
-        });
-        let g = StreamSpec::pipeline(vec![
-            counting_source("src", 1),
-            f.build_spec(),
-            StreamSpec::Sink,
-        ])
-        .build()
-        .unwrap();
-        let m = Machine::core_i7();
-        let sched = Schedule::compute(&g).unwrap();
-        let plain = run_scheduled(&g, &sched, &m, 5).unwrap();
-        let session = macross_telemetry::TraceSession::new(1 << 12);
-        let mut traced = Executor::new(&g, &sched, &m);
-        traced.set_trace(session.worker(0));
-        traced.run_init().unwrap();
-        traced.reset_counters();
-        traced.run_steady(5).unwrap();
-        assert_eq!(traced.output_flat(), plain.output);
-        assert_eq!(traced.counters(), plain.counters);
-        // 3 nodes x 5 iterations x (start + end), plus init (none here).
-        assert_eq!(session.drain().len(), 3 * 5 * 2);
+    fn labels_roundtrip() {
+        for mode in MODES {
+            assert_eq!(ExecMode::from_label(mode.label()), Some(mode));
+        }
+        assert_eq!(
+            ExecMode::from_label("bytecode-nofuse"),
+            Some(ExecMode::Bytecode)
+        );
+        assert!(ExecMode::from_label("abacus").is_none());
     }
 
     #[test]

@@ -526,7 +526,7 @@ pub fn fire_block(
 }
 
 /// [`fire_block`] of one firing — what an engine with a per-firing
-/// envelope of its own (faults, heartbeats, trace spans) calls.
+/// envelope of its own (faults, heartbeats, a watchdog) calls.
 ///
 /// # Errors
 /// As [`fire_block`].

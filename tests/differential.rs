@@ -208,9 +208,9 @@ fn macro_simd_then_autovec_is_bit_exact_with_gcc() {
 mod engine_differential {
     use super::*;
     use macross_repro::runtime::{
-        run_supervised_placed, FissionSpec, Placement, RuntimeError, SupervisorOptions, ThreadedRun,
+        run_supervised_placed, FissionSpec, Placement, RuntimeError, SupervisedRun,
+        SupervisorOptions,
     };
-    use macross_repro::telemetry::TraceSession;
 
     /// `run_threaded_placed` with an explicit engine on every worker.
     fn run_placed_mode(
@@ -220,21 +220,12 @@ mod engine_differential {
         placement: &Placement,
         iters: u64,
         mode: ExecMode,
-    ) -> Result<ThreadedRun, RuntimeError> {
+    ) -> Result<SupervisedRun, RuntimeError> {
         let opts = SupervisorOptions {
             mode,
             ..SupervisorOptions::default()
         };
-        run_supervised_placed(
-            g,
-            sched,
-            m,
-            placement,
-            iters,
-            &opts,
-            &TraceSession::disabled(),
-        )?
-        .into_result()
+        run_supervised_placed(g, sched, m, placement, iters, &opts)?.into_result()
     }
 
     /// Run one graph under both engines — tree walk and bytecode — and
@@ -876,9 +867,10 @@ mod engine_differential {
 
     /// `Executor::run_*` fires a node's repetitions as one block
     /// (`firing::fire_block`); walking the same schedule one
-    /// `Executor::fire` at a time — what a traced run does — must give the
-    /// same sink bits, counters and per-node cycles, on every suite
-    /// program, scalar and SIMDized, in both engines.
+    /// `Executor::fire` at a time — what a caller that walks the schedule
+    /// itself does — must give the same sink bits, counters and per-node
+    /// cycles, on every suite program, scalar and SIMDized, in both
+    /// engines.
     #[test]
     fn block_firing_matches_single_firings_on_every_benchmark() {
         use macross_repro::vm::Executor;

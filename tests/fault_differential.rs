@@ -26,7 +26,6 @@ use macross_repro::runtime::{
 };
 use macross_repro::sdf::Schedule;
 use macross_repro::streamir::graph::{Graph, Node};
-use macross_repro::telemetry::TraceSession;
 use macross_repro::vm::{ExecMode, Machine};
 use std::time::{Duration, Instant};
 
@@ -71,7 +70,6 @@ fn run_once(
         &Placement::whole_stage(assignment.to_vec()),
         iters,
         &opts,
-        &TraceSession::disabled(),
     )
     .unwrap();
     assert!(
@@ -196,16 +194,8 @@ fn injected_faults_under_fission_fail_clean() {
                 plan,
             };
             let t0 = Instant::now();
-            let out = run_supervised_placed(
-                &graph,
-                &schedule,
-                &machine,
-                &placement,
-                iters,
-                &opts,
-                &TraceSession::disabled(),
-            )
-            .unwrap();
+            let out = run_supervised_placed(&graph, &schedule, &machine, &placement, iters, &opts)
+                .unwrap();
             assert!(
                 t0.elapsed() < NO_HANG,
                 "{label}: run exceeded the no-hang bound ({NO_HANG:?})"
@@ -594,12 +584,8 @@ fn planned_fault_fires_alone_and_the_rest_of_its_share_in_envelopes() {
     };
     let run = |placement: &Placement, plan: FaultPlan| {
         let opts = SupervisorOptions::with_plan(plan);
-        let session = TraceSession::disabled();
         let machine = Machine::core_i7();
-        run_supervised_placed(
-            &graph, &schedule, &machine, placement, iters, &opts, &session,
-        )
-        .unwrap()
+        run_supervised_placed(&graph, &schedule, &machine, placement, iters, &opts).unwrap()
     };
     let kinds = [
         FaultKind::Panic,

@@ -18,7 +18,6 @@ use macross_repro::streamir::builder::StreamSpec;
 use macross_repro::streamir::edsl::*;
 use macross_repro::streamir::graph::{Graph, NodeId, SplitKind};
 use macross_repro::streamir::types::{ScalarTy, Ty, Value};
-use macross_repro::telemetry::TraceSession;
 use macross_repro::vm::{Executor, Machine};
 use std::time::{Duration, Instant};
 
@@ -99,17 +98,7 @@ fn supervised_placed(
     opts: &SupervisorOptions,
 ) -> rt::SupervisedRun {
     let sched = Schedule::compute(g).unwrap();
-    let session = TraceSession::disabled();
-    run_supervised_placed(
-        g,
-        &sched,
-        &Machine::core_i7(),
-        placement,
-        iters,
-        opts,
-        &session,
-    )
-    .unwrap()
+    run_supervised_placed(g, &sched, &Machine::core_i7(), placement, iters, opts).unwrap()
 }
 
 /// Options under which every firing takes an envelope of its own, as all
