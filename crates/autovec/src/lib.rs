@@ -28,11 +28,12 @@
 //! faithfully mirroring the real compilers.
 
 use macross_streamir::expr::{BinOp, Expr, LValue, VarId};
-use macross_streamir::filter::VarKind;
+use macross_streamir::filter::{VarDecl, VarKind};
 use macross_streamir::graph::{Graph, Node};
-use macross_streamir::stmt::Stmt;
+use macross_streamir::stmt::{rewrite_slice, Stmt};
 use macross_streamir::types::{ScalarTy, Ty, Value};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Auto-vectorizer behaviour knobs modelling a host compiler.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,31 +86,41 @@ pub struct AutovecReport {
 }
 
 /// Auto-vectorize every filter of a graph in place, returning the report.
+/// Copy-on-write: a filter the pass leaves alone stays shared with the
+/// graph's clones; only one it rewrites is made unique first.
 ///
 /// The graph's schedule and rates are untouched — this is precisely the
 /// limitation the paper identifies in traditional post-lowering
 /// vectorization.
 pub fn autovectorize_graph(graph: &mut Graph, cfg: &AutovecConfig) -> AutovecReport {
     let mut report = AutovecReport::default();
-    for id in graph.node_ids().collect::<Vec<_>>() {
-        if let Node::Filter(f) = graph.node_mut(id) {
-            let mut count = 0;
-            let mut pass = LoopVectorizer {
-                cfg,
-                filter_vars: f.vars.clone(),
-                new_vars: Vec::new(),
-                report: &mut report,
-            };
-            let body = std::mem::take(&mut f.work);
-            let body = pass.block(body, &mut count);
-            let new_vars = std::mem::take(&mut pass.new_vars);
-            for (name, ty) in new_vars {
-                f.add_var(name, ty, VarKind::Local);
-            }
+    for id in graph.node_ids() {
+        let Node::Filter(shared) = graph.node_mut(id) else {
+            continue;
+        };
+        let mut count = 0;
+        let mut pass = LoopVectorizer {
+            cfg,
+            vars: &shared.vars,
+            new_vars: Vec::new(),
+            report: &mut report,
+        };
+        let body = pass.block(&shared.work, &mut count);
+        let new_vars = pass.new_vars;
+        // A rejected loop may still have declared temporaries; they are
+        // kept, as an unused local changes nothing a firing computes.
+        if body.is_none() && new_vars.is_empty() {
+            continue;
+        }
+        let f = Arc::make_mut(shared);
+        for (name, ty) in new_vars {
+            f.add_var(name, ty, VarKind::Local);
+        }
+        if let Some(body) = body {
             f.work = body;
-            if count > 0 {
-                report.vectorized.push((f.name.clone(), count));
-            }
+        }
+        if count > 0 {
+            report.vectorized.push((f.name.clone(), count));
         }
     }
     report
@@ -117,7 +128,9 @@ pub fn autovectorize_graph(graph: &mut Graph, cfg: &AutovecConfig) -> AutovecRep
 
 struct LoopVectorizer<'a> {
     cfg: &'a AutovecConfig,
-    filter_vars: Vec<macross_streamir::filter::VarDecl>,
+    /// The filter's declared variables; the temporaries this pass adds
+    /// follow them in `new_vars`.
+    vars: &'a [VarDecl],
     new_vars: Vec<(String, Ty)>,
     report: &'a mut AutovecReport,
 }
@@ -163,81 +176,76 @@ struct BodyInfo {
 }
 
 impl<'a> LoopVectorizer<'a> {
+    /// Variables declared so far, the filter's and this pass's.
+    fn var_count(&self) -> usize {
+        self.vars.len() + self.new_vars.len()
+    }
+
     fn fresh(&mut self, name: &str, ty: Ty) -> VarId {
-        let id = VarId((self.filter_vars.len()) as u32);
-        self.filter_vars.push(macross_streamir::filter::VarDecl {
-            name: format!("{name}{}", self.new_vars.len()),
-            ty,
-            kind: VarKind::Local,
-        });
+        let id = VarId(self.var_count() as u32);
         self.new_vars
             .push((format!("{name}{}", self.new_vars.len()), ty));
         id
     }
 
     fn var_ty(&self, v: VarId) -> Ty {
-        self.filter_vars[v.0 as usize].ty
-    }
-
-    fn block(&mut self, stmts: Vec<Stmt>, count: &mut usize) -> Vec<Stmt> {
-        let mut out = Vec::with_capacity(stmts.len());
-        for s in stmts {
-            match s {
-                Stmt::For {
-                    var,
-                    count: c,
-                    body,
-                } => {
-                    let inner_has_control = body
-                        .iter()
-                        .any(|s| matches!(s, Stmt::For { .. } | Stmt::If { .. }));
-                    if inner_has_control {
-                        // Not innermost: recurse, then leave this loop scalar.
-                        let body = self.block(body, count);
-                        out.push(Stmt::For {
-                            var,
-                            count: c,
-                            body,
-                        });
-                        continue;
-                    }
-                    self.report.loops_seen += 1;
-                    match self.try_vectorize(var, &c, &body, &out) {
-                        Some(mut v) => {
-                            out.append(&mut v);
-                            *count += 1;
-                        }
-                        None => {
-                            self.report.loops_rejected += 1;
-                            out.push(Stmt::For {
-                                var,
-                                count: c,
-                                body,
-                            });
-                        }
-                    }
-                }
-                Stmt::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                } => {
-                    let then_branch = self.block(then_branch, count);
-                    let else_branch = self.block(else_branch, count);
-                    out.push(Stmt::If {
-                        cond,
-                        then_branch,
-                        else_branch,
-                    });
-                }
-                other => out.push(other),
-            }
+        let i = v.0 as usize;
+        match self.vars.get(i) {
+            Some(decl) => decl.ty,
+            None => self.new_vars[i - self.vars.len()].1,
         }
-        out
     }
 
-    /// Legality scan. `prefix` is the code emitted before the loop in the
-    /// same block (used only for diagnostics).
+    /// `stmts` with every legal innermost loop vectorized, or `None` when
+    /// no statement changes.
+    fn block(&mut self, stmts: &[Stmt], count: &mut usize) -> Option<Vec<Stmt>> {
+        rewrite_slice(stmts, |s| match s {
+            Stmt::For {
+                var,
+                count: c,
+                body,
+            } => {
+                let inner_has_control = body
+                    .iter()
+                    .any(|s| matches!(s, Stmt::For { .. } | Stmt::If { .. }));
+                if inner_has_control {
+                    // Not innermost: recurse, then leave this loop scalar.
+                    let body = self.block(body, count)?;
+                    return Some(vec![Stmt::For {
+                        var: *var,
+                        count: c.clone(),
+                        body,
+                    }]);
+                }
+                self.report.loops_seen += 1;
+                let vectorized = self.try_vectorize(*var, c, body);
+                match vectorized {
+                    Some(_) => *count += 1,
+                    None => self.report.loops_rejected += 1,
+                }
+                vectorized
+            }
+            Stmt::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                let new_then = self.block(then_branch, count);
+                let new_else = self.block(else_branch, count);
+                if new_then.is_none() && new_else.is_none() {
+                    return None;
+                }
+                Some(vec![Stmt::If {
+                    cond: cond.clone(),
+                    then_branch: new_then.unwrap_or_else(|| then_branch.clone()),
+                    else_branch: new_else.unwrap_or_else(|| else_branch.clone()),
+                }])
+            }
+            _ => None,
+        })
+    }
+
+    /// Legality scan.
     fn scan(&self, i: VarId, body: &[Stmt]) -> Option<BodyInfo> {
         let mut info = BodyInfo {
             private: HashSet::new(),
@@ -370,13 +378,7 @@ impl<'a> LoopVectorizer<'a> {
         ok.then_some(())
     }
 
-    fn try_vectorize(
-        &mut self,
-        i: VarId,
-        count: &Expr,
-        body: &[Stmt],
-        _prefix: &[Stmt],
-    ) -> Option<Vec<Stmt>> {
+    fn try_vectorize(&mut self, i: VarId, count: &Expr, body: &[Stmt]) -> Option<Vec<Stmt>> {
         let sw = self.cfg.sw;
         let n = count.as_const_usize()?;
         if n < sw {
@@ -392,11 +394,11 @@ impl<'a> LoopVectorizer<'a> {
 
         let mut out = Vec::new();
         // Map private/reduction vars to fresh vector temps.
-        let mut vec_map: Vec<Option<VarId>> = vec![None; self.filter_vars.len()];
+        let mut vec_map: Vec<Option<VarId>> = vec![None; self.var_count()];
         for &v in info.private.iter().chain(info.reductions.iter()) {
             let ty = self.var_ty(v).vectorized(sw);
             let nv = self.fresh("__av", ty);
-            vec_map.resize(self.filter_vars.len(), None);
+            vec_map.resize(self.var_count(), None);
             vec_map[v.0 as usize] = Some(nv);
         }
         // Reduction prologue: vacc = splat(0).

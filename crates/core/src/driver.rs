@@ -319,7 +319,7 @@ pub fn macro_simdize_colocated(
     // compares shapes modulo constants, and folding is shape-changing).
     if opts.prepass {
         let stats = crate::opt::prepass_optimize(&mut g);
-        va = VaMemo::new(&g); // bodies were rewritten
+        va = VaMemo::new(&g); // any actor may have new bodies
         report.passes.push(
             PassEvent::new(Pass::Prepass, "<graph>", sw as u64).note(format!(
                 "{} rewrites: {} folded, {} identities, {} branches, {} loops, {} dead stores",
@@ -333,8 +333,10 @@ pub fn macro_simdize_colocated(
         );
     }
 
-    // --- Vertical fusion of maximal SIMDizable pipeline chains.
-    let mut fused_names: HashSet<String> = HashSet::new();
+    // --- Vertical fusion of maximal SIMDizable pipeline chains. `fused`
+    // marks the nodes the fusion built, carried through each splice like
+    // `colors`: an unfused actor that shares a fused one's name is not one.
+    let mut fused = vec![false; g.node_count()];
     if opts.vertical {
         loop {
             let order = g
@@ -371,14 +373,14 @@ pub fn macro_simdize_colocated(
             let reps: Vec<u64> = chain.iter().map(|&id| sched.rep(id)).collect();
             let names: Vec<String> = chain.iter().map(|&id| g.node(id).name()).collect();
             let chain_color = colors[chain[0].0 as usize];
-            let fused = fuse_vetted_chain(&g, &chain, &reps);
-            fused_names.insert(fused.name.clone());
-            let spliced = splice_fused(&g, &chain, fused);
+            let spliced = splice_fused(&g, &chain, fuse_vetted_chain(&g, &chain, &reps));
             // Kept nodes keep their color and verdict; the fused node
             // takes the chain's color and is analyzed on first use.
             let n = spliced.graph.node_count();
             colors = remap_nodes(colors, &spliced.node_map, n);
             colors[spliced.fused_id.0 as usize] = chain_color;
+            fused = remap_nodes(fused, &spliced.node_map, n);
+            fused[spliced.fused_id.0 as usize] = true;
             va = VaMemo(remap_nodes(va.0, &spliced.node_map, n));
             g = spliced.graph;
             report.passes.push(
@@ -398,8 +400,7 @@ pub fn macro_simdize_colocated(
             if !va.eligible(&g, id, machine) {
                 continue;
             }
-            let is_fused = fused_names.contains(&g.node(id).name());
-            if !opts.single && !is_fused {
+            if !opts.single && !fused[id.0 as usize] {
                 continue;
             }
             selected.push(id);
@@ -531,15 +532,14 @@ pub fn macro_simdize_colocated(
             if va.vectorized || !machine.supports_all(&va.intrinsics) {
                 continue;
             }
-            if macross_streamir::analysis::check_region_spec(f).is_err() {
-                continue; // malformed annotation: stay scalar, bit-exactly
-            }
             let Some(w) = region_width(spec.regions, sw) else {
                 continue;
             };
             let regions = spec.regions;
             let (in_elem, out_elem) = tape_elems(&g, id);
             let cfg = SingleActorConfig::strided(w, in_elem, out_elem);
+            // A malformed annotation fails `check_region_spec` in there:
+            // the actor stays scalar, bit-exactly.
             let Ok(vf) = simdize_region_actor_analyzed(f, &cfg, va) else {
                 continue;
             };
@@ -604,7 +604,7 @@ pub fn macro_simdize_colocated(
             input: cfg.input,
             output: cfg.output,
         });
-        g.replace_node(id, Node::Filter(vf));
+        g.replace_node(id, Node::filter(vf));
         let r = &mut schedule.reps[id.0 as usize];
         debug_assert_eq!(
             *r % cfg.sw as u64,
@@ -959,6 +959,41 @@ mod tests {
         assert_eq!(report.horizontal_groups.len(), 1);
         assert!(!report.vertical_chains.is_empty());
         assert!(b.total_cycles() < a.total_cycles());
+    }
+
+    /// Vertical-only selection picks the actors fusion built, by node: an
+    /// unfused actor that happens to carry a fused actor's name is not
+    /// one of them.
+    #[test]
+    fn vertical_only_selects_fused_nodes_not_their_names() {
+        let pass = |name: &str| {
+            let mut fb = FilterBuilder::new(name, 1, 1, 1, ScalarTy::F32);
+            fb.work(|b| {
+                b.push(pop() * 2.0f32);
+            });
+            fb.build_spec()
+        };
+        let mut namesake = FilterBuilder::new("1a_1b", 2, 1, 1, ScalarTy::F32);
+        namesake.work(|b| {
+            b.push(peek(1i32) + pop());
+        });
+        let g = StreamSpec::pipeline(vec![
+            f32_source("src"),
+            pass("a"),
+            pass("b"),
+            namesake.build_spec(),
+            StreamSpec::Sink,
+        ])
+        .build()
+        .unwrap();
+        let opts = SimdizeOptions {
+            single: false,
+            profitability: false,
+            ..Default::default()
+        };
+        let (_, _, report) = differential(&g, &Machine::core_i7(), &opts, 6);
+        assert_eq!(report.vertical_chains, vec![vec!["a", "b"]]);
+        assert_eq!(report.single_actors, vec!["1a_1b_v4"]);
     }
 
     #[test]

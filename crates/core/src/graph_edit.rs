@@ -60,8 +60,8 @@ mod tests {
     #[test]
     fn rebuild_drops_nodes_and_reports_edges() {
         let mut g = Graph::new();
-        let a = g.add_node(Node::Filter(Filter::new("a", 0, 0, 1)));
-        let b = g.add_node(Node::Filter(Filter::new("b", 1, 1, 1)));
+        let a = g.add_node(Node::filter(Filter::new("a", 0, 0, 1)));
+        let b = g.add_node(Node::filter(Filter::new("b", 1, 1, 1)));
         let c = g.add_node(Node::Sink);
         g.connect(a, 0, b, 0, ScalarTy::F32);
         g.connect(b, 0, c, 0, ScalarTy::F32);
@@ -78,8 +78,8 @@ mod tests {
     #[test]
     fn rebuild_preserves_kept_edges() {
         let mut g = Graph::new();
-        let a = g.add_node(Node::Filter(Filter::new("a", 0, 0, 1)));
-        let b = g.add_node(Node::Filter(Filter::new("b", 1, 1, 1)));
+        let a = g.add_node(Node::filter(Filter::new("a", 0, 0, 1)));
+        let b = g.add_node(Node::filter(Filter::new("b", 1, 1, 1)));
         let c = g.add_node(Node::Sink);
         g.connect(a, 0, b, 0, ScalarTy::I64);
         g.connect(b, 0, c, 0, ScalarTy::I64);

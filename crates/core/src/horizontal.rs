@@ -132,12 +132,12 @@ pub fn merge_isomorphic(actors: &[&Filter], sw: usize) -> Result<Filter, Simdize
             return Err(err(format!("{} has internal channels", a.name)));
         }
     }
-    let mut merged = first.clone();
+    let init = merge_blocks(&actors.iter().map(|a| a.init.as_slice()).collect::<Vec<_>>())
+        .map_err(&err)?;
+    let work = merge_blocks(&actors.iter().map(|a| a.work.as_slice()).collect::<Vec<_>>())
+        .map_err(&err)?;
+    let mut merged = first.with_bodies(init, work);
     merged.name = format!("{}_h{sw}", first.name);
-    merged.init = merge_blocks(&actors.iter().map(|a| a.init.as_slice()).collect::<Vec<_>>())
-        .map_err(&err)?;
-    merged.work = merge_blocks(&actors.iter().map(|a| a.work.as_slice()).collect::<Vec<_>>())
-        .map_err(&err)?;
     Ok(merged)
 }
 
@@ -545,7 +545,7 @@ pub fn horizontalize(
     for row in merged {
         level_ids.push(
             row.into_iter()
-                .map(|f| r.graph.add_node(Node::Filter(f)))
+                .map(|f| r.graph.add_node(Node::filter(f)))
                 .collect(),
         );
     }

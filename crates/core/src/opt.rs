@@ -15,8 +15,9 @@ use macross_streamir::analysis::VarSet;
 use macross_streamir::expr::{eval_binop, eval_intrinsic, eval_unop, BinOp, Expr, LValue};
 use macross_streamir::filter::{Filter, VarKind};
 use macross_streamir::graph::{Graph, Node};
-use macross_streamir::stmt::Stmt;
+use macross_streamir::stmt::{rewrite_slice, Stmt};
 use macross_streamir::types::Value;
+use std::sync::Arc;
 
 /// Statistics from one optimization run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,29 +53,27 @@ impl OptStats {
     }
 }
 
-/// Optimize one filter's `init` and `work` bodies in place.
-pub fn optimize_filter(f: &mut Filter) -> OptStats {
+/// Optimize one filter's `init` and `work` bodies to a fixed point,
+/// copy-on-write: an actor no rewrite applies to is left as it is, still
+/// shared; one that changes gets a copy of its own (its old bodies are
+/// not copied), so only the actors the prepass improves stop being
+/// shared.
+pub fn optimize_filter(f: &mut Arc<Filter>) -> OptStats {
     let mut stats = OptStats::default();
-    loop {
-        let mut round = OptStats::default();
-        let init = std::mem::take(&mut f.init);
-        f.init = opt_block(init, &mut round);
-        let work = std::mem::take(&mut f.work);
-        f.work = opt_block(work, &mut round);
-        round.dead_stores += eliminate_dead_stores(f);
-        let progress = round.total() > 0;
-        stats.absorb(round);
-        if !progress {
-            break;
+    while let Some((init, work)) = opt_round(f, &mut stats) {
+        match Arc::get_mut(f) {
+            Some(own) => (own.init, own.work) = (init, work),
+            None => *f = Arc::new(f.with_bodies(init, work)),
         }
     }
     stats
 }
 
-/// Optimize every filter of a graph in place.
+/// Optimize every filter of a graph, sharing each actor no rewrite
+/// applies to with the graph's clones.
 pub fn prepass_optimize(graph: &mut Graph) -> OptStats {
     let mut stats = OptStats::default();
-    for id in graph.node_ids().collect::<Vec<_>>() {
+    for id in graph.node_ids() {
         if let Node::Filter(f) = graph.node_mut(id) {
             stats.absorb(optimize_filter(f));
         }
@@ -82,75 +81,127 @@ pub fn prepass_optimize(graph: &mut Graph) -> OptStats {
     stats
 }
 
-fn opt_block(stmts: Vec<Stmt>, stats: &mut OptStats) -> Vec<Stmt> {
-    let mut out = Vec::with_capacity(stmts.len());
-    for s in stmts {
-        match s {
-            Stmt::Assign(lv, e) => {
-                let lv = match lv {
-                    LValue::Index(v, i) => LValue::Index(v, opt_expr(i, stats)),
-                    LValue::LaneIndex(v, i, l) => LValue::LaneIndex(v, opt_expr(i, stats), l),
-                    LValue::VIndex(v, i, w) => LValue::VIndex(v, opt_expr(i, stats), w),
-                    other => other,
-                };
-                out.push(Stmt::Assign(lv, opt_expr(e, stats)));
-            }
-            Stmt::Push(e) => out.push(Stmt::Push(opt_expr(e, stats))),
-            Stmt::RPush { value, offset } => out.push(Stmt::RPush {
-                value: opt_expr(value, stats),
-                offset: opt_expr(offset, stats),
-            }),
-            Stmt::VPush { value, width } => out.push(Stmt::VPush {
-                value: opt_expr(value, stats),
-                width,
-            }),
-            Stmt::LPush(c, e) => out.push(Stmt::LPush(c, opt_expr(e, stats))),
-            Stmt::LVPush(c, e, w) => out.push(Stmt::LVPush(c, opt_expr(e, stats), w)),
-            Stmt::For { var, count, body } => {
-                let count = opt_expr(count, stats);
-                let body = opt_block(body, stats);
-                match count.as_const_usize() {
-                    Some(0) if block_tape_free(&body) => {
-                        stats.loops_simplified += 1;
-                        // Dropped entirely: zero iterations.
-                    }
-                    Some(1) => {
-                        stats.loops_simplified += 1;
-                        out.push(Stmt::Assign(LValue::Var(var), Expr::Const(Value::I32(0))));
-                        out.extend(body);
-                    }
-                    _ => out.push(Stmt::For { var, count, body }),
-                }
-            }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                let cond = opt_expr(cond, stats);
-                let then_branch = opt_block(then_branch, stats);
-                let else_branch = opt_block(else_branch, stats);
-                if let Expr::Const(v) = &cond {
-                    stats.branches_resolved += 1;
-                    if v.is_truthy() {
-                        out.extend(then_branch);
-                    } else {
-                        out.extend(else_branch);
-                    }
-                } else if then_branch.is_empty() && else_branch.is_empty() && !cond.reads_tape() {
-                    stats.branches_resolved += 1;
-                } else {
-                    out.push(Stmt::If {
-                        cond,
-                        then_branch,
-                        else_branch,
-                    });
-                }
-            }
-            other => out.push(other),
-        }
+/// One round of every rewrite over `f`: its new `init` and `work`, or
+/// `None` when no rewrite applies. Every counted rewrite changes the
+/// body, so a round that counts none is the fixed point.
+fn opt_round(f: &Filter, stats: &mut OptStats) -> Option<(Vec<Stmt>, Vec<Stmt>)> {
+    let init = opt_block(&f.init, stats);
+    let work = opt_block(&f.work, stats);
+    let (swept_init, swept_work) = eliminate_dead_stores(
+        f,
+        init.as_deref().unwrap_or(&f.init),
+        work.as_deref().unwrap_or(&f.work),
+        &mut stats.dead_stores,
+    );
+    let (init, work) = (swept_init.or(init), swept_work.or(work));
+    if init.is_none() && work.is_none() {
+        return None;
     }
-    out
+    Some((or_clone(init, &f.init), or_clone(work, &f.work)))
+}
+
+/// The rewritten value, or a copy of the original it left alone.
+fn or_clone<T: Clone>(new: Option<T>, old: &T) -> T {
+    new.unwrap_or_else(|| old.clone())
+}
+
+fn opt_block(stmts: &[Stmt], stats: &mut OptStats) -> Option<Vec<Stmt>> {
+    rewrite_slice(stmts, |s| opt_stmt(s, stats))
+}
+
+/// The statements `s` rewrites to, or `None` when no rewrite applies.
+fn opt_stmt(s: &Stmt, stats: &mut OptStats) -> Option<Vec<Stmt>> {
+    let mut e = |e: &Expr| opt_expr(e, stats);
+    let one = |s: Stmt| Some(vec![s]);
+    match s {
+        Stmt::Assign(lv, rhs) => {
+            let new_lv = match lv {
+                LValue::Index(v, i) => e(i).map(|i| LValue::Index(*v, i)),
+                LValue::LaneIndex(v, i, l) => e(i).map(|i| LValue::LaneIndex(*v, i, *l)),
+                LValue::VIndex(v, i, w) => e(i).map(|i| LValue::VIndex(*v, i, *w)),
+                LValue::Var(_) | LValue::LaneVar(..) => None,
+            };
+            let new_rhs = e(rhs);
+            if new_lv.is_none() && new_rhs.is_none() {
+                return None;
+            }
+            one(Stmt::Assign(or_clone(new_lv, lv), or_clone(new_rhs, rhs)))
+        }
+        Stmt::Push(v) => one(Stmt::Push(e(v)?)),
+        Stmt::RPush { value, offset } => {
+            let (new_value, new_offset) = (e(value), e(offset));
+            if new_value.is_none() && new_offset.is_none() {
+                return None;
+            }
+            one(Stmt::RPush {
+                value: or_clone(new_value, value),
+                offset: or_clone(new_offset, offset),
+            })
+        }
+        Stmt::VPush { value, width } => one(Stmt::VPush {
+            value: e(value)?,
+            width: *width,
+        }),
+        Stmt::LPush(c, v) => one(Stmt::LPush(*c, e(v)?)),
+        Stmt::LVPush(c, v, w) => one(Stmt::LVPush(*c, e(v)?, *w)),
+        Stmt::For { var, count, body } => {
+            let new_count = e(count);
+            let new_body = opt_block(body, stats);
+            let count_now = new_count.as_ref().unwrap_or(count);
+            match count_now.as_const_usize() {
+                Some(0) if block_tape_free(new_body.as_deref().unwrap_or(body)) => {
+                    stats.loops_simplified += 1;
+                    // Dropped entirely: zero iterations.
+                    Some(Vec::new())
+                }
+                Some(1) => {
+                    stats.loops_simplified += 1;
+                    let mut out = vec![Stmt::Assign(LValue::Var(*var), Expr::Const(Value::I32(0)))];
+                    out.extend(or_clone(new_body, body));
+                    Some(out)
+                }
+                _ if new_count.is_none() && new_body.is_none() => None,
+                _ => one(Stmt::For {
+                    var: *var,
+                    count: or_clone(new_count, count),
+                    body: or_clone(new_body, body),
+                }),
+            }
+        }
+        Stmt::If {
+            cond,
+            then_branch,
+            else_branch,
+        } => {
+            let new_cond = e(cond);
+            let new_then = opt_block(then_branch, stats);
+            let new_else = opt_block(else_branch, stats);
+            let cond_now = new_cond.as_ref().unwrap_or(cond);
+            if let Expr::Const(v) = cond_now {
+                stats.branches_resolved += 1;
+                return Some(if v.is_truthy() {
+                    or_clone(new_then, then_branch)
+                } else {
+                    or_clone(new_else, else_branch)
+                });
+            }
+            let then_now = new_then.as_deref().unwrap_or(then_branch);
+            let else_now = new_else.as_deref().unwrap_or(else_branch);
+            if then_now.is_empty() && else_now.is_empty() && !cond_now.reads_tape() {
+                stats.branches_resolved += 1;
+                return Some(Vec::new());
+            }
+            if new_cond.is_none() && new_then.is_none() && new_else.is_none() {
+                return None;
+            }
+            one(Stmt::If {
+                cond: or_clone(new_cond, cond),
+                then_branch: or_clone(new_then, then_branch),
+                else_branch: or_clone(new_else, else_branch),
+            })
+        }
+        Stmt::AdvanceRead(_) | Stmt::AdvanceWrite(_) => None,
+    }
 }
 
 fn block_tape_free(stmts: &[Stmt]) -> bool {
@@ -179,48 +230,51 @@ fn block_tape_free(stmts: &[Stmt]) -> bool {
     })
 }
 
-fn opt_expr(e: Expr, stats: &mut OptStats) -> Expr {
+/// The expression `e` rewrites to, or `None` when no rewrite applies.
+fn opt_expr(e: &Expr, stats: &mut OptStats) -> Option<Expr> {
+    let mut sub = |a: &Expr| opt_expr(a, stats).map(Box::new);
     match e {
         Expr::Unary(op, a) => {
-            let a = opt_expr(*a, stats);
-            if let Expr::Const(v) = a {
+            let new_a = opt_expr(a, stats);
+            if let Expr::Const(v) = new_a.as_ref().unwrap_or(a) {
                 stats.folded += 1;
-                Expr::Const(eval_unop(op, v))
-            } else {
-                Expr::Unary(op, Box::new(a))
+                return Some(Expr::Const(eval_unop(*op, *v)));
             }
+            Some(Expr::Unary(*op, Box::new(new_a?)))
         }
         Expr::Binary(op, a, b) => {
-            let a = opt_expr(*a, stats);
-            let b = opt_expr(*b, stats);
-            match (&a, &b) {
+            let (new_a, new_b) = (opt_expr(a, stats), opt_expr(b, stats));
+            let (a_now, b_now) = (new_a.as_ref().unwrap_or(a), new_b.as_ref().unwrap_or(b));
+            match (a_now, b_now) {
                 (Expr::Const(x), Expr::Const(y)) if x.ty() == y.ty() => {
                     stats.folded += 1;
-                    return Expr::Const(eval_binop(op, *x, *y));
+                    return Some(Expr::Const(eval_binop(*op, *x, *y)));
                 }
                 _ => {}
             }
             // Algebraic identities (safe ones only).
-            if let Some(simplified) = identity(op, &a, &b) {
+            if let Some(simplified) = identity(*op, a_now, b_now) {
                 stats.identities += 1;
-                return simplified;
+                return Some(simplified);
             }
-            Expr::bin(op, a, b)
+            if new_a.is_none() && new_b.is_none() {
+                return None;
+            }
+            Some(Expr::bin(*op, or_clone(new_a, a), or_clone(new_b, b)))
         }
         Expr::Cast(t, a) => {
-            let a = opt_expr(*a, stats);
-            match a {
-                Expr::Const(v) => {
-                    stats.folded += 1;
-                    Expr::Const(v.cast(t))
-                }
-                a => Expr::Cast(t, Box::new(a)),
+            let new_a = opt_expr(a, stats);
+            if let Expr::Const(v) = new_a.as_ref().unwrap_or(a) {
+                stats.folded += 1;
+                return Some(Expr::Const(v.cast(*t)));
             }
+            Some(Expr::Cast(*t, Box::new(new_a?)))
         }
         Expr::Call(i, args) => {
-            let args: Vec<Expr> = args.into_iter().map(|a| opt_expr(a, stats)).collect();
-            if args.iter().all(|a| matches!(a, Expr::Const(_))) {
-                let vals: Vec<Value> = args
+            let new_args = rewrite_slice(args, |a| opt_expr(a, stats).map(std::iter::once));
+            let args_now = new_args.as_deref().unwrap_or(args);
+            if args_now.iter().all(|a| matches!(a, Expr::Const(_))) {
+                let vals: Vec<Value> = args_now
                     .iter()
                     .map(|a| match a {
                         Expr::Const(v) => *v,
@@ -228,27 +282,37 @@ fn opt_expr(e: Expr, stats: &mut OptStats) -> Expr {
                     })
                     .collect();
                 stats.folded += 1;
-                Expr::Const(eval_intrinsic(i, &vals))
-            } else {
-                Expr::Call(i, args)
+                return Some(Expr::Const(eval_intrinsic(*i, &vals)));
             }
+            Some(Expr::Call(*i, new_args?))
         }
-        Expr::Index(v, i) => Expr::Index(v, Box::new(opt_expr(*i, stats))),
-        Expr::VIndex(v, i, w) => Expr::VIndex(v, Box::new(opt_expr(*i, stats)), w),
-        Expr::Peek(o) => Expr::Peek(Box::new(opt_expr(*o, stats))),
-        Expr::VPeek { offset, width } => Expr::VPeek {
-            offset: Box::new(opt_expr(*offset, stats)),
-            width,
-        },
-        Expr::Lane(a, l) => Expr::Lane(Box::new(opt_expr(*a, stats)), l),
-        Expr::Splat(a, w) => Expr::Splat(Box::new(opt_expr(*a, stats)), w),
-        Expr::PermuteEven(a, b) => {
-            Expr::PermuteEven(Box::new(opt_expr(*a, stats)), Box::new(opt_expr(*b, stats)))
+        Expr::Index(v, i) => Some(Expr::Index(*v, sub(i)?)),
+        Expr::VIndex(v, i, w) => Some(Expr::VIndex(*v, sub(i)?, *w)),
+        Expr::Peek(o) => Some(Expr::Peek(sub(o)?)),
+        Expr::VPeek { offset, width } => Some(Expr::VPeek {
+            offset: sub(offset)?,
+            width: *width,
+        }),
+        Expr::Lane(a, l) => Some(Expr::Lane(sub(a)?, *l)),
+        Expr::Splat(a, w) => Some(Expr::Splat(sub(a)?, *w)),
+        Expr::PermuteEven(a, b) | Expr::PermuteOdd(a, b) => {
+            let (new_a, new_b) = (opt_expr(a, stats), opt_expr(b, stats));
+            if new_a.is_none() && new_b.is_none() {
+                return None;
+            }
+            let (a, b) = (Box::new(or_clone(new_a, a)), Box::new(or_clone(new_b, b)));
+            Some(match e {
+                Expr::PermuteEven(..) => Expr::PermuteEven(a, b),
+                _ => Expr::PermuteOdd(a, b),
+            })
         }
-        Expr::PermuteOdd(a, b) => {
-            Expr::PermuteOdd(Box::new(opt_expr(*a, stats)), Box::new(opt_expr(*b, stats)))
-        }
-        other => other,
+        Expr::Const(_)
+        | Expr::ConstVec(_)
+        | Expr::Var(_)
+        | Expr::Pop
+        | Expr::VPop { .. }
+        | Expr::LPop(_)
+        | Expr::LVPop(..) => None,
     }
 }
 
@@ -301,81 +365,77 @@ fn identity(op: BinOp, a: &Expr, b: &Expr) -> Option<Expr> {
     }
 }
 
-/// Remove assignments to `Local` scalar variables that are never read.
-/// Arrays and state are left alone; RHSes with tape reads are kept.
-fn eliminate_dead_stores(f: &mut Filter) -> usize {
+/// Remove assignments to `Local` scalar variables that are never read
+/// from `f`'s current bodies `init` and `work`: each swept body, or `None`
+/// for one with no dead store. Arrays and state are left alone; RHSes
+/// with tape reads are kept.
+fn eliminate_dead_stores(
+    f: &Filter,
+    init: &[Stmt],
+    work: &[Stmt],
+    removed: &mut usize,
+) -> (Option<Vec<Stmt>>, Option<Vec<Stmt>>) {
     // Collect read variables across init+work.
-    let mut read = VarSet::new();
-    let mut loop_vars = VarSet::new();
-    let mut collect = |stmts: &[Stmt]| {
-        for s in stmts {
-            s.walk_exprs(&mut |e| {
-                if let Expr::Var(v) | Expr::Index(v, _) | Expr::VIndex(v, _, _) = e {
-                    read.insert(*v);
-                }
-            });
-            s.walk(&mut |s| match s {
-                Stmt::For { var, .. } => {
-                    loop_vars.insert(*var);
-                }
-                Stmt::Assign(lv, _)
-                    // Partial writes keep the variable alive as a read.
-                    if !matches!(lv, LValue::Var(_)) => {
-                        read.insert(lv.var());
-                    }
-                _ => {}
-            });
-        }
-    };
-    collect(&f.init);
-    collect(&f.work);
-
-    let mut removed = 0;
-    let dead = |lv: &LValue, e: &Expr, f: &Filter, read: &VarSet| -> bool {
+    let mut read = VarSet::with_vars(f.vars.len());
+    for s in init.iter().chain(work) {
+        s.walk_exprs(&mut |e| {
+            if let Expr::Var(v) | Expr::Index(v, _) | Expr::VIndex(v, _, _) = e {
+                read.insert(*v);
+            }
+        });
+        s.walk(&mut |s| match s {
+            // Partial writes keep the variable alive as a read.
+            Stmt::Assign(lv, _) if !matches!(lv, LValue::Var(_)) => {
+                read.insert(lv.var());
+            }
+            _ => {}
+        });
+    }
+    let dead = |lv: &LValue, e: &Expr| -> bool {
         if let LValue::Var(v) = lv {
             f.var(*v).kind == VarKind::Local && !read.contains(v) && !e.reads_tape()
         } else {
             false
         }
     };
-    type DeadCheck<'a> = &'a dyn Fn(&LValue, &Expr, &Filter, &VarSet) -> bool;
     fn sweep(
-        stmts: Vec<Stmt>,
-        f: &Filter,
-        read: &VarSet,
-        dead: DeadCheck<'_>,
+        stmts: &[Stmt],
+        dead: &dyn Fn(&LValue, &Expr) -> bool,
         removed: &mut usize,
-    ) -> Vec<Stmt> {
-        stmts
-            .into_iter()
-            .filter_map(|s| match s {
-                Stmt::Assign(lv, e) if dead(&lv, &e, f, read) => {
-                    *removed += 1;
-                    None
+    ) -> Option<Vec<Stmt>> {
+        rewrite_slice(stmts, |s| match s {
+            Stmt::Assign(lv, e) if dead(lv, e) => {
+                *removed += 1;
+                Some(Vec::new())
+            }
+            Stmt::For { var, count, body } => {
+                let body = sweep(body, dead, removed)?;
+                Some(vec![Stmt::For {
+                    var: *var,
+                    count: count.clone(),
+                    body,
+                }])
+            }
+            Stmt::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                let new_then = sweep(then_branch, dead, removed);
+                let new_else = sweep(else_branch, dead, removed);
+                if new_then.is_none() && new_else.is_none() {
+                    return None;
                 }
-                Stmt::For { var, count, body } => Some(Stmt::For {
-                    var,
-                    count,
-                    body: sweep(body, f, read, dead, removed),
-                }),
-                Stmt::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                } => Some(Stmt::If {
-                    cond,
-                    then_branch: sweep(then_branch, f, read, dead, removed),
-                    else_branch: sweep(else_branch, f, read, dead, removed),
-                }),
-                other => Some(other),
-            })
-            .collect()
+                Some(vec![Stmt::If {
+                    cond: cond.clone(),
+                    then_branch: or_clone(new_then, then_branch),
+                    else_branch: or_clone(new_else, else_branch),
+                }])
+            }
+            _ => None,
+        })
     }
-    let init = std::mem::take(&mut f.init);
-    f.init = sweep(init, f, &read, &dead, &mut removed);
-    let work = std::mem::take(&mut f.work);
-    f.work = sweep(work, f, &read, &dead, &mut removed);
-    removed
+    (sweep(init, &dead, removed), sweep(work, &dead, removed))
 }
 
 #[cfg(test)]
@@ -391,7 +451,7 @@ mod tests {
         fb.work(|b| {
             b.push(pop() * (c(2.0f32) + 1.0f32) + sqrt(c(16.0f32)));
         });
-        let mut f = fb.build();
+        let mut f = Arc::new(fb.build());
         let stats = optimize_filter(&mut f);
         assert!(stats.folded >= 2, "{stats:?}");
         let text = f.work[0].to_string();
@@ -406,7 +466,7 @@ mod tests {
         fb.work(|b| {
             b.push(pop() * 1.0f32);
         });
-        let mut f = fb.build();
+        let mut f = Arc::new(fb.build());
         let stats = optimize_filter(&mut f);
         assert_eq!(stats.identities, 1);
         assert_eq!(f.work[0].to_string().trim(), "push(pop());");
@@ -419,7 +479,7 @@ mod tests {
         fb.work(|b| {
             b.push(pop() + 0.0f32);
         });
-        let mut f = fb.build();
+        let mut f = Arc::new(fb.build());
         let _ = optimize_filter(&mut f);
         assert!(f.work[0].to_string().contains("+ 0.0f"));
     }
@@ -430,7 +490,7 @@ mod tests {
         fb.work(|b| {
             b.push(((pop() + 0i32) ^ 0i32) << 0i32);
         });
-        let mut f = fb.build();
+        let mut f = Arc::new(fb.build());
         let stats = optimize_filter(&mut f);
         assert!(stats.identities >= 3);
         assert_eq!(f.work[0].to_string().trim(), "push(pop());");
@@ -450,7 +510,7 @@ mod tests {
                 },
             );
         });
-        let mut f = fb.build();
+        let mut f = Arc::new(fb.build());
         let stats = optimize_filter(&mut f);
         assert_eq!(stats.branches_resolved, 1);
         assert_eq!(f.work.len(), 1);
@@ -467,7 +527,7 @@ mod tests {
                 b.push(pop() + v(i));
             });
         });
-        let mut f = fb.build();
+        let mut f = Arc::new(fb.build());
         let stats = optimize_filter(&mut f);
         assert_eq!(stats.loops_simplified, 1);
         assert!(f.work.iter().all(|s| !matches!(s, Stmt::For { .. })));
@@ -484,7 +544,7 @@ mod tests {
             b.set(junk, pop()); // dead value but pops: must stay
             b.push(pop());
         });
-        let mut f = fb.build();
+        let mut f = Arc::new(fb.build());
         let stats = optimize_filter(&mut f);
         assert_eq!(stats.dead_stores, 1);
         assert_eq!(f.work.len(), 2);

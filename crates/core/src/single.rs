@@ -1059,14 +1059,14 @@ mod tests {
     fn graph_node_replacement_roundtrip() {
         // Sanity: replacing a node in a Graph keeps edges valid.
         let mut g = Graph::new();
-        let a = g.add_node(Node::Filter(Filter::new("a", 0, 0, 1)));
-        let b = g.add_node(Node::Filter(Filter::new("b", 1, 1, 1)));
+        let a = g.add_node(Node::filter(Filter::new("a", 0, 0, 1)));
+        let b = g.add_node(Node::filter(Filter::new("b", 1, 1, 1)));
         let c = g.add_node(Node::Sink);
         g.connect(a, 0, b, 0, ScalarTy::F32);
         g.connect(b, 0, c, 0, ScalarTy::F32);
         let mut nb = Filter::new("b_v4", 4, 4, 4);
         nb.work = vec![];
-        g.replace_node(b, Node::Filter(nb));
+        g.replace_node(b, Node::filter(nb));
         assert_eq!(g.node(b).name(), "b_v4");
         assert_eq!(g.edge_count(), 2);
     }

@@ -285,7 +285,7 @@ pub fn splice_fused(graph: &Graph, chain: &[NodeId], fused: Filter) -> Spliced {
     let head = chain[0];
     let tail = *chain.last().expect("non-empty chain");
     let mut r = rebuild_without(graph, &remove);
-    let fused_id = r.graph.add_node(Node::Filter(fused));
+    let fused_id = r.graph.add_node(Node::filter(fused));
     for e in &r.dropped_edges {
         if e.dst == head {
             if let Some(src) = r.node_map[e.src.0 as usize] {
@@ -443,8 +443,8 @@ mod tests {
         let dv = simdize_single_actor(&actor_d(), &cfg).unwrap();
         let ev = simdize_single_actor(&actor_e(), &cfg).unwrap();
         let mut ga = pipeline_graph(vec![actor_d(), actor_e()]);
-        ga.replace_node(NodeId(1), Node::Filter(dv));
-        ga.replace_node(NodeId(2), Node::Filter(ev));
+        ga.replace_node(NodeId(1), Node::filter(dv));
+        ga.replace_node(NodeId(2), Node::filter(ev));
         let mut sa = base.clone();
         sa.scale(sw as u64);
         sa.reps[1] /= sw as u64;
@@ -461,7 +461,7 @@ mod tests {
         let fsched = Schedule::compute(&gb).unwrap();
         let fused_filter = gb.node(fused_id).as_filter().unwrap().clone();
         let coarse_v = simdize_single_actor(&fused_filter, &cfg).unwrap();
-        gb.replace_node(fused_id, Node::Filter(coarse_v));
+        gb.replace_node(fused_id, Node::filter(coarse_v));
         let mut sb = fsched.clone();
         sb.scale(sw as u64);
         sb.reps[fused_id.0 as usize] /= sw as u64;

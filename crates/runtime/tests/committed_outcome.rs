@@ -317,10 +317,10 @@ fn two_sinks() -> (Graph, Schedule) {
         fb.work(move |b| {
             b.push(pop() * k);
         });
-        Node::Filter(fb.build())
+        Node::filter(fb.build())
     };
     let mut g = Graph::new();
-    let src = g.add_node(Node::Filter(src.build()));
+    let src = g.add_node(Node::filter(src.build()));
     let split = g.add_node(Node::Splitter(SplitKind::Duplicate));
     let (f, gg) = (g.add_node(scale("f", 3)), g.add_node(scale("g", 5)));
     let (sink_a, sink_b) = (g.add_node(Node::Sink), g.add_node(Node::Sink));

@@ -231,20 +231,20 @@ mod tests {
     /// F(4,1) -> G(2,8) -> H(pop 8).
     fn figure2a() -> (Graph, Vec<u64>) {
         let mut g = Graph::new();
-        let a = g.add_node(Node::Filter(Filter::new("A", 0, 0, 8)));
+        let a = g.add_node(Node::filter(Filter::new("A", 0, 0, 8)));
         let sp = g.add_node(Node::Splitter(SplitKind::RoundRobin(vec![4, 4, 4, 4])));
         let mut bs = Vec::new();
         let mut cs = Vec::new();
         for i in 0..4 {
-            bs.push(g.add_node(Node::Filter(Filter::new(format!("B{i}"), 12, 12, 3))));
-            cs.push(g.add_node(Node::Filter(Filter::new(format!("C{i}"), 1, 1, 1))));
+            bs.push(g.add_node(Node::filter(Filter::new(format!("B{i}"), 12, 12, 3))));
+            cs.push(g.add_node(Node::filter(Filter::new(format!("C{i}"), 1, 1, 1))));
         }
         let j = g.add_node(Node::Joiner(vec![1, 1, 1, 1]));
-        let d = g.add_node(Node::Filter(Filter::new("D", 2, 2, 2)));
-        let e = g.add_node(Node::Filter(Filter::new("E", 3, 3, 4)));
-        let f = g.add_node(Node::Filter(Filter::new("F", 4, 4, 1)));
-        let gg = g.add_node(Node::Filter(Filter::new("G", 4, 2, 8)));
-        let h = g.add_node(Node::Filter(Filter::new("H", 8, 8, 1)));
+        let d = g.add_node(Node::filter(Filter::new("D", 2, 2, 2)));
+        let e = g.add_node(Node::filter(Filter::new("E", 3, 3, 4)));
+        let f = g.add_node(Node::filter(Filter::new("F", 4, 4, 1)));
+        let gg = g.add_node(Node::filter(Filter::new("G", 4, 2, 8)));
+        let h = g.add_node(Node::filter(Filter::new("H", 8, 8, 1)));
         let k = g.add_node(Node::Sink);
         g.connect(a, 0, sp, 0, ScalarTy::F32);
         for i in 0..4 {
@@ -298,10 +298,10 @@ mod tests {
     fn inconsistent_rates_detected() {
         // Diamond where the two paths disagree: src -> dup -> (x1, x2) -> join.
         let mut g = Graph::new();
-        let s = g.add_node(Node::Filter(Filter::new("s", 0, 0, 1)));
+        let s = g.add_node(Node::filter(Filter::new("s", 0, 0, 1)));
         let sp = g.add_node(Node::Splitter(SplitKind::Duplicate));
-        let x1 = g.add_node(Node::Filter(Filter::new("x1", 1, 1, 1)));
-        let x2 = g.add_node(Node::Filter(Filter::new("x2", 1, 1, 2)));
+        let x1 = g.add_node(Node::filter(Filter::new("x1", 1, 1, 1)));
+        let x2 = g.add_node(Node::filter(Filter::new("x2", 1, 1, 2)));
         let j = g.add_node(Node::Joiner(vec![1, 1]));
         let k = g.add_node(Node::Sink);
         g.connect(s, 0, sp, 0, ScalarTy::F32);
@@ -319,9 +319,9 @@ mod tests {
     #[test]
     fn zero_rate_detected() {
         let mut g = Graph::new();
-        let s = g.add_node(Node::Filter(Filter::new("s", 0, 0, 1)));
+        let s = g.add_node(Node::filter(Filter::new("s", 0, 0, 1)));
         // Filter that never reads its input per its declared rate.
-        let f = g.add_node(Node::Filter(Filter::new("f", 1, 0, 1)));
+        let f = g.add_node(Node::filter(Filter::new("f", 1, 0, 1)));
         let k = g.add_node(Node::Sink);
         g.connect(s, 0, f, 0, ScalarTy::F32);
         g.connect(f, 0, k, 0, ScalarTy::F32);
@@ -334,8 +334,8 @@ mod tests {
     #[test]
     fn simple_chain_scaling() {
         let mut g = Graph::new();
-        let a = g.add_node(Node::Filter(Filter::new("a", 0, 0, 3)));
-        let b = g.add_node(Node::Filter(Filter::new("b", 2, 2, 1)));
+        let a = g.add_node(Node::filter(Filter::new("a", 0, 0, 3)));
+        let b = g.add_node(Node::filter(Filter::new("b", 2, 2, 1)));
         let k = g.add_node(Node::Sink);
         g.connect(a, 0, b, 0, ScalarTy::I32);
         g.connect(b, 0, k, 0, ScalarTy::I32);

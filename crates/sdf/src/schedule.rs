@@ -164,8 +164,8 @@ mod tests {
 
     fn fir_chain(peek: usize) -> (Graph, NodeId, NodeId, NodeId) {
         let mut g = Graph::new();
-        let s = g.add_node(Node::Filter(Filter::new("src", 0, 0, 1)));
-        let f = g.add_node(Node::Filter(Filter::new("fir", peek, 1, 1)));
+        let s = g.add_node(Node::filter(Filter::new("src", 0, 0, 1)));
+        let f = g.add_node(Node::filter(Filter::new("fir", peek, 1, 1)));
         let k = g.add_node(Node::Sink);
         g.connect(s, 0, f, 0, ScalarTy::F32);
         g.connect(f, 0, k, 0, ScalarTy::F32);
@@ -200,9 +200,9 @@ mod tests {
         // extra times to prime fir2, and src must cover fir1's own slack
         // plus what fir1 eats during init.
         let mut g = Graph::new();
-        let s = g.add_node(Node::Filter(Filter::new("src", 0, 0, 1)));
-        let f1 = g.add_node(Node::Filter(Filter::new("fir1", 4, 1, 1)));
-        let f2 = g.add_node(Node::Filter(Filter::new("fir2", 6, 1, 1)));
+        let s = g.add_node(Node::filter(Filter::new("src", 0, 0, 1)));
+        let f1 = g.add_node(Node::filter(Filter::new("fir1", 4, 1, 1)));
+        let f2 = g.add_node(Node::filter(Filter::new("fir2", 6, 1, 1)));
         let k = g.add_node(Node::Sink);
         g.connect(s, 0, f1, 0, ScalarTy::F32);
         g.connect(f1, 0, f2, 0, ScalarTy::F32);
@@ -242,8 +242,8 @@ mod tests {
     #[test]
     fn buffer_capacity_accounts_for_rates() {
         let mut g = Graph::new();
-        let s = g.add_node(Node::Filter(Filter::new("src", 0, 0, 3)));
-        let f = g.add_node(Node::Filter(Filter::new("f", 2, 2, 1)));
+        let s = g.add_node(Node::filter(Filter::new("src", 0, 0, 3)));
+        let f = g.add_node(Node::filter(Filter::new("f", 2, 2, 1)));
         let k = g.add_node(Node::Sink);
         g.connect(s, 0, f, 0, ScalarTy::F32);
         g.connect(f, 0, k, 0, ScalarTy::F32);

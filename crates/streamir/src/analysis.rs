@@ -150,6 +150,15 @@ impl VarSet {
         VarSet::default()
     }
 
+    /// The empty set sized for `vars` variables: inserting any of them
+    /// allocates nothing more.
+    pub fn with_vars(vars: usize) -> VarSet {
+        VarSet {
+            member: vec![false; vars],
+            len: 0,
+        }
+    }
+
     /// Add `v`; true if it was not a member.
     pub fn insert(&mut self, v: VarId) -> bool {
         let i = v.0 as usize;
@@ -1461,14 +1470,14 @@ mod tests {
         let f = region_iir(8);
         let mut f2 = f.clone();
         f2.region.as_mut().unwrap().regions = 8; // identical
-        g1.add_node(Node::Filter(f));
-        g2.add_node(Node::Filter(f2));
+        g1.add_node(Node::filter(f));
+        g2.add_node(Node::filter(f2));
         assert_eq!(structural_hash(&g1), structural_hash(&g2));
 
         let mut g3 = Graph::new();
         let mut f3 = region_iir(8);
         f3.region = None; // dropping the annotation must change the hash
-        g3.add_node(Node::Filter(f3));
+        g3.add_node(Node::filter(f3));
         assert_ne!(structural_hash(&g1), structural_hash(&g3));
     }
 }

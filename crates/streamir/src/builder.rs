@@ -134,7 +134,7 @@ fn flatten(g: &mut Graph, spec: StreamSpec, in_elem: ScalarTy) -> Result<Ends, B
         StreamSpec::Filter { filter, out_elem } => {
             let consumes = filter.pop > 0 || filter.peek > 0;
             let produces = filter.push > 0;
-            let id = g.add_node(Node::Filter(filter));
+            let id = g.add_node(Node::filter(filter));
             Ok(Ends {
                 entry: consumes.then_some(id),
                 exit: produces.then_some((id, out_elem)),

@@ -110,6 +110,22 @@ impl Filter {
         }
     }
 
+    /// This filter with its `init` and `work` bodies replaced: the new
+    /// bodies are moved in and the old ones are not copied.
+    pub fn with_bodies(&self, init: Vec<Stmt>, work: Vec<Stmt>) -> Filter {
+        Filter {
+            name: self.name.clone(),
+            peek: self.peek,
+            pop: self.pop,
+            push: self.push,
+            vars: self.vars.clone(),
+            chans: self.chans.clone(),
+            init,
+            work,
+            region: self.region.clone(),
+        }
+    }
+
     /// Declare a variable, returning its id.
     pub fn add_var(&mut self, name: impl Into<String>, ty: Ty, kind: VarKind) -> VarId {
         self.vars.push(VarDecl {

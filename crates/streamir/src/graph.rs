@@ -4,6 +4,7 @@
 use crate::filter::Filter;
 use crate::types::ScalarTy;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies a node within a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -80,10 +81,16 @@ impl Reorder {
 }
 
 /// A node of the stream graph.
+///
+/// Actors are shared: cloning a node or a whole [`Graph`] copies a
+/// reference count, not the actor's bodies, so a graph and the graphs a
+/// pass derives from it hold every actor the pass left alone in common.
+/// A pass that rewrites an actor builds or `Arc::make_mut`s its own copy.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Node {
     /// A computational actor (1 optional input, 1 optional output).
-    Filter(Filter),
+    /// Build one with [`Node::filter`].
+    Filter(Arc<Filter>),
     /// Distributes one input tape over several output tapes.
     Splitter(SplitKind),
     /// Merges several input tapes round-robin by the given weights.
@@ -111,6 +118,11 @@ pub enum Node {
 }
 
 impl Node {
+    /// A filter node owning a fresh actor.
+    pub fn filter(f: Filter) -> Node {
+        Node::Filter(Arc::new(f))
+    }
+
     /// Display name for reports.
     pub fn name(&self) -> String {
         match self {
@@ -436,22 +448,20 @@ impl Graph {
 
     /// The single input edge of a node, if it has exactly one.
     pub fn single_in_edge(&self, id: NodeId) -> Option<EdgeId> {
-        let v = self.in_edges(id);
-        if v.len() == 1 {
-            Some(v[0])
-        } else {
-            None
-        }
+        self.only_edge(|e| e.dst == id)
     }
 
     /// The single output edge of a node, if it has exactly one.
     pub fn single_out_edge(&self, id: NodeId) -> Option<EdgeId> {
-        let v = self.out_edges(id);
-        if v.len() == 1 {
-            Some(v[0])
-        } else {
-            None
-        }
+        self.only_edge(|e| e.src == id)
+    }
+
+    /// The one edge `hit` accepts, if exactly one does; one scan of the
+    /// edge table, nothing allocated.
+    fn only_edge(&self, hit: impl Fn(&Edge) -> bool) -> Option<EdgeId> {
+        let mut found = self.edges().filter(|(_, e)| hit(e)).map(|(id, _)| id);
+        let first = found.next()?;
+        found.next().is_none().then_some(first)
     }
 
     /// Topological order of all nodes.
@@ -608,8 +618,8 @@ mod tests {
 
     fn chain3() -> (Graph, NodeId, NodeId, NodeId) {
         let mut g = Graph::new();
-        let a = g.add_node(Node::Filter(Filter::new("src", 0, 0, 2)));
-        let b = g.add_node(Node::Filter(Filter::new("mid", 2, 2, 1)));
+        let a = g.add_node(Node::filter(Filter::new("src", 0, 0, 2)));
+        let b = g.add_node(Node::filter(Filter::new("mid", 2, 2, 1)));
         let c = g.add_node(Node::Sink);
         g.connect(a, 0, b, 0, ScalarTy::F32);
         g.connect(b, 0, c, 0, ScalarTy::F32);
@@ -661,13 +671,13 @@ mod tests {
     #[test]
     fn adjacency_matches_the_per_node_scans() {
         let mut g = Graph::new();
-        let src = g.add_node(Node::Filter(Filter::new("src", 0, 0, 3)));
+        let src = g.add_node(Node::filter(Filter::new("src", 0, 0, 3)));
         let split = g.add_node(Node::Splitter(SplitKind::RoundRobin(vec![1, 1, 1])));
         let join = g.add_node(Node::Joiner(vec![1, 1, 1]));
         let sink = g.add_node(Node::Sink);
         g.connect(src, 0, split, 0, ScalarTy::I32);
         for port in [2, 0, 1] {
-            let f = g.add_node(Node::Filter(Filter::new("f", 1, 1, 1)));
+            let f = g.add_node(Node::filter(Filter::new("f", 1, 1, 1)));
             g.connect(split, port, f, 0, ScalarTy::I32);
             g.connect(f, 0, join, port, ScalarTy::I32);
         }
@@ -688,8 +698,8 @@ mod tests {
     #[test]
     fn cycle_detected() {
         let mut g = Graph::new();
-        let a = g.add_node(Node::Filter(Filter::new("a", 1, 1, 1)));
-        let b = g.add_node(Node::Filter(Filter::new("b", 1, 1, 1)));
+        let a = g.add_node(Node::filter(Filter::new("a", 1, 1, 1)));
+        let b = g.add_node(Node::filter(Filter::new("b", 1, 1, 1)));
         g.connect(a, 0, b, 0, ScalarTy::I32);
         g.connect(b, 0, a, 0, ScalarTy::I32);
         assert_eq!(g.topo_order(), Err(GraphError::Cyclic));
@@ -698,7 +708,7 @@ mod tests {
     #[test]
     fn validate_rejects_source_with_pop() {
         let mut g = Graph::new();
-        let a = g.add_node(Node::Filter(Filter::new("bad", 1, 1, 1)));
+        let a = g.add_node(Node::filter(Filter::new("bad", 1, 1, 1)));
         let b = g.add_node(Node::Sink);
         g.connect(a, 0, b, 0, ScalarTy::I32);
         let err = g.validate().unwrap_err();
@@ -708,9 +718,9 @@ mod tests {
     #[test]
     fn validate_rejects_double_input_filter() {
         let mut g = Graph::new();
-        let s1 = g.add_node(Node::Filter(Filter::new("s1", 0, 0, 1)));
-        let s2 = g.add_node(Node::Filter(Filter::new("s2", 0, 0, 1)));
-        let f = g.add_node(Node::Filter(Filter::new("f", 2, 2, 1)));
+        let s1 = g.add_node(Node::filter(Filter::new("s1", 0, 0, 1)));
+        let s2 = g.add_node(Node::filter(Filter::new("s2", 0, 0, 1)));
+        let f = g.add_node(Node::filter(Filter::new("f", 2, 2, 1)));
         let k = g.add_node(Node::Sink);
         g.connect(s1, 0, f, 0, ScalarTy::I32);
         g.connect(s2, 0, f, 1, ScalarTy::I32);
@@ -721,7 +731,7 @@ mod tests {
     #[test]
     fn in_out_edges_sorted_by_port() {
         let mut g = Graph::new();
-        let src = g.add_node(Node::Filter(Filter::new("src", 0, 0, 3)));
+        let src = g.add_node(Node::filter(Filter::new("src", 0, 0, 3)));
         let sp = g.add_node(Node::Splitter(SplitKind::RoundRobin(vec![1, 1, 1])));
         let j = g.add_node(Node::Joiner(vec![1, 1, 1]));
         let k = g.add_node(Node::Sink);

@@ -462,16 +462,16 @@ mod tests {
         let (s, sp, l, r, j, k) = if order_flipped {
             let k = g.add_node(Node::Sink);
             let j = g.add_node(Node::Joiner(vec![1, 3]));
-            let r = g.add_node(Node::Filter(right));
-            let l = g.add_node(Node::Filter(left));
+            let r = g.add_node(Node::filter(right));
+            let l = g.add_node(Node::filter(left));
             let sp = g.add_node(Node::Splitter(SplitKind::RoundRobin(vec![1, 1])));
-            let s = g.add_node(Node::Filter(src));
+            let s = g.add_node(Node::filter(src));
             (s, sp, l, r, j, k)
         } else {
-            let s = g.add_node(Node::Filter(src));
+            let s = g.add_node(Node::filter(src));
             let sp = g.add_node(Node::Splitter(SplitKind::RoundRobin(vec![1, 1])));
-            let l = g.add_node(Node::Filter(left));
-            let r = g.add_node(Node::Filter(right));
+            let l = g.add_node(Node::filter(left));
+            let r = g.add_node(Node::filter(right));
             let j = g.add_node(Node::Joiner(vec![1, 3]));
             let k = g.add_node(Node::Sink);
             (s, sp, l, r, j, k)
@@ -496,11 +496,11 @@ mod tests {
     #[test]
     fn rate_change_diverges() {
         let mut a = Graph::new();
-        let s = a.add_node(Node::Filter(rated_filter("s", 0, 0, 2)));
+        let s = a.add_node(Node::filter(rated_filter("s", 0, 0, 2)));
         let k = a.add_node(Node::Sink);
         a.connect(s, 0, k, 0, ScalarTy::I32);
         let mut b = Graph::new();
-        let s = b.add_node(Node::Filter(rated_filter("s", 0, 0, 4)));
+        let s = b.add_node(Node::filter(rated_filter("s", 0, 0, 4)));
         let k = b.add_node(Node::Sink);
         b.connect(s, 0, k, 0, ScalarTy::I32);
         assert_ne!(structural_hash(&a), structural_hash(&b));
@@ -510,10 +510,10 @@ mod tests {
     fn splitter_weights_matter() {
         let build = |w: Vec<usize>| {
             let mut g = Graph::new();
-            let s = g.add_node(Node::Filter(rated_filter("s", 0, 0, 4)));
+            let s = g.add_node(Node::filter(rated_filter("s", 0, 0, 4)));
             let sp = g.add_node(Node::Splitter(SplitKind::RoundRobin(w.clone())));
-            let l = g.add_node(Node::Filter(rated_filter("l", 1, 1, 1)));
-            let r = g.add_node(Node::Filter(rated_filter("r", 1, 1, 1)));
+            let l = g.add_node(Node::filter(rated_filter("l", 1, 1, 1)));
+            let r = g.add_node(Node::filter(rated_filter("r", 1, 1, 1)));
             let j = g.add_node(Node::Joiner(w.clone()));
             let k = g.add_node(Node::Sink);
             g.connect(s, 0, sp, 0, ScalarTy::I32);
@@ -541,7 +541,7 @@ mod tests {
                 _ => b.push(1i32),
             };
             f.work = b.build();
-            let s = g.add_node(Node::Filter(f));
+            let s = g.add_node(Node::filter(f));
             let k = g.add_node(Node::Sink);
             g.connect(s, 0, k, 0, t);
             g

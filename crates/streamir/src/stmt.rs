@@ -94,6 +94,29 @@ impl Stmt {
     }
 }
 
+/// Copy-on-write rewrite of a list (a block's statements, a call's
+/// arguments): `rewrite` returns the replacement for an item it changes
+/// (any number of items, none to delete it) and `None` to keep it.
+/// `None` when every item is kept, with nothing allocated; otherwise the
+/// new list, the kept items cloned around the replacements.
+pub fn rewrite_slice<T: Clone, R: IntoIterator<Item = T>>(
+    items: &[T],
+    mut rewrite: impl FnMut(&T) -> Option<R>,
+) -> Option<Vec<T>> {
+    let mut out: Option<Vec<T>> = None;
+    for (i, item) in items.iter().enumerate() {
+        match rewrite(item) {
+            Some(new) => out.get_or_insert_with(|| items[..i].to_vec()).extend(new),
+            None => {
+                if let Some(out) = &mut out {
+                    out.push(item.clone());
+                }
+            }
+        }
+    }
+    out
+}
+
 fn write_block(f: &mut fmt::Formatter<'_>, stmts: &[Stmt], indent: usize) -> fmt::Result {
     for s in stmts {
         s.fmt_indented(f, indent)?;
@@ -188,6 +211,24 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("for (v0 : 0 to 4) {"));
         assert!(text.contains("push((v1 * 2.0f));"));
+    }
+
+    #[test]
+    fn rewrite_slice_copies_only_on_a_change() {
+        let block = match sample_loop() {
+            Stmt::For { body, .. } => body,
+            _ => unreachable!(),
+        };
+        assert_eq!(rewrite_slice(&block, |_| None::<Vec<Stmt>>), None);
+        let dropped = rewrite_slice(&block, |s| matches!(s, Stmt::Push(_)).then(Vec::new));
+        assert_eq!(dropped, Some(block[..1].to_vec()));
+        let doubled = rewrite_slice(&block, |s| {
+            matches!(s, Stmt::Assign(..)).then(|| vec![s.clone(), s.clone()])
+        });
+        assert_eq!(
+            doubled,
+            Some(vec![block[0].clone(), block[0].clone(), block[1].clone()])
+        );
     }
 
     #[test]

@@ -596,8 +596,8 @@ mod reorder_cost_tests {
             };
             let mut s2 = s1.clone();
             s2.name = "s2".into();
-            let a = g.add_node(Node::Filter(s1));
-            let c = g.add_node(Node::Filter(s2));
+            let a = g.add_node(Node::filter(s1));
+            let c = g.add_node(Node::filter(s2));
             let j = g.add_node(Node::Joiner(vec![2, 2]));
             // Vectorized consumer doing vector pops of width 4, rate 1.
             let mut vf = macross_streamir::Filter::new("v", 4, 4, 4);
@@ -613,7 +613,7 @@ mod reorder_cost_tests {
                     width: 4,
                 },
             ];
-            let vnode = g.add_node(Node::Filter(vf));
+            let vnode = g.add_node(Node::filter(vf));
             let k = g.add_node(Node::Sink);
             g.connect(a, 0, j, 0, ScalarTy::I32);
             g.connect(c, 0, j, 1, ScalarTy::I32);

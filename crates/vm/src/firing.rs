@@ -885,7 +885,7 @@ mod tests {
     #[should_panic(expected = "joins tapes of different element types")]
     fn a_native_node_between_tapes_of_two_types_is_refused_when_planned() {
         let mut g = Graph::new();
-        let src = g.add_node(Node::Filter(Filter::new("src", 0, 0, 1)));
+        let src = g.add_node(Node::filter(Filter::new("src", 0, 0, 1)));
         let join = g.add_node(Node::Joiner(vec![1]));
         let sink = g.add_node(Node::Sink);
         g.connect(src, 0, join, 0, ScalarTy::I32);
@@ -899,7 +899,7 @@ mod tests {
     #[test]
     fn a_block_of_any_node_kind_refuses_a_poisoned_tape() {
         let mut g = Graph::new();
-        let src = g.add_node(Node::Filter(Filter::new("src", 0, 0, 2)));
+        let src = g.add_node(Node::filter(Filter::new("src", 0, 0, 2)));
         let split = g.add_node(Node::Splitter(SplitKind::RoundRobin(vec![1, 1])));
         let join = g.add_node(Node::Joiner(vec![1, 1]));
         let sink = g.add_node(Node::Sink);
@@ -944,8 +944,8 @@ mod tests {
     #[test]
     fn a_plan_compiled_for_other_tapes_is_refused_at_the_block_boundary() {
         let mut g = Graph::new();
-        let src = g.add_node(Node::Filter(Filter::new("src", 0, 0, 1)));
-        let f = g.add_node(Node::Filter(Filter::new("f", 1, 1, 1)));
+        let src = g.add_node(Node::filter(Filter::new("src", 0, 0, 1)));
+        let f = g.add_node(Node::filter(Filter::new("f", 1, 1, 1)));
         let sink = g.add_node(Node::Sink);
         g.connect(src, 0, f, 0, ScalarTy::F32);
         g.connect(f, 0, sink, 0, ScalarTy::F32);
@@ -991,8 +991,8 @@ mod tests {
     #[test]
     fn out_of_file_vector_operand_fails_the_firing_and_poisons_both_tapes() {
         let mut g = Graph::new();
-        let src = g.add_node(Node::Filter(Filter::new("src", 0, 0, 1)));
-        let f = g.add_node(Node::Filter(Filter::new("wild", 1, 1, 1)));
+        let src = g.add_node(Node::filter(Filter::new("src", 0, 0, 1)));
+        let f = g.add_node(Node::filter(Filter::new("wild", 1, 1, 1)));
         let sink = g.add_node(Node::Sink);
         g.connect(src, 0, f, 0, ScalarTy::F32);
         g.connect(f, 0, sink, 0, ScalarTy::F32);

@@ -1049,8 +1049,8 @@ mod engine_differential {
         });
         let mut g = Graph::new();
         let (l, h) = (
-            g.add_node(Node::Filter(liar.build())),
-            g.add_node(Node::Filter(halve.build())),
+            g.add_node(Node::filter(liar.build())),
+            g.add_node(Node::filter(halve.build())),
         );
         let k = g.add_node(Node::Sink);
         g.connect(l, 0, h, 0, ScalarTy::F32);
@@ -1093,8 +1093,8 @@ mod engine_differential {
                 b.push(pop());
             });
             let mut g = Graph::new();
-            let s = g.add_node(Node::Filter(src.build()));
-            let f = g.add_node(Node::Filter(copy.build()));
+            let s = g.add_node(Node::filter(src.build()));
+            let f = g.add_node(Node::filter(copy.build()));
             let k = g.add_node(Node::Sink);
             g.connect(s, 0, f, 0, token.ty());
             g.connect(f, 0, k, 0, token.ty());

@@ -14,8 +14,8 @@ use macross_repro::vm::Machine;
 #[test]
 fn cyclic_graph_is_rejected_everywhere() {
     let mut g = Graph::new();
-    let a = g.add_node(Node::Filter(Filter::new("a", 1, 1, 1)));
-    let b = g.add_node(Node::Filter(Filter::new("b", 1, 1, 1)));
+    let a = g.add_node(Node::filter(Filter::new("a", 1, 1, 1)));
+    let b = g.add_node(Node::filter(Filter::new("b", 1, 1, 1)));
     g.connect(a, 0, b, 0, ScalarTy::F32);
     g.connect(b, 0, a, 0, ScalarTy::F32);
     assert_eq!(g.topo_order(), Err(GraphError::Cyclic));
@@ -37,7 +37,7 @@ fn rate_liar_is_caught_by_driver() {
         b.push(1.0f32);
     });
     let mut g = Graph::new();
-    let s = g.add_node(Node::Filter(src.build()));
+    let s = g.add_node(Node::filter(src.build()));
     let k = g.add_node(Node::Sink);
     g.connect(s, 0, k, 0, ScalarTy::F32);
     let err = macro_simdize(&g, &Machine::core_i7(), &SimdizeOptions::all()).unwrap_err();
@@ -48,10 +48,10 @@ fn rate_liar_is_caught_by_driver() {
 #[test]
 fn inconsistent_splitjoin_rates_fail_scheduling() {
     let mut g = Graph::new();
-    let s = g.add_node(Node::Filter(Filter::new("s", 0, 0, 2)));
+    let s = g.add_node(Node::filter(Filter::new("s", 0, 0, 2)));
     let sp = g.add_node(Node::Splitter(SplitKind::Duplicate));
-    let x1 = g.add_node(Node::Filter(Filter::new("x1", 1, 1, 1)));
-    let x2 = g.add_node(Node::Filter(Filter::new("x2", 1, 1, 3)));
+    let x1 = g.add_node(Node::filter(Filter::new("x1", 1, 1, 1)));
+    let x2 = g.add_node(Node::filter(Filter::new("x2", 1, 1, 3)));
     let j = g.add_node(Node::Joiner(vec![1, 1]));
     let k = g.add_node(Node::Sink);
     g.connect(s, 0, sp, 0, ScalarTy::F32);

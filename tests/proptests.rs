@@ -950,10 +950,10 @@ fn repetition_vector_balances_pipelines() {
             (0..n).map(|_| (rng.range(1, 6), rng.range(1, 6))).collect();
         let mut g = Graph::new();
         let first_push = rates[0].0;
-        let src = g.add_node(Node::Filter(Filter::new("src", 0, 0, first_push)));
+        let src = g.add_node(Node::filter(Filter::new("src", 0, 0, first_push)));
         let mut prev = src;
         for (i, &(pop, push)) in rates.iter().enumerate() {
-            let f = g.add_node(Node::Filter(Filter::new(format!("f{i}"), pop, pop, push)));
+            let f = g.add_node(Node::filter(Filter::new(format!("f{i}"), pop, pop, push)));
             g.connect(prev, 0, f, 0, ScalarTy::I32);
             prev = f;
         }
@@ -974,7 +974,7 @@ fn split_join_reps_uniform() {
     for branches in 2usize..6 {
         for w in 1usize..4 {
             let mut g = Graph::new();
-            let src = g.add_node(Node::Filter(Filter::new("src", 0, 0, branches * w)));
+            let src = g.add_node(Node::filter(Filter::new("src", 0, 0, branches * w)));
             let sp = g.add_node(Node::Splitter(
                 macross_repro::streamir::SplitKind::RoundRobin(vec![w; branches]),
             ));
@@ -983,7 +983,7 @@ fn split_join_reps_uniform() {
             g.connect(src, 0, sp, 0, ScalarTy::I32);
             let mut ids = Vec::new();
             for i in 0..branches {
-                let f = g.add_node(Node::Filter(Filter::new(format!("b{i}"), w, w, w)));
+                let f = g.add_node(Node::filter(Filter::new(format!("b{i}"), w, w, w)));
                 g.connect(sp, i, f, 0, ScalarTy::I32);
                 g.connect(f, 0, j, i, ScalarTy::I32);
                 ids.push(f);
