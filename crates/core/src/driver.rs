@@ -10,8 +10,8 @@ use crate::error::SimdizeError;
 use crate::horizontal::{find_split_joins, horizontalize};
 use crate::permnet::{gather_applicable, scatter_applicable};
 use crate::region::{region_width, simdize_region_actor_analyzed};
-use crate::single::{stage_actor, SingleActorConfig, Staged, TapeMode};
-use crate::vertical::{fuse_vetted_chain, link_fusable_vetted, splice_fused};
+use crate::single::{stage_actor, uses_peek, SingleActorConfig, Staged, TapeMode};
+use crate::vertical::{chain_reps, fuse_vetted_chain, link_fusable_vetted, splice_fused};
 use macross_sdf::{compute_init_reps, lcm, Schedule};
 use macross_streamir::analysis::{analyze_vectorizability, check_rates, Vectorizability};
 use macross_streamir::filter::Filter;
@@ -20,7 +20,7 @@ use macross_streamir::stmt::Stmt;
 use macross_streamir::types::ScalarTy;
 use macross_telemetry::compile::{Pass, PassEvent};
 use macross_vm::Machine;
-use std::collections::HashSet;
+use std::fmt::Write;
 
 /// Which transforms and optimizations the driver may apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -163,26 +163,46 @@ pub struct Simdized {
     pub report: SimdizeReport,
 }
 
-/// [`analyze_vectorizability`] memoised per node for one graph revision,
-/// so every phase of one `macro_simdize` call reads the same verdict
-/// instead of recomputing it.
-struct VaMemo(Vec<Option<Vectorizability>>);
+/// [`analyze_vectorizability`] and [`uses_peek`] memoised per node for
+/// one graph revision, so every phase of one `macro_simdize` call reads
+/// the same verdict instead of recomputing it, and the chain search walks
+/// a body for its peeks once, not on every link of every round.
+struct VaMemo(Vec<Verdict>);
+
+/// What [`VaMemo`] knows about one filter, each part computed on first use.
+#[derive(Debug, Clone, Default)]
+struct Verdict {
+    va: Option<Vectorizability>,
+    peeks: Option<bool>,
+}
 
 impl VaMemo {
     fn new(graph: &Graph) -> VaMemo {
-        VaMemo(vec![None; graph.node_count()])
+        VaMemo(vec![Verdict::default(); graph.node_count()])
     }
 
     /// The verdict for filter `id`; `None` for every other node kind.
     fn get(&mut self, graph: &Graph, id: NodeId) -> Option<&Vectorizability> {
         let f = graph.node(id).as_filter()?;
-        Some(self.0[id.0 as usize].get_or_insert_with(|| analyze_vectorizability(f)))
+        Some(
+            self.0[id.0 as usize]
+                .va
+                .get_or_insert_with(|| analyze_vectorizability(f)),
+        )
     }
 
     /// Is this filter eligible for single/vertical SIMDization on `machine`?
     fn eligible(&mut self, graph: &Graph, id: NodeId, machine: &Machine) -> bool {
         self.get(graph, id)
             .is_some_and(|va| va.simdizable() && machine.supports_all(&va.intrinsics))
+    }
+
+    /// [`uses_peek`] of filter `id`.
+    fn peeks(&mut self, graph: &Graph, id: NodeId) -> bool {
+        let f = graph.node(id).as_filter().expect("a filter");
+        *self.0[id.0 as usize]
+            .peeks
+            .get_or_insert_with(|| uses_peek(f))
     }
 }
 
@@ -208,8 +228,9 @@ fn tape_elems(g: &Graph, id: NodeId) -> (ScalarTy, ScalarTy) {
 /// Run macro-SIMDization (Algorithm 1) on a stream graph.
 ///
 /// # Errors
-/// Fails if the graph is invalid, any filter's declared rates disagree
-/// with its body, or an internal transform self-check fails.
+/// Fails if the machine's SIMD width is not a power of two `>= 2`, the
+/// graph is invalid, any filter's declared rates disagree with its body,
+/// or an internal transform self-check fails.
 pub fn macro_simdize(
     graph: &Graph,
     machine: &Machine,
@@ -240,6 +261,10 @@ pub fn macro_simdize_colocated(
     colors: &[u32],
 ) -> Result<(Simdized, Vec<u32>), SimdizeError> {
     assert_eq!(colors.len(), graph.node_count(), "one color per node");
+    let sw = machine.simd_width;
+    if !sw.is_power_of_two() || sw < 2 {
+        return Err(SimdizeError::SimdWidth(sw));
+    }
     let mut colors: Vec<u32> = colors.to_vec();
     graph
         .validate()
@@ -249,7 +274,6 @@ pub fn macro_simdize_colocated(
             check_rates(f).map_err(|e| SimdizeError::RateCheck(e.to_string()))?;
         }
     }
-    let sw = machine.simd_width;
     let mut report = SimdizeReport {
         scale_factor: 1,
         ..Default::default()
@@ -339,38 +363,50 @@ pub fn macro_simdize_colocated(
     let mut fused = vec![false; g.node_count()];
     if opts.vertical {
         loop {
+            // Recomputed after each splice, not carried across it: a
+            // round fuses the first chain in this order, and a splice
+            // shortens the paths through the chain, which can move one
+            // later chain's head ahead of another's (DESIGN.md §18).
             let order = g
                 .topo_order()
                 .map_err(|e| SimdizeError::Graph(e.to_string()))?;
-            let mut taken: HashSet<NodeId> = HashSet::new();
-            let mut chain: Option<Vec<NodeId>> = None;
-            'outer: for &id in &order {
-                if taken.contains(&id) || !va.eligible(&g, id, machine) {
+            let mut taken = vec![false; g.node_count()];
+            let mut c: Vec<NodeId> = Vec::new();
+            let mut found = false;
+            for &id in &order {
+                if taken[id.0 as usize] || !va.eligible(&g, id, machine) {
                     continue;
                 }
-                let mut c = vec![id];
+                c.clear();
+                c.push(id);
                 let mut cur = id;
                 while let Some(e) = g.single_out_edge(cur) {
                     let next = g.edge(e).dst;
-                    if taken.contains(&next)
+                    if taken[next.0 as usize]
                         || !va.eligible(&g, next, machine)
                         || colors[next.0 as usize] != colors[id.0 as usize]
-                        || link_fusable_vetted(&g, cur, next).is_err()
+                        || !link_fusable_vetted(&g, cur, next, va.peeks(&g, next))
                     {
                         break;
                     }
                     c.push(next);
                     cur = next;
                 }
-                taken.extend(c.iter().copied());
+                for &n in &c {
+                    taken[n.0 as usize] = true;
+                }
                 if c.len() >= 2 {
-                    chain = Some(c);
-                    break 'outer;
+                    found = true;
+                    break;
                 }
             }
-            let Some(chain) = chain else { break };
-            let sched = Schedule::compute(&g)?;
-            let reps: Vec<u64> = chain.iter().map(|&id| sched.rep(id)).collect();
+            if !found {
+                break;
+            }
+            let chain = c;
+            let reps = chain_reps(&g, &chain)?;
+            #[cfg(debug_assertions)]
+            check_chain_reps(&g, &chain, &reps);
             let names: Vec<String> = chain.iter().map(|&id| g.node(id).name()).collect();
             let chain_color = colors[chain[0].0 as usize];
             let spliced = splice_fused(&g, &chain, fuse_vetted_chain(&g, &chain, &reps));
@@ -473,20 +509,24 @@ pub fn macro_simdize_colocated(
         report.search.selected_actors += 1;
         report.search.pairs_costed += pairs.len();
         report.search.cost_walks += 2;
-        let costed = pairs
-            .iter()
-            .zip(&costs)
-            .map(|((im, om), cost)| format!("{im:?}/{om:?}={cost}"))
-            .collect::<Vec<_>>()
-            .join(" ");
+        // The pass note, written into one string: the verdict, then the
+        // cost of every pair.
+        let unprofitable = opts.profitability && vcost >= (sw as u64) * scost;
+        let mut note = String::with_capacity(80 + 24 * pairs.len());
+        if unprofitable {
+            note.push_str("vector firing not cheaper than SW scalar firings; costed in/out");
+        } else {
+            write!(note, "tapes in={input:?} out={output:?}; costed in/out").expect("a String");
+        }
+        for ((im, om), cost) in pairs.iter().zip(&costs) {
+            write!(note, " {im:?}/{om:?}={cost}").expect("a String");
+        }
 
-        if opts.profitability && vcost >= (sw as u64) * scost {
+        if unprofitable {
             report.passes.push(
                 PassEvent::new(Pass::Unprofitable, f.name.clone(), sw as u64)
                     .costs(scost, vcost)
-                    .note(format!(
-                        "vector firing not cheaper than SW scalar firings; costed in/out {costed}"
-                    )),
+                    .note(note),
             );
             report.skipped_unprofitable.push(f.name.clone());
             continue;
@@ -494,9 +534,7 @@ pub fn macro_simdize_colocated(
         report.passes.push(
             PassEvent::new(Pass::SingleActor, f.name.clone(), sw as u64)
                 .costs(scost, vcost)
-                .note(format!(
-                    "tapes in={input:?} out={output:?}; costed in/out {costed}"
-                )),
+                .note(note),
         );
         let vf = staged.materialize(input, output)?;
         report.search.lowerings += 1;
@@ -773,6 +811,30 @@ fn exhaustive_grid(
         }
     }
     grid
+}
+
+/// The chain-repetition oracle: the repetition numbers [`chain_reps`]
+/// takes from the chain's own balance equations must be the graph's
+/// steady-state repetition numbers of the chain divided by their gcd.
+/// Debug builds check every fused chain (a graph that does not schedule
+/// fails after the fusion loop instead).
+#[cfg(debug_assertions)]
+fn check_chain_reps(g: &Graph, chain: &[NodeId], reps: &[u64]) {
+    let Ok(sched) = Schedule::compute(g) else {
+        return;
+    };
+    let global: Vec<u64> = chain.iter().map(|&id| sched.rep(id)).collect();
+    let d = global.iter().copied().fold(0, macross_sdf::gcd);
+    let global: Vec<u64> = global.iter().map(|r| r / d).collect();
+    assert_eq!(
+        reps,
+        global.as_slice(),
+        "chain {:?}: balance-equation reps differ from the schedule's",
+        chain
+            .iter()
+            .map(|&id| g.node(id).name())
+            .collect::<Vec<_>>()
+    );
 }
 
 /// True if the neighbour on the given side is a scalar consumer/producer
@@ -1346,6 +1408,65 @@ mod tests {
             let (_, _, report) = differential(&g, &machine, &SimdizeOptions::all(), 6);
             assert_eq!(report.search.selected_actors, 1);
         }
+    }
+
+    /// Each round fuses the first chain in the topological order of the
+    /// graph as the previous splices left it. Fusing `a1 -> a2` shortens
+    /// branch A, which moves `hX` ahead of `hC` although `hC` comes first
+    /// in the input's order: an order carried across the splice would
+    /// fuse `hC -> hC2` second.
+    #[test]
+    fn each_round_fuses_the_first_chain_of_the_spliced_graph() {
+        let plain = |name: &str| {
+            let mut fb = FilterBuilder::new(name, 1, 1, 1, ScalarTy::F32);
+            fb.work(|b| {
+                b.push(pop() * 2.0f32);
+            });
+            fb.build_spec()
+        };
+        let stateful = |name: &str| {
+            let mut fb = FilterBuilder::new(name, 1, 1, 1, ScalarTy::F32);
+            let s = fb.state("s", Ty::Scalar(ScalarTy::F32));
+            fb.work(|b| {
+                b.set(s, v(s) + pop());
+                b.push(v(s));
+            });
+            fb.build_spec()
+        };
+        let branch_a = ["a0", "a1", "a2", "a3", "hX", "hX2"];
+        let branch_c = ["c0", "c1", "c2", "hC", "hC2"];
+        // Stateful actors are never fused: they cut the branches into
+        // the chains a1 -> a2, hX -> hX2 and hC -> hC2.
+        let stage = |name: &&str| {
+            if ["a0", "a3", "c0", "c1", "c2"].contains(name) {
+                stateful(name)
+            } else {
+                plain(name)
+            }
+        };
+        let g = StreamSpec::pipeline(vec![
+            f32_source("src"),
+            StreamSpec::split_join_duplicate(
+                1,
+                vec![
+                    StreamSpec::pipeline(branch_a.iter().map(stage).collect()),
+                    StreamSpec::pipeline(branch_c.iter().map(stage).collect()),
+                ],
+            ),
+            StreamSpec::Sink,
+        ])
+        .build()
+        .unwrap();
+        let order: Vec<String> = (g.topo_order().unwrap().iter())
+            .map(|&id| g.node(id).name())
+            .collect();
+        let at = |name: &str| order.iter().position(|n| n == name).unwrap();
+        assert!(at("hC") < at("hX"), "{order:?}");
+        let simd = macro_simdize(&g, &Machine::core_i7(), &SimdizeOptions::all()).unwrap();
+        assert_eq!(
+            simd.report.vertical_chains,
+            [["a1", "a2"], ["hX", "hX2"], ["hC", "hC2"]]
+        );
     }
 
     #[test]

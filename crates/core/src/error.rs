@@ -20,6 +20,9 @@ pub enum SimdizeError {
     Schedule(String),
     /// The graph is structurally unsuitable.
     Graph(String),
+    /// The machine's SIMD width is not a power of two `>= 2`, so no lane
+    /// layout of the transforms fits it.
+    SimdWidth(usize),
 }
 
 impl fmt::Display for SimdizeError {
@@ -31,6 +34,9 @@ impl fmt::Display for SimdizeError {
             SimdizeError::RateCheck(s) => write!(f, "rate self-check failed: {s}"),
             SimdizeError::Schedule(s) => write!(f, "scheduling failed: {s}"),
             SimdizeError::Graph(s) => write!(f, "graph error: {s}"),
+            SimdizeError::SimdWidth(w) => {
+                write!(f, "SIMD width {w} is not a power of two >= 2")
+            }
         }
     }
 }

@@ -506,14 +506,17 @@ pub fn horizontalize(
                         .expect("filter")
                 })
                 .collect();
-            let m = merge_isomorphic(&actors, sw)?;
+            let mut m = merge_isomorphic(&actors, sw)?;
             check_uniform_control(&m)?;
             let out_elem = if l + 1 < levels {
                 elem_in[l + 1]
             } else {
                 elem_out_last
             };
-            let m = stage(m, sw, elem_in[l], out_elem, &VarSet::new()).lower(
+            // The merged body is new and used once: stage a copy of it
+            // and drop it.
+            let work = std::mem::take(&mut m.work);
+            let m = stage(m, &work, sw, elem_in[l], out_elem, &VarSet::new()).lower(
                 TapeMode::Vector,
                 TapeMode::Vector,
                 true,

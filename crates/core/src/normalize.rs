@@ -2,13 +2,20 @@
 //! operand into a fresh local, so the SIMDizer only has to handle the
 //! statement forms `v = pop()`, `v = peek(e)`, `v = lpop(ch)` and
 //! `push(v)` / `lpush(ch, v)`.
+//!
+//! Normalization copies: it reads a body by reference and writes the
+//! normal form into the filter being staged, so staging builds each
+//! statement list once and never copies the source actor first.
 
-use macross_streamir::expr::{Expr, LValue};
+use macross_streamir::expr::{Expr, LValue, VarId};
 use macross_streamir::filter::{Filter, VarKind};
 use macross_streamir::stmt::Stmt;
 use macross_streamir::types::Ty;
 
-/// Normalize a filter's work body in place.
+/// Copy `work` into `into.work` in normal form, declaring the hoisted
+/// temporaries (`__t0`, `__t1`, ...) in `into`. Returns whether the body
+/// peeks or advances its read pointer explicitly (what
+/// [`crate::single::uses_peek`] reports).
 ///
 /// `in_elem`/`out_elem` are the element types of the input and output
 /// tapes, used to type the hoisted temporaries.
@@ -17,16 +24,71 @@ use macross_streamir::types::Ty;
 /// Panics if a peek offset or control-flow expression itself reads the
 /// tape — the vectorizability analysis rejects such actors before the
 /// SIMDizer runs.
-pub fn normalize_work(filter: &mut Filter, in_elem: Ty, out_elem: Ty) {
-    let body = std::mem::take(&mut filter.work);
+pub fn normalize_into(work: &[Stmt], into: &mut Filter, in_elem: Ty, out_elem: Ty) -> bool {
     let mut n = Normalizer {
-        filter,
+        filter: into,
         in_elem,
         out_elem,
         counter: 0,
+        peeking: false,
     };
-    let work = n.block(body);
+    let work = n.block(work);
     n.filter.work = work;
+    n.peeking
+}
+
+/// The first statement of `work` (with its substatements) that breaks
+/// the normal form [`normalize_into`] writes: a `pop`, `peek` or `lpop`
+/// anywhere but as the whole right-hand side of `v = …` (with a peek
+/// offset that reads no tape), or a `push` / `lpush` operand that is not
+/// a variable, printed. `None` for a body in normal form.
+pub fn normal_form_violation(work: &[Stmt]) -> Option<String> {
+    let reads = |e: &Expr| matches!(e, Expr::Pop | Expr::Peek(_) | Expr::LPop(_));
+    let mut bad = None;
+    for s in work {
+        s.walk(&mut |s| {
+            let normal = match s {
+                Stmt::Assign(LValue::Var(_), Expr::Pop | Expr::LPop(_)) => true,
+                Stmt::Assign(LValue::Var(_), Expr::Peek(off)) => {
+                    let mut clean = true;
+                    off.walk(&mut |e| clean &= !reads(e));
+                    clean
+                }
+                Stmt::Push(e) | Stmt::LPush(_, e) => matches!(e, Expr::Var(_)),
+                other => {
+                    let mut clean = true;
+                    other.walk_own_exprs(&mut |e| clean &= !reads(e));
+                    clean
+                }
+            };
+            if !normal && bad.is_none() {
+                bad = Some(s.to_string());
+            }
+        });
+    }
+    bad
+}
+
+/// `stem` followed by `numbers` in decimal, separated by `_`, written
+/// into one string of exactly that length: the names of generated
+/// temporaries (`__t3`, `__ld1_7`, `__perm_r0_2_12`).
+pub(crate) fn numbered(stem: &str, numbers: &[usize]) -> String {
+    let digits = |n: usize| n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let len = stem.len()
+        + numbers.iter().map(|&n| digits(n)).sum::<usize>()
+        + numbers.len().saturating_sub(1);
+    let mut name = String::with_capacity(len);
+    name.push_str(stem);
+    for (i, &n) in numbers.iter().enumerate() {
+        if i > 0 {
+            name.push('_');
+        }
+        for d in (0..digits(n) as u32).rev() {
+            name.push(char::from(b'0' + (n / 10usize.pow(d) % 10) as u8));
+        }
+    }
+    debug_assert_eq!(name.len(), len);
+    name
 }
 
 struct Normalizer<'a> {
@@ -34,16 +96,17 @@ struct Normalizer<'a> {
     in_elem: Ty,
     out_elem: Ty,
     counter: usize,
+    peeking: bool,
 }
 
 impl<'a> Normalizer<'a> {
-    fn fresh(&mut self, ty: Ty) -> macross_streamir::expr::VarId {
-        let name = format!("__t{}", self.counter);
+    fn fresh(&mut self, ty: Ty) -> VarId {
+        let name = numbered("__t", &[self.counter]);
         self.counter += 1;
         self.filter.add_var(name, ty, VarKind::Local)
     }
 
-    fn block(&mut self, stmts: Vec<Stmt>) -> Vec<Stmt> {
+    fn block(&mut self, stmts: &[Stmt]) -> Vec<Stmt> {
         let mut out = Vec::with_capacity(stmts.len());
         for s in stmts {
             self.stmt(s, &mut out);
@@ -51,25 +114,26 @@ impl<'a> Normalizer<'a> {
         out
     }
 
-    fn stmt(&mut self, s: Stmt, out: &mut Vec<Stmt>) {
+    fn stmt(&mut self, s: &Stmt, out: &mut Vec<Stmt>) {
         match s {
-            // Already-normal tape-read assignments stay put when the target
-            // is a plain variable.
-            Stmt::Assign(lv @ LValue::Var(_), e @ (Expr::Pop | Expr::LPop(_))) => {
-                out.push(Stmt::Assign(lv, e))
+            // Already-normal tape-read assignments are copied as they are
+            // when the target is a plain variable.
+            Stmt::Assign(LValue::Var(v), e @ (Expr::Pop | Expr::LPop(_))) => {
+                out.push(Stmt::Assign(LValue::Var(*v), e.clone()))
             }
-            Stmt::Assign(lv @ LValue::Var(_), Expr::Peek(off)) => {
+            Stmt::Assign(LValue::Var(v), Expr::Peek(off)) => {
                 assert!(!off.reads_tape(), "peek offset reads the tape");
-                out.push(Stmt::Assign(lv, Expr::Peek(off)));
+                self.peeking = true;
+                out.push(Stmt::Assign(LValue::Var(*v), Expr::Peek(off.clone())));
             }
             Stmt::Assign(lv, e) => {
                 let e = self.hoist(e, out);
                 if let LValue::Index(_, i) | LValue::LaneIndex(_, i, _) | LValue::VIndex(_, i, _) =
-                    &lv
+                    lv
                 {
                     assert!(!i.reads_tape(), "array subscript reads the tape");
                 }
-                out.push(Stmt::Assign(lv, e));
+                out.push(Stmt::Assign(lv.clone(), e));
             }
             Stmt::Push(e) => {
                 let e = self.hoist(e, out);
@@ -80,25 +144,35 @@ impl<'a> Normalizer<'a> {
                 let e = self.hoist(e, out);
                 let ty = self.filter.chans[c.0 as usize].ty;
                 let var = self.as_var(e, ty, out);
-                out.push(Stmt::LPush(c, Expr::Var(var)));
+                out.push(Stmt::LPush(*c, Expr::Var(var)));
             }
             Stmt::RPush { value, offset } => {
                 let value = self.hoist(value, out);
                 assert!(!offset.reads_tape(), "rpush offset reads the tape");
-                out.push(Stmt::RPush { value, offset });
+                out.push(Stmt::RPush {
+                    value,
+                    offset: offset.clone(),
+                });
             }
             Stmt::VPush { value, width } => {
                 let value = self.hoist(value, out);
-                out.push(Stmt::VPush { value, width });
+                out.push(Stmt::VPush {
+                    value,
+                    width: *width,
+                });
             }
             Stmt::LVPush(c, e, w) => {
                 let e = self.hoist(e, out);
-                out.push(Stmt::LVPush(c, e, w));
+                out.push(Stmt::LVPush(*c, e, *w));
             }
             Stmt::For { var, count, body } => {
                 assert!(!count.reads_tape(), "loop trip count reads the tape");
                 let body = self.block(body);
-                out.push(Stmt::For { var, count, body });
+                out.push(Stmt::For {
+                    var: *var,
+                    count: count.clone(),
+                    body,
+                });
             }
             Stmt::If {
                 cond,
@@ -109,17 +183,21 @@ impl<'a> Normalizer<'a> {
                 let then_branch = self.block(then_branch);
                 let else_branch = self.block(else_branch);
                 out.push(Stmt::If {
-                    cond,
+                    cond: cond.clone(),
                     then_branch,
                     else_branch,
                 });
             }
-            s @ (Stmt::AdvanceRead(_) | Stmt::AdvanceWrite(_)) => out.push(s),
+            Stmt::AdvanceRead(n) => {
+                self.peeking = true;
+                out.push(Stmt::AdvanceRead(*n));
+            }
+            Stmt::AdvanceWrite(n) => out.push(Stmt::AdvanceWrite(*n)),
         }
     }
 
     /// Ensure an expression is a variable reference, hoisting if needed.
-    fn as_var(&mut self, e: Expr, ty: Ty, out: &mut Vec<Stmt>) -> macross_streamir::expr::VarId {
+    fn as_var(&mut self, e: Expr, ty: Ty, out: &mut Vec<Stmt>) -> VarId {
         if let Expr::Var(v) = e {
             return v;
         }
@@ -128,9 +206,9 @@ impl<'a> Normalizer<'a> {
         t
     }
 
-    /// Replace tape reads inside `e` with fresh temporaries assigned in
-    /// left-to-right evaluation order.
-    fn hoist(&mut self, e: Expr, out: &mut Vec<Stmt>) -> Expr {
+    /// Copy `e` with its tape reads replaced by fresh temporaries,
+    /// assigned in left-to-right evaluation order.
+    fn hoist(&mut self, e: &Expr, out: &mut Vec<Stmt>) -> Expr {
         match e {
             Expr::Pop => {
                 let t = self.fresh(self.in_elem);
@@ -139,43 +217,44 @@ impl<'a> Normalizer<'a> {
             }
             Expr::Peek(off) => {
                 assert!(!off.reads_tape(), "peek offset reads the tape");
+                self.peeking = true;
                 let t = self.fresh(self.in_elem);
-                out.push(Stmt::Assign(LValue::Var(t), Expr::Peek(off)));
+                out.push(Stmt::Assign(LValue::Var(t), Expr::Peek(off.clone())));
                 Expr::Var(t)
             }
             Expr::LPop(c) => {
                 let ty = self.filter.chans[c.0 as usize].ty;
                 let t = self.fresh(ty);
-                out.push(Stmt::Assign(LValue::Var(t), Expr::LPop(c)));
+                out.push(Stmt::Assign(LValue::Var(t), Expr::LPop(*c)));
                 Expr::Var(t)
             }
             Expr::VPop { .. } | Expr::VPeek { .. } | Expr::LVPop(_, _) => {
                 panic!("normalizing already-vectorized code")
             }
-            Expr::Const(_) | Expr::ConstVec(_) | Expr::Var(_) => e,
-            Expr::Index(v, i) => Expr::Index(v, Box::new(self.hoist(*i, out))),
-            Expr::VIndex(v, i, w) => Expr::VIndex(v, Box::new(self.hoist(*i, out)), w),
-            Expr::Unary(op, a) => Expr::Unary(op, Box::new(self.hoist(*a, out))),
+            Expr::Const(_) | Expr::ConstVec(_) | Expr::Var(_) => e.clone(),
+            Expr::Index(v, i) => Expr::Index(*v, Box::new(self.hoist(i, out))),
+            Expr::VIndex(v, i, w) => Expr::VIndex(*v, Box::new(self.hoist(i, out)), *w),
+            Expr::Unary(op, a) => Expr::Unary(*op, Box::new(self.hoist(a, out))),
             Expr::Binary(op, a, b) => {
-                let a = self.hoist(*a, out);
-                let b = self.hoist(*b, out);
-                Expr::bin(op, a, b)
+                let a = Box::new(self.hoist(a, out));
+                let b = Box::new(self.hoist(b, out));
+                Expr::Binary(*op, a, b)
             }
             Expr::Call(i, args) => {
-                Expr::Call(i, args.into_iter().map(|a| self.hoist(a, out)).collect())
+                Expr::Call(*i, args.iter().map(|a| self.hoist(a, out)).collect())
             }
-            Expr::Cast(t, a) => Expr::Cast(t, Box::new(self.hoist(*a, out))),
-            Expr::Lane(a, l) => Expr::Lane(Box::new(self.hoist(*a, out)), l),
-            Expr::Splat(a, w) => Expr::Splat(Box::new(self.hoist(*a, out)), w),
+            Expr::Cast(t, a) => Expr::Cast(*t, Box::new(self.hoist(a, out))),
+            Expr::Lane(a, l) => Expr::Lane(Box::new(self.hoist(a, out)), *l),
+            Expr::Splat(a, w) => Expr::Splat(Box::new(self.hoist(a, out)), *w),
             Expr::PermuteEven(a, b) => {
-                let a = self.hoist(*a, out);
-                let b = self.hoist(*b, out);
-                Expr::PermuteEven(Box::new(a), Box::new(b))
+                let a = Box::new(self.hoist(a, out));
+                let b = Box::new(self.hoist(b, out));
+                Expr::PermuteEven(a, b)
             }
             Expr::PermuteOdd(a, b) => {
-                let a = self.hoist(*a, out);
-                let b = self.hoist(*b, out);
-                Expr::PermuteOdd(Box::new(a), Box::new(b))
+                let a = Box::new(self.hoist(a, out));
+                let b = Box::new(self.hoist(b, out));
+                Expr::PermuteOdd(a, b)
             }
         }
     }
@@ -192,14 +271,61 @@ mod tests {
         Ty::Scalar(ScalarTy::F32)
     }
 
+    /// A copy of `f` with its work body normalized; `f` is not touched.
+    fn normalized(f: &Filter) -> Filter {
+        let mut g = f.with_bodies(f.init.clone(), Vec::new());
+        normalize_into(&f.work, &mut g, f32_ty(), f32_ty());
+        g
+    }
+
+    #[test]
+    fn normal_form_is_recognised() {
+        let mut fb = FilterBuilder::new("x", 3, 2, 2, ScalarTy::F32);
+        let t = fb.local("t", f32_ty());
+        let i = fb.local("i", Ty::Scalar(ScalarTy::I32));
+        fb.work(|b| {
+            b.set(t, peek(2i32) - pop());
+            b.for_(i, 1i32, |b| {
+                b.push(v(t) * pop());
+            });
+            b.push(v(t));
+        });
+        let f = fb.build();
+        let bad = normal_form_violation(&f.work).unwrap();
+        assert!(bad.contains("peek(2)") && bad.contains("pop()"), "{bad}");
+        let n = normalized(&f);
+        assert_eq!(normal_form_violation(&n.work), None);
+
+        // A computed push operand, even without a tape read, is not normal.
+        let mut fb = FilterBuilder::new("y", 1, 1, 1, ScalarTy::F32);
+        let t = fb.local("t", f32_ty());
+        fb.work(|b| {
+            b.set(t, pop());
+            b.push(v(t) + 1.0f32);
+        });
+        let f = fb.build();
+        let bad = normal_form_violation(&f.work).unwrap();
+        assert!(bad.starts_with("push("), "{bad}");
+        assert_eq!(normal_form_violation(&normalized(&f).work), None);
+    }
+
+    #[test]
+    fn numbered_names_are_exact() {
+        assert_eq!(numbered("__t", &[0]), "__t0");
+        assert_eq!(numbered("__t", &[1234]), "__t1234");
+        assert_eq!(numbered("__in_perm_", &[9]), "__in_perm_9");
+        assert_eq!(numbered("__perm_r", &[1, 10, 100]), "__perm_r1_10_100");
+        assert_eq!(numbered("x", &[]), "x");
+        assert_eq!(numbered("", &[usize::MAX]), usize::MAX.to_string());
+    }
+
     #[test]
     fn hoists_pop_out_of_expression() {
         let mut fb = FilterBuilder::new("x", 2, 2, 1, ScalarTy::F32);
         fb.work(|b| {
             b.push(pop() + pop());
         });
-        let mut f = fb.build();
-        normalize_work(&mut f, f32_ty(), f32_ty());
+        let f = normalized(&fb.build());
         // t0 = pop; t1 = pop; t2 = t0 + t1; push(t2)
         assert_eq!(f.work.len(), 4);
         assert!(matches!(
@@ -217,8 +343,7 @@ mod tests {
         fb.work(|b| {
             b.push(peek(1i32) - pop());
         });
-        let mut f = fb.build();
-        normalize_work(&mut f, f32_ty(), f32_ty());
+        let f = normalized(&fb.build());
         assert!(matches!(&f.work[0], Stmt::Assign(_, Expr::Peek(_))));
         assert!(matches!(&f.work[1], Stmt::Assign(_, Expr::Pop)));
     }
@@ -231,10 +356,8 @@ mod tests {
             b.set(t, pop());
             b.push(v(t));
         });
-        let mut f = fb.build();
-        let before = f.work.clone();
-        normalize_work(&mut f, f32_ty(), f32_ty());
-        assert_eq!(f.work, before);
+        let f = fb.build();
+        assert_eq!(normalized(&f), f);
     }
 
     #[test]
@@ -246,8 +369,7 @@ mod tests {
                 b.push(pop() * 2.0f32);
             });
         });
-        let mut f = fb.build();
-        normalize_work(&mut f, f32_ty(), f32_ty());
+        let f = normalized(&fb.build());
         match &f.work[0] {
             Stmt::For { body, .. } => {
                 assert!(matches!(&body[0], Stmt::Assign(_, Expr::Pop)));
@@ -262,7 +384,7 @@ mod tests {
     fn behaviour_is_preserved_under_vm() {
         use macross_streamir::builder::StreamSpec;
         use macross_vm::{run_program, Machine};
-        let mk = |normalized: bool| {
+        let mk = |normalize: bool| {
             let mut src = FilterBuilder::new("src", 0, 0, 2, ScalarTy::F32);
             let n = src.state("n", f32_ty());
             src.work(|b| {
@@ -277,8 +399,8 @@ mod tests {
                 b.push(pop() * 3.0f32);
             });
             let mut f = fb.build();
-            if normalized {
-                normalize_work(&mut f, f32_ty(), f32_ty());
+            if normalize {
+                f = normalized(&f);
             }
             StreamSpec::pipeline(vec![
                 src.build_spec(),

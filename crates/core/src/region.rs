@@ -25,7 +25,7 @@
 //! panels (`y[j].{l} = scratch[j*W + l]`).
 
 use crate::error::SimdizeError;
-use crate::single::{stage, SingleActorConfig, TapeMode};
+use crate::single::{shell, stage, SingleActorConfig, TapeMode};
 use macross_streamir::analysis::{
     analyze_vectorizability, check_rates, check_region_spec, region_cursor_update, VarSet,
     Vectorizability,
@@ -141,7 +141,8 @@ fn subst_stmt(s: &mut Stmt, map: &HashMap<VarId, VarId>) {
 /// # Errors
 /// Fails when the annotation does not hold
 /// ([`check_region_spec`]), the body has tape-dependent control flow or
-/// subscripts, is already vectorized, or the width does not divide `R`.
+/// subscripts, is already vectorized, or the width is not a power of two
+/// `>= 2` or does not divide `R`.
 /// The result is self-checked against its declared rates.
 pub fn simdize_region_actor(
     orig: &Filter,
@@ -168,9 +169,12 @@ pub(crate) fn simdize_region_actor_analyzed(
             va.tape_dependent_control, va.tape_dependent_subscript, va.vectorized
         )));
     }
-    let spec = orig.region.clone().expect("checked above");
+    let spec = orig.region.as_ref().expect("checked above");
     let w = cfg.sw;
-    if w < 2 || !spec.regions.is_multiple_of(w) {
+    if !w.is_power_of_two() || w < 2 {
+        return Err(SimdizeError::SimdWidth(w));
+    }
+    if !spec.regions.is_multiple_of(w) {
         return Err(not_vec(format!(
             "lane width {w} does not divide region count {}",
             spec.regions
@@ -183,16 +187,16 @@ pub(crate) fn simdize_region_actor_analyzed(
     }
     let panels = spec.regions / w;
 
-    let mut f = orig.clone();
-    f.name = format!("{}_r{}", f.name, w);
+    let mut f = shell(orig, format!("{}_r{}", orig.name, w));
 
-    // Strip the canonical cursor advance — check_region_spec proved it is
-    // the last top-level statement and the only cursor write.
+    // Stage the body without the canonical cursor advance —
+    // check_region_spec proved it is the last top-level statement and the
+    // only cursor write.
+    let (cursor_update, body) = orig.work.split_last().expect("checked above");
     debug_assert_eq!(
-        f.work.last(),
-        Some(&region_cursor_update(spec.cursor, spec.regions))
+        cursor_update,
+        &region_cursor_update(spec.cursor, spec.regions)
     );
-    f.work.pop();
 
     // Redirect init's region-array accesses into scalar scratch locals so
     // the (unrewritten, scalar) init body stays well-typed after the
@@ -218,7 +222,7 @@ pub(crate) fn simdize_region_actor_analyzed(
     // when no tape data flows into them.
     let seeds: VarSet = spec.vars.iter().copied().collect();
     let mut f =
-        stage(f, w, cfg.in_elem, cfg.out_elem, &seeds).lower(cfg.input, cfg.output, false)?;
+        stage(f, body, w, cfg.in_elem, cfg.out_elem, &seeds).lower(cfg.input, cfg.output, false)?;
 
     // Retype the panels region-major: W lanes per panel, R/W panels (the
     // blanket retype in `stage` produced R panels).

@@ -17,7 +17,9 @@
 //!   marks the edge accordingly).
 
 use crate::error::SimdizeError;
-use crate::normalize::normalize_work;
+#[cfg(debug_assertions)]
+use crate::normalize::normal_form_violation;
+use crate::normalize::{normalize_into, numbered};
 use crate::permnet::{gather_applicable, gather_plan, scatter_applicable, scatter_plan};
 use macross_streamir::analysis::{analyze_vectorizability, check_rates, VarSet};
 use macross_streamir::expr::{BinOp, Expr, LValue, VarId};
@@ -95,15 +97,18 @@ pub fn uses_peek(filter: &Filter) -> bool {
 /// ([`crate::cost::staged_pair_costs`]) and materializes only the winner.
 ///
 /// # Errors
-/// Fails when the actor is stateful, has tape-dependent control flow or
-/// subscripts, is already vectorized, requests a non-strided input mode
-/// while peeking, or requests a permute mode its rates don't admit. The
-/// result is self-checked: its measured rates must match its declared
-/// rates.
+/// Fails when `cfg.sw` is not a power of two `>= 2`, or the actor is
+/// stateful, has tape-dependent control flow or subscripts, is already
+/// vectorized, requests a non-strided input mode while peeking, or
+/// requests a permute mode its rates don't admit. The result is
+/// self-checked: its measured rates must match its declared rates.
 pub fn simdize_single_actor(
     orig: &Filter,
     cfg: &SingleActorConfig,
 ) -> Result<Filter, SimdizeError> {
+    if !cfg.sw.is_power_of_two() || cfg.sw < 2 {
+        return Err(SimdizeError::SimdWidth(cfg.sw));
+    }
     let va = analyze_vectorizability(orig);
     if !va.simdizable() {
         return Err(SimdizeError::NotVectorizable {
@@ -123,7 +128,7 @@ pub fn simdize_single_actor(
 /// and retyped, internal channels widened. Tape accesses are still in
 /// scalar form; [`Staged::lower`] rewrites them for one (input, output)
 /// mode pair.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct Staged {
     /// The actor with its normalized, retyped, not yet tape-lowered body.
     pub(crate) filter: Filter,
@@ -141,25 +146,50 @@ pub(crate) struct Staged {
     pub(crate) peeking: bool,
 }
 
-/// Clone `orig` under its vectorized name and stage it. The caller vouches
-/// that `orig` passes [`analyze_vectorizability`].
+/// Stage `orig` under its vectorized name `<name>_v<SW>`. The caller
+/// vouches that `orig` passes [`analyze_vectorizability`]; `orig` itself
+/// is only read.
 pub(crate) fn stage_actor(
     orig: &Filter,
     sw: usize,
     in_elem: ScalarTy,
     out_elem: ScalarTy,
 ) -> Staged {
-    let mut f = orig.clone();
-    f.name = format!("{}_v{sw}", f.name);
-    stage(f, sw, in_elem, out_elem, &VarSet::new())
+    let shell = shell(orig, format!("{}_v{sw}", orig.name));
+    stage(shell, &orig.work, sw, in_elem, out_elem, &VarSet::new())
 }
 
-/// Stage `f` for `sw`-wide execution. `seeds` enter the def-use marking
-/// fixpoint as already-vector, forcing variables whose lanes must diverge
-/// even without tape data flowing into them (region state panels hold
-/// per-region values from `init`).
+/// `orig`'s rates, variables, channels, `init` and region annotation
+/// under `name`, with an empty work body: what staging copies before it
+/// normalizes the body into it.
+pub(crate) fn shell(orig: &Filter, name: String) -> Filter {
+    Filter {
+        name,
+        peek: orig.peek,
+        pop: orig.pop,
+        push: orig.push,
+        vars: orig.vars.clone(),
+        chans: orig.chans.clone(),
+        init: orig.init.clone(),
+        work: Vec::new(),
+        region: orig.region.clone(),
+    }
+}
+
+/// Stage `work` for `sw`-wide execution as the work body of `f` (the
+/// actor's [`shell`], possibly with declarations added): the body is
+/// normalized while it is copied in, so no statement list is built
+/// twice. `seeds` enter the def-use marking fixpoint as already-vector,
+/// forcing variables whose lanes must diverge even without tape data
+/// flowing into them (region state panels hold per-region values from
+/// `init`).
+///
+/// Debug builds stage every body twice and require equal results and a
+/// body in normal form ([`normal_form_violation`]): every single-actor,
+/// fused, region and horizontal staging of a debug run is checked.
 pub(crate) fn stage(
-    mut f: Filter,
+    f: Filter,
+    work: &[Stmt],
     sw: usize,
     in_elem: ScalarTy,
     out_elem: ScalarTy,
@@ -169,9 +199,30 @@ pub(crate) fn stage(
         sw.is_power_of_two() && sw >= 2,
         "SIMD width must be a power of two >= 2"
     );
+    #[cfg(debug_assertions)]
+    let again = stage_once(f.clone(), work, sw, in_elem, out_elem, seeds);
+    let staged = stage_once(f, work, sw, in_elem, out_elem, seeds);
+    #[cfg(debug_assertions)]
+    {
+        let name = &staged.filter.name;
+        assert_eq!(staged, again, "{name}: staging the same body twice differs");
+        if let Some(s) = normal_form_violation(&staged.filter.work) {
+            panic!("{name}: staged body not in normal form at `{s}`");
+        }
+    }
+    staged
+}
+
+fn stage_once(
+    mut f: Filter,
+    work: &[Stmt],
+    sw: usize,
+    in_elem: ScalarTy,
+    out_elem: ScalarTy,
+    seeds: &VarSet,
+) -> Staged {
     let (pop, push, peek) = (f.pop, f.push, f.peek);
-    normalize_work(&mut f, Ty::Scalar(in_elem), Ty::Scalar(out_elem));
-    let peeking = uses_peek(&f);
+    let peeking = normalize_into(work, &mut f, Ty::Scalar(in_elem), Ty::Scalar(out_elem));
 
     // Mark vector variables by def-use propagation from tape reads and
     // merged vector constants (Section 3.1 "identifying variables and
@@ -278,11 +329,11 @@ impl Staged {
         // Input permute preamble: p vector pops + gather network into an
         // array indexed by a running pop counter.
         if input == TapeMode::Permute && p > 0 {
-            let arr = rw.alloc(format_args!("__in_perm"), Ty::VectorArray(in_elem, sw, p));
-            let cnt = rw.alloc(format_args!("__in_cnt"), Ty::Scalar(ScalarTy::I32));
+            let arr = rw.alloc("__in_perm_", &[], Ty::VectorArray(in_elem, sw, p));
+            let cnt = rw.alloc("__in_cnt_", &[], Ty::Scalar(ScalarTy::I32));
             rw.in_perm = Some((arr, cnt));
             let loads: Vec<VarId> = (0..p)
-                .map(|i| rw.alloc(format_args!("__ld{i}"), Ty::Vector(in_elem, sw)))
+                .map(|i| rw.alloc("__ld", &[i], Ty::Vector(in_elem, sw)))
                 .collect();
             for &t in &loads {
                 body.push(Stmt::Assign(LValue::Var(t), Expr::VPop { width: sw }));
@@ -303,8 +354,8 @@ impl Staged {
             }
         }
         if output == TapeMode::Permute && q > 0 {
-            let arr = rw.alloc(format_args!("__out_perm"), Ty::VectorArray(out_elem, sw, q));
-            let cnt = rw.alloc(format_args!("__out_cnt"), Ty::Scalar(ScalarTy::I32));
+            let arr = rw.alloc("__out_perm_", &[], Ty::VectorArray(out_elem, sw, q));
+            let cnt = rw.alloc("__out_cnt_", &[], Ty::Scalar(ScalarTy::I32));
             rw.out_perm = Some((arr, cnt));
         }
 
@@ -316,7 +367,7 @@ impl Staged {
         if output == TapeMode::Permute && q > 0 {
             let (arr, _) = rw.out_perm.unwrap();
             let loads: Vec<VarId> = (0..q)
-                .map(|i| rw.alloc(format_args!("__st{i}"), Ty::Vector(out_elem, sw)))
+                .map(|i| rw.alloc("__st", &[i], Ty::Vector(out_elem, sw)))
                 .collect();
             for (i, &t) in loads.iter().enumerate() {
                 body.push(Stmt::Assign(
@@ -386,7 +437,7 @@ fn emit_rounds(
     for r in 0..rounds {
         let mut next = Vec::with_capacity(k);
         for i in 0..k {
-            next.push(rw.alloc(format_args!("__perm_r{r}_{i}"), Ty::Vector(elem, sw)));
+            next.push(rw.alloc("__perm_r", &[r, i], Ty::Vector(elem, sw)));
         }
         for i in 0..k / 2 {
             body.push(Stmt::Assign(
@@ -484,12 +535,16 @@ struct Rewriter {
 }
 
 impl Rewriter {
-    /// A fresh local named `name` suffixed with a counter (one format,
-    /// no intermediate string).
-    fn alloc(&mut self, name: std::fmt::Arguments<'_>, ty: Ty) -> VarId {
+    /// A fresh local named `stem`, then `idx` and a counter, `_`-separated
+    /// (`__ld1_7`): one string, written once at its final length.
+    fn alloc(&mut self, stem: &str, idx: &[usize], ty: Ty) -> VarId {
         let id = VarId((self.filter_vars.len()) as u32);
         self.filter_vars.push(ty);
-        self.new_vars.push((format!("{name}_{}", self.fresh), ty));
+        let mut numbers = [0; 3];
+        numbers[..idx.len()].copy_from_slice(idx);
+        numbers[idx.len()] = self.fresh;
+        self.new_vars
+            .push((numbered(stem, &numbers[..=idx.len()]), ty));
         self.fresh += 1;
         id
     }

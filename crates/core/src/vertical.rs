@@ -35,18 +35,22 @@ pub fn link_fusable(graph: &Graph, up: NodeId, down: NodeId) -> Result<(), FuseB
             return Err(FuseBlocker::NotVectorizable(f.name.clone()));
         }
     }
-    no_inner_peek(downf)
+    if inner_peek(downf, crate::single::uses_peek(downf)) {
+        return Err(FuseBlocker::InnerPeek(downf.name.clone()));
+    }
+    Ok(())
 }
 
-/// [`link_fusable`] for a caller that already holds both actors'
-/// vectorizability verdicts and found them SIMDizable.
+/// [`link_fusable`] as a yes/no, for a caller that already found both
+/// actors SIMDizable and knows whether `down`'s body peeks (`down_peeks`,
+/// what [`crate::single::uses_peek`] says).
 pub(crate) fn link_fusable_vetted(
     graph: &Graph,
     up: NodeId,
     down: NodeId,
-) -> Result<(), FuseBlocker> {
-    let (_, downf) = pipeline_link(graph, up, down)?;
-    no_inner_peek(downf)
+    down_peeks: bool,
+) -> bool {
+    pipeline_link(graph, up, down).is_ok_and(|(_, downf)| !inner_peek(downf, down_peeks))
 }
 
 /// The two filters of a one-to-one filter-to-filter pipeline edge.
@@ -66,11 +70,49 @@ fn pipeline_link(
     Ok((upf, downf))
 }
 
-fn no_inner_peek(downf: &Filter) -> Result<(), FuseBlocker> {
-    if downf.peek > downf.pop || crate::single::uses_peek(downf) {
-        return Err(FuseBlocker::InnerPeek(downf.name.clone()));
+/// Does `downf` read past its pops (declared, or `peeks` in its body)?
+/// Only a chain's head may.
+fn inner_peek(downf: &Filter, peeks: bool) -> bool {
+    downf.peek > downf.pop || peeks
+}
+
+/// The repetition numbers of `chain`'s actors relative to each other,
+/// divided by their gcd, from the chain's own balance equations
+/// (`reps[i] * push(chain[i]) == reps[i + 1] * pop(chain[i + 1])` on
+/// every link). [`fuse_vetted_chain`] uses only these ratios, so the
+/// chain needs no schedule of the whole graph: in a consistent graph they
+/// are the chain's steady-state repetition numbers divided by their gcd.
+///
+/// # Errors
+/// Fails when a link of the chain moves no data, so it has no steady
+/// state.
+pub(crate) fn chain_reps(graph: &Graph, chain: &[NodeId]) -> Result<Vec<u64>, SimdizeError> {
+    let mut reps: Vec<u64> = Vec::with_capacity(chain.len());
+    reps.push(1);
+    for w in chain.windows(2) {
+        let push = graph.node(w[0]).push_rate(0) as u64;
+        let pop = graph.node(w[1]).pop_rate(0) as u64;
+        if push == 0 || pop == 0 {
+            return Err(SimdizeError::Schedule(format!(
+                "{} -> {} moves no data",
+                graph.node(w[0]).name(),
+                graph.node(w[1]).name()
+            )));
+        }
+        // Scale the chain so far by the least factor that makes the next
+        // actor's repetition number whole.
+        let produced = reps[reps.len() - 1] * push;
+        let d = gcd(produced, pop);
+        for r in &mut reps {
+            *r *= pop / d;
+        }
+        reps.push(produced / d);
     }
-    Ok(())
+    let d = reps.iter().copied().fold(0, gcd);
+    for r in &mut reps {
+        *r /= d;
+    }
+    Ok(reps)
 }
 
 /// Fuse a chain of pipeline actors into one coarse actor.
@@ -507,6 +549,65 @@ mod tests {
             r_single.total_cycles()
         );
         assert!(r_vert.total_cycles() < r_scalar.total_cycles());
+    }
+
+    /// A stateless f32 actor that pops `pops`, pushes `pushes` and does a
+    /// little arithmetic.
+    fn rate_actor(name: &str, pops: usize, pushes: usize) -> Filter {
+        let mut fb = FilterBuilder::new(name, pops, pops, pushes, ScalarTy::F32);
+        let x = fb.local("x", Ty::Scalar(ScalarTy::F32));
+        fb.work(|b| {
+            b.set(x, 0.0f32);
+            for _ in 0..pops {
+                b.set(x, v(x) * 0.5f32 + pop());
+            }
+            for k in 0..pushes {
+                b.push(v(x) + k as f32);
+            }
+        });
+        fb.build()
+    }
+
+    /// A 2 -> 3 -> 1 chain (A pushes 2, B pops 3 and pushes 1, C pops 1)
+    /// on one branch of a split-join whose joiner takes 4 at a time: the
+    /// graph's steady state runs the chain twice, so its repetition
+    /// numbers (6, 4, 4) share the factor 2. The chain's own balance
+    /// equations give (3, 2, 2), and fusion sees no difference.
+    #[test]
+    fn chain_reps_come_from_the_chain_alone() {
+        let g = StreamSpec::pipeline(vec![
+            f32_source(),
+            StreamSpec::split_join_duplicate(
+                4,
+                vec![
+                    StreamSpec::pipeline(vec![
+                        StreamSpec::filter(rate_actor("A", 1, 2), ScalarTy::F32),
+                        StreamSpec::filter(rate_actor("B", 3, 1), ScalarTy::F32),
+                        StreamSpec::filter(rate_actor("C", 1, 1), ScalarTy::F32),
+                    ]),
+                    StreamSpec::filter(rate_actor("D", 3, 2), ScalarTy::F32),
+                ],
+            ),
+            StreamSpec::Sink,
+        ])
+        .build()
+        .unwrap();
+        let id = |name: &str| g.node_ids().find(|&id| g.node(id).name() == name).unwrap();
+        let chain = [id("A"), id("B"), id("C")];
+        let sched = Schedule::compute(&g).unwrap();
+        let global: Vec<u64> = chain.iter().map(|&n| sched.rep(n)).collect();
+        assert_eq!(global, [6, 4, 4]);
+        assert_eq!(chain_reps(&g, &chain).unwrap(), [3, 2, 2]);
+        let fused = fuse_chain(&g, &chain, &global).unwrap();
+        assert_eq!(fuse_vetted_chain(&g, &chain, &[3, 2, 2]), fused);
+        assert_eq!(fused.name, "3A_2B_2C");
+        assert_eq!((fused.pop, fused.push), (3, 2));
+
+        // The driver fuses the same chain (and, in a debug build, checks
+        // its reps against the schedule's).
+        let simd =
+            crate::driver::macro_simdize(&g, &Machine::core_i7(), &Default::default()).unwrap();
+        assert_eq!(simd.report.vertical_chains, [["A", "B", "C"]]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Section 3.1 of the paper.
 
 use crate::expr::{BinOp, Expr, Intrinsic, LValue, VarId};
-use crate::filter::{Filter, VarKind};
+use crate::filter::{Filter, VarDecl, VarKind};
 use crate::stmt::Stmt;
 use crate::types::{ScalarTy, Ty, Value};
 use std::collections::{BTreeSet, HashSet};
@@ -611,153 +611,191 @@ impl Vectorizability {
 }
 
 /// Analyze a filter for the vectorizability conditions.
+///
+/// One walk per round of the taint fixpoint, which traverses each
+/// expression once and returns its taint and whether it holds a tainted
+/// subscript together. The first round also reads what does not depend on
+/// taint: state writes, intrinsics and vector constructs.
 pub fn analyze_vectorizability(filter: &Filter) -> Vectorizability {
-    let mut out = Vectorizability {
-        stateful: false,
-        tape_dependent_control: false,
-        tape_dependent_subscript: false,
-        intrinsics: BTreeSet::new(),
-        vectorized: false,
+    let mut walk = TaintWalk {
+        vars: &filter.vars,
+        tainted: VarSet::with_vars(filter.vars.len()),
+        out: Vectorizability {
+            stateful: false,
+            tape_dependent_control: false,
+            tape_dependent_subscript: false,
+            intrinsics: BTreeSet::new(),
+            vectorized: filter.vars.iter().any(|v| v.ty.is_vector()),
+        },
+        first_round: true,
     };
-
-    // Statefulness: state variables written inside work.
-    let state_vars: VarSet = filter.state_vars().collect();
-    for s in &filter.work {
-        s.walk(&mut |s| {
-            if let Stmt::Assign(lv, _) = s {
-                if state_vars.contains(&lv.var()) {
-                    out.stateful = true;
-                }
-            }
-        });
-    }
-
-    // Intrinsics and pre-existing vector constructs.
-    for s in &filter.work {
-        s.walk_exprs(&mut |e| match e {
-            Expr::Call(i, _) => {
-                out.intrinsics.insert(*i);
-            }
-            Expr::ConstVec(_)
-            | Expr::VPop { .. }
-            | Expr::VPeek { .. }
-            | Expr::LVPop(_, _)
-            | Expr::VIndex(_, _, _)
-            | Expr::Lane(_, _)
-            | Expr::Splat(_, _)
-            | Expr::PermuteEven(_, _)
-            | Expr::PermuteOdd(_, _) => out.vectorized = true,
-            _ => {}
-        });
-        s.walk(&mut |s| {
-            if matches!(s, Stmt::VPush { .. } | Stmt::LVPush(_, _, _)) {
-                out.vectorized = true;
-            }
-        });
-    }
-    if filter.vars.iter().any(|v| v.ty.is_vector()) {
-        out.vectorized = true;
-    }
-
-    // Taint analysis for tape-dependent control flow / subscripts.
     // Iterate to a fixpoint so loop-carried taint is caught.
-    let mut tainted = VarSet::new();
     loop {
-        let before = tainted.len();
-        taint_block(&filter.work, &mut tainted, &mut out);
-        if tainted.len() == before {
+        let before = walk.tainted.len();
+        walk.block(&filter.work);
+        walk.first_round = false;
+        if walk.tainted.len() == before {
             break;
         }
     }
-    out
+    walk.out
 }
 
-fn expr_tainted(e: &Expr, tainted: &VarSet) -> bool {
-    let mut hit = false;
-    e.walk(&mut |e| match e {
-        Expr::Pop
-        | Expr::Peek(_)
-        | Expr::VPop { .. }
-        | Expr::VPeek { .. }
-        | Expr::LPop(_)
-        | Expr::LVPop(_, _) => hit = true,
-        Expr::Var(v) | Expr::Index(v, _) if tainted.contains(v) => {
-            hit = true;
-        }
-        _ => {}
-    });
-    hit
+/// What one traversal of an expression finds under a taint set.
+#[derive(Debug, Clone, Copy, Default)]
+struct Taint {
+    /// The value depends on tape data: it reads the tape or a tainted
+    /// variable (a tainted array, for an element).
+    value: bool,
+    /// It holds an array subscript or a peek offset whose value depends
+    /// on tape data.
+    subscript: bool,
 }
 
-fn check_subscripts(e: &Expr, tainted: &VarSet, out: &mut Vectorizability) {
-    e.walk(&mut |e| match e {
-        Expr::Index(_, i) if expr_tainted(i, tainted) => {
-            out.tape_dependent_subscript = true;
+impl Taint {
+    fn or(self, other: Taint) -> Taint {
+        Taint {
+            value: self.value || other.value,
+            subscript: self.subscript || other.subscript,
         }
-        Expr::Peek(off) | Expr::VPeek { offset: off, .. } if expr_tainted(off, tainted) => {
-            out.tape_dependent_subscript = true;
+    }
+
+    /// This value used as a subscript or offset.
+    fn as_index(self) -> Taint {
+        Taint {
+            value: self.value,
+            subscript: self.subscript || self.value,
         }
-        _ => {}
-    });
+    }
 }
 
-fn taint_block(stmts: &[Stmt], tainted: &mut VarSet, out: &mut Vectorizability) {
-    for s in stmts {
-        match s {
-            Stmt::Assign(lv, e) => {
-                check_subscripts(e, tainted, out);
-                if let LValue::Index(_, i) | LValue::LaneIndex(_, i, _) | LValue::VIndex(_, i, _) =
-                    lv
-                {
-                    check_subscripts(i, tainted, out);
-                    if expr_tainted(i, tainted) {
-                        out.tape_dependent_subscript = true;
+/// One round of the may-taint fixpoint over a body.
+struct TaintWalk<'a> {
+    vars: &'a [VarDecl],
+    tainted: VarSet,
+    out: Vectorizability,
+    first_round: bool,
+}
+
+impl TaintWalk<'_> {
+    fn block(&mut self, stmts: &[Stmt]) {
+        for s in stmts {
+            match s {
+                Stmt::Assign(lv, e) => {
+                    let rhs = self.expr(e);
+                    self.out.tape_dependent_subscript |= rhs.subscript;
+                    if let LValue::Index(_, i)
+                    | LValue::LaneIndex(_, i, _)
+                    | LValue::VIndex(_, i, _) = lv
+                    {
+                        self.out.tape_dependent_subscript |= self.expr(i).as_index().subscript;
+                    }
+                    let v = lv.var();
+                    if self.first_round {
+                        // Statefulness: state variables written inside work.
+                        self.out.stateful |=
+                            (self.vars.get(v.0 as usize)).is_some_and(|d| d.kind == VarKind::State);
+                    }
+                    // A tainted value taints its target (a whole array for
+                    // an element). Nothing untaints: the analysis is a
+                    // conservative may-taint fixpoint.
+                    if rhs.value {
+                        self.tainted.insert(v);
                     }
                 }
-                let rhs_tainted = expr_tainted(e, tainted);
-                match lv {
-                    LValue::Var(v) => {
-                        if rhs_tainted {
-                            tainted.insert(*v);
-                        }
-                        // Note: we do not untaint on clean assignment; the
-                        // analysis is a conservative may-taint fixpoint.
-                    }
-                    _ => {
-                        if rhs_tainted {
-                            tainted.insert(lv.var());
-                        }
-                    }
+                Stmt::Push(e) | Stmt::LPush(_, e) => {
+                    self.out.tape_dependent_subscript |= self.expr(e).subscript;
+                }
+                Stmt::VPush { value: e, .. } | Stmt::LVPush(_, e, _) => {
+                    self.out.vectorized = true;
+                    self.out.tape_dependent_subscript |= self.expr(e).subscript;
+                }
+                Stmt::RPush { value, offset } => {
+                    // A tainted subscript inside the offset taints the
+                    // offset.
+                    let value = self.expr(value).subscript;
+                    self.out.tape_dependent_subscript |= value || self.expr(offset).value;
+                }
+                // A condition or trip count is judged as a whole: a
+                // tainted subscript inside one makes it tainted.
+                Stmt::For { count, body, .. } => {
+                    self.out.tape_dependent_control |= self.expr(count).value;
+                    self.block(body);
+                }
+                Stmt::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                } => {
+                    self.out.tape_dependent_control |= self.expr(cond).value;
+                    self.block(then_branch);
+                    self.block(else_branch);
+                }
+                Stmt::AdvanceRead(_) | Stmt::AdvanceWrite(_) => {}
+            }
+        }
+    }
+
+    /// The [`Taint`] of `e`, in one traversal.
+    fn expr(&mut self, e: &Expr) -> Taint {
+        let read = Taint {
+            value: true,
+            subscript: false,
+        };
+        match e {
+            Expr::Const(_) => Taint::default(),
+            Expr::Var(v) => Taint {
+                value: self.tainted.contains(v),
+                subscript: false,
+            },
+            Expr::Pop | Expr::LPop(_) => read,
+            Expr::Peek(off) => Taint {
+                value: true,
+                ..self.expr(off).as_index()
+            },
+            Expr::Index(v, i) => {
+                let i = self.expr(i).as_index();
+                Taint {
+                    value: i.value || self.tainted.contains(v),
+                    ..i
                 }
             }
-            Stmt::Push(e) | Stmt::LPush(_, e) | Stmt::LVPush(_, e, _) => {
-                check_subscripts(e, tainted, out)
+            Expr::Unary(_, a) | Expr::Cast(_, a) => self.expr(a),
+            Expr::Binary(_, a, b) => self.expr(a).or(self.expr(b)),
+            Expr::Call(i, args) => {
+                if self.first_round {
+                    self.out.intrinsics.insert(*i);
+                }
+                let mut t = Taint::default();
+                for a in args {
+                    t = t.or(self.expr(a));
+                }
+                t
             }
-            Stmt::RPush { value, offset } => {
-                check_subscripts(value, tainted, out);
-                if expr_tainted(offset, tainted) {
-                    out.tape_dependent_subscript = true;
+            // Vector constructs: the body is already SIMDized.
+            Expr::ConstVec(_) => {
+                self.out.vectorized = true;
+                Taint::default()
+            }
+            Expr::VPop { .. } | Expr::LVPop(_, _) => {
+                self.out.vectorized = true;
+                read
+            }
+            Expr::VPeek { offset, .. } => {
+                self.out.vectorized = true;
+                Taint {
+                    value: true,
+                    ..self.expr(offset).as_index()
                 }
             }
-            Stmt::VPush { value, .. } => check_subscripts(value, tainted, out),
-            Stmt::For { count, body, .. } => {
-                if expr_tainted(count, tainted) {
-                    out.tape_dependent_control = true;
-                }
-                taint_block(body, tainted, out);
+            Expr::VIndex(_, a, _) | Expr::Lane(a, _) | Expr::Splat(a, _) => {
+                self.out.vectorized = true;
+                self.expr(a)
             }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                if expr_tainted(cond, tainted) {
-                    out.tape_dependent_control = true;
-                }
-                taint_block(then_branch, tainted, out);
-                taint_block(else_branch, tainted, out);
+            Expr::PermuteEven(a, b) | Expr::PermuteOdd(a, b) => {
+                self.out.vectorized = true;
+                self.expr(a).or(self.expr(b))
             }
-            Stmt::AdvanceRead(_) | Stmt::AdvanceWrite(_) => {}
         }
     }
 }
@@ -1316,6 +1354,178 @@ mod tests {
         let f = fb.build();
         let va = analyze_vectorizability(&f);
         assert!(va.tape_dependent_subscript);
+    }
+
+    /// The verdict on an `i32` body built by `work` over two 16-element
+    /// local arrays `a`, `b` and three scalar locals `x`, `y`, `i`.
+    fn verdict(work: impl FnOnce(&mut B, [VarId; 5])) -> Vectorizability {
+        let mut fb = FilterBuilder::new("t", 4, 1, 1, ScalarTy::I32);
+        let vars = [
+            fb.local("a", Ty::Array(ScalarTy::I32, 16)),
+            fb.local("b", Ty::Array(ScalarTy::I32, 16)),
+            fb.local("x", Ty::Scalar(ScalarTy::I32)),
+            fb.local("y", Ty::Scalar(ScalarTy::I32)),
+            fb.local("i", Ty::Scalar(ScalarTy::I32)),
+        ];
+        fb.work(|b| work(b, vars));
+        analyze_vectorizability(&fb.build())
+    }
+
+    /// (tape-dependent control, tape-dependent subscript) of a verdict
+    /// that is otherwise clean.
+    fn flags(va: &Vectorizability) -> (bool, bool) {
+        assert!(!va.stateful && !va.vectorized);
+        (va.tape_dependent_control, va.tape_dependent_subscript)
+    }
+
+    #[test]
+    fn nested_tainted_subscript_is_flagged() {
+        // a[b[pop()]]: the inner subscript reads the tape.
+        let va = verdict(|b, [a, arr_b, _, _, _]| {
+            b.push(idx(a, idx(arr_b, pop())));
+        });
+        assert_eq!(flags(&va), (false, true));
+        // The same read under a branch condition is control, not a
+        // subscript: conditions are checked for taint as a whole.
+        let va = verdict(|b, [a, arr_b, x, _, _]| {
+            b.set(x, pop());
+            b.if_(gt(idx(a, idx(arr_b, v(x))), 0i32), |b| {
+                b.push(1i32);
+            });
+            b.if_(le(idx(a, idx(arr_b, v(x))), 0i32), |b| {
+                b.push(0i32);
+            });
+        });
+        assert_eq!(flags(&va), (true, false));
+        // An untainted nested subscript flags nothing.
+        let va = verdict(|b, [a, arr_b, x, _, _]| {
+            b.set(x, pop());
+            b.push(idx(a, idx(arr_b, 3i32)) + v(x));
+        });
+        assert_eq!(flags(&va), (false, false));
+    }
+
+    #[test]
+    fn tainted_peek_offset_inside_a_call_is_flagged() {
+        let va = verdict(|b, [_, _, x, y, _]| {
+            b.set(x, peek(0i32) & 3i32);
+            b.set(y, pop());
+            b.push(cast(ScalarTy::I32, sqrt(cast(ScalarTy::F32, peek(v(x))))));
+        });
+        assert_eq!(flags(&va), (false, true));
+        // A constant offset in the same place is fine.
+        let va = verdict(|b, [_, _, _, y, _]| {
+            b.set(y, pop());
+            b.push(cast(ScalarTy::I32, sqrt(cast(ScalarTy::F32, peek(2i32)))));
+        });
+        assert_eq!(flags(&va), (false, false));
+    }
+
+    #[test]
+    fn tainted_rpush_offset_is_flagged() {
+        let va = verdict(|b, [_, _, x, _, _]| {
+            b.set(x, pop() & 1i32);
+            b.stmt(Stmt::RPush {
+                value: Expr::Const(Value::I32(1)),
+                offset: Expr::Var(x),
+            });
+        });
+        assert_eq!(flags(&va), (false, true));
+        // A tainted value at an untainted offset is plain data flow.
+        let va = verdict(|b, [_, _, x, _, _]| {
+            b.set(x, pop());
+            b.stmt(Stmt::RPush {
+                value: Expr::Var(x),
+                offset: Expr::Const(Value::I32(0)),
+            });
+        });
+        assert_eq!(flags(&va), (false, false));
+    }
+
+    #[test]
+    fn loop_carried_taint_is_found_in_the_second_round() {
+        // The first round reaches the branch on `y` before the loop body
+        // taints `y`; only the second round sees the branch as tainted.
+        let va = verdict(|b, [_, _, x, y, i]| {
+            b.for_(i, 2i32, |b| {
+                b.if_(gt(v(y), 0i32), |b| {
+                    b.set(x, v(x) + 1i32);
+                });
+                b.set(y, pop());
+            });
+            b.push(v(x));
+        });
+        assert_eq!(flags(&va), (true, false));
+        // Taint carried through a second variable needs a third round.
+        let va = verdict(|b, [_, _, x, y, i]| {
+            b.for_(i, 2i32, |b| {
+                b.if_(gt(v(y), 0i32), |b| {
+                    b.push(v(x));
+                });
+                b.set(y, v(x));
+                b.set(x, pop());
+            });
+        });
+        assert_eq!(flags(&va), (true, false));
+        // The same shape without a tape read on the carried path is clean.
+        let va = verdict(|b, [_, _, x, y, i]| {
+            b.for_(i, 2i32, |b| {
+                b.if_(gt(v(y), 0i32), |b| {
+                    b.push(v(x));
+                });
+                b.set(y, v(x));
+                b.set(x, 7i32);
+            });
+            b.push(v(x) + pop());
+        });
+        assert_eq!(flags(&va), (false, false));
+        // Taint is not flow-sensitive: a later tape read into `x` reaches
+        // the earlier loop through the fixpoint.
+        let va = verdict(|b, [_, _, x, y, i]| {
+            b.for_(i, 2i32, |b| {
+                b.if_(gt(v(y), 0i32), |b| {
+                    b.push(v(x));
+                });
+                b.set(y, v(x));
+            });
+            b.set(x, pop());
+        });
+        assert_eq!(flags(&va), (true, false));
+    }
+
+    #[test]
+    fn tainted_array_element_taints_a_later_branch() {
+        // Writing tape data into one element taints the whole array, so a
+        // branch on a different element is tape-dependent control.
+        let va = verdict(|b, [a, _, _, _, _]| {
+            b.set_idx(a, 0i32, pop());
+            b.if_else(
+                gt(idx(a, 1i32), 0i32),
+                |b| {
+                    b.push(1i32);
+                },
+                |b| {
+                    b.push(0i32);
+                },
+            );
+        });
+        assert_eq!(flags(&va), (true, false));
+        // A tape-dependent subscript on the write side taints the
+        // subscript flag, not the array.
+        let va = verdict(|b, [a, _, x, _, _]| {
+            b.set(x, pop() & 15i32);
+            b.set_idx(a, v(x), 1i32);
+            b.if_else(
+                gt(idx(a, 1i32), 0i32),
+                |b| {
+                    b.push(1i32);
+                },
+                |b| {
+                    b.push(0i32);
+                },
+            );
+        });
+        assert_eq!(flags(&va), (false, true));
     }
 
     #[test]

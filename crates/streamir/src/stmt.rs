@@ -71,7 +71,14 @@ impl Stmt {
 
     /// Walk every expression contained in this statement (and substatements).
     pub fn walk_exprs(&self, f: &mut impl FnMut(&Expr)) {
-        self.walk(&mut |s| match s {
+        self.walk(&mut |s| s.walk_own_exprs(f));
+    }
+
+    /// Walk the expressions this statement holds itself — an assignment's
+    /// subscript and value, a push's operand and offset, a trip count, a
+    /// condition — but not those of its substatements.
+    pub fn walk_own_exprs(&self, f: &mut impl FnMut(&Expr)) {
+        match self {
             Stmt::Assign(lv, e) => {
                 match lv {
                     LValue::Index(_, i) | LValue::LaneIndex(_, i, _) | LValue::VIndex(_, i, _) => {
@@ -90,7 +97,7 @@ impl Stmt {
             Stmt::For { count, .. } => count.walk(f),
             Stmt::If { cond, .. } => cond.walk(f),
             Stmt::AdvanceRead(_) | Stmt::AdvanceWrite(_) => {}
-        });
+        }
     }
 }
 

@@ -180,3 +180,61 @@ fn simdize_single_actor_rejects_every_illegal_shape() {
         Err(SimdizeError::NotVectorizable { .. })
     ));
 }
+
+#[test]
+fn simd_width_that_is_not_a_power_of_two_is_a_typed_error() {
+    // `Machine::simd_width` is a public field: a width the lane layouts
+    // cannot use is refused before any pass runs, not by a panic inside
+    // one.
+    let g = macross_repro::benchsuite::by_name("FFT").unwrap();
+    let g = (g.build)();
+    for w in [0, 1, 3, 6] {
+        let machine = Machine {
+            simd_width: w,
+            ..Machine::core_i7()
+        };
+        for opts in [
+            SimdizeOptions::all(),
+            SimdizeOptions::no_reorder(),
+            SimdizeOptions::single_only(),
+        ] {
+            let err = macro_simdize(&g, &machine, &opts).unwrap_err();
+            assert_eq!(err, SimdizeError::SimdWidth(w));
+            assert!(err.to_string().contains("power of two"), "{err}");
+        }
+    }
+    for w in [2, 4, 8] {
+        let machine = Machine {
+            simd_width: w,
+            ..Machine::core_i7()
+        };
+        macro_simdize(&g, &machine, &SimdizeOptions::all()).unwrap();
+    }
+
+    // The public one-shot transforms refuse such a lane count the same
+    // way, before asking whether it divides a region count.
+    use macross_repro::macross::{simdize_region_actor, simdize_single_actor, SingleActorConfig};
+    let bank = (macross_repro::benchsuite::by_name("RegionIIRBank")
+        .unwrap()
+        .build)();
+    let region = (bank.nodes())
+        .find_map(|(_, n)| n.as_filter().filter(|f| f.region.is_some()))
+        .unwrap();
+    let stateless = (g.nodes())
+        .find_map(|(_, n)| {
+            n.as_filter()
+                .filter(|f| f.pop > 0 && f.state_vars().count() == 0)
+        })
+        .unwrap();
+    for w in [0, 1, 3, 6] {
+        let cfg = SingleActorConfig::strided(w, ScalarTy::F32, ScalarTy::F32);
+        assert_eq!(
+            simdize_single_actor(stateless, &cfg),
+            Err(SimdizeError::SimdWidth(w))
+        );
+        assert_eq!(
+            simdize_region_actor(region, &cfg),
+            Err(SimdizeError::SimdWidth(w))
+        );
+    }
+}
