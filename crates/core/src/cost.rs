@@ -14,17 +14,9 @@ use macross_streamir::expr::{BinOp, Expr, LValue, VarId};
 use macross_streamir::filter::Filter;
 use macross_streamir::stmt::Stmt;
 use macross_streamir::types::{ScalarTy, Value};
-use macross_vm::Machine;
+use macross_vm::{ChargeEntry, Machine};
 
-/// Extra per-access address costs for reordered tapes, passed in by the
-/// tape-mode cost comparison.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AddrCosts {
-    /// Added to every scalar input-tape access.
-    pub input: u64,
-    /// Added to every scalar output-tape access.
-    pub output: u64,
-}
+pub use macross_vm::AddrCosts;
 
 /// The candidate tape modes of a staged-body walk: the body is still in
 /// scalar form, and every statement is charged what its lowering costs —
@@ -127,7 +119,6 @@ fn pair_costs(
     machine: &Machine,
     summarize: bool,
 ) -> Vec<u64> {
-    let c = &machine.cost;
     let sw = staged.sw as u64;
     let (p, q) = (staged.pop as u64, staged.push as u64);
     let modes = StagedModes {
@@ -143,27 +134,32 @@ fn pair_costs(
         summarize,
     );
     w.block(&staged.filter.work);
-    // What `lower` emits around the body.
+    // What `lower` emits around the body: a vector load and store per
+    // token group and the network's permutes, or a pointer adjustment.
+    let cy = |e: ChargeEntry| e.cycles(AddrCosts::default());
+    let (copy, permute) = (
+        cy(machine.load(true) + machine.store(true)),
+        cy(machine.permute()),
+    );
+    let adjust = cy(machine.stmt_charge(&Stmt::AdvanceRead(0)));
     w.charge_inputs(|m| match m {
         // Gather preamble: p vector pops, the network, p stores into the
         // permuted array.
         TapeMode::Permute if p > 0 => {
-            let network = gather_plan(staged.pop, staged.sw).op_count() as u64;
-            p * (c.vload + c.vstore) + network * c.permute
+            p * copy + gather_plan(staged.pop, staged.sw).op_count() as u64 * permute
         }
         // advance_read((SW - 1) * p)
-        TapeMode::Strided if p > 0 => c.alu,
+        TapeMode::Strided if p > 0 => adjust,
         _ => 0,
     });
     w.charge_outputs(|m| match m {
         // Scatter postamble: q loads from the permuted array, the network,
         // q vector pushes.
         TapeMode::Permute if q > 0 => {
-            let network = scatter_plan(staged.push, staged.sw).op_count() as u64;
-            q * (c.vload + c.vstore) + network * c.permute
+            q * copy + scatter_plan(staged.push, staged.sw).op_count() as u64 * permute
         }
         // advance_write((SW - 1) * q)
-        TapeMode::Strided if q > 0 => c.alu,
+        TapeMode::Strided if q > 0 => adjust,
         _ => 0,
     });
     w.pair_extra.iter().map(|x| w.cycles + x).collect()
@@ -185,12 +181,17 @@ impl<'a> CostWalker<'a> {
             machine,
             env: ConstEnv::with_vars(filter.vars.len()),
             addr,
-            cycles: machine.cost.firing,
+            cycles: machine.firing().cycles(addr),
             pair_extra: vec![0; pairs],
             staged,
             summarize,
             assigned: Vec::new(),
         }
+    }
+
+    /// Charge one shape's price.
+    fn charge(&mut self, price: ChargeEntry) {
+        self.cycles += price.cycles(self.addr);
     }
 
     fn is_vec_var(&self, v: VarId) -> bool {
@@ -232,58 +233,67 @@ impl<'a> CostWalker<'a> {
     }
 
     /// Charge a tape-access site of a staged body with what
-    /// `Staged::lower` turns it into under each candidate mode. Returns
-    /// false for every other statement.
+    /// `Staged::lower` turns it into under each candidate mode, priced
+    /// statement by statement. Returns false for every other statement.
     fn staged_site(&mut self, s: &Stmt) -> bool {
         let Some(sw) = self.staged.as_ref().map(|m| m.sw) else {
             return false;
         };
-        let c = &self.machine.cost;
-        let addr = self.addr;
+        let (m, addr) = (self.machine, self.addr);
+        let cy = |e: ChargeEntry| e.cycles(addr);
+        // The counter step `cnt = cnt + 1` of the permuted array.
+        let step = || cy(m.arith(Some(BinOp::Add), false));
         match s {
-            Stmt::Assign(LValue::Var(_), Expr::Pop) => self.charge_inputs(|m| match m {
+            Stmt::Assign(LValue::Var(_), Expr::Pop) => {
                 // SW lane inserts fed by SW - 1 strided peeks and a pop.
-                TapeMode::Strided => sw * (c.load + addr.input + c.lane_insert),
-                // v = perm[cnt]; cnt = cnt + 1
-                TapeMode::Permute => c.vload + c.alu,
-                TapeMode::VectorReorder | TapeMode::Vector => c.vload,
-            }),
+                let strided = sw * cy(m.tape_pop() + m.lane_insert());
+                let vload = cy(m.load(true));
+                self.charge_inputs(|mode| match mode {
+                    TapeMode::Strided => strided,
+                    // v = perm[cnt]; cnt = cnt + 1
+                    TapeMode::Permute => vload + step(),
+                    TapeMode::VectorReorder | TapeMode::Vector => vload,
+                })
+            }
             Stmt::Assign(LValue::Var(_), Expr::Peek(off)) => {
                 let off = self.expr_cycles(off);
-                self.charge_inputs(|m| match m {
-                    // SW lane inserts fed by peek(off + l * p), lane 0
-                    // without the add.
-                    TapeMode::Strided => {
-                        sw * (off + c.load + addr.input + c.lane_insert) + (sw - 1) * c.alu
-                    }
+                // SW lane inserts fed by peek(off + l * p), lane 0
+                // without the add.
+                let strided = sw * (off + cy(m.tape_pop() + m.lane_insert())) + (sw - 1) * step();
+                self.charge_inputs(|mode| match mode {
+                    TapeMode::Strided => strided,
                     other => panic!("peek unsupported in {other:?} mode"),
                 });
             }
             // v = lvpop(ch)
-            Stmt::Assign(LValue::Var(_), Expr::LPop(_)) => self.cycles += c.vload,
+            Stmt::Assign(LValue::Var(_), Expr::LPop(_)) => self.charge(m.load(true)),
             Stmt::Push(e) => {
                 let Expr::Var(var) = e else {
                     panic!("push operand not normalized: {e}")
                 };
                 let vec = self.is_vec_var(*var);
-                let splat = if vec { 0 } else { c.splat };
-                self.charge_outputs(|m| match m {
-                    // SW - 1 rpushes and a push, each of one extracted lane.
-                    TapeMode::Strided => {
-                        let lane = if vec { c.lane_extract } else { 0 };
-                        sw * (c.store + lane) + (sw - 1) * c.alu + addr.output
-                    }
+                let splat = if vec { 0 } else { cy(m.splat()) };
+                let lane = if vec { cy(m.lane_extract()) } else { 0 };
+                // SW - 1 rpushes and a push, each of one extracted lane.
+                let rpush = Stmt::RPush {
+                    value: Expr::Var(*var),
+                    offset: Expr::Var(*var),
+                };
+                let strided = (sw - 1) * cy(m.stmt_charge(&rpush)) + cy(m.tape_push()) + sw * lane;
+                let vstore = cy(m.store(true));
+                self.charge_outputs(|mode| match mode {
+                    TapeMode::Strided => strided,
                     // perm[cnt] = v; cnt = cnt + 1
-                    TapeMode::Permute => c.vstore + c.alu + splat,
-                    TapeMode::VectorReorder | TapeMode::Vector => c.vstore + splat,
+                    TapeMode::Permute => vstore + step() + splat,
+                    TapeMode::VectorReorder | TapeMode::Vector => vstore + splat,
                 });
             }
             // lvpush(ch, v)
             Stmt::LPush(_, e) => {
                 if !self.expr(e) {
-                    self.cycles += c.splat;
+                    self.charge(m.splat());
                 }
-                self.cycles += c.vstore;
+                self.charge(m.store(true));
             }
             _ => return false,
         }
@@ -295,67 +305,42 @@ impl<'a> CostWalker<'a> {
             return;
         }
         let staged = self.staged.is_some();
-        let c = &self.machine.cost;
+        self.charge(self.machine.stmt_charge(s));
         match s {
             Stmt::Assign(lv, e) => {
                 let vec = self.expr(e);
+                let vec_target = self.is_vec_var(lv.var());
                 // A staged vector target's right-hand side lowers to a
                 // splat or a vector expression: never a known constant.
-                let lowered_vec = staged && self.is_vec_var(lv.var());
+                let lowered_vec = staged && vec_target;
                 if lowered_vec && !vec {
-                    self.cycles += c.splat;
+                    self.charge(self.machine.splat());
                 }
                 match lv {
                     LValue::Var(v) => {
                         let val = if lowered_vec { None } else { self.env.eval(e) };
                         self.env.set(*v, val);
                     }
-                    LValue::Index(v, i) => {
+                    LValue::Index(v, i) | LValue::VIndex(v, i, _) | LValue::LaneIndex(v, i, _) => {
                         self.expr(i);
                         self.env.set(*v, None);
-                        self.cycles += if self.is_vec_var(*v) {
-                            c.vstore
-                        } else {
-                            c.store
-                        };
                     }
-                    LValue::VIndex(v, i, _) => {
-                        self.expr(i);
-                        self.env.set(*v, None);
-                        self.cycles += c.vstore;
-                    }
-                    LValue::LaneVar(_, _) => self.cycles += c.lane_insert,
-                    LValue::LaneIndex(v, i, _) => {
-                        self.expr(i);
-                        self.env.set(*v, None);
-                        self.cycles += c.lane_insert;
-                    }
+                    LValue::LaneVar(_, _) => {}
                 }
+                self.charge(self.machine.store_charge(lv, vec_target));
             }
-            Stmt::Push(e) => {
+            Stmt::Push(e)
+            | Stmt::VPush { value: e, .. }
+            | Stmt::LPush(_, e)
+            | Stmt::LVPush(_, e, _) => {
                 self.expr(e);
-                self.cycles += c.store + self.addr.output;
             }
             Stmt::RPush { value, offset } => {
                 self.expr(value);
                 self.expr(offset);
-                self.cycles += c.store + c.alu;
-            }
-            Stmt::VPush { value, .. } => {
-                self.expr(value);
-                self.cycles += c.vstore;
-            }
-            Stmt::LPush(_, e) => {
-                self.expr(e);
-                self.cycles += c.store;
-            }
-            Stmt::LVPush(_, e, _) => {
-                self.expr(e);
-                self.cycles += c.vstore;
             }
             Stmt::For { var, count, body } => {
                 self.expr(count);
-                self.cycles += c.alu;
                 let n = self
                     .env
                     .eval(count)
@@ -395,7 +380,6 @@ impl<'a> CostWalker<'a> {
                 else_branch,
             } => {
                 self.expr(cond);
-                self.cycles += c.alu;
                 match self.env.eval(cond) {
                     Some(v) if v.is_truthy() => self.block(then_branch),
                     Some(_) => self.block(else_branch),
@@ -420,7 +404,7 @@ impl<'a> CostWalker<'a> {
                     }
                 }
             }
-            Stmt::AdvanceRead(_) | Stmt::AdvanceWrite(_) => self.cycles += c.alu,
+            Stmt::AdvanceRead(_) | Stmt::AdvanceWrite(_) => {}
         }
     }
 
@@ -428,49 +412,33 @@ impl<'a> CostWalker<'a> {
     /// staged body a scalar operand of a vector operation is charged the
     /// splat its lowering wraps it in.
     fn expr(&mut self, e: &Expr) -> bool {
-        let c = &self.machine.cost;
         let staged = self.staged.is_some();
-        match e {
-            Expr::Const(_) => false,
-            Expr::ConstVec(_) => {
-                self.cycles += c.vload;
-                true
-            }
+        let vec = match e {
+            Expr::Const(_) | Expr::Pop | Expr::LPop(_) => false,
+            Expr::ConstVec(_) | Expr::VPop { .. } | Expr::LVPop(..) => true,
             Expr::Var(v) => self.is_vec_var(*v),
             Expr::Index(v, i) => {
                 self.expr(i);
-                let vec = self.is_vec_var(*v);
-                self.cycles += if vec { c.vload } else { c.load };
-                vec
+                self.is_vec_var(*v)
             }
-            Expr::VIndex(_, i, _) => {
+            Expr::VIndex(_, i, _) | Expr::VPeek { offset: i, .. } | Expr::Splat(i, _) => {
                 self.expr(i);
-                self.cycles += c.vload;
                 true
             }
-            Expr::Unary(_, a) | Expr::Cast(_, a) => {
-                let vec = self.expr(a);
-                self.cycles += if vec { c.valu } else { c.alu };
-                vec
+            Expr::Peek(a) | Expr::Lane(a, _) => {
+                self.expr(a);
+                false
             }
-            Expr::Binary(op, a, b) => {
+            Expr::Unary(_, a) | Expr::Cast(_, a) => self.expr(a),
+            Expr::Binary(_, a, b) => {
                 let va = self.expr(a);
                 let vb = self.expr(b);
-                let vec = va || vb;
                 if staged && va != vb {
-                    self.cycles += c.splat;
+                    self.charge(self.machine.splat());
                 }
-                self.cycles += match (op, vec) {
-                    (BinOp::Mul, false) => c.mul,
-                    (BinOp::Mul, true) => c.vmul,
-                    (BinOp::Div | BinOp::Rem, false) => c.div,
-                    (BinOp::Div | BinOp::Rem, true) => c.vdiv,
-                    (_, false) => c.alu,
-                    (_, true) => c.valu,
-                };
-                vec
+                va || vb
             }
-            Expr::Call(i, args) => {
+            Expr::Call(_, args) => {
                 // Not `any()`: every argument must be walked so its
                 // cycles are charged, even after a vector one is seen.
                 let mut vec = false;
@@ -481,64 +449,24 @@ impl<'a> CostWalker<'a> {
                     scalars += u64::from(!va);
                 }
                 if staged && vec {
-                    self.cycles += scalars * c.splat;
+                    self.cycles += scalars * self.machine.splat().cycles(self.addr);
                 }
-                self.cycles += if vec {
-                    self.machine.vector_intrinsic_cost(*i)
-                } else {
-                    self.machine.scalar_intrinsic_cost(*i)
-                };
                 vec
-            }
-            Expr::Pop => {
-                self.cycles += c.load + self.addr.input;
-                false
-            }
-            Expr::Peek(off) => {
-                self.expr(off);
-                self.cycles += c.load + self.addr.input;
-                false
-            }
-            Expr::VPop { .. } => {
-                self.cycles += c.vload;
-                true
-            }
-            Expr::VPeek { offset, .. } => {
-                self.expr(offset);
-                self.cycles += c.vload;
-                true
-            }
-            Expr::LPop(_) => {
-                self.cycles += c.load;
-                false
-            }
-            Expr::LVPop(_, _) => {
-                self.cycles += c.vload;
-                true
-            }
-            Expr::Lane(a, _) => {
-                self.expr(a);
-                self.cycles += c.lane_extract;
-                false
-            }
-            Expr::Splat(a, _) => {
-                self.expr(a);
-                self.cycles += c.splat;
-                true
             }
             Expr::PermuteEven(a, b) | Expr::PermuteOdd(a, b) => {
                 self.expr(a);
                 self.expr(b);
-                self.cycles += c.permute;
                 true
             }
-        }
+        };
+        self.charge(self.machine.expr_charge(e, vec));
+        vec
     }
 
     fn unrolled_loop(&mut self, var: VarId, n: i64, body: &[Stmt]) {
         for i in 0..n.max(0) {
             self.env.set(var, Some(Value::I32(i as i32)));
-            self.cycles += self.machine.cost.loop_iter;
+            self.charge(self.machine.loop_iter());
             self.block(body);
         }
     }
@@ -549,7 +477,7 @@ impl<'a> CostWalker<'a> {
     fn summarized_loop(&mut self, var: VarId, n: i64, body: &[Stmt]) {
         let (cycles, extra) = (self.cycles, self.pair_extra.clone());
         self.env.set(var, Some(Value::I32((n - 1) as i32)));
-        self.cycles += self.machine.cost.loop_iter;
+        self.charge(self.machine.loop_iter());
         self.block(body);
         let more = (n - 1) as u64;
         self.cycles += more * (self.cycles - cycles);

@@ -15,7 +15,7 @@ use crate::vertical::{chain_reps, fuse_vetted_chain, link_fusable_vetted, splice
 use macross_sdf::{compute_init_reps, lcm, Schedule};
 use macross_streamir::analysis::{analyze_vectorizability, check_rates, Vectorizability};
 use macross_streamir::filter::Filter;
-use macross_streamir::graph::{AddrGen, Graph, Node, NodeId, Reorder, ReorderSide};
+use macross_streamir::graph::{Graph, Node, NodeId, Reorder, ReorderSide};
 use macross_streamir::stmt::Stmt;
 use macross_streamir::types::ScalarTy;
 use macross_telemetry::compile::{Pass, PassEvent};
@@ -481,11 +481,7 @@ pub fn macro_simdize_colocated(
 
         // Charge the scalar neighbour's extra address generation, then
         // take the first minimum in input-major order.
-        let addr_unit = if machine.has_sagu {
-            machine.cost.sagu_access
-        } else {
-            machine.cost.addr_software_reorder
-        };
+        let addr_unit = machine.reorder_access(machine.addr_gen());
         let pairs: Vec<(TapeMode, TapeMode)> = input_modes
             .iter()
             .flat_map(|&im| output_modes.iter().map(move |&om| (im, om)))
@@ -586,7 +582,7 @@ pub fn macro_simdize_colocated(
             // panel state cannot stay register-resident between firings,
             // so each extra panel is charged one cross-panel permute.
             let panels = regions / w;
-            let permute_term = (panels as u64 - 1) * machine.cost.permute;
+            let permute_term = (panels as u64 - 1) * machine.permute().cycles(AddrCosts::default());
             let scost = static_firing_cost(f, machine, AddrCosts::default());
             let vcost = static_firing_cost(&vf, machine, AddrCosts::default()) + permute_term;
             if opts.profitability && vcost >= (w as u64) * scost {
@@ -651,11 +647,7 @@ pub fn macro_simdize_colocated(
         );
         *r /= cfg.sw as u64;
     };
-    let addr_gen = if machine.has_sagu {
-        AddrGen::Sagu
-    } else {
-        AddrGen::Software
-    };
+    let addr_gen = machine.addr_gen();
     for (id, cfg, vf) in plans {
         let (pop, push) = (vf.pop / sw, vf.push / sw);
         report.single_actors.push(vf.name.clone());
@@ -709,9 +701,17 @@ pub fn macro_simdize_colocated(
 
 /// Statically modelled steady-state work per node: `reps * firing_cost`,
 /// where a filter's firing cost comes from the static cost model and a
-/// switch node's from the elements it moves. The common currency of both
-/// static LPT placement (nodes onto cores, `macross_multicore::partition_lpt`)
-/// and the service layer's session sharding (whole sessions onto shards).
+/// native node's is its firing overhead plus one cycle per token it moves
+/// on each side. The common currency of both static LPT placement (nodes
+/// onto cores, `macross_multicore::partition_lpt`) and the service layer's
+/// session sharding (whole sessions onto shards).
+///
+/// A native node's weight is not what the VM charges it: that is a load
+/// and a store per token, plus its edges' reorder address costs and, for
+/// an H-node, the lane inserts or extracts and vector stores or loads
+/// (`macross_vm::firing`'s `moves_charge`). The weights are kept as they
+/// are because shard load, `PlanSummary` and replay weights are computed
+/// from them (DESIGN.md §10, "One price list").
 pub fn steady_node_weights(graph: &Graph, schedule: &Schedule, machine: &Machine) -> Vec<u64> {
     graph
         .node_ids()
@@ -732,7 +732,7 @@ pub fn steady_node_weights(graph: &Graph, schedule: &Schedule, machine: &Machine
                             m
                         })
                         .sum();
-                    machine.cost.firing + moved
+                    machine.firing().cycles(AddrCosts::default()) + moved
                 }
             };
             schedule.reps[id.0 as usize] * per_firing

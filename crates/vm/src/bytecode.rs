@@ -33,9 +33,9 @@
 //! count — at compile time when the count is a literal, by one
 //! [`Op::ChargeTimes`] after the loop when it is not; only code under an
 //! `If` is charged where it runs. Address-generation overhead on reordered
-//! tapes depends on the edge (`in_cost` / `out_cost`), so [`ChargeEntry`]
-//! records *counts* of input/output accesses and the VM multiplies at run
-//! time. All charges are plain `u64` additions, so aggregation order
+//! tapes depends on the edge ([`AddrCosts`]), so [`ChargeEntry`] records
+//! *counts* of input/output accesses and [`ChargeEntry::apply`] multiplies
+//! at run time. All charges are plain `u64` additions, so aggregation order
 //! cannot change totals; on a successful firing the counters are
 //! bit-identical to the tree-walker's. Runs that abort with a [`VmError`]
 //! never surface their counters, so where inside a firing a charge lands
@@ -43,7 +43,7 @@
 
 use crate::error::{TapeSide, VmError};
 use crate::lanes;
-use crate::machine::CycleCounters;
+use crate::machine::{AddrCosts, ChargeEntry, CycleCounters};
 use crate::tape::Tape;
 use macross_streamir::expr::{BinOp, Intrinsic};
 use macross_streamir::types::ScalarTy;
@@ -98,46 +98,6 @@ impl Chan {
         let span = self.buf.get(self.head..self.head + w)?;
         self.head += w;
         Some(span)
-    }
-}
-
-/// Pre-aggregated cycle charges of one region of a body.
-///
-/// `in_addr` / `out_addr` count scalar accesses to the input/output tape
-/// that pay the per-edge reorder address cost; the VM multiplies them by
-/// the runtime `in_cost` / `out_cost` (exactly what the tree-walker adds
-/// one access at a time).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChargeEntry {
-    /// Fixed charges of the block.
-    pub counters: CycleCounters,
-    /// Scalar input-tape accesses paying the input reorder address cost.
-    pub in_addr: u64,
-    /// Scalar output-tape accesses paying the output reorder address cost.
-    pub out_addr: u64,
-}
-
-impl ChargeEntry {
-    /// True if applying this entry would change nothing.
-    pub fn is_zero(&self) -> bool {
-        self.counters == CycleCounters::default() && self.in_addr == 0 && self.out_addr == 0
-    }
-
-    /// Add another entry into this one.
-    pub fn absorb(&mut self, other: &ChargeEntry) {
-        self.counters.absorb(&other.counters);
-        self.in_addr += other.in_addr;
-        self.out_addr += other.out_addr;
-    }
-
-    /// This entry applied `n` times (a loop body's charges times its trip
-    /// count); `None` if a sum leaves `u64`.
-    pub fn times(&self, n: u64) -> Option<ChargeEntry> {
-        Some(ChargeEntry {
-            counters: self.counters.times(n)?,
-            in_addr: self.in_addr.checked_mul(n)?,
-            out_addr: self.out_addr.checked_mul(n)?,
-        })
     }
 }
 
@@ -1042,8 +1002,8 @@ fn slice_index(idx: i64, w: u32, len: u32, filter: &str) -> usize {
 
 /// Execute one compiled body (`plan.init` or `plan.work`).
 ///
-/// `in_cost` / `out_cost` are the per-access reorder address costs of the
-/// input/output edge (see [`crate::firing::FirePlan`]).
+/// `addr` holds the per-access reorder address costs of the input and
+/// output edge (see [`crate::firing::FirePlan`]).
 ///
 /// # Errors
 /// Returns [`VmError::MissingTape`] when a tape op runs without the
@@ -1063,8 +1023,7 @@ pub fn run_code(
     chans: &mut [Chan],
     mut input: Option<&mut Tape>,
     mut output: Option<&mut Tape>,
-    in_cost: u64,
-    out_cost: u64,
+    addr: AddrCosts,
     counters: &mut CycleCounters,
 ) -> Result<(), VmError> {
     macro_rules! tape {
@@ -1089,25 +1048,18 @@ pub fn run_code(
         };
     }
 
-    macro_rules! charge {
-        ($e:expr) => {{
-            let e: &ChargeEntry = $e;
-            counters.absorb(&e.counters);
-            counters.addr_overhead += e.in_addr * in_cost + e.out_addr * out_cost;
-        }};
-    }
-
     // The cursor is a slice iterator: stepping is a pointer compare and
     // bump, and only a taken jump pays an index bounds check.
     let at = |target: u32| code[target as usize..].iter();
     let mut ip = code.iter();
     while let Some(op) = ip.next() {
         match op {
-            Op::Charge(idx) => charge!(&plan.charges[*idx as usize]),
+            Op::Charge(idx) => plan.charges[*idx as usize].apply(counters, addr),
             Op::ChargeTimes { idx, n } => {
                 let times = regs.i[*n as usize].max(0) as u64;
                 let e = plan.charges[*idx as usize].times(times);
-                charge!(&e.expect("cycle counters overflow u64"));
+                e.expect("cycle counters overflow u64")
+                    .apply(counters, addr);
             }
 
             Op::MovI { dst, src } => regs.i[*dst as usize] = regs.i[*src as usize],
@@ -1597,8 +1549,7 @@ mod tests {
             &mut [],
             None,
             None,
-            0,
-            0,
+            AddrCosts::default(),
             &mut counters,
         )
         .unwrap();
@@ -1618,8 +1569,7 @@ mod tests {
             &mut [],
             None,
             None,
-            0,
-            0,
+            AddrCosts::default(),
             &mut counters,
         )
         .unwrap_err();

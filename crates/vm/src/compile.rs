@@ -32,8 +32,10 @@
 //!
 //! # Cycle accounting
 //!
-//! Every charge the tree-walker makes is accumulated into the pending
-//! [`ChargeEntry`] of the innermost enclosing block. A loop body's entry
+//! Every node is charged its price from the machine's price list
+//! ([`Machine::expr_charge`] and its siblings, the prices the tree-walker
+//! charges as it executes), accumulated into the pending [`ChargeEntry`]
+//! of the innermost enclosing block. A loop body's entry
 //! is multiplied by the trip count into the enclosing block — at compile
 //! time when the count is an integer literal (nests multiply), by one
 //! [`Op::ChargeTimes`] behind the loop otherwise — so a body without an
@@ -43,10 +45,10 @@
 //! kept as *counts* and multiplied by the edge costs at run time, exactly
 //! like the tree-walker's incremental additions.
 
-use crate::bytecode::{ChargeEntry, CompiledFilter, Op};
-use crate::machine::Machine;
+use crate::bytecode::{CompiledFilter, Op};
+use crate::machine::{ChargeEntry, Machine};
 use crate::tape::raw_of;
-use macross_streamir::expr::{BinOp, Expr, Intrinsic, LValue, UnOp};
+use macross_streamir::expr::{Expr, Intrinsic, LValue, UnOp};
 use macross_streamir::filter::{Filter, VarKind};
 use macross_streamir::stmt::Stmt;
 use macross_streamir::types::{ScalarTy, Ty, Value};
@@ -478,23 +480,13 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn scalar_binop_cost(&self, op: BinOp) -> u64 {
-        match op {
-            BinOp::Mul => self.machine.cost.mul,
-            BinOp::Div | BinOp::Rem => self.machine.cost.div,
-            _ => self.machine.cost.alu,
-        }
-    }
-
-    fn vector_binop_cost(&self, op: BinOp) -> u64 {
-        match op {
-            BinOp::Mul => self.machine.cost.vmul,
-            BinOp::Div | BinOp::Rem => self.machine.cost.vdiv,
-            _ => self.machine.cost.valu,
-        }
+    /// Fold one node's price into the enclosing block's pending entry.
+    fn charge(&mut self, price: ChargeEntry) {
+        self.pending.absorb(&price);
     }
 
     fn compile_stmt(&mut self, s: &Stmt) -> Option<()> {
+        self.charge(self.machine.stmt_charge(s));
         match s {
             Stmt::Assign(lv, e) => {
                 let want = self.forward_window(lv);
@@ -507,8 +499,6 @@ impl<'a> Compiler<'a> {
                 if val.w.is_some() || val.ty != ty {
                     return None;
                 }
-                self.pending.counters.mem_scalar += self.machine.cost.store;
-                self.pending.out_addr += 1;
                 self.emit(if val.is_float() {
                     Op::PushF { src: val.reg }
                 } else {
@@ -524,10 +514,6 @@ impl<'a> Compiler<'a> {
                 }
                 let off = self.compile_expr(offset)?;
                 let off = self.as_index(off)?;
-                self.pending.counters.mem_scalar += self.machine.cost.store;
-                // rpush pays a flat ALU for its offset arithmetic, not the
-                // per-edge reorder cost (the producer *is* the reorderer).
-                self.pending.counters.addr_overhead += self.machine.cost.alu;
                 self.emit(if val.is_float() {
                     Op::RPushF { src: val.reg, off }
                 } else {
@@ -541,7 +527,6 @@ impl<'a> Compiler<'a> {
                 if val.ty != ty || val.w != Some(u32::try_from(*width).ok()?) {
                     return None;
                 }
-                self.pending.counters.mem_vector += self.machine.cost.vstore;
                 let w = val.w.expect("checked vector");
                 self.emit(if val.is_float() {
                     Op::VPushF { src: val.reg, w }
@@ -556,7 +541,6 @@ impl<'a> Compiler<'a> {
                 if val.w.is_some() || val.ty != ty {
                     return None;
                 }
-                self.pending.counters.mem_scalar += self.machine.cost.store;
                 let chan = c.0;
                 self.emit(if val.is_float() {
                     Op::LPushF { chan, src: val.reg }
@@ -571,7 +555,6 @@ impl<'a> Compiler<'a> {
                 if val.ty != ty || val.w != Some(u32::try_from(*width).ok()?) {
                     return None;
                 }
-                self.pending.counters.mem_vector += self.machine.cost.vstore;
                 let (chan, w) = (c.0, val.w.expect("checked vector"));
                 self.emit(if val.is_float() {
                     Op::LVPushF {
@@ -601,8 +584,6 @@ impl<'a> Compiler<'a> {
                 if cnt.w.is_some() {
                     return None;
                 }
-                // Loop setup.
-                self.pending.counters.compute_scalar += self.machine.cost.alu;
                 // The limit has to survive the body. A pool register or a
                 // temporary of this statement does; a variable may be
                 // reassigned in the body, so it is copied.
@@ -623,8 +604,7 @@ impl<'a> Compiler<'a> {
                     exit: 0,
                 });
                 let top = self.here();
-                let outer = std::mem::take(&mut self.pending);
-                self.pending.counters.loop_overhead += self.machine.cost.loop_iter;
+                let outer = std::mem::replace(&mut self.pending, self.machine.loop_iter());
                 self.compile_block(body)?;
                 let per_iter = std::mem::replace(&mut self.pending, outer);
                 self.emit(Op::LoopNext {
@@ -660,7 +640,6 @@ impl<'a> Compiler<'a> {
                 if c.w.is_some() {
                     return None;
                 }
-                self.pending.counters.compute_scalar += self.machine.cost.alu; // branch
                 let outer = std::mem::take(&mut self.pending);
                 let to_else = self.emit_patch(if c.is_float() {
                     Op::JumpIfZF {
@@ -686,13 +665,11 @@ impl<'a> Compiler<'a> {
                 Some(())
             }
             Stmt::AdvanceRead(n) => {
-                self.pending.counters.addr_overhead += self.machine.cost.alu;
                 let n = u32::try_from(*n).ok()?;
                 self.emit(Op::AdvRead { n });
                 Some(())
             }
             Stmt::AdvanceWrite(n) => {
-                self.pending.counters.addr_overhead += self.machine.cost.alu;
                 let n = u32::try_from(*n).ok()?;
                 self.emit(Op::AdvWrite { n });
                 Some(())
@@ -703,6 +680,7 @@ impl<'a> Compiler<'a> {
     /// Lower `lv = val`. Evaluation order matches the tree-walker: the
     /// value is already compiled; any lvalue index is compiled after it.
     fn compile_store(&mut self, lv: &LValue, val: Operand) -> Option<()> {
+        self.charge(self.machine.store_charge(lv, val.w.is_some()));
         match lv {
             LValue::Var(v) => {
                 let slot = *self.vars.get(v.0 as usize)?;
@@ -721,7 +699,6 @@ impl<'a> Compiler<'a> {
                 let idx = self.as_index(idx)?;
                 match (slot.ty, val.w) {
                     (Ty::Array(t, n), None) if t == val.ty => {
-                        self.pending.counters.mem_scalar += self.machine.cost.store;
                         let len = u32::try_from(n).ok()?;
                         self.emit(if val.is_float() {
                             Op::StoreIdxF {
@@ -743,7 +720,6 @@ impl<'a> Compiler<'a> {
                     (Ty::VectorArray(t, w, n), Some(vw))
                         if t == val.ty && u32::try_from(w).ok()? == vw =>
                     {
-                        self.pending.counters.mem_vector += self.machine.cost.vstore;
                         let len = u32::try_from(n).ok()?;
                         self.emit(if val.is_float() {
                             Op::StoreVElemF {
@@ -776,7 +752,6 @@ impl<'a> Compiler<'a> {
                 let vw = val.w?;
                 match slot.ty {
                     Ty::Array(t, n) if t == val.ty => {
-                        self.pending.counters.mem_vector += self.machine.cost.vstore;
                         let len = u32::try_from(n).ok()?;
                         self.emit(if val.is_float() {
                             Op::StoreVSliceF {
@@ -804,7 +779,6 @@ impl<'a> Compiler<'a> {
                 let slot = *self.vars.get(v.0 as usize)?;
                 match slot.ty {
                     Ty::Vector(t, w) if t == val.ty && val.w.is_none() && *lane < w => {
-                        self.pending.counters.pack_unpack += self.machine.cost.lane_insert;
                         self.emit_mov(slot.base + u32::try_from(*lane).ok()?, val);
                         Some(())
                     }
@@ -817,7 +791,6 @@ impl<'a> Compiler<'a> {
                 let idx = self.as_index(idx)?;
                 match slot.ty {
                     Ty::VectorArray(t, w, n) if t == val.ty && val.w.is_none() && *lane < w => {
-                        self.pending.counters.pack_unpack += self.machine.cost.lane_insert;
                         let (len, w, lane) = (
                             u32::try_from(n).ok()?,
                             u32::try_from(w).ok()?,
@@ -854,15 +827,9 @@ impl<'a> Compiler<'a> {
         self.compile_expr_to(e, None)
     }
 
-    /// A constant's pool window as an operand: nothing to emit, only the
-    /// charges the tree-walker makes for evaluating it.
+    /// A constant's pool window as an operand: nothing to emit.
     fn pooled_operand(&mut self, e: &Expr) -> Option<Operand> {
         let (ty, w) = pooled(e, &mut self.image)?;
-        match e {
-            Expr::ConstVec(_) => self.pending.counters.mem_vector += self.machine.cost.vload,
-            Expr::Splat(..) => self.pending.counters.pack_unpack += self.machine.cost.splat,
-            _ => {}
-        }
         let pool = if ty.is_float() {
             &self.pool_f
         } else {
@@ -875,6 +842,13 @@ impl<'a> Compiler<'a> {
     /// [`Self::compile_expr`] for the value of an assignment: the op that
     /// produces it may write `want` (see [`Self::dest`]).
     fn compile_expr_to(&mut self, e: &Expr, want: Option<Window>) -> Option<Operand> {
+        let val = self.lower_expr(e, want)?;
+        self.pending
+            .absorb(&self.machine.expr_charge(e, val.w.is_some()));
+        Some(val)
+    }
+
+    fn lower_expr(&mut self, e: &Expr, want: Option<Window>) -> Option<Operand> {
         match e {
             Expr::Const(_) | Expr::ConstVec(_) => self.pooled_operand(e),
             Expr::Var(v) => {
@@ -901,7 +875,6 @@ impl<'a> Compiler<'a> {
                 let idx = self.as_index(idx)?;
                 match slot.ty {
                     Ty::Array(t, n) => {
-                        self.pending.counters.mem_scalar += self.machine.cost.load;
                         let len = u32::try_from(n).ok()?;
                         let srcs = [(t.is_float(), slot.base, len), (false, idx, 1)];
                         let dst = self.dest(want, t.is_float(), 1, false, &srcs);
@@ -927,7 +900,6 @@ impl<'a> Compiler<'a> {
                         })
                     }
                     Ty::VectorArray(t, w, n) => {
-                        self.pending.counters.mem_vector += self.machine.cost.vload;
                         let (len, w) = (u32::try_from(n).ok()?, u32::try_from(w).ok()?);
                         let srcs = [(t.is_float(), slot.base, len * w), (false, idx, 1)];
                         let dst = self.dest(want, t.is_float(), w, false, &srcs);
@@ -964,7 +936,6 @@ impl<'a> Compiler<'a> {
                 let w = u32::try_from(*w).ok()?;
                 match slot.ty {
                     Ty::Array(t, n) => {
-                        self.pending.counters.mem_vector += self.machine.cost.vload;
                         let len = u32::try_from(n).ok()?;
                         let srcs = [(t.is_float(), slot.base, len), (false, idx, 1)];
                         let dst = self.dest(want, t.is_float(), w, false, &srcs);
@@ -996,16 +967,7 @@ impl<'a> Compiler<'a> {
             }
             Expr::Unary(op, a) => {
                 let a = self.compile_expr(a)?;
-                match a.w {
-                    None => {
-                        self.pending.counters.compute_scalar += self.machine.cost.alu;
-                        self.unary(*op, a, None, want)
-                    }
-                    Some(w) => {
-                        self.pending.counters.compute_vector += self.machine.cost.valu;
-                        self.unary(*op, a, Some(w), want)
-                    }
-                }
+                self.unary(*op, a, a.w, want)
             }
             Expr::Binary(op, a, b) => {
                 let a = self.compile_expr(a)?;
@@ -1018,10 +980,6 @@ impl<'a> Compiler<'a> {
                     return None;
                 }
                 let (float, cmp) = (a.is_float(), op.is_comparison());
-                match a.w {
-                    None => self.pending.counters.compute_scalar += self.scalar_binop_cost(*op),
-                    Some(_) => self.pending.counters.compute_vector += self.vector_binop_cost(*op),
-                }
                 // Comparisons yield I32 0/1 lanes, so a float comparison
                 // lands in the integer file.
                 let lanes = a.w.unwrap_or(1);
@@ -1069,36 +1027,18 @@ impl<'a> Compiler<'a> {
             }
             Expr::Cast(t, a) => {
                 let a = self.compile_expr(a)?;
-                let to = *t;
-                match a.w {
-                    None => {
-                        self.pending.counters.compute_scalar += self.machine.cost.alu;
-                        let srcs = [(a.is_float(), a.reg, 1)];
-                        let dst = self.dest(want, to.is_float(), 1, true, &srcs);
-                        self.emit(cast_op(a.ty, to, dst, a.reg, None));
-                        Some(Operand {
-                            ty: to,
-                            w: None,
-                            reg: dst,
-                        })
-                    }
-                    Some(w) => {
-                        self.pending.counters.compute_vector += self.machine.cost.valu;
-                        let srcs = [(a.is_float(), a.reg, w)];
-                        let dst = self.dest(want, to.is_float(), w, true, &srcs);
-                        self.emit(cast_op(a.ty, to, dst, a.reg, Some(w)));
-                        Some(Operand {
-                            ty: to,
-                            w: Some(w),
-                            reg: dst,
-                        })
-                    }
-                }
+                let (to, lanes) = (*t, a.w.unwrap_or(1));
+                let srcs = [(a.is_float(), a.reg, lanes)];
+                let dst = self.dest(want, to.is_float(), lanes, true, &srcs);
+                self.emit(cast_op(a.ty, to, dst, a.reg, a.w));
+                Some(Operand {
+                    ty: to,
+                    w: a.w,
+                    reg: dst,
+                })
             }
             Expr::Pop => {
                 let ty = self.in_elem?;
-                self.pending.counters.mem_scalar += self.machine.cost.load;
-                self.pending.in_addr += 1;
                 let dst = self.dest(want, ty.is_float(), 1, false, &[]);
                 self.emit(if ty.is_float() {
                     Op::PopF { dst }
@@ -1115,8 +1055,6 @@ impl<'a> Compiler<'a> {
                 let o = self.compile_expr(off)?;
                 let off = self.as_index(o)?;
                 let ty = self.in_elem?;
-                self.pending.counters.mem_scalar += self.machine.cost.load;
-                self.pending.in_addr += 1;
                 let dst = self.dest(want, ty.is_float(), 1, false, &[(false, off, 1)]);
                 self.emit(if ty.is_float() {
                     Op::PeekF { dst, off }
@@ -1132,7 +1070,6 @@ impl<'a> Compiler<'a> {
             Expr::VPop { width } => {
                 let ty = self.in_elem?;
                 let w = u32::try_from(*width).ok()?;
-                self.pending.counters.mem_vector += self.machine.cost.vload;
                 let dst = self.dest(want, ty.is_float(), w, false, &[]);
                 self.emit(if ty.is_float() {
                     Op::VPopF { dst, w }
@@ -1150,7 +1087,6 @@ impl<'a> Compiler<'a> {
                 let off = self.as_index(o)?;
                 let ty = self.in_elem?;
                 let w = u32::try_from(*width).ok()?;
-                self.pending.counters.mem_vector += self.machine.cost.vload;
                 let dst = self.dest(want, ty.is_float(), w, false, &[(false, off, 1)]);
                 self.emit(if ty.is_float() {
                     Op::VPeekF { dst, off, w }
@@ -1165,7 +1101,6 @@ impl<'a> Compiler<'a> {
             }
             Expr::LPop(c) => {
                 let ty = *self.chan_elems.get(c.0 as usize)?;
-                self.pending.counters.mem_scalar += self.machine.cost.load;
                 let dst = self.dest(want, ty.is_float(), 1, false, &[]);
                 let chan = c.0;
                 self.emit(if ty.is_float() {
@@ -1182,7 +1117,6 @@ impl<'a> Compiler<'a> {
             Expr::LVPop(c, width) => {
                 let ty = *self.chan_elems.get(c.0 as usize)?;
                 let w = u32::try_from(*width).ok()?;
-                self.pending.counters.mem_vector += self.machine.cost.vload;
                 let dst = self.dest(want, ty.is_float(), w, false, &[]);
                 let chan = c.0;
                 self.emit(if ty.is_float() {
@@ -1203,7 +1137,6 @@ impl<'a> Compiler<'a> {
                 if lane >= w {
                     return None; // tree-walk panics on lane OOB
                 }
-                self.pending.counters.pack_unpack += self.machine.cost.lane_extract;
                 // A lane is just a register offset; no move needed. The
                 // source registers cannot be overwritten before use:
                 // expressions have no variable side effects.
@@ -1220,7 +1153,6 @@ impl<'a> Compiler<'a> {
                     return None;
                 }
                 let w = u32::try_from(*width).ok()?;
-                self.pending.counters.pack_unpack += self.machine.cost.splat;
                 let dst = self.dest(want, x.is_float(), w, false, &[(x.is_float(), x.reg, 1)]);
                 self.emit(if x.is_float() {
                     Op::SplatF { dst, a: x.reg, w }
@@ -1251,7 +1183,6 @@ impl<'a> Compiler<'a> {
         if b.w != Some(w) || a.ty != b.ty {
             return None;
         }
-        self.pending.counters.permute += self.machine.cost.permute;
         // Lane `k` of a permute reads lane `2k` or `2k + 1`: it must not
         // write over its sources.
         let srcs = [(a.is_float(), a.reg, w), (a.is_float(), b.reg, w)];
@@ -1356,88 +1287,27 @@ impl<'a> Compiler<'a> {
         if !float && !int_ok {
             return None;
         }
-        match a.w {
-            None => {
-                self.pending.counters.compute_scalar += self.machine.scalar_intrinsic_cost(i);
-                let dst = self.dest(want, float, 1, true, &srcs);
-                let op = match (ops.len(), float) {
-                    (1, false) => Op::Call1I {
-                        i,
-                        ty: a.ty,
-                        dst,
-                        a: a.reg,
-                    },
-                    (1, true) => Op::Call1F {
-                        i,
-                        ty: a.ty,
-                        dst,
-                        a: a.reg,
-                    },
-                    (2, false) => Op::Call2I {
-                        i,
-                        dst,
-                        a: a.reg,
-                        b: ops[1].reg,
-                    },
-                    (2, true) => Op::Call2F {
-                        i,
-                        ty: a.ty,
-                        dst,
-                        a: a.reg,
-                        b: ops[1].reg,
-                    },
-                    _ => return None,
-                };
-                self.emit(op);
-                Some(Operand {
-                    ty: a.ty,
-                    w: None,
-                    reg: dst,
-                })
-            }
-            Some(w) => {
-                self.pending.counters.compute_vector += self.machine.vector_intrinsic_cost(i);
-                let dst = self.dest(want, float, w, true, &srcs);
-                let op = match (ops.len(), float) {
-                    (1, false) => Op::VCall1I {
-                        i,
-                        ty: a.ty,
-                        dst,
-                        a: a.reg,
-                        w,
-                    },
-                    (1, true) => Op::VCall1F {
-                        i,
-                        ty: a.ty,
-                        dst,
-                        a: a.reg,
-                        w,
-                    },
-                    (2, false) => Op::VCall2I {
-                        i,
-                        dst,
-                        a: a.reg,
-                        b: ops[1].reg,
-                        w,
-                    },
-                    (2, true) => Op::VCall2F {
-                        i,
-                        ty: a.ty,
-                        dst,
-                        a: a.reg,
-                        b: ops[1].reg,
-                        w,
-                    },
-                    _ => return None,
-                };
-                self.emit(op);
-                Some(Operand {
-                    ty: a.ty,
-                    w: Some(w),
-                    reg: dst,
-                })
-            }
-        }
+        let dst = self.dest(want, float, lanes, true, &srcs);
+        let (ty, w, a, b) = (a.ty, a.w, a.reg, last.reg);
+        self.emit(match (ops.len(), float, w) {
+            (1, false, None) => Op::Call1I { i, ty, dst, a },
+            (1, true, None) => Op::Call1F { i, ty, dst, a },
+            (2, false, None) => Op::Call2I { i, dst, a, b },
+            (2, true, None) => Op::Call2F { i, ty, dst, a, b },
+            (1, false, Some(w)) => Op::VCall1I { i, ty, dst, a, w },
+            (1, true, Some(w)) => Op::VCall1F { i, ty, dst, a, w },
+            (2, false, Some(w)) => Op::VCall2I { i, dst, a, b, w },
+            (2, true, Some(w)) => Op::VCall2F {
+                i,
+                ty,
+                dst,
+                a,
+                b,
+                w,
+            },
+            _ => return None,
+        });
+        Some(Operand { ty, w, reg: dst })
     }
 }
 

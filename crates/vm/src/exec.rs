@@ -641,7 +641,7 @@ mod reorder_cost_tests {
             // 4 joiner pushes per iteration x 2 iterations x 6 cycles.
             assert_eq!(
                 r_soft.counters.addr_overhead - r_sagu.counters.addr_overhead,
-                4 * 2 * machine.cost.addr_software_reorder,
+                4 * 2 * machine.reorder_access(AddrGen::Software),
                 "{mode:?}"
             );
         }

@@ -13,12 +13,11 @@ use crate::compile::compile_filter;
 use crate::error::VmError;
 use crate::exec::ExecMode;
 use crate::interp::{reset_locals, zero_slots, FiringCtx, Slot};
-use crate::machine::{CycleCounters, Machine};
+use crate::machine::{AddrCosts, ChargeEntry, CycleCounters, Machine};
 use crate::tape::{raw_of, value_of, Tape};
 use macross_streamir::filter::{Filter, VarKind};
 use macross_streamir::graph::{EdgeId, Graph, Node, NodeId, ReorderSide, SplitKind};
 use macross_streamir::types::{ScalarTy, Ty, Value};
-use macross_streamir::AddrGen;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -261,8 +260,7 @@ impl FilterState {
                 &mut self.fifos,
                 None,
                 None,
-                0,
-                0,
+                AddrCosts::default(),
                 &mut scratch,
             );
         }
@@ -274,8 +272,7 @@ impl FilterState {
             output: None,
             machine,
             counters: &mut scratch,
-            input_addr_cost: 0,
-            output_addr_cost: 0,
+            addr: AddrCosts::default(),
         };
         ctx.exec_block(&filter.init)
     }
@@ -300,20 +297,18 @@ fn edge_addr_cost(graph: &Graph, edge: EdgeId, consuming: bool, machine: &Machin
         ReorderSide::Producer
     };
     match graph.edge(edge).reorder {
-        Some(r) if r.side == scalar_side => match r.addr_gen {
-            AddrGen::Sagu => machine.cost.sagu_access,
-            AddrGen::Software => machine.cost.addr_software_reorder,
-        },
+        Some(r) if r.side == scalar_side => machine.reorder_access(r.addr_gen),
         _ => 0,
     }
 }
 
 /// Per-node firing facts that never change once the graph is built:
-/// adjacent edges (as indices into the caller's tape slice) and their
-/// reorder address costs. [`fire_node`] is on the hot path of every
-/// engine; recomputing these from the graph (an edge-table scan plus a
-/// `Vec` allocation per lookup) on every firing dominates short firings,
-/// so each engine resolves them once at construction.
+/// adjacent edges (as indices into the caller's tape slice), a filter's
+/// reorder address costs and a native node's charge per firing.
+/// [`fire_node`] is on the hot path of every engine; recomputing these
+/// from the graph (an edge-table scan plus a `Vec` allocation per lookup)
+/// on every firing dominates short firings, so each engine resolves them
+/// once at construction.
 ///
 /// Reorder address costs apply to the *scalar* side of a reordered tape:
 /// the consumer side when the edge reorders reads, the producer side when
@@ -322,18 +317,16 @@ fn edge_addr_cost(graph: &Graph, edge: EdgeId, consuming: bool, machine: &Machin
 pub struct FirePlan {
     in_edge: Option<usize>,
     out_edge: Option<usize>,
-    /// Consumer-side reorder address cost of `in_edge` (0 without one).
-    in_cost: u64,
-    /// Producer-side reorder address cost of `out_edge` (0 without one).
-    out_cost: u64,
+    /// Reorder address costs of `in_edge` (consumer side) and `out_edge`
+    /// (producer side); 0 on a side without a single edge.
+    addr: AddrCosts,
     /// All input edges, sorted by port (joiners).
     in_idx: Vec<usize>,
     /// All output edges, sorted by port (splitters).
     out_idx: Vec<usize>,
-    /// Consumer-side address cost per entry of `in_idx`.
-    in_costs: Vec<u64>,
-    /// Producer-side address cost per entry of `out_idx`.
-    out_costs: Vec<u64>,
+    /// What one firing of a native node charges for the tokens it moves
+    /// ([`moves_charge`]); zero for a filter.
+    moves: CycleCounters,
 }
 
 impl FirePlan {
@@ -369,17 +362,16 @@ impl FirePlan {
             (&[e], &[cost]) => (Some(e), cost),
             _ => (None, 0),
         };
-        let (in_edge, in_cost) = single(&in_idx, &in_costs);
-        let (out_edge, out_cost) = single(&out_idx, &out_costs);
+        let (in_edge, input) = single(&in_idx, &in_costs);
+        let (out_edge, output) = single(&out_idx, &out_costs);
+        let addr = AddrCosts { input, output };
         FirePlan {
             in_edge,
             out_edge,
-            in_cost,
-            out_cost,
+            addr,
             in_idx,
             out_idx,
-            in_costs,
-            out_costs,
+            moves: moves_charge(graph.node(id), machine, addr, &in_costs, &out_costs),
         }
     }
 
@@ -488,7 +480,6 @@ pub fn fire_block(
     if k == 0 {
         return Ok(());
     }
-    counters.firing_overhead += k * machine.cost.firing;
     let result = if plan.poisoned(tapes) {
         Err(VmError::Poisoned {
             filter: node.name(),
@@ -497,32 +488,97 @@ pub fn fire_block(
         match node {
             Node::Filter(f) => fire_filter(f, state, tapes, plan, machine, counters, k, completed),
             Node::Sink => {
-                fire_sink(tapes, plan, machine, counters, k, sunk, completed);
+                fire_sink(tapes, plan, k, sunk, completed);
                 Ok(())
             }
             Node::Splitter(kind) => each_firing(k, completed, || {
-                fire_splitter(kind, tapes, plan, machine, counters);
+                fire_splitter(kind, tapes, plan);
                 Ok(())
             }),
             Node::Joiner(weights) => each_firing(k, completed, || {
-                fire_joiner(weights, tapes, plan, machine, counters);
+                fire_joiner(weights, tapes, plan);
                 Ok(())
             }),
             Node::HSplitter { kind, width } => each_firing(k, completed, || {
-                fire_hsplitter(kind, *width, tapes, plan, machine, counters);
+                fire_hsplitter(kind, *width, tapes, plan);
                 Ok(())
             }),
             Node::HJoiner { weights, width } => each_firing(k, completed, || {
-                fire_hjoiner(weights, *width, tapes, plan, machine, counters);
+                fire_hjoiner(weights, *width, tapes, plan);
                 Ok(())
             }),
         }
     };
-    if result.is_err() {
-        // The firings after the failed one were charged and never began.
-        counters.firing_overhead -= (k - *completed - 1) * machine.cost.firing;
-    }
+    // Every firing that began pays its overhead (after a failure, the
+    // completed ones and the failed one) and every completed one its token
+    // moves; a filter's body charged itself as it ran.
+    let began = if result.is_ok() { k } else { *completed + 1 };
+    let overhead = machine.firing().times(began).expect(OVERFLOW);
+    overhead.apply(counters, AddrCosts::default());
+    counters.absorb(&plan.moves.times(*completed).expect(OVERFLOW));
     result
+}
+
+const OVERFLOW: &str = "cycle counters overflow u64";
+
+/// What one firing of native node `node` charges for the tokens it moves,
+/// at the reorder address costs of its edges: `addr` for its single edge
+/// on a side, `ins` / `outs` per edge by port. A filter's body is charged
+/// as it runs, so its entry is zero.
+fn moves_charge(
+    node: &Node,
+    m: &Machine,
+    addr: AddrCosts,
+    ins: &[u64],
+    outs: &[u64],
+) -> CycleCounters {
+    let mut c = CycleCounters::default();
+    let mut add = |e: ChargeEntry, n: usize, input: u64, output: u64| {
+        let e = e.times(n as u64).expect(OVERFLOW);
+        e.apply(&mut c, AddrCosts { input, output });
+    };
+    let (pop, push) = (m.tape_pop(), m.tape_push());
+    match node {
+        Node::Filter(_) => {}
+        Node::Sink => add(pop, 1, addr.input, 0),
+        Node::Splitter(SplitKind::Duplicate) => {
+            add(pop, 1, addr.input, 0);
+            outs.iter().for_each(|&out| add(push, 1, 0, out));
+        }
+        Node::Splitter(SplitKind::RoundRobin(weights)) => {
+            for (&n, &out) in weights.iter().zip(outs) {
+                add(pop + push, n, addr.input, out);
+            }
+        }
+        Node::Joiner(weights) => {
+            for (&n, &input) in weights.iter().zip(ins) {
+                add(pop + push, n, input, addr.output);
+            }
+        }
+        // The H-nodes read and write scalars at a plain load and store,
+        // with no reorder address cost, and pack or unpack every lane.
+        Node::HSplitter {
+            kind: SplitKind::Duplicate,
+            ..
+        } => {
+            add(m.load(false), 1, 0, 0);
+            add(m.splat() + m.store(true), outs.len(), 0, 0);
+        }
+        Node::HSplitter {
+            kind: SplitKind::RoundRobin(weights),
+            width,
+        } => {
+            let vectors = outs.len() * weights[0];
+            add(m.load(false) + m.lane_insert(), vectors * width, 0, 0);
+            add(m.store(true), vectors, 0, 0);
+        }
+        Node::HJoiner { weights, width } => {
+            let vectors = ins.len() * weights[0];
+            add(m.load(true), vectors, 0, 0);
+            add(m.lane_extract() + m.store(false), vectors * width, 0, 0);
+        }
+    }
+    c
 }
 
 /// [`fire_block`] of one firing — what an engine with a per-firing
@@ -673,8 +729,7 @@ fn fire_filter(
                     fifos,
                     in_tape.as_deref_mut(),
                     out_tape.as_deref_mut(),
-                    plan.in_cost,
-                    plan.out_cost,
+                    plan.addr,
                     counters,
                 )
             })
@@ -689,8 +744,7 @@ fn fire_filter(
                     output: out_tape.as_deref_mut(),
                     machine,
                     counters,
-                    input_addr_cost: plan.in_cost,
-                    output_addr_cost: plan.out_cost,
+                    addr: plan.addr,
                 };
                 ctx.exec_block(&filter.work)
             })
@@ -722,30 +776,17 @@ fn fire_filter(
 }
 
 /// Fire a splitter once. Tokens move between tapes as the images they are.
-fn fire_splitter(
-    kind: &SplitKind,
-    tapes: &mut [Tape],
-    plan: &FirePlan,
-    machine: &Machine,
-    counters: &mut CycleCounters,
-) {
+fn fire_splitter(kind: &SplitKind, tapes: &mut [Tape], plan: &FirePlan) {
     let in_edge = plan.in_edge.expect("splitter needs an input");
     match kind {
         SplitKind::Duplicate => {
-            counters.mem_scalar += machine.cost.load;
-            counters.addr_overhead += plan.in_cost;
             let v = tapes[in_edge].pop_raw();
-            for (&e, &cost) in plan.out_idx.iter().zip(&plan.out_costs) {
-                counters.mem_scalar += machine.cost.store;
-                counters.addr_overhead += cost;
+            for &e in &plan.out_idx {
                 tapes[e].push_raw(v);
             }
         }
         SplitKind::RoundRobin(weights) => {
             for (i, &e) in plan.out_idx.iter().enumerate() {
-                let n = weights[i] as u64;
-                counters.mem_scalar += n * (machine.cost.load + machine.cost.store);
-                counters.addr_overhead += n * (plan.in_cost + plan.out_costs[i]);
                 let (src, dst) = tape_pair(tapes, in_edge, e);
                 src.pop_spans(weights[i], |span| dst.push_slice(span));
             }
@@ -754,18 +795,9 @@ fn fire_splitter(
 }
 
 /// Fire a round-robin joiner once.
-fn fire_joiner(
-    weights: &[usize],
-    tapes: &mut [Tape],
-    plan: &FirePlan,
-    machine: &Machine,
-    counters: &mut CycleCounters,
-) {
+fn fire_joiner(weights: &[usize], tapes: &mut [Tape], plan: &FirePlan) {
     let out_edge = plan.out_edge.expect("joiner needs an output");
     for (i, &e) in plan.in_idx.iter().enumerate() {
-        let n = weights[i] as u64;
-        counters.mem_scalar += n * (machine.cost.load + machine.cost.store);
-        counters.addr_overhead += n * (plan.in_costs[i] + plan.out_cost);
         let (src, dst) = tape_pair(tapes, e, out_edge);
         src.pop_spans(weights[i], |span| dst.push_slice(span));
     }
@@ -774,23 +806,13 @@ fn fire_joiner(
 /// Fire a horizontal splitter once: takes the original splitter's worth of
 /// scalars off its input, packs them into vectors (one lane per fused
 /// branch), and vector-pushes to each group's vector tape.
-fn fire_hsplitter(
-    kind: &SplitKind,
-    width: usize,
-    tapes: &mut [Tape],
-    plan: &FirePlan,
-    machine: &Machine,
-    counters: &mut CycleCounters,
-) {
+fn fire_hsplitter(kind: &SplitKind, width: usize, tapes: &mut [Tape], plan: &FirePlan) {
     let in_edge = plan.in_edge.expect("hsplitter needs an input");
     let out_edges = &plan.out_idx;
     match kind {
         SplitKind::Duplicate => {
-            counters.mem_scalar += machine.cost.load;
             let v = tapes[in_edge].pop_raw();
             for &e in out_edges {
-                counters.pack_unpack += machine.cost.splat;
-                counters.mem_vector += machine.cost.vstore;
                 tapes[e].vpush_many(width, |_| v);
             }
         }
@@ -800,33 +822,22 @@ fn fire_hsplitter(
                 weights.iter().all(|&x| x == w),
                 "hsplitter weights must be uniform"
             );
-            let taken = out_edges.len() * width * w;
-            counters.mem_scalar += taken as u64 * machine.cost.load;
             // Branch `g * width + j` owns `w` consecutive input tokens;
             // its `k`-th is lane `j` of group `g`'s `k`-th vector.
             for (g, &e) in out_edges.iter().enumerate() {
                 let (src, dst) = tape_pair(tapes, in_edge, e);
                 for k in 0..w {
-                    counters.pack_unpack += width as u64 * machine.cost.lane_insert;
-                    counters.mem_vector += machine.cost.vstore;
                     dst.vpush_many(width, |j| src.peek_raw(w * (g * width + j) + k));
                 }
             }
-            tapes[in_edge].advance_read(taken);
+            tapes[in_edge].advance_read(out_edges.len() * width * w);
         }
     }
 }
 
 /// Fire a horizontal joiner once: vector-pops from each group, unpacks
 /// lanes, and pushes scalars in the original joiner's round-robin order.
-fn fire_hjoiner(
-    weights: &[usize],
-    width: usize,
-    tapes: &mut [Tape],
-    plan: &FirePlan,
-    machine: &Machine,
-    counters: &mut CycleCounters,
-) {
+fn fire_hjoiner(weights: &[usize], width: usize, tapes: &mut [Tape], plan: &FirePlan) {
     let out_edge = plan.out_edge.expect("hjoiner needs an output");
     let w = weights[0];
     debug_assert!(
@@ -834,9 +845,6 @@ fn fire_hjoiner(
         "hjoiner weights must be uniform"
     );
     for &e in &plan.in_idx {
-        counters.mem_vector += w as u64 * machine.cost.vload;
-        counters.pack_unpack += (w * width) as u64 * machine.cost.lane_extract;
-        counters.mem_scalar += (w * width) as u64 * machine.cost.store;
         let (src, dst) = tape_pair(tapes, e, out_edge);
         // The group's `w` vectors, popped as one span: branch `j`'s
         // `k`-th token is lane `j` of vector `k`.
@@ -855,14 +863,10 @@ fn fire_hjoiner(
 fn fire_sink(
     tapes: &mut [Tape],
     plan: &FirePlan,
-    machine: &Machine,
-    counters: &mut CycleCounters,
     k: u64,
     sunk: &mut Vec<Value>,
     completed: &mut u64,
 ) {
-    counters.mem_scalar += k * machine.cost.load;
-    counters.addr_overhead += k * plan.in_cost;
     let tape = &mut tapes[plan.in_edge.expect("sink needs an input")];
     let elem = tape.elem();
     let mut done = Tally {

@@ -7,9 +7,9 @@
 //! `macross-runtime` — can fail one run without poisoning the process.
 
 use crate::error::{TapeSide, VmError};
-use crate::machine::{CycleCounters, Machine};
+use crate::machine::{AddrCosts, ChargeEntry, CycleCounters, Machine};
 use crate::tape::Tape;
-use macross_streamir::expr::{eval_binop, eval_intrinsic, eval_unop, BinOp, Expr, LValue};
+use macross_streamir::expr::{eval_binop, eval_intrinsic, eval_unop, Expr, LValue};
 use macross_streamir::filter::{Filter, VarKind};
 use macross_streamir::stmt::Stmt;
 use macross_streamir::types::{Ty, Value};
@@ -91,15 +91,13 @@ pub struct FiringCtx<'a> {
     pub input: Option<&'a mut Tape>,
     /// Output tape, if the filter has one.
     pub output: Option<&'a mut Tape>,
-    /// Target machine (cost table).
+    /// Target machine (its price list).
     pub machine: &'a Machine,
     /// Cycle accumulator.
     pub counters: &'a mut CycleCounters,
-    /// Extra address-generation cycles per scalar access on the input tape
-    /// (nonzero when the input is read-reordered; SAGU vs. Figure-8 cost).
-    pub input_addr_cost: u64,
-    /// Same for the output tape.
-    pub output_addr_cost: u64,
+    /// Extra address-generation cycles per scalar access on each tape
+    /// (nonzero on a reordered side; SAGU vs. Figure-8 cost).
+    pub addr: AddrCosts,
 }
 
 impl<'a> FiringCtx<'a> {
@@ -158,7 +156,13 @@ impl<'a> FiringCtx<'a> {
         }
     }
 
+    /// Charge one node's price, as it executes.
+    fn charge(&mut self, price: ChargeEntry) {
+        price.apply(self.counters, self.addr);
+    }
+
     fn exec_stmt(&mut self, s: &Stmt) -> Result<(), VmError> {
+        self.charge(self.machine.stmt_charge(s));
         match s {
             Stmt::Assign(lv, e) => {
                 let val = self.eval(e)?;
@@ -167,8 +171,6 @@ impl<'a> FiringCtx<'a> {
             Stmt::Push(e) => {
                 let v = self.eval(e)?;
                 let v = self.want_scalar(v, "push")?;
-                self.counters.mem_scalar += self.machine.cost.store;
-                self.counters.addr_overhead += self.output_addr_cost;
                 self.output()?.push(v);
             }
             Stmt::RPush { value, offset } => {
@@ -176,36 +178,30 @@ impl<'a> FiringCtx<'a> {
                 let v = self.want_scalar(v, "rpush value")?;
                 let off = self.eval(offset)?;
                 let off = self.want_scalar(off, "rpush offset")?.as_i64() as usize;
-                self.counters.mem_scalar += self.machine.cost.store;
-                self.counters.addr_overhead += self.machine.cost.alu;
                 self.output()?.rpush(v, off);
             }
             Stmt::VPush { value, width } => {
                 let v = self.eval(value)?;
                 let v = self.want_vector(v, "vpush")?;
                 debug_assert_eq!(v.len(), *width, "vpush width mismatch");
-                self.counters.mem_vector += self.machine.cost.vstore;
                 self.output()?.vpush(&v);
             }
             Stmt::LPush(c, e) => {
                 let v = self.eval(e)?;
                 let v = self.want_scalar(v, "lpush")?;
-                self.counters.mem_scalar += self.machine.cost.store;
                 self.chans[c.0 as usize].push_back(v);
             }
             Stmt::LVPush(c, e, width) => {
                 let v = self.eval(e)?;
                 let v = self.want_vector(v, "lvpush")?;
                 debug_assert_eq!(v.len(), *width, "lvpush width mismatch");
-                self.counters.mem_vector += self.machine.cost.vstore;
                 self.chans[c.0 as usize].extend(v);
             }
             Stmt::For { var, count, body } => {
                 let n = self.eval(count)?;
                 let n = self.want_scalar(n, "loop count")?.as_i64();
-                self.counters.compute_scalar += self.machine.cost.alu; // loop setup
                 for i in 0..n.max(0) {
-                    self.counters.loop_overhead += self.machine.cost.loop_iter;
+                    self.charge(self.machine.loop_iter());
                     self.slots[var.0 as usize] = Slot::S(Value::I32(i as i32));
                     self.exec_block(body)?;
                 }
@@ -217,26 +213,20 @@ impl<'a> FiringCtx<'a> {
             } => {
                 let c = self.eval(cond)?;
                 let c = self.want_scalar(c, "branch condition")?;
-                self.counters.compute_scalar += self.machine.cost.alu; // branch
                 if c.is_truthy() {
                     self.exec_block(then_branch)?;
                 } else {
                     self.exec_block(else_branch)?;
                 }
             }
-            Stmt::AdvanceRead(n) => {
-                self.counters.addr_overhead += self.machine.cost.alu;
-                self.input()?.advance_read(*n);
-            }
-            Stmt::AdvanceWrite(n) => {
-                self.counters.addr_overhead += self.machine.cost.alu;
-                self.output()?.advance_write(*n);
-            }
+            Stmt::AdvanceRead(n) => self.input()?.advance_read(*n),
+            Stmt::AdvanceWrite(n) => self.output()?.advance_write(*n),
         }
         Ok(())
     }
 
     fn write_lvalue(&mut self, lv: &LValue, val: RtVal) -> Result<(), VmError> {
+        self.charge(self.machine.store_charge(lv, matches!(val, RtVal::V(_))));
         match lv {
             LValue::Var(v) => {
                 // Register move: free in the cost model.
@@ -254,11 +244,9 @@ impl<'a> FiringCtx<'a> {
                 let idx = self.want_scalar(idx, "array index")?.as_i64() as usize;
                 match (&mut self.slots[v.0 as usize], val) {
                     (Slot::A(arr), RtVal::S(x)) => {
-                        self.counters.mem_scalar += self.machine.cost.store;
                         arr[idx] = x;
                     }
                     (Slot::VA(arr), RtVal::V(x)) => {
-                        self.counters.mem_vector += self.machine.cost.vstore;
                         arr[idx] = x;
                     }
                     (slot, val) => {
@@ -271,7 +259,6 @@ impl<'a> FiringCtx<'a> {
                 let idx = self.eval(i)?;
                 let idx = self.want_scalar(idx, "vector-store index")?.as_i64() as usize;
                 let vals = self.want_vector(val, "vector store")?;
-                self.counters.mem_vector += self.machine.cost.vstore;
                 match &mut self.slots[v.0 as usize] {
                     Slot::A(arr) => arr[idx..idx + vals.len()].copy_from_slice(&vals),
                     slot => {
@@ -282,7 +269,6 @@ impl<'a> FiringCtx<'a> {
             }
             LValue::LaneVar(v, lane) => {
                 let x = self.want_scalar(val, "lane assignment")?;
-                self.counters.pack_unpack += self.machine.cost.lane_insert;
                 match &mut self.slots[v.0 as usize] {
                     Slot::V(lanes) => lanes[*lane] = x,
                     slot => {
@@ -295,7 +281,6 @@ impl<'a> FiringCtx<'a> {
                 let idx = self.eval(i)?;
                 let idx = self.want_scalar(idx, "lane-store index")?.as_i64() as usize;
                 let x = self.want_scalar(val, "lane assignment")?;
-                self.counters.pack_unpack += self.machine.cost.lane_insert;
                 match &mut self.slots[v.0 as usize] {
                     Slot::VA(arr) => arr[idx][*lane] = x,
                     slot => {
@@ -314,13 +299,15 @@ impl<'a> FiringCtx<'a> {
     /// Returns a [`VmError`] on shape mismatches, missing tapes, or
     /// internal-channel underflow.
     pub fn eval(&mut self, e: &Expr) -> Result<RtVal, VmError> {
+        let v = self.eval_node(e)?;
+        self.charge(self.machine.expr_charge(e, matches!(v, RtVal::V(_))));
+        Ok(v)
+    }
+
+    fn eval_node(&mut self, e: &Expr) -> Result<RtVal, VmError> {
         match e {
             Expr::Const(v) => Ok(RtVal::S(*v)),
-            Expr::ConstVec(vs) => {
-                // Constant-pool vector load.
-                self.counters.mem_vector += self.machine.cost.vload;
-                Ok(RtVal::V(vs.clone()))
-            }
+            Expr::ConstVec(vs) => Ok(RtVal::V(vs.clone())),
             Expr::Var(v) => match &self.slots[v.0 as usize] {
                 Slot::S(x) => Ok(RtVal::S(*x)),
                 Slot::V(x) => Ok(RtVal::V(x.clone())),
@@ -333,14 +320,8 @@ impl<'a> FiringCtx<'a> {
                 let idx = self.eval(i)?;
                 let idx = self.want_scalar(idx, "array index")?.as_i64() as usize;
                 match &self.slots[v.0 as usize] {
-                    Slot::A(arr) => {
-                        self.counters.mem_scalar += self.machine.cost.load;
-                        Ok(RtVal::S(arr[idx]))
-                    }
-                    Slot::VA(arr) => {
-                        self.counters.mem_vector += self.machine.cost.vload;
-                        Ok(RtVal::V(arr[idx].clone()))
-                    }
+                    Slot::A(arr) => Ok(RtVal::S(arr[idx])),
+                    Slot::VA(arr) => Ok(RtVal::V(arr[idx].clone())),
                     slot => {
                         let msg = format!("indexing non-array {slot:?}");
                         Err(self.type_err(msg))
@@ -350,7 +331,6 @@ impl<'a> FiringCtx<'a> {
             Expr::VIndex(v, i, w) => {
                 let idx = self.eval(i)?;
                 let idx = self.want_scalar(idx, "vector-load index")?.as_i64() as usize;
-                self.counters.mem_vector += self.machine.cost.vload;
                 match &self.slots[v.0 as usize] {
                     Slot::A(arr) => Ok(RtVal::V(arr[idx..idx + w].to_vec())),
                     slot => {
@@ -359,35 +339,22 @@ impl<'a> FiringCtx<'a> {
                     }
                 }
             }
-            Expr::Unary(op, a) => {
-                let a = self.eval(a)?;
-                match a {
-                    RtVal::S(x) => {
-                        self.counters.compute_scalar += self.machine.cost.alu;
-                        Ok(RtVal::S(eval_unop(*op, x)))
-                    }
-                    RtVal::V(xs) => {
-                        self.counters.compute_vector += self.machine.cost.valu;
-                        Ok(RtVal::V(
-                            xs.into_iter().map(|x| eval_unop(*op, x)).collect(),
-                        ))
-                    }
-                }
-            }
+            Expr::Unary(op, a) => match self.eval(a)? {
+                RtVal::S(x) => Ok(RtVal::S(eval_unop(*op, x))),
+                RtVal::V(xs) => Ok(RtVal::V(
+                    xs.into_iter().map(|x| eval_unop(*op, x)).collect(),
+                )),
+            },
             Expr::Binary(op, a, b) => {
                 let a = self.eval(a)?;
                 let b = self.eval(b)?;
                 match (a, b) {
-                    (RtVal::S(x), RtVal::S(y)) => {
-                        self.counters.compute_scalar += self.scalar_binop_cost(*op);
-                        Ok(RtVal::S(eval_binop(*op, x, y)))
-                    }
+                    (RtVal::S(x), RtVal::S(y)) => Ok(RtVal::S(eval_binop(*op, x, y))),
                     (RtVal::V(xs), RtVal::V(ys)) => {
                         if xs.len() != ys.len() {
                             let msg = format!("vector width mismatch in {op:?}");
                             return Err(self.type_err(msg));
                         }
-                        self.counters.compute_vector += self.vector_binop_cost(*op);
                         Ok(RtVal::V(
                             xs.into_iter()
                                 .zip(ys)
@@ -417,7 +384,6 @@ impl<'a> FiringCtx<'a> {
                         let msg = format!("vector width mismatch in {}", i.name());
                         return Err(self.type_err(msg));
                     }
-                    self.counters.compute_vector += self.machine.vector_intrinsic_cost(*i);
                     let lanes = (0..w)
                         .map(|l| {
                             let lane_args: Vec<Value> = vecs.iter().map(|v| v[l]).collect();
@@ -430,56 +396,34 @@ impl<'a> FiringCtx<'a> {
                     for v in vals {
                         scalars.push(self.want_scalar(v, i.name())?);
                     }
-                    self.counters.compute_scalar += self.machine.scalar_intrinsic_cost(*i);
                     Ok(RtVal::S(eval_intrinsic(*i, &scalars)))
                 }
             }
             Expr::Cast(t, a) => match self.eval(a)? {
-                RtVal::S(x) => {
-                    self.counters.compute_scalar += self.machine.cost.alu;
-                    Ok(RtVal::S(x.cast(*t)))
-                }
-                RtVal::V(xs) => {
-                    self.counters.compute_vector += self.machine.cost.valu;
-                    Ok(RtVal::V(xs.into_iter().map(|x| x.cast(*t)).collect()))
-                }
+                RtVal::S(x) => Ok(RtVal::S(x.cast(*t))),
+                RtVal::V(xs) => Ok(RtVal::V(xs.into_iter().map(|x| x.cast(*t)).collect())),
             },
-            Expr::Pop => {
-                self.counters.mem_scalar += self.machine.cost.load;
-                self.counters.addr_overhead += self.input_addr_cost;
-                Ok(RtVal::S(self.input()?.pop()))
-            }
+            Expr::Pop => Ok(RtVal::S(self.input()?.pop())),
             Expr::Peek(off) => {
                 let o = self.eval(off)?;
                 let o = self.want_scalar(o, "peek offset")?.as_i64() as usize;
-                self.counters.mem_scalar += self.machine.cost.load;
-                self.counters.addr_overhead += self.input_addr_cost;
                 Ok(RtVal::S(self.input()?.peek(o)))
             }
-            Expr::VPop { width } => {
-                self.counters.mem_vector += self.machine.cost.vload;
-                let w = *width;
-                Ok(RtVal::V(self.input()?.vpop(w)))
-            }
+            Expr::VPop { width } => Ok(RtVal::V(self.input()?.vpop(*width))),
             Expr::VPeek { offset, width } => {
                 let o = self.eval(offset)?;
                 let o = self.want_scalar(o, "vpeek offset")?.as_i64() as usize;
-                self.counters.mem_vector += self.machine.cost.vload;
                 let w = *width;
                 Ok(RtVal::V(self.input()?.vpeek(o, w)))
             }
-            Expr::LPop(c) => {
-                self.counters.mem_scalar += self.machine.cost.load;
-                match self.chans[c.0 as usize].pop_front() {
-                    Some(v) => Ok(RtVal::S(v)),
-                    None => Err(VmError::ChannelUnderflow {
-                        filter: self.filter.name.clone(),
-                        chan: c.to_string(),
-                    }),
-                }
-            }
+            Expr::LPop(c) => match self.chans[c.0 as usize].pop_front() {
+                Some(v) => Ok(RtVal::S(v)),
+                None => Err(VmError::ChannelUnderflow {
+                    filter: self.filter.name.clone(),
+                    chan: c.to_string(),
+                }),
+            },
             Expr::LVPop(c, w) => {
-                self.counters.mem_vector += self.machine.cost.vload;
                 let ch = &mut self.chans[c.0 as usize];
                 if ch.len() < *w {
                     return Err(VmError::ChannelUnderflow {
@@ -492,13 +436,11 @@ impl<'a> FiringCtx<'a> {
             Expr::Lane(e, lane) => {
                 let v = self.eval(e)?;
                 let v = self.want_vector(v, "lane extract")?;
-                self.counters.pack_unpack += self.machine.cost.lane_extract;
                 Ok(RtVal::S(v[*lane]))
             }
             Expr::Splat(e, w) => {
                 let x = self.eval(e)?;
                 let x = self.want_scalar(x, "splat")?;
-                self.counters.pack_unpack += self.machine.cost.splat;
                 Ok(RtVal::V(vec![x; *w]))
             }
             Expr::PermuteEven(a, b) => {
@@ -506,7 +448,6 @@ impl<'a> FiringCtx<'a> {
                 let a = self.want_vector(a, "permute")?;
                 let b = self.eval(b)?;
                 let b = self.want_vector(b, "permute")?;
-                self.counters.permute += self.machine.cost.permute;
                 self.extract_positions(&a, &b, 0)
             }
             Expr::PermuteOdd(a, b) => {
@@ -514,7 +455,6 @@ impl<'a> FiringCtx<'a> {
                 let a = self.want_vector(a, "permute")?;
                 let b = self.eval(b)?;
                 let b = self.want_vector(b, "permute")?;
-                self.counters.permute += self.machine.cost.permute;
                 self.extract_positions(&a, &b, 1)
             }
         }
@@ -530,22 +470,6 @@ impl<'a> FiringCtx<'a> {
         Ok(RtVal::V(
             concat.into_iter().skip(parity).step_by(2).collect(),
         ))
-    }
-
-    fn scalar_binop_cost(&self, op: BinOp) -> u64 {
-        match op {
-            BinOp::Mul => self.machine.cost.mul,
-            BinOp::Div | BinOp::Rem => self.machine.cost.div,
-            _ => self.machine.cost.alu,
-        }
-    }
-
-    fn vector_binop_cost(&self, op: BinOp) -> u64 {
-        match op {
-            BinOp::Mul => self.machine.cost.vmul,
-            BinOp::Div | BinOp::Rem => self.machine.cost.vdiv,
-            _ => self.machine.cost.valu,
-        }
     }
 }
 
@@ -588,8 +512,7 @@ mod tests {
             output,
             machine: &machine,
             counters: &mut counters,
-            input_addr_cost: 0,
-            output_addr_cost: 0,
+            addr: AddrCosts::default(),
         };
         ctx.exec_block(&filter.work)?;
         Ok(counters)

@@ -430,7 +430,7 @@ pub(crate) fn store<T: Copy>(
 mod tests {
     use super::*;
     use crate::bytecode::{run_code, Chan, CompiledFilter, Op};
-    use crate::machine::CycleCounters;
+    use crate::machine::{AddrCosts, CycleCounters};
     use crate::tape::Tape;
 
     /// Registers per file in the property tests: room for three 16-lane
@@ -518,8 +518,17 @@ mod tests {
     fn dispatched(op: &Op, regs: &mut Regs) {
         let plan = plan_of(vec![op.clone()], vec![], vec![]);
         let mut c = CycleCounters::default();
-        run_code(&plan, &plan.work, regs, &mut [], None, None, 0, 0, &mut c)
-            .expect("pure ops cannot fail");
+        run_code(
+            &plan,
+            &plan.work,
+            regs,
+            &mut [],
+            None,
+            None,
+            AddrCosts::default(),
+            &mut c,
+        )
+        .expect("pure ops cannot fail");
     }
 
     /// The naive interpreter the dispatch loop is held to: one scalar
@@ -935,7 +944,8 @@ mod tests {
                     let mut chans = [Chan::default()];
                     let mut c = CycleCounters::default();
                     let (i, o) = (Some(&mut input), Some(&mut output));
-                    run_code(&plan, &plan.work, &mut regs, &mut chans, i, o, 0, 0, &mut c)
+                    let addr = AddrCosts::default();
+                    run_code(&plan, &plan.work, &mut regs, &mut chans, i, o, addr, &mut c)
                         .expect("the tokens are there");
                     let at = format!("w {w} skew {skew} float {float}");
                     let (a, b) = output.vpop_slices(w as usize);

@@ -1,13 +1,27 @@
-//! Target machine descriptions: SIMD width, feature flags, and the
-//! per-operation cycle cost table that drives all performance modelling.
+//! Target machine descriptions: SIMD width, feature flags, the
+//! per-operation cycle cost table, and the price list that reads it.
 //!
 //! Absolute cycle numbers are calibrated to be Core-i7/SSE4-plausible; the
 //! experiments only rely on their *relative* magnitudes (scalar vs. vector
 //! ops, pack/unpack vs. permute vs. plain loads), which is also all the
 //! paper's speedup shapes depend on.
+//!
+//! # One price list
+//!
+//! What an IR shape or a VM action costs is written once, as the
+//! [`Machine`] methods that return a [`ChargeEntry`] (`expr_charge`,
+//! `stmt_charge`, `store_charge` and the primitives they are made of), and
+//! nothing outside this module reads a [`CostTable`] field. Every walker
+//! charges through them and differs only in *when* a price applies: the
+//! tree-walker per executed node, the firing compiler per region, the
+//! static model (`macross::cost`) per shape, the native nodes once per
+//! firing (DESIGN.md §10, "One price list").
 
-use macross_streamir::expr::Intrinsic;
+use macross_streamir::expr::{BinOp, Expr, Intrinsic, LValue};
+use macross_streamir::graph::AddrGen;
+use macross_streamir::stmt::Stmt;
 use std::collections::BTreeSet;
+use std::ops::Add;
 
 /// Per-operation cycle costs.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -158,7 +172,7 @@ impl Machine {
     }
 
     /// Cycles for one *scalar* call of an intrinsic.
-    pub fn scalar_intrinsic_cost(&self, i: Intrinsic) -> u64 {
+    fn scalar_intrinsic_cost(&self, i: Intrinsic) -> u64 {
         match i {
             Intrinsic::Sin | Intrinsic::Cos | Intrinsic::Atan => 56,
             Intrinsic::Sqrt => 18,
@@ -173,7 +187,7 @@ impl Machine {
     ///
     /// Transcendentals go through an SVML-like vector math library: cheaper
     /// than `width` scalar calls but far from `width`-times cheaper.
-    pub fn vector_intrinsic_cost(&self, i: Intrinsic) -> u64 {
+    fn vector_intrinsic_cost(&self, i: Intrinsic) -> u64 {
         match i {
             Intrinsic::Sin | Intrinsic::Cos | Intrinsic::Atan => 80,
             Intrinsic::Sqrt => 22,
@@ -184,9 +198,267 @@ impl Machine {
         }
     }
 
+    /// The generator of this machine's reordered tape accesses: the SAGU
+    /// when it has one, else the Figure-8 software sequence.
+    pub fn addr_gen(&self) -> AddrGen {
+        if self.has_sagu {
+            AddrGen::Sagu
+        } else {
+            AddrGen::Software
+        }
+    }
+
     /// Whether every intrinsic in `set` is SIMD-executable here.
     pub fn supports_all(&self, set: &BTreeSet<Intrinsic>) -> bool {
         set.iter().all(|i| self.vector_intrinsics.contains(i))
+    }
+}
+
+/// The price list. Each method is one node's or one action's own charge;
+/// a walker adds the charges of a node's operands itself.
+impl Machine {
+    /// An expression node's charge; `vector` says whether its value is a
+    /// vector.
+    #[inline]
+    pub fn expr_charge(&self, e: &Expr, vector: bool) -> ChargeEntry {
+        match e {
+            Expr::Const(_) | Expr::Var(_) => ChargeEntry::default(),
+            // A constant vector is a constant-pool load.
+            Expr::ConstVec(_)
+            | Expr::VIndex(..)
+            | Expr::VPop { .. }
+            | Expr::VPeek { .. }
+            | Expr::LVPop(..) => self.load(true),
+            Expr::Index(..) => self.load(vector),
+            Expr::LPop(_) => self.load(false),
+            Expr::Pop | Expr::Peek(_) => self.tape_pop(),
+            Expr::Unary(..) | Expr::Cast(..) => self.arith(None, vector),
+            Expr::Binary(op, ..) => self.arith(Some(*op), vector),
+            Expr::Call(i, _) if vector => {
+                ChargeEntry::of(|k| k.compute_vector = self.vector_intrinsic_cost(*i))
+            }
+            Expr::Call(i, _) => {
+                ChargeEntry::of(|k| k.compute_scalar = self.scalar_intrinsic_cost(*i))
+            }
+            Expr::Lane(..) => self.lane_extract(),
+            Expr::Splat(..) => self.splat(),
+            Expr::PermuteEven(..) | Expr::PermuteOdd(..) => self.permute(),
+        }
+    }
+
+    /// A statement's charge, its expressions and an `Assign`'s store not
+    /// included: a tape or channel write, a loop's setup, a branch, a tape
+    /// pointer adjustment.
+    #[inline]
+    pub fn stmt_charge(&self, s: &Stmt) -> ChargeEntry {
+        let addr_alu = || ChargeEntry::of(|k| k.addr_overhead = self.cost.alu);
+        match s {
+            Stmt::Assign(..) => ChargeEntry::default(),
+            Stmt::Push(_) => self.tape_push(),
+            // An rpush pays a flat ALU op for its offset arithmetic, not
+            // the edge's reorder cost (the producer *is* the reorderer).
+            Stmt::RPush { .. } => self.store(false) + addr_alu(),
+            Stmt::VPush { .. } | Stmt::LVPush(..) => self.store(true),
+            Stmt::LPush(..) => self.store(false),
+            Stmt::For { .. } | Stmt::If { .. } => self.arith(None, false),
+            Stmt::AdvanceRead(_) | Stmt::AdvanceWrite(_) => addr_alu(),
+        }
+    }
+
+    /// The charge of storing a value to `lv`; `vector` says whether it is
+    /// a vector. A variable is a register move, free.
+    #[inline]
+    pub fn store_charge(&self, lv: &LValue, vector: bool) -> ChargeEntry {
+        match lv {
+            LValue::Var(_) => ChargeEntry::default(),
+            LValue::Index(..) => self.store(vector),
+            LValue::VIndex(..) => self.store(true),
+            LValue::LaneVar(..) | LValue::LaneIndex(..) => self.lane_insert(),
+        }
+    }
+
+    /// An arithmetic op: a multiply or a divide/remainder at its own
+    /// price; any other binary op, a unary op (`None`) or a cast at an ALU
+    /// op's.
+    #[inline]
+    pub fn arith(&self, op: Option<BinOp>, vector: bool) -> ChargeEntry {
+        let c = &self.cost;
+        ChargeEntry::of(|k| match (op, vector) {
+            (Some(BinOp::Mul), false) => k.compute_scalar = c.mul,
+            (Some(BinOp::Div | BinOp::Rem), false) => k.compute_scalar = c.div,
+            (_, false) => k.compute_scalar = c.alu,
+            (Some(BinOp::Mul), true) => k.compute_vector = c.vmul,
+            (Some(BinOp::Div | BinOp::Rem), true) => k.compute_vector = c.vdiv,
+            (_, true) => k.compute_vector = c.valu,
+        })
+    }
+
+    /// A load from an array, a channel or the constant pool, or a vector
+    /// tape read.
+    #[inline]
+    pub fn load(&self, vector: bool) -> ChargeEntry {
+        match vector {
+            false => ChargeEntry::of(|k| k.mem_scalar = self.cost.load),
+            true => ChargeEntry::of(|k| k.mem_vector = self.cost.vload),
+        }
+    }
+
+    /// A store to an array or a channel, or a vector tape write.
+    #[inline]
+    pub fn store(&self, vector: bool) -> ChargeEntry {
+        match vector {
+            false => ChargeEntry::of(|k| k.mem_scalar = self.cost.store),
+            true => ChargeEntry::of(|k| k.mem_vector = self.cost.vstore),
+        }
+    }
+
+    /// A scalar input-tape read: a load plus the edge's reorder cost.
+    #[inline]
+    pub fn tape_pop(&self) -> ChargeEntry {
+        ChargeEntry {
+            in_addr: 1,
+            ..self.load(false)
+        }
+    }
+
+    /// A scalar output-tape write: a store plus the edge's reorder cost.
+    #[inline]
+    pub fn tape_push(&self) -> ChargeEntry {
+        ChargeEntry {
+            out_addr: 1,
+            ..self.store(false)
+        }
+    }
+
+    /// Extracting one lane to a scalar (unpacking).
+    #[inline]
+    pub fn lane_extract(&self) -> ChargeEntry {
+        ChargeEntry::of(|k| k.pack_unpack = self.cost.lane_extract)
+    }
+
+    /// Inserting a scalar into one lane (packing).
+    #[inline]
+    pub fn lane_insert(&self) -> ChargeEntry {
+        ChargeEntry::of(|k| k.pack_unpack = self.cost.lane_insert)
+    }
+
+    /// Broadcasting a scalar to every lane.
+    #[inline]
+    pub fn splat(&self) -> ChargeEntry {
+        ChargeEntry::of(|k| k.pack_unpack = self.cost.splat)
+    }
+
+    /// One `extract_even`/`extract_odd` permutation.
+    #[inline]
+    pub fn permute(&self) -> ChargeEntry {
+        ChargeEntry::of(|k| k.permute = self.cost.permute)
+    }
+
+    /// One loop iteration's compare and branch.
+    #[inline]
+    pub fn loop_iter(&self) -> ChargeEntry {
+        ChargeEntry::of(|k| k.loop_overhead = self.cost.loop_iter)
+    }
+
+    /// One firing's dispatch and bookkeeping, whatever the node.
+    #[inline]
+    pub fn firing(&self) -> ChargeEntry {
+        ChargeEntry::of(|k| k.firing_overhead = self.cost.firing)
+    }
+
+    /// Extra cycles one scalar access to a tape reordered by `addr_gen`
+    /// pays (an [`AddrCosts`] side).
+    #[inline]
+    pub fn reorder_access(&self, addr_gen: AddrGen) -> u64 {
+        match addr_gen {
+            AddrGen::Sagu => self.cost.sagu_access,
+            AddrGen::Software => self.cost.addr_software_reorder,
+        }
+    }
+}
+
+/// Extra address-generation cycles per scalar access on each tape of a
+/// filter: its edge's [`Machine::reorder_access`] when the edge is
+/// reordered on that side, else 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AddrCosts {
+    /// Added to every scalar input-tape access.
+    pub input: u64,
+    /// Added to every scalar output-tape access.
+    pub output: u64,
+}
+
+/// A charge: what the price list returns and what every walker adds up.
+///
+/// `in_addr` / `out_addr` count scalar accesses to the input/output tape
+/// that pay the per-edge reorder address cost, which belongs to the edge,
+/// not to the code: [`ChargeEntry::apply`] multiplies them by the edge's
+/// [`AddrCosts`] (a compiled region's entry is built before any edge is
+/// known).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChargeEntry {
+    /// Fixed charges.
+    pub counters: CycleCounters,
+    /// Scalar input-tape accesses paying the input reorder address cost.
+    pub in_addr: u64,
+    /// Scalar output-tape accesses paying the output reorder address cost.
+    pub out_addr: u64,
+}
+
+impl ChargeEntry {
+    /// An entry of fixed charges, set by `set`.
+    #[inline]
+    fn of(set: impl FnOnce(&mut CycleCounters)) -> ChargeEntry {
+        let mut e = ChargeEntry::default();
+        set(&mut e.counters);
+        e
+    }
+
+    /// True if applying this entry would change nothing.
+    pub fn is_zero(&self) -> bool {
+        *self == ChargeEntry::default()
+    }
+
+    /// Add another entry into this one.
+    #[inline]
+    pub fn absorb(&mut self, other: &ChargeEntry) {
+        self.counters.absorb(&other.counters);
+        self.in_addr += other.in_addr;
+        self.out_addr += other.out_addr;
+    }
+
+    /// This entry applied `n` times (a loop body's charges times its trip
+    /// count); `None` if a sum leaves `u64`.
+    pub fn times(&self, n: u64) -> Option<ChargeEntry> {
+        Some(ChargeEntry {
+            counters: self.counters.times(n)?,
+            in_addr: self.in_addr.checked_mul(n)?,
+            out_addr: self.out_addr.checked_mul(n)?,
+        })
+    }
+
+    /// Add this entry to `counters`, each counted access at its side's
+    /// cost in `addr`.
+    #[inline]
+    pub fn apply(&self, counters: &mut CycleCounters, addr: AddrCosts) {
+        counters.absorb(&self.counters);
+        counters.addr_overhead += self.in_addr * addr.input + self.out_addr * addr.output;
+    }
+
+    /// The cycles [`ChargeEntry::apply`] adds, summed over categories.
+    #[inline]
+    pub fn cycles(&self, addr: AddrCosts) -> u64 {
+        self.counters.total() + self.in_addr * addr.input + self.out_addr * addr.output
+    }
+}
+
+impl Add for ChargeEntry {
+    type Output = ChargeEntry;
+
+    #[inline]
+    fn add(mut self, other: ChargeEntry) -> ChargeEntry {
+        self.absorb(&other);
+        self
     }
 }
 
@@ -228,6 +500,7 @@ impl CycleCounters {
     }
 
     /// Add another counter set into this one.
+    #[inline]
     pub fn absorb(&mut self, other: &CycleCounters) {
         self.compute_scalar += other.compute_scalar;
         self.compute_vector += other.compute_vector;

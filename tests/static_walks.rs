@@ -12,12 +12,55 @@ use macross_repro::benchsuite;
 use macross_repro::macross::cost::{static_firing_cost, AddrCosts};
 use macross_repro::macross::driver::{macro_simdize, SimdizeOptions};
 use macross_repro::sdf::Schedule;
-use macross_repro::streamir::graph::{AddrGen, EdgeId, Graph, Node, ReorderSide};
-use macross_repro::vm::{run_scheduled_mode, ExecMode, Machine};
+use macross_repro::streamir::graph::{EdgeId, Graph, Node, ReorderSide};
+use macross_repro::vm::{run_scheduled_mode, CostTable, ExecMode, Machine};
+
+/// A machine whose 18 `CostTable` prices are pairwise distinct, and its
+/// SAGU variant. On `core_i7` seven prices are 1 and four are 2, so a
+/// charge routed to the wrong field of equal price passes every check
+/// there; here it changes a total.
+fn distinct_prices() -> [Machine; 2] {
+    let m = Machine {
+        name: "distinct_prices".into(),
+        cost: CostTable {
+            alu: 1,
+            mul: 4,
+            div: 19,
+            valu: 2,
+            vmul: 5,
+            vdiv: 23,
+            load: 3,
+            store: 6,
+            vload: 7,
+            vstore: 8,
+            lane_extract: 9,
+            lane_insert: 10,
+            splat: 11,
+            permute: 12,
+            loop_iter: 13,
+            firing: 14,
+            addr_software_reorder: 15,
+            sagu_access: 16,
+        },
+        ..Machine::core_i7()
+    };
+    let sagu = Machine {
+        name: "distinct_prices_sagu".into(),
+        has_sagu: true,
+        ..m.clone()
+    };
+    [m, sagu]
+}
 
 #[test]
 fn summarized_walks_equal_unrolled_walks_on_the_suite() {
-    for machine in [Machine::core_i7(), Machine::wide(8)] {
+    let [distinct, distinct_sagu] = distinct_prices();
+    for machine in [
+        Machine::core_i7(),
+        Machine::wide(8),
+        distinct,
+        distinct_sagu,
+    ] {
         let mut staged = 0;
         for b in benchsuite::all() {
             let g = (b.build)();
@@ -40,25 +83,32 @@ fn summarized_walks_equal_unrolled_walks_on_the_suite() {
 /// reordered there, else 0.
 fn addr_cost(g: &Graph, edges: &[EdgeId], side: ReorderSide, m: &Machine) -> u64 {
     match edges.first().and_then(|&e| g.edge(e).reorder) {
-        Some(r) if r.side == side => match r.addr_gen {
-            AddrGen::Sagu => m.cost.sagu_access,
-            AddrGen::Software => m.cost.addr_software_reorder,
-        },
+        Some(r) if r.side == side => m.reorder_access(r.addr_gen),
         _ => 0,
     }
 }
 
 /// Hold every filter's modelled cycles in a run of `g` on `m` to the
 /// static model: `node_cycles[f] == static_firing_cost(f) × reps ×
-/// iters` on both engines, with the reorder address costs of its edges.
-/// Returns how many filters were compared.
+/// iters` on both engines, with the reorder address costs of its edges;
+/// and the two engines to each other, category by category and node by
+/// node. Returns how many filter runs were compared.
 fn check_vm_charges(g: &Graph, sched: &Schedule, m: &Machine, what: &str) -> usize {
     const ITERS: u64 = 2;
     let adj = g.adjacency();
-    let mut filters = 0;
-    for mode in [ExecMode::Bytecode, ExecMode::TreeWalk] {
+    let runs = [ExecMode::Bytecode, ExecMode::TreeWalk].map(|mode| {
         let run = run_scheduled_mode(g, sched, m, ITERS, mode)
             .unwrap_or_else(|e| panic!("{what}, {mode:?}: {e}"));
+        (mode, run)
+    });
+    let (bytecode, treewalk) = (&runs[0].1, &runs[1].1);
+    assert_eq!(bytecode.counters, treewalk.counters, "{what}: counters");
+    assert_eq!(
+        bytecode.node_cycles, treewalk.node_cycles,
+        "{what}: node cycles"
+    );
+    let mut filters = 0;
+    for (mode, run) in &runs {
         for (id, node) in g.nodes() {
             let Node::Filter(f) = node else { continue };
             let addr = AddrCosts {
@@ -81,14 +131,18 @@ fn check_vm_charges(g: &Graph, sched: &Schedule, m: &Machine, what: &str) -> usi
 /// `core/src/cost.rs` models each filter's firing by the VM's cost
 /// accounting without executing it, and the Equation-1 gate and the
 /// tape-mode choice trust that: on every program, scalar and SIMDized,
-/// software-reordered, SAGU-reordered and eight lanes wide, the VM
-/// charges a filter exactly its static cost per firing.
+/// software-reordered, SAGU-reordered, eight lanes wide and with every
+/// price distinct, the VM charges a filter exactly its static cost per
+/// firing, and both engines charge alike.
 #[test]
 fn the_static_model_prices_what_the_vm_charges() {
+    let [distinct, distinct_sagu] = distinct_prices();
     for m in [
         Machine::core_i7(),
         Machine::core_i7_with_sagu(),
         Machine::wide(8),
+        distinct,
+        distinct_sagu,
     ] {
         let mut filters = 0;
         for b in benchsuite::all() {
