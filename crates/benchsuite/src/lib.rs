@@ -246,7 +246,7 @@ mod tests {
         // DES: s-box actors must NOT be vectorized.
         let r = report_of("DES");
         assert!(
-            r.single_actors.iter().all(|n| !n.contains("sbox")),
+            r.single_actors.iter().all(|d| !d.actor.contains("sbox")),
             "DES sboxes vectorized: {r:?}"
         );
         // Region benchmarks: the stateful banks vectorize only through

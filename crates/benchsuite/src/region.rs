@@ -197,7 +197,7 @@ mod tests {
             let g = build();
             let simd = macro_simdize(&g, &m, &SimdizeOptions::all()).unwrap();
             assert!(
-                simd.report.region_actors.iter().any(|a| a == actor),
+                simd.report.region_actors.iter().any(|d| d.actor == actor),
                 "{actor}: region pass did not fire: {:?}",
                 simd.report
             );

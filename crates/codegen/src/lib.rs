@@ -30,7 +30,7 @@
 //! [`emit_program`] itself is unchanged by all of this (golden tests pin
 //! its structure); the report header is strictly additive.
 
-use macross::SimdizeReport;
+use macross::{ActorDecision, SimdizeReport};
 use macross_sdf::Schedule;
 use macross_streamir::expr::{Expr, Intrinsic, LValue, UnOp};
 use macross_streamir::filter::{Filter, VarKind};
@@ -792,14 +792,26 @@ pub fn emit_report_header(report: &SimdizeReport) -> String {
         "// Equation-1 schedule scale factor: {}",
         report.scale_factor
     );
-    let list = |s: &mut String, label: &str, names: &[String]| {
-        if names.is_empty() {
+    // Each actor's name, and its lane width beside it when `width`.
+    let list = |s: &mut String, label: &str, records: &[ActorDecision], width: bool| {
+        let items: Vec<String> = (records.iter())
+            .map(|d| {
+                if width {
+                    format!("{} (width {})", d.actor, d.width)
+                } else {
+                    d.actor.clone()
+                }
+            })
+            .collect();
+        if items.is_empty() {
             let _ = writeln!(s, "// {label}: (none)");
         } else {
-            let _ = writeln!(s, "// {label}: {}", names.join(", "));
+            let _ = writeln!(s, "// {label}: {}", items.join(", "));
         }
     };
-    list(&mut s, "Single-actor SIMDized", &report.single_actors);
+    let (single, region) = (&report.single_actors, &report.region_actors);
+    list(&mut s, "Single-actor SIMDized", single, false);
+    list(&mut s, "Region-SIMDized", region, true);
     if report.vertical_chains.is_empty() {
         s.push_str("// Vertically fused chains: (none)\n");
     } else {
@@ -816,22 +828,20 @@ pub fn emit_report_header(report: &SimdizeReport) -> String {
             let _ = writeln!(s, "//   - {}", group.join(" | "));
         }
     }
-    list(
-        &mut s,
-        "Skipped as unprofitable",
-        &report.skipped_unprofitable,
-    );
-    if !report.tape_decisions.is_empty() {
+    let skipped = &report.skipped_unprofitable;
+    list(&mut s, "Skipped as unprofitable", skipped, false);
+    let installed = single.iter().chain(region);
+    if installed.clone().next().is_some() {
         s.push_str("// Tape access modes:\n");
-        for d in &report.tape_decisions {
-            let _ = writeln!(
-                s,
-                "//   - {}: input {}, output {}",
-                d.actor,
-                tape_mode_label(d.input),
-                tape_mode_label(d.output)
-            );
-        }
+    }
+    for d in installed {
+        let _ = writeln!(
+            s,
+            "//   - {}: input {}, output {}",
+            d.actor,
+            tape_mode_label(d.winner().input),
+            tape_mode_label(d.winner().output)
+        );
     }
     s.push_str(&bar);
     s.push('\n');
@@ -1017,6 +1027,7 @@ mod tests {
         let header = emit_report_header(&SimdizeReport::default());
         for section in [
             "Single-actor SIMDized: (none)",
+            "Region-SIMDized: (none)",
             "Vertically fused chains: (none)",
             "Horizontally merged groups: (none)",
             "Skipped as unprofitable: (none)",

@@ -8,6 +8,7 @@
 use crate::cost::{staged_pair_costs, static_firing_cost, AddrCosts};
 use crate::error::SimdizeError;
 use crate::horizontal::{find_split_joins, horizontalize};
+use crate::opt::OptStats;
 use crate::permnet::{gather_applicable, scatter_applicable};
 use crate::region::{region_width, simdize_region_actor_analyzed};
 use crate::single::{stage_actor, uses_peek, SingleActorConfig, Staged, TapeMode};
@@ -18,9 +19,7 @@ use macross_streamir::filter::Filter;
 use macross_streamir::graph::{Graph, Node, NodeId, Reorder, ReorderSide};
 use macross_streamir::stmt::Stmt;
 use macross_streamir::types::ScalarTy;
-use macross_telemetry::compile::{Pass, PassEvent};
 use macross_vm::Machine;
-use std::fmt::Write;
 
 /// Which transforms and optimizations the driver may apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,27 +91,72 @@ impl SimdizeOptions {
     }
 }
 
-/// The input/output tape-mode decision for one vectorized actor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TapeDecision {
-    /// Actor name (post-transform).
-    pub actor: String,
-    /// Chosen input mode.
+/// One (input, output) tape-mode pair the cost model priced for an
+/// actor, with the cycles of one vector firing under it: the scalar
+/// neighbour's reorder surcharge, or a region actor's permute term,
+/// included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairCost {
+    /// Input tape mode.
     pub input: TapeMode,
-    /// Chosen output mode.
+    /// Output tape mode.
     pub output: TapeMode,
+    /// Cycles of one vector firing, covering `width` scalar firings.
+    pub cycles: u64,
+}
+
+/// What a region-pass record adds: the panels the actor's regions make
+/// and the permute cycles its one pair's cost includes for them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegionTerm {
+    /// Declared region count `R`; the actor runs as `R / width` panels.
+    pub regions: usize,
+    /// One cross-panel permute per panel past the first.
+    pub permute_cycles: u64,
+}
+
+/// One cost-model decision of Algorithm 1 about one actor: everything the
+/// Section 3.5 profitability test read, and which pair won. The list it
+/// is in ([`SimdizeReport::single_actors`], `skipped_unprofitable`,
+/// `region_actors`) is the verdict.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ActorDecision {
+    /// The actor's name in the SIMDized graph: the vector actor's when it
+    /// was installed, the scalar actor's when it was skipped.
+    pub actor: String,
+    /// Lane width: the machine's SIMD width, or a region actor's divisor
+    /// of it.
+    pub width: usize,
+    /// Cycles of one scalar firing.
+    pub scalar_cycles: u64,
+    /// Every pair priced, input-major; a region record has its one
+    /// strided pair.
+    pub pairs: Vec<PairCost>,
+    /// Index in `pairs` of the winner, the first minimum.
+    pub chosen: usize,
+    /// `Some` for a record of the region pass.
+    pub region: Option<RegionTerm>,
+}
+
+impl ActorDecision {
+    /// The winning pair.
+    pub fn winner(&self) -> PairCost {
+        self.pairs[self.chosen]
+    }
+
+    /// The profitability test: one vector firing costs less than the
+    /// `width` scalar firings it replaces.
+    pub fn profitable(&self) -> bool {
+        self.winner().cycles < self.width as u64 * self.scalar_cycles
+    }
 }
 
 /// Work counters of the tape-mode search over the single-actor set: how
-/// many candidates were priced and how little had to be built to price
-/// them. Not part of the decision — two reports that agree on everything
-/// else describe the same compilation.
+/// little had to be built to price its candidates. Not part of the
+/// decision — two reports that agree on everything else describe the same
+/// compilation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Actors that entered the search (vectorized or found unprofitable).
-    pub selected_actors: usize,
-    /// (input mode, output mode) pairs costed across them.
-    pub pairs_costed: usize,
     /// Full-body tape lowerings, each followed by one `check_rates`
     /// self-check: one per vectorized actor, none per unprofitable one.
     pub lowerings: usize,
@@ -125,29 +169,36 @@ pub struct SearchStats {
     pub oracle_checked: usize,
 }
 
-/// What the driver did, for tests, reports and EXPERIMENTS.md.
+/// What the driver did, for tests, reports and EXPERIMENTS.md: one entry
+/// per decision, each list in node order.
 #[derive(Debug, Clone, Default)]
 pub struct SimdizeReport {
     /// Equation-1 repetition scale factor applied to the whole graph.
     pub scale_factor: u64,
+    /// What the classic prepass rewrote (all zero when it is off).
+    pub prepass: OptStats,
     /// Actors vectorized by single-actor SIMDization (incl. fused actors).
-    pub single_actors: Vec<String>,
+    pub single_actors: Vec<ActorDecision>,
     /// Vertically fused chains (original actor names per chain).
     pub vertical_chains: Vec<Vec<String>>,
     /// Horizontally merged vector actors, one vec per split-join.
     pub horizontal_groups: Vec<Vec<String>>,
-    /// Eligible actors skipped as unprofitable.
-    pub skipped_unprofitable: Vec<String>,
-    /// Stateful actors vectorized by region-based SIMDization
-    /// (post-transform names).
-    pub region_actors: Vec<String>,
-    /// Tape-access modes chosen per vectorized actor.
-    pub tape_decisions: Vec<TapeDecision>,
-    /// Compile-side trace: every transform decision in the order the
-    /// driver made it, with the cost-model estimates behind it.
-    pub passes: Vec<PassEvent>,
+    /// Eligible actors skipped as unprofitable, by the tape-mode search or
+    /// by the region pass.
+    pub skipped_unprofitable: Vec<ActorDecision>,
+    /// Stateful actors vectorized by region-based SIMDization.
+    pub region_actors: Vec<ActorDecision>,
     /// Work counters of the tape-mode search.
     pub search: SearchStats,
+}
+
+impl SimdizeReport {
+    /// The records of the tape-mode search: the actors it installed, then
+    /// those it found unprofitable.
+    pub fn searched(&self) -> impl Iterator<Item = &ActorDecision> {
+        let skipped = self.skipped_unprofitable.iter();
+        (self.single_actors.iter()).chain(skipped.filter(|d| d.region.is_none()))
+    }
 }
 
 /// Result of macro-SIMDization: the vectorized graph plus its adjusted
@@ -315,10 +366,6 @@ pub fn macro_simdize_colocated(
                     Ok(h) => {
                         let added = 2 + h.merged_names.iter().map(|r| r.len()).sum::<usize>();
                         let group: Vec<String> = h.merged_names.into_iter().flatten().collect();
-                        report.passes.push(
-                            PassEvent::new(Pass::Horizontal, group.join("+"), sw as u64)
-                                .note(format!("{}-branch split-join merged", cand.branches.len())),
-                        );
                         report.horizontal_groups.push(group);
                         let n = h.graph.node_count();
                         colors = remap_nodes(colors, &h.node_map, n);
@@ -342,19 +389,8 @@ pub fn macro_simdize_colocated(
     // otherwise make isomorphic actors structurally different (the merge
     // compares shapes modulo constants, and folding is shape-changing).
     if opts.prepass {
-        let stats = crate::opt::prepass_optimize(&mut g);
+        report.prepass = crate::opt::prepass_optimize(&mut g);
         va = VaMemo::new(&g); // any actor may have new bodies
-        report.passes.push(
-            PassEvent::new(Pass::Prepass, "<graph>", sw as u64).note(format!(
-                "{} rewrites: {} folded, {} identities, {} branches, {} loops, {} dead stores",
-                stats.total(),
-                stats.folded,
-                stats.identities,
-                stats.branches_resolved,
-                stats.loops_simplified,
-                stats.dead_stores
-            )),
-        );
     }
 
     // --- Vertical fusion of maximal SIMDizable pipeline chains. `fused`
@@ -419,10 +455,6 @@ pub fn macro_simdize_colocated(
             fused[spliced.fused_id.0 as usize] = true;
             va = VaMemo(remap_nodes(va.0, &spliced.node_map, n));
             g = spliced.graph;
-            report.passes.push(
-                PassEvent::new(Pass::Vertical, names.join("->"), sw as u64)
-                    .note(format!("{}-actor chain fused", names.len())),
-            );
             report.vertical_chains.push(names);
         }
     }
@@ -446,7 +478,7 @@ pub fn macro_simdize_colocated(
     // --- Tape-mode selection and profitability per actor: stage the
     // actor once, cost every candidate (input, output) pair from that
     // staging in one walk, lower only the winner.
-    let mut plans: Vec<(NodeId, SingleActorConfig, Filter)> = Vec::new();
+    let mut plans: Vec<(NodeId, SingleActorConfig, Filter, ActorDecision)> = Vec::new();
     for &id in &selected {
         let f = g.node(id).as_filter().expect("selected actors are filters");
         let (in_elem, out_elem) = tape_elems(&g, id);
@@ -455,7 +487,7 @@ pub fn macro_simdize_colocated(
             scalar_neighbor(&g, id, input, &selected)
         });
 
-        let mut costs = staged_pair_costs(&staged, &input_modes, &output_modes, machine);
+        let costs = staged_pair_costs(&staged, &input_modes, &output_modes, machine);
         #[cfg(debug_assertions)]
         let grid = {
             let grid = exhaustive_grid(
@@ -482,65 +514,53 @@ pub fn macro_simdize_colocated(
         // Charge the scalar neighbour's extra address generation, then
         // take the first minimum in input-major order.
         let addr_unit = machine.reorder_access(machine.addr_gen());
-        let pairs: Vec<(TapeMode, TapeMode)> = input_modes
-            .iter()
-            .flat_map(|&im| output_modes.iter().map(move |&om| (im, om)))
+        let pairs: Vec<PairCost> = (input_modes.iter())
+            .flat_map(|&input| output_modes.iter().map(move |&output| (input, output)))
+            .zip(costs)
+            .map(|((input, output), mut cycles)| {
+                if input == TapeMode::VectorReorder {
+                    cycles += (sw * f.pop) as u64 * addr_unit;
+                }
+                if output == TapeMode::VectorReorder {
+                    cycles += (sw * f.push) as u64 * addr_unit;
+                }
+                PairCost {
+                    input,
+                    output,
+                    cycles,
+                }
+            })
             .collect();
-        for (cost, &(im, om)) in costs.iter_mut().zip(&pairs) {
-            if im == TapeMode::VectorReorder {
-                *cost += (sw * f.pop) as u64 * addr_unit;
-            }
-            if om == TapeMode::VectorReorder {
-                *cost += (sw * f.push) as u64 * addr_unit;
+        let mut chosen = 0;
+        for (i, pair) in pairs.iter().enumerate() {
+            if pair.cycles < pairs[chosen].cycles {
+                chosen = i;
             }
         }
-        let mut best = 0;
-        for (i, &cost) in costs.iter().enumerate() {
-            if cost < costs[best] {
-                best = i;
-            }
-        }
-        let (vcost, (input, output)) = (costs[best], pairs[best]);
-        let scost = static_firing_cost(f, machine, AddrCosts::default());
-        report.search.selected_actors += 1;
-        report.search.pairs_costed += pairs.len();
+        let mut decision = ActorDecision {
+            actor: f.name.clone(),
+            width: sw,
+            scalar_cycles: static_firing_cost(f, machine, AddrCosts::default()),
+            pairs,
+            chosen,
+            region: None,
+        };
         report.search.cost_walks += 2;
-        // The pass note, written into one string: the verdict, then the
-        // cost of every pair.
-        let unprofitable = opts.profitability && vcost >= (sw as u64) * scost;
-        let mut note = String::with_capacity(80 + 24 * pairs.len());
-        if unprofitable {
-            note.push_str("vector firing not cheaper than SW scalar firings; costed in/out");
-        } else {
-            write!(note, "tapes in={input:?} out={output:?}; costed in/out").expect("a String");
-        }
-        for ((im, om), cost) in pairs.iter().zip(&costs) {
-            write!(note, " {im:?}/{om:?}={cost}").expect("a String");
-        }
-
-        if unprofitable {
-            report.passes.push(
-                PassEvent::new(Pass::Unprofitable, f.name.clone(), sw as u64)
-                    .costs(scost, vcost)
-                    .note(note),
-            );
-            report.skipped_unprofitable.push(f.name.clone());
+        if opts.profitability && !decision.profitable() {
+            report.skipped_unprofitable.push(decision);
             continue;
         }
-        report.passes.push(
-            PassEvent::new(Pass::SingleActor, f.name.clone(), sw as u64)
-                .costs(scost, vcost)
-                .note(note),
-        );
+        let PairCost { input, output, .. } = decision.winner();
         let vf = staged.materialize(input, output)?;
         report.search.lowerings += 1;
         #[cfg(debug_assertions)]
         assert_eq!(
             Some(&vf),
-            grid[best].as_ref().map(|(_, vf)| vf),
+            grid[chosen].as_ref().map(|(_, vf)| vf),
             "{}: lowered winner differs from the one-shot transform",
             f.name
         );
+        decision.actor = vf.name.clone();
         let cfg = SingleActorConfig {
             sw,
             input,
@@ -548,14 +568,14 @@ pub fn macro_simdize_colocated(
             in_elem,
             out_elem,
         };
-        plans.push((id, cfg, vf));
+        plans.push((id, cfg, vf, decision));
     }
 
     // --- Region-based stateful SIMDization: actors the passes above
     // refuse (stateful), but whose state is declared as independent
     // regions. The lane width is the machine width or the largest
     // power-of-two divisor of the region count that fits.
-    let mut region_plans: Vec<(NodeId, SingleActorConfig, Filter)> = Vec::new();
+    let mut region_plans: Vec<(NodeId, SingleActorConfig, Filter, ActorDecision)> = Vec::new();
     if opts.region {
         for id in g.node_ids() {
             let Some(f) = g.node(id).as_filter() else {
@@ -582,29 +602,29 @@ pub fn macro_simdize_colocated(
             // panel state cannot stay register-resident between firings,
             // so each extra panel is charged one cross-panel permute.
             let panels = regions / w;
-            let permute_term = (panels as u64 - 1) * machine.permute().cycles(AddrCosts::default());
-            let scost = static_firing_cost(f, machine, AddrCosts::default());
-            let vcost = static_firing_cost(&vf, machine, AddrCosts::default()) + permute_term;
-            if opts.profitability && vcost >= (w as u64) * scost {
-                report.passes.push(
-                    PassEvent::new(Pass::Unprofitable, f.name.clone(), w as u64)
-                        .costs(scost, vcost)
-                        .note(format!(
-                            "region vector firing not cheaper than {w} scalar firings \
-                             (R={regions}, permute term {permute_term})"
-                        )),
-                );
-                report.skipped_unprofitable.push(f.name.clone());
+            let permute_cycles =
+                (panels as u64 - 1) * machine.permute().cycles(AddrCosts::default());
+            let mut decision = ActorDecision {
+                actor: f.name.clone(),
+                width: w,
+                scalar_cycles: static_firing_cost(f, machine, AddrCosts::default()),
+                pairs: vec![PairCost {
+                    input: TapeMode::Strided,
+                    output: TapeMode::Strided,
+                    cycles: static_firing_cost(&vf, machine, AddrCosts::default()) + permute_cycles,
+                }],
+                chosen: 0,
+                region: Some(RegionTerm {
+                    regions,
+                    permute_cycles,
+                }),
+            };
+            if opts.profitability && !decision.profitable() {
+                report.skipped_unprofitable.push(decision);
                 continue;
             }
-            report.passes.push(
-                PassEvent::new(Pass::Region, f.name.clone(), w as u64)
-                    .costs(scost, vcost)
-                    .note(format!(
-                        "R={regions} regions as {panels} panel(s), permute term {permute_term}"
-                    )),
-            );
-            region_plans.push((id, cfg, vf));
+            decision.actor = vf.name.clone();
+            region_plans.push((id, cfg, vf, decision));
         }
     }
 
@@ -616,7 +636,7 @@ pub fn macro_simdize_colocated(
         let m = plans
             .iter()
             .chain(&region_plans)
-            .map(|(id, cfg, _)| {
+            .map(|(id, cfg, _, _)| {
                 let r = schedule.rep(*id);
                 lcm(cfg.sw as u64, r) / r
             })
@@ -624,20 +644,11 @@ pub fn macro_simdize_colocated(
             .unwrap_or(1);
         schedule.scale(m);
         report.scale_factor = m;
-        report.passes.push(
-            PassEvent::new(Pass::Equation1, "<schedule>", sw as u64)
-                .note(format!("repetition vector scaled by {m}")),
-        );
     }
 
     // --- Put the vectorized actors in the graph, divide their repetition
     // numbers by their lane widths, and mark reordered edges.
     let mut install = |g: &mut Graph, id: NodeId, cfg: &SingleActorConfig, vf: Filter| {
-        report.tape_decisions.push(TapeDecision {
-            actor: vf.name.clone(),
-            input: cfg.input,
-            output: cfg.output,
-        });
         g.replace_node(id, Node::filter(vf));
         let r = &mut schedule.reps[id.0 as usize];
         debug_assert_eq!(
@@ -648,9 +659,9 @@ pub fn macro_simdize_colocated(
         *r /= cfg.sw as u64;
     };
     let addr_gen = machine.addr_gen();
-    for (id, cfg, vf) in plans {
+    for (id, cfg, vf, decision) in plans {
         let (pop, push) = (vf.pop / sw, vf.push / sw);
-        report.single_actors.push(vf.name.clone());
+        report.single_actors.push(decision);
         install(&mut g, id, &cfg, vf);
         if cfg.input == TapeMode::VectorReorder {
             let e = g.single_in_edge(id).expect("input edge");
@@ -672,8 +683,8 @@ pub fn macro_simdize_colocated(
         }
     }
     // Region actors keep strided tapes: no reorder edges.
-    for (id, cfg, vf) in region_plans {
-        report.region_actors.push(vf.name.clone());
+    for (id, cfg, vf, decision) in region_plans {
+        report.region_actors.push(decision);
         install(&mut g, id, &cfg, vf);
     }
 
@@ -916,6 +927,10 @@ mod tests {
         fb.build_spec()
     }
 
+    fn names(records: &[ActorDecision]) -> Vec<&str> {
+        records.iter().map(|d| d.actor.as_str()).collect()
+    }
+
     /// Run scalar and SIMDized versions over aligned schedules; check
     /// bit-exact outputs and return (scalar, simd) results.
     pub(crate) fn differential(
@@ -1055,7 +1070,7 @@ mod tests {
         };
         let (_, _, report) = differential(&g, &Machine::core_i7(), &opts, 6);
         assert_eq!(report.vertical_chains, vec![vec!["a", "b"]]);
-        assert_eq!(report.single_actors, vec!["1a_1b_v4"]);
+        assert_eq!(names(&report.single_actors), ["1a_1b_v4"]);
     }
 
     #[test]
@@ -1078,7 +1093,7 @@ mod tests {
             .unwrap();
         let machine = Machine::core_i7();
         let simd = macro_simdize(&g, &machine, &SimdizeOptions::all()).unwrap();
-        assert_eq!(simd.report.skipped_unprofitable, vec!["fir"]);
+        assert_eq!(names(&simd.report.skipped_unprofitable), ["fir"]);
         assert!(simd.report.single_actors.is_empty());
     }
 
@@ -1093,7 +1108,7 @@ mod tests {
         .unwrap();
         let sagu = Machine::core_i7_with_sagu();
         let (_, _, report) = differential(&g, &sagu, &SimdizeOptions::all(), 6);
-        let d = &report.tape_decisions[0];
+        let d = report.single_actors[0].winner();
         assert_eq!(d.input, TapeMode::VectorReorder);
         assert_eq!(d.output, TapeMode::VectorReorder);
 
@@ -1101,7 +1116,10 @@ mod tests {
         // permute (p = 2 is a power of two) or strided.
         let base = Machine::core_i7();
         let (_, _, report2) = differential(&g, &base, &SimdizeOptions::all(), 6);
-        assert_ne!(report2.tape_decisions[0].input, TapeMode::VectorReorder);
+        assert_ne!(
+            report2.single_actors[0].winner().input,
+            TapeMode::VectorReorder
+        );
     }
 
     #[test]
@@ -1156,28 +1174,29 @@ mod tests {
     }
 
     #[test]
-    fn pass_events_trace_the_pipeline() {
+    fn decision_records_trace_the_pipeline() {
+        // `f2` multiplies by 1.0: the prepass removes two identities.
         let g = StreamSpec::pipeline(vec![
             f32_source("src"),
             scale_filter("f1", 2.0),
-            scale_filter("f2", 3.0),
+            scale_filter("f2", 1.0),
             StreamSpec::Sink,
         ])
         .build()
         .unwrap();
         let machine = Machine::core_i7();
-        let simd = macro_simdize(&g, &machine, &SimdizeOptions::all()).unwrap();
-        let passes = &simd.report.passes;
-        let kinds: Vec<Pass> = passes.iter().map(|e| e.pass).collect();
-        assert!(kinds.contains(&Pass::Prepass));
-        assert!(kinds.contains(&Pass::Vertical));
-        assert!(kinds.contains(&Pass::SingleActor));
-        assert!(kinds.contains(&Pass::Equation1));
+        let report = macro_simdize(&g, &machine, &SimdizeOptions::all())
+            .unwrap()
+            .report;
+        assert_eq!(report.prepass.identities, 2);
+        assert_eq!(report.vertical_chains, [["f1", "f2"]]);
+        assert_eq!(report.scale_factor, 4);
         // Every vectorization decision carries its cost-model estimates.
-        let sa = passes.iter().find(|e| e.pass == Pass::SingleActor).unwrap();
-        assert!(sa.est_scalar_cycles > 0 && sa.est_vector_cycles > 0);
-        assert!(sa.est_speedup() > 1.0, "selected actors must model faster");
-        assert_eq!(sa.simd_width, machine.simd_width as u64);
+        let sa = &report.single_actors[0];
+        assert!(sa.scalar_cycles > 0 && sa.winner().cycles > 0);
+        assert!(sa.profitable(), "selected actors must model faster");
+        assert_eq!(sa.width, machine.simd_width);
+        assert!(sa.pairs.iter().all(|p| p.cycles >= sa.winner().cycles));
         // And the unprofitable path records its evidence too.
         let mut fir = FilterBuilder::new("fir", 8, 1, 1, ScalarTy::F32);
         let i = fir.local("i", Ty::Scalar(ScalarTy::I32));
@@ -1195,14 +1214,12 @@ mod tests {
             .build()
             .unwrap();
         let simd2 = macro_simdize(&g2, &machine, &SimdizeOptions::all()).unwrap();
-        let up = simd2
-            .report
-            .passes
-            .iter()
-            .find(|e| e.pass == Pass::Unprofitable)
-            .expect("fir must be recorded as unprofitable");
+        let [up] = &simd2.report.skipped_unprofitable[..] else {
+            panic!("fir must be recorded as unprofitable");
+        };
         assert_eq!(up.actor, "fir");
-        assert!(up.est_vector_cycles >= 4 * up.est_scalar_cycles);
+        assert!(!up.profitable());
+        assert!(up.winner().cycles >= 4 * up.scalar_cycles);
     }
 
     fn iir_bank_filter(name: &str, regions: usize) -> StreamSpec {
@@ -1234,11 +1251,19 @@ mod tests {
         .unwrap();
         let machine = Machine::core_i7();
         let (a, b, report) = differential(&g, &machine, &SimdizeOptions::all(), 8);
-        assert_eq!(report.region_actors, vec!["bank_r4"]);
-        assert!(report
-            .passes
-            .iter()
-            .any(|e| e.pass == Pass::Region && e.actor == "bank"));
+        assert_eq!(names(&report.region_actors), ["bank_r4"]);
+        // Eight regions on four lanes are two panels: one permute, which
+        // the one strided pair's cost includes.
+        let d = &report.region_actors[0];
+        let term = d.region.expect("a region record");
+        assert_eq!(term.regions, 8);
+        assert!(term.permute_cycles > 0);
+        assert_eq!((d.width, d.pairs.len()), (4, 1));
+        assert_eq!(
+            (d.winner().input, d.winner().output),
+            (TapeMode::Strided, TapeMode::Strided)
+        );
+        assert!(d.winner().cycles > term.permute_cycles && d.profitable());
         assert!(
             b.total_cycles() < a.total_cycles(),
             "region simd {} should beat scalar {}",
@@ -1293,7 +1318,10 @@ mod tests {
         let machine = Machine::core_i7();
         let (_, _, report) = differential(&g, &machine, &SimdizeOptions::all(), 6);
         assert!(report.region_actors.is_empty());
-        assert!(!report.passes.iter().any(|e| e.pass == Pass::Region));
+        assert!(report
+            .skipped_unprofitable
+            .iter()
+            .all(|d| d.region.is_none()));
     }
 
     #[test]
@@ -1311,13 +1339,8 @@ mod tests {
         .unwrap();
         let machine = Machine::core_i7();
         let (_, _, report) = differential(&g, &machine, &SimdizeOptions::all(), 8);
-        assert_eq!(report.region_actors, vec!["bank2_r2"]);
-        let ev = report
-            .passes
-            .iter()
-            .find(|e| e.pass == Pass::Region)
-            .unwrap();
-        assert_eq!(ev.simd_width, 2);
+        assert_eq!(names(&report.region_actors), ["bank2_r2"]);
+        assert_eq!(report.region_actors[0].width, 2);
         assert!(!report.single_actors.is_empty());
     }
 
@@ -1406,7 +1429,7 @@ mod tests {
         .unwrap();
         for machine in [Machine::core_i7(), Machine::core_i7_with_sagu()] {
             let (_, _, report) = differential(&g, &machine, &SimdizeOptions::all(), 6);
-            assert_eq!(report.search.selected_actors, 1);
+            assert_eq!(report.searched().count(), 1);
         }
     }
 
@@ -1496,14 +1519,14 @@ mod tests {
         let machine = Machine::core_i7_with_sagu();
         let simd = macro_simdize(&g, &machine, &SimdizeOptions::single_only()).unwrap();
         let report = simd.report;
-        assert_eq!(report.skipped_unprofitable, vec!["fir"]);
-        assert_eq!(report.single_actors, vec!["f_v4"]);
+        assert_eq!(names(&report.skipped_unprofitable), ["fir"]);
+        assert_eq!(names(&report.single_actors), ["f_v4"]);
         let stats = report.search;
-        assert_eq!(stats.selected_actors, 2);
+        assert_eq!(report.searched().count(), 2);
         assert_eq!(stats.lowerings, 1);
         assert_eq!(stats.cost_walks, 4);
         // single_only: strided tapes only, one pair each.
-        assert_eq!(stats.pairs_costed, 2);
+        assert!(report.searched().all(|d| d.pairs.len() == 1));
         assert_eq!(
             stats.oracle_checked,
             if cfg!(debug_assertions) { 2 } else { 0 }
@@ -1512,7 +1535,7 @@ mod tests {
         // With every tape optimization on, f (pop 2, push 2; only its
         // sink side can reorder, the fir being selected itself) has 2 x 3
         // candidate pairs and the peeking fir 1 x 2 — still one lowering,
-        // and every pair's cost is in the pass note.
+        // and every pair's cost is in its record.
         let simd = macro_simdize(
             &g,
             &machine,
@@ -1522,32 +1545,26 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(simd.report.search.pairs_costed, 2 + 6);
         assert_eq!(simd.report.search.lowerings, 1);
-        let note = &simd
-            .report
-            .passes
-            .iter()
-            .find(|e| e.pass == Pass::SingleActor)
-            .unwrap()
-            .note;
-        for pair in [
-            "Strided/Strided=",
-            "Strided/Permute=",
-            "Strided/VectorReorder=",
-            "Permute/Strided=",
-            "Permute/Permute=",
-            "Permute/VectorReorder=",
-        ] {
-            assert!(note.contains(pair), "{pair} missing from: {note}");
-        }
-        let unprofitable = simd
-            .report
-            .passes
-            .iter()
-            .find(|e| e.pass == Pass::Unprofitable)
-            .unwrap();
-        assert!(unprofitable.note.contains("Strided/Strided="));
+        let pairs = |d: &ActorDecision| -> Vec<(TapeMode, TapeMode)> {
+            d.pairs.iter().map(|p| (p.input, p.output)).collect()
+        };
+        use TapeMode::{Permute, Strided, VectorReorder};
+        assert_eq!(
+            pairs(&simd.report.single_actors[0]),
+            [
+                (Strided, Strided),
+                (Strided, Permute),
+                (Strided, VectorReorder),
+                (Permute, Strided),
+                (Permute, Permute),
+                (Permute, VectorReorder),
+            ]
+        );
+        assert_eq!(
+            pairs(&simd.report.skipped_unprofitable[0]),
+            [(Strided, Strided), (Strided, Permute)]
+        );
     }
 
     #[test]

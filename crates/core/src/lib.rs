@@ -50,7 +50,9 @@
 //! });
 //! let graph = StreamSpec::pipeline(vec![src.build_spec(), f.build_spec(), StreamSpec::Sink]).build()?;
 //! let simd = macro_simdize(&graph, &Machine::core_i7(), &SimdizeOptions::all())?;
-//! assert_eq!(simd.report.single_actors, vec!["f_v4"]);
+//! let [f_v4] = &simd.report.single_actors[..] else { panic!() };
+//! assert_eq!(f_v4.actor, "f_v4");
+//! assert!(f_v4.winner().cycles < 4 * f_v4.scalar_cycles);
 //! # Ok(())
 //! # }
 //! ```
@@ -70,8 +72,8 @@ pub mod vertical;
 
 pub use artifact::{compile_graph, ArtifactCache, CompiledGraph};
 pub use driver::{
-    macro_simdize, macro_simdize_colocated, modelled_steady_cost, steady_node_weights, SearchStats,
-    SimdizeOptions, SimdizeReport, Simdized, TapeDecision,
+    macro_simdize, macro_simdize_colocated, modelled_steady_cost, steady_node_weights,
+    ActorDecision, PairCost, RegionTerm, SearchStats, SimdizeOptions, SimdizeReport, Simdized,
 };
 pub use error::SimdizeError;
 pub use region::{region_width, simdize_region_actor};

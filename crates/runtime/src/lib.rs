@@ -37,7 +37,7 @@ use macross_streamir::types::Value;
 use macross_vm::firing::panic_message;
 use macross_vm::machine::{CycleCounters, Machine};
 use macross_vm::VmError;
-use ring::{Aborted, Ring, OCC_BUCKETS};
+use ring::{Aborted, Ring};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -171,15 +171,9 @@ pub struct StageStats {
     pub ring_in: u64,
     /// Tokens pushed to cross-core rings.
     pub ring_out: u64,
-    /// Times this stage blocked pushing into a full ring.
-    pub full_stalls: u64,
-    /// Times this stage blocked pulling from an empty ring.
-    pub empty_stalls: u64,
-    /// Nanoseconds this stage spent blocked on its rings (full + empty).
-    pub stall_nanos: u64,
 }
 
-/// Final per-ring numbers in a [`RuntimeReport`], one per cut edge.
+/// Final per-ring numbers in a [`RuntimeReport`], one per ring.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RingStat {
     /// Edge id in the graph.
@@ -190,11 +184,6 @@ pub struct RingStat {
     pub dst: usize,
     /// Slot count of the ring.
     pub capacity: usize,
-    /// Highest occupancy observed at any publish point.
-    pub high_water: usize,
-    /// Occupancy histogram: one sample per published batch, bucket `i`
-    /// covering `[i, i+1) * capacity / OCC_BUCKETS`.
-    pub occ_hist: [u64; OCC_BUCKETS],
     /// Times the producer found the ring full.
     pub full_stalls: u64,
     /// Times the consumer found the ring empty.
@@ -226,7 +215,7 @@ pub struct RuntimeReport {
     pub cut_edges: usize,
     /// Per-stage counters, indexed by node id.
     pub stages: Vec<StageStats>,
-    /// Per-ring occupancy and stall numbers, one per cut edge.
+    /// Per-ring stall and park numbers, one per ring.
     pub rings: Vec<RingStat>,
     /// Steady-loop wall nanoseconds per core (0 for cores with no nodes).
     pub core_nanos: Vec<u64>,
@@ -244,35 +233,16 @@ pub struct RuntimeReport {
 }
 
 impl RuntimeReport {
-    /// Measured wall nanoseconds per steady iteration.
-    pub fn nanos_per_iter(&self) -> f64 {
-        if self.iters == 0 {
-            0.0
-        } else {
-            self.wall_nanos as f64 / self.iters as f64
-        }
-    }
-
-    /// Modelled cycles of the slowest core — the analytic makespan this
-    /// run should be compared against.
-    pub fn modelled_makespan(&self) -> u64 {
-        self.core_modelled
-            .iter()
-            .map(CycleCounters::total)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Total tokens that crossed core boundaries.
     pub fn ring_traffic(&self) -> u64 {
         self.stages.iter().map(|s| s.ring_out).sum()
     }
 
-    /// Total ring stall events (full + empty) across all stages.
+    /// Total ring stall events (full + empty) across all rings.
     pub fn total_stalls(&self) -> u64 {
-        self.stages
+        self.rings
             .iter()
-            .map(|s| s.full_stalls + s.empty_stalls)
+            .map(|r| r.full_stalls + r.empty_stalls)
             .sum()
     }
 
@@ -817,7 +787,7 @@ pub fn run_supervised_placed(
     }
     let wall_nanos = core_nanos.iter().copied().max().unwrap_or(0);
 
-    let mut stage_stats: Vec<StageStats> = graph
+    let stage_stats: Vec<StageStats> = graph
         .nodes()
         .map(|(id, node)| {
             let i = id.0 as usize;
@@ -832,9 +802,6 @@ pub fn run_supervised_placed(
                     .min(bounds[i]),
                 ring_in: stages[i].ring_in.load(Ordering::Relaxed),
                 ring_out: stages[i].ring_out.load(Ordering::Relaxed),
-                full_stalls: 0,
-                empty_stalls: 0,
-                stall_nanos: 0,
             }
         })
         .collect();
@@ -846,17 +813,11 @@ pub fn run_supervised_placed(
             EdgeRings::Fission(rs) => rs,
         };
         for ring in physical {
-            stage_stats[e.src.0 as usize].full_stalls += ring.full_stalls();
-            stage_stats[e.dst.0 as usize].empty_stalls += ring.empty_stalls();
-            stage_stats[e.src.0 as usize].stall_nanos += ring.full_stall_nanos();
-            stage_stats[e.dst.0 as usize].stall_nanos += ring.empty_stall_nanos();
             ring_stats.push(RingStat {
                 edge: eid.0 as usize,
                 src: e.src.0 as usize,
                 dst: e.dst.0 as usize,
                 capacity: ring.capacity(),
-                high_water: ring.high_water(),
-                occ_hist: ring.occupancy_hist(),
                 full_stalls: ring.full_stalls(),
                 empty_stalls: ring.empty_stalls(),
                 full_stall_nanos: ring.full_stall_nanos(),
@@ -1046,10 +1007,6 @@ mod tests {
         let rs = &thr.report.rings[0];
         assert_eq!((rs.src, rs.dst), (0, 1));
         assert!(rs.capacity >= 8);
-        // 16 steady + init publishes: samples must have landed somewhere.
-        assert!(rs.occ_hist.iter().sum::<u64>() > 0);
-        assert!(rs.high_water >= 1);
-        assert!(rs.high_water <= rs.capacity);
     }
 
     #[test]
@@ -1058,9 +1015,6 @@ mod tests {
         let sched = Schedule::compute(&g).unwrap();
         let thr = run_on(&g, &sched, &Machine::core_i7(), &[0, 1, 1], 0).unwrap();
         assert_eq!(thr.report.iters, 0);
-        let ns = thr.report.nanos_per_iter();
-        assert!(ns.is_finite());
-        assert_eq!(ns, 0.0);
     }
 
     /// counter (push 4) -> doubler (stateless, pop 1 push 1) -> sink:

@@ -23,9 +23,6 @@ use std::sync::Mutex;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-/// Bucket count of the occupancy histogram kept per ring.
-pub const OCC_BUCKETS: usize = 8;
-
 /// The run was aborted by another worker while this one was blocked on a
 /// ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,12 +74,6 @@ pub struct Ring {
     full_parks: AtomicU64,
     /// Waits of the consumer that reached `park_timeout`.
     empty_parks: AtomicU64,
-    /// Highest occupancy ever observed at a publish point. Like
-    /// `occ_hist`, written only by the producer.
-    high_water: AtomicUsize,
-    /// Occupancy histogram, one sample per published batch; bucket `i`
-    /// covers occupancies in `[i, i+1) * capacity / OCC_BUCKETS`.
-    occ_hist: [AtomicU64; OCC_BUCKETS],
     producer_parked: AtomicBool,
     consumer_parked: AtomicBool,
     producer: Mutex<Option<Thread>>,
@@ -115,8 +106,6 @@ impl Ring {
             empty_stall_nanos: AtomicU64::new(0),
             full_parks: AtomicU64::new(0),
             empty_parks: AtomicU64::new(0),
-            high_water: AtomicUsize::new(0),
-            occ_hist: Default::default(),
             producer_parked: AtomicBool::new(false),
             consumer_parked: AtomicBool::new(false),
             producer: Mutex::new(None),
@@ -169,28 +158,6 @@ impl Ring {
     /// Consumer waits that reached `park_timeout`.
     pub fn empty_parks(&self) -> u64 {
         self.empty_parks.load(Ordering::Relaxed)
-    }
-
-    /// Highest occupancy observed at any publish point.
-    pub fn high_water(&self) -> usize {
-        self.high_water.load(Ordering::Relaxed)
-    }
-
-    /// Occupancy histogram snapshot (one sample per published batch).
-    pub fn occupancy_hist(&self) -> [u64; OCC_BUCKETS] {
-        std::array::from_fn(|i| self.occ_hist[i].load(Ordering::Relaxed))
-    }
-
-    /// One occupancy sample at a publish point. Only the producer
-    /// publishes, so both statistics have a single writer and a plain
-    /// load and store keep them exact without a read-modify-write.
-    fn sample_occupancy(&self, occupied: usize) {
-        if occupied > self.high_water.load(Ordering::Relaxed) {
-            self.high_water.store(occupied, Ordering::Relaxed);
-        }
-        let bucket = (occupied * OCC_BUCKETS / self.capacity()).min(OCC_BUCKETS - 1);
-        let seen = self.occ_hist[bucket].load(Ordering::Relaxed);
-        self.occ_hist[bucket].store(seen + 1, Ordering::Relaxed);
     }
 
     /// Copy `vals` into the slots starting at absolute index `at`.
@@ -313,9 +280,6 @@ impl Ring {
         // past `tail`, so the slots are unpublished.
         unsafe { self.write_slots(tail, &vals[..n]) };
         self.tail.0.store(tail + n, Ordering::Release);
-        // `head` is a snapshot, so this occupancy is an upper bound;
-        // good enough for a histogram and exact for the high-water.
-        self.sample_occupancy(tail + n - head);
         self.wake_consumer();
         n
     }
@@ -494,20 +458,6 @@ mod tests {
         // and stall time must have been accounted.
         assert!(r.full_stalls() > 0);
         assert!(r.full_stall_nanos() > 0);
-        // Some publish point must have seen the ring completely full.
-        assert_eq!(r.high_water(), r.capacity());
-    }
-
-    #[test]
-    fn occupancy_stats_track_publishes() {
-        let r = Ring::with_capacity(8);
-        let abort = AtomicBool::new(false);
-        assert_eq!(r.push_batch(&(0..6).map(iv).collect::<Vec<_>>(), &abort), 6);
-        assert_eq!(r.high_water(), 6);
-        let hist = r.occupancy_hist();
-        assert_eq!(hist.iter().sum::<u64>(), 1);
-        // Occupancy 6 of 8 lands in bucket 6*OCC_BUCKETS/8.
-        assert_eq!(hist[6 * OCC_BUCKETS / 8], 1);
     }
 
     #[test]

@@ -28,16 +28,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for chain in &simd.report.vertical_chains {
         println!("vertical:   fused {chain:?}");
     }
-    for d in &simd.report.tape_decisions {
+    for d in simd
+        .report
+        .single_actors
+        .iter()
+        .chain(&simd.report.region_actors)
+    {
+        let won = d.winner();
         println!(
-            "tape modes: {} in={:?} out={:?}",
-            d.actor, d.input, d.output
+            "tape modes: {} in={:?} out={:?} (pair {} of {}, {} cycles vs {} x {} scalar)",
+            d.actor,
+            won.input,
+            won.output,
+            d.chosen + 1,
+            d.pairs.len(),
+            won.cycles,
+            d.width,
+            d.scalar_cycles
         );
     }
-    if !simd.report.skipped_unprofitable.is_empty() {
+    for d in &simd.report.skipped_unprofitable {
         println!(
-            "skipped (cost model): {:?}",
-            simd.report.skipped_unprofitable
+            "skipped (cost model): {} ({} cycles vs {} x {} scalar)",
+            d.actor,
+            d.winner().cycles,
+            d.width,
+            d.scalar_cycles
         );
     }
 

@@ -51,7 +51,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let machine = Machine::core_i7();
     let simd = macro_simdize(&graph, &machine, &SimdizeOptions::all())?;
     println!("transforms applied: {:?}", simd.report.vertical_chains);
-    println!("vectorized actors:  {:?}", simd.report.single_actors);
+    for d in &simd.report.single_actors {
+        println!(
+            "vectorized actor:   {} ({} lanes: {} cycles per vector firing vs {} per scalar)",
+            d.actor,
+            d.width,
+            d.winner().cycles,
+            d.scalar_cycles
+        );
+    }
     println!("repetition scaling: x{}", simd.report.scale_factor);
 
     // 3. Run both versions at matched throughput and compare.

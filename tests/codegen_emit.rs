@@ -2,8 +2,8 @@
 //! structurally sound output for every benchmark, scalar and SIMDized,
 //! deterministically.
 
-use macross_repro::benchsuite::all;
-use macross_repro::codegen::{emit_program, CodegenOptions, CxxTarget};
+use macross_repro::benchsuite::{all, by_name};
+use macross_repro::codegen::{emit_program, emit_program_with_report, CodegenOptions, CxxTarget};
 use macross_repro::macross::driver::{macro_simdize, SimdizeOptions};
 use macross_repro::sdf::Schedule;
 use macross_repro::vm::Machine;
@@ -44,6 +44,27 @@ fn every_benchmark_emits_simdized_cxx_with_intrinsics() {
         let close = code.matches('}').count();
         assert_eq!(open, close, "{}: unbalanced braces", b.name);
     }
+}
+
+/// The report header names the actor the region pass vectorized, with
+/// its lane width, apart from the single-actor list; its tape line says
+/// what the record's one pair is.
+#[test]
+fn report_header_names_region_simdized_actors() {
+    let g = (by_name("RegionIIRBank").unwrap().build)();
+    let simd = macro_simdize(&g, &Machine::core_i7(), &SimdizeOptions::all()).unwrap();
+    let opts = CodegenOptions::default();
+    let code = emit_program_with_report(&simd.graph, &simd.schedule, &opts, &simd.report);
+    for line in [
+        "// Region-SIMDized: iir_bank_r4 (width 4)\n",
+        "//   - iir_bank_r4: input strided, output strided\n",
+    ] {
+        assert!(code.contains(line), "{line:?} missing:\n{code}");
+    }
+    let single = (code.lines())
+        .find(|l| l.starts_with("// Single-actor SIMDized:"))
+        .unwrap();
+    assert!(!single.contains("iir_bank"), "not a single actor: {single}");
 }
 
 #[test]

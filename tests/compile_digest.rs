@@ -5,16 +5,17 @@
 //!
 //! Each row is an FNV-1a digest of a `Debug` rendering. What the compiler
 //! builds — the SIMDized graph and its schedule — and what it reports about
-//! it — the `SimdizeReport` (every pass event with its costs and note, and
-//! the search counters) — are pinned in two tables, so a change to how
-//! decisions are recorded re-pins the second and must leave the first
-//! alone. A third table pins the bytecode the firing compiler emits for
-//! each graph (ops, charges, register windows and constant pools in pool
-//! order). `search.oracle_checked` is zeroed first — the debug-build
-//! oracle counts the actors it compared, a release build counts none — so
-//! one table holds for both profiles. A change that means to alter a
-//! decision re-pins the rows it moved, on purpose; the failure message
-//! prints the whole table as it now is.
+//! it — the `SimdizeReport`: the prepass counts, one typed record per actor
+//! decision with every costed tape pair, and the search counters — are
+//! pinned in two tables, so a change to how decisions are recorded re-pins
+//! the second and must leave the first alone. A third table pins the
+//! bytecode the firing compiler emits for each graph (ops, charges,
+//! register windows and constant pools in pool order).
+//! `search.oracle_checked` is zeroed first — the debug-build oracle counts
+//! the actors it compared, a release build counts none — so one table
+//! holds for both profiles. A change that means to alter a decision
+//! re-pins the rows it moved, on purpose; the failure message prints the
+//! whole table as it now is.
 //!
 //! The placements table pins what `macross-multicore` decides from those
 //! graphs: the planner's plans, Figure 13's partitions and speedups, and
@@ -269,54 +270,54 @@ RegionAccNorm single_only df9e1618d8ca59fa
 
 /// Program, option set, digest of the `SimdizeReport`.
 const PINNED_REPORTS: &str = "
-AudioBeam all 6435330ff7ba3e0f
-AudioBeam no_reorder b771b565d0045ef7
-AudioBeam single_only dea5a7448a8490be
-BeamFormer all c0ffd3c087f90a04
-BeamFormer no_reorder f36ebaa0706b23af
-BeamFormer single_only fe0671e5488fbc98
-BitonicSort all 141a222289794f92
-BitonicSort no_reorder b6814c2484dd800f
-BitonicSort single_only 606f070d10f78773
-ChannelVocoder all 766e8ebc6ae6a193
-ChannelVocoder no_reorder f35ae7e974784d13
-ChannelVocoder single_only 53eb89715490e28f
-DCT all 2a967077a7ed47fa
-DCT no_reorder af94c48ddadde71d
-DCT single_only fd5ae452f5ec6c4a
-DES all 4dde7410d13e6627
-DES no_reorder 3a9fa752532804bb
-DES single_only 9d06135197732cbf
-FFT all 235e8c24bd96f7a3
-FFT no_reorder bb1de67f821dada5
-FFT single_only de27197c12953436
-FilterBank all 74edb08d20533148
-FilterBank no_reorder 10ebc49a2ede7394
-FilterBank single_only ba5196439e206832
-FMRadio all 72bf34caa670f257
-FMRadio no_reorder 4beeed6c4468635e
-FMRadio single_only faf294dc70616a35
-MatrixMult all 6ebdb1938837f0c1
-MatrixMult no_reorder d7fa57eb6814e27a
-MatrixMult single_only 5e9bad074970b982
-MatrixMultBlock all cbd53d300029b1f0
-MatrixMultBlock no_reorder c91d6dc7242ecdea
-MatrixMultBlock single_only f47e64b1c0e79f34
-MP3Decoder all 35e6c8afb3658151
-MP3Decoder no_reorder 6ca67615d7282dd8
-MP3Decoder single_only 7b7707e45362350b
-Serpent all d2b684f41c90df83
-Serpent no_reorder ffda6e9c8e3b16cb
-Serpent single_only d9f724af29b71a51
-TDE all c9091a7d472a5105
-TDE no_reorder bc6657a9618a9705
-TDE single_only 28a888a9619bc3b0
-RegionIIRBank all 9e9f7323e725c286
-RegionIIRBank no_reorder f263d4a25b3f19e1
-RegionIIRBank single_only 656f042d79086583
-RegionAccNorm all 354f2a31d96e48e6
-RegionAccNorm no_reorder e43822c1f3ee62f5
-RegionAccNorm single_only 276219b26ee383ec
+AudioBeam all 3be15984070317e0
+AudioBeam no_reorder 09ed9ac40b3580b6
+AudioBeam single_only 9635c671cdb76e4f
+BeamFormer all 235d90ce05dfac4d
+BeamFormer no_reorder f6724bd25dce76d3
+BeamFormer single_only 20943dfa4bf75a74
+BitonicSort all a094fe3c8d05cd84
+BitonicSort no_reorder e42d3f2746d1f70e
+BitonicSort single_only 81b9cd63e21fb0b9
+ChannelVocoder all db08e44b169fa824
+ChannelVocoder no_reorder aed08d33f5af61bd
+ChannelVocoder single_only e7d43775e5595011
+DCT all 67c79b5e3f3a1442
+DCT no_reorder da1d74be37c2db4a
+DCT single_only 06cf0bd37a2597d7
+DES all 8d7b9b6a5e1ea1eb
+DES no_reorder 8ac6861dfc0345ac
+DES single_only 2ffd6db6791aff78
+FFT all c52f4b0348a4e4d3
+FFT no_reorder 051943b6ea26b6ae
+FFT single_only de8021ef5c0f259f
+FilterBank all af3d77a4ecb96932
+FilterBank no_reorder 23e450f195ff6541
+FilterBank single_only fc63d42643370f5e
+FMRadio all d3db155b485c41d7
+FMRadio no_reorder 2e3ba21766ed65be
+FMRadio single_only df466b410dfd9aa7
+MatrixMult all eaea0a0680af17f2
+MatrixMult no_reorder 3e74b9a7d0769cec
+MatrixMult single_only ffd37281c8411a64
+MatrixMultBlock all a169f1386906eea5
+MatrixMultBlock no_reorder aecc4613ca54192e
+MatrixMultBlock single_only c020612ecd90273d
+MP3Decoder all 4918c003d7dfeb8e
+MP3Decoder no_reorder b7b57a67ff1d19cc
+MP3Decoder single_only c7bc551329ebb7a5
+Serpent all 2c3d37a5bb52ecb7
+Serpent no_reorder d1c654b65e9a8df4
+Serpent single_only ef774d6dadeae67c
+TDE all 2cc83648e3c12066
+TDE no_reorder ac98074051aab713
+TDE single_only d243c886a4adcc85
+RegionIIRBank all 216df2a82dcf6707
+RegionIIRBank no_reorder 9dcdb87f9aa5355b
+RegionIIRBank single_only cd3bfee2a09157cf
+RegionAccNorm all 7b55a572d001ec4a
+RegionAccNorm no_reorder 765cecd594f132a2
+RegionAccNorm single_only c0a72676302a44ad
 ";
 
 /// Program, hash of the scalar graph, hash of the SIMDized graph.

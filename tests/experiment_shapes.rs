@@ -303,7 +303,7 @@ fn region_iir_bank_beats_its_scalar_graph() {
         simd.report
             .region_actors
             .iter()
-            .any(|a| a.contains("iir_bank")),
+            .any(|d| d.actor.contains("iir_bank")),
         "the region transform did not fire on iir_bank: {:?}",
         simd.report.region_actors
     );

@@ -60,9 +60,9 @@ fn simdized_graphs_share_every_actor_no_pass_rewrote() {
             let r = &simd.report;
             let rewritten: HashSet<&str> = (r.single_actors.iter())
                 .chain(&r.region_actors)
-                .chain(r.vertical_chains.iter().flatten())
-                .chain(r.horizontal_groups.iter().flatten())
-                .map(String::as_str)
+                .map(|d| d.actor.as_str())
+                .chain(r.vertical_chains.iter().flatten().map(String::as_str))
+                .chain(r.horizontal_groups.iter().flatten().map(String::as_str))
                 .collect();
             for f in actors(&simd.graph) {
                 let name = f.name.as_str();

@@ -41,7 +41,7 @@ fn every_staging_leaves_its_source_unchanged() {
         let pristine = (b.build)();
         for (label, opts) in options() {
             let simd = macro_simdize(&g, &machine, &opts).unwrap();
-            searched += simd.report.search.selected_actors;
+            searched += simd.report.searched().count();
             region += simd.report.region_actors.len();
             horizontal += (simd.report.horizontal_groups.iter())
                 .map(Vec::len)

@@ -8,17 +8,25 @@
 //! lowered winner, and counts the actors it compared in
 //! `SimdizeReport::search.oracle_checked`. These tests drive it over the
 //! whole suite and check from the counters that it really ran and that
-//! the search built no more bodies than it installed.
+//! the search built no more bodies than it installed, and from the
+//! decision records that every winner and every verdict follows from the
+//! record's own numbers.
 
 use macross_repro::benchsuite;
 use macross_repro::macross::driver::{macro_simdize, SimdizeOptions};
-use macross_repro::telemetry::compile::{Pass, PassEvent};
+use macross_repro::macross::{ActorDecision, TapeMode};
 use macross_repro::vm::Machine;
 
-/// Did the tape-mode search produce this event? (The region pass reports
-/// its own unprofitable actors; it has one candidate and no search.)
-fn went_through_search(e: &PassEvent) -> bool {
-    e.pass == Pass::SingleActor || (e.pass == Pass::Unprofitable && !e.note.starts_with("region"))
+/// Does the record's verdict follow from its own numbers? Installed:
+/// one vector firing costs less than `width` scalar firings; skipped:
+/// it does not.
+fn verdict_holds(d: &ActorDecision, installed: bool) -> bool {
+    let (vector, scalar) = (d.pairs[d.chosen].cycles, d.width as u64 * d.scalar_cycles);
+    if installed {
+        vector < scalar
+    } else {
+        vector >= scalar
+    }
 }
 
 #[test]
@@ -34,8 +42,7 @@ fn staged_search_matches_exhaustive_grid_on_the_suite() {
         Machine::wide(8),
         Machine::neon_like(),
     ];
-    let mut searched = 0;
-    let mut multi_pair = 0;
+    let (mut searched, mut multi_pair, mut regions) = (0, 0, 0);
     for b in benchsuite::all() {
         let g = (b.build)();
         for (cfg, opts) in &options {
@@ -45,61 +52,61 @@ fn staged_search_matches_exhaustive_grid_on_the_suite() {
                 let simd = macro_simdize(&g, machine, opts).unwrap_or_else(|e| panic!("{at}: {e}"));
                 let report = &simd.report;
                 let stats = report.search;
+                let actors = report.searched().count();
                 if cfg!(debug_assertions) {
-                    assert_eq!(stats.oracle_checked, stats.selected_actors, "{at}");
+                    assert_eq!(stats.oracle_checked, actors, "{at}");
                 }
-                assert_eq!(
-                    stats.selected_actors,
-                    report
-                        .passes
-                        .iter()
-                        .filter(|e| went_through_search(e))
-                        .count(),
-                    "{at}"
-                );
                 // One lowering, hence one rate check, per installed actor
-                // and none per rejected one: at most 2 such passes over a
-                // body per searched actor (the grid made up to ten of each).
+                // and none per rejected one (the grid made up to ten of
+                // each per actor).
                 assert_eq!(stats.lowerings, report.single_actors.len(), "{at}");
-                assert!(2 * stats.lowerings <= 2 * stats.selected_actors, "{at}");
                 // Two cost walks per actor however many pairs it has.
-                assert_eq!(stats.cost_walks, 2 * stats.selected_actors, "{at}");
-                assert!(stats.pairs_costed >= stats.selected_actors, "{at}");
-                searched += stats.selected_actors;
-                multi_pair += stats.pairs_costed - stats.selected_actors;
+                assert_eq!(stats.cost_walks, 2 * actors, "{at}");
+                let pairs: usize = report.searched().map(|d| d.pairs.len()).sum();
+                assert!(report.searched().all(|d| !d.pairs.is_empty()), "{at}");
+                searched += actors;
+                multi_pair += pairs - actors;
+                // Every verdict, region records included, agrees with the
+                // record's own numbers.
+                let installed = report.single_actors.iter().chain(&report.region_actors);
+                for (d, ok) in (installed.map(|d| (d, true)))
+                    .chain(report.skipped_unprofitable.iter().map(|d| (d, false)))
+                {
+                    assert!(verdict_holds(d, ok), "{at}: {d:?}");
+                }
+                regions += report.region_actors.len();
             }
         }
     }
     assert!(searched > 0, "the suite must exercise the search");
     assert!(multi_pair > 0, "some actor must have more than one pair");
+    assert!(regions > 0, "the suite must exercise the region pass");
 }
 
 #[test]
 fn reports_explain_the_chosen_tape_modes() {
-    // Every decision event carries the cost of every pair considered, and
-    // the reported vector cost is the smallest of them.
+    // Every searched record carries every pair considered, input-major,
+    // and the winner is the first of the cheapest.
     let machine = Machine::core_i7_with_sagu();
     for b in benchsuite::all() {
         let simd = macro_simdize(&(b.build)(), &machine, &SimdizeOptions::all()).unwrap();
-        for e in &simd.report.passes {
-            if !went_through_search(e) {
-                continue;
-            }
-            let (_, costed) = e
-                .note
-                .split_once("costed in/out ")
-                .unwrap_or_else(|| panic!("{}: {} lacks pair costs: {}", b.name, e.actor, e.note));
-            let costs: Vec<u64> = costed
-                .split(' ')
-                .map(|pair| pair.split_once('=').unwrap().1.parse().unwrap())
+        for d in simd.report.searched() {
+            let at = format!("{}: {}", b.name, d.actor);
+            let mut inputs: Vec<TapeMode> = d.pairs.iter().map(|p| p.input).collect();
+            inputs.dedup();
+            let outputs: Vec<TapeMode> = (d.pairs.iter())
+                .take_while(|p| p.input == inputs[0])
+                .map(|p| p.output)
                 .collect();
-            assert_eq!(
-                costs.iter().min(),
-                Some(&e.est_vector_cycles),
-                "{}: {}",
-                b.name,
-                e.note
-            );
+            let grid: Vec<(TapeMode, TapeMode)> = (inputs.iter())
+                .flat_map(|&i| outputs.iter().map(move |&o| (i, o)))
+                .collect();
+            let listed: Vec<(TapeMode, TapeMode)> =
+                d.pairs.iter().map(|p| (p.input, p.output)).collect();
+            assert_eq!(listed, grid, "{at}: not input-major");
+            let min = d.pairs.iter().map(|p| p.cycles).min();
+            let first_min = d.pairs.iter().position(|p| Some(p.cycles) == min);
+            assert_eq!(first_min, Some(d.chosen), "{at}: {:?}", d.pairs);
         }
     }
 }
