@@ -594,7 +594,8 @@ mod tests {
     use macross_sdf::Schedule;
     use macross_streamir::builder::StreamSpec;
     use macross_streamir::edsl::*;
-    use macross_streamir::types::{ScalarTy, Ty};
+    use macross_streamir::expr::BinOp;
+    use macross_streamir::types::{ScalarTy, Ty, Value};
     use macross_vm::{run_scheduled, Machine};
 
     /// Figure 6a's B actor: 3 iterations of (pop 4, push 1) with a
@@ -699,6 +700,116 @@ mod tests {
         let b2 = actor_b(7.0);
         let b3 = actor_b(8.0);
         assert!(merge_isomorphic(&[&b0, &c, &b2, &b3], 4).is_err());
+    }
+
+    /// The reason a refused merge gives.
+    fn refusal(actors: &[&Filter]) -> String {
+        match merge_isomorphic(actors, actors.len()) {
+            Err(SimdizeError::NotVectorizable { reason, .. }) => reason,
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+
+    /// Every constant of a body, `Const` and `ConstVec` alike, in walk
+    /// order.
+    fn constants(body: &[Stmt]) -> Vec<Expr> {
+        let mut out = Vec::new();
+        for s in body {
+            s.walk_exprs(&mut |e| {
+                if matches!(e, Expr::Const(_) | Expr::ConstVec(_)) {
+                    out.push(e.clone());
+                }
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn merge_keeps_equal_constants_scalar() {
+        let (b, c) = (actor_b(5.0), actor_c());
+        let m = merge_isomorphic(&[&b, &b, &b, &b], 4).unwrap();
+        assert_eq!((&m.init, &m.work), (&b.init, &b.work));
+        let m = merge_isomorphic(&[&c, &c], 2).unwrap();
+        assert_eq!((&m.init, &m.work), (&c.init, &c.work));
+        assert_eq!(m.name, "C_h2");
+        assert!(constants(&m.work)
+            .iter()
+            .all(|e| matches!(e, Expr::Const(_))));
+    }
+
+    #[test]
+    fn merge_orders_differing_constants_by_lane() {
+        let (b5, b6, b7, b8) = (actor_b(5.0), actor_b(6.0), actor_b(7.0), actor_b(8.0));
+        let m = merge_isomorphic(&[&b7, &b5, &b8, &b6], 4).unwrap();
+        let lanes = [7.0f32, 5.0, 8.0, 6.0].map(Value::F32).to_vec();
+        assert_eq!(
+            constants(&m.work),
+            vec![Expr::Const(Value::I32(3)), Expr::ConstVec(lanes)],
+            "the trip count is equal in every lane, the divisor is not"
+        );
+    }
+
+    /// `push(((pop() <op> 1) * 2) - 3)` inside a loop and a branch.
+    fn nested(op: BinOp) -> Filter {
+        let mut fb = FilterBuilder::new("n", 2, 2, 2, ScalarTy::F32);
+        let i = fb.local("i", Ty::Scalar(ScalarTy::I32));
+        fb.work(move |b| {
+            b.for_(i, 2i32, |b| {
+                b.if_else(
+                    lt(v(i), 1i32),
+                    |b| {
+                        b.push((E(Expr::bin(op, pop().0, c(1.0f32).0)) * 2.0f32) - 3.0f32);
+                    },
+                    |b| {
+                        b.push(pop());
+                    },
+                );
+            });
+        });
+        fb.build()
+    }
+
+    #[test]
+    fn merge_refuses_a_shape_mismatch_three_levels_down() {
+        let (add, sub) = (nested(BinOp::Add), nested(BinOp::Sub));
+        assert!(merge_isomorphic(&[&add, &add], 2).is_ok());
+        assert_eq!(
+            refusal(&[&add, &add, &sub, &add]),
+            "expression shapes differ"
+        );
+    }
+
+    #[test]
+    fn merge_refuses_constants_of_different_types() {
+        let mk = |k: Expr| {
+            let mut fb = FilterBuilder::new("k", 1, 1, 1, ScalarTy::F32);
+            fb.work(move |b| {
+                b.push(pop() * cast(ScalarTy::F32, k.clone()));
+            });
+            fb.build()
+        };
+        let (int, float) = (
+            mk(Expr::Const(Value::I32(2))),
+            mk(Expr::Const(Value::F32(2.0))),
+        );
+        assert_eq!(refusal(&[&int, &float]), "constant types differ");
+    }
+
+    #[test]
+    fn merge_refuses_differing_variable_references() {
+        let mk = |second: bool| {
+            let mut fb = FilterBuilder::new("r", 1, 1, 1, ScalarTy::F32);
+            let a = fb.local("a", Ty::Scalar(ScalarTy::F32));
+            let b2 = fb.local("b", Ty::Scalar(ScalarTy::F32));
+            fb.work(move |b| {
+                b.set(a, pop());
+                b.set(b2, v(a) + 1.0f32);
+                b.push(v(if second { b2 } else { a }));
+            });
+            fb.build()
+        };
+        let (x, y) = (mk(false), mk(true));
+        assert_eq!(refusal(&[&x, &y]), "variable references differ");
     }
 
     #[test]

@@ -309,14 +309,33 @@ mod tests {
         assert_eq!(normal_form_violation(&normalized(&f).work), None);
     }
 
+    /// A generated temporary's name reads exactly as the text it stands
+    /// for, through `Display` (padding included) and `Debug`, and
+    /// compares equal to it.
     #[test]
-    fn numbered_names_are_exact() {
-        assert_eq!(numbered("__t", &[0]), "__t0");
-        assert_eq!(numbered("__t", &[1234]), "__t1234");
-        assert_eq!(numbered("__in_perm_", &[9]), "__in_perm_9");
-        assert_eq!(numbered("__perm_r", &[1, 10, 100]), "__perm_r1_10_100");
-        assert_eq!(numbered("x", &[]), "x");
-        assert_eq!(numbered("", &[usize::MAX]), usize::MAX.to_string());
+    fn generated_names_render_exactly() {
+        let max = usize::MAX.to_string();
+        let cases: [(&'static str, &[usize], &str); 8] = [
+            ("__t", &[0], "__t0"),
+            ("__t", &[1234], "__t1234"),
+            ("__ld", &[1, 7], "__ld1_7"),
+            ("__in_perm_", &[9], "__in_perm_9"),
+            ("__perm_r", &[1, 10, 100], "__perm_r1_10_100"),
+            ("__st", &[0, 0], "__st0_0"),
+            ("x", &[], "x"),
+            ("", &[usize::MAX], &max),
+        ];
+        for (stem, numbers, text) in cases {
+            let name = numbered(stem, numbers);
+            assert_eq!(format!("{name}"), text);
+            assert_eq!(name.to_string(), text);
+            assert_eq!(format!("{name:?}"), format!("{text:?}"));
+            assert_eq!(
+                format!("{name:>24}|{name:<24}|"),
+                format!("{text:>24}|{text:<24}|")
+            );
+            assert_eq!(name, *text);
+        }
     }
 
     #[test]

@@ -187,3 +187,67 @@ fn every_declared_identifier_is_legal_and_unique() {
         }
     }
 }
+
+/// FNV-1a, 64-bit: stable across toolchains, unlike `DefaultHasher`.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every byte of C++ the emitter writes for the 16 programs, scalar and
+/// SIMDized (`core_i7`, all transforms, default options), as one FNV-1a
+/// digest per unit. A change that only makes the compiler faster, or
+/// changes how the IR stores a name, must leave every row alone; a change
+/// that means to alter the emitted code re-pins the rows it moved (the
+/// failure message prints the whole table as it now is).
+#[test]
+fn emitted_units_match_the_pins() {
+    let machine = Machine::core_i7();
+    let opts = CodegenOptions::default();
+    let rows: Vec<String> = all()
+        .iter()
+        .map(|b| {
+            let g = (b.build)();
+            let sched = Schedule::compute(&g).unwrap();
+            let simd = macro_simdize(&g, &machine, &SimdizeOptions::all()).unwrap();
+            format!(
+                "{} {:016x} {:016x}",
+                b.name,
+                fnv(&emit_program(&g, &sched, &opts)),
+                fnv(&emit_program(&simd.graph, &simd.schedule, &opts))
+            )
+        })
+        .collect();
+    let pinned: Vec<&str> = PINNED_UNITS
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty())
+        .collect();
+    if rows.iter().map(String::as_str).ne(pinned.iter().copied()) {
+        panic!(
+            "emitted C++ drifted from the pinned table; it now reads:\n{}",
+            rows.join("\n")
+        );
+    }
+}
+
+/// Program, scalar unit digest, SIMDized unit digest.
+const PINNED_UNITS: &str = "
+AudioBeam 559795ed569359bb b9cceb98a84da10c
+BeamFormer 9bf6aa6132dce2a1 766813d0f51600fb
+BitonicSort 2a6cc1d07f880f3f 0b7524a7c0913f0b
+ChannelVocoder 02d7912216b6f19b a9fd5be8d9cd5cd6
+DCT 2224fc36f9d208ef 6cd8305ec132a35c
+DES 6925121a076e0f1f 23294a869350bad2
+FFT e682cede3e16b3f5 7e310063916f48d2
+FilterBank fa85c25970a307d4 c684b150da4cd510
+FMRadio a407670ba6b35097 e8308494f4be4b23
+MatrixMult 4ffe6e4eeb76d634 768b195c8f0a8fda
+MatrixMultBlock 07fdec8fa1f16708 f4fc181e7d0f30fa
+MP3Decoder 8e9b27b5fc61a112 f9622c45c9a065bf
+Serpent d96003e93ab55b51 8dcbb7b97531fe54
+TDE 45f6da3d488925ba 38c8bbc3142ca9e6
+RegionIIRBank 0e3d742e44d6cf31 06abfaaa5edd3786
+RegionAccNorm c2cd37850d154970 c3b0512ef2844298
+";
