@@ -30,6 +30,7 @@
 use macross_streamir::expr::{BinOp, Expr, LValue, VarId};
 use macross_streamir::filter::{VarDecl, VarKind};
 use macross_streamir::graph::{Graph, Node};
+use macross_streamir::name::{numbered, Name};
 use macross_streamir::stmt::{rewrite_slice, Stmt};
 use macross_streamir::types::{ScalarTy, Ty, Value};
 use std::collections::HashSet;
@@ -131,7 +132,7 @@ struct LoopVectorizer<'a> {
     /// The filter's declared variables; the temporaries this pass adds
     /// follow them in `new_vars`.
     vars: &'a [VarDecl],
-    new_vars: Vec<(String, Ty)>,
+    new_vars: Vec<(Name, Ty)>,
     report: &'a mut AutovecReport,
 }
 
@@ -181,10 +182,10 @@ impl<'a> LoopVectorizer<'a> {
         self.vars.len() + self.new_vars.len()
     }
 
-    fn fresh(&mut self, name: &str, ty: Ty) -> VarId {
+    fn fresh(&mut self, stem: &'static str, ty: Ty) -> VarId {
         let id = VarId(self.var_count() as u32);
         self.new_vars
-            .push((format!("{name}{}", self.new_vars.len()), ty));
+            .push((numbered(stem, &[self.new_vars.len()]), ty));
         id
     }
 

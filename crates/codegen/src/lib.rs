@@ -583,7 +583,7 @@ fn emit_struct(filter: &Filter, cname: &str, opts: &CodegenOptions) -> String {
         let names: Vec<String> = spec
             .vars
             .iter()
-            .map(|v| filter.var(*v).name.clone())
+            .map(|v| filter.var(*v).name.to_string())
             .collect();
         // Post-SIMDization the arrays are region-major lane panels; print
         // the layout so readers can map lanes back to regions.

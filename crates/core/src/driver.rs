@@ -15,6 +15,7 @@ use crate::single::{stage_actor, uses_peek, SingleActorConfig, Staged, TapeMode}
 use crate::vertical::{chain_reps, fuse_vetted_chain, link_fusable_vetted, splice_fused};
 use macross_sdf::{compute_init_reps, lcm, Schedule};
 use macross_streamir::analysis::{analyze_vectorizability, check_rates, Vectorizability};
+use macross_streamir::expr::Expr;
 use macross_streamir::filter::Filter;
 use macross_streamir::graph::{Graph, Node, NodeId, Reorder, ReorderSide};
 use macross_streamir::stmt::Stmt;
@@ -257,6 +258,27 @@ impl VaMemo {
     }
 }
 
+/// Does `machine`'s SIMD engine support every intrinsic `f`'s work calls?
+/// The answer [`Vectorizability::intrinsics`] gives, without the taint
+/// analysis: the horizontal pass asks it of actors it then merges away.
+fn supported(f: &Filter, machine: &Machine) -> bool {
+    let mut all = true;
+    for s in &f.work {
+        s.walk_exprs(&mut |e| {
+            if let Expr::Call(i, _) = e {
+                all &= machine.vector_intrinsics.contains(i);
+            }
+        });
+    }
+    debug_assert_eq!(
+        all,
+        machine.supports_all(&analyze_vectorizability(f).intrinsics),
+        "{}",
+        f.name
+    );
+    all
+}
+
 /// Carry per-node data across a graph rebuild: kept nodes keep their
 /// value, nodes the rebuild added start from the default.
 fn remap_nodes<T: Default>(old: Vec<T>, node_map: &[Option<NodeId>], new_count: usize) -> Vec<T> {
@@ -337,50 +359,62 @@ pub fn macro_simdize_colocated(
     // paper resolves the overlap with its cost model, we use the same
     // priority it picks for its running example.
     if opts.horizontal {
-        loop {
-            let cands = find_split_joins(&g);
-            let mut advanced = false;
-            for cand in cands {
-                if cand.branches.len() % sw != 0 {
-                    continue;
-                }
-                // Every actor must be supported by the SIMD engine.
-                let intrinsics_ok = cand.branches.iter().flatten().all(|&id| {
-                    va.get(&g, id)
-                        .is_some_and(|va| machine.supports_all(&va.intrinsics))
-                });
-                if !intrinsics_ok {
-                    continue;
-                }
-                // Co-location: all branch actors must share a color.
-                let group_color = colors[cand.splitter.0 as usize];
-                if cand
-                    .branches
-                    .iter()
-                    .flatten()
-                    .any(|id| colors[id.0 as usize] != group_color)
-                {
-                    continue;
-                }
-                match horizontalize(&g, &cand, sw) {
-                    Ok(h) => {
-                        let added = 2 + h.merged_names.iter().map(|r| r.len()).sum::<usize>();
-                        let group: Vec<String> = h.merged_names.into_iter().flatten().collect();
-                        report.horizontal_groups.push(group);
-                        let n = h.graph.node_count();
-                        colors = remap_nodes(colors, &h.node_map, n);
-                        colors[n - added..].fill(group_color);
-                        va = VaMemo(remap_nodes(va.0, &h.node_map, n));
-                        g = h.graph;
-                        advanced = true;
-                        break; // node ids changed; re-find candidates
-                    }
-                    Err(_) => continue, // not isomorphic etc.: leave scalar
-                }
+        // The candidates are found once: a merge replaces its own
+        // split-join and no other, and makes or breaks no candidate, so
+        // the rest carry over through its node map (debug builds check
+        // against a fresh search). Each is tried once; one that failed
+        // would fail again.
+        let mut cands = find_split_joins(&g);
+        let mut next = 0;
+        while let Some(cand) = cands.get(next) {
+            next += 1;
+            if cand.branches.len() % sw != 0 {
+                continue;
             }
-            if !advanced {
-                break;
+            // Every actor must be supported by the SIMD engine.
+            let intrinsics_ok = (cand.branches.iter().flatten()).all(|&id| {
+                g.node(id)
+                    .as_filter()
+                    .is_some_and(|f| supported(f, machine))
+            });
+            if !intrinsics_ok {
+                continue;
             }
+            // Co-location: all branch actors must share a color.
+            let group_color = colors[cand.splitter.0 as usize];
+            if cand
+                .branches
+                .iter()
+                .flatten()
+                .any(|id| colors[id.0 as usize] != group_color)
+            {
+                continue;
+            }
+            // Not isomorphic etc.: leave scalar.
+            let Ok(h) = horizontalize(&g, cand, sw) else {
+                continue;
+            };
+            let added = 2 + h.merged_names.iter().map(|r| r.len()).sum::<usize>();
+            let group: Vec<String> = h.merged_names.into_iter().flatten().collect();
+            report.horizontal_groups.push(group);
+            let n = h.graph.node_count();
+            colors = remap_nodes(colors, &h.node_map, n);
+            colors[n - added..].fill(group_color);
+            va = VaMemo(remap_nodes(va.0, &h.node_map, n));
+            next -= 1;
+            cands.remove(next);
+            let moved = |id: &mut NodeId| *id = h.node_map[id.0 as usize].expect("disjoint");
+            for c in &mut cands {
+                moved(&mut c.splitter);
+                moved(&mut c.joiner);
+                c.branches.iter_mut().flatten().for_each(moved);
+            }
+            g = h.graph;
+            debug_assert_eq!(
+                find_split_joins(&g),
+                cands,
+                "a merge changed another split-join"
+            );
         }
     }
 
@@ -389,8 +423,22 @@ pub fn macro_simdize_colocated(
     // otherwise make isomorphic actors structurally different (the merge
     // compares shapes modulo constants, and folding is shape-changing).
     if opts.prepass {
-        report.prepass = crate::opt::prepass_optimize(&mut g);
-        va = VaMemo::new(&g); // any actor may have new bodies
+        // Copy-on-write: an actor no rewrite applied to keeps its verdict.
+        report.prepass = crate::opt::prepass_optimize_each(&mut g, |id| {
+            va.0[id.0 as usize] = Verdict::default();
+        });
+        #[cfg(debug_assertions)]
+        for (id, node) in g.nodes() {
+            let (Node::Filter(f), Some(kept)) = (node, &va.0[id.0 as usize].va) else {
+                continue;
+            };
+            assert_eq!(
+                *kept,
+                analyze_vectorizability(f),
+                "{}: stale verdict",
+                f.name
+            );
+        }
     }
 
     // --- Vertical fusion of maximal SIMDizable pipeline chains. `fused`

@@ -7,7 +7,8 @@
 
 use crate::error::SimdizeError;
 use crate::graph_edit::rebuild_without;
-use crate::single::{expr_vecish, mark_vector_vars, stage, TapeMode};
+use crate::lockstep::merge_block;
+use crate::single::{expr_vecish, stage, Staged, TapeMode};
 use macross_streamir::analysis::VarSet;
 use macross_streamir::expr::{Expr, LValue};
 use macross_streamir::filter::Filter;
@@ -104,18 +105,31 @@ pub fn find_split_joins(graph: &Graph) -> Vec<SplitJoinCandidate> {
 /// Fails when the filters are not isomorphic: differing rates, variable
 /// declarations, or body structure beyond constant literals.
 pub fn merge_isomorphic(actors: &[&Filter], sw: usize) -> Result<Filter, SimdizeError> {
+    let mut merged = merge_shell(actors, sw)?;
+    merged.work = merge_block(&actors[0].work, &|j| &actors[j].work, sw)
+        .map_err(|why| not_isomorphic(actors[0], why))?;
+    Ok(merged)
+}
+
+fn not_isomorphic(first: &Filter, reason: impl Into<String>) -> SimdizeError {
+    SimdizeError::NotVectorizable {
+        actor: first.name.clone(),
+        reason: reason.into(),
+    }
+}
+
+/// [`merge_isomorphic`] without the work body: the merged actor's rates,
+/// declarations and `init`, named `<first>_h<SW>`, which staging
+/// completes with the lanes' work bodies merged in normal form.
+fn merge_shell(actors: &[&Filter], sw: usize) -> Result<Filter, SimdizeError> {
     assert_eq!(actors.len(), sw, "merge needs exactly SW actors");
     let first = actors[0];
-    let err = |reason: String| SimdizeError::NotVectorizable {
-        actor: first.name.clone(),
-        reason,
-    };
     for a in actors {
         if (a.pop, a.push, a.peek) != (first.pop, first.push, first.peek) {
-            return Err(err(format!(
-                "rates differ between {} and {}",
-                first.name, a.name
-            )));
+            return Err(not_isomorphic(
+                first,
+                format!("rates differ between {} and {}", first.name, a.name),
+            ));
         }
         if a.vars.len() != first.vars.len()
             || a.vars
@@ -123,286 +137,62 @@ pub fn merge_isomorphic(actors: &[&Filter], sw: usize) -> Result<Filter, Simdize
                 .zip(&first.vars)
                 .any(|(x, y)| x.ty != y.ty || x.kind != y.kind)
         {
-            return Err(err(format!(
-                "variable declarations differ between {} and {}",
-                first.name, a.name
-            )));
+            return Err(not_isomorphic(
+                first,
+                format!(
+                    "variable declarations differ between {} and {}",
+                    first.name, a.name
+                ),
+            ));
         }
         if !a.chans.is_empty() {
-            return Err(err(format!("{} has internal channels", a.name)));
+            return Err(not_isomorphic(
+                first,
+                format!("{} has internal channels", a.name),
+            ));
         }
     }
-    let init = merge_blocks(&actors.iter().map(|a| a.init.as_slice()).collect::<Vec<_>>())
-        .map_err(&err)?;
-    let work = merge_blocks(&actors.iter().map(|a| a.work.as_slice()).collect::<Vec<_>>())
-        .map_err(&err)?;
-    let mut merged = first.with_bodies(init, work);
-    merged.name = format!("{}_h{sw}", first.name);
-    Ok(merged)
+    let init = merge_block(&first.init, &|j| &actors[j].init, sw)
+        .map_err(|why| not_isomorphic(first, why))?;
+    let mut shell = Filter::new(
+        format!("{}_h{sw}", first.name),
+        first.peek,
+        first.pop,
+        first.push,
+    );
+    shell.vars = first.vars.clone();
+    shell.init = init;
+    shell.region = first.region.clone();
+    Ok(shell)
 }
 
-fn merge_blocks(blocks: &[&[Stmt]]) -> Result<Vec<Stmt>, String> {
-    let n = blocks[0].len();
-    if blocks.iter().any(|b| b.len() != n) {
-        return Err("statement counts differ".into());
-    }
-    (0..n)
-        .map(|i| merge_stmts(&blocks.iter().map(|b| &b[i]).collect::<Vec<_>>()))
-        .collect()
-}
-
-fn merge_stmts(ss: &[&Stmt]) -> Result<Stmt, String> {
-    use Stmt::*;
-    let first = ss[0];
-    match first {
-        Assign(lv, e) => {
-            let lvs: Vec<&LValue> = ss
-                .iter()
-                .map(|s| match s {
-                    Assign(l, _) => Ok(l),
-                    _ => Err("statement kinds differ".to_string()),
-                })
-                .collect::<Result<_, _>>()?;
-            let es: Vec<&Expr> = ss
-                .iter()
-                .map(|s| match s {
-                    Assign(_, e) => Ok(e),
-                    _ => Err("statement kinds differ".to_string()),
-                })
-                .collect::<Result<_, _>>()?;
-            let _ = (lv, e);
-            Ok(Assign(merge_lvalues(&lvs)?, merge_exprs(&es)?))
-        }
-        Push(_) => {
-            let es = collect(ss, |s| match s {
-                Push(e) => Some(e),
-                _ => None,
-            })?;
-            Ok(Push(merge_exprs(&es)?))
-        }
-        LPush(_, _) | LVPush(_, _, _) | VPush { .. } | RPush { .. } => {
-            Err("vector/channel ops in horizontal input".into())
-        }
-        For { var, count, body } => {
-            let counts = collect(ss, |s| match s {
-                For { var: v2, count, .. } if v2 == var => Some(count),
-                _ => None,
-            })?;
-            let count2 = merge_exprs(&counts)?;
-            let bodies: Vec<&[Stmt]> = collect(ss, |s| match s {
-                For { body, .. } => Some(body.as_slice()),
-                _ => None,
-            })?;
-            let _ = (count, body);
-            Ok(For {
-                var: *var,
-                count: count2,
-                body: merge_blocks(&bodies)?,
-            })
-        }
-        If { .. } => {
-            let conds = collect(ss, |s| match s {
-                If { cond, .. } => Some(cond),
-                _ => None,
-            })?;
-            let thens: Vec<&[Stmt]> = collect(ss, |s| match s {
-                If { then_branch, .. } => Some(then_branch.as_slice()),
-                _ => None,
-            })?;
-            let elses: Vec<&[Stmt]> = collect(ss, |s| match s {
-                If { else_branch, .. } => Some(else_branch.as_slice()),
-                _ => None,
-            })?;
-            Ok(If {
-                cond: merge_exprs(&conds)?,
-                then_branch: merge_blocks(&thens)?,
-                else_branch: merge_blocks(&elses)?,
-            })
-        }
-        AdvanceRead(n) => {
-            if ss.iter().all(|s| matches!(s, AdvanceRead(m) if m == n)) {
-                Ok(AdvanceRead(*n))
-            } else {
-                Err("advance_read amounts differ".into())
-            }
-        }
-        AdvanceWrite(n) => {
-            if ss.iter().all(|s| matches!(s, AdvanceWrite(m) if m == n)) {
-                Ok(AdvanceWrite(*n))
-            } else {
-                Err("advance_write amounts differ".into())
-            }
-        }
-    }
-}
-
-fn collect<'a, T: ?Sized>(
-    ss: &[&'a Stmt],
-    f: impl Fn(&'a Stmt) -> Option<&'a T>,
-) -> Result<Vec<&'a T>, String> {
-    ss.iter()
-        .map(|s| f(s).ok_or_else(|| "statement kinds differ".to_string()))
-        .collect()
-}
-
-fn merge_lvalues(lvs: &[&LValue]) -> Result<LValue, String> {
-    let first = lvs[0];
-    match first {
-        LValue::Var(v) => {
-            if lvs.iter().all(|l| matches!(l, LValue::Var(w) if w == v)) {
-                Ok(LValue::Var(*v))
-            } else {
-                Err("assignment targets differ".into())
-            }
-        }
-        LValue::Index(v, _) => {
-            let idxs: Vec<&Expr> = lvs
-                .iter()
-                .map(|l| match l {
-                    LValue::Index(w, i) if w == v => Ok(i),
-                    _ => Err("assignment targets differ".to_string()),
-                })
-                .collect::<Result<_, _>>()?;
-            Ok(LValue::Index(*v, merge_exprs(&idxs)?))
-        }
-        _ => Err("lane lvalue in horizontal input".into()),
-    }
-}
-
-fn merge_exprs(es: &[&Expr]) -> Result<Expr, String> {
-    use Expr::*;
-    let first = es[0];
-    match first {
-        Const(v) => {
-            let vals: Vec<macross_streamir::types::Value> = es
-                .iter()
-                .map(|e| match e {
-                    Const(x) => Ok(*x),
-                    _ => Err("expression shapes differ".to_string()),
-                })
-                .collect::<Result<_, _>>()?;
-            if vals.iter().any(|x| x.ty() != v.ty()) {
-                return Err("constant types differ".into());
-            }
-            if vals.iter().all(|x| x.bits_eq(*v)) {
-                Ok(Const(*v))
-            } else {
-                Ok(ConstVec(vals))
-            }
-        }
-        Var(v) => {
-            if es.iter().all(|e| matches!(e, Var(w) if w == v)) {
-                Ok(Var(*v))
-            } else {
-                Err("variable references differ".into())
-            }
-        }
-        Index(v, _) => {
-            let idxs: Vec<&Expr> = es
-                .iter()
-                .map(|e| match e {
-                    Index(w, i) if w == v => Ok(i.as_ref()),
-                    _ => Err("expression shapes differ".to_string()),
-                })
-                .collect::<Result<_, _>>()?;
-            Ok(Index(*v, Box::new(merge_exprs(&idxs)?)))
-        }
-        Unary(op, _) => {
-            let args: Vec<&Expr> = es
-                .iter()
-                .map(|e| match e {
-                    Unary(o, a) if o == op => Ok(a.as_ref()),
-                    _ => Err("expression shapes differ".to_string()),
-                })
-                .collect::<Result<_, _>>()?;
-            Ok(Unary(*op, Box::new(merge_exprs(&args)?)))
-        }
-        Cast(t, _) => {
-            let args: Vec<&Expr> = es
-                .iter()
-                .map(|e| match e {
-                    Cast(u, a) if u == t => Ok(a.as_ref()),
-                    _ => Err("expression shapes differ".to_string()),
-                })
-                .collect::<Result<_, _>>()?;
-            Ok(Cast(*t, Box::new(merge_exprs(&args)?)))
-        }
-        Binary(op, _, _) => {
-            let lhs: Vec<&Expr> = es
-                .iter()
-                .map(|e| match e {
-                    Binary(o, a, _) if o == op => Ok(a.as_ref()),
-                    _ => Err("expression shapes differ".to_string()),
-                })
-                .collect::<Result<_, _>>()?;
-            let rhs: Vec<&Expr> = es
-                .iter()
-                .map(|e| match e {
-                    Binary(o, _, b) if o == op => Ok(b.as_ref()),
-                    _ => Err("expression shapes differ".to_string()),
-                })
-                .collect::<Result<_, _>>()?;
-            Ok(Expr::bin(*op, merge_exprs(&lhs)?, merge_exprs(&rhs)?))
-        }
-        Call(i, args0) => {
-            let mut merged_args = Vec::with_capacity(args0.len());
-            for k in 0..args0.len() {
-                let arg_k: Vec<&Expr> = es
-                    .iter()
-                    .map(|e| match e {
-                        Call(j, args) if j == i && args.len() == args0.len() => Ok(&args[k]),
-                        _ => Err("expression shapes differ".to_string()),
-                    })
-                    .collect::<Result<_, _>>()?;
-                merged_args.push(merge_exprs(&arg_k)?);
-            }
-            Ok(Call(*i, merged_args))
-        }
-        Pop => {
-            if es.iter().all(|e| matches!(e, Pop)) {
-                Ok(Pop)
-            } else {
-                Err("expression shapes differ".into())
-            }
-        }
-        Peek(_) => {
-            let offs: Vec<&Expr> = es
-                .iter()
-                .map(|e| match e {
-                    Peek(o) => Ok(o.as_ref()),
-                    _ => Err("expression shapes differ".to_string()),
-                })
-                .collect::<Result<_, _>>()?;
-            Ok(Peek(Box::new(merge_exprs(&offs)?)))
-        }
-        _ => Err("vector construct in horizontal input".into()),
-    }
-}
-
-/// Check that the merged template has no divergent (vector) control flow,
-/// subscripts or peek offsets — these cannot be SIMDized lanewise.
-fn check_uniform_control(f: &Filter) -> Result<(), SimdizeError> {
-    let vec = mark_vector_vars(f);
+/// Check that the staged merged actor has no divergent (vector) control
+/// flow, subscripts or peek offsets — these cannot be SIMDized lanewise.
+/// Staging keeps every such expression where it was and hoists a tape
+/// read only into a vector temporary, so the staged body diverges exactly
+/// where the merged template did.
+fn check_uniform_control(staged: &Staged) -> Result<(), SimdizeError> {
+    let (f, vec) = (&staged.filter, &staged.vec_vars);
     let mut bad: Option<String> = None;
     let mut visit = |stmts: &[Stmt]| {
         for s in stmts {
             s.walk(&mut |s| match s {
-                Stmt::For { count, .. } if expr_vecish(count, &vec) => {
+                Stmt::For { count, .. } if expr_vecish(count, vec) => {
                     bad = Some(format!("divergent loop bound: {count}"));
                 }
-                Stmt::If { cond, .. } if expr_vecish(cond, &vec) => {
+                Stmt::If { cond, .. } if expr_vecish(cond, vec) => {
                     bad = Some(format!("divergent branch condition: {cond}"));
                 }
-                Stmt::Assign(LValue::Index(_, i), _) if expr_vecish(i, &vec) => {
+                Stmt::Assign(LValue::Index(_, i), _) if expr_vecish(i, vec) => {
                     bad = Some(format!("divergent subscript: {i}"));
                 }
                 _ => {}
             });
             s.walk_exprs(&mut |e| match e {
-                Expr::Index(_, i) if expr_vecish(i, &vec) => {
+                Expr::Index(_, i) if expr_vecish(i, vec) => {
                     bad = Some(format!("divergent subscript: {i}"));
                 }
-                Expr::Peek(o) if expr_vecish(o, &vec) => {
+                Expr::Peek(o) if expr_vecish(o, vec) => {
                     bad = Some(format!("divergent peek offset: {o}"));
                 }
                 _ => {}
@@ -506,21 +296,19 @@ pub fn horizontalize(
                         .expect("filter")
                 })
                 .collect();
-            let mut m = merge_isomorphic(&actors, sw)?;
-            check_uniform_control(&m)?;
+            let shell = merge_shell(&actors, sw)?;
             let out_elem = if l + 1 < levels {
                 elem_in[l + 1]
             } else {
                 elem_out_last
             };
-            // The merged body is new and used once: stage a copy of it
-            // and drop it.
-            let work = std::mem::take(&mut m.work);
-            let m = stage(m, &work, sw, elem_in[l], out_elem, &VarSet::new()).lower(
-                TapeMode::Vector,
-                TapeMode::Vector,
-                true,
-            )?;
+            // The lanes' work bodies are merged as they are staged: the
+            // merged body is built once, already in normal form.
+            let lanes: Vec<&[Stmt]> = actors.iter().map(|a| a.work.as_slice()).collect();
+            let staged = stage(shell, &lanes, sw, elem_in[l], out_elem, &VarSet::new())
+                .map_err(|why| not_isomorphic(actors[0], why))?;
+            check_uniform_control(&staged)?;
+            let m = staged.lower(TapeMode::Vector, TapeMode::Vector, true)?;
             macross_streamir::analysis::check_rates(&m)
                 .map_err(|e| SimdizeError::RateCheck(e.to_string()))?;
             names.push(m.name.clone());

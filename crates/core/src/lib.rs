@@ -63,6 +63,7 @@ pub mod driver;
 pub mod error;
 pub mod graph_edit;
 pub mod horizontal;
+mod lockstep;
 pub mod normalize;
 pub mod opt;
 pub mod permnet;

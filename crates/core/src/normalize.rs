@@ -5,10 +5,18 @@
 //!
 //! Normalization copies: it reads a body by reference and writes the
 //! normal form into the filter being staged, so staging builds each
-//! statement list once and never copies the source actor first.
+//! statement list once and never copies the source actor first. A
+//! horizontal group's `SW` isomorphic bodies are read the same way, in
+//! lock-step ([`crate::lockstep`]): their merge is written in normal form
+//! as it is built, so the merged body is never built twice.
 
+use crate::lockstep::{
+    blocks_alike, expr_alike, merge_expr, merge_lvalue, operand, own_block, own_expr, own_target,
+    stmt_alike, Lane,
+};
 use macross_streamir::expr::{Expr, LValue, VarId};
 use macross_streamir::filter::{Filter, VarKind};
+use macross_streamir::name::numbered;
 use macross_streamir::stmt::Stmt;
 use macross_streamir::types::Ty;
 
@@ -25,16 +33,33 @@ use macross_streamir::types::Ty;
 /// tape — the vectorizability analysis rejects such actors before the
 /// SIMDizer runs.
 pub fn normalize_into(work: &[Stmt], into: &mut Filter, in_elem: Ty, out_elem: Ty) -> bool {
+    normalize_lanes(&[work], into, in_elem, out_elem).unwrap_or_else(|why| panic!("{why}"))
+}
+
+/// [`normalize_into`] for the merge of `lanes`, isomorphic bodies read in
+/// lock-step (one for a single actor): the normal form of the body
+/// [`crate::horizontal::merge_isomorphic`] would build from them.
+///
+/// # Errors
+/// Fails where the bodies are not isomorphic, or where a peek offset or
+/// control-flow expression reads the tape.
+pub(crate) fn normalize_lanes(
+    lanes: &[&[Stmt]],
+    into: &mut Filter,
+    in_elem: Ty,
+    out_elem: Ty,
+) -> Result<bool, &'static str> {
     let mut n = Normalizer {
         filter: into,
         in_elem,
         out_elem,
+        lanes: lanes.len(),
         counter: 0,
         peeking: false,
     };
-    let work = n.block(work);
+    let work = n.block(lanes[0], &|j| lanes[j])?;
     n.filter.work = work;
-    n.peeking
+    Ok(n.peeking)
 }
 
 /// The first statement of `work` (with its substatements) that breaks
@@ -69,34 +94,23 @@ pub fn normal_form_violation(work: &[Stmt]) -> Option<String> {
     bad
 }
 
-/// `stem` followed by `numbers` in decimal, separated by `_`, written
-/// into one string of exactly that length: the names of generated
-/// temporaries (`__t3`, `__ld1_7`, `__perm_r0_2_12`).
-pub(crate) fn numbered(stem: &str, numbers: &[usize]) -> String {
-    let digits = |n: usize| n.checked_ilog10().map_or(1, |d| d as usize + 1);
-    let len = stem.len()
-        + numbers.iter().map(|&n| digits(n)).sum::<usize>()
-        + numbers.len().saturating_sub(1);
-    let mut name = String::with_capacity(len);
-    name.push_str(stem);
-    for (i, &n) in numbers.iter().enumerate() {
-        if i > 0 {
-            name.push('_');
-        }
-        for d in (0..digits(n) as u32).rev() {
-            name.push(char::from(b'0' + (n / 10usize.pow(d) % 10) as u8));
-        }
-    }
-    debug_assert_eq!(name.len(), len);
-    name
-}
-
 struct Normalizer<'a> {
     filter: &'a mut Filter,
     in_elem: Ty,
     out_elem: Ty,
+    /// How many bodies are read in lock-step.
+    lanes: usize,
     counter: usize,
     peeking: bool,
+}
+
+/// Fails with `why` when `e` reads the tape.
+fn tape_free(e: &Expr, why: &'static str) -> Result<(), &'static str> {
+    if e.reads_tape() {
+        Err(why)
+    } else {
+        Ok(())
+    }
 }
 
 impl<'a> Normalizer<'a> {
@@ -106,71 +120,86 @@ impl<'a> Normalizer<'a> {
         self.filter.add_var(name, ty, VarKind::Local)
     }
 
-    fn block(&mut self, stmts: &[Stmt]) -> Vec<Stmt> {
+    fn block<'f>(
+        &mut self,
+        stmts: &'f [Stmt],
+        lane: Lane<'_, 'f, [Stmt]>,
+    ) -> Result<Vec<Stmt>, &'static str> {
+        blocks_alike(stmts, lane, self.lanes)?;
         let mut out = Vec::with_capacity(stmts.len());
-        for s in stmts {
-            self.stmt(s, &mut out);
+        for (i, s) in stmts.iter().enumerate() {
+            self.stmt(s, &|j| &lane(j)[i], &mut out)?;
         }
-        out
+        Ok(out)
     }
 
-    fn stmt(&mut self, s: &Stmt, out: &mut Vec<Stmt>) {
+    fn stmt<'f>(
+        &mut self,
+        s: &'f Stmt,
+        lane: Lane<'_, 'f, Stmt>,
+        out: &mut Vec<Stmt>,
+    ) -> Result<(), &'static str> {
+        let lanes = self.lanes;
+        stmt_alike(s, lane, lanes)?;
+        let own = |j| own_expr(lane(j));
+        let target = |lv| merge_lvalue(lv, &|j| own_target(lane(j)), lanes);
         match s {
             // Already-normal tape-read assignments are copied as they are
             // when the target is a plain variable.
-            Stmt::Assign(LValue::Var(v), e @ (Expr::Pop | Expr::LPop(_))) => {
-                out.push(Stmt::Assign(LValue::Var(*v), e.clone()))
+            Stmt::Assign(lv @ LValue::Var(_), e @ (Expr::Pop | Expr::LPop(_))) => {
+                out.push(Stmt::Assign(target(lv)?, merge_expr(e, &own, lanes)?))
             }
-            Stmt::Assign(LValue::Var(v), Expr::Peek(off)) => {
-                assert!(!off.reads_tape(), "peek offset reads the tape");
+            Stmt::Assign(lv @ LValue::Var(_), e @ Expr::Peek(off)) => {
+                tape_free(off, "peek offset reads the tape")?;
                 self.peeking = true;
-                out.push(Stmt::Assign(LValue::Var(*v), Expr::Peek(off.clone())));
+                out.push(Stmt::Assign(target(lv)?, merge_expr(e, &own, lanes)?));
             }
             Stmt::Assign(lv, e) => {
-                let e = self.hoist(e, out);
+                let e = self.hoist(e, &own, out)?;
                 if let LValue::Index(_, i) | LValue::LaneIndex(_, i, _) | LValue::VIndex(_, i, _) =
                     lv
                 {
-                    assert!(!i.reads_tape(), "array subscript reads the tape");
+                    tape_free(i, "array subscript reads the tape")?;
                 }
-                out.push(Stmt::Assign(lv.clone(), e));
+                out.push(Stmt::Assign(target(lv)?, e));
             }
             Stmt::Push(e) => {
-                let e = self.hoist(e, out);
+                let e = self.hoist(e, &own, out)?;
                 let var = self.as_var(e, self.out_elem, out);
                 out.push(Stmt::Push(Expr::Var(var)));
             }
+            // Channel and vector statements: one lane only (`stmt_alike`).
             Stmt::LPush(c, e) => {
-                let e = self.hoist(e, out);
+                let e = self.hoist(e, &own, out)?;
                 let ty = self.filter.chans[c.0 as usize].ty;
                 let var = self.as_var(e, ty, out);
                 out.push(Stmt::LPush(*c, Expr::Var(var)));
             }
             Stmt::RPush { value, offset } => {
-                let value = self.hoist(value, out);
-                assert!(!offset.reads_tape(), "rpush offset reads the tape");
+                let value = self.hoist(value, &own, out)?;
+                tape_free(offset, "rpush offset reads the tape")?;
                 out.push(Stmt::RPush {
                     value,
                     offset: offset.clone(),
                 });
             }
             Stmt::VPush { value, width } => {
-                let value = self.hoist(value, out);
+                let value = self.hoist(value, &own, out)?;
                 out.push(Stmt::VPush {
                     value,
                     width: *width,
                 });
             }
             Stmt::LVPush(c, e, w) => {
-                let e = self.hoist(e, out);
+                let e = self.hoist(e, &own, out)?;
                 out.push(Stmt::LVPush(*c, e, *w));
             }
             Stmt::For { var, count, body } => {
-                assert!(!count.reads_tape(), "loop trip count reads the tape");
-                let body = self.block(body);
+                tape_free(count, "loop trip count reads the tape")?;
+                let body = self.block(body, &|j| own_block(lane(j), 0))?;
                 out.push(Stmt::For {
                     var: *var,
-                    count: count.clone(),
+                    count: merge_expr(count, &own, lanes)?,
                     body,
                 });
             }
@@ -179,11 +208,11 @@ impl<'a> Normalizer<'a> {
                 then_branch,
                 else_branch,
             } => {
-                assert!(!cond.reads_tape(), "branch condition reads the tape");
-                let then_branch = self.block(then_branch);
-                let else_branch = self.block(else_branch);
+                tape_free(cond, "branch condition reads the tape")?;
+                let then_branch = self.block(then_branch, &|j| own_block(lane(j), 0))?;
+                let else_branch = self.block(else_branch, &|j| own_block(lane(j), 1))?;
                 out.push(Stmt::If {
-                    cond: cond.clone(),
+                    cond: merge_expr(cond, &own, lanes)?,
                     then_branch,
                     else_branch,
                 });
@@ -194,6 +223,7 @@ impl<'a> Normalizer<'a> {
             }
             Stmt::AdvanceWrite(n) => out.push(Stmt::AdvanceWrite(*n)),
         }
+        Ok(())
     }
 
     /// Ensure an expression is a variable reference, hoisting if needed.
@@ -208,18 +238,28 @@ impl<'a> Normalizer<'a> {
 
     /// Copy `e` with its tape reads replaced by fresh temporaries,
     /// assigned in left-to-right evaluation order.
-    fn hoist(&mut self, e: &Expr, out: &mut Vec<Stmt>) -> Expr {
-        match e {
+    fn hoist<'f>(
+        &mut self,
+        e: &'f Expr,
+        lane: Lane<'_, 'f, Expr>,
+        out: &mut Vec<Stmt>,
+    ) -> Result<Expr, &'static str> {
+        expr_alike(e, lane, self.lanes)?;
+        let arg = |k| move |j| operand(lane(j), k);
+        Ok(match e {
             Expr::Pop => {
                 let t = self.fresh(self.in_elem);
                 out.push(Stmt::Assign(LValue::Var(t), Expr::Pop));
                 Expr::Var(t)
             }
             Expr::Peek(off) => {
-                assert!(!off.reads_tape(), "peek offset reads the tape");
+                tape_free(off, "peek offset reads the tape")?;
                 self.peeking = true;
                 let t = self.fresh(self.in_elem);
-                out.push(Stmt::Assign(LValue::Var(t), Expr::Peek(off.clone())));
+                out.push(Stmt::Assign(
+                    LValue::Var(t),
+                    merge_expr(e, lane, self.lanes)?,
+                ));
                 Expr::Var(t)
             }
             Expr::LPop(c) => {
@@ -229,34 +269,37 @@ impl<'a> Normalizer<'a> {
                 Expr::Var(t)
             }
             Expr::VPop { .. } | Expr::VPeek { .. } | Expr::LVPop(_, _) => {
-                panic!("normalizing already-vectorized code")
+                return Err("normalizing already-vectorized code")
             }
-            Expr::Const(_) | Expr::ConstVec(_) | Expr::Var(_) => e.clone(),
-            Expr::Index(v, i) => Expr::Index(*v, Box::new(self.hoist(i, out))),
-            Expr::VIndex(v, i, w) => Expr::VIndex(*v, Box::new(self.hoist(i, out)), *w),
-            Expr::Unary(op, a) => Expr::Unary(*op, Box::new(self.hoist(a, out))),
+            Expr::Const(_) | Expr::ConstVec(_) | Expr::Var(_) => merge_expr(e, lane, self.lanes)?,
+            Expr::Index(v, i) => Expr::Index(*v, Box::new(self.hoist(i, &arg(0), out)?)),
+            Expr::VIndex(v, i, w) => Expr::VIndex(*v, Box::new(self.hoist(i, &arg(0), out)?), *w),
+            Expr::Unary(op, a) => Expr::Unary(*op, Box::new(self.hoist(a, &arg(0), out)?)),
             Expr::Binary(op, a, b) => {
-                let a = Box::new(self.hoist(a, out));
-                let b = Box::new(self.hoist(b, out));
+                let a = Box::new(self.hoist(a, &arg(0), out)?);
+                let b = Box::new(self.hoist(b, &arg(1), out)?);
                 Expr::Binary(*op, a, b)
             }
-            Expr::Call(i, args) => {
-                Expr::Call(*i, args.iter().map(|a| self.hoist(a, out)).collect())
-            }
-            Expr::Cast(t, a) => Expr::Cast(*t, Box::new(self.hoist(a, out))),
-            Expr::Lane(a, l) => Expr::Lane(Box::new(self.hoist(a, out)), *l),
-            Expr::Splat(a, w) => Expr::Splat(Box::new(self.hoist(a, out)), *w),
+            Expr::Call(i, args) => Expr::Call(
+                *i,
+                (args.iter().enumerate())
+                    .map(|(k, a)| self.hoist(a, &arg(k), out))
+                    .collect::<Result<_, _>>()?,
+            ),
+            Expr::Cast(t, a) => Expr::Cast(*t, Box::new(self.hoist(a, &arg(0), out)?)),
+            Expr::Lane(a, l) => Expr::Lane(Box::new(self.hoist(a, &arg(0), out)?), *l),
+            Expr::Splat(a, w) => Expr::Splat(Box::new(self.hoist(a, &arg(0), out)?), *w),
             Expr::PermuteEven(a, b) => {
-                let a = Box::new(self.hoist(a, out));
-                let b = Box::new(self.hoist(b, out));
+                let a = Box::new(self.hoist(a, &arg(0), out)?);
+                let b = Box::new(self.hoist(b, &arg(1), out)?);
                 Expr::PermuteEven(a, b)
             }
             Expr::PermuteOdd(a, b) => {
-                let a = Box::new(self.hoist(a, out));
-                let b = Box::new(self.hoist(b, out));
+                let a = Box::new(self.hoist(a, &arg(0), out)?);
+                let b = Box::new(self.hoist(b, &arg(1), out)?);
                 Expr::PermuteOdd(a, b)
             }
-        }
+        })
     }
 }
 

@@ -221,8 +221,9 @@ pub(crate) fn simdize_region_actor_analyzed(
     // vector variables: their lanes hold different regions' values even
     // when no tape data flows into them.
     let seeds: VarSet = spec.vars.iter().copied().collect();
-    let mut f =
-        stage(f, body, w, cfg.in_elem, cfg.out_elem, &seeds).lower(cfg.input, cfg.output, false)?;
+    let mut f = stage(f, &[body], w, cfg.in_elem, cfg.out_elem, &seeds)
+        .unwrap_or_else(|why| panic!("{}: {why}", orig.name))
+        .lower(cfg.input, cfg.output, false)?;
 
     // Retype the panels region-major: W lanes per panel, R/W panels (the
     // blanket retype in `stage` produced R panels).

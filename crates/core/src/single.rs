@@ -19,11 +19,12 @@
 use crate::error::SimdizeError;
 #[cfg(debug_assertions)]
 use crate::normalize::normal_form_violation;
-use crate::normalize::{normalize_into, numbered};
+use crate::normalize::normalize_lanes;
 use crate::permnet::{gather_applicable, gather_plan, scatter_applicable, scatter_plan};
 use macross_streamir::analysis::{analyze_vectorizability, check_rates, VarSet};
 use macross_streamir::expr::{BinOp, Expr, LValue, VarId};
-use macross_streamir::filter::{Filter, VarKind};
+use macross_streamir::filter::{Filter, VarDecl, VarKind};
+use macross_streamir::name::numbered;
 use macross_streamir::stmt::Stmt;
 use macross_streamir::types::{ScalarTy, Ty, Value};
 
@@ -133,7 +134,7 @@ pub(crate) struct Staged {
     /// The actor with its normalized, retyped, not yet tape-lowered body.
     pub(crate) filter: Filter,
     /// Variables that hold one value per lane.
-    vec_vars: VarSet,
+    pub(crate) vec_vars: VarSet,
     /// SIMD width.
     pub(crate) sw: usize,
     in_elem: ScalarTy,
@@ -156,12 +157,13 @@ pub(crate) fn stage_actor(
     out_elem: ScalarTy,
 ) -> Staged {
     let shell = shell(orig, format!("{}_v{sw}", orig.name));
-    stage(shell, &orig.work, sw, in_elem, out_elem, &VarSet::new())
+    stage(shell, &[&orig.work], sw, in_elem, out_elem, &VarSet::new())
+        .unwrap_or_else(|why| panic!("{}: {why}", orig.name))
 }
 
 /// `orig`'s rates, variables, channels, `init` and region annotation
 /// under `name`, with an empty work body: what staging copies before it
-/// normalizes the body into it.
+/// normalizes the body into it. Copying a declaration copies no name.
 pub(crate) fn shell(orig: &Filter, name: String) -> Filter {
     Filter {
         name,
@@ -179,50 +181,60 @@ pub(crate) fn shell(orig: &Filter, name: String) -> Filter {
 /// Stage `work` for `sw`-wide execution as the work body of `f` (the
 /// actor's [`shell`], possibly with declarations added): the body is
 /// normalized while it is copied in, so no statement list is built
-/// twice. `seeds` enter the def-use marking fixpoint as already-vector,
-/// forcing variables whose lanes must diverge even without tape data
-/// flowing into them (region state panels hold per-region values from
-/// `init`).
+/// twice. `work` holds one body per lane read in lock-step: an actor's
+/// own, or a horizontal group's `SW` isomorphic ones, merged as they are
+/// copied ([`crate::normalize::normalize_lanes`]). `seeds` enter the
+/// def-use marking fixpoint as already-vector, forcing variables whose
+/// lanes must diverge even without tape data flowing into them (region
+/// state panels hold per-region values from `init`).
 ///
 /// Debug builds stage every body twice and require equal results and a
 /// body in normal form ([`normal_form_violation`]): every single-actor,
 /// fused, region and horizontal staging of a debug run is checked.
+///
+/// # Errors
+/// Fails where the lanes are not isomorphic, or where a peek offset or
+/// control-flow expression reads the tape.
 pub(crate) fn stage(
     f: Filter,
-    work: &[Stmt],
+    work: &[&[Stmt]],
     sw: usize,
     in_elem: ScalarTy,
     out_elem: ScalarTy,
     seeds: &VarSet,
-) -> Staged {
+) -> Result<Staged, &'static str> {
     assert!(
         sw.is_power_of_two() && sw >= 2,
         "SIMD width must be a power of two >= 2"
     );
     #[cfg(debug_assertions)]
     let again = stage_once(f.clone(), work, sw, in_elem, out_elem, seeds);
-    let staged = stage_once(f, work, sw, in_elem, out_elem, seeds);
+    let staged = stage_once(f, work, sw, in_elem, out_elem, seeds)?;
     #[cfg(debug_assertions)]
     {
         let name = &staged.filter.name;
-        assert_eq!(staged, again, "{name}: staging the same body twice differs");
+        assert_eq!(
+            Ok(&staged),
+            again.as_ref(),
+            "{name}: staging the same body twice differs"
+        );
         if let Some(s) = normal_form_violation(&staged.filter.work) {
             panic!("{name}: staged body not in normal form at `{s}`");
         }
     }
-    staged
+    Ok(staged)
 }
 
 fn stage_once(
     mut f: Filter,
-    work: &[Stmt],
+    work: &[&[Stmt]],
     sw: usize,
     in_elem: ScalarTy,
     out_elem: ScalarTy,
     seeds: &VarSet,
-) -> Staged {
+) -> Result<Staged, &'static str> {
     let (pop, push, peek) = (f.pop, f.push, f.peek);
-    let peeking = normalize_into(work, &mut f, Ty::Scalar(in_elem), Ty::Scalar(out_elem));
+    let peeking = normalize_lanes(work, &mut f, Ty::Scalar(in_elem), Ty::Scalar(out_elem))?;
 
     // Mark vector variables by def-use propagation from tape reads and
     // merged vector constants (Section 3.1 "identifying variables and
@@ -236,7 +248,7 @@ fn stage_once(
     for ch in &mut f.chans {
         ch.ty = ch.ty.vectorized(sw);
     }
-    Staged {
+    Ok(Staged {
         filter: f,
         vec_vars,
         sw,
@@ -246,7 +258,7 @@ fn stage_once(
         push,
         peek,
         peeking,
-    }
+    })
 }
 
 impl Staged {
@@ -312,7 +324,7 @@ impl Staged {
         }
 
         let mut rw = Rewriter {
-            filter_vars: f.vars.iter().map(|v| v.ty).collect(),
+            vars: &mut f.vars,
             vec_vars,
             sw,
             p,
@@ -322,7 +334,6 @@ impl Staged {
             in_perm: None,
             out_perm: None,
             fresh: 0,
-            new_vars: Vec::new(),
         };
 
         let mut body = Vec::new();
@@ -360,8 +371,10 @@ impl Staged {
         }
 
         let work = std::mem::take(&mut f.work);
-        let mut rewritten = rw.block(work)?;
-        body.append(&mut rewritten);
+        body.reserve(work.len());
+        for s in work {
+            rw.stmt(s, &mut body)?;
+        }
 
         // Output permute postamble: scatter network + q vector pushes.
         if output == TapeMode::Permute && q > 0 {
@@ -407,9 +420,6 @@ impl Staged {
             f.init = rw.block(init)?;
         }
 
-        for (name, ty) in rw.new_vars {
-            f.add_var(name, ty, VarKind::Local);
-        }
         f.work = body;
         f.pop = sw * p;
         f.push = sw * q;
@@ -470,11 +480,8 @@ fn scale_offset(off: Expr, sw: usize) -> Expr {
 }
 
 /// Def-use marking: variables whose values originate (transitively) from
-/// tape or channel reads become vectors.
-pub(crate) fn mark_vector_vars(f: &Filter) -> VarSet {
-    mark_vector_vars_seeded(f, &VarSet::new())
-}
-
+/// tape or channel reads, from vector constants or from `seeds` become
+/// vectors.
 pub(crate) fn mark_vector_vars_seeded(f: &Filter, seeds: &VarSet) -> VarSet {
     let mut vec = seeds.clone();
     loop {
@@ -520,8 +527,10 @@ fn mark_block(stmts: &[Stmt], vec: &mut VarSet) {
     }
 }
 
-struct Rewriter {
-    filter_vars: Vec<Ty>,
+struct Rewriter<'v> {
+    /// The lowered actor's declarations; the rewrite's temporaries are
+    /// appended as they are made.
+    vars: &'v mut Vec<VarDecl>,
     vec_vars: VarSet,
     sw: usize,
     p: usize,
@@ -531,22 +540,22 @@ struct Rewriter {
     in_perm: Option<(VarId, VarId)>,
     out_perm: Option<(VarId, VarId)>,
     fresh: usize,
-    new_vars: Vec<(String, Ty)>,
 }
 
-impl Rewriter {
+impl Rewriter<'_> {
     /// A fresh local named `stem`, then `idx` and a counter, `_`-separated
-    /// (`__ld1_7`): one string, written once at its final length.
-    fn alloc(&mut self, stem: &str, idx: &[usize], ty: Ty) -> VarId {
-        let id = VarId((self.filter_vars.len()) as u32);
-        self.filter_vars.push(ty);
+    /// (`__ld1_7`), rendered only when it is read.
+    fn alloc(&mut self, stem: &'static str, idx: &[usize], ty: Ty) -> VarId {
         let mut numbers = [0; 3];
         numbers[..idx.len()].copy_from_slice(idx);
         numbers[idx.len()] = self.fresh;
-        self.new_vars
-            .push((numbered(stem, &numbers[..=idx.len()]), ty));
         self.fresh += 1;
-        id
+        self.vars.push(VarDecl {
+            name: numbered(stem, &numbers[..=idx.len()]),
+            ty,
+            kind: VarKind::Local,
+        });
+        VarId(self.vars.len() as u32 - 1)
     }
 
     fn splat(&self, e: Expr) -> Expr {

@@ -10,8 +10,10 @@ use macross_streamir::analysis::analyze_vectorizability;
 use macross_streamir::expr::{ChanId, Expr, LValue, VarId};
 use macross_streamir::filter::{Filter, VarKind};
 use macross_streamir::graph::{Graph, Node, NodeId};
+use macross_streamir::name::numbered;
 use macross_streamir::stmt::Stmt;
 use macross_streamir::types::{ScalarTy, Ty};
+use std::fmt::Write as _;
 
 /// Why two adjacent actors cannot be fused.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,12 +152,11 @@ pub(crate) fn fuse_vetted_chain(graph: &Graph, chain: &[NodeId], reps: &[u64]) -
         .collect();
 
     // Name in the paper's style: 3D_2E.
-    let name = filters
-        .iter()
-        .zip(&inner_reps)
-        .map(|(f, r)| format!("{r}{}", f.name))
-        .collect::<Vec<_>>()
-        .join("_");
+    let mut name = String::new();
+    for (i, (f, r)) in filters.iter().zip(&inner_reps).enumerate() {
+        let sep = if i > 0 { "_" } else { "" };
+        write!(name, "{sep}{r}{}", f.name).expect("writing to a String");
+    }
 
     let head = filters[0];
     let tail = filters[filters.len() - 1];
@@ -170,21 +171,22 @@ pub(crate) fn fuse_vetted_chain(graph: &Graph, chain: &[NodeId], reps: &[u64]) -
 
     // Internal channels between adjacent inner actors, typed by the
     // connecting tape's element type.
-    let mut chans: Vec<ChanId> = Vec::new();
-    for w in chain.windows(2) {
+    let mut chans: Vec<ChanId> = Vec::with_capacity(chain.len() - 1);
+    for (w, up) in chain.windows(2).zip(&filters) {
         let e = graph.single_out_edge(w[0]).expect("pipeline edge");
         let elem = graph.edge(e).elem;
-        let up_name = graph.node(w[0]).name();
-        chans.push(fused.add_chan(format!("buf_{up_name}"), Ty::Scalar(elem)));
+        chans.push(fused.add_chan(format!("buf_{}", up.name), Ty::Scalar(elem)));
     }
+    let vars = filters.iter().map(|f| f.vars.len()).sum::<usize>();
+    fused
+        .vars
+        .reserve_exact(vars + inner_reps.iter().filter(|&&r| r > 1).count());
 
     for (i, f) in filters.iter().enumerate() {
         assert!(f.chans.is_empty(), "inner actor already fused");
         // Remap this inner actor's variables into the fused namespace.
         let base = fused.vars.len() as u32;
-        for v in &f.vars {
-            fused.vars.push(v.clone());
-        }
+        fused.vars.extend_from_slice(&f.vars);
         let in_chan = if i > 0 { Some(chans[i - 1]) } else { None };
         let out_chan = if i < filters.len() - 1 {
             Some(chans[i])
@@ -201,7 +203,7 @@ pub(crate) fn fuse_vetted_chain(graph: &Graph, chain: &[NodeId], reps: &[u64]) -
             fused.work.extend(body);
         } else {
             let wc = fused.add_var(
-                format!("work_counter{i}"),
+                numbered("work_counter", &[i]),
                 Ty::Scalar(ScalarTy::I32),
                 VarKind::Local,
             );

@@ -192,12 +192,6 @@ pub struct RingStat {
     pub full_stall_nanos: u64,
     /// Nanoseconds the consumer spent waiting for data.
     pub empty_stall_nanos: u64,
-    /// Producer stalls that outlasted the spin and yield phases and
-    /// parked the thread: the expensive ones (a halted core and a wake-up
-    /// of tens of microseconds, against about one for a spin).
-    pub full_parks: u64,
-    /// Consumer stalls that parked the thread.
-    pub empty_parks: u64,
 }
 
 /// Measured counters from a threaded run, the empirical counterpart of
@@ -209,13 +203,13 @@ pub struct RuntimeReport {
     /// Steady iterations executed.
     pub iters: u64,
     /// Steady iterations per node-major block ([`iteration_block`]): the
-    /// hand-off unit the stall and park counts are to be read against.
+    /// hand-off unit the stall counts are to be read against.
     pub block: u64,
     /// Cross-core (cut) edges bridged by rings.
     pub cut_edges: usize,
     /// Per-stage counters, indexed by node id.
     pub stages: Vec<StageStats>,
-    /// Per-ring stall and park numbers, one per ring.
+    /// Per-ring stall numbers, one per ring.
     pub rings: Vec<RingStat>,
     /// Steady-loop wall nanoseconds per core (0 for cores with no nodes).
     pub core_nanos: Vec<u64>,
@@ -822,8 +816,6 @@ pub fn run_supervised_placed(
                 empty_stalls: ring.empty_stalls(),
                 full_stall_nanos: ring.full_stall_nanos(),
                 empty_stall_nanos: ring.empty_stall_nanos(),
-                full_parks: ring.full_parks(),
-                empty_parks: ring.empty_parks(),
             });
         }
     }

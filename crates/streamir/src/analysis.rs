@@ -135,16 +135,25 @@ impl ConstEnv {
     }
 }
 
-/// A set of variables as one flag per [`VarId`]: membership is an index,
+/// A set of variables as one bit per [`VarId`]: membership is an index,
 /// not a hash. The dataflow fixpoints over a body (taint, vector marking,
-/// liveness) test it at every variable read.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// liveness) test it at every variable read. The first
+/// [`VarSet::INLINE_VARS`] variables live in the set itself, so a set over
+/// an ordinary actor's variables allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct VarSet {
-    member: Vec<bool>,
+    inline: [u64; INLINE_WORDS],
+    /// Words for the variables past the inline ones.
+    spill: Vec<u64>,
     len: usize,
 }
 
+const INLINE_WORDS: usize = 4;
+
 impl VarSet {
+    /// How many variables a set holds without allocating.
+    pub const INLINE_VARS: usize = INLINE_WORDS * 64;
+
     /// The empty set.
     pub fn new() -> VarSet {
         VarSet::default()
@@ -154,25 +163,40 @@ impl VarSet {
     /// allocates nothing more.
     pub fn with_vars(vars: usize) -> VarSet {
         VarSet {
-            member: vec![false; vars],
-            len: 0,
+            spill: vec![0; vars.div_ceil(64).saturating_sub(INLINE_WORDS)],
+            ..VarSet::default()
+        }
+    }
+
+    /// Word `w` of the bitmap.
+    fn word(&self, w: usize) -> u64 {
+        match w.checked_sub(INLINE_WORDS) {
+            None => self.inline[w],
+            Some(s) => self.spill.get(s).copied().unwrap_or(0),
         }
     }
 
     /// Add `v`; true if it was not a member.
     pub fn insert(&mut self, v: VarId) -> bool {
-        let i = v.0 as usize;
-        if i >= self.member.len() {
-            self.member.resize(i + 1, false);
-        }
-        let fresh = !std::mem::replace(&mut self.member[i], true);
+        let (w, bit) = (v.0 as usize / 64, 1u64 << (v.0 % 64));
+        let word = match w.checked_sub(INLINE_WORDS) {
+            None => &mut self.inline[w],
+            Some(s) => {
+                if s >= self.spill.len() {
+                    self.spill.resize(s + 1, 0);
+                }
+                &mut self.spill[s]
+            }
+        };
+        let fresh = *word & bit == 0;
+        *word |= bit;
         self.len += usize::from(fresh);
         fresh
     }
 
     /// Is `v` a member?
     pub fn contains(&self, v: &VarId) -> bool {
-        self.member.get(v.0 as usize).copied().unwrap_or(false)
+        self.word(v.0 as usize / 64) >> (v.0 % 64) & 1 == 1
     }
 
     /// Number of members.
@@ -187,11 +211,25 @@ impl VarSet {
 
     /// The members, in `VarId` order.
     pub fn iter(&self) -> impl Iterator<Item = VarId> + '_ {
-        (self.member.iter().enumerate())
-            .filter(|(_, &m)| m)
-            .map(|(i, _)| VarId(i as u32))
+        (0..INLINE_WORDS + self.spill.len()).flat_map(move |w| {
+            let word = self.word(w);
+            (0..64)
+                .filter(move |b| word >> b & 1 == 1)
+                .map(move |b| VarId((w * 64 + b) as u32))
+        })
     }
 }
+
+/// Two sets are equal when they hold the same variables, however much
+/// room either has.
+impl PartialEq for VarSet {
+    fn eq(&self, other: &VarSet) -> bool {
+        let words = INLINE_WORDS + self.spill.len().max(other.spill.len());
+        self.len == other.len && (0..words).all(|w| self.word(w) == other.word(w))
+    }
+}
+
+impl Eq for VarSet {}
 
 impl FromIterator<VarId> for VarSet {
     fn from_iter<I: IntoIterator<Item = VarId>>(vars: I) -> VarSet {
@@ -1011,6 +1049,25 @@ mod tests {
     use super::*;
     use crate::edsl::*;
     use crate::types::{ScalarTy, Ty};
+
+    #[test]
+    fn var_sets_past_the_inline_words_keep_every_member() {
+        let ids = [0u32, 63, 64, 255, 256, 300, 1000];
+        let small: VarSet = ids.iter().map(|&i| VarId(i)).collect();
+        assert_eq!(small.len(), ids.len());
+        assert_eq!(small.iter().map(|v| v.0).collect::<Vec<_>>(), ids);
+        assert!(ids.iter().all(|&i| small.contains(&VarId(i))));
+        assert!(!small.contains(&VarId(1)) && !small.contains(&VarId(5000)));
+        // Equality is by members, not by the room a set has.
+        let mut sized = VarSet::with_vars(2000);
+        for &i in ids.iter().rev() {
+            assert!(sized.insert(VarId(i)));
+        }
+        assert!(!sized.insert(VarId(300)));
+        assert_eq!(sized, small);
+        assert_ne!(VarSet::with_vars(2000), small);
+        assert_eq!(VarSet::with_vars(2000), VarSet::new());
+    }
 
     #[test]
     fn measures_simple_rates() {

@@ -20,6 +20,7 @@
 
 use crate::expr::{BinOp, ChanId, Expr, Intrinsic, LValue, UnOp, VarId};
 use crate::filter::{Filter, RegionSpec, VarKind};
+use crate::name::Name;
 use crate::stmt::Stmt;
 use crate::types::{ScalarTy, Ty, Value};
 
@@ -361,12 +362,12 @@ impl FilterBuilder {
     }
 
     /// Declare a per-firing local variable.
-    pub fn local(&mut self, name: impl Into<String>, ty: Ty) -> VarId {
+    pub fn local(&mut self, name: impl Into<Name>, ty: Ty) -> VarId {
         self.filter.add_var(name, ty, VarKind::Local)
     }
 
     /// Declare a persistent state variable.
-    pub fn state(&mut self, name: impl Into<String>, ty: Ty) -> VarId {
+    pub fn state(&mut self, name: impl Into<Name>, ty: Ty) -> VarId {
         self.filter.add_var(name, ty, VarKind::State)
     }
 
@@ -375,7 +376,7 @@ impl FilterBuilder {
     /// cursor-advance statement (`cursor = (cursor + 1) % regions`) must
     /// still be written as the last top-level `work` statement — the
     /// legality check verifies it is there.
-    pub fn region_cursor(&mut self, name: impl Into<String>, regions: usize) -> VarId {
+    pub fn region_cursor(&mut self, name: impl Into<Name>, regions: usize) -> VarId {
         assert!(regions >= 2, "a region spec needs at least 2 regions");
         let cursor = self
             .filter
@@ -396,7 +397,7 @@ impl FilterBuilder {
     /// Declare a per-region state array (`Ty::Array(elem, regions)`),
     /// registered in the filter's [`RegionSpec`]. Requires
     /// [`FilterBuilder::region_cursor`] to have been called first.
-    pub fn region_var(&mut self, name: impl Into<String>, elem: ScalarTy) -> VarId {
+    pub fn region_var(&mut self, name: impl Into<Name>, elem: ScalarTy) -> VarId {
         let regions = self
             .filter
             .region

@@ -2,6 +2,7 @@
 //! `init`/`work` function bodies.
 
 use crate::expr::{ChanId, VarId};
+use crate::name::Name;
 use crate::stmt::Stmt;
 use crate::types::Ty;
 
@@ -20,8 +21,9 @@ pub enum VarKind {
 /// A declared variable of a filter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VarDecl {
-    /// Source-level name (for diagnostics and code generation).
-    pub name: String,
+    /// Source-level or generated name (for diagnostics and code
+    /// generation); copying it does not allocate.
+    pub name: Name,
     /// Type.
     pub ty: Ty,
     /// Local or persistent state.
@@ -36,7 +38,7 @@ pub struct VarDecl {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalChan {
     /// Diagnostic name.
-    pub name: String,
+    pub name: Name,
     /// Element type: scalar before SIMDization, vector after.
     pub ty: Ty,
 }
@@ -127,7 +129,7 @@ impl Filter {
     }
 
     /// Declare a variable, returning its id.
-    pub fn add_var(&mut self, name: impl Into<String>, ty: Ty, kind: VarKind) -> VarId {
+    pub fn add_var(&mut self, name: impl Into<Name>, ty: Ty, kind: VarKind) -> VarId {
         self.vars.push(VarDecl {
             name: name.into(),
             ty,
@@ -137,7 +139,7 @@ impl Filter {
     }
 
     /// Declare an internal channel, returning its id.
-    pub fn add_chan(&mut self, name: impl Into<String>, ty: Ty) -> ChanId {
+    pub fn add_chan(&mut self, name: impl Into<Name>, ty: Ty) -> ChanId {
         self.chans.push(LocalChan {
             name: name.into(),
             ty,

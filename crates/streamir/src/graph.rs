@@ -292,13 +292,16 @@ fn group_edges(
     for i in 0..nodes {
         start[i + 1] += start[i];
     }
-    let mut fill = start.clone();
+    // Fill each group through its start, which then holds the next
+    // group's start: shifting by one restores it.
     let mut grouped = vec![EdgeId(0); edges.len()];
     for (i, e) in edges.iter().enumerate() {
-        let slot = &mut fill[end(e).0 as usize];
+        let slot = &mut start[end(e).0 as usize];
         grouped[*slot] = EdgeId(i as u32);
         *slot += 1;
     }
+    start.copy_within(..nodes, 1);
+    start[0] = 0;
     for w in start.windows(2) {
         grouped[w[0]..w[1]].sort_by_key(|&e| port(&edges[e.0 as usize]));
     }
@@ -479,28 +482,27 @@ impl Graph {
         for e in &self.edges {
             indeg[e.dst.0 as usize] += 1;
         }
-        let mut queue: Vec<NodeId> = (0..n as u32)
-            .map(NodeId)
-            .filter(|id| indeg[id.0 as usize] == 0)
-            .collect();
-        // Keep deterministic order: process smallest id first.
-        queue.sort();
-        let mut order = Vec::with_capacity(n);
-        let mut next: Vec<NodeId> = Vec::new();
+        // The queue is the order: nodes in id order first, then each
+        // node's newly ready successors, sorted, so the smallest id goes
+        // first and the order is deterministic.
+        let mut order: Vec<NodeId> = Vec::with_capacity(n);
+        order.extend(
+            (0..n as u32)
+                .map(NodeId)
+                .filter(|id| indeg[id.0 as usize] == 0),
+        );
         let mut qi = 0;
-        while qi < queue.len() {
-            let id = queue[qi];
+        while let Some(&id) = order.get(qi) {
             qi += 1;
-            order.push(id);
+            let ready = order.len();
             for &e in adj.outs(id) {
                 let dst = self.edge(e).dst;
                 indeg[dst.0 as usize] -= 1;
                 if indeg[dst.0 as usize] == 0 {
-                    next.push(dst);
+                    order.push(dst);
                 }
             }
-            next.sort();
-            queue.append(&mut next);
+            order[ready..].sort();
         }
         if order.len() == n {
             Ok(order)

@@ -50,6 +50,7 @@ pub mod edsl;
 pub mod expr;
 pub mod filter;
 pub mod graph;
+pub mod name;
 pub mod param;
 pub mod shash;
 pub mod stmt;
@@ -61,6 +62,7 @@ pub use graph::{
     AddrGen, Adjacency, Edge, EdgeId, Graph, GraphError, Node, NodeId, Reorder, ReorderSide,
     SplitKind,
 };
+pub use name::Name;
 pub use param::{ParamDomain, ParamError, ParamRange, RateExpr, Valuation};
 pub use shash::{structural_hash, GraphHash};
 pub use stmt::Stmt;
