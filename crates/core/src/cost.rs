@@ -43,6 +43,9 @@ struct CostWalker<'a> {
     summarize: bool,
     /// Scratch for [`uniform_loop_body`].
     assigned: Vec<VarId>,
+    /// Scratch for [`CostWalker::summarized_loop`]: `pair_extra` at the
+    /// loop's start (a uniform body holds no loop, so one is enough).
+    loop_extra: Vec<u64>,
 }
 
 /// Estimate the cycle cost of one firing of `filter` on `machine`.
@@ -186,6 +189,7 @@ impl<'a> CostWalker<'a> {
             staged,
             summarize,
             assigned: Vec::new(),
+            loop_extra: Vec::new(),
         }
     }
 
@@ -475,15 +479,18 @@ impl<'a> CostWalker<'a> {
     /// cycles `n` times: every iteration costs the same, and the last one
     /// leaves the constants the loop leaves.
     fn summarized_loop(&mut self, var: VarId, n: i64, body: &[Stmt]) {
-        let (cycles, extra) = (self.cycles, self.pair_extra.clone());
+        let cycles = self.cycles;
+        let mut extra = std::mem::take(&mut self.loop_extra);
+        extra.clone_from(&self.pair_extra);
         self.env.set(var, Some(Value::I32((n - 1) as i32)));
         self.charge(self.machine.loop_iter());
         self.block(body);
         let more = (n - 1) as u64;
         self.cycles += more * (self.cycles - cycles);
-        for (x, x0) in self.pair_extra.iter_mut().zip(extra) {
+        for (x, x0) in self.pair_extra.iter_mut().zip(&extra) {
             *x += more * (*x - x0);
         }
+        self.loop_extra = extra;
     }
 }
 

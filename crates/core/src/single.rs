@@ -444,11 +444,10 @@ fn emit_rounds(
 ) -> Vec<VarId> {
     let mut cur: Vec<VarId> = inputs.to_vec();
     let k = cur.len();
+    let mut next = Vec::with_capacity(k);
     for r in 0..rounds {
-        let mut next = Vec::with_capacity(k);
-        for i in 0..k {
-            next.push(rw.alloc("__perm_r", &[r, i], Ty::Vector(elem, sw)));
-        }
+        next.clear();
+        next.extend((0..k).map(|i| rw.alloc("__perm_r", &[r, i], Ty::Vector(elem, sw))));
         for i in 0..k / 2 {
             body.push(Stmt::Assign(
                 LValue::Var(next[i]),
@@ -465,7 +464,7 @@ fn emit_rounds(
                 ),
             ));
         }
-        cur = next;
+        std::mem::swap(&mut cur, &mut next);
     }
     cur
 }

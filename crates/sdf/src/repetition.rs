@@ -1,7 +1,7 @@
 //! Repetition-vector computation: solving the SDF balance equations
 //! (Lee & Messerschmitt, 1987) with exact rational arithmetic.
 
-use macross_streamir::graph::{Edge, Graph, NodeId};
+use macross_streamir::graph::{Edge, EdgeId, Graph, NodeId};
 use std::fmt;
 
 /// Errors from rate matching.
@@ -111,15 +111,34 @@ pub fn repetition_vector(graph: &Graph) -> Result<Vec<u64>, RateMatchError> {
         }
     }
 
-    // Each node's edges in table order, from one pass over the table: the
-    // propagation visits them as a scan of the whole table would.
-    let mut incident: Vec<Vec<&Edge>> = vec![Vec::new(); n];
+    // Each node's edges in table order, grouped by node in one list: the
+    // propagation visits them as a scan of the whole table would. A group
+    // is filled through its start, which then holds the next group's.
+    let ends = |e: &Edge| [Some(e.src), (e.dst != e.src).then_some(e.dst)];
+    let mut start = vec![0usize; n + 1];
     for (_, e) in graph.edges() {
-        incident[e.src.0 as usize].push(e);
-        if e.dst != e.src {
-            incident[e.dst.0 as usize].push(e);
+        for v in ends(e).into_iter().flatten() {
+            start[v.0 as usize + 1] += 1;
         }
     }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut grouped = vec![EdgeId(0); start[n]];
+    for (id, e) in graph.edges() {
+        for v in ends(e).into_iter().flatten() {
+            grouped[start[v.0 as usize]] = id;
+            start[v.0 as usize] += 1;
+        }
+    }
+    start.copy_within(..n, 1);
+    start[0] = 0;
+    let incident = |id: NodeId| {
+        let i = id.0 as usize;
+        grouped[start[i]..start[i + 1]]
+            .iter()
+            .map(|&e| graph.edge(e))
+    };
 
     for start in 0..n {
         if ratio[start].is_some() {
@@ -129,7 +148,7 @@ pub fn repetition_vector(graph: &Graph) -> Result<Vec<u64>, RateMatchError> {
         let mut stack = vec![NodeId(start as u32)];
         while let Some(id) = stack.pop() {
             let r = ratio[id.0 as usize].expect("visited node has a ratio");
-            for &e in &incident[id.0 as usize] {
+            for e in incident(id) {
                 if e.src == id {
                     let push = graph.node(e.src).push_rate(e.src_port) as u64;
                     let pop = graph.node(e.dst).pop_rate(e.dst_port) as u64;

@@ -2,10 +2,10 @@
 //!
 //! The compiler copies declarations whenever it stages, fuses or merges an
 //! actor, and it declares a temporary for every hoisted tape read and
-//! permutation round. A [`Name`] makes both cheap: a source name is one
-//! shared string, so a copy bumps a reference count, and a generated
-//! temporary (`__t3`, `__ld1_7`) is a stem and its numbers, written out
-//! only when the name is read.
+//! permutation round. A [`Name`] makes both cheap: a source name is a
+//! string literal or one shared string, so a copy copies a pointer or
+//! bumps a reference count, and a generated temporary (`__t3`, `__ld1_7`)
+//! is a stem and its numbers, written out only when the name is read.
 
 use std::fmt;
 use std::sync::Arc;
@@ -21,6 +21,7 @@ pub struct Name(Repr);
 
 #[derive(Clone)]
 enum Repr {
+    Static(&'static str),
     Shared(Arc<str>),
     Numbered {
         stem: &'static str,
@@ -53,6 +54,7 @@ impl Name {
     /// Write the name's text to `out`.
     fn write_to(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match &self.0 {
+            Repr::Static(s) => out.write_str(s),
             Repr::Shared(s) => out.write_str(s),
             Repr::Numbered { stem, numbers, len } => {
                 out.write_str(stem)?;
@@ -74,10 +76,19 @@ impl Name {
         text
     }
 
+    /// The name's text, when it is stored whole.
+    fn as_str(&self) -> Option<&str> {
+        match &self.0 {
+            Repr::Static(s) => Some(s),
+            Repr::Shared(s) => Some(s),
+            Repr::Numbered { .. } => None,
+        }
+    }
+
     /// Does the name's text equal `text`?
     fn reads(&self, text: &str) -> bool {
-        if let Repr::Shared(s) = &self.0 {
-            return **s == *text;
+        if let Some(s) = self.as_str() {
+            return s == text;
         }
         /// Consumes the text while what is written matches its front.
         struct Match<'a>(&'a str);
@@ -94,30 +105,32 @@ impl Name {
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.0 {
-            Repr::Shared(s) => f.pad(s),
-            Repr::Numbered { .. } if f.width().is_none() && f.precision().is_none() => {
-                self.write_to(f)
-            }
-            Repr::Numbered { .. } => f.pad(&self.text()),
+        match self.as_str() {
+            Some(s) => f.pad(s),
+            None if f.width().is_none() && f.precision().is_none() => self.write_to(f),
+            None => f.pad(&self.text()),
         }
     }
 }
 
 impl fmt::Debug for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.0 {
-            Repr::Shared(s) => fmt::Debug::fmt(&**s, f),
-            Repr::Numbered { .. } => fmt::Debug::fmt(self.text().as_str(), f),
+        match self.as_str() {
+            Some(s) => fmt::Debug::fmt(s, f),
+            None => fmt::Debug::fmt(self.text().as_str(), f),
         }
     }
 }
 
 impl PartialEq for Name {
     fn eq(&self, other: &Name) -> bool {
+        if let Some(a) = self.as_str() {
+            return other.reads(a);
+        }
+        if let Some(b) = other.as_str() {
+            return self.reads(b);
+        }
         match (&self.0, &other.0) {
-            (Repr::Shared(a), _) => other.reads(a),
-            (_, Repr::Shared(b)) => self.reads(b),
             (
                 Repr::Numbered { stem, numbers, len },
                 Repr::Numbered {
@@ -145,9 +158,10 @@ impl PartialEq<&str> for Name {
     }
 }
 
-impl From<&str> for Name {
-    fn from(s: &str) -> Name {
-        Name(Repr::Shared(Arc::from(s)))
+/// A string literal is kept as it is: no copy, no allocation.
+impl From<&'static str> for Name {
+    fn from(s: &'static str) -> Name {
+        Name(Repr::Static(s))
     }
 }
 
@@ -159,7 +173,7 @@ impl From<String> for Name {
 
 impl From<&String> for Name {
     fn from(s: &String) -> Name {
-        Name::from(s.as_str())
+        Name(Repr::Shared(Arc::from(s.as_str())))
     }
 }
 
@@ -169,7 +183,7 @@ mod tests {
 
     #[test]
     fn copies_share_the_source_text() {
-        let a = Name::from("coef");
+        let a = Name::from(String::from("coef"));
         let b = a.clone();
         match (&a.0, &b.0) {
             (Repr::Shared(x), Repr::Shared(y)) => assert!(Arc::ptr_eq(x, y)),
@@ -183,6 +197,8 @@ mod tests {
     fn equality_is_by_text_whatever_the_form() {
         assert_eq!(numbered("__t", &[12]), Name::from("__t12"));
         assert_eq!(Name::from("__t12"), numbered("__t", &[12]));
+        assert_eq!(Name::from(String::from("__t12")), Name::from("__t12"));
+        assert_eq!(Name::from("x"), Name::from(&String::from("x")));
         assert_eq!(numbered("__t1", &[2]), numbered("__t", &[12]));
         assert_ne!(numbered("__t", &[1, 2]), numbered("__t", &[12]));
         assert_ne!(numbered("__t", &[1]), "__t");

@@ -407,7 +407,7 @@ mod tests {
     use crate::types::{ScalarTy, Ty};
 
     /// A two-filter pipeline parameterized over every diagnostic name.
-    fn named_pipeline(src_name: &str, f_name: &str, state_name: &str, mul: i32) -> Graph {
+    fn named_pipeline(src_name: &str, f_name: &str, state_name: &'static str, mul: i32) -> Graph {
         let mut src = FilterBuilder::new(src_name, 0, 0, 2, ScalarTy::I32);
         let n = src.state(state_name, Ty::Scalar(ScalarTy::I32));
         src.work(|b| {
