@@ -495,15 +495,11 @@ pub(crate) fn mark_vector_vars_seeded(f: &Filter, seeds: &VarSet) -> VarSet {
 }
 
 pub(crate) fn expr_vecish(e: &Expr, vec: &VarSet) -> bool {
-    let mut hit = false;
-    e.walk(&mut |e| match e {
-        Expr::Pop | Expr::Peek(_) | Expr::LPop(_) | Expr::ConstVec(_) => hit = true,
-        Expr::Var(v) | Expr::Index(v, _) if vec.contains(v) => {
-            hit = true;
-        }
-        _ => {}
-    });
-    hit
+    e.any(&mut |e| match e {
+        Expr::Pop | Expr::Peek(_) | Expr::LPop(_) | Expr::ConstVec(_) => true,
+        Expr::Var(v) | Expr::Index(v, _) => vec.contains(v),
+        _ => false,
+    })
 }
 
 fn mark_block(stmts: &[Stmt], vec: &mut VarSet) {

@@ -202,16 +202,41 @@ impl Expr {
 
     /// True if the expression or any sub-expression reads the input tape.
     pub fn reads_tape(&self) -> bool {
-        let mut found = false;
-        self.walk(&mut |e| {
-            if matches!(
+        self.any(&mut |e| {
+            matches!(
                 e,
                 Expr::Pop | Expr::Peek(_) | Expr::VPop { .. } | Expr::VPeek { .. }
-            ) {
-                found = true;
+            )
+        })
+    }
+
+    /// Does `hit` hold for this expression or a sub-expression? Visits in
+    /// pre-order, as [`Expr::walk`] does, and stops at the first hit.
+    pub fn any(&self, hit: &mut impl FnMut(&Expr) -> bool) -> bool {
+        if hit(self) {
+            return true;
+        }
+        match self {
+            Expr::Const(_)
+            | Expr::ConstVec(_)
+            | Expr::Var(_)
+            | Expr::Pop
+            | Expr::LPop(_)
+            | Expr::LVPop(_, _)
+            | Expr::VPop { .. } => false,
+            Expr::Index(_, e)
+            | Expr::VIndex(_, e, _)
+            | Expr::Unary(_, e)
+            | Expr::Cast(_, e)
+            | Expr::Peek(e)
+            | Expr::Lane(e, _)
+            | Expr::Splat(e, _) => e.any(hit),
+            Expr::VPeek { offset, .. } => offset.any(hit),
+            Expr::Binary(_, a, b) | Expr::PermuteEven(a, b) | Expr::PermuteOdd(a, b) => {
+                a.any(hit) || b.any(hit)
             }
-        });
-        found
+            Expr::Call(_, args) => args.iter().any(|a| a.any(hit)),
+        }
     }
 
     /// Pre-order walk over this expression tree.
