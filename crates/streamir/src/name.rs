@@ -13,9 +13,10 @@ use std::sync::Arc;
 /// The most numbers a generated name carries (`__perm_r<round>_<index>_<n>`).
 const MAX_NUMBERS: usize = 3;
 
-/// The name of a variable or channel: a shared source name, or a generated
-/// one rendered on demand. `Display` and `Debug` read exactly as the
-/// `String` it stands for, and two names are equal when their text is.
+/// The name of a variable or channel: a source name (a literal, or any
+/// other string shared behind one `Arc`), or a generated one rendered on
+/// demand. `Display` and `Debug` read exactly as the `String` it stands
+/// for, and two names are equal when their text is.
 #[derive(Clone)]
 pub struct Name(Repr);
 
@@ -171,12 +172,6 @@ impl From<String> for Name {
     }
 }
 
-impl From<&String> for Name {
-    fn from(s: &String) -> Name {
-        Name(Repr::Shared(Arc::from(s.as_str())))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,7 +193,7 @@ mod tests {
         assert_eq!(numbered("__t", &[12]), Name::from("__t12"));
         assert_eq!(Name::from("__t12"), numbered("__t", &[12]));
         assert_eq!(Name::from(String::from("__t12")), Name::from("__t12"));
-        assert_eq!(Name::from("x"), Name::from(&String::from("x")));
+        assert_eq!(Name::from("x"), Name::from(String::from("x")));
         assert_eq!(numbered("__t1", &[2]), numbered("__t", &[12]));
         assert_ne!(numbered("__t", &[1, 2]), numbered("__t", &[12]));
         assert_ne!(numbered("__t", &[1]), "__t");
