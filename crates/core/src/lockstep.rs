@@ -99,13 +99,19 @@ pub(crate) fn expr_alike(
     let shaped = |alike: &dyn Fn(&Expr) -> bool| lanes_alike(lane, lanes, SHAPES, alike);
     match first {
         Const(v) => {
-            shaped(&|e| matches!(e, Const(_)))?;
-            lanes_alike(
-                lane,
-                lanes,
-                "constant types differ",
-                |e| matches!(e, Const(x) if x.ty() == v.ty()),
-            )
+            // One pass; a lane of another shape outranks one of another type.
+            let (mut shape, mut ty) = (true, true);
+            for j in 1..lanes {
+                match lane(j) {
+                    Const(x) => ty &= x.ty() == v.ty(),
+                    _ => shape = false,
+                }
+            }
+            match (shape, ty) {
+                (false, _) => Err(SHAPES),
+                (true, false) => Err("constant types differ"),
+                (true, true) => Ok(()),
+            }
         }
         Var(v) => lanes_alike(
             lane,
