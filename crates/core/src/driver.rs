@@ -352,7 +352,6 @@ pub fn macro_simdize_colocated(
         ..Default::default()
     };
     let mut g = graph.clone();
-    let mut va = VaMemo::new(&g);
 
     // --- Horizontal SIMDization of eligible split-joins. Done before
     // vertical so isomorphic branches are not partially fused away; the
@@ -400,7 +399,6 @@ pub fn macro_simdize_colocated(
             let n = h.graph.node_count();
             colors = remap_nodes(colors, &h.node_map, n);
             colors[n - added..].fill(group_color);
-            va = VaMemo(remap_nodes(va.0, &h.node_map, n));
             next -= 1;
             cands.remove(next);
             let moved = |id: &mut NodeId| *id = h.node_map[id.0 as usize].expect("disjoint");
@@ -423,23 +421,12 @@ pub fn macro_simdize_colocated(
     // otherwise make isomorphic actors structurally different (the merge
     // compares shapes modulo constants, and folding is shape-changing).
     if opts.prepass {
-        // Copy-on-write: an actor no rewrite applied to keeps its verdict.
-        report.prepass = crate::opt::prepass_optimize_each(&mut g, |id| {
-            va.0[id.0 as usize] = Verdict::default();
-        });
-        #[cfg(debug_assertions)]
-        for (id, node) in g.nodes() {
-            let (Node::Filter(f), Some(kept)) = (node, &va.0[id.0 as usize].va) else {
-                continue;
-            };
-            assert_eq!(
-                *kept,
-                analyze_vectorizability(f),
-                "{}: stale verdict",
-                f.name
-            );
-        }
+        report.prepass = crate::opt::prepass_optimize(&mut g);
     }
+    // Verdicts start here: nothing before the prepass asks for one (the
+    // horizontal pass checks intrinsics by walking the branches), so none
+    // is computed on a body the prepass then rewrites.
+    let mut va = VaMemo::new(&g);
 
     // --- Vertical fusion of maximal SIMDizable pipeline chains. `fused`
     // marks the nodes the fusion built, carried through each splice like

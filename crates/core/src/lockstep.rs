@@ -22,7 +22,7 @@ const SHAPES: &str = "expression shapes differ";
 const TARGETS: &str = "assignment targets differ";
 
 /// `Ok` when `alike` holds for lanes `1..lanes`, else `why`.
-pub(crate) fn lanes_alike<T: ?Sized>(
+fn lanes_alike<T: ?Sized>(
     lane: Lane<'_, '_, T>,
     lanes: usize,
     why: &'static str,

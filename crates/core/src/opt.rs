@@ -14,7 +14,7 @@
 use macross_streamir::analysis::VarSet;
 use macross_streamir::expr::{eval_binop, eval_intrinsic, eval_unop, BinOp, Expr, LValue};
 use macross_streamir::filter::{Filter, VarKind};
-use macross_streamir::graph::{Graph, Node, NodeId};
+use macross_streamir::graph::{Graph, Node};
 use macross_streamir::stmt::{rewrite_slice, Stmt};
 use macross_streamir::types::Value;
 use std::sync::Arc;
@@ -72,24 +72,10 @@ pub fn optimize_filter(f: &mut Arc<Filter>) -> OptStats {
 /// Optimize every filter of a graph, sharing each actor no rewrite
 /// applies to with the graph's clones.
 pub fn prepass_optimize(graph: &mut Graph) -> OptStats {
-    prepass_optimize_each(graph, |_| {})
-}
-
-/// [`prepass_optimize`], telling `rewritten` each filter whose bodies it
-/// changed (every counted rewrite changes a body, so those are the
-/// filters with a count).
-pub(crate) fn prepass_optimize_each(
-    graph: &mut Graph,
-    mut rewritten: impl FnMut(NodeId),
-) -> OptStats {
     let mut stats = OptStats::default();
     for id in graph.node_ids() {
         if let Node::Filter(f) = graph.node_mut(id) {
-            let one = optimize_filter(f);
-            if one.total() > 0 {
-                rewritten(id);
-            }
-            stats.absorb(one);
+            stats.absorb(optimize_filter(f));
         }
     }
     stats
