@@ -9,7 +9,7 @@
 use crate::driver::{candidate_modes, SimdizeOptions};
 use crate::permnet::{gather_plan, scatter_plan};
 use crate::single::{stage_actor, Staged, TapeMode};
-use macross_streamir::analysis::{uniform_loop_body, ConstEnv};
+use macross_streamir::analysis::{uniform_loop_body, ConstEnv, LoopScratch};
 use macross_streamir::expr::{BinOp, Expr, LValue, VarId};
 use macross_streamir::filter::Filter;
 use macross_streamir::stmt::Stmt;
@@ -42,10 +42,12 @@ struct CostWalker<'a> {
     /// unrolling reference walk.
     summarize: bool,
     /// Scratch for [`uniform_loop_body`].
-    assigned: Vec<VarId>,
-    /// Scratch for [`CostWalker::summarized_loop`]: `pair_extra` at the
-    /// loop's start (a uniform body holds no loop, so one is enough).
+    uniform: LoopScratch,
+    /// `pair_extra` at the start of each summarized loop the walk is
+    /// inside, outermost first ([`CostWalker::summarized_loop`]).
     loop_extra: Vec<u64>,
+    /// Every loop the walk unrolls, when asked for them.
+    unrolled: Option<Vec<&'a Stmt>>,
 }
 
 /// Estimate the cycle cost of one firing of `filter` on `machine`.
@@ -72,6 +74,17 @@ fn firing_cost(filter: &Filter, machine: &Machine, addr: AddrCosts, summarize: b
     let mut w = CostWalker::new(filter, machine, addr, None, summarize);
     w.block(&filter.work);
     w.cycles
+}
+
+/// The loops of two iterations or more [`static_firing_cost`] unrolls in
+/// `filter`'s work body, in walk order, each as often as the walk reaches
+/// it.
+#[doc(hidden)]
+pub fn static_firing_cost_unrolls<'a>(filter: &'a Filter, machine: &'a Machine) -> Vec<&'a Stmt> {
+    let mut w = CostWalker::new(filter, machine, AddrCosts::default(), None, true);
+    w.unrolled = Some(Vec::new());
+    w.block(&filter.work);
+    w.unrolled.unwrap_or_default()
 }
 
 /// Cost one firing of `staged` lowered under every `(input, output)` pair
@@ -113,6 +126,30 @@ pub fn staged_pair_costs_and_reference(
         pair_costs(&staged, &inputs, &outputs, machine, true),
         pair_costs(&staged, &inputs, &outputs, machine, false),
     )
+}
+
+/// The loops of two iterations or more the staged pair costing of
+/// [`staged_pair_costs_and_reference`] unrolls in `f`'s staged body, in
+/// walk order, each as often as the walk reaches it.
+#[doc(hidden)]
+pub fn staged_pair_costs_unrolls(
+    f: &Filter,
+    machine: &Machine,
+    in_elem: ScalarTy,
+    out_elem: ScalarTy,
+) -> Vec<Stmt> {
+    let staged = stage_actor(f, machine.simd_width, in_elem, out_elem);
+    let (inputs, outputs) = candidate_modes(f, &staged, &SimdizeOptions::all(), machine, |_| true);
+    let modes = StagedModes {
+        sw: staged.sw as u64,
+        inputs: &inputs,
+        outputs: &outputs,
+    };
+    let filter = &staged.filter;
+    let mut w = CostWalker::new(filter, machine, AddrCosts::default(), Some(modes), true);
+    w.unrolled = Some(Vec::new());
+    w.block(&filter.work);
+    w.unrolled.into_iter().flatten().cloned().collect()
 }
 
 fn pair_costs(
@@ -188,8 +225,9 @@ impl<'a> CostWalker<'a> {
             pair_extra: vec![0; pairs],
             staged,
             summarize,
-            assigned: Vec::new(),
+            uniform: LoopScratch::default(),
             loop_extra: Vec::new(),
+            unrolled: None,
         }
     }
 
@@ -202,7 +240,7 @@ impl<'a> CostWalker<'a> {
         self.filter.var(v).ty.is_vector()
     }
 
-    fn block(&mut self, stmts: &[Stmt]) {
+    fn block(&mut self, stmts: &'a [Stmt]) {
         for s in stmts {
             self.stmt(s);
         }
@@ -304,7 +342,7 @@ impl<'a> CostWalker<'a> {
         true
     }
 
-    fn stmt(&mut self, s: &Stmt) {
+    fn stmt(&mut self, s: &'a Stmt) {
         if self.staged_site(s) {
             return;
         }
@@ -329,7 +367,7 @@ impl<'a> CostWalker<'a> {
                         self.expr(i);
                         self.env.set(*v, None);
                     }
-                    LValue::LaneVar(_, _) => {}
+                    LValue::LaneVar(v, _) => self.env.set(*v, None),
                 }
                 self.charge(self.machine.store_charge(lv, vec_target));
             }
@@ -353,7 +391,7 @@ impl<'a> CostWalker<'a> {
                 if n >= 2
                     && n <= i64::from(i32::MAX)
                     && self.summarize
-                    && uniform_loop_body(*var, body, &mut self.assigned)
+                    && uniform_loop_body(*var, n, body, &self.env, &mut self.uniform)
                 {
                     #[cfg(debug_assertions)]
                     let before = (self.cycles, self.pair_extra.clone(), self.env.clone());
@@ -362,9 +400,10 @@ impl<'a> CostWalker<'a> {
                     {
                         let summarized = (self.cycles, self.pair_extra.clone(), self.env.clone());
                         (self.cycles, self.pair_extra, self.env) = before;
+                        let unrolled = self.unrolled.take();
                         self.summarize = false;
                         self.unrolled_loop(*var, n, body);
-                        self.summarize = true;
+                        (self.summarize, self.unrolled) = (true, unrolled);
                         assert!(
                             summarized.0 == self.cycles
                                 && summarized.1 == self.pair_extra
@@ -374,6 +413,9 @@ impl<'a> CostWalker<'a> {
                         );
                     }
                 } else {
+                    if let (Some(unrolled), 2..) = (&mut self.unrolled, n) {
+                        unrolled.push(s);
+                    }
                     self.unrolled_loop(*var, n, body);
                 }
                 self.env.set(*var, None);
@@ -467,7 +509,7 @@ impl<'a> CostWalker<'a> {
         vec
     }
 
-    fn unrolled_loop(&mut self, var: VarId, n: i64, body: &[Stmt]) {
+    fn unrolled_loop(&mut self, var: VarId, n: i64, body: &'a [Stmt]) {
         for i in 0..n.max(0) {
             self.env.set(var, Some(Value::I32(i as i32)));
             self.charge(self.machine.loop_iter());
@@ -477,20 +519,25 @@ impl<'a> CostWalker<'a> {
 
     /// Walk the last of `n` iterations of a uniform loop and charge its
     /// cycles `n` times: every iteration costs the same, and the last one
-    /// leaves the constants the loop leaves.
-    fn summarized_loop(&mut self, var: VarId, n: i64, body: &[Stmt]) {
+    /// leaves the constants the loop leaves. The loop variable and the
+    /// inductions are set to what they hold when that iteration begins;
+    /// the body computes everything else it reads.
+    fn summarized_loop(&mut self, var: VarId, n: i64, body: &'a [Stmt]) {
         let cycles = self.cycles;
-        let mut extra = std::mem::take(&mut self.loop_extra);
-        extra.clone_from(&self.pair_extra);
+        let at = self.loop_extra.len();
+        self.loop_extra.extend_from_slice(&self.pair_extra);
         self.env.set(var, Some(Value::I32((n - 1) as i32)));
+        for d in &self.uniform.inductions {
+            self.env.set(d.var, Some(d.at(n - 1)));
+        }
         self.charge(self.machine.loop_iter());
         self.block(body);
         let more = (n - 1) as u64;
         self.cycles += more * (self.cycles - cycles);
-        for (x, x0) in self.pair_extra.iter_mut().zip(&extra) {
+        for (x, x0) in self.pair_extra.iter_mut().zip(&self.loop_extra[at..]) {
             *x += more * (*x - x0);
         }
-        self.loop_extra = extra;
+        self.loop_extra.truncate(at);
     }
 }
 
@@ -613,6 +660,159 @@ mod tests {
                 });
             });
         });
+    }
+
+    /// One body per loop shape the walk summarizes although the body
+    /// assigns what it reads, and one per shape it must still unroll.
+    /// Each costs what the unrolled walk costs; a loop after the one
+    /// under test reads what it leaves behind as its trip count.
+    #[test]
+    fn loop_shapes_cost_what_unrolled_ones_do() {
+        let machine = Machine::core_i7();
+        // The cost of the body `work` builds from `i`, `j`, `k`, `t`, an
+        // accumulator, an `f32` and an array, and whether the walk
+        // summarized every loop in it.
+        type Work<'a> = &'a dyn Fn(&mut B, [VarId; 4], VarId, VarId, VarId);
+        let cost = |work: Work| {
+            let mut f = FilterBuilder::new("f", 1, 1, 1, ScalarTy::I32);
+            let ints = ["i", "j", "k", "t"].map(|n| f.local(n, Ty::Scalar(ScalarTy::I32)));
+            let acc = f.local("acc", Ty::Scalar(ScalarTy::I32));
+            let x = f.local("x", Ty::Scalar(ScalarTy::F32));
+            let a = f.state("a", Ty::Array(ScalarTy::I32, 8));
+            f.work(|b| work(b, ints, acc, x, a));
+            let f = f.build();
+            let summarized = static_firing_cost(&f, &machine, AddrCosts::default());
+            let unrolled = static_firing_cost_unrolled(&f, &machine, AddrCosts::default());
+            assert_eq!(summarized, unrolled);
+            (
+                summarized,
+                static_firing_cost_unrolls(&f, &machine).is_empty(),
+            )
+        };
+        // Pushes `n` elements, one loop iteration each.
+        let tail = |b: &mut B, j: VarId, n: E| {
+            b.for_(j, n, |b| {
+                b.push(v(j));
+            });
+        };
+
+        // Summarized. A temporary read after its assignment: `t` leaves
+        // the loop as 11. firing 3 + loop 1 + 6 x (iter 1 + mul 3 + alu 1
+        // + load 2) + loop 1 + 11 x (iter 1 + store 2).
+        let temporary = cost(&|b, [i, j, k, t], _, _, _| {
+            b.set(k, 0i32);
+            b.for_(i, 6i32, |b| {
+                b.set(k, v(i) * 2i32);
+                b.set(t, v(k) + 1i32);
+                b.set(j, pop());
+            });
+            tail(b, j, v(t));
+        });
+        assert_eq!(temporary, (3 + 1 + 6 * 7 + 1 + 11 * 3, true));
+        // An accumulator of a pop divided by an array element.
+        let accumulator = cost(&|b, [i, _, k, t], acc, _, a| {
+            b.set(acc, 0i32);
+            b.for_(i, 5i32, |b| {
+                b.set(t, pop() / idx(a, v(i)));
+                b.set(k, v(t) * 2i32);
+                b.set(acc, v(acc) + v(k));
+                b.push(v(acc));
+            });
+        });
+        assert!(accumulator.1);
+        // An `i32` induction read by a peek, left as 11.
+        let induction = cost(&|b, [i, j, k, t], _, _, _| {
+            b.set(k, 1i32);
+            b.for_(i, 5i32, |b| {
+                b.set(t, peek(v(k)));
+                b.set(k, v(k) + 2i32);
+                b.set(t, pop());
+            });
+            tail(b, j, v(k));
+        });
+        assert!(induction.1);
+        // An inner loop with an invariant trip count and a counter stepped
+        // inside it: 12 when the outer loop is done.
+        let nested = cost(&|b, [i, j, k, t], acc, _, _| {
+            b.set(k, 0i32);
+            b.set(t, 3i32);
+            b.for_(i, 4i32, |b| {
+                b.set(acc, 0i32);
+                b.for_(j, v(t), |b| {
+                    b.set(acc, v(acc) + pop());
+                    b.set(k, v(k) + 1i32);
+                });
+                b.push(v(acc));
+            });
+            tail(b, j, v(k));
+        });
+        assert!(nested.1);
+
+        // Unrolled. A float step.
+        let float = cost(&|b, [i, j, _, t], _, x, _| {
+            b.set(x, 0.5f32);
+            b.for_(i, 4i32, |b| {
+                b.set(t, pop());
+                b.set(x, v(x) + 1.5f32);
+            });
+            tail(b, j, cast(ScalarTy::I32, v(x)));
+        });
+        assert!(!float.1);
+        // A step by a power.
+        let doubled = cost(&|b, [i, j, k, t], _, _, _| {
+            b.set(k, 1i32);
+            b.for_(i, 4i32, |b| {
+                b.set(t, pop());
+                b.set(k, v(k) * 2i32);
+            });
+            tail(b, j, v(k));
+        });
+        assert!(!doubled.1);
+        // Two assignments of a counter.
+        let twice = cost(&|b, [i, j, k, t], _, _, _| {
+            b.set(k, 0i32);
+            b.for_(i, 4i32, |b| {
+                b.set(k, v(k) + 1i32);
+                b.set(t, pop());
+                b.set(k, v(k) + 1i32);
+            });
+            tail(b, j, v(k));
+        });
+        assert!(!twice.1);
+        // A tracked constant read before its assignment: `t` leaves as 7.
+        let early = cost(&|b, [i, j, k, t], _, _, _| {
+            b.set(k, 0i32);
+            b.for_(i, 5i32, |b| {
+                b.set(t, v(k) + 1i32);
+                b.set(k, v(i) * 2i32);
+                b.set(j, pop());
+            });
+            tail(b, j, v(t));
+        });
+        assert!(!early.1);
+        // A triangular nest.
+        let triangle = cost(&|b, [i, j, _, t], _, _, _| {
+            b.for_(i, 5i32, |b| {
+                b.for_(j, v(i), |b| {
+                    b.set(t, pop());
+                });
+            });
+        });
+        assert!(!triangle.1);
+        // An induction whose last value leaves `i32`.
+        let wraps = cost(&|b, [i, j, k, t], _, _, _| {
+            b.set(k, i32::MAX - 10);
+            b.for_(i, 6i32, |b| {
+                b.set(t, pop());
+                b.set(k, v(k) + 3i32);
+            });
+            b.if_else(
+                lt(v(k), 0i32),
+                |b| tail(b, j, c(2i32)),
+                |b| tail(b, j, c(3i32)),
+            );
+        });
+        assert!(!wraps.1);
     }
 
     #[test]

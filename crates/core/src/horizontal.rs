@@ -7,7 +7,7 @@
 
 use crate::error::SimdizeError;
 use crate::graph_edit::rebuild_without;
-use crate::lockstep::merge_block;
+use crate::lockstep::{merge_block, step};
 use crate::single::{expr_vecish, stage, Staged, TapeMode};
 use macross_streamir::analysis::VarSet;
 use macross_streamir::expr::{Expr, LValue};
@@ -106,7 +106,7 @@ pub fn find_split_joins(graph: &Graph) -> Vec<SplitJoinCandidate> {
 /// declarations, or body structure beyond constant literals.
 pub fn merge_isomorphic(actors: &[&Filter], sw: usize) -> Result<Filter, SimdizeError> {
     let mut merged = merge_shell(actors, sw)?;
-    merged.work = merge_block(&actors[0].work, &|j| &actors[j].work, sw)
+    merged.work = merge_block(&step(actors, |a| a.work.as_slice()))
         .map_err(|why| not_isomorphic(actors[0], why))?;
     Ok(merged)
 }
@@ -152,7 +152,7 @@ fn merge_shell(actors: &[&Filter], sw: usize) -> Result<Filter, SimdizeError> {
             ));
         }
     }
-    let init = merge_block(&first.init, &|j| &actors[j].init, sw)
+    let init = merge_block(&step(actors, |a| a.init.as_slice()))
         .map_err(|why| not_isomorphic(first, why))?;
     let mut shell = Filter::new(
         format!("{}_h{sw}", first.name),

@@ -4,79 +4,92 @@
 //! all lanes share and gathers the ones that differ into a lane-ordered
 //! vector constant (Figure 6b's `const_v = {5,6,7,8}`).
 //!
-//! The walk follows lane 0's body and reaches every other lane through a
-//! [`Lane`] closure per level, so it keeps no buffer of lanes per node.
-//! With a single lane every check passes and a merge is a plain copy,
-//! which is how staging normalizes one actor and a merged group alike
-//! ([`crate::normalize`]).
+//! The walk holds one slice per level with every lane's node there, lane
+//! 0's (the node being walked) first, and builds the next level's from it
+//! as it steps in ([`step`]). With a single lane every check passes and a
+//! merge is a plain copy, which is how staging normalizes one actor and a
+//! merged group alike ([`crate::normalize`]).
 
 use macross_streamir::expr::{Expr, LValue};
 use macross_streamir::stmt::Stmt;
+use std::ops::Deref;
 
-/// Lane `j`'s node at the position the walk has reached (`j = 0` is the
-/// node being walked).
-pub(crate) type Lane<'l, 'f, T> = &'l dyn Fn(usize) -> &'f T;
+/// Every lane's node at one level of the walk, lane 0's first: a single
+/// lane is held as it is, and more in a vector.
+pub(crate) enum Lanes<'f, T: ?Sized> {
+    One(&'f T),
+    Many(Vec<&'f T>),
+}
+
+impl<'f, T: ?Sized> Deref for Lanes<'f, T> {
+    type Target = [&'f T];
+
+    fn deref(&self) -> &[&'f T] {
+        match self {
+            Lanes::One(lane) => std::slice::from_ref(lane),
+            Lanes::Many(lanes) => lanes,
+        }
+    }
+}
+
+/// The next level of the walk: `next` of every lane's node in `lanes`.
+pub(crate) fn step<'f, T: ?Sized, U: ?Sized>(
+    lanes: &[&'f T],
+    next: impl Fn(&'f T) -> &'f U,
+) -> Lanes<'f, U> {
+    match lanes {
+        [lane] => Lanes::One(next(lane)),
+        _ => Lanes::Many(lanes.iter().map(|&l| next(l)).collect()),
+    }
+}
 
 const KINDS: &str = "statement kinds differ";
 const SHAPES: &str = "expression shapes differ";
 const TARGETS: &str = "assignment targets differ";
 
-/// `Ok` when `alike` holds for lanes `1..lanes`, else `why`.
+/// `Ok` when `alike` holds for every lane but lane 0, else `why`.
 fn lanes_alike<T: ?Sized>(
-    lane: Lane<'_, '_, T>,
-    lanes: usize,
+    lanes: &[&T],
     why: &'static str,
     alike: impl Fn(&T) -> bool,
 ) -> Result<(), &'static str> {
-    if (1..lanes).all(|j| alike(lane(j))) {
+    if lanes[1..].iter().all(|l| alike(l)) {
         Ok(())
     } else {
         Err(why)
     }
 }
 
-/// Every lane has a block of `first`'s length here.
-pub(crate) fn blocks_alike(
-    first: &[Stmt],
-    lane: Lane<'_, '_, [Stmt]>,
-    lanes: usize,
-) -> Result<(), &'static str> {
-    lanes_alike(lane, lanes, "statement counts differ", |b| {
-        b.len() == first.len()
-    })
+/// Every lane has a block of lane 0's length here.
+pub(crate) fn blocks_alike(lanes: &[&[Stmt]]) -> Result<(), &'static str> {
+    let n = lanes[0].len();
+    lanes_alike(lanes, "statement counts differ", |b| b.len() == n)
 }
 
-/// Every lane's statement here has `first`'s kind, loop variable or
+/// Every lane's statement here has lane 0's kind, loop variable or
 /// pointer advance. Channel and vector statements have no place in a
 /// merge of several lanes.
-pub(crate) fn stmt_alike(
-    first: &Stmt,
-    lane: Lane<'_, '_, Stmt>,
-    lanes: usize,
-) -> Result<(), &'static str> {
+pub(crate) fn stmt_alike(lanes: &[&Stmt]) -> Result<(), &'static str> {
     use Stmt::*;
-    match first {
-        Assign(..) => lanes_alike(lane, lanes, KINDS, |s| matches!(s, Assign(..))),
-        Push(_) => lanes_alike(lane, lanes, KINDS, |s| matches!(s, Push(_))),
-        LPush(..) | LVPush(..) | VPush { .. } | RPush { .. } if lanes > 1 => {
+    match lanes[0] {
+        Assign(..) => lanes_alike(lanes, KINDS, |s| matches!(s, Assign(..))),
+        Push(_) => lanes_alike(lanes, KINDS, |s| matches!(s, Push(_))),
+        LPush(..) | LVPush(..) | VPush { .. } | RPush { .. } if lanes.len() > 1 => {
             Err("vector/channel ops in horizontal input")
         }
         LPush(..) | LVPush(..) | VPush { .. } | RPush { .. } => Ok(()),
         For { var, .. } => lanes_alike(
-            lane,
             lanes,
             KINDS,
             |s| matches!(s, For { var: v, .. } if v == var),
         ),
-        If { .. } => lanes_alike(lane, lanes, KINDS, |s| matches!(s, If { .. })),
+        If { .. } => lanes_alike(lanes, KINDS, |s| matches!(s, If { .. })),
         AdvanceRead(n) => lanes_alike(
-            lane,
             lanes,
             "advance_read amounts differ",
             |s| matches!(s, AdvanceRead(m) if m == n),
         ),
         AdvanceWrite(n) => lanes_alike(
-            lane,
             lanes,
             "advance_write amounts differ",
             |s| matches!(s, AdvanceWrite(m) if m == n),
@@ -84,25 +97,21 @@ pub(crate) fn stmt_alike(
     }
 }
 
-/// Every lane's expression here has `first`'s kind, operator, variable,
+/// Every lane's expression here has lane 0's kind, operator, variable,
 /// type or arity; constants may differ in value but not in type. Vector
 /// and channel constructs have no place in a merge of several lanes.
-pub(crate) fn expr_alike(
-    first: &Expr,
-    lane: Lane<'_, '_, Expr>,
-    lanes: usize,
-) -> Result<(), &'static str> {
+pub(crate) fn expr_alike(lanes: &[&Expr]) -> Result<(), &'static str> {
     use Expr::*;
-    if lanes == 1 {
+    if lanes.len() == 1 {
         return Ok(());
     }
-    let shaped = |alike: &dyn Fn(&Expr) -> bool| lanes_alike(lane, lanes, SHAPES, alike);
-    match first {
+    let shaped = |alike: &dyn Fn(&Expr) -> bool| lanes_alike(lanes, SHAPES, alike);
+    match lanes[0] {
         Const(v) => {
             // One pass; a lane of another shape outranks one of another type.
             let (mut shape, mut ty) = (true, true);
-            for j in 1..lanes {
-                match lane(j) {
+            for l in &lanes[1..] {
+                match l {
                     Const(x) => ty &= x.ty() == v.ty(),
                     _ => shape = false,
                 }
@@ -114,7 +123,6 @@ pub(crate) fn expr_alike(
             }
         }
         Var(v) => lanes_alike(
-            lane,
             lanes,
             "variable references differ",
             |e| matches!(e, Var(w) if w == v),
@@ -180,81 +188,63 @@ pub(crate) fn operand(e: &Expr, k: usize) -> &Expr {
 }
 
 /// The merge of a block across the lanes.
-pub(crate) fn merge_block<'f>(
-    first: &'f [Stmt],
-    lane: Lane<'_, 'f, [Stmt]>,
-    lanes: usize,
-) -> Result<Vec<Stmt>, &'static str> {
-    blocks_alike(first, lane, lanes)?;
-    (first.iter().enumerate())
-        .map(|(i, s)| merge_stmt(s, &|j| &lane(j)[i], lanes))
+pub(crate) fn merge_block(lanes: &[&[Stmt]]) -> Result<Vec<Stmt>, &'static str> {
+    blocks_alike(lanes)?;
+    (0..lanes[0].len())
+        .map(|i| merge_stmt(&step(lanes, |b| &b[i])))
         .collect()
 }
 
-fn merge_stmt<'f>(
-    first: &'f Stmt,
-    lane: Lane<'_, 'f, Stmt>,
-    lanes: usize,
-) -> Result<Stmt, &'static str> {
+fn merge_stmt(lanes: &[&Stmt]) -> Result<Stmt, &'static str> {
     use Stmt::*;
-    if lanes == 1 {
+    let first = lanes[0];
+    if lanes.len() == 1 {
         return Ok(first.clone());
     }
-    stmt_alike(first, lane, lanes)?;
-    let expr = |first| merge_expr(first, &|j| own_expr(lane(j)), lanes);
-    let block = |first, k| merge_block(first, &|j| own_block(lane(j), k), lanes);
+    stmt_alike(lanes)?;
+    let expr = || merge_expr(&step(lanes, own_expr));
+    let block = |k| merge_block(&step(lanes, |s| own_block(s, k)));
     Ok(match first {
-        Assign(lv, e) => Assign(merge_lvalue(lv, &|j| own_target(lane(j)), lanes)?, expr(e)?),
-        Push(e) => Push(expr(e)?),
-        For { var, count, body } => For {
+        Assign(..) => Assign(merge_lvalue(&step(lanes, own_target))?, expr()?),
+        Push(_) => Push(expr()?),
+        For { var, .. } => For {
             var: *var,
-            count: expr(count)?,
-            body: block(body, 0)?,
+            count: expr()?,
+            body: block(0)?,
         },
-        If {
-            cond,
-            then_branch,
-            else_branch,
-        } => If {
-            cond: expr(cond)?,
-            then_branch: block(then_branch, 0)?,
-            else_branch: block(else_branch, 1)?,
+        If { .. } => If {
+            cond: expr()?,
+            then_branch: block(0)?,
+            else_branch: block(1)?,
         },
         other => other.clone(),
     })
 }
 
 /// The merge of an assignment target across the lanes.
-pub(crate) fn merge_lvalue<'f>(
-    first: &'f LValue,
-    lane: Lane<'_, 'f, LValue>,
-    lanes: usize,
-) -> Result<LValue, &'static str> {
-    if lanes == 1 {
+pub(crate) fn merge_lvalue(lanes: &[&LValue]) -> Result<LValue, &'static str> {
+    let first = lanes[0];
+    if lanes.len() == 1 {
         return Ok(first.clone());
     }
     match first {
         LValue::Var(v) => {
-            lanes_alike(
-                lane,
-                lanes,
-                TARGETS,
-                |l| matches!(l, LValue::Var(w) if w == v),
-            )?;
+            lanes_alike(lanes, TARGETS, |l| matches!(l, LValue::Var(w) if w == v))?;
             Ok(LValue::Var(*v))
         }
-        LValue::Index(v, i) => {
+        LValue::Index(v, _) => {
             lanes_alike(
-                lane,
                 lanes,
                 TARGETS,
                 |l| matches!(l, LValue::Index(w, _) if w == v),
             )?;
-            let subscript = |j| match lane(j) {
-                LValue::Index(_, i) => i,
-                _ => unreachable!("lanes checked alike"),
-            };
-            Ok(LValue::Index(*v, merge_expr(i, &subscript, lanes)?))
+            fn subscript(l: &LValue) -> &Expr {
+                match l {
+                    LValue::Index(_, i) => i,
+                    _ => unreachable!("lanes checked alike"),
+                }
+            }
+            Ok(LValue::Index(*v, merge_expr(&step(lanes, subscript))?))
         }
         _ => Err("lane lvalue in horizontal input"),
     }
@@ -263,41 +253,33 @@ pub(crate) fn merge_lvalue<'f>(
 /// The merge of an expression across the lanes: a constant every lane
 /// shares stays one `Const`, and only constants that differ between lanes
 /// are gathered into a lane-ordered `ConstVec`.
-pub(crate) fn merge_expr<'f>(
-    first: &'f Expr,
-    lane: Lane<'_, 'f, Expr>,
-    lanes: usize,
-) -> Result<Expr, &'static str> {
+pub(crate) fn merge_expr(lanes: &[&Expr]) -> Result<Expr, &'static str> {
     use Expr::*;
-    if lanes == 1 {
+    let first = lanes[0];
+    if lanes.len() == 1 {
         return Ok(first.clone());
     }
-    expr_alike(first, lane, lanes)?;
-    let arg = |first, k| merge_expr(first, &|j| operand(lane(j), k), lanes);
-    let boxed = |first| arg(first, 0).map(Box::new);
+    expr_alike(lanes)?;
+    let arg = |k| merge_expr(&step(lanes, |e| operand(e, k)));
+    let boxed = || arg(0).map(Box::new);
     Ok(match first {
         Const(v) => {
-            let value = |j| match lane(j) {
+            let value = |l: &Expr| match l {
                 Const(x) => *x,
                 _ => unreachable!("lanes checked alike"),
             };
-            if (1..lanes).all(|j| value(j).bits_eq(*v)) {
+            if lanes[1..].iter().all(|l| value(l).bits_eq(*v)) {
                 Const(*v)
             } else {
-                ConstVec((0..lanes).map(value).collect())
+                ConstVec(lanes.iter().map(|l| value(l)).collect())
             }
         }
-        Index(v, i) => Index(*v, boxed(i)?),
-        Unary(op, a) => Unary(*op, boxed(a)?),
-        Cast(t, a) => Cast(*t, boxed(a)?),
-        Binary(op, a, b) => Expr::bin(*op, arg(a, 0)?, arg(b, 1)?),
-        Call(i, args) => Call(
-            *i,
-            (args.iter().enumerate())
-                .map(|(k, a)| arg(a, k))
-                .collect::<Result<_, _>>()?,
-        ),
-        Peek(o) => Peek(boxed(o)?),
+        Index(v, _) => Index(*v, boxed()?),
+        Unary(op, _) => Unary(*op, boxed()?),
+        Cast(t, _) => Cast(*t, boxed()?),
+        Binary(op, ..) => Expr::bin(*op, arg(0)?, arg(1)?),
+        Call(i, args) => Call(*i, (0..args.len()).map(arg).collect::<Result<_, _>>()?),
+        Peek(_) => Peek(boxed()?),
         other => other.clone(),
     })
 }

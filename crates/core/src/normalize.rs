@@ -12,7 +12,7 @@
 
 use crate::lockstep::{
     blocks_alike, expr_alike, merge_expr, merge_lvalue, operand, own_block, own_expr, own_target,
-    stmt_alike, Lane,
+    step, stmt_alike,
 };
 use macross_streamir::expr::{Expr, LValue, VarId};
 use macross_streamir::filter::{Filter, VarKind};
@@ -53,11 +53,10 @@ pub(crate) fn normalize_lanes(
         filter: into,
         in_elem,
         out_elem,
-        lanes: lanes.len(),
         counter: 0,
         peeking: false,
     };
-    let work = n.block(lanes[0], &|j| lanes[j])?;
+    let work = n.block(lanes)?;
     n.filter.work = work;
     Ok(n.peeking)
 }
@@ -98,8 +97,6 @@ struct Normalizer<'a> {
     filter: &'a mut Filter,
     in_elem: Ty,
     out_elem: Ty,
-    /// How many bodies are read in lock-step.
-    lanes: usize,
     counter: usize,
     peeking: bool,
 }
@@ -120,63 +117,54 @@ impl<'a> Normalizer<'a> {
         self.filter.add_var(name, ty, VarKind::Local)
     }
 
-    fn block<'f>(
-        &mut self,
-        stmts: &'f [Stmt],
-        lane: Lane<'_, 'f, [Stmt]>,
-    ) -> Result<Vec<Stmt>, &'static str> {
-        blocks_alike(stmts, lane, self.lanes)?;
-        let mut out = Vec::with_capacity(stmts.len());
-        for (i, s) in stmts.iter().enumerate() {
-            self.stmt(s, &|j| &lane(j)[i], &mut out)?;
+    fn block(&mut self, lanes: &[&[Stmt]]) -> Result<Vec<Stmt>, &'static str> {
+        blocks_alike(lanes)?;
+        let mut out = Vec::with_capacity(lanes[0].len());
+        for i in 0..lanes[0].len() {
+            self.stmt(&step(lanes, |b| &b[i]), &mut out)?;
         }
         Ok(out)
     }
 
-    fn stmt<'f>(
-        &mut self,
-        s: &'f Stmt,
-        lane: Lane<'_, 'f, Stmt>,
-        out: &mut Vec<Stmt>,
-    ) -> Result<(), &'static str> {
-        let lanes = self.lanes;
-        stmt_alike(s, lane, lanes)?;
-        let own = |j| own_expr(lane(j));
-        let target = |lv| merge_lvalue(lv, &|j| own_target(lane(j)), lanes);
-        match s {
+    fn stmt(&mut self, lanes: &[&Stmt], out: &mut Vec<Stmt>) -> Result<(), &'static str> {
+        stmt_alike(lanes)?;
+        let own = || step(lanes, own_expr);
+        let target = || merge_lvalue(&step(lanes, own_target));
+        let block = |k| step(lanes, |s| own_block(s, k));
+        match lanes[0] {
             // Already-normal tape-read assignments are copied as they are
             // when the target is a plain variable.
-            Stmt::Assign(lv @ LValue::Var(_), e @ (Expr::Pop | Expr::LPop(_))) => {
-                out.push(Stmt::Assign(target(lv)?, merge_expr(e, &own, lanes)?))
+            Stmt::Assign(LValue::Var(_), Expr::Pop | Expr::LPop(_)) => {
+                out.push(Stmt::Assign(target()?, merge_expr(&own())?))
             }
-            Stmt::Assign(lv @ LValue::Var(_), e @ Expr::Peek(off)) => {
+            Stmt::Assign(LValue::Var(_), Expr::Peek(off)) => {
                 tape_free(off, "peek offset reads the tape")?;
                 self.peeking = true;
-                out.push(Stmt::Assign(target(lv)?, merge_expr(e, &own, lanes)?));
+                out.push(Stmt::Assign(target()?, merge_expr(&own())?));
             }
-            Stmt::Assign(lv, e) => {
-                let e = self.hoist(e, &own, out)?;
+            Stmt::Assign(lv, _) => {
+                let e = self.hoist(&own(), out)?;
                 if let LValue::Index(_, i) | LValue::LaneIndex(_, i, _) | LValue::VIndex(_, i, _) =
                     lv
                 {
                     tape_free(i, "array subscript reads the tape")?;
                 }
-                out.push(Stmt::Assign(target(lv)?, e));
+                out.push(Stmt::Assign(target()?, e));
             }
-            Stmt::Push(e) => {
-                let e = self.hoist(e, &own, out)?;
+            Stmt::Push(_) => {
+                let e = self.hoist(&own(), out)?;
                 let var = self.as_var(e, self.out_elem, out);
                 out.push(Stmt::Push(Expr::Var(var)));
             }
             // Channel and vector statements: one lane only (`stmt_alike`).
             Stmt::LPush(c, e) => {
-                let e = self.hoist(e, &own, out)?;
+                let e = self.hoist(&[e], out)?;
                 let ty = self.filter.chans[c.0 as usize].ty;
                 let var = self.as_var(e, ty, out);
                 out.push(Stmt::LPush(*c, Expr::Var(var)));
             }
             Stmt::RPush { value, offset } => {
-                let value = self.hoist(value, &own, out)?;
+                let value = self.hoist(&[value], out)?;
                 tape_free(offset, "rpush offset reads the tape")?;
                 out.push(Stmt::RPush {
                     value,
@@ -184,35 +172,31 @@ impl<'a> Normalizer<'a> {
                 });
             }
             Stmt::VPush { value, width } => {
-                let value = self.hoist(value, &own, out)?;
+                let value = self.hoist(&[value], out)?;
                 out.push(Stmt::VPush {
                     value,
                     width: *width,
                 });
             }
             Stmt::LVPush(c, e, w) => {
-                let e = self.hoist(e, &own, out)?;
+                let e = self.hoist(&[e], out)?;
                 out.push(Stmt::LVPush(*c, e, *w));
             }
-            Stmt::For { var, count, body } => {
+            Stmt::For { var, count, .. } => {
                 tape_free(count, "loop trip count reads the tape")?;
-                let body = self.block(body, &|j| own_block(lane(j), 0))?;
+                let body = self.block(&block(0))?;
                 out.push(Stmt::For {
                     var: *var,
-                    count: merge_expr(count, &own, lanes)?,
+                    count: merge_expr(&own())?,
                     body,
                 });
             }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
+            Stmt::If { cond, .. } => {
                 tape_free(cond, "branch condition reads the tape")?;
-                let then_branch = self.block(then_branch, &|j| own_block(lane(j), 0))?;
-                let else_branch = self.block(else_branch, &|j| own_block(lane(j), 1))?;
+                let then_branch = self.block(&block(0))?;
+                let else_branch = self.block(&block(1))?;
                 out.push(Stmt::If {
-                    cond: merge_expr(cond, &own, lanes)?,
+                    cond: merge_expr(&own())?,
                     then_branch,
                     else_branch,
                 });
@@ -236,22 +220,19 @@ impl<'a> Normalizer<'a> {
         t
     }
 
-    /// Copy `e` with its tape reads replaced by fresh temporaries,
-    /// assigned in left-to-right evaluation order.
-    fn hoist<'f>(
-        &mut self,
-        e: &'f Expr,
-        lane: Lane<'_, 'f, Expr>,
-        out: &mut Vec<Stmt>,
-    ) -> Result<Expr, &'static str> {
+    /// Copy lane 0's expression with its tape reads replaced by fresh
+    /// temporaries, assigned in left-to-right evaluation order (merged
+    /// across `lanes`).
+    fn hoist(&mut self, lanes: &[&Expr], out: &mut Vec<Stmt>) -> Result<Expr, &'static str> {
+        let e = lanes[0];
         // A leaf and a peek are checked by the merge that copies them.
         if !matches!(
             e,
             Expr::Const(_) | Expr::ConstVec(_) | Expr::Var(_) | Expr::Peek(_)
         ) {
-            expr_alike(e, lane, self.lanes)?;
+            expr_alike(lanes)?;
         }
-        let arg = |k| move |j| operand(lane(j), k);
+        let arg = |k| step(lanes, move |e| operand(e, k));
         Ok(match e {
             Expr::Pop => {
                 let t = self.fresh(self.in_elem);
@@ -262,10 +243,7 @@ impl<'a> Normalizer<'a> {
                 tape_free(off, "peek offset reads the tape")?;
                 self.peeking = true;
                 let t = self.fresh(self.in_elem);
-                out.push(Stmt::Assign(
-                    LValue::Var(t),
-                    merge_expr(e, lane, self.lanes)?,
-                ));
+                out.push(Stmt::Assign(LValue::Var(t), merge_expr(lanes)?));
                 Expr::Var(t)
             }
             Expr::LPop(c) => {
@@ -277,32 +255,32 @@ impl<'a> Normalizer<'a> {
             Expr::VPop { .. } | Expr::VPeek { .. } | Expr::LVPop(_, _) => {
                 return Err("normalizing already-vectorized code")
             }
-            Expr::Const(_) | Expr::ConstVec(_) | Expr::Var(_) => merge_expr(e, lane, self.lanes)?,
-            Expr::Index(v, i) => Expr::Index(*v, Box::new(self.hoist(i, &arg(0), out)?)),
-            Expr::VIndex(v, i, w) => Expr::VIndex(*v, Box::new(self.hoist(i, &arg(0), out)?), *w),
-            Expr::Unary(op, a) => Expr::Unary(*op, Box::new(self.hoist(a, &arg(0), out)?)),
-            Expr::Binary(op, a, b) => {
-                let a = Box::new(self.hoist(a, &arg(0), out)?);
-                let b = Box::new(self.hoist(b, &arg(1), out)?);
+            Expr::Const(_) | Expr::ConstVec(_) | Expr::Var(_) => merge_expr(lanes)?,
+            Expr::Index(v, _) => Expr::Index(*v, Box::new(self.hoist(&arg(0), out)?)),
+            Expr::VIndex(v, _, w) => Expr::VIndex(*v, Box::new(self.hoist(&arg(0), out)?), *w),
+            Expr::Unary(op, _) => Expr::Unary(*op, Box::new(self.hoist(&arg(0), out)?)),
+            Expr::Binary(op, ..) => {
+                let a = Box::new(self.hoist(&arg(0), out)?);
+                let b = Box::new(self.hoist(&arg(1), out)?);
                 Expr::Binary(*op, a, b)
             }
             Expr::Call(i, args) => Expr::Call(
                 *i,
-                (args.iter().enumerate())
-                    .map(|(k, a)| self.hoist(a, &arg(k), out))
+                (0..args.len())
+                    .map(|k| self.hoist(&arg(k), out))
                     .collect::<Result<_, _>>()?,
             ),
-            Expr::Cast(t, a) => Expr::Cast(*t, Box::new(self.hoist(a, &arg(0), out)?)),
-            Expr::Lane(a, l) => Expr::Lane(Box::new(self.hoist(a, &arg(0), out)?), *l),
-            Expr::Splat(a, w) => Expr::Splat(Box::new(self.hoist(a, &arg(0), out)?), *w),
-            Expr::PermuteEven(a, b) => {
-                let a = Box::new(self.hoist(a, &arg(0), out)?);
-                let b = Box::new(self.hoist(b, &arg(1), out)?);
+            Expr::Cast(t, _) => Expr::Cast(*t, Box::new(self.hoist(&arg(0), out)?)),
+            Expr::Lane(_, l) => Expr::Lane(Box::new(self.hoist(&arg(0), out)?), *l),
+            Expr::Splat(_, w) => Expr::Splat(Box::new(self.hoist(&arg(0), out)?), *w),
+            Expr::PermuteEven(..) => {
+                let a = Box::new(self.hoist(&arg(0), out)?);
+                let b = Box::new(self.hoist(&arg(1), out)?);
                 Expr::PermuteEven(a, b)
             }
-            Expr::PermuteOdd(a, b) => {
-                let a = Box::new(self.hoist(a, &arg(0), out)?);
-                let b = Box::new(self.hoist(b, &arg(1), out)?);
+            Expr::PermuteOdd(..) => {
+                let a = Box::new(self.hoist(&arg(0), out)?);
+                let b = Box::new(self.hoist(&arg(1), out)?);
                 Expr::PermuteOdd(a, b)
             }
         })

@@ -6,6 +6,7 @@ use crate::expr::{BinOp, Expr, Intrinsic, LValue, VarId};
 use crate::filter::{Filter, VarDecl, VarKind};
 use crate::stmt::Stmt;
 use crate::types::{ScalarTy, Ty, Value};
+use std::cell::Cell;
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
@@ -241,74 +242,483 @@ impl FromIterator<VarId> for VarSet {
     }
 }
 
-/// Can a static walk visit the body of `for var in 0..n` once and scale
-/// what it saw, instead of unrolling it? Only when nothing the walk
-/// tracks differs from one iteration to the next except `var` itself:
-/// the body has no `For` (no inner trip count) and no `If` (no
-/// condition), does not assign `var`, and no assignment of an
-/// expression the walk could track as a constant reads a variable the
-/// body assigns (no tracked constant carried across iterations). Leaves
-/// the variables the body assigns in `assigned`.
-pub fn uniform_loop_body(var: VarId, body: &[Stmt], assigned: &mut Vec<VarId>) -> bool {
-    assigned.clear();
-    for s in body {
-        match s {
-            Stmt::For { .. } | Stmt::If { .. } => return false,
-            Stmt::Assign(lv, _) => assigned.push(lv.var()),
+/// An `i32` induction of a loop [`uniform_loop_body`] admits: a variable
+/// whose one assignment in the body is `v = v + c`, with `c` an `i32`
+/// literal or a loop-invariant `i32` constant, and which the walk knows
+/// when the loop starts. It holds `start + step·k` when iteration `k`
+/// begins, where `step` is `c` times the trip counts of the inner loops
+/// around the assignment, and none of the values it takes,
+/// `start + step·n` after the last iteration included, leaves `i32`: the
+/// walk's wrapping evaluation never wraps on it. (A counter the walk does
+/// not know at the start, such as a lowering's zero-initialized permute
+/// counter, stays unknown throughout and is no induction.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Induction {
+    /// The variable.
+    pub var: VarId,
+    /// What it holds when the loop starts.
+    pub start: i32,
+    /// What one iteration adds.
+    pub step: i32,
+}
+
+impl Induction {
+    /// What the variable holds when iteration `k` (`0..=n`) begins.
+    pub fn at(&self, k: i64) -> Value {
+        Value::I32((i64::from(self.start) + i64::from(self.step) * k) as i32)
+    }
+}
+
+/// Scratch for [`uniform_loop_body`], kept by a walker across loops.
+/// After a check that admits a body it describes that loop: its
+/// inductions, and which variables its body assigns. A new scratch takes
+/// the buffers the last one dropped on its thread left behind, so the
+/// many short walks of a compile allocate them once per thread.
+#[derive(Debug, Clone)]
+pub struct LoopScratch {
+    /// The inductions of the loop last admitted.
+    pub inductions: Vec<Induction>,
+    /// What the pass knows at each open loop level: level 0 is the loop
+    /// checked, level `l + 1` a loop in the body of level `l`.
+    levels: Vec<Level>,
+    /// How many levels are open.
+    depth: usize,
+}
+
+/// The buffers of a [`LoopScratch`].
+type Buffers = (Vec<Induction>, Vec<Level>);
+
+thread_local! {
+    /// The buffers of the last [`LoopScratch`] dropped on this thread.
+    static SPARE: Cell<Buffers> = const { Cell::new((Vec::new(), Vec::new())) };
+}
+
+impl Default for LoopScratch {
+    fn default() -> LoopScratch {
+        let (inductions, levels) = SPARE.take();
+        LoopScratch {
+            inductions,
+            levels,
+            depth: 0,
+        }
+    }
+}
+
+impl Drop for LoopScratch {
+    fn drop(&mut self) {
+        let spare = (
+            std::mem::take(&mut self.inductions),
+            std::mem::take(&mut self.levels),
+        );
+        // A thread being torn down keeps no spare.
+        let _ = SPARE.try_with(|s| s.set(spare));
+    }
+}
+
+/// What the pass of [`uniform_loop_body`] knows of the variables at one
+/// loop level, in the current iteration of its loop.
+#[derive(Debug, Clone, Default)]
+struct Level {
+    /// Per [`VarId`]: the flags below.
+    flags: Vec<u16>,
+    /// The variables with a flag set.
+    touched: Vec<VarId>,
+    /// `(v, c, by)` for each `v = v + c` (the last one of `v` counts): `c`
+    /// is added per iteration of this level, and read from `by` if that
+    /// is a variable.
+    steps: Vec<(VarId, i64, Option<VarId>)>,
+    /// The loop's trip count.
+    trips: i64,
+}
+
+/// Assigned in this level's body so far, inner loops' included.
+const ASSIGNED: u16 = 1;
+/// Assigned more than once.
+const TWICE: u16 = 1 << 1;
+/// What it was last assigned is certainly unknown to the walk.
+const UNKNOWN: u16 = 1 << 2;
+/// Some assignment of it is not certainly unknown.
+const KNOWN: u16 = 1 << 3;
+/// Its last assignment is `v = v + c` (see [`Level::steps`]).
+const STEPPED: u16 = 1 << 4;
+/// Read before its assignment in an iteration, where its value matters:
+/// the value comes from the iteration before.
+const CARRIED: u16 = 1 << 5;
+/// Read before its assignment in an iteration by an expression taken as
+/// certainly unknown because of it.
+const RELIED: u16 = 1 << 6;
+/// The level's loop variable.
+const COUNTER: u16 = 1 << 7;
+/// Must hold one value through the loop: a trip count reads it (level 0
+/// only).
+const INVARIANT: u16 = 1 << 8;
+
+impl Level {
+    fn get(&self, v: VarId) -> u16 {
+        self.flags.get(v.0 as usize).copied().unwrap_or(0)
+    }
+
+    fn set(&mut self, v: VarId, on: u16, off: u16) {
+        let i = v.0 as usize;
+        if i >= self.flags.len() {
+            self.flags.resize(i + 1, 0);
+        }
+        if self.flags[i] == 0 {
+            self.touched.push(v);
+        }
+        self.flags[i] = (self.flags[i] & !off) | on;
+    }
+
+    /// `v` is assigned, with `flags` (`UNKNOWN`, `KNOWN`, `STEPPED`) and
+    /// the step `(c, by)` if it is stepped.
+    fn assign(&mut self, v: VarId, flags: u16, step: Option<(i64, Option<VarId>)>) {
+        let twice = if self.get(v) & ASSIGNED != 0 {
+            TWICE
+        } else {
+            0
+        };
+        self.set(v, ASSIGNED | twice | flags, UNKNOWN | STEPPED);
+        if let Some((c, by)) = step {
+            self.steps.push((v, c, by));
+        }
+    }
+
+    /// The step of `v`'s last assignment, `v = v + c`.
+    fn step(&self, v: VarId) -> (i64, Option<VarId>) {
+        let &(_, c, by) = (self.steps.iter().rev())
+            .find(|s| s.0 == v)
+            .expect("a stepped variable");
+        (c, by)
+    }
+
+    /// Is what this level's body does to `v` the same in every iteration:
+    /// its loop variable not assigned, a read that relied on `v` being
+    /// unknown never sees a known value from an earlier iteration, and a
+    /// value that matters carried across iterations only by an induction?
+    fn admits(&self, f: u16) -> bool {
+        f & COUNTER == 0
+            && f & (RELIED | KNOWN) != RELIED | KNOWN
+            && (f & CARRIED == 0 || f & (TWICE | STEPPED) == STEPPED)
+    }
+
+    fn reset(&mut self) {
+        for v in self.touched.drain(..) {
+            self.flags[v.0 as usize] = 0;
+        }
+        self.steps.clear();
+    }
+}
+
+impl LoopScratch {
+    /// Forget the last check.
+    fn clear(&mut self) {
+        self.levels.iter_mut().for_each(Level::reset);
+        self.depth = 0;
+        self.inductions.clear();
+    }
+
+    /// Does the body last admitted assign `v` (an inner loop's variable
+    /// counts)?
+    pub fn assigns(&self, v: VarId) -> bool {
+        self.levels[0].get(v) & ASSIGNED != 0
+    }
+
+    /// The innermost open level in whose current iteration `v` has been
+    /// assigned, and whether that value is certainly unknown.
+    fn defined(&self, v: VarId) -> Option<(usize, bool)> {
+        (0..self.depth).rev().find_map(|l| {
+            let f = self.levels[l].get(v);
+            (f & (ASSIGNED | COUNTER) != 0).then_some((l, f & UNKNOWN != 0))
+        })
+    }
+
+    /// Open a level for a loop over `var` running `trips` times.
+    fn open(&mut self, var: VarId, trips: i64) {
+        if self.depth == self.levels.len() {
+            self.levels.push(Level::default());
+        }
+        let level = &mut self.levels[self.depth];
+        level.reset();
+        level.trips = trips;
+        level.set(var, COUNTER, 0);
+        self.depth += 1;
+    }
+
+    /// Note the reads of the value `e` assigned at `level`; returns
+    /// whether [`ConstEnv::eval`] certainly finds `e` unknown there.
+    fn read(&mut self, e: &Expr, level: usize, env: &ConstEnv) -> bool {
+        // One unknown operand makes all of `e` unknown: `eval` gives up
+        // at the first. An operand is unknown when this iteration assigned
+        // it something unknown, or when no iteration has assigned it yet
+        // and the walk did not know it when the loop started. Levels
+        // whose iteration has not assigned it rely on it staying unknown;
+        // prefer the operand with the fewest.
+        let mut witness = None;
+        if !self.trackable(e, env, &mut witness) {
+            return true;
+        }
+        if let Some((v, from)) = witness {
+            for l in from..=level {
+                self.levels[l].set(v, RELIED, 0);
+            }
+            return true;
+        }
+        self.carry(e, level);
+        false
+    }
+
+    /// Could [`ConstEnv::eval`] resolve `e` for some environment? Leaves
+    /// in `witness` the operand that makes it certainly unknown with the
+    /// fewest levels relying on it, and the first of those levels.
+    fn trackable(&self, e: &Expr, env: &ConstEnv, witness: &mut Option<(VarId, usize)>) -> bool {
+        match e {
+            Expr::Const(_) => true,
+            Expr::Var(v) => {
+                let from = match self.defined(*v) {
+                    Some((k, true)) => k + 1,
+                    None if env.get(*v).is_none() => 0,
+                    _ => return true,
+                };
+                if witness.is_none_or(|(_, j)| from > j) {
+                    *witness = Some((*v, from));
+                }
+                true
+            }
+            Expr::Unary(_, a) | Expr::Cast(_, a) => self.trackable(a, env, witness),
+            Expr::Binary(_, a, b) => {
+                self.trackable(a, env, witness) && self.trackable(b, env, witness)
+            }
+            _ => false,
+        }
+    }
+
+    /// Mark the variables the trackable `e` reads as carried at each level
+    /// whose current iteration has not assigned them yet.
+    fn carry(&mut self, e: &Expr, level: usize) {
+        match e {
+            Expr::Var(v) => {
+                let from = self.defined(*v).map_or(0, |(k, _)| k + 1);
+                for l in from..=level {
+                    self.levels[l].set(*v, CARRIED, 0);
+                }
+            }
+            Expr::Unary(_, a) | Expr::Cast(_, a) => self.carry(a, level),
+            Expr::Binary(_, a, b) => {
+                self.carry(a, level);
+                self.carry(b, level);
+            }
             _ => {}
         }
     }
-    if assigned.contains(&var) {
-        return false;
-    }
-    body.iter().all(|s| match s {
-        Stmt::Assign(LValue::Var(_), e) if trackable(e) => {
-            let mut carried = false;
-            e.walk(&mut |e| {
-                if let Expr::Var(v) = e {
-                    carried |= assigned.contains(v);
+
+    fn block(&mut self, body: &[Stmt], level: usize, env: &ConstEnv) -> bool {
+        for s in body {
+            match s {
+                Stmt::Assign(LValue::Var(v), e) => {
+                    let unknown = self.read(e, level, env);
+                    let step = match e {
+                        _ if unknown => None,
+                        Expr::Binary(BinOp::Add, a, c) if **a == Expr::Var(*v) => match **c {
+                            Expr::Const(Value::I32(c)) => Some((i64::from(c), None)),
+                            Expr::Var(w) => match env.get(w) {
+                                Some(Value::I32(c)) => Some((i64::from(c), Some(w))),
+                                _ => None,
+                            },
+                            _ => None,
+                        },
+                        _ => None,
+                    };
+                    let flags = if unknown { UNKNOWN } else { KNOWN }
+                        | if step.is_some() { STEPPED } else { 0 };
+                    self.levels[level].assign(*v, flags, step);
                 }
-            });
-            !carried
+                Stmt::Assign(lv, _) => self.levels[level].assign(lv.var(), UNKNOWN, None),
+                Stmt::For { var, count, body } => {
+                    count.walk(&mut |x| {
+                        if let Expr::Var(v) = x {
+                            self.levels[0].set(*v, INVARIANT, 0);
+                        }
+                    });
+                    let Some(m) = env.eval(count).map(|m| m.as_i64()) else {
+                        return false;
+                    };
+                    if !(1..=i64::from(i32::MAX)).contains(&m) {
+                        return false;
+                    }
+                    self.open(*var, m);
+                    if !self.block(body, level + 1, env) || !self.close() {
+                        return false;
+                    }
+                    self.levels[level].assign(*var, UNKNOWN, None);
+                }
+                Stmt::If { .. } => return false,
+                _ => {}
+            }
         }
-        _ => true,
-    })
+        true
+    }
+
+    /// Close the innermost open level after its loop's body: it must be
+    /// uniform itself ([`Level::admits`]), and what its body assigns is
+    /// assigned at the enclosing level, an induction's step as many
+    /// times over as the loop runs.
+    fn close(&mut self) -> bool {
+        self.depth -= 1;
+        let (outer, inner) = self.levels.split_at_mut(self.depth);
+        let (level, enclosing) = (&inner[0], outer.last_mut().expect("an enclosing level"));
+        for &v in &level.touched {
+            let f = level.get(v);
+            if f & ASSIGNED == 0 {
+                continue;
+            }
+            if !level.admits(f) {
+                return false;
+            }
+            let step = (f & STEPPED != 0).then(|| level.step(v));
+            // A carried step read from a variable: the variable must hold
+            // still through this loop.
+            if let (true, Some((_, Some(w)))) = (f & CARRIED != 0, step) {
+                if level.get(w) & (ASSIGNED | COUNTER) != 0 {
+                    return false;
+                }
+            }
+            let twice = if enclosing.get(v) & ASSIGNED != 0 {
+                TWICE
+            } else {
+                0
+            };
+            let step = step.and_then(|(c, by)| Some((c.checked_mul(level.trips)?, by)));
+            let on = ASSIGNED | twice | (f & (TWICE | UNKNOWN | KNOWN));
+            let on = on | if step.is_some() { STEPPED } else { 0 };
+            enclosing.set(v, on, UNKNOWN | STEPPED);
+            if let Some((c, by)) = step {
+                enclosing.steps.push((v, c, by));
+            }
+        }
+        self.levels[self.depth].reset();
+        true
+    }
 }
 
-/// Could [`ConstEnv::eval`] resolve `e` for some environment?
-fn trackable(e: &Expr) -> bool {
-    match e {
-        Expr::Const(_) | Expr::Var(_) => true,
-        Expr::Unary(_, a) | Expr::Cast(_, a) => trackable(a),
-        Expr::Binary(_, a, b) => trackable(a) && trackable(b),
-        _ => false,
+/// Can a static walk visit the body of `for var in 0..n` once and scale
+/// what it saw, instead of unrolling it? Only when every iteration does
+/// the same to what the walk tracks, given the constants `env` holds
+/// when the loop starts. One forward pass over the body decides; what
+/// only a later statement can settle (is a variable read here assigned
+/// further on?) is settled when its loop level closes:
+///
+/// - no `If` (no condition), and `var` is not assigned;
+/// - a variable the body assigns is *carried* when it is read before its
+///   assignment in body order, so the value comes from the iteration
+///   before. A carried read matters only inside an assigned value the
+///   walk could track ([`ConstEnv::eval`]) that is not certainly unknown.
+///   `eval` gives up at the first unknown operand, so a value is
+///   certainly unknown when it reads a variable this iteration already
+///   assigned something untrackable (a pop, peek, index or call),
+///   directly or through other such variables, or one no iteration has
+///   assigned yet that `env` does not know; such a variable must then
+///   never be assigned a value that could be known. A read that matters
+///   must be of an `i32` [`Induction`], which the walk sets itself at
+///   each iteration;
+/// - an inner `For` runs at least once, its trip count reads neither a
+///   loop variable nor anything the body assigns, and its own body
+///   passes the same test. A variable its body steps is an induction of
+///   the outer loop too when the outer body does not reset it.
+///
+/// On success `scratch` holds the inductions and the assigned variables.
+pub fn uniform_loop_body(
+    var: VarId,
+    n: i64,
+    body: &[Stmt],
+    env: &ConstEnv,
+    scratch: &mut LoopScratch,
+) -> bool {
+    scratch.clear();
+    scratch.open(var, n);
+    if !scratch.block(body, 0, env) {
+        return false;
     }
+    let top = &scratch.levels[0];
+    let fits = |x: i64| i32::try_from(x).is_ok();
+    for &v in &top.touched {
+        let f = top.get(v);
+        if f & INVARIANT != 0 && f & (ASSIGNED | COUNTER) != 0 {
+            return false;
+        }
+        if f & ASSIGNED == 0 {
+            continue;
+        }
+        if !top.admits(f) {
+            return false;
+        }
+        if f & CARRIED == 0 {
+            continue;
+        }
+        let (step, by) = top.step(v);
+        if by.is_some_and(|w| top.get(w) & (ASSIGNED | COUNTER) != 0) {
+            return false;
+        }
+        let Some(Value::I32(start)) = env.get(v) else {
+            return false;
+        };
+        let end = (step.checked_mul(n)).and_then(|d| d.checked_add(i64::from(start)));
+        if !fits(step) || !end.is_some_and(fits) {
+            return false;
+        }
+        scratch.inductions.push(Induction {
+            var: v,
+            start,
+            step: step as i32,
+        });
+    }
+    true
+}
+
+/// What [`affine`] reads a tape offset against: the loop a summarizing
+/// walk found uniform, where in its body the offset sits, and which of
+/// its inductions have stepped in the current iteration by then.
+struct Offsets<'a> {
+    var: VarId,
+    uniform: &'a LoopScratch,
+    env: &'a ConstEnv,
+    last: i128,
+    /// Inside an inner loop.
+    nested: bool,
+    /// Bit `k`: `uniform.inductions[k]` was assigned earlier in the
+    /// iteration.
+    stepped: u64,
 }
 
 /// `e` as `a * var + b` over `var` in `0..=last`, when it is exactly
 /// that: built from `i32` literals, `var`, variables the body does not
-/// assign (known `i32` constants) and `+`, `-`, `*` by a loop-invariant
-/// factor, with every sub-expression inside `i32` at both ends of the
-/// range. A linear sub-expression is extreme at the ends, so it never
-/// wraps in between, and the walk's wrapping `i32` evaluation agrees
-/// with the exact form at every iteration.
-fn affine(
-    e: &Expr,
-    var: VarId,
-    assigned: &[VarId],
-    env: &ConstEnv,
-    last: i128,
-) -> Option<(i128, i128)> {
+/// assign (known `i32` constants), the loop's inductions outside inner
+/// loops (`start + step·var`, or `start + step·(var + 1)` once stepped)
+/// and `+`, `-`, `*` by a loop-invariant factor, with every
+/// sub-expression inside `i32` at both ends of the range. A linear
+/// sub-expression is extreme at the ends, so it never wraps in between,
+/// and the walk's wrapping `i32` evaluation agrees with the exact form at
+/// every iteration.
+fn affine(e: &Expr, at: &Offsets) -> Option<(i128, i128)> {
     let (a, b) = match e {
         Expr::Const(Value::I32(c)) => (0, i128::from(*c)),
-        Expr::Var(v) if *v == var => (1, 0),
-        Expr::Var(v) if !assigned.contains(v) => match env.get(*v)? {
-            Value::I32(c) => (0, i128::from(c)),
-            _ => return None,
+        Expr::Var(v) if *v == at.var => (1, 0),
+        Expr::Var(v) => match at.uniform.inductions.iter().position(|d| d.var == *v) {
+            Some(k) if !at.nested => {
+                let d = at.uniform.inductions[k];
+                let stepped = (at.stepped >> k) & 1 == 1;
+                let start = i128::from(d.start) + if stepped { i128::from(d.step) } else { 0 };
+                (i128::from(d.step), start)
+            }
+            Some(_) => return None,
+            None if at.uniform.assigns(*v) => return None,
+            None => match at.env.get(*v)? {
+                Value::I32(c) => (0, i128::from(c)),
+                _ => return None,
+            },
         },
         Expr::Binary(op, x, y) => {
-            let (xa, xb) = affine(x, var, assigned, env, last)?;
-            let (ya, yb) = affine(y, var, assigned, env, last)?;
+            let (xa, xb) = affine(x, at)?;
+            let (ya, yb) = affine(y, at)?;
             match op {
                 BinOp::Add => (xa + ya, xb + yb),
                 BinOp::Sub => (xa - ya, xb - yb),
@@ -320,38 +730,68 @@ fn affine(
         _ => return None,
     };
     let fits = |x: i128| i32::try_from(x).is_ok();
-    (fits(b) && fits(a * last + b)).then_some((a, b))
+    (fits(b) && fits(a * at.last + b)).then_some((a, b))
 }
 
 /// Every tape offset in `body` (`peek`, `vpeek`, `rpush`) is affine in
-/// `var` ([`affine`]) and non-negative over `0..=last`.
+/// `var` ([`affine`]) and non-negative over `0..=last`, for the loop
+/// `uniform` describes.
 fn offsets_affine(
     body: &[Stmt],
     var: VarId,
-    assigned: &[VarId],
+    uniform: &LoopScratch,
     env: &ConstEnv,
     last: i128,
 ) -> bool {
-    let ok = |off: &Expr| {
-        affine(off, var, assigned, env, last).is_some_and(|(a, b)| b >= 0 && a * last + b >= 0)
-    };
-    let mut all = true;
-    for s in body {
-        if let Stmt::RPush { offset, .. } = s {
-            all &= ok(offset);
-        }
-        s.walk_exprs(&mut |e| {
-            if let Expr::Peek(off) | Expr::VPeek { offset: off, .. } = e {
-                all &= ok(off);
-            }
-        });
+    let inductions = &uniform.inductions;
+    if inductions.len() > 64 {
+        return false;
     }
-    all
+    let mut at = Offsets {
+        var,
+        uniform,
+        env,
+        last,
+        nested: false,
+        stepped: 0,
+    };
+    for s in body {
+        at.nested = matches!(s, Stmt::For { .. });
+        let mut all = true;
+        let mut ok = |off: &Expr| {
+            all &= affine(off, &at).is_some_and(|(a, b)| b >= 0 && a * last + b >= 0);
+        };
+        s.walk(&mut |s| {
+            if let Stmt::RPush { offset, .. } = s {
+                ok(offset);
+            }
+            s.walk_own_exprs(&mut |e| {
+                if let Expr::Peek(off) | Expr::VPeek { offset: off, .. } = e {
+                    ok(off);
+                }
+            });
+        });
+        if !all {
+            return false;
+        }
+        // What `s` assigns has stepped for the rest of the iteration.
+        if !inductions.is_empty() {
+            s.walk(&mut |s| {
+                if let Stmt::Assign(LValue::Var(v), _) = s {
+                    if let Some(k) = inductions.iter().position(|d| d.var == *v) {
+                        at.stepped |= 1 << k;
+                    }
+                }
+            });
+        }
+    }
+    true
 }
 
-/// Abstract machine state for rate measurement.
+/// Abstract machine state for rate measurement, over a body borrowed
+/// for `'b`.
 #[derive(Clone)]
-struct RateState {
+struct RateState<'b> {
     /// Integer-constant environment (loop vars and constant locals).
     env: ConstEnv,
     /// Elements popped so far this firing.
@@ -366,11 +806,16 @@ struct RateState {
     /// unrolling reference walk.
     summarize: bool,
     /// Scratch for [`uniform_loop_body`].
-    assigned: Vec<VarId>,
+    uniform: LoopScratch,
+    /// The inductions of the summarized loops the walk is inside,
+    /// innermost last.
+    held: Vec<Induction>,
+    /// Every loop the walk unrolls, when asked for them.
+    unrolled: Option<Vec<&'b Stmt>>,
 }
 
-impl RateState {
-    fn new(summarize: bool) -> RateState {
+impl<'b> RateState<'b> {
+    fn new(summarize: bool) -> RateState<'b> {
         RateState {
             env: ConstEnv::default(),
             pops: 0,
@@ -378,7 +823,9 @@ impl RateState {
             pushes: 0,
             push_extent: 0,
             summarize,
-            assigned: Vec::new(),
+            uniform: LoopScratch::default(),
+            held: Vec::new(),
+            unrolled: None,
         }
     }
 
@@ -423,6 +870,19 @@ pub fn measure_rates_unrolled(body: &[Stmt]) -> Result<Rates, RateError> {
     Ok(st.rates())
 }
 
+/// The loops of two iterations or more [`measure_rates`] unrolls in
+/// `body`, in walk order, each as often as the walk reaches it.
+///
+/// # Errors
+/// See [`RateError`].
+#[doc(hidden)]
+pub fn measure_rates_unrolls(body: &[Stmt]) -> Result<Vec<&Stmt>, RateError> {
+    let mut st = RateState::new(true);
+    st.unrolled = Some(Vec::new());
+    exec_block(body, &mut st)?;
+    Ok(st.unrolled.unwrap_or_default())
+}
+
 /// Check a filter's declared rates against its measured rates.
 ///
 /// # Errors
@@ -445,7 +905,7 @@ pub fn check_rates(filter: &Filter) -> Result<Rates, RateError> {
     Ok(measured)
 }
 
-fn exec_block(stmts: &[Stmt], st: &mut RateState) -> Result<(), RateError> {
+fn exec_block<'b>(stmts: &'b [Stmt], st: &mut RateState<'b>) -> Result<(), RateError> {
     for s in stmts {
         exec_stmt(s, st)?;
     }
@@ -460,7 +920,7 @@ fn tape_offset(off: &Expr, st: &RateState) -> Result<usize, RateError> {
         .ok_or_else(|| RateError::DynamicOffset(off.to_string()))
 }
 
-fn exec_stmt(s: &Stmt, st: &mut RateState) -> Result<(), RateError> {
+fn exec_stmt<'b>(s: &'b Stmt, st: &mut RateState<'b>) -> Result<(), RateError> {
     match s {
         Stmt::Assign(lv, e) => {
             count_expr(e, st)?;
@@ -495,11 +955,11 @@ fn exec_stmt(s: &Stmt, st: &mut RateState) -> Result<(), RateError> {
                 .eval(count)
                 .map(|v| v.as_i64())
                 .ok_or_else(|| RateError::DynamicTripCount(count.to_string()))?;
-            if n >= 3
+            if n >= 2
                 && n <= i64::from(i32::MAX)
                 && st.summarize
-                && uniform_loop_body(*var, body, &mut st.assigned)
-                && offsets_affine(body, *var, &st.assigned, &st.env, i128::from(n - 1))
+                && uniform_loop_body(*var, n, body, &st.env, &mut st.uniform)
+                && offsets_affine(body, *var, &st.uniform, &st.env, i128::from(n - 1))
             {
                 #[cfg(debug_assertions)]
                 let before = st.clone();
@@ -507,7 +967,7 @@ fn exec_stmt(s: &Stmt, st: &mut RateState) -> Result<(), RateError> {
                 #[cfg(debug_assertions)]
                 {
                     let mut reference = before;
-                    reference.summarize = false;
+                    (reference.summarize, reference.unrolled) = (false, None);
                     unrolled_loop(*var, n, body, &mut reference)?;
                     assert!(
                         reference.counters() == st.counters() && reference.env.same(&st.env),
@@ -515,6 +975,9 @@ fn exec_stmt(s: &Stmt, st: &mut RateState) -> Result<(), RateError> {
                     );
                 }
             } else {
+                if let (Some(unrolled), 2..) = (&mut st.unrolled, n) {
+                    unrolled.push(s);
+                }
                 unrolled_loop(*var, n, body, st)?;
             }
             st.env.set(*var, None);
@@ -534,16 +997,18 @@ fn exec_stmt(s: &Stmt, st: &mut RateState) -> Result<(), RateError> {
             } else {
                 // Unknown condition: both branches must have identical
                 // tape behaviour for the rates to be static.
-                let mut t = st.clone();
-                exec_block(then_branch, &mut t)?;
-                let mut e = st.clone();
-                exec_block(else_branch, &mut e)?;
-                if t.counters() != e.counters() {
+                let (env, counters) = (st.env.clone(), st.counters());
+                exec_block(then_branch, st)?;
+                let then_counters = st.counters();
+                let then_env = std::mem::replace(&mut st.env, env.clone());
+                (st.pops, st.pushes, st.peek_extent, st.push_extent) = counters;
+                exec_block(else_branch, st)?;
+                if then_counters != st.counters() {
                     return Err(RateError::DivergentBranches(cond.to_string()));
                 }
-                (st.pops, st.pushes, st.peek_extent, st.push_extent) = t.counters();
                 // Keep only bindings identical in both branches.
-                st.env.meet(&t.env, &e.env);
+                let else_env = std::mem::replace(&mut st.env, env);
+                st.env.meet(&then_env, &else_env);
             }
         }
         Stmt::AdvanceRead(n) => {
@@ -558,7 +1023,12 @@ fn exec_stmt(s: &Stmt, st: &mut RateState) -> Result<(), RateError> {
     Ok(())
 }
 
-fn unrolled_loop(var: VarId, n: i64, body: &[Stmt], st: &mut RateState) -> Result<(), RateError> {
+fn unrolled_loop<'b>(
+    var: VarId,
+    n: i64,
+    body: &'b [Stmt],
+    st: &mut RateState<'b>,
+) -> Result<(), RateError> {
     for i in 0..n.max(0) {
         st.env.set(var, Some(Value::I32(i as i32)));
         exec_block(body, st)?;
@@ -566,11 +1036,22 @@ fn unrolled_loop(var: VarId, n: i64, body: &[Stmt], st: &mut RateState) -> Resul
     Ok(())
 }
 
-/// Walk iteration 0 and iteration `n - 1` (`n >= 3`) of a loop
+/// Walk iteration 0 and iteration `n - 1` (`n >= 2`) of a loop
 /// [`exec_stmt`] found uniform with affine offsets, advancing the tape
 /// pointers past the `n - 2` iterations in between: each moves them as
 /// far as iteration 0 did, and reaches no further than one of the ends.
-fn summarized_loop(var: VarId, n: i64, body: &[Stmt], st: &mut RateState) -> Result<(), RateError> {
+/// The loop variable and the inductions are set to what they hold when
+/// iteration `n - 1` begins; the body computes everything else it reads.
+fn summarized_loop<'b>(
+    var: VarId,
+    n: i64,
+    body: &'b [Stmt],
+    st: &mut RateState<'b>,
+) -> Result<(), RateError> {
+    // The walk of iteration 0 may check inner loops, which reuses the
+    // scratch: hold this loop's inductions until iteration `n - 1`.
+    let held = st.held.len();
+    st.held.extend_from_slice(&st.uniform.inductions);
     let (pops, pushes) = (st.pops, st.pushes);
     st.env.set(var, Some(Value::I32(0)));
     exec_block(body, st)?;
@@ -578,6 +1059,9 @@ fn summarized_loop(var: VarId, n: i64, body: &[Stmt], st: &mut RateState) -> Res
     st.pops += skipped * (st.pops - pops);
     st.pushes += skipped * (st.pushes - pushes);
     st.env.set(var, Some(Value::I32((n - 1) as i32)));
+    for d in st.held.drain(held..) {
+        st.env.set(d.var, Some(d.at(n - 1)));
+    }
     exec_block(body, st)
 }
 
@@ -1135,8 +1619,8 @@ mod tests {
                 continue;
             };
             let n = st.env.eval(count).unwrap().as_i64();
-            return uniform_loop_body(*var, body, &mut st.assigned)
-                && offsets_affine(body, *var, &st.assigned, &st.env, i128::from(n - 1));
+            return uniform_loop_body(*var, n, body, &st.env, &mut st.uniform)
+                && offsets_affine(body, *var, &st.uniform, &st.env, i128::from(n - 1));
         }
         panic!("no loop")
     }
@@ -1234,17 +1718,59 @@ mod tests {
         assert!(!summarizes_first_loop(&triangle));
         assert_eq!(rates_both_ways(&triangle), Ok(rates(10, 10)));
 
-        // A local stepped in the body and read after the loop.
-        let stepped = build(&|b, i, _, k, t| {
-            b.set(k, 0i32);
+        // A step by a power: `k = k * 2` is no induction. Offsets 1, 2,
+        // 4, 8 after 0-3 pops, then peek(16) after 4.
+        let doubled = build(&|b, i, _, k, t| {
+            b.set(k, 1i32);
             b.for_(i, 4i32, |b| {
+                b.set(t, peek(v(k)));
                 b.set(t, pop());
-                b.set(k, v(k) + 3i32);
+                b.set(k, v(k) * 2i32);
             });
             b.set(t, peek(v(k)));
         });
-        assert!(!summarizes_first_loop(&stepped));
-        assert_eq!(rates_both_ways(&stepped), Ok(rates(4, 17)));
+        assert!(!summarizes_first_loop(&doubled));
+        assert_eq!(rates_both_ways(&doubled), Ok(rates(4, 21)));
+
+        // Two assignments of a counter: it is no induction either.
+        let twice = build(&|b, i, _, k, t| {
+            b.set(k, 0i32);
+            b.for_(i, 4i32, |b| {
+                b.set(k, v(k) + 1i32);
+                b.set(t, pop());
+                b.set(k, v(k) + 1i32);
+            });
+            b.set(t, peek(v(k)));
+        });
+        assert!(!summarizes_first_loop(&twice));
+        assert_eq!(rates_both_ways(&twice), Ok(rates(4, 13)));
+
+        // A tracked constant read before its assignment: `j` is 1, then
+        // 2i - 1, so after five iterations it is 7 (the walk of the last
+        // iteration alone would leave 1 from iteration 0's `k`).
+        let early = build(&|b, i, j, k, t| {
+            b.set(k, 0i32);
+            b.for_(i, 5i32, |b| {
+                b.set(j, v(k) + 1i32);
+                b.set(k, v(i) * 2i32);
+                b.set(t, pop());
+            });
+            b.set(t, peek(v(j)));
+        });
+        assert!(!summarizes_first_loop(&early));
+        assert_eq!(rates_both_ways(&early), Ok(rates(5, 13)));
+
+        // An induction whose last value leaves `i32`: the walk wraps it,
+        // so the loop is unrolled.
+        let wraps = build(&|b, i, _, k, t| {
+            b.set(k, i32::MAX - 10);
+            b.for_(i, 6i32, |b| {
+                b.set(t, pop());
+                b.set(k, v(k) + 3i32);
+            });
+        });
+        assert!(!summarizes_first_loop(&wraps));
+        assert_eq!(rates_both_ways(&wraps), Ok(rates(6, 6)));
 
         // An offset nothing resolves: the error is still reported.
         let dynamic = build(&|b, i, _, k, t| {
@@ -1257,6 +1783,128 @@ mod tests {
             rates_both_ways(&dynamic),
             Err(RateError::DynamicOffset(_))
         ));
+    }
+
+    /// The shapes whose iterations look alike although the body assigns
+    /// what it reads: each is walked at its two ends and measures what
+    /// the unrolled walk measures, constants left behind included.
+    #[test]
+    fn loops_whose_iterations_look_alike_are_summarized() {
+        // The work body from `i`, `j`, `k`, `t`, an accumulator and an array.
+        type Work<'a> = &'a dyn Fn(&mut B, [VarId; 4], VarId, VarId);
+        let build = |work: Work| {
+            let mut fb = FilterBuilder::new("f", 1, 1, 1, ScalarTy::I32);
+            let ints = ["i", "j", "k", "t"].map(|n| fb.local(n, Ty::Scalar(ScalarTy::I32)));
+            let acc = fb.local("acc", Ty::Scalar(ScalarTy::I32));
+            let a = fb.state("a", Ty::Array(ScalarTy::I32, 8));
+            fb.work(|b| work(b, ints, acc, a));
+            fb.build().work
+        };
+        let rates = |pop, push, peek| Rates { pop, push, peek };
+
+        // A temporary read after its assignment in the same iteration:
+        // `t` leaves the loop as 2 * 5 + 1.
+        let temporary = build(&|b, [i, j, k, t], _, _| {
+            b.for_(i, 6i32, |b| {
+                b.set(k, v(i) * 2i32);
+                b.set(t, v(k) + 1i32);
+                b.set(j, pop());
+            });
+            b.set(j, peek(v(t)));
+        });
+        assert!(summarizes_first_loop(&temporary));
+        assert_eq!(rates_both_ways(&temporary), Ok(rates(6, 0, 18)));
+
+        // An accumulator of what the walk cannot know, directly and
+        // through a temporary: a pop divided by an array element.
+        let accumulator = build(&|b, [i, _, k, t], acc, a| {
+            b.set(acc, 0i32);
+            b.for_(i, 5i32, |b| {
+                b.set(t, pop() / idx(a, v(i)));
+                b.set(k, v(t) * 2i32);
+                b.set(acc, v(acc) + v(k));
+                b.push(v(acc));
+            });
+        });
+        assert!(summarizes_first_loop(&accumulator));
+        assert_eq!(rates_both_ways(&accumulator), Ok(rates(5, 5, 5)));
+
+        // An `i32` induction read by a peek before its step: the offset is
+        // 1 + 2i after i pops, and the counter leaves the loop as 11.
+        let induction = build(&|b, [i, _, k, t], _, _| {
+            b.set(k, 1i32);
+            b.for_(i, 5i32, |b| {
+                b.set(t, peek(v(k)));
+                b.set(k, v(k) + 2i32);
+                b.set(t, pop());
+            });
+            b.set(t, peek(v(k)));
+        });
+        assert!(summarizes_first_loop(&induction));
+        assert_eq!(rates_both_ways(&induction), Ok(rates(5, 0, 17)));
+
+        // The same induction read after its step (offset 3 + 2i), stepped
+        // by a loop-invariant constant.
+        let invariant_step = build(&|b, [i, j, k, t], _, _| {
+            b.set(j, 2i32);
+            b.set(k, 1i32);
+            b.for_(i, 5i32, |b| {
+                b.set(k, v(k) + v(j));
+                b.set(t, peek(v(k)));
+                b.set(t, pop());
+            });
+        });
+        assert!(summarizes_first_loop(&invariant_step));
+        assert_eq!(rates_both_ways(&invariant_step), Ok(rates(5, 0, 16)));
+
+        // An inner loop with a loop-invariant trip count, an accumulator
+        // reset each outer iteration, and a counter stepped inside it: the
+        // counter is an induction of the outer loop, three per iteration.
+        let nested = build(&|b, [i, j, k, t], acc, _| {
+            b.set(k, 0i32);
+            b.set(t, 3i32);
+            b.for_(i, 4i32, |b| {
+                b.set(acc, 0i32);
+                b.for_(j, v(t), |b| {
+                    b.set(acc, v(acc) + pop());
+                    b.set(k, v(k) + 1i32);
+                });
+                b.push(v(acc));
+            });
+            b.set(acc, peek(v(k)));
+        });
+        assert!(summarizes_first_loop(&nested));
+        assert_eq!(rates_both_ways(&nested), Ok(rates(12, 4, 25)));
+    }
+
+    /// A step of another type than `i32` is no induction.
+    #[test]
+    fn a_float_step_is_unrolled() {
+        let mut fb = FilterBuilder::new("f", 1, 1, 0, ScalarTy::F32);
+        let i = fb.local("i", Ty::Scalar(ScalarTy::I32));
+        let (x, t) = (
+            fb.local("x", Ty::Scalar(ScalarTy::F32)),
+            fb.local("t", Ty::Scalar(ScalarTy::F32)),
+        );
+        fb.work(|b| {
+            b.set(x, 0.5f32);
+            b.for_(i, 4i32, |b| {
+                b.set(t, pop());
+                b.set(x, v(x) + 1.5f32);
+            });
+            b.set(t, peek(cast(ScalarTy::I32, v(x))));
+        });
+        let work = fb.build().work;
+        assert!(!summarizes_first_loop(&work));
+        // x leaves the loop as 6.5, read as offset 6 after 4 pops.
+        assert_eq!(
+            rates_both_ways(&work),
+            Ok(Rates {
+                pop: 4,
+                push: 0,
+                peek: 11
+            })
+        );
     }
 
     #[test]

@@ -16,11 +16,16 @@
 //! fixed windows (scalars one register, vectors `w`, arrays `n`,
 //! vector-arrays `w*n`), split by class into the integer and float files
 //! and recorded in [`CompiledFilter::var_windows`]. Above them sits the
-//! **constant pool**: a pre-scan gives every scalar literal, `ConstVec`
-//! and `Splat` of a literal a window that is loaded once when the register
-//! files are created and that no op ever writes, so a literal compiles to
-//! an operand and emits nothing. Expression temporaries are bump-allocated
-//! above the pool and released per statement, so the files stay small.
+//! **constant pool**: every scalar literal, `ConstVec` and `Splat` of a
+//! literal gets a window that is loaded once when the register files are
+//! created and that no op ever writes, so a literal compiles to an
+//! operand and emits nothing. The pool is interned as the bodies compile,
+//! in the order a walk of their expressions meets the constants.
+//! Expression temporaries are bump-allocated above the pool and released
+//! per statement, so the files stay small; since the pool's size is known
+//! only at the end, they are numbered from provisional bases while the
+//! filter compiles and moved down once, above the pool
+//! ([`relocate_temporaries`]).
 //!
 //! The destination of a value-producing op is a fresh temporary, or — for
 //! the outermost op of `x = expr` / `v.lane = expr` — the variable's own
@@ -144,33 +149,27 @@ fn uniform_key(image: &[u64]) -> Option<(u64, u32)> {
 }
 
 impl Pool {
-    fn intern(&mut self, image: &[u64]) {
+    /// The register of `image`'s window, interned at the end of the pool
+    /// the first time it is met.
+    fn intern(&mut self, image: &[u64]) -> u32 {
         let at = self.bits.len() as u32;
-        let fresh = match uniform_key(image) {
+        let found = match uniform_key(image) {
             Some(key) => match self.uniform.entry(key) {
-                Entry::Vacant(slot) => {
-                    slot.insert(at);
-                    true
-                }
-                Entry::Occupied(_) => false,
+                Entry::Vacant(slot) => *slot.insert(at),
+                Entry::Occupied(slot) => *slot.get(),
             },
-            None if self.mixed.contains_key(image) => false,
-            None => {
-                self.mixed.insert(image.to_vec(), at);
-                true
-            }
+            None => match self.mixed.get(image) {
+                Some(&offset) => offset,
+                None => {
+                    self.mixed.insert(image.to_vec(), at);
+                    at
+                }
+            },
         };
-        if fresh {
+        if found == at {
             self.bits.extend_from_slice(image);
         }
-    }
-
-    /// Offset of an interned constant's window.
-    fn find(&self, image: &[u64]) -> Option<u32> {
-        match uniform_key(image) {
-            Some(key) => self.uniform.get(&key).copied(),
-            None => self.mixed.get(image).copied(),
-        }
+        self.base + found
     }
 }
 
@@ -206,6 +205,13 @@ fn pooled(e: &Expr, image: &mut Vec<u64>) -> Option<(ScalarTy, Option<u32>)> {
     }
 }
 
+/// The provisional bases of the integer and float temporaries: every
+/// register at or above `TEMP_I` is an integer temporary, every one in
+/// `TEMP_F..TEMP_I` a float one, and variables and the pool stay below
+/// `TEMP_F`.
+const TEMP_I: u32 = 3 << 30;
+const TEMP_F: u32 = 2 << 30;
+
 struct Compiler<'a> {
     machine: &'a Machine,
     in_elem: Option<ScalarTy>,
@@ -225,6 +231,8 @@ struct Compiler<'a> {
     cur_f: u32,
     max_i: u32,
     max_f: u32,
+    /// A temporary did not fit its zone: the filter cannot be compiled.
+    overflowed: bool,
 }
 
 fn window_len(ty: Ty) -> Option<u32> {
@@ -277,47 +285,44 @@ pub fn compile_filter(
         vars.push(VarSlot { ty: decl.ty, base });
         var_windows.push((base, len, float));
     }
-    // The pool zone sits between the variables and the temporaries, so
-    // its size has to be known before the first temporary is allocated.
+    // The pool zone sits between the variables and the temporaries.
     let pool_at = |base| Pool {
         base,
         ..Pool::default()
     };
-    let (mut pool_i, mut pool_f, mut image) = (pool_at(ni), pool_at(nf), Vec::new());
-    for s in filter.init.iter().chain(&filter.work) {
-        s.walk_exprs(&mut |e| match pooled(e, &mut image) {
-            Some((ty, _)) if ty.is_float() => pool_f.intern(&image),
-            Some(_) => pool_i.intern(&image),
-            None => {}
-        });
-    }
-    let temp_i = ni.checked_add(u32::try_from(pool_i.bits.len()).ok()?)?;
-    let temp_f = nf.checked_add(u32::try_from(pool_f.bits.len()).ok()?)?;
     let mut c = Compiler {
         machine,
         in_elem,
         out_elem,
         chan_elems: filter.chans.iter().map(|ch| ch.ty.elem()).collect(),
         vars,
-        pool_i,
-        pool_f,
-        image,
+        pool_i: pool_at(ni),
+        pool_f: pool_at(nf),
+        image: Vec::new(),
         code: Vec::new(),
         charges: Vec::new(),
         pending: ChargeEntry::default(),
-        cur_i: temp_i,
-        cur_f: temp_f,
-        max_i: temp_i,
-        max_f: temp_f,
+        cur_i: TEMP_I,
+        cur_f: TEMP_F,
+        max_i: TEMP_I,
+        max_f: TEMP_F,
+        overflowed: false,
     };
-    let init = c.compile_body(&filter.init)?;
-    let work = c.compile_body(&filter.work)?;
+    let mut init = c.compile_body(&filter.init)?;
+    let mut work = c.compile_body(&filter.work)?;
+    let temp_i = ni.checked_add(u32::try_from(c.pool_i.bits.len()).ok()?)?;
+    let temp_f = nf.checked_add(u32::try_from(c.pool_f.bits.len()).ok()?)?;
+    if c.overflowed || temp_i >= TEMP_F || temp_f >= TEMP_F {
+        return None;
+    }
+    relocate_temporaries(&mut init, temp_i, temp_f);
+    relocate_temporaries(&mut work, temp_i, temp_f);
     Some(CompiledFilter {
         name: filter.name.clone(),
         in_elem,
         out_elem,
-        int_regs: c.max_i,
-        float_regs: c.max_f,
+        int_regs: temp_i + (c.max_i - TEMP_I),
+        float_regs: temp_f + (c.max_f - TEMP_F),
         var_windows,
         pool_i: (ni, c.pool_i.bits.iter().map(|&b| b as i64).collect()),
         pool_f: (
@@ -389,17 +394,21 @@ impl<'a> Compiler<'a> {
     }
 
     fn alloc(&mut self, float: bool, n: u32) -> u32 {
-        if float {
-            let r = self.cur_f;
-            self.cur_f += n;
-            self.max_f = self.max_f.max(self.cur_f);
-            r
+        // Each file's temporaries must stay inside their provisional zone.
+        let (cur, max, end) = if float {
+            (&mut self.cur_f, &mut self.max_f, TEMP_I)
         } else {
-            let r = self.cur_i;
-            self.cur_i += n;
-            self.max_i = self.max_i.max(self.cur_i);
-            r
+            (&mut self.cur_i, &mut self.max_i, u32::MAX)
+        };
+        let r = *cur;
+        match cur.checked_add(n).filter(|&c| c <= end) {
+            Some(c) => {
+                *cur = c;
+                *max = (*max).max(c);
+            }
+            None => self.overflowed = true,
         }
+        r
     }
 
     /// Where a value-producing op writes: the forwarded window `want` when
@@ -489,6 +498,14 @@ impl<'a> Compiler<'a> {
         self.charge(self.machine.stmt_charge(s));
         match s {
             Stmt::Assign(lv, e) => {
+                // The pool meets a subscript's constants before the value's.
+                if let LValue::Index(_, i) | LValue::LaneIndex(_, i, _) | LValue::VIndex(_, i, _) =
+                    lv
+                {
+                    i.walk(&mut |e| {
+                        self.pooled_operand(e);
+                    });
+                }
                 let want = self.forward_window(lv);
                 let val = self.compile_expr_to(e, want)?;
                 self.compile_store(lv, val)
@@ -827,15 +844,16 @@ impl<'a> Compiler<'a> {
         self.compile_expr_to(e, None)
     }
 
-    /// A constant's pool window as an operand: nothing to emit.
+    /// A constant's pool window as an operand, interned if it is new:
+    /// nothing to emit.
     fn pooled_operand(&mut self, e: &Expr) -> Option<Operand> {
         let (ty, w) = pooled(e, &mut self.image)?;
         let pool = if ty.is_float() {
-            &self.pool_f
+            &mut self.pool_f
         } else {
-            &self.pool_i
+            &mut self.pool_i
         };
-        let reg = pool.base + pool.find(&self.image)?;
+        let reg = pool.intern(&self.image);
         Some(Operand { ty, w, reg })
     }
 
@@ -1146,7 +1164,13 @@ impl<'a> Compiler<'a> {
                     reg: v.reg + lane,
                 })
             }
-            Expr::Splat(x, _) if matches!(**x, Expr::Const(_)) => self.pooled_operand(e),
+            Expr::Splat(x, _) if matches!(**x, Expr::Const(_)) => {
+                let splat = self.pooled_operand(e)?;
+                // A walk meets the literal inside as well: the pool keeps
+                // its scalar window too.
+                self.pooled_operand(x)?;
+                Some(splat)
+            }
             Expr::Splat(e, width) => {
                 let x = self.compile_expr(e)?;
                 if x.w.is_some() {
@@ -1311,6 +1335,193 @@ impl<'a> Compiler<'a> {
     }
 }
 
+/// Move every temporary `code` names from its provisional number
+/// ([`TEMP_I`], [`TEMP_F`]) to its place above the pool, which starts at
+/// `temp_i` in the integer file and `temp_f` in the float one.
+fn relocate_temporaries(code: &mut [Op], temp_i: u32, temp_f: u32) {
+    let fix = |r: &mut u32| {
+        if *r >= TEMP_I {
+            *r = *r - TEMP_I + temp_i;
+        } else if *r >= TEMP_F {
+            *r = *r - TEMP_F + temp_f;
+        }
+    };
+    for op in code {
+        match op {
+            Op::Charge(_) | Op::AdvRead { .. } | Op::AdvWrite { .. } | Op::Jump { .. } => {}
+            Op::ChargeTimes { n: r, .. }
+            | Op::PopI { dst: r }
+            | Op::PopF { dst: r }
+            | Op::VPopI { dst: r, .. }
+            | Op::VPopF { dst: r, .. }
+            | Op::PushI { src: r }
+            | Op::PushF { src: r }
+            | Op::VPushI { src: r, .. }
+            | Op::VPushF { src: r, .. }
+            | Op::LPopI { dst: r, .. }
+            | Op::LPopF { dst: r, .. }
+            | Op::LVPopI { dst: r, .. }
+            | Op::LVPopF { dst: r, .. }
+            | Op::LPushI { src: r, .. }
+            | Op::LPushF { src: r, .. }
+            | Op::LVPushI { src: r, .. }
+            | Op::LVPushF { src: r, .. }
+            | Op::JumpIfZI { cond: r, .. }
+            | Op::JumpIfZF { cond: r, .. } => fix(r),
+            Op::MovI { dst, src: a }
+            | Op::MovF { dst, src: a }
+            | Op::MovNI { dst, src: a, .. }
+            | Op::MovNF { dst, src: a, .. }
+            | Op::FToI { dst, a }
+            | Op::NegI { dst, a, .. }
+            | Op::NegF { dst, a }
+            | Op::NotI { dst, a, .. }
+            | Op::LogNotI { dst, a }
+            | Op::LogNotF { dst, a }
+            | Op::VNegI { dst, a, .. }
+            | Op::VNegF { dst, a, .. }
+            | Op::VNotI { dst, a, .. }
+            | Op::VLogNotI { dst, a, .. }
+            | Op::VLogNotF { dst, a, .. }
+            | Op::CastII { dst, a, .. }
+            | Op::CastIF { dst, a, .. }
+            | Op::CastFI { dst, a, .. }
+            | Op::CastFF { dst, a, .. }
+            | Op::VCastII { dst, a, .. }
+            | Op::VCastIF { dst, a, .. }
+            | Op::VCastFI { dst, a, .. }
+            | Op::VCastFF { dst, a, .. }
+            | Op::Call1I { dst, a, .. }
+            | Op::Call1F { dst, a, .. }
+            | Op::VCall1I { dst, a, .. }
+            | Op::VCall1F { dst, a, .. }
+            | Op::SplatI { dst, a, .. }
+            | Op::SplatF { dst, a, .. }
+            | Op::PeekI { dst, off: a }
+            | Op::PeekF { dst, off: a }
+            | Op::VPeekI { dst, off: a, .. }
+            | Op::VPeekF { dst, off: a, .. }
+            | Op::RPushI { src: dst, off: a }
+            | Op::RPushF { src: dst, off: a } => {
+                fix(dst);
+                fix(a);
+            }
+            Op::BinI { dst, a, b, .. }
+            | Op::BinF { dst, a, b, .. }
+            | Op::CmpF { dst, a, b, .. }
+            | Op::VBinI { dst, a, b, .. }
+            | Op::VBinF { dst, a, b, .. }
+            | Op::VCmpF { dst, a, b, .. }
+            | Op::Call2I { dst, a, b, .. }
+            | Op::Call2F { dst, a, b, .. }
+            | Op::VCall2I { dst, a, b, .. }
+            | Op::VCall2F { dst, a, b, .. }
+            | Op::PermI { dst, a, b, .. }
+            | Op::PermF { dst, a, b, .. }
+            | Op::LoadIdxI {
+                dst,
+                base: a,
+                idx: b,
+                ..
+            }
+            | Op::LoadIdxF {
+                dst,
+                base: a,
+                idx: b,
+                ..
+            }
+            | Op::LoadVElemI {
+                dst,
+                base: a,
+                idx: b,
+                ..
+            }
+            | Op::LoadVElemF {
+                dst,
+                base: a,
+                idx: b,
+                ..
+            }
+            | Op::LoadVSliceI {
+                dst,
+                base: a,
+                idx: b,
+                ..
+            }
+            | Op::LoadVSliceF {
+                dst,
+                base: a,
+                idx: b,
+                ..
+            }
+            | Op::StoreIdxI {
+                src: dst,
+                base: a,
+                idx: b,
+                ..
+            }
+            | Op::StoreIdxF {
+                src: dst,
+                base: a,
+                idx: b,
+                ..
+            }
+            | Op::StoreVElemI {
+                src: dst,
+                base: a,
+                idx: b,
+                ..
+            }
+            | Op::StoreVElemF {
+                src: dst,
+                base: a,
+                idx: b,
+                ..
+            }
+            | Op::StoreVSliceI {
+                src: dst,
+                base: a,
+                idx: b,
+                ..
+            }
+            | Op::StoreVSliceF {
+                src: dst,
+                base: a,
+                idx: b,
+                ..
+            }
+            | Op::LaneStoreI {
+                src: dst,
+                base: a,
+                idx: b,
+                ..
+            }
+            | Op::LaneStoreF {
+                src: dst,
+                base: a,
+                idx: b,
+                ..
+            }
+            | Op::LoopEnter {
+                counter: dst,
+                limit: a,
+                var: b,
+                ..
+            }
+            | Op::LoopNext {
+                counter: dst,
+                limit: a,
+                var: b,
+                ..
+            } => {
+                fix(dst);
+                fix(a);
+                fix(b);
+            }
+        }
+    }
+}
+
 fn cast_op(from: ScalarTy, to: ScalarTy, dst: u32, a: u32, w: Option<u32>) -> Op {
     match (from.is_float(), to.is_float(), w) {
         (false, false, None) => Op::CastII { from, to, dst, a },
@@ -1357,6 +1568,60 @@ mod tests {
         assert_eq!(c.counters.compute_scalar, 3);
         assert_eq!(c.in_addr, 1);
         assert_eq!(c.out_addr, 1);
+    }
+
+    /// The pool is interned in the order a walk of the expressions meets
+    /// the constants — an indexed assignment's subscript before its value,
+    /// a splat before its literal — and the temporaries sit right above
+    /// it.
+    #[test]
+    fn the_pool_keeps_walk_order_and_temporaries_sit_above_it() {
+        let mut fb = FilterBuilder::new("order", 0, 0, 0, ScalarTy::F32);
+        let a = fb.local("a", Ty::Array(ScalarTy::I32, 8));
+        let x = fb.local("x", Ty::Vector(ScalarTy::F32, 4));
+        let splat = Expr::Splat(Box::new(Expr::Const(Value::F32(2.5))), 4);
+        fb.work(|b| {
+            b.set_idx(a, 7i32, c(3i32) + c(4i32));
+            b.set(x, E(splat) * v(x));
+        });
+        let f = fb.build();
+        let plan = compile_filter(&f, None, None, &Machine::core_i7()).expect("compiles");
+        // `a` takes i0..8 and `x` f0..4; the pool follows each.
+        assert_eq!(plan.pool_i, (8, vec![7i64, 3, 4].into_boxed_slice()));
+        assert_eq!(plan.pool_f, (4, vec![2.5f64; 5].into_boxed_slice()));
+        let (i32_, add) = (ScalarTy::I32, macross_streamir::expr::BinOp::Add);
+        assert_eq!(
+            plan.work[..2],
+            [
+                Op::BinI {
+                    op: add,
+                    ty: i32_,
+                    dst: 11,
+                    a: 9,
+                    b: 10
+                },
+                Op::StoreIdxI {
+                    base: 0,
+                    len: 8,
+                    idx: 8,
+                    src: 11
+                },
+            ]
+        );
+        assert_eq!((plan.int_regs, plan.float_regs), (12, 9));
+    }
+
+    /// A temporary wider than its file's provisional zone cannot be
+    /// numbered: the filter keeps tree-walking.
+    #[test]
+    fn a_temporary_too_wide_for_its_zone_forces_fallback() {
+        let mut fb = FilterBuilder::new("wide", 0, 0, 0, ScalarTy::F32);
+        let x = fb.local("x", Ty::Vector(ScalarTy::F32, (1 << 30) + 1));
+        fb.work(|b| {
+            b.set(x, (v(x) + v(x)) * v(x));
+        });
+        let f = fb.build();
+        assert!(compile_filter(&f, None, None, &Machine::core_i7()).is_none());
     }
 
     #[test]

@@ -9,10 +9,15 @@
 mod walks;
 
 use macross_repro::benchsuite;
-use macross_repro::macross::cost::{static_firing_cost, AddrCosts};
+use macross_repro::macross::cost::{
+    staged_pair_costs_unrolls, static_firing_cost, static_firing_cost_unrolls, AddrCosts,
+};
 use macross_repro::macross::driver::{macro_simdize, SimdizeOptions};
 use macross_repro::sdf::Schedule;
+use macross_repro::streamir::analysis::{analyze_vectorizability, measure_rates_unrolls};
 use macross_repro::streamir::graph::{EdgeId, Graph, Node, ReorderSide};
+use macross_repro::streamir::stmt::Stmt;
+use macross_repro::streamir::types::ScalarTy;
 use macross_repro::vm::{run_scheduled_mode, CostTable, ExecMode, Machine};
 
 /// A machine whose 18 `CostTable` prices are pairwise distinct, and its
@@ -155,5 +160,50 @@ fn the_static_model_prices_what_the_vm_charges() {
             filters += check_vm_charges(&simd.graph, &simd.schedule, &m, &what);
         }
         assert!(filters >= 400, "{}: only {filters} filter runs", m.name);
+    }
+}
+
+/// A loop whose iterations differ by a branch is the one kind the walks
+/// unroll (DESIGN.md §18): on every scalar, staged and SIMDized filter of
+/// the suite, every loop the rate walk, the firing-cost walk or the
+/// staged pair costing unrolls holds an `If`. A lowering that brings back
+/// a counter the summarizing rule cannot follow fails here instead of
+/// only slowing every compile down.
+#[test]
+fn only_loops_with_a_branch_are_unrolled() {
+    let branches = |s: &Stmt| {
+        let mut found = false;
+        s.walk(&mut |s| found |= matches!(s, Stmt::If { .. }));
+        found
+    };
+    for machine in [Machine::core_i7(), Machine::wide(8)] {
+        for b in benchsuite::all() {
+            let g = (b.build)();
+            let simd = macro_simdize(&g, &machine, &SimdizeOptions::all())
+                .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+            for (g, what) in [(&g, "scalar"), (&simd.graph, "SIMDized")] {
+                let adj = g.adjacency();
+                for (id, node) in g.nodes() {
+                    let Node::Filter(f) = node else { continue };
+                    let at = format!("{}: {} ({what}, {})", b.name, f.name, machine.name);
+                    let rates =
+                        measure_rates_unrolls(&f.work).unwrap_or_else(|e| panic!("{at}: {e}"));
+                    let mut unrolled: Vec<Stmt> = rates.into_iter().cloned().collect();
+                    unrolled.extend(static_firing_cost_unrolls(f, &machine).into_iter().cloned());
+                    let va = analyze_vectorizability(f);
+                    if va.simdizable() && machine.supports_all(&va.intrinsics) {
+                        let elem = |edges: &[_]| match edges {
+                            [e] => g.edge(*e).elem,
+                            _ => ScalarTy::F32,
+                        };
+                        let (ins, outs) = (elem(adj.ins(id)), elem(adj.outs(id)));
+                        unrolled.extend(staged_pair_costs_unrolls(f, &machine, ins, outs));
+                    }
+                    for s in &unrolled {
+                        assert!(branches(s), "{at} unrolls a loop with no branch:\n{s}");
+                    }
+                }
+            }
+        }
     }
 }
