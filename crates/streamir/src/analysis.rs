@@ -677,7 +677,7 @@ pub fn uniform_loop_body(
 /// What [`affine`] reads a tape offset against: the loop a summarizing
 /// walk found uniform, where in its body the offset sits, and which of
 /// its inductions have stepped in the current iteration by then.
-struct Offsets<'a> {
+struct AffineIn<'a> {
     var: VarId,
     uniform: &'a LoopScratch,
     env: &'a ConstEnv,
@@ -698,7 +698,7 @@ struct Offsets<'a> {
 /// sub-expression is extreme at the ends, so it never wraps in between,
 /// and the walk's wrapping `i32` evaluation agrees with the exact form at
 /// every iteration.
-fn affine(e: &Expr, at: &Offsets) -> Option<(i128, i128)> {
+fn affine(e: &Expr, at: &AffineIn) -> Option<(i128, i128)> {
     let (a, b) = match e {
         Expr::Const(Value::I32(c)) => (0, i128::from(*c)),
         Expr::Var(v) if *v == at.var => (1, 0),
@@ -733,21 +733,33 @@ fn affine(e: &Expr, at: &Offsets) -> Option<(i128, i128)> {
     (fits(b) && fits(a * at.last + b)).then_some((a, b))
 }
 
-/// Every tape offset in `body` (`peek`, `vpeek`, `rpush`) is affine in
-/// `var` ([`affine`]) and non-negative over `0..=last`, for the loop
-/// `uniform` describes.
-fn offsets_affine(
+/// The tape offsets of a loop body a summarizing rate walk can scale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Offsets {
+    /// No `peek`, `vpeek` or `rpush`: every extent is a pointer, which the
+    /// last iteration leaves furthest.
+    Absent,
+    /// Each is affine in the loop variable and non-negative: extreme at
+    /// the first or the last iteration.
+    Affine,
+}
+
+/// Are the tape offsets in `body` (`peek`, `vpeek`, `rpush`) absent, or
+/// each affine in `var` ([`affine`]) and non-negative over `0..=last`,
+/// for the loop `uniform` describes? `None` when neither.
+fn offsets(
     body: &[Stmt],
     var: VarId,
     uniform: &LoopScratch,
     env: &ConstEnv,
     last: i128,
-) -> bool {
+) -> Option<Offsets> {
     let inductions = &uniform.inductions;
     if inductions.len() > 64 {
-        return false;
+        return None;
     }
-    let mut at = Offsets {
+    let mut found = Offsets::Absent;
+    let mut at = AffineIn {
         var,
         uniform,
         env,
@@ -759,6 +771,7 @@ fn offsets_affine(
         at.nested = matches!(s, Stmt::For { .. });
         let mut all = true;
         let mut ok = |off: &Expr| {
+            found = Offsets::Affine;
             all &= affine(off, &at).is_some_and(|(a, b)| b >= 0 && a * last + b >= 0);
         };
         s.walk(&mut |s| {
@@ -772,7 +785,7 @@ fn offsets_affine(
             });
         });
         if !all {
-            return false;
+            return None;
         }
         // What `s` assigns has stepped for the rest of the iteration.
         if !inductions.is_empty() {
@@ -785,7 +798,7 @@ fn offsets_affine(
             });
         }
     }
-    true
+    Some(found)
 }
 
 /// Abstract machine state for rate measurement, over a body borrowed
@@ -955,15 +968,16 @@ fn exec_stmt<'b>(s: &'b Stmt, st: &mut RateState<'b>) -> Result<(), RateError> {
                 .eval(count)
                 .map(|v| v.as_i64())
                 .ok_or_else(|| RateError::DynamicTripCount(count.to_string()))?;
-            if n >= 2
+            let offsets = (n >= 2
                 && n <= i64::from(i32::MAX)
                 && st.summarize
-                && uniform_loop_body(*var, n, body, &st.env, &mut st.uniform)
-                && offsets_affine(body, *var, &st.uniform, &st.env, i128::from(n - 1))
-            {
+                && uniform_loop_body(*var, n, body, &st.env, &mut st.uniform))
+            .then(|| offsets(body, *var, &st.uniform, &st.env, i128::from(n - 1)))
+            .flatten();
+            if let Some(offsets) = offsets {
                 #[cfg(debug_assertions)]
                 let before = st.clone();
-                summarized_loop(*var, n, body, st)?;
+                summarized_loop(*var, n, body, offsets, st)?;
                 #[cfg(debug_assertions)]
                 {
                     let mut reference = before;
@@ -1036,33 +1050,52 @@ fn unrolled_loop<'b>(
     Ok(())
 }
 
-/// Walk iteration 0 and iteration `n - 1` (`n >= 2`) of a loop
-/// [`exec_stmt`] found uniform with affine offsets, advancing the tape
-/// pointers past the `n - 2` iterations in between: each moves them as
-/// far as iteration 0 did, and reaches no further than one of the ends.
-/// The loop variable and the inductions are set to what they hold when
-/// iteration `n - 1` begins; the body computes everything else it reads.
+/// Walk a loop [`exec_stmt`] found uniform, with `offsets` as they are,
+/// advancing the tape pointers past the iterations it does not visit:
+/// each moves them as far as a visited one. With no offset every extent
+/// is a pointer, so the last iteration (`n - 1`) alone is walked and the
+/// pointers it leaves are the furthest. With affine offsets an extent is
+/// largest at one end, so iteration 0 is walked too, first. The loop
+/// variable and the inductions are set to what they hold when a visited
+/// iteration begins; the body computes everything else it reads.
 fn summarized_loop<'b>(
     var: VarId,
     n: i64,
     body: &'b [Stmt],
+    offsets: Offsets,
     st: &mut RateState<'b>,
 ) -> Result<(), RateError> {
-    // The walk of iteration 0 may check inner loops, which reuses the
-    // scratch: hold this loop's inductions until iteration `n - 1`.
-    let held = st.held.len();
-    st.held.extend_from_slice(&st.uniform.inductions);
     let (pops, pushes) = (st.pops, st.pushes);
-    st.env.set(var, Some(Value::I32(0)));
-    exec_block(body, st)?;
-    let skipped = (n - 2) as usize;
-    st.pops += skipped * (st.pops - pops);
-    st.pushes += skipped * (st.pushes - pushes);
+    if offsets == Offsets::Affine {
+        // The walk of iteration 0 may check inner loops, which reuses the
+        // scratch: hold this loop's inductions until iteration `n - 1`.
+        let held = st.held.len();
+        st.held.extend_from_slice(&st.uniform.inductions);
+        st.env.set(var, Some(Value::I32(0)));
+        exec_block(body, st)?;
+        st.pops += (n - 2) as usize * (st.pops - pops);
+        st.pushes += (n - 2) as usize * (st.pushes - pushes);
+        st.env.set(var, Some(Value::I32((n - 1) as i32)));
+        for d in st.held.drain(held..) {
+            st.env.set(d.var, Some(d.at(n - 1)));
+        }
+        return exec_block(body, st);
+    }
     st.env.set(var, Some(Value::I32((n - 1) as i32)));
-    for d in st.held.drain(held..) {
+    for d in &st.uniform.inductions {
         st.env.set(d.var, Some(d.at(n - 1)));
     }
-    exec_block(body, st)
+    exec_block(body, st)?;
+    let (popped, pushed) = (st.pops - pops, st.pushes - pushes);
+    st.pops += (n - 1) as usize * popped;
+    st.pushes += (n - 1) as usize * pushed;
+    if popped > 0 {
+        st.peek_extent = st.peek_extent.max(st.pops);
+    }
+    if pushed > 0 {
+        st.push_extent = st.push_extent.max(st.pushes);
+    }
+    Ok(())
 }
 
 /// Count tape reads inside an expression (left-to-right evaluation order).
@@ -1620,7 +1653,7 @@ mod tests {
             };
             let n = st.env.eval(count).unwrap().as_i64();
             return uniform_loop_body(*var, n, body, &st.env, &mut st.uniform)
-                && offsets_affine(body, *var, &st.uniform, &st.env, i128::from(n - 1));
+                && offsets(body, *var, &st.uniform, &st.env, i128::from(n - 1)).is_some();
         }
         panic!("no loop")
     }
