@@ -140,15 +140,9 @@ pub fn staged_pair_costs_unrolls(
 ) -> Vec<Stmt> {
     let staged = stage_actor(f, machine.simd_width, in_elem, out_elem);
     let (inputs, outputs) = candidate_modes(f, &staged, &SimdizeOptions::all(), machine, |_| true);
-    let modes = StagedModes {
-        sw: staged.sw as u64,
-        inputs: &inputs,
-        outputs: &outputs,
-    };
-    let filter = &staged.filter;
-    let mut w = CostWalker::new(filter, machine, AddrCosts::default(), Some(modes), true);
+    let mut w = CostWalker::staged(&staged, &inputs, &outputs, machine, true);
     w.unrolled = Some(Vec::new());
-    w.block(&filter.work);
+    w.block(&staged.filter.work);
     w.unrolled.into_iter().flatten().cloned().collect()
 }
 
@@ -159,20 +153,8 @@ fn pair_costs(
     machine: &Machine,
     summarize: bool,
 ) -> Vec<u64> {
-    let sw = staged.sw as u64;
     let (p, q) = (staged.pop as u64, staged.push as u64);
-    let modes = StagedModes {
-        sw,
-        inputs,
-        outputs,
-    };
-    let mut w = CostWalker::new(
-        &staged.filter,
-        machine,
-        AddrCosts::default(),
-        Some(modes),
-        summarize,
-    );
+    let mut w = CostWalker::staged(staged, inputs, outputs, machine, summarize);
     w.block(&staged.filter.work);
     // What `lower` emits around the body: a vector load and store per
     // token group and the network's permutes, or a pointer adjustment.
@@ -229,6 +211,24 @@ impl<'a> CostWalker<'a> {
             loop_extra: Vec::new(),
             unrolled: None,
         }
+    }
+
+    /// A walker of `staged`'s body that costs it under every pair of the
+    /// candidate modes.
+    fn staged(
+        staged: &'a Staged,
+        inputs: &'a [TapeMode],
+        outputs: &'a [TapeMode],
+        machine: &'a Machine,
+        summarize: bool,
+    ) -> CostWalker<'a> {
+        let modes = StagedModes {
+            sw: staged.sw as u64,
+            inputs,
+            outputs,
+        };
+        let addr = AddrCosts::default();
+        CostWalker::new(&staged.filter, machine, addr, Some(modes), summarize)
     }
 
     /// Charge one shape's price.

@@ -331,6 +331,16 @@ struct Level {
     trips: i64,
 }
 
+/// Is what a loop's body does to a variable with `flags` the same in
+/// every iteration: not the loop's own variable, a read that relied on it
+/// being unknown never sees a known value from an earlier iteration, and
+/// a value that matters carried across iterations only by an induction?
+fn admits(flags: u16) -> bool {
+    flags & COUNTER == 0
+        && flags & (RELIED | KNOWN) != RELIED | KNOWN
+        && (flags & CARRIED == 0 || flags & (TWICE | STEPPED) == STEPPED)
+}
+
 /// Assigned in this level's body so far, inner loops' included.
 const ASSIGNED: u16 = 1;
 /// Assigned more than once.
@@ -391,16 +401,6 @@ impl Level {
         (c, by)
     }
 
-    /// Is what this level's body does to `v` the same in every iteration:
-    /// its loop variable not assigned, a read that relied on `v` being
-    /// unknown never sees a known value from an earlier iteration, and a
-    /// value that matters carried across iterations only by an induction?
-    fn admits(&self, f: u16) -> bool {
-        f & COUNTER == 0
-            && f & (RELIED | KNOWN) != RELIED | KNOWN
-            && (f & CARRIED == 0 || f & (TWICE | STEPPED) == STEPPED)
-    }
-
     fn reset(&mut self) {
         for v in self.touched.drain(..) {
             self.flags[v.0 as usize] = 0;
@@ -438,7 +438,6 @@ impl LoopScratch {
             self.levels.push(Level::default());
         }
         let level = &mut self.levels[self.depth];
-        level.reset();
         level.trips = trips;
         level.set(var, COUNTER, 0);
         self.depth += 1;
@@ -559,7 +558,7 @@ impl LoopScratch {
     }
 
     /// Close the innermost open level after its loop's body: it must be
-    /// uniform itself ([`Level::admits`]), and what its body assigns is
+    /// uniform itself ([`admits`]), and what its body assigns is
     /// assigned at the enclosing level, an induction's step as many
     /// times over as the loop runs.
     fn close(&mut self) -> bool {
@@ -571,7 +570,7 @@ impl LoopScratch {
             if f & ASSIGNED == 0 {
                 continue;
             }
-            if !level.admits(f) {
+            if !admits(f) {
                 return false;
             }
             let step = (f & STEPPED != 0).then(|| level.step(v));
@@ -648,7 +647,7 @@ pub fn uniform_loop_body(
         if f & ASSIGNED == 0 {
             continue;
         }
-        if !top.admits(f) {
+        if !admits(f) {
             return false;
         }
         if f & CARRIED == 0 {
