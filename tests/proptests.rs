@@ -493,6 +493,158 @@ fn random_structured_actors_agree_across_engines() {
 }
 
 // ---------------------------------------------------------------------
+// Random loop nests -> summarizing walks against unrolling walks.
+// ---------------------------------------------------------------------
+
+/// Generator of random loop nests over `i32` scalars `xs`: the shapes a
+/// summarizing static walk must tell apart (DESIGN.md §18) — temporaries,
+/// accumulators of tape reads, steps by a literal or by a variable,
+/// variables the walk does not know, inner loops with invariant, varying
+/// or triangular trip counts, branches, and peeks at offsets read from
+/// the body's variables.
+struct LoopGen {
+    rng: Rng,
+    xs: Vec<VarId>,
+    loop_vars: Vec<VarId>,
+}
+
+impl LoopGen {
+    fn x(&mut self) -> Expr {
+        Expr::Var(self.xs[self.rng.range(0, self.xs.len())])
+    }
+
+    fn operand(&mut self, loops: usize) -> Expr {
+        match self.rng.range(0, 4) {
+            0 if loops > 0 => Expr::Var(self.loop_vars[self.rng.range(0, loops)]),
+            1 => Expr::Const(Value::I32(self.rng.range_i32(-2, 5))),
+            _ => self.x(),
+        }
+    }
+
+    fn value(&mut self, loops: usize) -> Expr {
+        match self.rng.range(0, 6) {
+            0 => Expr::Pop,
+            1 => self.operand(loops),
+            _ => {
+                let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Rem][self.rng.range(0, 4)];
+                Expr::bin(op, self.operand(loops), self.operand(loops))
+            }
+        }
+    }
+
+    /// `e & 3`: a tape offset or a trip count in `0..=3`, whatever `e` is.
+    fn small(e: Expr) -> Expr {
+        Expr::bin(BinOp::And, e, Expr::Const(Value::I32(3)))
+    }
+
+    fn block(&mut self, loops: usize) -> Vec<Stmt> {
+        let mut out = Vec::new();
+        for _ in 0..self.rng.range(1, 5) {
+            let x = self.xs[self.rng.range(0, self.xs.len())];
+            let step = |e| Stmt::Assign(LValue::Var(x), Expr::bin(BinOp::Add, Expr::Var(x), e));
+            out.push(match self.rng.range(0, 10) {
+                0 => step(Expr::Const(Value::I32(self.rng.range_i32(1, 4)))),
+                1 => step(self.x()),
+                2 if loops < self.loop_vars.len() => {
+                    let count = match self.rng.range(0, 3) {
+                        0 => Expr::Const(Value::I32(self.rng.range_i32(1, 5))),
+                        1 => Self::small(self.operand(loops)),
+                        _ => Expr::bin(
+                            BinOp::Add,
+                            Self::small(self.x()),
+                            Expr::Const(Value::I32(1)),
+                        ),
+                    };
+                    Stmt::For {
+                        var: self.loop_vars[loops],
+                        count,
+                        body: self.block(loops + 1),
+                    }
+                }
+                3 => Stmt::Assign(
+                    LValue::Var(x),
+                    Expr::Peek(Box::new(Self::small(self.operand(loops)))),
+                ),
+                4 => Stmt::If {
+                    cond: Self::small(self.x()),
+                    then_branch: vec![Stmt::Push(self.x())],
+                    else_branch: vec![Stmt::Push(Expr::Pop)],
+                },
+                5 => Stmt::Push(self.value(loops)),
+                _ => Stmt::Assign(LValue::Var(x), self.value(loops)),
+            });
+        }
+        out
+    }
+}
+
+/// Every random loop nest measures and costs what its unrolling does —
+/// rates, errors, firing cycles and the constants left behind (a loop
+/// after the nest reads one as its trip count) — with the walks' own
+/// debug cross-checks on in a debug build; and the summarizing walks
+/// summarize every loop of a good share of them.
+#[test]
+fn random_loop_nests_walk_as_they_unroll() {
+    use macross_repro::macross::cost::{
+        static_firing_cost, static_firing_cost_unrolled, static_firing_cost_unrolls, AddrCosts,
+    };
+    use macross_repro::streamir::analysis::{
+        measure_rates, measure_rates_unrolled, measure_rates_unrolls,
+    };
+    let machine = Machine::core_i7();
+    let (mut compared, mut summarized) = (0, 0);
+    for seed in 0..400u64 {
+        let mut f = Filter::new("loops", 64, 1, 1);
+        let mut var = |name: String| f.add_var(name, Ty::Scalar(ScalarTy::I32), VarKind::Local);
+        let mut g = LoopGen {
+            rng: Rng::new(0x100B ^ (seed << 7)),
+            xs: (0..4).map(|k| var(format!("x{k}"))).collect(),
+            loop_vars: (0..3).map(|k| var(format!("l{k}"))).collect(),
+        };
+        let mut work = Vec::new();
+        // Known starting values for some variables, none for the rest.
+        for k in 0..g.rng.range(0, 5) {
+            let start = Expr::Const(Value::I32(g.rng.range_i32(-1, 4)));
+            work.push(Stmt::Assign(LValue::Var(g.xs[k]), start));
+        }
+        work.push(Stmt::For {
+            var: g.loop_vars[0],
+            count: Expr::Const(Value::I32(g.rng.range_i32(2, 7))),
+            body: g.block(1),
+        });
+        let tail = g.loop_vars[0];
+        let count = Expr::bin(
+            BinOp::Add,
+            LoopGen::small(g.x()),
+            Expr::Const(Value::I32(2)),
+        );
+        work.push(Stmt::For {
+            var: tail,
+            count,
+            body: vec![Stmt::Push(Expr::Var(tail))],
+        });
+        f.work = work;
+
+        let rates = measure_rates(&f.work);
+        assert_eq!(rates, measure_rates_unrolled(&f.work), "seed {seed}: rates");
+        if rates.is_err() {
+            continue;
+        }
+        let cost = static_firing_cost(&f, &machine, AddrCosts::default());
+        let reference = static_firing_cost_unrolled(&f, &machine, AddrCosts::default());
+        assert_eq!(cost, reference, "seed {seed}: firing cost");
+        compared += 1;
+        let all = measure_rates_unrolls(&f.work).is_ok_and(|u| u.is_empty())
+            && static_firing_cost_unrolls(&f, &machine).is_empty();
+        summarized += usize::from(all);
+    }
+    assert!(
+        compared >= 100 && summarized * 4 >= compared,
+        "{compared} nests compared, {summarized} with every loop summarized"
+    );
+}
+
+// ---------------------------------------------------------------------
 // Random vector actors and pool/forwarding actors -> two-engine
 // differential.
 // ---------------------------------------------------------------------
