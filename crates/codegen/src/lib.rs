@@ -6,108 +6,54 @@
 //! architecture-dependent intrinsics").
 //!
 //! The emitter produces one self-contained translation unit per program:
-//! a vector-operations prelude (SSE4 intrinsics or a portable fallback), a
-//! ring-buffer tape class, one struct per actor, and a `main` that runs
-//! the initialization phase followed by the Figure-1b steady-state loop.
+//! the fixed prelude `prelude.hpp` pasted verbatim (SSE4.2 wrappers,
+//! scalar intrinsics in the VM's rounding domains, integer division and
+//! shifts with the VM's meaning where C++ has none, the tape class,
+//! splitters, joiners and the sink), one struct per actor, and a `main`
+//! that runs the initialization phase and then `argv[1]` iterations of
+//! the Figure-1b steady state. Each sink writes every token's 8-byte
+//! register image (`macross_vm::tape::raw_of`) to stdout.
 //!
-//! The output is golden-tested for structure; it is a deliverable of the
-//! reproduction, not a compilation path (the `macross-vm` crate is the
-//! execution substrate — see DESIGN.md).
+//! A scalar unit is a compilation path: `tests/codegen_emit.rs` builds
+//! every program's unit with the command the prelude's first line gives
+//! (plus `-Wall -Werror` and UBSan) and requires its stdout to equal the
+//! tree-walk oracle's output bit for bit. A SIMDized unit is still a
+//! document, pinned by digest: its vector tape operations are not in
+//! the prelude yet.
 //!
 //! ## Report-driven headers
 //!
-//! Because the emitted C++ is a *document* of the SIMDization rather than
-//! the thing that runs, the translation unit should say what the compiler
-//! did to the program. [`emit_program_with_report`] prefixes
-//! [`emit_program`]'s output with a comment block rendering the
-//! [`macross::SimdizeReport`] that produced the graph — the Equation-1
-//! schedule scale factor, single-actor SIMDizations, vertically fused
-//! chains, horizontally merged groups, actors skipped as unprofitable,
-//! and the tape-access mode chosen per vectorized actor — so a reader can
-//! audit the macro-SIMDization of a program from the header alone,
-//! without executing anything.
-//!
-//! [`emit_program`] itself is unchanged by all of this (golden tests pin
-//! its structure); the report header is strictly additive.
+//! [`emit_program_with_report`] prefixes [`emit_program`]'s output with
+//! a comment block rendering the [`macross::SimdizeReport`] that produced
+//! the graph — the Equation-1 schedule scale factor, single-actor
+//! SIMDizations, vertically fused chains, horizontally merged groups,
+//! actors skipped as unprofitable, and the tape-access mode chosen per
+//! vectorized actor — so a reader can audit the macro-SIMDization of a
+//! program from the header alone. The header is strictly additive: the
+//! program text after it is [`emit_program`]'s, byte for byte.
 
 use macross::{ActorDecision, SimdizeReport};
-use macross_sdf::Schedule;
-use macross_streamir::expr::{Expr, Intrinsic, LValue, UnOp};
+use macross_sdf::{buffer_requirements, Schedule};
+use macross_streamir::expr::{BinOp, Expr, LValue, UnOp, VarId};
 use macross_streamir::filter::{Filter, VarKind};
-use macross_streamir::graph::{Graph, Node, SplitKind};
+use macross_streamir::graph::{EdgeId, Graph, Node, SplitKind};
 use macross_streamir::stmt::Stmt;
-use macross_streamir::types::{ScalarTy, Ty};
+use macross_streamir::types::{ScalarTy, Ty, Value};
 use std::collections::HashSet;
 use std::fmt::Write;
 
 /// C++ keywords and the names the prelude and `main` declare: no emitted
 /// name may take one.
-const RESERVED: &[&str] = &[
-    "auto",
-    "bool",
-    "break",
-    "case",
-    "char",
-    "class",
-    "const",
-    "continue",
-    "default",
-    "delete",
-    "do",
-    "double",
-    "else",
-    "enum",
-    "extern",
-    "false",
-    "float",
-    "for",
-    "if",
-    "inline",
-    "int",
-    "long",
-    "namespace",
-    "new",
-    "operator",
-    "private",
-    "public",
-    "return",
-    "short",
-    "signed",
-    "sizeof",
-    "static",
-    "struct",
-    "switch",
-    "template",
-    "this",
-    "true",
-    "typedef",
-    "typename",
-    "union",
-    "unsigned",
-    "using",
-    "virtual",
-    "void",
-    "volatile",
-    "while",
-    "main",
-    "std",
-    "Tape",
-    "vec",
-    "In",
-    "Out",
-    "in",
-    "out",
-    "init",
-    "work",
-    "r",
-    "nil_tape",
-    "split_dup",
-    "split_rr",
-    "join_rr",
-    "hsplit",
-    "hjoin",
-    "sink_consume",
-];
+const RESERVED: &str = "\
+    auto bool break case char class const continue default delete do double \
+    else enum extern false float for if inline int long namespace new \
+    operator private public return short signed sizeof static struct switch \
+    template this true typedef typename union unsigned using virtual void \
+    volatile while main argc argv iters it r std size_t int32_t int64_t Tape \
+    m128d_pair m128i_pair In Out in out init work NilTape nil_tape split_dup \
+    split_rr join_rr move_tokens hsplit hjoin sink_consume write_image s_sin \
+    s_cos s_atan s_sqrt s_exp s_log s_floor s_pow s_abs s_min s_max s_div s_rem \
+    s_shl s_shr";
 
 /// Hands out the identifiers of one scope — a translation unit's
 /// structs, or one struct's members: every name the emitter writes goes
@@ -121,7 +67,7 @@ struct Mangler {
 impl Mangler {
     fn new() -> Mangler {
         Mangler {
-            taken: RESERVED.iter().map(|s| s.to_string()).collect(),
+            taken: RESERVED.split_whitespace().map(str::to_string).collect(),
         }
     }
 
@@ -151,33 +97,6 @@ impl Mangler {
     }
 }
 
-/// Which vector flavour the emitted C++ uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CxxTarget {
-    /// SSE4.2 `__m128`/`__m128i` intrinsics (width 4 only).
-    Sse4,
-    /// A portable struct-of-lanes fallback for any width.
-    Generic,
-}
-
-/// Code generation options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CodegenOptions {
-    /// Target flavour.
-    pub target: CxxTarget,
-    /// SIMD width of the vectorized program (lane count of vector types).
-    pub sw: usize,
-}
-
-impl Default for CodegenOptions {
-    fn default() -> Self {
-        CodegenOptions {
-            target: CxxTarget::Sse4,
-            sw: 4,
-        }
-    }
-}
-
 fn scalar_cxx(t: ScalarTy) -> &'static str {
     match t {
         ScalarTy::I32 => "int32_t",
@@ -187,79 +106,66 @@ fn scalar_cxx(t: ScalarTy) -> &'static str {
     }
 }
 
-fn vector_cxx(t: ScalarTy, opts: &CodegenOptions) -> String {
-    match opts.target {
-        CxxTarget::Sse4 if opts.sw == 4 => match t {
-            ScalarTy::F32 => "__m128".into(),
-            ScalarTy::I32 => "__m128i".into(),
-            ScalarTy::F64 => "__m128d_pair".into(),
-            ScalarTy::I64 => "__m128i_pair".into(),
-        },
-        _ => format!("vec<{}, {}>", scalar_cxx(t), opts.sw),
+/// The prelude's type for a vector of `w` lanes of `t`.
+///
+/// # Panics
+/// Panics unless `w` is 4, the one width the prelude defines types for
+/// (SSE4.2's): no unit names a type nothing defines.
+fn vector_cxx(t: ScalarTy, w: usize) -> &'static str {
+    assert!(w == 4, "the C++ prelude has no vector type of {w} lanes");
+    match t {
+        ScalarTy::F32 => "__m128",
+        ScalarTy::I32 => "__m128i",
+        ScalarTy::F64 => "m128d_pair",
+        ScalarTy::I64 => "m128i_pair",
     }
 }
 
-fn vop(prefix: &str, t: ScalarTy, opts: &CodegenOptions) -> String {
-    // The prelude defines e.g. v_add_ps / v_add_epi32 wrappers over the
-    // raw intrinsics so emitted expressions stay readable.
-    let suffix = match (opts.target, t) {
-        (CxxTarget::Sse4, ScalarTy::F32) => "_ps",
-        (CxxTarget::Sse4, ScalarTy::I32) => "_epi32",
-        (CxxTarget::Sse4, ScalarTy::F64) => "_pd2",
-        (CxxTarget::Sse4, ScalarTy::I64) => "_epi64x",
-        (CxxTarget::Generic, _) => "",
+/// The prelude's wrapper `v_<prefix>` for vectors of `t`, e.g.
+/// `v_add_ps` / `v_add_epi32` over the raw intrinsics, so emitted
+/// expressions stay readable.
+fn vop(prefix: &str, t: ScalarTy) -> String {
+    let suffix = match t {
+        ScalarTy::F32 => "_ps",
+        ScalarTy::I32 => "_epi32",
+        ScalarTy::F64 => "_pd2",
+        ScalarTy::I64 => "_epi64x",
     };
     format!("v_{prefix}{suffix}")
 }
 
-/// The fixed prelude: includes, vector wrappers, and the tape class.
-pub fn emit_prelude(opts: &CodegenOptions) -> String {
-    let mut s = String::new();
-    s.push_str("// Generated by the MacroSS reproduction code generator.\n");
-    s.push_str("#include <cstdint>\n#include <cmath>\n#include <cstring>\n#include <vector>\n");
-    if opts.target == CxxTarget::Sse4 {
-        s.push_str("#include <smmintrin.h> // SSE4\n\n");
-        s.push_str(
-            "// Thin wrappers so the generated code reads uniformly.\n\
-             static inline __m128 v_add_ps(__m128 a, __m128 b) { return _mm_add_ps(a, b); }\n\
-             static inline __m128 v_sub_ps(__m128 a, __m128 b) { return _mm_sub_ps(a, b); }\n\
-             static inline __m128 v_mul_ps(__m128 a, __m128 b) { return _mm_mul_ps(a, b); }\n\
-             static inline __m128 v_div_ps(__m128 a, __m128 b) { return _mm_div_ps(a, b); }\n\
-             static inline __m128 v_splat_ps(float x) { return _mm_set1_ps(x); }\n\
-             static inline __m128 v_extract_even_ps(__m128 a, __m128 b) { return _mm_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)); }\n\
-             static inline __m128 v_extract_odd_ps(__m128 a, __m128 b) { return _mm_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1)); }\n\
-             static inline __m128i v_add_epi32(__m128i a, __m128i b) { return _mm_add_epi32(a, b); }\n\
-             static inline __m128i v_sub_epi32(__m128i a, __m128i b) { return _mm_sub_epi32(a, b); }\n\
-             static inline __m128i v_mul_epi32(__m128i a, __m128i b) { return _mm_mullo_epi32(a, b); }\n\
-             static inline __m128i v_splat_epi32(int32_t x) { return _mm_set1_epi32(x); }\n\
-             // SVML-style vector math fallbacks (lane-wise).\n",
-        );
+/// A literal of `v`'s C++ type that reads back bit for bit (a NaN keeps
+/// no payload). A negative one is parenthesized, so `-` before it never
+/// makes `--`.
+fn const_cxx(v: Value) -> String {
+    let sign = if v.as_f64() < 0.0 { "-" } else { "" };
+    let text = match v {
+        Value::I32(i32::MIN) => "-2147483647 - 1".into(),
+        Value::I64(i64::MIN) => "-9223372036854775807L - 1".into(),
+        Value::F32(x) if x.is_nan() => "NAN".into(),
+        Value::F64(x) if x.is_nan() => "NAN".into(),
+        Value::F32(x) if x.is_infinite() => format!("{sign}HUGE_VALF"),
+        Value::F64(x) if x.is_infinite() => format!("{sign}HUGE_VAL"),
+        v => v.to_string(),
+    };
+    if text.starts_with('-') {
+        format!("({text})")
     } else {
-        s.push_str("\n// Portable vector fallback.\ntemplate <typename T, int W> struct vec { T lane[W]; };\n");
+        text
     }
-    s.push_str(
-        "\n// FIFO tape with random-access pushes and pointer adjustment,\n\
-         // as required by macro-SIMDized actors (rpush/advance of Fig. 3b).\n\
-         template <typename T> struct Tape {\n\
-         \x20 std::vector<T> buf; size_t rd = 0, wr = 0;\n\
-         \x20 explicit Tape(size_t cap) : buf(cap * 2) {}\n\
-         \x20 T pop() { return buf[(rd++) % buf.size()]; }\n\
-         \x20 T peek(size_t k) const { return buf[(rd + k) % buf.size()]; }\n\
-         \x20 void push(T v) { buf[(wr++) % buf.size()] = v; }\n\
-         \x20 void rpush(T v, size_t off) { buf[(wr + off) % buf.size()] = v; }\n\
-         \x20 void advance_read(size_t n) { rd += n; }\n\
-         \x20 void advance_write(size_t n) { wr += n; }\n\
-         };\n\n",
-    );
-    s
 }
 
+/// The fixed prelude: includes, vector wrappers, the scalar intrinsics,
+/// the tape class, splitters, joiners and the sink.
+const PRELUDE: &str = include_str!("prelude.hpp");
+
 struct Emitter<'a> {
-    opts: &'a CodegenOptions,
     filter: &'a Filter,
     out: String,
     indent: usize,
-    /// Member identifiers, indexed by `VarId`.
+    /// Counted loops open around the statement being emitted.
+    loops: usize,
+    /// Variable identifiers, indexed by `VarId`.
     var_names: Vec<String>,
     /// Member identifiers, indexed by `ChanId`.
     chan_names: Vec<String>,
@@ -274,7 +180,42 @@ impl<'a> Emitter<'a> {
         self.out.push('\n');
     }
 
-    fn var_name(&self, v: macross_streamir::expr::VarId) -> String {
+    /// A method body: the locals it names, zeroed as the VM zeroes them
+    /// before every firing, then its statements. A local the body writes
+    /// and never reads is declared `[[maybe_unused]]`.
+    fn body(&mut self, stmts: &[Stmt]) {
+        self.indent += 1;
+        let mut read = vec![false; self.filter.vars.len()];
+        let mut written = read.clone();
+        for s in stmts {
+            s.walk(&mut |s| match s {
+                Stmt::Assign(lv, _) => written[lv.var().0 as usize] = true,
+                Stmt::For { var, .. } => written[var.0 as usize] = true,
+                _ => {}
+            });
+            s.walk_exprs(&mut |e| {
+                if let Expr::Var(v) | Expr::Index(v, _) | Expr::VIndex(v, _, _) = e {
+                    read[v.0 as usize] = true;
+                }
+            });
+        }
+        for (idx, v) in self.filter.vars.iter().enumerate() {
+            let decl = declaration(v.ty, &self.var_names[idx]);
+            match v.kind {
+                VarKind::Local if read[idx] => self.line(&format!("{decl}{{}};")),
+                VarKind::Local if written[idx] => {
+                    self.line(&format!("[[maybe_unused]] {decl}{{}};"))
+                }
+                _ => {}
+            }
+        }
+        for s in stmts {
+            self.stmt(s);
+        }
+        self.indent -= 1;
+    }
+
+    fn var_name(&self, v: VarId) -> String {
         self.var_names[v.0 as usize].clone()
     }
 
@@ -282,32 +223,19 @@ impl<'a> Emitter<'a> {
         self.chan_names[c.0 as usize].clone()
     }
 
-    fn ty_cxx(&self, ty: Ty) -> String {
-        match ty {
-            Ty::Scalar(t) => scalar_cxx(t).into(),
-            Ty::Vector(t, _) => vector_cxx(t, self.opts),
-            Ty::Array(t, n) => format!("{}[{n}]", scalar_cxx(t)),
-            Ty::VectorArray(t, _, n) => format!("{}[{n}]", vector_cxx(t, self.opts)),
-        }
-    }
-
     fn expr(&self, e: &Expr) -> String {
         match e {
-            Expr::Const(v) => v.to_string(),
+            Expr::Const(v) => const_cxx(*v),
             Expr::ConstVec(vs) => {
-                let elems: Vec<String> = vs.iter().map(|v| v.to_string()).collect();
-                format!(
-                    "{}({})",
-                    vop("set", vs[0].ty(), self.opts),
-                    elems.join(", ")
-                )
+                let elems: Vec<String> = vs.iter().map(|&v| const_cxx(v)).collect();
+                format!("{}({})", vop("set", vs[0].ty()), elems.join(", "))
             }
             Expr::Var(v) => self.var_name(*v),
             Expr::Index(v, i) => format!("{}[{}]", self.var_name(*v), self.expr(i)),
             Expr::VIndex(v, i, _) => {
                 format!(
                     "{}(&{}[{}])",
-                    vop("load", elem_of(self.filter, *v), self.opts),
+                    vop("load", elem_of(self.filter, *v)),
                     self.var_name(*v),
                     self.expr(i)
                 )
@@ -326,21 +254,26 @@ impl<'a> Emitter<'a> {
                         .unwrap_or(ScalarTy::F32);
                     format!(
                         "{}({}, {})",
-                        vop(binop_name(*op), t, self.opts),
+                        vop(binop_name(*op), t),
                         self.expr(a),
                         self.expr(b)
                     )
+                } else if let BinOp::Div | BinOp::Rem | BinOp::Shl | BinOp::Shr = op {
+                    // C++ leaves these undefined where the VM defines
+                    // them; the prelude's `s_` forms follow the VM.
+                    format!("s_{}({}, {})", binop_name(*op), self.expr(a), self.expr(b))
                 } else {
                     format!("({} {} {})", self.expr(a), op.symbol(), self.expr(b))
                 }
             }
             Expr::Call(i, args) => {
                 let args_s: Vec<String> = args.iter().map(|a| self.expr(a)).collect();
-                if args.iter().any(|a| self.is_vec(a)) {
-                    format!("v_{}(#{})", i.name(), args_s.join(", ")).replace('#', "")
+                let prefix = if args.iter().any(|a| self.is_vec(a)) {
+                    "v"
                 } else {
-                    format!("std::{}({})", intrinsic_cxx(*i), args_s.join(", "))
-                }
+                    "s"
+                };
+                format!("{prefix}_{}({})", i.name(), args_s.join(", "))
             }
             Expr::Cast(t, a) => format!("({}){}", scalar_cxx(*t), self.expr(a)),
             Expr::Pop => "in.pop()".into(),
@@ -351,14 +284,14 @@ impl<'a> Emitter<'a> {
             Expr::LVPop(c, w) => format!("vpop{w}({})", self.chan_name(*c)),
             Expr::Lane(a, l) => format!("lane<{l}>({})", self.expr(a)),
             Expr::Splat(a, _) => {
-                let t = self.scalar_elem(a).unwrap_or(ScalarTy::F32);
-                format!("{}({})", vop("splat", t, self.opts), self.expr(a))
+                let t = self.vec_elem(a).unwrap_or(ScalarTy::F32);
+                format!("{}({})", vop("splat", t), self.expr(a))
             }
             Expr::PermuteEven(a, b) => {
                 let t = self.vec_elem(a).unwrap_or(ScalarTy::F32);
                 format!(
                     "{}({}, {})",
-                    vop("extract_even", t, self.opts),
+                    vop("extract_even", t),
                     self.expr(a),
                     self.expr(b)
                 )
@@ -367,7 +300,7 @@ impl<'a> Emitter<'a> {
                 let t = self.vec_elem(a).unwrap_or(ScalarTy::F32);
                 format!(
                     "{}({}, {})",
-                    vop("extract_odd", t, self.opts),
+                    vop("extract_odd", t),
                     self.expr(a),
                     self.expr(b)
                 )
@@ -413,10 +346,6 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    fn scalar_elem(&self, e: &Expr) -> Option<ScalarTy> {
-        self.vec_elem(e)
-    }
-
     fn stmt(&mut self, s: &Stmt) {
         match s {
             Stmt::Assign(lv, e) => {
@@ -440,7 +369,7 @@ impl<'a> Emitter<'a> {
                         let t = elem_of(self.filter, *v);
                         format!(
                             "{}(&{}[{}], {rhs});",
-                            vop("store", t, self.opts),
+                            vop("store", t),
                             self.var_name(*v),
                             self.expr(i)
                         )
@@ -469,13 +398,22 @@ impl<'a> Emitter<'a> {
                 self.line(&text);
             }
             Stmt::For { var, count, body } => {
-                let v = self.var_name(*var);
-                let text = format!("for ({v} = 0; {v} < {}; ++{v}) {{", self.expr(count));
+                // As the VM runs it: the trip count is read once, and the
+                // variable is set from a counter of its own each trip.
+                let (k, n) = (format!("k{}", self.loops), format!("n{}", self.loops));
+                let text = format!(
+                    "for (int32_t {k} = 0, {n} = {}; {k} < {n}; ++{k}) {{",
+                    self.expr(count)
+                );
                 self.line(&text);
                 self.indent += 1;
+                self.loops += 1;
+                let text = format!("{} = {k};", self.var_name(*var));
+                self.line(&text);
                 for s in body {
                     self.stmt(s);
                 }
+                self.loops -= 1;
                 self.indent -= 1;
                 self.line("}");
             }
@@ -509,12 +447,22 @@ impl<'a> Emitter<'a> {
     }
 }
 
-fn elem_of(f: &Filter, v: macross_streamir::expr::VarId) -> ScalarTy {
+/// The C++ declaration of a variable `name` of type `ty`.
+fn declaration(ty: Ty, name: &str) -> String {
+    match ty {
+        Ty::Scalar(t) => format!("{} {name}", scalar_cxx(t)),
+        Ty::Vector(t, w) => format!("{} {name}", vector_cxx(t, w)),
+        Ty::Array(t, n) => format!("{} {name}[{n}]", scalar_cxx(t)),
+        Ty::VectorArray(t, w, n) => format!("{} {name}[{n}]", vector_cxx(t, w)),
+    }
+}
+
+fn elem_of(f: &Filter, v: VarId) -> ScalarTy {
     f.vars[v.0 as usize].ty.elem()
 }
 
-fn binop_name(op: macross_streamir::expr::BinOp) -> &'static str {
-    use macross_streamir::expr::BinOp::*;
+fn binop_name(op: BinOp) -> &'static str {
+    use BinOp::*;
     match op {
         Add => "add",
         Sub => "sub",
@@ -535,31 +483,19 @@ fn binop_name(op: macross_streamir::expr::BinOp) -> &'static str {
     }
 }
 
-fn intrinsic_cxx(i: Intrinsic) -> &'static str {
-    match i {
-        Intrinsic::Sin => "sin",
-        Intrinsic::Cos => "cos",
-        Intrinsic::Atan => "atan",
-        Intrinsic::Sqrt => "sqrt",
-        Intrinsic::Exp => "exp",
-        Intrinsic::Log => "log",
-        Intrinsic::Floor => "floor",
-        Intrinsic::Abs => "abs",
-        Intrinsic::Min => "min",
-        Intrinsic::Max => "max",
-        Intrinsic::Pow => "pow",
-    }
-}
-
 /// Emit one filter as a C++ struct with `init`/`work` methods.
-pub fn emit_filter(filter: &Filter, opts: &CodegenOptions) -> String {
-    emit_struct(filter, &Mangler::new().fresh(&filter.name), opts)
+///
+/// # Panics
+/// Panics as [`emit_program`] does, on a vector of other than 4 lanes.
+pub fn emit_filter(filter: &Filter) -> String {
+    emit_struct(filter, &Mangler::new().fresh(&filter.name))
 }
 
-/// [`emit_filter`] under the struct name `cname`. Members are named
-/// after their declarations, suffixed with their id to keep the
-/// duplicates fusion renaming leaves apart.
-fn emit_struct(filter: &Filter, cname: &str, opts: &CodegenOptions) -> String {
+/// [`emit_filter`] under the struct name `cname`. State variables and
+/// channels are members, locals are declared in the bodies that name
+/// them; each is named after its declaration, suffixed with its id to
+/// keep the duplicates fusion renaming leaves apart.
+fn emit_struct(filter: &Filter, cname: &str) -> String {
     let mut members = Mangler::new();
     let var_names = (filter.vars.iter().enumerate())
         .map(|(idx, v)| members.fresh(&format!("{}_{idx}", v.name)))
@@ -568,10 +504,10 @@ fn emit_struct(filter: &Filter, cname: &str, opts: &CodegenOptions) -> String {
         .map(|(idx, c)| members.fresh(&format!("{}_{idx}", c.name)))
         .collect();
     let mut e = Emitter {
-        opts,
         filter,
         out: String::new(),
         indent: 0,
+        loops: 0,
         var_names,
         chan_names,
     };
@@ -609,58 +545,49 @@ fn emit_struct(filter: &Filter, cname: &str, opts: &CodegenOptions) -> String {
     e.line(&format!("struct {cname} {{"));
     e.indent += 1;
     for (idx, v) in filter.vars.iter().enumerate() {
-        let comment = match v.kind {
-            VarKind::State => " // state",
-            VarKind::Local => "",
-        };
-        let name = &e.var_names[idx];
-        match v.ty {
-            Ty::Array(t, n) => e.line(&format!("{} {name}[{n}];{comment}", scalar_cxx(t))),
-            Ty::VectorArray(t, _, n) => {
-                let vt = vector_cxx(t, opts);
-                e.line(&format!("{vt} {name}[{n}];{comment}"))
-            }
-            other => {
-                let ty = e.ty_cxx(other);
-                e.line(&format!("{ty} {name};{comment}"))
-            }
+        if v.kind == VarKind::State {
+            let decl = declaration(v.ty, &e.var_names[idx]);
+            e.line(&format!("{decl}; // state"));
         }
     }
     for (idx, c) in filter.chans.iter().enumerate() {
         let ty = match c.ty {
             Ty::Scalar(t) => format!("Tape<{}>", scalar_cxx(t)),
-            Ty::Vector(t, _) => format!("Tape<{}>", vector_cxx(t, opts)),
+            Ty::Vector(t, w) => format!("Tape<{}>", vector_cxx(t, w)),
             _ => unreachable!("channels are scalar or vector"),
         };
         e.line(&format!("{ty} {}; // internal buffer", e.chan_names[idx]));
     }
     e.line("");
     e.line("void init() {");
-    e.indent += 1;
-    let init = filter.init.clone();
-    for s in &init {
-        e.stmt(s);
-    }
-    e.indent -= 1;
+    e.body(&filter.init);
     e.line("}");
     e.line("");
     e.line("template <typename In, typename Out> void work(In& in, Out& out) {");
-    e.indent += 1;
-    let work = filter.work.clone();
-    for s in &work {
-        e.stmt(s);
-    }
-    e.indent -= 1;
+    e.body(&filter.work);
     e.line("}");
     e.indent -= 1;
     e.line("};");
     e.out
 }
 
+/// The tapes `ids` name, comma-separated.
+fn tapes(ids: &[EdgeId]) -> String {
+    let names: Vec<String> = ids.iter().map(|e| format!("tape{}", e.0)).collect();
+    names.join(", ")
+}
+
 /// Emit a complete program: prelude, all actors, tapes, and the Figure-1b
-/// main loop (initialization firings followed by the steady state).
-pub fn emit_program(graph: &Graph, schedule: &Schedule, opts: &CodegenOptions) -> String {
-    let mut s = emit_prelude(opts);
+/// main loop (initialization firings, then `argv[1]` steady iterations).
+/// With one sink, as every suite program has, stdout holds exactly the
+/// images of the VM's `output`; several sinks interleave their tokens in
+/// firing order, where the VM lists each sink's apart.
+///
+/// # Panics
+/// Panics if an actor holds a vector of other than 4 lanes: the prelude
+/// has types for SSE4.2's width alone.
+pub fn emit_program(graph: &Graph, schedule: &Schedule) -> String {
+    let mut s = PRELUDE.to_string();
     // One scope for the unit: `main`'s locals are taken first, then each
     // actor's struct gets its name.
     let mut unit = Mangler::new();
@@ -674,21 +601,41 @@ pub fn emit_program(graph: &Graph, schedule: &Schedule, opts: &CodegenOptions) -
     for (id, node) in graph.nodes() {
         if let Node::Filter(f) = node {
             let cname = unit.fresh(&f.name);
-            s.push_str(&emit_struct(f, &cname, opts));
+            s.push_str(&emit_struct(f, &cname));
             s.push('\n');
             struct_names[id.0 as usize] = cname;
         }
     }
-    s.push_str("int main() {\n");
-    // Tapes.
+    s.push_str(
+        "int main(int argc, char** argv) {\n  \
+         if (argc != 2) {\n    \
+         std::fprintf(stderr, \"usage: %s <steady iterations>\\n\", argv[0]);\n    \
+         return 2;\n  \
+         }\n  \
+         const long iters = std::atol(argv[1]);\n",
+    );
+    // Each tape holds its steady-state peak, or the initialization
+    // phase's where that is higher (every initialization firing of the
+    // producer runs before the consumer's); a push past it fails the
+    // tape's assertion.
+    let bufs = buffer_requirements(graph, schedule);
     for (id, e) in graph.edges() {
-        let _ = writeln!(s, "  Tape<{}> tape{}(4096);", scalar_cxx(e.elem), id.0);
+        let init_peak =
+            schedule.init_reps[e.src.0 as usize] * graph.node(e.src).push_rate(e.src_port) as u64;
+        let cap = bufs[id.0 as usize].capacity.max(init_peak);
+        let _ = writeln!(s, "  Tape<{}> tape{}({cap});", scalar_cxx(e.elem), id.0);
     }
-    // Actor instances + init.
+    // Actor instances, value-initialized as the VM zeroes every variable
+    // (the elaborated `struct` keeps a name `<cmath>` declares, such as
+    // `exp2`, a type), then their `init`.
     for (id, node) in graph.nodes() {
         if let Node::Filter(_) = node {
             let cname = &struct_names[id.0 as usize];
-            let _ = writeln!(s, "  {cname} actor{}; actor{}.init();", id.0, id.0);
+            let _ = writeln!(
+                s,
+                "  struct {cname} actor{}{{}}; actor{}.init();",
+                id.0, id.0
+            );
         }
     }
     let emit_phase = |s: &mut String, reps: &[u64], label: &str| {
@@ -698,73 +645,39 @@ pub fn emit_program(graph: &Graph, schedule: &Schedule, opts: &CodegenOptions) -
             if rep == 0 {
                 continue;
             }
-            let node = graph.node(id);
-            let in_e = graph.in_edges(id);
-            let out_e = graph.out_edges(id);
-            match node {
-                Node::Filter(_) => {
-                    let input = in_e
-                        .first()
-                        .map(|e| format!("tape{}", e.0))
-                        .unwrap_or_else(|| "nil_tape".into());
-                    let output = out_e
-                        .first()
-                        .map(|e| format!("tape{}", e.0))
-                        .unwrap_or_else(|| "nil_tape".into());
-                    let _ = writeln!(
-                        s,
-                        "  for (int r = 0; r < {rep}; ++r) actor{}.work({input}, {output});",
-                        id.0
-                    );
-                }
+            let (ins, outs) = (graph.in_edges(id), graph.out_edges(id));
+            let port = |edges: &[EdgeId]| match edges.first() {
+                Some(e) => format!("tape{}", e.0),
+                None => "nil_tape".into(),
+            };
+            let weights = |w: &[usize]| {
+                let w: Vec<String> = w.iter().map(usize::to_string).collect();
+                w.join(", ")
+            };
+            let firing = match graph.node(id) {
+                Node::Filter(_) => format!("actor{}.work({}, {})", id.0, port(&ins), port(&outs)),
                 Node::Splitter(SplitKind::Duplicate) => {
-                    let _ = writeln!(
-                        s,
-                        "  for (int r = 0; r < {rep}; ++r) split_dup(tape{}, /*outs*/ {});",
-                        in_e[0].0,
-                        out_e.len()
-                    );
+                    format!("split_dup({}, {})", port(&ins), tapes(&outs))
                 }
                 Node::Splitter(SplitKind::RoundRobin(w)) => {
-                    let _ = writeln!(
-                        s,
-                        "  for (int r = 0; r < {rep}; ++r) split_rr(tape{}, /*weights*/ {:?});",
-                        in_e[0].0, w
-                    );
+                    format!("split_rr<{}>({}, {})", weights(w), port(&ins), tapes(&outs))
                 }
                 Node::Joiner(w) => {
-                    let _ = writeln!(
-                        s,
-                        "  for (int r = 0; r < {rep}; ++r) join_rr(tape{}, /*weights*/ {:?});",
-                        out_e[0].0, w
-                    );
+                    format!("join_rr<{}>({}, {})", weights(w), port(&outs), tapes(&ins))
                 }
                 Node::HSplitter { width, .. } => {
-                    let _ = writeln!(
-                        s,
-                        "  for (int r = 0; r < {rep}; ++r) hsplit<{width}>(tape{});",
-                        in_e[0].0
-                    );
+                    format!("hsplit<{width}>({}, {})", port(&ins), tapes(&outs))
                 }
                 Node::HJoiner { width, .. } => {
-                    let _ = writeln!(
-                        s,
-                        "  for (int r = 0; r < {rep}; ++r) hjoin<{width}>(tape{});",
-                        out_e[0].0
-                    );
+                    format!("hjoin<{width}>({}, {})", port(&outs), tapes(&ins))
                 }
-                Node::Sink => {
-                    let _ = writeln!(
-                        s,
-                        "  for (int r = 0; r < {rep}; ++r) sink_consume(tape{});",
-                        in_e[0].0
-                    );
-                }
-            }
+                Node::Sink => format!("sink_consume({})", port(&ins)),
+            };
+            let _ = writeln!(s, "  for (int r = 0; r < {rep}; ++r) {firing};");
         }
     };
     emit_phase(&mut s, &schedule.init_reps, "initialization schedule");
-    s.push_str("  for (;;) { // steady state (Figure 1b)\n");
+    s.push_str("  for (long it = 0; it < iters; ++it) { // steady state (Figure 1b)\n");
     emit_phase(&mut s, &schedule.reps, "steady state");
     s.push_str("  }\n  return 0;\n}\n");
     s
@@ -855,11 +768,10 @@ pub fn emit_report_header(report: &SimdizeReport) -> String {
 pub fn emit_program_with_report(
     graph: &Graph,
     schedule: &Schedule,
-    opts: &CodegenOptions,
     report: &SimdizeReport,
 ) -> String {
     let mut s = emit_report_header(report);
-    s.push_str(&emit_program(graph, schedule, opts));
+    s.push_str(&emit_program(graph, schedule));
     s
 }
 
@@ -898,20 +810,27 @@ mod tests {
         assert_eq!(m.fresh("band"), "band_2");
         assert_eq!(m.fresh("band"), "band_3");
         assert_eq!(m.fresh(""), "n_");
+        // `<cmath>` declares `::exp2`; `main` declares each actor with an
+        // elaborated `struct exp2`, so the name needs no escape.
+        assert_eq!(m.fresh("exp2"), "exp2");
+        assert_eq!(m.fresh("s_sin"), "s_sin_2", "prelude names are reserved");
     }
 
     #[test]
-    fn emits_complete_program() {
-        let g = sample_graph();
-        let sched = Schedule::compute(&g).unwrap();
-        let code = emit_program(&g, &sched, &CodegenOptions::default());
-        assert!(code.contains("#include <smmintrin.h>"));
-        assert!(code.contains("struct src"));
-        assert!(code.contains("struct scale"));
-        assert!(code.contains("int main()"));
-        assert!(code.contains("steady state (Figure 1b)"));
-        assert!(code.contains("in.pop()"));
-        assert!(code.contains("out.push("));
+    fn literals_read_back_in_their_own_type() {
+        let cases = [
+            (Value::I32(7), "7"),
+            (Value::I32(-7), "(-7)"),
+            (Value::I32(i32::MIN), "(-2147483647 - 1)"),
+            (Value::I64(i64::MIN), "(-9223372036854775807L - 1)"),
+            (Value::F32(0.1), "0.1f"),
+            (Value::F32(-0.0), "(-0.0f)"),
+            (Value::F64(1e300), "1e300"),
+            (Value::F32(f32::NEG_INFINITY), "(-HUGE_VALF)"),
+        ];
+        for (v, text) in cases {
+            assert_eq!(const_cxx(v), text, "{v:?}");
+        }
     }
 
     #[test]
@@ -920,7 +839,7 @@ mod tests {
         use macross_vm::Machine;
         let g = sample_graph();
         let simd = macro_simdize(&g, &Machine::core_i7(), &SimdizeOptions::all()).unwrap();
-        let code = emit_program(&simd.graph, &simd.schedule, &CodegenOptions::default());
+        let code = emit_program(&simd.graph, &simd.schedule);
         assert!(code.contains("__m128"), "vector type expected:\n{code}");
         assert!(
             code.contains("v_mul_ps") || code.contains("v_add_ps"),
@@ -932,22 +851,6 @@ mod tests {
                 || code.contains("v_extract_even_ps"),
             "vector tape access expected"
         );
-    }
-
-    #[test]
-    fn generic_target_avoids_sse() {
-        let g = sample_graph();
-        let sched = Schedule::compute(&g).unwrap();
-        let code = emit_program(
-            &g,
-            &sched,
-            &CodegenOptions {
-                target: CxxTarget::Generic,
-                sw: 8,
-            },
-        );
-        assert!(!code.contains("smmintrin"));
-        assert!(code.contains("template <typename T, int W> struct vec"));
     }
 
     #[test]
@@ -965,7 +868,7 @@ mod tests {
             &SingleActorConfig::strided(4, ScalarTy::F32, ScalarTy::F32),
         )
         .unwrap();
-        let code = emit_filter(&dv, &CodegenOptions::default());
+        let code = emit_filter(&dv);
         assert!(code.contains("in.peek(6)"), "stride-2 lane reads:\n{code}");
         assert!(code.contains("out.rpush("));
         assert!(code.contains("in.advance_read(6);"));
@@ -1004,8 +907,7 @@ mod tests {
         use macross_vm::Machine;
         let g = chain_graph();
         let simd = macro_simdize(&g, &Machine::core_i7(), &SimdizeOptions::all()).unwrap();
-        let opts = CodegenOptions::default();
-        let code = emit_program_with_report(&simd.graph, &simd.schedule, &opts, &simd.report);
+        let code = emit_program_with_report(&simd.graph, &simd.schedule, &simd.report);
         assert!(code.starts_with("// ="), "header must lead the unit");
         assert!(code.contains("Macro-SIMDization report"));
         assert!(code.contains(&format!(
@@ -1018,7 +920,7 @@ mod tests {
         );
         // The header is strictly additive: everything after it is the
         // plain emit_program output, byte for byte.
-        let plain = emit_program(&simd.graph, &simd.schedule, &opts);
+        let plain = emit_program(&simd.graph, &simd.schedule);
         assert!(code.ends_with(&plain));
     }
 
@@ -1034,16 +936,6 @@ mod tests {
         ] {
             assert!(header.contains(section), "{section}:\n{header}");
         }
-    }
-
-    #[test]
-    fn init_schedule_emitted_before_steady() {
-        let g = sample_graph();
-        let sched = Schedule::compute(&g).unwrap();
-        let code = emit_program(&g, &sched, &CodegenOptions::default());
-        let init_pos = code.find("initialization schedule").unwrap();
-        let steady_pos = code.find("steady state").unwrap();
-        assert!(init_pos < steady_pos);
     }
 
     #[test]
@@ -1065,15 +957,14 @@ mod tests {
             b.set(cur, (v(cur) + 1i32) % c(8i32));
         });
         let scalar = fb.build();
-        let opts = CodegenOptions::default();
-        let scalar_code = emit_filter(&scalar, &opts);
+        let scalar_code = emit_filter(&scalar);
         assert!(
             scalar_code.contains("region state: 8 independent regions, cursor cur, arrays [y]"),
             "scalar layout comment missing:\n{scalar_code}"
         );
         let cfg = SingleActorConfig::strided(4, ScalarTy::F32, ScalarTy::F32);
         let vf = simdize_region_actor(&scalar, &cfg).unwrap();
-        let code = emit_filter(&vf, &opts);
+        let code = emit_filter(&vf);
         assert!(
             code.contains("region state: 2 panel(s) x 4 lane(s) (lane l of panel j = region j*4+l), cursor cur, arrays [y]"),
             "panel layout comment missing:\n{code}"

@@ -1,20 +1,29 @@
-//! Generate the intermediate C++ (with SSE intrinsics) that MacroSS's
-//! final phase emits, for a macro-SIMDized benchmark, and print it.
+//! Generate the intermediate C++ that MacroSS's final phase emits for a
+//! benchmark, and print it: the macro-SIMDized unit (with SSE
+//! intrinsics), or with `scalar` the unSIMDized one, which builds and
+//! runs as the prelude's first line says.
 //!
-//! Run with: `cargo run --example emit_cpp [benchmark]` (default DCT).
+//! Run with: `cargo run --example emit_cpp [benchmark] [scalar]` (default DCT).
 
 use macross_repro::benchsuite::by_name;
-use macross_repro::codegen::{emit_program, CodegenOptions};
+use macross_repro::codegen::emit_program;
 use macross_repro::macross::driver::{macro_simdize, SimdizeOptions};
+use macross_repro::sdf::Schedule;
 use macross_repro::vm::Machine;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "DCT".into());
+    let mut args = std::env::args().skip(1);
+    let name = args.next().unwrap_or_else(|| "DCT".into());
     let b = by_name(&name).ok_or_else(|| format!("unknown benchmark {name}"))?;
     let g = (b.build)();
-    let machine = Machine::core_i7();
-    let simd = macro_simdize(&g, &machine, &SimdizeOptions::all())?;
-    let code = emit_program(&simd.graph, &simd.schedule, &CodegenOptions::default());
+    if args.next().as_deref() == Some("scalar") {
+        let code = emit_program(&g, &Schedule::compute(&g)?);
+        println!("{code}");
+        eprintln!("// {} lines of scalar C++ for {name}", code.lines().count());
+        return Ok(());
+    }
+    let simd = macro_simdize(&g, &Machine::core_i7(), &SimdizeOptions::all())?;
+    let code = emit_program(&simd.graph, &simd.schedule);
     println!("{code}");
     eprintln!(
         "// {} lines of intermediate C++ for {name} (vectorized actors: {})",
