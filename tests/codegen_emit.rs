@@ -236,22 +236,22 @@ fn emitted_units_match_the_pins() {
 
 /// Program, scalar unit digest, SIMDized unit digest.
 const PINNED_UNITS: &str = "
-AudioBeam 559795ed569359bb b9cceb98a84da10c
-BeamFormer 9bf6aa6132dce2a1 766813d0f51600fb
-BitonicSort 2a6cc1d07f880f3f 0b7524a7c0913f0b
-ChannelVocoder 02d7912216b6f19b a9fd5be8d9cd5cd6
-DCT 2224fc36f9d208ef 6cd8305ec132a35c
-DES 6925121a076e0f1f 23294a869350bad2
-FFT e682cede3e16b3f5 7e310063916f48d2
-FilterBank fa85c25970a307d4 c684b150da4cd510
-FMRadio a407670ba6b35097 e8308494f4be4b23
-MatrixMult 4ffe6e4eeb76d634 768b195c8f0a8fda
-MatrixMultBlock 07fdec8fa1f16708 f4fc181e7d0f30fa
-MP3Decoder 8e9b27b5fc61a112 f9622c45c9a065bf
-Serpent d96003e93ab55b51 8dcbb7b97531fe54
-TDE 45f6da3d488925ba 38c8bbc3142ca9e6
-RegionIIRBank 0e3d742e44d6cf31 06abfaaa5edd3786
-RegionAccNorm c2cd37850d154970 c3b0512ef2844298
+AudioBeam 180b9a36a94eb6f5 f47cfc17b9465fde
+BeamFormer 9ee771fc91c6011e 3d067645c3d1d7b5
+BitonicSort 95b2bcd05f0a0d52 e9c8346c4ee862b4
+ChannelVocoder c3917beb8bcd479a 5a459dda617b4d85
+DCT 38661f9c234e3a7c 72ee18100431fdb2
+DES 107ea316df79a9ae b3f97bd1fec3244b
+FFT 048a1e7a12d8da22 44b038ebe850533c
+FilterBank 2080a56d2ca9df76 27483178bc9f1d89
+FMRadio 62110b7f9ae11e0d 7e1c33eda0716d31
+MatrixMult 1fc7a371c50c19ce 73f683568c02a74d
+MatrixMultBlock f4d75ab1cc8d6624 2d583960991304ee
+MP3Decoder 3a17eec9fde4c058 09e14bb99a4a101d
+Serpent 8e0a01d54476e88a 242c82d116a3b77f
+TDE e50c9c487c864fe1 09004cc242b958ad
+RegionIIRBank ca2b625f186a46bd 9cdc0909c4f41148
+RegionAccNorm 4146f6c50ef42568 ff50cc8587e69147
 ";
 
 /// What the compile-and-run test builds each unit with: the prelude's
