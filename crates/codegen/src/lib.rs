@@ -169,6 +169,11 @@ struct Emitter<'a> {
     var_names: Vec<String>,
     /// Member identifiers, indexed by `ChanId`.
     chan_names: Vec<String>,
+    /// The tape and channel reads of the statement being emitted that
+    /// were read into locals first, each with its local's name.
+    hoisted: Vec<(*const Expr, String)>,
+    /// Locals of hoisted reads named so far (`rd0`, `rd1`, ...).
+    reads: usize,
 }
 
 impl<'a> Emitter<'a> {
@@ -224,6 +229,9 @@ impl<'a> Emitter<'a> {
     }
 
     fn expr(&self, e: &Expr) -> String {
+        if let Some((_, name)) = self.hoisted.iter().find(|(at, _)| std::ptr::eq(*at, e)) {
+            return name.clone();
+        }
         match e {
             Expr::Const(v) => const_cxx(*v),
             Expr::ConstVec(vs) => {
@@ -346,7 +354,53 @@ impl<'a> Emitter<'a> {
         }
     }
 
+    /// C++ leaves the order of a binary operator's operands and of a
+    /// call's arguments unspecified, so a statement that reads a tape or
+    /// channel twice or more, popping at least once, reads each into a
+    /// local first, in the order the VM evaluates them: the value before
+    /// an assignment's subscript, left to right, operands before the read
+    /// that takes them.
+    fn hoist_reads(&mut self, s: &Stmt) {
+        let own: Vec<&Expr> = match s {
+            Stmt::Assign(lv, e) => match lv {
+                LValue::Index(_, i) | LValue::LaneIndex(_, i, _) | LValue::VIndex(_, i, _) => {
+                    vec![e, i]
+                }
+                LValue::Var(_) | LValue::LaneVar(..) => vec![e],
+            },
+            Stmt::RPush { value, offset } => vec![value, offset],
+            Stmt::Push(e)
+            | Stmt::LPush(_, e)
+            | Stmt::LVPush(_, e, _)
+            | Stmt::VPush { value: e, .. }
+            | Stmt::For { count: e, .. }
+            | Stmt::If { cond: e, .. } => vec![e],
+            Stmt::AdvanceRead(_) | Stmt::AdvanceWrite(_) => vec![],
+        };
+        let mut reads = Vec::new();
+        for e in own {
+            collect_reads(e, &mut reads);
+        }
+        let pops = reads.iter().any(|e| {
+            matches!(
+                e,
+                Expr::Pop | Expr::VPop { .. } | Expr::LPop(_) | Expr::LVPop(..)
+            )
+        });
+        if reads.len() < 2 || !pops {
+            return;
+        }
+        for e in reads {
+            let (name, text) = (format!("rd{}", self.reads), self.expr(e));
+            self.reads += 1;
+            self.line(&format!("auto {name} = {text};"));
+            self.hoisted.push((e, name));
+        }
+    }
+
     fn stmt(&mut self, s: &Stmt) {
+        self.hoisted.clear();
+        self.hoist_reads(s);
         match s {
             Stmt::Assign(lv, e) => {
                 let rhs = self.expr(e);
@@ -447,6 +501,34 @@ impl<'a> Emitter<'a> {
     }
 }
 
+/// The tape and channel reads of `e`, in the order the VM evaluates
+/// them: depth first, left to right, a read after its offset.
+fn collect_reads<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+    match e {
+        Expr::Const(_) | Expr::ConstVec(_) | Expr::Var(_) => {}
+        Expr::Pop | Expr::VPop { .. } | Expr::LPop(_) | Expr::LVPop(..) => out.push(e),
+        Expr::Peek(off) | Expr::VPeek { offset: off, .. } => {
+            collect_reads(off, out);
+            out.push(e);
+        }
+        Expr::Index(_, a)
+        | Expr::VIndex(_, a, _)
+        | Expr::Unary(_, a)
+        | Expr::Cast(_, a)
+        | Expr::Lane(a, _)
+        | Expr::Splat(a, _) => collect_reads(a, out),
+        Expr::Binary(_, a, b) | Expr::PermuteEven(a, b) | Expr::PermuteOdd(a, b) => {
+            collect_reads(a, out);
+            collect_reads(b, out);
+        }
+        Expr::Call(_, args) => {
+            for a in args {
+                collect_reads(a, out);
+            }
+        }
+    }
+}
+
 /// The C++ declaration of a variable `name` of type `ty`.
 fn declaration(ty: Ty, name: &str) -> String {
     match ty {
@@ -510,6 +592,8 @@ fn emit_struct(filter: &Filter, cname: &str) -> String {
         loops: 0,
         var_names,
         chan_names,
+        hoisted: Vec::new(),
+        reads: 0,
     };
     e.line(&format!(
         "// actor {} (peek={}, pop={}, push={})",

@@ -340,6 +340,28 @@ fn integer_edge_cases() -> Graph {
         .unwrap()
 }
 
+/// Statements that read the input tape more than once, popping: C++
+/// leaves the order of `-`'s operands and of a call's arguments
+/// unspecified, so the emitter reads each into a local first, in the
+/// order the VM evaluates them.
+fn tape_read_order() -> Graph {
+    let mut src = FilterBuilder::new("ramp", 0, 0, 1, ScalarTy::I32);
+    let n = src.state("n", Ty::Scalar(ScalarTy::I32));
+    src.work(|b| {
+        b.push(v(n) * 7i32 % 23i32 - 5i32);
+        b.set(n, v(n) + 1i32);
+    });
+    let mut reads = FilterBuilder::new("reads", 6, 5, 3, ScalarTy::I32);
+    reads.work(|b| {
+        b.push(pop() - pop());
+        b.push(pop() / pop());
+        b.push(pop() + peek(0i32));
+    });
+    StreamSpec::pipeline(vec![src.build_spec(), reads.build_spec(), StreamSpec::Sink])
+        .build()
+        .unwrap()
+}
+
 /// Emit `g`'s scalar unit into `dir`, build it, run it for
 /// [`STEADY_ITERS`] steady iterations, and compare its stdout with the
 /// tree-walk oracle's sink images.
@@ -414,6 +436,7 @@ fn scalar_units_compile_and_match_the_oracle() {
         .collect();
     programs.push(("RoundRobinSplitJoin".into(), round_robin_split_join()));
     programs.push(("IntegerEdgeCases".into(), integer_edge_cases()));
+    programs.push(("TapeReadOrder".into(), tape_read_order()));
     // Two builds at a time: each is one compiler process.
     let (left, right) = programs.split_at(programs.len() / 2);
     let check = |half: &[(String, Graph)]| -> Vec<String> {
