@@ -35,6 +35,26 @@
 //! identical-or-disjoint, identical to it: the aliasing invariant the
 //! vector ops in the VM rely on.
 //!
+//! # Folding
+//!
+//! The walk keeps a [`Fact`] per variable: what it knows of an integer
+//! scalar at the point it has reached. A `Local` one is 0 at the top of
+//! `work`; the `k`-th copy of an unrolled loop knows its variable is `k`;
+//! an assignment whose value folds — every leaf a literal or a known
+//! variable, evaluated with the VM's own integer helpers — makes its
+//! variable known and emits nothing. A fact is dropped when its variable
+//! gets a value that does not fold, at the join of an `If` whose
+//! condition does not fold (for what either branch assigns) and at the
+//! entry of a rotated loop (for what its body assigns); its register is
+//! written only then, and for a `State` variable at the end of the body
+//! ([`Compiler::settle`]). What folds is a pool operand; an array element
+//! whose subscript folds in range is a window of its array, read and
+//! forwarded to like a variable; an `If` whose condition folds compiles
+//! the branch it takes; and a loop whose count folds is unrolled when its
+//! copies fit [`UNROLL_BUDGET`] ([`Compiler::unrolled`]) — in `work`
+//! only. Folding moves no charge: every folded node is charged its price
+//! where the tree-walker evaluates it.
+//!
 //! # Cycle accounting
 //!
 //! Every node is charged its price from the machine's price list
@@ -42,7 +62,7 @@
 //! charges as it executes), accumulated into the pending [`ChargeEntry`]
 //! of the innermost enclosing block. A loop body's entry
 //! is multiplied by the trip count into the enclosing block — at compile
-//! time when the count is an integer literal (nests multiply), by one
+//! time when the count folds (nests multiply), by one
 //! [`Op::ChargeTimes`] behind the loop otherwise — so a body without an
 //! `If` ends in exactly one [`Op::Charge`]; only the branches of an `If`
 //! are charged in place. Counter fields are `u64` sums, so aggregation
@@ -50,7 +70,7 @@
 //! kept as *counts* and multiplied by the edge costs at run time, exactly
 //! like the tree-walker's incremental additions.
 
-use crate::bytecode::{CompiledFilter, Op};
+use crate::bytecode::{bin_i, call1_i, call2_i, cast_ii, neg_i, not_i, CompiledFilter, Op};
 use crate::machine::{ChargeEntry, Machine};
 use crate::tape::raw_of;
 use macross_streamir::expr::{Expr, Intrinsic, LValue, UnOp};
@@ -81,8 +101,25 @@ impl Operand {
 #[derive(Debug, Clone, Copy)]
 struct VarSlot {
     ty: Ty,
+    kind: VarKind,
     base: u32,
 }
+
+/// What the walk knows of a variable at the point it has reached. Only
+/// an integer scalar is ever [`Fact::Known`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fact {
+    /// The variable's register holds its value.
+    Unknown,
+    /// The variable's value is `image`; `in_reg` says whether its
+    /// register holds it yet.
+    Known { image: i64, in_reg: bool },
+}
+
+/// How many ops a loop whose trip count is known may compile to when it
+/// is unrolled, as [`Compiler::unrolled`] measures it. A loop above it
+/// stays a rotated `LoopEnter`/`LoopNext` loop.
+const UNROLL_BUDGET: u64 = 256;
 
 /// The variable window the outermost op of an assignment may write
 /// directly instead of a fresh temporary.
@@ -171,6 +208,14 @@ impl Pool {
         }
         self.base + found
     }
+
+    /// Forget every constant interned since the pool held `len` images.
+    fn truncate(&mut self, len: usize) {
+        self.bits.truncate(len);
+        let kept = |offset: &mut u32| (*offset as usize) < len;
+        self.uniform.retain(|_, offset| kept(offset));
+        self.mixed.retain(|_, offset| kept(offset));
+    }
 }
 
 /// The constant `e` denotes, if it is one the pool holds — a scalar
@@ -224,6 +269,11 @@ struct Compiler<'a> {
     image: Vec<u64>,
     code: Vec<Op>,
     charges: Vec<ChargeEntry>,
+    /// What the walk knows of each variable, by `VarId`.
+    facts: Vec<Fact>,
+    /// Whether a loop whose trip count is known may be unrolled (in
+    /// `work`, not in `init`).
+    unroll: bool,
     /// Charges of the innermost enclosing block (function body, loop body
     /// or `If` branch) not yet emitted or folded into its parent.
     pending: ChargeEntry,
@@ -282,7 +332,11 @@ pub fn compile_filter(
                 _ => zeros.push((base, len)),
             }
         }
-        vars.push(VarSlot { ty: decl.ty, base });
+        vars.push(VarSlot {
+            ty: decl.ty,
+            kind: decl.kind,
+            base,
+        });
         var_windows.push((base, len, float));
     }
     // The pool zone sits between the variables and the temporaries.
@@ -301,6 +355,8 @@ pub fn compile_filter(
         image: Vec::new(),
         code: Vec::new(),
         charges: Vec::new(),
+        facts: Vec::new(),
+        unroll: false,
         pending: ChargeEntry::default(),
         cur_i: TEMP_I,
         cur_f: TEMP_F,
@@ -308,8 +364,8 @@ pub fn compile_filter(
         max_f: TEMP_F,
         overflowed: false,
     };
-    let mut init = c.compile_body(&filter.init)?;
-    let mut work = c.compile_body(&filter.work)?;
+    let mut init = c.compile_body(&filter.init, false)?;
+    let mut work = c.compile_body(&filter.work, true)?;
     let temp_i = ni.checked_add(u32::try_from(c.pool_i.bits.len()).ok()?)?;
     let temp_f = nf.checked_add(u32::try_from(c.pool_f.bits.len()).ok()?)?;
     if c.overflowed || temp_i >= TEMP_F || temp_f >= TEMP_F {
@@ -338,10 +394,34 @@ pub fn compile_filter(
 }
 
 impl<'a> Compiler<'a> {
-    fn compile_body(&mut self, stmts: &[Stmt]) -> Option<Vec<Op>> {
+    /// Compile `init` (`work == false`) or `work`. A `work` body starts
+    /// knowing that every `Local` integer scalar is 0, as the VM zeroes
+    /// them before each firing, and may unroll; `init` knows nothing at
+    /// entry and unrolls nothing. A `State` variable's register is written
+    /// at the end of either, so it carries its value to the next firing.
+    fn compile_body(&mut self, stmts: &[Stmt], work: bool) -> Option<Vec<Op>> {
         debug_assert!(self.pending.is_zero());
+        self.unroll = work;
+        self.facts.clear();
+        self.facts
+            .extend(self.vars.iter().map(|slot| match slot.ty {
+                Ty::Scalar(ScalarTy::I32 | ScalarTy::I64)
+                    if work && slot.kind == VarKind::Local =>
+                {
+                    Fact::Known {
+                        image: 0,
+                        in_reg: true,
+                    }
+                }
+                _ => Fact::Unknown,
+            }));
         self.code = Vec::new();
         self.compile_block(stmts)?;
+        for v in 0..self.vars.len() {
+            if self.vars[v].kind == VarKind::State {
+                self.settle(&[v]);
+            }
+        }
         self.flush();
         Some(std::mem::take(&mut self.code))
     }
@@ -442,19 +522,32 @@ impl<'a> Compiler<'a> {
     }
 
     /// The window `lv = expr` may forward to: a whole scalar or vector
-    /// variable, or one lane of a vector variable — the lvalues with no
-    /// index to evaluate after the value.
-    fn forward_window(&self, lv: &LValue) -> Option<Window> {
-        let (slot, lane) = match *lv {
-            LValue::Var(v) => (self.vars.get(v.0 as usize)?, None),
-            LValue::LaneVar(v, lane) => (self.vars.get(v.0 as usize)?, Some(lane)),
-            _ => return None,
-        };
+    /// variable, one lane of a vector variable, or — when its subscript
+    /// folded to an in-range `known` — an element or an element's lane of
+    /// an array: the lvalues with nothing to evaluate after the value.
+    fn forward_window(&self, lv: &LValue, known: Option<i64>) -> Option<Window> {
+        let slot = *self.vars.get(lv.var().0 as usize)?;
         let float = slot.ty.elem().is_float();
-        let (base, len) = match (slot.ty, lane) {
-            (Ty::Scalar(_), None) => (slot.base, 1),
-            (Ty::Vector(_, w), None) => (slot.base, u32::try_from(w).ok()?),
-            (Ty::Vector(_, w), Some(lane)) if lane < w => (slot.base + lane as u32, 1),
+        let k = || known.and_then(|k| u32::try_from(k).ok());
+        let (base, len) = match (lv, slot.ty) {
+            (LValue::Var(_), Ty::Scalar(_)) => (slot.base, 1),
+            (LValue::Var(_), Ty::Vector(_, w)) => (slot.base, u32::try_from(w).ok()?),
+            (LValue::LaneVar(_, lane), Ty::Vector(_, w)) if *lane < w => {
+                (slot.base + u32::try_from(*lane).ok()?, 1)
+            }
+            (LValue::Index(..), Ty::Array(_, n)) => {
+                let k = k().filter(|&k| (k as usize) < n)?;
+                (slot.base + k, 1)
+            }
+            (LValue::Index(..), Ty::VectorArray(_, w, n)) => {
+                let (k, w) = (k().filter(|&k| (k as usize) < n)?, u32::try_from(w).ok()?);
+                (slot.base + k * w, w)
+            }
+            (LValue::LaneIndex(_, _, lane), Ty::VectorArray(_, w, n)) if *lane < w => {
+                let k = k().filter(|&k| (k as usize) < n)?;
+                let (w, lane) = (u32::try_from(w).ok()?, u32::try_from(*lane).ok()?);
+                (slot.base + k * w + lane, 1)
+            }
             _ => return None,
         };
         Some(Window { float, base, len })
@@ -494,21 +587,193 @@ impl<'a> Compiler<'a> {
         self.pending.absorb(&price);
     }
 
+    /// Charge every node of `e`, a tree that folded: each is charged what
+    /// the tree-walker charges for evaluating it.
+    fn charge_tree(&mut self, e: &Expr) {
+        let (machine, pending) = (self.machine, &mut self.pending);
+        e.walk(&mut |n| {
+            // Reading a literal or a variable is free.
+            if !matches!(n, Expr::Const(_) | Expr::Var(_)) {
+                pending.absorb(&machine.expr_charge(n, false));
+            }
+        });
+    }
+
+    /// The value of `e` if it is an integer scalar expression whose every
+    /// leaf the walk knows here, as `(type, image)`, computed with the
+    /// helpers the VM runs its integer ops with. Emits and charges
+    /// nothing; floating point is never folded.
+    fn fold(&self, e: &Expr) -> Option<(ScalarTy, i64)> {
+        Some(match e {
+            Expr::Const(v @ (Value::I32(_) | Value::I64(_))) => (v.ty(), raw_of(*v) as i64),
+            Expr::Var(v) => match self.facts.get(v.0 as usize)? {
+                Fact::Known { image, .. } => (self.vars[v.0 as usize].ty.elem(), *image),
+                Fact::Unknown => return None,
+            },
+            Expr::Unary(op, a) => {
+                let (t, x) = self.fold(a)?;
+                match op {
+                    UnOp::Neg => (t, neg_i(t, x)),
+                    UnOp::Not => (t, not_i(t, x)),
+                    UnOp::LogNot => (ScalarTy::I32, (x == 0) as i64),
+                }
+            }
+            Expr::Binary(op, a, b) => {
+                let ((t, x), (u, y)) = (self.fold(a)?, self.fold(b)?);
+                if t != u {
+                    return None;
+                }
+                let ty = if op.is_comparison() { ScalarTy::I32 } else { t };
+                (ty, bin_i(*op, t, x, y))
+            }
+            Expr::Cast(to, a) if !to.is_float() => {
+                let (from, x) = self.fold(a)?;
+                (*to, cast_ii(from, *to, x))
+            }
+            Expr::Call(i, args) => match (i, &args[..]) {
+                (Intrinsic::Abs, [a]) => {
+                    let (t, x) = self.fold(a)?;
+                    (t, call1_i(t, x))
+                }
+                (Intrinsic::Min | Intrinsic::Max, [a, b]) => {
+                    let ((t, x), (u, y)) = (self.fold(a)?, self.fold(b)?);
+                    if t != u {
+                        return None;
+                    }
+                    (t, call2_i(*i, x, y))
+                }
+                _ => return None,
+            },
+            _ => return None,
+        })
+    }
+
+    /// [`Self::fold`] for a tree about to be dropped from the code: its
+    /// nodes are charged when it folds.
+    fn fold_charged(&mut self, e: &Expr) -> Option<(ScalarTy, i64)> {
+        let known = self.fold(e)?;
+        self.charge_tree(e);
+        Some(known)
+    }
+
+    /// Write each of `vars` that holds a fact its register does not yet
+    /// hold, and forget the fact: from here on the register is the value.
+    fn settle(&mut self, vars: &[usize]) {
+        for &v in vars {
+            if let Fact::Known { image, in_reg } = self.facts[v] {
+                if !in_reg {
+                    let src = self.pool_i.intern(&[image as u64]);
+                    let dst = self.vars[v].base;
+                    self.emit(Op::MovI { dst, src });
+                }
+                self.facts[v] = Fact::Unknown;
+            }
+        }
+    }
+
+    /// Every variable `stmts` may assign as a whole, a loop variable
+    /// included, appended to `out`.
+    fn assigned(stmts: &[Stmt], out: &mut Vec<usize>) {
+        for s in stmts {
+            s.walk(&mut |s| match s {
+                Stmt::Assign(LValue::Var(v), _) | Stmt::For { var: v, .. } => {
+                    out.push(v.0 as usize);
+                }
+                _ => {}
+            });
+        }
+    }
+
+    /// Compile the loop over `var` with a known count of `trips` as
+    /// `trips` copies of `body`, when they fit [`UNROLL_BUDGET`]: in the
+    /// `k`-th copy the variable is `k`, and each copy is charged where it
+    /// runs. The copies are compiled one after another and counted at
+    /// least one op each; as soon as they exceed the budget, or the first
+    /// copy times `trips` does, they are taken back and `false` returned,
+    /// for the caller to compile a rotated loop instead.
+    fn unrolled(&mut self, var: usize, trips: u64, body: &[Stmt]) -> Option<bool> {
+        let (at, charges, pending) = (self.code.len(), self.charges.len(), self.pending);
+        let pools = (self.pool_i.bits.len(), self.pool_f.bits.len());
+        let facts = self.facts.clone();
+        for k in 0..trips {
+            self.facts[var] = Fact::Known {
+                image: i64::from(k as i32),
+                in_reg: false,
+            };
+            self.charge(self.machine.loop_iter());
+            self.compile_block(body)?;
+            let size = ((self.code.len() - at) as u64).max(k + 1);
+            if size > UNROLL_BUDGET || (k == 0 && trips.saturating_mul(size) > UNROLL_BUDGET) {
+                self.code.truncate(at);
+                self.charges.truncate(charges);
+                self.pool_i.truncate(pools.0);
+                self.pool_f.truncate(pools.1);
+                self.pending = pending;
+                self.facts = facts;
+                return Some(false);
+            }
+        }
+        Some(true)
+    }
+
+    /// Where `slot`'s elements `k..k + span` lie, `len` elements of
+    /// `stride` registers each, for the subscript `i` that folded to
+    /// `known`: `Ok(register)` when `k` is known and in range — a window
+    /// of the variable, no op needed — else `Err(idx)`, the index register
+    /// of the bounds-checked op, which fails where the tree-walker does.
+    fn locate(
+        &mut self,
+        slot: VarSlot,
+        i: &Expr,
+        known: Option<i64>,
+        (stride, len, span): (u32, u32, u32),
+    ) -> Option<Result<u32, u32>> {
+        let at = known.and_then(|k| u32::try_from(k).ok());
+        if let Some(k) = at.filter(|&k| k <= len && len - k >= span) {
+            self.charge_tree(i);
+            return Some(Ok(slot.base + k * stride));
+        }
+        let idx = self.compile_expr(i)?;
+        Some(Err(self.as_index(idx)?))
+    }
+
     fn compile_stmt(&mut self, s: &Stmt) -> Option<()> {
         self.charge(self.machine.stmt_charge(s));
         match s {
             Stmt::Assign(lv, e) => {
-                // The pool meets a subscript's constants before the value's.
+                let mut known = None;
                 if let LValue::Index(_, i) | LValue::LaneIndex(_, i, _) | LValue::VIndex(_, i, _) =
                     lv
                 {
-                    i.walk(&mut |e| {
-                        self.pooled_operand(e);
-                    });
+                    known = self.fold(i).map(|(_, k)| k);
+                    if known.is_none() {
+                        // The pool meets a subscript's constants before
+                        // the value's.
+                        i.walk(&mut |e| {
+                            self.pooled_operand(e);
+                        });
+                    }
                 }
-                let want = self.forward_window(lv);
-                let val = self.compile_expr_to(e, want)?;
-                self.compile_store(lv, val)
+                // An integer scalar assigned a value the walk knows holds
+                // it as a fact; its register is written only when the
+                // fact is dropped.
+                let folded = self.fold(e);
+                if let (LValue::Var(v), Some((ty, image))) = (lv, folded) {
+                    if self.vars.get(v.0 as usize)?.ty == Ty::Scalar(ty) {
+                        self.charge_tree(e);
+                        self.facts[v.0 as usize] = Fact::Known {
+                            image,
+                            in_reg: false,
+                        };
+                        return Some(());
+                    }
+                }
+                let want = self.forward_window(lv, known);
+                let val = match folded {
+                    Some(_) => self.compile_expr_to(e, want)?,
+                    None => self.lower_charged(e, want)?,
+                };
+                self.compile_store(lv, val, known)
             }
             Stmt::Push(e) => {
                 let val = self.compile_expr(e)?;
@@ -597,22 +862,41 @@ impl<'a> Compiler<'a> {
                 if slot.ty != Ty::Scalar(ScalarTy::I32) {
                     return None;
                 }
-                let cnt = self.compile_expr(count)?;
-                if cnt.w.is_some() {
-                    return None;
-                }
-                // The limit has to survive the body. A pool register or a
-                // temporary of this statement does; a variable may be
-                // reassigned in the body, so it is copied.
-                let limit = if cnt.is_float() {
-                    self.as_index(cnt)?
-                } else if cnt.reg < self.pool_i.base {
-                    let dst = self.alloc(false, 1);
-                    self.emit(Op::MovI { dst, src: cnt.reg });
-                    dst
-                } else {
-                    cnt.reg
+                let (limit, trips) = match self.fold_charged(count) {
+                    Some((_, n)) => {
+                        let trips = n.max(0) as u64;
+                        if self.unroll && self.unrolled(var.0 as usize, trips, body)? {
+                            return Some(());
+                        }
+                        (self.pool_i.intern(&[n as u64]), Some(trips))
+                    }
+                    None => {
+                        let cnt = self.compile_expr(count)?;
+                        if cnt.w.is_some() {
+                            return None;
+                        }
+                        // The limit has to survive the body. A pool
+                        // register or a temporary of this statement does;
+                        // a variable may be reassigned in the body, so it
+                        // is copied.
+                        let limit = if cnt.is_float() {
+                            self.as_index(cnt)?
+                        } else if cnt.reg < self.pool_i.base {
+                            let dst = self.alloc(false, 1);
+                            self.emit(Op::MovI { dst, src: cnt.reg });
+                            dst
+                        } else {
+                            cnt.reg
+                        };
+                        (limit, None)
+                    }
                 };
+                // What the body assigns differs between iterations: those
+                // facts are written to their registers and dropped, before
+                // the loop and again before its latch.
+                let mut assigned = vec![var.0 as usize];
+                Self::assigned(body, &mut assigned);
+                self.settle(&assigned);
                 let counter = self.alloc(false, 1);
                 let enter = self.emit_patch(Op::LoopEnter {
                     counter,
@@ -623,6 +907,7 @@ impl<'a> Compiler<'a> {
                 let top = self.here();
                 let outer = std::mem::replace(&mut self.pending, self.machine.loop_iter());
                 self.compile_block(body)?;
+                self.settle(&assigned);
                 let per_iter = std::mem::replace(&mut self.pending, outer);
                 self.emit(Op::LoopNext {
                     counter,
@@ -630,15 +915,12 @@ impl<'a> Compiler<'a> {
                     var: slot.base,
                     body: top,
                 });
-                match count {
-                    // A literal trip count: the body's charges fold into
-                    // the enclosing block here, `n` times over.
-                    Expr::Const(n @ (Value::I32(_) | Value::I64(_))) => {
-                        let n = n.as_i64().max(0) as u64;
-                        self.pending.absorb(&per_iter.times(n)?);
-                    }
-                    _ if per_iter.is_zero() => {}
-                    _ => {
+                match trips {
+                    // A known trip count: the body's charges fold into the
+                    // enclosing block here, `n` times over.
+                    Some(n) => self.pending.absorb(&per_iter.times(n)?),
+                    None if per_iter.is_zero() => {}
+                    None => {
                         let idx = self.charges.len() as u32;
                         self.charges.push(per_iter);
                         self.emit(Op::ChargeTimes { idx, n: limit });
@@ -653,10 +935,21 @@ impl<'a> Compiler<'a> {
                 then_branch,
                 else_branch,
             } => {
+                // A known condition compiles the branch it takes, charged
+                // with the enclosing block.
+                if let Some((_, c)) = self.fold_charged(cond) {
+                    return self.compile_block(if c != 0 { then_branch } else { else_branch });
+                }
                 let c = self.compile_expr(cond)?;
                 if c.w.is_some() {
                     return None;
                 }
+                // A fact either branch may change is dropped at the join:
+                // each branch writes it to its register before it ends.
+                let mut assigned = Vec::new();
+                Self::assigned(then_branch, &mut assigned);
+                Self::assigned(else_branch, &mut assigned);
+                let facts = self.facts.clone();
                 let outer = std::mem::take(&mut self.pending);
                 let to_else = self.emit_patch(if c.is_float() {
                     Op::JumpIfZF {
@@ -670,11 +963,14 @@ impl<'a> Compiler<'a> {
                     }
                 });
                 self.compile_block(then_branch)?;
+                self.settle(&assigned);
                 self.flush();
                 let to_end = self.emit_patch(Op::Jump { target: 0 });
                 let else_label = self.here();
                 self.patch(to_else, else_label);
+                self.facts = facts;
                 self.compile_block(else_branch)?;
+                self.settle(&assigned);
                 self.flush();
                 let end = self.here();
                 self.patch(to_end, end);
@@ -696,11 +992,14 @@ impl<'a> Compiler<'a> {
 
     /// Lower `lv = val`. Evaluation order matches the tree-walker: the
     /// value is already compiled; any lvalue index is compiled after it.
-    fn compile_store(&mut self, lv: &LValue, val: Operand) -> Option<()> {
+    /// `known` is the subscript, when it folded: an element it locates in
+    /// range is a register window, stored to with a move.
+    fn compile_store(&mut self, lv: &LValue, val: Operand, known: Option<i64>) -> Option<()> {
         self.charge(self.machine.store_charge(lv, val.w.is_some()));
+        let slot = *self.vars.get(lv.var().0 as usize)?;
+        let len = |n: usize| u32::try_from(n).ok();
         match lv {
             LValue::Var(v) => {
-                let slot = *self.vars.get(v.0 as usize)?;
                 match (slot.ty, val.w) {
                     (Ty::Scalar(t), None) if t == val.ty => self.emit_mov(slot.base, val),
                     (Ty::Vector(t, w), Some(vw)) if t == val.ty && u32::try_from(w).ok()? == vw => {
@@ -708,28 +1007,30 @@ impl<'a> Compiler<'a> {
                     }
                     _ => return None,
                 }
+                self.facts[v.0 as usize] = Fact::Unknown;
                 Some(())
             }
-            LValue::Index(v, i) => {
-                let slot = *self.vars.get(v.0 as usize)?;
-                let idx = self.compile_expr(i)?;
-                let idx = self.as_index(idx)?;
+            LValue::Index(_, i) => {
+                let (float, base, src) = (val.is_float(), slot.base, val.reg);
                 match (slot.ty, val.w) {
                     (Ty::Array(t, n), None) if t == val.ty => {
-                        let len = u32::try_from(n).ok()?;
-                        self.emit(if val.is_float() {
-                            Op::StoreIdxF {
-                                base: slot.base,
-                                len,
-                                idx,
-                                src: val.reg,
-                            }
-                        } else {
-                            Op::StoreIdxI {
-                                base: slot.base,
-                                len,
-                                idx,
-                                src: val.reg,
+                        let len = len(n)?;
+                        let at = self.locate(slot, i, known, (1, len, 1))?;
+                        self.store_at(at, val, |idx| {
+                            if float {
+                                Op::StoreIdxF {
+                                    base,
+                                    len,
+                                    idx,
+                                    src,
+                                }
+                            } else {
+                                Op::StoreIdxI {
+                                    base,
+                                    len,
+                                    idx,
+                                    src,
+                                }
                             }
                         });
                         Some(())
@@ -737,22 +1038,25 @@ impl<'a> Compiler<'a> {
                     (Ty::VectorArray(t, w, n), Some(vw))
                         if t == val.ty && u32::try_from(w).ok()? == vw =>
                     {
-                        let len = u32::try_from(n).ok()?;
-                        self.emit(if val.is_float() {
-                            Op::StoreVElemF {
-                                base: slot.base,
-                                len,
-                                idx,
-                                src: val.reg,
-                                w: vw,
-                            }
-                        } else {
-                            Op::StoreVElemI {
-                                base: slot.base,
-                                len,
-                                idx,
-                                src: val.reg,
-                                w: vw,
+                        let (len, w) = (len(n)?, vw);
+                        let at = self.locate(slot, i, known, (w, len, 1))?;
+                        self.store_at(at, val, |idx| {
+                            if float {
+                                Op::StoreVElemF {
+                                    base,
+                                    len,
+                                    idx,
+                                    src,
+                                    w,
+                                }
+                            } else {
+                                Op::StoreVElemI {
+                                    base,
+                                    len,
+                                    idx,
+                                    src,
+                                    w,
+                                }
                             }
                         });
                         Some(())
@@ -760,31 +1064,31 @@ impl<'a> Compiler<'a> {
                     _ => None,
                 }
             }
-            LValue::VIndex(v, i, _) => {
-                let slot = *self.vars.get(v.0 as usize)?;
-                let idx = self.compile_expr(i)?;
-                let idx = self.as_index(idx)?;
+            LValue::VIndex(_, i, _) => {
                 // The tree-walker copies `vals.len()` elements, ignoring
                 // the annotation; mirror that by using the value's width.
-                let vw = val.w?;
+                let (w, base, src) = (val.w?, slot.base, val.reg);
                 match slot.ty {
                     Ty::Array(t, n) if t == val.ty => {
-                        let len = u32::try_from(n).ok()?;
-                        self.emit(if val.is_float() {
-                            Op::StoreVSliceF {
-                                base: slot.base,
-                                len,
-                                idx,
-                                src: val.reg,
-                                w: vw,
-                            }
-                        } else {
-                            Op::StoreVSliceI {
-                                base: slot.base,
-                                len,
-                                idx,
-                                src: val.reg,
-                                w: vw,
+                        let len = len(n)?;
+                        let at = self.locate(slot, i, known, (1, len, w))?;
+                        self.store_at(at, val, |idx| {
+                            if t.is_float() {
+                                Op::StoreVSliceF {
+                                    base,
+                                    len,
+                                    idx,
+                                    src,
+                                    w,
+                                }
+                            } else {
+                                Op::StoreVSliceI {
+                                    base,
+                                    len,
+                                    idx,
+                                    src,
+                                    w,
+                                }
                             }
                         });
                         Some(())
@@ -792,51 +1096,53 @@ impl<'a> Compiler<'a> {
                     _ => None,
                 }
             }
-            LValue::LaneVar(v, lane) => {
-                let slot = *self.vars.get(v.0 as usize)?;
-                match slot.ty {
-                    Ty::Vector(t, w) if t == val.ty && val.w.is_none() && *lane < w => {
-                        self.emit_mov(slot.base + u32::try_from(*lane).ok()?, val);
-                        Some(())
-                    }
-                    _ => None,
+            LValue::LaneVar(_, lane) => match slot.ty {
+                Ty::Vector(t, w) if t == val.ty && val.w.is_none() && *lane < w => {
+                    self.emit_mov(slot.base + u32::try_from(*lane).ok()?, val);
+                    Some(())
                 }
-            }
-            LValue::LaneIndex(v, i, lane) => {
-                let slot = *self.vars.get(v.0 as usize)?;
-                let idx = self.compile_expr(i)?;
-                let idx = self.as_index(idx)?;
-                match slot.ty {
-                    Ty::VectorArray(t, w, n) if t == val.ty && val.w.is_none() && *lane < w => {
-                        let (len, w, lane) = (
-                            u32::try_from(n).ok()?,
-                            u32::try_from(w).ok()?,
-                            u32::try_from(*lane).ok()?,
-                        );
-                        self.emit(if val.is_float() {
+                _ => None,
+            },
+            LValue::LaneIndex(_, i, lane) => match slot.ty {
+                Ty::VectorArray(t, w, n) if t == val.ty && val.w.is_none() && *lane < w => {
+                    let (len, w, lane) = (len(n)?, len(w)?, len(*lane)?);
+                    let (base, src) = (slot.base, val.reg);
+                    let at = self.locate(slot, i, known, (w, len, 1))?;
+                    self.store_at(at.map(|row| row + lane), val, |idx| {
+                        if t.is_float() {
                             Op::LaneStoreF {
-                                base: slot.base,
+                                base,
                                 len,
                                 idx,
                                 lane,
                                 w,
-                                src: val.reg,
+                                src,
                             }
                         } else {
                             Op::LaneStoreI {
-                                base: slot.base,
+                                base,
                                 len,
                                 idx,
                                 lane,
                                 w,
-                                src: val.reg,
+                                src,
                             }
-                        });
-                        Some(())
-                    }
-                    _ => None,
+                        }
+                    });
+                    Some(())
                 }
-            }
+                _ => None,
+            },
+        }
+    }
+
+    /// Store `val` where [`Self::locate`] found its element: a move into
+    /// the element's window, or the bounds-checked `op` on the index
+    /// register.
+    fn store_at(&mut self, at: Result<u32, u32>, val: Operand, op: impl FnOnce(u32) -> Op) {
+        match at {
+            Ok(window) => self.emit_mov(window, val),
+            Err(idx) => self.emit(op(idx)),
         }
     }
 
@@ -860,9 +1166,22 @@ impl<'a> Compiler<'a> {
     /// [`Self::compile_expr`] for the value of an assignment: the op that
     /// produces it may write `want` (see [`Self::dest`]).
     fn compile_expr_to(&mut self, e: &Expr, want: Option<Window>) -> Option<Operand> {
+        // What folds is a pool operand: nothing to emit.
+        if let Some((ty, image)) = self.fold_charged(e) {
+            let reg = self.pool_i.intern(&[image as u64]);
+            return Some(Operand { ty, w: None, reg });
+        }
+        self.lower_charged(e, want)
+    }
+
+    /// [`Self::compile_expr_to`] for an `e` that does not fold.
+    fn lower_charged(&mut self, e: &Expr, want: Option<Window>) -> Option<Operand> {
         let val = self.lower_expr(e, want)?;
-        self.pending
-            .absorb(&self.machine.expr_charge(e, val.w.is_some()));
+        // Reading a variable is free.
+        if !matches!(e, Expr::Var(_)) {
+            self.pending
+                .absorb(&self.machine.expr_charge(e, val.w.is_some()));
+        }
         Some(val)
     }
 
@@ -889,11 +1208,20 @@ impl<'a> Compiler<'a> {
             }
             Expr::Index(v, i) => {
                 let slot = *self.vars.get(v.0 as usize)?;
-                let idx = self.compile_expr(i)?;
-                let idx = self.as_index(idx)?;
+                let known = self.fold(i).map(|(_, k)| k);
                 match slot.ty {
                     Ty::Array(t, n) => {
                         let len = u32::try_from(n).ok()?;
+                        let idx = match self.locate(slot, i, known, (1, len, 1))? {
+                            Ok(reg) => {
+                                return Some(Operand {
+                                    ty: t,
+                                    w: None,
+                                    reg,
+                                })
+                            }
+                            Err(idx) => idx,
+                        };
                         let srcs = [(t.is_float(), slot.base, len), (false, idx, 1)];
                         let dst = self.dest(want, t.is_float(), 1, false, &srcs);
                         self.emit(if t.is_float() {
@@ -919,6 +1247,12 @@ impl<'a> Compiler<'a> {
                     }
                     Ty::VectorArray(t, w, n) => {
                         let (len, w) = (u32::try_from(n).ok()?, u32::try_from(w).ok()?);
+                        let (ty, w) = (t, Some(w));
+                        let idx = match self.locate(slot, i, known, (w?, len, 1))? {
+                            Ok(reg) => return Some(Operand { ty, w, reg }),
+                            Err(idx) => idx,
+                        };
+                        let w = w?;
                         let srcs = [(t.is_float(), slot.base, len * w), (false, idx, 1)];
                         let dst = self.dest(want, t.is_float(), w, false, &srcs);
                         self.emit(if t.is_float() {
@@ -949,12 +1283,18 @@ impl<'a> Compiler<'a> {
             }
             Expr::VIndex(v, i, w) => {
                 let slot = *self.vars.get(v.0 as usize)?;
-                let idx = self.compile_expr(i)?;
-                let idx = self.as_index(idx)?;
+                let known = self.fold(i).map(|(_, k)| k);
                 let w = u32::try_from(*w).ok()?;
                 match slot.ty {
                     Ty::Array(t, n) => {
                         let len = u32::try_from(n).ok()?;
+                        let idx = match self.locate(slot, i, known, (1, len, w))? {
+                            Ok(reg) => {
+                                let w = Some(w);
+                                return Some(Operand { ty: t, w, reg });
+                            }
+                            Err(idx) => idx,
+                        };
                         let srcs = [(t.is_float(), slot.base, len), (false, idx, 1)];
                         let dst = self.dest(want, t.is_float(), w, false, &srcs);
                         self.emit(if t.is_float() {
@@ -1172,6 +1512,18 @@ impl<'a> Compiler<'a> {
                 Some(splat)
             }
             Expr::Splat(e, width) => {
+                // A splat of a value the walk knows is a vector constant.
+                if let Some((ty, image)) = self.fold_charged(e) {
+                    let w = u32::try_from(*width).ok()?;
+                    self.image.clear();
+                    self.image.resize(*width, image as u64);
+                    let reg = self.pool_i.intern(&self.image);
+                    return Some(Operand {
+                        ty,
+                        w: Some(w),
+                        reg,
+                    });
+                }
                 let x = self.compile_expr(e)?;
                 if x.w.is_some() {
                     return None;
@@ -1573,42 +1925,47 @@ mod tests {
     /// The pool is interned in the order a walk of the expressions meets
     /// the constants — an indexed assignment's subscript before its value,
     /// a splat before its literal — and the temporaries sit right above
-    /// it.
+    /// it. The subscript and the value read a `State` variable, so neither
+    /// folds.
     #[test]
     fn the_pool_keeps_walk_order_and_temporaries_sit_above_it() {
         let mut fb = FilterBuilder::new("order", 0, 0, 0, ScalarTy::F32);
         let a = fb.local("a", Ty::Array(ScalarTy::I32, 8));
         let x = fb.local("x", Ty::Vector(ScalarTy::F32, 4));
+        let s = fb.state("s", Ty::Scalar(ScalarTy::I32));
         let splat = Expr::Splat(Box::new(Expr::Const(Value::F32(2.5))), 4);
         fb.work(|b| {
-            b.set_idx(a, 7i32, c(3i32) + c(4i32));
+            b.set_idx(a, v(s) & 7i32, v(s) * 3i32 + 4i32);
             b.set(x, E(splat) * v(x));
         });
         let f = fb.build();
         let plan = compile_filter(&f, None, None, &Machine::core_i7()).expect("compiles");
-        // `a` takes i0..8 and `x` f0..4; the pool follows each.
-        assert_eq!(plan.pool_i, (8, vec![7i64, 3, 4].into_boxed_slice()));
+        // `a` takes i0..8, `s` i8 and `x` f0..4; the pool follows each.
+        assert_eq!(plan.pool_i, (9, vec![7i64, 3, 4].into_boxed_slice()));
         assert_eq!(plan.pool_f, (4, vec![2.5f64; 5].into_boxed_slice()));
-        let (i32_, add) = (ScalarTy::I32, macross_streamir::expr::BinOp::Add);
+        use macross_streamir::expr::BinOp::{Add, And, Mul};
+        let bin = |op, dst, a, b| Op::BinI {
+            op,
+            ty: ScalarTy::I32,
+            dst,
+            a,
+            b,
+        };
         assert_eq!(
-            plan.work[..2],
+            plan.work[..4],
             [
-                Op::BinI {
-                    op: add,
-                    ty: i32_,
-                    dst: 11,
-                    a: 9,
-                    b: 10
-                },
+                bin(Mul, 12, 8, 10),
+                bin(Add, 13, 12, 11),
+                bin(And, 14, 8, 9),
                 Op::StoreIdxI {
                     base: 0,
                     len: 8,
-                    idx: 8,
-                    src: 11
+                    idx: 14,
+                    src: 13
                 },
             ]
         );
-        assert_eq!((plan.int_regs, plan.float_regs), (12, 9));
+        assert_eq!((plan.int_regs, plan.float_regs), (15, 9));
     }
 
     /// A temporary wider than its file's provisional zone cannot be
@@ -1647,12 +2004,15 @@ mod tests {
         assert!(compile_filter(&f, None, Some(ScalarTy::I32), &Machine::core_i7()).is_none());
     }
 
+    /// A loop one trip above [`UNROLL_BUDGET`] stays a rotated loop, its
+    /// charges folded at compile time.
     #[test]
     fn loop_compiles_with_setup_and_per_iter_charges() {
-        let mut fb = FilterBuilder::new("looper", 0, 0, 4, ScalarTy::I32);
+        let n = UNROLL_BUDGET + 1;
+        let mut fb = FilterBuilder::new("looper", 0, 0, n as usize, ScalarTy::I32);
         let i = fb.local("i", Ty::Scalar(ScalarTy::I32));
         fb.work(|b| {
-            b.for_(i, 4i32, |b| {
+            b.for_(i, n as i32, |b| {
                 b.push(v(i));
             });
         });
@@ -1663,21 +2023,328 @@ mod tests {
         assert_eq!(count(|op| matches!(op, Op::LoopEnter { .. })), 1);
         assert_eq!(count(|op| matches!(op, Op::LoopNext { .. })), 1);
         // The trip count is a literal, so the whole firing is one charge:
-        // the setup alu plus four times the per-iteration entry (loop
+        // the setup alu plus `n` times the per-iteration entry (loop
         // overhead, one store, one out-access).
         assert_eq!(count(|op| matches!(op, Op::Charge(_))), 1);
         assert_eq!(plan.charges.len(), 1);
         let c = plan.charges[0];
         assert_eq!(c.counters.compute_scalar, 1);
-        assert_eq!(c.counters.loop_overhead, 4);
-        assert_eq!(c.counters.mem_scalar, 8);
-        assert_eq!(c.out_addr, 4);
+        assert_eq!(c.counters.loop_overhead, n);
+        assert_eq!(c.counters.mem_scalar, 2 * n);
+        assert_eq!(c.out_addr, n);
         // The limit is the literal's pool register, read in place.
-        assert_eq!(plan.pool_i, (1, vec![4i64].into_boxed_slice()));
+        assert_eq!(plan.pool_i, (1, vec![n as i64].into_boxed_slice()));
         assert!(plan
             .work
             .iter()
             .any(|op| matches!(op, Op::LoopEnter { limit: 1, .. })));
+    }
+
+    fn count_ops(code: &[Op], f: impl Fn(&Op) -> bool) -> usize {
+        code.iter().filter(|op| f(op)).count()
+    }
+
+    /// `trips` pushes of the loop variable compile to `trips` pushes of
+    /// pool registers at the bound, and to a rotated loop one past it.
+    #[test]
+    fn a_literal_loop_at_the_bound_unrolls_and_one_past_stays_rotated() {
+        for trips in [UNROLL_BUDGET, UNROLL_BUDGET + 1] {
+            let mut fb = FilterBuilder::new("at", 0, 0, trips as usize, ScalarTy::I32);
+            let i = fb.local("i", Ty::Scalar(ScalarTy::I32));
+            fb.work(|b| {
+                b.for_(i, trips as i32, |b| {
+                    b.push(v(i));
+                });
+            });
+            let f = fb.build();
+            let m = Machine::core_i7();
+            let plan = compile_filter(&f, None, Some(ScalarTy::I32), &m).expect("compiles");
+            let rotated = count_ops(&plan.work, |op| matches!(op, Op::LoopEnter { .. }));
+            let pushes = count_ops(&plan.work, |op| matches!(op, Op::PushI { .. }));
+            assert_eq!(
+                (rotated, pushes),
+                if trips == UNROLL_BUDGET {
+                    (0, trips as usize)
+                } else {
+                    (1, 1)
+                },
+                "{trips} trips"
+            );
+            // Either way the firing is charged the same, in one op.
+            assert_eq!(plan.charges.len(), 1);
+            assert_eq!(plan.charges[0].counters.loop_overhead, trips);
+        }
+    }
+
+    /// Fire `f`'s `work` `k` times, compiled (`Some(plan)`) or tree-walked
+    /// (`None`), into a sink: the block's result, the completed firings
+    /// and what the sink took.
+    fn fire(
+        f: &Filter,
+        plan: Option<CompiledFilter>,
+        k: u64,
+    ) -> (Result<(), crate::VmError>, u64, Vec<Value>) {
+        use crate::firing::{fire_block, graph_tapes, FilterState, FirePlan};
+        use macross_streamir::graph::{Graph, Node};
+        let mut g = Graph::new();
+        let id = g.add_node(Node::filter(f.clone()));
+        let sink = g.add_node(Node::Sink);
+        g.connect(id, 0, sink, 0, ScalarTy::I32);
+        let m = Machine::core_i7();
+        let plans = FirePlan::for_graph(&g, &m);
+        let mut tapes = graph_tapes(&g);
+        let mut state = FilterState::from_shared(f, plan.map(std::sync::Arc::new));
+        state.run_init_fn(f, &m).expect("init runs");
+        let mut counters = crate::machine::CycleCounters::default();
+        let (mut completed, mut sunk) = (0, Vec::new());
+        let node = g.node(id);
+        let plan = &plans[id.0 as usize];
+        let result = fire_block(
+            plan,
+            node,
+            &mut state,
+            &mut tapes,
+            &m,
+            &mut counters,
+            k,
+            &mut Vec::new(),
+            &mut completed,
+        );
+        if result.is_err() {
+            return (result, completed, sunk);
+        }
+        let (mut drained, sink) = (0, g.node(sink));
+        let moved = tapes[0].len() as u64;
+        fire_block(
+            &plans[1],
+            sink,
+            &mut FilterState::default(),
+            &mut tapes,
+            &m,
+            &mut counters,
+            moved,
+            &mut sunk,
+            &mut drained,
+        )
+        .expect("the sink drains");
+        (result, completed, sunk)
+    }
+
+    /// A loop whose count is known to be 0 or negative compiles to
+    /// nothing: the variable keeps what it held before.
+    #[test]
+    fn trip_counts_zero_and_below_leave_the_loop_variable_untouched() {
+        let mut fb = FilterBuilder::new("none", 0, 0, 2, ScalarTy::I32);
+        let (i, acc) = (
+            fb.local("i", Ty::Scalar(ScalarTy::I32)),
+            fb.local("acc", Ty::Scalar(ScalarTy::I32)),
+        );
+        fb.work(|b| {
+            b.set(i, 5i32);
+            b.for_(i, 0i32, |b| {
+                b.set(acc, v(acc) + 1i32);
+            });
+            b.for_(i, c(2i32) - 5i32, |b| {
+                b.set(acc, v(acc) + 2i32);
+            });
+            b.push(v(i)).push(v(acc));
+        });
+        let f = fb.build();
+        let m = Machine::core_i7();
+        let plan = compile_filter(&f, None, Some(ScalarTy::I32), &m).expect("compiles");
+        assert!(
+            plan.work
+                .iter()
+                .all(|op| matches!(op, Op::PushI { .. } | Op::Charge(_))),
+            "{:?}",
+            plan.work
+        );
+        let (result, completed, sunk) = fire(&f, Some(plan), 2);
+        assert_eq!((result, completed), (Ok(()), 2));
+        assert_eq!(sunk, [Value::I32(5), Value::I32(0)].repeat(2));
+    }
+
+    /// An element whose subscript is known and in range is a register
+    /// window of its array, read and written with no array op.
+    #[test]
+    fn a_known_in_range_subscript_emits_no_array_op() {
+        let mut fb = FilterBuilder::new("win", 0, 0, 3, ScalarTy::I32);
+        let a = fb.local("a", Ty::Array(ScalarTy::I32, 4));
+        let va = fb.state("va", Ty::VectorArray(ScalarTy::I32, 4, 2));
+        let (i, s) = (
+            fb.local("i", Ty::Scalar(ScalarTy::I32)),
+            fb.state("s", Ty::Scalar(ScalarTy::I32)),
+        );
+        fb.work(|b| {
+            b.for_(i, 4i32, |b| {
+                b.set_idx(a, v(i), v(i) * v(s));
+            });
+            b.set_idx(va, 1i32, E(Expr::Splat(Box::new(idx(a, 3i32).0), 4)));
+            b.stmt(Stmt::Assign(
+                LValue::LaneIndex(va, c(0i32).0, 2),
+                idx(a, 1i32).0,
+            ));
+            b.set(s, v(s) + 1i32);
+            b.push(idx(a, v(i) - 1i32));
+            b.push(E(Expr::Lane(Box::new(idx(va, 1i32).0), 0)));
+            b.push(E(Expr::Lane(Box::new(idx(va, 0i32).0), 2)));
+        });
+        let f = fb.build();
+        let m = Machine::core_i7();
+        let plan = compile_filter(&f, None, Some(ScalarTy::I32), &m).expect("compiles");
+        let array_ops = count_ops(&plan.work, |op| {
+            let name = format!("{op:?}");
+            ["Load", "Store", "LaneStore"]
+                .iter()
+                .any(|p| name.starts_with(p))
+        });
+        assert_eq!(array_ops, 0, "{:?}", plan.work);
+        let tree = fire(&f, None, 3);
+        assert_eq!(fire(&f, Some(plan), 3), tree);
+        let want: Vec<Value> = [2, 3, 1, 4, 6, 2].map(Value::I32).to_vec();
+        assert_eq!(tree.2[3..], want);
+    }
+
+    /// A known subscript out of range keeps its bounds-checked op, so the
+    /// firing that reaches it fails as the op always failed — where a
+    /// taken branch leads to it, and not where the branch is not taken.
+    #[test]
+    fn a_known_out_of_range_subscript_keeps_its_bounds_checked_op() {
+        let build = |taken: E| {
+            let mut fb = FilterBuilder::new("oob", 0, 0, 1, ScalarTy::I32);
+            let a = fb.local("a", Ty::Array(ScalarTy::I32, 4));
+            let n = fb.state("n", Ty::Scalar(ScalarTy::I32));
+            let k = fb.local("k", Ty::Scalar(ScalarTy::I32));
+            fb.work(|b| {
+                b.set(n, v(n) + 1i32).set(k, 2i32);
+                let cond = taken.clone();
+                b.if_(cond, |b| {
+                    b.set_idx(a, v(k) * 2i32, 7i32);
+                });
+                b.push(v(n));
+            });
+            fb.build()
+        };
+        let m = Machine::core_i7();
+        let n = || E(Expr::Var(macross_streamir::expr::VarId(1)));
+        for (cond, fails_at) in [
+            (eq(n(), 3i32), Some(3)),
+            (c(1i32), Some(1)),
+            (c(0i32), None),
+        ] {
+            let f = build(cond);
+            let plan = compile_filter(&f, None, Some(ScalarTy::I32), &m).expect("compiles");
+            let stores = count_ops(&plan.work, |op| matches!(op, Op::StoreIdxI { .. }));
+            assert_eq!(stores, fails_at.is_some() as usize, "{:?}", plan.work);
+            let (result, completed, _) = fire(&f, Some(plan), 5);
+            let (tree, tree_completed, _) = fire(&f, None, 5);
+            assert_eq!(completed, tree_completed);
+            match fails_at {
+                Some(at) => {
+                    assert_eq!(completed, at - 1);
+                    assert!(tree.is_err());
+                    assert_eq!(
+                        result,
+                        Err(crate::VmError::Panicked {
+                            filter: "oob".into(),
+                            message: "array index 4 out of bounds (len 4) in filter oob".into(),
+                        })
+                    );
+                }
+                None => assert_eq!((result, tree, completed), (Ok(()), Ok(()), 5)),
+            }
+        }
+    }
+
+    /// An `If` whose condition is known compiles the branch it takes, with
+    /// no jump, charged with the block around it.
+    #[test]
+    fn a_known_if_emits_no_jump() {
+        let mut fb = FilterBuilder::new("known", 0, 0, 2, ScalarTy::I32);
+        let (x, y) = (
+            fb.local("x", Ty::Scalar(ScalarTy::I32)),
+            fb.local("y", Ty::Scalar(ScalarTy::I32)),
+        );
+        fb.work(|b| {
+            b.if_else(
+                eq(v(x), 0i32),
+                |b| {
+                    b.set(y, 3i32).push(v(y));
+                },
+                |b| {
+                    b.push(7i32);
+                },
+            );
+            b.if_(v(y) - 3i32, |b| {
+                b.push(9i32);
+            });
+            b.push(v(y) * 2i32);
+        });
+        let f = fb.build();
+        let m = Machine::core_i7();
+        let plan = compile_filter(&f, None, Some(ScalarTy::I32), &m).expect("compiles");
+        let jumps = count_ops(&plan.work, |op| {
+            matches!(
+                op,
+                Op::Jump { .. } | Op::JumpIfZI { .. } | Op::JumpIfZF { .. }
+            )
+        });
+        assert_eq!(jumps, 0, "{:?}", plan.work);
+        assert_eq!(plan.charges.len(), 1);
+        let tree = fire(&f, None, 2);
+        assert_eq!(fire(&f, Some(plan), 2), tree);
+        assert_eq!(tree.2, [3, 6, 3, 6].map(Value::I32));
+    }
+
+    /// A `State` variable assigned a known value holds it as a fact
+    /// through the body, and its register is written before the firing
+    /// ends, so the next firing — which knows nothing of it — reads it.
+    #[test]
+    fn a_known_state_variable_is_written_back_before_the_firing_ends() {
+        let mut fb = FilterBuilder::new("keep", 0, 0, 2, ScalarTy::I32);
+        let (s, t) = (
+            fb.state("s", Ty::Scalar(ScalarTy::I32)),
+            fb.state("t", Ty::Scalar(ScalarTy::I32)),
+        );
+        fb.init(|b| {
+            b.set(t, 40i32);
+        });
+        fb.work(|b| {
+            b.push(v(s) + v(t));
+            b.set(s, 5i32);
+            b.set(t, v(s) * 2i32);
+            b.push(v(t));
+        });
+        let f = fb.build();
+        let m = Machine::core_i7();
+        let plan = compile_filter(&f, None, Some(ScalarTy::I32), &m).expect("compiles");
+        let reg =
+            |x: i64| plan.pool_i.0 + plan.pool_i.1.iter().position(|&v| v == x).unwrap() as u32;
+        assert_eq!(
+            plan.init,
+            [Op::MovI {
+                dst: 1,
+                src: reg(40)
+            }]
+        );
+        let tail = &plan.work[plan.work.len() - 3..];
+        assert_eq!(
+            tail,
+            [
+                Op::MovI {
+                    dst: 0,
+                    src: reg(5)
+                },
+                Op::MovI {
+                    dst: 1,
+                    src: reg(10)
+                },
+                Op::Charge(0),
+            ]
+        );
+        let tree = fire(&f, None, 3);
+        assert_eq!(fire(&f, Some(plan), 3), tree);
+        assert_eq!(tree.2, [40, 10, 15, 10, 15, 10].map(Value::I32));
     }
 
     #[test]

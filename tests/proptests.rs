@@ -273,16 +273,30 @@ fn random_actor_width_8() {
 // ---------------------------------------------------------------------
 
 /// Generator state for one random structured actor over `i32` scalars
-/// `xs`, 4-lane `i32` vectors `us` and one loop variable per nesting depth.
+/// `xs`, 4-lane `i32` vectors `us`, `i32` arrays of [`ARRAY_LEN`] and
+/// 4-lane vector-arrays of [`PANEL_ROWS`] rows (a `Local` and a `State`
+/// of each), and one loop variable per nesting depth.
 struct StmtGen {
     rng: Rng,
     xs: Vec<VarId>,
     us: Vec<VarId>,
+    arrays: Vec<VarId>,
+    panels: Vec<VarId>,
     loop_vars: Vec<VarId>,
     /// Pops not yet spent. A pop may only sit where every firing executes
     /// it exactly once: outside every loop and branch.
     pops_left: usize,
+    /// Trip counts of the loops drawn near the compiler's unroll budget.
+    near_budget: Vec<i32>,
 }
+
+const ARRAY_LEN: usize = 8;
+const PANEL_ROWS: usize = 4;
+
+/// Trip counts from here to one past the firing compiler's unroll budget
+/// (256 ops) go to top-level loops, so a loop of one-op copies lands on
+/// either side of it.
+const NEAR_BUDGET: (i32, i32) = (200, 258);
 
 impl StmtGen {
     fn x(&mut self) -> VarId {
@@ -293,8 +307,41 @@ impl StmtGen {
         self.us[self.rng.range(0, self.us.len())]
     }
 
+    fn pick(&mut self, of: &[VarId]) -> VarId {
+        of[self.rng.range(0, of.len())]
+    }
+
+    /// An expression over the enclosing loop variables (a scalar one
+    /// outside every loop) masked into `0..len`.
+    fn subscript(&mut self, loops: usize, len: usize) -> Expr {
+        let e = if loops == 0 {
+            self.scalar(1, 0)
+        } else {
+            let l = Expr::Var(self.loop_vars[self.rng.range(0, loops)]);
+            match self.rng.range(0, 3) {
+                0 => l,
+                1 => Expr::bin(
+                    BinOp::Add,
+                    Expr::bin(
+                        BinOp::Mul,
+                        l,
+                        Expr::Const(Value::I32(self.rng.range_i32(1, 4))),
+                    ),
+                    Expr::Const(Value::I32(self.rng.range_i32(-2, 3))),
+                ),
+                _ => Expr::bin(
+                    BinOp::Add,
+                    l,
+                    Expr::Var(self.loop_vars[self.rng.range(0, loops)]),
+                ),
+            }
+        };
+        Expr::bin(BinOp::And, e, Expr::Const(Value::I32(len as i32 - 1)))
+    }
+
     /// A scalar `i32` expression over variables, enclosing loop variables,
-    /// lanes and literals (repeated ones, so the pool shares them).
+    /// lanes, array elements and literals (repeated ones, so the pool
+    /// shares them).
     fn scalar(&mut self, depth: usize, loops: usize) -> Expr {
         if depth < 2 && self.rng.range(0, 3) > 0 {
             let op = [
@@ -313,22 +360,30 @@ impl StmtGen {
                 self.scalar(depth + 1, loops),
             );
         }
-        match self.rng.range(0, 4) {
+        match self.rng.range(0, 5) {
             0 if loops > 0 => Expr::Var(self.loop_vars[self.rng.range(0, loops)]),
             1 => Expr::Lane(Box::new(Expr::Var(self.u())), self.rng.range(0, 4)),
             2 => Expr::Const(Value::I32(self.rng.range_i32(-3, 6))),
+            3 if depth > 0 => {
+                let a = self.pick(&self.arrays.clone());
+                Expr::Index(a, Box::new(self.subscript(loops, ARRAY_LEN)))
+            }
             _ => Expr::Var(self.x()),
         }
     }
 
     fn vector(&mut self, loops: usize) -> Expr {
-        match self.rng.range(0, 4) {
+        match self.rng.range(0, 5) {
             0 => Expr::Splat(Box::new(self.scalar(1, loops)), 4),
             1 => Expr::Splat(
                 Box::new(Expr::Const(Value::I32(self.rng.range_i32(-2, 3)))),
                 4,
             ),
             2 => Expr::PermuteEven(Box::new(Expr::Var(self.u())), Box::new(Expr::Var(self.u()))),
+            3 => {
+                let p = self.pick(&self.panels.clone());
+                Expr::Index(p, Box::new(self.subscript(loops, PANEL_ROWS)))
+            }
             _ => Expr::bin(
                 [BinOp::Add, BinOp::Mul, BinOp::Xor, BinOp::Gt][self.rng.range(0, 4)],
                 Expr::Var(self.u()),
@@ -338,8 +393,9 @@ impl StmtGen {
     }
 
     /// A trip count in `-2..=5` — a literal, a bare variable clamped just
-    /// before (the body may reassign it), an expression, or a pop.
-    fn count(&mut self, out: &mut Vec<Stmt>, loops: usize) -> Expr {
+    /// before (the body may reassign it), an expression, or a pop — or,
+    /// for a top-level loop, a literal near the unroll budget.
+    fn count(&mut self, out: &mut Vec<Stmt>, loops: usize, nest: usize) -> Expr {
         let clamped = |e: Expr| {
             Expr::bin(
                 BinOp::Sub,
@@ -347,14 +403,19 @@ impl StmtGen {
                 Expr::Const(Value::I32(2)),
             )
         };
-        match self.rng.range(0, 4) {
-            0 => Expr::Const(Value::I32(self.rng.range_i32(-1, 5))),
-            1 => {
+        match self.rng.range(0, 6) {
+            0 if nest == 0 => {
+                let n = self.rng.range_i32(NEAR_BUDGET.0, NEAR_BUDGET.1);
+                self.near_budget.push(n);
+                Expr::Const(Value::I32(n))
+            }
+            0 | 1 => Expr::Const(Value::I32(self.rng.range_i32(-1, 5))),
+            2 => {
                 let x = self.x();
                 out.push(Stmt::Assign(LValue::Var(x), clamped(Expr::Var(x))));
                 Expr::Var(x)
             }
-            2 if loops == 0 && self.pops_left > 0 => {
+            3 if loops == 0 && self.pops_left > 0 => {
                 self.pops_left -= 1;
                 Expr::Pop // the source stays inside -3..=5
             }
@@ -365,17 +426,37 @@ impl StmtGen {
     fn block(&mut self, loops: usize, nest: usize) -> Vec<Stmt> {
         let mut out = Vec::new();
         for _ in 0..self.rng.range(1, 5) {
-            match self.rng.range(0, 6) {
-                0 if nest < 3 && loops < self.loop_vars.len() => {
-                    let count = self.count(&mut out, loops);
+            match self.rng.range(0, 12) {
+                0 | 1 if nest < 3 && loops < self.loop_vars.len() => {
+                    let near = self.near_budget.len();
+                    let count = self.count(&mut out, loops, nest);
+                    // A loop near the budget gets a short body: one more
+                    // nesting level at most.
+                    let inner = if self.near_budget.len() > near {
+                        2
+                    } else {
+                        nest + 1
+                    };
                     out.push(Stmt::For {
                         var: self.loop_vars[loops],
                         count,
-                        body: self.block(loops + 1, nest + 1),
+                        body: self.block(loops + 1, inner),
                     });
                 }
-                1 if nest < 3 => {
-                    let cond = self.scalar(1, loops);
+                2 | 3 if nest < 3 => {
+                    // On a loop variable, where there is one: a branch a
+                    // copy of an unrolled loop knows.
+                    let cond = if loops > 0 && self.rng.range(0, 2) == 0 {
+                        let l = Expr::Var(self.loop_vars[self.rng.range(0, loops)]);
+                        let k = Expr::Const(Value::I32(self.rng.range_i32(0, 4)));
+                        Expr::bin(
+                            [BinOp::Lt, BinOp::Eq, BinOp::And][self.rng.range(0, 3)],
+                            l,
+                            k,
+                        )
+                    } else {
+                        self.scalar(1, loops)
+                    };
                     let then_branch = self.block(loops, nest + 1);
                     let else_branch = if self.rng.range(0, 3) == 0 {
                         Vec::new()
@@ -388,10 +469,31 @@ impl StmtGen {
                         else_branch,
                     });
                 }
-                2 => out.push(Stmt::Assign(LValue::Var(self.u()), self.vector(loops))),
-                3 => out.push(Stmt::Assign(
+                4 => out.push(Stmt::Assign(LValue::Var(self.u()), self.vector(loops))),
+                5 => out.push(Stmt::Assign(
                     LValue::LaneVar(self.u(), self.rng.range(0, 4)),
                     self.scalar(0, loops),
+                )),
+                6 => {
+                    let a = self.pick(&self.arrays.clone());
+                    let value = self.scalar(0, loops);
+                    let at = self.subscript(loops, ARRAY_LEN);
+                    out.push(Stmt::Assign(LValue::Index(a, at), value));
+                }
+                7 => {
+                    let p = self.pick(&self.panels.clone());
+                    let at = self.subscript(loops, PANEL_ROWS);
+                    out.push(if self.rng.range(0, 2) == 0 {
+                        Stmt::Assign(LValue::Index(p, at), self.vector(loops))
+                    } else {
+                        let lane = self.rng.range(0, 4);
+                        Stmt::Assign(LValue::LaneIndex(p, at, lane), self.scalar(0, loops))
+                    });
+                }
+                // The innermost loop's variable, reassigned in its body.
+                8 if loops > 0 => out.push(Stmt::Assign(
+                    LValue::Var(self.loop_vars[loops - 1]),
+                    self.scalar(1, loops),
                 )),
                 _ => out.push(Stmt::Assign(LValue::Var(self.x()), self.scalar(0, loops))),
             }
@@ -401,22 +503,52 @@ impl StmtGen {
 }
 
 const STRUCTURED_POPS: usize = 5;
+/// Every scalar, loop variable, vector lane and array element, pushed.
+const STRUCTURED_PUSH: usize = 4 + 3 + 2 * 4 + 2 * ARRAY_LEN + 2 * 4 * PANEL_ROWS;
 
-fn gen_structured_actor(seed: u64) -> Filter {
-    let mut f = Filter::new("structured", STRUCTURED_POPS, STRUCTURED_POPS, 4 + 8 + 3);
-    let mut var = |name: String, ty| f.add_var(name, ty, VarKind::Local);
+fn gen_structured_actor(seed: u64) -> (Filter, Vec<i32>) {
+    let mut f = Filter::new(
+        "structured",
+        STRUCTURED_POPS,
+        STRUCTURED_POPS,
+        STRUCTURED_PUSH,
+    );
+    let mut var = |name: String, ty, kind| f.add_var(name, ty, kind);
+    let kinds = [VarKind::Local, VarKind::State];
     let mut g = StmtGen {
         rng: Rng::new(0x57A7 ^ (seed << 5)),
         xs: (0..4)
-            .map(|k| var(format!("x{k}"), Ty::Scalar(ScalarTy::I32)))
+            .map(|k| var(format!("x{k}"), Ty::Scalar(ScalarTy::I32), VarKind::Local))
             .collect(),
         us: (0..2)
-            .map(|k| var(format!("u{k}"), Ty::Vector(ScalarTy::I32, 4)))
+            .map(|k| {
+                var(
+                    format!("u{k}"),
+                    Ty::Vector(ScalarTy::I32, 4),
+                    VarKind::Local,
+                )
+            })
             .collect(),
+        arrays: kinds
+            .map(|kind| {
+                var(
+                    format!("a{kind:?}"),
+                    Ty::Array(ScalarTy::I32, ARRAY_LEN),
+                    kind,
+                )
+            })
+            .to_vec(),
+        panels: kinds
+            .map(|kind| {
+                let ty = Ty::VectorArray(ScalarTy::I32, 4, PANEL_ROWS);
+                var(format!("p{kind:?}"), ty, kind)
+            })
+            .to_vec(),
         loop_vars: (0..3)
-            .map(|k| var(format!("l{k}"), Ty::Scalar(ScalarTy::I32)))
+            .map(|k| var(format!("l{k}"), Ty::Scalar(ScalarTy::I32), VarKind::Local))
             .collect(),
         pops_left: STRUCTURED_POPS,
+        near_budget: Vec::new(),
     };
     let mut work = Vec::new();
     for k in 0..2 {
@@ -436,33 +568,62 @@ fn gen_structured_actor(seed: u64) -> Filter {
     for &x in g.xs.iter().chain(&g.loop_vars) {
         work.push(Stmt::Push(Expr::Var(x)));
     }
+    let lanes = |e: Expr| (0..4).map(move |lane| Expr::Lane(Box::new(e.clone()), lane));
     for &u in &g.us {
-        for lane in 0..4 {
-            work.push(Stmt::Push(Expr::Lane(Box::new(Expr::Var(u)), lane)));
+        work.extend(lanes(Expr::Var(u)).map(Stmt::Push));
+    }
+    for &a in &g.arrays {
+        for k in 0..ARRAY_LEN {
+            let at = Box::new(Expr::Const(Value::I32(k as i32)));
+            work.push(Stmt::Push(Expr::Index(a, at)));
+        }
+    }
+    for &p in &g.panels {
+        for k in 0..PANEL_ROWS {
+            let at = Box::new(Expr::Const(Value::I32(k as i32)));
+            work.extend(lanes(Expr::Index(p, at)).map(Stmt::Push));
         }
     }
     f.work = work;
-    f
+    (f, g.near_budget)
 }
 
-/// The loop and charge paths no suite program reaches: `ChargeTimes` for
+/// The loop and charge paths no suite program reaches — `ChargeTimes` for
 /// trip counts only known at run time and in-place charges under `If`,
-/// nested every which way, against the tree-walking oracle — sink bits,
-/// cycle counters and per-node cycles.
+/// nested every which way — and what the compiler folds: loops unrolled
+/// on both sides of its budget, branches on their variables, array
+/// elements through subscripts it knows. Against the tree-walking oracle:
+/// sink bits, cycle counters and per-node cycles.
 #[test]
 fn random_structured_actors_agree_across_engines() {
     use macross_repro::vm::bytecode::Op;
     use macross_repro::vm::compile_filter;
     let machine = Machine::core_i7();
     let (mut by_trips, mut in_branch) = (0usize, 0usize);
+    let (mut unrolled_copies, mut rotated_near_budget) = (0i64, 0usize);
     for seed in 0..64u64 {
-        let actor = gen_structured_actor(seed);
+        let (actor, near_budget) = gen_structured_actor(seed);
         let i32_edge = Some(ScalarTy::I32);
         let plan = compile_filter(&actor, i32_edge, i32_edge, &machine)
             .unwrap_or_else(|| panic!("seed {seed}: fell back to the tree-walker"));
         let count = |f: fn(&Op) -> bool| plan.work.iter().filter(|op| f(op)).count();
         by_trips += count(|op| matches!(op, Op::ChargeTimes { .. }));
         in_branch += count(|op| matches!(op, Op::Charge(_))) - 1;
+        // A top-level loop near the budget compiles once: rotated, with
+        // its count in the pool, or as that many copies.
+        let (pool, pooled) = (plan.pool_i.0, &plan.pool_i.1);
+        let rotated: Vec<i64> = (plan.work.iter())
+            .filter_map(|op| match *op {
+                Op::LoopEnter { limit, .. } => {
+                    pooled.get(limit.checked_sub(pool)? as usize).copied()
+                }
+                _ => None,
+            })
+            .filter(|&n| (NEAR_BUDGET.0..NEAR_BUDGET.1).contains(&(n as i32)))
+            .collect();
+        rotated_near_budget += rotated.len();
+        unrolled_copies +=
+            near_budget.iter().map(|&n| i64::from(n)).sum::<i64>() - rotated.iter().sum::<i64>();
 
         let mut src = FilterBuilder::new("src", 0, 0, 1, ScalarTy::I32);
         let n = src.state("n", Ty::Scalar(ScalarTy::I32));
@@ -480,7 +641,7 @@ fn random_structured_actors_agree_across_engines() {
         let mut sched = Schedule::compute(&g).unwrap();
         sched.scale(5);
         let tw = run_scheduled_mode(&g, &sched, &machine, 2, ExecMode::TreeWalk).unwrap();
-        assert_eq!(tw.output.len(), 10 * 15, "seed {seed}");
+        assert_eq!(tw.output.len(), 10 * STRUCTURED_PUSH, "seed {seed}");
         let bc = run_scheduled_mode(&g, &sched, &machine, 2, ExecMode::Bytecode).unwrap();
         assert_eq!(tw.output, bc.output, "seed {seed}");
         assert_eq!(tw.counters, bc.counters, "seed {seed}");
@@ -489,6 +650,10 @@ fn random_structured_actors_agree_across_engines() {
     assert!(
         by_trips > 50 && in_branch > 50,
         "{by_trips} ChargeTimes, {in_branch} in-branch charges"
+    );
+    assert!(
+        unrolled_copies > 500 && rotated_near_budget > 2,
+        "{unrolled_copies} unrolled copies, {rotated_near_budget} rotated loops near the budget"
     );
 }
 
