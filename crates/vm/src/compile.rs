@@ -52,8 +52,13 @@
 //! forwarded to like a variable; an `If` whose condition folds compiles
 //! the branch it takes; and a loop whose count folds is unrolled when its
 //! copies fit [`UNROLL_BUDGET`] ([`Compiler::unrolled`]) — in `work`
-//! only. Folding moves no charge: every folded node is charged its price
-//! where the tree-walker evaluates it.
+//! only. A scalar or vector assigned a window that outlives the statement
+//! — a pool window, another variable's, an element's — is a
+//! [`Fact::Copy`] of it, read from there with no move; the move is
+//! emitted only when something is about to write that window
+//! ([`Compiler::clobber`]), before a join or a loop, or when the fact is
+//! settled. Folding moves no charge: every folded node is charged its
+//! price where the tree-walker evaluates it.
 //!
 //! # Cycle accounting
 //!
@@ -106,7 +111,8 @@ struct VarSlot {
 }
 
 /// What the walk knows of a variable at the point it has reached. Only
-/// an integer scalar is ever [`Fact::Known`].
+/// an integer scalar is ever [`Fact::Known`]; only a scalar or vector is
+/// ever a [`Fact::Copy`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Fact {
     /// The variable's register holds its value.
@@ -114,6 +120,9 @@ enum Fact {
     /// The variable's value is `image`; `in_reg` says whether its
     /// register holds it yet.
     Known { image: i64, in_reg: bool },
+    /// The variable's value is the window of its width at `reg`, a pool
+    /// window or another variable's; its own register does not hold it.
+    Copy { reg: u32 },
 }
 
 /// How many ops a loop whose trip count is known may compile to when it
@@ -271,6 +280,8 @@ struct Compiler<'a> {
     charges: Vec<ChargeEntry>,
     /// What the walk knows of each variable, by `VarId`.
     facts: Vec<Fact>,
+    /// The variables whose fact is a [`Fact::Copy`].
+    copies: Vec<usize>,
     /// Whether a loop whose trip count is known may be unrolled (in
     /// `work`, not in `init`).
     unroll: bool,
@@ -356,6 +367,7 @@ pub fn compile_filter(
         code: Vec::new(),
         charges: Vec::new(),
         facts: Vec::new(),
+        copies: Vec::new(),
         unroll: false,
         pending: ChargeEntry::default(),
         cur_i: TEMP_I,
@@ -415,6 +427,7 @@ impl<'a> Compiler<'a> {
                 }
                 _ => Fact::Unknown,
             }));
+        self.copies.clear();
         self.code = Vec::new();
         self.compile_block(stmts)?;
         for v in 0..self.vars.len() {
@@ -515,6 +528,7 @@ impl<'a> Compiler<'a> {
                     || (lanewise && (s, len) == (win.base, w))
             };
             if srcs.iter().all(clear) {
+                self.clobber(float, win.base, w);
                 return win.base;
             }
         }
@@ -558,6 +572,7 @@ impl<'a> Compiler<'a> {
     fn emit_mov(&mut self, dst: u32, val: Operand) {
         let src = val.reg;
         if src != dst {
+            self.clobber(val.is_float(), dst, val.w.unwrap_or(1));
             self.emit(match (val.is_float(), val.w) {
                 (false, None) => Op::MovI { dst, src },
                 (true, None) => Op::MovF { dst, src },
@@ -608,7 +623,7 @@ impl<'a> Compiler<'a> {
             Expr::Const(v @ (Value::I32(_) | Value::I64(_))) => (v.ty(), raw_of(*v) as i64),
             Expr::Var(v) => match self.facts.get(v.0 as usize)? {
                 Fact::Known { image, .. } => (self.vars[v.0 as usize].ty.elem(), *image),
-                Fact::Unknown => return None,
+                Fact::Unknown | Fact::Copy { .. } => return None,
             },
             Expr::Unary(op, a) => {
                 let (t, x) = self.fold(a)?;
@@ -656,18 +671,90 @@ impl<'a> Compiler<'a> {
         Some(known)
     }
 
+    /// Set `v`'s fact, keeping [`Compiler::copies`] the list of copies.
+    fn set_fact(&mut self, v: usize, fact: Fact) {
+        if let Fact::Copy { .. } = self.facts[v] {
+            self.copies.retain(|&c| c != v);
+        }
+        if let Fact::Copy { .. } = fact {
+            self.copies.push(v);
+        }
+        self.facts[v] = fact;
+    }
+
     /// Write each of `vars` that holds a fact its register does not yet
     /// hold, and forget the fact: from here on the register is the value.
     fn settle(&mut self, vars: &[usize]) {
         for &v in vars {
-            if let Fact::Known { image, in_reg } = self.facts[v] {
-                if !in_reg {
-                    let src = self.pool_i.intern(&[image as u64]);
-                    let dst = self.vars[v].base;
-                    self.emit(Op::MovI { dst, src });
+            match self.facts[v] {
+                Fact::Known { image, in_reg } => {
+                    self.set_fact(v, Fact::Unknown);
+                    if !in_reg {
+                        let (src, dst) = (self.pool_i.intern(&[image as u64]), self.vars[v].base);
+                        self.clobber(false, dst, 1);
+                        self.emit(Op::MovI { dst, src });
+                    }
                 }
-                self.facts[v] = Fact::Unknown;
+                Fact::Copy { reg } => {
+                    self.set_fact(v, Fact::Unknown);
+                    let slot = self.vars[v];
+                    let (float, w) = (slot.ty.elem().is_float(), window_len(slot.ty));
+                    let (dst, w) = (slot.base, w.expect("a copy is a scalar or a vector"));
+                    self.clobber(float, dst, w);
+                    self.emit(match (float, slot.ty) {
+                        (false, Ty::Scalar(_)) => Op::MovI { dst, src: reg },
+                        (true, Ty::Scalar(_)) => Op::MovF { dst, src: reg },
+                        (false, _) => Op::MovNI { dst, src: reg, w },
+                        (true, _) => Op::MovNF { dst, src: reg, w },
+                    });
+                }
+                Fact::Unknown => {}
             }
+        }
+    }
+
+    /// Settle every copy: before a join or a loop, where the paths that
+    /// meet would disagree on them.
+    fn settle_copies(&mut self) {
+        while let Some(&v) = self.copies.last() {
+            self.settle(&[v]);
+        }
+    }
+
+    /// Before an op writes the registers `base..base + len` of one file,
+    /// settle each copy whose window they overlap.
+    fn clobber(&mut self, float: bool, base: u32, len: u32) {
+        let mut at = 0;
+        while let Some(&v) = self.copies.get(at) {
+            let slot = self.vars[v];
+            let overlaps = match self.facts[v] {
+                Fact::Copy { reg } => {
+                    let w = window_len(slot.ty).unwrap_or(1);
+                    slot.ty.elem().is_float() == float && reg < base + len && base < reg + w
+                }
+                _ => false,
+            };
+            if overlaps {
+                // Settling writes the copy's own window, which may settle
+                // others: start over.
+                self.settle(&[v]);
+                at = 0;
+            } else {
+                at += 1;
+            }
+        }
+    }
+
+    /// What the walk knows of each of `vars`: compiling code that assigns
+    /// only those changes no other fact, so this is all it must put back.
+    fn facts_of(&self, vars: &[usize]) -> Vec<Fact> {
+        vars.iter().map(|&v| self.facts[v]).collect()
+    }
+
+    /// Put back what [`Self::facts_of`] took of `vars`.
+    fn restore_facts(&mut self, vars: &[usize], facts: &[Fact]) {
+        for (&v, &fact) in vars.iter().zip(facts) {
+            self.set_fact(v, fact);
         }
     }
 
@@ -694,12 +781,20 @@ impl<'a> Compiler<'a> {
     fn unrolled(&mut self, var: usize, trips: u64, body: &[Stmt]) -> Option<bool> {
         let (at, charges, pending) = (self.code.len(), self.charges.len(), self.pending);
         let pools = (self.pool_i.bits.len(), self.pool_f.bits.len());
-        let facts = self.facts.clone();
+        // The copies may settle a copy the body does not assign.
+        let mut assigned = vec![var];
+        Self::assigned(body, &mut assigned);
+        assigned.extend_from_slice(&self.copies);
+        let facts = self.facts_of(&assigned);
         for k in 0..trips {
-            self.facts[var] = Fact::Known {
-                image: i64::from(k as i32),
-                in_reg: false,
-            };
+            let image = i64::from(k as i32);
+            self.set_fact(
+                var,
+                Fact::Known {
+                    image,
+                    in_reg: false,
+                },
+            );
             self.charge(self.machine.loop_iter());
             self.compile_block(body)?;
             let size = ((self.code.len() - at) as u64).max(k + 1);
@@ -709,7 +804,7 @@ impl<'a> Compiler<'a> {
                 self.pool_i.truncate(pools.0);
                 self.pool_f.truncate(pools.1);
                 self.pending = pending;
-                self.facts = facts;
+                self.restore_facts(&assigned, &facts);
                 return Some(false);
             }
         }
@@ -761,12 +856,17 @@ impl<'a> Compiler<'a> {
                 if let (LValue::Var(v), Some((ty, image))) = (lv, folded) {
                     if self.vars.get(v.0 as usize)?.ty == Ty::Scalar(ty) {
                         self.charge_tree(e);
-                        self.facts[v.0 as usize] = Fact::Known {
+                        let fact = Fact::Known {
                             image,
                             in_reg: false,
                         };
+                        self.set_fact(v.0 as usize, fact);
                         return Some(());
                     }
+                }
+                // Writing one lane needs the whole vector in its window.
+                if let LValue::LaneVar(v, _) = lv {
+                    self.settle(&[v.0 as usize]);
                 }
                 let want = self.forward_window(lv, known);
                 let val = match folded {
@@ -897,6 +997,7 @@ impl<'a> Compiler<'a> {
                 let mut assigned = vec![var.0 as usize];
                 Self::assigned(body, &mut assigned);
                 self.settle(&assigned);
+                self.settle_copies();
                 let counter = self.alloc(false, 1);
                 let enter = self.emit_patch(Op::LoopEnter {
                     counter,
@@ -908,6 +1009,7 @@ impl<'a> Compiler<'a> {
                 let outer = std::mem::replace(&mut self.pending, self.machine.loop_iter());
                 self.compile_block(body)?;
                 self.settle(&assigned);
+                self.settle_copies();
                 let per_iter = std::mem::replace(&mut self.pending, outer);
                 self.emit(Op::LoopNext {
                     counter,
@@ -949,7 +1051,8 @@ impl<'a> Compiler<'a> {
                 let mut assigned = Vec::new();
                 Self::assigned(then_branch, &mut assigned);
                 Self::assigned(else_branch, &mut assigned);
-                let facts = self.facts.clone();
+                self.settle_copies();
+                let facts = self.facts_of(&assigned);
                 let outer = std::mem::take(&mut self.pending);
                 let to_else = self.emit_patch(if c.is_float() {
                     Op::JumpIfZF {
@@ -964,13 +1067,15 @@ impl<'a> Compiler<'a> {
                 });
                 self.compile_block(then_branch)?;
                 self.settle(&assigned);
+                self.settle_copies();
                 self.flush();
                 let to_end = self.emit_patch(Op::Jump { target: 0 });
                 let else_label = self.here();
                 self.patch(to_else, else_label);
-                self.facts = facts;
+                self.restore_facts(&assigned, &facts);
                 self.compile_block(else_branch)?;
                 self.settle(&assigned);
+                self.settle_copies();
                 self.flush();
                 let end = self.here();
                 self.patch(to_end, end);
@@ -1001,13 +1106,20 @@ impl<'a> Compiler<'a> {
         match lv {
             LValue::Var(v) => {
                 match (slot.ty, val.w) {
-                    (Ty::Scalar(t), None) if t == val.ty => self.emit_mov(slot.base, val),
+                    (Ty::Scalar(t), None) if t == val.ty => {}
                     (Ty::Vector(t, w), Some(vw)) if t == val.ty && u32::try_from(w).ok()? == vw => {
-                        self.emit_mov(slot.base, val)
                     }
                     _ => return None,
                 }
-                self.facts[v.0 as usize] = Fact::Unknown;
+                // A value in a window that outlives the statement — the
+                // pool's or another variable's — is a copy, not a move.
+                let v = v.0 as usize;
+                if val.reg != slot.base && val.reg < TEMP_F {
+                    self.set_fact(v, Fact::Copy { reg: val.reg });
+                } else {
+                    self.set_fact(v, Fact::Unknown);
+                    self.emit_mov(slot.base, val);
+                }
                 Some(())
             }
             LValue::Index(_, i) => {
@@ -1016,7 +1128,7 @@ impl<'a> Compiler<'a> {
                     (Ty::Array(t, n), None) if t == val.ty => {
                         let len = len(n)?;
                         let at = self.locate(slot, i, known, (1, len, 1))?;
-                        self.store_at(at, val, |idx| {
+                        self.store_at(at, val, slot, |idx| {
                             if float {
                                 Op::StoreIdxF {
                                     base,
@@ -1040,7 +1152,7 @@ impl<'a> Compiler<'a> {
                     {
                         let (len, w) = (len(n)?, vw);
                         let at = self.locate(slot, i, known, (w, len, 1))?;
-                        self.store_at(at, val, |idx| {
+                        self.store_at(at, val, slot, |idx| {
                             if float {
                                 Op::StoreVElemF {
                                     base,
@@ -1072,7 +1184,7 @@ impl<'a> Compiler<'a> {
                     Ty::Array(t, n) if t == val.ty => {
                         let len = len(n)?;
                         let at = self.locate(slot, i, known, (1, len, w))?;
-                        self.store_at(at, val, |idx| {
+                        self.store_at(at, val, slot, |idx| {
                             if t.is_float() {
                                 Op::StoreVSliceF {
                                     base,
@@ -1108,7 +1220,7 @@ impl<'a> Compiler<'a> {
                     let (len, w, lane) = (len(n)?, len(w)?, len(*lane)?);
                     let (base, src) = (slot.base, val.reg);
                     let at = self.locate(slot, i, known, (w, len, 1))?;
-                    self.store_at(at.map(|row| row + lane), val, |idx| {
+                    self.store_at(at.map(|row| row + lane), val, slot, |idx| {
                         if t.is_float() {
                             Op::LaneStoreF {
                                 base,
@@ -1138,11 +1250,21 @@ impl<'a> Compiler<'a> {
 
     /// Store `val` where [`Self::locate`] found its element: a move into
     /// the element's window, or the bounds-checked `op` on the index
-    /// register.
-    fn store_at(&mut self, at: Result<u32, u32>, val: Operand, op: impl FnOnce(u32) -> Op) {
+    /// register, which may write anywhere in `slot`'s window.
+    fn store_at(
+        &mut self,
+        at: Result<u32, u32>,
+        val: Operand,
+        slot: VarSlot,
+        op: impl FnOnce(u32) -> Op,
+    ) {
         match at {
             Ok(window) => self.emit_mov(window, val),
-            Err(idx) => self.emit(op(idx)),
+            Err(idx) => {
+                let len = window_len(slot.ty).unwrap_or(u32::MAX - slot.base);
+                self.clobber(slot.ty.elem().is_float(), slot.base, len);
+                self.emit(op(idx));
+            }
         }
     }
 
@@ -1189,7 +1311,10 @@ impl<'a> Compiler<'a> {
         match e {
             Expr::Const(_) | Expr::ConstVec(_) => self.pooled_operand(e),
             Expr::Var(v) => {
-                let slot = *self.vars.get(v.0 as usize)?;
+                let mut slot = *self.vars.get(v.0 as usize)?;
+                if let Fact::Copy { reg } = self.facts[v.0 as usize] {
+                    slot.base = reg;
+                }
                 match slot.ty {
                     // Reads are free (register residency); aggregates
                     // cannot be read as values (tree-walk errors).
@@ -2294,6 +2419,46 @@ mod tests {
         let tree = fire(&f, None, 2);
         assert_eq!(fire(&f, Some(plan), 2), tree);
         assert_eq!(tree.2, [3, 6, 3, 6].map(Value::I32));
+    }
+
+    /// A variable assigned a window that outlives the statement reads
+    /// that window, with no move, until something writes the window: the
+    /// move comes then, just before the write.
+    #[test]
+    fn a_copy_reads_its_window_until_the_window_is_written() {
+        let mut fb = FilterBuilder::new("copy", 0, 0, 3, ScalarTy::I32);
+        let (a, t) = (
+            fb.local("a", Ty::Array(ScalarTy::I32, 4)),
+            fb.local("t", Ty::Array(ScalarTy::I32, 4)),
+        );
+        let (x, s) = (
+            fb.local("x", Ty::Scalar(ScalarTy::I32)),
+            fb.state("s", Ty::Scalar(ScalarTy::I32)),
+        );
+        fb.work(|b| {
+            b.set_idx(a, 1i32, v(s) * 3i32);
+            b.set(x, idx(a, 1i32));
+            b.set_idx(t, 2i32, v(x));
+            b.set_idx(a, 1i32, 9i32);
+            b.set(s, v(s) + 1i32);
+            b.push(v(x)).push(idx(t, 2i32)).push(idx(a, 1i32));
+        });
+        let f = fb.build();
+        let m = Machine::core_i7();
+        let plan = compile_filter(&f, None, Some(ScalarTy::I32), &m).expect("compiles");
+        // `a` is i0..4, `t` i4..8, `x` i8: `t[2] = x` moves from `a[1]`,
+        // and `x` takes its value just before `a[1]` is overwritten.
+        let moves: Vec<(u32, u32)> = (plan.work.iter())
+            .filter_map(|op| match *op {
+                Op::MovI { dst, src } => Some((dst, src)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(moves[..2], [(6, 1), (8, 1)], "{:?}", plan.work);
+        assert_eq!(moves.len(), 3, "{:?}", plan.work);
+        let tree = fire(&f, None, 3);
+        assert_eq!(fire(&f, Some(plan), 3), tree);
+        assert_eq!(tree.2, [0, 0, 9, 3, 3, 9, 6, 6, 9].map(Value::I32));
     }
 
     /// A `State` variable assigned a known value holds it as a fact
