@@ -342,20 +342,20 @@ RegionAccNorm 78a19f387325506b6b112fee3011452b d4e7b6a797209c5de908d9a06bc32589
 
 /// Program, bytecode of the scalar graph, bytecode of the SIMDized graph.
 const PINNED_BYTECODE: &str = "
-AudioBeam c3daad776655eab2 8210f48703f91eb5
-BeamFormer f9b528391e2f0211 fc37d31eb153c95f
-BitonicSort 0e7e33dd5a790fa0 9e577904795d1c79
-ChannelVocoder dceb3e390d65ece0 172a4d3a610d7d59
-DCT 10f4fdd5ea7a86e4 ae0cc2f4bcd36916
-DES d664da279392174b 705bcb1ee4bbbec1
-FFT e4fbdf2508f53d5d b225fe78a9f2114e
-FilterBank b0f591fb58475c97 1a2f23124b524f25
-FMRadio 4a05057529ede0ee 8b706b6c69c3f4e4
-MatrixMult d6a674ae0820238c 776cd54aad252216
-MatrixMultBlock c0772988931969bb 2252fd96ca7c123a
-MP3Decoder 00430ae6d054ca1d 4fb79ff1d45ed393
-Serpent f972e6add05c4b58 505723e707267424
-TDE d660958cd103159b e3cdbbf30f6a4802
-RegionIIRBank bd28d8e62de1f549 acf216690f2b6f8a
-RegionAccNorm fc655b47b1a0e976 749679219348c534
+AudioBeam 2068d2ed8c8b3a1b f35e75c187cd120c
+BeamFormer 80f45f5fa3a72ac3 93494e3fe5176692
+BitonicSort 553317be845163e2 2fea485e308b14e1
+ChannelVocoder e2d6a77c20d1969f 95c397cb57e3581b
+DCT 0f8ea6c0367fb901 0f4f0dcc48442ca5
+DES d664da279392174b c92f8f3e9ca5fce7
+FFT d101424ce7b89016 c23348bf64a456bb
+FilterBank a39eb606b4efc5df 8a8cad5633fc3dda
+FMRadio a448d9e22767d635 903d937b09a9baca
+MatrixMult d9df69c1715e2496 1387e5f017a38a75
+MatrixMultBlock f43801b87df90483 1b3d1a3e75ab5f27
+MP3Decoder d0bcd3fb982226b4 28c607e64046c865
+Serpent 34fbbb0533fb3a98 f8caa9846c3785f8
+TDE 28e0658439209430 c4365399190b9850
+RegionIIRBank bd28d8e62de1f549 c02e78a85098843a
+RegionAccNorm fc655b47b1a0e976 37a8e3f9df0f649b
 ";
