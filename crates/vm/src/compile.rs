@@ -280,8 +280,9 @@ struct Compiler<'a> {
     charges: Vec<ChargeEntry>,
     /// What the walk knows of each variable, by `VarId`.
     facts: Vec<Fact>,
-    /// The variables whose fact is a [`Fact::Copy`].
-    copies: Vec<usize>,
+    /// The variables whose fact is a [`Fact::Copy`], each with the window
+    /// it reads.
+    copies: Vec<(usize, Window)>,
     /// Whether a loop whose trip count is known may be unrolled (in
     /// `work`, not in `init`).
     unroll: bool,
@@ -674,10 +675,17 @@ impl<'a> Compiler<'a> {
     /// Set `v`'s fact, keeping [`Compiler::copies`] the list of copies.
     fn set_fact(&mut self, v: usize, fact: Fact) {
         if let Fact::Copy { .. } = self.facts[v] {
-            self.copies.retain(|&c| c != v);
+            self.copies.retain(|&(c, _)| c != v);
         }
-        if let Fact::Copy { .. } = fact {
-            self.copies.push(v);
+        if let Fact::Copy { reg } = fact {
+            let ty = self.vars[v].ty;
+            let (float, len) = (ty.elem().is_float(), window_len(ty).unwrap_or(1));
+            let read = Window {
+                float,
+                base: reg,
+                len,
+            };
+            self.copies.push((v, read));
         }
         self.facts[v] = fact;
     }
@@ -686,29 +694,21 @@ impl<'a> Compiler<'a> {
     /// hold, and forget the fact: from here on the register is the value.
     fn settle(&mut self, vars: &[usize]) {
         for &v in vars {
-            match self.facts[v] {
-                Fact::Known { image, in_reg } => {
-                    self.set_fact(v, Fact::Unknown);
-                    if !in_reg {
-                        let (src, dst) = (self.pool_i.intern(&[image as u64]), self.vars[v].base);
-                        self.clobber(false, dst, 1);
-                        self.emit(Op::MovI { dst, src });
-                    }
-                }
-                Fact::Copy { reg } => {
-                    self.set_fact(v, Fact::Unknown);
-                    let slot = self.vars[v];
-                    let (float, w) = (slot.ty.elem().is_float(), window_len(slot.ty));
-                    let (dst, w) = (slot.base, w.expect("a copy is a scalar or a vector"));
-                    self.clobber(float, dst, w);
-                    self.emit(match (float, slot.ty) {
-                        (false, Ty::Scalar(_)) => Op::MovI { dst, src: reg },
-                        (true, Ty::Scalar(_)) => Op::MovF { dst, src: reg },
-                        (false, _) => Op::MovNI { dst, src: reg, w },
-                        (true, _) => Op::MovNF { dst, src: reg, w },
-                    });
-                }
-                Fact::Unknown => {}
+            let slot = self.vars[v];
+            let reg = match self.facts[v] {
+                Fact::Known { in_reg: true, .. } => None,
+                Fact::Known { image, .. } => Some(self.pool_i.intern(&[image as u64])),
+                Fact::Copy { reg } => Some(reg),
+                Fact::Unknown => continue,
+            };
+            self.set_fact(v, Fact::Unknown);
+            if let Some(reg) = reg {
+                let w = match slot.ty {
+                    Ty::Vector(..) => window_len(slot.ty),
+                    _ => None,
+                };
+                let ty = slot.ty.elem();
+                self.emit_mov(slot.base, Operand { ty, w, reg });
             }
         }
     }
@@ -716,7 +716,7 @@ impl<'a> Compiler<'a> {
     /// Settle every copy: before a join or a loop, where the paths that
     /// meet would disagree on them.
     fn settle_copies(&mut self) {
-        while let Some(&v) = self.copies.last() {
+        while let Some(&(v, _)) = self.copies.last() {
             self.settle(&[v]);
         }
     }
@@ -725,16 +725,8 @@ impl<'a> Compiler<'a> {
     /// settle each copy whose window they overlap.
     fn clobber(&mut self, float: bool, base: u32, len: u32) {
         let mut at = 0;
-        while let Some(&v) = self.copies.get(at) {
-            let slot = self.vars[v];
-            let overlaps = match self.facts[v] {
-                Fact::Copy { reg } => {
-                    let w = window_len(slot.ty).unwrap_or(1);
-                    slot.ty.elem().is_float() == float && reg < base + len && base < reg + w
-                }
-                _ => false,
-            };
-            if overlaps {
+        while let Some(&(v, read)) = self.copies.get(at) {
+            if read.float == float && read.base < base + len && base < read.base + read.len {
                 // Settling writes the copy's own window, which may settle
                 // others: start over.
                 self.settle(&[v]);
@@ -784,7 +776,7 @@ impl<'a> Compiler<'a> {
         // The copies may settle a copy the body does not assign.
         let mut assigned = vec![var];
         Self::assigned(body, &mut assigned);
-        assigned.extend_from_slice(&self.copies);
+        assigned.extend(self.copies.iter().map(|&(v, _)| v));
         let facts = self.facts_of(&assigned);
         for k in 0..trips {
             let image = i64::from(k as i32);
@@ -1288,10 +1280,19 @@ impl<'a> Compiler<'a> {
     /// [`Self::compile_expr`] for the value of an assignment: the op that
     /// produces it may write `want` (see [`Self::dest`]).
     fn compile_expr_to(&mut self, e: &Expr, want: Option<Window>) -> Option<Operand> {
-        // What folds is a pool operand: nothing to emit.
-        if let Some((ty, image)) = self.fold_charged(e) {
-            let reg = self.pool_i.intern(&[image as u64]);
-            return Some(Operand { ty, w: None, reg });
+        // What folds is a pool operand: nothing to emit. (Only these node
+        // kinds can fold.)
+        if let Expr::Const(_)
+        | Expr::Var(_)
+        | Expr::Unary(..)
+        | Expr::Binary(..)
+        | Expr::Cast(..)
+        | Expr::Call(..) = e
+        {
+            if let Some((ty, image)) = self.fold_charged(e) {
+                let reg = self.pool_i.intern(&[image as u64]);
+                return Some(Operand { ty, w: None, reg });
+            }
         }
         self.lower_charged(e, want)
     }

@@ -307,8 +307,12 @@ impl StmtGen {
         self.us[self.rng.range(0, self.us.len())]
     }
 
-    fn pick(&mut self, of: &[VarId]) -> VarId {
-        of[self.rng.range(0, of.len())]
+    fn array(&mut self) -> VarId {
+        self.arrays[self.rng.range(0, self.arrays.len())]
+    }
+
+    fn panel(&mut self) -> VarId {
+        self.panels[self.rng.range(0, self.panels.len())]
     }
 
     /// An expression over the enclosing loop variables (a scalar one
@@ -365,7 +369,7 @@ impl StmtGen {
             1 => Expr::Lane(Box::new(Expr::Var(self.u())), self.rng.range(0, 4)),
             2 => Expr::Const(Value::I32(self.rng.range_i32(-3, 6))),
             3 if depth > 0 => {
-                let a = self.pick(&self.arrays.clone());
+                let a = self.array();
                 Expr::Index(a, Box::new(self.subscript(loops, ARRAY_LEN)))
             }
             _ => Expr::Var(self.x()),
@@ -381,7 +385,7 @@ impl StmtGen {
             ),
             2 => Expr::PermuteEven(Box::new(Expr::Var(self.u())), Box::new(Expr::Var(self.u()))),
             3 => {
-                let p = self.pick(&self.panels.clone());
+                let p = self.panel();
                 Expr::Index(p, Box::new(self.subscript(loops, PANEL_ROWS)))
             }
             _ => Expr::bin(
@@ -475,13 +479,13 @@ impl StmtGen {
                     self.scalar(0, loops),
                 )),
                 6 => {
-                    let a = self.pick(&self.arrays.clone());
+                    let a = self.array();
                     let value = self.scalar(0, loops);
                     let at = self.subscript(loops, ARRAY_LEN);
                     out.push(Stmt::Assign(LValue::Index(a, at), value));
                 }
                 7 => {
-                    let p = self.pick(&self.panels.clone());
+                    let p = self.panel();
                     let at = self.subscript(loops, PANEL_ROWS);
                     out.push(if self.rng.range(0, 2) == 0 {
                         Stmt::Assign(LValue::Index(p, at), self.vector(loops))
