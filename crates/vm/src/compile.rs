@@ -130,8 +130,9 @@ enum Fact {
 /// stays a rotated `LoopEnter`/`LoopNext` loop.
 const UNROLL_BUDGET: u64 = 256;
 
-/// The variable window the outermost op of an assignment may write
-/// directly instead of a fresh temporary.
+/// A window of one register file: the variable window the outermost op
+/// of an assignment may write directly instead of a fresh temporary, or
+/// the window a copy reads.
 #[derive(Debug, Clone, Copy)]
 struct Window {
     float: bool,
