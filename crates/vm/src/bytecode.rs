@@ -301,6 +301,20 @@ pub enum Op {
         b: u32,
         w: u32,
     },
+    /// A float multiply and the add that consumes it, lane-wise over `w`
+    /// registers (`w == 1` for scalars): `f[dst] = f[acc] + f[a]*f[b]`
+    /// when `acc_first`, else `f[a]*f[b] + f[acc]`. Two roundings in the
+    /// `ty` domain, each through [`bin_f`] in the source's operand order,
+    /// so every bit is the two ops' — never a fused `mul_add`.
+    MulAddF {
+        ty: ScalarTy,
+        acc_first: bool,
+        dst: u32,
+        acc: u32,
+        a: u32,
+        b: u32,
+        w: u32,
+    },
     VCmpF {
         op: BinOp,
         dst: u32,
@@ -1096,6 +1110,15 @@ pub fn run_code(
                 b,
                 w,
             } => lanes::bin_f(*op, *ty, &mut regs.f, *dst, *a, *b, *w),
+            Op::MulAddF {
+                ty,
+                acc_first,
+                dst,
+                acc,
+                a,
+                b,
+                w,
+            } => lanes::mul_add_f(*ty, *acc_first, &mut regs.f, *dst, *acc, (*a, *b), *w),
             Op::CmpF { op, dst, a, b } => lanes::cmp_f(*op, regs, *dst, *a, *b, 1),
             Op::VCmpF { op, dst, a, b, w } => lanes::cmp_f(*op, regs, *dst, *a, *b, *w),
             Op::NegI { ty, dst, a } => lanes::neg_i(*ty, &mut regs.i, *dst, *a, 1),

@@ -60,6 +60,23 @@
 //! settled. Folding moves no charge: every folded node is charged its
 //! price where the tree-walker evaluates it.
 //!
+//! # Writing where the value goes
+//!
+//! Two more rewrites make an op write where its value is used, each
+//! looking no further than the last op emitted or the next statement.
+//! A float `Add` one of whose sources is the temporary the last op — a
+//! `Mul` of the same type and width — just computed replaces that op
+//! with one [`Op::MulAddF`] ([`Compiler::product`]): the product's
+//! temporary is read by nothing else, and the fused op rounds twice, in
+//! the source's operand order, so its bits are the two ops'. Only when
+//! [`Compiler::dest`] settles no copy in between is the `Mul` still the
+//! last op. And in `x = e; a[k] = x`, where `a[k]`'s subscript folds in
+//! range and does not read `x`, `e` is offered the element's window
+//! before `x`'s ([`Compiler::in_place`]): `x` becomes a copy of the
+//! element and the store moves nothing. Where `dest` refuses the
+//! element, the value goes to `x` as before. Neither moves a charge:
+//! each node is charged where it always was.
+//!
 //! # Cycle accounting
 //!
 //! Every node is charged its price from the machine's price list
@@ -78,7 +95,7 @@
 use crate::bytecode::{bin_i, call1_i, call2_i, cast_ii, neg_i, not_i, CompiledFilter, Op};
 use crate::machine::{ChargeEntry, Machine};
 use crate::tape::raw_of;
-use macross_streamir::expr::{Expr, Intrinsic, LValue, UnOp};
+use macross_streamir::expr::{BinOp, Expr, Intrinsic, LValue, UnOp};
 use macross_streamir::filter::{Filter, VarKind};
 use macross_streamir::stmt::Stmt;
 use macross_streamir::types::{ScalarTy, Ty, Value};
@@ -442,10 +459,10 @@ impl<'a> Compiler<'a> {
     }
 
     fn compile_block(&mut self, stmts: &[Stmt]) -> Option<()> {
-        for s in stmts {
+        for (k, s) in stmts.iter().enumerate() {
             // Expression temporaries live only for their statement.
             let (ci, cf) = (self.cur_i, self.cur_f);
-            self.compile_stmt(s)?;
+            self.compile_stmt(s, stmts.get(k + 1))?;
             self.cur_i = ci;
             self.cur_f = cf;
         }
@@ -506,23 +523,23 @@ impl<'a> Compiler<'a> {
         r
     }
 
-    /// Where a value-producing op writes: the forwarded window `want` when
-    /// that is legal — same file and width, and every window of `srcs`
-    /// (the op's sources as `(is_float, base, len)`) that lies in that
-    /// file disjoint from it or, for the `lanewise` ops (lane `k` reads
-    /// only lane `k`), identical to it — else a fresh temporary.
+    /// Where a value-producing op writes: the first forwarded window of
+    /// `want` where that is legal — same file and width, and every window
+    /// of `srcs` (the op's sources as `(is_float, base, len)`) that lies in
+    /// that file disjoint from it or, for the `lanewise` ops (lane `k`
+    /// reads only lane `k`), identical to it — else a fresh temporary.
     /// Sub-expressions are compiled with no `want`, so only the op that
     /// produces the assigned value itself can land in the variable, and a
     /// pool register is never written.
     fn dest(
         &mut self,
-        want: Option<Window>,
+        want: &[Window],
         float: bool,
         w: u32,
         lanewise: bool,
         srcs: &[(bool, u32, u32)],
     ) -> u32 {
-        if let Some(win) = want.filter(|win| win.float == float && win.len == w) {
+        for win in want.iter().filter(|win| win.float == float && win.len == w) {
             let clear = |&(f, s, len): &(bool, u32, u32)| {
                 f != float
                     || s + len <= win.base
@@ -825,7 +842,28 @@ impl<'a> Compiler<'a> {
         Some(Err(self.as_index(idx)?))
     }
 
-    fn compile_stmt(&mut self, s: &Stmt) -> Option<()> {
+    /// The element window `x = e` may compute its value into when `next`,
+    /// the statement after it, is `lv = x`: `lv` an element whose
+    /// subscript folds in range and does not read `x`, so that it locates
+    /// the same window before and after `x` is assigned. `x` is then a
+    /// copy of the element, and the store moves nothing.
+    fn in_place(&self, x: &LValue, next: Option<&Stmt>) -> Option<Window> {
+        let (LValue::Var(x), Some(Stmt::Assign(lv, Expr::Var(y)))) = (x, next) else {
+            return None;
+        };
+        let (LValue::Index(_, i) | LValue::LaneIndex(_, i, _)) = lv else {
+            return None;
+        };
+        let mut reads_x = false;
+        i.walk(&mut |e| reads_x |= matches!(e, Expr::Var(v) if v == x));
+        if y != x || reads_x {
+            return None;
+        }
+        let (_, known) = self.fold(i)?;
+        self.forward_window(lv, Some(known))
+    }
+
+    fn compile_stmt(&mut self, s: &Stmt, next: Option<&Stmt>) -> Option<()> {
         self.charge(self.machine.stmt_charge(s));
         match s {
             Stmt::Assign(lv, e) => {
@@ -861,7 +899,17 @@ impl<'a> Compiler<'a> {
                 if let LValue::LaneVar(v, _) = lv {
                     self.settle(&[v.0 as usize]);
                 }
-                let want = self.forward_window(lv, known);
+                // The element the next statement stores `lv` to comes
+                // first; where `dest` refuses it, `lv`'s own window.
+                let own = self.forward_window(lv, known);
+                let both;
+                let want = match (self.in_place(lv, next), own) {
+                    (Some(element), Some(own)) => {
+                        both = [element, own];
+                        &both[..]
+                    }
+                    _ => own.as_slice(),
+                };
                 let val = match folded {
                     Some(_) => self.compile_expr_to(e, want)?,
                     None => self.lower_charged(e, want)?,
@@ -1262,7 +1310,7 @@ impl<'a> Compiler<'a> {
     }
 
     fn compile_expr(&mut self, e: &Expr) -> Option<Operand> {
-        self.compile_expr_to(e, None)
+        self.compile_expr_to(e, &[])
     }
 
     /// A constant's pool window as an operand, interned if it is new:
@@ -1280,7 +1328,7 @@ impl<'a> Compiler<'a> {
 
     /// [`Self::compile_expr`] for the value of an assignment: the op that
     /// produces it may write `want` (see [`Self::dest`]).
-    fn compile_expr_to(&mut self, e: &Expr, want: Option<Window>) -> Option<Operand> {
+    fn compile_expr_to(&mut self, e: &Expr, want: &[Window]) -> Option<Operand> {
         // What folds is a pool operand: nothing to emit. (Only these node
         // kinds can fold.)
         if let Expr::Const(_)
@@ -1299,7 +1347,7 @@ impl<'a> Compiler<'a> {
     }
 
     /// [`Self::compile_expr_to`] for an `e` that does not fold.
-    fn lower_charged(&mut self, e: &Expr, want: Option<Window>) -> Option<Operand> {
+    fn lower_charged(&mut self, e: &Expr, want: &[Window]) -> Option<Operand> {
         let val = self.lower_expr(e, want)?;
         // Reading a variable is free.
         if !matches!(e, Expr::Var(_)) {
@@ -1309,7 +1357,7 @@ impl<'a> Compiler<'a> {
         Some(val)
     }
 
-    fn lower_expr(&mut self, e: &Expr, want: Option<Window>) -> Option<Operand> {
+    fn lower_expr(&mut self, e: &Expr, want: &[Window]) -> Option<Operand> {
         match e {
             Expr::Const(_) | Expr::ConstVec(_) => self.pooled_operand(e),
             Expr::Var(v) => {
@@ -1468,9 +1516,32 @@ impl<'a> Compiler<'a> {
                 // Comparisons yield I32 0/1 lanes, so a float comparison
                 // lands in the integer file.
                 let lanes = a.w.unwrap_or(1);
-                let srcs = [(float, a.reg, lanes), (float, b.reg, lanes)];
+                let fused = match (float, op) {
+                    (true, BinOp::Add) => self.product(a.ty, lanes, a.reg, b.reg),
+                    _ => None,
+                };
+                // The multiply-add reads the product's sources in place of
+                // the product: they must be clear of its destination too.
+                let (x, y) = fused.map_or((a.reg, b.reg), |(_, _, x, y)| (x, y));
+                let srcs = [a.reg, b.reg, x, y].map(|r| (float, r, lanes));
+                let at = self.code.len();
                 let dst = self.dest(want, float && !cmp, lanes, true, &srcs);
                 let (op, ty, w, a, b) = (*op, a.ty, a.w, a.reg, b.reg);
+                // Only if `dest` settled no copy is the product still the
+                // last op.
+                if let Some((acc_first, acc, a, b)) = fused.filter(|_| self.code.len() == at) {
+                    self.code.pop();
+                    self.emit(Op::MulAddF {
+                        ty,
+                        acc_first,
+                        dst,
+                        acc,
+                        a,
+                        b,
+                        w: lanes,
+                    });
+                    return Some(Operand { ty, w, reg: dst });
+                }
                 self.emit(match (float, cmp, w) {
                     (true, true, None) => Op::CmpF { op, dst, a, b },
                     (true, true, Some(w)) => Op::VCmpF { op, dst, a, b, w },
@@ -1673,13 +1744,42 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn permute(
-        &mut self,
-        a: &Expr,
-        b: &Expr,
-        parity: u32,
-        want: Option<Window>,
-    ) -> Option<Operand> {
+    /// When the last op emitted is a float `Mul` of `ty` over `w` lanes
+    /// into a temporary that exactly one of an `Add`'s sources `a`, `b`
+    /// is: `(acc_first, acc, x, y)`, the `MulAddF` that computes the `Add`
+    /// from the product's sources `x`, `y` and the other source `acc`. A
+    /// temporary is read once, by the node it was computed for, so nothing
+    /// else needs the product.
+    fn product(&self, ty: ScalarTy, w: u32, a: u32, b: u32) -> Option<(bool, u32, u32, u32)> {
+        let (t, x, y) = match *self.code.last()? {
+            Op::BinF {
+                op: BinOp::Mul,
+                ty: of,
+                dst,
+                a,
+                b,
+            } if of == ty && w == 1 => (dst, a, b),
+            Op::VBinF {
+                op: BinOp::Mul,
+                ty: of,
+                dst,
+                a,
+                b,
+                w: lanes,
+            } if of == ty && lanes == w => (dst, a, b),
+            _ => return None,
+        };
+        if !(TEMP_F..TEMP_I).contains(&t) {
+            return None;
+        }
+        match (a == t, b == t) {
+            (true, false) => Some((false, b, x, y)),
+            (false, true) => Some((true, a, x, y)),
+            _ => None,
+        }
+    }
+
+    fn permute(&mut self, a: &Expr, b: &Expr, parity: u32, want: &[Window]) -> Option<Operand> {
         let a = self.compile_expr(a)?;
         let b = self.compile_expr(b)?;
         let w = a.w?;
@@ -1714,13 +1814,7 @@ impl<'a> Compiler<'a> {
         })
     }
 
-    fn unary(
-        &mut self,
-        op: UnOp,
-        a: Operand,
-        w: Option<u32>,
-        want: Option<Window>,
-    ) -> Option<Operand> {
+    fn unary(&mut self, op: UnOp, a: Operand, w: Option<u32>, want: &[Window]) -> Option<Operand> {
         let float = a.is_float();
         let (result_float, result_ty) = match op {
             UnOp::Neg => (float, a.ty),
@@ -1773,12 +1867,7 @@ impl<'a> Compiler<'a> {
         })
     }
 
-    fn intrinsic(
-        &mut self,
-        i: Intrinsic,
-        ops: &[Operand],
-        want: Option<Window>,
-    ) -> Option<Operand> {
+    fn intrinsic(&mut self, i: Intrinsic, ops: &[Operand], want: &[Window]) -> Option<Operand> {
         let a = ops[0];
         let float = a.is_float();
         // One or two operands (anything else is refused below).
@@ -1997,6 +2086,12 @@ fn relocate_temporaries(code: &mut [Op], temp_i: u32, temp_f: u32) {
                 fix(a);
                 fix(b);
             }
+            Op::MulAddF { dst, acc, a, b, .. } => {
+                fix(dst);
+                fix(acc);
+                fix(a);
+                fix(b);
+            }
         }
     }
 }
@@ -2204,19 +2299,29 @@ mod tests {
     }
 
     /// Fire `f`'s `work` `k` times, compiled (`Some(plan)`) or tree-walked
-    /// (`None`), into a sink: the block's result, the completed firings
-    /// and what the sink took.
+    /// (`None`), into an `I32` sink: the block's result, the completed
+    /// firings and what the sink took.
     fn fire(
         f: &Filter,
         plan: Option<CompiledFilter>,
         k: u64,
+    ) -> (Result<(), crate::VmError>, u64, Vec<Value>) {
+        fire_into(f, plan, k, ScalarTy::I32)
+    }
+
+    /// [`fire`] into a sink of `elem` tokens.
+    fn fire_into(
+        f: &Filter,
+        plan: Option<CompiledFilter>,
+        k: u64,
+        elem: ScalarTy,
     ) -> (Result<(), crate::VmError>, u64, Vec<Value>) {
         use crate::firing::{fire_block, graph_tapes, FilterState, FirePlan};
         use macross_streamir::graph::{Graph, Node};
         let mut g = Graph::new();
         let id = g.add_node(Node::filter(f.clone()));
         let sink = g.add_node(Node::Sink);
-        g.connect(id, 0, sink, 0, ScalarTy::I32);
+        g.connect(id, 0, sink, 0, elem);
         let m = Machine::core_i7();
         let plans = FirePlan::for_graph(&g, &m);
         let mut tapes = graph_tapes(&g);
@@ -2512,6 +2617,399 @@ mod tests {
         let tree = fire(&f, None, 3);
         assert_eq!(fire(&f, Some(plan), 3), tree);
         assert_eq!(tree.2, [40, 10, 15, 10, 15, 10].map(Value::I32));
+    }
+
+    const VEC4: Ty = Ty::Vector(ScalarTy::F32, 4);
+
+    fn splat(x: f32) -> E {
+        E(Expr::Splat(Box::new(Expr::Const(Value::F32(x))), 4))
+    }
+
+    fn lane(e: E, k: usize) -> E {
+        E(Expr::Lane(Box::new(e.0), k))
+    }
+
+    /// The `MulAddF`s of `code` as `(ty, acc_first, w)`.
+    fn mul_adds(code: &[Op]) -> Vec<(ScalarTy, bool, u32)> {
+        code.iter()
+            .filter_map(|op| match *op {
+                Op::MulAddF {
+                    ty, acc_first, w, ..
+                } => Some((ty, acc_first, w)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn is_mul(op: &Op) -> bool {
+        matches!(
+            op,
+            Op::BinF { op: BinOp::Mul, .. } | Op::VBinF { op: BinOp::Mul, .. }
+        )
+    }
+
+    /// `f` compiled with no input edge and an `F32` output, and its
+    /// firings into an `F32` sink agreeing bit for bit with the tree
+    /// walker's.
+    fn compiled_agreeing(f: &Filter) -> CompiledFilter {
+        let m = Machine::core_i7();
+        let plan = compile_filter(f, None, Some(ScalarTy::F32), &m).expect("compiles");
+        let bits = |(result, completed, sunk): (_, _, Vec<Value>)| {
+            let sunk: Vec<u64> = sunk.into_iter().map(raw_of).collect();
+            (result, completed, sunk)
+        };
+        let tree = bits(fire_into(f, None, 3, ScalarTy::F32));
+        assert_eq!(
+            bits(fire_into(f, Some(plan.clone()), 3, ScalarTy::F32)),
+            tree
+        );
+        plan
+    }
+
+    /// `acc + x*y` and `x*y + acc`, vector `F32` and scalar `F64`: each
+    /// add takes the place of the product it consumes, in the source's
+    /// operand order.
+    #[test]
+    fn a_float_product_and_the_add_that_consumes_it_are_one_op() {
+        let mut fb = FilterBuilder::new("fma", 0, 0, 10, ScalarTy::F32);
+        let f64s = Ty::Scalar(ScalarTy::F64);
+        let (x, y, acc) = (
+            fb.state("x", VEC4),
+            fb.state("y", VEC4),
+            fb.state("acc", VEC4),
+        );
+        let (p, q) = (fb.local("p", VEC4), fb.local("q", VEC4));
+        let (s, t, u) = (
+            fb.state("s", f64s),
+            fb.state("t", f64s),
+            fb.state("u", f64s),
+        );
+        let (d, e) = (fb.local("d", f64s), fb.local("e", f64s));
+        fb.init(|b| {
+            b.set(x, splat(1.5))
+                .set(y, splat(-2.25))
+                .set(acc, splat(0.375));
+            b.set(s, 0.5f64).set(t, 3.0f64).set(u, -0.125f64);
+        });
+        fb.work(|b| {
+            b.set(p, v(acc) + v(x) * v(y));
+            b.set(q, v(x) * v(y) + v(acc));
+            b.set(d, v(s) + v(t) * v(u));
+            b.set(e, v(t) * v(u) + v(s));
+            b.set(acc, v(p) - v(y)).set(s, v(e) - v(u));
+            for k in 0..4 {
+                b.push(lane(v(p), k)).push(lane(v(q), k));
+            }
+            b.push(cast(ScalarTy::F32, v(d)))
+                .push(cast(ScalarTy::F32, v(e)));
+        });
+        let plan = compiled_agreeing(&fb.build());
+        use ScalarTy::{F32, F64};
+        assert_eq!(
+            mul_adds(&plan.work),
+            [
+                (F32, true, 4),
+                (F32, false, 4),
+                (F64, true, 1),
+                (F64, false, 1)
+            ],
+            "{:?}",
+            plan.work
+        );
+        assert_eq!(count_ops(&plan.work, is_mul), 0, "{:?}", plan.work);
+    }
+
+    /// `x*y + z*w`: the first product is a source of the add by the time
+    /// the second is computed, so only the second fuses.
+    #[test]
+    fn of_two_products_only_the_second_fuses() {
+        let mut fb = FilterBuilder::new("two", 0, 0, 4, ScalarTy::F32);
+        let [x, y, z, w] = ["x", "y", "z", "w"].map(|n| fb.state(n, VEC4));
+        let r = fb.local("r", VEC4);
+        fb.init(|b| {
+            b.set(x, splat(0.5)).set(y, splat(3.0));
+            b.set(z, splat(-1.25)).set(w, splat(2.5));
+        });
+        fb.work(|b| {
+            b.set(r, v(x) * v(y) + v(z) * v(w));
+            b.set(x, v(r) - v(z));
+            for k in 0..4 {
+                b.push(lane(v(r), k));
+            }
+        });
+        let plan = compiled_agreeing(&fb.build());
+        let first = plan.work.iter().find(|op| is_mul(op));
+        let Some(&Op::VBinF { dst: product, .. }) = first else {
+            panic!("no first product: {:?}", plan.work);
+        };
+        assert_eq!(count_ops(&plan.work, is_mul), 1, "{:?}", plan.work);
+        // `x`, `y`, `z`, `w` are f0..16 and `r` f16..20.
+        let fused = plan.work.iter().find(|op| matches!(op, Op::MulAddF { .. }));
+        assert_eq!(
+            fused,
+            Some(&Op::MulAddF {
+                ty: ScalarTy::F32,
+                acc_first: true,
+                dst: 16,
+                acc: product,
+                a: 8,
+                b: 12,
+                w: 4,
+            }),
+            "{:?}",
+            plan.work
+        );
+    }
+
+    /// A product assigned to a variable is the variable's value, read by
+    /// both adds after it: no add may consume it.
+    #[test]
+    fn a_product_held_in_a_variable_does_not_fuse() {
+        let mut fb = FilterBuilder::new("held", 0, 0, 8, ScalarTy::F32);
+        let [x, y, b_, d] = ["x", "y", "b", "d"].map(|n| fb.state(n, VEC4));
+        let [t, a, c_] = ["t", "a", "c"].map(|n| fb.local(n, VEC4));
+        fb.init(|b| {
+            b.set(x, splat(0.5)).set(y, splat(3.0));
+            b.set(b_, splat(-1.25)).set(d, splat(2.5));
+        });
+        fb.work(|b| {
+            b.set(t, v(x) * v(y));
+            b.set(a, v(t) + v(b_));
+            b.set(c_, v(t) + v(d));
+            b.set(x, v(a) - v(c_));
+            for k in 0..4 {
+                b.push(lane(v(a), k)).push(lane(v(c_), k));
+            }
+        });
+        let plan = compiled_agreeing(&fb.build());
+        assert!(mul_adds(&plan.work).is_empty(), "{:?}", plan.work);
+        assert_eq!(count_ops(&plan.work, is_mul), 1, "{:?}", plan.work);
+    }
+
+    /// `y = x; x = x + p*q`: `y` reads `x`'s window, so forwarding the
+    /// add into `x` settles `y` after the product is computed. The move
+    /// sits between the two ops, and they stay two.
+    #[test]
+    fn a_settle_between_the_product_and_the_add_keeps_them_apart() {
+        let mut fb = FilterBuilder::new("settle", 0, 0, 8, ScalarTy::F32);
+        let [x, p, q] = ["x", "p", "q"].map(|n| fb.state(n, VEC4));
+        let y = fb.local("y", VEC4);
+        fb.init(|b| {
+            b.set(x, splat(0.75)).set(p, splat(-1.5)).set(q, splat(2.0));
+        });
+        fb.work(|b| {
+            b.set(y, v(x));
+            b.set(x, v(x) + v(p) * v(q));
+            for k in 0..4 {
+                b.push(lane(v(y), k)).push(lane(v(x), k));
+            }
+        });
+        let plan = compiled_agreeing(&fb.build());
+        assert!(mul_adds(&plan.work).is_empty(), "{:?}", plan.work);
+        // `x`, `p`, `q` are f0..12 and `y` f12..16.
+        let settle = Op::MovNF {
+            dst: 12,
+            src: 0,
+            w: 4,
+        };
+        let vbin = |op: &Op| match *op {
+            Op::VBinF { op, .. } => Some(op),
+            _ => None,
+        };
+        let head = &plan.work[..3];
+        assert_eq!(
+            (vbin(&head[0]), &head[1], vbin(&head[2])),
+            (Some(BinOp::Mul), &settle, Some(BinOp::Add)),
+            "{:?}",
+            plan.work
+        );
+    }
+
+    /// `x*y + pop()`: the pop is emitted between the product and the add,
+    /// so the product is not the last op when the add is.
+    #[test]
+    fn a_product_with_an_op_after_it_does_not_fuse() {
+        let mut fb = FilterBuilder::new("between", 1, 1, 1, ScalarTy::F32);
+        let (x, y) = (
+            fb.state("x", Ty::Scalar(ScalarTy::F32)),
+            fb.state("y", Ty::Scalar(ScalarTy::F32)),
+        );
+        fb.work(|b| {
+            b.push(v(x) * v(y) + pop());
+        });
+        let f = fb.build();
+        let m = Machine::core_i7();
+        let plan =
+            compile_filter(&f, Some(ScalarTy::F32), Some(ScalarTy::F32), &m).expect("compiles");
+        assert!(mul_adds(&plan.work).is_empty(), "{:?}", plan.work);
+        assert!(
+            matches!(
+                plan.work[..3],
+                [
+                    Op::BinF { op: BinOp::Mul, .. },
+                    Op::PopF { .. },
+                    Op::BinF { op: BinOp::Add, .. }
+                ]
+            ),
+            "{:?}",
+            plan.work
+        );
+    }
+
+    /// Integer index arithmetic `i*8 + j` keeps its two ops.
+    #[test]
+    fn an_integer_product_does_not_fuse() {
+        let mut fb = FilterBuilder::new("index", 0, 0, 1, ScalarTy::I32);
+        let (i, j) = (
+            fb.state("i", Ty::Scalar(ScalarTy::I32)),
+            fb.state("j", Ty::Scalar(ScalarTy::I32)),
+        );
+        fb.work(|b| {
+            b.push(v(i) * 8i32 + v(j));
+            b.set(i, v(i) + 1i32).set(j, v(j) - 3i32);
+        });
+        let f = fb.build();
+        let m = Machine::core_i7();
+        let plan = compile_filter(&f, None, Some(ScalarTy::I32), &m).expect("compiles");
+        assert!(mul_adds(&plan.work).is_empty(), "{:?}", plan.work);
+        let bin = |want: BinOp| move |op: &Op| matches!(*op, Op::BinI { op, .. } if op == want);
+        assert_eq!(
+            (
+                count_ops(&plan.work, bin(BinOp::Mul)),
+                count_ops(&plan.work, bin(BinOp::Add))
+            ),
+            (1, 2),
+            "{:?}",
+            plan.work
+        );
+        let tree = fire(&f, None, 3);
+        assert_eq!(fire(&f, Some(plan), 3), tree);
+    }
+
+    /// A filter with `F32` panels `a` (f0..16), vectors `x` (f16..20) and
+    /// `y` (f20..24), a `State` vector `s` (f24..28) and a vector channel:
+    /// `work` is `pre`, then `s += 1`, `s * 0.5` through the channel into
+    /// `x`, `a[3] = x`, and the four lanes of `a[3]` pushed.
+    fn popped_into_an_element(
+        pre: impl FnOnce(&mut B, [macross_streamir::expr::VarId; 4]),
+    ) -> Filter {
+        let mut f = Filter::new("inplace", 0, 0, 8);
+        let a = f.add_var("a", Ty::VectorArray(ScalarTy::F32, 4, 4), VarKind::Local);
+        let [x, y] = ["x", "y"].map(|n| f.add_var(n, VEC4, VarKind::Local));
+        let s = f.add_var("s", VEC4, VarKind::State);
+        let ch = f.add_chan("ch", VEC4);
+        let mut b = B::new();
+        pre(&mut b, [a, x, y, s]);
+        b.set(s, v(s) + splat(1.0));
+        b.stmt(Stmt::LVPush(ch, (v(s) * splat(0.5)).0, 4));
+        b.set(x, E(Expr::LVPop(ch, 4)));
+        b.set_idx(a, 3i32, v(x));
+        for k in 0..4 {
+            b.push(lane(idx(a, 3i32), k));
+        }
+        f.work = b.build();
+        f
+    }
+
+    /// `x = lvpop(c, 4); a[3] = x`: the pop writes `a[3]`'s window, `x`
+    /// is a copy of it, and the store moves nothing.
+    #[test]
+    fn a_popped_vector_is_written_straight_into_the_element_it_is_stored_to() {
+        let plan = compiled_agreeing(&popped_into_an_element(|b, [.., y, _]| {
+            for k in 0..4 {
+                b.push(lane(v(y), k));
+            }
+        }));
+        let pops: Vec<&Op> = (plan.work.iter())
+            .filter(|op| matches!(op, Op::LVPopF { .. }))
+            .collect();
+        assert_eq!(
+            pops,
+            [&Op::LVPopF {
+                chan: 0,
+                dst: 12,
+                w: 4
+            }],
+            "{:?}",
+            plan.work
+        );
+        assert_eq!(
+            count_ops(&plan.work, |op| matches!(op, Op::MovNF { .. })),
+            0,
+            "{:?}",
+            plan.work
+        );
+    }
+
+    /// `a[x & 3] = x`: the subscript reads `x`, whose value (0 at the top
+    /// of `work`) the assignment changes, so the value goes to `x` and
+    /// the store stays.
+    #[test]
+    fn a_subscript_that_reads_the_value_keeps_its_store() {
+        let mut fb = FilterBuilder::new("reads", 0, 0, 4, ScalarTy::I32);
+        let a = fb.local("a", Ty::Array(ScalarTy::I32, 4));
+        let x = fb.local("x", Ty::Scalar(ScalarTy::I32));
+        let s = fb.state("s", Ty::Scalar(ScalarTy::I32));
+        fb.work(|b| {
+            b.set(s, v(s) + 5i32);
+            b.set(x, v(s) * 3i32);
+            b.set_idx(a, v(x) & 3i32, v(x));
+            for k in 0..4 {
+                b.push(idx(a, k));
+            }
+        });
+        let f = fb.build();
+        let m = Machine::core_i7();
+        let plan = compile_filter(&f, None, Some(ScalarTy::I32), &m).expect("compiles");
+        // `a` is i0..4, `x` i4.
+        let into_x = |op: &Op| {
+            matches!(
+                *op,
+                Op::BinI {
+                    op: BinOp::Mul,
+                    dst: 4,
+                    ..
+                }
+            )
+        };
+        let store = |op: &Op| matches!(*op, Op::StoreIdxI { src: 4, .. });
+        assert_eq!(
+            (count_ops(&plan.work, into_x), count_ops(&plan.work, store)),
+            (1, 1),
+            "{:?}",
+            plan.work
+        );
+        let tree = fire(&f, None, 3);
+        assert_eq!(fire(&f, Some(plan), 3), tree);
+    }
+
+    /// A copy of `a[3]` taken before the pop is settled — moved to its own
+    /// window — before the pop overwrites `a[3]`.
+    #[test]
+    fn a_copy_of_the_element_is_settled_before_the_value_overwrites_it() {
+        let plan = compiled_agreeing(&popped_into_an_element(|b, [a, _, y, s]| {
+            b.set_idx(a, 3i32, v(s) * splat(2.0));
+            b.set(y, idx(a, 3i32));
+            for k in 0..4 {
+                b.push(lane(v(y), k));
+            }
+        }));
+        let at = |want: &Op| plan.work.iter().position(|op| op == want);
+        let settle = at(&Op::MovNF {
+            dst: 20,
+            src: 12,
+            w: 4,
+        });
+        let pop = at(&Op::LVPopF {
+            chan: 0,
+            dst: 12,
+            w: 4,
+        });
+        assert!(
+            matches!((settle, pop), (Some(m), Some(p)) if m < p),
+            "{:?}",
+            plan.work
+        );
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!
 //! # Resolve once per op
 //!
-//! Each op-level function ([`bin_i`], [`bin_f`], [`cmp_f`], the casts and
-//! intrinsic calls) holds exactly one `match` over its runtime
-//! `(operator, type)`. Every arm hands [`zip`] a closure that calls the
+//! Each op-level function ([`bin_i`], [`bin_f`], [`mul_add_f`], [`cmp_f`],
+//! the casts and intrinsic calls) holds exactly one `match` over its
+//! runtime `(operator, type)`. Every arm hands [`zip`] (or, for the three
+//! sources of [`mul_add_f`], `zip3`) a closure that calls the
 //! scalar helper of [`crate::bytecode`] with that arm's operator and type
 //! as *constants*; the helpers are `#[inline(always)]`, so each arm is a
 //! loop monomorphised over a single machine operation. The helpers stay
@@ -108,6 +109,35 @@ fn zip<T: Copy>(file: &mut [T], dst: u32, a: u32, b: u32, w: u32, f: impl Fn(T, 
     }
 }
 
+/// [`zip`] over three sources: `file[dst + k] = f(file[c + k], file[a + k],
+/// file[b + k])`, on the same two paths.
+#[inline(always)]
+fn zip3<T: Copy>(
+    file: &mut [T],
+    dst: u32,
+    (c, a, b): (u32, u32, u32),
+    w: u32,
+    f: impl Fn(T, T, T) -> T,
+) {
+    let (dst, c, a, b, w) = (dst as usize, c as usize, a as usize, b as usize, w as usize);
+    let shifted = |r: usize| r != dst && r < dst + w && dst < r + w;
+    if !shifted(c) && !shifted(a) && !shifted(b) {
+        by_width!(w, N => {
+            let x = read::<T, N>(file, c);
+            let (y, z) = (read::<T, N>(file, a), read::<T, N>(file, b));
+            let mut out = x;
+            for k in 0..N {
+                out[k] = f(x[k], y[k], z[k]);
+            }
+            *window::<T, N>(file, dst) = out;
+            return;
+        }, _ => {});
+    }
+    for k in 0..w {
+        file[dst + k] = f(file[c + k], file[a + k], file[b + k]);
+    }
+}
+
 /// Unary [`zip`]: `file[dst + k] = f(file[a + k])`.
 #[inline(always)]
 fn map<T: Copy>(file: &mut [T], dst: u32, a: u32, w: u32, f: impl Fn(T) -> T) {
@@ -193,6 +223,38 @@ pub(crate) fn bin_f(op: BinOp, ty: ScalarTy, file: &mut [f64], dst: u32, a: u32,
         };
     }
     lift!(Add Sub Mul Div Rem)
+}
+
+/// A multiply and the add that consumes it: lane `k` is `acc + a*b` when
+/// `acc_first`, else `a*b + acc`, each op rounded in the `ty` domain by
+/// [`scalar::bin_f`] — the bits of the two ops it stands for.
+#[inline(always)]
+pub(crate) fn mul_add_f(
+    ty: ScalarTy,
+    acc_first: bool,
+    file: &mut [f64],
+    dst: u32,
+    acc: u32,
+    (a, b): (u32, u32),
+    w: u32,
+) {
+    use scalar::bin_f as op;
+    use BinOp::{Add, Mul};
+    let srcs = (acc, a, b);
+    match (ty, acc_first) {
+        (F32, true) => zip3(file, dst, srcs, w, |c, x, y| {
+            op(Add, F32, c, op(Mul, F32, x, y))
+        }),
+        (F32, false) => zip3(file, dst, srcs, w, |c, x, y| {
+            op(Add, F32, op(Mul, F32, x, y), c)
+        }),
+        (_, true) => zip3(file, dst, srcs, w, |c, x, y| {
+            op(Add, F64, c, op(Mul, F64, x, y))
+        }),
+        (_, false) => zip3(file, dst, srcs, w, |c, x, y| {
+            op(Add, F64, op(Mul, F64, x, y), c)
+        }),
+    }
 }
 
 /// Float comparison into the integer file: `i[dst + k] = op(f[a + k],
@@ -573,6 +635,26 @@ mod tests {
                     f[dst] = |k| scalar::bin_f(op, ty, f(r, a, k), f(r, b, k))
                 )
             }
+            Op::MulAddF {
+                ty,
+                acc_first,
+                dst,
+                acc,
+                a,
+                b,
+                w,
+            } => lanes!(
+                w,
+                f[dst] = |k| {
+                    let p = scalar::bin_f(BinOp::Mul, ty, f(r, a, k), f(r, b, k));
+                    let c = f(r, acc, k);
+                    if acc_first {
+                        scalar::bin_f(BinOp::Add, ty, c, p)
+                    } else {
+                        scalar::bin_f(BinOp::Add, ty, p, c)
+                    }
+                }
+            ),
             Op::VCmpF { op, dst, a, b, w } => {
                 lanes!(w, i[dst] = |k| scalar::cmp_f(op, f(r, a, k), f(r, b, k)))
             }
@@ -786,6 +868,101 @@ mod tests {
                         let mut got = init.clone();
                         dispatched(&form, &mut got);
                         assert_eq!(bits(&got), bits(&want), "{form:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Quiet NaNs with two payloads, the ones the engines' differential
+    /// tests keep apart (`tests/proptests.rs`).
+    const NAN_BITS: [u32; 2] = [0x7fc0_0001, 0x7fc0_0002];
+
+    /// `MulAddF` at widths 1 to 8, F32 and F64, in both operand orders,
+    /// its destination apart from, identical to or one lane off each
+    /// source: lane by lane the two `bin_f` roundings it stands for, and —
+    /// when no source is off by a lane, as the compiler emits it — the
+    /// bits of the `VBinF Mul` into a temporary and the `VBinF Add` it
+    /// replaces. A case draws one NaN payload and either signed zeros or
+    /// infinities, never both: a product is then NaN only when an operand
+    /// is, and two different NaNs never meet in one op (which of them
+    /// survives is unspecified). Where a source is off by a lane, a lane
+    /// reads what an earlier one wrote, a NaN the op makes itself (∞ − ∞)
+    /// could meet the payload, and the case draws no payload.
+    #[test]
+    fn mul_add_matches_the_two_roundings_it_stands_for() {
+        use BinOp::{Add, Mul};
+        let (acc, a, b, temp) = (0u32, 16, 32, 56);
+        let mut rng = Rng(0x6d75_6c61_6464);
+        for w in [1u32, 2, 3, 4, 8] {
+            for dst in [48, acc, a, b, acc + 1, a - 1, a + 1, b - 1, b + 1] {
+                for (ty, acc_first, case) in [F32, F64]
+                    .into_iter()
+                    .flat_map(|ty| [(ty, true), (ty, false)])
+                    .flat_map(|(ty, first)| (0..4usize).map(move |case| (ty, first, case)))
+                {
+                    // An `f32` NaN exactly widened, payload kept.
+                    let payload = u64::from(NAN_BITS[case % 2] & 0x7f_ffff) << 29;
+                    let nan = f64::from_bits(0x7ff0_0000_0000_0000 | payload);
+                    let off = |s: u32| s != dst && s < dst + w && dst < s + w;
+                    let shifted = [acc, a, b].into_iter().any(off);
+                    let specials = if case < 2 {
+                        [0.0, -0.0]
+                    } else {
+                        [f64::INFINITY, f64::NEG_INFINITY]
+                    };
+                    let mut init = Regs::new(FILE, FILE);
+                    for x in init.f.iter_mut() {
+                        let r = rng.next();
+                        let small = ((r >> 8) % 4000) as f64 / 8.0 - 249.9375;
+                        let finite = [small, 1.5, 3.0e38, -1.0e-40];
+                        *x = match r % 6 {
+                            0 if !shifted => nan,
+                            0..=2 => specials[(r >> 3) as usize % 2],
+                            _ if ty == F32 => finite[(r >> 5) as usize % 4] as f32 as f64,
+                            _ => finite[(r >> 5) as usize % 4],
+                        };
+                    }
+                    let op = Op::MulAddF {
+                        ty,
+                        acc_first,
+                        dst,
+                        acc,
+                        a,
+                        b,
+                        w,
+                    };
+                    let mut want = init.clone();
+                    reference(&op, &mut want);
+                    let mut got = init.clone();
+                    dispatched(&op, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "{op:?}");
+                    if !shifted {
+                        let (x, y) = if acc_first { (acc, temp) } else { (temp, acc) };
+                        let mut pair = init.clone();
+                        for op in [
+                            Op::VBinF {
+                                op: Mul,
+                                ty,
+                                dst: temp,
+                                a,
+                                b,
+                                w,
+                            },
+                            Op::VBinF {
+                                op: Add,
+                                ty,
+                                dst,
+                                a: x,
+                                b: y,
+                                w,
+                            },
+                        ] {
+                            dispatched(&op, &mut pair);
+                        }
+                        let t = temp as usize..(temp + w) as usize;
+                        pair.f[t.clone()].copy_from_slice(&init.f[t]);
+                        assert_eq!(bits(&got), bits(&pair), "{op:?} against the pair");
                     }
                 }
             }

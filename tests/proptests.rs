@@ -955,9 +955,11 @@ const NAN_BITS: [u32; 2] = [0x7fc0_0001, 0x7fc0_0002];
 
 /// A random filter of assignments the firing compiler forwards, or has to
 /// refuse to forward, over literals the constant pool shares, or has to
-/// keep apart. One of every shape first, then a random mix.
+/// keep apart; of adds of products it fuses, and of values it writes
+/// straight into the element they are stored to. One of every shape
+/// first, then a random mix.
 fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
-    let mut fb = FilterBuilder::new("fwd", 2 * w, 2 * w, 5 * w + 10, ScalarTy::F32);
+    let mut fb = FilterBuilder::new("fwd", 2 * w, 2 * w, 5 * w + 14, ScalarTy::F32);
     let mut vars = |name: &str, n: usize, ty: Ty| -> Vec<VarId> {
         (0..n).map(|i| fb.local(format!("{name}{i}"), ty)).collect()
     };
@@ -970,11 +972,12 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
     let sq = vars("sq", 1, Ty::Scalar(ScalarTy::I64))[0];
     let panels = vars("panels", 1, Ty::VectorArray(ScalarTy::F32, w, 2))[0];
     let arr = vars("arr", 1, Ty::Array(ScalarTy::F32, 4))[0];
+    let ai = vars("ai", 1, Ty::Array(ScalarTy::I32, 4))[0];
     let odd = vars("odd", 4, Ty::Scalar(ScalarTy::F32)); // NaNs and zeros
     let steps = 12 + rng.range(0, 12);
-    let plan: Vec<(usize, usize, usize, usize)> = (0..10 + steps)
+    let plan: Vec<(usize, usize, usize, usize)> = (0..12 + steps)
         .map(|k| {
-            let kind = if k < 10 { k } else { rng.range(0, 10) };
+            let kind = if k < 12 { k } else { rng.range(0, 12) };
             (kind, rng.range(0, 3), rng.range(0, 3), rng.range(0, 3))
         })
         .collect();
@@ -1107,6 +1110,79 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                         ),
                     );
                 }
+                // Adds of products: `acc + x*y`, `x*y + acc`, `x*y + z*w`
+                // and `(a*b + c)*d + e`, vector and scalar, F32 and F64.
+                10 => {
+                    let mul = |a, b| Expr::bin(BinOp::Mul, a, b);
+                    let add = |a, b| Expr::bin(BinOp::Add, a, b);
+                    let wide = |e| cast(ScalarTy::F64, e);
+                    set(
+                        LValue::Var(vt),
+                        add(Expr::Var(vt), mul(Expr::Var(vx), Expr::Var(vy))),
+                    );
+                    set(
+                        LValue::Var(sf[s2]),
+                        add(mul(Expr::Var(sf[0]), Expr::Var(sf[1])), Expr::Var(sf[s2])),
+                    );
+                    set(
+                        LValue::Var(vd),
+                        add(
+                            mul(wide(Expr::Var(vx)), Expr::Var(vd)),
+                            mul(Expr::Var(vd), wide(Expr::Var(vy))),
+                        ),
+                    );
+                    set(
+                        LValue::Var(sd),
+                        add(
+                            mul(
+                                add(mul(Expr::Var(sd), wide(lit(small[x]))), Expr::Var(sd)),
+                                wide(Expr::Var(sf[s2])),
+                            ),
+                            Expr::Const(Value::F64(-0.75)),
+                        ),
+                    );
+                    set(
+                        LValue::Var(vx),
+                        add(
+                            mul(
+                                add(mul(Expr::Var(vt), Expr::Var(vy)), Expr::Var(vx)),
+                                splat(lit(small[t])),
+                            ),
+                            Expr::Var(vt),
+                        ),
+                    );
+                }
+                // `x = e; a[k] = x`: the value goes straight into the
+                // element, whole or one lane — except where the subscript
+                // reads `x`, whose value (possibly known) it changes.
+                11 => {
+                    let k = int((y % 2) as i32);
+                    set(
+                        LValue::Var(vt),
+                        Expr::bin(BinOp::Sub, Expr::Var(vx), Expr::Var(vy)),
+                    );
+                    set(LValue::Index(panels, k.clone()), Expr::Var(vt));
+                    set(
+                        LValue::Var(sf[s2]),
+                        Expr::bin(BinOp::Mul, lane(Expr::Var(vx), t), Expr::Var(sf[1 - s2])),
+                    );
+                    set(
+                        LValue::LaneIndex(panels, int(1 - (y % 2) as i32), (t + x) % w),
+                        Expr::Var(sf[s2]),
+                    );
+                    set(
+                        LValue::Var(sf[1 - s2]),
+                        Expr::bin(BinOp::Add, Expr::Var(sf[s2]), lane(Expr::Var(vy), x)),
+                    );
+                    set(
+                        LValue::Index(arr, int((x + y) as i32 % 4)),
+                        Expr::Var(sf[1 - s2]),
+                    );
+                    set(LValue::Var(si[i2]), cast(ScalarTy::I32, Expr::Var(sf[s2])));
+                    let cell = Expr::bin(BinOp::And, Expr::Var(si[i2]), int(3));
+                    set(LValue::Index(ai, cell), Expr::Var(si[i2]));
+                    set(LValue::Var(vy), Expr::Index(panels, Box::new(k)));
+                }
                 // Windows found through a run-time index.
                 _ => {
                     let row = Expr::bin(BinOp::And, Expr::Var(si[i2]), int(1));
@@ -1139,6 +1215,10 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
             cast(ScalarTy::F32, Expr::Var(si[0])),
             cast(ScalarTy::F32, Expr::Var(si[1])),
             cast(ScalarTy::F32, Expr::Var(sq)),
+            cast(ScalarTy::F32, Expr::Index(ai, Box::new(int(0)))),
+            cast(ScalarTy::F32, Expr::Index(ai, Box::new(int(1)))),
+            cast(ScalarTy::F32, Expr::Index(ai, Box::new(int(2)))),
+            cast(ScalarTy::F32, Expr::Index(ai, Box::new(int(3)))),
             Expr::Var(odd[0]),
             Expr::Var(odd[1]),
             Expr::bin(BinOp::Div, lit(1.0), Expr::Var(odd[2])),
@@ -1179,11 +1259,26 @@ fn plan_of(
 
 /// What the pool and forwarding did to `fwd`, so the differential is known
 /// to have met them: shared and separated literals, ops that write a
-/// variable window directly, and permutes and splats that were kept off
-/// theirs.
+/// variable window directly, permutes and splats that were kept off
+/// theirs, multiply-adds that read their destination only in place, and
+/// values computed straight into an element.
 fn assert_pool_and_forwarding_engaged(g: &Graph, machine: &Machine, at: &str) {
     use macross_repro::vm::bytecode::Op;
     let plan = plan_of(g, "fwd", machine, at);
+    let fwd = g
+        .nodes()
+        .find_map(|(_, n)| match n {
+            Node::Filter(fl) if fl.name == "fwd" => Some(fl),
+            _ => None,
+        })
+        .expect("fwd");
+    let window = |name: &str| {
+        let k = fwd.vars.iter().position(|d| d.name == name).expect(name);
+        let (base, len, _) = plan.var_windows[k];
+        base..base + len
+    };
+    let (panels, arr) = (window("panels0"), window("arr0"));
+    let in_element = |dst: u32| panels.contains(&dst) || arr.contains(&dst);
     let ints = |x: i64| plan.pool_i.1.iter().filter(|&&v| v == x).count();
     let floats = |x: f64| {
         let bits = x.to_bits();
@@ -1204,11 +1299,31 @@ fn assert_pool_and_forwarding_engaged(g: &Graph, machine: &Machine, at: &str) {
         );
     }
     let var_zone = plan.pool_f.0;
-    let mut forwarded = 0;
+    let (mut forwarded, mut fused, mut in_place) = (0, 0, 0);
     for op in &plan.work {
         match *op {
-            Op::VBinF { dst, .. } | Op::VCastIF { dst, .. } | Op::LoadVElemF { dst, .. } => {
+            Op::VBinF { dst, .. }
+            | Op::VCastIF { dst, .. }
+            | Op::LoadVElemF { dst, .. }
+            | Op::MulAddF { dst, .. } => {
                 forwarded += (dst < var_zone) as usize;
+            }
+            _ => {}
+        }
+        match *op {
+            Op::MulAddF {
+                dst, acc, a, b, w, ..
+            } => {
+                fused += 1;
+                let clear = |s: u32| s == dst || s + w <= dst || dst + w <= s;
+                assert!(
+                    clear(acc) && clear(a) && clear(b),
+                    "{at}: {op:?} reads its destination at a shift"
+                );
+                in_place += in_element(dst) as usize;
+            }
+            Op::VBinF { dst, .. } | Op::BinF { dst, .. } => {
+                in_place += in_element(dst) as usize;
             }
             Op::PermF { dst, a, b, w, .. } => {
                 let apart = |s: u32| s + w <= dst || dst + w <= s;
@@ -1226,6 +1341,11 @@ fn assert_pool_and_forwarding_engaged(g: &Graph, machine: &Machine, at: &str) {
     assert!(
         forwarded >= 3,
         "{at}: only {forwarded} forwarded vector ops"
+    );
+    assert!(fused >= 4, "{at}: only {fused} multiply-adds");
+    assert!(
+        in_place >= 3,
+        "{at}: only {in_place} values computed into their element"
     );
 }
 
