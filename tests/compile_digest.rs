@@ -342,20 +342,20 @@ RegionAccNorm 78a19f387325506b6b112fee3011452b d4e7b6a797209c5de908d9a06bc32589
 
 /// Program, bytecode of the scalar graph, bytecode of the SIMDized graph.
 const PINNED_BYTECODE: &str = "
-AudioBeam 2068d2ed8c8b3a1b f35e75c187cd120c
-BeamFormer 80f45f5fa3a72ac3 93494e3fe5176692
-BitonicSort 553317be845163e2 2fea485e308b14e1
-ChannelVocoder e2d6a77c20d1969f 95c397cb57e3581b
-DCT 0f8ea6c0367fb901 0f4f0dcc48442ca5
-DES d664da279392174b c92f8f3e9ca5fce7
-FFT d101424ce7b89016 c23348bf64a456bb
-FilterBank a39eb606b4efc5df 8a8cad5633fc3dda
-FMRadio a448d9e22767d635 903d937b09a9baca
-MatrixMult d9df69c1715e2496 1387e5f017a38a75
-MatrixMultBlock f43801b87df90483 1b3d1a3e75ab5f27
-MP3Decoder d0bcd3fb982226b4 28c607e64046c865
-Serpent 34fbbb0533fb3a98 f8caa9846c3785f8
-TDE 28e0658439209430 c4365399190b9850
-RegionIIRBank bd28d8e62de1f549 c02e78a85098843a
-RegionAccNorm fc655b47b1a0e976 37a8e3f9df0f649b
+AudioBeam 1bb98bab9782c87f 7075e1c3521816c4
+BeamFormer 8fb353706797ed95 ceb4e29825943c82
+BitonicSort 553317be845163e2 e3b57e4b4cd54846
+ChannelVocoder 51cfef030d2fa1d1 663a3c08dfde8347
+DCT a929561543d76cbd 26fbe0bb7c7a7495
+DES d664da279392174b 90b392f8a28c1497
+FFT d528204f11159d26 32f2c74c777a7d23
+FilterBank 6bb90989b9913c3f fb820f8ede750bfe
+FMRadio 1ef8ae7a65e797d5 e0d613cf317dbb3e
+MatrixMult 08ae9766a2eb4626 813e3964f4c118a1
+MatrixMultBlock 7493c0fbfe81ef13 489db8b4d9d3272f
+MP3Decoder 4d2dba45ad4ee753 0d3add40070fa1ae
+Serpent 34fbbb0533fb3a98 d86d4d745f701ca4
+TDE 3ffa57f32fe5cff0 b916d5cd8125cb22
+RegionIIRBank 16b6db210c577e5f 46584d01b57d3ea8
+RegionAccNorm fc655b47b1a0e976 6c7f8b3c92d3d1a1
 ";
