@@ -492,6 +492,24 @@ pub enum Op {
         b: u32,
         w: u32,
     },
+    /// `extract_even` into `even` and `extract_odd` into `odd` of the
+    /// same two vectors: the two permutes of a pair, in that order, as one
+    /// op. Both destinations are disjoint from `a` and `b`, so the odd
+    /// half reads what the even half read.
+    PermPairI {
+        even: u32,
+        odd: u32,
+        a: u32,
+        b: u32,
+        w: u32,
+    },
+    PermPairF {
+        even: u32,
+        odd: u32,
+        a: u32,
+        b: u32,
+        w: u32,
+    },
 
     // --- Array variables (register-file windows) -----------------------
     /// `i[dst] = i[base + i[idx]]`, bounds-checked against `len`.
@@ -1185,35 +1203,19 @@ pub fn run_code(
                 a,
                 b,
                 w,
-            } => {
-                let w = *w as usize;
-                for k in 0..w {
-                    let pos = *parity as usize + 2 * k;
-                    let v = if pos < w {
-                        regs.i[*a as usize + pos]
-                    } else {
-                        regs.i[*b as usize + pos - w]
-                    };
-                    regs.i[*dst as usize + k] = v;
-                }
-            }
+            } => lanes::permute(&mut regs.i, lanes::lone(*parity, *dst), *a, *b, *w),
             Op::PermF {
                 parity,
                 dst,
                 a,
                 b,
                 w,
-            } => {
-                let w = *w as usize;
-                for k in 0..w {
-                    let pos = *parity as usize + 2 * k;
-                    let v = if pos < w {
-                        regs.f[*a as usize + pos]
-                    } else {
-                        regs.f[*b as usize + pos - w]
-                    };
-                    regs.f[*dst as usize + k] = v;
-                }
+            } => lanes::permute(&mut regs.f, lanes::lone(*parity, *dst), *a, *b, *w),
+            Op::PermPairI { even, odd, a, b, w } => {
+                lanes::permute(&mut regs.i, [Some(*even), Some(*odd)], *a, *b, *w)
+            }
+            Op::PermPairF { even, odd, a, b, w } => {
+                lanes::permute(&mut regs.f, [Some(*even), Some(*odd)], *a, *b, *w)
             }
 
             Op::LoadIdxI {

@@ -313,6 +313,10 @@ struct Compiler<'a> {
     max_f: u32,
     /// A temporary did not fit its zone: the filter cannot be compiled.
     overflowed: bool,
+    /// Where the last jump target was taken ([`Compiler::here`]): an op
+    /// emitted there is reached from elsewhere too, so it must not be
+    /// merged into the op before it.
+    label: Option<u32>,
 }
 
 fn window_len(ty: Ty) -> Option<u32> {
@@ -394,6 +398,7 @@ pub fn compile_filter(
         max_i: TEMP_I,
         max_f: TEMP_F,
         overflowed: false,
+        label: None,
     };
     let mut init = c.compile_body(&filter.init, false)?;
     let mut work = c.compile_body(&filter.work, true)?;
@@ -448,6 +453,7 @@ impl<'a> Compiler<'a> {
             }));
         self.copies.clear();
         self.code = Vec::new();
+        self.label = None;
         self.compile_block(stmts)?;
         for v in 0..self.vars.len() {
             if self.vars[v].kind == VarKind::State {
@@ -479,8 +485,11 @@ impl<'a> Compiler<'a> {
         self.code.len() - 1
     }
 
-    fn here(&self) -> u32 {
-        self.code.len() as u32
+    /// The position of the next op, taken as a jump target.
+    fn here(&mut self) -> u32 {
+        let at = self.code.len() as u32;
+        self.label = Some(at);
+        at
     }
 
     fn patch(&mut self, at: usize, target: u32) {
@@ -1788,30 +1797,88 @@ impl<'a> Compiler<'a> {
         }
         // Lane `k` of a permute reads lane `2k` or `2k + 1`: it must not
         // write over its sources.
-        let srcs = [(a.is_float(), a.reg, w), (a.is_float(), b.reg, w)];
-        let dst = self.dest(want, a.is_float(), w, false, &srcs);
-        self.emit(if a.is_float() {
-            Op::PermF {
+        let float = a.is_float();
+        let srcs = [(float, a.reg, w), (float, b.reg, w)];
+        let at = self.code.len();
+        let dst = self.dest(want, float, w, false, &srcs);
+        let (a, b, ty) = (a.reg, b.reg, a.ty);
+        // Only if `dest` settled no copy is the even half still the last
+        // op.
+        let even = match parity {
+            1 if self.code.len() == at => self.even_half(float, a, b, w),
+            _ => None,
+        };
+        let op = match (even, float) {
+            (Some(even), _) => {
+                self.code.pop();
+                if float {
+                    Op::PermPairF {
+                        even,
+                        odd: dst,
+                        a,
+                        b,
+                        w,
+                    }
+                } else {
+                    Op::PermPairI {
+                        even,
+                        odd: dst,
+                        a,
+                        b,
+                        w,
+                    }
+                }
+            }
+            (None, true) => Op::PermF {
                 parity,
                 dst,
-                a: a.reg,
-                b: b.reg,
+                a,
+                b,
                 w,
-            }
-        } else {
-            Op::PermI {
+            },
+            (None, false) => Op::PermI {
                 parity,
                 dst,
-                a: a.reg,
-                b: b.reg,
+                a,
+                b,
                 w,
-            }
-        });
+            },
+        };
+        self.emit(op);
         Some(Operand {
-            ty: a.ty,
+            ty,
             w: Some(w),
             reg: dst,
         })
+    }
+
+    /// When the last op emitted is the `extract_even` of `a` and `b` over
+    /// `w` lanes in the `float` file, and the next op is not a jump
+    /// target: that permute's destination, for the `extract_odd` of the
+    /// same sources to join it as one pair op. The even destination is
+    /// disjoint from `a` and `b`, so the odd half reads what it read.
+    fn even_half(&self, float: bool, a: u32, b: u32, w: u32) -> Option<u32> {
+        if self.label == Some(self.code.len() as u32) {
+            return None;
+        }
+        let (dst, srcs) = match *self.code.last()? {
+            Op::PermF {
+                parity: 0,
+                dst,
+                a,
+                b,
+                w,
+            } if float => (dst, (a, b, w)),
+            Op::PermI {
+                parity: 0,
+                dst,
+                a,
+                b,
+                w,
+            } if !float => (dst, (a, b, w)),
+            _ => return None,
+        };
+        (srcs == (a, b, w)).then_some(dst)
     }
 
     fn unary(&mut self, op: UnOp, a: Operand, w: Option<u32>, want: &[Window]) -> Option<Operand> {
@@ -2086,7 +2153,21 @@ fn relocate_temporaries(code: &mut [Op], temp_i: u32, temp_f: u32) {
                 fix(a);
                 fix(b);
             }
-            Op::MulAddF { dst, acc, a, b, .. } => {
+            Op::MulAddF { dst, acc, a, b, .. }
+            | Op::PermPairI {
+                even: dst,
+                odd: acc,
+                a,
+                b,
+                ..
+            }
+            | Op::PermPairF {
+                even: dst,
+                odd: acc,
+                a,
+                b,
+                ..
+            } => {
                 fix(dst);
                 fix(acc);
                 fix(a);
@@ -2652,8 +2733,12 @@ mod tests {
     /// firings into an `F32` sink agreeing bit for bit with the tree
     /// walker's.
     fn compiled_agreeing(f: &Filter) -> CompiledFilter {
-        let m = Machine::core_i7();
-        let plan = compile_filter(f, None, Some(ScalarTy::F32), &m).expect("compiles");
+        compiled_agreeing_on(f, &Machine::core_i7())
+    }
+
+    /// [`compiled_agreeing`], compiled for the machine `m`.
+    fn compiled_agreeing_on(f: &Filter, m: &Machine) -> CompiledFilter {
+        let plan = compile_filter(f, None, Some(ScalarTy::F32), m).expect("compiles");
         let bits = |(result, completed, sunk): (_, _, Vec<Value>)| {
             let sunk: Vec<u64> = sunk.into_iter().map(raw_of).collect();
             (result, completed, sunk)
@@ -3010,6 +3095,254 @@ mod tests {
             "{:?}",
             plan.work
         );
+    }
+
+    use macross_streamir::expr::VarId;
+
+    /// `extract_even` (parity 0) or `extract_odd` (parity 1) of `a ++ b`.
+    fn perm(parity: u32, a: VarId, b: VarId) -> E {
+        let (a, b) = (Box::new(Expr::Var(a)), Box::new(Expr::Var(b)));
+        E(match parity {
+            0 => Expr::PermuteEven(a, b),
+            _ => Expr::PermuteOdd(a, b),
+        })
+    }
+
+    /// A `w`-lane literal of `ty` whose lanes differ: `base + k`, with a
+    /// NaN payload and `-0.0` among the float ones.
+    fn lanes_of(ty: ScalarTy, w: usize, base: i32) -> E {
+        let lane = |k: usize| match (ty, k % 4) {
+            (ScalarTy::F32, 1) => Value::F32(f32::from_bits(0x7fc0_0001)),
+            (ScalarTy::F32, 2) => Value::F32(-0.0),
+            (ScalarTy::F32, _) => Value::F32(base as f32 + k as f32 * 0.5),
+            _ => Value::I32(base + k as i32),
+        };
+        E(Expr::ConstVec((0..w).map(lane).collect()))
+    }
+
+    /// The permutes of `code`, lone and paired.
+    fn permutes(code: &[Op]) -> Vec<Op> {
+        code.iter()
+            .filter(|op| {
+                matches!(
+                    op,
+                    Op::PermF { .. }
+                        | Op::PermI { .. }
+                        | Op::PermPairF { .. }
+                        | Op::PermPairI { .. }
+                )
+            })
+            .cloned()
+            .collect()
+    }
+
+    /// A filter over `F32` vectors `x`, `y`, `z`, `u` and `I32` vectors
+    /// `p`, `q` of `w` lanes (the state, changed every firing so that the
+    /// firings differ) and `F32` locals `e`, `o`, `e8`, `o8` — the last two
+    /// of twice the width — the `I32` firing count `s` and loop variable
+    /// `i`, and `I32` vectors `ei`, `oi` of `w` lanes, whose `work`
+    /// counts the firing, runs `body` and pushes every lane of the `F32`
+    /// vectors. Windows: `x` f0, `y` fw, `z` f2w, `u` f3w, `e` f4w, `o`
+    /// f5w; `p` i0, `q` iw, `s` i2w, `i` i2w + 1, `ei` i2w + 2, `oi`
+    /// i3w + 2.
+    fn permuting(w: usize, body: impl FnOnce(&mut B, [VarId; 14])) -> Filter {
+        let mut fb = FilterBuilder::new("perm", 0, 0, 6 * w, ScalarTy::F32);
+        let (vf, vi) = (Ty::Vector(ScalarTy::F32, w), Ty::Vector(ScalarTy::I32, w));
+        let vars = [
+            fb.state("x", vf),
+            fb.state("y", vf),
+            fb.state("z", vf),
+            fb.state("u", vf),
+            fb.local("e", vf),
+            fb.local("o", vf),
+            fb.local("e8", Ty::Vector(ScalarTy::F32, 2 * w)),
+            fb.local("o8", Ty::Vector(ScalarTy::F32, 2 * w)),
+            fb.state("p", vi),
+            fb.state("q", vi),
+            fb.state("s", Ty::Scalar(ScalarTy::I32)),
+            fb.local("i", Ty::Scalar(ScalarTy::I32)),
+            fb.local("ei", vi),
+            fb.local("oi", vi),
+        ];
+        let [x, y, z, u, e, o, e8, o8, p, q, s, ..] = vars;
+        fb.init(|b| {
+            b.set(x, lanes_of(ScalarTy::F32, w, 1))
+                .set(y, lanes_of(ScalarTy::F32, w, 20))
+                .set(z, lanes_of(ScalarTy::F32, w, -7))
+                .set(u, lanes_of(ScalarTy::F32, w, 40))
+                .set(p, lanes_of(ScalarTy::I32, w, 3))
+                .set(q, lanes_of(ScalarTy::I32, w, -9));
+        });
+        fb.work(|b| {
+            b.set(s, v(s) + 1i32);
+            body(b, vars);
+            b.set(x, v(x) + v(y)).set(p, v(p) * v(q));
+            for k in 0..w {
+                b.push(lane(v(e), k)).push(lane(v(o), k));
+                b.push(lane(v(e8), 2 * k)).push(lane(v(o8), 2 * k + 1));
+                b.push(lane(v(z), k)).push(lane(v(u), k));
+            }
+        });
+        fb.build()
+    }
+
+    /// `e = even(x, y); o = odd(x, y)` is one `PermPairF`, and the same
+    /// pair of two integer vectors one `PermPairI`: each half writes its
+    /// variable's window and both read the same two sources.
+    #[test]
+    fn a_pair_of_permutes_of_the_same_two_vectors_is_one_op() {
+        let plan = compiled_agreeing(&permuting(
+            4,
+            |b, [x, y, z, u, e, o, .., p, q, _, _, ei, oi]| {
+                b.set(e, perm(0, x, y)).set(o, perm(1, x, y));
+                b.set(ei, perm(0, p, q)).set(oi, perm(1, p, q));
+                b.set(z, cast(ScalarTy::F32, v(ei)));
+                b.set(u, cast(ScalarTy::F32, v(oi)));
+            },
+        ));
+        let (a, b, w) = (0, 4, 4);
+        assert_eq!(
+            permutes(&plan.work)[0],
+            Op::PermPairF {
+                even: 16,
+                odd: 20,
+                a,
+                b,
+                w
+            },
+            "{:?}",
+            plan.work
+        );
+        assert_eq!(
+            permutes(&plan.work)[1..],
+            [Op::PermPairI {
+                even: 10,
+                odd: 14,
+                a,
+                b,
+                w
+            }],
+            "{:?}",
+            plan.work
+        );
+    }
+
+    /// An odd permute stays its own op when it reads the even one's
+    /// destination, when its sources, its width or its register file
+    /// differ from the even one's, and when it comes first.
+    #[test]
+    fn a_permute_that_is_not_the_odd_half_of_the_last_op_stays_apart() {
+        type Body = fn(&mut B, [VarId; 14]);
+        let cases: [(&str, Body); 5] = [
+            (
+                "odd reads the even destination",
+                |b, [x, y, _, _, e, o, ..]| {
+                    b.set(e, perm(0, x, y)).set(o, perm(1, e, y));
+                },
+            ),
+            ("other sources", |b, [x, y, _, _, e, o, ..]| {
+                b.set(e, perm(0, x, y)).set(o, perm(1, y, x));
+            }),
+            ("other width", |b, [x, y, _, _, e, _, e8, o8, ..]| {
+                b.set(e8, perm(0, e8, e8)).set(e, perm(0, x, y));
+                b.set(o8, perm(1, e8, e8));
+            }),
+            ("other file", |b, [x, y, _, u, e, .., p, q, _, _, _, _]| {
+                b.set(e, perm(0, x, y));
+                b.set(u, cast(ScalarTy::F32, perm(1, p, q)));
+            }),
+            ("odd first", |b, [x, y, _, _, e, o, ..]| {
+                b.set(o, perm(1, x, y)).set(e, perm(0, x, y));
+            }),
+        ];
+        for (what, body) in cases {
+            let plan = compiled_agreeing(&permuting(4, body));
+            assert!(
+                permutes(&plan.work)
+                    .iter()
+                    .all(|op| matches!(op, Op::PermF { .. } | Op::PermI { .. })),
+                "{what}: {:?}",
+                plan.work
+            );
+        }
+    }
+
+    /// The even half ends an `If` branch, or a rotated loop's body, and
+    /// the odd half follows: the odd starts at a jump target, reached from
+    /// the other branch (or with the loop skipped) too, so the two stay
+    /// apart. Permutes are free on this machine, so the `else` branch ends
+    /// in the even permute itself, with no `Charge` after it.
+    #[test]
+    fn a_permute_pair_is_not_fused_across_a_jump_target() {
+        let mut m = Machine::core_i7();
+        m.cost.permute = 0;
+        type Body = fn(&mut B, [VarId; 14]);
+        let cases: [(&str, Body); 2] = [
+            ("if", |b, [x, y, _, _, e, o, .., s, _, _, _]| {
+                b.if_else(
+                    v(s) & 1i32,
+                    |b| {
+                        b.set(x, v(x) - v(y));
+                    },
+                    |b| {
+                        b.set(e, perm(0, x, y));
+                    },
+                );
+                b.set(o, perm(1, x, y));
+            }),
+            ("rotated loop", |b, [x, y, _, _, e, o, .., s, i, _, _]| {
+                b.for_(i, v(s) & 1i32, |b| {
+                    b.set(e, perm(0, x, y));
+                });
+                b.set(o, perm(1, x, y));
+            }),
+        ];
+        for (what, body) in cases {
+            let plan = compiled_agreeing_on(&permuting(4, body), &m);
+            let perms = permutes(&plan.work);
+            assert!(
+                matches!(
+                    perms[..],
+                    [Op::PermF { parity: 0, .. }, Op::PermF { parity: 1, .. }]
+                ),
+                "{what}: {:?}",
+                plan.work
+            );
+            if what == "if" {
+                let odd = plan.work.iter().position(|op| *op == perms[1]).unwrap();
+                assert_eq!(plan.work[odd - 1], perms[0], "{what}: {:?}", plan.work);
+            }
+        }
+    }
+
+    /// A lone even or odd permute is one `PermF`/`PermI`, at a SIMD width
+    /// (the fixed-width lane path) and at 3 (the indexed one).
+    #[test]
+    fn a_lone_permute_compiles_to_one_op_of_its_parity() {
+        for w in [3, 4, 8] {
+            let plan = compiled_agreeing(&permuting(
+                w,
+                |b, [x, y, z, _, e, o, .., p, q, _, _, _, _]| {
+                    b.set(e, perm(0, x, y));
+                    b.set(x, v(x) * v(y));
+                    b.set(o, perm(1, x, y));
+                    b.set(z, cast(ScalarTy::F32, perm(1, q, p)));
+                },
+            ));
+            let w = w as u32;
+            assert!(
+                matches!(
+                    permutes(&plan.work)[..],
+                    [
+                        Op::PermF { parity: 0, w: a, .. },
+                        Op::PermF { parity: 1, w: b, .. },
+                        Op::PermI { parity: 1, w: c, .. },
+                    ] if [a, b, c] == [w; 3]
+                ),
+                "w {w}: {:?}",
+                plan.work
+            );
+        }
     }
 
     #[test]

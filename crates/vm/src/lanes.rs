@@ -41,6 +41,14 @@
 //! a couple of register moves — and leave only the odd widths to
 //! `memmove`/`memset`. A fixed-size move loads the whole source before
 //! storing, which is `copy_within`'s overlap semantics.
+//!
+//! # Permutes
+//!
+//! [`permute`] runs a lone `extract_even`/`extract_odd` and the pair of
+//! them over the same two vectors (`PermPairI`/`PermPairF`) alike: for a
+//! SIMD width with every destination disjoint from both sources, it reads
+//! the two sources whole once and stores each half whole; anything else
+//! takes the indexed loop, one half after the other.
 
 use crate::bytecode::{self as scalar, Regs};
 use macross_streamir::expr::{BinOp, Intrinsic};
@@ -410,6 +418,66 @@ pub(crate) fn call2_f(
     lift!(Min Max Pow)
 }
 
+/// The destinations of a lone permute of `parity` into `dst`, in the
+/// shape [`permute`] takes.
+#[inline(always)]
+pub(crate) fn lone(parity: u32, dst: u32) -> [Option<u32>; 2] {
+    if parity == 0 {
+        [Some(dst), None]
+    } else {
+        [None, Some(dst)]
+    }
+}
+
+/// `extract_even` into `even` and `extract_odd` into `odd` of the `2w`
+/// lanes `a ++ b`, either left out where `None`: lane `k` of the parity-`p`
+/// half is lane `p + 2k` of the concatenation, and the even half is
+/// written first. When every destination is disjoint from both sources —
+/// the firing compiler's invariant for a permute — a SIMD-width pair of
+/// sources is read whole once and each half stored whole. Any other
+/// window takes the indexed loop, one half after the other, lanes
+/// ascending: the two single permutes it stands for, bit for bit.
+#[inline(always)]
+pub(crate) fn permute<T: Copy>(
+    file: &mut [T],
+    [even, odd]: [Option<u32>; 2],
+    a: u32,
+    b: u32,
+    w: u32,
+) {
+    let (a, b, w) = (a as usize, b as usize, w as usize);
+    let halves = [(0, even), (1, odd)];
+    let apart = |d: u32| {
+        let d = d as usize;
+        (d + w <= a || a + w <= d) && (d + w <= b || b + w <= d)
+    };
+    if even.is_none_or(apart) && odd.is_none_or(apart) {
+        by_width!(w, N => {
+            let (x, y) = (read::<T, N>(file, a), read::<T, N>(file, b));
+            for (parity, dst) in halves {
+                if let Some(dst) = dst {
+                    *window::<T, N>(file, dst as usize) = std::array::from_fn(|k| {
+                        let at = parity + 2 * k;
+                        if at < N { x[at] } else { y[at - N] }
+                    });
+                }
+            }
+            return;
+        }, _ => {});
+    }
+    for (parity, dst) in halves {
+        let Some(dst) = dst else { continue };
+        for k in 0..w {
+            let at = parity + 2 * k;
+            file[dst as usize + k] = if at < w {
+                file[a + at]
+            } else {
+                file[b + at - w]
+            };
+        }
+    }
+}
+
 /// `file[dst..dst + w] = file[src..src + w]` with `copy_within`'s overlap
 /// semantics (the source is read whole before the first store).
 #[inline(always)]
@@ -709,6 +777,32 @@ mod tests {
                     f[dst] = |k| scalar::call2_f(n, ty, f(r, a, k), f(r, b, k))
                 )
             }
+            Op::PermI {
+                parity,
+                dst,
+                a,
+                b,
+                w,
+            } => lanes!(
+                w,
+                i[dst] = |k| match parity as usize + 2 * k {
+                    at if at < w as usize => i(r, a, at),
+                    at => i(r, b, at - w as usize),
+                }
+            ),
+            Op::PermF {
+                parity,
+                dst,
+                a,
+                b,
+                w,
+            } => lanes!(
+                w,
+                f[dst] = |k| match parity as usize + 2 * k {
+                    at if at < w as usize => f(r, a, at),
+                    at => f(r, b, at - w as usize),
+                }
+            ),
             ref other => unreachable!("the reference covers vector forms only: {other:?}"),
         }
     }
@@ -964,6 +1058,76 @@ mod tests {
                         pair.f[t.clone()].copy_from_slice(&init.f[t]);
                         assert_eq!(bits(&got), bits(&pair), "{op:?} against the pair");
                     }
+                }
+            }
+        }
+    }
+
+    /// `PermPairI`/`PermPairF` at widths 1 to 8 — the fixed-width path, and
+    /// at 3, 5, 6 and 7 the indexed one — against the even and the odd
+    /// `Perm*` it stands for, each run through the dispatch loop and
+    /// through the lane-by-lane reference, one after the other. The two
+    /// destinations lie apart, side by side either way round or on one
+    /// window (the odd half wins), or one of them overlaps a source, where
+    /// lane order shows. The float file holds both NaN payloads and signed
+    /// zeros, which a permute must move bit for bit.
+    #[test]
+    fn a_permute_pair_matches_the_two_permutes_it_stands_for() {
+        let (a, b) = (8u32, 24u32);
+        let mut rng = Rng(0x0070_6572_6d75_7465);
+        for w in 1..=8u32 {
+            for (even, odd) in [
+                (40, 52),
+                (40, 40 + w),
+                (40 + w, 40),
+                (44, 44),
+                (a, 44),
+                (a + 1, 44),
+                (44, b - 1),
+                (44, b + w / 2),
+            ] {
+                let mut init = rng.regs(I64, F64);
+                for (k, x) in init.f.iter_mut().enumerate() {
+                    let payload = u64::from(NAN_BITS[k % 2] & 0x7f_ffff) << 29;
+                    match rng.next() % 4 {
+                        0 => *x = f64::from_bits(0x7ff0_0000_0000_0000 | payload),
+                        1 => *x = [0.0, -0.0][k % 2],
+                        _ => {}
+                    }
+                }
+                for float in [false, true] {
+                    let (halves, pair) = if float {
+                        (
+                            [(0, even), (1, odd)].map(|(parity, dst)| Op::PermF {
+                                parity,
+                                dst,
+                                a,
+                                b,
+                                w,
+                            }),
+                            Op::PermPairF { even, odd, a, b, w },
+                        )
+                    } else {
+                        (
+                            [(0, even), (1, odd)].map(|(parity, dst)| Op::PermI {
+                                parity,
+                                dst,
+                                a,
+                                b,
+                                w,
+                            }),
+                            Op::PermPairI { even, odd, a, b, w },
+                        )
+                    };
+                    let (mut want, mut lone) = (init.clone(), init.clone());
+                    for op in &halves {
+                        reference(op, &mut want);
+                        dispatched(op, &mut lone);
+                    }
+                    assert_eq!(bits(&lone), bits(&want), "{halves:?}");
+                    let mut got = init.clone();
+                    dispatched(&pair, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "{pair:?}");
                 }
             }
         }

@@ -955,17 +955,18 @@ const NAN_BITS: [u32; 2] = [0x7fc0_0001, 0x7fc0_0002];
 
 /// A random filter of assignments the firing compiler forwards, or has to
 /// refuse to forward, over literals the constant pool shares, or has to
-/// keep apart; of adds of products it fuses, and of values it writes
-/// straight into the element they are stored to. One of every shape
-/// first, then a random mix.
+/// keep apart; of adds of products it fuses, of values it writes
+/// straight into the element they are stored to, and of even/odd permute
+/// pairs it runs as one op. One of every shape first, then a random mix.
 fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
-    let mut fb = FilterBuilder::new("fwd", 2 * w, 2 * w, 5 * w + 14, ScalarTy::F32);
+    let mut fb = FilterBuilder::new("fwd", 2 * w, 2 * w, 7 * w + 14, ScalarTy::F32);
     let mut vars = |name: &str, n: usize, ty: Ty| -> Vec<VarId> {
         (0..n).map(|i| fb.local(format!("{name}{i}"), ty)).collect()
     };
     let vf = vars("vf", 3, Ty::Vector(ScalarTy::F32, w));
     let vi = vars("vi", 2, Ty::Vector(ScalarTy::I32, w));
     let vd = vars("vd", 1, Ty::Vector(ScalarTy::F64, w))[0];
+    let halves = vars("half", 2, Ty::Vector(ScalarTy::F32, w)); // permute pairs
     let sf = vars("sf", 2, Ty::Scalar(ScalarTy::F32));
     let si = vars("si", 2, Ty::Scalar(ScalarTy::I32));
     let sd = vars("sd", 1, Ty::Scalar(ScalarTy::F64))[0];
@@ -975,9 +976,9 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
     let ai = vars("ai", 1, Ty::Array(ScalarTy::I32, 4))[0];
     let odd = vars("odd", 4, Ty::Scalar(ScalarTy::F32)); // NaNs and zeros
     let steps = 12 + rng.range(0, 12);
-    let plan: Vec<(usize, usize, usize, usize)> = (0..12 + steps)
+    let plan: Vec<(usize, usize, usize, usize)> = (0..13 + steps)
         .map(|k| {
-            let kind = if k < 12 { k } else { rng.range(0, 12) };
+            let kind = if k < 13 { k } else { rng.range(0, 13) };
             (kind, rng.range(0, 3), rng.range(0, 3), rng.range(0, 3))
         })
         .collect();
@@ -988,25 +989,27 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
         let splat = |e: Expr| Expr::Splat(Box::new(e), w);
         let lane = |e: Expr, k: usize| Expr::Lane(Box::new(e), k % w);
         let cast = |t: ScalarTy, e: Expr| Expr::Cast(t, Box::new(e));
-        let mut set = |lv: LValue, e: Expr| {
-            b.stmt(Stmt::Assign(lv, e));
-        };
+        macro_rules! set {
+            ($lv:expr, $e:expr $(,)?) => {{
+                b.stmt(Stmt::Assign($lv, $e));
+            }};
+        }
         let small = [0.5f32, -1.25, 1.5];
-        set(LValue::Var(vf[0]), Expr::VPop { width: w });
-        set(LValue::Var(vf[1]), Expr::VPop { width: w });
-        set(
+        set!(LValue::Var(vf[0]), Expr::VPop { width: w });
+        set!(LValue::Var(vf[1]), Expr::VPop { width: w });
+        set!(
             LValue::Var(vf[1]),
             Expr::bin(BinOp::Sub, Expr::Var(vf[1]), splat(lit(7.25))),
         );
-        set(LValue::Var(vf[2]), Expr::Var(vf[0]));
-        set(LValue::Var(sf[0]), lane(Expr::Var(vf[0]), 1));
-        set(LValue::Var(sf[1]), lane(Expr::Var(vf[1]), 2));
+        set!(LValue::Var(vf[2]), Expr::Var(vf[0]));
+        set!(LValue::Var(sf[0]), lane(Expr::Var(vf[0]), 1));
+        set!(LValue::Var(sf[1]), lane(Expr::Var(vf[1]), 2));
         for &(kind, t, x, y) in &plan {
             let (vt, vx, vy) = (vf[t], vf[x], vf[y]);
             let (s2, i2) = (t % 2, x % 2);
             match kind {
                 // `v = v op u`, `v = u op v`, `v = u op splat(literal)`.
-                0 => set(
+                0 => set!(
                     LValue::Var(vt),
                     match y {
                         0 => Expr::bin(BinOp::Add, Expr::Var(vt), Expr::Var(vx)),
@@ -1015,7 +1018,7 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                     },
                 ),
                 // A permute reading its own destination must not alias.
-                1 => set(
+                1 => set!(
                     LValue::Var(vt),
                     if y % 2 == 0 {
                         Expr::PermuteEven(var(vt), var(vx))
@@ -1024,10 +1027,10 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                     },
                 ),
                 // A broadcast whose source sits inside its destination.
-                2 => set(LValue::Var(vt), splat(lane(Expr::Var(vt), x + y))),
+                2 => set!(LValue::Var(vt), splat(lane(Expr::Var(vt), x + y))),
                 // Lane 0 of a vector temporary shares its base register
                 // with the vector: the vector op must not land in a scalar.
-                3 => set(
+                3 => set!(
                     LValue::Var(sf[s2]),
                     lane(
                         Expr::bin(BinOp::Add, Expr::Var(vx), Expr::Var(vy)),
@@ -1036,7 +1039,7 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                 ),
                 // Vector results that live in the other register file.
                 4 => {
-                    set(
+                    set!(
                         LValue::Var(vi[i2]),
                         Expr::bin(
                             [BinOp::Lt, BinOp::Ge, BinOp::Ne][y],
@@ -1044,40 +1047,40 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                             Expr::Var(vy),
                         ),
                     );
-                    set(LValue::Var(vt), cast(ScalarTy::F32, Expr::Var(vi[i2])));
-                    set(LValue::Var(vi[1 - i2]), cast(ScalarTy::I32, Expr::Var(vx)));
-                    set(LValue::Var(vd), cast(ScalarTy::F64, Expr::Var(vy)));
-                    set(LValue::Var(vy), cast(ScalarTy::F32, Expr::Var(vd)));
+                    set!(LValue::Var(vt), cast(ScalarTy::F32, Expr::Var(vi[i2])));
+                    set!(LValue::Var(vi[1 - i2]), cast(ScalarTy::I32, Expr::Var(vx)));
+                    set!(LValue::Var(vd), cast(ScalarTy::F64, Expr::Var(vy)));
+                    set!(LValue::Var(vy), cast(ScalarTy::F32, Expr::Var(vd)));
                 }
                 // Scalar ones.
                 5 => {
-                    set(
+                    set!(
                         LValue::Var(si[i2]),
                         Expr::bin(BinOp::Lt, Expr::Var(sf[0]), Expr::Var(sf[1])),
                     );
-                    set(LValue::Var(sf[s2]), cast(ScalarTy::F32, Expr::Var(si[i2])));
-                    set(
+                    set!(LValue::Var(sf[s2]), cast(ScalarTy::F32, Expr::Var(si[i2])));
+                    set!(
                         LValue::Var(si[1 - i2]),
                         cast(ScalarTy::I32, Expr::Var(sf[1 - s2])),
                     );
                 }
                 // `a.lane = expr`, both files.
                 6 => {
-                    set(
+                    set!(
                         LValue::LaneVar(vt, (x + y) % w),
                         Expr::bin(BinOp::Mul, Expr::Var(sf[s2]), lit(small[y])),
                     );
-                    set(
+                    set!(
                         LValue::LaneVar(vi[i2], (t + y) % w),
                         Expr::bin(BinOp::Add, Expr::Var(si[i2]), int(7)),
                     );
                 }
                 // Pool sources keep their move: `x = 5`.
                 7 => {
-                    set(LValue::Var(si[i2]), int(5));
-                    set(LValue::Var(sf[s2]), lit(2.5));
-                    set(LValue::Var(vt), splat(lit(small[y])));
-                    set(
+                    set!(LValue::Var(si[i2]), int(5));
+                    set!(LValue::Var(sf[s2]), lit(2.5));
+                    set!(LValue::Var(vt), splat(lit(small[y])));
+                    set!(
                         LValue::Var(vi[1 - i2]),
                         Expr::ConstVec((0..w).map(|k| Value::I32(k as i32 - 2)).collect()),
                     );
@@ -1085,11 +1088,11 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                 // One literal, two widths: `7` and `0.625` are each one
                 // pool register whatever the type they are used at.
                 8 => {
-                    set(
+                    set!(
                         LValue::Var(si[i2]),
                         Expr::bin(BinOp::Add, Expr::Var(si[i2]), int(7)),
                     );
-                    set(
+                    set!(
                         LValue::Var(sq),
                         Expr::bin(
                             BinOp::Add,
@@ -1097,11 +1100,11 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                             cast(ScalarTy::I64, Expr::Var(si[i2])),
                         ),
                     );
-                    set(
+                    set!(
                         LValue::Var(sf[s2]),
                         Expr::bin(BinOp::Mul, Expr::Var(sf[s2]), lit(0.625)),
                     );
-                    set(
+                    set!(
                         LValue::Var(sd),
                         Expr::bin(
                             BinOp::Add,
@@ -1116,22 +1119,22 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                     let mul = |a, b| Expr::bin(BinOp::Mul, a, b);
                     let add = |a, b| Expr::bin(BinOp::Add, a, b);
                     let wide = |e| cast(ScalarTy::F64, e);
-                    set(
+                    set!(
                         LValue::Var(vt),
                         add(Expr::Var(vt), mul(Expr::Var(vx), Expr::Var(vy))),
                     );
-                    set(
+                    set!(
                         LValue::Var(sf[s2]),
                         add(mul(Expr::Var(sf[0]), Expr::Var(sf[1])), Expr::Var(sf[s2])),
                     );
-                    set(
+                    set!(
                         LValue::Var(vd),
                         add(
                             mul(wide(Expr::Var(vx)), Expr::Var(vd)),
                             mul(Expr::Var(vd), wide(Expr::Var(vy))),
                         ),
                     );
-                    set(
+                    set!(
                         LValue::Var(sd),
                         add(
                             mul(
@@ -1141,7 +1144,7 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                             Expr::Const(Value::F64(-0.75)),
                         ),
                     );
-                    set(
+                    set!(
                         LValue::Var(vx),
                         add(
                             mul(
@@ -1157,54 +1160,79 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                 // reads `x`, whose value (possibly known) it changes.
                 11 => {
                     let k = int((y % 2) as i32);
-                    set(
+                    set!(
                         LValue::Var(vt),
                         Expr::bin(BinOp::Sub, Expr::Var(vx), Expr::Var(vy)),
                     );
-                    set(LValue::Index(panels, k.clone()), Expr::Var(vt));
-                    set(
+                    set!(LValue::Index(panels, k.clone()), Expr::Var(vt));
+                    set!(
                         LValue::Var(sf[s2]),
                         Expr::bin(BinOp::Mul, lane(Expr::Var(vx), t), Expr::Var(sf[1 - s2])),
                     );
-                    set(
+                    set!(
                         LValue::LaneIndex(panels, int(1 - (y % 2) as i32), (t + x) % w),
                         Expr::Var(sf[s2]),
                     );
-                    set(
+                    set!(
                         LValue::Var(sf[1 - s2]),
                         Expr::bin(BinOp::Add, Expr::Var(sf[s2]), lane(Expr::Var(vy), x)),
                     );
-                    set(
+                    set!(
                         LValue::Index(arr, int((x + y) as i32 % 4)),
                         Expr::Var(sf[1 - s2]),
                     );
-                    set(LValue::Var(si[i2]), cast(ScalarTy::I32, Expr::Var(sf[s2])));
+                    set!(LValue::Var(si[i2]), cast(ScalarTy::I32, Expr::Var(sf[s2])));
                     let cell = Expr::bin(BinOp::And, Expr::Var(si[i2]), int(3));
-                    set(LValue::Index(ai, cell), Expr::Var(si[i2]));
-                    set(LValue::Var(vy), Expr::Index(panels, Box::new(k)));
+                    set!(LValue::Index(ai, cell), Expr::Var(si[i2]));
+                    set!(LValue::Var(vy), Expr::Index(panels, Box::new(k)));
+                }
+                // Even/odd pairs of the same two vectors, one op each: into
+                // two other vectors; with the odd half into one of its
+                // sources (by way of a temporary); and with the even half
+                // ending an `If` branch, so that the odd one starts at the
+                // join.
+                12 => {
+                    let even = |a: VarId, b: VarId| Expr::PermuteEven(var(a), var(b));
+                    let odd = |a: VarId, b: VarId| Expr::PermuteOdd(var(a), var(b));
+                    let [he, ho] = [halves[0], halves[1]];
+                    set!(LValue::Var(he), even(vx, vy));
+                    set!(LValue::Var(ho), odd(vx, vy));
+                    set!(LValue::Var(he), even(vy, vt));
+                    set!(LValue::Var(vt), odd(vy, vt));
+                    b.stmt(Stmt::If {
+                        cond: Expr::bin(BinOp::Lt, lane(Expr::Var(vx), t), lit(0.0)),
+                        then_branch: vec![Stmt::Assign(
+                            LValue::Var(vy),
+                            Expr::bin(BinOp::Mul, Expr::Var(vy), splat(lit(small[t]))),
+                        )],
+                        else_branch: vec![Stmt::Assign(LValue::Var(he), even(vx, vy))],
+                    });
+                    set!(LValue::Var(ho), odd(vx, vy));
                 }
                 // Windows found through a run-time index.
                 _ => {
                     let row = Expr::bin(BinOp::And, Expr::Var(si[i2]), int(1));
                     let cell = Expr::bin(BinOp::And, Expr::Var(si[1 - i2]), int(3));
-                    set(LValue::Index(panels, row.clone()), Expr::Var(vx));
-                    set(LValue::Var(vt), Expr::Index(panels, Box::new(row)));
-                    set(LValue::Index(arr, cell.clone()), Expr::Var(sf[s2]));
-                    set(LValue::Var(sf[1 - s2]), Expr::Index(arr, Box::new(cell)));
+                    set!(LValue::Index(panels, row.clone()), Expr::Var(vx));
+                    set!(LValue::Var(vt), Expr::Index(panels, Box::new(row)));
+                    set!(LValue::Index(arr, cell.clone()), Expr::Var(sf[s2]));
+                    set!(LValue::Var(sf[1 - s2]), Expr::Index(arr, Box::new(cell)));
                 }
             }
         }
         // Literals only bit patterns tell apart.
-        set(LValue::Var(odd[0]), lit(f32::from_bits(NAN_BITS[0])));
-        set(LValue::Var(odd[1]), lit(f32::from_bits(NAN_BITS[1])));
-        set(LValue::Var(odd[2]), lit(0.0));
-        set(LValue::Var(odd[3]), lit(-0.0));
+        set!(LValue::Var(odd[0]), lit(f32::from_bits(NAN_BITS[0])));
+        set!(LValue::Var(odd[1]), lit(f32::from_bits(NAN_BITS[1])));
+        set!(LValue::Var(odd[2]), lit(0.0));
+        set!(LValue::Var(odd[3]), lit(-0.0));
         for value in [
             Expr::Var(vf[0]),
             Expr::Var(vf[1]),
             Expr::Var(vf[2]),
             cast(ScalarTy::F32, Expr::Var(vi[0])),
             cast(ScalarTy::F32, Expr::Var(vd)),
+            Expr::Var(halves[0]),
+            Expr::Var(halves[1]),
         ] {
             b.stmt(Stmt::VPush { value, width: w });
         }
@@ -1260,8 +1288,9 @@ fn plan_of(
 /// What the pool and forwarding did to `fwd`, so the differential is known
 /// to have met them: shared and separated literals, ops that write a
 /// variable window directly, permutes and splats that were kept off
-/// theirs, multiply-adds that read their destination only in place, and
-/// values computed straight into an element.
+/// theirs, multiply-adds that read their destination only in place,
+/// values computed straight into an element, and permute pairs whose two
+/// destinations are clear of both sources.
 fn assert_pool_and_forwarding_engaged(g: &Graph, machine: &Machine, at: &str) {
     use macross_repro::vm::bytecode::Op;
     let plan = plan_of(g, "fwd", machine, at);
@@ -1299,7 +1328,7 @@ fn assert_pool_and_forwarding_engaged(g: &Graph, machine: &Machine, at: &str) {
         );
     }
     let var_zone = plan.pool_f.0;
-    let (mut forwarded, mut fused, mut in_place) = (0, 0, 0);
+    let (mut forwarded, mut fused, mut in_place, mut pairs) = (0, 0, 0, 0);
     for op in &plan.work {
         match *op {
             Op::VBinF { dst, .. }
@@ -1329,6 +1358,16 @@ fn assert_pool_and_forwarding_engaged(g: &Graph, machine: &Machine, at: &str) {
                 let apart = |s: u32| s + w <= dst || dst + w <= s;
                 assert!(apart(a) && apart(b), "{at}: {op:?} reads its destination");
             }
+            Op::PermPairF {
+                even, odd, a, b, w, ..
+            } => {
+                pairs += 1;
+                let apart = |d: u32, s: u32| s + w <= d || d + w <= s;
+                assert!(
+                    [even, odd].iter().all(|&d| apart(d, a) && apart(d, b)),
+                    "{at}: {op:?} reads a destination"
+                );
+            }
             Op::SplatF { dst, a, w } => {
                 assert!(
                     a < dst || dst + w <= a,
@@ -1343,6 +1382,7 @@ fn assert_pool_and_forwarding_engaged(g: &Graph, machine: &Machine, at: &str) {
         "{at}: only {forwarded} forwarded vector ops"
     );
     assert!(fused >= 4, "{at}: only {fused} multiply-adds");
+    assert!(pairs >= 2, "{at}: only {pairs} permute pairs");
     assert!(
         in_place >= 3,
         "{at}: only {in_place} values computed into their element"
