@@ -342,20 +342,20 @@ RegionAccNorm 78a19f387325506b6b112fee3011452b d4e7b6a797209c5de908d9a06bc32589
 
 /// Program, bytecode of the scalar graph, bytecode of the SIMDized graph.
 const PINNED_BYTECODE: &str = "
-AudioBeam 1bb98bab9782c87f 7075e1c3521816c4
-BeamFormer 8fb353706797ed95 ceb4e29825943c82
-BitonicSort 553317be845163e2 e3b57e4b4cd54846
-ChannelVocoder 51cfef030d2fa1d1 663a3c08dfde8347
-DCT a929561543d76cbd 26fbe0bb7c7a7495
-DES d664da279392174b 90b392f8a28c1497
-FFT d528204f11159d26 32f2c74c777a7d23
-FilterBank 6bb90989b9913c3f fb820f8ede750bfe
-FMRadio 1ef8ae7a65e797d5 e0d613cf317dbb3e
-MatrixMult 08ae9766a2eb4626 813e3964f4c118a1
-MatrixMultBlock 7493c0fbfe81ef13 489db8b4d9d3272f
-MP3Decoder 4d2dba45ad4ee753 0d3add40070fa1ae
-Serpent 34fbbb0533fb3a98 d86d4d745f701ca4
-TDE 3ffa57f32fe5cff0 b916d5cd8125cb22
+AudioBeam 1bb98bab9782c87f 65db6aa5fe4d9d77
+BeamFormer 8fb353706797ed95 93d68cede76ab80d
+BitonicSort 553317be845163e2 c8b59442d3403125
+ChannelVocoder 51cfef030d2fa1d1 9c812db6947a524f
+DCT a929561543d76cbd 75f97d0017a120b8
+DES d664da279392174b 628f05fe158ff04f
+FFT d528204f11159d26 e22a47cf9b95ac37
+FilterBank 6bb90989b9913c3f fe04eced62959bac
+FMRadio 1ef8ae7a65e797d5 66b915ab58775287
+MatrixMult 08ae9766a2eb4626 ee18b996fd5b39ab
+MatrixMultBlock 7493c0fbfe81ef13 d4723b48fea2d21e
+MP3Decoder 4d2dba45ad4ee753 e29b816d5049ef75
+Serpent 34fbbb0533fb3a98 9369890073cedb67
+TDE 3ffa57f32fe5cff0 6e1298b390fea435
 RegionIIRBank 16b6db210c577e5f 46584d01b57d3ea8
 RegionAccNorm fc655b47b1a0e976 6c7f8b3c92d3d1a1
 ";
