@@ -62,8 +62,9 @@
 //!
 //! # Writing where the value goes
 //!
-//! Two more rewrites make an op write where its value is used, each
-//! looking no further than the last op emitted or the next statement.
+//! Three more rewrites make an op write where its value is used or save
+//! one, each looking no further than the last op emitted or the next
+//! statement.
 //! A float `Add` one of whose sources is the temporary the last op — a
 //! `Mul` of the same type and width — just computed replaces that op
 //! with one [`Op::MulAddF`] ([`Compiler::product`]): the product's
@@ -74,8 +75,13 @@
 //! range and does not read `x`, `e` is offered the element's window
 //! before `x`'s ([`Compiler::in_place`]): `x` becomes a copy of the
 //! element and the store moves nothing. Where `dest` refuses the
-//! element, the value goes to `x` as before. Neither moves a charge:
-//! each node is charged where it always was.
+//! element, the value goes to `x` as before. And an `extract_odd` whose
+//! last op is the `extract_even` of the same sources, width and file
+//! replaces that op with one [`Op::PermPairF`] / [`Op::PermPairI`]
+//! ([`Compiler::even_half`]), when its `dest` settles nothing and it does
+//! not start at a jump target: the rule crosses a statement, so
+//! [`Compiler::here`] marks each label. None moves a charge: each node
+//! is charged where it always was.
 //!
 //! # Cycle accounting
 //!

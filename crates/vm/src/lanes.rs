@@ -437,7 +437,11 @@ pub(crate) fn lone(parity: u32, dst: u32) -> [Option<u32>; 2] {
 /// sources is read whole once and each half stored whole. Any other
 /// window takes the indexed loop, one half after the other, lanes
 /// ascending: the two single permutes it stands for, bit for bit.
-#[inline(always)]
+///
+/// Out of line, unlike the other ops: inlined into the four permute arms
+/// of `run_code` it made the whole dispatch loop slower, the scalar suite
+/// (which runs no permute) included.
+#[inline(never)]
 pub(crate) fn permute<T: Copy>(
     file: &mut [T],
     [even, odd]: [Option<u32>; 2],
