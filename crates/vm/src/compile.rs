@@ -78,10 +78,10 @@
 //! element, the value goes to `x` as before. And an `extract_odd` whose
 //! last op is the `extract_even` of the same sources, width and file
 //! replaces that op with one [`Op::PermPairF`] / [`Op::PermPairI`]
-//! ([`Compiler::even_half`]), when its `dest` settles nothing and it does
-//! not start at a jump target: the rule crosses a statement, so
-//! [`Compiler::here`] marks each label. None moves a charge: each node
-//! is charged where it always was.
+//! ([`Compiler::even_half`]), unless its `dest` settles a copy (a move
+//! then sits between them) or it starts at a jump target: the rule
+//! crosses a statement, so [`Compiler::here`] marks each label. None
+//! moves a charge: each node is charged where it always was.
 //!
 //! # Cycle accounting
 //!
@@ -1805,13 +1805,12 @@ impl<'a> Compiler<'a> {
         // write over its sources.
         let float = a.is_float();
         let srcs = [(float, a.reg, w), (float, b.reg, w)];
-        let at = self.code.len();
         let dst = self.dest(want, float, w, false, &srcs);
         let (a, b, ty) = (a.reg, b.reg, a.ty);
-        // Only if `dest` settled no copy is the even half still the last
-        // op.
+        // A copy `dest` settled is a move after the even half, which is
+        // then no longer the last op.
         let even = match parity {
-            1 if self.code.len() == at => self.even_half(float, a, b, w),
+            1 => self.even_half(float, a, b, w),
             _ => None,
         };
         let op = match (even, float) {
@@ -3235,11 +3234,12 @@ mod tests {
 
     /// An odd permute stays its own op when it reads the even one's
     /// destination, when its sources, its width or its register file
-    /// differ from the even one's, and when it comes first.
+    /// differ from the even one's, when it comes first, and when writing
+    /// its destination settles a copy of it (`z = o`) after the even one.
     #[test]
     fn a_permute_that_is_not_the_odd_half_of_the_last_op_stays_apart() {
         type Body = fn(&mut B, [VarId; 14]);
-        let cases: [(&str, Body); 5] = [
+        let cases: [(&str, Body); 6] = [
             (
                 "odd reads the even destination",
                 |b, [x, y, _, _, e, o, ..]| {
@@ -3259,6 +3259,9 @@ mod tests {
             }),
             ("odd first", |b, [x, y, _, _, e, o, ..]| {
                 b.set(o, perm(1, x, y)).set(e, perm(0, x, y));
+            }),
+            ("a copy settled in between", |b, [x, y, z, _, e, o, ..]| {
+                b.set(e, perm(0, x, y)).set(z, v(o)).set(o, perm(1, x, y));
             }),
         ];
         for (what, body) in cases {
