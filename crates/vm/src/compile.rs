@@ -1813,27 +1813,13 @@ impl<'a> Compiler<'a> {
             1 => self.even_half(float, a, b, w),
             _ => None,
         };
-        let op = match (even, float) {
-            (Some(even), _) => {
-                self.code.pop();
-                if float {
-                    Op::PermPairF {
-                        even,
-                        odd: dst,
-                        a,
-                        b,
-                        w,
-                    }
-                } else {
-                    Op::PermPairI {
-                        even,
-                        odd: dst,
-                        a,
-                        b,
-                        w,
-                    }
-                }
-            }
+        if even.is_some() {
+            self.code.pop();
+        }
+        let odd = dst;
+        self.emit(match (even, float) {
+            (Some(even), true) => Op::PermPairF { even, odd, a, b, w },
+            (Some(even), false) => Op::PermPairI { even, odd, a, b, w },
             (None, true) => Op::PermF {
                 parity,
                 dst,
@@ -1848,8 +1834,7 @@ impl<'a> Compiler<'a> {
                 b,
                 w,
             },
-        };
-        self.emit(op);
+        });
         Some(Operand {
             ty,
             w: Some(w),

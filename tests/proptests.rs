@@ -989,27 +989,25 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
         let splat = |e: Expr| Expr::Splat(Box::new(e), w);
         let lane = |e: Expr, k: usize| Expr::Lane(Box::new(e), k % w);
         let cast = |t: ScalarTy, e: Expr| Expr::Cast(t, Box::new(e));
-        macro_rules! set {
-            ($lv:expr, $e:expr $(,)?) => {{
-                b.stmt(Stmt::Assign($lv, $e));
-            }};
-        }
+        // The body in order: `set` appends an assignment, shape 12 an `If`.
+        let stmts = std::cell::RefCell::new(Vec::new());
+        let set = |lv: LValue, e: Expr| stmts.borrow_mut().push(Stmt::Assign(lv, e));
         let small = [0.5f32, -1.25, 1.5];
-        set!(LValue::Var(vf[0]), Expr::VPop { width: w });
-        set!(LValue::Var(vf[1]), Expr::VPop { width: w });
-        set!(
+        set(LValue::Var(vf[0]), Expr::VPop { width: w });
+        set(LValue::Var(vf[1]), Expr::VPop { width: w });
+        set(
             LValue::Var(vf[1]),
             Expr::bin(BinOp::Sub, Expr::Var(vf[1]), splat(lit(7.25))),
         );
-        set!(LValue::Var(vf[2]), Expr::Var(vf[0]));
-        set!(LValue::Var(sf[0]), lane(Expr::Var(vf[0]), 1));
-        set!(LValue::Var(sf[1]), lane(Expr::Var(vf[1]), 2));
+        set(LValue::Var(vf[2]), Expr::Var(vf[0]));
+        set(LValue::Var(sf[0]), lane(Expr::Var(vf[0]), 1));
+        set(LValue::Var(sf[1]), lane(Expr::Var(vf[1]), 2));
         for &(kind, t, x, y) in &plan {
             let (vt, vx, vy) = (vf[t], vf[x], vf[y]);
             let (s2, i2) = (t % 2, x % 2);
             match kind {
                 // `v = v op u`, `v = u op v`, `v = u op splat(literal)`.
-                0 => set!(
+                0 => set(
                     LValue::Var(vt),
                     match y {
                         0 => Expr::bin(BinOp::Add, Expr::Var(vt), Expr::Var(vx)),
@@ -1018,7 +1016,7 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                     },
                 ),
                 // A permute reading its own destination must not alias.
-                1 => set!(
+                1 => set(
                     LValue::Var(vt),
                     if y % 2 == 0 {
                         Expr::PermuteEven(var(vt), var(vx))
@@ -1027,10 +1025,10 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                     },
                 ),
                 // A broadcast whose source sits inside its destination.
-                2 => set!(LValue::Var(vt), splat(lane(Expr::Var(vt), x + y))),
+                2 => set(LValue::Var(vt), splat(lane(Expr::Var(vt), x + y))),
                 // Lane 0 of a vector temporary shares its base register
                 // with the vector: the vector op must not land in a scalar.
-                3 => set!(
+                3 => set(
                     LValue::Var(sf[s2]),
                     lane(
                         Expr::bin(BinOp::Add, Expr::Var(vx), Expr::Var(vy)),
@@ -1039,7 +1037,7 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                 ),
                 // Vector results that live in the other register file.
                 4 => {
-                    set!(
+                    set(
                         LValue::Var(vi[i2]),
                         Expr::bin(
                             [BinOp::Lt, BinOp::Ge, BinOp::Ne][y],
@@ -1047,40 +1045,40 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                             Expr::Var(vy),
                         ),
                     );
-                    set!(LValue::Var(vt), cast(ScalarTy::F32, Expr::Var(vi[i2])));
-                    set!(LValue::Var(vi[1 - i2]), cast(ScalarTy::I32, Expr::Var(vx)));
-                    set!(LValue::Var(vd), cast(ScalarTy::F64, Expr::Var(vy)));
-                    set!(LValue::Var(vy), cast(ScalarTy::F32, Expr::Var(vd)));
+                    set(LValue::Var(vt), cast(ScalarTy::F32, Expr::Var(vi[i2])));
+                    set(LValue::Var(vi[1 - i2]), cast(ScalarTy::I32, Expr::Var(vx)));
+                    set(LValue::Var(vd), cast(ScalarTy::F64, Expr::Var(vy)));
+                    set(LValue::Var(vy), cast(ScalarTy::F32, Expr::Var(vd)));
                 }
                 // Scalar ones.
                 5 => {
-                    set!(
+                    set(
                         LValue::Var(si[i2]),
                         Expr::bin(BinOp::Lt, Expr::Var(sf[0]), Expr::Var(sf[1])),
                     );
-                    set!(LValue::Var(sf[s2]), cast(ScalarTy::F32, Expr::Var(si[i2])));
-                    set!(
+                    set(LValue::Var(sf[s2]), cast(ScalarTy::F32, Expr::Var(si[i2])));
+                    set(
                         LValue::Var(si[1 - i2]),
                         cast(ScalarTy::I32, Expr::Var(sf[1 - s2])),
                     );
                 }
                 // `a.lane = expr`, both files.
                 6 => {
-                    set!(
+                    set(
                         LValue::LaneVar(vt, (x + y) % w),
                         Expr::bin(BinOp::Mul, Expr::Var(sf[s2]), lit(small[y])),
                     );
-                    set!(
+                    set(
                         LValue::LaneVar(vi[i2], (t + y) % w),
                         Expr::bin(BinOp::Add, Expr::Var(si[i2]), int(7)),
                     );
                 }
                 // Pool sources keep their move: `x = 5`.
                 7 => {
-                    set!(LValue::Var(si[i2]), int(5));
-                    set!(LValue::Var(sf[s2]), lit(2.5));
-                    set!(LValue::Var(vt), splat(lit(small[y])));
-                    set!(
+                    set(LValue::Var(si[i2]), int(5));
+                    set(LValue::Var(sf[s2]), lit(2.5));
+                    set(LValue::Var(vt), splat(lit(small[y])));
+                    set(
                         LValue::Var(vi[1 - i2]),
                         Expr::ConstVec((0..w).map(|k| Value::I32(k as i32 - 2)).collect()),
                     );
@@ -1088,11 +1086,11 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                 // One literal, two widths: `7` and `0.625` are each one
                 // pool register whatever the type they are used at.
                 8 => {
-                    set!(
+                    set(
                         LValue::Var(si[i2]),
                         Expr::bin(BinOp::Add, Expr::Var(si[i2]), int(7)),
                     );
-                    set!(
+                    set(
                         LValue::Var(sq),
                         Expr::bin(
                             BinOp::Add,
@@ -1100,11 +1098,11 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                             cast(ScalarTy::I64, Expr::Var(si[i2])),
                         ),
                     );
-                    set!(
+                    set(
                         LValue::Var(sf[s2]),
                         Expr::bin(BinOp::Mul, Expr::Var(sf[s2]), lit(0.625)),
                     );
-                    set!(
+                    set(
                         LValue::Var(sd),
                         Expr::bin(
                             BinOp::Add,
@@ -1119,22 +1117,22 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                     let mul = |a, b| Expr::bin(BinOp::Mul, a, b);
                     let add = |a, b| Expr::bin(BinOp::Add, a, b);
                     let wide = |e| cast(ScalarTy::F64, e);
-                    set!(
+                    set(
                         LValue::Var(vt),
                         add(Expr::Var(vt), mul(Expr::Var(vx), Expr::Var(vy))),
                     );
-                    set!(
+                    set(
                         LValue::Var(sf[s2]),
                         add(mul(Expr::Var(sf[0]), Expr::Var(sf[1])), Expr::Var(sf[s2])),
                     );
-                    set!(
+                    set(
                         LValue::Var(vd),
                         add(
                             mul(wide(Expr::Var(vx)), Expr::Var(vd)),
                             mul(Expr::Var(vd), wide(Expr::Var(vy))),
                         ),
                     );
-                    set!(
+                    set(
                         LValue::Var(sd),
                         add(
                             mul(
@@ -1144,7 +1142,7 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                             Expr::Const(Value::F64(-0.75)),
                         ),
                     );
-                    set!(
+                    set(
                         LValue::Var(vx),
                         add(
                             mul(
@@ -1160,31 +1158,31 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                 // reads `x`, whose value (possibly known) it changes.
                 11 => {
                     let k = int((y % 2) as i32);
-                    set!(
+                    set(
                         LValue::Var(vt),
                         Expr::bin(BinOp::Sub, Expr::Var(vx), Expr::Var(vy)),
                     );
-                    set!(LValue::Index(panels, k.clone()), Expr::Var(vt));
-                    set!(
+                    set(LValue::Index(panels, k.clone()), Expr::Var(vt));
+                    set(
                         LValue::Var(sf[s2]),
                         Expr::bin(BinOp::Mul, lane(Expr::Var(vx), t), Expr::Var(sf[1 - s2])),
                     );
-                    set!(
+                    set(
                         LValue::LaneIndex(panels, int(1 - (y % 2) as i32), (t + x) % w),
                         Expr::Var(sf[s2]),
                     );
-                    set!(
+                    set(
                         LValue::Var(sf[1 - s2]),
                         Expr::bin(BinOp::Add, Expr::Var(sf[s2]), lane(Expr::Var(vy), x)),
                     );
-                    set!(
+                    set(
                         LValue::Index(arr, int((x + y) as i32 % 4)),
                         Expr::Var(sf[1 - s2]),
                     );
-                    set!(LValue::Var(si[i2]), cast(ScalarTy::I32, Expr::Var(sf[s2])));
+                    set(LValue::Var(si[i2]), cast(ScalarTy::I32, Expr::Var(sf[s2])));
                     let cell = Expr::bin(BinOp::And, Expr::Var(si[i2]), int(3));
-                    set!(LValue::Index(ai, cell), Expr::Var(si[i2]));
-                    set!(LValue::Var(vy), Expr::Index(panels, Box::new(k)));
+                    set(LValue::Index(ai, cell), Expr::Var(si[i2]));
+                    set(LValue::Var(vy), Expr::Index(panels, Box::new(k)));
                 }
                 // Even/odd pairs of the same two vectors, one op each: into
                 // two other vectors; with the odd half into one of its
@@ -1192,39 +1190,42 @@ fn forwarding_graph(rng: &mut Rng, w: usize) -> Graph {
                 // ending an `If` branch, so that the odd one starts at the
                 // join.
                 12 => {
-                    let even = |a: VarId, b: VarId| Expr::PermuteEven(var(a), var(b));
-                    let odd = |a: VarId, b: VarId| Expr::PermuteOdd(var(a), var(b));
+                    let even_of = |a: VarId, b: VarId| Expr::PermuteEven(var(a), var(b));
+                    let odd_of = |a: VarId, b: VarId| Expr::PermuteOdd(var(a), var(b));
                     let [he, ho] = [halves[0], halves[1]];
-                    set!(LValue::Var(he), even(vx, vy));
-                    set!(LValue::Var(ho), odd(vx, vy));
-                    set!(LValue::Var(he), even(vy, vt));
-                    set!(LValue::Var(vt), odd(vy, vt));
-                    b.stmt(Stmt::If {
+                    set(LValue::Var(he), even_of(vx, vy));
+                    set(LValue::Var(ho), odd_of(vx, vy));
+                    set(LValue::Var(he), even_of(vy, vt));
+                    set(LValue::Var(vt), odd_of(vy, vt));
+                    stmts.borrow_mut().push(Stmt::If {
                         cond: Expr::bin(BinOp::Lt, lane(Expr::Var(vx), t), lit(0.0)),
                         then_branch: vec![Stmt::Assign(
                             LValue::Var(vy),
                             Expr::bin(BinOp::Mul, Expr::Var(vy), splat(lit(small[t]))),
                         )],
-                        else_branch: vec![Stmt::Assign(LValue::Var(he), even(vx, vy))],
+                        else_branch: vec![Stmt::Assign(LValue::Var(he), even_of(vx, vy))],
                     });
-                    set!(LValue::Var(ho), odd(vx, vy));
+                    set(LValue::Var(ho), odd_of(vx, vy));
                 }
                 // Windows found through a run-time index.
                 _ => {
                     let row = Expr::bin(BinOp::And, Expr::Var(si[i2]), int(1));
                     let cell = Expr::bin(BinOp::And, Expr::Var(si[1 - i2]), int(3));
-                    set!(LValue::Index(panels, row.clone()), Expr::Var(vx));
-                    set!(LValue::Var(vt), Expr::Index(panels, Box::new(row)));
-                    set!(LValue::Index(arr, cell.clone()), Expr::Var(sf[s2]));
-                    set!(LValue::Var(sf[1 - s2]), Expr::Index(arr, Box::new(cell)));
+                    set(LValue::Index(panels, row.clone()), Expr::Var(vx));
+                    set(LValue::Var(vt), Expr::Index(panels, Box::new(row)));
+                    set(LValue::Index(arr, cell.clone()), Expr::Var(sf[s2]));
+                    set(LValue::Var(sf[1 - s2]), Expr::Index(arr, Box::new(cell)));
                 }
             }
         }
         // Literals only bit patterns tell apart.
-        set!(LValue::Var(odd[0]), lit(f32::from_bits(NAN_BITS[0])));
-        set!(LValue::Var(odd[1]), lit(f32::from_bits(NAN_BITS[1])));
-        set!(LValue::Var(odd[2]), lit(0.0));
-        set!(LValue::Var(odd[3]), lit(-0.0));
+        set(LValue::Var(odd[0]), lit(f32::from_bits(NAN_BITS[0])));
+        set(LValue::Var(odd[1]), lit(f32::from_bits(NAN_BITS[1])));
+        set(LValue::Var(odd[2]), lit(0.0));
+        set(LValue::Var(odd[3]), lit(-0.0));
+        for s in stmts.take() {
+            b.stmt(s);
+        }
         for value in [
             Expr::Var(vf[0]),
             Expr::Var(vf[1]),
@@ -1358,9 +1359,7 @@ fn assert_pool_and_forwarding_engaged(g: &Graph, machine: &Machine, at: &str) {
                 let apart = |s: u32| s + w <= dst || dst + w <= s;
                 assert!(apart(a) && apart(b), "{at}: {op:?} reads its destination");
             }
-            Op::PermPairF {
-                even, odd, a, b, w, ..
-            } => {
+            Op::PermPairF { even, odd, a, b, w } => {
                 pairs += 1;
                 let apart = |d: u32, s: u32| s + w <= d || d + w <= s;
                 assert!(
